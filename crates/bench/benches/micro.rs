@@ -9,7 +9,7 @@ use pscd_cache::{CachePolicy, GdStar, PageRef};
 use pscd_core::StrategyKind;
 use pscd_matching::{Content, Predicate, Subscription, SubscriptionIndex, Value};
 use pscd_obs::{SharedObserver, StatsObserver};
-use pscd_sim::{simulate, simulate_observed, SimOptions};
+use pscd_sim::{simulate, SimOptions, Simulation};
 use pscd_topology::{FetchCosts, TopologyBuilder};
 use pscd_types::{Bytes, PageId, ServerId};
 use pscd_workload::{generate_publishing, PublishingConfig, Workload, WorkloadConfig, Zipf};
@@ -114,8 +114,9 @@ fn observer_benches(c: &mut Criterion) {
     group.bench_function("sim_loop_stats", |b| {
         b.iter(|| {
             let obs = SharedObserver::new(StatsObserver::new());
-            simulate_observed(&w, &subs, &costs, &options, obs)
+            Simulation::with_observer(&w, &subs, &costs, &options, obs)
                 .expect("runs")
+                .run()
                 .hits
         })
     });

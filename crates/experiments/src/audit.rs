@@ -16,7 +16,7 @@ use std::path::{Path, PathBuf};
 
 use pscd_core::StrategyKind;
 use pscd_obs::{JsonlObserver, Registry, SharedObserver, StatsObserver, TraceSink};
-use pscd_sim::{simulate_observed_sharded_compiled_traced, SimOptions, Simulation};
+use pscd_sim::{simulate_observed_sharded, SimOptions, Simulation};
 
 use crate::{ExperimentContext, ExperimentError, Trace};
 
@@ -134,12 +134,7 @@ impl ObsAudit {
             } else {
                 let options = SimOptions::at_capacity(kind, capacity).with_threads(ctx.threads());
                 let (result, stats): (_, StatsObserver) = timing.time(kind.name(), || {
-                    simulate_observed_sharded_compiled_traced(
-                        &compiled,
-                        ctx.costs(),
-                        &options,
-                        sink,
-                    )
+                    simulate_observed_sharded(&compiled, ctx.costs(), &options, sink)
                 })?;
                 (result, stats, None, 0)
             };

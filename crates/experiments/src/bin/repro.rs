@@ -18,8 +18,8 @@ use pscd_experiments::{
 };
 use pscd_obs::{render_chrome_trace, NullObserver, SpanEvent, TraceSink};
 use pscd_sim::{
-    simulate_observed_sharded_compiled_traced, simulate_streamed, simulate_streamed_prefetched,
-    PrefetchOptions, SimOptions, StreamingTrace,
+    simulate_observed_sharded, simulate_streamed, simulate_streamed_prefetched, PrefetchOptions,
+    SimOptions, StreamingTrace,
 };
 use pscd_topology::{FetchCosts, TopologyBuilder};
 use pscd_types::SimTime;
@@ -154,6 +154,20 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
+    if exhibit == "scenario" {
+        // A scenario run prints its table and nothing else; refuse the
+        // exhibit output flags instead of silently dropping them.
+        let outputs = [
+            ("--trace", trace_file.is_some()),
+            ("--csv", csv_dir.is_some()),
+            ("--obs-dir", obs_dir.is_some()),
+            ("--events", events),
+        ];
+        if let Some((flag, _)) = outputs.iter().find(|(_, given)| *given) {
+            eprintln!("repro scenario does not take {flag}\n{USAGE}");
+            return ExitCode::FAILURE;
+        }
+    }
     if events && obs_dir.is_none() {
         eprintln!("--events requires --obs-dir\n{USAGE}");
         return ExitCode::FAILURE;
@@ -643,7 +657,7 @@ fn run(
             let compiled = ctx.compiled(Trace::News, 1.0)?;
             let options = SimOptions::at_capacity(kind, 0.05).with_threads(ctx.threads());
             let (_result, _obs): (_, NullObserver) =
-                simulate_observed_sharded_compiled_traced(&compiled, ctx.costs(), &options, &sink)?;
+                simulate_observed_sharded(&compiled, ctx.costs(), &options, &sink)?;
         }
     }
     if let Some(path) = trace_file {

@@ -74,9 +74,8 @@ pub use prefetch::{
     PrefetchStats, DEFAULT_PREFETCH_DEPTH,
 };
 pub use runner::{
-    simulate, simulate_compiled, simulate_observed, simulate_observed_sharded,
-    simulate_observed_sharded_compiled, simulate_observed_sharded_compiled_traced,
-    simulate_windowed, CrashPlan, SimOptions, Simulation, StepEvent,
+    simulate, simulate_compiled, simulate_observed_sharded, CrashPlan, SimOptions, Simulation,
+    StepEvent,
 };
 pub use shard::ShardPlan;
 pub use stream::{simulate_streamed, StreamingTrace, StreamingWindows};

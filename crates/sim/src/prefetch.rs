@@ -16,14 +16,15 @@
 //! * **One producer owns all carried state.** The [`WindowState`] —
 //!   version heads, publish cursor/ordinal, event index — advances
 //!   strictly in window order on the producer thread, through the same
-//!   [`StreamingTrace::compile_window_into`] core the serial pass uses.
-//!   Consumers never touch it; overlap changes *when* a window is
-//!   compiled, never *from what*.
-//! * **Batched generation scatters, it does not reorder.**
-//!   [`StreamingTrace::scatter_batch`] regenerates each page once per
-//!   `prefetch_depth`-window batch (the amortization the speedup is made
-//!   of: a page straddling `d` seams regenerates once instead of `d`
-//!   times) and buckets events per window in page-major order — the same
+//!   `StreamingTrace::gather_batch` +
+//!   [`StreamingTrace::compile_window_into`] pair the serial pass uses
+//!   (which is the batch of one). Consumers never touch it; overlap
+//!   changes *when* a window is compiled, never *from what*.
+//! * **Batched generation scatters, it does not reorder.** A batch of
+//!   `prefetch_depth` windows regenerates each page once (the
+//!   amortization the speedup is made of: a page straddling `d` seams
+//!   regenerates once instead of `d` times) and buckets its events per
+//!   window in page-major order — the same
 //!   pre-sort order the serial pass and the monolithic compiler feed
 //!   their stable sorts, so ties land identically.
 //!
@@ -45,15 +46,15 @@
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
-use pscd_obs::{MergeableObserver, NullObserver, SharedObserver, TraceSink};
+use pscd_obs::{NullObserver, TraceSink};
 use pscd_topology::FetchCosts;
 use pscd_types::{RequestEvent, ServerId};
 
-use crate::runner::{validate_meta, ReplayState, SimOptions};
-use crate::shard::{replay_chunked, ShardPlan};
+use crate::runner::{validate_meta, SimOptions};
+use crate::shard::{merge, plan_for, replay_shard};
 use crate::stream::{StreamingTrace, WindowState};
 use crate::trace::{CompiledEvent, CompiledTrace};
-use crate::window::TraceWindow;
+use crate::window::{ReplayMeta, ReplaySource, TraceWindow};
 use crate::{SimError, SimResult};
 
 /// Default compile-ahead depth: one window in flight behind the one being
@@ -283,14 +284,34 @@ impl Drop for FinishGuard<'_> {
     }
 }
 
-/// Retires the consumer's cursor even on unwind, so the producer's
-/// backpressure wait can always make progress.
-struct CursorGuard<'q> {
+/// One consumer's cursor through the shared queue, as a
+/// [`ReplaySource`]: the third source beside the monolithic trace and the
+/// serial stream. Dropping it retires the cursor (on unwind too), so the
+/// producer's backpressure wait can always make progress.
+struct QueueWindows<'q> {
+    trace: &'q StreamingTrace,
     queue: &'q WindowQueue,
     consumer: usize,
+    /// The window being replayed; the queue keeps it alive until this
+    /// cursor has taken its successor.
+    current: Option<Arc<OwnedWindow>>,
 }
 
-impl Drop for CursorGuard<'_> {
+impl ReplaySource for QueueWindows<'_> {
+    fn meta(&self) -> &ReplayMeta {
+        self.trace.meta()
+    }
+
+    fn next_window(&mut self) -> Option<TraceWindow<'_>> {
+        // Release before blocking in `take`, so this handle never extends
+        // a window's life past the queue's own accounting.
+        self.current = None;
+        self.current = self.queue.take(self.consumer);
+        self.current.as_deref().map(|w| w.view(self.trace))
+    }
+}
+
+impl Drop for QueueWindows<'_> {
     fn drop(&mut self) {
         self.queue.retire_consumer(self.consumer);
     }
@@ -306,34 +327,21 @@ fn produce(trace: &StreamingTrace, queue: &WindowQueue, depth: usize, sink: &Tra
     let mut state = WindowState::new(trace);
     let mut scratch: Vec<RequestEvent> = Vec::new();
     let mut buckets: Vec<Vec<RequestEvent>> = (0..depth).map(|_| Vec::new()).collect();
-    let total = trace.window_count();
-    let mut k = 0usize;
-    while k < total {
-        let count = depth.min(total - k);
-        for bucket in &mut buckets[..count] {
-            bucket.clear();
-        }
+    loop {
         // Windows the constructor-fused lookahead already scattered need
-        // no regeneration; scatter only the uncached tail of the batch.
-        let cached_end = trace.lookahead_len().clamp(k, k + count);
-        for (i, w) in (k..cached_end).enumerate() {
-            buckets[i].extend_from_slice(trace.lookahead_window(w).expect("cached prefix"));
-        }
-        if cached_end < k + count {
-            let span = rec.begin();
-            trace.scatter_batch(
-                cached_end,
-                k + count - cached_end,
-                &mut scratch,
-                &mut buckets[cached_end - k..count],
-            );
+        // no regeneration; only a batch with an uncached tail is a span.
+        let span = rec.begin();
+        let Some((windows, regenerated)) = trace.gather_batch(&state, &mut scratch, &mut buckets)
+        else {
+            return;
+        };
+        if regenerated < windows.end {
             rec.end_with(span, "prefetch.generate", || {
-                format!("windows [{cached_end}, {})", k + count)
+                format!("windows [{regenerated}, {})", windows.end)
             });
         }
-        for (i, bucket) in buckets[..count].iter_mut().enumerate() {
+        for (k, bucket) in windows.zip(&mut buckets) {
             let span = rec.begin();
-            bucket.sort_by_key(|e| e.time);
             let mut events = Vec::new();
             let mut offsets = Vec::new();
             let mut pairs = Vec::new();
@@ -346,7 +354,7 @@ fn produce(trace: &StreamingTrace, queue: &WindowQueue, depth: usize, sink: &Tra
             );
             let n = events.len();
             rec.end_with(span, "prefetch.compile", || {
-                format!("window {} ({n} events)", k + i)
+                format!("window {k} ({n} events)")
             });
             // Push outside the span: blocked-on-backpressure time shows
             // as a gap in the producer track, not as compile work.
@@ -358,89 +366,39 @@ fn produce(trace: &StreamingTrace, queue: &WindowQueue, depth: usize, sink: &Tra
                 start_index,
             });
         }
-        k += count;
     }
 }
 
-/// One replay shard pulling its cursor through the shared queue.
-fn consume_shard<O: MergeableObserver>(
+/// Runs one pipelined pass: the producer on its own thread beside
+/// `consumers` queue-fed sources, each handed to `consume` with its
+/// consumer index. Returns the consumers' outputs in index order and the
+/// queue's `(peak_windows, peak_bytes)`.
+fn pipelined<T: Send>(
     trace: &StreamingTrace,
-    queue: &WindowQueue,
-    plan: &ShardPlan,
-    shard: usize,
-    costs: &FetchCosts,
-    options: &SimOptions,
-    sink: &TraceSink,
-) -> (SimResult, O) {
-    let _cursor = CursorGuard {
-        queue,
-        consumer: shard,
-    };
-    let (start, end) = plan.range(shard);
-    let obs = SharedObserver::new(O::default());
-    let mut state = ReplayState::new(trace.meta(), costs, options, obs.clone(), start, end);
-    if sink.is_enabled() {
-        let mut rec = sink.recorder(format!("shard {shard} [{start},{end})"));
-        while let Some(window) = queue.take(shard) {
-            let view = window.view(trace);
-            replay_chunked(&mut state, &view, &mut rec);
-        }
-    } else {
-        while let Some(window) = queue.take(shard) {
-            let view = window.view(trace);
-            while state.step(&view).is_some() {}
-        }
-    }
-    let result = state.finish();
-    let observer = obs
-        .try_unwrap()
-        .unwrap_or_else(|_| panic!("shard dropped every observer clone"));
-    (result, observer)
-}
-
-/// Runs one pipelined pass: producer thread + one consumer per replay
-/// shard, merged in shard order. Inputs must already be validated.
-pub(crate) fn run_pipelined<O: MergeableObserver>(
-    trace: &StreamingTrace,
-    costs: &FetchCosts,
-    options: &SimOptions,
     prefetch: &PrefetchOptions,
+    consumers: usize,
     sink: &TraceSink,
-) -> (SimResult, O, PrefetchStats) {
-    let meta = trace.meta();
-    let shards = crate::pool::effective_threads(options.threads, meta.server_count() as usize);
-    let plan = ShardPlan::balanced(meta.request_load(), shards);
-    let queue = WindowQueue::new(prefetch.depth(), plan.shards());
-    let mut counted = (0usize, 0usize);
+    consume: impl Fn(usize, &mut QueueWindows<'_>) -> T + Sync,
+) -> (Vec<T>, (usize, usize)) {
+    let queue = WindowQueue::new(prefetch.depth(), consumers);
     let outputs = {
-        let (queue, plan, counted) = (&queue, &plan, &mut counted);
+        let queue = &queue;
         let depth = prefetch.depth();
-        let shard_outputs = crate::pool::producer_consumers(
+        crate::pool::producer_consumers(
             move || produce(trace, queue, depth, sink),
-            plan.shards(),
-            |shard| consume_shard::<O>(trace, queue, plan, shard, costs, options, sink),
-        );
-        *counted = (trace.window_count(), meta.len());
-        shard_outputs
+            consumers,
+            |consumer| {
+                let mut source = QueueWindows {
+                    trace,
+                    queue,
+                    consumer,
+                    current: None,
+                };
+                consume(consumer, &mut source)
+            },
+        )
     };
-    let mut result =
-        SimResult::identity(options.strategy.name(), meta.hours(), meta.server_count());
-    let mut merged = O::default();
-    for (shard_result, shard_obs) in outputs {
-        result.absorb(&shard_result);
-        merged.absorb(shard_obs);
-    }
-    let (peak_windows, peak_bytes) = queue.stats();
-    (
-        result,
-        merged,
-        PrefetchStats {
-            windows: counted.0,
-            events: counted.1,
-            peak_windows,
-            peak_bytes,
-        },
-    )
+    (outputs, queue.stats())
 }
 
 /// [`simulate_streamed`](crate::simulate_streamed) through the pipelined
@@ -476,9 +434,11 @@ pub fn simulate_streamed_prefetched_traced(
     sink: &TraceSink,
 ) -> Result<SimResult, SimError> {
     validate_meta(trace.meta(), costs, options)?;
-    let (result, _null, _stats) =
-        run_pipelined::<NullObserver>(trace, costs, options, prefetch, sink);
-    Ok(result)
+    let plan = plan_for(trace.meta(), options);
+    let (shards, _peaks) = pipelined(trace, prefetch, plan.shards(), sink, |k, source| {
+        replay_shard::<NullObserver>(source, costs, options, &plan, k, sink)
+    });
+    Ok(merge(trace.meta(), options, shards).0)
 }
 
 impl StreamingTrace {
@@ -497,31 +457,9 @@ impl StreamingTrace {
         prefetch: &PrefetchOptions,
         sink: &TraceSink,
     ) -> CompiledTrace {
-        let queue = WindowQueue::new(prefetch.depth(), 1);
-        let mut out = {
-            let queue = &queue;
-            let depth = prefetch.depth();
-            crate::pool::producer_consumers(
-                move || produce(self, queue, depth, sink),
-                1,
-                |consumer| {
-                    let _cursor = CursorGuard { queue, consumer };
-                    let mut events: Vec<CompiledEvent> = Vec::with_capacity(self.meta().len());
-                    let mut offsets: Vec<u32> = Vec::with_capacity(self.meta().publish_count() + 1);
-                    offsets.push(0);
-                    let mut pairs: Vec<(ServerId, u32)> = Vec::new();
-                    while let Some(w) = queue.take(consumer) {
-                        events.extend_from_slice(&w.events);
-                        let base = pairs.len() as u32;
-                        for &off in &w.offsets[1..] {
-                            offsets.push(base + off);
-                        }
-                        pairs.extend_from_slice(&w.pairs);
-                    }
-                    CompiledTrace::from_parts(self.meta().clone(), events, offsets, pairs)
-                },
-            )
-        };
+        let (mut out, _peaks) = pipelined(self, prefetch, 1, sink, |_, source| {
+            CompiledTrace::concat(source)
+        });
         out.pop().expect("one consumer")
     }
 
@@ -530,27 +468,17 @@ impl StreamingTrace {
     /// pipeline (what `cold.stream.pipelined` benchmarks against the
     /// serial drain) and the accounting the memory suite asserts on.
     pub fn drain_prefetched(&self, prefetch: &PrefetchOptions) -> PrefetchStats {
-        let queue = WindowQueue::new(prefetch.depth(), 1);
-        let counts = {
-            let queue = &queue;
-            let depth = prefetch.depth();
-            crate::pool::producer_consumers(
-                move || produce(self, queue, depth, &TraceSink::disabled()),
-                1,
-                |consumer| {
-                    let _cursor = CursorGuard { queue, consumer };
-                    let mut windows = 0usize;
-                    let mut events = 0usize;
-                    while let Some(w) = queue.take(consumer) {
-                        windows += 1;
-                        events += w.events.len();
-                    }
-                    (windows, events)
-                },
-            )
-        };
+        let sink = TraceSink::disabled();
+        let (counts, (peak_windows, peak_bytes)) =
+            pipelined(self, prefetch, 1, &sink, |_, source| {
+                let (mut windows, mut events) = (0usize, 0usize);
+                while let Some(w) = source.next_window() {
+                    windows += 1;
+                    events += w.len();
+                }
+                (windows, events)
+            });
         let (windows, events) = counts[0];
-        let (peak_windows, peak_bytes) = queue.stats();
         PrefetchStats {
             windows,
             events,

@@ -11,7 +11,52 @@
 //! — the service's differential suite proves they end bit-identical — so
 //! the state machines live here, once, and every resolver calls them.
 
-use pscd_types::{PageId, PageMeta, ServerId};
+use pscd_matching::{EngineMatcher, MatchScratch};
+use pscd_types::{PageId, PageMeta, ServerId, SubscriptionTable};
+
+/// Where trace compilation looks up a publish's fan-out and a request's
+/// subscription count: the static table, or a (frozen) content matcher.
+/// The only point at which the monolithic and the per-window compilers
+/// differ between the two, so both take one of these.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Matching<'a> {
+    Table(&'a SubscriptionTable),
+    Matcher(&'a EngineMatcher),
+}
+
+/// Per-worker scratch for [`Matching`] lookups; only the matcher arm
+/// touches it.
+#[derive(Debug, Default)]
+pub(crate) struct MatchBuffers {
+    scratch: MatchScratch,
+    fanout: Vec<(ServerId, u32)>,
+}
+
+impl<'a> Matching<'a> {
+    /// The matched `(server, count)` list of `page`, sorted by server.
+    #[inline]
+    pub(crate) fn fanout<'b>(self, page: PageId, buf: &'b mut MatchBuffers) -> &'b [(ServerId, u32)]
+    where
+        'a: 'b,
+    {
+        match self {
+            Matching::Table(table) => table.matched_servers(page),
+            Matching::Matcher(matcher) => {
+                matcher.matched_servers_into(page, &mut buf.scratch, &mut buf.fanout);
+                &buf.fanout
+            }
+        }
+    }
+
+    /// The subscription count of `(page, server)`.
+    #[inline]
+    pub(crate) fn count(self, page: PageId, server: ServerId, buf: &mut MatchBuffers) -> u32 {
+        match self {
+            Matching::Table(table) => table.count(page, server),
+            Matching::Matcher(matcher) => matcher.match_count_with(page, server, &mut buf.scratch),
+        }
+    }
+}
 
 /// The invalidation lineage: the latest published version per *origin*
 /// page. A publish of page `p` with origin `o` (itself for originals)
@@ -65,7 +110,7 @@ impl VersionHeads {
 
 /// Live per-(page, server) subscription counts: page-major rows, each
 /// sorted by server id — the mutable twin of
-/// [`SubscriptionTable`](pscd_types::SubscriptionTable).
+/// [`SubscriptionTable`].
 ///
 /// A publish freezes its fan-out by copying the page's current row; a
 /// request reads its subscription count from the row as of request time.

@@ -1,13 +1,12 @@
 //! The discrete-event simulation runner.
 //!
-//! Since the compiled-trace refactor there is exactly **one** replay loop
-//! in the simulator: [`ReplayState::step`], driven over compiled
-//! [`TraceWindow`]s. The sequential runner replays the full server range
-//! over one whole-trace window; a shard worker is the same replay over
-//! `[start, end)` (see `shard.rs`); a windowed run pulls bounded chunks
-//! from any [`ReplaySource`] ([`simulate_windowed`]). Nothing re-derives
-//! timeline order, fan-outs, subscription counts or invalidation lineage
-//! per run.
+//! There is exactly **one** replay loop in the simulator:
+//! [`ReplayState::step`], driven over compiled [`TraceWindow`]s by the
+//! driver in `shard.rs`. The sequential runner replays the full server
+//! range over one whole-trace window; a shard worker is the same replay
+//! over `[start, end)`; a streamed run pulls bounded windows from its
+//! [`ReplaySource`](crate::ReplaySource). Nothing re-derives timeline
+//! order, fan-outs, subscription counts or invalidation lineage per run.
 
 use serde::{Deserialize, Serialize};
 
@@ -17,13 +16,14 @@ use rand::SeedableRng;
 
 use pscd_broker::{DeliveryEngine, PushRecord, PushScheme};
 use pscd_core::{Layout, StrategyKind};
-use pscd_obs::{MergeableObserver, NullObserver, Observer, SharedObserver};
+use pscd_obs::{MergeableObserver, NullObserver, Observer, SharedObserver, TraceSink};
 use pscd_topology::FetchCosts;
 use pscd_types::{ServerId, SimTime, SubscriptionTable};
 use pscd_workload::Workload;
 
+use crate::shard::{drain, plan_for, run_shards};
 use crate::trace::{CompiledEventKind, CompiledTrace};
-use crate::window::{ReplayMeta, ReplaySource, TraceWindow};
+use crate::window::{ReplayMeta, TraceWindow};
 use crate::{HourlySeries, SimError, SimResult};
 
 /// A fault-injection plan: at `time`, a `fraction` of the proxies crash
@@ -193,175 +193,60 @@ pub fn simulate_compiled(
     Ok(Simulation::from_compiled(trace, costs, options)?.run())
 }
 
-/// [`simulate`] with every simulator decision reported to `obs`: timeline
-/// events (publish, request, crash, invalidation) fire from the runner,
-/// push outcomes from the delivery engine, and cache decisions
-/// (admissions, evictions, relabels) from the per-proxy strategies.
-///
-/// Keep a [`SharedObserver`] clone to read the observer back after the
-/// run. With a [`NullObserver`] this compiles to exactly [`simulate`].
-///
-/// # Errors
-///
-/// Returns [`SimError`] for the same invalid inputs as [`simulate`].
-///
-/// # Examples
-///
-/// ```
-/// use pscd_core::StrategyKind;
-/// use pscd_obs::{SharedObserver, StatsObserver};
-/// use pscd_sim::{simulate_observed, SimOptions};
-/// use pscd_topology::FetchCosts;
-/// use pscd_workload::{Workload, WorkloadConfig};
-///
-/// let w = Workload::generate(&WorkloadConfig::news_scaled(0.003))?;
-/// let subs = w.subscriptions(1.0)?;
-/// let costs = FetchCosts::uniform(w.server_count());
-/// let obs = SharedObserver::new(StatsObserver::new());
-/// let result = simulate_observed(
-///     &w,
-///     &subs,
-///     &costs,
-///     &SimOptions::at_capacity(StrategyKind::Sg2 { beta: 2.0 }, 0.05),
-///     obs.clone(),
-/// )?;
-/// let stats = obs.try_unwrap().expect("run dropped its clones");
-/// assert_eq!(stats.requests(), result.requests);
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-pub fn simulate_observed<O: Observer>(
-    workload: &Workload,
-    subscriptions: &SubscriptionTable,
-    costs: &FetchCosts,
-    options: &SimOptions,
-    obs: SharedObserver<O>,
-) -> Result<SimResult, SimError> {
-    Ok(Simulation::with_observer(workload, subscriptions, costs, options, obs)?.run())
-}
-
-/// [`simulate_observed`] over the sharded path: each shard collects into
-/// its own fresh `O` and the shard observers are folded together in shard
-/// order via [`MergeableObserver::absorb`], so additive observer totals
-/// (hits, misses, transfers, bytes) match the sequential run exactly.
-/// Runs sharded even when [`SimOptions::threads`] resolves to one thread.
+/// [`simulate_compiled`] over the sharded path with a mergeable observer
+/// and timeline tracing: each shard collects into its own fresh `O` and
+/// the shard observers are folded together in shard order via
+/// [`MergeableObserver::absorb`], so additive observer totals (hits,
+/// misses, transfers, bytes) match the sequential run exactly. Runs
+/// through the shard driver even when [`SimOptions::threads`] resolves to
+/// one thread.
 ///
 /// This exists because a [`SharedObserver`] is single-threaded by design
 /// (`Rc<RefCell<_>>`): an arbitrary observer handed to
-/// [`simulate_observed`] cannot cross shard boundaries, but an observer
-/// type that knows how to merge can be built per shard and recombined.
+/// [`Simulation::with_observer`] cannot cross shard boundaries, but an
+/// observer type that knows how to merge can be built per shard and
+/// recombined.
+///
+/// With a live `sink` each shard worker records one track of coarse
+/// per-chunk replay spans (export with
+/// [`render_chrome_trace`](pscd_obs::render_chrome_trace)). A disabled
+/// sink makes the workers run the uninstrumented loop, so totals are
+/// bit-identical with tracing on or off (proved by the
+/// `trace_differential` suite).
 ///
 /// # Errors
 ///
-/// Returns [`SimError`] for the same invalid inputs as [`simulate`].
+/// Returns [`SimError`] for the same invalid inputs as
+/// [`simulate_compiled`].
 ///
 /// # Examples
 ///
 /// ```
 /// use pscd_core::StrategyKind;
-/// use pscd_obs::StatsObserver;
-/// use pscd_sim::{simulate_observed_sharded, SimOptions};
+/// use pscd_obs::{StatsObserver, TraceSink};
+/// use pscd_sim::{simulate_observed_sharded, CompiledTrace, SimOptions};
 /// use pscd_topology::FetchCosts;
 /// use pscd_workload::{Workload, WorkloadConfig};
 ///
 /// let w = Workload::generate(&WorkloadConfig::news_scaled(0.003))?;
-/// let subs = w.subscriptions(1.0)?;
+/// let trace = CompiledTrace::compile(&w, &w.subscriptions(1.0)?)?;
 /// let costs = FetchCosts::uniform(w.server_count());
 /// let opt = SimOptions::at_capacity(StrategyKind::Sg2 { beta: 2.0 }, 0.05).with_threads(4);
 /// let (result, stats): (_, StatsObserver) =
-///     simulate_observed_sharded(&w, &subs, &costs, &opt)?;
+///     simulate_observed_sharded(&trace, &costs, &opt, &TraceSink::disabled())?;
 /// assert_eq!(stats.requests(), result.requests);
 /// assert_eq!(stats.hits(), result.hits);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn simulate_observed_sharded<O: MergeableObserver>(
-    workload: &Workload,
-    subscriptions: &SubscriptionTable,
-    costs: &FetchCosts,
-    options: &SimOptions,
-) -> Result<(SimResult, O), SimError> {
-    validate(workload, subscriptions, costs, options)?;
-    let trace = CompiledTrace::compile(workload, subscriptions)?;
-    let shards = crate::pool::effective_threads(options.threads, workload.server_count() as usize);
-    Ok(crate::shard::run_sharded(&trace, costs, options, shards))
-}
-
-/// [`simulate_observed_sharded`] over an already-compiled trace.
-///
-/// # Errors
-///
-/// Returns [`SimError`] for the same invalid inputs as
-/// [`simulate_compiled`].
-pub fn simulate_observed_sharded_compiled<O: MergeableObserver>(
     trace: &CompiledTrace,
     costs: &FetchCosts,
     options: &SimOptions,
+    sink: &TraceSink,
 ) -> Result<(SimResult, O), SimError> {
-    validate_compiled(trace, costs, options)?;
-    let shards = crate::pool::effective_threads(options.threads, trace.server_count() as usize);
-    Ok(crate::shard::run_sharded(trace, costs, options, shards))
-}
-
-/// [`simulate_observed_sharded_compiled`] with timeline tracing: each
-/// shard worker records one track of coarse per-chunk replay spans into
-/// `sink` (export with
-/// [`render_chrome_trace`](pscd_obs::render_chrome_trace)). A disabled
-/// sink makes this exactly [`simulate_observed_sharded_compiled`] — the
-/// workers run the uninstrumented loop, so totals are bit-identical with
-/// tracing on or off (proved by the `trace_differential` suite).
-///
-/// # Errors
-///
-/// Returns [`SimError`] for the same invalid inputs as
-/// [`simulate_compiled`].
-pub fn simulate_observed_sharded_compiled_traced<O: MergeableObserver>(
-    trace: &CompiledTrace,
-    costs: &FetchCosts,
-    options: &SimOptions,
-    sink: &pscd_obs::TraceSink,
-) -> Result<(SimResult, O), SimError> {
-    validate_compiled(trace, costs, options)?;
-    let shards = crate::pool::effective_threads(options.threads, trace.server_count() as usize);
-    Ok(crate::shard::run_sharded_traced(
-        trace, costs, options, shards, sink,
-    ))
-}
-
-/// [`simulate_compiled`] over any [`ReplaySource`]: pulls compiled
-/// [`TraceWindow`]s one bounded chunk at a time and replays them through
-/// the same [`ReplayState`] loop, sequentially on the calling thread
-/// ([`SimOptions::threads`] is ignored here — sharding a source needs one
-/// source per worker; see `simulate_streamed`). With a
-/// [`CompiledTrace::windows`] source the result is bit-identical to
-/// [`simulate_compiled`] at every window size; with a
-/// [`StreamingTrace`](crate::StreamingTrace) source peak memory stays
-/// O(window) instead of O(trace). Both claims are proved by the
-/// `stream_differential` suite.
-///
-/// The source is consumed: windows are pulled until it returns `None`.
-///
-/// # Errors
-///
-/// Returns [`SimError`] if the fetch-cost vector does not cover the
-/// source's proxies or an option is out of range.
-pub fn simulate_windowed<S: ReplaySource>(
-    source: &mut S,
-    costs: &FetchCosts,
-    options: &SimOptions,
-) -> Result<SimResult, SimError> {
-    validate_meta(source.meta(), costs, options)?;
-    let servers = source.meta().server_count();
-    let mut state = ReplayState::new(
-        source.meta(),
-        costs,
-        options,
-        SharedObserver::disabled(),
-        0,
-        servers,
-    );
-    while let Some(window) = source.next_window() {
-        while state.step(&window).is_some() {}
-    }
-    Ok(state.finish())
+    validate_meta(trace.meta(), costs, options)?;
+    let open = || trace.windows(usize::MAX);
+    Ok(run_shards(trace.meta(), open, costs, options, sink))
 }
 
 /// Rejects mismatched inputs and invalid options; shared by every entry
@@ -387,16 +272,6 @@ pub(crate) fn validate(
         });
     }
     Ok(())
-}
-
-/// [`validate`] for entry points starting from a [`CompiledTrace`] (the
-/// subscription table is already baked in).
-pub(crate) fn validate_compiled(
-    trace: &CompiledTrace,
-    costs: &FetchCosts,
-    options: &SimOptions,
-) -> Result<(), SimError> {
-    validate_meta(trace.meta(), costs, options)
 }
 
 /// [`validate`] for entry points starting from any [`ReplaySource`] — the
@@ -478,9 +353,10 @@ pub enum StepEvent {
 /// the engine, the global cursor, pending crash/invalidation — while the
 /// timeline arrives as [`TraceWindow`]s passed by reference into each
 /// call: the whole trace at once ([`CompiledTrace::full_window`]), or one
-/// bounded chunk at a time from any [`ReplaySource`]. The state carries
-/// nothing window-local, so window boundaries are invisible to replay
-/// semantics (the `stream_differential` suite proves it).
+/// bounded chunk at a time from any
+/// [`ReplaySource`](crate::ReplaySource). The state carries nothing
+/// window-local, so window boundaries are invisible to replay semantics
+/// (the `stream_differential` suite proves it).
 #[derive(Debug)]
 pub(crate) struct ReplayState<O: Observer> {
     options: SimOptions,
@@ -492,10 +368,10 @@ pub(crate) struct ReplayState<O: Observer> {
     /// Next *global* timeline index to process.
     cursor: usize,
     /// Pending crash instant; `None` once fired (or no plan). Compared
-    /// against each owned event's time — on the time-sorted timeline this
-    /// is exactly the "first event at or after the crash instant" index
-    /// the pre-window runner precomputed, but it needs no whole-trace
-    /// search, so it carries across window seams for free.
+    /// against each owned event's time: on the time-sorted timeline the
+    /// crash fires before the first owned event at or after the instant,
+    /// which needs no whole-trace search and so carries across window
+    /// seams for free.
     crash_at: Option<SimTime>,
     /// Crash victims inside `[start, end)`, resolved from the full fleet.
     victims: Vec<ServerId>,
@@ -628,10 +504,9 @@ impl<O: Observer> ReplayState<O> {
         // below carry this event's simulation time.
         self.obs.clock(ev.time);
         // Fault injection fires before the first owned event at/after its
-        // instant — the time comparison on a time-sorted timeline is
-        // exactly the precomputed crash-index check, window seams
-        // included (a crash instant falling between windows fires before
-        // the next window's first event). The crash consumes no event.
+        // instant, window seams included (a crash instant falling between
+        // windows fires before the next window's first event). The crash
+        // consumes no event.
         if let Some(at) = self.crash_at {
             if ev.time >= at {
                 self.crash_at = None;
@@ -848,13 +723,46 @@ impl<'a> Simulation<'a> {
 }
 
 impl<'a, O: Observer> Simulation<'a, O> {
-    /// [`new`](Simulation::new) with all simulator decisions reported to
-    /// `obs` (see [`simulate_observed`]).
+    /// [`new`](Simulation::new) with every simulator decision reported to
+    /// `obs`: timeline events (publish, request, crash, invalidation) fire
+    /// from the runner, push outcomes from the delivery engine, and cache
+    /// decisions (admissions, evictions, relabels) from the per-proxy
+    /// strategies.
+    ///
+    /// Keep a [`SharedObserver`] clone to read the observer back after the
+    /// run. With a [`NullObserver`] this compiles to exactly
+    /// [`new`](Simulation::new).
     ///
     /// # Errors
     ///
     /// Returns [`SimError`] for mismatched inputs or invalid options, like
     /// [`simulate`].
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use pscd_core::StrategyKind;
+    /// use pscd_obs::{SharedObserver, StatsObserver};
+    /// use pscd_sim::{SimOptions, Simulation};
+    /// use pscd_topology::FetchCosts;
+    /// use pscd_workload::{Workload, WorkloadConfig};
+    ///
+    /// let w = Workload::generate(&WorkloadConfig::news_scaled(0.003))?;
+    /// let subs = w.subscriptions(1.0)?;
+    /// let costs = FetchCosts::uniform(w.server_count());
+    /// let obs = SharedObserver::new(StatsObserver::new());
+    /// let result = Simulation::with_observer(
+    ///     &w,
+    ///     &subs,
+    ///     &costs,
+    ///     &SimOptions::at_capacity(StrategyKind::Sg2 { beta: 2.0 }, 0.05),
+    ///     obs.clone(),
+    /// )?
+    /// .run();
+    /// let stats = obs.try_unwrap().expect("run dropped its clones");
+    /// assert_eq!(stats.requests(), result.requests);
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
     pub fn with_observer(
         workload: &Workload,
         subscriptions: &SubscriptionTable,
@@ -884,7 +792,7 @@ impl<'a, O: Observer> Simulation<'a, O> {
         options: &SimOptions,
         obs: SharedObserver<O>,
     ) -> Result<Self, SimError> {
-        validate_compiled(trace, costs, options)?;
+        validate_meta(trace.meta(), costs, options)?;
         Ok(Self::build(TraceSource::Shared(trace), costs, options, obs))
     }
 
@@ -936,25 +844,23 @@ impl<'a, O: Observer> Simulation<'a, O> {
     /// (see the `differential` test suite). A simulation that has already
     /// stepped, or one with an enabled observer (whose event stream is
     /// inherently sequential), always drains on the calling thread.
-    pub fn run(mut self) -> SimResult {
-        if !O::ENABLED && self.state.cursor() == 0 && !self.state.pending_invalidation() {
-            let options = *self.state.options();
-            let shards = crate::pool::effective_threads(
-                options.threads,
-                self.trace.get().server_count() as usize,
-            );
-            if shards > 1 {
-                let (result, _null) = crate::shard::run_sharded::<NullObserver>(
-                    self.trace.get(),
-                    &self.costs,
-                    &options,
-                    shards,
-                );
-                return result;
-            }
+    pub fn run(self) -> SimResult {
+        let Self {
+            trace,
+            costs,
+            state,
+        } = self;
+        let trace = trace.get();
+        let options = *state.options();
+        let open = || trace.windows(usize::MAX);
+        let untouched = !O::ENABLED && state.cursor() == 0 && !state.pending_invalidation();
+        if untouched && plan_for(trace.meta(), &options).shards() > 1 {
+            let sink = TraceSink::disabled();
+            return run_shards::<_, NullObserver>(trace.meta(), open, &costs, &options, &sink).0;
         }
-        while self.step().is_some() {}
-        self.finish()
+        // One shard: the fleet built at construction *is* that shard, so
+        // it goes to the driver's loop as it stands.
+        drain(state, &mut open(), None)
     }
 
     /// Finalizes the result from the current state (usable mid-timeline

@@ -7,16 +7,18 @@
 //! sub-timeline (all publishes + the shard's requests) on its own thread,
 //! and fold the shard-local [`SimResult`]s together in shard order.
 //!
-//! A shard worker is not a second event loop: it is the same
-//! [`ReplayState`](crate::runner) the sequential runner drives, restricted
-//! to the shard's server range. Determinism rests on three facts, each
-//! enforced structurally:
+//! This module is the one replay driver: [`drain`] is the only loop that
+//! feeds a [`ReplaySource`]'s windows to `ReplayState::step`,
+//! [`replay_shard`] the only place a shard's replay is built, and
+//! [`merge`] the only fold. Every entry point — monolithic, streamed,
+//! prefetched, observed, traced — is a source handed to these; the
+//! sequential replay is the one-shard case. Determinism rests on three
+//! facts, each enforced structurally:
 //!
-//! 1. **The push schedule is computed once.** [`CompiledTrace`] resolves
-//!    every publish event's matched-proxy list at compile time; shards
-//!    slice their server range out of the same table
-//!    ([`CompiledTrace::matched_in`]), so no shard can see a different
-//!    fan-out than the sequential run.
+//! 1. **The push schedule is computed once.** Every publish event's
+//!    matched-proxy list is resolved at compile time; shards slice their
+//!    server range out of the same table ([`TraceWindow::matched_in`]),
+//!    so no shard can see a different fan-out than the sequential run.
 //! 2. **Crash victims are a pure function of the seed.**
 //!    `CrashPlan::victims` is evaluated over the *full* server count and
 //!    filtered per shard, so fault injection hits exactly the proxies it
@@ -40,7 +42,6 @@ use pscd_topology::FetchCosts;
 
 use crate::pool::parallel_indexed;
 use crate::runner::{ReplayState, SimOptions};
-use crate::trace::CompiledTrace;
 use crate::window::{ReplayMeta, ReplaySource, TraceWindow};
 use crate::SimResult;
 
@@ -111,19 +112,6 @@ impl ShardPlan {
     }
 }
 
-/// Runs the replay sharded over `threads` threads (callers resolve the
-/// thread count via [`pool::effective_threads`](crate::pool)) and returns
-/// the merged result plus the per-shard observers folded in shard order.
-/// Inputs must already be validated.
-pub(crate) fn run_sharded<O: MergeableObserver>(
-    trace: &CompiledTrace,
-    costs: &FetchCosts,
-    options: &SimOptions,
-    threads: usize,
-) -> (SimResult, O) {
-    run_sharded_traced(trace, costs, options, threads, &TraceSink::disabled())
-}
-
 /// How many timeline events a shard replays between trace-span
 /// boundaries. Coarse on purpose: per-chunk spans keep the instrumented
 /// run within measurement noise (a clock read every ~8k events), and the
@@ -133,7 +121,7 @@ const REPLAY_CHUNK: usize = 8192;
 /// Drains one window of `state` in [`REPLAY_CHUNK`]-sized chunks,
 /// recording one span per chunk (label `replay.<strategy>`, detail = the
 /// cursor range).
-pub(crate) fn replay_chunked<O: Observer>(
+fn replay_chunked<O: Observer>(
     state: &mut ReplayState<O>,
     window: &TraceWindow<'_>,
     rec: &mut TraceRecorder,
@@ -156,93 +144,100 @@ pub(crate) fn replay_chunked<O: Observer>(
     }
 }
 
-/// [`run_sharded`] with trace spans: each shard worker records one track
-/// (`shard <k> [<start>,<end>)`) of per-chunk replay spans into `sink`.
-/// With a disabled sink the workers run the exact uninstrumented loop.
-pub(crate) fn run_sharded_traced<O: MergeableObserver>(
-    trace: &CompiledTrace,
-    costs: &FetchCosts,
-    options: &SimOptions,
-    threads: usize,
-    sink: &TraceSink,
-) -> (SimResult, O) {
-    if sink.is_enabled() {
-        crate::pool::spans::set_phase("replay.shard");
-    }
-    let plan = ShardPlan::balanced(trace.request_load(), threads);
-    let shard_outputs = parallel_indexed(plan.shards(), threads, |k| {
-        let (start, end) = plan.range(k);
-        let obs = SharedObserver::new(O::default());
-        let mut state = ReplayState::new(trace.meta(), costs, options, obs.clone(), start, end);
-        let window = trace.full_window();
-        if sink.is_enabled() {
-            let mut rec = sink.recorder(format!("shard {k} [{start},{end})"));
-            replay_chunked(&mut state, &window, &mut rec);
-        } else {
-            while state.step(&window).is_some() {}
+/// Replays every remaining window of `source` through `state` and
+/// finalizes the result — the one place a [`ReplaySource`] meets
+/// [`ReplayState::step`]. With a recorder the windows drain in traced
+/// chunks; without one this is the bare uninstrumented loop.
+pub(crate) fn drain<O: Observer>(
+    mut state: ReplayState<O>,
+    source: &mut impl ReplaySource,
+    mut rec: Option<&mut TraceRecorder>,
+) -> SimResult {
+    while let Some(window) = source.next_window() {
+        match rec.as_deref_mut() {
+            Some(rec) => replay_chunked(&mut state, &window, rec),
+            None => while state.step(&window).is_some() {},
         }
-        let result = state.finish();
-        let observer = obs
-            .try_unwrap()
-            .unwrap_or_else(|_| panic!("shard dropped every observer clone"));
-        (result, observer)
-    });
-    let mut result =
-        SimResult::identity(options.strategy.name(), trace.hours(), trace.server_count());
-    let mut merged_obs = O::default();
-    for (shard_result, shard_obs) in shard_outputs {
-        result.absorb(&shard_result);
-        merged_obs.absorb(shard_obs);
     }
-    (result, merged_obs)
+    state.finish()
 }
 
-/// [`run_sharded`] over any [`ReplaySource`], opened independently per
-/// shard worker: each worker calls `make()` for its own source and pulls
-/// its own window sequence. This is what makes a lazily generating source
-/// shardable at all — a window borrows its source, a
-/// [`SharedObserver`] is single-threaded, and the replay loop is
-/// sequential per shard, so sharing one source across workers is neither
-/// possible nor wanted. The price is that each shard regenerates the
-/// full window stream (shards filter the same timeline to their server
-/// range); the win is that no shard ever holds more than one window.
-/// Inputs must already be validated against `meta`.
-pub(crate) fn run_sharded_source<S, F, O>(
-    meta: &ReplayMeta,
-    make: F,
+/// One shard of a run: builds the replay of `plan`'s range `k` over
+/// `source.meta()`, drains `source` through it, and returns the shard's
+/// result with its own observer. With a live `sink` the shard records one
+/// track (`shard <k> [<start>,<end>)`) of per-chunk replay spans. Inputs
+/// must already be validated.
+pub(crate) fn replay_shard<O: MergeableObserver>(
+    source: &mut impl ReplaySource,
     costs: &FetchCosts,
     options: &SimOptions,
-    threads: usize,
+    plan: &ShardPlan,
+    k: usize,
+    sink: &TraceSink,
+) -> (SimResult, O) {
+    let (start, end) = plan.range(k);
+    let obs = SharedObserver::new(O::default());
+    let state = ReplayState::new(source.meta(), costs, options, obs.clone(), start, end);
+    let mut rec = sink
+        .is_enabled()
+        .then(|| sink.recorder(format!("shard {k} [{start},{end})")));
+    let result = drain(state, source, rec.as_mut());
+    let observer = obs
+        .try_unwrap()
+        .unwrap_or_else(|_| panic!("shard dropped every observer clone"));
+    (result, observer)
+}
+
+/// Folds shard outputs together in shard order (see `merge.rs` for why
+/// that is exact).
+pub(crate) fn merge<O: MergeableObserver>(
+    meta: &ReplayMeta,
+    options: &SimOptions,
+    shards: Vec<(SimResult, O)>,
+) -> (SimResult, O) {
+    let mut result =
+        SimResult::identity(options.strategy.name(), meta.hours(), meta.server_count());
+    let mut observer = O::default();
+    for (shard_result, shard_obs) in shards {
+        result.absorb(&shard_result);
+        observer.absorb(shard_obs);
+    }
+    (result, observer)
+}
+
+/// The shard plan [`SimOptions::threads`] asks for over `meta`'s fleet.
+pub(crate) fn plan_for(meta: &ReplayMeta, options: &SimOptions) -> ShardPlan {
+    let threads = crate::pool::effective_threads(options.threads, meta.server_count() as usize);
+    ShardPlan::balanced(meta.request_load(), threads)
+}
+
+/// Runs one replay over independently opened sources: every shard worker
+/// calls `open()` for its own source and pulls its own window sequence (a
+/// window borrows its source and a [`SharedObserver`] is single-threaded,
+/// so sharing one source across workers is neither possible nor wanted).
+/// One shard runs inline on the calling thread. Inputs must already be
+/// validated against `meta`.
+pub(crate) fn run_shards<S, O>(
+    meta: &ReplayMeta,
+    open: impl Fn() -> S + Sync,
+    costs: &FetchCosts,
+    options: &SimOptions,
+    sink: &TraceSink,
 ) -> (SimResult, O)
 where
     S: ReplaySource,
-    F: Fn() -> S + Sync,
     O: MergeableObserver,
 {
-    let plan = ShardPlan::balanced(meta.request_load(), threads);
-    let shard_outputs = parallel_indexed(plan.shards(), threads, |k| {
-        let (start, end) = plan.range(k);
-        let obs = SharedObserver::new(O::default());
-        let mut state = ReplayState::new(meta, costs, options, obs.clone(), start, end);
-        let mut source = make();
-        debug_assert_eq!(source.meta(), meta, "per-shard source disagrees on meta");
-        while let Some(window) = source.next_window() {
-            while state.step(&window).is_some() {}
-        }
-        let result = state.finish();
-        let observer = obs
-            .try_unwrap()
-            .unwrap_or_else(|_| panic!("shard dropped every observer clone"));
-        (result, observer)
-    });
-    let mut result =
-        SimResult::identity(options.strategy.name(), meta.hours(), meta.server_count());
-    let mut merged_obs = O::default();
-    for (shard_result, shard_obs) in shard_outputs {
-        result.absorb(&shard_result);
-        merged_obs.absorb(shard_obs);
+    if sink.is_enabled() {
+        crate::pool::spans::set_phase("replay.shard");
     }
-    (result, merged_obs)
+    let plan = plan_for(meta, options);
+    let outputs = parallel_indexed(plan.shards(), plan.shards(), |k| {
+        let mut source = open();
+        debug_assert_eq!(source.meta(), meta, "per-shard source disagrees on meta");
+        replay_shard(&mut source, costs, options, &plan, k, sink)
+    });
+    merge(meta, options, outputs)
 }
 
 #[cfg(test)]

@@ -40,10 +40,12 @@
 //! `prefetch_depth` windows ahead, batching regeneration across the
 //! lookahead so pages whose spans straddle seams regenerate once per
 //! batch instead of once per window. Both drive the same
-//! [`compile_window_into`](StreamingTrace::compile_window_into) core over
-//! the same [`WindowState`], so the per-window merge/resolve logic cannot
-//! diverge; what the differential suite additionally proves is that the
-//! batched *generation* scatters the same events. A constructor-fused
+//! `gather_batch` +
+//! [`compile_window_into`](StreamingTrace::compile_window_into) pair over
+//! a [`WindowState`] — the serial pass is the batch of one — so the
+//! per-window gather/merge/resolve logic cannot diverge; what the
+//! differential suite additionally proves is that a wider batch scatters
+//! the same events. A constructor-fused
 //! lookahead cache ([`StreamingTrace::with_lookahead`]) goes one step
 //! further: the counting scan regenerates every page anyway, so it
 //! scatters the first `depth` windows' requests as a side product and the
@@ -53,8 +55,10 @@
 //! `==` [`CompiledTrace::compile`] and replay-result equality for every
 //! strategy across window sizes, thread counts, and prefetch depths.
 
-use pscd_matching::{EngineMatcher, MatchScratch};
-use pscd_obs::NullObserver;
+use std::ops::Range;
+
+use pscd_matching::EngineMatcher;
+use pscd_obs::{NullObserver, TraceSink};
 use pscd_topology::FetchCosts;
 use pscd_types::{Bytes, PublishEvent, RequestEvent, ServerId, SimTime, SubscriptionTable};
 use pscd_workload::{
@@ -63,8 +67,9 @@ use pscd_workload::{
 };
 
 use crate::pool::parallel_chunked;
-use crate::resolve::VersionHeads;
-use crate::runner::{simulate_windowed, validate_meta, SimOptions};
+use crate::resolve::{MatchBuffers, Matching, VersionHeads};
+use crate::runner::{validate_meta, SimOptions};
+use crate::shard::run_shards;
 use crate::trace::{CompiledEvent, CompiledEventKind, CompiledTrace};
 use crate::window::{ReplayMeta, ReplaySource, TraceWindow};
 use crate::{SimError, SimResult};
@@ -414,12 +419,6 @@ impl StreamingTrace {
         self.lookahead.len()
     }
 
-    /// The cached, unsorted (page-major) requests of window `k`, if the
-    /// lookahead prefix covers it.
-    pub(crate) fn lookahead_window(&self, k: usize) -> Option<&[RequestEvent]> {
-        self.lookahead.get(k).map(Vec::as_slice)
-    }
-
     /// The half-open `[t0, t1)` bounds of window `k`. The final window is
     /// open-ended so clamped events at the horizon edge (and any publish
     /// at it) cannot fall between windows.
@@ -440,7 +439,7 @@ impl StreamingTrace {
     /// same relative order the monolithic generator feeds its one stable
     /// sort). Batching is what the prefetcher's speedup is made of: a page
     /// straddling `count` seams regenerates once instead of `count` times.
-    pub(crate) fn scatter_batch(
+    fn scatter_batch(
         &self,
         first: usize,
         count: usize,
@@ -476,19 +475,55 @@ impl StreamingTrace {
         }
     }
 
-    /// Compiles the next window (per `state`) from its already-gathered,
-    /// time-sorted `requests`: consumes the publish stream up to the
-    /// window end, merges with the `publish.time <= request.time`
-    /// tie-break, and resolves fan-outs/counts — the same static lookups
-    /// as `CompiledTrace::compile`, with the lineage carried in
-    /// `state.heads` instead of a trace-local map. Returns the window's
+    /// Gathers the requests of the next `buckets.len()` windows (fewer at
+    /// the end of the horizon) into `buckets`, unsorted in page-major
+    /// order: from the constructor-fused cache where it covers a window,
+    /// regenerated as one batch for the rest. Returns the gathered window
+    /// range and the first window that had to be regenerated, or `None`
+    /// past the last window. The serial pass is the batch of one.
+    pub(crate) fn gather_batch(
+        &self,
+        state: &WindowState,
+        scratch: &mut Vec<RequestEvent>,
+        buckets: &mut [Vec<RequestEvent>],
+    ) -> Option<(Range<usize>, usize)> {
+        let first = state.next_window;
+        let end = (first + buckets.len()).min(self.window_count);
+        if first >= end {
+            return None;
+        }
+        let cached_end = self.lookahead.len().clamp(first, end);
+        for (bucket, k) in buckets.iter_mut().zip(first..end) {
+            bucket.clear();
+            if k < cached_end {
+                bucket.extend_from_slice(&self.lookahead[k]);
+            }
+        }
+        if cached_end < end {
+            self.scatter_batch(
+                cached_end,
+                end - cached_end,
+                scratch,
+                &mut buckets[cached_end - first..end - first],
+            );
+        }
+        Some((first..end, cached_end))
+    }
+
+    /// Compiles the next window (per `state`) from its gathered
+    /// `requests` (page-major; stably time-sorted here, so ties land as in
+    /// the monolithic path): consumes the publish stream up to the window
+    /// end, merges with the `publish.time <= request.time` tie-break, and
+    /// resolves fan-outs/counts — the same lookups as
+    /// `CompiledTrace::compile`, with the lineage carried in `state.heads`
+    /// instead of a trace-local map. Returns the window's
     /// `(ordinal_base, start_index)` and advances every piece of carried
     /// state. Both the serial pass and the pipelined producer funnel
     /// through here, so the merge/resolve logic cannot diverge.
     pub(crate) fn compile_window_into(
         &self,
         state: &mut WindowState,
-        requests: &[RequestEvent],
+        requests: &mut [RequestEvent],
         events: &mut Vec<CompiledEvent>,
         offsets: &mut Vec<u32>,
         pairs: &mut Vec<(ServerId, u32)>,
@@ -497,7 +532,11 @@ impl StreamingTrace {
         debug_assert!(k < self.window_count, "compile past the last window");
         state.next_window += 1;
         let (_t0, t1) = self.window_bounds(k);
-        debug_assert!(requests.windows(2).all(|w| w[0].time <= w[1].time));
+        requests.sort_by_key(|e| e.time);
+        let matching = match &self.matcher {
+            Some(matcher) => Matching::Matcher(matcher),
+            None => Matching::Table(&self.subscriptions),
+        };
 
         // Publishes in [t0, t1): everything earlier was consumed by
         // previous windows (the stream is time-sorted).
@@ -528,18 +567,7 @@ impl StreamingTrace {
                 pi += 1;
                 let meta = &self.meta.pages[ev.page.as_usize()];
                 let supersedes = state.heads.publish(ev.page, meta);
-                let matched: &[(ServerId, u32)] = match &self.matcher {
-                    Some(m) => {
-                        m.matched_servers_into(
-                            ev.page,
-                            &mut state.match_scratch,
-                            &mut state.fanout_buf,
-                        );
-                        &state.fanout_buf
-                    }
-                    None => self.subscriptions.matched_servers(ev.page),
-                };
-                pairs.extend_from_slice(matched);
+                pairs.extend_from_slice(matching.fanout(ev.page, &mut state.match_buf));
                 offsets.push(pairs.len() as u32);
                 events.push(CompiledEvent {
                     time: ev.time,
@@ -557,12 +585,7 @@ impl StreamingTrace {
                     page: ev.page,
                     kind: CompiledEventKind::Request {
                         server: ev.server,
-                        subs: match &self.matcher {
-                            Some(m) => {
-                                m.match_count_with(ev.page, ev.server, &mut state.match_scratch)
-                            }
-                            None => self.subscriptions.count(ev.page, ev.server),
-                        },
+                        subs: matching.count(ev.page, ev.server, &mut state.match_buf),
                     },
                 });
             }
@@ -599,20 +622,7 @@ impl StreamingTrace {
     /// differential proof, and the bridge for consumers that want to
     /// stream the compile but memoize the result.
     pub fn materialize(&self) -> CompiledTrace {
-        let mut events: Vec<CompiledEvent> = Vec::with_capacity(self.meta.len());
-        let mut offsets: Vec<u32> = Vec::with_capacity(self.meta.publish_count() + 1);
-        offsets.push(0);
-        let mut pairs: Vec<(ServerId, u32)> = Vec::new();
-        let mut pass = self.open();
-        while let Some(w) = pass.next_window() {
-            events.extend_from_slice(w.events());
-            let base = pairs.len() as u32;
-            for &off in &w.offsets[1..] {
-                offsets.push(base + off);
-            }
-            pairs.extend_from_slice(w.pairs);
-        }
-        CompiledTrace::from_parts(self.meta.clone(), events, offsets, pairs)
+        CompiledTrace::concat(&mut self.open())
     }
 }
 
@@ -629,10 +639,8 @@ pub(crate) struct WindowState {
     publish_cursor: usize,
     start_index: usize,
     heads: VersionHeads,
-    /// Counting scratch for the attached matcher's frozen kernel.
-    match_scratch: MatchScratch,
-    /// Fan-out buffer for the attached matcher (reused per publish).
-    fanout_buf: Vec<(ServerId, u32)>,
+    /// Lookup scratch for an attached matcher.
+    match_buf: MatchBuffers,
 }
 
 impl WindowState {
@@ -642,14 +650,8 @@ impl WindowState {
             publish_cursor: 0,
             start_index: 0,
             heads: VersionHeads::new(trace.meta.pages.len()),
-            match_scratch: MatchScratch::new(),
-            fanout_buf: Vec::new(),
+            match_buf: MatchBuffers::default(),
         }
-    }
-
-    /// The next window this state will compile.
-    pub(crate) fn next_window(&self) -> usize {
-        self.next_window
     }
 }
 
@@ -666,7 +668,7 @@ pub struct StreamingWindows<'a> {
     pairs: Vec<(ServerId, u32)>,
     /// Per-page regeneration buffer.
     scratch: Vec<RequestEvent>,
-    /// The window's filtered, warped, stably sorted requests.
+    /// The window's filtered, warped requests.
     requests: Vec<RequestEvent>,
 }
 
@@ -690,30 +692,11 @@ impl ReplaySource for StreamingWindows<'_> {
 
     fn next_window(&mut self) -> Option<TraceWindow<'_>> {
         let trace = self.trace;
-        let k = self.state.next_window();
-        if k >= trace.window_count {
-            return None;
-        }
-
-        // Requests in [t0, t1): from the constructor-fused cache when it
-        // covers this window, else regenerated as a batch of one. Either
-        // way the pre-sort order is page-major (see the module docs), so
-        // the stable sort lands ties identically to the monolithic path.
-        self.requests.clear();
-        match trace.lookahead_window(k) {
-            Some(cached) => self.requests.extend_from_slice(cached),
-            None => trace.scatter_batch(
-                k,
-                1,
-                &mut self.scratch,
-                std::slice::from_mut(&mut self.requests),
-            ),
-        }
-        self.requests.sort_by_key(|e| e.time);
-
+        let requests = std::slice::from_mut(&mut self.requests);
+        trace.gather_batch(&self.state, &mut self.scratch, requests)?;
         let (ordinal_base, start_index) = trace.compile_window_into(
             &mut self.state,
-            &self.requests,
+            &mut self.requests,
             &mut self.events,
             &mut self.offsets,
             &mut self.pairs,
@@ -751,20 +734,9 @@ pub fn simulate_streamed(
     options: &SimOptions,
 ) -> Result<SimResult, SimError> {
     validate_meta(trace.meta(), costs, options)?;
-    let shards =
-        crate::pool::effective_threads(options.threads, trace.meta().server_count() as usize);
-    if shards > 1 {
-        let (result, _null) = crate::shard::run_sharded_source::<_, _, NullObserver>(
-            trace.meta(),
-            || trace.open(),
-            costs,
-            options,
-            shards,
-        );
-        return Ok(result);
-    }
-    let mut pass = trace.open();
-    simulate_windowed(&mut pass, costs, options)
+    let open = || trace.open();
+    let sink = TraceSink::disabled();
+    Ok(run_shards::<_, NullObserver>(trace.meta(), open, costs, options, &sink).0)
 }
 
 #[cfg(test)]

@@ -21,13 +21,13 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use pscd_matching::{EngineMatcher, MatchScratch};
+use pscd_matching::EngineMatcher;
 use pscd_types::{Bytes, PageId, PageMeta, ServerId, SimTime, SubscriptionTable};
 use pscd_workload::Workload;
 
 use crate::pool::parallel_chunked;
-use crate::resolve::VersionHeads;
-use crate::window::{CompiledWindows, ReplayMeta, TraceWindow};
+use crate::resolve::{MatchBuffers, Matching, VersionHeads};
+use crate::window::{CompiledWindows, ReplayMeta, ReplaySource, TraceWindow};
 use crate::SimError;
 
 /// Process-wide count of [`CompiledTrace::compile`] invocations; lets
@@ -165,69 +165,33 @@ impl CompiledTrace {
                 table_pages: subscriptions.page_count(),
             });
         }
-        let publishes = workload.publishing().events();
-        let requests = workload.requests().events();
-        let events = Self::merge_timeline(workload);
-
-        // Phase 2: the publish fan-out, sharded by publish ordinal and
-        // assembled into the CSR in ordinal order.
-        let fanouts: Vec<&[(ServerId, u32)]> =
-            parallel_chunked(publishes.len(), PUBLISH_CHUNK, threads, |range| {
-                range
-                    .map(|i| subscriptions.matched_servers(publishes[i].page))
-                    .collect()
-            });
-        let (offsets, pairs) = Self::build_csr(&fanouts);
-
-        // Phase 3: per-request subscription counts, sharded by request
-        // index (request-stream order) and written back in that order.
-        let subs_counts: Vec<u32> =
-            parallel_chunked(requests.len(), REQUEST_CHUNK, threads, |range| {
-                range
-                    .map(|i| subscriptions.count(requests[i].page, requests[i].server))
-                    .collect()
-            });
-        Ok(Self::finish(workload, events, offsets, pairs, &subs_counts))
+        Ok(Self::compile_with(
+            workload,
+            Matching::Table(subscriptions),
+            threads,
+        ))
     }
 
-    /// Compiles a workload against a content-based [`EngineMatcher`];
-    /// equivalent to
-    /// [`compile_from_matcher_threads`](CompiledTrace::compile_from_matcher_threads)
-    /// with one thread.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::MismatchedMatcher`] if the matcher covers a
-    /// different fleet or page universe than the workload.
-    pub fn compile_from_matcher(
-        workload: &Workload,
-        matcher: &mut EngineMatcher,
-    ) -> Result<Self, SimError> {
-        Self::compile_from_matcher_threads(workload, matcher, 1)
-    }
-
-    /// [`compile_threads`](CompiledTrace::compile_threads) resolving
-    /// through a content-based [`EngineMatcher`] instead of a precomputed
+    /// [`compile`](CompiledTrace::compile) resolving through a
+    /// content-based [`EngineMatcher`] instead of a precomputed
     /// [`SubscriptionTable`]: every publish fan-out and per-request count
     /// is evaluated live against the per-proxy subscription indexes.
     ///
     /// The matcher is frozen first (a no-op if already frozen), so the
     /// whole resolution runs on the frozen kernel — interned symbols, CSR
-    /// buckets, epoch-bitset counting — with each pool worker carrying its
-    /// own [`MatchScratch`]. When the matcher was synthesized to reproduce
-    /// a table (see `pscd_workload::matcher_from_table`), the compiled
-    /// value is `==` to the table-compiled one; the `frozen_differential`
-    /// suite proves it end to end.
+    /// buckets, epoch-bitset counting. When the matcher was synthesized to
+    /// reproduce a table (see `pscd_workload::matcher_from_table`), the
+    /// compiled value is `==` to the table-compiled one; the
+    /// `frozen_differential` suite proves it end to end.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::MismatchedMatcher`] if the matcher covers a
     /// different fleet or page universe than the workload (every workload
     /// page must have registered content).
-    pub fn compile_from_matcher_threads(
+    pub fn compile_from_matcher(
         workload: &Workload,
         matcher: &mut EngineMatcher,
-        threads: usize,
     ) -> Result<Self, SimError> {
         if matcher.server_count() != workload.server_count()
             || matcher.page_count() != workload.pages().len()
@@ -240,37 +204,74 @@ impl CompiledTrace {
             });
         }
         matcher.freeze();
-        let matcher = &*matcher;
+        Ok(Self::compile_with(workload, Matching::Matcher(matcher), 1))
+    }
+
+    /// The one compile body. The stream merge (phase 1) stays on the
+    /// caller's thread; fan-outs (phase 2) and request counts (phase 3)
+    /// are per-event lookups in `matching`, sharded over the pool by
+    /// event index with one [`MatchBuffers`] per job and reassembled in
+    /// index order.
+    fn compile_with(workload: &Workload, matching: Matching<'_>, threads: usize) -> Self {
         let publishes = workload.publishing().events();
         let requests = workload.requests().events();
-        let events = Self::merge_timeline(workload);
+        let mut events = Self::merge_timeline(workload);
 
-        // Phase 2, engine-resolved: each pool worker owns one scratch and
-        // one fan-out buffer; the matcher itself is shared immutably.
-        let fanouts: Vec<Vec<(ServerId, u32)>> =
-            parallel_chunked(publishes.len(), PUBLISH_CHUNK, threads, |range| {
-                let mut scratch = MatchScratch::new();
-                let mut buf = Vec::new();
-                range
-                    .map(|i| {
-                        matcher.matched_servers_into(publishes[i].page, &mut scratch, &mut buf);
-                        buf.clone()
-                    })
-                    .collect()
-            });
-        let (offsets, pairs) = Self::build_csr(&fanouts);
+        // Phase 2: one CSR fragment per chunk of publish ordinals,
+        // stitched in ordinal order.
+        let fragments = parallel_chunked(publishes.len(), PUBLISH_CHUNK, threads, |range| {
+            let mut buf = MatchBuffers::default();
+            let mut ends = Vec::with_capacity(range.len());
+            let mut pairs = Vec::new();
+            for i in range {
+                pairs.extend_from_slice(matching.fanout(publishes[i].page, &mut buf));
+                ends.push(pairs.len() as u32);
+            }
+            vec![(ends, pairs)]
+        });
+        let mut offsets = Vec::with_capacity(publishes.len() + 1);
+        offsets.push(0u32);
+        let mut pairs = Vec::with_capacity(fragments.iter().map(|(_, part)| part.len()).sum());
+        for (ends, part) in fragments {
+            let base = pairs.len() as u32;
+            offsets.extend(ends.iter().map(|end| base + end));
+            pairs.extend_from_slice(&part);
+        }
 
-        // Phase 3, engine-resolved per-request counts.
+        // Phase 3: per-request subscription counts in request-stream
+        // order, written back into the timeline.
         let subs_counts: Vec<u32> =
             parallel_chunked(requests.len(), REQUEST_CHUNK, threads, |range| {
-                let mut scratch = MatchScratch::new();
+                let mut buf = MatchBuffers::default();
                 range
-                    .map(|i| {
-                        matcher.match_count_with(requests[i].page, requests[i].server, &mut scratch)
-                    })
+                    .map(|i| matching.count(requests[i].page, requests[i].server, &mut buf))
                     .collect()
             });
-        Ok(Self::finish(workload, events, offsets, pairs, &subs_counts))
+        let mut next_request = subs_counts.iter();
+        for ev in &mut events {
+            if let CompiledEventKind::Request { subs, .. } = &mut ev.kind {
+                *subs = *next_request.next().expect("one count per request");
+            }
+        }
+
+        let servers = workload.server_count();
+        COMPILE_COUNT.fetch_add(1, Ordering::Relaxed);
+        Self {
+            events,
+            offsets,
+            pairs,
+            meta: ReplayMeta {
+                pages: workload.pages().to_vec(),
+                servers,
+                hours: (workload.horizon().as_hours_f64().ceil() as usize).max(1),
+                horizon: workload.horizon(),
+                publish_count: workload.publishing().len(),
+                request_count: workload.requests().len(),
+                load: workload.requests().requests_per_server(servers),
+                unique_bytes: workload.unique_bytes_per_server(),
+                min_capacity: workload.min_cache_capacity(),
+            },
+        }
     }
 
     /// Phase 1 (sequential): merges the publish and request streams into
@@ -278,7 +279,7 @@ impl CompiledTrace {
     /// timestamps — a notification must precede the requests it triggers —
     /// and the lineage map is driven by the publish stream alone, so it is
     /// resolved here, once, into per-event `supersedes` links. Request
-    /// `subs` counts are left 0 and filled by [`finish`](Self::finish).
+    /// `subs` counts are left 0 and filled in by phase 3.
     fn merge_timeline(workload: &Workload) -> Vec<CompiledEvent> {
         let publishes = workload.publishing().events();
         let requests = workload.requests().events();
@@ -322,68 +323,27 @@ impl CompiledTrace {
         events
     }
 
-    /// Assembles per-publish fan-out lists into the CSR tables.
-    fn build_csr<M: AsRef<[(ServerId, u32)]>>(fanouts: &[M]) -> (Vec<u32>, Vec<(ServerId, u32)>) {
-        let mut offsets = Vec::with_capacity(fanouts.len() + 1);
-        offsets.push(0u32);
-        let total: usize = fanouts.iter().map(|m| m.as_ref().len()).sum();
-        let mut pairs = Vec::with_capacity(total);
-        for matched in fanouts {
-            pairs.extend_from_slice(matched.as_ref());
-            offsets.push(pairs.len() as u32);
-        }
-        (offsets, pairs)
-    }
-
-    /// Writes the resolved request counts back into the timeline and
-    /// assembles the compiled value with its [`ReplayMeta`].
-    fn finish(
-        workload: &Workload,
-        mut events: Vec<CompiledEvent>,
-        offsets: Vec<u32>,
-        pairs: Vec<(ServerId, u32)>,
-        subs_counts: &[u32],
-    ) -> Self {
-        let mut next_request = 0usize;
-        for ev in &mut events {
-            if let CompiledEventKind::Request { subs, .. } = &mut ev.kind {
-                *subs = subs_counts[next_request];
-                next_request += 1;
-            }
-        }
-        let servers = workload.server_count();
-        COMPILE_COUNT.fetch_add(1, Ordering::Relaxed);
-        Self {
-            events,
-            offsets,
-            pairs,
-            meta: ReplayMeta {
-                pages: workload.pages().to_vec(),
-                servers,
-                hours: (workload.horizon().as_hours_f64().ceil() as usize).max(1),
-                horizon: workload.horizon(),
-                publish_count: workload.publishing().len(),
-                request_count: workload.requests().len(),
-                load: workload.requests().requests_per_server(servers),
-                unique_bytes: workload.unique_bytes_per_server(),
-                min_capacity: workload.min_cache_capacity(),
-            },
-        }
-    }
-
-    /// Assembles a compiled trace from already-resolved parts — how
-    /// [`StreamingTrace::materialize`](crate::StreamingTrace::materialize)
+    /// Concatenates every remaining window of `source` into one compiled
+    /// trace, rebasing each window's CSR slice onto the global pair table
+    /// — how [`StreamingTrace::materialize`](crate::StreamingTrace::materialize)
     /// produces a value comparable (with `==`) against [`compile`]'s.
     /// Counts as a compilation for [`compile_count`].
     ///
     /// [`compile`]: CompiledTrace::compile
     /// [`compile_count`]: CompiledTrace::compile_count
-    pub(crate) fn from_parts(
-        meta: ReplayMeta,
-        events: Vec<CompiledEvent>,
-        offsets: Vec<u32>,
-        pairs: Vec<(ServerId, u32)>,
-    ) -> Self {
+    pub(crate) fn concat(source: &mut impl ReplaySource) -> Self {
+        let meta = source.meta().clone();
+        let mut events = Vec::with_capacity(meta.len());
+        let mut offsets = Vec::with_capacity(meta.publish_count() + 1);
+        offsets.push(0u32);
+        let mut pairs = Vec::new();
+        while let Some(w) = source.next_window() {
+            events.extend_from_slice(w.events);
+            let (lo, hi) = (w.offsets[0], w.offsets[w.offsets.len() - 1]);
+            let base = pairs.len() as u32;
+            offsets.extend(w.offsets[1..].iter().map(|off| base + (off - lo)));
+            pairs.extend_from_slice(&w.pairs[lo as usize..hi as usize]);
+        }
         COMPILE_COUNT.fetch_add(1, Ordering::Relaxed);
         Self {
             events,
@@ -453,7 +413,7 @@ impl CompiledTrace {
     }
 
     /// The trace-wide replay facts, shared with every other
-    /// [`ReplaySource`](crate::ReplaySource) implementation.
+    /// [`ReplaySource`] implementation.
     pub fn meta(&self) -> &ReplayMeta {
         &self.meta
     }
@@ -472,11 +432,12 @@ impl CompiledTrace {
         }
     }
 
-    /// A [`ReplaySource`](crate::ReplaySource) serving this trace in
+    /// A [`ReplaySource`] serving this trace in
     /// `per_window`-event slices (the final slice may be shorter; a
-    /// `per_window` of 0 is treated as 1). Replaying the chunked source
-    /// is bit-identical to replaying [`full_window`] — the
-    /// `stream_differential` suite proves it.
+    /// `per_window` of 0 is treated as 1). A `per_window` of at least
+    /// [`len`](CompiledTrace::len) serves the whole timeline as one
+    /// window — [`full_window`] behind the source seam, which is how
+    /// every monolithic replay reaches the driver.
     ///
     /// [`full_window`]: CompiledTrace::full_window
     pub fn windows(&self, per_window: usize) -> CompiledWindows<'_> {
@@ -547,14 +508,6 @@ impl CompiledTrace {
     /// requested nothing get a one-page minimum).
     pub fn capacities(&self, fraction: f64) -> Vec<Bytes> {
         self.meta.capacities(fraction)
-    }
-
-    /// The precomputed crash-insertion point: the index of the first
-    /// event at or after `time`. A replay's crash fires when its cursor
-    /// reaches this index — equivalent to the time comparison the
-    /// pre-compiled runner made per event, but resolved once.
-    pub fn crash_index(&self, time: SimTime) -> usize {
-        self.events.partition_point(|e| e.time < time)
     }
 }
 
@@ -663,18 +616,6 @@ mod tests {
     }
 
     #[test]
-    fn crash_index_is_the_first_event_at_or_after() {
-        let (w, subs) = fixture();
-        let trace = CompiledTrace::compile(&w, &subs).unwrap();
-        assert_eq!(trace.crash_index(SimTime::ZERO), 0);
-        assert_eq!(trace.crash_index(SimTime::from_days(100_000)), trace.len());
-        let mid = trace.events()[trace.len() / 2].time;
-        let at = trace.crash_index(mid);
-        assert!(trace.events()[at].time >= mid);
-        assert!(at == 0 || trace.events()[at - 1].time < mid);
-    }
-
-    #[test]
     fn compile_is_bit_identical_at_every_thread_count() {
         let (w, subs) = fixture();
         let seq = CompiledTrace::compile_threads(&w, &subs, 1).unwrap();
@@ -685,18 +626,13 @@ mod tests {
     }
 
     #[test]
-    fn matcher_compile_equals_table_compile_at_every_thread_count() {
+    fn matcher_compile_equals_table_compile() {
         let (w, subs) = fixture();
         let reference = CompiledTrace::compile(&w, &subs).unwrap();
         let mut matcher = pscd_workload::matcher_from_table(&subs, w.server_count());
         let seq = CompiledTrace::compile_from_matcher(&w, &mut matcher).unwrap();
         assert_eq!(seq, reference);
         assert!(matcher.is_frozen(), "compile leaves the matcher frozen");
-        for threads in [2, 0] {
-            let par =
-                CompiledTrace::compile_from_matcher_threads(&w, &mut matcher, threads).unwrap();
-            assert_eq!(par, reference, "threads = {threads}");
-        }
         // A matcher covering the wrong universe is rejected up front.
         let mut empty = EngineMatcher::new(w.server_count());
         assert!(matches!(

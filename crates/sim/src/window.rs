@@ -6,11 +6,12 @@
 //! [`TraceWindow`] at a time plus the trace-wide facts ([`ReplayMeta`]:
 //! page table, fleet size, capacity basis) that must exist up front.
 //! [`CompiledTrace`](crate::CompiledTrace) is the materialized source
-//! (one window, or pre-chunked via
+//! (one window, or pre-chunked, via
 //! [`windows`](crate::CompiledTrace::windows));
 //! [`StreamingTrace`](crate::StreamingTrace) generates and compiles each
-//! window on demand so peak memory is O(window), not O(trace). The
-//! `stream_differential` suite proves both sources replay bit-identically.
+//! window on demand so peak memory is O(window), not O(trace), either on
+//! the replay thread or ahead of it through the prefetch queue. The
+//! `stream_differential` suite proves all three replay bit-identically.
 
 use pscd_types::{Bytes, PageId, PageMeta, ServerId, SimTime};
 
@@ -199,12 +200,12 @@ impl<'a> TraceWindow<'a> {
 }
 
 /// A producer of compiled [`TraceWindow`]s, consumed strictly in timeline
-/// order. The two implementations are the materialized
-/// [`CompiledWindows`] (slices of a [`CompiledTrace`](crate::CompiledTrace))
-/// and the lazily generating
-/// [`StreamingWindows`](crate::stream::StreamingWindows); the replay loop
-/// cannot tell them apart — the `stream_differential` suite proves the
-/// results bit-identical.
+/// order. The implementations are the materialized [`CompiledWindows`]
+/// (slices of a [`CompiledTrace`](crate::CompiledTrace)), the lazily
+/// generating [`StreamingWindows`](crate::stream::StreamingWindows), and
+/// the prefetch queue's per-consumer cursor; the replay loop cannot tell
+/// them apart — the `stream_differential` suite proves the results
+/// bit-identical.
 pub trait ReplaySource {
     /// Trace-wide facts, available before (and independent of) any window.
     fn meta(&self) -> &ReplayMeta;
@@ -245,17 +246,21 @@ impl ReplaySource for CompiledWindows<'_> {
         }
         let events = self.trace.events();
         let start = self.cursor;
-        let end = (start + self.per_window).min(events.len());
+        let end = start.saturating_add(self.per_window).min(events.len());
         self.cursor = end;
-        if end == events.len() {
-            self.done = true;
-        }
         let slice = &events[start..end];
-        let publishes = slice
-            .iter()
-            .filter(|e| matches!(e.kind, crate::trace::CompiledEventKind::Publish { .. }))
-            .count();
         let first_pub = self.publishes_before;
+        self.done = end == events.len();
+        let publishes = if self.done {
+            // The final window (the only one when `per_window` covers the
+            // trace) owns every remaining publish: no counting pass.
+            self.trace.publish_count() - first_pub
+        } else {
+            slice
+                .iter()
+                .filter(|e| matches!(e.kind, crate::trace::CompiledEventKind::Publish { .. }))
+                .count()
+        };
         self.publishes_before += publishes;
         Some(TraceWindow {
             pages: self.trace.pages(),

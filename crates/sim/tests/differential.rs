@@ -32,10 +32,10 @@ use pscd_broker::{DeliveryEngine, PushScheme};
 use pscd_cache::{CacheStore, Layout};
 use pscd_core::StrategyKind;
 use pscd_obs::SharedObserver;
-use pscd_obs::StatsObserver;
+use pscd_obs::{StatsObserver, TraceSink};
 use pscd_sim::{
-    simulate, simulate_compiled, simulate_observed, simulate_observed_sharded, CompiledTrace,
-    CrashPlan, HourlySeries, SimOptions, SimResult, Simulation,
+    simulate, simulate_compiled, simulate_observed_sharded, CompiledTrace, CrashPlan, HourlySeries,
+    SimOptions, SimResult, Simulation,
 };
 use pscd_topology::FetchCosts;
 use pscd_types::Bytes;
@@ -175,8 +175,9 @@ fn crash_with_full_fleet_and_edge_fractions_shards_cleanly() {
 fn sharded_observer_totals_match_simresult_and_sequential_observer() {
     let (w, subs, costs) = fixture();
     let options = SimOptions::at_capacity(StrategyKind::Sg2 { beta: 2.0 }, 0.05).with_threads(4);
+    let trace = CompiledTrace::compile(&w, &subs).unwrap();
     let (result, merged): (_, StatsObserver) =
-        simulate_observed_sharded(&w, &subs, &costs, &options).unwrap();
+        simulate_observed_sharded(&trace, &costs, &options, &TraceSink::disabled()).unwrap();
     // The merged shard registries must agree with the simulator's own
     // accounting exactly — this is what `repro --obs-dir` hard-checks.
     assert_eq!(merged.requests(), result.requests);
@@ -195,7 +196,9 @@ fn sharded_observer_totals_match_simresult_and_sequential_observer() {
     // split across shards; everything below must merge exactly).
     let shared = SharedObserver::new(StatsObserver::new());
     let seq_result =
-        simulate_observed(&w, &subs, &costs, &options.with_threads(1), shared.clone()).unwrap();
+        Simulation::with_observer(&w, &subs, &costs, &options.with_threads(1), shared.clone())
+            .unwrap()
+            .run();
     let seq = shared.try_unwrap().unwrap();
     assert_eq!(result, seq_result);
     for key in [
@@ -236,8 +239,9 @@ fn sharded_observer_crash_totals_merge_exactly() {
     let options = SimOptions::at_capacity(StrategyKind::Sg2 { beta: 2.0 }, 0.05)
         .with_crash(crash)
         .with_threads(4);
+    let trace = CompiledTrace::compile(&w, &subs).unwrap();
     let (result, merged): (_, StatsObserver) =
-        simulate_observed_sharded(&w, &subs, &costs, &options).unwrap();
+        simulate_observed_sharded(&trace, &costs, &options, &TraceSink::disabled()).unwrap();
     assert_eq!(merged.requests(), result.requests);
     assert_eq!(merged.hits(), result.hits);
     // Victim and restart totals are additive across shards.

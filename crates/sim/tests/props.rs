@@ -9,19 +9,22 @@ use proptest::prelude::*;
 use proptest::sample::select;
 
 use pscd_core::StrategyKind;
-use pscd_obs::{SharedObserver, StatsObserver};
-use pscd_sim::{simulate, simulate_observed, simulate_observed_sharded, SimOptions};
+use pscd_obs::{SharedObserver, StatsObserver, TraceSink};
+use pscd_sim::{simulate, simulate_observed_sharded, CompiledTrace, SimOptions, Simulation};
 use pscd_topology::FetchCosts;
 use pscd_types::SubscriptionTable;
 use pscd_workload::{Workload, WorkloadConfig};
 
-fn fixture() -> &'static (Workload, SubscriptionTable, FetchCosts) {
-    static FIX: OnceLock<(Workload, SubscriptionTable, FetchCosts)> = OnceLock::new();
+type Fixture = (Workload, SubscriptionTable, FetchCosts, CompiledTrace);
+
+fn fixture() -> &'static Fixture {
+    static FIX: OnceLock<Fixture> = OnceLock::new();
     FIX.get_or_init(|| {
         let w = Workload::generate(&WorkloadConfig::news_scaled(0.003)).unwrap();
         let subs = w.subscriptions(1.0).unwrap();
         let costs = FetchCosts::uniform(w.server_count());
-        (w, subs, costs)
+        let trace = CompiledTrace::compile(&w, &subs).unwrap();
+        (w, subs, costs, trace)
     })
 }
 
@@ -40,7 +43,7 @@ proptest! {
         ]),
         capacity in select(vec![0.01, 0.05, 0.10]),
     ) {
-        let (w, subs, costs) = fixture();
+        let (w, subs, costs, _) = fixture();
         let options = SimOptions::at_capacity(kind, capacity);
         let plain = simulate(w, subs, costs, &options).unwrap();
 
@@ -53,7 +56,9 @@ proptest! {
         // An aggregating observer sees the same totals and leaves the
         // result bit-identical.
         let obs = SharedObserver::new(StatsObserver::new());
-        let observed = simulate_observed(w, subs, costs, &options, obs.clone()).unwrap();
+        let observed = Simulation::with_observer(w, subs, costs, &options, obs.clone())
+            .unwrap()
+            .run();
         prop_assert_eq!(&observed, &plain);
 
         let stats = obs.try_unwrap().expect("run kept an observer clone");
@@ -74,7 +79,7 @@ proptest! {
         capacity in select(vec![0.01, 0.05, 0.10]),
         threads in select(vec![2usize, 3, 4]),
     ) {
-        let (w, subs, costs) = fixture();
+        let (w, subs, costs, trace) = fixture();
         let options = SimOptions::at_capacity(kind, capacity);
         let sequential = simulate(w, subs, costs, &options).unwrap();
         let sharded = simulate(w, subs, costs, &options.with_threads(threads)).unwrap();
@@ -101,8 +106,13 @@ proptest! {
         prop_assert_eq!(sharded.hourly.hits.iter().sum::<u64>(), sharded.hits);
 
         // Merged shard observers agree with the result exactly.
-        let (observed, stats): (_, StatsObserver) =
-            simulate_observed_sharded(w, subs, costs, &options.with_threads(threads)).unwrap();
+        let (observed, stats): (_, StatsObserver) = simulate_observed_sharded(
+            trace,
+            costs,
+            &options.with_threads(threads),
+            &TraceSink::disabled(),
+        )
+        .unwrap();
         prop_assert_eq!(&observed, &sequential);
         prop_assert_eq!(stats.requests(), observed.requests);
         prop_assert_eq!(stats.hits(), observed.hits);

@@ -15,6 +15,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use pscd_core::StrategyKind;
 use pscd_sim::{
@@ -73,10 +74,16 @@ fn peak_growth<T>(f: impl FnOnce() -> T) -> (usize, T) {
     (peak.saturating_sub(base), value)
 }
 
+/// The byte counters are process-wide, so the measuring tests take turns:
+/// run side by side (the harness default) each would read the other's
+/// allocations as its own peak.
+static MEASURING: Mutex<()> = Mutex::new(());
+
 /// Everything below runs single-threaded (`threads = 1`) so the peaks
 /// measure the algorithms, not pool-worker stacks racing the counter.
 #[test]
 fn streaming_peak_is_a_fraction_of_the_monolithic_peak() {
+    let _turn = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
     // Event-heavy fixture: the O(trace) term (events) must dwarf the
     // O(pages) state both paths keep resident, or the comparison would
     // measure page tables, not the streaming window bound.
@@ -163,6 +170,7 @@ fn streaming_peak_is_a_fraction_of_the_monolithic_peak() {
 /// to the prefetch depth times the window size — never O(trace).
 #[test]
 fn prefetch_peak_is_bounded_by_depth_windows_not_the_trace() {
+    let _turn = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
     let mut config = WorkloadConfig::news_scaled(0.05);
     config.requests.total_requests *= 16;
 
@@ -254,6 +262,7 @@ fn prefetch_peak_is_bounded_by_depth_windows_not_the_trace() {
 #[test]
 #[ignore = "minutes-long at 1M+ subscriptions; run with --release -- --ignored"]
 fn million_subscription_run_streams_in_window_memory() {
+    let _turn = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
     // ~6× the paper's NEWS trace: ~1.17M requests, and at quality 1 every
     // request's (page, server) draw contributes its count to the table,
     // so total subscriptions exceed a million.

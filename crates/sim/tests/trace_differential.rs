@@ -7,9 +7,7 @@
 
 use pscd_core::StrategyKind;
 use pscd_obs::{NullObserver, TraceSink};
-use pscd_sim::{
-    simulate_compiled, simulate_observed_sharded_compiled_traced, CompiledTrace, SimOptions,
-};
+use pscd_sim::{simulate_compiled, simulate_observed_sharded, CompiledTrace, SimOptions};
 use pscd_topology::FetchCosts;
 use pscd_workload::{Workload, WorkloadConfig};
 
@@ -50,7 +48,7 @@ fn traced_replay_is_bit_identical_to_untraced_for_every_strategy() {
 
             let sink = TraceSink::enabled();
             let (traced, _obs): (_, NullObserver) =
-                simulate_observed_sharded_compiled_traced(&trace, &costs, &options, &sink).unwrap();
+                simulate_observed_sharded(&trace, &costs, &options, &sink).unwrap();
             assert_eq!(
                 untraced,
                 traced,
@@ -92,7 +90,7 @@ fn disabled_sink_records_nothing_and_changes_nothing() {
     let untraced = simulate_compiled(&trace, &costs, &options).unwrap();
     let sink = TraceSink::disabled();
     let (result, _obs): (_, NullObserver) =
-        simulate_observed_sharded_compiled_traced(&trace, &costs, &options, &sink).unwrap();
+        simulate_observed_sharded(&trace, &costs, &options, &sink).unwrap();
     assert_eq!(untraced, result);
     assert!(sink.drain().is_empty(), "disabled sink must stay empty");
 }

@@ -1,9 +1,8 @@
 //! Publishing-stream generation (paper §4.1).
 
 use pscd_pool::parallel_chunked;
-use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::{RngExt, SeedableRng};
+use rand::RngExt;
 use serde::{Deserialize, Serialize};
 
 use pscd_types::{Bytes, PageId, PageKind, PageMeta, PublishEvent, PublishingStream, SimTime};
@@ -137,8 +136,7 @@ pub struct PublishingOutput {
 /// original's first-publish instant, each origin's modification interval,
 /// and each page's size draw from an independently seeded child stream, so
 /// [`generate_publishing_threads`] produces **bit-identical** output on
-/// any number of worker threads. The pre-substream single-stream scheme
-/// survives as [`generate_publishing_legacy`].
+/// any number of worker threads.
 ///
 /// # Errors
 ///
@@ -281,108 +279,6 @@ pub fn generate_publishing_threads(
     Ok(PublishingOutput { pages, stream })
 }
 
-/// The pre-substream generator: one `StdRng` threaded through every draw.
-///
-/// Kept as a compatibility constructor for workloads generated before the
-/// parallel cold path landed; the draw order makes it inherently serial.
-/// New code should use [`generate_publishing`].
-///
-/// # Errors
-///
-/// Returns [`WorkloadError::InvalidConfig`] for inconsistent configs.
-pub fn generate_publishing_legacy(
-    config: &PublishingConfig,
-    seed: u64,
-) -> Result<PublishingOutput, WorkloadError> {
-    config.validate()?;
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
-    let sizes =
-        LogNormal::new(config.size_mu, config.size_sigma).expect("validated size parameters");
-    let horizon_ms = config.horizon.as_millis();
-
-    // 1. Originals: uniform first-publish times.
-    let mut first_pub: Vec<SimTime> = (0..config.distinct_pages)
-        .map(|_| SimTime::from_millis(rng.random_range(0..horizon_ms)))
-        .collect();
-    first_pub.sort_unstable();
-
-    // 2. Pick which originals get updated.
-    let mut indices: Vec<usize> = (0..config.distinct_pages).collect();
-    indices.shuffle(&mut rng);
-    let updated: Vec<usize> = indices[..config.updated_pages].to_vec();
-
-    // 3. Natural modification times from fixed per-page intervals.
-    let mut mods: Vec<(usize, SimTime)> = Vec::new();
-    for &orig in &updated {
-        let interval = SimTime::from_hours_f64(config.intervals.sample_hours(&mut rng));
-        if interval == SimTime::ZERO {
-            continue;
-        }
-        let mut t = first_pub[orig] + interval;
-        while t < config.horizon {
-            mods.push((orig, t));
-            t += interval;
-        }
-    }
-
-    // 4. Adjust to exactly `total_pages`.
-    let needed = config.total_pages - config.distinct_pages;
-    if mods.len() > needed {
-        mods.shuffle(&mut rng);
-        mods.truncate(needed);
-    } else {
-        while mods.len() < needed {
-            let orig = updated[rng.random_range(0..updated.len())];
-            let lo = first_pub[orig].as_millis();
-            if lo + 1 >= horizon_ms {
-                // Original published at the very end; pick another.
-                continue;
-            }
-            let t = SimTime::from_millis(rng.random_range(lo + 1..horizon_ms));
-            mods.push((orig, t));
-        }
-    }
-    mods.sort_unstable_by_key(|&(orig, t)| (t, orig));
-
-    // 5. Materialize page metadata: originals first, then modifications in
-    //    publish order; version numbers count per origin.
-    let sample_size = |rng: &mut StdRng| {
-        let raw = sizes.sample(rng).round().max(0.0) as u64;
-        Bytes::new(raw.clamp(config.min_page_bytes, config.max_page_bytes))
-    };
-    let mut pages: Vec<PageMeta> = Vec::with_capacity(config.total_pages);
-    for (i, &t) in first_pub.iter().enumerate() {
-        let size = sample_size(&mut rng);
-        pages.push(PageMeta::new(
-            PageId::new(i as u32),
-            size,
-            t,
-            PageKind::Original,
-        ));
-    }
-    let mut version_counter = vec![0u32; config.distinct_pages];
-    for (k, &(orig, t)) in mods.iter().enumerate() {
-        version_counter[orig] += 1;
-        let size = sample_size(&mut rng);
-        pages.push(PageMeta::new(
-            PageId::new((config.distinct_pages + k) as u32),
-            size,
-            t,
-            PageKind::Modified {
-                origin: PageId::new(orig as u32),
-                version: version_counter[orig],
-            },
-        ));
-    }
-
-    let events: Vec<PublishEvent> = pages
-        .iter()
-        .map(|p| PublishEvent::new(p.publish_time(), p.id()))
-        .collect();
-    let stream = PublishingStream::from_unsorted(events);
-    Ok(PublishingOutput { pages, stream })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -423,18 +319,6 @@ mod tests {
                 assert_eq!(seq, par, "threads = {threads}, seed = {seed}");
             }
         }
-    }
-
-    #[test]
-    fn legacy_generator_differs_but_matches_shape() {
-        let new = generate_publishing(&small(), 5).unwrap();
-        let old = generate_publishing_legacy(&small(), 5).unwrap();
-        assert_eq!(old.pages.len(), new.pages.len());
-        assert_eq!(old.stream.len(), new.stream.len());
-        // Different draw schemes: same seed, different streams.
-        assert_ne!(old, new);
-        // Legacy stays deterministic too.
-        assert_eq!(old, generate_publishing_legacy(&small(), 5).unwrap());
     }
 
     #[test]
@@ -513,7 +397,6 @@ mod tests {
         let mut c = small();
         c.distinct_pages = 0;
         assert!(generate_publishing(&c, 0).is_err());
-        assert!(generate_publishing_legacy(&c, 0).is_err());
         let mut c = small();
         c.updated_pages = c.distinct_pages + 1;
         assert!(generate_publishing(&c, 0).is_err());

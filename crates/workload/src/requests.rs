@@ -3,7 +3,7 @@
 use pscd_pool::parallel_chunked;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::{RngExt, SeedableRng};
+use rand::RngExt;
 use serde::{Deserialize, Serialize};
 
 use pscd_types::{PageMeta, RequestEvent, RequestTrace, ServerId, SimTime};
@@ -152,8 +152,7 @@ pub fn popularity_class_shifted(rank: usize, alpha: f64, shift: f64) -> usize {
 /// multinomial draw is chunked into fixed-size substream blocks and each
 /// page's placement (times, pools, server picks) draws from that page's
 /// own child stream, so [`generate_requests_threads`] is **bit-identical**
-/// at any thread count. The pre-substream single-stream scheme survives as
-/// [`generate_requests_legacy`].
+/// at any thread count.
 ///
 /// # Errors
 ///
@@ -390,71 +389,6 @@ fn place_page_requests(
     }
 }
 
-/// The pre-substream generator: one `StdRng` threaded through every draw.
-///
-/// Kept as a compatibility constructor for traces generated before the
-/// parallel cold path landed. New code should use [`generate_requests`].
-///
-/// # Errors
-///
-/// Returns [`WorkloadError::InvalidConfig`] for invalid configs or an empty
-/// page table.
-pub fn generate_requests_legacy(
-    pages: &[PageMeta],
-    config: &RequestConfig,
-    seed: u64,
-) -> Result<RequestTrace, WorkloadError> {
-    config.validate()?;
-    if pages.is_empty() {
-        return Err(WorkloadError::invalid("pages", "non-empty page table"));
-    }
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x517c_c1b7_2722_0a95);
-    let n = pages.len();
-
-    // (1) Random rank permutation: rank_of[page] in 1..=n.
-    let mut ranks: Vec<usize> = (1..=n).collect();
-    ranks.shuffle(&mut rng);
-    let rank_of = ranks; // rank_of[page_index] = rank
-
-    // (2) Multinomial draw of per-page request counts.
-    let zipf = Zipf::with_shift(n, config.zipf_alpha, config.zipf_shift)
-        .expect("validated zipf parameters");
-    let mut page_of_rank = vec![0usize; n + 1];
-    for (page, &rank) in rank_of.iter().enumerate() {
-        page_of_rank[rank] = page;
-    }
-    let mut counts = vec![0u64; n];
-    for _ in 0..config.total_requests {
-        counts[page_of_rank[zipf.sample(&mut rng)]] += 1;
-    }
-    let max_count = counts.iter().copied().max().unwrap_or(0).max(1);
-
-    // (3)+(4) Timing and server assignment.
-    let decays: Vec<AgeDecay> = config
-        .class_gammas
-        .iter()
-        .map(|&g| AgeDecay::new(g).expect("validated gammas"))
-        .collect();
-    let mut events: Vec<RequestEvent> = Vec::with_capacity(config.total_requests as usize);
-    for (page_idx, &count) in counts.iter().enumerate() {
-        if count == 0 {
-            continue;
-        }
-        place_page_requests(
-            &mut events,
-            &mut rng,
-            &pages[page_idx],
-            count,
-            max_count,
-            rank_of[page_idx],
-            config,
-            &decays,
-        );
-    }
-
-    Ok(RequestTrace::from_unsorted(events))
-}
-
 /// Draws `k` distinct values from `0..n`.
 fn sample_distinct(rng: &mut StdRng, n: usize, k: usize) -> Vec<u16> {
     debug_assert!(k <= n);
@@ -495,6 +429,7 @@ fn roll_pool(rng: &mut StdRng, pool: &[u16], n: usize, overlap: f64) -> Vec<u16>
 mod tests {
     use super::*;
     use crate::{generate_publishing, PublishingConfig};
+    use rand::SeedableRng;
 
     fn pages() -> Vec<PageMeta> {
         let cfg = PublishingConfig {
@@ -562,20 +497,6 @@ mod tests {
                 assert_eq!(seq, par, "threads = {threads}, seed = {seed}");
             }
         }
-    }
-
-    #[test]
-    fn legacy_generator_differs_but_matches_shape() {
-        let pages = pages();
-        let new = generate_requests(&pages, &small_config(), 3).unwrap();
-        let old = generate_requests_legacy(&pages, &small_config(), 3).unwrap();
-        assert_eq!(old.len(), new.len());
-        assert!(old.validate(pages.len(), 20).is_ok());
-        assert_ne!(old, new);
-        assert_eq!(
-            old,
-            generate_requests_legacy(&pages, &small_config(), 3).unwrap()
-        );
     }
 
     #[test]
@@ -650,7 +571,6 @@ mod tests {
         let mut c = small_config();
         c.servers = 0;
         assert!(generate_requests(&pages, &c, 0).is_err());
-        assert!(generate_requests_legacy(&pages, &c, 0).is_err());
         let mut c = small_config();
         c.total_requests = 0;
         assert!(generate_requests(&pages, &c, 0).is_err());
@@ -667,7 +587,6 @@ mod tests {
         c.server_exponent = 0.0;
         assert!(generate_requests(&pages, &c, 0).is_err());
         assert!(generate_requests(&[], &small_config(), 0).is_err());
-        assert!(generate_requests_legacy(&[], &small_config(), 0).is_err());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use pscd_pool::parallel_chunked;
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use rand::RngExt;
 use std::collections::HashMap;
 
 use pscd_types::{RequestTrace, SubscriptionTable, SubscriptionTableBuilder};
@@ -34,8 +34,7 @@ const GROUP_CHUNK: usize = 512;
 /// The quality draws of one page's (page, server) pairs come from that
 /// page's own RNG substream ([`crate::seeds`]), in ascending server order,
 /// so [`generate_subscriptions_threads`] is **bit-identical** at any
-/// thread count. The pre-substream single-stream scheme survives as
-/// [`generate_subscriptions_legacy`].
+/// thread count.
 ///
 /// # Errors
 ///
@@ -211,56 +210,6 @@ pub fn generate_subscriptions_from_counts(
     Ok(builder.build())
 }
 
-/// The pre-substream generator: one `StdRng` threaded through every pair.
-///
-/// Kept as a compatibility constructor for tables generated before the
-/// parallel cold path landed. New code should use
-/// [`generate_subscriptions`].
-///
-/// # Errors
-///
-/// Returns [`WorkloadError::InvalidConfig`] unless `0 < quality <= 1` and
-/// `0 <= coverage <= 1`.
-pub fn generate_subscriptions_legacy(
-    trace: &RequestTrace,
-    page_count: usize,
-    quality: f64,
-    coverage: f64,
-    seed: u64,
-) -> Result<SubscriptionTable, WorkloadError> {
-    if !(quality > 0.0 && quality <= 1.0) {
-        return Err(WorkloadError::invalid("quality", "0 < quality <= 1"));
-    }
-    if !(0.0..=1.0).contains(&coverage) {
-        return Err(WorkloadError::invalid("coverage", "0 <= coverage <= 1"));
-    }
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xda94_2042_e4dd_58b5);
-
-    // P_{i,j}: requests per (page, server).
-    let mut requests: HashMap<(u32, u16), u64> = HashMap::new();
-    for ev in trace {
-        *requests
-            .entry((ev.page.index(), ev.server.index()))
-            .or_default() += 1;
-    }
-    // Deterministic iteration order.
-    let mut pairs: Vec<((u32, u16), u64)> = requests.into_iter().collect();
-    pairs.sort_unstable();
-
-    let mut builder = SubscriptionTableBuilder::new(page_count);
-    for ((page, server), p_ij) in pairs {
-        if coverage < 1.0 && rng.random::<f64>() >= coverage {
-            continue;
-        }
-        let sq = sample_pair_quality(&mut rng, quality);
-        let count = ((p_ij as f64 / sq).round() as u64)
-            .max(1)
-            .min(u32::MAX as u64) as u32;
-        builder.add(page.into(), server.into(), count);
-    }
-    Ok(builder.build())
-}
-
 /// Draws `SQ_{i,j}` around the target quality per eq. 7.
 fn sample_pair_quality(rng: &mut StdRng, quality: f64) -> f64 {
     let sq = if quality > 0.5 {
@@ -369,19 +318,6 @@ mod tests {
             assert_eq!(via_trace, via_counts, "quality = {quality}");
         }
         assert!(generate_subscriptions_from_counts(&groups, 3, 0.0, 1.0, 0, 1).is_err());
-    }
-
-    #[test]
-    fn legacy_generator_keeps_perfect_quality_exact() {
-        let old = generate_subscriptions_legacy(&trace(), 3, 1.0, 1.0, 1).unwrap();
-        assert_eq!(old.count(PageId::new(0), ServerId::new(0)), 5);
-        assert_eq!(old.count(PageId::new(0), ServerId::new(1)), 3);
-        assert_eq!(
-            old,
-            generate_subscriptions_legacy(&trace(), 3, 1.0, 1.0, 1).unwrap()
-        );
-        assert!(generate_subscriptions_legacy(&trace(), 3, 0.0, 1.0, 0).is_err());
-        assert!(generate_subscriptions_legacy(&trace(), 3, 1.0, -0.1, 0).is_err());
     }
 
     #[test]

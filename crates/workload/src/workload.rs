@@ -7,8 +7,7 @@ use pscd_types::{
 };
 
 use crate::{
-    generate_publishing_legacy, generate_publishing_threads, generate_requests_legacy,
-    generate_requests_threads, generate_subscriptions_partial_threads,
+    generate_publishing_threads, generate_requests_threads, generate_subscriptions_partial_threads,
     generate_subscriptions_threads, PublishingConfig, RequestConfig, WorkloadError,
 };
 
@@ -123,32 +122,6 @@ impl Workload {
         let publishing = generate_publishing_threads(&config.publishing, config.seed, threads)?;
         let requests =
             generate_requests_threads(&publishing.pages, &config.requests, config.seed, threads)?;
-        Ok(Self {
-            config: config.clone(),
-            pages: publishing.pages,
-            publishing: publishing.stream,
-            requests,
-        })
-    }
-
-    /// Compatibility constructor: generates the workload with the
-    /// pre-substream single-stream generators
-    /// ([`generate_publishing_legacy`]/[`generate_requests_legacy`]), which
-    /// reproduce traces generated before the parallel cold path landed.
-    /// Inherently serial; new code should use [`Workload::generate`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WorkloadError::InvalidConfig`] for invalid configurations.
-    pub fn generate_legacy(config: &WorkloadConfig) -> Result<Self, WorkloadError> {
-        if config.publishing.horizon != config.requests.horizon {
-            return Err(WorkloadError::invalid(
-                "horizon",
-                "publishing.horizon == requests.horizon",
-            ));
-        }
-        let publishing = generate_publishing_legacy(&config.publishing, config.seed)?;
-        let requests = generate_requests_legacy(&publishing.pages, &config.requests, config.seed)?;
         Ok(Self {
             config: config.clone(),
             pages: publishing.pages,

@@ -5,29 +5,96 @@
 //! config-driven workloads. Plus the text codec's round-trip and
 //! strict-parsing (unknown fields rejected) guarantees.
 
-use pscd_workload::{ScenarioConfig, TimeWarp};
+use pscd_types::SubscriptionTable;
+use pscd_workload::{ScenarioConfig, TimeWarp, Workload, WorkloadConfig};
 
-/// Pinned `(name, digest)` pairs for the shipped library. A digest is an
+/// Pinned `(name, digest)` pairs: the shipped library in presentation
+/// order, then the generator outputs no scenario reaches. A digest is an
 /// FNV-1a fold over the full generated workload (pages, publish stream,
-/// warped request trace) — update ONLY when a generator change is
-/// intentional, and say so in the commit.
-const GOLDEN: [(&str, u64); 4] = [
+/// warped request trace) or subscription table — update ONLY when a
+/// generator change is intentional, and say so in the commit.
+const GOLDEN: [(&str, u64); 7] = [
     ("news-baseline", 0x34c1_a420_70fd_fc85),
     ("catalog-churn", 0xa5ba_f361_0cbc_ecc9),
     ("flash-crowds", 0xef3b_d8e8_bc3e_7083),
     ("diurnal", 0x311a_99d8_8adb_e28c),
+    // `WorkloadConfig::alternative_scaled(0.05)` through
+    // `Workload::generate` (scenarios build through `RequestStream`).
+    ("alternative-trace", 0x6b08_baee_b4a9_f4e6),
+    // `Workload::subscriptions(q)` of `news_scaled(0.05)`; the workload
+    // digest folds pages, publishes and requests only.
+    ("subscriptions-q1.0", 0xe9c4_7175_8586_0703),
+    ("subscriptions-q0.5", 0x3c95_e30f_673d_5d75),
 ];
+
+/// 64-bit FNV-1a over little-endian `u64` words — the fold
+/// `ScenarioConfig::digest` uses.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for byte in words.into_iter().flat_map(u64::to_le_bytes) {
+        hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+/// The `ScenarioConfig::digest` fold over an already-built workload.
+fn workload_digest(w: &Workload) -> u64 {
+    let pages = w
+        .pages()
+        .iter()
+        .flat_map(|p| [u64::from(p.id().index()), p.size().as_u64()]);
+    let publishes = w
+        .publishing()
+        .iter()
+        .flat_map(|e| [e.time.as_millis(), u64::from(e.page.index())]);
+    let requests = w.requests().iter().flat_map(|e| {
+        [
+            e.time.as_millis(),
+            u64::from(e.server.index()),
+            u64::from(e.page.index()),
+        ]
+    });
+    fnv1a(pages.chain(publishes).chain(requests))
+}
+
+/// Every `(page, server, count)` row, in the table's page-major order.
+fn table_digest(subs: &SubscriptionTable) -> u64 {
+    fnv1a(subs.iter().flat_map(|(page, server, count)| {
+        [
+            u64::from(page.index()),
+            u64::from(server.index()),
+            u64::from(count),
+        ]
+    }))
+}
 
 #[test]
 fn shipped_scenario_digests_are_pinned() {
     let shipped = ScenarioConfig::shipped();
-    assert_eq!(shipped.len(), GOLDEN.len(), "library size changed");
-    for (scenario, (name, digest)) in shipped.iter().zip(GOLDEN) {
+    let (scenarios, generators) = GOLDEN.split_at(shipped.len());
+    for (scenario, &(name, digest)) in shipped.iter().zip(scenarios) {
         assert_eq!(scenario.name, name, "library order changed");
         assert_eq!(
             scenario.digest().unwrap(),
             digest,
             "{name}: workload digest drifted from its pinned value"
+        );
+        // The local fold is the library's, so the rows below pin the
+        // same kind of digest.
+        assert_eq!(workload_digest(&scenario.build().unwrap()), digest);
+    }
+    let alternative = Workload::generate(&WorkloadConfig::alternative_scaled(0.05)).unwrap();
+    let news = Workload::generate(&WorkloadConfig::news_scaled(0.05)).unwrap();
+    let computed = [
+        workload_digest(&alternative),
+        table_digest(&news.subscriptions(1.0).unwrap()),
+        table_digest(&news.subscriptions(0.5).unwrap()),
+    ];
+    assert_eq!(generators.len(), computed.len(), "library size changed");
+    for (&(name, digest), got) in generators.iter().zip(computed) {
+        assert_eq!(
+            got, digest,
+            "{name}: generator digest {got:#018x} drifted from its pinned value"
         );
     }
 }
