@@ -1,13 +1,13 @@
-//! Replay hot-loop microbenchmark: dense, enum-dispatched, allocation-free
-//! replay (the production `simulate_compiled` path since the dense-state
-//! refactor) against the pre-refactor state representation — sparse
-//! hash-map tables behind `Box<dyn Strategy>` with a fresh record `Vec`
-//! per publish — on the same compiled trace.
+//! Replay hot-loop microbenchmark: enum-dispatched, preallocated,
+//! allocation-free replay (the production `simulate_compiled` path)
+//! against the `Box<dyn Strategy>` arm — virtual dispatch, page tables
+//! that grow on demand, a fresh record `Vec` per publish — on the same
+//! compiled trace.
 //!
 //! Both sides replay identical events and produce identical hit counts
-//! (the differential suite proves bit-identity); the only difference is
-//! state layout and dispatch, so the per-event gap is the refactor's
-//! payoff. Two paper-relevant strategies at two trace scales:
+//! (the differential suite proves bit-identity); the difference is
+//! dispatch and preallocation, so the per-event gap is what the enum
+//! path buys. Two paper-relevant strategies at two trace scales:
 //! SG2 (engine-based, the headline strategy) and DC-LAP (heap-based, the
 //! adaptive dual cache). One iteration is one full replay and the group
 //! name carries the event count, so ns/event = reported mean / events;
@@ -26,9 +26,9 @@ use pscd_topology::FetchCosts;
 use pscd_types::ServerId;
 use pscd_workload::{Workload, WorkloadConfig};
 
-/// The pre-refactor replay shape: sparse `Box<dyn Strategy>` proxies and
+/// The extension-point replay shape: `Box<dyn Strategy>` proxies and
 /// per-publish record allocation, driven over the same compiled trace.
-fn sparse_dyn_replay(trace: &CompiledTrace, costs: &FetchCosts, options: &SimOptions) -> u64 {
+fn dyn_replay(trace: &CompiledTrace, costs: &FetchCosts, options: &SimOptions) -> u64 {
     let capacities = trace.capacities(options.capacity_fraction);
     let strategies: Vec<Box<dyn Strategy>> = (0..trace.server_count())
         .map(|s| options.strategy.build(capacities[s as usize]))
@@ -73,15 +73,15 @@ fn replay_hot_loop(c: &mut Criterion) {
         group.sample_size(10);
         for kind in [StrategyKind::Sg2 { beta: 2.0 }, StrategyKind::dc_lap(2.0)] {
             let options = SimOptions::at_capacity(kind, 0.05);
-            group.bench_function(&format!("dense_enum/{}", kind.name()), |b| {
+            group.bench_function(&format!("enum/{}", kind.name()), |b| {
                 b.iter(|| {
                     simulate_compiled(&trace, &costs, &options)
                         .expect("runs")
                         .hits
                 })
             });
-            group.bench_function(&format!("sparse_dyn/{}", kind.name()), |b| {
-                b.iter(|| sparse_dyn_replay(&trace, &costs, &options))
+            group.bench_function(&format!("dyn/{}", kind.name()), |b| {
+                b.iter(|| dyn_replay(&trace, &costs, &options))
             });
         }
         group.finish();

@@ -1,16 +1,16 @@
 //! Classic access-time replacement policies: LRU, GDS, LFU-DA, GD*.
 //!
 //! Each policy is generic over an [`Observer`] (defaulting to the
-//! zero-cost [`NullObserver`]); `with_observer` constructors route the
-//! underlying engine's admission/eviction events to an [`ObsHandle`],
-//! and `with_layout` constructors additionally select the state
-//! [`Layout`] (sparse hash tables vs. dense per-ordinal arrays).
+//! zero-cost [`NullObserver`]). `new` builds an unobserved cache that
+//! grows its page tables on demand; `observed` re-creates it with every
+//! table preallocated for a known page universe and the engine's
+//! admission/eviction events routed to an [`ObsHandle`].
 
 use pscd_obs::{NullObserver, ObsHandle, Observer};
 use pscd_types::{Bytes, PageId};
 
 use crate::snapshot::{SnapshotError, SnapshotReader};
-use crate::{AccessOutcome, CachePolicy, GreedyDualEngine, Layout, PageRef};
+use crate::{AccessOutcome, CachePolicy, GreedyDualEngine, PageRef};
 
 macro_rules! delegate_policy_queries {
     () => {
@@ -68,7 +68,7 @@ snapshot_delegate!(Gds);
 snapshot_delegate!(LfuDa);
 snapshot_delegate!(GdStar);
 
-macro_rules! manual_clone {
+macro_rules! policy_impls {
     ($name:ident { $($extra:ident),* }) => {
         // Manual impl: `derive(Clone)` would demand `O: Clone`, which
         // observers don't promise — the engine clones for any `O`.
@@ -76,6 +76,24 @@ macro_rules! manual_clone {
             fn clone(&self) -> Self {
                 Self {
                     engine: self.engine.clone(),
+                    $($extra: self.$extra,)*
+                }
+            }
+        }
+
+        impl<O: Observer> $name<O> {
+            /// An empty cache with this one's configuration over the page
+            /// ordinals `0..page_count`, reporting cache decisions to
+            /// `obs`. Every table is preallocated for the universe, so
+            /// steady-state operation never allocates (`0` preallocates
+            /// nothing and grows on demand).
+            pub fn observed<P: Observer>(self, page_count: usize, obs: ObsHandle<P>) -> $name<P> {
+                $name {
+                    engine: GreedyDualEngine::with_observer(
+                        self.engine.store().capacity(),
+                        page_count,
+                        obs,
+                    ),
                     $($extra: self.$extra,)*
                 }
             }
@@ -108,25 +126,13 @@ pub struct Lru<O: Observer = NullObserver> {
     engine: GreedyDualEngine<O>,
 }
 
-manual_clone!(Lru {});
+policy_impls!(Lru {});
 
 impl Lru {
     /// Creates an LRU cache with the given capacity.
     pub fn new(capacity: Bytes) -> Self {
-        Self::with_observer(capacity, ObsHandle::disabled())
-    }
-}
-
-impl<O: Observer> Lru<O> {
-    /// Creates an LRU cache reporting cache decisions to `obs`.
-    pub fn with_observer(capacity: Bytes, obs: ObsHandle<O>) -> Self {
-        Self::with_layout(capacity, Layout::Sparse, obs)
-    }
-
-    /// Creates an LRU cache with an explicit state [`Layout`].
-    pub fn with_layout(capacity: Bytes, layout: Layout, obs: ObsHandle<O>) -> Self {
         Self {
-            engine: GreedyDualEngine::with_layout(capacity, layout, obs),
+            engine: GreedyDualEngine::new(capacity),
         }
     }
 }
@@ -149,25 +155,13 @@ pub struct Gds<O: Observer = NullObserver> {
     engine: GreedyDualEngine<O>,
 }
 
-manual_clone!(Gds {});
+policy_impls!(Gds {});
 
 impl Gds {
     /// Creates a GDS cache with the given capacity.
     pub fn new(capacity: Bytes) -> Self {
-        Self::with_observer(capacity, ObsHandle::disabled())
-    }
-}
-
-impl<O: Observer> Gds<O> {
-    /// Creates a GDS cache reporting cache decisions to `obs`.
-    pub fn with_observer(capacity: Bytes, obs: ObsHandle<O>) -> Self {
-        Self::with_layout(capacity, Layout::Sparse, obs)
-    }
-
-    /// Creates a GDS cache with an explicit state [`Layout`].
-    pub fn with_layout(capacity: Bytes, layout: Layout, obs: ObsHandle<O>) -> Self {
         Self {
-            engine: GreedyDualEngine::with_layout(capacity, layout, obs),
+            engine: GreedyDualEngine::new(capacity),
         }
     }
 }
@@ -192,25 +186,13 @@ pub struct LfuDa<O: Observer = NullObserver> {
     engine: GreedyDualEngine<O>,
 }
 
-manual_clone!(LfuDa {});
+policy_impls!(LfuDa {});
 
 impl LfuDa {
     /// Creates an LFU-DA cache with the given capacity.
     pub fn new(capacity: Bytes) -> Self {
-        Self::with_observer(capacity, ObsHandle::disabled())
-    }
-}
-
-impl<O: Observer> LfuDa<O> {
-    /// Creates an LFU-DA cache reporting cache decisions to `obs`.
-    pub fn with_observer(capacity: Bytes, obs: ObsHandle<O>) -> Self {
-        Self::with_layout(capacity, Layout::Sparse, obs)
-    }
-
-    /// Creates an LFU-DA cache with an explicit state [`Layout`].
-    pub fn with_layout(capacity: Bytes, layout: Layout, obs: ObsHandle<O>) -> Self {
         Self {
-            engine: GreedyDualEngine::with_layout(capacity, layout, obs),
+            engine: GreedyDualEngine::new(capacity),
         }
     }
 }
@@ -255,7 +237,7 @@ pub struct GdStar<O: Observer = NullObserver> {
     beta: f64,
 }
 
-manual_clone!(GdStar { beta });
+policy_impls!(GdStar { beta });
 
 impl GdStar {
     /// Creates a GD\* cache.
@@ -264,33 +246,15 @@ impl GdStar {
     ///
     /// Panics unless `beta` is positive and finite.
     pub fn new(capacity: Bytes, beta: f64) -> Self {
-        Self::with_observer(capacity, beta, ObsHandle::disabled())
+        assert!(beta.is_finite() && beta > 0.0, "beta must be positive");
+        Self {
+            engine: GreedyDualEngine::new(capacity),
+            beta,
+        }
     }
 }
 
 impl<O: Observer> GdStar<O> {
-    /// Creates a GD\* cache reporting cache decisions to `obs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `beta` is positive and finite.
-    pub fn with_observer(capacity: Bytes, beta: f64, obs: ObsHandle<O>) -> Self {
-        Self::with_layout(capacity, beta, Layout::Sparse, obs)
-    }
-
-    /// Creates a GD\* cache with an explicit state [`Layout`].
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `beta` is positive and finite.
-    pub fn with_layout(capacity: Bytes, beta: f64, layout: Layout, obs: ObsHandle<O>) -> Self {
-        assert!(beta.is_finite() && beta > 0.0, "beta must be positive");
-        Self {
-            engine: GreedyDualEngine::with_layout(capacity, layout, obs),
-            beta,
-        }
-    }
-
     /// The configured β.
     pub fn beta(&self) -> f64 {
         self.beta
@@ -451,58 +415,13 @@ mod tests {
     }
 
     #[test]
-    fn dense_layout_policies_match_sparse() {
-        let mut ev_s = Vec::new();
-        let mut ev_d = Vec::new();
-        let dense = Layout::Dense { page_count: 40 };
-        let mut pairs: Vec<(Box<dyn CachePolicy>, Box<dyn CachePolicy>)> = vec![
-            (
-                Box::new(Lru::new(Bytes::new(50))),
-                Box::new(Lru::with_layout(
-                    Bytes::new(50),
-                    dense,
-                    ObsHandle::disabled(),
-                )),
-            ),
-            (
-                Box::new(GdStar::new(Bytes::new(50), 2.0)),
-                Box::new(GdStar::with_layout(
-                    Bytes::new(50),
-                    2.0,
-                    dense,
-                    ObsHandle::disabled(),
-                )),
-            ),
-        ];
-        let mut x = 0xdead_beefu64;
-        let mut rng = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        for _ in 0..1_000 {
-            let p = pref((rng() % 40) as u32, rng() % 20 + 1, (rng() % 9 + 1) as f64);
-            for (sparse, dense) in &mut pairs {
-                assert_eq!(
-                    sparse.access(&p, &mut ev_s),
-                    dense.access(&p, &mut ev_d),
-                    "{}",
-                    sparse.name()
-                );
-                assert_eq!(ev_s, ev_d);
-            }
-        }
-    }
-
-    #[test]
     fn observed_policy_reports_events() {
         use pscd_obs::{SharedObserver, StatsObserver};
         use pscd_types::ServerId;
 
         let mut ev = Vec::new();
         let shared = SharedObserver::new(StatsObserver::new());
-        let mut lru = Lru::with_observer(Bytes::new(20), shared.handle(ServerId::new(0)));
+        let mut lru = Lru::new(Bytes::new(20)).observed(0, shared.handle(ServerId::new(0)));
         lru.access(&pref(1, 10, 1.0), &mut ev);
         lru.access(&pref(2, 10, 1.0), &mut ev);
         lru.access(&pref(3, 10, 1.0), &mut ev); // evicts page 1

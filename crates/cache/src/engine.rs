@@ -3,7 +3,7 @@
 use pscd_obs::{AdmitOrigin, EvictReason, NullObserver, ObsHandle, Observer};
 use pscd_types::{Bytes, PageId};
 
-use crate::layout::{Layout, PageTable};
+use crate::layout::PageTable;
 use crate::snapshot::{put_f64, put_u32, SnapshotError, SnapshotReader};
 use crate::{AccessOutcome, CacheStore, PageRef};
 
@@ -19,8 +19,8 @@ use crate::{AccessOutcome, CacheStore, PageRef};
 /// `pscd-core`.
 ///
 /// Evicted pages are reported through caller-owned scratch buffers (a
-/// `&mut Vec<PageId>` per operation, cleared on entry): with a
-/// [`Layout::Dense`] store and a warm scratch buffer, no engine operation
+/// `&mut Vec<PageId>` per operation, cleared on entry): with the page
+/// universe preallocated and a warm scratch buffer, no engine operation
 /// allocates.
 ///
 /// The observer parameter defaults to [`NullObserver`], whose hooks are
@@ -51,7 +51,7 @@ impl GreedyDualEngine {
     /// Creates an unobserved engine with the given capacity; `L` starts
     /// at 0.
     pub fn new(capacity: Bytes) -> Self {
-        Self::with_observer(capacity, ObsHandle::disabled())
+        Self::with_observer(capacity, 0, ObsHandle::disabled())
     }
 }
 
@@ -62,19 +62,16 @@ impl Default for GreedyDualEngine {
 }
 
 impl<O: Observer> GreedyDualEngine<O> {
-    /// Creates an engine reporting admissions and evictions to `obs`.
-    pub fn with_observer(capacity: Bytes, obs: ObsHandle<O>) -> Self {
-        Self::with_layout(capacity, Layout::Sparse, obs)
-    }
-
-    /// Creates an engine with an explicit state [`Layout`]. The dense
-    /// layout preallocates the store and the frequency table for the full
-    /// page universe, so steady-state operation never allocates.
-    pub fn with_layout(capacity: Bytes, layout: Layout, obs: ObsHandle<O>) -> Self {
+    /// Creates an engine over the page ordinals `0..page_count`,
+    /// reporting admissions and evictions to `obs`. The store and the
+    /// frequency table are preallocated for the full universe, so
+    /// steady-state operation never allocates; `0` preallocates nothing
+    /// and grows on demand.
+    pub fn with_observer(capacity: Bytes, page_count: usize, obs: ObsHandle<O>) -> Self {
         Self {
-            store: CacheStore::with_layout(capacity, layout),
+            store: CacheStore::dense(capacity, page_count),
             inflation: 0.0,
-            freq: PageTable::with_layout(layout),
+            freq: PageTable::new(page_count, 0),
             obs,
         }
     }
@@ -201,16 +198,20 @@ impl<O: Observer> GreedyDualEngine<O> {
     /// bytes live on elsewhere (e.g. a dual-caches PC→AC move) — the
     /// caller reports the transfer through its own hook instead.
     pub fn take(&mut self, page: PageId) -> Option<(Bytes, f64)> {
+        let removed = self.store.remove(page)?;
         self.freq.remove(page);
-        self.store.remove(page).map(|p| (p.size, p.value))
+        Some((removed.size, removed.value))
     }
 
     /// Removes a page (without touching `L`), returning `true` if present.
     /// Reported to the observer as an [`EvictReason::Invalidate`].
     pub fn evict(&mut self, page: PageId) -> bool {
-        self.freq.remove(page);
+        // Only residents carry a count, so a miss — the common case when
+        // a stale version is invalidated fleet-wide — leaves the frequency
+        // table untouched.
         match self.store.remove(page) {
             Some(removed) => {
+                self.freq.remove(page);
                 if O::ENABLED {
                     self.obs.evict(
                         removed.page,
@@ -227,8 +228,8 @@ impl<O: Observer> GreedyDualEngine<O> {
 
     /// Serializes the engine's mutable state — inflation `L`, the store,
     /// and the in-cache reference count of every resident — for a
-    /// snapshot. Capacity, layout and observer are configuration and are
-    /// not encoded.
+    /// snapshot. Capacity, universe and observer are configuration and
+    /// are not encoded.
     pub fn encode_state(&self, out: &mut Vec<u8>) {
         put_f64(out, self.inflation);
         self.store.encode_state(out);
@@ -241,7 +242,7 @@ impl<O: Observer> GreedyDualEngine<O> {
 
     /// Restores state captured by [`encode_state`](Self::encode_state),
     /// replacing the engine's current contents. The engine keeps its own
-    /// capacity, layout and observer.
+    /// capacity, universe and observer.
     ///
     /// # Errors
     ///
@@ -255,7 +256,7 @@ impl<O: Observer> GreedyDualEngine<O> {
         for slot in store.iter() {
             let f = r.read_u32()?;
             if f != 0 {
-                freq.set(slot.page, f);
+                freq.try_insert(slot.page, f)?;
             }
         }
         self.inflation = inflation;
@@ -459,7 +460,7 @@ mod tests {
         let mut ev = Vec::new();
         let shared = SharedObserver::new(StatsObserver::new());
         let mut e =
-            GreedyDualEngine::with_observer(Bytes::new(20), shared.handle(ServerId::new(5)));
+            GreedyDualEngine::with_observer(Bytes::new(20), 0, shared.handle(ServerId::new(5)));
         e.access(&pref(1, 10), |_, l| l + 1.0, &mut ev);
         e.access(&pref(2, 10), |_, l| l + 2.0, &mut ev);
         e.access(&pref(3, 10), |_, l| l + 5.0, &mut ev); // evicts page 1 (access)
@@ -488,47 +489,5 @@ mod tests {
         assert!(e.evict(PageId::new(1)));
         assert!(!e.evict(PageId::new(1)));
         assert!(!e.revalue(PageId::new(1), 1.0));
-    }
-
-    #[test]
-    fn dense_engine_matches_sparse() {
-        let mut ev_s = Vec::new();
-        let mut ev_d = Vec::new();
-        let mut sparse = GreedyDualEngine::new(Bytes::new(40));
-        let mut dense: GreedyDualEngine = GreedyDualEngine::with_layout(
-            Bytes::new(40),
-            Layout::Dense { page_count: 32 },
-            ObsHandle::disabled(),
-        );
-        let mut x = 0x1234_5678u64;
-        let mut rng = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        for _ in 0..2_000 {
-            let p = pref((rng() % 32) as u32, rng() % 15 + 1);
-            match rng() % 3 {
-                0 => {
-                    let a = sparse.access(&p, |f, l| l + f as f64, &mut ev_s);
-                    let b = dense.access(&p, |f, l| l + f as f64, &mut ev_d);
-                    assert_eq!(a, b);
-                }
-                1 => {
-                    let w = (rng() % 8) as f64;
-                    assert_eq!(
-                        sparse.push_valued(&p, w, &mut ev_s),
-                        dense.push_valued(&p, w, &mut ev_d)
-                    );
-                }
-                _ => {
-                    assert_eq!(sparse.evict(p.page), dense.evict(p.page));
-                }
-            }
-            assert_eq!(ev_s, ev_d);
-            assert_eq!(sparse.inflation(), dense.inflation());
-            assert_eq!(sparse.store().used(), dense.store().used());
-        }
     }
 }

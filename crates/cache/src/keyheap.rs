@@ -6,12 +6,12 @@
 //! and `peek_min` had to mutate the heap to skim stale tops. [`KeyHeap`]
 //! replaces that with an *eager* heap of exactly the live entries: each
 //! slot knows its array position, and every mutation reports position
-//! moves through a caller-supplied writeback so an external table (a
-//! `HashMap` entry or a dense per-ordinal slot) can address any element
-//! directly. That makes `peek` a `&self` read, `remove`/`update`
-//! `O(log n)` without tombstones, and the heap's footprint proportional
-//! to the cache's live population — the properties the allocation-free
-//! replay loop is built on.
+//! moves through a caller-supplied writeback so an external table (the
+//! store's per-ordinal position slot) can address any element directly.
+//! That makes `peek` a `&self` read, `remove`/`update` `O(log n)`
+//! without tombstones, and the heap's footprint proportional to the
+//! cache's live population — the properties the allocation-free replay
+//! loop is built on.
 //!
 //! The comparator is *exactly* the lazy heap's: smallest value first,
 //! ties broken by smallest stamp (oldest (re)valuation), then smallest
@@ -103,10 +103,12 @@ impl KeyHeap {
     /// [`slots`](Self::slots). The array is adopted verbatim: a dump of a
     /// valid heap is itself a valid heap, so restoring it position for
     /// position reproduces the original ordering bit for bit — which is
-    /// what snapshot round-trips rely on.
-    pub(crate) fn from_slots(slots: Vec<HeapSlot>) -> Self {
-        debug_assert!((1..slots.len()).all(|i| !slots[i].before(&slots[(i - 1) / 2])));
-        Self { slots }
+    /// what snapshot round-trips rely on. `None` if the array is not in
+    /// heap order (the bytes it was read from were corrupt).
+    pub(crate) fn from_slots(slots: Vec<HeapSlot>) -> Option<Self> {
+        (1..slots.len())
+            .all(|i| !slots[i].before(&slots[(i - 1) / 2]))
+            .then_some(Self { slots })
     }
 
     /// The minimum slot, without mutating anything.

@@ -1,132 +1,117 @@
-//! Sparse vs. dense state layout for page-keyed structures.
+//! The one page-keyed table: a flat `Vec` indexed by page ordinal.
 //!
-//! A compiled trace guarantees its page ids are dense ordinals
-//! `0..page_count` (the `CompiledTrace` ordinal contract), which lets
-//! every page-keyed table in the replay hot loop — cache entries,
-//! frequency counts, per-strategy side state — live in a flat `Vec`
-//! indexed by ordinal instead of a `HashMap`. [`Layout`] is the single
-//! knob that selects between the two representations at construction
-//! time; the sparse form remains the default for callers that feed
-//! arbitrary page ids (unit tests, the differential reference loop,
-//! external strategies).
-
-use std::collections::HashMap;
+//! Every layer names a page by its ordinal in a closed catalog (the
+//! `CompiledTrace` ordinal contract: ids are `0..page_count`), so every
+//! page-keyed structure — the store's position index, frequency counts,
+//! per-strategy side state, `pscd-core`'s resident-entry index — is a
+//! [`PageTable`]. A caller that knows its universe passes its size and
+//! gets every slot preallocated, after which no operation allocates; a
+//! caller that does not (unit tests, examples) passes `0` and the table
+//! grows on write.
 
 use pscd_types::PageId;
 
-/// How a page-keyed structure stores its state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Layout {
-    /// Hash-addressed; accepts any page id. The default.
-    #[default]
-    Sparse,
-    /// Direct-indexed by page ordinal; only ids in `0..page_count` may
-    /// ever be stored (reads outside the range simply miss). Storage for
-    /// the full universe is preallocated up front, so steady-state
-    /// mutation never allocates.
-    Dense {
-        /// Size of the page-id universe (`CompiledTrace::pages().len()`).
-        page_count: usize,
-    },
-}
+use crate::snapshot::SnapshotError;
 
-/// A page-keyed table of plain values where the default value means
-/// "absent" — the representation behind frequency counts and per-page
-/// counters. Under [`Layout::Dense`] reads and writes are direct `Vec`
-/// indexing; under [`Layout::Sparse`] they fall back to a `HashMap`.
+/// A page-keyed table of plain values in which one value, chosen at
+/// construction, means "absent" — `0` for frequency counts and per-page
+/// counters, an out-of-range sentinel for position indexes. Reads and
+/// writes are direct `Vec` indexing by page ordinal.
 #[derive(Debug, Clone)]
 pub struct PageTable<T> {
-    repr: Repr<T>,
+    slots: Vec<T>,
+    absent: T,
 }
 
-#[derive(Debug, Clone)]
-enum Repr<T> {
-    Sparse(HashMap<PageId, T>),
-    Dense(Vec<T>),
-}
-
-impl<T: Copy + Default> PageTable<T> {
-    /// An empty table with the given layout.
-    pub fn with_layout(layout: Layout) -> Self {
+impl<T: Copy + PartialEq> PageTable<T> {
+    /// An empty table with one slot preallocated for each of
+    /// `page_count` ordinals. Writes inside that universe never
+    /// allocate; `0` preallocates nothing and lets [`set`](Self::set)
+    /// grow the table.
+    pub fn new(page_count: usize, absent: T) -> Self {
         Self {
-            repr: match layout {
-                Layout::Sparse => Repr::Sparse(HashMap::new()),
-                Layout::Dense { page_count } => Repr::Dense(vec![T::default(); page_count]),
-            },
+            slots: vec![absent; page_count],
+            absent,
         }
     }
 
-    /// The value for `page` (`T::default()` if never set).
+    /// The value for `page` (the absent value if never set).
     #[inline]
     pub fn get(&self, page: PageId) -> T {
-        match &self.repr {
-            Repr::Sparse(map) => map.get(&page).copied().unwrap_or_default(),
-            Repr::Dense(vec) => vec.get(page.as_usize()).copied().unwrap_or_default(),
-        }
+        self.slots
+            .get(page.as_usize())
+            .copied()
+            .unwrap_or(self.absent)
     }
 
-    /// Sets the value for `page`.
-    ///
-    /// # Panics
-    ///
-    /// Panics under [`Layout::Dense`] if `page` is outside the declared
-    /// universe — storing such an id would silently violate the ordinal
-    /// contract.
+    /// The value for `page`, if one is present.
+    #[inline]
+    pub fn find(&self, page: PageId) -> Option<T> {
+        Some(self.get(page)).filter(|v| *v != self.absent)
+    }
+
+    /// Sets the value for `page`, growing the table to cover it if it
+    /// lies outside the current universe. Only for ids the program
+    /// produced itself — ids read from outside go through
+    /// [`try_insert`](Self::try_insert).
     #[inline]
     pub fn set(&mut self, page: PageId, value: T) {
-        match &mut self.repr {
-            Repr::Sparse(map) => {
-                map.insert(page, value);
-            }
-            Repr::Dense(vec) => vec[page.as_usize()] = value,
+        match self.slots.get_mut(page.as_usize()) {
+            Some(slot) => *slot = value,
+            None => self.grow_and_set(page.as_usize(), value),
         }
     }
 
-    /// Resets `page` to the absent (default) value.
+    #[cold]
+    fn grow_and_set(&mut self, i: usize, value: T) {
+        self.slots.resize(i + 1, self.absent);
+        self.slots[i] = value;
+    }
+
+    /// Resets `page` to absent, returning the value it held if one was
+    /// present.
     #[inline]
-    pub fn remove(&mut self, page: PageId) {
-        match &mut self.repr {
-            Repr::Sparse(map) => {
-                map.remove(&page);
-            }
-            Repr::Dense(vec) => {
-                if let Some(slot) = vec.get_mut(page.as_usize()) {
-                    *slot = T::default();
-                }
-            }
-        }
+    pub fn remove(&mut self, page: PageId) -> Option<T> {
+        // An absent slot is left unwritten: most removals miss, and a
+        // store would dirty a page of a large, mostly-vacant table.
+        let slot = self.slots.get_mut(page.as_usize())?;
+        (*slot != self.absent).then(|| std::mem::replace(slot, self.absent))
     }
 
-    /// Resets every page to the absent value, keeping the layout (and,
-    /// for the dense form, the preallocated universe).
+    /// Resets every page to absent, keeping the universe.
     pub fn clear(&mut self) {
-        match &mut self.repr {
-            Repr::Sparse(map) => map.clear(),
-            Repr::Dense(vec) => vec.fill(T::default()),
+        self.slots.fill(self.absent);
+    }
+
+    /// The fallible write every `decode_state` uses for a page id read
+    /// from snapshot bytes: stores `value` only if `page` lies inside the
+    /// universe the table already covers and is absent. It never grows
+    /// the table, so a corrupt id can neither index out of bounds nor
+    /// size an allocation.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Corrupt`] for an out-of-universe or duplicate id.
+    pub fn try_insert(&mut self, page: PageId, value: T) -> Result<(), SnapshotError> {
+        match self.slots.get_mut(page.as_usize()) {
+            None => Err(SnapshotError::Corrupt("page outside the universe")),
+            Some(slot) if *slot != self.absent => Err(SnapshotError::Corrupt("duplicate page")),
+            Some(slot) => {
+                *slot = value;
+                Ok(())
+            }
         }
     }
-}
 
-impl<T: Copy + Default + PartialEq> PageTable<T> {
-    /// All non-default entries, sorted by page id. The sparse form's hash
-    /// order is nondeterministic, so snapshot encoders go through this to
-    /// get a canonical dump.
+    /// All present entries in ascending page order — the canonical dump
+    /// snapshot encoders write.
     pub fn entries(&self) -> Vec<(PageId, T)> {
-        let mut out: Vec<(PageId, T)> = match &self.repr {
-            Repr::Sparse(map) => map
-                .iter()
-                .filter(|(_, v)| **v != T::default())
-                .map(|(&p, &v)| (p, v))
-                .collect(),
-            Repr::Dense(vec) => vec
-                .iter()
-                .enumerate()
-                .filter(|(_, v)| **v != T::default())
-                .map(|(i, &v)| (PageId::new(i as u32), v))
-                .collect(),
-        };
-        out.sort_unstable_by_key(|(p, _)| *p);
-        out
+        self.slots
+            .iter()
+            .enumerate()
+            .filter(|(_, v)| **v != self.absent)
+            .map(|(i, &v)| (PageId::new(i as u32), v))
+            .collect()
     }
 }
 
@@ -135,26 +120,38 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sparse_and_dense_agree() {
-        let mut sparse: PageTable<u32> = PageTable::with_layout(Layout::Sparse);
-        let mut dense: PageTable<u32> = PageTable::with_layout(Layout::Dense { page_count: 8 });
-        for t in [&mut sparse, &mut dense] {
+    fn reads_writes_and_removes() {
+        for mut t in [PageTable::new(8, 0u32), PageTable::new(0, 0u32)] {
             t.set(PageId::new(3), 7);
             t.set(PageId::new(0), 1);
             t.set(PageId::new(3), t.get(PageId::new(3)) + 1);
-            t.remove(PageId::new(0));
+            assert_eq!(t.remove(PageId::new(0)), Some(1));
+            assert_eq!(t.remove(PageId::new(0)), None);
+            assert_eq!(t.find(PageId::new(0)), None);
+            assert_eq!(t.find(PageId::new(3)), Some(8));
+            assert_eq!(t.get(PageId::new(100)), 0, "out-of-range reads miss");
+            assert_eq!(t.remove(PageId::new(100)), None);
+            assert_eq!(t.entries(), [(PageId::new(3), 8)]);
+            t.clear();
+            assert!(t.entries().is_empty());
         }
-        for p in 0..8 {
-            assert_eq!(sparse.get(PageId::new(p)), dense.get(PageId::new(p)));
-        }
-        assert_eq!(dense.get(PageId::new(3)), 8);
-        assert_eq!(dense.get(PageId::new(100)), 0, "out-of-range reads miss");
     }
 
     #[test]
-    #[should_panic]
     fn dense_rejects_out_of_universe_writes() {
-        let mut dense: PageTable<u32> = PageTable::with_layout(Layout::Dense { page_count: 4 });
-        dense.set(PageId::new(4), 1);
+        let mut t = PageTable::new(4, u32::MAX);
+        assert!(t.try_insert(PageId::new(3), 1).is_ok());
+        assert!(matches!(
+            t.try_insert(PageId::new(3), 2),
+            Err(SnapshotError::Corrupt(_))
+        ));
+        assert!(matches!(
+            t.try_insert(PageId::new(4), 1),
+            Err(SnapshotError::Corrupt(_))
+        ));
+        assert!(t.try_insert(PageId::new(u32::MAX), 1).is_err());
+        assert_eq!(t.slots.len(), 4, "decoded ids never grow the table");
+        assert_eq!(t.get(PageId::new(3)), 1);
+        assert_eq!(t.find(PageId::new(4)), None);
     }
 }

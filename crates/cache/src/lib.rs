@@ -4,10 +4,10 @@
 //!
 //! * [`CacheStore`] — a capacity-limited page store with value-ordered
 //!   eviction (eager index-addressable min-heap, [`KeyHeap`]).
-//! * [`Layout`] — sparse (hash-table) vs. dense (page-ordinal-indexed
-//!   array) state backing, selectable per cache. Dense mode preallocates
-//!   every table to the page-universe size so the steady-state replay
-//!   loop performs no heap allocations.
+//! * [`PageTable`] — the one page-keyed table, a flat array indexed by
+//!   page ordinal. A cache told its page-universe size preallocates
+//!   every table to it, so the steady-state replay loop performs no heap
+//!   allocations; told `0`, it grows on demand.
 //! * [`GreedyDualEngine`] — the greedy-dual machinery shared by the whole
 //!   policy family: inflation value `L`, In-Cache LFU reference counts,
 //!   always-admit and value-gated placement, and the push-time placement
@@ -44,7 +44,7 @@ mod store;
 pub use classic::{GdStar, Gds, LfuDa, Lru};
 pub use engine::GreedyDualEngine;
 pub use keyheap::{HeapSlot, KeyHeap};
-pub use layout::{Layout, PageTable};
+pub use layout::PageTable;
 pub use policy::{AccessOutcome, CachePolicy, PageRef};
 pub use snapshot::{SnapshotError, SnapshotReader};
 pub use store::{CacheStore, StoredPage};

@@ -1,11 +1,9 @@
 //! Byte-capacity cache store with value-ordered eviction.
 
-use std::collections::HashMap;
-
 use pscd_types::{Bytes, PageId};
 
 use crate::keyheap::{HeapSlot, KeyHeap};
-use crate::layout::Layout;
+use crate::layout::PageTable;
 use crate::snapshot::{put_f64, put_u32, put_u64, SnapshotError, SnapshotReader};
 
 /// One cached page with its current value under the owning policy.
@@ -19,75 +17,8 @@ pub struct StoredPage {
     pub value: f64,
 }
 
-/// Sentinel heap position marking an absent dense slot.
+/// Heap position marking a page that is not cached.
 const NO_POS: u32 = u32::MAX;
-
-/// The page → heap-position table: hash-addressed or direct-indexed by
-/// page ordinal (see [`Layout`]). All per-page state (value, stamp,
-/// size) lives in the heap slot the position points at, so this table is
-/// 4 bytes per tracked page and the dense form's construction cost is one
-/// `u32` fill over the page universe.
-#[derive(Debug, Clone)]
-enum Backing {
-    Sparse(HashMap<PageId, u32>),
-    Dense(Vec<u32>),
-}
-
-impl Backing {
-    #[inline]
-    fn get(&self, page: PageId) -> Option<u32> {
-        match self {
-            Backing::Sparse(map) => map.get(&page).copied(),
-            Backing::Dense(vec) => vec.get(page.as_usize()).copied().filter(|&p| p != NO_POS),
-        }
-    }
-
-    /// Registers a fresh page; the page must not be live.
-    #[inline]
-    fn insert(&mut self, page: PageId, pos: u32) {
-        match self {
-            Backing::Sparse(map) => {
-                map.insert(page, pos);
-            }
-            Backing::Dense(vec) => vec[page.as_usize()] = pos,
-        }
-    }
-
-    #[inline]
-    fn remove(&mut self, page: PageId) -> Option<u32> {
-        match self {
-            Backing::Sparse(map) => map.remove(&page),
-            Backing::Dense(vec) => {
-                let slot = vec.get_mut(page.as_usize())?;
-                if *slot == NO_POS {
-                    None
-                } else {
-                    Some(std::mem::replace(slot, NO_POS))
-                }
-            }
-        }
-    }
-
-    /// `true` if `page` may legally be stored under this backing.
-    #[inline]
-    fn in_universe(&self, page: PageId) -> bool {
-        match self {
-            Backing::Sparse(_) => true,
-            Backing::Dense(vec) => page.as_usize() < vec.len(),
-        }
-    }
-
-    /// Heap-position writeback target for [`KeyHeap`] mutations.
-    #[inline]
-    fn set_pos(&mut self, page: PageId, pos: u32) {
-        match self {
-            Backing::Sparse(map) => {
-                *map.get_mut(&page).expect("tracked page is live") = pos;
-            }
-            Backing::Dense(vec) => vec[page.as_usize()] = pos,
-        }
-    }
-}
 
 /// A capacity-limited page store whose entries carry a scalar *value*;
 /// eviction always removes the least valuable page first (ties: least
@@ -104,10 +35,11 @@ impl Backing {
 /// is answered by a pruned walk of that array with zero bookkeeping on
 /// the mutation paths.
 ///
-/// Two page-table layouts exist (see [`Layout`]): the hash-addressed
-/// default, and a dense direct-indexed form for replays over a compiled
-/// trace whose page ids are ordinals `0..page_count`. The dense form
-/// preallocates everything at construction and never allocates again.
+/// The page → heap-position index is a [`PageTable`] of `u32` positions:
+/// 4 bytes per page ordinal, all the per-page state lives in the heap
+/// slot it points at. A store built with [`dense`](CacheStore::dense)
+/// over a trace's `0..page_count` ordinals preallocates everything and
+/// never allocates again.
 ///
 /// # Examples
 ///
@@ -127,7 +59,7 @@ impl Backing {
 pub struct CacheStore {
     capacity: Bytes,
     used: Bytes,
-    positions: Backing,
+    positions: PageTable<u32>,
     heap: KeyHeap,
     next_stamp: u64,
 }
@@ -139,37 +71,23 @@ impl Default for CacheStore {
 }
 
 impl CacheStore {
-    /// Creates an empty hash-addressed store with the given byte capacity.
+    /// Creates an empty store with the given byte capacity that
+    /// preallocates nothing and grows as pages are inserted.
     pub fn new(capacity: Bytes) -> Self {
-        Self::with_layout(capacity, Layout::Sparse)
+        Self::dense(capacity, 0)
     }
 
-    /// Creates an empty store with the given byte capacity and layout.
-    ///
-    /// A [`Layout::Dense`] store may only ever hold pages with ordinals
-    /// in `0..page_count`; inserting outside that universe panics. All
-    /// internal structures are preallocated to the universe size, so no
-    /// later operation allocates.
-    pub fn with_layout(capacity: Bytes, layout: Layout) -> Self {
-        let (positions, heap) = match layout {
-            Layout::Sparse => (Backing::Sparse(HashMap::new()), KeyHeap::new()),
-            Layout::Dense { page_count } => (
-                Backing::Dense(vec![NO_POS; page_count]),
-                KeyHeap::with_capacity(page_count),
-            ),
-        };
+    /// Creates an empty store with the given byte capacity over the page
+    /// ordinals `0..page_count`. All internal structures are preallocated
+    /// to the universe size, so no operation on those pages allocates.
+    pub fn dense(capacity: Bytes, page_count: usize) -> Self {
         Self {
             capacity,
             used: Bytes::ZERO,
-            positions,
-            heap,
+            positions: PageTable::new(page_count, NO_POS),
+            heap: KeyHeap::with_capacity(page_count),
             next_stamp: 0,
         }
-    }
-
-    /// Shorthand for a [`Layout::Dense`] store over `page_count` ordinals.
-    pub fn dense(capacity: Bytes, page_count: usize) -> Self {
-        Self::with_layout(capacity, Layout::Dense { page_count })
     }
 
     /// Total capacity in bytes.
@@ -205,14 +123,14 @@ impl CacheStore {
     /// `true` if `page` is cached.
     #[inline]
     pub fn contains(&self, page: PageId) -> bool {
-        self.positions.get(page).is_some()
+        self.positions.find(page).is_some()
     }
 
     /// The live heap slot of a cached page.
     #[inline]
     fn slot(&self, page: PageId) -> Option<&HeapSlot> {
         self.positions
-            .get(page)
+            .find(page)
             .map(|pos| &self.heap.slots()[pos as usize])
     }
 
@@ -235,8 +153,7 @@ impl CacheStore {
     ///
     /// # Panics
     ///
-    /// Panics if `value` is NaN, or if the store is [`Layout::Dense`] and
-    /// `page` lies outside its ordinal universe.
+    /// Panics if `value` is NaN.
     pub fn insert(&mut self, page: PageId, size: Bytes, value: f64) {
         assert!(!value.is_nan(), "page value must not be NaN");
         debug_assert!(size <= self.capacity, "page larger than the whole cache");
@@ -245,8 +162,6 @@ impl CacheStore {
         let Self {
             positions, heap, ..
         } = self;
-        // Position 0 is a placeholder; the push writeback corrects it.
-        positions.insert(page, 0);
         heap.push(
             HeapSlot {
                 value,
@@ -254,7 +169,7 @@ impl CacheStore {
                 page,
                 size,
             },
-            &mut |p, pos| positions.set_pos(p, pos),
+            &mut |p, pos| positions.set(p, pos),
         );
         self.used += size;
     }
@@ -269,14 +184,14 @@ impl CacheStore {
         // Look up before bumping: a miss must not burn a stamp (stamps
         // order eviction ties, so phantom bumps would shift tie-breaks
         // between otherwise identical histories).
-        let Some(pos) = self.positions.get(page) else {
+        let Some(pos) = self.positions.find(page) else {
             return false;
         };
         let stamp = self.bump();
         let Self {
             positions, heap, ..
         } = self;
-        heap.update(pos, value, stamp, &mut |p, pos| positions.set_pos(p, pos));
+        heap.update(pos, value, stamp, &mut |p, pos| positions.set(p, pos));
         true
     }
 
@@ -336,7 +251,7 @@ impl CacheStore {
     }
 
     /// Serializes the complete mutable state — stamp counter plus every
-    /// heap slot in heap order — for a snapshot. Capacity and layout are
+    /// heap slot in heap order — for a snapshot. Capacity and universe are
     /// configuration, not state: they come from the owner at restore
     /// time. The dump is canonical (heap order is deterministic), so
     /// identical stores encode to identical bytes.
@@ -353,8 +268,9 @@ impl CacheStore {
 
     /// Restores state captured by [`encode_state`](Self::encode_state)
     /// into this store, replacing its current contents. The store keeps
-    /// its own capacity and layout; the snapshot's slot array is adopted
-    /// position for position, so the restored eviction order is
+    /// its own capacity and page universe (a page id outside it is
+    /// corrupt, never a reason to grow); the snapshot's slot array is
+    /// adopted position for position, so the restored eviction order is
     /// bit-identical to the encoded one.
     ///
     /// # Errors
@@ -377,11 +293,13 @@ impl CacheStore {
             let stamp = r.read_u64()?;
             let page = PageId::new(r.read_u32()?);
             let size = Bytes::new(r.read_u64()?);
-            if !self.positions.in_universe(page) {
-                return Err(SnapshotError::Corrupt("page outside the dense universe"));
+            if value.is_nan() {
+                return Err(SnapshotError::Corrupt("NaN page value"));
             }
-            self.positions.insert(page, pos as u32);
-            used += size.as_u64();
+            self.positions.try_insert(page, pos as u32)?;
+            used = used
+                .checked_add(size.as_u64())
+                .ok_or(SnapshotError::Corrupt("resident bytes overflow"))?;
             slots.push(HeapSlot {
                 value,
                 stamp,
@@ -389,7 +307,8 @@ impl CacheStore {
                 size,
             });
         }
-        self.heap = KeyHeap::from_slots(slots);
+        self.heap = KeyHeap::from_slots(slots)
+            .ok_or(SnapshotError::Corrupt("slots are not in heap order"))?;
         self.used = Bytes::new(used);
         self.next_stamp = next_stamp;
         Ok(())
@@ -401,7 +320,7 @@ impl CacheStore {
         let Self {
             positions, heap, ..
         } = self;
-        let slot = heap.remove(pos, &mut |p, pos| positions.set_pos(p, pos));
+        let slot = heap.remove(pos, &mut |p, pos| positions.set(p, pos));
         self.used -= slot.size;
         Some(slot)
     }
@@ -421,7 +340,7 @@ mod tests {
         PageId::new(i)
     }
 
-    /// Every store test runs against both layouts.
+    /// Every store test runs against a growing and a preallocated store.
     fn both(capacity: u64) -> [CacheStore; 2] {
         [
             CacheStore::new(Bytes::new(capacity)),
@@ -556,10 +475,23 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
     fn dense_rejects_out_of_universe_inserts() {
-        let mut s = CacheStore::dense(Bytes::new(100), 4);
-        s.insert(page(4), Bytes::new(10), 1.0);
+        // A decoded page id never grows the position table: one past the
+        // universe is corrupt, whether 4 pages were preallocated or none.
+        let mut donor = CacheStore::dense(Bytes::new(100), 8);
+        donor.insert(page(4), Bytes::new(10), 1.0);
+        let mut bytes = Vec::new();
+        donor.encode_state(&mut bytes);
+        for mut s in [
+            CacheStore::dense(Bytes::new(100), 4),
+            CacheStore::new(Bytes::new(100)),
+        ] {
+            let err = s.decode_state(&mut SnapshotReader::new(&bytes));
+            assert!(matches!(err, Err(SnapshotError::Corrupt(_))), "{err:?}");
+        }
+        let mut s = CacheStore::dense(Bytes::new(100), 5);
+        s.decode_state(&mut SnapshotReader::new(&bytes)).unwrap();
+        assert_eq!(s.value(page(4)), Some(1.0));
     }
 
     #[test]
@@ -621,49 +553,5 @@ mod tests {
                 "everything is below +inf"
             );
         }
-    }
-
-    #[test]
-    fn dense_and_sparse_pop_identically_under_churn() {
-        // Same operation stream, both layouts: every pop must agree.
-        let mut sparse = CacheStore::new(Bytes::new(10_000));
-        let mut dense = CacheStore::dense(Bytes::new(10_000), 60);
-        let mut x = 0x5bd1_e995u64;
-        let mut rng = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        for _ in 0..3_000u64 {
-            match rng() % 5 {
-                0 | 1 => {
-                    let p = page((rng() % 60) as u32);
-                    let size = Bytes::new(rng() % 50 + 1);
-                    let value = ((rng() % 24) as f64) / 8.0;
-                    sparse.insert(p, size, value);
-                    dense.insert(p, size, value);
-                }
-                2 => {
-                    let p = page((rng() % 60) as u32);
-                    let value = ((rng() % 24) as f64) / 8.0;
-                    assert_eq!(sparse.update_value(p, value), dense.update_value(p, value));
-                }
-                3 => {
-                    let p = page((rng() % 60) as u32);
-                    assert_eq!(sparse.remove(p), dense.remove(p));
-                }
-                _ => {
-                    assert_eq!(sparse.peek_min(), dense.peek_min());
-                    assert_eq!(sparse.pop_min(), dense.pop_min());
-                }
-            }
-            assert_eq!(sparse.used(), dense.used());
-            assert_eq!(sparse.len(), dense.len());
-        }
-        while let Some(got) = sparse.pop_min() {
-            assert_eq!(Some(got), dense.pop_min());
-        }
-        assert!(dense.pop_min().is_none());
     }
 }

@@ -1,11 +1,12 @@
 //! Property tests: the heap-based greedy-dual engine must agree with a
-//! naive O(n²) reference implementation of the GD\* pseudo-code.
+//! naive O(n²) reference implementation of the GD\* pseudo-code, and the
+//! store under it with a `Vec`-scan model that has no heap and no index.
 
 use std::collections::HashMap;
 
 use proptest::prelude::*;
 
-use pscd_cache::{AccessOutcome, CachePolicy, GdStar, Layout, PageRef};
+use pscd_cache::{AccessOutcome, CachePolicy, CacheStore, GdStar, PageRef, StoredPage};
 use pscd_obs::ObsHandle;
 use pscd_types::{Bytes, PageId};
 
@@ -76,6 +77,73 @@ impl ReferenceGdStar {
     }
 }
 
+/// The store's contract with nothing of its structure: a flat list of
+/// `(page, size, value, stamp)`, every question answered by a linear scan.
+#[derive(Default)]
+struct ScanStore {
+    pages: Vec<(u32, u64, f64, u64)>,
+    next_stamp: u64,
+}
+
+impl ScanStore {
+    fn stamp(&mut self) -> u64 {
+        self.next_stamp += 1;
+        self.next_stamp
+    }
+
+    fn insert(&mut self, page: u32, size: u64, value: f64) {
+        self.pages.retain(|p| p.0 != page);
+        let stamp = self.stamp();
+        self.pages.push((page, size, value, stamp));
+    }
+
+    fn update_value(&mut self, page: u32, value: f64) -> bool {
+        let Some(i) = self.pages.iter().position(|p| p.0 == page) else {
+            return false;
+        };
+        let stamp = self.stamp();
+        self.pages[i] = (page, self.pages[i].1, value, stamp);
+        true
+    }
+
+    fn remove(&mut self, page: u32) -> Option<StoredPage> {
+        let i = self.pages.iter().position(|p| p.0 == page)?;
+        let (page, size, value, _) = self.pages.remove(i);
+        Some(StoredPage {
+            page: PageId::new(page),
+            size: Bytes::new(size),
+            value,
+        })
+    }
+
+    /// Least value first, ties to the least recently (re)valued.
+    fn min(&self) -> Option<u32> {
+        self.pages
+            .iter()
+            .min_by(|a, b| a.2.partial_cmp(&b.2).unwrap().then(a.3.cmp(&b.3)))
+            .map(|p| p.0)
+    }
+}
+
+#[derive(Debug, Clone)]
+enum StoreOp {
+    Insert(u32, u64, f64),
+    Update(u32, f64),
+    Remove(u32),
+    PopMin,
+}
+
+fn store_op() -> impl Strategy<Value = StoreOp> {
+    // Eighths: plenty of exact value ties, so stamps decide many pops.
+    let value = (0u32..24).prop_map(|v| v as f64 / 8.0);
+    prop_oneof![
+        (0u32..60, 1u64..50, value.clone()).prop_map(|(p, s, v)| StoreOp::Insert(p, s, v)),
+        (0u32..60, value).prop_map(|(p, v)| StoreOp::Update(p, v)),
+        (0u32..60).prop_map(StoreOp::Remove),
+        Just(StoreOp::PopMin),
+    ]
+}
+
 fn page_params(page: u32) -> (u64, f64) {
     (16 + (page as u64 * 31) % 200, 1.0 + (page % 4) as f64)
 }
@@ -84,7 +152,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// Same hits, same cache contents, same byte usage — on arbitrary
-    /// access streams, in both sparse and dense layouts.
+    /// access streams, growing on demand and preallocated.
     #[test]
     fn engine_matches_reference_gdstar(
         accesses in proptest::collection::vec(0u32..30, 1..300),
@@ -92,12 +160,7 @@ proptest! {
         beta in proptest::sample::select(vec![0.5f64, 1.0, 2.0]),
     ) {
         let mut real = GdStar::new(Bytes::new(capacity), beta);
-        let mut dense = GdStar::with_layout(
-            Bytes::new(capacity),
-            beta,
-            Layout::Dense { page_count: 30 },
-            ObsHandle::disabled(),
-        );
+        let mut dense = GdStar::new(Bytes::new(capacity), beta).observed(30, ObsHandle::disabled());
         let mut reference = ReferenceGdStar::new(capacity, beta);
         let mut scratch = Vec::new();
         let mut dense_scratch = Vec::new();
@@ -124,6 +187,48 @@ proptest! {
         for (&page, &(..)) in &reference.pages {
             prop_assert!(real.contains(PageId::new(page)), "missing page {page}");
             prop_assert!(dense.contains(PageId::new(page)), "dense missing page {page}");
+        }
+    }
+
+    /// Every answer the store gives — membership, bytes, the minimum, the
+    /// candidate sum — equals the scan model's after every operation,
+    /// whether the store grows on demand or was preallocated.
+    #[test]
+    fn store_matches_scan_model(ops in proptest::collection::vec(store_op(), 1..400)) {
+        for mut store in [
+            CacheStore::new(Bytes::new(10_000)),
+            CacheStore::dense(Bytes::new(10_000), 60),
+        ] {
+            let mut model = ScanStore::default();
+            for op in &ops {
+                match *op {
+                    StoreOp::Insert(p, size, value) => {
+                        store.insert(PageId::new(p), Bytes::new(size), value);
+                        model.insert(p, size, value);
+                    }
+                    StoreOp::Update(p, value) => prop_assert_eq!(
+                        store.update_value(PageId::new(p), value),
+                        model.update_value(p, value)
+                    ),
+                    StoreOp::Remove(p) => {
+                        prop_assert_eq!(store.remove(PageId::new(p)), model.remove(p))
+                    }
+                    StoreOp::PopMin => {
+                        let expected = model.min().and_then(|p| model.remove(p));
+                        prop_assert_eq!(store.peek_min(), expected);
+                        prop_assert_eq!(store.pop_min(), expected);
+                    }
+                }
+                prop_assert_eq!(store.len(), model.pages.len());
+                prop_assert_eq!(store.used().as_u64(), model.pages.iter().map(|p| p.1).sum::<u64>());
+                prop_assert_eq!(store.peek_min().map(|p| p.page.index()), model.min());
+                let below: u64 = model.pages.iter().filter(|p| p.2 < 1.5).map(|p| p.1).sum();
+                prop_assert_eq!(store.candidate_size_below(1.5).as_u64(), below);
+            }
+            for &(page, size, value, _) in &model.pages {
+                prop_assert_eq!(store.value(PageId::new(page)), Some(value));
+                prop_assert_eq!(store.size(PageId::new(page)), Some(Bytes::new(size)));
+            }
         }
     }
 

@@ -1,4 +1,4 @@
-//! Property suite for the dense-layout store snapshot codec: after any
+//! Property suite for the store snapshot codec: after any
 //! random churn sequence, `encode_state` → `decode_state` must
 //! reproduce a store that is *observably identical* — same population,
 //! same values and sizes, same eviction order under `pop_min`, same
@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 
-use pscd_cache::{CacheStore, SnapshotReader};
+use pscd_cache::{CacheStore, SnapshotError, SnapshotReader};
 use pscd_types::{Bytes, PageId};
 
 const UNIVERSE: u32 = 48;
@@ -124,5 +124,27 @@ proptest! {
         let mut victim = CacheStore::dense(Bytes::new(u64::MAX), UNIVERSE as usize);
         let mut r = SnapshotReader::new(&blob[..cut]);
         prop_assert!(victim.decode_state(&mut r).is_err());
+    }
+}
+
+/// A page id rewritten past the universe is corrupt — never an
+/// out-of-bounds index, never a reason to grow the position table.
+#[test]
+fn out_of_universe_page_id_is_corrupt() {
+    let mut store = CacheStore::dense(Bytes::new(u64::MAX), UNIVERSE as usize);
+    store.insert(PageId::new(7), Bytes::new(9), 1.5);
+    let blob = encode(&store);
+    // Header (stamp u64, count u32), then the slot's value and stamp.
+    let page_word = 12 + 16;
+    assert_eq!(blob[page_word..page_word + 4], 7u32.to_le_bytes());
+    for id in [UNIVERSE, UNIVERSE + 1, u32::MAX] {
+        let mut bad = blob.clone();
+        bad[page_word..page_word + 4].copy_from_slice(&id.to_le_bytes());
+        let mut victim = CacheStore::dense(Bytes::new(u64::MAX), UNIVERSE as usize);
+        let err = victim.decode_state(&mut SnapshotReader::new(&bad));
+        assert!(
+            matches!(err, Err(SnapshotError::Corrupt(_))),
+            "{id}: {err:?}"
+        );
     }
 }

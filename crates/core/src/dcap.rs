@@ -4,7 +4,7 @@ use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use pscd_cache::{AccessOutcome, Layout, PageRef};
+use pscd_cache::{AccessOutcome, PageRef};
 use pscd_obs::{AdmitOrigin, EvictReason, NullObserver, ObsHandle, Observer, RelabelDirection};
 use pscd_types::{Bytes, PageId};
 
@@ -79,11 +79,11 @@ impl Ord for HeapItem {
 /// back to DC-FP behaviour for that operation.
 ///
 /// Because a page's value is refreshed on every access, the two eviction
-/// orders are maintained as lazy-deletion heaps even in dense layout. The
-/// heaps are preallocated to twice the page universe and compact stale
-/// items in place when full, and the adaptive step's scratch pools are
-/// preallocated too — DC-AP/DC-LAP are *strictly* allocation-free in
-/// steady state (see DESIGN.md §12).
+/// orders are maintained as lazy-deletion heaps. The heaps are
+/// preallocated to twice the page universe and compact stale items in
+/// place when full, and the adaptive step's scratch pools are
+/// preallocated too — over a preallocated universe DC-AP/DC-LAP are
+/// *strictly* allocation-free in steady state (see DESIGN.md §12).
 #[derive(Debug)]
 pub struct DcAdaptive<O: Observer = NullObserver> {
     capacity: Bytes,
@@ -121,7 +121,7 @@ impl DcAdaptive {
     ///
     /// Panics unless `beta` is positive and finite.
     pub fn ap(capacity: Bytes, beta: f64) -> Self {
-        Self::ap_observed(capacity, beta, ObsHandle::disabled())
+        Self::with_bounds(capacity, beta, 0.0, 1.0, "DC-AP", 0, ObsHandle::disabled())
     }
 
     /// Creates a DC-LAP cache with the paper's PC-fraction bounds
@@ -131,7 +131,7 @@ impl DcAdaptive {
     ///
     /// Panics unless `beta` is positive and finite.
     pub fn lap(capacity: Bytes, beta: f64) -> Self {
-        Self::lap_observed(capacity, beta, ObsHandle::disabled())
+        Self::lap_with_bounds(capacity, beta, 0.25, 0.75)
     }
 
     /// Creates a DC-LAP cache with custom PC-fraction bounds.
@@ -141,71 +141,26 @@ impl DcAdaptive {
     /// Panics unless `beta` is positive and finite and
     /// `0 <= lo <= 0.5 <= hi <= 1`.
     pub fn lap_with_bounds(capacity: Bytes, beta: f64, lo: f64, hi: f64) -> Self {
-        Self::with_bounds(capacity, beta, lo, hi, "DC-LAP", ObsHandle::disabled())
+        Self::with_bounds(capacity, beta, lo, hi, "DC-LAP", 0, ObsHandle::disabled())
     }
 }
 
 impl<O: Observer> DcAdaptive<O> {
-    /// [`ap`](DcAdaptive::ap) reporting cache decisions to `obs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `beta` is positive and finite.
-    pub fn ap_observed(capacity: Bytes, beta: f64, obs: ObsHandle<O>) -> Self {
-        Self::with_bounds(capacity, beta, 0.0, 1.0, "DC-AP", obs)
-    }
-
-    /// [`lap`](DcAdaptive::lap) reporting cache decisions to `obs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `beta` is positive and finite.
-    pub fn lap_observed(capacity: Bytes, beta: f64, obs: ObsHandle<O>) -> Self {
-        Self::with_bounds(capacity, beta, 0.25, 0.75, "DC-LAP", obs)
-    }
-
-    /// [`lap_with_bounds`](DcAdaptive::lap_with_bounds) reporting cache
-    /// decisions to `obs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `beta` is positive and finite and
-    /// `0 <= lo <= 0.5 <= hi <= 1`.
-    pub fn lap_with_bounds_observed(
-        capacity: Bytes,
-        beta: f64,
-        lo: f64,
-        hi: f64,
-        obs: ObsHandle<O>,
-    ) -> Self {
-        Self::with_bounds(capacity, beta, lo, hi, "DC-LAP", obs)
-    }
-
-    /// [`ap`](DcAdaptive::ap) with an explicit state [`Layout`].
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `beta` is positive and finite.
-    pub fn ap_with_layout(capacity: Bytes, beta: f64, layout: Layout, obs: ObsHandle<O>) -> Self {
-        Self::with_bounds_layout(capacity, beta, 0.0, 1.0, "DC-AP", layout, obs)
-    }
-
-    /// [`lap_with_bounds`](DcAdaptive::lap_with_bounds) with an explicit
-    /// state [`Layout`].
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `beta` is positive and finite and
-    /// `0 <= lo <= 0.5 <= hi <= 1`.
-    pub fn lap_with_bounds_layout(
-        capacity: Bytes,
-        beta: f64,
-        lo: f64,
-        hi: f64,
-        layout: Layout,
-        obs: ObsHandle<O>,
-    ) -> Self {
-        Self::with_bounds_layout(capacity, beta, lo, hi, "DC-LAP", layout, obs)
+    /// An empty cache with this one's capacity, β and partition bounds
+    /// over the page ordinals `0..page_count`, reporting cache decisions
+    /// to `obs`. Every table is preallocated for the universe, so
+    /// steady-state operation never allocates (`0` preallocates nothing
+    /// and grows on demand).
+    pub fn observed<P: Observer>(self, page_count: usize, obs: ObsHandle<P>) -> DcAdaptive<P> {
+        DcAdaptive::with_bounds(
+            self.capacity,
+            self.beta,
+            self.lo,
+            self.hi,
+            self.name,
+            page_count,
+            obs,
+        )
     }
 
     fn with_bounds(
@@ -214,18 +169,7 @@ impl<O: Observer> DcAdaptive<O> {
         lo: f64,
         hi: f64,
         name: &'static str,
-        obs: ObsHandle<O>,
-    ) -> Self {
-        Self::with_bounds_layout(capacity, beta, lo, hi, name, Layout::Sparse, obs)
-    }
-
-    fn with_bounds_layout(
-        capacity: Bytes,
-        beta: f64,
-        lo: f64,
-        hi: f64,
-        name: &'static str,
-        layout: Layout,
+        page_count: usize,
         obs: ObsHandle<O>,
     ) -> Self {
         assert!(beta.is_finite() && beta > 0.0, "beta must be positive");
@@ -233,26 +177,18 @@ impl<O: Observer> DcAdaptive<O> {
             (0.0..=0.5).contains(&lo) && (0.5..=1.0).contains(&hi),
             "bounds must satisfy 0 <= lo <= 0.5 <= hi <= 1"
         );
-        // Dense layout bounds live entries by the page universe, so heaps
+        // Live entries are bounded by the page universe, so heaps
         // preallocated to twice that never grow: when one fills, stale
         // lazy-deletion items are compacted in place (see `push_heap`),
         // leaving at least half the slots free. Strictly alloc-free in
         // steady state, compaction amortized O(1) per push.
-        let heap_capacity = match layout {
-            Layout::Dense { page_count } => page_count.saturating_mul(2).max(16),
-            Layout::Sparse => 0,
-        };
-        // The adaptive-step pools hold at most one item per resident page.
-        let scratch_capacity = match layout {
-            Layout::Dense { page_count } => page_count,
-            Layout::Sparse => 0,
-        };
+        let heap_capacity = page_count.saturating_mul(2);
         Self {
             capacity,
             pc_alloc: capacity.scaled(0.5),
             used_pc: Bytes::ZERO,
             used_ac: Bytes::ZERO,
-            entries: EntryTable::with_layout(layout),
+            entries: EntryTable::new(page_count),
             pc_heap: BinaryHeap::with_capacity(heap_capacity),
             ac_heap: BinaryHeap::with_capacity(heap_capacity),
             inflation: 0.0,
@@ -263,8 +199,9 @@ impl<O: Observer> DcAdaptive<O> {
             hi,
             name,
             next_stamp: 0,
-            stale_scratch: RefCell::new(Vec::with_capacity(scratch_capacity)),
-            victims_scratch: RefCell::new(Vec::with_capacity(scratch_capacity)),
+            // The adaptive-step pools hold at most one item per resident page.
+            stale_scratch: RefCell::new(Vec::with_capacity(page_count)),
+            victims_scratch: RefCell::new(Vec::with_capacity(page_count)),
             obs,
         }
     }
@@ -373,16 +310,18 @@ impl<O: Observer> DcAdaptive<O> {
                 freq: r.read_u32()?,
                 last_access_tick: r.read_u64()?,
             };
-            self.entries.insert(page, entry);
+            self.entries.try_insert(page, entry)?;
             let item = HeapItem {
                 value: entry.value,
                 stamp: entry.stamp,
                 page,
             };
-            match side {
-                Side::Pc => self.used_pc += size,
-                Side::Ac => self.used_ac += size,
-            }
+            let used = match side {
+                Side::Pc => &mut self.used_pc,
+                Side::Ac => &mut self.used_ac,
+            };
+            let total = used.as_u64().checked_add(size.as_u64());
+            *used = Bytes::new(total.ok_or(SnapshotError::Corrupt("resident bytes overflow"))?);
             self.push_heap(side, item);
         }
         self.pc_alloc = pc_alloc;
@@ -420,9 +359,8 @@ impl<O: Observer> DcAdaptive<O> {
 
     /// Pushes a lazy-deletion item under `side`'s heap, compacting stale
     /// items in place first whenever the heap is at capacity. Live items
-    /// are bounded by resident entries, so a preallocated heap (dense
-    /// layout) never reallocates — retire of the "amortized allocations"
-    /// carve-out noted in DESIGN.md §12.
+    /// are bounded by resident entries, so a heap preallocated for the
+    /// page universe never reallocates.
     fn push_heap(&mut self, side: Side, item: HeapItem) {
         let heap = match side {
             Side::Pc => &mut self.pc_heap,
@@ -925,64 +863,6 @@ mod tests {
                 "LAP bounds violated at step {i}: {}",
                 d.pc_allocation()
             );
-        }
-    }
-
-    #[test]
-    fn dense_layout_matches_sparse() {
-        let mut ev_s = Vec::new();
-        let mut ev_d = Vec::new();
-        let layouts = Layout::Dense { page_count: 37 };
-        let mut pairs = [
-            (
-                DcAdaptive::ap(Bytes::new(200), 2.0),
-                DcAdaptive::ap_with_layout(Bytes::new(200), 2.0, layouts, ObsHandle::disabled()),
-            ),
-            (
-                DcAdaptive::lap(Bytes::new(200), 2.0),
-                DcAdaptive::lap_with_bounds_layout(
-                    Bytes::new(200),
-                    2.0,
-                    0.25,
-                    0.75,
-                    layouts,
-                    ObsHandle::disabled(),
-                ),
-            ),
-        ];
-        let mut x = 0xfeed_f00du64;
-        let mut rng = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        for i in 0..3_000u32 {
-            let id = (rng() % 37) as u32;
-            // Size and cost are functions of the page id (stable PageRef).
-            let p = page(id, 10 + (id as u64 % 5) * 13, 1.0 + (id % 3) as f64);
-            let subs = (rng() % 15) as u32;
-            let op = rng() % 5;
-            for (sparse, dense) in &mut pairs {
-                match op {
-                    0 | 1 => assert_eq!(
-                        sparse.on_push(&p, subs, &mut ev_s),
-                        dense.on_push(&p, subs, &mut ev_d),
-                        "{} push diverged at step {i}",
-                        sparse.name()
-                    ),
-                    2 => assert_eq!(sparse.invalidate(p.page), dense.invalidate(p.page)),
-                    _ => assert_eq!(
-                        sparse.on_access(&p, subs, &mut ev_s),
-                        dense.on_access(&p, subs, &mut ev_d),
-                        "{} access diverged at step {i}",
-                        sparse.name()
-                    ),
-                }
-                assert_eq!(ev_s, ev_d, "evictions diverged at step {i}");
-                assert_eq!(sparse.used(), dense.used());
-                assert_eq!(sparse.pc_allocation(), dense.pc_allocation());
-            }
         }
     }
 

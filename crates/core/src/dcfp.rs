@@ -1,6 +1,6 @@
 //! DC-FP: dual caches with fixed partition (§3.3).
 
-use pscd_cache::{AccessOutcome, GreedyDualEngine, Layout, PageRef};
+use pscd_cache::{AccessOutcome, GreedyDualEngine, PageRef};
 use pscd_obs::{NullObserver, ObsHandle, Observer, RelabelDirection};
 use pscd_types::{Bytes, PageId};
 
@@ -44,62 +44,32 @@ impl DcFp {
     /// Panics unless `beta` is positive and finite and
     /// `0 < pc_fraction < 1`.
     pub fn with_fraction(capacity: Bytes, beta: f64, pc_fraction: f64) -> Self {
-        Self::with_fraction_observed(capacity, beta, pc_fraction, ObsHandle::disabled())
-    }
-}
-
-impl<O: Observer> DcFp<O> {
-    /// Creates a DC-FP cache with the paper's 50/50 partition, reporting
-    /// cache decisions to `obs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `beta` is positive and finite.
-    pub fn with_observer(capacity: Bytes, beta: f64, obs: ObsHandle<O>) -> Self {
-        Self::with_fraction_observed(capacity, beta, 0.5, obs)
-    }
-
-    /// [`with_fraction`](DcFp::with_fraction) reporting cache decisions to
-    /// `obs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `beta` is positive and finite and
-    /// `0 < pc_fraction < 1`.
-    pub fn with_fraction_observed(
-        capacity: Bytes,
-        beta: f64,
-        pc_fraction: f64,
-        obs: ObsHandle<O>,
-    ) -> Self {
-        Self::with_fraction_layout(capacity, beta, pc_fraction, Layout::Sparse, obs)
-    }
-
-    /// [`with_fraction`](DcFp::with_fraction) with an explicit state
-    /// [`Layout`].
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `beta` is positive and finite and
-    /// `0 < pc_fraction < 1`.
-    pub fn with_fraction_layout(
-        capacity: Bytes,
-        beta: f64,
-        pc_fraction: f64,
-        layout: Layout,
-        obs: ObsHandle<O>,
-    ) -> Self {
         assert!(beta.is_finite() && beta > 0.0, "beta must be positive");
         assert!(
             pc_fraction > 0.0 && pc_fraction < 1.0,
             "pc_fraction must be in (0, 1)"
         );
         let pc_capacity = capacity.scaled(pc_fraction);
-        let ac_capacity = capacity - pc_capacity;
         Self {
-            pc: GreedyDualEngine::with_layout(pc_capacity, layout, obs.clone()),
-            ac: GreedyDualEngine::with_layout(ac_capacity, layout, obs.clone()),
+            pc: GreedyDualEngine::new(pc_capacity),
+            ac: GreedyDualEngine::new(capacity - pc_capacity),
             beta,
+            obs: ObsHandle::disabled(),
+        }
+    }
+}
+
+impl<O: Observer> DcFp<O> {
+    /// An empty cache with this one's partition and β over the page
+    /// ordinals `0..page_count`, reporting cache decisions to `obs`.
+    /// Every table is preallocated for the universe, so steady-state
+    /// operation never allocates (`0` preallocates nothing and grows on
+    /// demand).
+    pub fn observed<P: Observer>(self, page_count: usize, obs: ObsHandle<P>) -> DcFp<P> {
+        DcFp {
+            pc: GreedyDualEngine::with_observer(self.pc_capacity(), page_count, obs.clone()),
+            ac: GreedyDualEngine::with_observer(self.ac_capacity(), page_count, obs.clone()),
+            beta: self.beta,
             obs,
         }
     }
@@ -333,46 +303,6 @@ mod tests {
         assert_eq!(d.name(), "DC-FP");
         assert_eq!(d.class(), StrategyClass::Combined);
         assert!(d.is_empty());
-    }
-
-    #[test]
-    fn dense_layout_matches_sparse() {
-        let mut ev_s = Vec::new();
-        let mut ev_d = Vec::new();
-        let mut sparse = DcFp::new(Bytes::new(60), 2.0);
-        let mut dense = DcFp::with_fraction_layout(
-            Bytes::new(60),
-            2.0,
-            0.5,
-            Layout::Dense { page_count: 30 },
-            ObsHandle::disabled(),
-        );
-        let mut x = 0x5151_5151u64;
-        let mut rng = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        for i in 0..3_000u32 {
-            let p = page((rng() % 30) as u32, rng() % 15 + 1, (rng() % 5 + 1) as f64);
-            let subs = (rng() % 20) as u32;
-            if rng() % 2 == 0 {
-                assert_eq!(
-                    sparse.on_push(&p, subs, &mut ev_s),
-                    dense.on_push(&p, subs, &mut ev_d),
-                    "push diverged at step {i}"
-                );
-            } else {
-                assert_eq!(
-                    sparse.on_access(&p, subs, &mut ev_s),
-                    dense.on_access(&p, subs, &mut ev_d),
-                    "access diverged at step {i}"
-                );
-            }
-            assert_eq!(ev_s, ev_d, "evictions diverged at step {i}");
-            assert_eq!(sparse.used(), dense.used());
-        }
     }
 
     #[test]

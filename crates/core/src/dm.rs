@@ -3,7 +3,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use pscd_cache::{AccessOutcome, Layout, PageRef};
+use pscd_cache::{AccessOutcome, PageRef};
 use pscd_obs::{AdmitOrigin, EvictReason, NullObserver, ObsHandle, Observer};
 use pscd_types::{Bytes, PageId};
 
@@ -69,9 +69,9 @@ impl Ord for HeapItem {
 /// Dual-Caches family.
 ///
 /// Because every page carries two independently-refreshed values, the two
-/// eviction orders are maintained as lazy-deletion heaps even in dense
-/// layout. The heaps are preallocated to twice the page universe and
-/// compact stale items in place when full, so DM is *strictly*
+/// eviction orders are maintained as lazy-deletion heaps. The heaps are
+/// preallocated to twice the page universe and compact stale items in
+/// place when full, so over a preallocated universe DM is *strictly*
 /// allocation-free in steady state (see DESIGN.md §12).
 #[derive(Debug)]
 pub struct DualMethods<O: Observer = NullObserver> {
@@ -93,40 +93,32 @@ impl DualMethods {
     ///
     /// Panics unless `beta` is positive and finite.
     pub fn new(capacity: Bytes, beta: f64) -> Self {
-        Self::with_observer(capacity, beta, ObsHandle::disabled())
+        assert!(beta.is_finite() && beta > 0.0, "beta must be positive");
+        Self::build(capacity, beta, 0, ObsHandle::disabled())
     }
 }
 
 impl<O: Observer> DualMethods<O> {
-    /// Creates a DM proxy cache reporting cache decisions to `obs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `beta` is positive and finite.
-    pub fn with_observer(capacity: Bytes, beta: f64, obs: ObsHandle<O>) -> Self {
-        Self::with_layout(capacity, beta, Layout::Sparse, obs)
+    /// An empty cache with this one's capacity and β over the page
+    /// ordinals `0..page_count`, reporting cache decisions to `obs`.
+    /// Every table is preallocated for the universe, so steady-state
+    /// operation never allocates (`0` preallocates nothing and grows on
+    /// demand).
+    pub fn observed<P: Observer>(self, page_count: usize, obs: ObsHandle<P>) -> DualMethods<P> {
+        DualMethods::build(self.capacity, self.beta, page_count, obs)
     }
 
-    /// Creates a DM proxy cache with an explicit state [`Layout`].
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `beta` is positive and finite.
-    pub fn with_layout(capacity: Bytes, beta: f64, layout: Layout, obs: ObsHandle<O>) -> Self {
-        assert!(beta.is_finite() && beta > 0.0, "beta must be positive");
-        // Dense layout bounds live entries by the page universe, so heaps
+    fn build(capacity: Bytes, beta: f64, page_count: usize, obs: ObsHandle<O>) -> Self {
+        // Live entries are bounded by the page universe, so heaps
         // preallocated to twice that never grow: when one fills, stale
         // lazy-deletion items are compacted in place (see `push_heap`),
         // leaving at least half the slots free. Strictly alloc-free in
         // steady state, compaction amortized O(1) per push.
-        let heap_capacity = match layout {
-            Layout::Dense { page_count } => page_count.saturating_mul(2).max(16),
-            Layout::Sparse => 0,
-        };
+        let heap_capacity = page_count.saturating_mul(2);
         Self {
             capacity,
             used: Bytes::ZERO,
-            entries: EntryTable::with_layout(layout),
+            entries: EntryTable::new(page_count),
             access_heap: BinaryHeap::with_capacity(heap_capacity),
             sub_heap: BinaryHeap::with_capacity(heap_capacity),
             inflation: 0.0,
@@ -172,9 +164,8 @@ impl<O: Observer> DualMethods<O> {
 
     /// Pushes a lazy-deletion item under `module`'s heap, compacting stale
     /// items in place first whenever the heap is at capacity. Live items
-    /// are bounded by resident entries, so a preallocated heap (dense
-    /// layout) never reallocates — retire of the "amortized allocations"
-    /// carve-out noted in DESIGN.md §12.
+    /// are bounded by resident entries, so a heap preallocated for the
+    /// page universe never reallocates.
     fn push_heap(&mut self, module: Module, item: HeapItem) {
         let heap = match module {
             Module::Access => &mut self.access_heap,
@@ -263,8 +254,9 @@ impl<O: Observer> DualMethods<O> {
                 sub_stamp: r.read_u64()?,
                 freq: r.read_u32()?,
             };
-            self.entries.insert(page, entry);
-            self.used += entry.size;
+            self.entries.try_insert(page, entry)?;
+            let total = self.used.as_u64().checked_add(entry.size.as_u64());
+            self.used = Bytes::new(total.ok_or(SnapshotError::Corrupt("resident bytes overflow"))?);
             self.push_heap(
                 Module::Access,
                 HeapItem {
@@ -575,45 +567,5 @@ mod tests {
             assert_eq!(sum, dm.used(), "accounting drift at step {i}");
         }
         assert!(dm.len() > 0);
-    }
-
-    #[test]
-    fn dense_layout_matches_sparse() {
-        let mut ev_s = Vec::new();
-        let mut ev_d = Vec::new();
-        let mut sparse = DualMethods::new(Bytes::new(60), 2.0);
-        let mut dense = DualMethods::with_layout(
-            Bytes::new(60),
-            2.0,
-            Layout::Dense { page_count: 30 },
-            ObsHandle::disabled(),
-        );
-        let mut x = 0xabcd_ef01u64;
-        let mut rng = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        for i in 0..3_000u32 {
-            let p = page((rng() % 30) as u32, rng() % 15 + 1, (rng() % 5 + 1) as f64);
-            let subs = (rng() % 20) as u32;
-            match rng() % 4 {
-                0 => assert_eq!(
-                    sparse.on_push(&p, subs, &mut ev_s),
-                    dense.on_push(&p, subs, &mut ev_d),
-                    "push diverged at step {i}"
-                ),
-                1 => assert_eq!(sparse.invalidate(p.page), dense.invalidate(p.page)),
-                _ => assert_eq!(
-                    sparse.on_access(&p, subs, &mut ev_s),
-                    dense.on_access(&p, subs, &mut ev_d),
-                    "access diverged at step {i}"
-                ),
-            }
-            assert_eq!(ev_s, ev_d, "evictions diverged at step {i}");
-            assert_eq!(sparse.used(), dense.used());
-            assert_eq!(sparse.len(), dense.len());
-        }
     }
 }

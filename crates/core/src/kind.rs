@@ -3,9 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use pscd_cache::snapshot::put_u8;
-use pscd_cache::{
-    AccessOutcome, GdStar, Gds, Layout, LfuDa, Lru, PageRef, SnapshotError, SnapshotReader,
-};
+use pscd_cache::{AccessOutcome, GdStar, Gds, LfuDa, Lru, PageRef, SnapshotError, SnapshotReader};
 use pscd_obs::{NullObserver, ObsHandle, Observer};
 use pscd_types::{Bytes, PageId};
 
@@ -100,91 +98,69 @@ impl StrategyKind {
         }
     }
 
-    /// Instantiates the strategy for one proxy cache of the given capacity.
+    /// Instantiates the strategy for one proxy cache of the given
+    /// capacity, unobserved and with nothing preallocated (its page
+    /// tables grow on demand).
     pub fn build(&self, capacity: Bytes) -> Box<dyn Strategy> {
         self.build_observed(capacity, ObsHandle::disabled())
     }
 
-    /// Instantiates the strategy with its cache decisions (admissions,
-    /// evictions, relabels) reported to `obs`. With a
-    /// [`NullObserver`](pscd_obs::NullObserver) handle this compiles to
-    /// exactly [`build`](StrategyKind::build).
+    /// [`build`](StrategyKind::build) with the strategy's cache decisions
+    /// (admissions, evictions, relabels) reported to `obs`.
     pub fn build_observed<O: Observer>(
         &self,
         capacity: Bytes,
         obs: ObsHandle<O>,
     ) -> Box<dyn Strategy> {
-        match *self {
-            StrategyKind::Lru => Box::new(AccessOnly::new(Lru::with_observer(capacity, obs))),
-            StrategyKind::Gds => Box::new(AccessOnly::new(Gds::with_observer(capacity, obs))),
-            StrategyKind::LfuDa => Box::new(AccessOnly::new(LfuDa::with_observer(capacity, obs))),
-            StrategyKind::GdStar { beta } => {
-                Box::new(AccessOnly::new(GdStar::with_observer(capacity, beta, obs)))
-            }
-            StrategyKind::Sub => Box::new(Sub::with_observer(capacity, obs)),
-            StrategyKind::Sg1 { beta } => Box::new(SingleCache::sg1_observed(capacity, beta, obs)),
-            StrategyKind::Sg2 { beta } => Box::new(SingleCache::sg2_observed(capacity, beta, obs)),
-            StrategyKind::Sr => Box::new(SingleCache::sr_observed(capacity, obs)),
-            StrategyKind::Dm { beta } => Box::new(DualMethods::with_observer(capacity, beta, obs)),
-            StrategyKind::DcFp { beta, pc_fraction } => Box::new(DcFp::with_fraction_observed(
-                capacity,
-                beta,
-                pc_fraction,
-                obs,
-            )),
-            StrategyKind::DcAp { beta } => Box::new(DcAdaptive::ap_observed(capacity, beta, obs)),
-            StrategyKind::DcLap { beta, lo, hi } => Box::new(DcAdaptive::lap_with_bounds_observed(
-                capacity, beta, lo, hi, obs,
-            )),
-        }
+        Box::new(self.build_impl_observed(capacity, 0, obs))
     }
 
     /// Instantiates the strategy as a concrete [`StrategyImpl`] — the
-    /// enum-dispatch form used by the replay hot loop — with an explicit
-    /// state [`Layout`]. `Layout::Dense` preallocates every per-page table
-    /// to the page-universe size, making the steady-state hot loop free of
-    /// heap allocations (DM and DC-AP/DC-LAP keep lazy-deletion heaps and
-    /// are amortized allocation-free; see DESIGN.md §12).
+    /// enum-dispatch form used by the replay hot loop — over the page
+    /// ordinals `0..page_count`. Every per-page table is preallocated to
+    /// the universe size, making the steady-state hot loop free of heap
+    /// allocations (see DESIGN.md §12); `0` preallocates nothing and the
+    /// tables grow on demand.
     pub fn build_impl_observed<O: Observer>(
         &self,
         capacity: Bytes,
-        layout: Layout,
+        page_count: usize,
         obs: ObsHandle<O>,
     ) -> StrategyImpl<O> {
         match *self {
-            StrategyKind::Lru => {
-                StrategyImpl::Lru(AccessOnly::new(Lru::with_layout(capacity, layout, obs)))
-            }
-            StrategyKind::Gds => {
-                StrategyImpl::Gds(AccessOnly::new(Gds::with_layout(capacity, layout, obs)))
-            }
-            StrategyKind::LfuDa => {
-                StrategyImpl::LfuDa(AccessOnly::new(LfuDa::with_layout(capacity, layout, obs)))
-            }
-            StrategyKind::GdStar { beta } => StrategyImpl::GdStar(AccessOnly::new(
-                GdStar::with_layout(capacity, beta, layout, obs),
+            StrategyKind::Lru => StrategyImpl::Lru(AccessOnly::new(
+                Lru::new(capacity).observed(page_count, obs),
             )),
-            StrategyKind::Sub => StrategyImpl::Sub(Sub::with_layout(capacity, layout, obs)),
+            StrategyKind::Gds => StrategyImpl::Gds(AccessOnly::new(
+                Gds::new(capacity).observed(page_count, obs),
+            )),
+            StrategyKind::LfuDa => StrategyImpl::LfuDa(AccessOnly::new(
+                LfuDa::new(capacity).observed(page_count, obs),
+            )),
+            StrategyKind::GdStar { beta } => StrategyImpl::GdStar(AccessOnly::new(
+                GdStar::new(capacity, beta).observed(page_count, obs),
+            )),
+            StrategyKind::Sub => StrategyImpl::Sub(Sub::new(capacity).observed(page_count, obs)),
             StrategyKind::Sg1 { beta } => {
-                StrategyImpl::Single(SingleCache::sg1_with_layout(capacity, beta, layout, obs))
+                StrategyImpl::Single(SingleCache::sg1(capacity, beta).observed(page_count, obs))
             }
             StrategyKind::Sg2 { beta } => {
-                StrategyImpl::Single(SingleCache::sg2_with_layout(capacity, beta, layout, obs))
+                StrategyImpl::Single(SingleCache::sg2(capacity, beta).observed(page_count, obs))
             }
             StrategyKind::Sr => {
-                StrategyImpl::Single(SingleCache::sr_with_layout(capacity, layout, obs))
+                StrategyImpl::Single(SingleCache::sr(capacity).observed(page_count, obs))
             }
             StrategyKind::Dm { beta } => {
-                StrategyImpl::Dm(DualMethods::with_layout(capacity, beta, layout, obs))
+                StrategyImpl::Dm(DualMethods::new(capacity, beta).observed(page_count, obs))
             }
             StrategyKind::DcFp { beta, pc_fraction } => StrategyImpl::DcFp(
-                DcFp::with_fraction_layout(capacity, beta, pc_fraction, layout, obs),
+                DcFp::with_fraction(capacity, beta, pc_fraction).observed(page_count, obs),
             ),
             StrategyKind::DcAp { beta } => {
-                StrategyImpl::Dc(DcAdaptive::ap_with_layout(capacity, beta, layout, obs))
+                StrategyImpl::Dc(DcAdaptive::ap(capacity, beta).observed(page_count, obs))
             }
             StrategyKind::DcLap { beta, lo, hi } => StrategyImpl::Dc(
-                DcAdaptive::lap_with_bounds_layout(capacity, beta, lo, hi, layout, obs),
+                DcAdaptive::lap_with_bounds(capacity, beta, lo, hi).observed(page_count, obs),
             ),
         }
     }
@@ -231,8 +207,8 @@ impl StrategyKind {
 }
 
 /// A concrete, enum-dispatched strategy: every paper strategy as a variant,
-/// plus a [`Box<dyn Strategy>`] escape hatch for externally-defined
-/// strategies.
+/// plus a [`Box<dyn Strategy>`] extension point for externally-defined
+/// strategies (nothing in this crate constructs it).
 ///
 /// The replay hot loop stores proxies as `StrategyImpl` so per-event
 /// dispatch is a jump table over a small enum instead of a virtual call,
@@ -310,8 +286,9 @@ impl<O: Observer> StrategyImpl<O> {
 
     /// Restores state captured by [`encode_snapshot`](Self::encode_snapshot)
     /// into this strategy, which must be the same variant (built from the
-    /// same [`StrategyKind`] and layout). On error the strategy's state is
-    /// unspecified and it should be discarded.
+    /// same [`StrategyKind`]) over a page universe covering every encoded
+    /// page — an id outside it is [`SnapshotError::Corrupt`]. On error the
+    /// strategy's state is unspecified and it should be discarded.
     pub fn decode_snapshot(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         let tag = r.read_u8()?;
         if tag != self.snapshot_tag()? {
@@ -400,12 +377,10 @@ impl<O: Observer> Strategy for StrategyImpl<O> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pscd_cache::PageRef;
-    use pscd_types::PageId;
+    use proptest::prelude::{prop_assert, proptest, ProptestConfig};
 
-    #[test]
-    fn every_kind_builds_and_reports_its_name() {
-        let kinds = [
+    fn all_kinds() -> [StrategyKind; 12] {
+        [
             StrategyKind::Lru,
             StrategyKind::Gds,
             StrategyKind::LfuDa,
@@ -418,9 +393,49 @@ mod tests {
             StrategyKind::dc_fp(2.0),
             StrategyKind::DcAp { beta: 2.0 },
             StrategyKind::dc_lap(2.0),
-        ];
+        ]
+    }
+
+    /// A page's size and cost are fixed attributes of the page.
+    fn page(i: u32) -> PageRef {
+        PageRef::new(
+            PageId::new(i),
+            Bytes::new((i as u64 * 7) % 40 + 1),
+            (i % 4 + 1) as f64,
+        )
+    }
+
+    fn fresh(kind: StrategyKind, universe: usize) -> StrategyImpl {
+        kind.build_impl_observed(Bytes::new(300), universe, ObsHandle::disabled())
+    }
+
+    fn xorshift(mut x: u64) -> impl FnMut() -> u64 {
+        move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        }
+    }
+
+    /// Random pushes, accesses and invalidations over pages `0..32`.
+    fn churn(live: &mut StrategyImpl, rng: &mut impl FnMut() -> u64, steps: usize) {
         let mut ev = Vec::new();
-        for kind in kinds {
+        for _ in 0..steps {
+            let p = page((rng() % 32) as u32);
+            let subs = (rng() % 20) as u32;
+            match rng() % 5 {
+                0 | 1 => drop(live.on_push(&p, subs, &mut ev)),
+                4 => drop(live.invalidate(p.page)),
+                _ => drop(live.on_access(&p, subs, &mut ev)),
+            }
+        }
+    }
+
+    #[test]
+    fn every_kind_builds_and_reports_its_name() {
+        let mut ev = Vec::new();
+        for kind in all_kinds() {
             let mut s = kind.build(Bytes::from_kib(4));
             assert_eq!(s.name(), kind.name());
             assert_eq!(s.capacity(), Bytes::from_kib(4));
@@ -461,55 +476,16 @@ mod tests {
 
     #[test]
     fn snapshots_round_trip_for_every_kind() {
-        use pscd_obs::ObsHandle;
-
-        let kinds = [
-            StrategyKind::Lru,
-            StrategyKind::Gds,
-            StrategyKind::LfuDa,
-            StrategyKind::GdStar { beta: 2.0 },
-            StrategyKind::Sub,
-            StrategyKind::Sg1 { beta: 2.0 },
-            StrategyKind::Sg2 { beta: 2.0 },
-            StrategyKind::Sr,
-            StrategyKind::Dm { beta: 2.0 },
-            StrategyKind::dc_fp(2.0),
-            StrategyKind::DcAp { beta: 2.0 },
-            StrategyKind::dc_lap(2.0),
-        ];
-        let layout = Layout::Dense { page_count: 32 };
-        for kind in kinds {
-            let mut live = kind.build_impl_observed(Bytes::new(300), layout, ObsHandle::disabled());
-            let mut ev = Vec::new();
-            let mut x = 0x9e37_79b9u64;
-            let mut rng = move || {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                x
-            };
-            // A page's size and cost are fixed attributes of the page.
-            let page = |i: u32| {
-                PageRef::new(PageId::new(i), Bytes::new((i as u64 * 7) % 40 + 1), {
-                    (i % 4 + 1) as f64
-                })
-            };
+        for kind in all_kinds() {
+            let mut live = fresh(kind, 32);
+            let mut rng = xorshift(0x9e37_79b9);
             // Churn, snapshot mid-stream, restore into a fresh instance,
             // then verify both copies behave identically afterwards.
-            for _ in 0..500 {
-                let p = page((rng() % 32) as u32);
-                let subs = (rng() % 20) as u32;
-                match rng() % 5 {
-                    0 | 1 => drop(live.on_push(&p, subs, &mut ev)),
-                    4 => drop(live.invalidate(p.page)),
-                    _ => drop(live.on_access(&p, subs, &mut ev)),
-                }
-            }
+            churn(&mut live, &mut rng, 500);
             let mut buf = Vec::new();
             live.encode_snapshot(&mut buf)
                 .unwrap_or_else(|e| panic!("{}: encode failed: {e}", kind.name()));
-            let mut restored =
-                kind.build_impl_observed(Bytes::new(300), layout, ObsHandle::disabled());
+            let mut restored = fresh(kind, 32);
             let mut r = SnapshotReader::new(&buf);
             restored
                 .decode_snapshot(&mut r)
@@ -557,15 +533,10 @@ mod tests {
 
     #[test]
     fn snapshot_rejects_mismatched_tag_and_dyn() {
-        use pscd_obs::ObsHandle;
-
-        let layout = Layout::Dense { page_count: 8 };
-        let lru: StrategyImpl =
-            StrategyKind::Lru.build_impl_observed(Bytes::new(100), layout, ObsHandle::disabled());
+        let lru = fresh(StrategyKind::Lru, 8);
         let mut buf = Vec::new();
         lru.encode_snapshot(&mut buf).unwrap();
-        let mut gds: StrategyImpl =
-            StrategyKind::Gds.build_impl_observed(Bytes::new(100), layout, ObsHandle::disabled());
+        let mut gds = fresh(StrategyKind::Gds, 8);
         let err = gds
             .decode_snapshot(&mut SnapshotReader::new(&buf))
             .unwrap_err();
@@ -574,6 +545,107 @@ mod tests {
         let dynamic: StrategyImpl = StrategyKind::Lru.build(Bytes::new(100)).into();
         let err = dynamic.encode_snapshot(&mut Vec::new()).unwrap_err();
         assert!(matches!(err, SnapshotError::Unsupported(_)), "{err}");
+    }
+
+    /// Rewrites the little-endian page-id word at `at` (which must hold
+    /// `from`) and decodes the blob into a fresh 8-page strategy.
+    fn decode_with_page_id(
+        kind: StrategyKind,
+        blob: &[u8],
+        at: usize,
+        from: u32,
+        to: u32,
+    ) -> Result<(), SnapshotError> {
+        assert_eq!(blob[at..at + 4], from.to_le_bytes(), "{}", kind.name());
+        let mut bad = blob.to_vec();
+        bad[at..at + 4].copy_from_slice(&to.to_le_bytes());
+        fresh(kind, 8).decode_snapshot(&mut SnapshotReader::new(&bad))
+    }
+
+    /// Regression: one rewritten page id in a strategy snapshot used to
+    /// index out of bounds in SG1/SG2/SR's access-count table and in
+    /// DM/DC-AP/DC-LAP's entry index, and a duplicated id double-counted
+    /// DM/DC's `used` in release builds. All are `Corrupt` now.
+    #[test]
+    fn snapshot_with_rewritten_page_id_is_corrupt_not_a_panic() {
+        let mut ev = Vec::new();
+        // (kind, offset of the first encoded page id past the tag byte,
+        // encoded entry stride) — SG2's is the access-count table's only
+        // row, the blob's last eight bytes.
+        let dm = (StrategyKind::Dm { beta: 2.0 }, 1 + 8 + 8 + 4, 48);
+        let dc_ap = (StrategyKind::DcAp { beta: 2.0 }, 1 + 8 * 5 + 4, 41);
+        for (kind, first, stride) in [dm, dc_ap] {
+            let mut live = fresh(kind, 8);
+            assert!(live.on_push(&page(5), 3, &mut ev).is_stored());
+            assert!(live.on_push(&page(6), 3, &mut ev).is_stored());
+            let mut blob = Vec::new();
+            live.encode_snapshot(&mut blob).unwrap();
+            for id in [8, u32::MAX] {
+                let err = decode_with_page_id(kind, &blob, first, 5, id);
+                assert!(matches!(err, Err(SnapshotError::Corrupt(_))), "{err:?}");
+            }
+            let duplicate = decode_with_page_id(kind, &blob, first + stride, 6, 5);
+            assert!(
+                matches!(duplicate, Err(SnapshotError::Corrupt(_))),
+                "{duplicate:?}"
+            );
+            assert!(decode_with_page_id(kind, &blob, first, 5, 7).is_ok());
+        }
+        let sg2 = StrategyKind::Sg2 { beta: 2.0 };
+        let mut live = fresh(sg2, 8);
+        assert!(live.on_access(&page(5), 3, &mut ev).is_miss());
+        let mut blob = Vec::new();
+        live.encode_snapshot(&mut blob).unwrap();
+        for id in [8, u32::MAX] {
+            let err = decode_with_page_id(sg2, &blob, blob.len() - 8, 5, id);
+            assert!(matches!(err, Err(SnapshotError::Corrupt(_))), "{err:?}");
+        }
+        assert!(decode_with_page_id(sg2, &blob, blob.len() - 8, 5, 7).is_ok());
+    }
+
+    /// One churned snapshot per kind over a 32-page universe.
+    fn churned_blob(kind: StrategyKind) -> Vec<u8> {
+        let mut live = fresh(kind, 32);
+        churn(&mut live, &mut xorshift(0x2545_f491), 400);
+        let mut blob = Vec::new();
+        live.encode_snapshot(&mut blob).unwrap();
+        blob
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Whatever happens to a strategy snapshot's bytes — a flipped,
+        /// zeroed or cut-off range — decoding it into a fresh strategy
+        /// over the same universe answers `Ok` or `Err`: it never panics,
+        /// and no page id made up by the damage becomes resident (which
+        /// would mean a table grew past the universe for it).
+        #[test]
+        fn corrupt_snapshots_never_panic_or_grow_a_table(
+            kind in proptest::sample::select(all_kinds().to_vec()),
+            start in 0usize..4096,
+            len in 1usize..48,
+            damage in 0u8..3,
+            mask in 1u8..=255,
+        ) {
+            let mut bad = churned_blob(kind);
+            let start = start % bad.len();
+            let end = (start + len).min(bad.len());
+            match damage {
+                0 => bad[start..end].iter_mut().for_each(|b| *b ^= mask),
+                1 => bad[start..end].fill(0),
+                _ => bad.truncate(start),
+            }
+            let mut victim = fresh(kind, 32);
+            let decoded = victim.decode_snapshot(&mut SnapshotReader::new(&bad));
+            if decoded.is_ok() {
+                prop_assert!(victim.len() <= 32, "{}: {} residents", kind.name(), victim.len());
+            }
+            for word in bad[start.saturating_sub(3)..].windows(4).take(len + 3) {
+                let id = u32::from_le_bytes(word.try_into().unwrap());
+                prop_assert!(id < 32 || !victim.contains(PageId::new(id)), "{}: {id}", kind.name());
+            }
+        }
     }
 
     #[test]

@@ -51,8 +51,6 @@ mod strategy;
 mod sub;
 mod table;
 
-pub use pscd_cache::Layout;
-
 pub use access_only::AccessOnly;
 pub use dcap::DcAdaptive;
 pub use dcfp::DcFp;

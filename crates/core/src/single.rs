@@ -1,6 +1,6 @@
 //! Single-cache, single-replacement combined strategies: SG1, SG2, SR (§3.3).
 
-use pscd_cache::{AccessOutcome, GreedyDualEngine, Layout, PageRef, PageTable};
+use pscd_cache::{AccessOutcome, GreedyDualEngine, PageRef, PageTable};
 use pscd_obs::{NullObserver, ObsHandle, Observer};
 use pscd_types::{Bytes, PageId};
 
@@ -69,7 +69,8 @@ impl SingleCache {
     ///
     /// Panics unless `beta` is positive and finite.
     pub fn sg1(capacity: Bytes, beta: f64) -> Self {
-        Self::sg1_observed(capacity, beta, ObsHandle::disabled())
+        assert!(beta.is_finite() && beta > 0.0, "beta must be positive");
+        Self::with_model(capacity, Model::Sg1 { beta }, "SG1")
     }
 
     /// Creates an SG2 cache (`f = s − a` in the GD\* value).
@@ -78,76 +79,37 @@ impl SingleCache {
     ///
     /// Panics unless `beta` is positive and finite.
     pub fn sg2(capacity: Bytes, beta: f64) -> Self {
-        Self::sg2_observed(capacity, beta, ObsHandle::disabled())
+        assert!(beta.is_finite() && beta > 0.0, "beta must be positive");
+        Self::with_model(capacity, Model::Sg2 { beta }, "SG2")
     }
 
     /// Creates an SR cache (`V = (s − a)·c/s`, no GD\* framework).
     pub fn sr(capacity: Bytes) -> Self {
-        Self::sr_observed(capacity, ObsHandle::disabled())
+        Self::with_model(capacity, Model::Sr, "SR")
+    }
+
+    fn with_model(capacity: Bytes, model: Model, name: &'static str) -> Self {
+        Self {
+            engine: GreedyDualEngine::new(capacity),
+            accesses: PageTable::new(0, 0),
+            model,
+            name,
+        }
     }
 }
 
 impl<O: Observer> SingleCache<O> {
-    /// [`sg1`](SingleCache::sg1) reporting cache decisions to `obs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `beta` is positive and finite.
-    pub fn sg1_observed(capacity: Bytes, beta: f64, obs: ObsHandle<O>) -> Self {
-        Self::sg1_with_layout(capacity, beta, Layout::Sparse, obs)
-    }
-
-    /// [`sg2`](SingleCache::sg2) reporting cache decisions to `obs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `beta` is positive and finite.
-    pub fn sg2_observed(capacity: Bytes, beta: f64, obs: ObsHandle<O>) -> Self {
-        Self::sg2_with_layout(capacity, beta, Layout::Sparse, obs)
-    }
-
-    /// [`sr`](SingleCache::sr) reporting cache decisions to `obs`.
-    pub fn sr_observed(capacity: Bytes, obs: ObsHandle<O>) -> Self {
-        Self::sr_with_layout(capacity, Layout::Sparse, obs)
-    }
-
-    /// [`sg1`](SingleCache::sg1) with an explicit state [`Layout`].
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `beta` is positive and finite.
-    pub fn sg1_with_layout(capacity: Bytes, beta: f64, layout: Layout, obs: ObsHandle<O>) -> Self {
-        assert!(beta.is_finite() && beta > 0.0, "beta must be positive");
-        Self::with_model(capacity, layout, obs, Model::Sg1 { beta }, "SG1")
-    }
-
-    /// [`sg2`](SingleCache::sg2) with an explicit state [`Layout`].
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `beta` is positive and finite.
-    pub fn sg2_with_layout(capacity: Bytes, beta: f64, layout: Layout, obs: ObsHandle<O>) -> Self {
-        assert!(beta.is_finite() && beta > 0.0, "beta must be positive");
-        Self::with_model(capacity, layout, obs, Model::Sg2 { beta }, "SG2")
-    }
-
-    /// [`sr`](SingleCache::sr) with an explicit state [`Layout`].
-    pub fn sr_with_layout(capacity: Bytes, layout: Layout, obs: ObsHandle<O>) -> Self {
-        Self::with_model(capacity, layout, obs, Model::Sr, "SR")
-    }
-
-    fn with_model(
-        capacity: Bytes,
-        layout: Layout,
-        obs: ObsHandle<O>,
-        model: Model,
-        name: &'static str,
-    ) -> Self {
-        Self {
-            engine: GreedyDualEngine::with_layout(capacity, layout, obs),
-            accesses: PageTable::with_layout(layout),
-            model,
-            name,
+    /// An empty cache with this one's model and capacity over the page
+    /// ordinals `0..page_count`, reporting cache decisions to `obs`.
+    /// Every table is preallocated for the universe, so steady-state
+    /// operation never allocates (`0` preallocates nothing and grows on
+    /// demand).
+    pub fn observed<P: Observer>(self, page_count: usize, obs: ObsHandle<P>) -> SingleCache<P> {
+        SingleCache {
+            engine: GreedyDualEngine::with_observer(self.capacity(), page_count, obs),
+            accesses: PageTable::new(page_count, 0),
+            model: self.model,
+            name: self.name,
         }
     }
 
@@ -185,7 +147,7 @@ impl<O: Observer> SingleCache<O> {
         for _ in 0..n {
             let page = PageId::new(r.read_u32()?);
             let a = r.read_u32()?;
-            self.accesses.set(page, a);
+            self.accesses.try_insert(page, a)?;
         }
         Ok(())
     }
@@ -422,59 +384,6 @@ mod tests {
                 "page {:?}",
                 p.page
             );
-        }
-    }
-
-    #[test]
-    fn dense_layout_matches_sparse() {
-        let mut ev_s = Vec::new();
-        let mut ev_d = Vec::new();
-        let dense = Layout::Dense { page_count: 24 };
-        let disabled = ObsHandle::disabled;
-        let mut pairs = [
-            (
-                SingleCache::sg1(Bytes::new(40), 2.0),
-                SingleCache::sg1_with_layout(Bytes::new(40), 2.0, dense, disabled()),
-            ),
-            (
-                SingleCache::sg2(Bytes::new(40), 2.0),
-                SingleCache::sg2_with_layout(Bytes::new(40), 2.0, dense, disabled()),
-            ),
-            (
-                SingleCache::sr(Bytes::new(40)),
-                SingleCache::sr_with_layout(Bytes::new(40), dense, disabled()),
-            ),
-        ];
-        let mut x = 0x9e37_79b9u64;
-        let mut rng = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        for _ in 0..2_000 {
-            let p = page((rng() % 24) as u32, rng() % 15 + 1, (rng() % 5 + 1) as f64);
-            let subs = (rng() % 20) as u32;
-            let push = rng() % 2 == 0;
-            for (sparse, dense) in &mut pairs {
-                if push {
-                    assert_eq!(
-                        sparse.on_push(&p, subs, &mut ev_s),
-                        dense.on_push(&p, subs, &mut ev_d),
-                        "{}",
-                        sparse.name()
-                    );
-                } else {
-                    assert_eq!(
-                        sparse.on_access(&p, subs, &mut ev_s),
-                        dense.on_access(&p, subs, &mut ev_d),
-                        "{}",
-                        sparse.name()
-                    );
-                }
-                assert_eq!(ev_s, ev_d);
-                assert_eq!(sparse.used(), dense.used());
-            }
         }
     }
 

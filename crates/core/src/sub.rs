@@ -1,6 +1,6 @@
 //! SUB: push-time-only placement driven by subscription matching (§3.2).
 
-use pscd_cache::{AccessOutcome, GreedyDualEngine, Layout, PageRef};
+use pscd_cache::{AccessOutcome, GreedyDualEngine, PageRef};
 use pscd_obs::{NullObserver, ObsHandle, Observer};
 use pscd_types::{Bytes, PageId};
 
@@ -39,20 +39,20 @@ pub struct Sub<O: Observer = NullObserver> {
 impl Sub {
     /// Creates a SUB proxy cache with the given capacity.
     pub fn new(capacity: Bytes) -> Self {
-        Self::with_observer(capacity, ObsHandle::disabled())
+        Self {
+            engine: GreedyDualEngine::new(capacity),
+        }
     }
 }
 
 impl<O: Observer> Sub<O> {
-    /// Creates a SUB proxy cache reporting cache decisions to `obs`.
-    pub fn with_observer(capacity: Bytes, obs: ObsHandle<O>) -> Self {
-        Self::with_layout(capacity, Layout::Sparse, obs)
-    }
-
-    /// Creates a SUB proxy cache with an explicit state [`Layout`].
-    pub fn with_layout(capacity: Bytes, layout: Layout, obs: ObsHandle<O>) -> Self {
-        Self {
-            engine: GreedyDualEngine::with_layout(capacity, layout, obs),
+    /// An empty cache of this one's capacity over the page ordinals
+    /// `0..page_count`, reporting cache decisions to `obs`. Every table
+    /// is preallocated for the universe, so steady-state operation never
+    /// allocates (`0` preallocates nothing and grows on demand).
+    pub fn observed<P: Observer>(self, page_count: usize, obs: ObsHandle<P>) -> Sub<P> {
+        Sub {
+            engine: GreedyDualEngine::with_observer(self.capacity(), page_count, obs),
         }
     }
 
@@ -238,41 +238,5 @@ mod tests {
             sub.on_push(&page(2, 10, 1.0), 0, &mut ev),
             PushOutcome::Declined
         );
-    }
-
-    #[test]
-    fn dense_layout_matches_sparse() {
-        let mut ev_s = Vec::new();
-        let mut ev_d = Vec::new();
-        let mut sparse = Sub::new(Bytes::new(40));
-        let mut dense = Sub::with_layout(
-            Bytes::new(40),
-            Layout::Dense { page_count: 24 },
-            ObsHandle::disabled(),
-        );
-        let mut x = 0x1234_5678u64;
-        let mut rng = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        for _ in 0..2_000 {
-            let p = page((rng() % 24) as u32, rng() % 15 + 1, (rng() % 5 + 1) as f64);
-            let subs = (rng() % 40) as u32;
-            if rng() % 3 == 0 {
-                assert_eq!(
-                    sparse.on_access(&p, subs, &mut ev_s),
-                    dense.on_access(&p, subs, &mut ev_d)
-                );
-            } else {
-                assert_eq!(
-                    sparse.on_push(&p, subs, &mut ev_s),
-                    dense.on_push(&p, subs, &mut ev_d)
-                );
-            }
-            assert_eq!(ev_s, ev_d);
-            assert_eq!(sparse.used(), dense.used());
-        }
     }
 }

@@ -1,103 +1,68 @@
-//! Layout-aware resident-page tables shared by the heap-based strategies
-//! (DM, DC-AP/DC-LAP).
+//! The resident-page table shared by the heap-based strategies (DM,
+//! DC-AP/DC-LAP).
 
-use std::collections::HashMap;
-
-use pscd_cache::Layout;
+use pscd_cache::{PageTable, SnapshotError};
 use pscd_types::PageId;
 
-/// Sentinel live-list index marking a vacant dense slot.
+/// Live-list position marking a page that is not resident.
 const NO_IDX: u32 = u32::MAX;
-
-/// The page → live-list-position index.
-#[derive(Debug)]
-enum Index {
-    Sparse(HashMap<PageId, u32>),
-    Dense(Vec<u32>),
-}
-
-impl Index {
-    #[inline]
-    fn get(&self, page: PageId) -> Option<u32> {
-        match self {
-            Index::Sparse(m) => m.get(&page).copied(),
-            Index::Dense(v) => v.get(page.as_usize()).copied().filter(|&i| i != NO_IDX),
-        }
-    }
-
-    #[inline]
-    fn set(&mut self, page: PageId, idx: u32) {
-        match self {
-            Index::Sparse(m) => {
-                m.insert(page, idx);
-            }
-            Index::Dense(v) => v[page.as_usize()] = idx,
-        }
-    }
-
-    #[inline]
-    fn take(&mut self, page: PageId) -> Option<u32> {
-        match self {
-            Index::Sparse(m) => m.remove(&page),
-            Index::Dense(v) => {
-                let slot = v.get_mut(page.as_usize())?;
-                if *slot == NO_IDX {
-                    None
-                } else {
-                    Some(std::mem::replace(slot, NO_IDX))
-                }
-            }
-        }
-    }
-}
 
 /// Resident-page table: a page → position index over a compact
 /// `(page, entry)` live list, so full scans (candidate sizing,
-/// stale-page sweeps) cost O(resident pages) in both layouts instead of
-/// O(page universe) in dense mode — and the dense form preallocates only
-/// one `u32` per page ordinal, keeping construction a cheap sentinel
-/// fill no matter how fat the entry type is.
+/// stale-page sweeps) cost O(resident pages) instead of O(page
+/// universe). The index is a [`PageTable`] of `u32` positions — one per
+/// page ordinal, so preallocating it stays a cheap sentinel fill no
+/// matter how fat the entry type is.
 #[derive(Debug)]
 pub(crate) struct EntryTable<E> {
-    index: Index,
+    index: PageTable<u32>,
     live: Vec<(PageId, E)>,
 }
 
 impl<E> EntryTable<E> {
-    pub(crate) fn with_layout(layout: Layout) -> Self {
-        match layout {
-            Layout::Sparse => Self {
-                index: Index::Sparse(HashMap::new()),
-                live: Vec::new(),
-            },
-            Layout::Dense { page_count } => Self {
-                index: Index::Dense(vec![NO_IDX; page_count]),
-                live: Vec::with_capacity(page_count),
-            },
+    /// An empty table preallocated for the page ordinals `0..page_count`
+    /// (`0`: nothing preallocated, grows on insert).
+    pub(crate) fn new(page_count: usize) -> Self {
+        Self {
+            index: PageTable::new(page_count, NO_IDX),
+            live: Vec::with_capacity(page_count),
         }
     }
 
+    fn position(&self, page: PageId) -> Option<usize> {
+        self.index.find(page).map(|i| i as usize)
+    }
+
     pub(crate) fn get(&self, page: PageId) -> Option<&E> {
-        self.index.get(page).map(|i| &self.live[i as usize].1)
+        self.position(page).map(|i| &self.live[i].1)
     }
 
     pub(crate) fn get_mut(&mut self, page: PageId) -> Option<&mut E> {
-        self.index.get(page).map(|i| &mut self.live[i as usize].1)
+        self.position(page).map(|i| &mut self.live[i].1)
     }
 
     pub(crate) fn contains(&self, page: PageId) -> bool {
-        self.index.get(page).is_some()
+        self.position(page).is_some()
     }
 
     /// Inserts a fresh entry. The page must not be resident.
     pub(crate) fn insert(&mut self, page: PageId, entry: E) {
-        debug_assert!(self.index.get(page).is_none(), "insert over a live entry");
+        debug_assert!(!self.contains(page), "insert over a live entry");
         self.index.set(page, self.live.len() as u32);
         self.live.push((page, entry));
     }
 
+    /// [`insert`](Self::insert) for a page id read from snapshot bytes:
+    /// an id outside the universe or already resident is corrupt, and
+    /// the table never grows for it.
+    pub(crate) fn try_insert(&mut self, page: PageId, entry: E) -> Result<(), SnapshotError> {
+        self.index.try_insert(page, self.live.len() as u32)?;
+        self.live.push((page, entry));
+        Ok(())
+    }
+
     pub(crate) fn remove(&mut self, page: PageId) -> Option<E> {
-        let idx = self.index.take(page)? as usize;
+        let idx = self.index.remove(page)? as usize;
         let (_, entry) = self.live.swap_remove(idx);
         if let Some(&(moved, _)) = self.live.get(idx) {
             self.index.set(moved, idx as u32);
@@ -109,13 +74,9 @@ impl<E> EntryTable<E> {
         self.live.len()
     }
 
-    /// Removes every entry, keeping the layout (and the dense form's
-    /// preallocated index).
+    /// Removes every entry, keeping the universe.
     pub(crate) fn clear(&mut self) {
-        match &mut self.index {
-            Index::Sparse(m) => m.clear(),
-            Index::Dense(v) => v.fill(NO_IDX),
-        }
+        self.index.clear();
         self.live.clear();
     }
 
@@ -131,55 +92,32 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sparse_and_dense_agree_under_churn() {
-        let mut sparse = EntryTable::<u32>::with_layout(Layout::Sparse);
-        let mut dense = EntryTable::<u32>::with_layout(Layout::Dense { page_count: 20 });
-        let mut x = 0x0bad_cafeu64;
-        let mut rng = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        for i in 0..2_000u32 {
-            let page = PageId::new((rng() % 20) as u32);
-            match rng() % 3 {
-                0 => {
-                    if !sparse.contains(page) {
-                        sparse.insert(page, i);
-                        dense.insert(page, i);
-                    }
-                }
-                1 => {
-                    assert_eq!(sparse.remove(page), dense.remove(page));
-                }
-                _ => {
-                    assert_eq!(sparse.get(page), dense.get(page));
-                }
+    fn live_indices_stay_honest_after_swap_remove() {
+        for mut t in [EntryTable::<u32>::new(8), EntryTable::new(0)] {
+            for i in 0..8 {
+                t.insert(PageId::new(i), i);
             }
-            assert_eq!(sparse.len(), dense.len());
-            // The live list covers exactly the resident pages.
-            let mut a: Vec<u32> = sparse.iter().map(|(_, e)| *e).collect();
-            let mut b: Vec<u32> = dense.iter().map(|(_, e)| *e).collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b);
+            t.remove(PageId::new(0)); // last entry swaps into slot 0
+            assert!(!t.contains(PageId::new(0)));
+            for (page, &e) in t.iter() {
+                assert_eq!(*t.get(page).unwrap(), e);
+            }
+            assert_eq!(t.len(), 7);
+            // Mutate through get_mut and observe through iter.
+            *t.get_mut(PageId::new(7)).unwrap() = 99;
+            assert!(t.iter().any(|(_, &e)| e == 99));
         }
     }
 
     #[test]
-    fn live_indices_stay_honest_after_swap_remove() {
-        let mut t = EntryTable::<u32>::with_layout(Layout::Dense { page_count: 8 });
-        for i in 0..8 {
-            t.insert(PageId::new(i), i);
-        }
-        t.remove(PageId::new(0)); // last entry swaps into slot 0
-        for (page, &e) in t.iter() {
-            assert_eq!(*t.get(page).unwrap(), e);
-        }
-        assert_eq!(t.len(), 7);
-        // Mutate through get_mut and observe through iter.
-        *t.get_mut(PageId::new(7)).unwrap() = 99;
-        assert!(t.iter().any(|(_, &e)| e == 99));
+    fn decoded_ids_are_checked_and_never_grow_the_table() {
+        let mut t = EntryTable::<u32>::new(4);
+        t.try_insert(PageId::new(3), 1).unwrap();
+        assert!(t.try_insert(PageId::new(3), 2).is_err(), "duplicate");
+        assert!(t.try_insert(PageId::new(4), 2).is_err(), "out of universe");
+        assert_eq!(t.len(), 1);
+        assert!(EntryTable::<u32>::new(0)
+            .try_insert(PageId::new(0), 1)
+            .is_err());
     }
 }

@@ -14,7 +14,7 @@ use std::thread::JoinHandle;
 
 use pscd_broker::{DeliveryEngine, PushRecord, Traffic};
 use pscd_cache::snapshot::{put_u32, put_u64};
-use pscd_cache::{Layout, SnapshotError, SnapshotReader};
+use pscd_cache::{SnapshotError, SnapshotReader};
 use pscd_obs::SharedObserver;
 use pscd_sim::live::{apply_publish, apply_request};
 use pscd_sim::{HourlySeries, SimResult};
@@ -132,15 +132,12 @@ pub(crate) struct Shard {
 impl Shard {
     /// Builds the shard owning global servers `[start, end)`.
     pub(crate) fn build(config: &ServiceConfig, start: u16, end: u16) -> Self {
-        let layout = Layout::Dense {
-            page_count: config.pages.len(),
-        };
         let obs = SharedObserver::disabled();
         let strategies = (start..end)
             .map(|s| {
                 config.strategy.build_impl_observed(
                     config.capacities[s as usize],
-                    layout,
+                    config.pages.len(),
                     obs.handle(ServerId::new(s)),
                 )
             })

@@ -15,7 +15,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use pscd_broker::{DeliveryEngine, PushRecord, PushScheme};
-use pscd_core::{Layout, StrategyKind};
+use pscd_core::StrategyKind;
 use pscd_obs::{MergeableObserver, NullObserver, Observer, SharedObserver, TraceSink};
 use pscd_topology::FetchCosts;
 use pscd_types::{ServerId, SimTime, SubscriptionTable};
@@ -377,9 +377,9 @@ pub(crate) struct ReplayState<O: Observer> {
     victims: Vec<ServerId>,
     /// An invalidation to report before processing the next event.
     pending_invalidation: Option<(pscd_types::PageId, usize)>,
-    /// Dense page-universe layout shared by every strategy this replay
-    /// builds (including crash restarts).
-    layout: Layout,
+    /// Page-universe size every strategy this replay builds (including
+    /// crash restarts) preallocates for.
+    page_count: usize,
     /// Reused publish-record buffer: [`DeliveryEngine::publish_into`]
     /// writes into it, keeping the steady-state loop allocation-free.
     push_scratch: Vec<PushRecord>,
@@ -401,15 +401,13 @@ impl<O: Observer> ReplayState<O> {
         let capacities = meta.capacities(options.capacity_fraction);
         // Page ids in a compiled trace are dense ordinals `0..pages()`, so
         // every per-page table can be a flat preallocated vector.
-        let layout = Layout::Dense {
-            page_count: meta.pages().len(),
-        };
+        let page_count = meta.pages().len();
         let strategies = (start..end)
             .map(|s| {
                 let server = ServerId::new(s);
                 options.strategy.build_impl_observed(
                     capacities[s as usize],
-                    layout,
+                    page_count,
                     obs.handle(server),
                 )
             })
@@ -446,7 +444,7 @@ impl<O: Observer> ReplayState<O> {
             crash_at: options.crash.map(|plan| plan.time),
             victims,
             pending_invalidation: None,
-            layout,
+            page_count,
             push_scratch: Vec::with_capacity((end - start) as usize),
             start,
             end,
@@ -520,7 +518,7 @@ impl<O: Observer> ReplayState<O> {
                                 server,
                                 self.options.strategy.build_impl_observed(
                                     capacity,
-                                    self.layout,
+                                    self.page_count,
                                     self.obs.handle(server),
                                 ),
                             )

@@ -1,4 +1,4 @@
-//! Proves the dense replay hot loop is allocation-free in steady state.
+//! Proves the replay hot loop is allocation-free in steady state.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; the test
 //! warms each simulation past its one-time growth (everything is
@@ -7,7 +7,7 @@
 //! allocation counter did not move.
 //!
 //! Scope: all twelve engine-based strategies. DM and DC-AP/DC-LAP keep
-//! lazy-deletion binary heaps, but under the dense layout those heaps are
+//! lazy-deletion binary heaps, but over a compiled trace those heaps are
 //! preallocated to twice the page universe and compact stale items in
 //! place when full (DESIGN.md §12) — so they too are *strictly*
 //! allocation-free here, not merely amortized.

@@ -11,16 +11,14 @@
 //! compiled replay, the sharded replay at every thread count, and the
 //! convenience wrappers are all proven against it.
 //!
-//! Since the dense-state refactor the two sides also differ in *state
-//! representation*: the reference loop builds sparse `Box<dyn Strategy>`
-//! proxies (`StrategyKind::build`, hash-map tables, virtual dispatch)
-//! while the production replay builds dense enum-dispatched ones
-//! (`build_impl_observed`, ordinal-indexed arenas, scratch buffers). Every
-//! reference test is therefore simultaneously a dense-vs-sparse and an
-//! enum-vs-dyn differential; `dense_enum_replay_matches_sparse_dyn_*`
-//! below sweeps the remaining option axes, and the store-level churn
-//! proptest pins the two `CacheStore` backings against each other
-//! directly.
+//! The two sides also differ in how proxies are built and dispatched: the
+//! reference loop builds `Box<dyn Strategy>` proxies whose page tables
+//! grow on demand (`StrategyKind::build`, virtual dispatch) while the
+//! production replay builds enum-dispatched ones preallocated for the
+//! trace's page universe (`build_impl_observed`, scratch buffers). Every
+//! reference test is therefore simultaneously a loop-vs-compiled and an
+//! enum-vs-dyn differential; `every_strategy_matches_the_reference_*`
+//! below sweeps the remaining option axes.
 
 use std::collections::HashMap;
 use std::sync::OnceLock;
@@ -29,7 +27,6 @@ use proptest::prelude::*;
 use proptest::sample::select;
 
 use pscd_broker::{DeliveryEngine, PushScheme};
-use pscd_cache::{CacheStore, Layout};
 use pscd_core::StrategyKind;
 use pscd_obs::SharedObserver;
 use pscd_obs::{StatsObserver, TraceSink};
@@ -38,7 +35,6 @@ use pscd_sim::{
     SimOptions, SimResult, Simulation,
 };
 use pscd_topology::FetchCosts;
-use pscd_types::Bytes;
 use pscd_types::{PageId, ServerId, SimTime, SubscriptionTable};
 use pscd_workload::{Workload, WorkloadConfig};
 
@@ -433,13 +429,13 @@ fn reference_agrees_under_crash_invalidation_and_when_necessary() {
     }
 }
 
-/// Every strategy against the sparse/dyn reference, rotating through the
+/// Every strategy against the dyn reference loop, rotating through the
 /// option axes so the twelve runs jointly cover both schemes, crash and
 /// crash-free plans, invalidation on/off, and shard counts 1/2/4 without
 /// paying the full cross product (the 16-case proptest below samples the
 /// cross product itself).
 #[test]
-fn dense_enum_replay_matches_sparse_dyn_reference_rotating_axes() {
+fn every_strategy_matches_the_reference_rotating_axes() {
     let (w, subs, costs, trace) = shared_fixture();
     let crash = CrashPlan {
         time: SimTime::from_days(2),
@@ -455,11 +451,11 @@ fn dense_enum_replay_matches_sparse_dyn_reference_rotating_axes() {
         options.invalidate_stale = i % 2 == 1;
         options.threads = threads[i % 3];
         let reference = reference_simulate(w, subs, costs, &options);
-        let dense = simulate_compiled(trace, costs, &options).unwrap();
+        let compiled = simulate_compiled(trace, costs, &options).unwrap();
         assert_eq!(
             reference,
-            dense,
-            "dense replay diverged from sparse reference for {} (axes {i})",
+            compiled,
+            "compiled replay diverged from the reference for {} (axes {i})",
             kind.name()
         );
     }
@@ -495,60 +491,5 @@ proptest! {
         prop_assert_eq!(&reference, &compiled);
         let raw = simulate(w, subs, costs, &options.with_threads(threads)).unwrap();
         prop_assert_eq!(&reference, &raw);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The store layer itself: a dense (arena-indexed, eager-heap) store
-    /// and a sparse (hash-addressed) store replay the same churn script —
-    /// inserts, value updates, removals, min-pops — and must agree on
-    /// every observable at every step: eviction order, byte accounting,
-    /// candidate prefix sums, membership.
-    #[test]
-    fn dense_and_sparse_stores_agree_under_churn(
-        ops in proptest::collection::vec(
-            (0u32..32, 1u64..64, 0.0f64..50.0, 0u8..5),
-            1..300,
-        ),
-    ) {
-        let capacity = Bytes::new(1 << 16);
-        let mut sparse = CacheStore::new(capacity);
-        let mut dense = CacheStore::with_layout(capacity, Layout::Dense { page_count: 32 });
-        for &(page, size, value, op) in &ops {
-            let page = PageId::new(page);
-            match op {
-                0 | 1 => {
-                    sparse.insert(page, Bytes::new(size), value);
-                    dense.insert(page, Bytes::new(size), value);
-                }
-                2 => {
-                    prop_assert_eq!(
-                        sparse.update_value(page, value),
-                        dense.update_value(page, value)
-                    );
-                }
-                3 => {
-                    prop_assert_eq!(sparse.remove(page), dense.remove(page));
-                }
-                _ => {
-                    prop_assert_eq!(sparse.peek_min(), dense.peek_min());
-                    prop_assert_eq!(sparse.pop_min(), dense.pop_min());
-                }
-            }
-            prop_assert_eq!(sparse.used(), dense.used());
-            prop_assert_eq!(sparse.len(), dense.len());
-            prop_assert_eq!(sparse.contains(page), dense.contains(page));
-            prop_assert_eq!(
-                sparse.candidate_size_below(value),
-                dense.candidate_size_below(value)
-            );
-        }
-        // Drain both: the full eviction orders must be identical.
-        while let Some(min) = sparse.pop_min() {
-            prop_assert_eq!(Some(min), dense.pop_min());
-        }
-        prop_assert!(dense.is_empty());
     }
 }
