@@ -285,6 +285,13 @@ impl SubscriptionIndex {
         }
     }
 
+    /// Predicate count of every registered subscription, in no particular
+    /// order — enough to lay out a frozen compilation before walking the
+    /// subscriptions themselves.
+    pub(crate) fn pred_counts(&self) -> &[u32] {
+        &self.pred_count
+    }
+
     /// Looks up a registered subscription.
     pub fn get(&self, id: SubscriptionId) -> Option<&Subscription> {
         self.subscriptions.get(&id)
@@ -387,9 +394,13 @@ impl SubscriptionIndex {
 
     /// Iterates over all registered subscriptions in id order.
     pub fn iter(&self) -> impl Iterator<Item = (SubscriptionId, &Subscription)> {
-        let mut ids: Vec<_> = self.subscriptions.keys().copied().collect();
-        ids.sort_unstable();
-        ids.into_iter().map(|id| (id, &self.subscriptions[&id]))
+        let mut subs: Vec<_> = self
+            .subscriptions
+            .iter()
+            .map(|(&id, sub)| (id, sub))
+            .collect();
+        subs.sort_unstable_by_key(|&(id, _)| id);
+        subs.into_iter()
     }
 }
 

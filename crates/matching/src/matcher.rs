@@ -63,8 +63,9 @@ impl Matcher for TableMatcher {
     }
 }
 
-/// [`Matcher`] that evaluates real content-based subscriptions with one
-/// [`SubscriptionIndex`] per proxy server.
+/// [`Matcher`] that evaluates real content-based subscriptions: one
+/// mutable [`SubscriptionIndex`] per proxy server, compiled by
+/// [`EngineMatcher::freeze`] into one [`FrozenIndex`] for the whole fleet.
 ///
 /// # Examples
 ///
@@ -89,18 +90,17 @@ impl Matcher for TableMatcher {
 pub struct EngineMatcher {
     per_server: Vec<SubscriptionIndex>,
     contents: HashMap<PageId, Content>,
-    /// The frozen compilation of every per-server index against one shared
-    /// symbol table; dropped (stale) whenever a subscription changes and
-    /// rebuilt by [`EngineMatcher::freeze`].
-    frozen: Option<FrozenSet>,
+    /// The frozen compilation of the whole fleet; dropped (stale) whenever
+    /// a subscription changes and rebuilt by [`EngineMatcher::freeze`].
+    frozen: Option<Frozen>,
 }
 
-/// One [`SymbolTable`] shared by every proxy's [`FrozenIndex`], so a
-/// publish symbolizes its content once and matches all proxies.
+/// Every proxy's subscriptions in one [`FrozenIndex`], with the
+/// [`SymbolTable`] its contents are symbolized against.
 #[derive(Debug)]
-struct FrozenSet {
+struct Frozen {
     table: SymbolTable,
-    per_server: Vec<FrozenIndex>,
+    index: FrozenIndex,
 }
 
 impl EngineMatcher {
@@ -128,9 +128,9 @@ impl EngineMatcher {
         server: ServerId,
         subscription: Subscription,
     ) -> Result<SubscriptionId, MatchError> {
+        let id = self.index_mut(server)?.insert(subscription);
         self.frozen = None;
-        let idx = self.index_mut(server)?;
-        Ok(idx.insert(subscription))
+        Ok(id)
     }
 
     /// Removes a subscription previously registered at `server`.
@@ -140,15 +140,15 @@ impl EngineMatcher {
     /// Returns [`MatchError::UnknownServer`] if `server` is out of range and
     /// [`MatchError::UnknownSubscription`] if the id is not registered there.
     pub fn unsubscribe(&mut self, server: ServerId, id: SubscriptionId) -> Result<(), MatchError> {
+        self.index_mut(server)?
+            .remove(id)
+            .ok_or(MatchError::UnknownSubscription { id })?;
         self.frozen = None;
-        let idx = self.index_mut(server)?;
-        idx.remove(id)
-            .map(|_| ())
-            .ok_or(MatchError::UnknownSubscription { id })
+        Ok(())
     }
 
-    /// Compiles every per-server index into the frozen kernel against one
-    /// shared [`SymbolTable`]. A no-op when already frozen; any subsequent
+    /// Compiles every per-server index into one fleet-wide frozen kernel.
+    /// A no-op when already frozen; any subsequent successful
     /// subscribe/unsubscribe invalidates the compilation (the rebuild path
     /// for dynamic subscribers), and the matcher transparently falls back
     /// to the mutable indexes until frozen again.
@@ -157,12 +157,8 @@ impl EngineMatcher {
             return;
         }
         let mut table = SymbolTable::new();
-        let per_server = self
-            .per_server
-            .iter()
-            .map(|idx| FrozenIndex::freeze(idx, &mut table))
-            .collect();
-        self.frozen = Some(FrozenSet { table, per_server });
+        let index = FrozenIndex::freeze_fleet(&self.per_server, &mut table);
+        self.frozen = Some(Frozen { table, index });
     }
 
     /// `true` while the frozen compilation is current (no subscription has
@@ -200,7 +196,7 @@ impl EngineMatcher {
     /// matched `(server, count)` rows into `out` (cleared first), sorted
     /// by server id, counting in the caller's [`MatchScratch`]. After
     /// warm-up the call makes zero allocations, so a publish fan-out loop
-    /// can evaluate every proxy's index without touching the allocator.
+    /// can evaluate the whole fleet without touching the allocator.
     pub fn matched_servers_into(
         &self,
         page: PageId,
@@ -212,15 +208,9 @@ impl EngineMatcher {
             return;
         };
         if let Some(frozen) = &self.frozen {
-            // Frozen fast path: symbolize once, match every proxy with
-            // integer-only lookups.
+            // Frozen fast path: symbolize once, one pass over the fleet.
             scratch.symbolize(&frozen.table, content);
-            for (i, idx) in frozen.per_server.iter().enumerate() {
-                let n = idx.match_count_view(scratch) as u32;
-                if n > 0 {
-                    out.push((ServerId::new(i as u16), n));
-                }
-            }
+            frozen.index.fanout_view(scratch, out);
             return;
         }
         for (i, idx) in self.per_server.iter().enumerate() {
@@ -244,11 +234,8 @@ impl EngineMatcher {
             return 0;
         };
         if let Some(frozen) = &self.frozen {
-            let Some(idx) = frozen.per_server.get(server.as_usize()) else {
-                return 0;
-            };
             scratch.symbolize(&frozen.table, content);
-            return idx.match_count_view(scratch) as u32;
+            return frozen.index.count_at_view(scratch, server);
         }
         self.per_server
             .get(server.as_usize())
@@ -402,6 +389,31 @@ mod tests {
             vec![(ServerId::new(0), 2)]
         );
         m.subscribe(ServerId::new(1), sports).unwrap();
+        assert!(!m.is_frozen());
+    }
+
+    #[test]
+    fn rejected_calls_leave_the_kernel_frozen() {
+        let mut m = EngineMatcher::new(2);
+        let id = m
+            .subscribe(ServerId::new(0), Subscription::wildcard())
+            .unwrap();
+        m.freeze();
+        assert!(matches!(
+            m.subscribe(ServerId::new(2), Subscription::wildcard()),
+            Err(MatchError::UnknownServer { .. })
+        ));
+        assert!(m.is_frozen(), "a rejected subscribe changed nothing");
+        assert!(matches!(
+            m.unsubscribe(ServerId::new(2), id),
+            Err(MatchError::UnknownServer { .. })
+        ));
+        assert!(matches!(
+            m.unsubscribe(ServerId::new(1), id),
+            Err(MatchError::UnknownSubscription { .. })
+        ));
+        assert!(m.is_frozen(), "a rejected unsubscribe changed nothing");
+        m.unsubscribe(ServerId::new(0), id).unwrap();
         assert!(!m.is_frozen());
     }
 

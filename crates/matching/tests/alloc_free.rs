@@ -5,7 +5,8 @@
 //! subscriptions), warms one `MatchScratch` and output buffer past their
 //! one-time growth, then matches every content again and asserts the
 //! allocation counter did not move — the `matches_into` /
-//! `match_count_scratch` contract the publish fan-out loops rely on.
+//! `match_count_scratch` / `matched_servers_into` / `match_count_with`
+//! contract the publish fan-out and request loops rely on.
 //!
 //! Everything lives in ONE `#[test]` so no harness bookkeeping runs — and
 //! allocates — inside the measurement window.
@@ -74,18 +75,31 @@ fn steady_state_matching_does_not_allocate() {
         index.insert(sub);
     }
 
-    // A per-proxy matcher over the same kind of mix, driving the batched
-    // `matched_servers_into` fan-out API.
+    // A fleet over the same kind of mix, every class at most proxies —
+    // uneven populations, proxy 5 empty, a three-predicate multi every
+    // tenth — driving the batched `matched_servers_into` fan-out and the
+    // per-request `match_count_with`.
     let mut engine = EngineMatcher::new(8);
-    for i in 0..400usize {
-        let server = ServerId::new((i % 8) as u16);
+    for i in 0..1_600usize {
+        let server = ServerId::new(if i % 8 == 5 { 0 } else { (i % 8) as u16 });
         let cat = categories[i % categories.len()];
-        engine
-            .subscribe(
-                server,
-                Subscription::new(vec![Predicate::eq("category", Value::str(cat))]),
-            )
-            .unwrap();
+        let tag = tags[i % tags.len()];
+        let sub = match i % 10 {
+            0..=2 => Subscription::new(vec![Predicate::eq("category", Value::str(cat))]),
+            3 | 4 => Subscription::new(vec![
+                Predicate::eq("category", Value::str(cat)),
+                Predicate::contains("tags", tag),
+            ]),
+            5 | 6 => Subscription::new(vec![Predicate::ge("bytes", (i as i64 % 16) * 1_024)]),
+            7 => Subscription::new(vec![
+                Predicate::eq("category", Value::str(cat)),
+                Predicate::contains("tags", tag),
+                Predicate::lt("bytes", (i as i64 % 16) * 2_048),
+            ]),
+            8 => Subscription::new(vec![Predicate::contains("tags", tag)]),
+            _ => Subscription::wildcard(),
+        };
+        engine.subscribe(server, sub).unwrap();
     }
 
     let contents: Vec<Content> = (0..64usize)
@@ -101,7 +115,7 @@ fn steady_state_matching_does_not_allocate() {
     }
 
     // The frozen kernel over the same population: standalone index and
-    // the engine's per-proxy frozen fan-out path.
+    // the engine's fleet-wide kernel.
     let mut table = SymbolTable::new();
     let frozen = FrozenIndex::freeze(&index, &mut table);
     engine.freeze();
@@ -124,14 +138,27 @@ fn steady_state_matching_does_not_allocate() {
         warm_matches += frozen_out.len();
         warm_matches += frozen.match_count_scratch(&table, content, &mut scratch);
     }
+    // The fan-out's per-proxy count array and the fleet-wide bitsets grow
+    // here, in warm-up, and never again.
+    let mut fleet_matches = 0usize;
     for i in 0..contents.len() {
-        engine.matched_servers_into(PageId::new(i as u32), &mut scratch, &mut fanout);
-        warm_matches += fanout.len();
+        let page = PageId::new(i as u32);
+        engine.matched_servers_into(page, &mut scratch, &mut fanout);
+        let rows: u32 = fanout.iter().map(|&(_, n)| n).sum();
+        let mut requests = 0;
+        for server in 0..9 {
+            requests += engine.match_count_with(page, ServerId::new(server), &mut scratch);
+        }
+        assert_eq!(rows, requests, "fan-out rows and per-proxy counts disagree");
+        fleet_matches += rows as usize;
     }
+    assert!(fleet_matches > 0, "fleet matched nothing — bad fixture");
+    warm_matches += 2 * fleet_matches;
     assert!(warm_matches > 0, "warm-up matched nothing — bad fixture");
 
     // Measurement window: the same calls must not touch the allocator —
-    // the legacy kernel, the frozen kernel, and the frozen engine fan-out.
+    // the legacy kernel, the frozen kernel, and the frozen engine's
+    // fan-out and request paths.
     let before = allocations();
     let mut steady_matches = 0usize;
     for _ in 0..4 {
@@ -144,8 +171,13 @@ fn steady_state_matching_does_not_allocate() {
             steady_matches += frozen.match_count_scratch(&table, content, &mut scratch);
         }
         for i in 0..contents.len() {
-            engine.matched_servers_into(PageId::new(i as u32), &mut scratch, &mut fanout);
-            steady_matches += fanout.len();
+            let page = PageId::new(i as u32);
+            engine.matched_servers_into(page, &mut scratch, &mut fanout);
+            steady_matches += fanout.iter().map(|&(_, n)| n as usize).sum::<usize>();
+            for server in 0..9 {
+                steady_matches +=
+                    engine.match_count_with(page, ServerId::new(server), &mut scratch) as usize;
+            }
         }
     }
     let after = allocations();

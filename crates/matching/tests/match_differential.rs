@@ -2,16 +2,19 @@
 //! mutable [`SubscriptionIndex`] vs. brute-force predicate evaluation must
 //! be bit-identical — same match-id sets, same counts — over rotating
 //! subscription shapes, content shapes, insert/remove churn, and the
-//! wildcard/empty edge cases. The end-to-end `SimResult` half of the
-//! differential (all 12 strategies) lives in
+//! wildcard/empty edge cases. A one-index freeze is the one-proxy case of
+//! the fleet-wide kernel; the fleet property drives the same code through
+//! [`EngineMatcher`] with one to five proxies. The end-to-end `SimResult`
+//! half of the differential (all 12 strategies) lives in
 //! `crates/sim/tests/frozen_differential.rs`.
 
 use proptest::prelude::*;
 
 use pscd_matching::{
-    Content, FrozenIndex, MatchScratch, Op, Predicate, Subscription, SubscriptionIndex,
-    SymbolTable, Value,
+    Content, EngineMatcher, FrozenIndex, MatchScratch, Matcher, Op, Predicate, Subscription,
+    SubscriptionId, SubscriptionIndex, SymbolTable, Value,
 };
+use pscd_types::{PageId, ServerId};
 
 const ATTRS: [&str; 4] = ["category", "words", "tags", "author"];
 const STRINGS: [&str; 5] = ["sports", "politics", "tech", "music", "science"];
@@ -94,8 +97,128 @@ fn assert_differential(index: &SubscriptionIndex, contents: &[Content]) {
     }
 }
 
+/// One proxy's subscriptions: none at all, wildcards only, or a mix of
+/// every class.
+fn proxy_strategy() -> impl Strategy<Value = Vec<Subscription>> {
+    prop_oneof![
+        Just(Vec::new()),
+        (1usize..4).prop_map(|n| vec![Subscription::wildcard(); n]),
+        proptest::collection::vec(subscription_strategy(), 1..16),
+    ]
+}
+
+/// What a fleet holds, kept beside the matcher: per proxy, every live
+/// `(id, subscription)` — the brute-force oracle's input.
+type Mirror = Vec<Vec<(SubscriptionId, Subscription)>>;
+
+/// Checks `matcher` against `mirror` on every content: the fan-out rows
+/// and every single `(page, server)` count must equal brute-force
+/// `Subscription::matches` and the per-proxy mutable index, whichever
+/// kernel (frozen or mutable) the matcher is on.
+fn assert_fleet(matcher: &EngineMatcher, mirror: &Mirror, contents: &[Content]) {
+    let servers = mirror.len() as u16;
+    let mut scratch = MatchScratch::new();
+    let mut rows = vec![(ServerId::new(0), 0)];
+    for (i, content) in contents.iter().enumerate() {
+        let page = PageId::new(i as u32);
+        let brute: Vec<u32> = mirror
+            .iter()
+            .map(|subs| subs.iter().filter(|(_, s)| s.matches(content)).count() as u32)
+            .collect();
+        matcher.matched_servers_into(page, &mut scratch, &mut rows);
+        let expected: Vec<_> = (0..servers)
+            .map(ServerId::new)
+            .zip(brute.iter().copied())
+            .filter(|&(_, n)| n > 0)
+            .collect();
+        assert_eq!(rows, expected, "fan-out rows of page {i}");
+        assert_eq!(matcher.matched_servers(page), expected);
+        for (server, &n) in (0..servers).map(ServerId::new).zip(&brute) {
+            assert_eq!(
+                matcher.match_count_with(page, server, &mut scratch),
+                n,
+                "page {i} at {server:?}"
+            );
+            let index = matcher.index(server).unwrap();
+            assert_eq!(index.match_count(content) as u32, n, "mutable index");
+        }
+        for outside in [servers, u16::MAX] {
+            let outside = ServerId::new(outside);
+            assert_eq!(matcher.match_count_with(page, outside, &mut scratch), 0);
+        }
+    }
+    let unregistered = PageId::new(contents.len() as u32);
+    matcher.matched_servers_into(unregistered, &mut scratch, &mut rows);
+    assert!(rows.is_empty(), "unregistered page");
+    assert_eq!(
+        matcher.match_count_with(unregistered, ServerId::new(0), &mut scratch),
+        0
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The fleet-wide kernel: random fleets of one to five proxies (empty,
+    /// wildcard-only and mixed ones, the same subscriptions duplicated at
+    /// several proxies) resolve every publish fan-out and every request
+    /// like brute force and the mutable indexes — frozen, thawed by
+    /// subscribe/unsubscribe churn, and frozen again.
+    #[test]
+    fn fleet_fanout_and_requests_agree_with_per_proxy_indexes(
+        proxies in proptest::collection::vec(proxy_strategy(), 1..6),
+        shared in proptest::collection::vec((subscription_strategy(), 0u8..32), 0..4),
+        contents in proptest::collection::vec(content_strategy(), 1..8),
+        removes in proptest::collection::vec(proptest::bool::ANY, 0..24),
+        late in proptest::collection::vec((subscription_strategy(), 0usize..5), 0..8),
+    ) {
+        let mut matcher = EngineMatcher::new(proxies.len() as u16);
+        let mut mirror: Mirror = vec![Vec::new(); proxies.len()];
+        let subscribe = |matcher: &mut EngineMatcher, mirror: &mut Mirror, at: usize, sub: &Subscription| {
+            let id = matcher.subscribe(ServerId::new(at as u16), sub.clone()).unwrap();
+            mirror[at].push((id, sub.clone()));
+        };
+        for (at, subs) in proxies.iter().enumerate() {
+            for sub in subs {
+                subscribe(&mut matcher, &mut mirror, at, sub);
+            }
+        }
+        // Bit `p` of the mask places a copy at proxy `p`.
+        for (sub, mask) in &shared {
+            for at in (0..proxies.len()).filter(|at| mask >> at & 1 == 1) {
+                subscribe(&mut matcher, &mut mirror, at, sub);
+            }
+        }
+        for (i, content) in contents.iter().enumerate() {
+            matcher.register_page(PageId::new(i as u32), content.clone());
+        }
+
+        assert_fleet(&matcher, &mirror, &contents);
+        matcher.freeze();
+        prop_assert!(matcher.is_frozen());
+        assert_fleet(&matcher, &mirror, &contents);
+
+        // Churn: drop the flagged subscriptions round-robin over the
+        // proxies, add the late ones, and compare thawed and refrozen.
+        let mut churned = false;
+        for (k, _) in removes.iter().enumerate().filter(|(_, &remove)| remove) {
+            let at = k % mirror.len();
+            if !mirror[at].is_empty() {
+                let victim = k % mirror[at].len();
+                let (id, _) = mirror[at].swap_remove(victim);
+                matcher.unsubscribe(ServerId::new(at as u16), id).unwrap();
+                churned = true;
+            }
+        }
+        for (sub, at) in &late {
+            subscribe(&mut matcher, &mut mirror, at % proxies.len(), sub);
+            churned = true;
+        }
+        prop_assert_eq!(matcher.is_frozen(), !churned);
+        assert_fleet(&matcher, &mirror, &contents);
+        matcher.freeze();
+        assert_fleet(&matcher, &mirror, &contents);
+    }
 
     /// Freeze-of-fresh-index: all three kernels agree on random
     /// subscription populations and contents.

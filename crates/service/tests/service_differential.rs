@@ -298,6 +298,33 @@ fn content_churn_refreezes_lazily_and_stays_identical() {
     assert_equivalent(kind, &outcome, false, "content churn");
 }
 
+/// A rejected content call changes no subscription, so it must not thaw
+/// the kernel: the next resolved event would pay a whole refreeze for
+/// nothing.
+#[test]
+fn content_rejected_churn_keeps_the_kernel_frozen() {
+    use pscd_matching::{Subscription, SubscriptionId};
+
+    let f = fixture();
+    let servers = f.trace.server_count();
+    let mut core = ServiceCore::new(service_config(StrategyKind::Lru, false)).unwrap();
+    core.attach_matcher(pscd_workload::matcher_from_table(&f.subs, servers))
+        .unwrap();
+    assert!(core.matcher_frozen());
+
+    let unknown = SubscriptionId::new(u64::MAX);
+    assert!(core.unsubscribe_content(ServerId::new(0), unknown).is_err());
+    assert!(core.matcher_frozen(), "unknown subscription id");
+    assert!(core
+        .unsubscribe_content(ServerId::new(servers), unknown)
+        .is_err());
+    assert!(core.matcher_frozen(), "unknown server on unsubscribe");
+    assert!(core
+        .subscribe_content(ServerId::new(servers), Subscription::wildcard())
+        .is_err());
+    assert!(core.matcher_frozen(), "unknown server on subscribe");
+}
+
 /// Misconfigured matchers are rejected up front, and the content
 /// subscribe front door requires an attached matcher.
 #[test]
