@@ -3,11 +3,12 @@
 
 use serde::{Deserialize, Serialize};
 
-use pscd_cache::PageRef;
+use pscd_cache::{AccessOutcome, PageRef, SnapshotError, SnapshotReader};
 use pscd_core::{Strategy, StrategyImpl};
 use pscd_obs::{NullObserver, Observer, SharedObserver};
 use pscd_types::{Bytes, PageId, PageMeta, ServerId};
 
+use crate::residency::Residency;
 use crate::{BrokerError, Traffic};
 
 /// How the push-time module moves content from the publisher to a proxy
@@ -91,8 +92,12 @@ pub struct DeliveryEngine<O: Observer = NullObserver> {
     obs: SharedObserver<O>,
     /// Reused eviction scratch handed to the strategies, so the hot path
     /// performs no per-event allocation once it has grown to the high-water
-    /// mark (see [`reserve_evict_scratch`](Self::reserve_evict_scratch)).
+    /// mark (see [`reserve_pages`](Self::reserve_pages)).
     scratch: Vec<PageId>,
+    /// Which proxies may hold each page: marked wherever a strategy reports
+    /// an admission, consumed by
+    /// [`invalidate_everywhere`](Self::invalidate_everywhere).
+    residency: Residency,
     /// Global id of the first proxy this engine owns. Non-zero only for
     /// shard-local engines, which own the contiguous server range
     /// `[first, first + proxies.len())` while keeping global
@@ -166,6 +171,11 @@ impl<O: Observer> DeliveryEngine<O> {
     /// by the replay hot loop (built via
     /// [`StrategyKind::build_impl_observed`](pscd_core::StrategyKind::build_impl_observed)).
     ///
+    /// The strategies must be empty: the engine learns what a proxy holds
+    /// from the outcomes it reports (the [`Strategy`] residency contract),
+    /// and state saved earlier comes in through
+    /// [`restore_strategy`](Self::restore_strategy).
+    ///
     /// # Errors
     ///
     /// Returns [`BrokerError::MismatchedCosts`] if `strategies` and `costs`
@@ -183,7 +193,12 @@ impl<O: Observer> DeliveryEngine<O> {
                 costs: costs.len(),
             });
         }
+        debug_assert!(
+            strategies.iter().all(|s| s.is_empty()),
+            "strategies handed to an engine start empty"
+        );
         Ok(Self {
+            residency: Residency::new(strategies.len()),
             proxies: strategies
                 .into_iter()
                 .zip(costs)
@@ -202,14 +217,17 @@ impl<O: Observer> DeliveryEngine<O> {
         })
     }
 
-    /// Grows the internal eviction scratch to at least `capacity` entries.
-    /// Call once before entering an allocation-free replay loop: a single
-    /// event can evict at most the resident page count, so the page
-    /// universe size is always a safe bound.
-    pub fn reserve_evict_scratch(&mut self, capacity: usize) {
-        if self.scratch.capacity() < capacity {
-            self.scratch.reserve(capacity - self.scratch.capacity());
+    /// Sizes the engine's per-page state for the page ordinals
+    /// `0..page_count`: the eviction scratch (a single event can evict at
+    /// most the resident page count, so the universe is a safe bound) and
+    /// the residency index (`page_count × ⌈proxies / 64⌉` words). Call once
+    /// before entering an allocation-free replay loop; without it both grow
+    /// on demand.
+    pub fn reserve_pages(&mut self, page_count: usize) {
+        if self.scratch.capacity() < page_count {
+            self.scratch.reserve(page_count - self.scratch.capacity());
         }
+        self.residency.reserve(page_count);
     }
 
     /// Translates a global server id into this engine's proxy slot, or
@@ -273,8 +291,13 @@ impl<O: Observer> DeliveryEngine<O> {
             proxies,
             obs,
             scratch,
+            residency,
             ..
         } = self;
+        // Stored bits of one residency word, ORed into the page's row once:
+        // matched servers ascend, so a word is complete when the next begins
+        // (in any other order a word is merely flushed more than once).
+        let (mut word, mut stored_bits) = (0, 0u64);
         for &(server, subs) in matched {
             let slot = server
                 .as_usize()
@@ -303,6 +326,13 @@ impl<O: Observer> DeliveryEngine<O> {
             if transferred {
                 proxy.traffic.record_push(page.size());
             }
+            if stored {
+                if slot / 64 != word {
+                    residency.mark_word(page.id(), word, stored_bits);
+                    (word, stored_bits) = (slot / 64, 0);
+                }
+                stored_bits |= 1 << (slot % 64);
+            }
             if O::ENABLED {
                 obs.push(server, page.id(), page.size(), transferred, stored);
             }
@@ -312,6 +342,7 @@ impl<O: Observer> DeliveryEngine<O> {
                 stored,
             });
         }
+        residency.mark_word(page.id(), word, stored_bits);
     }
 
     /// Serves a subscriber request for `page` at `server`. A miss fetches
@@ -348,11 +379,17 @@ impl<O: Observer> DeliveryEngine<O> {
             server_count: count,
         })?;
         let Self {
-            proxies, scratch, ..
+            proxies,
+            scratch,
+            residency,
+            ..
         } = self;
         let proxy = &mut proxies[slot];
         let page_ref = PageRef::new(page.id(), page.size(), proxy.cost);
         let outcome = proxy.strategy.on_access(&page_ref, subs, scratch);
+        if outcome == AccessOutcome::MissAdmitted {
+            residency.mark(page.id(), slot);
+        }
         proxy.requests += 1;
         let hit = outcome.is_hit();
         if hit {
@@ -418,21 +455,40 @@ impl<O: Observer> DeliveryEngine<O> {
         &self.proxies[self.slot(server).expect("server out of range")].strategy
     }
 
-    /// Mutable access to a proxy's concrete strategy, for restoring a
-    /// snapshot in place.
+    /// Restores a proxy's strategy in place from bytes written by
+    /// [`StrategyImpl::encode_snapshot`](pscd_core::StrategyImpl::encode_snapshot),
+    /// then marks every restored page in the residency index — a restore
+    /// is the one way pages enter a strategy without the engine seeing an
+    /// admission.
+    ///
+    /// # Errors
+    ///
+    /// Whatever
+    /// [`StrategyImpl::decode_snapshot`](pscd_core::StrategyImpl::decode_snapshot)
+    /// returns; the proxy's strategy is then unspecified and the engine
+    /// should be discarded.
     ///
     /// # Panics
     ///
     /// Panics if `server` is out of range.
-    pub fn strategy_impl_mut(&mut self, server: ServerId) -> &mut StrategyImpl<O> {
+    pub fn restore_strategy(
+        &mut self,
+        server: ServerId,
+        r: &mut SnapshotReader<'_>,
+    ) -> Result<(), SnapshotError> {
         let slot = self.slot(server).expect("server out of range");
-        &mut self.proxies[slot].strategy
+        let Self {
+            proxies, residency, ..
+        } = self;
+        let strategy = &mut proxies[slot].strategy;
+        strategy.decode_snapshot(r)?;
+        strategy.for_each_resident(|page| residency.mark(page, slot))
     }
 
     /// Overwrites a proxy's accounting counters (hits, requests, traffic)
     /// with values restored from a snapshot. The strategy state itself is
     /// restored separately via
-    /// [`strategy_impl_mut`](Self::strategy_impl_mut).
+    /// [`restore_strategy`](Self::restore_strategy).
     ///
     /// # Panics
     ///
@@ -454,20 +510,29 @@ impl<O: Observer> DeliveryEngine<O> {
     /// Drops a stale page from every proxy cache (e.g. a newer version of
     /// the same article was just published). Returns the number of proxies
     /// that actually held it.
-    pub fn invalidate_everywhere(&mut self, page: pscd_types::PageId) -> usize {
+    ///
+    /// Only the proxies the residency index marks for `page` are asked, in
+    /// ascending server order, so the cost follows the copies that may
+    /// exist rather than the size of the fleet; each still answers through
+    /// [`Strategy::invalidate`], which checks exactly and reports the
+    /// observer event. The page's marks are cleared: nobody holds it
+    /// afterwards.
+    pub fn invalidate_everywhere(&mut self, page: PageId) -> usize {
+        let Self {
+            proxies, residency, ..
+        } = self;
         let mut dropped = 0;
-        for proxy in &mut self.proxies {
-            if proxy.strategy.invalidate(page) {
-                dropped += 1;
-            }
-        }
+        residency.take(page, |slot| {
+            dropped += usize::from(proxies[slot].strategy.invalidate(page));
+        });
         dropped
     }
 
-    /// Replaces a proxy's strategy with a fresh instance, modeling a
-    /// proxy crash/restart: all cached content and algorithm state is
+    /// Replaces a proxy's strategy with a fresh (empty) instance, modeling
+    /// a proxy crash/restart: all cached content and algorithm state is
     /// lost, while the hit/traffic counters (which describe the past)
-    /// are kept.
+    /// are kept. The residency index keeps the old strategy's marks; over
+    /// an empty cache they are still a superset.
     ///
     /// # Errors
     ///
@@ -482,7 +547,9 @@ impl<O: Observer> DeliveryEngine<O> {
             server,
             server_count: count,
         })?;
-        self.proxies[slot].strategy = strategy.into();
+        let strategy = strategy.into();
+        debug_assert!(strategy.is_empty(), "a restarted proxy starts empty");
+        self.proxies[slot].strategy = strategy;
         Ok(())
     }
 }

@@ -34,6 +34,7 @@
 
 mod delivery;
 mod error;
+mod residency;
 mod traffic;
 
 pub use delivery::{DeliveryEngine, PushRecord, PushScheme, RequestRecord};

@@ -1,0 +1,150 @@
+//! The page-major residency index: which proxies may hold each page.
+
+use pscd_types::PageId;
+
+/// One row of `⌈proxies / 64⌉` words per page ordinal; bit `slot` of a
+/// page's row is set when proxy `slot` reported storing the page since the
+/// row was last taken.
+///
+/// Evictions do not clear bits, so a row is a superset of the proxies that
+/// hold the page — enough for invalidation, which asks each marked proxy
+/// and lets the strategy answer exactly. Like a
+/// [`PageTable`](pscd_cache::PageTable), the index is preallocated for a
+/// known universe ([`reserve`](Self::reserve)), after which marking never
+/// allocates, and grows on write otherwise.
+#[derive(Debug)]
+pub(crate) struct Residency {
+    words_per_page: usize,
+    /// Row-major: page `p` owns `bits[p * words_per_page..][..words_per_page]`.
+    bits: Vec<u64>,
+}
+
+impl Residency {
+    /// An empty index over `proxies` slots, nothing preallocated.
+    pub(crate) fn new(proxies: usize) -> Self {
+        Self {
+            words_per_page: proxies.div_ceil(64),
+            bits: Vec::new(),
+        }
+    }
+
+    /// Preallocates the rows of the page ordinals `0..page_count`.
+    pub(crate) fn reserve(&mut self, page_count: usize) {
+        let len = page_count * self.words_per_page;
+        if self.bits.len() < len {
+            self.bits.resize(len, 0);
+        }
+    }
+
+    /// The row of `page` for marking, growing the index to cover it.
+    #[inline]
+    fn row_mut(&mut self, page: PageId) -> &mut [u64] {
+        let start = page.as_usize() * self.words_per_page;
+        let end = start + self.words_per_page;
+        if end > self.bits.len() {
+            self.grow(end);
+        }
+        &mut self.bits[start..end]
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self, len: usize) {
+        self.bits.resize(len, 0);
+    }
+
+    /// Records that proxy `slot` may hold `page`.
+    #[inline]
+    pub(crate) fn mark(&mut self, page: PageId, slot: usize) {
+        self.mark_word(page, slot / 64, 1 << (slot % 64));
+    }
+
+    /// Records the proxies `word * 64 + i`, for each set bit `i` of `bits`,
+    /// as possible holders of `page`; no bits leave the index untouched.
+    /// Bits already set are not rewritten: marks outlive evictions, so a
+    /// proxy re-admitting a page usually finds its bit in place, and the
+    /// store would only dirty the line again.
+    #[inline]
+    pub(crate) fn mark_word(&mut self, page: PageId, word: usize, bits: u64) {
+        if bits == 0 {
+            return;
+        }
+        let slot = &mut self.row_mut(page)[word];
+        if *slot | bits != *slot {
+            *slot |= bits;
+        }
+    }
+
+    /// Clears the row of `page`, calling `visit` with each slot that was
+    /// marked, in ascending order. A page the index never covered has no
+    /// marked slots.
+    #[inline]
+    pub(crate) fn take(&mut self, page: PageId, mut visit: impl FnMut(usize)) {
+        let start = page.as_usize() * self.words_per_page;
+        let row = self
+            .bits
+            .get_mut(start..start + self.words_per_page)
+            .unwrap_or_default();
+        for (w, word) in row.iter_mut().enumerate() {
+            // A clear word is left unwritten: a store would dirty a line
+            // of a large, mostly-zero index for a page nobody stored.
+            if *word == 0 {
+                continue;
+            }
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                visit(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn taken(r: &mut Residency, page: u32) -> Vec<usize> {
+        let mut slots = Vec::new();
+        r.take(PageId::new(page), |slot| slots.push(slot));
+        slots
+    }
+
+    #[test]
+    fn take_yields_marked_slots_ascending_and_clears_the_row() {
+        for reserved in [0, 8] {
+            let mut r = Residency::new(130);
+            r.reserve(reserved);
+            for slot in [129, 0, 64, 63, 65, 64] {
+                r.mark(PageId::new(5), slot);
+            }
+            r.mark(PageId::new(4), 7);
+            r.mark_word(PageId::new(4), 1, 0b101);
+            r.mark_word(PageId::new(6), 2, 0);
+            assert_eq!(taken(&mut r, 5), [0, 63, 64, 65, 129]);
+            assert_eq!(taken(&mut r, 5), []);
+            assert_eq!(taken(&mut r, 4), [7, 64, 66]);
+            assert_eq!(r.bits.len(), 3 * 6.max(reserved), "no bits, no growth");
+        }
+    }
+
+    #[test]
+    fn pages_beyond_the_index_are_unmarked_and_reads_never_grow_it() {
+        let mut r = Residency::new(3);
+        r.reserve(4);
+        assert_eq!(taken(&mut r, 4), []);
+        assert_eq!(taken(&mut r, u32::MAX), []);
+        assert_eq!(r.bits.len(), 4);
+        r.mark(PageId::new(9), 2);
+        assert_eq!(r.bits.len(), 10, "a write past the universe grows it");
+        assert_eq!(taken(&mut r, 9), [2]);
+    }
+
+    #[test]
+    fn an_engine_without_proxies_indexes_nothing() {
+        let mut r = Residency::new(0);
+        r.reserve(100);
+        assert!(r.bits.is_empty());
+        assert_eq!(taken(&mut r, 1), []);
+    }
+}

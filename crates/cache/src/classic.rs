@@ -59,6 +59,13 @@ macro_rules! snapshot_delegate {
             ) -> Result<(), SnapshotError> {
                 self.engine.decode_state(r)
             }
+
+            /// The cached pages, in arbitrary order — what an owner that
+            /// tracks residency outside the cache re-reads after a
+            /// [`decode_state`](Self::decode_state).
+            pub fn residents(&self) -> impl Iterator<Item = PageId> + '_ {
+                self.engine.store().iter().map(|p| p.page)
+            }
         }
     };
 }

@@ -274,6 +274,11 @@ impl<O: Observer> DcAdaptive<O> {
         }
     }
 
+    /// The cached pages, in arbitrary order.
+    pub(crate) fn residents(&self) -> impl Iterator<Item = PageId> + '_ {
+        self.entries.iter().map(|(page, _)| page)
+    }
+
     /// Restores state captured by [`encode_state`](Self::encode_state).
     pub(crate) fn decode_state(
         &mut self,

@@ -91,6 +91,15 @@ impl<O: Observer> DcFp<O> {
         self.ac.encode_state(out);
     }
 
+    /// The cached pages, in arbitrary order.
+    pub(crate) fn residents(&self) -> impl Iterator<Item = PageId> + '_ {
+        self.pc
+            .store()
+            .iter()
+            .chain(self.ac.store().iter())
+            .map(|p| p.page)
+    }
+
     /// Restores state captured by [`encode_state`](Self::encode_state).
     pub(crate) fn decode_state(
         &mut self,

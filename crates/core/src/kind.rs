@@ -307,6 +307,34 @@ impl<O: Observer> StrategyImpl<O> {
             StrategyImpl::Dyn(_) => unreachable!("snapshot_tag rejects Dyn"),
         }
     }
+
+    /// Calls `resident` with every cached page, in arbitrary order. A
+    /// restore is the one time pages enter a strategy without an
+    /// [`on_push`](Strategy::on_push) / [`on_access`](Strategy::on_access)
+    /// outcome saying so; an owner that tracks residency from those
+    /// outcomes (the delivery engine's residency index) reads the
+    /// restored population here. [`StrategyImpl::Dyn`] is opaque — it
+    /// cannot be restored into either — and returns
+    /// [`SnapshotError::Unsupported`].
+    pub fn for_each_resident(&self, resident: impl FnMut(PageId)) -> Result<(), SnapshotError> {
+        match self {
+            StrategyImpl::Lru(a) => a.policy().residents().for_each(resident),
+            StrategyImpl::Gds(a) => a.policy().residents().for_each(resident),
+            StrategyImpl::LfuDa(a) => a.policy().residents().for_each(resident),
+            StrategyImpl::GdStar(a) => a.policy().residents().for_each(resident),
+            StrategyImpl::Sub(s) => s.residents().for_each(resident),
+            StrategyImpl::Single(s) => s.residents().for_each(resident),
+            StrategyImpl::Dm(s) => s.residents().for_each(resident),
+            StrategyImpl::DcFp(s) => s.residents().for_each(resident),
+            StrategyImpl::Dc(s) => s.residents().for_each(resident),
+            StrategyImpl::Dyn(_) => {
+                return Err(SnapshotError::Unsupported(
+                    "dyn strategies cannot list their residents",
+                ))
+            }
+        }
+        Ok(())
+    }
 }
 
 impl<O: Observer> From<Box<dyn Strategy>> for StrategyImpl<O> {

@@ -54,6 +54,19 @@ impl PushOutcome {
 /// `subs` is the number of subscriptions matching the page at this proxy
 /// (`f_S(p)` / `s` in the paper's equations 2–5); access-only strategies
 /// ignore it.
+///
+/// # Residency contract
+///
+/// A strategy holds only pages it reported: a page becomes cached only
+/// inside an [`on_push`](Strategy::on_push) that returns
+/// [`PushOutcome::Stored`] or an [`on_access`](Strategy::on_access) that
+/// returns [`AccessOutcome::MissAdmitted`], and a strategy handed to a
+/// delivery engine starts empty. It may drop a page at any time without
+/// saying so. The delivery engine records where each page *may* live from
+/// those two outcomes and asks only those proxies to
+/// [`invalidate`](Strategy::invalidate) a stale version, so a strategy
+/// that cached a page behind a `Declined`, `Hit` or `MissBypassed` would
+/// keep serving it after it was superseded.
 pub trait Strategy: fmt::Debug {
     /// Short stable identifier used in reports ("GD*", "SG2", "DC-LAP", …).
     fn name(&self) -> &'static str;
@@ -97,6 +110,11 @@ pub trait Strategy: fmt::Debug {
     /// Drops `page` from the cache (its content became stale: a newer
     /// version was published). Returns `true` if it was cached. The
     /// strategy's statistics for other pages are unaffected.
+    ///
+    /// The delivery engine calls this only on proxies that reported
+    /// storing `page` since it was last invalidated (see the residency
+    /// contract above); the check whether the page is still there, and the
+    /// observer's invalidation event, stay here.
     fn invalidate(&mut self, page: PageId) -> bool;
 
     /// `true` if the strategy has a push-time module (i.e. pushes should be

@@ -66,6 +66,11 @@ impl<O: Observer> Sub<O> {
         self.engine.encode_state(out);
     }
 
+    /// The cached pages, in arbitrary order.
+    pub(crate) fn residents(&self) -> impl Iterator<Item = PageId> + '_ {
+        self.engine.store().iter().map(|p| p.page)
+    }
+
     /// Restores state captured by [`encode_state`](Self::encode_state).
     pub(crate) fn decode_state(
         &mut self,

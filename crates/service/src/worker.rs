@@ -146,7 +146,7 @@ impl Shard {
         let mut engine =
             DeliveryEngine::from_impls(strategies, costs, config.scheme, obs, ServerId::new(start))
                 .expect("lengths match by construction");
-        engine.reserve_evict_scratch(config.pages.len());
+        engine.reserve_pages(config.pages.len());
         Self {
             engine,
             hourly: HourlySeries::new(config.hours),
@@ -241,9 +241,7 @@ impl Shard {
         for (i, snap) in restore.servers.iter().enumerate() {
             let server = ServerId::new(self.start + i as u16);
             let mut r = SnapshotReader::new(&snap.blob);
-            self.engine
-                .strategy_impl_mut(server)
-                .decode_snapshot(&mut r)?;
+            self.engine.restore_strategy(server, &mut r)?;
             if !r.is_empty() {
                 return Err(SnapshotError::Corrupt("trailing bytes in strategy blob"));
             }

@@ -373,10 +373,13 @@ proptest! {
     /// Kill-and-recover: ingest a prefix of the stream, crash (drop the
     /// core without flushing or snapshotting), recover from the journal +
     /// last snapshot, ingest the rest — the final state must be
-    /// bit-identical to the batch replay of the whole stream.
+    /// bit-identical to the batch replay of the whole stream. With
+    /// `invalidate` the recovered engine must still find every restored
+    /// copy of a superseded page.
     #[test]
     fn recovery_converges_to_the_uncrashed_run(
         strategy_idx in 0usize..6,
+        invalidate in proptest::bool::ANY,
         kill_at in 0.0f64..1.0,
         snapshot_every in proptest::sample::select(vec![0u64, 64, 256, 1024]),
         chunk in proptest::sample::select(vec![1usize, 7, 50]),
@@ -385,7 +388,7 @@ proptest! {
         let kind = recovery_strategies()[strategy_idx];
         let k = (kill_at * f.events.len() as f64) as usize;
         let dir = temp_service_dir(&format!("{strategy_idx}-{snapshot_every}-{chunk}"));
-        let config = service_config(kind, false).with_persistence(dir.clone(), snapshot_every);
+        let config = service_config(kind, invalidate).with_persistence(dir.clone(), snapshot_every);
 
         let mut core = ServiceCore::new(config.clone()).unwrap();
         for c in f.events[..k].chunks(chunk) {
@@ -402,7 +405,7 @@ proptest! {
         let outcome = recovered.shutdown().unwrap();
         std::fs::remove_dir_all(&dir).ok();
 
-        let (reference, proxies) = batch_run(kind, false);
+        let (reference, proxies) = batch_run(kind, invalidate);
         prop_assert_eq!(&outcome.result, &reference);
         prop_assert_eq!(&outcome.proxies, &proxies);
     }
@@ -412,12 +415,13 @@ proptest! {
     #[test]
     fn killed_service_recovers_through_the_front_door(
         kill_at in 0.1f64..0.9,
+        invalidate in proptest::bool::ANY,
     ) {
         let f = fixture();
         let kind = StrategyKind::Sg2 { beta: 2.0 };
         let k = (kill_at * f.events.len() as f64) as usize;
         let dir = temp_service_dir("front-door");
-        let config = service_config(kind, false).with_persistence(dir.clone(), 512);
+        let config = service_config(kind, invalidate).with_persistence(dir.clone(), 512);
 
         let service = BrokerService::start(config.clone(), false).unwrap();
         let handle = service.handle();
@@ -429,7 +433,7 @@ proptest! {
         let outcome = recovered.shutdown().unwrap();
         std::fs::remove_dir_all(&dir).ok();
 
-        let (reference, proxies) = batch_run(kind, false);
+        let (reference, proxies) = batch_run(kind, invalidate);
         prop_assert_eq!(&outcome.result, &reference);
         prop_assert_eq!(&outcome.proxies, &proxies);
     }

@@ -421,9 +421,9 @@ impl<O: Observer> ReplayState<O> {
             ServerId::new(start),
         )
         .expect("lengths match by construction");
-        // One event can evict at most the page universe; size the eviction
-        // scratch once so the hot loop never grows it.
-        engine.reserve_evict_scratch(meta.pages().len());
+        // Size the engine's per-page state (eviction scratch, residency
+        // index) once so the hot loop never grows it.
+        engine.reserve_pages(meta.pages().len());
         // Victims are resolved over the *full* fleet (a pure function of
         // the seed) and filtered to the range, so fault injection hits
         // exactly the proxies it hits sequentially.
