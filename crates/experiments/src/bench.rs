@@ -150,7 +150,7 @@ impl BenchReport {
             "ms",
             sample(n, || {
                 let t = Instant::now();
-                let stream = StreamingTrace::with_lookahead(&config, 1.0, window, 0, 4)?;
+                let stream = StreamingTrace::new(&config, 1.0, window, 0)?;
                 stream.drain_prefetched(&PrefetchOptions::new(4));
                 Ok(millis(t))
             })?,

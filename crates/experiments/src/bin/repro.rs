@@ -410,12 +410,7 @@ fn run_scenario(
             None => String::new(),
         }
     );
-    let stream = match prefetch {
-        Some(d) => {
-            StreamingTrace::from_scenario_with_lookahead(&scenario, 1.0, window, threads, d)?
-        }
-        None => StreamingTrace::from_scenario(&scenario, 1.0, window, threads)?,
-    };
+    let stream = StreamingTrace::from_scenario(&scenario, 1.0, window, threads)?;
     let meta = stream.meta();
     println!(
         "scenario {}: {} pages, {} publishes, {} requests, {} proxies, {} windows, digest {:016x}",

@@ -74,8 +74,7 @@ pub struct ExperimentContext {
     /// When set alongside `stream_window`, the streaming compile runs
     /// through the pipelined prefetcher at this compile-ahead depth
     /// (`repro --prefetch`): the window producer overlaps the consuming
-    /// concatenation, with the constructor-fused lookahead cache covering
-    /// the first batch. Bit-identical to the serial streaming compile.
+    /// concatenation. Bit-identical to the serial streaming compile.
     prefetch: Option<usize>,
     /// Compiled traces keyed by `(trace, quality.to_bits())`: each
     /// `(workload, subscription table)` pair is compiled exactly once and
@@ -271,41 +270,27 @@ impl ExperimentContext {
         }
         let workload = self.workload(trace);
         let compiled = if let Some(window) = self.stream_window {
-            if let Some(depth) = self.prefetch {
-                // Pipelined streaming mode: the compile-ahead producer
-                // generates and compiles windows on its own thread while
-                // this one concatenates; the lookahead cache covers the
-                // first batch straight out of the counting scan.
-                Arc::new(phase(
-                    &self.cold,
-                    &self.sink,
-                    "cold.stream.pipelined",
-                    || {
-                        StreamingTrace::with_lookahead(
-                            workload.config(),
-                            quality,
-                            window,
-                            self.threads,
-                            depth,
-                        )
-                        .map(|s| {
-                            s.materialize_prefetched_traced(
-                                &PrefetchOptions::new(depth),
-                                &self.sink,
-                            )
-                        })
-                    },
-                )?)
-            } else {
-                // Streaming mode: regenerate-and-compile one window at a
-                // time from the workload config (subscriptions derive from
-                // the counted per-page draws inside), then concatenate.
-                // Same value, O(window) compile memory.
-                Arc::new(phase(&self.cold, &self.sink, "cold.stream", || {
-                    StreamingTrace::new(workload.config(), quality, window, self.threads)
-                        .map(|s| s.materialize())
-                })?)
-            }
+            // Streaming mode: generate-and-compile one window at a time
+            // from the workload config (subscriptions derive from the
+            // counted per-page draws inside), then concatenate. Same
+            // value, O(window) compile memory. With a prefetch depth the
+            // compile-ahead producer generates and compiles windows on its
+            // own thread while this one concatenates.
+            let name = match self.prefetch {
+                Some(_) => "cold.stream.pipelined",
+                None => "cold.stream",
+            };
+            Arc::new(phase(&self.cold, &self.sink, name, || {
+                StreamingTrace::new(workload.config(), quality, window, self.threads).map(|s| {
+                    match self.prefetch {
+                        Some(depth) => s.materialize_prefetched_traced(
+                            &PrefetchOptions::new(depth),
+                            &self.sink,
+                        ),
+                        None => s.materialize(),
+                    }
+                })
+            })?)
         } else {
             let subs = phase(&self.cold, &self.sink, "cold.subscriptions", || {
                 workload.subscriptions_threads(quality, self.threads)

@@ -2,7 +2,7 @@
 //! window generation + compilation with replay.
 //!
 //! The serial pass ([`StreamingTrace::open`]) interleaves two very
-//! different workloads on one thread: regenerating and compiling window
+//! different workloads on one thread: generating and compiling window
 //! `N` (cold-path work — RNG substreams, sorting, fan-out resolution) and
 //! replaying it (hot-loop work — cache decisions per event). This module
 //! splits them: a **producer** runs on a dedicated `pscd-pool` pipeline
@@ -20,19 +20,21 @@
 //!   [`StreamingTrace::compile_window_into`] pair the serial pass uses
 //!   (which is the batch of one). Consumers never touch it; overlap
 //!   changes *when* a window is compiled, never *from what*.
-//! * **Batched generation scatters, it does not reorder.** A batch of
-//!   `prefetch_depth` windows regenerates each page once (the
-//!   amortization the speedup is made of: a page straddling `d` seams
-//!   regenerates once instead of `d` times) and buckets its events per
-//!   window in page-major order — the same
-//!   pre-sort order the serial pass and the monolithic compiler feed
-//!   their stable sorts, so ties land identically.
+//! * **Batched generation scatters, it does not reorder.** A pass draws
+//!   each page once, in the batch holding its first request, and scatters
+//!   the events to their windows — this batch's buckets, or the pending
+//!   tail until a later batch takes them. The `(time, page)` sort in
+//!   `compile_window_into` makes the draw order irrelevant, so ties land
+//!   as in the serial pass and the monolithic compiler at every depth.
 //!
 //! The memory bound stays explicit: the producer may run at most
 //! `prefetch_depth` windows ahead of the **slowest** consumer, so at most
 //! `prefetch_depth + 1` windows are ever alive (queued + the one each
-//! consumer is replaying) — O(depth × window), never O(trace). The queue
-//! tracks its own high-water marks ([`PrefetchStats`]) and the
+//! consumer is replaying), beside the producer's pending tail of
+//! already-drawn later requests — O(depth × window + live tail), never
+//! O(trace); the tail peaks at 0.13 MB on the `stream_memory` fixture,
+//! under the 0.21 MB its depth-1 queue holds. The queue tracks its own
+//! high-water marks, the producer its tail's ([`PrefetchStats`]), and the
 //! `stream_memory` suite checks a counting allocator against them.
 //!
 //! Sharded replay shares **one** prefetcher: each shard consumes the same
@@ -44,7 +46,7 @@
 //! trace shows the overlap directly.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use pscd_obs::{NullObserver, TraceSink};
 use pscd_topology::FetchCosts;
@@ -92,11 +94,11 @@ impl PrefetchOptions {
     }
 }
 
-/// High-water marks of one pipelined pass, from the queue's own
-/// accounting: what "peak stays O(prefetch_depth × window)" means
-/// concretely. The `stream_memory` suite asserts both these numbers and
-/// the allocator agree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// High-water marks of one pipelined pass, from the queue's and the
+/// producer's own accounting: what "peak stays O(prefetch_depth × window +
+/// live tail)" means concretely. The `stream_memory` suite asserts both
+/// these numbers and the allocator agree.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PrefetchStats {
     /// Windows handed over.
     pub windows: usize,
@@ -107,6 +109,12 @@ pub struct PrefetchStats {
     pub peak_windows: usize,
     /// Byte high-water of the alive windows' buffers.
     pub peak_bytes: usize,
+    /// Byte high-water of the producer's pending tail: requests drawn
+    /// with their page but belonging to windows not yet gathered.
+    pub peak_tail_bytes: usize,
+    /// Request events the producer drew; `meta.request_count()` when every
+    /// page was drawn exactly once.
+    pub generated_events: usize,
 }
 
 /// One compiled window with owned buffers, safe to hand across threads;
@@ -155,8 +163,9 @@ struct QueueInner {
     cursors: Vec<usize>,
     done: bool,
     live_bytes: usize,
-    peak_bytes: usize,
-    peak_windows: usize,
+    /// The pass's counts and high-water marks so far; the producer adds
+    /// its own two when it finishes.
+    stats: PrefetchStats,
 }
 
 impl QueueInner {
@@ -206,29 +215,36 @@ impl WindowQueue {
                 cursors: vec![0; consumers.max(1)],
                 done: false,
                 live_bytes: 0,
-                peak_bytes: 0,
-                peak_windows: 0,
+                stats: PrefetchStats::default(),
             }),
             avail: Condvar::new(),
             space: Condvar::new(),
         }
     }
 
+    /// Poison-tolerant: every critical section below leaves the counters
+    /// consistent at each step, and the guards that finish the stream and
+    /// retire cursors lock from `Drop` during an unwind, where a second
+    /// panic would abort the process instead of reporting the first.
     fn lock(&self) -> MutexGuard<'_, QueueInner> {
-        self.inner.lock().expect("prefetch queue poisoned")
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn push(&self, window: OwnedWindow) {
         let mut g = self.lock();
         while g.pushed - g.min_cursor() >= self.depth {
-            g = self.space.wait(g).expect("prefetch queue poisoned");
+            g = self.space.wait(g).unwrap_or_else(PoisonError::into_inner);
         }
+        // With every consumer gone nobody retires windows on take.
+        g.retire_passed();
         let bytes = window.bytes();
         g.live_bytes += bytes;
+        g.stats.windows += 1;
+        g.stats.events += window.events.len();
         g.buf.push_back((Arc::new(window), bytes));
         g.pushed += 1;
-        g.peak_bytes = g.peak_bytes.max(g.live_bytes);
-        g.peak_windows = g.peak_windows.max(g.buf.len());
+        g.stats.peak_bytes = g.stats.peak_bytes.max(g.live_bytes);
+        g.stats.peak_windows = g.stats.peak_windows.max(g.buf.len());
         drop(g);
         self.avail.notify_all();
     }
@@ -254,7 +270,7 @@ impl WindowQueue {
             if g.done {
                 return None;
             }
-            g = self.avail.wait(g).expect("prefetch queue poisoned");
+            g = self.avail.wait(g).unwrap_or_else(PoisonError::into_inner);
         }
     }
 
@@ -268,9 +284,8 @@ impl WindowQueue {
         self.space.notify_all();
     }
 
-    fn stats(&self) -> (usize, usize) {
-        let g = self.lock();
-        (g.peak_windows, g.peak_bytes)
+    fn stats(&self) -> PrefetchStats {
+        self.lock().stats
     }
 }
 
@@ -317,8 +332,8 @@ impl Drop for QueueWindows<'_> {
     }
 }
 
-/// The producer loop: generate request batches `depth` windows at a time
-/// (cache-first), compile each window through the shared
+/// The producer loop: gather request batches `depth` windows at a time,
+/// compile each window through the shared
 /// [`StreamingTrace::compile_window_into`] core, and push. Runs on its
 /// own pipeline thread; all carried state is local to this function.
 fn produce(trace: &StreamingTrace, queue: &WindowQueue, depth: usize, sink: &TraceSink) {
@@ -328,18 +343,13 @@ fn produce(trace: &StreamingTrace, queue: &WindowQueue, depth: usize, sink: &Tra
     let mut scratch: Vec<RequestEvent> = Vec::new();
     let mut buckets: Vec<Vec<RequestEvent>> = (0..depth).map(|_| Vec::new()).collect();
     loop {
-        // Windows the constructor-fused lookahead already scattered need
-        // no regeneration; only a batch with an uncached tail is a span.
         let span = rec.begin();
-        let Some((windows, regenerated)) = trace.gather_batch(&state, &mut scratch, &mut buckets)
-        else {
-            return;
+        let Some(windows) = trace.gather_batch(&mut state, &mut scratch, &mut buckets) else {
+            break;
         };
-        if regenerated < windows.end {
-            rec.end_with(span, "prefetch.generate", || {
-                format!("windows [{regenerated}, {})", windows.end)
-            });
-        }
+        rec.end_with(span, "prefetch.generate", || {
+            format!("windows [{}, {})", windows.start, windows.end)
+        });
         for (k, bucket) in windows.zip(&mut buckets) {
             let span = rec.begin();
             let mut events = Vec::new();
@@ -367,19 +377,22 @@ fn produce(trace: &StreamingTrace, queue: &WindowQueue, depth: usize, sink: &Tra
             });
         }
     }
+    let mut g = queue.lock();
+    g.stats.peak_tail_bytes = state.tail_bytes();
+    g.stats.generated_events = state.generated_events;
 }
 
 /// Runs one pipelined pass: the producer on its own thread beside
 /// `consumers` queue-fed sources, each handed to `consume` with its
 /// consumer index. Returns the consumers' outputs in index order and the
-/// queue's `(peak_windows, peak_bytes)`.
+/// pass's high-water marks.
 fn pipelined<T: Send>(
     trace: &StreamingTrace,
     prefetch: &PrefetchOptions,
     consumers: usize,
     sink: &TraceSink,
     consume: impl Fn(usize, &mut QueueWindows<'_>) -> T + Sync,
-) -> (Vec<T>, (usize, usize)) {
+) -> (Vec<T>, PrefetchStats) {
     let queue = WindowQueue::new(prefetch.depth(), consumers);
     let outputs = {
         let queue = &queue;
@@ -464,27 +477,16 @@ impl StreamingTrace {
     }
 
     /// Drives one full pipelined pass discarding the windows, returning
-    /// the queue's high-water marks. This is the replay-free cost of the
-    /// pipeline (what `cold.stream.pipelined` benchmarks against the
-    /// serial drain) and the accounting the memory suite asserts on.
+    /// the queue's and the producer's counts and high-water marks. This is
+    /// the replay-free cost of the pipeline (what `cold.stream.pipelined`
+    /// benchmarks against the serial drain) and the accounting the memory
+    /// suite asserts on.
     pub fn drain_prefetched(&self, prefetch: &PrefetchOptions) -> PrefetchStats {
         let sink = TraceSink::disabled();
-        let (counts, (peak_windows, peak_bytes)) =
-            pipelined(self, prefetch, 1, &sink, |_, source| {
-                let (mut windows, mut events) = (0usize, 0usize);
-                while let Some(w) = source.next_window() {
-                    windows += 1;
-                    events += w.len();
-                }
-                (windows, events)
-            });
-        let (windows, events) = counts[0];
-        PrefetchStats {
-            windows,
-            events,
-            peak_windows,
-            peak_bytes,
-        }
+        pipelined(self, prefetch, 1, &sink, |_, source| {
+            while source.next_window().is_some() {}
+        })
+        .1
     }
 }
 
@@ -494,6 +496,9 @@ mod tests {
     use pscd_core::StrategyKind;
     use pscd_types::SimTime;
     use pscd_workload::WorkloadConfig;
+    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Duration;
 
     fn config() -> WorkloadConfig {
         WorkloadConfig::news_scaled(0.004)
@@ -501,13 +506,9 @@ mod tests {
 
     #[test]
     fn prefetched_materialize_matches_serial_at_every_depth() {
-        let serial = StreamingTrace::new(&config(), 1.0, SimTime::from_hours(9), 1)
-            .unwrap()
-            .materialize();
+        let stream = StreamingTrace::new(&config(), 1.0, SimTime::from_hours(9), 1).unwrap();
+        let serial = stream.materialize();
         for depth in [1, 2, 4, 9] {
-            let stream =
-                StreamingTrace::with_lookahead(&config(), 1.0, SimTime::from_hours(9), 1, depth)
-                    .unwrap();
             let piped = stream.materialize_prefetched(&PrefetchOptions::new(depth));
             assert_eq!(piped, serial, "depth = {depth}");
         }
@@ -593,6 +594,126 @@ mod tests {
             .events
             .iter()
             .any(|e| e.label == "prefetch.compile"));
+    }
+
+    /// Runs `f` on its own thread and fails the test, instead of hanging
+    /// it, when `f` has not returned within a minute.
+    fn within_a_minute<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let _ = tx.send(catch_unwind(AssertUnwindSafe(f)));
+        });
+        let outcome = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("pipeline hung");
+        worker.join().expect("worker catches its own panics");
+        outcome.unwrap_or_else(|panic| resume_unwind(panic))
+    }
+
+    fn empty_window() -> OwnedWindow {
+        OwnedWindow {
+            events: Vec::new(),
+            offsets: vec![0],
+            pairs: Vec::new(),
+            ordinal_base: 0,
+            start_index: 0,
+        }
+    }
+
+    #[test]
+    fn dead_producer_ends_the_stream_and_its_panic_is_reraised() {
+        let (reraised, seen) = within_a_minute(|| {
+            let stream = StreamingTrace::new(&config(), 1.0, SimTime::from_days(1), 1).unwrap();
+            let queue = WindowQueue::new(2, 1);
+            let seen = Mutex::new(Vec::new());
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                crate::pool::producer_consumers(
+                    || {
+                        let _finish = FinishGuard(&queue);
+                        queue.push(empty_window());
+                        panic!("producer dies after one window");
+                    },
+                    1,
+                    |consumer| {
+                        let mut source = QueueWindows {
+                            trace: &stream,
+                            queue: &queue,
+                            consumer,
+                            current: None,
+                        };
+                        loop {
+                            let some = source.next_window().is_some();
+                            seen.lock().unwrap().push(some);
+                            if !some {
+                                break;
+                            }
+                        }
+                    },
+                )
+            }));
+            (outcome.is_err(), seen.into_inner().unwrap())
+        });
+        assert!(reraised, "the producer's panic was swallowed");
+        assert_eq!(seen, [true, false], "consumer must see Some, then None");
+    }
+
+    #[test]
+    fn dead_consumer_retires_its_cursor_and_the_producer_finishes() {
+        // Depth 1: a cursor stuck at window 1 would wedge the producer at
+        // window 2 and the surviving consumer behind it.
+        let (reraised, survivor_windows, window_count) = within_a_minute(|| {
+            let stream = StreamingTrace::new(&config(), 1.0, SimTime::from_hours(6), 1).unwrap();
+            let survivor_windows = AtomicUsize::new(0);
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                pipelined(
+                    &stream,
+                    &PrefetchOptions::new(1),
+                    2,
+                    &TraceSink::disabled(),
+                    |consumer, source| {
+                        while source.next_window().is_some() {
+                            if consumer == 0 {
+                                panic!("consumer dies mid-window");
+                            }
+                            survivor_windows.fetch_add(1, Ordering::Relaxed);
+                        }
+                    },
+                )
+            }));
+            (
+                outcome.is_err(),
+                survivor_windows.into_inner(),
+                stream.window_count(),
+            )
+        });
+        assert!(reraised, "the consumer's panic was swallowed");
+        assert_eq!(survivor_windows, window_count);
+    }
+
+    #[test]
+    fn queue_stays_bounded_once_every_consumer_is_gone() {
+        let queue = WindowQueue::new(2, 1);
+        queue.retire_consumer(0);
+        for _ in 0..10 {
+            queue.push(empty_window());
+        }
+        assert!(queue.stats().peak_windows <= 3);
+    }
+
+    #[test]
+    fn poisoned_lock_does_not_turn_one_panic_into_two() {
+        let queue = WindowQueue::new(2, 1);
+        let poison = catch_unwind(AssertUnwindSafe(|| {
+            let _held = queue.inner.lock().unwrap();
+            panic!("poison the queue lock");
+        }));
+        assert!(poison.is_err() && queue.inner.is_poisoned());
+        // Every entry point — the two `Drop` guards' included — still works.
+        queue.push(empty_window());
+        drop(FinishGuard(&queue));
+        assert!(queue.take(0).is_some());
+        assert!(queue.take(0).is_none());
+        queue.retire_consumer(0);
     }
 
     #[test]

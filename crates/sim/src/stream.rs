@@ -5,25 +5,40 @@
 //! for paper-scale traces — before the first replay step. But every
 //! random draw in `pscd-workload` already comes from a per-entity
 //! substream ([`pscd_workload::seeds`]), so any page's request events can
-//! be regenerated on demand, bit for bit, without the rest of the trace.
+//! be drawn on demand, bit for bit, without the rest of the trace.
 //! [`StreamingTrace`] exploits that: it keeps only the O(pages) artifacts
 //! resident (page table, publish stream, the [`RequestStream`] draws, the
-//! subscription table, per-page time spans) and compiles each time-window
-//! of the timeline lazily as the replay loop pulls it, carrying the
-//! cross-window state — per-origin version heads, the global publish
-//! ordinal, the global event index — explicitly in [`WindowState`].
-//! Peak memory is O(window), not O(trace); the `stream_memory` suite
-//! proves it with a counting allocator.
+//! subscription table, each page's first request instant) and compiles
+//! each time-window of the timeline lazily as the replay loop pulls it,
+//! carrying the cross-window state — per-origin version heads, the global
+//! publish ordinal, the global event index, the pending tail — explicitly
+//! in [`WindowState`].
+//!
+//! **Generate once.** A pass draws each page's substream exactly once, in
+//! the batch of windows that contains the page's first request. The
+//! events inside the batch go to its buckets; the stragglers beyond it
+//! wait on the *pending tail*, one flat vector, and each later gather
+//! moves the ones that have come due to their buckets. Request times
+//! decay with page age (§4 of the paper), so a page's span is long only
+//! because of a few late requests and the tail is a sliver: it peaks at
+//! 7 152 of 156 000 requests (0.13 MB of vector capacity) on the
+//! `stream_memory` fixture at 1 h windows, less than the two compiled
+//! windows a depth-1 queue keeps alive. Peak memory is O(depth × window +
+//! live tail), not O(trace); the `stream_memory` suite proves it with a
+//! counting allocator.
 //!
 //! Bit-identity with the monolithic path rests on three facts:
 //!
-//! 1. **Stable time-sort commutes with time-windowing.** The monolithic
-//!    request trace is the stable time-sort of the page-major
-//!    concatenation of per-page events; filtering that order to `[t0, t1)`
-//!    equals regenerating the pages overlapping the window, filtering
-//!    per event, and stable-sorting — equal-time ties resolve page-major
-//!    either way. A scenario [`TimeWarp`] is applied per event *before*
-//!    the sort in both paths, so warping cannot reorder ties.
+//! 1. **A stable `(time, page)` sort commutes with time-windowing and
+//!    with draw order.** The monolithic request trace is the stable
+//!    time-sort of the page-major concatenation of per-page events: time,
+//!    then page, then the page's own generation order. A page is drawn
+//!    once, so within a window's bucket its events sit in generation order
+//!    (wholly from the tail or wholly from this batch's draw) whatever the
+//!    order across pages; sorting the bucket stably by `(time, page)`
+//!    restores exactly the monolithic order. A scenario [`TimeWarp`] is
+//!    applied per event *before* the sort in both paths, so warping cannot
+//!    reorder ties.
 //! 2. **Publish/request merging is windowable.** Windows cut the timeline
 //!    at instants, so the `publish.time <= request.time` tie-break only
 //!    ever compares events landing in the same window.
@@ -33,23 +48,16 @@
 //!    [`VersionHeads`] across window seams.
 //!
 //! Two pulls on the same machinery exist. The serial pass
-//! ([`StreamingTrace::open`]) regenerates one window at a time on the
-//! replay thread. The pipelined pass (`crate::prefetch`,
+//! ([`StreamingTrace::open`]) gathers one window at a time on the replay
+//! thread. The pipelined pass (`crate::prefetch`,
 //! [`simulate_streamed_prefetched`](crate::simulate_streamed_prefetched))
 //! moves generation + compilation to a producer thread that works
-//! `prefetch_depth` windows ahead, batching regeneration across the
-//! lookahead so pages whose spans straddle seams regenerate once per
-//! batch instead of once per window. Both drive the same
-//! `gather_batch` +
+//! `prefetch_depth` windows ahead. Both drive the same `gather_batch` +
 //! [`compile_window_into`](StreamingTrace::compile_window_into) pair over
 //! a [`WindowState`] — the serial pass is the batch of one — so the
 //! per-window gather/merge/resolve logic cannot diverge; what the
 //! differential suite additionally proves is that a wider batch scatters
-//! the same events. A constructor-fused
-//! lookahead cache ([`StreamingTrace::with_lookahead`]) goes one step
-//! further: the counting scan regenerates every page anyway, so it
-//! scatters the first `depth` windows' requests as a side product and the
-//! first batch replays without regenerating at all.
+//! the same events.
 //!
 //! The `stream_differential` suite asserts [`StreamingTrace::materialize`]
 //! `==` [`CompiledTrace::compile`] and replay-result equality for every
@@ -78,16 +86,16 @@ use crate::{SimError, SimResult};
 /// every page has its own substream, so chunking never affects output.
 const SCAN_CHUNK: usize = 256;
 
-/// A replay source that regenerates and compiles the timeline one
+/// A replay source that generates and compiles the timeline one
 /// time-window at a time, directly from the workload config.
 ///
 /// Construction runs the trace-wide draws ([`RequestStream::prepare`]),
 /// the publish stream, and one counting scan over the pages (request
-/// counts per `(page, server)`, per-page time spans, the capacity/load
-/// basis) — everything O(pages + servers), never the event bulk. The
-/// subscription table is derived from the counted `P_{i,j}` exactly as
-/// `Workload::subscriptions` derives it from the materialized trace, so
-/// both paths resolve against the same table.
+/// counts per `(page, server)`, per-page first request instants, the
+/// capacity/load basis) — everything O(pages + servers), never the event
+/// bulk. The subscription table is derived from the counted `P_{i,j}`
+/// exactly as `Workload::subscriptions` derives it from the materialized
+/// trace, so both paths resolve against the same table.
 ///
 /// [`open`](StreamingTrace::open) starts a serial window pass;
 /// [`simulate_streamed`] replays one (sharded if asked);
@@ -100,7 +108,8 @@ pub struct StreamingTrace {
     meta: ReplayMeta,
     /// The full publish stream, time-sorted (O(pages), kept resident).
     publishes: Vec<PublishEvent>,
-    /// The trace-wide request draws; per-page events regenerate from it.
+    /// The trace-wide request draws; a pass draws each page's events from
+    /// it once.
     stream: RequestStream,
     /// Optional scenario intensity remap, applied per event before each
     /// window's stable sort (see the module docs on tie order).
@@ -109,19 +118,14 @@ pub struct StreamingTrace {
     /// Optional content-based matcher (frozen); when attached, window
     /// resolution evaluates it instead of the table lookups.
     matcher: Option<EngineMatcher>,
-    /// Warped `[first, last]` request instants per page; `None` for pages
-    /// that drew no requests. The window overlap filter.
-    page_span: Vec<Option<(SimTime, SimTime)>>,
+    /// `(warped first request instant, page)` of every page that drew
+    /// requests, ascending: the order a pass draws pages in, walked by
+    /// [`WindowState`]'s cursor.
+    draw_order: Vec<(SimTime, u32)>,
     /// Window length in milliseconds.
     window_ms: u64,
     /// Number of windows tiling `[0, horizon)`.
     window_count: usize,
-    /// Constructor-fused request cache for the first
-    /// [`lookahead_len`](Self::lookahead_len) windows: the counting scan's
-    /// per-page regeneration scattered into per-window buckets (warped,
-    /// page-major pre-sort order, unsorted). Empty unless built with
-    /// [`with_lookahead`](Self::with_lookahead); O(lookahead × window).
-    lookahead: Vec<Vec<RequestEvent>>,
 }
 
 /// One page's contribution to the counting scan.
@@ -129,11 +133,8 @@ struct PageScan {
     page: u32,
     /// `(server, requests)` in ascending server order.
     servers: Vec<(u16, u64)>,
-    /// Warped `[first, last]` request instants.
-    span: (SimTime, SimTime),
-    /// The page's warped events landing in the lookahead prefix (empty
-    /// when no lookahead was requested).
-    cached: Vec<RequestEvent>,
+    /// Warped first request instant.
+    first: SimTime,
 }
 
 impl StreamingTrace {
@@ -153,29 +154,7 @@ impl StreamingTrace {
         window: SimTime,
         threads: usize,
     ) -> Result<Self, WorkloadError> {
-        Self::with_warp(config, None, quality, window, threads, 0)
-    }
-
-    /// [`new`](StreamingTrace::new) plus a constructor-fused lookahead
-    /// cache covering the first `lookahead` windows: the counting scan
-    /// already regenerates every page once, so it scatters those windows'
-    /// requests as a side product and the first prefetch batch (or the
-    /// first `lookahead` serial windows) replays without regenerating.
-    /// Output is bit-identical to [`new`](StreamingTrace::new); resident
-    /// memory grows by O(`lookahead` × window).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WorkloadError::InvalidConfig`] like
-    /// [`new`](StreamingTrace::new).
-    pub fn with_lookahead(
-        config: &WorkloadConfig,
-        quality: f64,
-        window: SimTime,
-        threads: usize,
-        lookahead: usize,
-    ) -> Result<Self, WorkloadError> {
-        Self::with_warp(config, None, quality, window, threads, lookahead)
+        Self::with_warp(config, None, quality, window, threads)
     }
 
     /// [`new`](StreamingTrace::new) for a scenario: derives the workload
@@ -192,27 +171,9 @@ impl StreamingTrace {
         window: SimTime,
         threads: usize,
     ) -> Result<Self, WorkloadError> {
-        Self::from_scenario_with_lookahead(scenario, quality, window, threads, 0)
-    }
-
-    /// [`from_scenario`](StreamingTrace::from_scenario) with a
-    /// constructor-fused lookahead cache (see
-    /// [`with_lookahead`](StreamingTrace::with_lookahead)).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WorkloadError::InvalidConfig`] for invalid scenarios or
-    /// an out-of-range quality.
-    pub fn from_scenario_with_lookahead(
-        scenario: &ScenarioConfig,
-        quality: f64,
-        window: SimTime,
-        threads: usize,
-        lookahead: usize,
-    ) -> Result<Self, WorkloadError> {
         let config = scenario.workload_config()?;
         let warp = scenario.time_warp()?;
-        Self::with_warp(&config, warp, quality, window, threads, lookahead)
+        Self::with_warp(&config, warp, quality, window, threads)
     }
 
     fn with_warp(
@@ -221,7 +182,6 @@ impl StreamingTrace {
         quality: f64,
         window: SimTime,
         threads: usize,
-        lookahead: usize,
     ) -> Result<Self, WorkloadError> {
         if config.publishing.horizon != config.requests.horizon {
             return Err(WorkloadError::InvalidConfig {
@@ -235,26 +195,15 @@ impl StreamingTrace {
             ms => ms,
         };
         let window_count = (horizon.as_millis().max(1)).div_ceil(window_ms).max(1) as usize;
-        // The cache prefix ends at a window boundary; when it covers every
-        // window it must be open-ended like the final window itself.
-        let cached_windows = lookahead.min(window_count);
-        let cache_end = if cached_windows == 0 {
-            SimTime::ZERO
-        } else if cached_windows == window_count {
-            SimTime::from_millis(u64::MAX)
-        } else {
-            SimTime::from_millis(window_ms * cached_windows as u64)
-        };
 
         let publishing = generate_publishing_threads(&config.publishing, config.seed, threads)?;
         let pages = publishing.pages;
         let stream = RequestStream::prepare(pages.len(), &config.requests, config.seed, threads)?;
 
-        // The counting scan: regenerate each page's events once, count
-        // them per server, note the warped time span — and drop them
-        // (except the lookahead prefix, scattered here for free since the
-        // events are in hand anyway). This is the only full pass outside
-        // replay; it holds one page's events at a time per worker.
+        // The counting scan: draw each page's events once, count them per
+        // server, note the warped first instant — and drop them. This is
+        // the only full pass outside replay; it holds one page's events at
+        // a time per worker.
         let scans: Vec<PageScan> = parallel_chunked(pages.len(), SCAN_CHUNK, threads, |range| {
             let mut out = Vec::new();
             let mut scratch: Vec<RequestEvent> = Vec::new();
@@ -266,13 +215,9 @@ impl StreamingTrace {
                 scratch.clear();
                 stream.append_page_requests(&pages, page_idx, &mut scratch);
                 // Events are time-sorted within the page; a monotone warp
-                // keeps first/last the span ends.
+                // keeps the first one first.
                 let first = scratch.first().expect("count > 0").time;
-                let last = scratch.last().expect("count > 0").time;
-                let span = match &warp {
-                    Some(w) => (w.apply(first), w.apply(last)),
-                    None => (first, last),
-                };
+                let first = warp.as_ref().map_or(first, |w| w.apply(first));
                 servers.clear();
                 servers.extend(scratch.iter().map(|e| e.server.index()));
                 servers.sort_unstable();
@@ -283,23 +228,10 @@ impl StreamingTrace {
                         _ => counts.push((s, 1)),
                     }
                 }
-                let mut cached: Vec<RequestEvent> = Vec::new();
-                if span.0 < cache_end {
-                    for ev in &scratch {
-                        let time = match &warp {
-                            Some(w) => w.apply(ev.time),
-                            None => ev.time,
-                        };
-                        if time < cache_end {
-                            cached.push(RequestEvent::new(time, ev.server, ev.page));
-                        }
-                    }
-                }
                 out.push(PageScan {
                     page: page_idx as u32,
                     servers: counts,
-                    span,
-                    cached,
+                    first,
                 });
             }
             out
@@ -308,13 +240,9 @@ impl StreamingTrace {
         let servers = config.requests.servers;
         let mut load = vec![0u64; servers as usize];
         let mut unique_bytes = vec![Bytes::ZERO; servers as usize];
-        let mut page_span = vec![None; pages.len()];
+        let mut draw_order = Vec::with_capacity(scans.len());
         let mut groups: Vec<(u32, Vec<(u16, u64)>)> = Vec::with_capacity(scans.len());
-        let mut lookahead_buckets: Vec<Vec<RequestEvent>> = vec![Vec::new(); cached_windows];
         let mut request_count = 0usize;
-        // Scans arrive in ascending page order (chunks concatenate in
-        // order), so scattering here keeps each bucket page-major — the
-        // exact pre-sort order `scatter_batch` produces at replay time.
         for scan in scans {
             let size = pages[scan.page as usize].size();
             for &(s, n) in &scan.servers {
@@ -322,13 +250,10 @@ impl StreamingTrace {
                 unique_bytes[s as usize] += size;
                 request_count += n as usize;
             }
-            page_span[scan.page as usize] = Some(scan.span);
-            for ev in scan.cached {
-                let w = ((ev.time.as_millis() / window_ms) as usize).min(cached_windows - 1);
-                lookahead_buckets[w].push(ev);
-            }
+            draw_order.push((scan.first, scan.page));
             groups.push((scan.page, scan.servers));
         }
+        draw_order.sort_unstable();
 
         // Same counts, same per-page substreams, same seed derivation as
         // `Workload::subscriptions` — hence the same table.
@@ -359,10 +284,9 @@ impl StreamingTrace {
             warp,
             subscriptions,
             matcher: None,
-            page_span,
+            draw_order,
             window_ms,
             window_count,
-            lookahead: lookahead_buckets,
         })
     }
 
@@ -413,12 +337,6 @@ impl StreamingTrace {
         self.window_count
     }
 
-    /// How many leading windows the constructor-fused cache covers
-    /// (`0` unless built with [`with_lookahead`](Self::with_lookahead)).
-    pub fn lookahead_len(&self) -> usize {
-        self.lookahead.len()
-    }
-
     /// The half-open `[t0, t1)` bounds of window `k`. The final window is
     /// open-ended so clamped events at the horizon edge (and any publish
     /// at it) cannot fall between windows.
@@ -432,94 +350,81 @@ impl StreamingTrace {
         (t0, t1)
     }
 
-    /// Regenerates every page whose span overlaps windows
-    /// `[first, first + count)` — once per page for the whole batch — and
-    /// scatters the warped, filtered events into `buckets[0..count]`
-    /// (ascending page order, so each bucket is page-major pre-sort, the
-    /// same relative order the monolithic generator feeds its one stable
-    /// sort). Batching is what the prefetcher's speedup is made of: a page
-    /// straddling `count` seams regenerates once instead of `count` times.
-    fn scatter_batch(
-        &self,
-        first: usize,
-        count: usize,
-        scratch: &mut Vec<RequestEvent>,
-        buckets: &mut [Vec<RequestEvent>],
-    ) {
-        debug_assert!(count >= 1 && first + count <= self.window_count);
-        debug_assert!(buckets.len() >= count);
-        let (t0, _) = self.window_bounds(first);
-        let (_, t_end) = self.window_bounds(first + count - 1);
-        for (page_idx, span) in self.page_span.iter().enumerate() {
-            let Some((p_first, p_last)) = span else {
-                continue;
-            };
-            if *p_last < t0 || *p_first >= t_end {
-                continue;
-            }
-            scratch.clear();
-            self.stream
-                .append_page_requests(&self.meta.pages, page_idx, scratch);
-            for ev in scratch.iter() {
-                let time = match &self.warp {
-                    Some(w) => w.apply(ev.time),
-                    None => ev.time,
-                };
-                if time >= t0 && time < t_end {
-                    // The division maps into the batch; the clamp folds
-                    // the open-ended final window back onto its bucket.
-                    let w = ((time.as_millis() / self.window_ms) as usize - first).min(count - 1);
-                    buckets[w].push(RequestEvent::new(time, ev.server, ev.page));
-                }
-            }
-        }
-    }
-
     /// Gathers the requests of the next `buckets.len()` windows (fewer at
-    /// the end of the horizon) into `buckets`, unsorted in page-major
-    /// order: from the constructor-fused cache where it covers a window,
-    /// regenerated as one batch for the rest. Returns the gathered window
-    /// range and the first window that had to be regenerated, or `None`
-    /// past the last window. The serial pass is the batch of one.
+    /// the end of the horizon) into `buckets`, unsorted. The pending tail's
+    /// events that have come due move to their buckets; then every page
+    /// whose first request falls before the end of the batch is drawn —
+    /// the one time this pass draws it — and its warped events are
+    /// scattered: those of the batch into `buckets`, the later ones onto
+    /// the tail. Returns the gathered window range, or `None` past the
+    /// last window. The serial pass is the batch of one.
     pub(crate) fn gather_batch(
         &self,
-        state: &WindowState,
+        state: &mut WindowState,
         scratch: &mut Vec<RequestEvent>,
         buckets: &mut [Vec<RequestEvent>],
-    ) -> Option<(Range<usize>, usize)> {
+    ) -> Option<Range<usize>> {
         let first = state.next_window;
         let end = (first + buckets.len()).min(self.window_count);
         if first >= end {
             return None;
         }
-        let cached_end = self.lookahead.len().clamp(first, end);
-        for (bucket, k) in buckets.iter_mut().zip(first..end) {
+        for bucket in buckets.iter_mut() {
             bucket.clear();
-            if k < cached_end {
-                bucket.extend_from_slice(&self.lookahead[k]);
+        }
+        let (_, t_end) = self.window_bounds(end - 1);
+        // Earlier batches drew every page that starts before this one and
+        // took every event before it, so an event before `t_end` lands in
+        // `first..end`; the clamp folds the open-ended final window back
+        // onto its bucket.
+        let mut place = |ev: RequestEvent| {
+            let w = ((ev.time.as_millis() / self.window_ms) as usize).min(end - 1);
+            buckets[w - first].push(ev);
+        };
+        state.tail.retain(|ev| {
+            let due = ev.time < t_end;
+            if due {
+                place(*ev);
+            }
+            !due
+        });
+        while let Some(&(_, page)) = self
+            .draw_order
+            .get(state.page_cursor)
+            .filter(|(t, _)| *t < t_end)
+        {
+            state.page_cursor += 1;
+            scratch.clear();
+            self.stream
+                .append_page_requests(&self.meta.pages, page as usize, scratch);
+            state.generated_events += scratch.len();
+            for ev in scratch.iter() {
+                let time = match &self.warp {
+                    Some(w) => w.apply(ev.time),
+                    None => ev.time,
+                };
+                let ev = RequestEvent::new(time, ev.server, ev.page);
+                if time < t_end {
+                    place(ev);
+                } else {
+                    state.tail.push(ev);
+                }
             }
         }
-        if cached_end < end {
-            self.scatter_batch(
-                cached_end,
-                end - cached_end,
-                scratch,
-                &mut buckets[cached_end - first..end - first],
-            );
-        }
-        Some((first..end, cached_end))
+        Some(first..end)
     }
 
     /// Compiles the next window (per `state`) from its gathered
-    /// `requests` (page-major; stably time-sorted here, so ties land as in
-    /// the monolithic path): consumes the publish stream up to the window
-    /// end, merges with the `publish.time <= request.time` tie-break, and
-    /// resolves fan-outs/counts — the same lookups as
-    /// `CompiledTrace::compile`, with the lineage carried in `state.heads`
-    /// instead of a trace-local map. Returns the window's
-    /// `(ordinal_base, start_index)` and advances every piece of carried
-    /// state. Both the serial pass and the pipelined producer funnel
-    /// through here, so the merge/resolve logic cannot diverge.
+    /// `requests` (stably sorted by `(time, page)` here, so ties land as in
+    /// the monolithic path whatever order the pages were drawn in):
+    /// consumes the publish stream up to the window end, merges with the
+    /// `publish.time <= request.time` tie-break, and resolves
+    /// fan-outs/counts — the same lookups as `CompiledTrace::compile`,
+    /// with the lineage carried in `state.heads` instead of a trace-local
+    /// map. Returns the window's `(ordinal_base, start_index)` and
+    /// advances every piece of carried state. Both the serial pass and the
+    /// pipelined producer funnel through here, so the merge/resolve logic
+    /// cannot diverge.
     pub(crate) fn compile_window_into(
         &self,
         state: &mut WindowState,
@@ -532,7 +437,10 @@ impl StreamingTrace {
         debug_assert!(k < self.window_count, "compile past the last window");
         state.next_window += 1;
         let (_t0, t1) = self.window_bounds(k);
-        requests.sort_by_key(|e| e.time);
+        // The `(time, page)` key, packed: one integer compare per step of
+        // the sort instead of a tuple's two.
+        requests
+            .sort_by_key(|e| (u128::from(e.time.as_millis()) << 32) | u128::from(e.page.index()));
         let matching = match &self.matcher {
             Some(matcher) => Matching::Matcher(matcher),
             None => Matching::Table(&self.subscriptions),
@@ -597,9 +505,10 @@ impl StreamingTrace {
     }
 
     /// Starts a serial window pass: a [`ReplaySource`] yielding the
-    /// timeline in `window_size` slices. Each open pass regenerates the
-    /// request events window by window (reusing its buffers), carrying
-    /// version heads, publish ordinals and event indices across seams.
+    /// timeline in `window_size` slices. Each open pass draws the request
+    /// events window by window (reusing its buffers), carrying version
+    /// heads, publish ordinals, event indices and the pending tail across
+    /// seams.
     /// Multiple passes can be open concurrently — the trace itself is
     /// immutable — which is what lets shard workers each pull their own
     /// sequence.
@@ -629,7 +538,8 @@ impl StreamingTrace {
 /// Every piece of replay state carried across window seams, in one place:
 /// the window cursor, the publish cursor (== the next window's ordinal
 /// base), the global event index, the per-origin version heads driving
-/// `supersedes`, and the matcher scratch. One `WindowState` advances
+/// `supersedes`, the matcher scratch, and the generate-once bookkeeping
+/// (draw cursor, pending tail). One `WindowState` advances
 /// strictly in window order — handing it to
 /// [`StreamingTrace::compile_window_into`] is what makes a window pass a
 /// pass, whether the serial source or the pipelined producer owns it.
@@ -641,9 +551,24 @@ pub(crate) struct WindowState {
     heads: VersionHeads,
     /// Lookup scratch for an attached matcher.
     match_buf: MatchBuffers,
+    /// Next entry of [`StreamingTrace::draw_order`] this pass has not
+    /// drawn yet.
+    page_cursor: usize,
+    /// The pending tail: requests already drawn, in draw order, for
+    /// windows no batch has gathered yet.
+    tail: Vec<RequestEvent>,
+    /// Request events drawn so far; a full pass ends at exactly
+    /// `meta.request_count()`, each page drawn once.
+    pub(crate) generated_events: usize,
 }
 
 impl WindowState {
+    /// Bytes the pending tail holds — its high-water so far, since the
+    /// vector is never shrunk during a pass.
+    pub(crate) fn tail_bytes(&self) -> usize {
+        self.tail.capacity() * std::mem::size_of::<RequestEvent>()
+    }
+
     pub(crate) fn new(trace: &StreamingTrace) -> Self {
         Self {
             next_window: 0,
@@ -651,6 +576,9 @@ impl WindowState {
             start_index: 0,
             heads: VersionHeads::new(trace.meta.pages.len()),
             match_buf: MatchBuffers::default(),
+            page_cursor: 0,
+            tail: Vec::new(),
+            generated_events: 0,
         }
     }
 }
@@ -666,22 +594,30 @@ pub struct StreamingWindows<'a> {
     events: Vec<CompiledEvent>,
     offsets: Vec<u32>,
     pairs: Vec<(ServerId, u32)>,
-    /// Per-page regeneration buffer.
+    /// Per-page draw buffer.
     scratch: Vec<RequestEvent>,
-    /// The window's filtered, warped requests.
+    /// The window's warped requests.
     requests: Vec<RequestEvent>,
 }
 
 impl StreamingWindows<'_> {
-    /// Bytes currently held in the reusable window buffers — what "peak
-    /// memory is O(window)" means concretely; the `stream_memory` suite
-    /// checks the allocator against it.
+    /// Bytes currently held in the reusable window buffers and the pending
+    /// tail — what "peak memory is O(window + live tail)" means
+    /// concretely; the `stream_memory` suite checks the allocator against
+    /// it.
     pub fn buffer_bytes(&self) -> usize {
         self.events.capacity() * std::mem::size_of::<CompiledEvent>()
             + self.offsets.capacity() * std::mem::size_of::<u32>()
             + self.pairs.capacity() * std::mem::size_of::<(ServerId, u32)>()
             + self.scratch.capacity() * std::mem::size_of::<RequestEvent>()
             + self.requests.capacity() * std::mem::size_of::<RequestEvent>()
+            + self.state.tail_bytes()
+    }
+
+    /// Request events this pass has drawn so far. After the last window it
+    /// equals `meta().request_count()`: every page is drawn exactly once.
+    pub fn generated_events(&self) -> usize {
+        self.state.generated_events
     }
 }
 
@@ -693,7 +629,7 @@ impl ReplaySource for StreamingWindows<'_> {
     fn next_window(&mut self) -> Option<TraceWindow<'_>> {
         let trace = self.trace;
         let requests = std::slice::from_mut(&mut self.requests);
-        trace.gather_batch(&self.state, &mut self.scratch, requests)?;
+        trace.gather_batch(&mut self.state, &mut self.scratch, requests)?;
         let (ordinal_base, start_index) = trace.compile_window_into(
             &mut self.state,
             &mut self.requests,
@@ -713,11 +649,11 @@ impl ReplaySource for StreamingWindows<'_> {
 }
 
 /// [`simulate_compiled`](crate::simulate_compiled) without the compiled
-/// trace: replays a [`StreamingTrace`] window by window in O(window) peak
-/// memory. With [`SimOptions::threads`] beyond one the run shards along
+/// trace: replays a [`StreamingTrace`] window by window in O(window +
+/// live tail) peak memory. With [`SimOptions::threads`] beyond one the run shards along
 /// the proxy axis like the materialized path — each shard worker opens
-/// its own window pass (regenerating the stream per shard, holding one
-/// window each). Results are bit-identical to the materialized replay at
+/// its own window pass (drawing the stream once per shard, holding one
+/// window and one tail each). Results are bit-identical to the materialized replay at
 /// every window size and thread count; the `stream_differential` suite
 /// proves it. This is the serial reference arm — see
 /// [`simulate_streamed_prefetched`](crate::simulate_streamed_prefetched)
@@ -773,18 +709,6 @@ mod tests {
                 "window = {window:?} ({} windows)",
                 stream.window_count()
             );
-        }
-    }
-
-    #[test]
-    fn lookahead_cache_is_bit_identical() {
-        let reference = monolithic(&config(), 1.0);
-        for depth in [1, 2, 4, 64] {
-            let stream =
-                StreamingTrace::with_lookahead(&config(), 1.0, SimTime::from_hours(13), 1, depth)
-                    .unwrap();
-            assert_eq!(stream.lookahead_len(), depth.min(stream.window_count()));
-            assert_eq!(stream.materialize(), reference, "depth = {depth}");
         }
     }
 
@@ -850,16 +774,6 @@ mod tests {
         let stream =
             StreamingTrace::from_scenario(&scenario, 1.0, SimTime::from_hours(6), 0).unwrap();
         assert_eq!(stream.materialize(), reference);
-        // The warped lookahead cache scatters the same events.
-        let cached = StreamingTrace::from_scenario_with_lookahead(
-            &scenario,
-            1.0,
-            SimTime::from_hours(6),
-            0,
-            3,
-        )
-        .unwrap();
-        assert_eq!(cached.materialize(), reference);
     }
 
     #[test]

@@ -18,8 +18,8 @@ use pscd_sim::{
     CompiledTrace, CrashPlan, PrefetchOptions, ReplaySource, SimOptions, StreamingTrace,
 };
 use pscd_topology::FetchCosts;
-use pscd_types::SimTime;
-use pscd_workload::{Workload, WorkloadConfig};
+use pscd_types::{RequestEvent, SimTime};
+use pscd_workload::{ScenarioConfig, Workload, WorkloadConfig};
 
 /// Every strategy the paper evaluates (§5), plus the classic baselines —
 /// the same twelve-strategy lineup as the other differential suites.
@@ -59,10 +59,6 @@ fn reference() -> &'static (CompiledTrace, FetchCosts) {
 
 fn streaming(window: SimTime) -> StreamingTrace {
     StreamingTrace::new(&config(), 0.8, window, 1).unwrap()
-}
-
-fn streaming_lookahead(window: SimTime, depth: usize) -> StreamingTrace {
-    StreamingTrace::with_lookahead(&config(), 0.8, window, 1, depth).unwrap()
 }
 
 /// The headline proof: for all 12 strategies and three window sizes, a
@@ -253,9 +249,8 @@ fn empty_windows_mid_stream_are_harmless() {
 #[test]
 fn pipelined_replay_is_bit_identical_at_every_depth_and_thread_count() {
     let (trace, costs) = reference();
-    let window = SimTime::from_hours(13);
+    let stream = streaming(SimTime::from_hours(13));
     for depth in [1usize, 2, 4] {
-        let stream = streaming_lookahead(window, depth);
         let prefetch = PrefetchOptions::new(depth);
         for threads in [1usize, 2, 0] {
             for kind in [
@@ -288,9 +283,8 @@ fn pipelined_replay_is_bit_identical_at_every_depth_and_thread_count() {
 #[test]
 fn pipelined_crash_exactly_at_a_window_seam_is_seam_safe() {
     let (trace, costs) = reference();
-    let window = SimTime::from_days(1);
+    let stream = streaming(SimTime::from_days(1));
     for depth in [1usize, 2, 4] {
-        let stream = streaming_lookahead(window, depth);
         let prefetch = PrefetchOptions::new(depth);
         for crash_at in [SimTime::from_days(2), SimTime::from_hours(53)] {
             let options = SimOptions::at_capacity(StrategyKind::Sg2 { beta: 2.0 }, 0.05)
@@ -320,14 +314,134 @@ fn pipelined_crash_exactly_at_a_window_seam_is_seam_safe() {
 #[test]
 fn pipelined_materialization_equals_monolithic_compile() {
     let (trace, _) = reference();
-    let window = SimTime::from_hours(36);
+    let stream = streaming(SimTime::from_hours(36));
     for depth in [1usize, 3, 64] {
-        let stream = streaming_lookahead(window, depth);
         assert_eq!(
             &stream.materialize_prefetched(&PrefetchOptions::new(depth)),
             trace,
             "depth = {depth}"
         );
+    }
+}
+
+/// Generate-once, tested as a count: a pass draws every page's substream
+/// exactly once, so the request events it generates number exactly the
+/// trace's requests — a regeneration ratio of 1.00× — at every window
+/// size and prefetch depth, warped or not. (Before, a page was re-drawn
+/// for every batch its span overlapped: 3.92× on `stream-churn`.)
+#[test]
+fn every_pass_draws_each_request_exactly_once() {
+    let flash_crowds = ScenarioConfig::flash_crowds();
+    for window in [
+        SimTime::from_hours(1),
+        SimTime::from_hours(6),
+        SimTime::from_hours(13),
+        SimTime::ZERO,
+    ] {
+        let warped = StreamingTrace::from_scenario(&flash_crowds, 1.0, window, 0).unwrap();
+        for (name, stream) in [("plain", streaming(window)), ("flash_crowds", warped)] {
+            let requests = stream.meta().request_count();
+            let mut pass = stream.open();
+            while pass.next_window().is_some() {}
+            assert_eq!(
+                pass.generated_events(),
+                requests,
+                "{name}, serial, window {window:?}"
+            );
+            for depth in [1usize, 2, 4] {
+                let stats = stream.drain_prefetched(&PrefetchOptions::new(depth));
+                assert_eq!(
+                    stats.generated_events, requests,
+                    "{name}, depth {depth}, window {window:?}"
+                );
+            }
+        }
+    }
+}
+
+/// The case generate-once's sizing assumption does not hold for: with
+/// near-flat age decay a page's requests spread over the whole horizon,
+/// so with windows far shorter than that most of the trace passes through
+/// the pending tail instead of being a sliver of it. Memory grows; the
+/// windows must not change. Two fixtures: the 7-day horizon at 1-hour
+/// windows, and the same trace squeezed into one hour at 1-minute
+/// windows, where millisecond collisions give equal-time requests for one
+/// page at different servers — the only place the `(time, page)` sort key
+/// could reorder what the monolithic stable time-sort produced.
+#[test]
+fn slow_decay_tail_heavy_stream_is_bit_identical() {
+    let request_server = |kind: CompiledEventKind| match kind {
+        CompiledEventKind::Request { server, .. } => Some(server),
+        CompiledEventKind::Publish { .. } => None,
+    };
+    for (horizon, window, volume, wants_ties) in [
+        (SimTime::from_days(7), SimTime::from_hours(1), 8, false),
+        (
+            SimTime::from_hours(1),
+            SimTime::from_millis(60_000),
+            16,
+            true,
+        ),
+    ] {
+        let mut config = config();
+        config.publishing.horizon = horizon;
+        config.requests.horizon = horizon;
+        config.requests.class_gammas = [0.05; 4];
+        config.requests.total_requests *= volume;
+        let w = Workload::generate(&config).unwrap();
+        let subs = w.subscriptions(1.0).unwrap();
+        let reference = CompiledTrace::compile(&w, &subs).unwrap();
+        let costs = FetchCosts::uniform(w.server_count());
+
+        let ties = reference
+            .events()
+            .windows(2)
+            .filter(|pair| {
+                let (a, b) = (pair[0], pair[1]);
+                a.time == b.time
+                    && a.page == b.page
+                    && matches!(
+                        (request_server(a.kind), request_server(b.kind)),
+                        (Some(x), Some(y)) if x != y
+                    )
+            })
+            .count();
+        assert!(
+            ties > 0 || !wants_ties,
+            "fixture has no equal-time same-page requests at different servers"
+        );
+
+        let stream = StreamingTrace::new(&config, 1.0, window, 1).unwrap();
+        let tail = stream.drain_prefetched(&PrefetchOptions::new(1));
+        let request_bytes = stream.meta().request_count() * std::mem::size_of::<RequestEvent>();
+        eprintln!(
+            "slow decay, {} windows: {} requests, {ties} cross-server ties, tail high-water \
+             {:.2} of the request bytes",
+            stream.window_count(),
+            stream.meta().request_count(),
+            tail.peak_tail_bytes as f64 / request_bytes as f64
+        );
+        assert!(
+            tail.peak_tail_bytes * 4 > request_bytes,
+            "tail high-water {} B is not a large share of the {request_bytes} B of requests; \
+             the fixture is not adversarial",
+            tail.peak_tail_bytes
+        );
+
+        assert_eq!(stream.materialize(), reference);
+        let options = SimOptions::at_capacity(StrategyKind::dc_lap(2.0), 0.05).with_threads(3);
+        let compiled = simulate_compiled(&reference, &costs, &options).unwrap();
+        for depth in [1usize, 2, 4] {
+            let prefetch = PrefetchOptions::new(depth);
+            assert_eq!(
+                stream.materialize_prefetched(&prefetch),
+                reference,
+                "depth = {depth}"
+            );
+            let pipelined =
+                simulate_streamed_prefetched(&stream, &costs, &options, &prefetch).unwrap();
+            assert_eq!(compiled, pipelined, "3 shards, depth = {depth}");
+        }
     }
 }
 

@@ -1,5 +1,5 @@
-//! Proves the streaming claim that matters: peak memory is O(window),
-//! not O(trace).
+//! Proves the streaming claim that matters: peak memory is O(depth ×
+//! window + live tail), not O(trace).
 //!
 //! A byte-counting `#[global_allocator]` wraps the system allocator and
 //! tracks live bytes plus a high-water mark. The test measures the peak
@@ -23,7 +23,7 @@ use pscd_sim::{
     SimOptions, StreamingTrace,
 };
 use pscd_topology::FetchCosts;
-use pscd_types::SimTime;
+use pscd_types::{RequestEvent, SimTime};
 use pscd_workload::{Workload, WorkloadConfig};
 
 struct ByteCountingAlloc;
@@ -125,8 +125,9 @@ fn streaming_peak_is_a_fraction_of_the_monolithic_peak() {
          monolithic peak {mono_peak} B"
     );
 
-    // O(window), concretely: the reusable window buffers shrink with the
-    // window. Compare the high-water buffer bytes at two window sizes.
+    // O(window + live tail), concretely: the reusable window buffers and
+    // the pending tail shrink with the window. Compare the high-water
+    // buffer bytes at two window sizes.
     let buffer_peak = |window: SimTime| {
         let stream = StreamingTrace::new(&config, 1.0, window, 1).unwrap();
         let mut pass = stream.open();
@@ -183,9 +184,7 @@ fn prefetch_peak_is_bounded_by_depth_windows_not_the_trace() {
 
     // Pipelined replay at the default depth stays a fraction of the
     // monolithic peak — the whole point of streaming survives the
-    // compile-ahead overlap. (Lookahead 0 keeps the constructor's
-    // window cache out of the measurement; every window is produced by
-    // the prefetcher itself.)
+    // compile-ahead overlap.
     let window = SimTime::from_hours(1);
     let stream = StreamingTrace::new(&config, 1.0, window, 1).unwrap();
     let costs = FetchCosts::uniform(stream.meta().server_count());
@@ -242,7 +241,7 @@ fn prefetch_peak_is_bounded_by_depth_windows_not_the_trace() {
         deep.peak_windows,
         deep.peak_bytes as f64 / 1e6
     );
-    // Deeper lookahead may hold proportionally more compiled bytes but
+    // A deeper queue may hold proportionally more compiled bytes but
     // never an O(window_count) share of the trace: with 1-hour windows
     // the horizon has ~168 windows, so depth 4's resident set stays far
     // below half the timeline.
@@ -254,6 +253,27 @@ fn prefetch_peak_is_bounded_by_depth_windows_not_the_trace() {
         deep.peak_bytes,
         avg_window
     );
+
+    // The producer's pending tail — requests drawn with their page but due
+    // in a window no batch has gathered yet — is the one term the depth
+    // bound does not cover. Age decay keeps it a sliver of the trace: at
+    // either depth it stays under the one depth-batch of compiled windows
+    // (queued + being replayed) the depth-1 queue keeps alive.
+    eprintln!(
+        "pending tail high water: depth 1 = {:.3} MB, depth 4 = {:.3} MB \
+         of {:.2} MB of requests",
+        drained.peak_tail_bytes as f64 / 1e6,
+        deep.peak_tail_bytes as f64 / 1e6,
+        (stream.meta().request_count() * std::mem::size_of::<RequestEvent>()) as f64 / 1e6
+    );
+    for (depth, stats) in [(1, drained), (4, deep)] {
+        assert!(
+            stats.peak_tail_bytes <= drained.peak_bytes,
+            "depth {depth}: pending tail {} B exceeds the depth-1 queue's {} B",
+            stats.peak_tail_bytes,
+            drained.peak_bytes
+        );
+    }
 }
 
 /// The acceptance-scale run: a configuration carrying over a million
