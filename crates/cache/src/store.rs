@@ -32,8 +32,8 @@ const NO_POS: u32 = u32::MAX;
 /// *are* the entries — the page table only maps pages to heap positions —
 /// so the live population sits in one compact array and the push-time
 /// placement question, [`candidate_size_below`](CacheStore::candidate_size_below),
-/// is answered by a pruned walk of that array with zero bookkeeping on
-/// the mutation paths.
+/// is answered by a full sweep of that array — every live slot, nothing
+/// pruned — with zero bookkeeping on the mutation paths.
 ///
 /// The page → heap-position index is a [`PageTable`] of `u32` positions:
 /// 4 bytes per page ordinal, all the per-page state lives in the heap
@@ -224,9 +224,10 @@ impl CacheStore {
     ///
     /// Answered by one branch-predictable sweep of the heap's compact
     /// slot array, with *no* auxiliary index to maintain on the
-    /// insert/update/evict paths. The live population is small (tens of
-    /// pages at the paper's capacities) and sits in one contiguous
-    /// array, so the sweep is cheaper than any pointer-hopping index —
+    /// insert/update/evict paths. The live population is small (a mean
+    /// of 18–490 pages per proxy at paper scale and 1–10 % capacity) and
+    /// sits in one contiguous array, so the sweep is cheaper than any
+    /// pointer-hopping index —
     /// and byte sizes sum in `u64`, so visit order cannot perturb the
     /// answer: it is bit-identical by construction.
     pub fn candidate_size_below(&self, value: f64) -> Bytes {

@@ -4,33 +4,40 @@
 //! [`SubscriptionIndex`] — or of a whole fleet's, one per proxy — into a
 //! single set of flat arrays: every string is interned into a dense `u32`
 //! symbol ([`SymbolTable`]), the nested hash-map buckets become CSR arrays
-//! searched by integer keys, and the counting state becomes one
-//! epoch-stamped array of u64 words, so the common subscription shapes
-//! never touch a per-subscription counter:
+//! searched by integer keys, and the match state is one epoch-stamped
+//! bitset — a match is a set bit, a count is a popcount, and no
+//! subscription has a counter:
 //!
-//! * **Singles** (one predicate — the common case): ordinal bits in a u64
-//!   bitset; a satisfied predicate is one `OR`, a match is a set bit, a
-//!   count is a popcount.
-//! * **Doubles** (two predicates): two parallel bitsets, one per predicate
-//!   slot; a match is `slot0 & slot1` per word.
-//! * **Multis** (three or more): one satisfied-predicate counter each,
-//!   exactly like the mutable index.
+//! * **Singles** (one predicate — the common case): the predicate is
+//!   indexed in its family's buckets and its *token* is the
+//!   subscription's bit; a satisfied predicate is one `OR`.
+//! * **Conjunctions** (two or more): exactly one predicate — the *access
+//!   predicate* — is indexed, and its token is the conjunction's bit in a
+//!   second region of the bitset. The other predicates are compiled into
+//!   one flat *residual* array and evaluated against the content only for
+//!   the candidates whose access bit was set; a candidate that fails has
+//!   its bit cleared (the access-predicate scheme of Fabret et al.,
+//!   SIGMOD 2001). A publish pays for the conjunctions its content
+//!   selects, not for every predicate it satisfies.
 //!
-//! A bucket entry is a `u32` *token*, the address of what a satisfied
-//! predicate bumps: a bit of the singles' bitset, of the doubles' slot-0
-//! or slot-1 bitset, or (past the bits) a multi's counter word.
+//! The access predicate is chosen at freeze: the predicate of a *keyed*
+//! family (integer equality, string equality, tag membership) whose
+//! content key carries the fewest conjunction predicates fleet-wide; ties
+//! go to the family, in that order, then to the earlier predicate. A
+//! conjunction of scanned-family predicates only (ranges, `exists`, the
+//! rare operators) is indexed by its first.
 //!
 //! **The proxy is a dimension of the index, not a reason for a second
 //! one.** Every bucket key carries the proxy in its low 16 bits, so the
 //! buckets of all proxies for one content key are adjacent; and ordinals
 //! are laid out proxy-major inside each class, each proxy's range rounded
-//! up to a whole 64-bit word, so every bitset word and every counter
-//! belongs to exactly one proxy. A publish searches each content key once,
-//! bumps the adjacent entries of every proxy, and folds the touched words
-//! into one count per proxy; a request searches the exact `(key, proxy)`
-//! bucket and touches that proxy's words only. Both run the same
-//! `accumulate`, restricted to a range of proxies (`Lanes`). An index
-//! frozen from one [`SubscriptionIndex`] is the one-proxy fleet.
+//! up to a whole 64-bit word, so every bitset word belongs to exactly one
+//! proxy. A publish searches each content key once, sets the adjacent
+//! entries' bits for every proxy, and folds the touched words into one
+//! count per proxy; a request searches the exact `(key, proxy)` bucket and
+//! touches that proxy's words only. Both run the same `accumulate`,
+//! restricted to a range of proxies (`Lanes`). An index frozen from one
+//! [`SubscriptionIndex`] is the one-proxy fleet.
 //!
 //! Words are epoch-stamped and reset lazily on first touch, so a match
 //! clears nothing and allocates nothing: the hot loop is integer binary
@@ -138,17 +145,18 @@ impl SymView {
 }
 
 /// Epoch-stamped state for the frozen kernel, embedded in
-/// [`MatchScratch`]: one array of u64 words — the singles' bitset, the
-/// doubles' slot-0 and slot-1 bitsets, then one satisfied-predicate counter
-/// per multi — addressed directly by token. A word is live only when its
-/// stamp equals the current epoch; a new match bumps the epoch in O(1) and
-/// resets each word lazily on first touch.
+/// [`MatchScratch`]: one array of u64 words — the singles' bitset, then the
+/// conjunctions' — addressed directly by token. A word is live only when
+/// its stamp equals the current epoch; a new match bumps the epoch in O(1)
+/// and resets each word lazily on first touch.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct FrozenScratch {
     epoch: u32,
     words: Vec<u64>,
     stamp: Vec<u32>,
     touched: Vec<u32>,
+    /// How many conjunction candidates the last match verified.
+    pub(crate) verified: u32,
     /// A publish's matches per proxy, wildcards plus what the touched
     /// words fold to.
     lane_counts: Vec<u32>,
@@ -169,6 +177,34 @@ impl FrozenScratch {
         self.epoch += 1;
         self.touched.clear();
     }
+
+    #[inline]
+    fn bump_all(&mut self, tokens: &[u32]) {
+        for &tok in tokens {
+            self.bump(tok);
+        }
+    }
+
+    /// Records one satisfied indexed predicate: its token is a bit.
+    #[inline]
+    fn bump(&mut self, tok: u32) {
+        let w = (tok >> 6) as usize;
+        if self.stamp[w] != self.epoch {
+            self.stamp[w] = self.epoch;
+            self.words[w] = 0;
+            self.touched.push(w as u32);
+        }
+        self.words[w] |= 1 << (tok & 63);
+    }
+
+    /// What the last [`FrozenIndex::accumulate`] matched: each touched
+    /// word holding a match, with its matched bits.
+    fn matched(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        let words = self.touched.iter().map(|&w| w as usize);
+        words
+            .map(|w| (w, self.words[w]))
+            .filter(|&(_, bits)| bits != 0)
+    }
 }
 
 impl MatchScratch {
@@ -182,23 +218,94 @@ impl MatchScratch {
     }
 }
 
-/// A compiled predicate for operator classes too rare or irregular for a
-/// dedicated bucket array (inequality, prefix, whole-set equality). All
-/// operands are pre-symbolized or copied into index-owned buffers, so
-/// evaluation still never touches the original strings.
-#[derive(Debug, Clone)]
-enum MiscOp {
-    /// `attr != x` for integers.
+/// A predicate's operator in symbol space: every string operand replaced
+/// by its symbol or copied into [`Operands`], so evaluation never touches
+/// the original strings. Indexed predicates of the rare operators and
+/// every residual predicate are held in this form and evaluated by the one
+/// [`Operands::eval`].
+#[derive(Debug, Clone, Copy)]
+enum SymOp {
+    EqInt(i64),
+    EqStr(u32),
+    /// Tag membership; on a string attribute, equality.
+    Contains(u32),
+    /// A numeric range normalized to inclusive `[lo, hi]`; a bound at the
+    /// integer edge (`Lt(MIN)`, `Gt(MAX)`) can never be satisfied and
+    /// compiles to the empty interval `[1, 0]`.
+    Range(i64, i64),
+    Exists,
     NeInt(i64),
-    /// `attr != s` by symbol (an uninterned content string is trivially
-    /// unequal).
+    /// By symbol: an uninterned content string is trivially unequal.
     NeStr(u32),
-    /// `attr != {tags}` — operand in `misc_tag_syms[start..end]`, sorted.
-    NeTags { start: u32, end: u32 },
-    /// `attr == {tags}` (whole-set equality) — same encoding.
-    EqTags { start: u32, end: u32 },
-    /// `attr starts-with p` — prefix bytes in `misc_str[start..end]`.
-    Prefix { start: u32, end: u32 },
+    /// Whole-set (in)equality: the operand is `tag_syms[start..end]`,
+    /// sorted.
+    EqTags(u32, u32),
+    NeTags(u32, u32),
+    /// `attr starts-with p`: the prefix is `bytes[start..end]`.
+    Prefix(u32, u32),
+}
+
+/// A compiled predicate: the attribute's name symbol and the operator.
+#[derive(Debug, Clone, Copy)]
+struct SymPred {
+    attr: u32,
+    op: SymOp,
+}
+
+impl SymPred {
+    /// The bucket a keyed-family predicate is filed under: its content
+    /// key, with the family in the (clear) proxy bits.
+    fn bucket(&self) -> Option<u128> {
+        match self.op {
+            SymOp::EqInt(v) => Some(int_key(self.attr, v) | u128::from(EQ_INT)),
+            SymOp::EqStr(s) => Some(sym_key(self.attr, s) | u128::from(EQ_STR)),
+            SymOp::Contains(s) => Some(sym_key(self.attr, s) | u128::from(TAG)),
+            _ => None,
+        }
+    }
+}
+
+/// The operands [`SymOp`]s point into: tag-set symbols and prefix bytes.
+#[derive(Debug, Clone, Default)]
+struct Operands {
+    tag_syms: Vec<u32>,
+    bytes: String,
+}
+
+impl Operands {
+    /// Evaluates `pred` against the view; like [`Predicate::eval`], a
+    /// missing attribute or a type mismatch is `false`.
+    fn holds(&self, pred: &SymPred, view: &SymView) -> bool {
+        let attr = view.attrs.iter().find(|a| a.name_sym == pred.attr);
+        attr.is_some_and(|a| self.eval(pred.op, &a.val, view))
+    }
+
+    /// The one evaluator: `op` against an attribute's value.
+    fn eval(&self, op: SymOp, val: &SymVal, view: &SymView) -> bool {
+        match (op, val) {
+            (SymOp::Exists, _) => true,
+            (SymOp::EqInt(x), SymVal::Int(v)) => *v == x,
+            (SymOp::NeInt(x), SymVal::Int(v)) => *v != x,
+            (SymOp::Range(lo, hi), SymVal::Int(v)) => lo <= *v && *v <= hi,
+            (SymOp::EqStr(x) | SymOp::Contains(x), SymVal::Str { sym, .. }) => *sym == x,
+            (SymOp::NeStr(x), SymVal::Str { sym, .. }) => *sym != x,
+            (SymOp::Contains(x), SymVal::Tags { start, end, .. }) => {
+                view.tag_syms[*start as usize..*end as usize].contains(&x)
+            }
+            (SymOp::EqTags(s, e) | SymOp::NeTags(s, e), SymVal::Tags { start, end, total }) => {
+                let pred = &self.tag_syms[s as usize..e as usize];
+                let got = &view.tag_syms[*start as usize..*end as usize];
+                // An uninterned content tag (dropped from `got`, counted
+                // in `total`) can never appear in the predicate's set.
+                let equal = *total as usize == pred.len() && got == pred;
+                equal == matches!(op, SymOp::EqTags(..))
+            }
+            (SymOp::Prefix(s, e), SymVal::Str { start, end, .. }) => view.str_buf
+                [*start as usize..*end as usize]
+                .starts_with(&self.bytes[s as usize..e as usize]),
+            _ => false,
+        }
+    }
 }
 
 /// The inclusive range of proxies one match is restricted to: the whole
@@ -252,12 +359,14 @@ struct Csr<K> {
 }
 
 impl<K: Key> Csr<K> {
-    /// Groups `rows`, already sorted by `key`, into buckets. The vectors
-    /// are sized exactly (distinct keys are counted first): at the
+    /// Groups `rows`, already sorted by `key`, into buckets, checking
+    /// that the family fits the `u32` offsets they are addressed by. The
+    /// vectors are sized exactly (distinct keys are counted first): at the
     /// million-subscription scale the bench freezes, letting them grow by
     /// doubling dominated freeze time and spread its p90 far above the
-    /// median. The caller has checked that `rows.len()` fits `u32`.
-    fn group<R>(rows: &[R], key: impl Fn(&R) -> K) -> Self {
+    /// median.
+    fn group<R>(rows: &[R], class: &str, key: impl Fn(&R) -> K) -> Self {
+        fit_u32(rows.len() as u64, class);
         let distinct = usize::from(!rows.is_empty())
             + rows.windows(2).filter(|w| key(&w[0]) != key(&w[1])).count();
         let mut keys = Vec::with_capacity(distinct);
@@ -312,13 +421,6 @@ fn class_bases(counts: impl Iterator<Item = usize>, align: u64, class: &str) -> 
     bases
 }
 
-/// Makes room for `more` rows, checking that the family still fits the
-/// `u32` offsets its buckets are addressed by.
-fn grow<T>(rows: &mut Vec<T>, more: usize, class: &str) {
-    fit_u32((rows.len() + more) as u64, class);
-    rows.reserve(more);
-}
-
 /// A token family's rows while a fleet is being frozen: the bucket key
 /// (the proxy in its low bits) and the token of each predicate, in two
 /// parallel arrays — a third less to hold and to move than pairs, and the
@@ -330,8 +432,8 @@ struct TokenRows<K> {
 }
 
 impl<K: Key> TokenRows<K> {
-    fn grow(&mut self, more: usize, class: &str) {
-        grow(&mut self.keys, more, class);
+    fn reserve(&mut self, more: usize) {
+        self.keys.reserve(more);
         self.toks.reserve(more);
     }
 
@@ -341,14 +443,14 @@ impl<K: Key> TokenRows<K> {
     }
 
     /// Sorts the rows by key: a stable byte-wise LSD radix sort that
-    /// skips every byte on which all keys agree. Rows arrive proxy by
-    /// proxy, that is already ordered by the key's low 16 bits, and a
-    /// stable pass over a higher byte keeps that order, so the proxy bytes
-    /// are never sorted either: the work is one linear pass per byte of
-    /// the content key that varies, and a bucket keeps its entries in id
-    /// order.
+    /// skips every byte on which all keys agree. A family's singles
+    /// arrive proxy by proxy, that is already ordered by the key's low 16
+    /// bits, and so do its access predicates; a stable pass over a higher
+    /// byte keeps that order, so a family holding only one of the two
+    /// never sorts the proxy bytes: the work is one linear pass per byte
+    /// of the content key that varies. Either way a bucket keeps its
+    /// entries in token order.
     fn sort(&mut self) {
-        debug_assert!(self.keys.is_sorted_by_key(|&k| k.into() as u16));
         let Some(&first) = self.keys.first() else {
             return;
         };
@@ -356,12 +458,14 @@ impl<K: Key> TokenRows<K> {
             .keys
             .iter()
             .fold(0u128, |acc, &k| acc | (k.into() ^ first.into()));
-        if varying >> 16 == 0 {
+        let by_lane = self.keys.is_sorted_by_key(|&k| k.into() as u16);
+        let low = if by_lane { 16 } else { 0 };
+        if varying >> low == 0 {
             // One content key: already in order, nothing to copy.
             return;
         }
         let (mut keys, mut toks) = (self.keys.clone(), self.toks.clone());
-        for shift in (16..128).step_by(8) {
+        for shift in (low..128).step_by(8) {
             if (varying >> shift) as u8 == 0 {
                 continue;
             }
@@ -386,15 +490,15 @@ impl<K: Key> TokenRows<K> {
     }
 
     /// Sorts the rows into the family's buckets and entry list.
-    fn into_buckets(mut self) -> (Csr<K>, Vec<u32>) {
+    fn into_buckets(mut self, class: &str) -> (Csr<K>, Vec<u32>) {
         self.sort();
-        (Csr::group(&self.keys, |&k| k), self.toks)
+        (Csr::group(&self.keys, class, |&k| k), self.toks)
     }
 }
 
-/// Every predicate family's rows while a fleet is being frozen; ranges
+/// Every predicate family's rows while a fleet is being frozen — ranges
 /// and the rare operators carry their compiled operand beside the key and
-/// the token.
+/// the token — and the conjunctions' compiled predicates.
 #[derive(Default)]
 struct Rows<'a> {
     /// The attribute name interned last and its symbol: a proxy's
@@ -408,59 +512,59 @@ struct Rows<'a> {
     tag: TokenRows<u128>,
     range: Vec<(u64, i64, i64, u32)>,
     exists: TokenRows<u64>,
-    misc: Vec<(u64, u32, MiscOp)>,
-    misc_tag_syms: Vec<u32>,
-    misc_str: String,
+    misc: Vec<(u64, u32, SymOp)>,
+    operands: Operands,
+    /// Every conjunction's predicates, in subscription order, until
+    /// [`Rows::choose_access`] moves one of each into its family and
+    /// leaves the residuals.
+    resid: Vec<SymPred>,
+    /// Conjunction ordinal -> start of its predicates in `resid`.
+    resid_base: Vec<u32>,
+    /// The conjunctions' keyed predicates, as if all were indexed
+    /// fleet-wide: [`SymPred::bucket`] and position in `resid`.
+    keyed: TokenRows<u128>,
 }
 
 impl<'a> Rows<'a> {
-    /// Counting pre-pass over one proxy's subscriptions: sizes every
-    /// arena before a single push. For one proxy that is exact, and at
+    /// Counting pre-pass over one proxy's subscriptions: sizes the
+    /// families for its singles and `resid` for its conjunctions before a
+    /// single push; the access predicates grow their families later. At
     /// the million-subscription scale the bench freezes, letting these
     /// vectors grow by doubling was the source of the freeze_build p90
     /// outlier (first-touch page faults on each fresh doubling); across a
     /// fleet the growth is amortized.
     fn reserve(&mut self, subs: &[(SubscriptionId, &Subscription)]) {
         let (mut eq_int, mut eq_str, mut tag) = (0, 0, 0);
-        let (mut range, mut exists, mut misc) = (0, 0, 0);
-        let (mut tag_set, mut prefix_bytes) = (0, 0);
-        for pred in subs.iter().flat_map(|(_, sub)| sub.predicates()) {
+        let (mut range, mut exists, mut misc, mut resid) = (0, 0, 0, 0);
+        for (_, sub) in subs {
+            let [pred] = sub.predicates() else {
+                resid += sub.len();
+                continue;
+            };
             match pred.op() {
                 Op::Eq(Value::Int(_)) => eq_int += 1,
                 Op::Eq(Value::Str(_)) => eq_str += 1,
                 Op::Contains(_) => tag += 1,
                 Op::Lt(_) | Op::Le(_) | Op::Gt(_) | Op::Ge(_) => range += 1,
                 Op::Exists => exists += 1,
-                Op::Eq(Value::Tags(tags)) | Op::Ne(Value::Tags(tags)) => {
-                    misc += 1;
-                    tag_set += tags.len();
-                }
-                Op::Prefix(p) => {
-                    misc += 1;
-                    prefix_bytes += p.len();
-                }
-                Op::Ne(_) => misc += 1,
+                Op::Eq(Value::Tags(_)) | Op::Ne(_) | Op::Prefix(_) => misc += 1,
             }
         }
-        self.eq_int.grow(eq_int, "integer-equality entries");
-        self.eq_str.grow(eq_str, "string-equality entries");
-        self.tag.grow(tag, "tag entries");
-        grow(&mut self.range, range, "range entries");
-        self.exists.grow(exists, "exists entries");
-        grow(&mut self.misc, misc, "rare-operator entries");
-        grow(&mut self.misc_tag_syms, tag_set, "tag-set operand symbols");
-        fit_u32(
-            (self.misc_str.len() + prefix_bytes) as u64,
-            "prefix operand bytes",
-        );
-        self.misc_str.reserve(prefix_bytes);
+        self.eq_int.reserve(eq_int);
+        self.eq_str.reserve(eq_str);
+        self.tag.reserve(tag);
+        self.range.reserve(range);
+        self.exists.reserve(exists);
+        self.misc.reserve(misc);
+        self.resid.reserve(resid);
     }
 
-    /// Compiles one predicate of proxy `lane` into its family's row,
-    /// interning its strings into `table`; `tok` is what a satisfied
-    /// predicate bumps.
-    fn push(&mut self, table: &mut SymbolTable, lane: u16, pred: &'a Predicate, tok: u32) {
-        let a = match self.last_attr {
+    /// Compiles one predicate into symbol space, interning its strings
+    /// into `table`. Fused with [`Rows::index`] in the singles' loop; as
+    /// calls the two cost 3–4 ms more of a 25 ms 200 k-single freeze.
+    #[inline(always)]
+    fn compile(&mut self, table: &mut SymbolTable, pred: &'a Predicate) -> SymPred {
+        let attr = match self.last_attr {
             Some((name, sym)) if name == pred.attr() => sym,
             _ => {
                 let sym = table.intern_name(pred.attr());
@@ -468,71 +572,78 @@ impl<'a> Rows<'a> {
                 sym
             }
         };
+        let op = match pred.op() {
+            Op::Eq(Value::Int(v)) => SymOp::EqInt(*v),
+            Op::Eq(Value::Str(s)) => SymOp::EqStr(table.intern_string(s)),
+            Op::Contains(t) => SymOp::Contains(table.intern_string(t)),
+            Op::Exists => SymOp::Exists,
+            Op::Lt(b) => b
+                .checked_sub(1)
+                .map_or(SymOp::Range(1, 0), |hi| SymOp::Range(i64::MIN, hi)),
+            Op::Le(b) => SymOp::Range(i64::MIN, *b),
+            Op::Gt(b) => b
+                .checked_add(1)
+                .map_or(SymOp::Range(1, 0), |lo| SymOp::Range(lo, i64::MAX)),
+            Op::Ge(b) => SymOp::Range(*b, i64::MAX),
+            Op::Eq(Value::Tags(tags)) => {
+                let (start, end) = self.tag_set(table, tags);
+                SymOp::EqTags(start, end)
+            }
+            Op::Ne(Value::Int(v)) => SymOp::NeInt(*v),
+            Op::Ne(Value::Str(s)) => SymOp::NeStr(table.intern_string(s)),
+            Op::Ne(Value::Tags(tags)) => {
+                let (start, end) = self.tag_set(table, tags);
+                SymOp::NeTags(start, end)
+            }
+            Op::Prefix(p) => {
+                let bytes = &mut self.operands.bytes;
+                let start = bytes.len() as u32;
+                bytes.push_str(p);
+                SymOp::Prefix(start, fit_u32(bytes.len() as u64, "prefix operand bytes"))
+            }
+        };
+        SymPred { attr, op }
+    }
+
+    /// Appends a tag-set operand as sorted symbols; returns its range.
+    fn tag_set(&mut self, table: &mut SymbolTable, tags: &BTreeSet<String>) -> (u32, u32) {
+        let syms = &mut self.operands.tag_syms;
+        let start = syms.len();
+        syms.extend(tags.iter().map(|t| table.intern_string(t)));
+        syms[start..].sort_unstable();
+        let end = fit_u32(syms.len() as u64, "tag-set operand symbols");
+        (start as u32, end)
+    }
+
+    /// Indexes a compiled predicate of proxy `lane` in its family; `tok`
+    /// is the bit a satisfied predicate sets.
+    #[inline(always)]
+    fn index(&mut self, lane: u16, pred: SymPred, tok: u32) {
+        let a = pred.attr;
         let (wide, narrow) = (u128::from(lane), attr_key(a) | u64::from(lane));
-        let family = match pred.op() {
-            Op::Eq(Value::Int(v)) => {
-                self.eq_int.push(int_key(a, *v) | wide, tok);
+        let family = match pred.op {
+            SymOp::EqInt(v) => {
+                self.eq_int.push(int_key(a, v) | wide, tok);
                 EQ_INT
             }
-            Op::Eq(Value::Str(s)) => {
-                let key = sym_key(a, table.intern_string(s));
-                self.eq_str.push(key | wide, tok);
+            SymOp::EqStr(s) => {
+                self.eq_str.push(sym_key(a, s) | wide, tok);
                 EQ_STR
             }
-            Op::Contains(t) => {
-                let key = sym_key(a, table.intern_string(t));
-                self.tag.push(key | wide, tok);
+            SymOp::Contains(s) => {
+                self.tag.push(sym_key(a, s) | wide, tok);
                 TAG
             }
-            Op::Exists => {
+            SymOp::Exists => {
                 self.exists.push(narrow, tok);
                 EXISTS
             }
-            // Normalize ranges to inclusive [lo, hi]; a bound at the
-            // integer edge (Lt(MIN), Gt(MAX)) can never be satisfied
-            // and compiles to the empty interval [1, 0].
-            Op::Lt(b) => {
-                let (lo, hi) = b.checked_sub(1).map_or((1, 0), |hi| (i64::MIN, hi));
+            SymOp::Range(lo, hi) => {
                 self.range.push((narrow, lo, hi, tok));
                 RANGE
             }
-            Op::Le(b) => {
-                self.range.push((narrow, i64::MIN, *b, tok));
-                RANGE
-            }
-            Op::Gt(b) => {
-                let (lo, hi) = b.checked_add(1).map_or((1, 0), |lo| (lo, i64::MAX));
-                self.range.push((narrow, lo, hi, tok));
-                RANGE
-            }
-            Op::Ge(b) => {
-                self.range.push((narrow, *b, i64::MAX, tok));
-                RANGE
-            }
-            Op::Eq(Value::Tags(tags)) => {
-                let (start, end) = self.tag_set(table, tags);
-                self.misc.push((narrow, tok, MiscOp::EqTags { start, end }));
-                MISC
-            }
-            Op::Ne(Value::Int(v)) => {
-                self.misc.push((narrow, tok, MiscOp::NeInt(*v)));
-                MISC
-            }
-            Op::Ne(Value::Str(s)) => {
-                let op = MiscOp::NeStr(table.intern_string(s));
+            op => {
                 self.misc.push((narrow, tok, op));
-                MISC
-            }
-            Op::Ne(Value::Tags(tags)) => {
-                let (start, end) = self.tag_set(table, tags);
-                self.misc.push((narrow, tok, MiscOp::NeTags { start, end }));
-                MISC
-            }
-            Op::Prefix(p) => {
-                let start = self.misc_str.len() as u32;
-                self.misc_str.push_str(p);
-                let end = self.misc_str.len() as u32;
-                self.misc.push((narrow, tok, MiscOp::Prefix { start, end }));
                 MISC
             }
         };
@@ -542,13 +653,62 @@ impl<'a> Rows<'a> {
         self.families[a as usize] |= family;
     }
 
-    /// Appends a tag-set operand as sorted symbols; returns its range.
-    fn tag_set(&mut self, table: &mut SymbolTable, tags: &BTreeSet<String>) -> (u32, u32) {
-        let start = self.misc_tag_syms.len();
-        self.misc_tag_syms
-            .extend(tags.iter().map(|t| table.intern_string(t)));
-        self.misc_tag_syms[start..].sort_unstable();
-        (start as u32, self.misc_tag_syms.len() as u32)
+    /// Compiles a conjunction, ordinal `c`, into `resid` and files its
+    /// keyed predicates in `keyed`.
+    fn push_conjunction(&mut self, table: &mut SymbolTable, c: u32, preds: &'a [Predicate]) {
+        // Ordinals skipped as a proxy's padding own no predicates.
+        self.resid_base
+            .resize(c as usize + 1, self.resid.len() as u32);
+        for pred in preds {
+            let pred = self.compile(table, pred);
+            if let Some(bucket) = pred.bucket() {
+                self.keyed.push(bucket, self.resid.len() as u32);
+            }
+            self.resid.push(pred);
+        }
+    }
+
+    /// Moves each conjunction's access predicate out of `resid` into its
+    /// family — token `tok0 + c` — and closes the gaps, once every
+    /// proxy's conjunctions are in and the bucket sizes final. `c_base`
+    /// is the conjunctions' proxy-major layout.
+    fn choose_access(&mut self, c_base: &[u32], tok0: u32) {
+        let conjunctions = *c_base.last().expect("class bases are never empty");
+        fit_u32(self.resid.len() as u64, "conjunction predicates");
+        self.resid_base
+            .resize(conjunctions as usize + 1, self.resid.len() as u32);
+        // A keyed predicate's bucket size: the length of its run once the
+        // keyed predicates are sorted into buckets.
+        let (buckets, at) = std::mem::take(&mut self.keyed).into_buckets("conjunction predicates");
+        let mut size = vec![0; self.resid.len()];
+        for run in buckets.bounds.windows(2) {
+            for &i in &at[run[0] as usize..run[1] as usize] {
+                size[i as usize] = run[1] - run[0];
+            }
+        }
+        let mut kept = 0;
+        for (lane, ordinals) in c_base.windows(2).enumerate() {
+            for c in ordinals[0] as usize..ordinals[1] as usize {
+                let preds = self.resid_base[c] as usize..self.resid_base[c + 1] as usize;
+                self.resid_base[c] = kept as u32;
+                // The smallest bucket, then the family (the bits, low in
+                // the bucket key, are in rank order), then the position;
+                // no keyed predicate: the first.
+                let rank = |i: usize| Some((size[i], self.resid[i].bucket()? as u8, i));
+                let access = preds.clone().filter_map(rank).min();
+                let access = access.map_or(preds.start, |(_, _, i)| i);
+                for i in preds {
+                    if i == access {
+                        self.index(lane as u16, self.resid[i], tok0 + c as u32);
+                    } else {
+                        self.resid[kept] = self.resid[i];
+                        kept += 1;
+                    }
+                }
+            }
+        }
+        self.resid_base[conjunctions as usize] = kept as u32;
+        self.resid.truncate(kept);
     }
 }
 
@@ -560,11 +720,10 @@ const NO_ID: SubscriptionId = SubscriptionId::new(u64::MAX);
 /// the [module docs](self) for the layout. Immutable by construction —
 /// rebuild from the mutable index when subscriptions change.
 ///
-/// Subscriptions are partitioned by predicate count into *singles*
-/// (frozen ordinals `[0, s)`), *doubles* (`[s, s+d)`) and *multis*
-/// (`[s+d, n)`), proxy-major inside each class; wildcards are kept aside.
-/// Bucket entries are `u32` tokens, each the address of the bit or
-/// counter a satisfied predicate bumps.
+/// Frozen ordinals are the singles `[0, s)` then the conjunctions
+/// `[s, n)`, proxy-major inside each class; wildcards are kept aside. A
+/// bucket entry is a `u32` token: the ordinal — the bit — of the
+/// subscription whose indexed predicate is satisfied.
 ///
 /// # Examples
 ///
@@ -594,23 +753,24 @@ pub struct FrozenIndex {
     /// Number of proxies (at least one).
     lanes: u16,
     /// Singles' bitset size: every proxy's singles, each range padded to
-    /// a whole word. A single's token is its bit.
+    /// a whole word. A single's token is its bit; conjunction `c`'s is
+    /// `s_bits + c`, in a region padded the same way.
     s_bits: u32,
-    /// Doubles' per-slot bitset size, padded the same way. Double `d`'s
-    /// tokens are `s_bits + d` (slot 0) and `s_bits + d_bits + d` (slot 1);
-    /// multi `m`'s is `s_bits + 2 * d_bits + m`, its counter's word.
-    d_bits: u32,
-    /// Frozen ordinal -> subscription id (singles ++ doubles ++ multis,
-    /// [`NO_ID`] in the padding).
+    /// Frozen ordinal (= token) -> subscription id (singles ++
+    /// conjunctions, [`NO_ID`] in the padding).
     ids: Vec<SubscriptionId>,
-    /// Predicate count per multi (match when the counter reaches this).
-    multi_need: Vec<u32>,
+    /// Conjunction `c`'s residual predicates — all but its access
+    /// predicate — are `resid[resid_base[c]..resid_base[c + 1]]`.
+    resid: Vec<SymPred>,
+    resid_base: Vec<u32>,
+    /// What the rare operators and the residuals point into.
+    operands: Operands,
     /// Zero-predicate subscriptions, proxy-major, ascending by id.
     wildcards: Vec<SubscriptionId>,
     /// Proxy `p`'s wildcards are `wildcards[w_base[p]..w_base[p + 1]]`.
     w_base: Vec<u32>,
     /// The proxy that owns each word of the scratch state: the singles'
-    /// words, the doubles' slot-0 then slot-1 words, the multis' counters.
+    /// words, then the conjunctions'.
     word_lane: Vec<u16>,
 
     /// Per attribute symbol, the families with a bucket under it: a
@@ -642,10 +802,8 @@ pub struct FrozenIndex {
 
     /// Compiled rare operators, grouped per attribute.
     misc: Csr<u64>,
-    misc_ops: Vec<MiscOp>,
+    misc_ops: Vec<SymOp>,
     misc_tok: Vec<u32>,
-    misc_tag_syms: Vec<u32>,
-    misc_str: String,
 }
 
 impl Default for FrozenIndex {
@@ -682,31 +840,23 @@ impl FrozenIndex {
         // The layout comes first, from the predicate counts alone. Every
         // u32 an ordinal or token will ever take is checked here, once,
         // on the totals; the casts further down are inside these bounds.
-        // Per proxy: wildcards, singles, doubles, multis.
-        let mut classes = vec![[0usize; 4]; lanes];
+        // Per proxy: wildcards, singles, conjunctions.
+        let mut classes = vec![[0usize; 3]; lanes];
         for (class, index) in classes.iter_mut().zip(indexes) {
             for &n in index.pred_counts() {
-                class[(n as usize).min(3)] += 1;
+                class[(n as usize).min(2)] += 1;
             }
         }
         let w_base = class_bases(classes.iter().map(|c| c[0]), 1, "wildcards");
         let s_base = class_bases(classes.iter().map(|c| c[1]), 64, "singles");
-        let d_base = class_bases(classes.iter().map(|c| c[2]), 64, "doubles");
-        let m_base = class_bases(classes.iter().map(|c| c[3]), 1, "multis");
-        let (s_bits, d_bits, multis) = (s_base[lanes], d_base[lanes], m_base[lanes]);
-        // Tokens: the singles' bits, the doubles' slot-0 bits, their slot-1
-        // bits, then one per multi.
-        let m_tok0 = fit_u32(
-            u64::from(s_bits) + 2 * u64::from(d_bits),
-            "single and double tokens",
-        );
-        fit_u32(
-            u64::from(m_tok0) + u64::from(multis),
-            "tokens (singles + 2 x doubles + multis)",
+        let c_base = class_bases(classes.iter().map(|c| c[2]), 64, "conjunctions");
+        let s_bits = s_base[lanes];
+        let bits = fit_u32(
+            u64::from(s_bits) + u64::from(c_base[lanes]),
+            "tokens (singles + conjunctions)",
         );
 
-        let mut ids = vec![NO_ID; (s_bits + d_bits + multis) as usize];
-        let mut multi_need = vec![0u32; multis as usize];
+        let mut ids = vec![NO_ID; bits as usize];
         let mut wildcards = Vec::with_capacity(w_base[lanes] as usize);
         let mut rows = Rows::default();
         // Proxy by proxy, so a proxy's subscriptions are still in cache
@@ -715,45 +865,37 @@ impl FrozenIndex {
         for (lane, index) in indexes.iter().enumerate() {
             let subs: Vec<(SubscriptionId, &Subscription)> = index.iter().collect();
             rows.reserve(&subs);
-            let (mut s, mut d, mut m) = (s_base[lane], d_base[lane], m_base[lane]);
-            let lane = lane as u16;
+            let (mut s, mut c) = (s_base[lane], c_base[lane]);
             for &(id, sub) in &subs {
                 match sub.predicates() {
                     [] => wildcards.push(id),
                     [pred] => {
                         ids[s as usize] = id;
-                        rows.push(table, lane, pred, s);
+                        let pred = rows.compile(table, pred);
+                        rows.index(lane as u16, pred, s);
                         s += 1;
                     }
-                    [first, second] => {
-                        ids[(s_bits + d) as usize] = id;
-                        rows.push(table, lane, first, s_bits + d);
-                        rows.push(table, lane, second, s_bits + d_bits + d);
-                        d += 1;
-                    }
                     preds => {
-                        ids[(s_bits + d_bits + m) as usize] = id;
-                        multi_need[m as usize] = preds.len() as u32;
-                        for pred in preds {
-                            rows.push(table, lane, pred, m_tok0 + m);
-                        }
-                        m += 1;
+                        ids[(s_bits + c) as usize] = id;
+                        rows.push_conjunction(table, c, preds);
+                        c += 1;
                     }
                 }
             }
         }
+        rows.choose_access(&c_base, s_bits);
 
-        let mut word_lane = Vec::with_capacity((m_tok0 / 64 + multis) as usize);
-        for (base, per_word) in [(&s_base, 64), (&d_base, 64), (&d_base, 64), (&m_base, 1)] {
+        let mut word_lane = Vec::with_capacity((bits / 64) as usize);
+        for base in [&s_base, &c_base] {
             for (lane, range) in base.windows(2).enumerate() {
-                let words = ((range[1] - range[0]) / per_word) as usize;
+                let words = ((range[1] - range[0]) / 64) as usize;
                 word_lane.extend(std::iter::repeat_n(lane as u16, words));
             }
         }
-        let (eq_int, eq_int_tok) = rows.eq_int.into_buckets();
-        let (eq_str, eq_str_tok) = rows.eq_str.into_buckets();
-        let (tag, tag_tok) = rows.tag.into_buckets();
-        let (exists, exists_tok) = rows.exists.into_buckets();
+        let (eq_int, eq_int_tok) = rows.eq_int.into_buckets("integer-equality entries");
+        let (eq_str, eq_str_tok) = rows.eq_str.into_buckets("string-equality entries");
+        let (tag, tag_tok) = rows.tag.into_buckets("tag entries");
+        let (exists, exists_tok) = rows.exists.into_buckets("exists entries");
         let (mut range, mut misc) = (rows.range, rows.misc);
         range.sort_unstable();
         misc.sort_by_key(|&(key, tok, _)| (key, tok));
@@ -762,9 +904,10 @@ impl FrozenIndex {
             len: indexes.iter().map(SubscriptionIndex::len).sum(),
             lanes: lanes as u16,
             s_bits,
-            d_bits,
             ids,
-            multi_need,
+            resid: rows.resid,
+            resid_base: rows.resid_base,
+            operands: rows.operands,
             wildcards,
             word_lane,
             w_base,
@@ -780,12 +923,10 @@ impl FrozenIndex {
             range_lo: range.iter().map(|r| r.1).collect(),
             range_hi: range.iter().map(|r| r.2).collect(),
             range_tok: range.iter().map(|r| r.3).collect(),
-            range: Csr::group(&range, |r| r.0),
+            range: Csr::group(&range, "range entries", |r| r.0),
             misc_tok: misc.iter().map(|r| r.1).collect(),
-            misc: Csr::group(&misc, |r| r.0),
+            misc: Csr::group(&misc, "rare-operator entries", |r| r.0),
             misc_ops: misc.into_iter().map(|r| r.2).collect(),
-            misc_tag_syms: rows.misc_tag_syms,
-            misc_str: rows.misc_str,
         }
     }
 
@@ -838,18 +979,10 @@ impl FrozenIndex {
     pub fn matches_view_into(&self, scratch: &mut MatchScratch, out: &mut Vec<SubscriptionId>) {
         out.clear();
         let fs = self.accumulate(scratch, self.fleet());
-        // A bitset word's ordinals are its own bits (ids run singles ++
-        // doubles, like the slot-0 tokens); the multis follow.
-        let multi0 = (self.bit_tokens() / 64) as usize;
-        let multi_ord0 = (self.s_bits + self.d_bits) as usize;
-        for (w, mut bits) in self.matched(fs) {
-            let base = if w < multi0 {
-                w * 64
-            } else {
-                multi_ord0 + (w - multi0)
-            };
+        // A word's ordinals are its own bits.
+        for (w, mut bits) in fs.matched() {
             while bits != 0 {
-                out.push(self.ids[base + bits.trailing_zeros() as usize]);
+                out.push(self.ids[w * 64 + bits.trailing_zeros() as usize]);
                 bits &= bits - 1;
             }
         }
@@ -885,7 +1018,7 @@ impl FrozenIndex {
         let mut counts = std::mem::take(&mut fs.lane_counts);
         counts.clear();
         counts.extend(self.w_base.windows(2).map(|w| w[1] - w[0]));
-        for (w, bits) in self.matched(fs) {
+        for (w, bits) in fs.matched() {
             counts[usize::from(self.word_lane[w])] += bits.count_ones();
         }
         for (lane, &n) in counts.iter().enumerate() {
@@ -902,50 +1035,14 @@ impl FrozenIndex {
     fn count_in(&self, scratch: &mut MatchScratch, lanes: Lanes) -> usize {
         let wild = self.w_base[usize::from(lanes.hi) + 1] - self.w_base[usize::from(lanes.lo)];
         let fs = self.accumulate(scratch, lanes);
-        let matched: u32 = self.matched(fs).map(|(_, bits)| bits.count_ones()).sum();
+        let matched: u32 = fs.matched().map(|(_, bits)| bits.count_ones()).sum();
         (wild + matched) as usize
     }
 
-    /// Tokens below this are bits of the three bitsets; the rest are the
-    /// multis' counters.
-    #[inline]
-    fn bit_tokens(&self) -> u32 {
-        self.s_bits + 2 * self.d_bits
-    }
-
-    /// What the last [`accumulate`](Self::accumulate) matched: each
-    /// touched word holding a match, with its matched bits — a single's
-    /// bit, a double's bit where both slots are set, bit 0 for a multi
-    /// whose counter reached its predicate count.
-    fn matched<'a>(&'a self, fs: &'a FrozenScratch) -> impl Iterator<Item = (usize, u64)> + 'a {
-        let singles = (self.s_bits / 64) as usize;
-        let slot = (self.d_bits / 64) as usize;
-        let multi0 = singles + 2 * slot;
-        fs.touched.iter().filter_map(move |&w| {
-            let w = w as usize;
-            let bits = if w < singles {
-                fs.words[w]
-            } else if w < singles + slot {
-                // Slot 1 counts only if this match touched its word too.
-                let pair = w + slot;
-                if fs.stamp[pair] == fs.epoch {
-                    fs.words[w] & fs.words[pair]
-                } else {
-                    0
-                }
-            } else if w < multi0 {
-                // A slot-1 word is read through its slot-0 pair.
-                0
-            } else {
-                u64::from(fs.words[w] == u64::from(self.multi_need[w - multi0]))
-            };
-            (bits != 0).then_some((w, bits))
-        })
-    }
-
-    /// The one kernel body: records, for the view symbolized into
-    /// `scratch`, every satisfied predicate of the proxies in `lanes`, and
-    /// returns the state holding them.
+    /// The one kernel body: for the view symbolized into `scratch`, sets
+    /// the bit of every satisfied indexed predicate of the proxies in
+    /// `lanes` — a single's match, a conjunction's candidacy — verifies
+    /// the candidates, and returns the state holding the matches.
     fn accumulate<'s>(&self, scratch: &'s mut MatchScratch, lanes: Lanes) -> &'s mut FrozenScratch {
         let fs = &mut scratch.frozen;
         fs.begin(self.word_lane.len());
@@ -953,18 +1050,19 @@ impl FrozenIndex {
         let view = std::mem::take(&mut fs.view);
         for attr in &view.attrs {
             let a = attr.name_sym;
-            // A name interned after this index froze has no bucket here.
+            // A name interned after this index froze, or one that only
+            // residuals test, has no bucket here.
             let has = self.families.get(a as usize).copied().unwrap_or(0);
             match &attr.val {
                 SymVal::Int(v) => {
                     if has & EQ_INT != 0 {
                         let span = self.eq_int.span(int_key(a, *v), lanes);
-                        self.bump_all(fs, &self.eq_int_tok[span]);
+                        fs.bump_all(&self.eq_int_tok[span]);
                     }
                     if has & RANGE != 0 {
                         for j in self.range.span(attr_key(a), lanes) {
                             if *v >= self.range_lo[j] && *v <= self.range_hi[j] {
-                                self.bump(fs, self.range_tok[j]);
+                                fs.bump(self.range_tok[j]);
                             }
                         }
                     }
@@ -973,11 +1071,11 @@ impl FrozenIndex {
                     if *sym != NO_SYM {
                         let key = sym_key(a, *sym);
                         if has & EQ_STR != 0 {
-                            self.bump_all(fs, &self.eq_str_tok[self.eq_str.span(key, lanes)]);
+                            fs.bump_all(&self.eq_str_tok[self.eq_str.span(key, lanes)]);
                         }
                         // `Contains` on a string attribute means equality.
                         if has & TAG != 0 {
-                            self.bump_all(fs, &self.tag_tok[self.tag.span(key, lanes)]);
+                            fs.bump_all(&self.tag_tok[self.tag.span(key, lanes)]);
                         }
                     }
                 }
@@ -985,88 +1083,48 @@ impl FrozenIndex {
                     if has & TAG != 0 {
                         for &tsym in &view.tag_syms[*start as usize..*end as usize] {
                             let span = self.tag.span(sym_key(a, tsym), lanes);
-                            self.bump_all(fs, &self.tag_tok[span]);
+                            fs.bump_all(&self.tag_tok[span]);
                         }
                     }
                 }
             }
             if has & EXISTS != 0 {
-                self.bump_all(fs, &self.exists_tok[self.exists.span(attr_key(a), lanes)]);
+                fs.bump_all(&self.exists_tok[self.exists.span(attr_key(a), lanes)]);
             }
             if has & MISC != 0 {
                 for j in self.misc.span(attr_key(a), lanes) {
-                    if self.eval_misc(&self.misc_ops[j], &attr.val, &view) {
-                        self.bump(fs, self.misc_tok[j]);
+                    if self.operands.eval(self.misc_ops[j], &attr.val, &view) {
+                        fs.bump(self.misc_tok[j]);
                     }
                 }
             }
         }
+        self.verify(fs, &view);
         fs.view = view;
         fs
     }
 
-    #[inline]
-    fn bump_all(&self, fs: &mut FrozenScratch, tokens: &[u32]) {
-        for &tok in tokens {
-            self.bump(fs, tok);
-        }
-    }
-
-    /// Records one satisfied predicate. A token addresses its word
-    /// directly — a bit of the bitsets to set, or a multi's counter to
-    /// raise — so every class takes the same path.
-    #[inline]
-    fn bump(&self, fs: &mut FrozenScratch, tok: u32) {
-        let bits = self.bit_tokens();
-        let (w, set, add) = if tok < bits {
-            (tok >> 6, 1u64 << (tok & 63), 0)
-        } else {
-            ((bits >> 6) + (tok - bits), 0, 1)
-        };
-        let w = w as usize;
-        if fs.stamp[w] != fs.epoch {
-            fs.stamp[w] = fs.epoch;
-            fs.words[w] = 0;
-            fs.touched.push(w as u32);
-        }
-        fs.words[w] = (fs.words[w] | set) + add;
-    }
-
-    fn eval_misc(&self, op: &MiscOp, val: &SymVal, view: &SymView) -> bool {
-        match (op, val) {
-            (MiscOp::NeInt(x), SymVal::Int(v)) => v != x,
-            (MiscOp::NeStr(xs), SymVal::Str { sym, .. }) => sym != xs,
-            (MiscOp::EqTags { start, end }, SymVal::Tags { .. }) => {
-                self.tag_sets_equal(*start, *end, val, view)
+    /// Evaluates the residuals of every conjunction whose access bit is
+    /// set and clears the bit of each that fails, so what stays set in a
+    /// conjunctions' word is a match, like in a singles' word.
+    fn verify(&self, fs: &mut FrozenScratch, view: &SymView) {
+        let first = (self.s_bits / 64) as usize;
+        fs.verified = 0;
+        for &w in &fs.touched {
+            let w = w as usize;
+            let mut candidates = if w < first { 0 } else { fs.words[w] };
+            while candidates != 0 {
+                let bit = candidates.trailing_zeros() as usize;
+                candidates &= candidates - 1;
+                fs.verified += 1;
+                let c = (w - first) * 64 + bit;
+                let resid = self.resid_base[c] as usize..self.resid_base[c + 1] as usize;
+                let mut resid = self.resid[resid].iter();
+                if !resid.all(|p| self.operands.holds(p, view)) {
+                    fs.words[w] &= !(1 << bit);
+                }
             }
-            (MiscOp::NeTags { start, end }, SymVal::Tags { .. }) => {
-                !self.tag_sets_equal(*start, *end, val, view)
-            }
-            (
-                MiscOp::Prefix { start, end },
-                SymVal::Str {
-                    start: vs, end: ve, ..
-                },
-            ) => view.str_buf[*vs as usize..*ve as usize]
-                .starts_with(&self.misc_str[*start as usize..*end as usize]),
-            _ => false,
         }
-    }
-
-    fn tag_sets_equal(&self, start: u32, end: u32, val: &SymVal, view: &SymView) -> bool {
-        let SymVal::Tags {
-            start: vs,
-            end: ve,
-            total,
-        } = val
-        else {
-            return false;
-        };
-        let pred = &self.misc_tag_syms[start as usize..end as usize];
-        let got = &view.tag_syms[*vs as usize..*ve as usize];
-        // An uninterned content tag (dropped from `got` but counted in
-        // `total`) can never appear in the predicate's set.
-        *total as usize == pred.len() && got.len() == pred.len() && got == pred
     }
 }
 
@@ -1119,7 +1177,7 @@ mod tests {
     }
 
     #[test]
-    fn all_three_classes_and_wildcards() {
+    fn both_classes_and_wildcards() {
         let mut idx = SubscriptionIndex::new();
         let single = idx.insert(Subscription::new(vec![Predicate::ge("words", 100)]));
         let double = idx.insert(Subscription::new(vec![
@@ -1399,23 +1457,26 @@ mod tests {
     fn every_word_belongs_to_one_proxy() {
         let fleet = small_fleet();
         let frozen = FrozenIndex::freeze_fleet(&fleet, &mut SymbolTable::new());
-        // 3, 73 and 143 singles pad to 1, 2 and 3 words; one double each
-        // pads to a word per slot; one multi each.
+        // 3, 73 and 143 singles pad to 1, 2 and 3 words; two conjunctions
+        // each pad to a word.
         assert_eq!(frozen.s_bits, 64 * 6);
-        assert_eq!(frozen.d_bits, 64 * 3);
-        let owners = [
-            vec![0, 1, 1, 2, 2, 2],
-            vec![0, 1, 2],
-            vec![0, 1, 2],
-            vec![0, 1, 2],
-        ]
-        .concat();
+        assert_eq!(frozen.ids.len(), 64 * 9);
+        let owners = [vec![0, 1, 1, 2, 2, 2], vec![0, 1, 2]].concat();
         assert_eq!(frozen.word_lane, owners);
         assert_eq!(frozen.w_base, vec![0, 0, 1, 3]);
-        // Padding ordinals own no subscription.
+        // Padding ordinals own no subscription and no residual.
         assert_eq!(frozen.ids[2], SubscriptionId::new(2));
         assert_eq!(frozen.ids[3], NO_ID);
         assert_eq!(frozen.ids[64], SubscriptionId::new(0));
+        assert_eq!(frozen.ids[64 * 6 + 1], SubscriptionId::new(4));
+        assert_eq!(frozen.ids[64 * 6 + 2], NO_ID);
+        // One access predicate each; the two- and the three-predicate
+        // conjunction leave one and two residuals.
+        assert_eq!(frozen.resid_base.len(), 64 * 3 + 1);
+        assert_eq!(frozen.resid_base[..4], [0, 1, 3, 3]);
+        assert_eq!(frozen.resid_base[64..67], [3, 4, 6]);
+        assert_eq!(frozen.resid_base[64 * 3], 9);
+        assert_eq!(frozen.resid.len(), 9);
     }
 
     #[test]
@@ -1454,7 +1515,7 @@ mod tests {
             [0, 0, 64, 128, 256]
         );
         assert_eq!(
-            class_bases([0, 1, 64, 65].into_iter(), 1, "multis"),
+            class_bases([0, 1, 64, 65].into_iter(), 1, "wildcards"),
             [0, 0, 1, 65, 130]
         );
         assert_eq!(class_bases(std::iter::empty(), 64, "singles"), [0]);
@@ -1462,7 +1523,7 @@ mod tests {
         // to a word, split over two proxies.
         let top = (u32::MAX / 64 * 64) as usize;
         assert_eq!(
-            class_bases([top - 64, 1].into_iter(), 64, "doubles"),
+            class_bases([top - 64, 1].into_iter(), 64, "conjunctions"),
             [0, top as u32 - 64, top as u32]
         );
     }
@@ -1475,9 +1536,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "multis do not fit the u32 token space")]
+    #[should_panic(expected = "wildcards do not fit the u32 token space")]
     fn class_bases_check_the_sum_over_proxies() {
-        class_bases([u32::MAX as usize, 1].into_iter(), 1, "multis");
+        class_bases([u32::MAX as usize, 1].into_iter(), 1, "wildcards");
     }
 
     #[test]
@@ -1504,7 +1565,7 @@ mod tests {
         for (k, t) in pairs {
             rows.push(k, t);
         }
-        let (csr, toks) = rows.into_buckets();
+        let (csr, toks) = rows.into_buckets("entries");
         let mut expected = pairs;
         expected.sort();
         assert_eq!(toks, expected.map(|(_, t)| t));
@@ -1518,10 +1579,222 @@ mod tests {
         for (k, t) in [(3 << 16, 0), (1 << 16, 1), (3 << 16 | 1, 2)] {
             narrow.push(k, t);
         }
-        let (csr, toks) = narrow.into_buckets();
+        let (csr, toks) = narrow.into_buckets("entries");
         assert_eq!(csr.keys, [1 << 16, 3 << 16, 3 << 16 | 1]);
         assert_eq!(toks, [1, 0, 2]);
-        let (csr, toks) = TokenRows::<u64>::default().into_buckets();
+        let (csr, toks) = TokenRows::<u64>::default().into_buckets("entries");
         assert_eq!((csr.keys.len(), csr.bounds, toks), (0, vec![0], vec![]));
+    }
+
+    #[test]
+    fn token_rows_sort_the_proxy_bytes_when_they_arrive_out_of_order() {
+        // Singles of proxies 0, 1 and 300, then the access predicates of
+        // proxies 0 and 300: proxy-major twice over, not once. One content
+        // key, so only the proxy bytes — both of them — vary.
+        let mut rows = TokenRows::<u128>::default();
+        for (lane, tok) in [(0, 0), (1, 1), (300, 2), (0, 3), (300, 4)] {
+            rows.push(9 << 16 | lane, tok);
+        }
+        let (csr, toks) = rows.into_buckets("entries");
+        assert_eq!(csr.keys, [9 << 16, 9 << 16 | 1, 9 << 16 | 300]);
+        assert_eq!(csr.bounds, [0, 2, 3, 5]);
+        assert_eq!(toks, [0, 3, 1, 2, 4]);
+    }
+
+    /// Freezes one proxy per element of `fleet`.
+    fn frozen_fleet(fleet: Vec<Vec<Subscription>>) -> (FrozenIndex, SymbolTable) {
+        let mut indexes = vec![SubscriptionIndex::new(); fleet.len()];
+        for (index, subs) in indexes.iter_mut().zip(fleet) {
+            for sub in subs {
+                index.insert(sub);
+            }
+        }
+        let mut table = SymbolTable::new();
+        (FrozenIndex::freeze_fleet(&indexes, &mut table), table)
+    }
+
+    /// `(candidates verified, matches)` of one fleet-wide match.
+    fn work(frozen: &FrozenIndex, table: &SymbolTable, content: &Content) -> (u32, usize) {
+        let mut scratch = MatchScratch::new();
+        let matches = frozen.match_count_scratch(table, content, &mut scratch);
+        (scratch.frozen.verified, matches)
+    }
+
+    #[test]
+    fn a_match_verifies_only_the_conjunctions_under_its_access_key() {
+        let breaking = |i: usize, more: &[Predicate]| {
+            let mut preds = vec![
+                Predicate::eq("category", Value::str(format!("cat{}", i % 100))),
+                Predicate::contains("tags", "breaking"),
+            ];
+            preds.extend_from_slice(more);
+            Subscription::new(preds)
+        };
+        let page = |cat: &str| {
+            Content::new()
+                .with("category", Value::str(cat))
+                .with("tags", Value::tags(["breaking", "local"]))
+        };
+        // 10 000 conjunctions over 4 proxies: 100 under each category,
+        // 25 at each proxy, and all 10 000 under the tag.
+        for more in [&[][..], &[Predicate::ge("bytes", 0)]] {
+            let mut fleet = vec![Vec::new(); 4];
+            for i in 0..10_000 {
+                fleet[i / 100 % 4].push(breaking(i, more));
+            }
+            let (frozen, table) = frozen_fleet(fleet);
+            assert_eq!(frozen.eq_str_tok.len(), 10_000, "indexed by category");
+            assert!(frozen.tag_tok.is_empty() && frozen.range_tok.is_empty());
+            let bytes = table.name_sym("bytes").map(|a| a as usize);
+            let scanned = bytes.and_then(|a| frozen.families.get(a));
+            assert_eq!(scanned.copied().unwrap_or(0), 0, "no RANGE bit for bytes");
+
+            let hit = page("cat7").with("bytes", Value::int(512));
+            assert_eq!(work(&frozen, &table, &hit), (100, 100));
+            assert_eq!(work(&frozen, &table, &page("cat100")), (0, 0));
+            let untagged = hit.clone().with("tags", Value::tags(["local"]));
+            assert_eq!(work(&frozen, &table, &untagged), (100, 0));
+            // A request verifies its own proxy's candidates only.
+            let mut scratch = MatchScratch::new();
+            scratch.symbolize(&table, &hit);
+            assert_eq!(frozen.count_at_view(&mut scratch, ServerId::new(3)), 25);
+            assert_eq!(scratch.frozen.verified, 25);
+        }
+    }
+
+    #[test]
+    fn access_predicate_is_the_smallest_bucket_then_family_then_position() {
+        let hot = || Predicate::eq("category", Value::str("hot"));
+        let author = |name: &str| Predicate::eq("author", Value::str(name));
+        let sub = |preds: &[Predicate]| Subscription::new(preds.to_vec());
+
+        // `category = hot` is carried by three conjunctions, every other
+        // key by one — at another proxy: sizes are fleet-wide.
+        let (frozen, table) = frozen_fleet(vec![
+            vec![sub(&[hot(), author("ann")]), sub(&[hot(), author("bob")])],
+            vec![sub(&[hot(), Predicate::contains("tags", "t")])],
+        ]);
+        assert_eq!((frozen.eq_str_tok.len(), frozen.tag_tok.len()), (2, 1));
+        // The candidates a content of that one attribute verifies.
+        let verified = |frozen: &FrozenIndex, table: &SymbolTable, attr: &str, value: Value| {
+            work(frozen, table, &Content::new().with(attr, value)).0
+        };
+        assert_eq!(verified(&frozen, &table, "category", Value::str("hot")), 0);
+        assert_eq!(verified(&frozen, &table, "author", Value::str("ann")), 1);
+        assert_eq!(verified(&frozen, &table, "tags", Value::tags(["t"])), 1);
+
+        // A tie goes to the family (integer equality, string equality,
+        // tag), whatever the position ...
+        let (frozen, _) = frozen_fleet(vec![vec![sub(&[
+            Predicate::contains("tags", "t"),
+            author("ann"),
+            Predicate::eq("n", Value::int(5)),
+        ])]]);
+        let keyed = [&frozen.eq_int_tok, &frozen.eq_str_tok, &frozen.tag_tok];
+        assert_eq!(keyed.map(Vec::len), [1, 0, 0]);
+        // ... then to the earlier predicate.
+        let (frozen, table) = frozen_fleet(vec![vec![sub(&[author("ann"), hot()])]]);
+        assert_eq!(frozen.eq_str_tok.len(), 1);
+        assert_eq!(verified(&frozen, &table, "category", Value::str("hot")), 0);
+        assert_eq!(verified(&frozen, &table, "author", Value::str("ann")), 1);
+
+        // A keyed predicate wins over any scanned one before it; a
+        // conjunction of scanned predicates only is indexed by its first.
+        let scanned = [
+            Predicate::ge("words", 5),
+            Predicate::exists("author"),
+            Predicate::prefix("category", "sp"),
+        ];
+        let (frozen, _) = frozen_fleet(vec![vec![sub(&scanned)]]);
+        let families = [&frozen.range_tok, &frozen.exists_tok, &frozen.misc_tok];
+        assert_eq!(families.map(Vec::len), [1, 0, 0]);
+        let (frozen, _) = frozen_fleet(vec![vec![sub(&[scanned.to_vec(), vec![hot()]].concat())]]);
+        assert_eq!(frozen.eq_str_tok.len(), 1);
+        assert!(frozen.range_tok.is_empty());
+    }
+
+    #[test]
+    fn a_duplicate_predicate_is_indexed_once_and_verified_once() {
+        let p = Predicate::eq("category", Value::str("sports"));
+        let (frozen, table) = frozen_fleet(vec![vec![Subscription::new(vec![p.clone(), p])]]);
+        assert_eq!(frozen.eq_str_tok.len(), 1);
+        assert_eq!(frozen.resid.len(), 1);
+        assert_eq!(work(&frozen, &table, &sports_page()), (1, 1));
+    }
+
+    /// Every kind of value at its edges: the integer extremes, the empty
+    /// string, strings that prefix one another, the empty tag set.
+    fn edge_values() -> Vec<Value> {
+        let ints = [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX];
+        let sets: [&[&str]; 4] = [&[], &["s"], &["s", "sp"], &["sport"]];
+        let ints = ints.into_iter().map(Value::int);
+        let strs = ["", "s", "sp", "sport"].into_iter().map(Value::str);
+        let sets = sets.into_iter().map(|set| Value::tags(set.iter().copied()));
+        ints.chain(strs).chain(sets).collect()
+    }
+
+    /// Every operator over every operand of [`edge_values`].
+    fn edge_ops() -> Vec<Op> {
+        let mut ops = vec![Op::Exists];
+        for value in edge_values() {
+            match &value {
+                Value::Int(b) => ops.extend([Op::Lt(*b), Op::Le(*b), Op::Gt(*b), Op::Ge(*b)]),
+                Value::Str(s) => ops.extend([Op::Contains(s.clone()), Op::Prefix(s.clone())]),
+                Value::Tags(_) => {}
+            }
+            ops.extend([Op::Eq(value.clone()), Op::Ne(value)]);
+        }
+        ops
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// The oracle is [`Predicate::eval`] on the content itself, which
+        /// knows nothing of symbols, families or buckets. Each case is the
+        /// full grid — every operator and operand against attribute `x`
+        /// absent and holding every value, of the right type and the
+        /// wrong ones, interned, interned by another predicate only, and
+        /// never interned — in drawn surroundings: decoy predicates
+        /// compiled first and other attributes beside `x`.
+        #[test]
+        fn symbol_space_evaluator_agrees_with_predicate_eval(
+            decoys in proptest::collection::vec(
+                (proptest::sample::select(vec!["x", "y"]), proptest::sample::select(edge_ops())),
+                0..4,
+            ),
+            beside in proptest::collection::btree_map(
+                proptest::sample::select(vec!["a", "y"]),
+                proptest::sample::select(edge_values()),
+                0..3,
+            ),
+        ) {
+            let decoys: Vec<_> = decoys.into_iter().map(|(a, op)| Predicate::new(a, op)).collect();
+            let mut values: Vec<_> = edge_values().into_iter().map(Some).collect();
+            let never = [Value::str("never"), Value::tags(["never"]), Value::tags(["never", "s"])];
+            values.extend(never.map(Some));
+            values.push(None);
+            for op in edge_ops() {
+                let pred = Predicate::new("x", op);
+                let (mut table, mut rows) = (SymbolTable::new(), Rows::default());
+                for decoy in &decoys {
+                    rows.compile(&mut table, decoy);
+                }
+                let compiled = rows.compile(&mut table, &pred);
+                for value in &values {
+                    let mut content = Content::new();
+                    for (attr, value) in beside.iter().chain(value.as_ref().map(|v| (&"x", v))) {
+                        content.set(*attr, value.clone());
+                    }
+                    let mut view = SymView::default();
+                    view.symbolize(&table, &content);
+                    proptest::prop_assert_eq!(
+                        rows.operands.holds(&compiled, &view),
+                        pred.eval(&content),
+                        "{} on {:?}", pred, content
+                    );
+                }
+            }
+        }
     }
 }

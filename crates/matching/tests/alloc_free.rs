@@ -76,9 +76,9 @@ fn steady_state_matching_does_not_allocate() {
     }
 
     // A fleet over the same kind of mix, every class at most proxies —
-    // uneven populations, proxy 5 empty, a three-predicate multi every
-    // tenth — driving the batched `matched_servers_into` fan-out and the
-    // per-request `match_count_with`.
+    // uneven populations, proxy 5 empty, a three-predicate conjunction
+    // every tenth — driving the batched `matched_servers_into` fan-out and
+    // the per-request `match_count_with`.
     let mut engine = EngineMatcher::new(8);
     for i in 0..1_600usize {
         let server = ServerId::new(if i % 8 == 5 { 0 } else { (i % 8) as u16 });
@@ -101,13 +101,47 @@ fn steady_state_matching_does_not_allocate() {
         };
         engine.subscribe(server, sub).unwrap();
     }
+    // Conjunctions whose residuals cover every operator the access
+    // predicate leaves to verification — prefix, tag-set `==` and `!=`,
+    // `!=` on strings and integers, `exists`, range — and one of
+    // scanned-family predicates only, at several proxies.
+    for i in 0..240usize {
+        let server = ServerId::new((i % 7) as u16);
+        let cat = Predicate::eq("category", Value::str(categories[i % categories.len()]));
+        let tag = tags[i % tags.len()];
+        let residual = match i % 8 {
+            0 => Predicate::prefix("category", &categories[i % categories.len()][..2]),
+            1 => Predicate::eq("tags", Value::tags([tag])),
+            2 => Predicate::ne("tags", Value::tags([tag, "live"])),
+            3 => Predicate::ne("author", Value::str("staff")),
+            4 => Predicate::ne("bytes", Value::int(4_096)),
+            5 => Predicate::exists("author"),
+            6 => Predicate::gt("bytes", 2_048),
+            _ => Predicate::contains("tags", tag),
+        };
+        let sub = if i % 24 == 23 {
+            Subscription::new(vec![
+                Predicate::le("bytes", 8_192),
+                Predicate::exists("tags"),
+                Predicate::prefix("category", "s"),
+            ])
+        } else {
+            Subscription::new(vec![residual, cat])
+        };
+        engine.subscribe(server, sub).unwrap();
+    }
 
     let contents: Vec<Content> = (0..64usize)
         .map(|i| {
-            Content::new()
+            let content = Content::new()
                 .with("category", Value::str(categories[i % categories.len()]))
                 .with("tags", Value::tags([tags[i % tags.len()]]))
-                .with("bytes", Value::int((i as i64 % 20) * 1_024))
+                .with("bytes", Value::int((i as i64 % 20) * 1_024));
+            match i % 3 {
+                0 => content,
+                1 => content.with("author", Value::str("staff")),
+                _ => content.with("author", Value::str("a-stringer")),
+            }
         })
         .collect();
     for (i, content) in contents.iter().enumerate() {

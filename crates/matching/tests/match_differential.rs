@@ -52,24 +52,105 @@ fn predicate_strategy() -> impl Strategy<Value = Predicate> {
 }
 
 /// Rotates through every frozen class: wildcards (0 predicates), singles
-/// (1), doubles (2), and multis (3..5).
+/// (1) and conjunctions (2..5).
 fn subscription_strategy() -> impl Strategy<Value = Subscription> {
     proptest::collection::vec(predicate_strategy(), 0..5).prop_map(Subscription::new)
 }
 
-fn content_strategy() -> impl Strategy<Value = Content> {
-    proptest::collection::btree_map(
-        proptest::sample::select(ATTRS.to_vec()),
-        value_strategy(),
-        0..4,
+/// A keyed predicate from a small skewed pool: a few hot keys carried by
+/// most conjunctions, a tail of cold ones, all three keyed families.
+fn hot_key_strategy() -> impl Strategy<Value = Predicate> {
+    prop_oneof![
+        6 => Just(Predicate::eq("category", Value::str("sports"))),
+        3 => Just(Predicate::contains("tags", "a")),
+        2 => Just(Predicate::eq("category", Value::str("politics"))),
+        2 => Just(Predicate::eq("words", Value::int(7))),
+        1 => Just(Predicate::contains("tags", "b")),
+        1 => Just(Predicate::contains("category", "tech")),
+        1 => Just(Predicate::eq("author", Value::str("music"))),
+    ]
+}
+
+/// 65-200 conjunctions over the hot keys, so one proxy's candidate bits
+/// span several words and the buckets differ in size by an order of
+/// magnitude; each has one or two hot keys and up to two arbitrary
+/// predicates in any position. A conjunction of scanned-family
+/// predicates only and a five-predicate one are always among them, and up
+/// to three singles share the hot keys' buckets (a family then holds
+/// singles and access predicates of several proxies).
+fn conjunctions_strategy() -> impl Strategy<Value = Vec<Subscription>> {
+    let conjunction = (
+        proptest::collection::vec(hot_key_strategy(), 1..3),
+        proptest::collection::vec(predicate_strategy(), 0..3),
+        proptest::bool::ANY,
     )
-    .prop_map(|attrs| {
-        let mut c = Content::new();
-        for (k, v) in attrs {
-            c.set(k, v);
-        }
-        c
+        .prop_map(|(mut keys, mut rest, keys_first)| {
+            if keys.len() + rest.len() < 2 {
+                rest.push(Predicate::exists("tags"));
+            }
+            if keys_first {
+                keys.append(&mut rest);
+                Subscription::new(keys)
+            } else {
+                rest.append(&mut keys);
+                Subscription::new(rest)
+            }
+        });
+    let singles = proptest::collection::vec(hot_key_strategy(), 0..4);
+    (proptest::collection::vec(conjunction, 63..199), singles).prop_map(|(mut subs, singles)| {
+        subs.extend(singles.into_iter().map(|p| Subscription::new(vec![p])));
+        subs.push(Subscription::new(vec![
+            Predicate::ge("words", 0),
+            Predicate::exists("tags"),
+            Predicate::prefix("category", "sp"),
+        ]));
+        subs.push(Subscription::new(vec![
+            Predicate::eq("category", Value::str("sports")),
+            Predicate::contains("tags", "a"),
+            Predicate::ne("author", Value::str("music")),
+            Predicate::le("words", 7),
+            Predicate::exists("words"),
+        ]));
+        subs
     })
+}
+
+fn content_of(attrs: impl IntoIterator<Item = (&'static str, Value)>) -> Content {
+    let mut c = Content::new();
+    for (k, v) in attrs {
+        c.set(k, v);
+    }
+    c
+}
+
+/// Arbitrary contents, and contents biased onto the hot keys of
+/// [`hot_key_strategy`] (with arbitrary attributes over or beside them).
+fn content_strategy() -> impl Strategy<Value = Content> {
+    let arbitrary = || {
+        proptest::collection::btree_map(
+            proptest::sample::select(ATTRS.to_vec()),
+            value_strategy(),
+            0..4,
+        )
+    };
+    let hot = (
+        proptest::sample::select(vec!["sports", "sports", "politics", "tech"]),
+        proptest::collection::btree_set(proptest::sample::select(TAGS.to_vec()), 0..3),
+        arbitrary(),
+        0u8..4,
+    )
+        .prop_map(|(category, tags, over, keep)| {
+            let mut tags: Vec<_> = tags.into_iter().collect();
+            tags.push("a");
+            let hot = [
+                ("category", Value::str(category)),
+                ("tags", Value::tags(tags)),
+                ("words", Value::int(7)),
+            ];
+            // `keep` of the three hot attributes survive the overlay.
+            content_of(hot.into_iter().take(keep as usize).chain(over))
+        });
+    prop_oneof![arbitrary().prop_map(content_of), hot]
 }
 
 /// Freezes `index` and checks all three kernels agree on every content:
@@ -97,13 +178,14 @@ fn assert_differential(index: &SubscriptionIndex, contents: &[Content]) {
     }
 }
 
-/// One proxy's subscriptions: none at all, wildcards only, or a mix of
-/// every class.
+/// One proxy's subscriptions: none at all, wildcards only, a mix of
+/// every class, or a conjunction-heavy population over a few hot keys.
 fn proxy_strategy() -> impl Strategy<Value = Vec<Subscription>> {
     prop_oneof![
         Just(Vec::new()),
         (1usize..4).prop_map(|n| vec![Subscription::wildcard(); n]),
         proptest::collection::vec(subscription_strategy(), 1..16),
+        conjunctions_strategy(),
     ]
 }
 
