@@ -250,11 +250,14 @@ impl<O: Observer> GreedyDualEngine<O> {
     /// engine's contents are then unspecified — discard it.
     pub fn decode_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         let inflation = r.read_f64()?;
+        if inflation.is_nan() {
+            return Err(SnapshotError::Corrupt("NaN inflation"));
+        }
         let Self { store, freq, .. } = self;
         freq.clear();
         store.decode_state(r)?;
         for slot in store.iter() {
-            let f = r.read_u32()?;
+            let f = r.read_count()?;
             if f != 0 {
                 freq.try_insert(slot.page, f)?;
             }
@@ -477,6 +480,32 @@ mod tests {
         assert_eq!(r.bytes("bytes.evicted"), 30);
         // The eviction-value histogram saw the victims' dying values.
         assert_eq!(r.histogram("evict.value").unwrap().count(), 3);
+    }
+
+    #[test]
+    fn decode_rejects_nan_inflation_and_a_wild_reference_count() {
+        let mut ev = Vec::new();
+        let mut e = GreedyDualEngine::new(Bytes::new(30));
+        e.access(&pref(1, 10), |f, l| l + f as f64, &mut ev);
+        let mut blob = Vec::new();
+        e.encode_state(&mut blob);
+        let decode = |blob: &[u8]| {
+            GreedyDualEngine::with_observer(
+                Bytes::new(30),
+                8,
+                ObsHandle::<NullObserver>::disabled(),
+            )
+            .decode_state(&mut SnapshotReader::new(blob))
+        };
+        assert_eq!(decode(&blob), Ok(()));
+        // The inflation is the blob's first word, the one resident's
+        // reference count its last four bytes.
+        let mut nan = blob.clone();
+        nan[..8].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
+        assert!(matches!(decode(&nan), Err(SnapshotError::Corrupt(_))));
+        let at = blob.len() - 4;
+        blob[at..].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(decode(&blob), Err(SnapshotError::Corrupt(_))));
     }
 
     #[test]

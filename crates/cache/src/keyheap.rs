@@ -1,22 +1,18 @@
-//! An eager, index-addressable min-heap over `(value, stamp, page)` keys.
+//! An eager, index-addressable min-heap over `(value, stamp, page)` keys
+//! — the only eviction order in the workspace.
 //!
-//! [`CacheStore`](crate::CacheStore) used to keep its eviction order in a
-//! lazy-deletion `BinaryHeap`: every value update pushed a fresh item and
-//! left the stale one behind, so the heap grew without bound over a run
-//! and `peek_min` had to mutate the heap to skim stale tops. [`KeyHeap`]
-//! replaces that with an *eager* heap of exactly the live entries: each
-//! slot knows its array position, and every mutation reports position
-//! moves through a caller-supplied writeback so an external table (the
-//! store's per-ordinal position slot) can address any element directly.
-//! That makes `peek` a `&self` read, `remove`/`update` `O(log n)`
-//! without tombstones, and the heap's footprint proportional to the
-//! cache's live population — the properties the allocation-free replay
-//! loop is built on.
+//! [`KeyHeap`] holds exactly the live entries: every mutation reports
+//! position moves through a caller-supplied writeback so an external
+//! table ([`CacheStore`](crate::CacheStore)'s per-ordinal position slot)
+//! can address any element directly. That makes `peek` a `&self` read,
+//! `remove`/`update` `O(log n)` without tombstones, and the heap's
+//! footprint proportional to the cache's live population — the
+//! properties the allocation-free replay loop is built on.
 //!
-//! The comparator is *exactly* the lazy heap's: smallest value first,
-//! ties broken by smallest stamp (oldest (re)valuation), then smallest
-//! page id. Stamps are unique within one owner, so the pop sequence is a
-//! total order and provably identical to the lazy-deletion heap's.
+//! The comparator: smallest value first, ties broken by smallest stamp
+//! (oldest (re)valuation), then smallest page id. Stamps are unique
+//! within one owner, so the pop sequence is a total order — it depends
+//! on the keys alone, never on the order operations reached the heap.
 
 use std::cmp::Ordering;
 
@@ -42,8 +38,7 @@ impl HeapSlot {
     /// `true` if `self` pops before `other`.
     #[inline]
     fn before(&self, other: &Self) -> bool {
-        // `partial_cmp` falls back to Equal exactly like the old lazy
-        // heap; NaN values are rejected upstream so the branch is moot.
+        // NaN values are rejected upstream, so the Equal fallback is moot.
         match self
             .value
             .partial_cmp(&other.value)

@@ -3,11 +3,10 @@
 //! Every layer names a page by its ordinal in a closed catalog (the
 //! `CompiledTrace` ordinal contract: ids are `0..page_count`), so every
 //! page-keyed structure — the store's position index, frequency counts,
-//! per-strategy side state, `pscd-core`'s resident-entry index — is a
-//! [`PageTable`]. A caller that knows its universe passes its size and
-//! gets every slot preallocated, after which no operation allocates; a
-//! caller that does not (unit tests, examples) passes `0` and the table
-//! grows on write.
+//! per-strategy side state — is a [`PageTable`]. A caller that knows its
+//! universe passes its size and gets every slot preallocated, after
+//! which no operation allocates; a caller that does not (unit tests,
+//! examples) passes `0` and the table grows on write.
 
 use pscd_types::PageId;
 

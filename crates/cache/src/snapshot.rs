@@ -166,6 +166,23 @@ impl<'a> SnapshotReader<'a> {
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
+    /// Reads a `u32` counter its owner will go on incrementing (a
+    /// reference or access count).
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Truncated`] if the buffer is exhausted;
+    /// [`SnapshotError::Corrupt`] for a count in the top half of the
+    /// range — no run gets near it, and a counter read that high would
+    /// overflow on the operations that follow.
+    pub fn read_count(&mut self) -> Result<u32, SnapshotError> {
+        let count = self.read_u32()?;
+        if count > u32::MAX / 2 {
+            return Err(SnapshotError::Corrupt("count out of range"));
+        }
+        Ok(count)
+    }
+
     /// Reads a little-endian `u64`.
     ///
     /// # Errors
@@ -223,6 +240,17 @@ mod tests {
         assert!(r.read_f64().unwrap().is_nan());
         assert!(r.is_empty());
         assert_eq!(r.remaining(), 0);
+    }
+
+    #[test]
+    fn counts_in_the_top_half_of_the_range_are_corrupt() {
+        let mut buf = Vec::new();
+        put_u32(&mut buf, u32::MAX / 2);
+        put_u32(&mut buf, u32::MAX / 2 + 1);
+        let mut r = SnapshotReader::new(&buf);
+        assert_eq!(r.read_count(), Ok(u32::MAX / 2));
+        assert!(matches!(r.read_count(), Err(SnapshotError::Corrupt(_))));
+        assert_eq!(r.read_count(), Err(SnapshotError::Truncated { at: 8 }));
     }
 
     #[test]

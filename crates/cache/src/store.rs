@@ -251,6 +251,21 @@ impl CacheStore {
         })
     }
 
+    /// The live slots in heap order, stamps included: a slot's stamp is
+    /// the value [`next_stamp`](Self::next_stamp) had when the page was
+    /// last inserted or re-valued.
+    #[inline]
+    pub fn slots(&self) -> &[HeapSlot] {
+        self.heap.slots()
+    }
+
+    /// The stamp the next insert or value update will carry. Every live
+    /// slot is stamped below it.
+    #[inline]
+    pub fn next_stamp(&self) -> u64 {
+        self.next_stamp
+    }
+
     /// Serializes the complete mutable state — stamp counter plus every
     /// heap slot in heap order — for a snapshot. Capacity and universe are
     /// configuration, not state: they come from the owner at restore
@@ -281,6 +296,11 @@ impl CacheStore {
     /// are unspecified (memory-safe, but partially restored) — discard it.
     pub fn decode_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         let next_stamp = r.read_u64()?;
+        // No run gets near it, and a counter read this high would
+        // overflow on the operations that follow.
+        if next_stamp > u64::MAX / 2 {
+            return Err(SnapshotError::Corrupt("stamp counter out of range"));
+        }
         let n = r.read_u32()? as usize;
         // Fixed 24-byte minimum per slot bounds n against garbage counts.
         if n > r.remaining() / 24 {
@@ -307,6 +327,9 @@ impl CacheStore {
                 page,
                 size,
             });
+        }
+        if used > self.capacity.as_u64() {
+            return Err(SnapshotError::Corrupt("resident bytes exceed capacity"));
         }
         self.heap = KeyHeap::from_slots(slots)
             .ok_or(SnapshotError::Corrupt("slots are not in heap order"))?;
@@ -493,6 +516,34 @@ mod tests {
         let mut s = CacheStore::dense(Bytes::new(100), 5);
         s.decode_state(&mut SnapshotReader::new(&bytes)).unwrap();
         assert_eq!(s.value(page(4)), Some(1.0));
+    }
+
+    #[test]
+    fn decode_rejects_resident_bytes_above_capacity() {
+        let mut donor = CacheStore::dense(Bytes::new(100), 8);
+        donor.insert(page(1), Bytes::new(60), 1.0);
+        donor.insert(page(2), Bytes::new(40), 2.0);
+        let mut bytes = Vec::new();
+        donor.encode_state(&mut bytes);
+        let mut exact = CacheStore::dense(Bytes::new(100), 8);
+        exact
+            .decode_state(&mut SnapshotReader::new(&bytes))
+            .unwrap();
+        assert_eq!(exact.used(), Bytes::new(100));
+        let err =
+            CacheStore::dense(Bytes::new(99), 8).decode_state(&mut SnapshotReader::new(&bytes));
+        assert!(matches!(err, Err(SnapshotError::Corrupt(_))), "{err:?}");
+    }
+
+    #[test]
+    fn decode_rejects_a_stamp_counter_about_to_overflow() {
+        let mut bytes = Vec::new();
+        CacheStore::dense(Bytes::new(100), 8).encode_state(&mut bytes);
+        // The counter is the blob's first word.
+        bytes[..8].copy_from_slice(&u64::MAX.to_le_bytes());
+        let err =
+            CacheStore::dense(Bytes::new(100), 8).decode_state(&mut SnapshotReader::new(&bytes));
+        assert!(matches!(err, Err(SnapshotError::Corrupt(_))), "{err:?}");
     }
 
     #[test]

@@ -2,62 +2,14 @@
 
 use std::cell::RefCell;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
-use pscd_cache::{AccessOutcome, PageRef};
+use pscd_cache::{
+    AccessOutcome, CacheStore, HeapSlot, PageRef, PageTable, SnapshotError, SnapshotReader,
+};
 use pscd_obs::{AdmitOrigin, EvictReason, NullObserver, ObsHandle, Observer, RelabelDirection};
 use pscd_types::{Bytes, PageId};
 
-use crate::table::EntryTable;
 use crate::{PushOutcome, Strategy, StrategyClass};
-
-/// Which portion of the storage a page's bytes are labeled as.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Side {
-    /// Push-Cache: managed by SUB (subscription value).
-    Pc,
-    /// Access-Cache: managed by GD\* (access value).
-    Ac,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    size: Bytes,
-    side: Side,
-    value: f64,
-    stamp: u64,
-    freq: u32,
-    last_access_tick: u64,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct HeapItem {
-    value: f64,
-    stamp: u64,
-    page: PageId,
-}
-
-impl PartialEq for HeapItem {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for HeapItem {}
-impl PartialOrd for HeapItem {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapItem {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .value
-            .partial_cmp(&self.value)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.stamp.cmp(&self.stamp))
-            .then_with(|| other.page.cmp(&self.page))
-    }
-}
 
 /// The paper's *Dual-Caches with Adaptive Partition* (DC-AP) and its
 /// bounded variant *DC-LAP*.
@@ -78,38 +30,36 @@ impl Ord for HeapItem {
 /// 75%); a re-partition that would violate the bounds is skipped, falling
 /// back to DC-FP behaviour for that operation.
 ///
-/// Because a page's value is refreshed on every access, the two eviction
-/// orders are maintained as lazy-deletion heaps. The heaps are
-/// preallocated to twice the page universe and compact stale items in
-/// place when full, and the adaptive step's scratch pools are
-/// preallocated too — over a preallocated universe DC-AP/DC-LAP are
-/// *strictly* allocation-free in steady state (see DESIGN.md §12).
+/// Each side is a [`CacheStore`] built over the whole capacity; what a
+/// side may actually use is its *allocation*, which this type tracks
+/// (`pc_alloc`, the rest is AC's) and moves. A page is in exactly one of
+/// the two stores.
 #[derive(Debug)]
 pub struct DcAdaptive<O: Observer = NullObserver> {
-    capacity: Bytes,
     /// Bytes currently allocated to the PC side (the rest is AC).
     pc_alloc: Bytes,
-    used_pc: Bytes,
-    used_ac: Bytes,
-    entries: EntryTable<Entry>,
-    pc_heap: BinaryHeap<HeapItem>,
-    ac_heap: BinaryHeap<HeapItem>,
+    /// Push-Cache residents under their SUB values.
+    pc: CacheStore,
+    /// Access-Cache residents under their GD\* values.
+    ac: CacheStore,
+    /// In-cache reference counts of the AC residents.
+    counts: PageTable<u32>,
     /// GD\* inflation of the AC module.
     inflation: f64,
     beta: f64,
-    tick: u64,
-    /// Tick of the most recent replacement (eviction) in AC.
-    ac_last_replacement: u64,
+    /// `ac`'s stamp counter as of the most recent replacement (eviction)
+    /// in AC. A reference re-stamps the page, so an AC slot stamped below
+    /// the mark has not been referenced since that replacement.
+    ac_mark: u64,
     /// Bounds on the PC fraction (DC-AP: (0, 1); DC-LAP: (0.25, 0.75)).
     lo: f64,
     hi: f64,
     name: &'static str,
-    next_stamp: u64,
     /// Scratch for the adaptive step (the stale-AC pool and the planned
     /// victims), reused across calls so `plan_relabel` is allocation-free
     /// in steady state. `RefCell` because `would_store` plans through
     /// `&self`; never borrowed across a public call boundary.
-    stale_scratch: RefCell<Vec<(PageId, f64, Bytes, u64)>>,
+    stale_scratch: RefCell<Vec<HeapSlot>>,
     victims_scratch: RefCell<Vec<PageId>>,
     obs: ObsHandle<O>,
 }
@@ -153,7 +103,7 @@ impl<O: Observer> DcAdaptive<O> {
     /// and grows on demand).
     pub fn observed<P: Observer>(self, page_count: usize, obs: ObsHandle<P>) -> DcAdaptive<P> {
         DcAdaptive::with_bounds(
-            self.capacity,
+            self.pc.capacity(),
             self.beta,
             self.lo,
             self.hi,
@@ -177,28 +127,17 @@ impl<O: Observer> DcAdaptive<O> {
             (0.0..=0.5).contains(&lo) && (0.5..=1.0).contains(&hi),
             "bounds must satisfy 0 <= lo <= 0.5 <= hi <= 1"
         );
-        // Live entries are bounded by the page universe, so heaps
-        // preallocated to twice that never grow: when one fills, stale
-        // lazy-deletion items are compacted in place (see `push_heap`),
-        // leaving at least half the slots free. Strictly alloc-free in
-        // steady state, compaction amortized O(1) per push.
-        let heap_capacity = page_count.saturating_mul(2);
         Self {
-            capacity,
             pc_alloc: capacity.scaled(0.5),
-            used_pc: Bytes::ZERO,
-            used_ac: Bytes::ZERO,
-            entries: EntryTable::new(page_count),
-            pc_heap: BinaryHeap::with_capacity(heap_capacity),
-            ac_heap: BinaryHeap::with_capacity(heap_capacity),
+            pc: CacheStore::dense(capacity, page_count),
+            ac: CacheStore::dense(capacity, page_count),
+            counts: PageTable::new(page_count, 0),
             inflation: 0.0,
             beta,
-            tick: 0,
-            ac_last_replacement: 0,
+            ac_mark: 0,
             lo,
             hi,
             name,
-            next_stamp: 0,
             // The adaptive-step pools hold at most one item per resident page.
             stale_scratch: RefCell::new(Vec::with_capacity(page_count)),
             victims_scratch: RefCell::new(Vec::with_capacity(page_count)),
@@ -213,23 +152,23 @@ impl<O: Observer> DcAdaptive<O> {
 
     /// Bytes currently allocated to the access cache.
     pub fn ac_allocation(&self) -> Bytes {
-        self.capacity - self.pc_alloc
+        self.pc.capacity() - self.pc_alloc
     }
 
     fn lo_bytes(&self) -> Bytes {
-        self.capacity.scaled(self.lo)
+        self.pc.capacity().scaled(self.lo)
     }
 
     fn hi_bytes(&self) -> Bytes {
-        self.capacity.scaled(self.hi)
+        self.pc.capacity().scaled(self.hi)
     }
 
     fn free_pc(&self) -> Bytes {
-        self.pc_alloc.saturating_sub(self.used_pc)
+        self.pc_alloc.saturating_sub(self.pc.used())
     }
 
     fn free_ac(&self) -> Bytes {
-        self.ac_allocation().saturating_sub(self.used_ac)
+        self.ac_allocation().saturating_sub(self.ac.used())
     }
 
     fn sub_value(page: &PageRef, subs: u32) -> f64 {
@@ -243,177 +182,72 @@ impl<O: Observer> DcAdaptive<O> {
                 .powf(1.0 / self.beta)
     }
 
-    fn stamp(&mut self) -> u64 {
-        let s = self.next_stamp;
-        self.next_stamp += 1;
-        s
-    }
-
     /// Serializes the mutable state for a snapshot: the partition point,
-    /// the AC module's GD\* registers, and every resident entry in
-    /// live-list order (see [`DualMethods::encode_state`] on why stale
-    /// lazy-deletion heap items need not be encoded).
-    ///
-    /// [`DualMethods::encode_state`]: crate::DualMethods
+    /// the AC module's GD\* registers, the two stores, and the reference
+    /// count of every AC resident in `ac`'s slot order.
     pub(crate) fn encode_state(&self, out: &mut Vec<u8>) {
-        use pscd_cache::snapshot::{put_f64, put_u32, put_u64, put_u8};
+        use pscd_cache::snapshot::{put_f64, put_u32, put_u64};
         put_u64(out, self.pc_alloc.as_u64());
         put_f64(out, self.inflation);
-        put_u64(out, self.tick);
-        put_u64(out, self.ac_last_replacement);
-        put_u64(out, self.next_stamp);
-        put_u32(out, self.entries.len() as u32);
-        for (page, e) in self.entries.iter() {
-            put_u32(out, page.index());
-            put_u64(out, e.size.as_u64());
-            put_u8(out, matches!(e.side, Side::Ac) as u8);
-            put_f64(out, e.value);
-            put_u64(out, e.stamp);
-            put_u32(out, e.freq);
-            put_u64(out, e.last_access_tick);
+        put_u64(out, self.ac_mark);
+        self.pc.encode_state(out);
+        self.ac.encode_state(out);
+        for slot in self.ac.iter() {
+            put_u32(out, self.counts.get(slot.page));
         }
     }
 
     /// The cached pages, in arbitrary order.
     pub(crate) fn residents(&self) -> impl Iterator<Item = PageId> + '_ {
-        self.entries.iter().map(|(page, _)| page)
+        self.pc.iter().chain(self.ac.iter()).map(|p| p.page)
     }
 
     /// Restores state captured by [`encode_state`](Self::encode_state).
-    pub(crate) fn decode_state(
-        &mut self,
-        r: &mut pscd_cache::SnapshotReader<'_>,
-    ) -> Result<(), pscd_cache::SnapshotError> {
-        use pscd_cache::SnapshotError;
+    pub(crate) fn decode_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         let pc_alloc = Bytes::new(r.read_u64()?);
         let inflation = r.read_f64()?;
-        let tick = r.read_u64()?;
-        let ac_last_replacement = r.read_u64()?;
-        let next_stamp = r.read_u64()?;
-        let n = r.read_u32()? as usize;
-        if n > r.remaining() / 41 {
-            return Err(SnapshotError::Corrupt("DC entry count overruns buffer"));
+        let ac_mark = r.read_u64()?;
+        if pc_alloc < self.lo_bytes() || pc_alloc > self.hi_bytes() {
+            return Err(SnapshotError::Corrupt("PC allocation outside its bounds"));
         }
-        self.entries.clear();
-        self.pc_heap.clear();
-        self.ac_heap.clear();
-        self.used_pc = Bytes::ZERO;
-        self.used_ac = Bytes::ZERO;
-        for _ in 0..n {
-            let page = PageId::new(r.read_u32()?);
-            let size = Bytes::new(r.read_u64()?);
-            let side = match r.read_u8()? {
-                0 => Side::Pc,
-                1 => Side::Ac,
-                _ => return Err(SnapshotError::Corrupt("bad DC side tag")),
-            };
-            let entry = Entry {
-                size,
-                side,
-                value: r.read_f64()?,
-                stamp: r.read_u64()?,
-                freq: r.read_u32()?,
-                last_access_tick: r.read_u64()?,
-            };
-            self.entries.try_insert(page, entry)?;
-            let item = HeapItem {
-                value: entry.value,
-                stamp: entry.stamp,
-                page,
-            };
-            let used = match side {
-                Side::Pc => &mut self.used_pc,
-                Side::Ac => &mut self.used_ac,
-            };
-            let total = used.as_u64().checked_add(size.as_u64());
-            *used = Bytes::new(total.ok_or(SnapshotError::Corrupt("resident bytes overflow"))?);
-            self.push_heap(side, item);
+        if inflation.is_nan() {
+            return Err(SnapshotError::Corrupt("NaN inflation"));
+        }
+        let Self { pc, ac, counts, .. } = self;
+        pc.decode_state(r)?;
+        ac.decode_state(r)?;
+        if pc.used() > pc_alloc || ac.used() > ac.capacity() - pc_alloc {
+            return Err(SnapshotError::Corrupt(
+                "a side holds more than its allocation",
+            ));
+        }
+        if pc.iter().any(|p| ac.contains(p.page)) {
+            return Err(SnapshotError::Corrupt(
+                "page on both sides of the partition",
+            ));
+        }
+        if ac_mark > ac.next_stamp() {
+            return Err(SnapshotError::Corrupt("AC mark beyond the stamp counter"));
+        }
+        counts.clear();
+        for slot in ac.iter() {
+            let f = r.read_count()?;
+            if f != 0 {
+                counts.try_insert(slot.page, f)?;
+            }
         }
         self.pc_alloc = pc_alloc;
         self.inflation = inflation;
-        self.tick = tick;
-        self.ac_last_replacement = ac_last_replacement;
-        self.next_stamp = next_stamp;
+        self.ac_mark = ac_mark;
         Ok(())
     }
 
-    fn insert(&mut self, page: &PageRef, side: Side, value: f64, freq: u32) {
-        let stamp = self.stamp();
-        self.entries.insert(
-            page.page,
-            Entry {
-                size: page.size,
-                side,
-                value,
-                stamp,
-                freq,
-                last_access_tick: self.tick,
-            },
-        );
-        let item = HeapItem {
-            value,
-            stamp,
-            page: page.page,
-        };
-        match side {
-            Side::Pc => self.used_pc += page.size,
-            Side::Ac => self.used_ac += page.size,
-        }
-        self.push_heap(side, item);
-    }
-
-    /// Pushes a lazy-deletion item under `side`'s heap, compacting stale
-    /// items in place first whenever the heap is at capacity. Live items
-    /// are bounded by resident entries, so a heap preallocated for the
-    /// page universe never reallocates.
-    fn push_heap(&mut self, side: Side, item: HeapItem) {
-        let heap = match side {
-            Side::Pc => &mut self.pc_heap,
-            Side::Ac => &mut self.ac_heap,
-        };
-        if heap.len() == heap.capacity() {
-            let entries = &self.entries;
-            heap.retain(|it| {
-                entries
-                    .get(it.page)
-                    .is_some_and(|e| e.side == side && e.stamp == it.stamp)
-            });
-        }
-        match side {
-            Side::Pc => self.pc_heap.push(item),
-            Side::Ac => self.ac_heap.push(item),
-        }
-    }
-
-    /// Pops the minimum live page of `side`. Removes it from the entry map
-    /// and byte accounting.
-    fn pop_min(&mut self, side: Side) -> Option<(PageId, Entry)> {
-        loop {
-            let item = match side {
-                Side::Pc => self.pc_heap.pop()?,
-                Side::Ac => self.ac_heap.pop()?,
-            };
-            let live = self
-                .entries
-                .get(item.page)
-                .is_some_and(|e| e.side == side && e.stamp == item.stamp);
-            if live {
-                let entry = self.entries.remove(item.page).expect("live entry");
-                match side {
-                    Side::Pc => self.used_pc -= entry.size,
-                    Side::Ac => self.used_ac -= entry.size,
-                }
-                return Some((item.page, entry));
-            }
-        }
-    }
-
-    fn candidate_size_below(&self, side: Side, v: f64) -> Bytes {
-        self.entries
-            .iter()
-            .filter(|(_, e)| e.side == side && e.value < v)
-            .map(|(_, e)| e.size)
-            .sum()
+    /// SUB can place the page within the current PC allocation (a page
+    /// that fits the free bytes needs no sweep).
+    fn sub_fits(&self, page: &PageRef, v: f64) -> bool {
+        page.size <= self.pc_alloc
+            && (self.free_pc() >= page.size
+                || self.free_pc() + self.pc.candidate_size_below(v) >= page.size)
     }
 
     /// Plans the adaptive relabeling for a page needing `needed` extra PC
@@ -426,37 +260,59 @@ impl<O: Observer> DcAdaptive<O> {
         let mut stale = self.stale_scratch.borrow_mut();
         stale.clear();
         stale.extend(
-            self.entries
+            self.ac
+                .slots()
                 .iter()
-                .filter(|(_, e)| {
-                    e.side == Side::Ac && e.last_access_tick < self.ac_last_replacement
-                })
-                .map(|(p, e)| (p, e.value, e.size, e.stamp)),
+                .filter(|slot| slot.stamp < self.ac_mark),
         );
         stale.sort_unstable_by(|a, b| {
-            a.1.partial_cmp(&b.1)
+            a.value
+                .partial_cmp(&b.value)
                 .unwrap_or(Ordering::Equal)
-                .then_with(|| a.3.cmp(&b.3))
+                .then_with(|| a.stamp.cmp(&b.stamp))
         });
         let mut victims = self.victims_scratch.borrow_mut();
         victims.clear();
         let hi = self.hi_bytes();
         let mut alloc = self.pc_alloc;
         let mut freed = Bytes::ZERO;
-        for &(page, _v, size, _s) in stale.iter() {
+        for slot in stale.iter() {
             if freed >= needed {
                 break;
             }
-            if alloc + size > hi {
+            if alloc + slot.size > hi {
                 // Relabeling this page would violate the PC upper bound
                 // (DC-LAP); skip it — a smaller stale page may still fit.
                 continue;
             }
-            alloc += size;
-            freed += size;
-            victims.push(page);
+            alloc += slot.size;
+            freed += slot.size;
+            victims.push(slot.page);
         }
         freed >= needed
+    }
+
+    /// GD\* placement of a requested page in AC: evicts by value until
+    /// `size` fits the AC allocation (which must be able to hold it),
+    /// raising `L` and moving the mark at each replacement, then inserts
+    /// the page with one reference. Appends the victims to `evicted` and
+    /// returns the page's value.
+    fn place_in_ac(&mut self, page: &PageRef, size: Bytes, evicted: &mut Vec<PageId>) -> f64 {
+        while self.free_ac() < size {
+            let victim = self.ac.pop_min().expect("AC holds enough bytes");
+            self.counts.remove(victim.page);
+            self.inflation = victim.value;
+            self.ac_mark = self.ac.next_stamp();
+            if O::ENABLED {
+                self.obs
+                    .evict(victim.page, victim.size, victim.value, EvictReason::Access);
+            }
+            evicted.push(victim.page);
+        }
+        let value = self.gd_value(1, page);
+        self.ac.insert(page.page, size, value);
+        self.counts.set(page.page, 1);
+        value
     }
 }
 
@@ -471,80 +327,66 @@ impl<O: Observer> Strategy for DcAdaptive<O> {
 
     fn on_push(&mut self, page: &PageRef, subs: u32, evicted: &mut Vec<PageId>) -> PushOutcome {
         evicted.clear();
-        self.tick += 1;
-        if self.entries.contains(page.page) {
+        if self.contains(page.page) {
             return PushOutcome::Stored;
         }
         let v = Self::sub_value(page, subs);
-        // Phase 1: SUB within the current PC allocation.
-        if self.free_pc() >= page.size
-            || self.free_pc() + self.candidate_size_below(Side::Pc, v) >= page.size
-        {
-            if page.size > self.pc_alloc {
-                // Even an empty PC cannot hold it; fall through to phase 2.
-            } else {
-                while self.free_pc() < page.size {
-                    let (victim, entry) = self.pop_min(Side::Pc).expect("candidates suffice");
-                    if O::ENABLED {
-                        self.obs
-                            .evict(victim, entry.size, entry.value, EvictReason::Push);
-                    }
-                    evicted.push(victim);
-                }
-                self.insert(page, Side::Pc, v, 0);
+        if self.sub_fits(page, v) {
+            // SUB within the current PC allocation.
+            while self.free_pc() < page.size {
+                let victim = self.pc.pop_min().expect("candidates suffice");
                 if O::ENABLED {
-                    self.obs.admit(page.page, page.size, v, AdmitOrigin::Push);
+                    self.obs
+                        .evict(victim.page, victim.size, victim.value, EvictReason::Push);
                 }
-                return PushOutcome::Stored;
+                evicted.push(victim.page);
             }
-        }
-        // Phase 2: adaptive re-partition over stale AC pages.
-        let needed = page.size.saturating_sub(self.free_pc());
-        if self.plan_relabel(needed) {
+        } else {
+            // Adaptive re-partition over stale AC pages.
+            let needed = page.size.saturating_sub(self.free_pc());
+            if !self.plan_relabel(needed) {
+                return PushOutcome::Declined;
+            }
             // Take the planned victims out of the scratch so `self` stays
             // mutably borrowable; restore it after (capacity preserved).
             let victims = std::mem::take(&mut *self.victims_scratch.borrow_mut());
             for &victim in &victims {
-                let entry = self.entries.remove(victim).expect("planned victim");
-                self.used_ac -= entry.size;
-                self.pc_alloc += entry.size;
+                let removed = self.ac.remove(victim).expect("planned victim");
+                self.counts.remove(victim);
+                self.pc_alloc += removed.size;
                 if O::ENABLED {
                     // The stale page dies and its storage switches
                     // sides: one eviction, one relabel.
+                    self.obs.evict(
+                        victim,
+                        removed.size,
+                        removed.value,
+                        EvictReason::Repartition,
+                    );
                     self.obs
-                        .evict(victim, entry.size, entry.value, EvictReason::Repartition);
-                    self.obs
-                        .relabel(victim, entry.size, RelabelDirection::AcToPc);
+                        .relabel(victim, removed.size, RelabelDirection::AcToPc);
                 }
                 evicted.push(victim);
             }
             *self.victims_scratch.borrow_mut() = victims;
             debug_assert!(self.free_pc() >= page.size);
-            self.insert(page, Side::Pc, v, 0);
-            if O::ENABLED {
-                self.obs.admit(page.page, page.size, v, AdmitOrigin::Push);
-            }
-            PushOutcome::Stored
-        } else {
-            PushOutcome::Declined
         }
+        self.pc.insert(page.page, page.size, v);
+        if O::ENABLED {
+            self.obs.admit(page.page, page.size, v, AdmitOrigin::Push);
+        }
+        PushOutcome::Stored
     }
 
     fn would_store(&self, page: &PageRef, subs: u32) -> bool {
-        if self.entries.contains(page.page) {
+        if self.contains(page.page) {
             return true;
         }
-        if page.size > self.capacity {
+        if page.size > self.pc.capacity() {
             return false;
         }
-        let v = Self::sub_value(page, subs);
-        let sub_fits = page.size <= self.pc_alloc
-            && self.free_pc() + self.candidate_size_below(Side::Pc, v) >= page.size;
-        if sub_fits {
-            return true;
-        }
-        let needed = page.size.saturating_sub(self.free_pc());
-        self.plan_relabel(needed)
+        self.sub_fits(page, Self::sub_value(page, subs))
+            || self.plan_relabel(page.size.saturating_sub(self.free_pc()))
     }
 
     fn on_access(
@@ -554,138 +396,72 @@ impl<O: Observer> Strategy for DcAdaptive<O> {
         evicted: &mut Vec<PageId>,
     ) -> AccessOutcome {
         evicted.clear();
-        self.tick += 1;
-        if let Some(entry) = self.entries.get(page.page).copied() {
-            debug_assert_eq!(
-                entry.size, page.size,
-                "a page's size must be stable across calls"
-            );
-            match entry.side {
-                Side::Pc => {
-                    // Locating: relabel the storage AC in place when the
-                    // bounds allow; otherwise fall back to a DC-FP move.
-                    let new_pc = self.pc_alloc.saturating_sub(entry.size);
-                    if new_pc >= self.lo_bytes() {
-                        self.pc_alloc = new_pc;
-                        self.used_pc -= entry.size;
-                        // Re-insert under the new side (the stale PC heap
-                        // item is skimmed by stamp on a later pop).
-                        self.entries.remove(page.page);
-                        let value = self.gd_value(1, page);
-                        self.insert(page, Side::Ac, value, 1);
-                        if O::ENABLED {
-                            self.obs
-                                .relabel(page.page, entry.size, RelabelDirection::PcToAc);
-                        }
-                    } else {
-                        // Remove from PC and run a GD* placement in AC.
-                        self.used_pc -= entry.size;
-                        self.entries.remove(page.page);
-                        if O::ENABLED {
-                            // Even the bounded fallback moves the page
-                            // across the partition.
-                            self.obs
-                                .relabel(page.page, entry.size, RelabelDirection::PcToAc);
-                        }
-                        if entry.size <= self.ac_allocation() {
-                            while self.free_ac() < entry.size {
-                                let (victim_page, victim) =
-                                    self.pop_min(Side::Ac).expect("AC not empty");
-                                self.inflation = victim.value;
-                                self.ac_last_replacement = self.tick;
-                                if O::ENABLED {
-                                    self.obs.evict(
-                                        victim_page,
-                                        victim.size,
-                                        victim.value,
-                                        EvictReason::Access,
-                                    );
-                                }
-                            }
-                            let value = self.gd_value(1, page);
-                            self.insert(page, Side::Ac, value, 1);
-                        }
-                        // else: page cannot fit in AC at all; it is served
-                        // but dropped from the cache.
-                    }
-                    AccessOutcome::Hit
-                }
-                Side::Ac => {
-                    let freq = entry.freq + 1;
-                    let value = self.gd_value(freq, page);
-                    let stamp = self.stamp();
-                    let e = self.entries.get_mut(page.page).expect("present");
-                    e.freq = freq;
-                    e.value = value;
-                    e.stamp = stamp;
-                    e.last_access_tick = self.tick;
-                    self.push_heap(
-                        Side::Ac,
-                        HeapItem {
-                            value,
-                            stamp,
-                            page: page.page,
-                        },
-                    );
-                    AccessOutcome::Hit
-                }
+        if self.ac.contains(page.page) {
+            let freq = self.counts.get(page.page) + 1;
+            self.counts.set(page.page, freq);
+            let value = self.gd_value(freq, page);
+            self.ac.update_value(page.page, value);
+            return AccessOutcome::Hit;
+        }
+        if let Some(moved) = self.pc.remove(page.page) {
+            // Locating: the storage is relabeled AC in place when the
+            // bounds allow, so AC grows by exactly what it takes in;
+            // otherwise the page moves as in DC-FP, which may replace
+            // pages in AC — or drop the page, if AC could never hold it.
+            let new_pc = self.pc_alloc.saturating_sub(moved.size);
+            if new_pc >= self.lo_bytes() {
+                self.pc_alloc = new_pc;
             }
-        } else {
-            // Miss: classic GD* placement within the AC allocation.
-            if page.size > self.ac_allocation() {
-                return AccessOutcome::MissBypassed;
-            }
-            while self.free_ac() < page.size {
-                let (victim, entry) = self.pop_min(Side::Ac).expect("AC holds enough bytes");
-                self.inflation = entry.value;
-                self.ac_last_replacement = self.tick;
-                if O::ENABLED {
-                    self.obs
-                        .evict(victim, entry.size, entry.value, EvictReason::Access);
-                }
-                evicted.push(victim);
-            }
-            let value = self.gd_value(1, page);
-            self.insert(page, Side::Ac, value, 1);
             if O::ENABLED {
                 self.obs
-                    .admit(page.page, page.size, value, AdmitOrigin::Access);
+                    .relabel(page.page, moved.size, RelabelDirection::PcToAc);
             }
-            AccessOutcome::MissAdmitted
+            if moved.size <= self.ac_allocation() {
+                self.place_in_ac(page, moved.size, evicted);
+                // The request was a hit: pages the move displaced inside
+                // AC are not reported, as in DC-FP.
+                evicted.clear();
+            }
+            return AccessOutcome::Hit;
         }
+        // Miss: classic GD* placement within the AC allocation.
+        if page.size > self.ac_allocation() {
+            return AccessOutcome::MissBypassed;
+        }
+        let value = self.place_in_ac(page, page.size, evicted);
+        if O::ENABLED {
+            self.obs
+                .admit(page.page, page.size, value, AdmitOrigin::Access);
+        }
+        AccessOutcome::MissAdmitted
     }
 
     fn contains(&self, page: PageId) -> bool {
-        self.entries.contains(page)
+        self.pc.contains(page) || self.ac.contains(page)
     }
 
     fn invalidate(&mut self, page: PageId) -> bool {
-        match self.entries.remove(page) {
-            Some(entry) => {
-                match entry.side {
-                    Side::Pc => self.used_pc -= entry.size,
-                    Side::Ac => self.used_ac -= entry.size,
-                }
-                if O::ENABLED {
-                    self.obs
-                        .evict(page, entry.size, entry.value, EvictReason::Invalidate);
-                }
-                true
-            }
-            None => false,
+        let Some(removed) = self.pc.remove(page).or_else(|| self.ac.remove(page)) else {
+            return false;
+        };
+        self.counts.remove(page);
+        if O::ENABLED {
+            self.obs
+                .evict(page, removed.size, removed.value, EvictReason::Invalidate);
         }
+        true
     }
 
     fn capacity(&self) -> Bytes {
-        self.capacity
+        self.pc.capacity()
     }
 
     fn used(&self) -> Bytes {
-        self.used_pc + self.used_ac
+        self.pc.used() + self.ac.used()
     }
 
     fn len(&self) -> usize {
-        self.entries.len()
+        self.pc.len() + self.ac.len()
     }
 }
 
@@ -774,7 +550,7 @@ mod tests {
             PushOutcome::Declined
         );
         // A 10-byte miss forces an AC replacement (AC is full at 50):
-        // the cold p2 is evicted and the replacement tick advances.
+        // the cold p2 is evicted and the replacement mark advances.
         assert_eq!(
             d.on_access(&page(6, 10, 1.0), 0, &mut ev),
             AccessOutcome::MissAdmitted
@@ -869,6 +645,108 @@ mod tests {
                 d.pc_allocation()
             );
         }
+    }
+
+    /// A 100-byte cache holding a 30-byte PC page and a 40-byte AC page
+    /// with one reference, encoded: the partition point, the inflation
+    /// and the mark are the blob's first three words, the AC page's
+    /// reference count its last four bytes.
+    fn encoded() -> Vec<u8> {
+        let mut ev = Vec::new();
+        let mut d = DcAdaptive::ap(Bytes::new(100), 2.0);
+        d.on_push(&page(1, 30, 1.0), 5, &mut ev);
+        d.on_access(&page(2, 40, 1.0), 0, &mut ev);
+        let mut blob = Vec::new();
+        d.encode_state(&mut blob);
+        blob
+    }
+
+    fn with_word(blob: &[u8], at: usize, word: u64) -> Vec<u8> {
+        let mut blob = blob.to_vec();
+        blob[at..at + 8].copy_from_slice(&word.to_le_bytes());
+        blob
+    }
+
+    /// Decodes into a fresh cache of `like`'s configuration over 8 pages.
+    fn decode(like: DcAdaptive, blob: &[u8]) -> Result<(), SnapshotError> {
+        like.observed(8, ObsHandle::<NullObserver>::disabled())
+            .decode_state(&mut SnapshotReader::new(blob))
+    }
+
+    fn ap() -> DcAdaptive {
+        DcAdaptive::ap(Bytes::new(100), 2.0)
+    }
+
+    #[test]
+    fn decode_rejects_a_partition_point_outside_its_bounds() {
+        let blob = encoded();
+        assert_eq!(decode(ap(), &blob), Ok(()));
+        // Regression: u64::MAX used to decode, and the next access
+        // computed `capacity - pc_alloc`.
+        for pc_alloc in [u64::MAX, 101] {
+            let err = decode(ap(), &with_word(&blob, 0, pc_alloc));
+            assert!(
+                matches!(err, Err(SnapshotError::Corrupt(_))),
+                "{pc_alloc}: {err:?}"
+            );
+        }
+        let lap = || DcAdaptive::lap(Bytes::new(100), 2.0);
+        for pc_alloc in [24, 76] {
+            let err = decode(lap(), &with_word(&blob, 0, pc_alloc));
+            assert!(
+                matches!(err, Err(SnapshotError::Corrupt(_))),
+                "{pc_alloc}: {err:?}"
+            );
+        }
+        for pc_alloc in [30, 60] {
+            assert_eq!(decode(lap(), &with_word(&blob, 0, pc_alloc)), Ok(()));
+        }
+    }
+
+    #[test]
+    fn decode_rejects_a_side_holding_more_than_its_allocation() {
+        let blob = encoded();
+        // PC holds 30 bytes, AC 40 of the other 100 - pc_alloc.
+        for pc_alloc in [29, 61] {
+            let err = decode(ap(), &with_word(&blob, 0, pc_alloc));
+            assert!(
+                matches!(err, Err(SnapshotError::Corrupt(_))),
+                "{pc_alloc}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn decode_rejects_a_page_on_both_sides() {
+        let mut ev = Vec::new();
+        let mut d = ap();
+        d.on_push(&page(1, 10, 1.0), 5, &mut ev);
+        d.ac.insert(PageId::new(1), Bytes::new(10), 0.5);
+        let mut blob = Vec::new();
+        d.encode_state(&mut blob);
+        let err = decode(ap(), &blob);
+        assert!(matches!(err, Err(SnapshotError::Corrupt(_))), "{err:?}");
+    }
+
+    #[test]
+    fn decode_rejects_a_mark_beyond_the_stamp_counter() {
+        let blob = encoded();
+        // AC stamped one insert: its counter reads 1.
+        assert_eq!(decode(ap(), &with_word(&blob, 16, 1)), Ok(()));
+        let err = decode(ap(), &with_word(&blob, 16, 2));
+        assert!(matches!(err, Err(SnapshotError::Corrupt(_))), "{err:?}");
+    }
+
+    #[test]
+    fn decode_rejects_nan_inflation_and_a_wild_reference_count() {
+        let blob = encoded();
+        let err = decode(ap(), &with_word(&blob, 8, f64::NAN.to_bits()));
+        assert!(matches!(err, Err(SnapshotError::Corrupt(_))), "{err:?}");
+        let mut wild = blob.clone();
+        let at = wild.len() - 4;
+        wild[at..].copy_from_slice(&u32::MAX.to_le_bytes());
+        let err = decode(ap(), &wild);
+        assert!(matches!(err, Err(SnapshotError::Corrupt(_))), "{err:?}");
     }
 
     #[test]

@@ -1,60 +1,10 @@
 //! DM: single cache, dual replacement methods (§3.3).
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
-use pscd_cache::{AccessOutcome, PageRef};
+use pscd_cache::{AccessOutcome, CacheStore, PageRef, PageTable, SnapshotError, SnapshotReader};
 use pscd_obs::{AdmitOrigin, EvictReason, NullObserver, ObsHandle, Observer};
 use pscd_types::{Bytes, PageId};
 
-use crate::table::EntryTable;
 use crate::{PushOutcome, Strategy, StrategyClass};
-
-/// Which of the two replacement modules is evaluating.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Module {
-    Access,
-    Push,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    size: Bytes,
-    access_value: f64,
-    sub_value: f64,
-    access_stamp: u64,
-    sub_stamp: u64,
-    freq: u32,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct HeapItem {
-    value: f64,
-    stamp: u64,
-    page: PageId,
-}
-
-impl PartialEq for HeapItem {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for HeapItem {}
-impl PartialOrd for HeapItem {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapItem {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .value
-            .partial_cmp(&self.value)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.stamp.cmp(&self.stamp))
-            .then_with(|| other.page.cmp(&self.page))
-    }
-}
 
 /// The paper's *Dual-Methods* strategy: one shared cache, but **two
 /// independent replacement algorithms** — GD\* handles access-time
@@ -68,21 +18,19 @@ impl Ord for HeapItem {
 /// miss because it has no access history yet — the motivation for the
 /// Dual-Caches family.
 ///
-/// Because every page carries two independently-refreshed values, the two
-/// eviction orders are maintained as lazy-deletion heaps. The heaps are
-/// preallocated to twice the page universe and compact stale items in
-/// place when full, so over a preallocated universe DM is *strictly*
-/// allocation-free in steady state (see DESIGN.md §12).
+/// The one population lives in two [`CacheStore`]s, each built over the
+/// whole capacity and each holding every resident: `by_access` orders
+/// them by GD\* value, `by_sub` by SUB value. A module evicts by popping
+/// its own store and removing the victim from the other.
 #[derive(Debug)]
 pub struct DualMethods<O: Observer = NullObserver> {
-    capacity: Bytes,
-    used: Bytes,
-    entries: EntryTable<Entry>,
-    access_heap: BinaryHeap<HeapItem>,
-    sub_heap: BinaryHeap<HeapItem>,
+    by_access: CacheStore,
+    by_sub: CacheStore,
+    /// In-cache reference counts (0 for a page pushed and not yet
+    /// requested); a page's count is dropped when it leaves the cache.
+    counts: PageTable<u32>,
     inflation: f64,
     beta: f64,
-    next_stamp: u64,
     obs: ObsHandle<O>,
 }
 
@@ -105,34 +53,26 @@ impl<O: Observer> DualMethods<O> {
     /// operation never allocates (`0` preallocates nothing and grows on
     /// demand).
     pub fn observed<P: Observer>(self, page_count: usize, obs: ObsHandle<P>) -> DualMethods<P> {
-        DualMethods::build(self.capacity, self.beta, page_count, obs)
+        DualMethods::build(self.by_access.capacity(), self.beta, page_count, obs)
     }
 
     fn build(capacity: Bytes, beta: f64, page_count: usize, obs: ObsHandle<O>) -> Self {
-        // Live entries are bounded by the page universe, so heaps
-        // preallocated to twice that never grow: when one fills, stale
-        // lazy-deletion items are compacted in place (see `push_heap`),
-        // leaving at least half the slots free. Strictly alloc-free in
-        // steady state, compaction amortized O(1) per push.
-        let heap_capacity = page_count.saturating_mul(2);
         Self {
-            capacity,
-            used: Bytes::ZERO,
-            entries: EntryTable::new(page_count),
-            access_heap: BinaryHeap::with_capacity(heap_capacity),
-            sub_heap: BinaryHeap::with_capacity(heap_capacity),
+            by_access: CacheStore::dense(capacity, page_count),
+            by_sub: CacheStore::dense(capacity, page_count),
+            counts: PageTable::new(page_count, 0),
             inflation: 0.0,
             beta,
-            next_stamp: 0,
             obs,
         }
     }
 
-    /// GD\* weight `(f·c/s)^(1/β)`.
-    fn gd_weight(&self, freq: u32, page: &PageRef) -> f64 {
-        (freq as f64 * page.cost / page.size.as_f64())
-            .max(0.0)
-            .powf(1.0 / self.beta)
+    /// GD\* value `L + (f·c/s)^(1/β)`.
+    fn gd_value(&self, freq: u32, page: &PageRef) -> f64 {
+        self.inflation
+            + (freq as f64 * page.cost / page.size.as_f64())
+                .max(0.0)
+                .powf(1.0 / self.beta)
     }
 
     /// SUB value `f_S·c/s`.
@@ -140,181 +80,64 @@ impl<O: Observer> DualMethods<O> {
         subs as f64 * page.cost / page.size.as_f64()
     }
 
-    fn stamp(&mut self) -> u64 {
-        let s = self.next_stamp;
-        self.next_stamp += 1;
-        s
-    }
-
-    fn free(&self) -> Bytes {
-        self.capacity.saturating_sub(self.used)
-    }
-
-    /// Total size of pages whose value *under the given module* is below `v`.
-    fn candidate_size_below(&self, module: Module, v: f64) -> Bytes {
-        self.entries
-            .iter()
-            .filter(|(_, e)| match module {
-                Module::Access => e.access_value < v,
-                Module::Push => e.sub_value < v,
-            })
-            .map(|(_, e)| e.size)
-            .sum()
-    }
-
-    /// Pushes a lazy-deletion item under `module`'s heap, compacting stale
-    /// items in place first whenever the heap is at capacity. Live items
-    /// are bounded by resident entries, so a heap preallocated for the
-    /// page universe never reallocates.
-    fn push_heap(&mut self, module: Module, item: HeapItem) {
-        let heap = match module {
-            Module::Access => &mut self.access_heap,
-            Module::Push => &mut self.sub_heap,
-        };
-        if heap.len() == heap.capacity() {
-            let entries = &self.entries;
-            heap.retain(|it| {
-                entries.get(it.page).is_some_and(|e| match module {
-                    Module::Access => e.access_stamp == it.stamp,
-                    Module::Push => e.sub_stamp == it.stamp,
-                })
-            });
-        }
-        match module {
-            Module::Access => self.access_heap.push(item),
-            Module::Push => self.sub_heap.push(item),
-        }
-    }
-
-    /// Pops the minimum-valued live page under `module`'s ordering.
-    fn pop_min(&mut self, module: Module) -> Option<(PageId, Entry)> {
-        loop {
-            let item = match module {
-                Module::Access => self.access_heap.pop()?,
-                Module::Push => self.sub_heap.pop()?,
-            };
-            let live = self.entries.get(item.page).is_some_and(|e| match module {
-                Module::Access => e.access_stamp == item.stamp,
-                Module::Push => e.sub_stamp == item.stamp,
-            });
-            if live {
-                let entry = self.entries.remove(item.page).expect("live entry");
-                self.used -= entry.size;
-                return Some((item.page, entry));
-            }
-        }
-    }
-
-    /// Serializes the mutable state for a snapshot: inflation, the stamp
-    /// counter, and every resident entry in live-list order. Live-list
-    /// order is history-determined, so two caches that processed the same
-    /// operation stream encode identically. Stale lazy-deletion heap
-    /// items are deliberately not encoded: stamps give each live entry a
-    /// unique key, so heaps rebuilt from live entries pop in exactly the
-    /// same order the originals would (stale items are skimmed either way).
+    /// Serializes the mutable state for a snapshot: inflation, the two
+    /// stores, and the reference count of every resident in `by_access`'s
+    /// slot order.
     pub(crate) fn encode_state(&self, out: &mut Vec<u8>) {
-        use pscd_cache::snapshot::{put_f64, put_u32, put_u64};
+        use pscd_cache::snapshot::{put_f64, put_u32};
         put_f64(out, self.inflation);
-        put_u64(out, self.next_stamp);
-        put_u32(out, self.entries.len() as u32);
-        for (page, e) in self.entries.iter() {
-            put_u32(out, page.index());
-            put_u64(out, e.size.as_u64());
-            put_f64(out, e.access_value);
-            put_f64(out, e.sub_value);
-            put_u64(out, e.access_stamp);
-            put_u64(out, e.sub_stamp);
-            put_u32(out, e.freq);
+        self.by_access.encode_state(out);
+        self.by_sub.encode_state(out);
+        for slot in self.by_access.iter() {
+            put_u32(out, self.counts.get(slot.page));
         }
     }
 
     /// The cached pages, in arbitrary order.
     pub(crate) fn residents(&self) -> impl Iterator<Item = PageId> + '_ {
-        self.entries.iter().map(|(page, _)| page)
+        self.by_access.iter().map(|p| p.page)
     }
 
     /// Restores state captured by [`encode_state`](Self::encode_state).
-    pub(crate) fn decode_state(
-        &mut self,
-        r: &mut pscd_cache::SnapshotReader<'_>,
-    ) -> Result<(), pscd_cache::SnapshotError> {
-        use pscd_cache::SnapshotError;
+    pub(crate) fn decode_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         let inflation = r.read_f64()?;
-        let next_stamp = r.read_u64()?;
-        let n = r.read_u32()? as usize;
-        if n > r.remaining() / 48 {
-            return Err(SnapshotError::Corrupt("DM entry count overruns buffer"));
+        if inflation.is_nan() {
+            return Err(SnapshotError::Corrupt("NaN inflation"));
         }
-        self.entries.clear();
-        self.access_heap.clear();
-        self.sub_heap.clear();
-        self.used = Bytes::ZERO;
-        for _ in 0..n {
-            let page = PageId::new(r.read_u32()?);
-            let entry = Entry {
-                size: Bytes::new(r.read_u64()?),
-                access_value: r.read_f64()?,
-                sub_value: r.read_f64()?,
-                access_stamp: r.read_u64()?,
-                sub_stamp: r.read_u64()?,
-                freq: r.read_u32()?,
-            };
-            self.entries.try_insert(page, entry)?;
-            let total = self.used.as_u64().checked_add(entry.size.as_u64());
-            self.used = Bytes::new(total.ok_or(SnapshotError::Corrupt("resident bytes overflow"))?);
-            self.push_heap(
-                Module::Access,
-                HeapItem {
-                    value: entry.access_value,
-                    stamp: entry.access_stamp,
-                    page,
-                },
-            );
-            self.push_heap(
-                Module::Push,
-                HeapItem {
-                    value: entry.sub_value,
-                    stamp: entry.sub_stamp,
-                    page,
-                },
-            );
+        let Self {
+            by_access,
+            by_sub,
+            counts,
+            ..
+        } = self;
+        by_access.decode_state(r)?;
+        by_sub.decode_state(r)?;
+        // Neither store repeats a page, so equal lengths and one-way
+        // agreement make the two populations the same set.
+        if by_access.len() != by_sub.len()
+            || by_access
+                .iter()
+                .any(|p| by_sub.size(p.page) != Some(p.size))
+        {
+            return Err(SnapshotError::Corrupt(
+                "DM's two orders hold different pages",
+            ));
+        }
+        counts.clear();
+        for slot in by_access.iter() {
+            let f = r.read_count()?;
+            if f != 0 {
+                counts.try_insert(slot.page, f)?;
+            }
         }
         self.inflation = inflation;
-        self.next_stamp = next_stamp;
         Ok(())
     }
 
     fn insert(&mut self, page: &PageRef, access_value: f64, sub_value: f64, freq: u32) {
-        let access_stamp = self.stamp();
-        let sub_stamp = self.stamp();
-        self.entries.insert(
-            page.page,
-            Entry {
-                size: page.size,
-                access_value,
-                sub_value,
-                access_stamp,
-                sub_stamp,
-                freq,
-            },
-        );
-        self.used += page.size;
-        self.push_heap(
-            Module::Access,
-            HeapItem {
-                value: access_value,
-                stamp: access_stamp,
-                page: page.page,
-            },
-        );
-        self.push_heap(
-            Module::Push,
-            HeapItem {
-                value: sub_value,
-                stamp: sub_stamp,
-                page: page.page,
-            },
-        );
+        self.by_access.insert(page.page, page.size, access_value);
+        self.by_sub.insert(page.page, page.size, sub_value);
+        self.counts.set(page.page, freq);
     }
 }
 
@@ -329,27 +152,29 @@ impl<O: Observer> Strategy for DualMethods<O> {
 
     fn on_push(&mut self, page: &PageRef, subs: u32, evicted: &mut Vec<PageId>) -> PushOutcome {
         evicted.clear();
-        if self.entries.contains(page.page) {
+        if self.by_sub.contains(page.page) {
             return PushOutcome::Stored;
         }
         if !self.would_store(page, subs) {
             return PushOutcome::Declined;
         }
         let v = Self::sub_value(page, subs);
-        while self.free() < page.size {
-            let (victim, entry) = self
-                .pop_min(Module::Push)
+        while self.by_sub.free() < page.size {
+            let victim = self
+                .by_sub
+                .pop_min()
                 .expect("candidate check guarantees room");
+            self.by_access.remove(victim.page);
+            self.counts.remove(victim.page);
             if O::ENABLED {
                 self.obs
-                    .evict(victim, entry.size, entry.sub_value, EvictReason::Push);
+                    .evict(victim.page, victim.size, victim.value, EvictReason::Push);
             }
-            evicted.push(victim);
+            evicted.push(victim.page);
         }
         // A pushed page has no access history: its GD* value is just L
         // (f = 0), so the access module treats it as cold until requested.
-        let (l, zero_weight) = (self.inflation, self.gd_weight(0, page));
-        self.insert(page, l + zero_weight, v, 0);
+        self.insert(page, self.gd_value(0, page), v, 0);
         if O::ENABLED {
             self.obs.admit(page.page, page.size, v, AdmitOrigin::Push);
         }
@@ -357,59 +182,46 @@ impl<O: Observer> Strategy for DualMethods<O> {
     }
 
     fn would_store(&self, page: &PageRef, subs: u32) -> bool {
-        if self.entries.contains(page.page) {
+        let store = &self.by_sub;
+        if store.contains(page.page) {
             return true;
         }
-        if page.size > self.capacity {
+        if page.size > store.capacity() {
             return false;
         }
-        let v = Self::sub_value(page, subs);
-        self.free() + self.candidate_size_below(Module::Push, v) >= page.size
+        store.free() + store.candidate_size_below(Self::sub_value(page, subs)) >= page.size
     }
 
     fn on_access(&mut self, page: &PageRef, subs: u32, evicted: &mut Vec<PageId>) -> AccessOutcome {
         evicted.clear();
-        if let Some(entry) = self.entries.get_mut(page.page) {
-            entry.freq += 1;
-            let freq = entry.freq;
-            let stamp = {
-                let s = self.next_stamp;
-                self.next_stamp += 1;
-                s
-            };
-            let v = self.inflation + self.gd_weight(freq, page);
-            let entry = self.entries.get_mut(page.page).expect("present");
-            entry.access_value = v;
-            entry.access_stamp = stamp;
-            self.push_heap(
-                Module::Access,
-                HeapItem {
-                    value: v,
-                    stamp,
-                    page: page.page,
-                },
-            );
+        if self.by_access.contains(page.page) {
+            let freq = self.counts.get(page.page) + 1;
+            self.counts.set(page.page, freq);
+            let v = self.gd_value(freq, page);
+            self.by_access.update_value(page.page, v);
             return AccessOutcome::Hit;
         }
         // GD* replacement on miss: always admit (classic), evicting by
         // access value; inflation rises to the last victim's access value.
-        if page.size > self.capacity {
+        if page.size > self.by_access.capacity() {
             return AccessOutcome::MissBypassed;
         }
-        while self.free() < page.size {
-            let (victim, entry) = self
-                .pop_min(Module::Access)
+        while self.by_access.free() < page.size {
+            let victim = self
+                .by_access
+                .pop_min()
                 .expect("cache not empty while free < size <= capacity");
-            self.inflation = entry.access_value;
+            self.by_sub.remove(victim.page);
+            self.counts.remove(victim.page);
+            self.inflation = victim.value;
             if O::ENABLED {
                 self.obs
-                    .evict(victim, entry.size, entry.access_value, EvictReason::Access);
+                    .evict(victim.page, victim.size, victim.value, EvictReason::Access);
             }
-            evicted.push(victim);
+            evicted.push(victim.page);
         }
-        let v = self.inflation + self.gd_weight(1, page);
-        let sv = Self::sub_value(page, subs);
-        self.insert(page, v, sv, 1);
+        let v = self.gd_value(1, page);
+        self.insert(page, v, Self::sub_value(page, subs), 1);
         if O::ENABLED {
             self.obs.admit(page.page, page.size, v, AdmitOrigin::Access);
         }
@@ -417,37 +229,32 @@ impl<O: Observer> Strategy for DualMethods<O> {
     }
 
     fn contains(&self, page: PageId) -> bool {
-        self.entries.contains(page)
+        self.by_access.contains(page)
     }
 
     fn invalidate(&mut self, page: PageId) -> bool {
-        match self.entries.remove(page) {
-            Some(entry) => {
-                self.used -= entry.size;
-                if O::ENABLED {
-                    self.obs.evict(
-                        page,
-                        entry.size,
-                        entry.access_value,
-                        EvictReason::Invalidate,
-                    );
-                }
-                true
-            }
-            None => false,
+        let Some(removed) = self.by_access.remove(page) else {
+            return false;
+        };
+        self.by_sub.remove(page);
+        self.counts.remove(page);
+        if O::ENABLED {
+            self.obs
+                .evict(page, removed.size, removed.value, EvictReason::Invalidate);
         }
+        true
     }
 
     fn capacity(&self) -> Bytes {
-        self.capacity
+        self.by_access.capacity()
     }
 
     fn used(&self) -> Bytes {
-        self.used
+        self.by_access.used()
     }
 
     fn len(&self) -> usize {
-        self.entries.len()
+        self.by_access.len()
     }
 }
 
@@ -567,10 +374,78 @@ mod tests {
                 let _ = dm.on_access(&p, id % 9, &mut ev);
             }
             assert!(dm.used() <= dm.capacity(), "over capacity at step {i}");
-            // Byte accounting equals the sum of resident entry sizes.
-            let sum: Bytes = dm.entries.iter().map(|(_, e)| e.size).sum();
-            assert_eq!(sum, dm.used(), "accounting drift at step {i}");
+            // Both orders hold the same population.
+            assert_eq!(dm.by_sub.used(), dm.used(), "accounting drift at step {i}");
+            assert_eq!(dm.by_sub.len(), dm.len(), "population drift at step {i}");
+            assert!(dm.by_access.iter().all(|p| dm.by_sub.contains(p.page)));
         }
         assert!(dm.len() > 0);
+    }
+
+    /// Two pushed pages, then whatever `damage` does to the SUB order,
+    /// encoded and decoded into a fresh cache over the same universe.
+    fn decode_after(damage: impl FnOnce(&mut CacheStore)) -> Result<(), SnapshotError> {
+        let mut ev = Vec::new();
+        let mut dm = DualMethods::new(Bytes::new(100), 1.0);
+        dm.on_push(&page(1, 10, 1.0), 1, &mut ev);
+        dm.on_push(&page(2, 10, 1.0), 1, &mut ev);
+        damage(&mut dm.by_sub);
+        let mut blob = Vec::new();
+        dm.encode_state(&mut blob);
+        DualMethods::new(Bytes::new(100), 1.0)
+            .observed(8, ObsHandle::<NullObserver>::disabled())
+            .decode_state(&mut SnapshotReader::new(&blob))
+    }
+
+    #[test]
+    fn decode_rejects_a_page_only_one_order_holds() {
+        assert_eq!(decode_after(|_| ()), Ok(()));
+        let swapped = decode_after(|by_sub| {
+            by_sub.remove(PageId::new(2));
+            by_sub.insert(PageId::new(3), Bytes::new(10), 0.1);
+        });
+        assert!(
+            matches!(swapped, Err(SnapshotError::Corrupt(_))),
+            "{swapped:?}"
+        );
+        let missing = decode_after(|by_sub| {
+            by_sub.remove(PageId::new(2));
+        });
+        assert!(
+            matches!(missing, Err(SnapshotError::Corrupt(_))),
+            "{missing:?}"
+        );
+    }
+
+    #[test]
+    fn decode_rejects_nan_inflation_and_a_wild_reference_count() {
+        let mut ev = Vec::new();
+        let mut dm = DualMethods::new(Bytes::new(100), 1.0);
+        dm.on_access(&page(1, 10, 1.0), 1, &mut ev);
+        let mut blob = Vec::new();
+        dm.encode_state(&mut blob);
+        let decode = |blob: &[u8]| {
+            DualMethods::new(Bytes::new(100), 1.0)
+                .observed(8, ObsHandle::<NullObserver>::disabled())
+                .decode_state(&mut SnapshotReader::new(blob))
+        };
+        assert_eq!(decode(&blob), Ok(()));
+        // The inflation is the blob's first word, the one resident's
+        // reference count its last four bytes.
+        let mut nan = blob.clone();
+        nan[..8].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
+        assert!(matches!(decode(&nan), Err(SnapshotError::Corrupt(_))));
+        let at = blob.len() - 4;
+        blob[at..].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(decode(&blob), Err(SnapshotError::Corrupt(_))));
+    }
+
+    #[test]
+    fn decode_rejects_a_size_the_two_orders_disagree_on() {
+        let resized = decode_after(|by_sub| by_sub.insert(PageId::new(2), Bytes::new(11), 0.1));
+        assert!(
+            matches!(resized, Err(SnapshotError::Corrupt(_))),
+            "{resized:?}"
+        );
     }
 }

@@ -240,7 +240,9 @@ pub enum StrategyImpl<O: Observer = NullObserver> {
 }
 
 impl<O: Observer> StrategyImpl<O> {
-    /// The wire tag identifying this variant in a snapshot stream.
+    /// The wire tag identifying this variant's snapshot layout. 6 and 8
+    /// were DM's and DC-AP/DC-LAP's entry-list layouts and stay retired,
+    /// so a blob written in them is refused instead of misread.
     fn snapshot_tag(&self) -> Result<u8, SnapshotError> {
         Ok(match self {
             StrategyImpl::Lru(_) => 0,
@@ -249,9 +251,9 @@ impl<O: Observer> StrategyImpl<O> {
             StrategyImpl::GdStar(_) => 3,
             StrategyImpl::Sub(_) => 4,
             StrategyImpl::Single(_) => 5,
-            StrategyImpl::Dm(_) => 6,
             StrategyImpl::DcFp(_) => 7,
-            StrategyImpl::Dc(_) => 8,
+            StrategyImpl::Dm(_) => 9,
+            StrategyImpl::Dc(_) => 10,
             StrategyImpl::Dyn(_) => {
                 return Err(SnapshotError::Unsupported(
                     "dyn strategies cannot be snapshotted",
@@ -575,18 +577,43 @@ mod tests {
         assert!(matches!(err, SnapshotError::Unsupported(_)), "{err}");
     }
 
-    /// Rewrites the little-endian page-id word at `at` (which must hold
+    #[test]
+    fn snapshot_in_a_retired_dual_layout_is_refused_by_its_tag() {
+        // What a build before the one-store layouts wrote for an empty
+        // cache: DM under tag 6 (inflation, stamp counter, no entries),
+        // DC-AP/DC-LAP under tag 8 (partition point, inflation, tick,
+        // replacement tick, stamp counter, no entries).
+        let old_dm = [&[6u8][..], &[0; 8 + 8 + 4]].concat();
+        let old_dc = [&[8u8][..], &50u64.to_le_bytes(), &[0; 8 * 4 + 4]].concat();
+        for (kind, blob) in [
+            (StrategyKind::Dm { beta: 2.0 }, &old_dm),
+            (StrategyKind::DcAp { beta: 2.0 }, &old_dc),
+            (StrategyKind::dc_lap(2.0), &old_dc),
+        ] {
+            let err = fresh(kind, 8).decode_snapshot(&mut SnapshotReader::new(blob));
+            assert_eq!(
+                err,
+                Err(SnapshotError::Corrupt("snapshot tag mismatches strategy")),
+                "{}",
+                kind.name()
+            );
+        }
+    }
+
+    /// Rewrites the little-endian page-id words at `at` (which must hold
     /// `from`) and decodes the blob into a fresh 8-page strategy.
     fn decode_with_page_id(
         kind: StrategyKind,
         blob: &[u8],
-        at: usize,
+        at: &[usize],
         from: u32,
         to: u32,
     ) -> Result<(), SnapshotError> {
-        assert_eq!(blob[at..at + 4], from.to_le_bytes(), "{}", kind.name());
         let mut bad = blob.to_vec();
-        bad[at..at + 4].copy_from_slice(&to.to_le_bytes());
+        for &at in at {
+            assert_eq!(blob[at..at + 4], from.to_le_bytes(), "{}", kind.name());
+            bad[at..at + 4].copy_from_slice(&to.to_le_bytes());
+        }
         fresh(kind, 8).decode_snapshot(&mut SnapshotReader::new(&bad))
     }
 
@@ -597,27 +624,39 @@ mod tests {
     #[test]
     fn snapshot_with_rewritten_page_id_is_corrupt_not_a_panic() {
         let mut ev = Vec::new();
-        // (kind, offset of the first encoded page id past the tag byte,
-        // encoded entry stride) — SG2's is the access-count table's only
-        // row, the blob's last eight bytes.
-        let dm = (StrategyKind::Dm { beta: 2.0 }, 1 + 8 + 8 + 4, 48);
-        let dc_ap = (StrategyKind::DcAp { beta: 2.0 }, 1 + 8 * 5 + 4, 41);
-        for (kind, first, stride) in [dm, dc_ap] {
+        // An encoded store is its stamp counter, a slot count, then 28
+        // bytes a slot with the page id 16 bytes in; two pushed pages
+        // sit in slot order 5, 6 in every store that holds them.
+        const SLOT: usize = 28;
+        const STORE: usize = 8 + 4 + 2 * SLOT;
+        let first_id = |store_at: usize| store_at + 8 + 4 + 16;
+        // (kind, offsets of every encoded copy of page 5's id): DM's two
+        // stores follow the tag byte and the inflation; DC-AP's PC store
+        // follows the tag, partition point, inflation and mark.
+        let dm_access = first_id(1 + 8);
+        let dm = (
+            StrategyKind::Dm { beta: 2.0 },
+            vec![dm_access, dm_access + STORE],
+        );
+        let dc_ap = (StrategyKind::DcAp { beta: 2.0 }, vec![first_id(1 + 8 * 3)]);
+        for (kind, copies) in [dm, dc_ap] {
             let mut live = fresh(kind, 8);
             assert!(live.on_push(&page(5), 3, &mut ev).is_stored());
             assert!(live.on_push(&page(6), 3, &mut ev).is_stored());
             let mut blob = Vec::new();
             live.encode_snapshot(&mut blob).unwrap();
-            for id in [8, u32::MAX] {
-                let err = decode_with_page_id(kind, &blob, first, 5, id);
-                assert!(matches!(err, Err(SnapshotError::Corrupt(_))), "{err:?}");
+            for &at in &copies {
+                for id in [8, u32::MAX] {
+                    let err = decode_with_page_id(kind, &blob, &[at], 5, id);
+                    assert!(matches!(err, Err(SnapshotError::Corrupt(_))), "{err:?}");
+                }
+                let duplicate = decode_with_page_id(kind, &blob, &[at + SLOT], 6, 5);
+                assert!(
+                    matches!(duplicate, Err(SnapshotError::Corrupt(_))),
+                    "{duplicate:?}"
+                );
             }
-            let duplicate = decode_with_page_id(kind, &blob, first + stride, 6, 5);
-            assert!(
-                matches!(duplicate, Err(SnapshotError::Corrupt(_))),
-                "{duplicate:?}"
-            );
-            assert!(decode_with_page_id(kind, &blob, first, 5, 7).is_ok());
+            assert!(decode_with_page_id(kind, &blob, &copies, 5, 7).is_ok());
         }
         let sg2 = StrategyKind::Sg2 { beta: 2.0 };
         let mut live = fresh(sg2, 8);
@@ -625,10 +664,10 @@ mod tests {
         let mut blob = Vec::new();
         live.encode_snapshot(&mut blob).unwrap();
         for id in [8, u32::MAX] {
-            let err = decode_with_page_id(sg2, &blob, blob.len() - 8, 5, id);
+            let err = decode_with_page_id(sg2, &blob, &[blob.len() - 8], 5, id);
             assert!(matches!(err, Err(SnapshotError::Corrupt(_))), "{err:?}");
         }
-        assert!(decode_with_page_id(sg2, &blob, blob.len() - 8, 5, 7).is_ok());
+        assert!(decode_with_page_id(sg2, &blob, &[blob.len() - 8], 5, 7).is_ok());
     }
 
     /// One churned snapshot per kind over a 32-page universe.
@@ -668,6 +707,12 @@ mod tests {
             let decoded = victim.decode_snapshot(&mut SnapshotReader::new(&bad));
             if decoded.is_ok() {
                 prop_assert!(victim.len() <= 32, "{}: {} residents", kind.name(), victim.len());
+                // What decoded must also be usable: keep going on it.
+                let mut rng = xorshift(0x9e37_79b9 ^ start as u64);
+                for step in 0..64 {
+                    churn(&mut victim, &mut rng, 1);
+                    prop_assert!(victim.used() <= victim.capacity(), "{}: step {step}", kind.name());
+                }
             }
             for word in bad[start.saturating_sub(3)..].windows(4).take(len + 3) {
                 let id = u32::from_le_bytes(word.try_into().unwrap());

@@ -49,7 +49,6 @@ mod kind;
 mod single;
 mod strategy;
 mod sub;
-mod table;
 
 pub use access_only::AccessOnly;
 pub use dcap::DcAdaptive;

@@ -151,7 +151,7 @@ impl<O: Observer> SingleCache<O> {
         self.accesses.clear();
         for _ in 0..n {
             let page = PageId::new(r.read_u32()?);
-            let a = r.read_u32()?;
+            let a = r.read_count()?;
             self.accesses.try_insert(page, a)?;
         }
         Ok(())
@@ -390,6 +390,29 @@ mod tests {
                 p.page
             );
         }
+    }
+
+    #[test]
+    fn decode_rejects_an_access_count_out_of_range() {
+        let mut ev = Vec::new();
+        let mut sg2 = SingleCache::sg2(Bytes::new(100), 2.0);
+        sg2.on_access(&page(1, 10, 1.0), 4, &mut ev);
+        let mut blob = Vec::new();
+        sg2.encode_state(&mut blob);
+        let decode = |blob: &[u8]| {
+            SingleCache::sg2(Bytes::new(100), 2.0)
+                .observed(8, ObsHandle::<NullObserver>::disabled())
+                .decode_state(&mut pscd_cache::SnapshotReader::new(blob))
+        };
+        assert_eq!(decode(&blob), Ok(()));
+        // The table's one row, (page, count), is the blob's last 8 bytes.
+        let at = blob.len() - 4;
+        blob[at..].copy_from_slice(&u32::MAX.to_le_bytes());
+        let err = decode(&blob);
+        assert!(
+            matches!(err, Err(pscd_cache::SnapshotError::Corrupt(_))),
+            "{err:?}"
+        );
     }
 
     #[test]

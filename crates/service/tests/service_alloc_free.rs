@@ -72,8 +72,7 @@ fn steady_state_ingest_does_not_allocate() {
         .unwrap();
     let warm_up = first_traffic + (events.len() - first_traffic) / 4;
 
-    // Same scope as the replay's suite: the strictly allocation-free
-    // strategies (DM and DC-AP/DC-LAP are amortized, DESIGN.md §12).
+    // Same scope as the replay's suite: all twelve strategies.
     let strategies = [
         StrategyKind::Lru,
         StrategyKind::Gds,
@@ -83,7 +82,10 @@ fn steady_state_ingest_does_not_allocate() {
         StrategyKind::Sg1 { beta: 2.0 },
         StrategyKind::Sg2 { beta: 2.0 },
         StrategyKind::Sr,
+        StrategyKind::Dm { beta: 2.0 },
         StrategyKind::dc_fp(2.0),
+        StrategyKind::DcAp { beta: 2.0 },
+        StrategyKind::dc_lap(2.0),
     ];
     for kind in strategies {
         let config = ServiceConfig::new(

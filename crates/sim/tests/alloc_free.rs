@@ -6,11 +6,10 @@
 //! requirement), then replays the rest of the timeline and asserts the
 //! allocation counter did not move.
 //!
-//! Scope: all twelve engine-based strategies. DM and DC-AP/DC-LAP keep
-//! lazy-deletion binary heaps, but over a compiled trace those heaps are
-//! preallocated to twice the page universe and compact stale items in
-//! place when full (DESIGN.md §12) — so they too are *strictly*
-//! allocation-free here, not merely amortized.
+//! Scope: all twelve strategies. Every one keeps its pages in
+//! `CacheStore`s — DM and DC-AP/DC-LAP in two each — whose heap and
+//! position table are sized to the page universe at construction
+//! (DESIGN.md §12), so none of them has anything left to grow.
 //!
 //! Everything lives in ONE `#[test]` so no harness bookkeeping (test
 //! threads, output capture) runs — and allocates — inside a measurement
