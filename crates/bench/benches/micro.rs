@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use pscd_cache::{CachePolicy, GdStar, PageRef};
+use pscd_cache::PageRef;
 use pscd_core::StrategyKind;
 use pscd_matching::{Content, Predicate, Subscription, SubscriptionIndex, Value};
 use pscd_obs::{SharedObserver, StatsObserver};
@@ -30,11 +30,11 @@ fn cache_benches(c: &mut Criterion) {
     let accesses: Vec<u32> = (0..10_000).map(|_| zipf.sample(&mut rng) as u32).collect();
     group.bench_function("gdstar_10k_accesses", |b| {
         b.iter_batched(
-            || GdStar::new(Bytes::from_kib(256), 2.0),
+            || StrategyKind::GdStar { beta: 2.0 }.build(Bytes::from_kib(256)),
             |mut cache| {
                 let mut evicted = Vec::new();
                 for &i in &accesses {
-                    let _ = cache.access(&page_ref(i), &mut evicted);
+                    let _ = cache.on_access(&page_ref(i), 0, &mut evicted);
                 }
                 cache.len()
             },

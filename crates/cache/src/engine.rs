@@ -187,10 +187,16 @@ impl<O: Observer> GreedyDualEngine<O> {
         true
     }
 
-    /// Updates the cached page's value (e.g. after a subscription-count
-    /// change). Returns `false` if the page is not cached.
-    pub fn revalue(&mut self, page: PageId, value: f64) -> bool {
-        self.store.update_value(page, value)
+    /// The paper's placement test (§3.2/§3.3), asked without placing: an
+    /// absent page valued at `value` fits the cache, and free space plus
+    /// the total size of strictly-less-valuable residents covers it. What
+    /// [`push_valued`](Self::push_valued) and
+    /// [`access_gated`](Self::access_gated) decide by.
+    pub fn would_admit(&self, page: &PageRef, value: f64) -> bool {
+        let store = &self.store;
+        page.size <= store.capacity()
+            && (store.free() >= page.size
+                || store.free() + store.candidate_size_below(value) >= page.size)
     }
 
     /// Removes a page without reporting an eviction, returning its
@@ -295,14 +301,8 @@ impl<O: Observer> GreedyDualEngine<O> {
         reason: EvictReason,
         evicted: &mut Vec<PageId>,
     ) -> bool {
-        if page.size > self.store.capacity() {
+        if !self.would_admit(page, value) {
             return false;
-        }
-        if self.store.free() < page.size {
-            let reclaimable = self.store.free() + self.store.candidate_size_below(value);
-            if reclaimable < page.size {
-                return false;
-            }
         }
         while self.store.free() < page.size {
             let victim = self
@@ -429,10 +429,13 @@ mod tests {
         assert!(e.push_valued(&pref(2, 20), 3.0, &mut ev));
         assert!(ev.is_empty());
         // Full. New page worth less than all residents: declined.
+        assert!(!e.would_admit(&pref(3, 10), 1.0));
         assert!(!e.push_valued(&pref(3, 10), 1.0, &mut ev));
         // Worth more than page 1 but candidates too small for 20 bytes.
+        assert!(!e.would_admit(&pref(4, 20), 2.5));
         assert!(!e.push_valued(&pref(4, 20), 2.5, &mut ev));
         // Worth more than page 1, fits in its 10 bytes.
+        assert!(e.would_admit(&pref(5, 10), 2.5));
         assert!(e.push_valued(&pref(5, 10), 2.5, &mut ev));
         assert_eq!(ev, vec![PageId::new(1)]);
         assert_eq!(e.inflation(), 2.0);
@@ -440,6 +443,7 @@ mod tests {
         assert!(e.push_valued(&pref(5, 10), 9.9, &mut ev));
         assert!(ev.is_empty());
         // Larger than the whole cache: declined.
+        assert!(!e.would_admit(&pref(6, 31), 99.0));
         assert!(!e.push_valued(&pref(6, 31), 99.0, &mut ev));
     }
 
@@ -509,14 +513,13 @@ mod tests {
     }
 
     #[test]
-    fn revalue_and_evict() {
+    fn evict_removes_a_page_once() {
         let mut ev = Vec::new();
         let mut e = GreedyDualEngine::new(Bytes::new(30));
-        e.access(&pref(1, 10), |_, l| l + 1.0, &mut ev);
-        assert!(e.revalue(PageId::new(1), 7.0));
-        assert_eq!(e.store().value(PageId::new(1)), Some(7.0));
+        e.access(&pref(1, 10), |f, l| l + f as f64, &mut ev);
         assert!(e.evict(PageId::new(1)));
         assert!(!e.evict(PageId::new(1)));
-        assert!(!e.revalue(PageId::new(1), 1.0));
+        assert_eq!(e.frequency(PageId::new(1)), 0);
+        assert!(e.store().is_empty());
     }
 }

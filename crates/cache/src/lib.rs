@@ -1,6 +1,8 @@
-//! Byte-capacity cache substrate and classic replacement policies.
+//! Byte-capacity cache substrate: a store, its heap, a page table and
+//! the greedy-dual engine.
 //!
-//! This crate provides the access-time caching layer the paper builds on:
+//! This crate provides the caching layer the paper's strategies are
+//! built on:
 //!
 //! * [`CacheStore`] — a capacity-limited page store with value-ordered
 //!   eviction (eager index-addressable min-heap, [`KeyHeap`]).
@@ -10,30 +12,36 @@
 //!   allocations; told `0`, it grows on demand.
 //! * [`GreedyDualEngine`] — the greedy-dual machinery shared by the whole
 //!   policy family: inflation value `L`, In-Cache LFU reference counts,
-//!   always-admit and value-gated placement, and the push-time placement
-//!   primitive used by the subscription-aware strategies in `pscd-core`.
-//! * Classic policies behind the [`CachePolicy`] trait: [`Lru`], [`Gds`]
-//!   (GreedyDual-Size), [`LfuDa`] and [`GdStar`] — the last being the
-//!   paper's access-time baseline (eq. 1).
+//!   always-admit and value-gated placement, the push-time placement
+//!   primitive and its test ([`would_admit`](GreedyDualEngine::would_admit)).
+//!
+//! There are no policy types here. A replacement policy is a value
+//! function handed to the engine per call; LRU, GDS, LFU-DA and GD\* —
+//! the paper's access-time baseline (eq. 1) — are strategy kinds of
+//! `pscd-core` (`StrategyKind::Lru.build(capacity)`), beside the
+//! subscription-aware ones.
 //!
 //! # Examples
 //!
 //! ```
-//! use pscd_cache::{CachePolicy, GdStar, PageRef};
+//! use pscd_cache::{GreedyDualEngine, PageRef};
 //! use pscd_types::{Bytes, PageId};
 //!
-//! let mut cache = GdStar::new(Bytes::from_kib(64), 2.0);
+//! // LRU in the greedy-dual framework: V(p) = L + 1.
+//! let mut lru = GreedyDualEngine::new(Bytes::new(20));
 //! let mut evicted = Vec::new();
-//! let page = PageRef::new(PageId::new(0), Bytes::new(9_000), 3.0);
-//! assert!(cache.access(&page, &mut evicted).is_miss());
-//! assert!(cache.access(&page, &mut evicted).is_hit());
+//! let [a, b, c] = [1, 2, 3].map(|i| PageRef::new(PageId::new(i), Bytes::new(10), 1.0));
+//! lru.access(&a, |_, l| l + 1.0, &mut evicted);
+//! lru.access(&b, |_, l| l + 1.0, &mut evicted);
+//! assert!(lru.access(&a, |_, l| l + 1.0, &mut evicted).is_hit()); // refresh a
+//! lru.access(&c, |_, l| l + 1.0, &mut evicted); // evicts b, the least recently used
+//! assert_eq!(evicted, [b.page]);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod classic;
 mod engine;
 mod keyheap;
 mod layout;
@@ -41,10 +49,9 @@ mod policy;
 pub mod snapshot;
 mod store;
 
-pub use classic::{GdStar, Gds, LfuDa, Lru};
 pub use engine::GreedyDualEngine;
 pub use keyheap::{HeapSlot, KeyHeap};
 pub use layout::PageTable;
-pub use policy::{AccessOutcome, CachePolicy, PageRef};
+pub use policy::{AccessOutcome, PageRef};
 pub use snapshot::{SnapshotError, SnapshotReader};
 pub use store::{CacheStore, StoredPage};

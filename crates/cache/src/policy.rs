@@ -1,6 +1,4 @@
-//! The access-time replacement-policy abstraction.
-
-use std::fmt;
+//! What a cache is asked about, and what it answers.
 
 use pscd_types::{Bytes, PageId};
 
@@ -36,9 +34,9 @@ impl PageRef {
 ///
 /// Evicted pages are reported through the caller-provided scratch buffer
 /// of the operation that produced the outcome (see
-/// [`CachePolicy::access`]), not carried here — keeping the outcome a
-/// plain enum is what lets the replay hot loop run without heap
-/// allocations.
+/// [`GreedyDualEngine::access`](crate::GreedyDualEngine::access)), not
+/// carried here — keeping the outcome a plain enum is what lets the
+/// replay hot loop run without heap allocations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessOutcome {
     /// The page was served from the cache.
@@ -62,46 +60,6 @@ impl AccessOutcome {
     pub fn is_miss(&self) -> bool {
         !self.is_hit()
     }
-}
-
-/// An access-time cache replacement policy (the classic caching model: all
-/// placement happens when users request pages).
-///
-/// Implementations in this crate: [`Lru`](crate::Lru),
-/// [`Gds`](crate::Gds), [`LfuDa`](crate::LfuDa) and the paper's baseline
-/// [`GdStar`](crate::GdStar).
-pub trait CachePolicy: fmt::Debug {
-    /// Short stable identifier (`"GD*"`, `"LRU"`, …) used in reports.
-    fn name(&self) -> &'static str;
-
-    /// Records an access to `page`, updating cache state and (on a miss)
-    /// performing placement/replacement. `evicted` is a caller-owned
-    /// scratch buffer: it is cleared on entry and holds the evicted pages
-    /// on return (empty unless the outcome is
-    /// [`AccessOutcome::MissAdmitted`]).
-    fn access(&mut self, page: &PageRef, evicted: &mut Vec<PageId>) -> AccessOutcome;
-
-    /// `true` if the page is currently cached.
-    fn contains(&self, page: PageId) -> bool;
-
-    /// Total capacity.
-    fn capacity(&self) -> Bytes;
-
-    /// Bytes in use.
-    fn used(&self) -> Bytes;
-
-    /// Number of cached pages.
-    fn len(&self) -> usize;
-
-    /// `true` if the cache is empty.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops `page` from the cache (e.g. its content became stale because
-    /// a newer version was published). Returns `true` if it was cached.
-    /// Policy bookkeeping for *other* pages is unaffected.
-    fn invalidate(&mut self, page: PageId) -> bool;
 }
 
 #[cfg(test)]

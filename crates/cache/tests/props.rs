@@ -1,81 +1,12 @@
-//! Property tests: the heap-based greedy-dual engine must agree with a
-//! naive O(n²) reference implementation of the GD\* pseudo-code, and the
-//! store under it with a `Vec`-scan model that has no heap and no index.
-
-use std::collections::HashMap;
+//! Property tests: the store must agree with a `Vec`-scan model that has
+//! no heap and no index, and the engine's eviction lists with its byte
+//! accounting. (The engine's decisions are checked one level up, where
+//! the value functions live: `pscd-core`'s `tests/single_models.rs`.)
 
 use proptest::prelude::*;
 
-use pscd_cache::{AccessOutcome, CachePolicy, CacheStore, GdStar, PageRef, StoredPage};
-use pscd_obs::ObsHandle;
+use pscd_cache::{AccessOutcome, CacheStore, GreedyDualEngine, PageRef, StoredPage};
 use pscd_types::{Bytes, PageId};
-
-/// Naive reference GD\*: linear scans instead of heaps, literally
-/// transcribing the paper's pseudo-code.
-#[derive(Debug)]
-struct ReferenceGdStar {
-    capacity: u64,
-    used: u64,
-    inflation: f64,
-    beta: f64,
-    /// page -> (size, value, freq, insertion_order_for_ties)
-    pages: HashMap<u32, (u64, f64, u32, u64)>,
-    next_order: u64,
-}
-
-impl ReferenceGdStar {
-    fn new(capacity: u64, beta: f64) -> Self {
-        Self {
-            capacity,
-            used: 0,
-            inflation: 0.0,
-            beta,
-            pages: HashMap::new(),
-            next_order: 0,
-        }
-    }
-
-    fn weight(&self, freq: u32, cost: f64, size: u64) -> f64 {
-        (freq as f64 * cost / size as f64).powf(1.0 / self.beta)
-    }
-
-    fn access(&mut self, page: u32, size: u64, cost: f64) -> bool {
-        if let Some(&(psize, _, freq, _)) = self.pages.get(&page) {
-            let freq = freq + 1;
-            let value = self.inflation + self.weight(freq, cost, psize);
-            let order = self.next_order;
-            self.next_order += 1;
-            self.pages.insert(page, (psize, value, freq, order));
-            return true;
-        }
-        if size > self.capacity {
-            return false;
-        }
-        while self.capacity - self.used < size {
-            // Evict the min-value page (ties: oldest order).
-            let victim = *self
-                .pages
-                .iter()
-                .min_by(|a, b| {
-                    a.1 .1
-                        .partial_cmp(&b.1 .1)
-                        .unwrap()
-                        .then(a.1 .3.cmp(&b.1 .3))
-                })
-                .map(|(k, _)| k)
-                .expect("nonempty while under pressure");
-            let (vsize, vvalue, _, _) = self.pages.remove(&victim).unwrap();
-            self.used -= vsize;
-            self.inflation = vvalue;
-        }
-        let value = self.inflation + self.weight(1, cost, size);
-        let order = self.next_order;
-        self.next_order += 1;
-        self.pages.insert(page, (size, value, 1, order));
-        self.used += size;
-        false
-    }
-}
 
 /// The store's contract with nothing of its structure: a flat list of
 /// `(page, size, value, stamp)`, every question answered by a linear scan.
@@ -151,45 +82,6 @@ fn page_params(page: u32) -> (u64, f64) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Same hits, same cache contents, same byte usage — on arbitrary
-    /// access streams, growing on demand and preallocated.
-    #[test]
-    fn engine_matches_reference_gdstar(
-        accesses in proptest::collection::vec(0u32..30, 1..300),
-        capacity in 100u64..1500,
-        beta in proptest::sample::select(vec![0.5f64, 1.0, 2.0]),
-    ) {
-        let mut real = GdStar::new(Bytes::new(capacity), beta);
-        let mut dense = GdStar::new(Bytes::new(capacity), beta).observed(30, ObsHandle::disabled());
-        let mut reference = ReferenceGdStar::new(capacity, beta);
-        let mut scratch = Vec::new();
-        let mut dense_scratch = Vec::new();
-        for &page in &accesses {
-            let (size, cost) = page_params(page);
-            let expected_hit = reference.access(page, size, cost);
-            let pref = PageRef::new(PageId::new(page), Bytes::new(size), cost);
-            let outcome = real.access(&pref, &mut scratch);
-            let dense_outcome = dense.access(&pref, &mut dense_scratch);
-            prop_assert_eq!(
-                outcome.is_hit(),
-                expected_hit,
-                "divergence at page {} (size {}, cost {})",
-                page, size, cost
-            );
-            prop_assert_eq!(outcome, dense_outcome);
-            prop_assert_eq!(&scratch, &dense_scratch);
-        }
-        // Final state agrees exactly.
-        prop_assert_eq!(real.used().as_u64(), reference.used);
-        prop_assert_eq!(real.len(), reference.pages.len());
-        prop_assert_eq!(dense.used(), real.used());
-        prop_assert_eq!(dense.len(), real.len());
-        for (&page, &(..)) in &reference.pages {
-            prop_assert!(real.contains(PageId::new(page)), "missing page {page}");
-            prop_assert!(dense.contains(PageId::new(page)), "dense missing page {page}");
-        }
-    }
-
     /// Every answer the store gives — membership, bytes, the minimum, the
     /// candidate sum — equals the scan model's after every operation,
     /// whether the store grows on demand or was preallocated.
@@ -239,26 +131,29 @@ proptest! {
         accesses in proptest::collection::vec(0u32..40, 1..200),
         capacity in 100u64..1000,
     ) {
-        let mut cache = GdStar::new(Bytes::new(capacity), 2.0);
+        let mut cache = GreedyDualEngine::new(Bytes::new(capacity));
         let mut evicted = Vec::new();
         for &page in &accesses {
             let (size, cost) = page_params(page);
-            let before = cache.used();
-            match cache.access(&PageRef::new(PageId::new(page), Bytes::new(size), cost), &mut evicted) {
+            let before = cache.store().used();
+            // GD* at β = 2.
+            let value = |f: u32, l: f64| l + (f as f64 * cost / size as f64).sqrt();
+            let page = PageRef::new(PageId::new(page), Bytes::new(size), cost);
+            match cache.access(&page, value, &mut evicted) {
                 AccessOutcome::MissAdmitted => {
-                    prop_assert!(!evicted.contains(&PageId::new(page)));
+                    prop_assert!(!evicted.contains(&page.page));
                     for victim in &evicted {
-                        prop_assert!(!cache.contains(*victim));
+                        prop_assert!(!cache.store().contains(*victim));
                     }
-                    prop_assert!(cache.used() <= capacity.into());
-                    prop_assert!(cache.used() >= Bytes::new(size));
+                    prop_assert!(cache.store().used() <= capacity.into());
+                    prop_assert!(cache.store().used() >= page.size);
                 }
                 AccessOutcome::MissBypassed => {
                     prop_assert!(size > capacity);
-                    prop_assert_eq!(cache.used(), before);
+                    prop_assert_eq!(cache.store().used(), before);
                 }
                 AccessOutcome::Hit => {
-                    prop_assert_eq!(cache.used(), before);
+                    prop_assert_eq!(cache.store().used(), before);
                 }
             }
         }

@@ -9,7 +9,7 @@ use pscd_cache::{
 use pscd_obs::{AdmitOrigin, EvictReason, NullObserver, ObsHandle, Observer, RelabelDirection};
 use pscd_types::{Bytes, PageId};
 
-use crate::{PushOutcome, Strategy, StrategyClass};
+use crate::{value, PushOutcome, Strategy, StrategyClass};
 
 /// The paper's *Dual-Caches with Adaptive Partition* (DC-AP) and its
 /// bounded variant *DC-LAP*.
@@ -171,15 +171,9 @@ impl<O: Observer> DcAdaptive<O> {
         self.ac_allocation().saturating_sub(self.ac.used())
     }
 
-    fn sub_value(page: &PageRef, subs: u32) -> f64 {
-        subs as f64 * page.cost / page.size.as_f64()
-    }
-
+    /// The AC module's value of a page referenced `freq` times.
     fn gd_value(&self, freq: u32, page: &PageRef) -> f64 {
-        self.inflation
-            + (freq as f64 * page.cost / page.size.as_f64())
-                .max(0.0)
-                .powf(1.0 / self.beta)
+        value::gd_star(self.inflation, freq, page, self.beta)
     }
 
     /// Serializes the mutable state for a snapshot: the partition point,
@@ -330,7 +324,7 @@ impl<O: Observer> Strategy for DcAdaptive<O> {
         if self.contains(page.page) {
             return PushOutcome::Stored;
         }
-        let v = Self::sub_value(page, subs);
+        let v = value::sub(subs, page);
         if self.sub_fits(page, v) {
             // SUB within the current PC allocation.
             while self.free_pc() < page.size {
@@ -385,7 +379,7 @@ impl<O: Observer> Strategy for DcAdaptive<O> {
         if page.size > self.pc.capacity() {
             return false;
         }
-        self.sub_fits(page, Self::sub_value(page, subs))
+        self.sub_fits(page, value::sub(subs, page))
             || self.plan_relabel(page.size.saturating_sub(self.free_pc()))
     }
 

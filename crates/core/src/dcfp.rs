@@ -4,7 +4,7 @@ use pscd_cache::{AccessOutcome, GreedyDualEngine, PageRef};
 use pscd_obs::{NullObserver, ObsHandle, Observer, RelabelDirection};
 use pscd_types::{Bytes, PageId};
 
-use crate::{PushOutcome, Strategy, StrategyClass};
+use crate::{value, PushOutcome, Strategy, StrategyClass};
 
 /// The paper's *Dual-Caches with Fixed Partition*: the proxy's storage is
 /// split into a **Push-Cache (PC)** managed by SUB and an **Access-Cache
@@ -109,16 +109,9 @@ impl<O: Observer> DcFp<O> {
         self.ac.decode_state(r)
     }
 
-    fn sub_value(page: &PageRef, subs: u32) -> f64 {
-        subs as f64 * page.cost / page.size.as_f64()
-    }
-
+    /// The AC module's value function for `page`.
     fn gd_value(beta: f64, page: &PageRef) -> impl Fn(u32, f64) -> f64 + '_ {
-        move |f, l| {
-            l + (f as f64 * page.cost / page.size.as_f64())
-                .max(0.0)
-                .powf(1.0 / beta)
-        }
+        move |f, l| value::gd_star(l, f, page, beta)
     }
 }
 
@@ -137,10 +130,7 @@ impl<O: Observer> Strategy for DcFp<O> {
             evicted.clear();
             return PushOutcome::Stored;
         }
-        if self
-            .pc
-            .push_valued(page, Self::sub_value(page, subs), evicted)
-        {
+        if self.pc.push_valued(page, value::sub(subs, page), evicted) {
             PushOutcome::Stored
         } else {
             PushOutcome::Declined
@@ -148,14 +138,7 @@ impl<O: Observer> Strategy for DcFp<O> {
     }
 
     fn would_store(&self, page: &PageRef, subs: u32) -> bool {
-        if self.ac.store().contains(page.page) || self.pc.store().contains(page.page) {
-            return true;
-        }
-        let store = self.pc.store();
-        if page.size > store.capacity() {
-            return false;
-        }
-        store.free() + store.candidate_size_below(Self::sub_value(page, subs)) >= page.size
+        self.contains(page.page) || self.pc.would_admit(page, value::sub(subs, page))
     }
 
     fn on_access(

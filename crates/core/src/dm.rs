@@ -4,7 +4,7 @@ use pscd_cache::{AccessOutcome, CacheStore, PageRef, PageTable, SnapshotError, S
 use pscd_obs::{AdmitOrigin, EvictReason, NullObserver, ObsHandle, Observer};
 use pscd_types::{Bytes, PageId};
 
-use crate::{PushOutcome, Strategy, StrategyClass};
+use crate::{value, PushOutcome, Strategy, StrategyClass};
 
 /// The paper's *Dual-Methods* strategy: one shared cache, but **two
 /// independent replacement algorithms** — GD\* handles access-time
@@ -67,17 +67,9 @@ impl<O: Observer> DualMethods<O> {
         }
     }
 
-    /// GD\* value `L + (f·c/s)^(1/β)`.
+    /// The access module's value of a page referenced `freq` times.
     fn gd_value(&self, freq: u32, page: &PageRef) -> f64 {
-        self.inflation
-            + (freq as f64 * page.cost / page.size.as_f64())
-                .max(0.0)
-                .powf(1.0 / self.beta)
-    }
-
-    /// SUB value `f_S·c/s`.
-    fn sub_value(page: &PageRef, subs: u32) -> f64 {
-        subs as f64 * page.cost / page.size.as_f64()
+        value::gd_star(self.inflation, freq, page, self.beta)
     }
 
     /// Serializes the mutable state for a snapshot: inflation, the two
@@ -158,7 +150,7 @@ impl<O: Observer> Strategy for DualMethods<O> {
         if !self.would_store(page, subs) {
             return PushOutcome::Declined;
         }
-        let v = Self::sub_value(page, subs);
+        let v = value::sub(subs, page);
         while self.by_sub.free() < page.size {
             let victim = self
                 .by_sub
@@ -189,7 +181,7 @@ impl<O: Observer> Strategy for DualMethods<O> {
         if page.size > store.capacity() {
             return false;
         }
-        store.free() + store.candidate_size_below(Self::sub_value(page, subs)) >= page.size
+        store.free() + store.candidate_size_below(value::sub(subs, page)) >= page.size
     }
 
     fn on_access(&mut self, page: &PageRef, subs: u32, evicted: &mut Vec<PageId>) -> AccessOutcome {
@@ -221,7 +213,7 @@ impl<O: Observer> Strategy for DualMethods<O> {
             evicted.push(victim.page);
         }
         let v = self.gd_value(1, page);
-        self.insert(page, v, Self::sub_value(page, subs), 1);
+        self.insert(page, v, value::sub(subs, page), 1);
         if O::ENABLED {
             self.obs.admit(page.page, page.size, v, AdmitOrigin::Access);
         }

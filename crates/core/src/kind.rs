@@ -3,14 +3,12 @@
 use serde::{Deserialize, Serialize};
 
 use pscd_cache::snapshot::put_u8;
-use pscd_cache::{AccessOutcome, GdStar, Gds, LfuDa, Lru, PageRef, SnapshotError, SnapshotReader};
+use pscd_cache::{AccessOutcome, PageRef, SnapshotError, SnapshotReader};
 use pscd_obs::{NullObserver, ObsHandle, Observer};
 use pscd_types::{Bytes, PageId};
 
-use crate::{
-    AccessOnly, DcAdaptive, DcFp, DualMethods, PushOutcome, SingleCache, Strategy, StrategyClass,
-    Sub,
-};
+use crate::single::Model;
+use crate::{DcAdaptive, DcFp, DualMethods, PushOutcome, SingleCache, Strategy, StrategyClass};
 
 /// A buildable description of every strategy in the paper (plus the classic
 /// access-only baselines), used to parameterize experiments.
@@ -127,42 +125,33 @@ impl StrategyKind {
         page_count: usize,
         obs: ObsHandle<O>,
     ) -> StrategyImpl<O> {
-        match *self {
-            StrategyKind::Lru => StrategyImpl::Lru(AccessOnly::new(
-                Lru::new(capacity).observed(page_count, obs),
-            )),
-            StrategyKind::Gds => StrategyImpl::Gds(AccessOnly::new(
-                Gds::new(capacity).observed(page_count, obs),
-            )),
-            StrategyKind::LfuDa => StrategyImpl::LfuDa(AccessOnly::new(
-                LfuDa::new(capacity).observed(page_count, obs),
-            )),
-            StrategyKind::GdStar { beta } => StrategyImpl::GdStar(AccessOnly::new(
-                GdStar::new(capacity, beta).observed(page_count, obs),
-            )),
-            StrategyKind::Sub => StrategyImpl::Sub(Sub::new(capacity).observed(page_count, obs)),
-            StrategyKind::Sg1 { beta } => {
-                StrategyImpl::Single(SingleCache::sg1(capacity, beta).observed(page_count, obs))
-            }
-            StrategyKind::Sg2 { beta } => {
-                StrategyImpl::Single(SingleCache::sg2(capacity, beta).observed(page_count, obs))
-            }
-            StrategyKind::Sr => {
-                StrategyImpl::Single(SingleCache::sr(capacity).observed(page_count, obs))
-            }
+        let model = match *self {
+            StrategyKind::Lru => Model::Lru,
+            StrategyKind::Gds => Model::Gds,
+            StrategyKind::LfuDa => Model::LfuDa,
+            StrategyKind::GdStar { beta } => Model::GdStar { beta },
+            StrategyKind::Sub => Model::Sub,
+            StrategyKind::Sg1 { beta } => Model::Sg1 { beta },
+            StrategyKind::Sg2 { beta } => Model::Sg2 { beta },
+            StrategyKind::Sr => Model::Sr,
             StrategyKind::Dm { beta } => {
-                StrategyImpl::Dm(DualMethods::new(capacity, beta).observed(page_count, obs))
+                return StrategyImpl::Dm(DualMethods::new(capacity, beta).observed(page_count, obs))
             }
-            StrategyKind::DcFp { beta, pc_fraction } => StrategyImpl::DcFp(
-                DcFp::with_fraction(capacity, beta, pc_fraction).observed(page_count, obs),
-            ),
+            StrategyKind::DcFp { beta, pc_fraction } => {
+                return StrategyImpl::DcFp(
+                    DcFp::with_fraction(capacity, beta, pc_fraction).observed(page_count, obs),
+                )
+            }
             StrategyKind::DcAp { beta } => {
-                StrategyImpl::Dc(DcAdaptive::ap(capacity, beta).observed(page_count, obs))
+                return StrategyImpl::Dc(DcAdaptive::ap(capacity, beta).observed(page_count, obs))
             }
-            StrategyKind::DcLap { beta, lo, hi } => StrategyImpl::Dc(
-                DcAdaptive::lap_with_bounds(capacity, beta, lo, hi).observed(page_count, obs),
-            ),
-        }
+            StrategyKind::DcLap { beta, lo, hi } => {
+                return StrategyImpl::Dc(
+                    DcAdaptive::lap_with_bounds(capacity, beta, lo, hi).observed(page_count, obs),
+                )
+            }
+        };
+        StrategyImpl::Single(SingleCache::new(model, capacity, page_count, obs))
     }
 
     /// The paper's defaults: DC-FP at 50/50, DC-LAP bounded to [25%, 75%].
@@ -206,8 +195,9 @@ impl StrategyKind {
     }
 }
 
-/// A concrete, enum-dispatched strategy: every paper strategy as a variant,
-/// plus a [`Box<dyn Strategy>`] extension point for externally-defined
+/// A concrete, enum-dispatched strategy: one variant per strategy type —
+/// the eight one-cache strategies are one type — plus a
+/// [`Box<dyn Strategy>`] extension point for externally-defined
 /// strategies (nothing in this crate constructs it).
 ///
 /// The replay hot loop stores proxies as `StrategyImpl` so per-event
@@ -217,17 +207,7 @@ impl StrategyKind {
 /// against the trait accepts it unchanged.
 #[derive(Debug)]
 pub enum StrategyImpl<O: Observer = NullObserver> {
-    /// LRU behind the access-only adapter.
-    Lru(AccessOnly<Lru<O>>),
-    /// GreedyDual-Size behind the access-only adapter.
-    Gds(AccessOnly<Gds<O>>),
-    /// LFU-DA behind the access-only adapter.
-    LfuDa(AccessOnly<LfuDa<O>>),
-    /// GD\* behind the access-only adapter.
-    GdStar(AccessOnly<GdStar<O>>),
-    /// Push-time-only SUB.
-    Sub(Sub<O>),
-    /// SG1 / SG2 / SR.
+    /// LRU / GDS / LFU-DA / GD\* / SUB / SG1 / SG2 / SR.
     Single(SingleCache<O>),
     /// Dual-Methods.
     Dm(DualMethods<O>),
@@ -240,17 +220,13 @@ pub enum StrategyImpl<O: Observer = NullObserver> {
 }
 
 impl<O: Observer> StrategyImpl<O> {
-    /// The wire tag identifying this variant's snapshot layout. 6 and 8
-    /// were DM's and DC-AP/DC-LAP's entry-list layouts and stay retired,
-    /// so a blob written in them is refused instead of misread.
+    /// The wire tag identifying this strategy's snapshot layout: 0–5 are
+    /// the one-cache models' (an LRU blob is refused by a GDS cache). 6
+    /// and 8 were DM's and DC-AP/DC-LAP's entry-list layouts and stay
+    /// retired, so a blob written in them is refused instead of misread.
     fn snapshot_tag(&self) -> Result<u8, SnapshotError> {
         Ok(match self {
-            StrategyImpl::Lru(_) => 0,
-            StrategyImpl::Gds(_) => 1,
-            StrategyImpl::LfuDa(_) => 2,
-            StrategyImpl::GdStar(_) => 3,
-            StrategyImpl::Sub(_) => 4,
-            StrategyImpl::Single(_) => 5,
+            StrategyImpl::Single(s) => s.snapshot_tag(),
             StrategyImpl::DcFp(_) => 7,
             StrategyImpl::Dm(_) => 9,
             StrategyImpl::Dc(_) => 10,
@@ -272,11 +248,6 @@ impl<O: Observer> StrategyImpl<O> {
     pub fn encode_snapshot(&self, out: &mut Vec<u8>) -> Result<(), SnapshotError> {
         put_u8(out, self.snapshot_tag()?);
         match self {
-            StrategyImpl::Lru(a) => a.policy().encode_state(out),
-            StrategyImpl::Gds(a) => a.policy().encode_state(out),
-            StrategyImpl::LfuDa(a) => a.policy().encode_state(out),
-            StrategyImpl::GdStar(a) => a.policy().encode_state(out),
-            StrategyImpl::Sub(s) => s.encode_state(out),
             StrategyImpl::Single(s) => s.encode_state(out),
             StrategyImpl::Dm(s) => s.encode_state(out),
             StrategyImpl::DcFp(s) => s.encode_state(out),
@@ -287,9 +258,9 @@ impl<O: Observer> StrategyImpl<O> {
     }
 
     /// Restores state captured by [`encode_snapshot`](Self::encode_snapshot)
-    /// into this strategy, which must be the same variant (built from the
-    /// same [`StrategyKind`]) over a page universe covering every encoded
-    /// page — an id outside it is [`SnapshotError::Corrupt`]. On error the
+    /// into this strategy, which must have been built from the same
+    /// [`StrategyKind`] over a page universe covering every encoded page —
+    /// an id outside it is [`SnapshotError::Corrupt`]. On error the
     /// strategy's state is unspecified and it should be discarded.
     pub fn decode_snapshot(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         let tag = r.read_u8()?;
@@ -297,11 +268,6 @@ impl<O: Observer> StrategyImpl<O> {
             return Err(SnapshotError::Corrupt("snapshot tag mismatches strategy"));
         }
         match self {
-            StrategyImpl::Lru(a) => a.policy_mut().decode_state(r),
-            StrategyImpl::Gds(a) => a.policy_mut().decode_state(r),
-            StrategyImpl::LfuDa(a) => a.policy_mut().decode_state(r),
-            StrategyImpl::GdStar(a) => a.policy_mut().decode_state(r),
-            StrategyImpl::Sub(s) => s.decode_state(r),
             StrategyImpl::Single(s) => s.decode_state(r),
             StrategyImpl::Dm(s) => s.decode_state(r),
             StrategyImpl::DcFp(s) => s.decode_state(r),
@@ -320,11 +286,6 @@ impl<O: Observer> StrategyImpl<O> {
     /// [`SnapshotError::Unsupported`].
     pub fn for_each_resident(&self, resident: impl FnMut(PageId)) -> Result<(), SnapshotError> {
         match self {
-            StrategyImpl::Lru(a) => a.policy().residents().for_each(resident),
-            StrategyImpl::Gds(a) => a.policy().residents().for_each(resident),
-            StrategyImpl::LfuDa(a) => a.policy().residents().for_each(resident),
-            StrategyImpl::GdStar(a) => a.policy().residents().for_each(resident),
-            StrategyImpl::Sub(s) => s.residents().for_each(resident),
             StrategyImpl::Single(s) => s.residents().for_each(resident),
             StrategyImpl::Dm(s) => s.residents().for_each(resident),
             StrategyImpl::DcFp(s) => s.residents().for_each(resident),
@@ -348,11 +309,6 @@ impl<O: Observer> From<Box<dyn Strategy>> for StrategyImpl<O> {
 macro_rules! dispatch {
     ($self:expr, $s:ident => $body:expr) => {
         match $self {
-            StrategyImpl::Lru($s) => $body,
-            StrategyImpl::Gds($s) => $body,
-            StrategyImpl::LfuDa($s) => $body,
-            StrategyImpl::GdStar($s) => $body,
-            StrategyImpl::Sub($s) => $body,
             StrategyImpl::Single($s) => $body,
             StrategyImpl::Dm($s) => $body,
             StrategyImpl::DcFp($s) => $body,

@@ -12,9 +12,16 @@
 //!
 //! | When \ How | access | subscription | both |
 //! |---|---|---|---|
-//! | access-time | [`AccessOnly`]`<GdStar>` (also LRU/GDS/LFU-DA) | | |
-//! | push-time | | [`Sub`] | |
-//! | both | | | [`SingleCache`] (SG1, SG2, SR), [`DualMethods`], [`DcFp`], [`DcAdaptive`] (DC-AP, DC-LAP) |
+//! | access-time | GD\* (eq. 1; also LRU, GDS, LFU-DA) | | |
+//! | push-time | | SUB (eq. 2) | |
+//! | both | | | SG1, SG2, SR (eq. 3–5); DM, DC-FP, DC-AP, DC-LAP |
+//!
+//! The eight strategies that run one cache under one evaluation function
+//! — the first two rows and SG1/SG2/SR — are one type, [`SingleCache`],
+//! over a value model: its cell of the table as data. The dual strategies
+//! are [`DualMethods`], [`DcFp`] and [`DcAdaptive`] (DC-AP, DC-LAP). The
+//! paper's five value equations are written once, in one private module
+//! that all four types call.
 //!
 //! [`StrategyKind`] is the config-friendly factory used by the simulator
 //! and benchmarks.
@@ -41,20 +48,17 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod access_only;
 mod dcap;
 mod dcfp;
 mod dm;
 mod kind;
 mod single;
 mod strategy;
-mod sub;
+mod value;
 
-pub use access_only::AccessOnly;
 pub use dcap::DcAdaptive;
 pub use dcfp::DcFp;
 pub use dm::DualMethods;
 pub use kind::{StrategyImpl, StrategyKind};
 pub use single::SingleCache;
 pub use strategy::{AccessOutcome, PageRef, PushOutcome, Strategy, StrategyClass};
-pub use sub::Sub;

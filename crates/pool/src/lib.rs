@@ -331,20 +331,20 @@ mod tests {
 
     #[test]
     fn task_spans_capture_every_job_when_enabled() {
-        // Collection is process-global, so other tests running
-        // concurrently may also record; assert on presence, not count.
+        // Collection is process-global, so a fan-out of another test
+        // running concurrently records under this phase too, with job
+        // numbers and worker indexes of its own: assert that a span of
+        // ours is present, not that every span with our label is ours.
         spans::enable(std::time::Instant::now());
         spans::set_phase("test.fanout");
         let out = parallel_indexed(6, 3, |i| i + 10);
         let recorded = spans::disable();
         assert_eq!(out, [10, 11, 12, 13, 14, 15]);
         for job in 0..6 {
-            let span = recorded
-                .iter()
-                .find(|s| s.job == job && s.phase == "test.fanout")
-                .unwrap_or_else(|| panic!("job {job} missing from {recorded:?}"));
-            assert!(span.end_ns >= span.start_ns);
-            assert!(span.worker < 3);
+            let ours = recorded.iter().any(|s| {
+                s.job == job && s.phase == "test.fanout" && s.worker < 3 && s.end_ns >= s.start_ns
+            });
+            assert!(ours, "job {job} missing from {recorded:?}");
         }
         // Disabled again: nothing records, nothing to drain.
         let _ = parallel_indexed(3, 2, |i| i);

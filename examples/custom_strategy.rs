@@ -5,13 +5,15 @@
 //! strategy — *push-everything + LRU* — against the public
 //! [`Strategy`] trait and races it against GD\* and SG2 on the same
 //! workload. (It loses: pushing without a value function thrashes the
-//! cache.)
+//! cache.) A replacement policy is a value function handed to the
+//! [`GreedyDualEngine`] on each call, so the strategy composes the engine
+//! directly: LRU is `V(p) = L + 1`.
 //!
 //! ```text
 //! cargo run --release --example custom_strategy
 //! ```
 
-use pscd::cache::{AccessOutcome, CachePolicy, Lru};
+use pscd::cache::{AccessOutcome, GreedyDualEngine};
 use pscd::strategies::{PushOutcome, StrategyClass};
 use pscd::types::SubscriptionTable;
 use pscd::{
@@ -23,14 +25,18 @@ use pscd::{
 /// the shared cache for both placement opportunities.
 #[derive(Debug)]
 struct PushLru {
-    cache: Lru,
+    cache: GreedyDualEngine,
 }
 
 impl PushLru {
     fn new(capacity: Bytes) -> Self {
         Self {
-            cache: Lru::new(capacity),
+            cache: GreedyDualEngine::new(capacity),
         }
+    }
+
+    fn touch(&mut self, page: &PageRef, evicted: &mut Vec<PageId>) -> AccessOutcome {
+        self.cache.access(page, |_, l| l + 1.0, evicted)
     }
 }
 
@@ -45,14 +51,14 @@ impl Strategy for PushLru {
 
     fn on_push(&mut self, page: &PageRef, _subs: u32, evicted: &mut Vec<PageId>) -> PushOutcome {
         // Treat the push like an access: LRU admits unconditionally.
-        match self.cache.access(page, evicted) {
+        match self.touch(page, evicted) {
             AccessOutcome::MissBypassed => PushOutcome::Declined,
             AccessOutcome::Hit | AccessOutcome::MissAdmitted => PushOutcome::Stored,
         }
     }
 
     fn would_store(&self, page: &PageRef, _subs: u32) -> bool {
-        page.size <= self.cache.capacity()
+        page.size <= self.capacity()
     }
 
     fn on_access(
@@ -61,27 +67,27 @@ impl Strategy for PushLru {
         _subs: u32,
         evicted: &mut Vec<PageId>,
     ) -> AccessOutcome {
-        self.cache.access(page, evicted)
+        self.touch(page, evicted)
     }
 
     fn contains(&self, page: PageId) -> bool {
-        self.cache.contains(page)
+        self.cache.store().contains(page)
     }
 
     fn invalidate(&mut self, page: PageId) -> bool {
-        self.cache.invalidate(page)
+        self.cache.evict(page)
     }
 
     fn capacity(&self) -> Bytes {
-        self.cache.capacity()
+        self.cache.store().capacity()
     }
 
     fn used(&self) -> Bytes {
-        self.cache.used()
+        self.cache.store().used()
     }
 
     fn len(&self) -> usize {
-        self.cache.len()
+        self.cache.store().len()
     }
 }
 

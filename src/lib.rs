@@ -17,8 +17,8 @@
 //! | [`topology`] | `pscd-topology` | Waxman / Barabási–Albert graphs, fetch costs |
 //! | [`matching`] | `pscd-matching` | predicate subscriptions, counting index, covering |
 //! | [`workload`] | `pscd-workload` | NEWS / ALTERNATIVE synthetic traces |
-//! | [`cache`] | `pscd-cache` | cache substrate; LRU, GDS, LFU-DA, GD\* |
-//! | [`strategies`] | `pscd-core` | SUB, SG1, SG2, SR, DM, DC-FP, DC-AP, DC-LAP |
+//! | [`cache`] | `pscd-cache` | cache substrate: store, heap, page table, greedy-dual engine |
+//! | [`strategies`] | `pscd-core` | LRU, GDS, LFU-DA, GD\*, SUB, SG1, SG2, SR, DM, DC-FP, DC-AP, DC-LAP |
 //! | [`broker`] | `pscd-broker` | delivery engine, pushing schemes, traffic |
 //! | [`sim`] | `pscd-sim` | simulator and metrics |
 //! | [`experiments`] | `pscd-experiments` | per-table/figure reproduction drivers |
@@ -62,7 +62,7 @@ pub use pscd_types as types;
 pub use pscd_workload as workload;
 
 pub use pscd_broker::{DeliveryEngine, PushScheme, Traffic};
-pub use pscd_cache::{CachePolicy, GdStar, PageRef};
+pub use pscd_cache::PageRef;
 pub use pscd_core::{Strategy, StrategyKind};
 pub use pscd_experiments::ExperimentContext;
 pub use pscd_matching::{Content, Matcher, Predicate, Subscription, SubscriptionIndex, Value};

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use pscd::cache::{CachePolicy, CacheStore, GdStar, Gds, LfuDa, Lru};
+use pscd::cache::CacheStore;
 use pscd::{Bytes, PageId, PageRef, StrategyKind};
 
 /// A scripted cache operation.
@@ -169,22 +169,20 @@ proptest! {
         prop_assert_eq!(store.used(), Bytes::ZERO);
     }
 
-    /// Classic policies agree on trivial workloads: a second access to the
-    /// same page is always a hit when it fits.
+    /// The one-cache strategies agree on trivial workloads: a second access
+    /// to the same page is always a hit when it fits — SUB's after a push,
+    /// its only way in.
     #[test]
     fn second_access_hits(page in 0u32..1000, size in 1u64..512) {
         let pr = PageRef::new(PageId::new(page), Bytes::new(size), 1.0);
-        let capacity = Bytes::new(1024);
-        let mut policies: Vec<Box<dyn CachePolicy>> = vec![
-            Box::new(Lru::new(capacity)),
-            Box::new(Gds::new(capacity)),
-            Box::new(LfuDa::new(capacity)),
-            Box::new(GdStar::new(capacity, 2.0)),
-        ];
         let mut ev = Vec::new();
-        for p in &mut policies {
-            prop_assert!(p.access(&pr, &mut ev).is_miss());
-            prop_assert!(p.access(&pr, &mut ev).is_hit(), "{}", p.name());
+        for kind in &all_kinds()[..8] {
+            let mut s = kind.build(Bytes::new(1024));
+            if *kind == StrategyKind::Sub {
+                prop_assert!(s.on_push(&pr, 1, &mut ev).is_stored());
+            }
+            prop_assert_eq!(s.on_access(&pr, 1, &mut ev).is_miss(), *kind != StrategyKind::Sub);
+            prop_assert!(s.on_access(&pr, 1, &mut ev).is_hit(), "{}", s.name());
         }
     }
 }
