@@ -48,8 +48,12 @@
 //! Content is symbolized **once per publish** into a [`SymView`] (owned by
 //! the caller's [`MatchScratch`]), so the loop does no string hashing.
 //!
-//! The mutable [`SubscriptionIndex`] stays the build-time front end:
-//! freeze once after synthesis, rebuild on (rare) subscription churn.
+//! The mutable [`SubscriptionIndex`] stays the build-time front end and
+//! the owner of every subscription. A frozen subscription that is removed
+//! is *retired*: its bit goes into the `dead` mask that a match clears
+//! from every touched word before it verifies or counts anything, so the
+//! kernel answers on without a rebuild ([`EngineMatcher`](crate::EngineMatcher)
+//! keeps the subscriptions added since the freeze beside it).
 
 use std::collections::BTreeSet;
 use std::ops::Range;
@@ -717,8 +721,9 @@ impl<'a> Rows<'a> {
 const NO_ID: SubscriptionId = SubscriptionId::new(u64::MAX);
 
 /// The frozen, data-oriented compilation of a [`SubscriptionIndex`]; see
-/// the [module docs](self) for the layout. Immutable by construction —
-/// rebuild from the mutable index when subscriptions change.
+/// the [module docs](self) for the layout. Nothing is ever added to a
+/// frozen index; the one change it takes is a removed subscription's
+/// retirement.
 ///
 /// Frozen ordinals are the singles `[0, s)` then the conjunctions
 /// `[s, n)`, proxy-major inside each class; wildcards are kept aside. A
@@ -772,6 +777,12 @@ pub struct FrozenIndex {
     /// The proxy that owns each word of the scratch state: the singles'
     /// words, then the conjunctions'.
     word_lane: Vec<u16>,
+    /// The bits of the retired singles and conjunctions, word for word
+    /// beside the scratch state.
+    dead: Vec<u64>,
+    /// How many subscriptions [`FrozenIndex::retire`] has taken out,
+    /// wildcards included.
+    retired: usize,
 
     /// Per attribute symbol, the families with a bucket under it: a
     /// content attribute is searched only where a predicate can be.
@@ -909,6 +920,8 @@ impl FrozenIndex {
             resid_base: rows.resid_base,
             operands: rows.operands,
             wildcards,
+            dead: vec![0; word_lane.len()],
+            retired: 0,
             word_lane,
             w_base,
             families: rows.families,
@@ -938,6 +951,49 @@ impl FrozenIndex {
     /// `true` if no subscriptions were frozen.
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// Takes subscription `id` of proxy `lane`, a conjunction of
+    /// `predicates`, out of the kernel; `false` if it was not frozen here.
+    /// The predicate count names the class, and a proxy's ids ascend
+    /// inside a class (padding sorts last), so the token is one binary
+    /// search away. A wildcard has no bit: it leaves the list, and the
+    /// proxies after it start one earlier.
+    pub(crate) fn retire(&mut self, lane: u16, id: SubscriptionId, predicates: usize) -> bool {
+        if predicates == 0 {
+            let lane = usize::from(lane);
+            let own = self.w_base[lane] as usize..self.w_base[lane + 1] as usize;
+            let Ok(at) = self.wildcards[own.clone()].binary_search(&id) else {
+                return false;
+            };
+            self.wildcards.remove(own.start + at);
+            for base in &mut self.w_base[lane + 1..] {
+                *base -= 1;
+            }
+        } else {
+            let first = (self.s_bits / 64) as usize;
+            let class = if predicates == 1 {
+                0..first
+            } else {
+                first..self.word_lane.len()
+            };
+            let owners = &self.word_lane[class.clone()];
+            let words = class.start + owners.partition_point(|&l| l < lane)
+                ..class.start + owners.partition_point(|&l| l <= lane);
+            let Ok(at) = self.ids[words.start * 64..words.end * 64].binary_search(&id) else {
+                return false;
+            };
+            self.dead[words.start + at / 64] |= 1 << (at % 64);
+        }
+        self.retired += 1;
+        true
+    }
+
+    /// `true` once more than half of the frozen subscriptions are
+    /// retired: the kernel then spends most of its work on bits it
+    /// clears.
+    pub(crate) fn mostly_retired(&self) -> bool {
+        self.retired * 2 > self.len
     }
 
     /// Every proxy of the fleet.
@@ -1097,6 +1153,13 @@ impl FrozenIndex {
                         fs.bump(self.misc_tok[j]);
                     }
                 }
+            }
+        }
+        // Before anything is verified or counted: a retired subscription
+        // is neither a candidate nor a match.
+        if self.retired > 0 {
+            for &w in &fs.touched {
+                fs.words[w as usize] &= !self.dead[w as usize];
             }
         }
         self.verify(fs, &view);
@@ -1415,23 +1478,17 @@ mod tests {
         fleet
     }
 
-    #[test]
-    fn fleet_fanout_and_requests_match_the_per_proxy_indexes() {
-        let fleet = small_fleet();
-        let mut table = SymbolTable::new();
-        let frozen = FrozenIndex::freeze_fleet(&fleet, &mut table);
-        assert_eq!(
-            frozen.len(),
-            fleet.iter().map(SubscriptionIndex::len).sum::<usize>()
-        );
+    /// Fan-out rows, per-proxy counts, the fleet total and the id list of
+    /// `frozen` against the mutable indexes it must equal.
+    fn assert_fleet_agrees(frozen: &FrozenIndex, table: &SymbolTable, fleet: &[SubscriptionIndex]) {
         let mut scratch = MatchScratch::new();
-        let mut rows = Vec::new();
+        let (mut rows, mut ids) = (Vec::new(), Vec::new());
         for content in [
             sports_page(),
             Content::new(),
             sports_page().with("words", Value::int(5)),
         ] {
-            scratch.symbolize(&table, &content);
+            scratch.symbolize(table, &content);
             frozen.fanout_view(&mut scratch, &mut rows);
             let expected: Vec<_> = fleet
                 .iter()
@@ -1450,7 +1507,53 @@ mod tests {
             assert_eq!(frozen.count_at_view(&mut scratch, ServerId::new(3)), 0);
             let total: u32 = rows.iter().map(|&(_, n)| n).sum();
             assert_eq!(frozen.match_count_view(&mut scratch), total as usize);
+            frozen.matches_view_into(&mut scratch, &mut ids);
+            let mut expected: Vec<_> = fleet.iter().flat_map(|idx| idx.matches(&content)).collect();
+            expected.sort_unstable();
+            assert_eq!(ids, expected);
         }
+    }
+
+    #[test]
+    fn fleet_fanout_and_requests_match_the_per_proxy_indexes() {
+        let fleet = small_fleet();
+        let mut table = SymbolTable::new();
+        let frozen = FrozenIndex::freeze_fleet(&fleet, &mut table);
+        assert_eq!(
+            frozen.len(),
+            fleet.iter().map(SubscriptionIndex::len).sum::<usize>()
+        );
+        assert_fleet_agrees(&frozen, &table, &fleet);
+    }
+
+    #[test]
+    fn a_retired_subscription_leaves_every_answer() {
+        let mut fleet = small_fleet();
+        let mut table = SymbolTable::new();
+        let mut frozen = FrozenIndex::freeze_fleet(&fleet, &mut table);
+        // Proxy `p` holds singles `0..70p + 3`, then a double, a triple
+        // and `p` wildcards. A token is searched in its own proxy's range
+        // of its own class only.
+        assert!(!frozen.retire(1, SubscriptionId::new(73), 1), "a double");
+        assert!(!frozen.retire(1, SubscriptionId::new(72), 2), "a single");
+        assert!(!frozen.retire(0, SubscriptionId::new(5), 1), "proxy 1's");
+        assert!(!frozen.retire(0, SubscriptionId::new(5), 0), "no wildcard");
+        assert!(!frozen.mostly_retired());
+        // A single in a proxy's second word, the conjunctions of the
+        // middle proxy, the first of two wildcards, then whole classes.
+        let gone = [(1, 70), (1, 73), (1, 74), (2, 145), (0, 0), (2, 143)];
+        let rest = (0..64).map(|id| (1, id)).chain((0..143).map(|id| (2, id)));
+        for (n, (lane, id)) in gone.into_iter().chain(rest).enumerate() {
+            let id = SubscriptionId::new(id);
+            let sub = fleet[usize::from(lane)].remove(id).unwrap();
+            assert!(frozen.retire(lane, id, sub.len()));
+            assert_fleet_agrees(&frozen, &table, &fleet);
+            assert_eq!(frozen.retired, n + 1);
+            assert_eq!(frozen.mostly_retired(), 2 * (n + 1) > frozen.len());
+        }
+        assert!(frozen.mostly_retired());
+        assert_eq!(frozen.w_base, vec![0, 0, 1, 2]);
+        assert_eq!(frozen.wildcards, [75, 146].map(SubscriptionId::new));
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Counting-based subscription index.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::hash::Hash;
 
 use serde::{Deserialize, Serialize};
 
@@ -241,22 +243,24 @@ impl SubscriptionIndex {
         Some(sub)
     }
 
-    /// Removes `sub`'s entries (held under `ordinal`) from its buckets.
+    /// Removes `sub`'s entries (held under `ordinal`) from its buckets. A
+    /// bucket that empties goes, and an attribute's map with its last
+    /// bucket: subscriptions over ever new values (one per page, say)
+    /// would otherwise grow the maps without bound.
     fn drop_entries(&mut self, sub: &Subscription, ordinal: u32) {
         for pred in sub.predicates() {
-            let bucket = match pred.op() {
-                Op::Eq(v) => self
-                    .eq_index
-                    .get_mut(pred.attr())
-                    .and_then(|m| m.get_mut(v)),
-                Op::Contains(tag) => self
-                    .tag_index
-                    .get_mut(pred.attr())
-                    .and_then(|m| m.get_mut(tag)),
-                _ => self.scan_index.get_mut(pred.attr()),
-            };
-            if let Some(bucket) = bucket {
-                bucket.retain(|&(ord, _)| ord != ordinal);
+            let attr = pred.attr();
+            match pred.op() {
+                Op::Eq(v) => prune(&mut self.eq_index, attr, v, ordinal),
+                Op::Contains(tag) => prune(&mut self.tag_index, attr, tag.as_str(), ordinal),
+                _ => {
+                    if let Some(bucket) = self.scan_index.get_mut(attr) {
+                        bucket.retain(|&(ord, _)| ord != ordinal);
+                        if bucket.is_empty() {
+                            self.scan_index.remove(attr);
+                        }
+                    }
+                }
             }
         }
     }
@@ -404,6 +408,31 @@ impl SubscriptionIndex {
     }
 }
 
+/// Removes `ordinal`'s entries from the bucket of `attr` and `key`, then
+/// the bucket if that emptied it and the attribute if that was its last.
+fn prune<K, Q>(
+    index: &mut HashMap<String, HashMap<K, Vec<Entry>>>,
+    attr: &str,
+    key: &Q,
+    ordinal: u32,
+) where
+    K: Borrow<Q> + Eq + Hash,
+    Q: Eq + Hash + ?Sized,
+{
+    let Some(buckets) = index.get_mut(attr) else {
+        return;
+    };
+    if let Some(bucket) = buckets.get_mut(key) {
+        bucket.retain(|&(ord, _)| ord != ordinal);
+        if bucket.is_empty() {
+            buckets.remove(key);
+        }
+    }
+    if buckets.is_empty() {
+        index.remove(attr);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -492,6 +521,58 @@ mod tests {
         assert!(idx.is_empty());
         assert_eq!(idx.match_count(&sports_page()), 0);
         assert!(idx.remove(a).is_none());
+    }
+
+    #[test]
+    fn churn_over_distinct_values_leaves_no_empty_buckets() {
+        // One subscription per value and index kind, as a subscription per
+        // page is; a long-lived pair shares each attribute meanwhile.
+        let mut idx = SubscriptionIndex::new();
+        let shapes = |i: i64| {
+            [
+                Subscription::new(vec![Predicate::eq("page", Value::int(i))]),
+                Subscription::new(vec![Predicate::contains("tags", format!("t{i}"))]),
+                Subscription::new(vec![Predicate::ge(format!("words{i}"), i)]),
+            ]
+        };
+        let kept: Vec<_> = shapes(-1).into_iter().map(|s| idx.insert(s)).collect();
+        let ids: Vec<_> = (0..1_000)
+            .flat_map(shapes)
+            .map(|sub| idx.insert(sub))
+            .collect();
+        let page = Content::new()
+            .with("page", Value::int(7))
+            .with("tags", Value::tags(["t7", "t8"]))
+            .with("words9", Value::int(9));
+        let brute = |idx: &SubscriptionIndex| -> Vec<_> {
+            let hits = idx.iter().filter(|(_, s)| s.matches(&page));
+            hits.map(|(id, _)| id).collect()
+        };
+        assert_eq!(idx.matches(&page).len(), 4);
+        assert_eq!(idx.matches(&page), brute(&idx));
+        // Every other one goes: the survivors' buckets are untouched.
+        for id in ids.iter().step_by(2) {
+            idx.remove(*id);
+        }
+        assert_eq!(idx.matches(&page), brute(&idx));
+        assert_eq!(idx.eq_index["page"].len(), 501);
+        assert_eq!(idx.tag_index["tags"].len(), 501);
+        assert_eq!(idx.scan_index.len(), 501);
+        for id in ids.iter().skip(1).step_by(2) {
+            idx.remove(*id);
+        }
+        assert_eq!(idx.matches(&page), brute(&idx));
+        assert_eq!(idx.eq_index["page"].len(), 1);
+        assert_eq!(idx.tag_index["tags"].len(), 1);
+        assert_eq!(idx.scan_index.len(), 1);
+        for id in kept {
+            idx.remove(id);
+        }
+        assert!(idx.is_empty());
+        assert!(idx.eq_index.is_empty(), "{:?}", idx.eq_index);
+        assert!(idx.tag_index.is_empty(), "{:?}", idx.tag_index);
+        assert!(idx.scan_index.is_empty(), "{:?}", idx.scan_index);
+        assert!(idx.matches(&page).is_empty());
     }
 
     #[test]

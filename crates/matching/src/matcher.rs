@@ -66,6 +66,10 @@ impl Matcher for TableMatcher {
 /// [`Matcher`] that evaluates real content-based subscriptions: one
 /// mutable [`SubscriptionIndex`] per proxy server, compiled by
 /// [`EngineMatcher::freeze`] into one [`FrozenIndex`] for the whole fleet.
+/// The compilation stays current across subscription churn: a subscription
+/// added since the freeze is evaluated beside the kernel, a frozen one
+/// that is removed is masked out of it, and only a burst past what that
+/// absorbs falls back to the mutable indexes until the next `freeze`.
 ///
 /// # Examples
 ///
@@ -90,18 +94,40 @@ impl Matcher for TableMatcher {
 pub struct EngineMatcher {
     per_server: Vec<SubscriptionIndex>,
     contents: HashMap<PageId, Content>,
-    /// The frozen compilation of the whole fleet; dropped (stale) whenever
-    /// a subscription changes and rebuilt by [`EngineMatcher::freeze`].
+    /// The frozen compilation of the whole fleet, kept current across
+    /// subscription churn; dropped when churn outgrows it and rebuilt by
+    /// [`EngineMatcher::freeze`].
     frozen: Option<Frozen>,
 }
 
-/// Every proxy's subscriptions in one [`FrozenIndex`], with the
-/// [`SymbolTable`] its contents are symbolized against.
+/// Every proxy's subscriptions as of the last freeze in one
+/// [`FrozenIndex`] — less the ones retired since — with the
+/// [`SymbolTable`] its contents are symbolized against, and the
+/// subscriptions added since.
 #[derive(Debug)]
 struct Frozen {
     table: SymbolTable,
     index: FrozenIndex,
+    /// The subscriptions the kernel does not hold, ascending by proxy and
+    /// then id: evaluated with [`Subscription::matches`] after the kernel
+    /// has answered. An entry names its subscription in the proxy's
+    /// [`SubscriptionIndex`], which stays the one owner of the predicates.
+    delta: Vec<(ServerId, SubscriptionId)>,
 }
+
+/// The most subscriptions a delta holds; one more thaws the kernel, and
+/// the next `freeze` folds them all in. An entry costs a hash lookup and a
+/// brute-force evaluation, so the bound is what keeps a publish near the
+/// kernel's cost. Measured at the `match-churn` population (201 k
+/// subscriptions over 100 proxies; a fan-out 7.3–9.1 µs, a request
+/// 720–870 ns): a fan-out pays 29 ns per page-equality entry and 42 ns
+/// per three-predicate one, a request — which scans its own proxy's
+/// entries only — 0.5–0.7 ns per entry of the fleet's. A full delta of 48
+/// adds 1.4–2.0 µs to a fan-out, 19–22 % (64 reads 26–30 %), and
+/// 25–35 ns to a request, 3–5 %; a burst pays one 28–31 ms rebuild per
+/// 49 subscribes, 0.6 ms a call. EXPERIMENTS.md, "Churn without a
+/// refreeze (PR 21)", has the sweep.
+const DELTA_MAX: usize = 48;
 
 impl EngineMatcher {
     /// Creates a matcher for `servers` proxies with no subscriptions.
@@ -129,7 +155,15 @@ impl EngineMatcher {
         subscription: Subscription,
     ) -> Result<SubscriptionId, MatchError> {
         let id = self.index_mut(server)?.insert(subscription);
-        self.frozen = None;
+        if let Some(frozen) = &mut self.frozen {
+            if frozen.delta.len() < DELTA_MAX {
+                // Ids only grow, so the newest goes last among its proxy's.
+                let at = frozen.delta.partition_point(|&(s, _)| s <= server);
+                frozen.delta.insert(at, (server, id));
+            } else {
+                self.frozen = None;
+            }
+        }
         Ok(id)
     }
 
@@ -140,29 +174,50 @@ impl EngineMatcher {
     /// Returns [`MatchError::UnknownServer`] if `server` is out of range and
     /// [`MatchError::UnknownSubscription`] if the id is not registered there.
     pub fn unsubscribe(&mut self, server: ServerId, id: SubscriptionId) -> Result<(), MatchError> {
-        self.index_mut(server)?
+        let removed = self
+            .index_mut(server)?
             .remove(id)
             .ok_or(MatchError::UnknownSubscription { id })?;
-        self.frozen = None;
+        if let Some(frozen) = &mut self.frozen {
+            match frozen.delta.binary_search(&(server, id)) {
+                Ok(at) => {
+                    frozen.delta.remove(at);
+                }
+                Err(_) => {
+                    let retired = frozen.index.retire(server.index(), id, removed.len());
+                    debug_assert!(retired, "{id} at {server:?} is in neither delta nor base");
+                    if frozen.index.mostly_retired() {
+                        self.frozen = None;
+                    }
+                }
+            }
+        }
         Ok(())
     }
 
     /// Compiles every per-server index into one fleet-wide frozen kernel.
-    /// A no-op when already frozen; any subsequent successful
-    /// subscribe/unsubscribe invalidates the compilation (the rebuild path
-    /// for dynamic subscribers), and the matcher transparently falls back
-    /// to the mutable indexes until frozen again.
+    /// A no-op while a kernel answers: subscribe/unsubscribe calls keep it
+    /// current (the delta and the retired mask), so ordinary churn costs
+    /// no rebuild. Only a delta grown past its bound, or a base more than
+    /// half retired, drops the kernel; the matcher then falls back to the
+    /// mutable indexes until the next call here folds everything into a
+    /// fresh compilation.
     pub fn freeze(&mut self) {
         if self.frozen.is_some() {
             return;
         }
         let mut table = SymbolTable::new();
         let index = FrozenIndex::freeze_fleet(&self.per_server, &mut table);
-        self.frozen = Some(Frozen { table, index });
+        self.frozen = Some(Frozen {
+            table,
+            index,
+            delta: Vec::new(),
+        });
     }
 
-    /// `true` while the frozen compilation is current (no subscription has
-    /// changed since the last [`EngineMatcher::freeze`]).
+    /// `true` while a frozen kernel answers — since the last
+    /// [`EngineMatcher::freeze`], across any subscription churn the
+    /// kernel absorbed.
     pub fn is_frozen(&self) -> bool {
         self.frozen.is_some()
     }
@@ -211,6 +266,16 @@ impl EngineMatcher {
             // Frozen fast path: symbolize once, one pass over the fleet.
             scratch.symbolize(&frozen.table, content);
             frozen.index.fanout_view(scratch, out);
+            for run in frozen.delta.chunk_by(|a, b| a.0 == b.0) {
+                let server = run[0].0;
+                let n = self.delta_matches(run, content);
+                if n > 0 {
+                    match out.binary_search_by_key(&server, |&(s, _)| s) {
+                        Ok(row) => out[row].1 += n,
+                        Err(row) => out.insert(row, (server, n)),
+                    }
+                }
+            }
             return;
         }
         for (i, idx) in self.per_server.iter().enumerate() {
@@ -235,7 +300,11 @@ impl EngineMatcher {
         };
         if let Some(frozen) = &self.frozen {
             scratch.symbolize(&frozen.table, content);
-            return frozen.index.count_at_view(scratch, server);
+            let delta = &frozen.delta;
+            let own = delta.partition_point(|&(s, _)| s < server)
+                ..delta.partition_point(|&(s, _)| s <= server);
+            return frozen.index.count_at_view(scratch, server)
+                + self.delta_matches(&delta[own], content);
         }
         self.per_server
             .get(server.as_usize())
@@ -246,6 +315,14 @@ impl EngineMatcher {
     /// Number of pages with registered content.
     pub fn page_count(&self) -> usize {
         self.contents.len()
+    }
+
+    /// How many of these delta entries match `content`.
+    fn delta_matches(&self, entries: &[(ServerId, SubscriptionId)], content: &Content) -> u32 {
+        let live = entries
+            .iter()
+            .filter_map(|&(server, id)| self.per_server[server.as_usize()].get(id));
+        live.filter(|sub| sub.matches(content)).count() as u32
     }
 
     fn index_mut(&mut self, server: ServerId) -> Result<&mut SubscriptionIndex, MatchError> {
@@ -353,7 +430,7 @@ mod tests {
     }
 
     #[test]
-    fn frozen_matches_legacy_and_invalidates_on_churn() {
+    fn frozen_matches_legacy_and_stays_current_across_churn() {
         let mut m = EngineMatcher::new(3);
         let sports = Subscription::new(vec![Predicate::eq("cat", Value::str("sports"))]);
         m.subscribe(ServerId::new(0), sports.clone()).unwrap();
@@ -376,20 +453,99 @@ mod tests {
         let mut out = Vec::new();
         m.matched_servers_into(PageId::new(7), &mut scratch, &mut out);
         assert_eq!(out, legacy);
-        // Churn invalidates; the matcher falls back to the mutable index.
+        // A frozen subscription is retired; the kernel answers on.
         m.unsubscribe(ServerId::new(2), at2).unwrap();
-        assert!(!m.is_frozen());
+        assert!(m.is_frozen());
         assert_eq!(
             m.matched_servers(PageId::new(7)),
             vec![(ServerId::new(0), 2)]
+        );
+        assert_eq!(m.match_count(PageId::new(7), ServerId::new(2)), 0);
+        // A new one answers from the delta: a row of its own at proxy 1,
+        // one more match in proxy 0's row.
+        let at1 = m.subscribe(ServerId::new(1), sports.clone()).unwrap();
+        m.subscribe(ServerId::new(0), sports).unwrap();
+        assert!(m.is_frozen());
+        assert_eq!(
+            m.matched_servers(PageId::new(7)),
+            vec![(ServerId::new(0), 3), (ServerId::new(1), 1)]
+        );
+        assert_eq!(m.match_count(PageId::new(7), ServerId::new(0)), 3);
+        assert_eq!(m.match_count(PageId::new(7), ServerId::new(1)), 1);
+        assert_eq!(m.match_count(PageId::new(7), ServerId::new(2)), 0);
+        // ... and leaves it again.
+        m.unsubscribe(ServerId::new(1), at1).unwrap();
+        assert!(m.is_frozen());
+        assert_eq!(
+            m.matched_servers(PageId::new(7)),
+            vec![(ServerId::new(0), 3)]
+        );
+        assert!(matches!(
+            m.unsubscribe(ServerId::new(1), at1),
+            Err(MatchError::UnknownSubscription { .. })
+        ));
+    }
+
+    #[test]
+    fn a_delta_past_its_bound_thaws_and_the_next_freeze_folds_it() {
+        let mut m = EngineMatcher::new(2);
+        let sports = Subscription::new(vec![Predicate::eq("cat", Value::str("sports"))]);
+        m.subscribe(ServerId::new(1), sports.clone()).unwrap();
+        m.register_page(
+            PageId::new(0),
+            Content::new().with("cat", Value::str("sports")),
         );
         m.freeze();
-        assert_eq!(
-            m.matched_servers(PageId::new(7)),
-            vec![(ServerId::new(0), 2)]
+        for i in 0..DELTA_MAX {
+            m.subscribe(ServerId::new((i % 2) as u16), sports.clone())
+                .unwrap();
+            assert!(m.is_frozen(), "entry {i} fits the delta");
+        }
+        let full = vec![
+            (ServerId::new(0), DELTA_MAX as u32 / 2),
+            (ServerId::new(1), DELTA_MAX as u32 / 2 + 1),
+        ];
+        assert_eq!(m.matched_servers(PageId::new(0)), full);
+        let last = m.subscribe(ServerId::new(0), sports).unwrap();
+        assert!(!m.is_frozen(), "one more than the bound thaws");
+        m.unsubscribe(ServerId::new(0), last).unwrap();
+        assert_eq!(m.matched_servers(PageId::new(0)), full, "mutable indexes");
+        m.freeze();
+        assert!(m.is_frozen());
+        assert_eq!(m.matched_servers(PageId::new(0)), full, "folded");
+        assert!(m.frozen.as_ref().unwrap().delta.is_empty());
+    }
+
+    #[test]
+    fn retiring_more_than_half_of_the_base_thaws() {
+        let mut m = EngineMatcher::new(1);
+        let server = ServerId::new(0);
+        let ids: Vec<_> = [
+            Subscription::wildcard(),
+            Subscription::new(vec![Predicate::exists("cat")]),
+            Subscription::new(vec![Predicate::exists("cat"), Predicate::ge("n", 0)]),
+            Subscription::wildcard(),
+        ]
+        .into_iter()
+        .map(|sub| m.subscribe(server, sub).unwrap())
+        .collect();
+        m.register_page(
+            PageId::new(0),
+            Content::new()
+                .with("cat", Value::str("sports"))
+                .with("n", Value::int(1)),
         );
-        m.subscribe(ServerId::new(1), sports).unwrap();
+        m.freeze();
+        // Delta entries come and go without counting against the base.
+        let extra = m.subscribe(server, Subscription::wildcard()).unwrap();
+        m.unsubscribe(server, extra).unwrap();
+        for (gone, &id) in ids.iter().enumerate() {
+            assert_eq!(m.match_count(PageId::new(0), server), 4 - gone as u32);
+            assert_eq!(m.is_frozen(), gone <= 2, "{gone} of 4 retired");
+            m.unsubscribe(server, id).unwrap();
+        }
         assert!(!m.is_frozen());
+        assert_eq!(m.match_count(PageId::new(0), server), 0);
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //! one-time growth, then matches every content again and asserts the
 //! allocation counter did not move — the `matches_into` /
 //! `match_count_scratch` / `matched_servers_into` / `match_count_with`
-//! contract the publish fan-out and request loops rely on.
+//! contract the publish fan-out and request loops rely on. The engine's
+//! kernel is measured the way a live broker runs it: with subscriptions
+//! added since the freeze on two proxies and frozen ones of every class
+//! retired.
 //!
 //! Everything lives in ONE `#[test]` so no harness bookkeeping runs — and
 //! allocates — inside the measurement window.
@@ -80,6 +83,7 @@ fn steady_state_matching_does_not_allocate() {
     // every tenth — driving the batched `matched_servers_into` fan-out and
     // the per-request `match_count_with`.
     let mut engine = EngineMatcher::new(8);
+    let mut frozen_ids = Vec::new();
     for i in 0..1_600usize {
         let server = ServerId::new(if i % 8 == 5 { 0 } else { (i % 8) as u16 });
         let cat = categories[i % categories.len()];
@@ -99,7 +103,7 @@ fn steady_state_matching_does_not_allocate() {
             8 => Subscription::new(vec![Predicate::contains("tags", tag)]),
             _ => Subscription::wildcard(),
         };
-        engine.subscribe(server, sub).unwrap();
+        frozen_ids.push((server, engine.subscribe(server, sub).unwrap()));
     }
     // Conjunctions whose residuals cover every operator the access
     // predicate leaves to verification — prefix, tag-set `==` and `!=`,
@@ -153,6 +157,25 @@ fn steady_state_matching_does_not_allocate() {
     let mut table = SymbolTable::new();
     let frozen = FrozenIndex::freeze(&index, &mut table);
     engine.freeze();
+    // Churn the kernel absorbs: a single, a double, a triple and a
+    // wildcard are retired, and a single and a conjunction join at proxy 2
+    // and at proxy 5 — which holds nothing else, so its fan-out row is
+    // inserted by the delta alone.
+    for i in [0, 3, 7, 9] {
+        let (server, id) = frozen_ids[i];
+        engine.unsubscribe(server, id).unwrap();
+    }
+    for server in [2, 5] {
+        for sub in [
+            Subscription::new(vec![Predicate::contains("tags", tags[0])]),
+            Subscription::new(vec![
+                Predicate::exists("author"),
+                Predicate::ge("bytes", 4_096),
+            ]),
+        ] {
+            engine.subscribe(ServerId::new(server), sub).unwrap();
+        }
+    }
     assert!(engine.is_frozen());
 
     let mut scratch = MatchScratch::new();
@@ -174,11 +197,15 @@ fn steady_state_matching_does_not_allocate() {
     }
     // The fan-out's per-proxy count array and the fleet-wide bitsets grow
     // here, in warm-up, and never again.
-    let mut fleet_matches = 0usize;
+    let (mut fleet_matches, mut delta_rows) = (0usize, 0usize);
     for i in 0..contents.len() {
         let page = PageId::new(i as u32);
         engine.matched_servers_into(page, &mut scratch, &mut fanout);
         let rows: u32 = fanout.iter().map(|&(_, n)| n).sum();
+        delta_rows += fanout
+            .iter()
+            .filter(|&&(s, _)| s == ServerId::new(5))
+            .count();
         let mut requests = 0;
         for server in 0..9 {
             requests += engine.match_count_with(page, ServerId::new(server), &mut scratch);
@@ -187,6 +214,7 @@ fn steady_state_matching_does_not_allocate() {
         fleet_matches += rows as usize;
     }
     assert!(fleet_matches > 0, "fleet matched nothing — bad fixture");
+    assert!(delta_rows > 0, "the delta inserted no row — bad fixture");
     warm_matches += 2 * fleet_matches;
     assert!(warm_matches > 0, "warm-up matched nothing — bad fixture");
 

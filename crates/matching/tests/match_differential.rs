@@ -238,14 +238,87 @@ fn assert_fleet(matcher: &EngineMatcher, mirror: &Mirror, contents: &[Content]) 
     );
 }
 
+/// `EngineMatcher`'s private bound on its delta, mirrored: the number of
+/// subscriptions a frozen matcher takes before it thaws.
+const DELTA_BOUND: usize = 48;
+
+/// A matcher under churn beside what it must equal: the brute-force
+/// mirror, and a model of when a kernel answers — frozen until the delta
+/// would pass its bound or more than half of the base is retired. Every
+/// call checks the whole fleet, so each state a kernel passes through
+/// (delta only, retired bits only, both, thawed, folded) is compared.
+struct Churned<'a> {
+    matcher: EngineMatcher,
+    mirror: Mirror,
+    contents: &'a [Content],
+    /// Subscriptions the current kernel was frozen from, and how many of
+    /// them are retired; ids added since, per proxy.
+    base: usize,
+    retired: usize,
+    delta: Vec<(usize, SubscriptionId)>,
+    frozen: bool,
+}
+
+impl Churned<'_> {
+    fn check(&self) {
+        assert_eq!(self.matcher.is_frozen(), self.frozen, "a kernel answers");
+        assert_fleet(&self.matcher, &self.mirror, self.contents);
+    }
+
+    fn freeze(&mut self) {
+        self.matcher.freeze();
+        if !self.frozen {
+            self.base = self.mirror.iter().map(Vec::len).sum();
+            self.retired = 0;
+            self.delta.clear();
+            self.frozen = true;
+        }
+        self.check();
+    }
+
+    /// Subscribes without checking: the population before the first
+    /// freeze.
+    fn add(&mut self, at: usize, sub: &Subscription) -> SubscriptionId {
+        let server = ServerId::new(at as u16);
+        let id = self.matcher.subscribe(server, sub.clone()).unwrap();
+        self.mirror[at].push((id, sub.clone()));
+        if self.frozen && self.delta.len() < DELTA_BOUND {
+            self.delta.push((at, id));
+        } else {
+            self.frozen = false;
+        }
+        id
+    }
+
+    fn subscribe(&mut self, at: usize, sub: &Subscription) -> SubscriptionId {
+        let id = self.add(at, sub);
+        self.check();
+        id
+    }
+
+    fn unsubscribe(&mut self, at: usize, id: SubscriptionId) {
+        let server = ServerId::new(at as u16);
+        self.matcher.unsubscribe(server, id).unwrap();
+        self.mirror[at].retain(|&(live, _)| live != id);
+        if let Some(entry) = self.delta.iter().position(|&e| e == (at, id)) {
+            self.delta.swap_remove(entry);
+        } else {
+            self.retired += 1;
+            self.frozen &= self.retired * 2 <= self.base;
+        }
+        self.check();
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// The fleet-wide kernel: random fleets of one to five proxies (empty,
     /// wildcard-only and mixed ones, the same subscriptions duplicated at
     /// several proxies) resolve every publish fan-out and every request
-    /// like brute force and the mutable indexes — frozen, thawed by
-    /// subscribe/unsubscribe churn, and frozen again.
+    /// like brute force and the mutable indexes — frozen, after every
+    /// subscribe and unsubscribe the kernel absorbs (a delta, retired bits,
+    /// both), thawed by a burst past either bound, and frozen again.
     #[test]
     fn fleet_fanout_and_requests_agree_with_per_proxy_indexes(
         proxies in proptest::collection::vec(proxy_strategy(), 1..6),
@@ -253,53 +326,98 @@ proptest! {
         contents in proptest::collection::vec(content_strategy(), 1..8),
         removes in proptest::collection::vec(proptest::bool::ANY, 0..24),
         late in proptest::collection::vec((subscription_strategy(), 0usize..5), 0..8),
+        adds_first in proptest::bool::ANY,
     ) {
-        let mut matcher = EngineMatcher::new(proxies.len() as u16);
-        let mut mirror: Mirror = vec![Vec::new(); proxies.len()];
-        let subscribe = |matcher: &mut EngineMatcher, mirror: &mut Mirror, at: usize, sub: &Subscription| {
-            let id = matcher.subscribe(ServerId::new(at as u16), sub.clone()).unwrap();
-            mirror[at].push((id, sub.clone()));
+        let servers = proxies.len();
+        let mut fleet = Churned {
+            matcher: EngineMatcher::new(servers as u16),
+            mirror: vec![Vec::new(); servers],
+            contents: &contents,
+            base: 0,
+            retired: 0,
+            delta: Vec::new(),
+            frozen: false,
         };
+        for (i, content) in contents.iter().enumerate() {
+            fleet.matcher.register_page(PageId::new(i as u32), content.clone());
+        }
         for (at, subs) in proxies.iter().enumerate() {
             for sub in subs {
-                subscribe(&mut matcher, &mut mirror, at, sub);
+                fleet.add(at, sub);
             }
         }
         // Bit `p` of the mask places a copy at proxy `p`.
         for (sub, mask) in &shared {
-            for at in (0..proxies.len()).filter(|at| mask >> at & 1 == 1) {
-                subscribe(&mut matcher, &mut mirror, at, sub);
+            for at in (0..servers).filter(|at| mask >> at & 1 == 1) {
+                fleet.add(at, sub);
             }
         }
-        for (i, content) in contents.iter().enumerate() {
-            matcher.register_page(PageId::new(i as u32), content.clone());
-        }
+        // One of each class at a middle proxy, over the first content's
+        // first attribute, to be retired from the base by name.
+        let mid = servers / 2;
+        let (attr, value) = contents[0]
+            .iter()
+            .next()
+            .map_or(("category", Value::str("sports")), |(a, v)| (a, v.clone()));
+        let planted = [
+            Subscription::wildcard(),
+            Subscription::new(vec![Predicate::exists(attr)]),
+            Subscription::new(vec![Predicate::exists(attr), Predicate::new(attr, Op::Eq(value))]),
+        ];
+        let planted_ids: Vec<_> = planted.iter().map(|sub| fleet.add(mid, sub)).collect();
+        fleet.check();
+        fleet.freeze();
 
-        assert_fleet(&matcher, &mirror, &contents);
-        matcher.freeze();
-        prop_assert!(matcher.is_frozen());
-        assert_fleet(&matcher, &mirror, &contents);
-
-        // Churn: drop the flagged subscriptions round-robin over the
-        // proxies, add the late ones, and compare thawed and refrozen.
-        let mut churned = false;
-        for (k, _) in removes.iter().enumerate().filter(|(_, &remove)| remove) {
-            let at = k % mirror.len();
-            if !mirror[at].is_empty() {
-                let victim = k % mirror[at].len();
-                let (id, _) = mirror[at].swap_remove(victim);
-                matcher.unsubscribe(ServerId::new(at as u16), id).unwrap();
-                churned = true;
+        // Churn the kernel absorbs. Either the late ones join first (a
+        // delta over an untouched base, then retired bits beside it) or
+        // the flagged ones leave first, round-robin over the proxies
+        // (retired bits only, then a delta beside them).
+        for adds in [adds_first, !adds_first] {
+            if adds {
+                for (sub, at) in &late {
+                    fleet.subscribe(at % servers, sub);
+                }
+                // A delta entry leaves again.
+                let id = fleet.subscribe(mid, &planted[2]);
+                fleet.unsubscribe(mid, id);
+            } else {
+                for &id in &planted_ids {
+                    fleet.unsubscribe(mid, id);
+                }
+                for (k, _) in removes.iter().enumerate().filter(|(_, &remove)| remove) {
+                    let at = k % servers;
+                    if !fleet.mirror[at].is_empty() {
+                        let (id, _) = fleet.mirror[at][k % fleet.mirror[at].len()];
+                        fleet.unsubscribe(at, id);
+                    }
+                }
             }
         }
-        for (sub, at) in &late {
-            subscribe(&mut matcher, &mut mirror, at % proxies.len(), sub);
-            churned = true;
+
+        // A burst past the delta's bound thaws the kernel; the next
+        // freeze folds base and delta, and nothing it answers changes.
+        fleet.freeze();
+        for k in fleet.delta.len()..=DELTA_BOUND {
+            prop_assert!(fleet.frozen, "entry {} fits the delta", k);
+            fleet.subscribe(k % servers, &planted[k % planted.len()]);
         }
-        prop_assert_eq!(matcher.is_frozen(), !churned);
-        assert_fleet(&matcher, &mirror, &contents);
-        matcher.freeze();
-        assert_fleet(&matcher, &mirror, &contents);
+        prop_assert!(!fleet.frozen);
+        fleet.freeze();
+        prop_assert!(fleet.delta.is_empty());
+
+        // Retiring more than half of a base thaws it too.
+        let mut k = 0;
+        while fleet.frozen {
+            let at = (0..servers)
+                .map(|i| (k + i) % servers)
+                .find(|&at| !fleet.mirror[at].is_empty())
+                .expect("a frozen base this large is not all retired");
+            let (id, _) = fleet.mirror[at][k % fleet.mirror[at].len()];
+            fleet.unsubscribe(at, id);
+            k += 1;
+        }
+        prop_assert!(fleet.retired * 2 > fleet.base);
+        fleet.freeze();
     }
 
     /// Freeze-of-fresh-index: all three kernels agree on random

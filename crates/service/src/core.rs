@@ -78,8 +78,9 @@ pub struct ServiceCore {
     last_snapshot: u64,
     /// Optional content-based matcher. When attached, publish fan-outs and
     /// request counts resolve against its frozen kernel instead of the
-    /// count rows; dynamic [`subscribe_content`] calls invalidate the
-    /// compilation and the next resolve refreezes lazily.
+    /// count rows; the kernel absorbs dynamic [`subscribe_content`] calls,
+    /// and only a burst past what it absorbs makes the next resolve
+    /// refreeze it.
     ///
     /// [`subscribe_content`]: ServiceCore::subscribe_content
     matcher: Option<EngineMatcher>,
@@ -247,7 +248,8 @@ impl ServiceCore {
     /// request subscription counts resolve against its frozen kernel
     /// instead of the count rows ([`LiveEvent::Subscribe`] events still
     /// maintain the rows — and the snapshot format — but no longer drive
-    /// resolution). The matcher is frozen here, once.
+    /// resolution). The matcher is frozen here; later content calls keep
+    /// that compilation current instead of dropping it.
     ///
     /// The matcher is in-memory state, not persisted: a
     /// [`recover`](ServiceCore::recover)ed service starts back in count-row
@@ -271,17 +273,19 @@ impl ServiceCore {
         Ok(())
     }
 
-    /// `true` while a content matcher is attached and its frozen
-    /// compilation is current (no dynamic subscribe since the last
-    /// resolve).
+    /// `true` while a content matcher is attached and a frozen kernel
+    /// answers for it. Stays `true` across content subscribes and
+    /// unsubscribes; `false` only between a burst of them that outgrew the
+    /// kernel and the next resolved event, which rebuilds it.
     pub fn matcher_frozen(&self) -> bool {
         self.matcher.as_ref().is_some_and(EngineMatcher::is_frozen)
     }
 
     /// Registers a content-based subscription at `server` — the dynamic
-    /// subscribe path of the content mode. Takes effect on the next
-    /// resolved event: the frozen compilation is invalidated here and
-    /// rebuilt lazily when the next publish or request resolves.
+    /// subscribe path of the content mode. Takes effect at once, for the
+    /// next resolved event, with no rebuild: the matcher evaluates it
+    /// beside its frozen kernel (see [`EngineMatcher::freeze`] for the
+    /// burst size past which the next resolve recompiles instead).
     ///
     /// # Errors
     ///
@@ -304,9 +308,10 @@ impl ServiceCore {
             })
     }
 
-    /// Removes a content-based subscription registered by
-    /// [`subscribe_content`](ServiceCore::subscribe_content); invalidates
-    /// the frozen compilation like a subscribe does.
+    /// Removes a content-based subscription — one registered by
+    /// [`subscribe_content`](ServiceCore::subscribe_content) or one the
+    /// attached matcher came with; like a subscribe it takes effect at
+    /// once and costs no rebuild.
     ///
     /// # Errors
     ///
@@ -419,9 +424,9 @@ impl ServiceCore {
                 let pair_lo = self.batch.pairs.len() as u32;
                 match &mut self.matcher {
                     Some(m) => {
-                        // Lazy refreeze: a dynamic subscribe since the last
-                        // resolve invalidated the compilation; rebuild it
-                        // before the fan-out (a no-op when current).
+                        // Lazy refreeze: a burst of content calls since the
+                        // last resolve may have outgrown the kernel; rebuild
+                        // it before the fan-out (a no-op while one answers).
                         m.freeze();
                         m.matched_servers_into(page, &mut self.match_scratch, &mut self.fanout_buf);
                         self.batch.pairs.extend_from_slice(&self.fanout_buf);

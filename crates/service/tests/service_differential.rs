@@ -261,11 +261,12 @@ fn content_mode_resolution_is_bit_identical() {
     }
 }
 
-/// Dynamic churn through the content front door: subscribing thaws the
-/// frozen index, the next resolve refreezes it lazily, and a
-/// subscribe/unsubscribe round trip leaves the outcome bit-identical.
+/// Dynamic churn through the content front door: a subscribe or an
+/// unsubscribe takes effect at once and the frozen kernel answers on (no
+/// rebuild before the next resolve), and a round trip of a subscription
+/// that matches nothing leaves the outcome bit-identical.
 #[test]
-fn content_churn_refreezes_lazily_and_stays_identical() {
+fn content_churn_keeps_the_kernel_frozen_and_stays_identical() {
     use pscd_matching::{Predicate, Subscription, Value};
 
     let f = fixture();
@@ -281,21 +282,166 @@ fn content_churn_refreezes_lazily_and_stays_identical() {
     core.ingest_all(&f.events[..mid]).unwrap();
 
     // A predicate no registered page satisfies: page ids are dense from
-    // zero, so `page = -1` never matches and the outcome is unaffected —
-    // but the index must still thaw, rebuild, and refreeze around it.
+    // zero, so `page = -1` never matches and the outcome is unaffected.
     let ghost = Subscription::new(vec![Predicate::eq("page", Value::int(-1))]);
     let id = core.subscribe_content(ServerId::new(0), ghost).unwrap();
-    assert!(!core.matcher_frozen(), "subscribe must thaw the index");
+    assert!(core.matcher_frozen(), "the kernel absorbs a subscribe");
     core.ingest_all(&f.events[mid..mid + 1]).unwrap();
-    assert!(core.matcher_frozen(), "next resolve must refreeze lazily");
+    assert!(core.matcher_frozen());
 
     core.unsubscribe_content(ServerId::new(0), id).unwrap();
-    assert!(!core.matcher_frozen(), "unsubscribe must thaw the index");
+    assert!(core.matcher_frozen(), "the kernel absorbs an unsubscribe");
     core.ingest_all(&f.events[mid + 1..]).unwrap();
     assert!(core.matcher_frozen());
 
     let outcome = core.shutdown().unwrap();
     assert_equivalent(kind, &outcome, false, "content churn");
+}
+
+/// Churn that does change the outcome — subscriptions to pages published
+/// later in the stream join, frozen ones to such pages leave, some of the
+/// joined leave again — resolves the same whichever way the matcher takes
+/// it. One service absorbs every call into its frozen kernel. A second is
+/// first given a burst of never-matching subscriptions that overflows the
+/// kernel, so the same calls land in the mutable indexes and the next
+/// resolve answers from a full rebuild; the burst is withdrawn afterwards.
+/// A third has no matcher at all: it is told the resulting counts as
+/// `Subscribe` rows. Result and every proxy's cache state must agree.
+#[test]
+fn content_churn_through_the_delta_equals_churn_through_a_refreeze() {
+    use std::collections::HashMap;
+
+    use pscd_matching::{Op, Predicate, Subscription, SubscriptionId, Value};
+    use pscd_types::PageId;
+
+    let f = fixture();
+    let kind = StrategyKind::Sg2 { beta: 2.0 };
+    let servers = f.trace.server_count();
+    // The stream opens with the table's subscribe rows; both cuts lie in
+    // the publish/request timeline behind them.
+    let is_row = |ev: &LiveEvent| matches!(ev, LiveEvent::Subscribe { .. });
+    let timeline = f.events.iter().position(|ev| !is_row(ev)).unwrap();
+    let third = (f.events.len() - timeline) / 3;
+    let cuts = [timeline + third, timeline + 2 * third];
+    let published = |events: &[LiveEvent]| -> Vec<PageId> {
+        let pages = events.iter().filter_map(|ev| match ev {
+            LiveEvent::Publish { page, .. } => Some(*page),
+            _ => None,
+        });
+        pages.collect()
+    };
+
+    // The script: per cut, the (server, page) subscriptions that leave and
+    // the ones that join. The first cut's leavers are frozen ones; the
+    // second's are half of the first's joiners, then more frozen ones.
+    let later = [
+        published(&f.events[cuts[0]..]),
+        published(&f.events[cuts[1]..]),
+    ];
+    let frozen_leavers = |pages: &[PageId], skip: usize| -> Vec<(ServerId, PageId)> {
+        let rows = f.subs.iter().filter(|(page, ..)| pages.contains(page));
+        let keys = rows.map(|(page, server, _)| (server, page));
+        keys.skip(skip).step_by(3).take(24).collect()
+    };
+    let joiners = |pages: &[PageId], stride: u16| -> Vec<(ServerId, PageId)> {
+        let at = |k: usize| ServerId::new((k as u16 * stride) % servers);
+        (0..20).map(|k| (at(k), pages[k % pages.len()])).collect()
+    };
+    let first_join = joiners(&later[0], 7);
+    let mut second_leave: Vec<_> = first_join.iter().copied().step_by(2).collect();
+    second_leave.extend(frozen_leavers(&later[1], 1));
+    let script = [
+        (frozen_leavers(&later[0], 0), first_join),
+        (second_leave, joiners(&later[1], 3)),
+    ];
+    assert!(script.iter().all(|(leave, _)| leave.len() >= 24));
+
+    let page_sub = |page: PageId| {
+        Subscription::new(vec![Predicate::eq("page", Value::int(page.index() as i64))])
+    };
+    let content_service = |burst: bool| {
+        let mut core = ServiceCore::new(service_config(kind, false)).unwrap();
+        let matcher = pscd_workload::matcher_from_table(&f.subs, servers);
+        // The live subscriptions of each (server, page), newest last.
+        let mut live: HashMap<(ServerId, PageId), Vec<SubscriptionId>> = HashMap::new();
+        for server in (0..servers).map(ServerId::new) {
+            for (id, sub) in matcher.index(server).unwrap().iter() {
+                let Op::Eq(Value::Int(page)) = sub.predicates()[0].op() else {
+                    panic!("`matcher_from_table` subscribes to pages by id");
+                };
+                let key = (server, PageId::new(*page as u32));
+                live.entry(key).or_default().push(id);
+            }
+        }
+        core.attach_matcher(matcher).unwrap();
+        let mut from = 0;
+        for (&cut, (leave, join)) in cuts.iter().zip(&script) {
+            core.ingest_all(&f.events[from..cut]).unwrap();
+            let ghosts: Vec<_> = (0..if burst { 100 } else { 0 })
+                .map(|k| {
+                    let ghost = Subscription::new(vec![Predicate::eq("page", Value::int(-1 - k))]);
+                    core.subscribe_content(ServerId::new(0), ghost).unwrap()
+                })
+                .collect();
+            for key in leave {
+                let id = live.get_mut(key).and_then(Vec::pop).expect("a live one");
+                core.unsubscribe_content(key.0, id).unwrap();
+            }
+            for &(server, page) in join {
+                let id = core.subscribe_content(server, page_sub(page)).unwrap();
+                live.entry((server, page)).or_default().push(id);
+            }
+            assert_eq!(core.matcher_frozen(), !burst, "only the burst thaws");
+            // The next event resolves through the kernel the calls were
+            // absorbed into, or through one rebuilt from everything.
+            core.ingest_all(&f.events[cut..cut + 1]).unwrap();
+            assert!(core.matcher_frozen());
+            for id in ghosts {
+                core.unsubscribe_content(ServerId::new(0), id).unwrap();
+            }
+            assert!(core.matcher_frozen());
+            from = cut + 1;
+        }
+        core.ingest_all(&f.events[from..]).unwrap();
+        core.shutdown().unwrap()
+    };
+    let absorbed = content_service(false);
+    let rebuilt = content_service(true);
+    let assert_same = |other: &ServiceOutcome, label: &str| {
+        assert_eq!(absorbed.result, other.result, "result vs. {label}");
+        assert_eq!(absorbed.proxies, other.proxies, "cache state vs. {label}");
+    };
+    assert_same(&rebuilt, "full rebuilds");
+
+    // Count-row mode: the same churn as the counts it leaves.
+    let mut counts: HashMap<(ServerId, PageId), u32> = HashMap::new();
+    counts.extend(f.subs.iter().map(|(page, server, n)| ((server, page), n)));
+    let mut core = ServiceCore::new(service_config(kind, false)).unwrap();
+    let mut from = 0;
+    for (&cut, (leave, join)) in cuts.iter().zip(&script) {
+        core.ingest_all(&f.events[from..cut]).unwrap();
+        let steps = leave
+            .iter()
+            .map(|key| (key, -1))
+            .chain(join.iter().map(|key| (key, 1)));
+        for (&(server, page), step) in steps {
+            let count = counts.entry((server, page)).or_default();
+            *count = count.checked_add_signed(step).expect("a live one");
+            let count = *count;
+            core.ingest(LiveEvent::Subscribe {
+                page,
+                server,
+                count,
+            })
+            .unwrap();
+        }
+        from = cut;
+    }
+    core.ingest_all(&f.events[from..]).unwrap();
+    let rows = core.shutdown().unwrap();
+    assert_same(&rows, "count rows");
+    let (unchurned, _) = batch_run(kind, false);
+    assert_ne!(absorbed.result, unchurned, "the churn must matter");
 }
 
 /// A rejected content call changes no subscription, so it must not thaw
