@@ -51,7 +51,10 @@ pub struct DcAdaptive<O: Observer = NullObserver> {
     /// in AC. A reference re-stamps the page, so an AC slot stamped below
     /// the mark has not been referenced since that replacement.
     ac_mark: u64,
-    /// Bounds on the PC fraction (DC-AP: (0, 1); DC-LAP: (0.25, 0.75)).
+    /// The PC fraction the cache starts at and the bounds it may move
+    /// between: DC-FP `(f, f, f)`, DC-AP `(0.5, 0, 1)`, DC-LAP
+    /// `(0.5, 0.25, 0.75)`.
+    start: f64,
     lo: f64,
     hi: f64,
     name: &'static str,
@@ -65,13 +68,31 @@ pub struct DcAdaptive<O: Observer = NullObserver> {
 }
 
 impl DcAdaptive {
+    /// Creates a DC-FP cache: `pc_fraction` of the capacity is the push
+    /// cache's for good (the paper's configuration is 0.5). Both bounds
+    /// sit on the starting split, so no operation may move it.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `beta` is positive and finite and
+    /// `0 < pc_fraction < 1`.
+    pub fn fp(capacity: Bytes, beta: f64, pc_fraction: f64) -> Self {
+        assert!(
+            pc_fraction > 0.0 && pc_fraction < 1.0,
+            "pc_fraction must be in (0, 1)"
+        );
+        let pinned = [pc_fraction; 3];
+        Self::new(capacity, beta, pinned, "DC-FP", 0, ObsHandle::disabled())
+    }
+
     /// Creates a DC-AP cache (unbounded adaptive partition, 50/50 start).
     ///
     /// # Panics
     ///
     /// Panics unless `beta` is positive and finite.
     pub fn ap(capacity: Bytes, beta: f64) -> Self {
-        Self::with_bounds(capacity, beta, 0.0, 1.0, "DC-AP", 0, ObsHandle::disabled())
+        let split = [0.5, 0.0, 1.0];
+        Self::new(capacity, beta, split, "DC-AP", 0, ObsHandle::disabled())
     }
 
     /// Creates a DC-LAP cache with the paper's PC-fraction bounds
@@ -89,9 +110,10 @@ impl DcAdaptive {
     /// # Panics
     ///
     /// Panics unless `beta` is positive and finite and
-    /// `0 <= lo <= 0.5 <= hi <= 1`.
+    /// `0 <= lo <= 0.5 <= hi <= 1` (the cache starts at 50/50).
     pub fn lap_with_bounds(capacity: Bytes, beta: f64, lo: f64, hi: f64) -> Self {
-        Self::with_bounds(capacity, beta, lo, hi, "DC-LAP", 0, ObsHandle::disabled())
+        let split = [0.5, lo, hi];
+        Self::new(capacity, beta, split, "DC-LAP", 0, ObsHandle::disabled())
     }
 }
 
@@ -102,39 +124,41 @@ impl<O: Observer> DcAdaptive<O> {
     /// steady-state operation never allocates (`0` preallocates nothing
     /// and grows on demand).
     pub fn observed<P: Observer>(self, page_count: usize, obs: ObsHandle<P>) -> DcAdaptive<P> {
-        DcAdaptive::with_bounds(
+        let split = [self.start, self.lo, self.hi];
+        DcAdaptive::new(
             self.pc.capacity(),
             self.beta,
-            self.lo,
-            self.hi,
+            split,
             self.name,
             page_count,
             obs,
         )
     }
 
-    fn with_bounds(
+    /// `split` is the PC fraction's `[start, lo, hi]`.
+    fn new(
         capacity: Bytes,
         beta: f64,
-        lo: f64,
-        hi: f64,
+        split: [f64; 3],
         name: &'static str,
         page_count: usize,
         obs: ObsHandle<O>,
     ) -> Self {
+        let [start, lo, hi] = split;
         assert!(beta.is_finite() && beta > 0.0, "beta must be positive");
         assert!(
-            (0.0..=0.5).contains(&lo) && (0.5..=1.0).contains(&hi),
-            "bounds must satisfy 0 <= lo <= 0.5 <= hi <= 1"
+            (0.0..=start).contains(&lo) && (start..=1.0).contains(&hi),
+            "bounds must satisfy 0 <= lo <= start <= hi <= 1"
         );
         Self {
-            pc_alloc: capacity.scaled(0.5),
+            pc_alloc: capacity.scaled(start),
             pc: CacheStore::dense(capacity, page_count),
             ac: CacheStore::dense(capacity, page_count),
             counts: PageTable::new(page_count, 0),
             inflation: 0.0,
             beta,
             ac_mark: 0,
+            start,
             lo,
             hi,
             name,

@@ -6,8 +6,8 @@
 //! and "not referenced since the last replacement in AC"). No heap, no
 //! page index, no stamps. The models implement [`Strategy`](Proxy), so
 //! one operation-for-operation comparison serves every property here —
-//! including DC-LAP pinned at 0.5 against DC-FP, two implementations of
-//! one strategy that share no code above the store.
+//! including the adaptive cache pinned at a fixed split against DC-FP,
+//! two implementations of one strategy that share no code above the store.
 
 use proptest::prelude::*;
 
@@ -233,13 +233,15 @@ struct DcModel {
 }
 
 impl DcModel {
-    fn new(capacity: Bytes, beta: f64, lo: f64, hi: f64) -> Self {
+    /// A cache whose PC share starts at `start` of the capacity and stays
+    /// within `[lo, hi]` of it.
+    fn new(capacity: Bytes, beta: f64, [start, lo, hi]: [f64; 3]) -> Self {
         Self {
             capacity,
             beta,
             lo: capacity.scaled(lo),
             hi: capacity.scaled(hi),
-            pc_alloc: capacity.scaled(0.5),
+            pc_alloc: capacity.scaled(start),
             inflation: 0.0,
             clock: 0,
             operation: 0,
@@ -500,6 +502,20 @@ fn agree(a: &mut dyn Proxy, b: &mut dyn Proxy, op: Op) {
 /// Grown on demand, and preallocated for the universe.
 const UNIVERSES: [usize; 2] = [0, PAGES as usize];
 
+/// The fixed splits of EXPERIMENTS.md's "DC-FP partition ablation".
+const PINNED: [f64; 7] = [0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9];
+
+/// `(start, lo, hi)` of the PC share: DC-AP, DC-LAP, or DC-FP at one of
+/// the pinned splits.
+fn splits() -> impl Strategy<Value = [f64; 3]> {
+    let pinned = PINNED.iter().map(|&f| [f; 3]);
+    let rows: Vec<[f64; 3]> = [[0.5, 0.0, 1.0], [0.5, 0.25, 0.75]]
+        .into_iter()
+        .chain(pinned)
+        .collect();
+    proptest::sample::select(rows)
+}
+
 fn unobserved() -> ObsHandle<NullObserver> {
     ObsHandle::disabled()
 }
@@ -528,18 +544,20 @@ proptest! {
         ops in ops(),
         capacity in 100u64..=400,
         beta in proptest::sample::select(vec![1.0f64, 2.0]),
-        bounds in proptest::sample::select(vec![(0.0f64, 1.0f64), (0.25, 0.75), (0.5, 0.5)]),
+        split in splits(),
     ) {
         let capacity = Bytes::new(capacity);
-        let (lo, hi) = bounds;
+        let [start, lo, hi] = split;
         for universe in UNIVERSES {
-            let built = if bounds == (0.0, 1.0) {
+            let built = if lo == hi {
+                DcAdaptive::fp(capacity, beta, start)
+            } else if (lo, hi) == (0.0, 1.0) {
                 DcAdaptive::ap(capacity, beta)
             } else {
                 DcAdaptive::lap_with_bounds(capacity, beta, lo, hi)
             };
             let mut real = built.observed(universe, unobserved());
-            let mut model = DcModel::new(capacity, beta, lo, hi);
+            let mut model = DcModel::new(capacity, beta, split);
             for &op in &ops {
                 agree(&mut real, &mut model, op);
                 prop_assert_eq!(real.pc_allocation(), model.pc_alloc, "after {:?}", op);
@@ -548,16 +566,17 @@ proptest! {
     }
 
     /// With both bounds at the starting split the partition cannot move,
-    /// and DC-LAP is DC-FP operation for operation.
+    /// and the adaptive cache is DC-FP operation for operation.
     #[test]
     fn dc_lap_pinned_at_half_is_dc_fp(
         ops in ops(),
         capacity in 100u64..=400,
         beta in proptest::sample::select(vec![1.0f64, 2.0]),
+        f in proptest::sample::select(PINNED.to_vec()),
     ) {
         let capacity = Bytes::new(capacity);
-        let mut pinned = DcAdaptive::lap_with_bounds(capacity, beta, 0.5, 0.5);
-        let mut fixed = DcFp::new(capacity, beta);
+        let mut pinned = DcAdaptive::fp(capacity, beta, f);
+        let mut fixed = DcFp::with_fraction(capacity, beta, f);
         for &op in &ops {
             agree(&mut pinned, &mut fixed, op);
         }
