@@ -110,11 +110,7 @@ impl<O: Observer> GreedyDualEngine<O> {
         evicted: &mut Vec<PageId>,
     ) -> AccessOutcome {
         evicted.clear();
-        if self.store.contains(page.page) {
-            let f = self.freq.get(page.page) + 1;
-            self.freq.set(page.page, f);
-            let v = value(f, self.inflation);
-            self.store.update_value(page.page, v);
+        if self.hit(page.page, &mut value) {
             return AccessOutcome::Hit;
         }
         if page.size > self.store.capacity() {
@@ -145,11 +141,7 @@ impl<O: Observer> GreedyDualEngine<O> {
         evicted: &mut Vec<PageId>,
     ) -> AccessOutcome {
         evicted.clear();
-        if self.store.contains(page.page) {
-            let f = self.freq.get(page.page) + 1;
-            self.freq.set(page.page, f);
-            let v = value(f, self.inflation);
-            self.store.update_value(page.page, v);
+        if self.hit(page.page, &mut value) {
             return AccessOutcome::Hit;
         }
         let f = 1;
@@ -197,16 +189,6 @@ impl<O: Observer> GreedyDualEngine<O> {
         page.size <= store.capacity()
             && (store.free() >= page.size
                 || store.free() + store.candidate_size_below(value) >= page.size)
-    }
-
-    /// Removes a page without reporting an eviction, returning its
-    /// `(size, value)` if present. For ownership transfers where the
-    /// bytes live on elsewhere (e.g. a dual-caches PC→AC move) — the
-    /// caller reports the transfer through its own hook instead.
-    pub fn take(&mut self, page: PageId) -> Option<(Bytes, f64)> {
-        let removed = self.store.remove(page)?;
-        self.freq.remove(page);
-        Some((removed.size, removed.value))
     }
 
     /// Removes a page (without touching `L`), returning `true` if present.
@@ -270,6 +252,19 @@ impl<O: Observer> GreedyDualEngine<O> {
         }
         self.inflation = inflation;
         Ok(())
+    }
+
+    /// A reference to a resident page: counts it and re-values the page.
+    /// Returns `false`, touching nothing, if the page is absent.
+    fn hit<W: FnMut(u32, f64) -> f64>(&mut self, page: PageId, value: &mut W) -> bool {
+        if !self.store.contains(page) {
+            return false;
+        }
+        let f = self.freq.get(page) + 1;
+        self.freq.set(page, f);
+        let v = value(f, self.inflation);
+        self.store.update_value(page, v);
+        true
     }
 
     /// Evicts least-valuable pages until `size` fits, raising `L` to the

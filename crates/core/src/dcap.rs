@@ -1,4 +1,4 @@
-//! DC-AP and DC-LAP: dual caches with (limited) adaptive partition (§3.3).
+//! DC-FP, DC-AP and DC-LAP: dual caches with a fixed or moving partition (§3.3).
 
 use std::cell::RefCell;
 use std::cmp::Ordering;
@@ -11,24 +11,22 @@ use pscd_types::{Bytes, PageId};
 
 use crate::{value, PushOutcome, Strategy, StrategyClass};
 
-/// The paper's *Dual-Caches with Adaptive Partition* (DC-AP) and its
-/// bounded variant *DC-LAP*.
-///
-/// Like DC-FP, the storage is split into a Push-Cache (SUB) and an
-/// Access-Cache (GD\*), but the split is a *label* on each page's storage
-/// rather than a wall:
+/// The paper's *Dual-Caches*: a **Push-Cache (PC)** under SUB (eq. 2)
+/// and an **Access-Cache (AC)** under GD\*, the split between them a
+/// *label* on each page's storage. DC-FP, DC-AP and DC-LAP differ only in
+/// where the PC fraction starts and the bounds it may move between:
+/// `(f, f, f)`, `(0.5, 0, 1)` and `(0.5, lo, hi)` (paper: 0.25, 0.75).
 ///
 /// * **Placing** (push): if SUB cannot store a page within the current PC
 ///   allocation, AC pages that have not been referenced *since the last
 ///   replacement in AC* become eviction candidates; the storage of the
 ///   least-valuable such pages is relabeled PC and used for the new page.
 /// * **Locating** (access): when a PC page is requested, its storage is
-///   relabeled AC in place — no move, no spurious AC replacement (the
-///   fix over DC-FP the paper motivates).
+///   relabeled AC in place — no move, no spurious AC replacement.
 ///
-/// DC-LAP additionally bounds the PC fraction of the storage (paper: 25% to
-/// 75%); a re-partition that would violate the bounds is skipped, falling
-/// back to DC-FP behaviour for that operation.
+/// A re-partition that would leave the bounds is skipped: the push is
+/// declined, the requested page *moves* into AC's present allocation
+/// (which may replace pages there). For DC-FP that is every operation.
 ///
 /// Each side is a [`CacheStore`] built over the whole capacity; what a
 /// side may actually use is its *allocation*, which this type tracks
@@ -51,12 +49,10 @@ pub struct DcAdaptive<O: Observer = NullObserver> {
     /// in AC. A reference re-stamps the page, so an AC slot stamped below
     /// the mark has not been referenced since that replacement.
     ac_mark: u64,
-    /// The PC fraction the cache starts at and the bounds it may move
-    /// between: DC-FP `(f, f, f)`, DC-AP `(0.5, 0, 1)`, DC-LAP
-    /// `(0.5, 0.25, 0.75)`.
-    start: f64,
-    lo: f64,
-    hi: f64,
+    /// The PC fraction's `[start, lo, hi]`, and the two bounds in bytes.
+    split: [f64; 3],
+    lo: Bytes,
+    hi: Bytes,
     name: &'static str,
     /// Scratch for the adaptive step (the stale-AC pool and the planned
     /// victims), reused across calls so `plan_relabel` is allocation-free
@@ -68,9 +64,8 @@ pub struct DcAdaptive<O: Observer = NullObserver> {
 }
 
 impl DcAdaptive {
-    /// Creates a DC-FP cache: `pc_fraction` of the capacity is the push
-    /// cache's for good (the paper's configuration is 0.5). Both bounds
-    /// sit on the starting split, so no operation may move it.
+    /// Creates a DC-FP cache: `pc_fraction` of the capacity (paper: 0.5)
+    /// is the push cache's for good — both bounds sit on the start.
     ///
     /// # Panics
     ///
@@ -124,15 +119,8 @@ impl<O: Observer> DcAdaptive<O> {
     /// steady-state operation never allocates (`0` preallocates nothing
     /// and grows on demand).
     pub fn observed<P: Observer>(self, page_count: usize, obs: ObsHandle<P>) -> DcAdaptive<P> {
-        let split = [self.start, self.lo, self.hi];
-        DcAdaptive::new(
-            self.pc.capacity(),
-            self.beta,
-            split,
-            self.name,
-            page_count,
-            obs,
-        )
+        let capacity = self.pc.capacity();
+        DcAdaptive::new(capacity, self.beta, self.split, self.name, page_count, obs)
     }
 
     /// `split` is the PC fraction's `[start, lo, hi]`.
@@ -158,9 +146,9 @@ impl<O: Observer> DcAdaptive<O> {
             inflation: 0.0,
             beta,
             ac_mark: 0,
-            start,
-            lo,
-            hi,
+            split,
+            lo: capacity.scaled(lo),
+            hi: capacity.scaled(hi),
             name,
             // The adaptive-step pools hold at most one item per resident page.
             stale_scratch: RefCell::new(Vec::with_capacity(page_count)),
@@ -177,14 +165,6 @@ impl<O: Observer> DcAdaptive<O> {
     /// Bytes currently allocated to the access cache.
     pub fn ac_allocation(&self) -> Bytes {
         self.pc.capacity() - self.pc_alloc
-    }
-
-    fn lo_bytes(&self) -> Bytes {
-        self.pc.capacity().scaled(self.lo)
-    }
-
-    fn hi_bytes(&self) -> Bytes {
-        self.pc.capacity().scaled(self.hi)
     }
 
     fn free_pc(&self) -> Bytes {
@@ -225,7 +205,7 @@ impl<O: Observer> DcAdaptive<O> {
         let pc_alloc = Bytes::new(r.read_u64()?);
         let inflation = r.read_f64()?;
         let ac_mark = r.read_u64()?;
-        if pc_alloc < self.lo_bytes() || pc_alloc > self.hi_bytes() {
+        if pc_alloc < self.lo || pc_alloc > self.hi {
             return Err(SnapshotError::Corrupt("PC allocation outside its bounds"));
         }
         if inflation.is_nan() {
@@ -275,6 +255,11 @@ impl<O: Observer> DcAdaptive<O> {
     /// The eviction pool `S` is the set of AC pages not referenced since
     /// the last AC replacement, walked in ascending GD\* value.
     fn plan_relabel(&self, needed: Bytes) -> bool {
+        if self.pc_alloc + needed > self.hi {
+            // Every accepted victim keeps the allocation at or under `hi`,
+            // so the pool cannot free this much: skip collecting it.
+            return false;
+        }
         let mut stale = self.stale_scratch.borrow_mut();
         stale.clear();
         stale.extend(
@@ -291,14 +276,13 @@ impl<O: Observer> DcAdaptive<O> {
         });
         let mut victims = self.victims_scratch.borrow_mut();
         victims.clear();
-        let hi = self.hi_bytes();
         let mut alloc = self.pc_alloc;
         let mut freed = Bytes::ZERO;
         for slot in stale.iter() {
             if freed >= needed {
                 break;
             }
-            if alloc + slot.size > hi {
+            if alloc + slot.size > self.hi {
                 // Relabeling this page would violate the PC upper bound
                 // (DC-LAP); skip it — a smaller stale page may still fit.
                 continue;
@@ -424,22 +408,29 @@ impl<O: Observer> Strategy for DcAdaptive<O> {
         if let Some(moved) = self.pc.remove(page.page) {
             // Locating: the storage is relabeled AC in place when the
             // bounds allow, so AC grows by exactly what it takes in;
-            // otherwise the page moves as in DC-FP, which may replace
-            // pages in AC — or drop the page, if AC could never hold it.
+            // otherwise the page moves into AC as allocated, which may
+            // replace pages there.
             let new_pc = self.pc_alloc.saturating_sub(moved.size);
-            if new_pc >= self.lo_bytes() {
+            if new_pc >= self.lo {
                 self.pc_alloc = new_pc;
+            }
+            if moved.size > self.ac_allocation() {
+                // AC could never hold the page: it leaves the cache, and
+                // no storage changes sides.
+                if O::ENABLED {
+                    self.obs
+                        .evict(page.page, moved.size, moved.value, EvictReason::Access);
+                }
+                return AccessOutcome::Hit;
             }
             if O::ENABLED {
                 self.obs
                     .relabel(page.page, moved.size, RelabelDirection::PcToAc);
             }
-            if moved.size <= self.ac_allocation() {
-                self.place_in_ac(page, moved.size, evicted);
-                // The request was a hit: pages the move displaced inside
-                // AC are not reported, as in DC-FP.
-                evicted.clear();
-            }
+            self.place_in_ac(page, moved.size, evicted);
+            // The request was a hit: pages the move displaced inside AC
+            // are not reported.
+            evicted.clear();
             return AccessOutcome::Hit;
         }
         // Miss: classic GD* placement within the AC allocation.
@@ -663,6 +654,127 @@ mod tests {
                 d.pc_allocation()
             );
         }
+    }
+
+    /// DC-FP over 40 bytes at the paper's 50/50 split.
+    fn fp40() -> DcAdaptive {
+        DcAdaptive::fp(Bytes::new(40), 2.0, 0.5)
+    }
+
+    #[test]
+    fn partition_sizes() {
+        let d = DcAdaptive::fp(Bytes::new(100), 2.0, 0.5);
+        assert_eq!(d.pc_allocation(), Bytes::new(50));
+        assert_eq!(d.ac_allocation(), Bytes::new(50));
+        assert_eq!(d.capacity(), Bytes::new(100));
+        assert_eq!(d.name(), "DC-FP");
+        assert_eq!(d.class(), StrategyClass::Combined);
+        assert!(d.is_empty());
+        let d = DcAdaptive::fp(Bytes::new(100), 2.0, 0.25);
+        assert_eq!(d.pc_allocation(), Bytes::new(25));
+        assert_eq!(d.ac_allocation(), Bytes::new(75));
+    }
+
+    #[test]
+    fn pushes_confined_to_pc() {
+        let mut ev = Vec::new();
+        let mut d = fp40();
+        assert!(d.on_push(&page(1, 20, 1.0), 5, &mut ev).is_stored());
+        // PC (20 bytes) is full; equal-value page declined even though AC
+        // is empty: pushes never use AC space.
+        assert_eq!(
+            d.on_push(&page(2, 20, 1.0), 5, &mut ev),
+            PushOutcome::Declined
+        );
+        // More valuable page displaces the first within PC.
+        assert!(d.on_push(&page(3, 20, 1.0), 50, &mut ev).is_stored());
+        assert!(!d.contains(PageId::new(1)));
+        // Nor do they take stale AC storage: two misses fill AC, a third
+        // replaces there, and the survivor predates that replacement.
+        for id in 4..7 {
+            d.on_access(&page(id, 10, 1.0), 0, &mut ev);
+        }
+        assert!(!d.would_store(&page(7, 20, 1.0), 50));
+        assert_eq!(
+            d.on_push(&page(7, 20, 1.0), 50, &mut ev),
+            PushOutcome::Declined
+        );
+        assert_eq!(d.pc_allocation(), Bytes::new(20));
+    }
+
+    #[test]
+    fn pc_hit_moves_page_to_ac() {
+        let mut ev = Vec::new();
+        let mut d = fp40();
+        let p = page(1, 10, 1.0);
+        d.on_push(&p, 5, &mut ev);
+        assert_eq!(d.on_access(&p, 5, &mut ev), AccessOutcome::Hit);
+        // Page now lives in AC: PC has room again for an equal-value push.
+        assert_eq!(d.pc_allocation(), Bytes::new(20));
+        assert!(d.on_push(&page(2, 20, 1.0), 5, &mut ev).is_stored());
+        assert!(d.contains(p.page));
+        assert_eq!(d.len(), 2);
+        // Second access is an AC hit.
+        assert_eq!(d.on_access(&p, 5, &mut ev), AccessOutcome::Hit);
+    }
+
+    #[test]
+    fn re_push_after_promotion_is_noop() {
+        let mut ev = Vec::new();
+        let mut d = fp40();
+        let p = page(1, 10, 1.0);
+        d.on_push(&p, 5, &mut ev);
+        d.on_access(&p, 5, &mut ev); // promoted to AC
+        assert_eq!(d.on_push(&p, 5, &mut ev), PushOutcome::Stored);
+        assert!(ev.is_empty());
+        assert!(d.would_store(&p, 0));
+        assert_eq!(d.len(), 1);
+    }
+
+    #[test]
+    fn misses_use_gdstar_on_ac() {
+        let mut ev = Vec::new();
+        let mut d = fp40();
+        // Fill AC (20 bytes) through misses.
+        assert_eq!(
+            d.on_access(&page(1, 10, 1.0), 0, &mut ev),
+            AccessOutcome::MissAdmitted
+        );
+        assert_eq!(
+            d.on_access(&page(2, 10, 1.0), 0, &mut ev),
+            AccessOutcome::MissAdmitted
+        );
+        // Third miss evicts within AC only.
+        let out = d.on_access(&page(3, 10, 1.0), 0, &mut ev);
+        assert_eq!(out, AccessOutcome::MissAdmitted);
+        assert_eq!(ev.len(), 1);
+        assert_eq!(d.used(), Bytes::new(20));
+    }
+
+    #[test]
+    fn move_can_trigger_ac_replacement() {
+        let mut ev = Vec::new();
+        let mut d = fp40();
+        // Fill AC with two cold pages.
+        d.on_access(&page(1, 10, 1.0), 0, &mut ev);
+        d.on_access(&page(2, 10, 1.0), 0, &mut ev);
+        // Push then access page 3: the PC->AC move must evict from AC.
+        d.on_push(&page(3, 20, 1.0), 9, &mut ev);
+        assert_eq!(
+            d.on_access(&page(3, 20, 1.0), 9, &mut ev),
+            AccessOutcome::Hit
+        );
+        assert!(d.contains(PageId::new(3)));
+        assert_eq!(d.ac_allocation(), Bytes::new(20));
+        assert!(!d.contains(PageId::new(1)) && !d.contains(PageId::new(2)));
+        // The request was a hit: the displaced pages are not reported.
+        assert!(ev.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "pc_fraction")]
+    fn rejects_bad_fraction() {
+        let _ = DcAdaptive::fp(Bytes::new(10), 2.0, 1.0);
     }
 
     /// A 100-byte cache holding a 30-byte PC page and a 40-byte AC page

@@ -8,7 +8,7 @@ use pscd_obs::{NullObserver, ObsHandle, Observer};
 use pscd_types::{Bytes, PageId};
 
 use crate::single::Model;
-use crate::{DcAdaptive, DcFp, DualMethods, PushOutcome, SingleCache, Strategy, StrategyClass};
+use crate::{DcAdaptive, DualMethods, PushOutcome, SingleCache, Strategy, StrategyClass};
 
 /// A buildable description of every strategy in the paper (plus the classic
 /// access-only baselines), used to parameterize experiments.
@@ -78,6 +78,38 @@ pub enum StrategyKind {
 }
 
 impl StrategyKind {
+    /// Checks the parameters, which arrive from scenario files and
+    /// configurations; `build` and its siblings panic on a kind that
+    /// fails this.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first parameter outside its range, as its name and
+    /// the constraint it must satisfy.
+    pub fn check(&self) -> Result<(), (&'static str, &'static str)> {
+        use StrategyKind::*;
+        let beta = match *self {
+            Lru | Gds | LfuDa | Sub | Sr => return Ok(()),
+            GdStar { beta } | Sg1 { beta } | Sg2 { beta } | Dm { beta } | DcAp { beta } => beta,
+            DcFp { beta, pc_fraction } => {
+                if !(pc_fraction > 0.0 && pc_fraction < 1.0) {
+                    return Err(("pc_fraction", "in (0, 1)"));
+                }
+                beta
+            }
+            DcLap { beta, lo, hi } => {
+                if !((0.0..=0.5).contains(&lo) && (0.5..=1.0).contains(&hi)) {
+                    return Err(("lo and hi", "0 <= lo <= 0.5 <= hi <= 1"));
+                }
+                beta
+            }
+        };
+        if !(beta.is_finite() && beta > 0.0) {
+            return Err(("beta", "> 0 and finite"));
+        }
+        Ok(())
+    }
+
     /// The paper's display name of this strategy.
     pub fn name(&self) -> &'static str {
         match self {
@@ -138,8 +170,8 @@ impl StrategyKind {
                 return StrategyImpl::Dm(DualMethods::new(capacity, beta).observed(page_count, obs))
             }
             StrategyKind::DcFp { beta, pc_fraction } => {
-                return StrategyImpl::DcFp(
-                    DcFp::with_fraction(capacity, beta, pc_fraction).observed(page_count, obs),
+                return StrategyImpl::Dc(
+                    DcAdaptive::fp(capacity, beta, pc_fraction).observed(page_count, obs),
                 )
             }
             StrategyKind::DcAp { beta } => {
@@ -196,7 +228,8 @@ impl StrategyKind {
 }
 
 /// A concrete, enum-dispatched strategy: one variant per strategy type —
-/// the eight one-cache strategies are one type — plus a
+/// the eight one-cache strategies are one type, the three dual-cache
+/// ones another — plus a
 /// [`Box<dyn Strategy>`] extension point for externally-defined
 /// strategies (nothing in this crate constructs it).
 ///
@@ -211,9 +244,7 @@ pub enum StrategyImpl<O: Observer = NullObserver> {
     Single(SingleCache<O>),
     /// Dual-Methods.
     Dm(DualMethods<O>),
-    /// Dual-Caches, fixed partition.
-    DcFp(DcFp<O>),
-    /// DC-AP / DC-LAP.
+    /// DC-FP / DC-AP / DC-LAP.
     Dc(DcAdaptive<O>),
     /// Escape hatch: dynamic dispatch over an arbitrary strategy.
     Dyn(Box<dyn Strategy>),
@@ -221,13 +252,12 @@ pub enum StrategyImpl<O: Observer = NullObserver> {
 
 impl<O: Observer> StrategyImpl<O> {
     /// The wire tag identifying this strategy's snapshot layout: 0–5 are
-    /// the one-cache models' (an LRU blob is refused by a GDS cache). 6
-    /// and 8 were DM's and DC-AP/DC-LAP's entry-list layouts and stay
-    /// retired, so a blob written in them is refused instead of misread.
+    /// the one-cache models' (an LRU blob is refused by a GDS cache). 6,
+    /// 7 and 8 were DM's, DC-FP's and DC-AP/DC-LAP's earlier layouts and
+    /// stay retired, so a blob written in them is refused, not misread.
     fn snapshot_tag(&self) -> Result<u8, SnapshotError> {
         Ok(match self {
             StrategyImpl::Single(s) => s.snapshot_tag(),
-            StrategyImpl::DcFp(_) => 7,
             StrategyImpl::Dm(_) => 9,
             StrategyImpl::Dc(_) => 10,
             StrategyImpl::Dyn(_) => {
@@ -250,7 +280,6 @@ impl<O: Observer> StrategyImpl<O> {
         match self {
             StrategyImpl::Single(s) => s.encode_state(out),
             StrategyImpl::Dm(s) => s.encode_state(out),
-            StrategyImpl::DcFp(s) => s.encode_state(out),
             StrategyImpl::Dc(s) => s.encode_state(out),
             StrategyImpl::Dyn(_) => unreachable!("snapshot_tag rejects Dyn"),
         }
@@ -270,7 +299,6 @@ impl<O: Observer> StrategyImpl<O> {
         match self {
             StrategyImpl::Single(s) => s.decode_state(r),
             StrategyImpl::Dm(s) => s.decode_state(r),
-            StrategyImpl::DcFp(s) => s.decode_state(r),
             StrategyImpl::Dc(s) => s.decode_state(r),
             StrategyImpl::Dyn(_) => unreachable!("snapshot_tag rejects Dyn"),
         }
@@ -288,7 +316,6 @@ impl<O: Observer> StrategyImpl<O> {
         match self {
             StrategyImpl::Single(s) => s.residents().for_each(resident),
             StrategyImpl::Dm(s) => s.residents().for_each(resident),
-            StrategyImpl::DcFp(s) => s.residents().for_each(resident),
             StrategyImpl::Dc(s) => s.residents().for_each(resident),
             StrategyImpl::Dyn(_) => {
                 return Err(SnapshotError::Unsupported(
@@ -311,7 +338,6 @@ macro_rules! dispatch {
         match $self {
             StrategyImpl::Single($s) => $body,
             StrategyImpl::Dm($s) => $body,
-            StrategyImpl::DcFp($s) => $body,
             StrategyImpl::Dc($s) => $body,
             StrategyImpl::Dyn($s) => $body,
         }
@@ -460,6 +486,105 @@ mod tests {
         }
     }
 
+    /// Regression: a requested PC page larger than AC's allocation left
+    /// the cache with a `relabel` and no `evict`, so admissions minus
+    /// evictions stopped equalling the resident count.
+    #[test]
+    fn a_pc_page_too_large_for_ac_is_reported_evicted() {
+        use pscd_obs::{SharedObserver, StatsObserver};
+        use pscd_types::ServerId;
+
+        let p = |id, size| PageRef::new(PageId::new(id), Bytes::new(size), 1.0);
+        let lopsided = StrategyKind::DcFp {
+            beta: 2.0,
+            pc_fraction: 0.75,
+        };
+        // (kind, requests that miss first, the page pushed then requested).
+        // DC-LAP gets there by growing PC: the fourth miss replaces in AC,
+        // so the 55-byte push may take stale page 1's 20 bytes (PC 70 of
+        // 100), and AC's 30 cannot take the page back.
+        let cases = [
+            (lopsided, &[][..], p(0, 60)),
+            (
+                StrategyKind::dc_lap(1.0),
+                &[p(1, 20), p(1, 20), p(2, 20), p(3, 10), p(4, 10)][..],
+                p(5, 55),
+            ),
+        ];
+        for (kind, misses, big) in cases {
+            let mut ev = Vec::new();
+            let shared = SharedObserver::new(StatsObserver::new());
+            let mut s = kind.build_observed(Bytes::new(100), shared.handle(ServerId::new(0)));
+            for page in misses {
+                s.on_access(page, 0, &mut ev);
+            }
+            assert!(s.on_push(&big, 9, &mut ev).is_stored());
+            let (residents, taken) = (s.len() as u64, ev.len() as u64);
+            assert_eq!(s.on_access(&big, 9, &mut ev), AccessOutcome::Hit);
+            assert!(ev.is_empty());
+            assert!(!s.contains(big.page), "{}", kind.name());
+            assert_eq!(s.len() as u64, residents - 1, "{}", kind.name());
+            drop(s);
+            let stats = shared.try_unwrap().unwrap();
+            let r = stats.registry();
+            let sum = |prefix| r.counters_with_prefix(prefix).map(|(_, n)| n).sum::<u64>();
+            assert_eq!(
+                sum("admit.") - sum("evict."),
+                residents - 1,
+                "{}",
+                kind.name()
+            );
+            assert_eq!(r.counter("admit.push"), 1, "{}", kind.name());
+            // No storage changed sides with the page.
+            assert_eq!(r.counter("relabel.pc_to_ac"), 0, "{}", kind.name());
+            assert_eq!(r.counter("relabel.ac_to_pc"), taken, "{}", kind.name());
+        }
+    }
+
+    #[test]
+    fn check_names_the_parameter_out_of_range() {
+        for kind in all_kinds() {
+            assert_eq!(kind.check(), Ok(()), "{}", kind.name());
+        }
+        let fp = |pc_fraction| StrategyKind::DcFp {
+            beta: 2.0,
+            pc_fraction,
+        };
+        let lap = |lo, hi| StrategyKind::DcLap { beta: 2.0, lo, hi };
+        for (kind, parameter) in [
+            (fp(0.0), "pc_fraction"),
+            (fp(1.0), "pc_fraction"),
+            (fp(1.5), "pc_fraction"),
+            (fp(f64::NAN), "pc_fraction"),
+            (lap(0.8, 0.9), "lo and hi"),
+            (lap(0.1, 0.4), "lo and hi"),
+            (lap(-0.1, 0.75), "lo and hi"),
+            (lap(0.25, 1.5), "lo and hi"),
+            (lap(f64::NAN, 0.75), "lo and hi"),
+            (StrategyKind::GdStar { beta: f64::NAN }, "beta"),
+            (StrategyKind::Sg1 { beta: 0.0 }, "beta"),
+            (StrategyKind::Sg2 { beta: -1.0 }, "beta"),
+            (
+                StrategyKind::Dm {
+                    beta: f64::INFINITY,
+                },
+                "beta",
+            ),
+            (StrategyKind::DcAp { beta: 0.0 }, "beta"),
+            (StrategyKind::dc_fp(0.0), "beta"),
+            (StrategyKind::dc_lap(f64::NAN), "beta"),
+        ] {
+            let (named, _constraint) = kind.check().expect_err(kind.name());
+            assert_eq!(named, parameter, "{kind:?}");
+            // The constructors' own guard agrees.
+            let built = std::panic::catch_unwind(|| kind.build(Bytes::new(100)));
+            assert!(built.is_err(), "{kind:?} built");
+        }
+        // The bounds may touch the start and the ends.
+        assert_eq!(lap(0.5, 0.5).check(), Ok(()));
+        assert_eq!(lap(0.0, 1.0).check(), Ok(()));
+    }
+
     #[test]
     fn snapshots_round_trip_for_every_kind() {
         for kind in all_kinds() {
@@ -538,13 +663,17 @@ mod tests {
         // What a build before the one-store layouts wrote for an empty
         // cache: DM under tag 6 (inflation, stamp counter, no entries),
         // DC-AP/DC-LAP under tag 8 (partition point, inflation, tick,
-        // replacement tick, stamp counter, no entries).
+        // replacement tick, stamp counter, no entries); and what DC-FP
+        // wrote while it was two engines, under tag 7 (inflation, stamp
+        // counter, no slots — twice).
         let old_dm = [&[6u8][..], &[0; 8 + 8 + 4]].concat();
         let old_dc = [&[8u8][..], &50u64.to_le_bytes(), &[0; 8 * 4 + 4]].concat();
+        let old_fp = [&[7u8][..], &[0; 2 * (8 + 8 + 4)]].concat();
         for (kind, blob) in [
             (StrategyKind::Dm { beta: 2.0 }, &old_dm),
             (StrategyKind::DcAp { beta: 2.0 }, &old_dc),
             (StrategyKind::dc_lap(2.0), &old_dc),
+            (StrategyKind::dc_fp(2.0), &old_fp),
         ] {
             let err = fresh(kind, 8).decode_snapshot(&mut SnapshotReader::new(blob));
             assert_eq!(

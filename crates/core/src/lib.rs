@@ -19,9 +19,10 @@
 //! The eight strategies that run one cache under one evaluation function
 //! — the first two rows and SG1/SG2/SR — are one type, [`SingleCache`],
 //! over a value model: its cell of the table as data. The dual strategies
-//! are [`DualMethods`], [`DcFp`] and [`DcAdaptive`] (DC-AP, DC-LAP). The
-//! paper's five value equations are written once, in one private module
-//! that all four types call.
+//! are [`DualMethods`] and [`DcAdaptive`] — DC-FP, DC-AP and DC-LAP are
+//! one dual cache whose partition starts at a split and may move between
+//! two bounds. The paper's five value equations are written once, in one
+//! private module that all three types call.
 //!
 //! [`StrategyKind`] is the config-friendly factory used by the simulator
 //! and benchmarks.
@@ -49,7 +50,6 @@
 #![warn(missing_debug_implementations)]
 
 mod dcap;
-mod dcfp;
 mod dm;
 mod kind;
 mod single;
@@ -57,7 +57,6 @@ mod strategy;
 mod value;
 
 pub use dcap::DcAdaptive;
-pub use dcfp::DcFp;
 pub use dm::DualMethods;
 pub use kind::{StrategyImpl, StrategyKind};
 pub use single::SingleCache;

@@ -5,14 +5,13 @@
 //! sum, and the paper's own wording of staleness (an operation counter
 //! and "not referenced since the last replacement in AC"). No heap, no
 //! page index, no stamps. The models implement [`Strategy`](Proxy), so
-//! one operation-for-operation comparison serves every property here —
-//! including the adaptive cache pinned at a fixed split against DC-FP,
-//! two implementations of one strategy that share no code above the store.
+//! one operation-for-operation comparison serves every property here.
+//! DC-FP is the dual cache whose bounds meet at its starting split.
 
 use proptest::prelude::*;
 
 use pscd_cache::{AccessOutcome, PageRef};
-use pscd_core::{DcAdaptive, DcFp, DualMethods, PushOutcome, Strategy as Proxy, StrategyClass};
+use pscd_core::{DcAdaptive, DualMethods, PushOutcome, Strategy as Proxy, StrategyClass};
 use pscd_obs::{NullObserver, ObsHandle};
 use pscd_types::{Bytes, PageId};
 
@@ -506,14 +505,13 @@ const UNIVERSES: [usize; 2] = [0, PAGES as usize];
 const PINNED: [f64; 7] = [0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9];
 
 /// `(start, lo, hi)` of the PC share: DC-AP, DC-LAP, or DC-FP at one of
-/// the pinned splits.
+/// the pinned splits, a third of the cases each.
 fn splits() -> impl Strategy<Value = [f64; 3]> {
-    let pinned = PINNED.iter().map(|&f| [f; 3]);
-    let rows: Vec<[f64; 3]> = [[0.5, 0.0, 1.0], [0.5, 0.25, 0.75]]
-        .into_iter()
-        .chain(pinned)
-        .collect();
-    proptest::sample::select(rows)
+    prop_oneof![
+        Just([0.5, 0.0, 1.0]),
+        Just([0.5, 0.25, 0.75]),
+        proptest::sample::select(PINNED.to_vec()).prop_map(|f| [f; 3]),
+    ]
 }
 
 fn unobserved() -> ObsHandle<NullObserver> {
@@ -562,23 +560,6 @@ proptest! {
                 agree(&mut real, &mut model, op);
                 prop_assert_eq!(real.pc_allocation(), model.pc_alloc, "after {:?}", op);
             }
-        }
-    }
-
-    /// With both bounds at the starting split the partition cannot move,
-    /// and the adaptive cache is DC-FP operation for operation.
-    #[test]
-    fn dc_lap_pinned_at_half_is_dc_fp(
-        ops in ops(),
-        capacity in 100u64..=400,
-        beta in proptest::sample::select(vec![1.0f64, 2.0]),
-        f in proptest::sample::select(PINNED.to_vec()),
-    ) {
-        let capacity = Bytes::new(capacity);
-        let mut pinned = DcAdaptive::fp(capacity, beta, f);
-        let mut fixed = DcFp::with_fraction(capacity, beta, f);
-        for &op in &ops {
-            agree(&mut pinned, &mut fixed, op);
         }
     }
 }

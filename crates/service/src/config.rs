@@ -148,7 +148,9 @@ impl ServiceConfig {
                 constraint: ">= 1",
             });
         }
-        Ok(())
+        self.strategy
+            .check()
+            .map_err(|(what, constraint)| ServiceError::Config { what, constraint })
     }
 }
 
@@ -296,6 +298,41 @@ mod tests {
         let mut c = base();
         c.hours = 0;
         assert!(c.validate().is_err());
+    }
+
+    /// Regression: these panicked in a strategy constructor — with
+    /// `workers > 1` on a worker thread, whose join swallowed it.
+    #[test]
+    fn invalid_strategy_parameters_are_a_config_error() {
+        let bad = [
+            (
+                StrategyKind::DcFp {
+                    beta: 2.0,
+                    pc_fraction: 1.5,
+                },
+                "pc_fraction",
+            ),
+            (
+                StrategyKind::DcLap {
+                    beta: 2.0,
+                    lo: 0.8,
+                    hi: 0.9,
+                },
+                "lo and hi",
+            ),
+            (StrategyKind::GdStar { beta: f64::NAN }, "beta"),
+        ];
+        for (strategy, parameter) in bad {
+            for workers in [1, 2] {
+                let mut c = base().with_workers(workers);
+                c.strategy = strategy;
+                let err = crate::ServiceCore::new(c).err();
+                assert!(
+                    matches!(err, Some(ServiceError::Config { what, .. }) if what == parameter),
+                    "{workers} workers, {strategy:?}: {err:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -297,6 +297,10 @@ fn check_options(options: &SimOptions) -> Result<(), SimError> {
             constraint: "> 0",
         });
     }
+    options
+        .strategy
+        .check()
+        .map_err(|(option, constraint)| SimError::InvalidOption { option, constraint })?;
     if let Some(plan) = options.crash {
         if !(0.0..=1.0).contains(&plan.fraction) {
             return Err(SimError::InvalidOption {
@@ -973,6 +977,59 @@ mod tests {
             ),
             Err(SimError::InvalidOption { .. })
         ));
+    }
+
+    /// Regression: these reached a constructor `assert!` and panicked —
+    /// on a shard worker when `threads > 1`.
+    #[test]
+    fn invalid_strategy_parameters_are_a_typed_error_at_every_entry_point() {
+        use crate::{simulate_streamed, simulate_streamed_prefetched};
+        use crate::{PrefetchOptions, StreamingTrace};
+
+        let config = WorkloadConfig::news_scaled(0.004);
+        let w = Workload::generate(&config).unwrap();
+        let subs = w.subscriptions(1.0).unwrap();
+        let costs = FetchCosts::uniform(w.server_count());
+        let trace = CompiledTrace::compile(&w, &subs).unwrap();
+        let stream = StreamingTrace::new(&config, 1.0, SimTime::from_hours(9), 1).unwrap();
+        let bad = [
+            (
+                StrategyKind::DcFp {
+                    beta: 2.0,
+                    pc_fraction: 1.5,
+                },
+                "pc_fraction",
+            ),
+            (
+                StrategyKind::DcLap {
+                    beta: 2.0,
+                    lo: 0.8,
+                    hi: 0.9,
+                },
+                "lo and hi",
+            ),
+            (StrategyKind::GdStar { beta: f64::NAN }, "beta"),
+        ];
+        for (kind, parameter) in bad {
+            for threads in [1, 2] {
+                let opt = SimOptions::at_capacity(kind, 0.05).with_threads(threads);
+                let prefetch = PrefetchOptions::default();
+                for (entry, result) in [
+                    ("simulate", simulate(&w, &subs, &costs, &opt)),
+                    ("compiled", simulate_compiled(&trace, &costs, &opt)),
+                    ("streamed", simulate_streamed(&stream, &costs, &opt)),
+                    (
+                        "prefetched",
+                        simulate_streamed_prefetched(&stream, &costs, &opt, &prefetch),
+                    ),
+                ] {
+                    assert!(
+                        matches!(result, Err(SimError::InvalidOption { option, .. }) if option == parameter),
+                        "{entry}, {threads} threads, {kind:?}: {result:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

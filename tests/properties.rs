@@ -3,7 +3,8 @@
 use proptest::prelude::*;
 
 use pscd::cache::CacheStore;
-use pscd::{Bytes, PageId, PageRef, StrategyKind};
+use pscd::{Bytes, PageId, PageRef, ServerId, StrategyKind};
+use pscd_obs::{SharedObserver, StatsObserver};
 
 /// A scripted cache operation.
 #[derive(Debug, Clone)]
@@ -14,9 +15,13 @@ enum Op {
 }
 
 fn op_strategy(pages: u32) -> impl proptest::strategy::Strategy<Value = Op> {
+    ops_with_subs(pages, 20)
+}
+
+fn ops_with_subs(pages: u32, subs: u32) -> impl proptest::strategy::Strategy<Value = Op> {
     prop_oneof![
-        4 => (0..pages, 0u32..20).prop_map(|(page, subs)| Op::Push { page, subs }),
-        4 => (0..pages, 0u32..20).prop_map(|(page, subs)| Op::Access { page, subs }),
+        4 => (0..pages, 0..subs).prop_map(|(page, subs)| Op::Push { page, subs }),
+        4 => (0..pages, 0..subs).prop_map(|(page, subs)| Op::Access { page, subs }),
         1 => (0..pages).prop_map(|page| Op::Invalidate { page }),
     ]
 }
@@ -27,6 +32,70 @@ fn page_ref(page: u32) -> PageRef {
     let size = 16 + (page as u64 * 37) % 240;
     let cost = 1.0 + (page % 5) as f64;
     PageRef::new(PageId::new(page), Bytes::new(size), cost)
+}
+
+/// Four sizes, two costs and (with few subscription counts) a handful of
+/// values: exact ties are the common case.
+fn tied_page_ref(page: u32) -> PageRef {
+    let size = 10 * (1 + page as u64 % 4);
+    let cost = (1 + (page / 4) % 2) as f64;
+    PageRef::new(PageId::new(page), Bytes::new(size), cost)
+}
+
+/// Replays `ops` on every kind, checking after each operation that the
+/// cache holds no more than its capacity and that the observer's ledger
+/// balances: every resident was admitted and not yet evicted.
+fn check_accounting(ops: &[Op], capacity: u64, page_ref: fn(u32) -> PageRef) {
+    // A push cache larger than the access cache holds pages the access
+    // cache cannot take.
+    let lopsided = StrategyKind::DcFp {
+        beta: 2.0,
+        pc_fraction: 0.75,
+    };
+    for kind in all_kinds().into_iter().chain([lopsided]) {
+        let shared = SharedObserver::new(StatsObserver::new());
+        let mut s = kind.build_observed(Bytes::new(capacity), shared.handle(ServerId::new(0)));
+        let mut ev = Vec::new();
+        for op in ops {
+            match *op {
+                Op::Push { page, subs } => {
+                    let _ = s.on_push(&page_ref(page), subs, &mut ev);
+                }
+                Op::Access { page, subs } => {
+                    let _ = s.on_access(&page_ref(page), subs, &mut ev);
+                }
+                Op::Invalidate { page } => {
+                    let was = s.contains(PageId::new(page));
+                    let dropped = s.invalidate(PageId::new(page));
+                    assert_eq!(was, dropped, "{}", s.name());
+                    assert!(!s.contains(PageId::new(page)), "{}", s.name());
+                }
+            }
+            assert!(
+                s.used() <= s.capacity(),
+                "{}: used {} > capacity {}",
+                s.name(),
+                s.used(),
+                s.capacity()
+            );
+            let (admits, evicts) = shared.with(|stats| {
+                let sum = |prefix| -> u64 {
+                    let counters = stats.registry().counters_with_prefix(prefix);
+                    counters.map(|(_, n)| n).sum()
+                };
+                (sum("admit."), sum("evict."))
+            });
+            assert_eq!(
+                admits - evicts,
+                s.len() as u64,
+                "{}: {} admits, {} evicts after {:?}",
+                s.name(),
+                admits,
+                evicts,
+                op
+            );
+        }
+    }
 }
 
 fn all_kinds() -> Vec<StrategyKind> {
@@ -56,31 +125,17 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(40), 1..400),
         capacity in 64u64..2048,
     ) {
-        for kind in all_kinds() {
-            let mut s = kind.build(Bytes::new(capacity));
-            let mut ev = Vec::new();
-            for op in &ops {
-                match *op {
-                    Op::Push { page, subs } => {
-                        let _ = s.on_push(&page_ref(page), subs, &mut ev);
-                    }
-                    Op::Access { page, subs } => {
-                        let _ = s.on_access(&page_ref(page), subs, &mut ev);
-                    }
-                    Op::Invalidate { page } => {
-                        let was = s.contains(PageId::new(page));
-                        let dropped = s.invalidate(PageId::new(page));
-                        prop_assert_eq!(was, dropped, "{}", s.name());
-                        prop_assert!(!s.contains(PageId::new(page)), "{}", s.name());
-                    }
-                }
-                prop_assert!(
-                    s.used() <= s.capacity(),
-                    "{}: used {} > capacity {}",
-                    s.name(), s.used(), s.capacity()
-                );
-            }
-        }
+        check_accounting(&ops, capacity, page_ref);
+    }
+
+    /// The same on small caches where values tie: admissions minus
+    /// evictions is the resident count for every strategy.
+    #[test]
+    fn admissions_minus_evictions_is_the_resident_count(
+        ops in proptest::collection::vec(ops_with_subs(32, 4), 1..400),
+        capacity in 100u64..=400,
+    ) {
+        check_accounting(&ops, capacity, tied_page_ref);
     }
 
     /// `would_store` is a faithful predictor of `on_push` for every
