@@ -513,6 +513,61 @@ fn temp_service_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
+/// 64-bit FNV-1a, with the constants `pscd_workload::scenario` uses.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The persisted formats, byte for byte: the fixture stream (invalidation
+/// on) through a journaled service that is told to snapshot three times.
+/// One digest per strategy over the three `snapshot.bin` files, the final
+/// `journal.bin` and the shutdown blobs in server order — captured at
+/// PR 22 and to be left alone by any change that claims the formats did
+/// not move.
+#[test]
+fn persisted_bytes_are_pinned() {
+    const PINNED: [u64; 12] = [
+        0xfade_4648_6b41_ee5b,
+        0x0f76_5ab2_68d0_c618,
+        0xf207_59b5_8552_cd8e,
+        0x3ca8_ee2e_10d1_9da2,
+        0xd629_39a4_a218_d8c5,
+        0x042f_3ce7_abdd_74b0,
+        0xfca2_1810_364c_a83b,
+        0x0c38_1b3b_41d5_4d43,
+        0x0eef_640c_0a6f_ddae,
+        0x922e_30ea_de91_7785,
+        0x97ef_6842_0e8e_4d73,
+        0x6b0a_dd68_a7ba_5eda,
+    ];
+    let f = fixture();
+    let quarter = f.events.len() / 4;
+    let digests = all_strategies().map(|kind| {
+        let dir = temp_service_dir(&format!("pinned-{}", kind.name()));
+        let mut core =
+            ServiceCore::new(service_config(kind, true).with_persistence(dir.clone(), 0)).unwrap();
+        let mut digest = 0xcbf2_9ce4_8422_2325;
+        for stretch in f.events.chunks(quarter).take(3) {
+            for chunk in stretch.chunks(256) {
+                core.ingest_all(chunk).unwrap();
+            }
+            core.snapshot_now().unwrap();
+            digest = fnv1a(digest, &std::fs::read(dir.join("snapshot.bin")).unwrap());
+        }
+        core.ingest_all(&f.events[3 * quarter..]).unwrap();
+        let outcome = core.shutdown().unwrap();
+        digest = fnv1a(digest, &std::fs::read(dir.join("journal.bin")).unwrap());
+        for blob in &outcome.proxies {
+            digest = fnv1a(digest, blob);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+        digest
+    });
+    assert_eq!(digests, PINNED, "persisted bytes moved: {digests:#018x?}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
