@@ -101,17 +101,6 @@ impl<T: Copy + PartialEq> PageTable<T> {
             }
         }
     }
-
-    /// All present entries in ascending page order — the canonical dump
-    /// snapshot encoders write.
-    pub fn entries(&self) -> Vec<(PageId, T)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| **v != self.absent)
-            .map(|(i, &v)| (PageId::new(i as u32), v))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -130,9 +119,8 @@ mod tests {
             assert_eq!(t.find(PageId::new(3)), Some(8));
             assert_eq!(t.get(PageId::new(100)), 0, "out-of-range reads miss");
             assert_eq!(t.remove(PageId::new(100)), None);
-            assert_eq!(t.entries(), [(PageId::new(3), 8)]);
             t.clear();
-            assert!(t.entries().is_empty());
+            assert_eq!(t.find(PageId::new(3)), None);
         }
     }
 

@@ -789,9 +789,15 @@ mod tests {
                 _ => bad.truncate(start),
             }
             let mut victim = fresh(kind, 32);
-            let decoded = victim.decode_snapshot(&mut SnapshotReader::new(&bad));
+            let mut r = SnapshotReader::new(&bad);
+            let decoded = victim.decode_snapshot(&mut r);
             if decoded.is_ok() {
                 prop_assert!(victim.len() <= 32, "{}: {} residents", kind.name(), victim.len());
+                // The encoding is canonical: what decodes is what the
+                // restored strategy would write.
+                let mut again = Vec::new();
+                victim.encode_snapshot(&mut again).unwrap();
+                prop_assert!(again == bad[..r.position()], "{}: re-encoded differently", kind.name());
                 // What decoded must also be usable: keep going on it.
                 let mut rng = xorshift(0x9e37_79b9 ^ start as u64);
                 for step in 0..64 {

@@ -134,6 +134,10 @@ pub struct SingleCache<O: Observer = NullObserver> {
     /// Requests per page since the start, for the models that count them
     /// (see [`Model::counts_every_request`]); never written otherwise.
     accesses: PageTable<u32>,
+    /// One bit per page ordinal, set exactly where `accesses` holds a
+    /// count: a snapshot and a restore walk these words and so touch only
+    /// the pages this proxy was ever asked for.
+    counted: Vec<u64>,
     model: Model,
 }
 
@@ -160,6 +164,7 @@ impl<O: Observer> SingleCache<O> {
         Self {
             engine: GreedyDualEngine::with_observer(capacity, page_count, obs),
             accesses: PageTable::new(counted, 0),
+            counted: vec![0; counted.div_ceil(64)],
             model,
         }
     }
@@ -191,13 +196,26 @@ impl<O: Observer> SingleCache<O> {
     pub(crate) fn encode_state(&self, out: &mut Vec<u8>) {
         self.engine.encode_state(out);
         if self.model.counts_every_request() {
-            let counts = self.accesses.entries();
-            put_u32(out, counts.len() as u32);
-            for (page, a) in counts {
+            let rows: u32 = self.counted.iter().map(|word| word.count_ones()).sum();
+            put_u32(out, rows);
+            // Words in order, bits from the lowest: ascending page order.
+            for page in self.counted_pages() {
                 put_u32(out, page.index());
-                put_u32(out, a);
+                put_u32(out, self.accesses.get(page));
             }
         }
+    }
+
+    /// The pages with a request count, ascending.
+    fn counted_pages(&self) -> impl Iterator<Item = PageId> + '_ {
+        self.counted.iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                let bit = (rest != 0).then(|| rest.trailing_zeros())?;
+                rest &= rest - 1;
+                Some(PageId::new(w as u32 * 64 + bit))
+            })
+        })
     }
 
     /// The cached pages, in arbitrary order — what an owner that tracks
@@ -217,14 +235,46 @@ impl<O: Observer> SingleCache<O> {
             if n > r.remaining() / 8 {
                 return Err(SnapshotError::Corrupt("access-count table overruns buffer"));
             }
-            self.accesses.clear();
+            let Self {
+                accesses, counted, ..
+            } = self;
+            for (w, word) in counted.iter_mut().enumerate() {
+                while *word != 0 {
+                    accesses.remove(PageId::new(w as u32 * 64 + word.trailing_zeros()));
+                    *word &= *word - 1;
+                }
+            }
+            // The encoder writes each counted page once (`try_insert`
+            // refuses a second time), in ascending order, and never a
+            // zero: anything else is not its output.
+            let mut last = 0;
             for _ in 0..n {
                 let page = PageId::new(r.read_u32()?);
                 let a = r.read_count()?;
-                self.accesses.try_insert(page, a)?;
+                if a == 0 || page.index() < last {
+                    return Err(SnapshotError::Corrupt(
+                        "access-count table is not canonical",
+                    ));
+                }
+                last = page.index();
+                accesses.try_insert(page, a)?;
+                counted[page.as_usize() / 64] |= 1 << (page.index() % 64);
             }
         }
         Ok(())
+    }
+
+    /// Counts one more request for `page` and returns the new total.
+    fn count_request(&mut self, page: PageId) -> u32 {
+        let a = self.accesses.get(page) + 1;
+        self.accesses.set(page, a);
+        let word = page.as_usize() / 64;
+        if word >= self.counted.len() {
+            // Only a cache built without a universe grows, as its table does.
+            self.counted.resize(word + 1, 0);
+        }
+        self.counted[word] |= 1 << (page.index() % 64);
+        a
     }
 
     /// What a page pushed now would be worth: no reference yet, and the
@@ -281,8 +331,7 @@ impl<O: Observer> Strategy for SingleCache<O> {
                 }
             }
             StrategyClass::Combined => {
-                let a = self.accesses.get(page.page) + 1;
-                self.accesses.set(page.page, a);
+                let a = self.count_request(page.page);
                 self.engine
                     .access_gated(page, |_, l| model.value(page, subs, a, l), evicted)
             }
@@ -683,7 +732,7 @@ mod tests {
             s.on_push(&page(1, 10, 1.0), 4, &mut ev);
             s.on_access(&page(1, 10, 1.0), 4, &mut ev);
             s.on_access(&page(2, 10, 1.0), 4, &mut ev);
-            assert!(s.accesses.entries().is_empty(), "{}", s.name());
+            assert!(s.counted.is_empty(), "{}", s.name());
             let (mut blob, mut engine) = (Vec::new(), Vec::new());
             s.encode_state(&mut blob);
             s.engine.encode_state(&mut engine);
@@ -720,6 +769,94 @@ mod tests {
         blob[at..].copy_from_slice(&u32::MAX.to_le_bytes());
         let err = decode(&blob);
         assert!(matches!(err, Err(SnapshotError::Corrupt(_))), "{err:?}");
+    }
+
+    /// A counting cache over `pages` ordinals (0: grown on write).
+    fn counting(model: Model, pages: usize) -> SingleCache {
+        SingleCache::new(model, Bytes::new(100), pages, ObsHandle::disabled())
+    }
+
+    /// An SR blob: an empty engine, then the given request-count rows.
+    fn blob_with_rows(rows: &[(u32, u32)]) -> Vec<u8> {
+        let mut blob = Vec::new();
+        counting(Model::Sr, 8).encode_state(&mut blob);
+        blob.truncate(blob.len() - 4);
+        put_u32(&mut blob, rows.len() as u32);
+        for &(page, a) in rows {
+            put_u32(&mut blob, page);
+            put_u32(&mut blob, a);
+        }
+        blob
+    }
+
+    #[test]
+    fn decode_rejects_a_request_table_the_encoder_cannot_have_written() {
+        let decode = |rows: &[(u32, u32)]| {
+            let blob = blob_with_rows(rows);
+            let mut sr = counting(Model::Sr, 8);
+            let decoded = sr.decode_state(&mut SnapshotReader::new(&blob));
+            let mut again = Vec::new();
+            sr.encode_state(&mut again);
+            decoded.map(|()| again == blob)
+        };
+        assert_eq!(decode(&[(2, 5), (7, 1)]), Ok(true));
+        // Regression: a zero wrote the table's absent value, so the row
+        // after it passed the duplicate check and the cache re-encoded to
+        // other bytes than it was given.
+        for rows in [&[(2, 0), (2, 5)][..], &[(2, 0)], &[(7, 1), (2, 5)]] {
+            let err = decode(rows);
+            assert!(matches!(err, Err(SnapshotError::Corrupt(_))), "{err:?}");
+        }
+        let err = decode(&[(2, 5), (2, 5)]);
+        assert!(matches!(err, Err(SnapshotError::Corrupt(_))), "{err:?}");
+    }
+
+    /// The bitmap's one invariant: a bit is set exactly where the table
+    /// holds a count.
+    fn assert_bits_match_counts(s: &SingleCache, pages: u32) {
+        for p in 0..pages + 70 {
+            let bit = (s.counted.get(p as usize / 64)).is_some_and(|w| w >> (p % 64) & 1 == 1);
+            assert_eq!(bit, s.access_count(PageId::new(p)) != 0, "page {p}");
+        }
+    }
+
+    #[test]
+    fn a_bit_is_set_exactly_where_a_request_count_is() {
+        // 100 is not a multiple of 64; 0 grows table and bitmap on write.
+        for universe in [100usize, 0] {
+            let mut ev = Vec::new();
+            let mut x = 0x2545_f491_4f6c_dd1du64;
+            let mut rng = move || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            };
+            let mut a = counting(SG2, universe);
+            let mut b = counting(SG2, 100);
+            assert_eq!(a.counted.len(), universe.div_ceil(64));
+            for round in 0..6 {
+                for _ in 0..40 {
+                    let id = (rng() % 100) as u32;
+                    a.on_access(&page(id, 10, 1.0), 3, &mut ev);
+                }
+                assert_bits_match_counts(&a, 100);
+                // Into a used cache: what `b` counted before must go.
+                let stale = (rng() % 100) as u32;
+                b.on_access(&page(stale, 10, 1.0), 3, &mut ev);
+                let mut blob = Vec::new();
+                a.encode_state(&mut blob);
+                b.decode_state(&mut SnapshotReader::new(&blob)).unwrap();
+                assert_bits_match_counts(&b, 100);
+                let mut again = Vec::new();
+                b.encode_state(&mut again);
+                assert_eq!(again, blob, "universe {universe}, round {round}");
+                for p in 0..100 {
+                    let p = PageId::new(p);
+                    assert_eq!(a.access_count(p), b.access_count(p));
+                }
+            }
+        }
     }
 
     #[test]

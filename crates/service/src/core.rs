@@ -31,8 +31,8 @@ use crate::config::{ServiceConfig, ServiceError};
 use crate::journal::Journal;
 use crate::wire::SNAPSHOT_MAGIC;
 use crate::worker::{
-    put_server_snap, read_server_snap, ResolvedBatch, ResolvedEvent, ServerSnap, Shard,
-    ShardRestore, ShardSnap, ToWorker, WorkerHandle,
+    read_server_snap, ResolvedBatch, ResolvedEvent, ServerSnap, Shard, ShardRestore, ShardSnap,
+    ToWorker, WorkerHandle,
 };
 
 const JOURNAL_FILE: &str = "journal.bin";
@@ -74,6 +74,9 @@ pub struct ServiceCore {
     fleet: Fleet,
     journal: Option<Journal>,
     batch: ResolvedBatch,
+    /// The last snapshot file's bytes, kept so the next one is encoded
+    /// into storage that is already there.
+    snapshot_buf: Vec<u8>,
     events_applied: u64,
     last_snapshot: u64,
     /// Optional content-based matcher. When attached, publish fan-outs and
@@ -126,6 +129,7 @@ impl ServiceCore {
             fleet,
             journal,
             batch: ResolvedBatch::with_capacity(config.batch_size, config.server_count()),
+            snapshot_buf: Vec::new(),
             events_applied: 0,
             last_snapshot: 0,
             matcher: None,
@@ -147,9 +151,8 @@ impl ServiceCore {
             constraint: "set for recovery",
         })?;
         let journal_path = dir.join(JOURNAL_FILE);
-        let events = Journal::read_all(&journal_path)?;
         let snapshot = match fs::read(dir.join(SNAPSHOT_FILE)) {
-            Ok(bytes) => Some(decode_snapshot_file(&bytes, &config)?),
+            Ok(bytes) => Some(decode_snapshot_file(Arc::new(bytes), &config)?),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
             Err(e) => return Err(e.into()),
         };
@@ -165,9 +168,9 @@ impl ServiceCore {
                 )
             }
         };
-        if (events.len() as u64) < k {
-            return Err(ServiceError::CorruptFile("journal shorter than snapshot"));
-        }
+        // The snapshot covers the journal's first `k` records: they are
+        // walked, not decoded.
+        let events = Journal::read_from(&journal_path, k)?;
         let fleet = Self::build_fleet(&config, restore)?;
         let mut core = Self {
             rows,
@@ -175,6 +178,7 @@ impl ServiceCore {
             fleet,
             journal: None,
             batch: ResolvedBatch::with_capacity(config.batch_size, config.server_count()),
+            snapshot_buf: Vec::new(),
             events_applied: k,
             last_snapshot: k,
             matcher: None,
@@ -184,7 +188,7 @@ impl ServiceCore {
         };
         // Replay the journal suffix without re-journaling and without
         // taking cadence snapshots (the journal already covers it).
-        for ev in &events[k as usize..] {
+        for ev in &events {
             core.check(ev)?;
             core.resolve(*ev);
             if core.batch.events.len() >= core.config.batch_size {
@@ -198,42 +202,35 @@ impl ServiceCore {
 
     fn build_fleet(
         config: &ServiceConfig,
-        restore: Option<Vec<ShardSnap>>,
+        restore: Option<FleetRestore>,
     ) -> Result<Fleet, ServiceError> {
         let servers = config.server_count();
         let workers = effective_threads(config.workers, servers as usize);
         // Restored state arrives as one merged snapshot: all servers in
-        // order plus one hourly series. Split the servers back across the
-        // fleet; the hourly buckets all land on shard 0 (absorb is
-        // component-wise addition, so placement is irrelevant to totals).
-        let mut snaps = restore.map(|mut s| {
-            let hourly = s
-                .iter()
-                .skip(1)
-                .fold(s[0].hourly.clone(), |mut acc, shard| {
-                    acc.absorb(&shard.hourly);
-                    acc
-                });
-            let servers: Vec<ServerSnap> = s.drain(..).flat_map(|shard| shard.servers).collect();
-            (servers.into_iter(), Some(hourly))
-        });
+        // order plus one hourly series. The servers are dealt back across
+        // the fleet; the hourly buckets all land on the first shard
+        // (absorb is component-wise addition, so placement is irrelevant
+        // to totals).
+        let mut restore = restore.map(|r| (r.file, r.servers.into_iter(), Some(r.hourly)));
+        let mut restore_of = |start: u16, end: u16| {
+            restore
+                .as_mut()
+                .map(|(file, servers, hourly)| ShardRestore {
+                    file: Arc::clone(file),
+                    servers: servers.by_ref().take((end - start) as usize).collect(),
+                    hourly: hourly.take(),
+                })
+        };
         if workers <= 1 {
             let mut shard = Box::new(Shard::build(config, 0, servers));
-            if let Some((servers_iter, hourly)) = &mut snaps {
-                let restore = ShardRestore {
-                    servers: servers_iter.collect(),
-                    hourly: hourly.take(),
-                };
+            if let Some(restore) = restore_of(0, servers) {
                 shard.restore(&restore)?;
             }
             return Ok(Fleet::Inline(shard));
         }
         let mut handles = Vec::with_capacity(workers);
         for (start, end) in partition(servers, workers) {
-            let restore = snaps.as_mut().map(|(servers_iter, hourly)| ShardRestore {
-                servers: servers_iter.by_ref().take((end - start) as usize).collect(),
-                hourly: hourly.take(),
-            });
+            let restore = restore_of(start, end);
             handles.push(WorkerHandle::spawn(config, start, end, restore)?);
         }
         Ok(Fleet::Threaded(handles))
@@ -502,45 +499,37 @@ impl ServiceCore {
             constraint: "set for snapshots",
         })?;
         self.flush()?;
-        let snaps = self.collect_snaps()?;
-        let mut out = Vec::new();
+        let Self {
+            snapshot_buf: out,
+            config,
+            rows,
+            heads,
+            fleet,
+            ..
+        } = self;
+        out.clear();
         out.extend_from_slice(SNAPSHOT_MAGIC);
-        put_u64(&mut out, self.events_applied);
-        put_u32(&mut out, self.config.pages.len() as u32);
-        for row in self.rows.rows() {
-            put_u32(&mut out, row.len() as u32);
+        put_u64(out, self.events_applied);
+        put_u32(out, config.pages.len() as u32);
+        for row in rows.rows() {
+            put_u32(out, row.len() as u32);
             for &(server, count) in row {
-                put_u16(&mut out, server.index());
-                put_u32(&mut out, count);
+                put_u16(out, server.index());
+                put_u32(out, count);
             }
         }
-        for latest in self.heads.heads() {
-            put_u32(&mut out, latest.map_or(u32::MAX, PageId::index));
+        for latest in heads.heads() {
+            put_u32(out, latest.map_or(u32::MAX, PageId::index));
         }
-        let hourly = snaps
-            .iter()
-            .skip(1)
-            .fold(snaps[0].hourly.clone(), |mut acc, s| {
-                acc.absorb(&s.hourly);
-                acc
-            });
-        put_hourly(&mut out, &hourly);
-        put_u16(&mut out, self.config.server_count());
-        for snap in &snaps {
-            for server in &snap.servers {
-                put_server_snap(&mut out, server);
+        // The merged hourly series, the fleet size, then every server in
+        // order. The inline shard encodes straight into the file's buffer;
+        // workers encode their ranges side by side and hand them over.
+        match fleet {
+            Fleet::Inline(shard) => {
+                put_hourly(out, shard.hourly());
+                put_u16(out, config.server_count());
+                shard.encode_servers(out)?;
             }
-        }
-        let tmp = dir.join(format!("{SNAPSHOT_FILE}.tmp"));
-        fs::write(&tmp, &out)?;
-        fs::rename(&tmp, dir.join(SNAPSHOT_FILE))?;
-        self.last_snapshot = self.events_applied;
-        Ok(())
-    }
-
-    fn collect_snaps(&mut self) -> Result<Vec<ShardSnap>, ServiceError> {
-        match &mut self.fleet {
-            Fleet::Inline(shard) => Ok(vec![shard.snapshot()?]),
             Fleet::Threaded(handles) => {
                 let mut replies = Vec::with_capacity(handles.len());
                 for handle in handles.iter() {
@@ -548,12 +537,26 @@ impl ServiceCore {
                     handle.send(ToWorker::Snapshot(tx))?;
                     replies.push(rx);
                 }
-                replies
+                let snaps = replies
                     .into_iter()
                     .map(|rx| Ok(rx.recv().map_err(|_| ServiceError::Stopped)??))
-                    .collect()
+                    .collect::<Result<Vec<ShardSnap>, ServiceError>>()?;
+                let mut hourly = snaps[0].hourly.clone();
+                for snap in &snaps[1..] {
+                    hourly.absorb(&snap.hourly);
+                }
+                put_hourly(out, &hourly);
+                put_u16(out, config.server_count());
+                for snap in &snaps {
+                    out.extend_from_slice(&snap.servers);
+                }
             }
         }
+        let tmp = dir.join(format!("{SNAPSHOT_FILE}.tmp"));
+        fs::write(&tmp, &*out)?;
+        fs::rename(&tmp, dir.join(SNAPSHOT_FILE))?;
+        self.last_snapshot = self.events_applied;
+        Ok(())
     }
 
     /// Drains the service: flushes buffered events, stops the workers,
@@ -592,7 +595,15 @@ struct SnapshotState {
     events_applied: u64,
     rows: SubscriptionRows,
     heads: VersionHeads,
-    restore: Vec<ShardSnap>,
+    restore: FleetRestore,
+}
+
+/// The fleet's share of a decoded snapshot file: every server in order,
+/// blobs still in the file, and the merged hourly series.
+struct FleetRestore {
+    file: Arc<Vec<u8>>,
+    servers: Vec<ServerSnap>,
+    hourly: HourlySeries,
 }
 
 fn put_hourly(out: &mut Vec<u8>, hourly: &HourlySeries) {
@@ -630,13 +641,14 @@ fn read_hourly(r: &mut SnapshotReader<'_>) -> Result<HourlySeries, ServiceError>
 }
 
 fn decode_snapshot_file(
-    bytes: &[u8],
+    file: Arc<Vec<u8>>,
     config: &ServiceConfig,
 ) -> Result<SnapshotState, ServiceError> {
-    if bytes.len() < SNAPSHOT_MAGIC.len() || &bytes[..SNAPSHOT_MAGIC.len()] != SNAPSHOT_MAGIC {
+    // From the file's first byte, so that positions are file offsets.
+    let mut r = SnapshotReader::new(&file);
+    if r.read_bytes(SNAPSHOT_MAGIC.len()).ok() != Some(&SNAPSHOT_MAGIC[..]) {
         return Err(ServiceError::CorruptFile("snapshot header"));
     }
-    let mut r = SnapshotReader::new(&bytes[SNAPSHOT_MAGIC.len()..]);
     let events_applied = r.read_u64()?;
     let page_count = r.read_u32()? as usize;
     if page_count != config.pages.len() {
@@ -674,7 +686,11 @@ fn decode_snapshot_file(
         events_applied,
         rows: SubscriptionRows::from_rows(rows),
         heads: VersionHeads::from_heads(heads),
-        restore: vec![ShardSnap { hourly, servers }],
+        restore: FleetRestore {
+            servers,
+            hourly,
+            file,
+        },
     })
 }
 

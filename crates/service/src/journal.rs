@@ -8,14 +8,14 @@
 //! that point replays deterministically.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::Path;
 
 use pscd_cache::{SnapshotError, SnapshotReader};
 use pscd_types::LiveEvent;
 
 use crate::config::ServiceError;
-use crate::wire::{put_event, read_event, JOURNAL_MAGIC};
+use crate::wire::{put_event, read_event, skip_event, JOURNAL_MAGIC};
 
 /// An append-only journal of [`LiveEvent`]s.
 #[derive(Debug)]
@@ -37,7 +37,7 @@ impl Journal {
     }
 
     /// Opens an existing journal for appending (the header must already
-    /// be present — use after [`Journal::read_all`] during recovery).
+    /// be present — use after [`Journal::read_from`] during recovery).
     pub(crate) fn open_append(path: &Path) -> Result<Self, ServiceError> {
         let file = OpenOptions::new().append(true).open(path)?;
         Ok(Self {
@@ -56,23 +56,41 @@ impl Journal {
         Ok(())
     }
 
-    /// Reads every complete record of the journal at `path`. A truncated
-    /// final record (a write cut short by a crash) is silently dropped;
-    /// anything else malformed is an error. Returns an empty list if the
-    /// file does not exist.
-    pub(crate) fn read_all(path: &Path) -> Result<Vec<LiveEvent>, ServiceError> {
-        let mut buf = Vec::new();
-        match File::open(path) {
-            Ok(mut f) => {
-                f.read_to_end(&mut buf)?;
+    /// Reads the journal at `path` from its record `skip` on. The first
+    /// `skip` records — the ones a snapshot already covers — are stepped
+    /// over by length, tag and wholeness checked, and only the rest are
+    /// materialized. A truncated final record (a write cut short by a
+    /// crash) is silently dropped; anything else malformed is an error. A
+    /// file that does not exist holds no records.
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceError::CorruptFile`] for a bad header or fewer than
+    /// `skip` whole records; a snapshot error for an unknown record tag.
+    pub(crate) fn read_from(path: &Path, skip: u64) -> Result<Vec<LiveEvent>, ServiceError> {
+        let short = ServiceError::CorruptFile("journal shorter than snapshot");
+        let buf = match std::fs::read(path) {
+            Ok(buf) => buf,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                return if skip == 0 {
+                    Ok(Vec::new())
+                } else {
+                    Err(short)
+                };
             }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
             Err(e) => return Err(e.into()),
-        }
+        };
         if buf.len() < JOURNAL_MAGIC.len() || &buf[..JOURNAL_MAGIC.len()] != JOURNAL_MAGIC {
             return Err(ServiceError::CorruptFile("journal header"));
         }
         let mut r = SnapshotReader::new(&buf[JOURNAL_MAGIC.len()..]);
+        for _ in 0..skip {
+            match skip_event(&mut r) {
+                Ok(()) => {}
+                Err(SnapshotError::Truncated { .. }) => return Err(short),
+                Err(e) => return Err(e.into()),
+            }
+        }
         let mut events = Vec::new();
         while !r.is_empty() {
             match read_event(&mut r) {
@@ -126,13 +144,13 @@ mod tests {
             j.append(&evs[..2]).unwrap();
             j.append(&evs[2..]).unwrap();
         }
-        assert_eq!(Journal::read_all(&path).unwrap(), evs);
+        assert_eq!(Journal::read_from(&path, 0).unwrap(), evs);
         // Reopen in append mode and extend.
         {
             let mut j = Journal::open_append(&path).unwrap();
             j.append(&evs[..1]).unwrap();
         }
-        let all = Journal::read_all(&path).unwrap();
+        let all = Journal::read_from(&path, 0).unwrap();
         assert_eq!(all.len(), 4);
         assert_eq!(all[3], evs[0]);
         std::fs::remove_file(&path).ok();
@@ -141,7 +159,7 @@ mod tests {
     #[test]
     fn missing_file_reads_empty() {
         let path = tmp("missing").with_file_name("nope.bin");
-        assert!(Journal::read_all(&path).unwrap().is_empty());
+        assert!(Journal::read_from(&path, 0).unwrap().is_empty());
     }
 
     #[test]
@@ -153,8 +171,48 @@ mod tests {
         }
         let full = std::fs::read(&path).unwrap();
         std::fs::write(&path, &full[..full.len() - 3]).unwrap();
-        let evs = Journal::read_all(&path).unwrap();
+        let evs = Journal::read_from(&path, 0).unwrap();
         assert_eq!(evs, events()[..2]);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_skipped_prefix_is_walked_not_trusted() {
+        let path = tmp("prefix");
+        let evs = events();
+        {
+            let mut j = Journal::create(&path).unwrap();
+            j.append(&evs).unwrap();
+        }
+        for skip in 0..=evs.len() {
+            let rest = Journal::read_from(&path, skip as u64).unwrap();
+            assert_eq!(rest, evs[skip..], "skip {skip}");
+        }
+        let short = |r: Result<Vec<LiveEvent>, ServiceError>| {
+            matches!(
+                r,
+                Err(ServiceError::CorruptFile("journal shorter than snapshot"))
+            )
+        };
+        assert!(short(Journal::read_from(&path, 4)));
+        assert!(short(Journal::read_from(
+            &path.with_file_name("nope.bin"),
+            1
+        )));
+        // A prefix cut short inside its last record is short as well; the
+        // same cut behind the prefix is a dropped tail.
+        let full = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &full[..full.len() - 3]).unwrap();
+        assert!(short(Journal::read_from(&path, 3)));
+        assert_eq!(Journal::read_from(&path, 2).unwrap(), []);
+        // An unknown tag inside the prefix is refused, not stepped over:
+        // the second record starts behind the header and an 11-byte
+        // subscribe.
+        let mut bad = full.clone();
+        bad[8 + 11] = 9;
+        std::fs::write(&path, &bad).unwrap();
+        let err = Journal::read_from(&path, 3);
+        assert!(matches!(err, Err(ServiceError::Snapshot(_))), "{err:?}");
         std::fs::remove_file(&path).ok();
     }
 
@@ -163,7 +221,7 @@ mod tests {
         let path = tmp("badheader");
         std::fs::write(&path, b"NOTAMAGIC").unwrap();
         assert!(matches!(
-            Journal::read_all(&path),
+            Journal::read_from(&path, 0),
             Err(ServiceError::CorruptFile(_))
         ));
         std::fs::remove_file(&path).ok();

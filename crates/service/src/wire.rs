@@ -73,6 +73,19 @@ pub(crate) fn read_event(r: &mut SnapshotReader<'_>) -> Result<LiveEvent, Snapsh
     }
 }
 
+/// Steps over one journal record without materializing it: the tag is
+/// checked and the record must be whole, nothing more — what
+/// [`read_event`] would consume, by the tag's fixed payload length.
+pub(crate) fn skip_event(r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+    let payload = match r.read_u8()? {
+        TAG_SUBSCRIBE => 4 + 2 + 4,
+        TAG_PUBLISH => 8 + 4,
+        TAG_REQUEST => 8 + 2 + 4,
+        _ => return Err(SnapshotError::Corrupt("unknown journal record tag")),
+    };
+    r.read_bytes(payload).map(|_| ())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,6 +124,45 @@ mod tests {
         let buf = [9u8];
         let mut r = SnapshotReader::new(&buf);
         assert!(matches!(read_event(&mut r), Err(SnapshotError::Corrupt(_))));
+        let mut r = SnapshotReader::new(&buf);
+        assert!(matches!(skip_event(&mut r), Err(SnapshotError::Corrupt(_))));
+    }
+
+    #[test]
+    fn skipping_a_record_consumes_what_reading_it_does() {
+        let events = [
+            LiveEvent::Subscribe {
+                page: PageId::new(7),
+                server: ServerId::new(3),
+                count: 12,
+            },
+            LiveEvent::Publish {
+                time: SimTime::from_millis(123_456),
+                page: PageId::new(0),
+            },
+            LiveEvent::Request {
+                time: SimTime::from_millis(999),
+                server: ServerId::new(65_535),
+                page: PageId::new(u32::MAX),
+            },
+        ];
+        for ev in &events {
+            let mut buf = Vec::new();
+            put_event(&mut buf, ev);
+            // A following record, so that over-reading would not show as
+            // truncation.
+            put_event(&mut buf, &events[0]);
+            let (mut read, mut skipped) = (SnapshotReader::new(&buf), SnapshotReader::new(&buf));
+            read_event(&mut read).unwrap();
+            skip_event(&mut skipped).unwrap();
+            assert_eq!(skipped.position(), read.position(), "{ev:?}");
+            // Cut anywhere inside the record, both call it truncated.
+            for cut in 0..read.position() {
+                let mut r = SnapshotReader::new(&buf[..cut]);
+                let err = skip_event(&mut r);
+                assert!(matches!(err, Err(SnapshotError::Truncated { .. })), "{cut}");
+            }
+        }
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! snapshot or shutdown request enqueued after a batch observes that
 //! batch applied — no separate barrier is needed.
 
+use std::ops::Range;
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -88,27 +89,31 @@ impl ResolvedBatch {
     }
 }
 
-/// Snapshot of one proxy: accounting plus the strategy's state blob.
+/// One proxy's share of a decoded snapshot file: its accounting, and
+/// where in the file its strategy blob lies.
 #[derive(Debug, Clone)]
 pub(crate) struct ServerSnap {
     pub(crate) hits: u64,
     pub(crate) requests: u64,
     pub(crate) traffic: Traffic,
-    pub(crate) blob: Vec<u8>,
+    pub(crate) blob: Range<usize>,
 }
 
-/// Snapshot of one shard: its hourly series and its servers in range
-/// order.
+/// What one shard contributes to a snapshot: its hourly series and its
+/// servers' records as the snapshot file holds them, in range order.
 #[derive(Debug)]
 pub(crate) struct ShardSnap {
     pub(crate) hourly: HourlySeries,
-    pub(crate) servers: Vec<ServerSnap>,
+    pub(crate) servers: Vec<u8>,
 }
 
 /// State to restore into a freshly built shard before it processes any
 /// event.
 #[derive(Debug)]
 pub(crate) struct ShardRestore {
+    /// The snapshot file the blob ranges index: shared, not copied, by
+    /// every shard restored from it.
+    pub(crate) file: Arc<Vec<u8>>,
     /// Per-server state for the shard's range, in range order.
     pub(crate) servers: Vec<ServerSnap>,
     /// The merged hourly series; only one shard receives it (absorb is
@@ -211,36 +216,52 @@ impl Shard {
         }
     }
 
-    /// Captures the shard's full mutable state.
-    pub(crate) fn snapshot(&self) -> Result<ShardSnap, SnapshotError> {
-        let mut servers = Vec::with_capacity((self.end - self.start) as usize);
+    /// The shard's hourly accounting.
+    pub(crate) fn hourly(&self) -> &HourlySeries {
+        &self.hourly
+    }
+
+    /// Appends the shard's servers to a snapshot file, in range order:
+    /// each one's accounting, then its strategy blob behind its length.
+    /// The strategy encodes straight into `out`; the length is patched in
+    /// behind it.
+    pub(crate) fn encode_servers(&self, out: &mut Vec<u8>) -> Result<(), SnapshotError> {
         for s in self.start..self.end {
             let server = ServerId::new(s);
             let (hits, requests) = self.engine.hit_stats(server);
-            let mut blob = Vec::new();
-            self.engine
-                .strategy_impl(server)
-                .encode_snapshot(&mut blob)?;
-            servers.push(ServerSnap {
-                hits,
-                requests,
-                traffic: self.engine.traffic(server),
-                blob,
-            });
+            let traffic = self.engine.traffic(server);
+            put_u64(out, hits);
+            put_u64(out, requests);
+            put_u64(out, traffic.pushed_pages);
+            put_u64(out, traffic.pushed_bytes.as_u64());
+            put_u64(out, traffic.fetched_pages);
+            put_u64(out, traffic.fetched_bytes.as_u64());
+            let at = out.len();
+            put_u32(out, 0);
+            self.engine.strategy_impl(server).encode_snapshot(out)?;
+            let len = (out.len() - at - 4) as u32;
+            out[at..at + 4].copy_from_slice(&len.to_le_bytes());
         }
+        Ok(())
+    }
+
+    /// Captures the shard's full mutable state.
+    pub(crate) fn snapshot(&self) -> Result<ShardSnap, SnapshotError> {
+        let mut servers = Vec::new();
+        self.encode_servers(&mut servers)?;
         Ok(ShardSnap {
             hourly: self.hourly.clone(),
             servers,
         })
     }
 
-    /// Restores state captured by [`Shard::snapshot`] into this freshly
-    /// built shard.
+    /// Restores state captured by [`Shard::encode_servers`] into this
+    /// freshly built shard.
     pub(crate) fn restore(&mut self, restore: &ShardRestore) -> Result<(), SnapshotError> {
         debug_assert_eq!(restore.servers.len(), (self.end - self.start) as usize);
         for (i, snap) in restore.servers.iter().enumerate() {
             let server = ServerId::new(self.start + i as u16);
-            let mut r = SnapshotReader::new(&snap.blob);
+            let mut r = SnapshotReader::new(&restore.file[snap.blob.clone()]);
             self.engine.restore_strategy(server, &mut r)?;
             if !r.is_empty() {
                 return Err(SnapshotError::Corrupt("trailing bytes in strategy blob"));
@@ -280,12 +301,15 @@ impl Shard {
             per_server,
         };
         let mut proxies = Vec::with_capacity((self.end - self.start) as usize);
+        // One buffer grows to a blob's size once; each proxy keeps an
+        // exact copy.
+        let mut blob = Vec::new();
         for s in self.start..self.end {
-            let mut blob = Vec::new();
+            blob.clear();
             self.engine
                 .strategy_impl(ServerId::new(s))
                 .encode_snapshot(&mut blob)?;
-            proxies.push(blob);
+            proxies.push(blob.clone());
         }
         Ok((result, proxies))
     }
@@ -410,19 +434,10 @@ fn worker_main(
     }
 }
 
-/// Encodes one [`ServerSnap`] into the snapshot stream.
-pub(crate) fn put_server_snap(out: &mut Vec<u8>, snap: &ServerSnap) {
-    put_u64(out, snap.hits);
-    put_u64(out, snap.requests);
-    put_u64(out, snap.traffic.pushed_pages);
-    put_u64(out, snap.traffic.pushed_bytes.as_u64());
-    put_u64(out, snap.traffic.fetched_pages);
-    put_u64(out, snap.traffic.fetched_bytes.as_u64());
-    put_u32(out, snap.blob.len() as u32);
-    out.extend_from_slice(&snap.blob);
-}
-
-/// Decodes one [`ServerSnap`] from the snapshot stream.
+/// Decodes one server record of a snapshot file (what
+/// [`Shard::encode_servers`] wrote for it), leaving the blob where it is:
+/// `r` must read the file from its first byte, so that positions are
+/// file offsets.
 pub(crate) fn read_server_snap(r: &mut SnapshotReader<'_>) -> Result<ServerSnap, SnapshotError> {
     let hits = r.read_u64()?;
     let requests = r.read_u64()?;
@@ -433,11 +448,12 @@ pub(crate) fn read_server_snap(r: &mut SnapshotReader<'_>) -> Result<ServerSnap,
         fetched_bytes: pscd_types::Bytes::new(r.read_u64()?),
     };
     let len = r.read_u32()? as usize;
-    let blob = r.read_bytes(len)?.to_vec();
+    let at = r.position();
+    r.read_bytes(len)?;
     Ok(ServerSnap {
         hits,
         requests,
         traffic,
-        blob,
+        blob: at..at + len,
     })
 }

@@ -568,6 +568,53 @@ fn persisted_bytes_are_pinned() {
     assert_eq!(digests, PINNED, "persisted bytes moved: {digests:#018x?}");
 }
 
+/// Recovery walks the journal records a snapshot covers and replays the
+/// rest: wherever the snapshot was taken — before the first event, after
+/// it, inside a dispatch batch, after the last event — that must end
+/// where replaying the whole journal does, which is where the batch
+/// replay does.
+#[test]
+fn recover_with_a_snapshot_equals_recover_without_one() {
+    let f = fixture();
+    let kind = StrategyKind::Sg2 { beta: 2.0 };
+    let mid_batch = f.events.len() / 2 / 256 * 256 + 100;
+    for k in [0, 1, mid_batch, f.events.len()] {
+        let dir = temp_service_dir(&format!("snapshot-at-{k}"));
+        let config = service_config(kind, true).with_persistence(dir.clone(), 0);
+        let mut core = ServiceCore::new(config.clone()).unwrap();
+        core.ingest_all(&f.events[..k]).unwrap();
+        core.snapshot_now().unwrap();
+        core.ingest_all(&f.events[k..]).unwrap();
+        drop(core);
+
+        let finish = |core: ServiceCore| {
+            assert_eq!(core.events_applied(), f.events.len() as u64);
+            core.shutdown().unwrap()
+        };
+        let with = finish(ServiceCore::recover(config.clone()).unwrap());
+        std::fs::remove_file(dir.join("snapshot.bin")).unwrap();
+        let without = finish(ServiceCore::recover(config.clone()).unwrap());
+        assert_eq!(with.result, without.result, "snapshot at {k}");
+        assert_eq!(with.proxies, without.proxies, "snapshot at {k}");
+        assert_equivalent(kind, &with, true, "recovered from a snapshot");
+
+        // A journal that ends before the snapshot does is refused.
+        if k > 0 {
+            let mut core = ServiceCore::new(config.clone()).unwrap();
+            core.ingest_all(&f.events[..k]).unwrap();
+            core.snapshot_now().unwrap();
+            drop(core);
+            let journal = dir.join("journal.bin");
+            let len = std::fs::metadata(&journal).unwrap().len();
+            let cut = std::fs::OpenOptions::new().write(true).open(&journal);
+            cut.unwrap().set_len(len - 1).unwrap();
+            let err = ServiceCore::recover(config).unwrap_err();
+            assert!(err.to_string().contains("shorter than snapshot"), "{err}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
