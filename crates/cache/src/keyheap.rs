@@ -94,16 +94,31 @@ impl KeyHeap {
         &self.slots
     }
 
-    /// Rebuilds a heap from a slot array previously captured via
-    /// [`slots`](Self::slots). The array is adopted verbatim: a dump of a
-    /// valid heap is itself a valid heap, so restoring it position for
-    /// position reproduces the original ordering bit for bit — which is
-    /// what snapshot round-trips rely on. `None` if the array is not in
-    /// heap order (the bytes it was read from were corrupt).
-    pub(crate) fn from_slots(slots: Vec<HeapSlot>) -> Option<Self> {
-        (1..slots.len())
-            .all(|i| !slots[i].before(&slots[(i - 1) / 2]))
-            .then_some(Self { slots })
+    /// Drops every slot, keeping the storage.
+    pub(crate) fn clear(&mut self) {
+        self.slots.clear();
+    }
+
+    /// Slots the heap holds room for.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.slots.capacity()
+    }
+
+    /// Appends a slot at the position a dump of [`slots`](Self::slots)
+    /// had it, without sifting. A dump of a valid heap is itself a valid
+    /// heap, so putting it back position for position reproduces the
+    /// original ordering bit for bit — which is what snapshot round-trips
+    /// rely on; the caller asks [`in_heap_order`](Self::in_heap_order)
+    /// once every slot is back.
+    pub(crate) fn push_as_dumped(&mut self, slot: HeapSlot) {
+        self.slots.push(slot);
+    }
+
+    /// `false` if some slot pops before its parent (the bytes the slots
+    /// were read from were corrupt).
+    pub(crate) fn in_heap_order(&self) -> bool {
+        (1..self.slots.len()).all(|i| !self.slots[i].before(&self.slots[(i - 1) / 2]))
     }
 
     /// The minimum slot, without mutating anything.

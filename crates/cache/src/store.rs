@@ -17,9 +17,6 @@ pub struct StoredPage {
     pub value: f64,
 }
 
-/// Heap position marking a page that is not cached.
-const NO_POS: u32 = u32::MAX;
-
 /// A capacity-limited page store whose entries carry a scalar *value*;
 /// eviction always removes the least valuable page first (ties: least
 /// recently (re)valued).
@@ -35,11 +32,14 @@ const NO_POS: u32 = u32::MAX;
 /// is answered by a full sweep of that array — every live slot, nothing
 /// pruned — with zero bookkeeping on the mutation paths.
 ///
-/// The page → heap-position index is a [`PageTable`] of `u32` positions:
-/// 4 bytes per page ordinal, all the per-page state lives in the heap
-/// slot it points at. A store built with [`dense`](CacheStore::dense)
-/// over a trace's `0..page_count` ordinals preallocates everything and
-/// never allocates again.
+/// The page → heap-position index is a [`PageTable`] of `u32`: 4 bytes
+/// per page ordinal holding the position plus one, 0 for a page that is
+/// not cached — so the table of a new store is zeroed memory straight
+/// from the allocator, and a page the proxy never holds is never written.
+/// All the per-page state lives in the heap slot the index points at. A
+/// store built with [`dense`](CacheStore::dense) over a trace's
+/// `0..page_count` ordinals preallocates everything and never allocates
+/// again.
 ///
 /// # Examples
 ///
@@ -59,6 +59,7 @@ const NO_POS: u32 = u32::MAX;
 pub struct CacheStore {
     capacity: Bytes,
     used: Bytes,
+    /// Heap position plus one per page ordinal; 0 = not cached.
     positions: PageTable<u32>,
     heap: KeyHeap,
     next_stamp: u64,
@@ -84,7 +85,7 @@ impl CacheStore {
         Self {
             capacity,
             used: Bytes::ZERO,
-            positions: PageTable::new(page_count, NO_POS),
+            positions: PageTable::new(page_count, 0),
             heap: KeyHeap::with_capacity(page_count),
             next_stamp: 0,
         }
@@ -123,14 +124,19 @@ impl CacheStore {
     /// `true` if `page` is cached.
     #[inline]
     pub fn contains(&self, page: PageId) -> bool {
-        self.positions.find(page).is_some()
+        self.positions.get(page) != 0
+    }
+
+    /// The heap position of a cached page.
+    #[inline]
+    fn position(&self, page: PageId) -> Option<u32> {
+        self.positions.get(page).checked_sub(1)
     }
 
     /// The live heap slot of a cached page.
     #[inline]
     fn slot(&self, page: PageId) -> Option<&HeapSlot> {
-        self.positions
-            .find(page)
+        self.position(page)
             .map(|pos| &self.heap.slots()[pos as usize])
     }
 
@@ -169,7 +175,7 @@ impl CacheStore {
                 page,
                 size,
             },
-            &mut |p, pos| positions.set(p, pos),
+            &mut |p, pos| positions.set(p, pos + 1),
         );
         self.used += size;
     }
@@ -184,14 +190,14 @@ impl CacheStore {
         // Look up before bumping: a miss must not burn a stamp (stamps
         // order eviction ties, so phantom bumps would shift tie-breaks
         // between otherwise identical histories).
-        let Some(pos) = self.positions.find(page) else {
+        let Some(pos) = self.position(page) else {
             return false;
         };
         let stamp = self.bump();
         let Self {
             positions, heap, ..
         } = self;
-        heap.update(pos, value, stamp, &mut |p, pos| positions.set(p, pos));
+        heap.update(pos, value, stamp, &mut |p, pos| positions.set(p, pos + 1));
         true
     }
 
@@ -285,9 +291,9 @@ impl CacheStore {
     /// Restores state captured by [`encode_state`](Self::encode_state)
     /// into this store, replacing its current contents. The store keeps
     /// its own capacity and page universe (a page id outside it is
-    /// corrupt, never a reason to grow); the snapshot's slot array is
-    /// adopted position for position, so the restored eviction order is
-    /// bit-identical to the encoded one.
+    /// corrupt, never a reason to grow) and its own slot storage; the
+    /// snapshot's slots go back position for position, so the restored
+    /// eviction order is bit-identical to the encoded one.
     ///
     /// # Errors
     ///
@@ -306,8 +312,15 @@ impl CacheStore {
         if n > r.remaining() / 24 {
             return Err(SnapshotError::Corrupt("slot count exceeds snapshot size"));
         }
-        while self.pop_min().is_some() {}
-        let mut slots = Vec::with_capacity(n);
+        // Empty the store's own tables and refill them: a store built over
+        // a universe keeps the room it was built with.
+        let Self {
+            positions, heap, ..
+        } = self;
+        for slot in heap.slots() {
+            positions.remove(slot.page);
+        }
+        heap.clear();
         let mut used = 0u64;
         for pos in 0..n {
             let value = r.read_f64()?;
@@ -317,11 +330,11 @@ impl CacheStore {
             if value.is_nan() {
                 return Err(SnapshotError::Corrupt("NaN page value"));
             }
-            self.positions.try_insert(page, pos as u32)?;
+            positions.try_insert(page, pos as u32 + 1)?;
             used = used
                 .checked_add(size.as_u64())
                 .ok_or(SnapshotError::Corrupt("resident bytes overflow"))?;
-            slots.push(HeapSlot {
+            heap.push_as_dumped(HeapSlot {
                 value,
                 stamp,
                 page,
@@ -331,8 +344,9 @@ impl CacheStore {
         if used > self.capacity.as_u64() {
             return Err(SnapshotError::Corrupt("resident bytes exceed capacity"));
         }
-        self.heap = KeyHeap::from_slots(slots)
-            .ok_or(SnapshotError::Corrupt("slots are not in heap order"))?;
+        if !heap.in_heap_order() {
+            return Err(SnapshotError::Corrupt("slots are not in heap order"));
+        }
         self.used = Bytes::new(used);
         self.next_stamp = next_stamp;
         Ok(())
@@ -340,11 +354,11 @@ impl CacheStore {
 
     /// Unlinks a live entry from both structures, returning its slot.
     fn detach(&mut self, page: PageId) -> Option<HeapSlot> {
-        let pos = self.positions.remove(page)?;
+        let pos = self.positions.remove(page)? - 1;
         let Self {
             positions, heap, ..
         } = self;
-        let slot = heap.remove(pos, &mut |p, pos| positions.set(p, pos));
+        let slot = heap.remove(pos, &mut |p, pos| positions.set(p, pos + 1));
         self.used -= slot.size;
         Some(slot)
     }
@@ -516,6 +530,52 @@ mod tests {
         let mut s = CacheStore::dense(Bytes::new(100), 5);
         s.decode_state(&mut SnapshotReader::new(&bytes)).unwrap();
         assert_eq!(s.value(page(4)), Some(1.0));
+    }
+
+    #[test]
+    fn a_decoded_store_keeps_the_room_it_was_built_with() {
+        // Regression: decode adopted a slot array sized to the snapshot's
+        // population, so a restored `dense` store reallocated on its next
+        // insert past that population.
+        let mut donor = CacheStore::dense(Bytes::new(100), 64);
+        donor.insert(page(4), Bytes::new(10), 1.0);
+        donor.insert(page(9), Bytes::new(10), 2.0);
+        let mut bytes = Vec::new();
+        donor.encode_state(&mut bytes);
+        let mut s = CacheStore::dense(Bytes::new(100), 64);
+        let built = s.heap.capacity();
+        assert!(built >= 64);
+        s.insert(page(1), Bytes::new(10), 1.0);
+        s.decode_state(&mut SnapshotReader::new(&bytes)).unwrap();
+        assert!(s.heap.capacity() >= built, "{} slots", s.heap.capacity());
+        // What the store held before is gone, index entry included.
+        assert!(!s.contains(page(1)));
+        assert_eq!((s.len(), s.used()), (2, Bytes::new(20)));
+        let mut again = Vec::new();
+        s.encode_state(&mut again);
+        assert_eq!(again, bytes);
+    }
+
+    #[test]
+    fn the_root_position_is_not_mistaken_for_absence() {
+        // The index holds position + 1 and 0 for "not cached": the one
+        // resident of a one-page store sits at position 0.
+        for mut s in [
+            CacheStore::dense(Bytes::new(10), 1),
+            CacheStore::new(Bytes::new(10)),
+        ] {
+            assert!(!s.contains(page(0)));
+            s.insert(page(0), Bytes::new(10), 1.0);
+            assert!(s.contains(page(0)));
+            assert_eq!(s.value(page(0)), Some(1.0));
+            assert!(s.update_value(page(0), 2.0));
+            let mut bytes = Vec::new();
+            s.encode_state(&mut bytes);
+            s.decode_state(&mut SnapshotReader::new(&bytes)).unwrap();
+            assert_eq!(s.value(page(0)), Some(2.0));
+            assert_eq!(s.remove(page(0)).map(|p| p.page), Some(page(0)));
+            assert!(!s.contains(page(0)) && s.is_empty());
+        }
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Proves the service's inline ingest path is allocation-free in steady
 //! state: once the subscription rows exist and the batch buffers are
 //! warm, publish/request ingestion — resolve, batch, dispatch, apply —
-//! performs no heap allocation. (Threaded fleets ship `Arc` batches and
-//! journaled services buffer writes; the claim is specifically about the
-//! in-memory `workers = 1` hot path, the service twin of the replay's
-//! `alloc_free` suite.)
+//! performs no heap allocation. (Threaded fleets ship `Arc` batches; the
+//! claim is specifically about the `workers = 1` hot path, the service
+//! twin of the replay's `alloc_free` suite.) A second window shows the
+//! same of a journaled service that was snapshotted, killed and
+//! recovered: a restored cache keeps the room it was built with.
 //!
 //! Everything lives in ONE `#[test]` so no harness bookkeeping (test
 //! threads, output capture) runs — and allocates — inside a measurement
@@ -97,7 +98,7 @@ fn steady_state_ingest_does_not_allocate() {
             trace.hours(),
         )
         .with_invalidation();
-        let mut core = ServiceCore::new(config).unwrap();
+        let mut core = ServiceCore::new(config.clone()).unwrap();
         core.ingest_all(&events[..warm_up]).unwrap();
         let before = allocations();
         core.ingest_all(&events[warm_up..]).unwrap();
@@ -113,5 +114,43 @@ fn steady_state_ingest_does_not_allocate() {
         );
         let outcome = core.shutdown().unwrap();
         assert!(outcome.result.requests > 0);
+
+        // The recovered service: snapshot at the warm-up point, kill,
+        // recover, one more stretch for the reopened journal's scratch
+        // buffer (sent in the client batches the rest arrives in), then
+        // the same claim.
+        let dir = std::env::temp_dir().join(format!(
+            "pscd-service-alloc-free-{}-{}",
+            kind.name(),
+            std::process::id()
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        let config = config.with_persistence(dir.clone(), 0);
+        let mut core = ServiceCore::new(config.clone()).unwrap();
+        core.ingest_all(&events[..warm_up]).unwrap();
+        core.snapshot_now().unwrap();
+        drop(core);
+        let mut core = ServiceCore::recover(config).unwrap();
+        let rewarmed = warm_up + (events.len() - warm_up) / 4;
+        for batch in events[warm_up..rewarmed].chunks(256) {
+            core.ingest_all(batch).unwrap();
+        }
+        let before = allocations();
+        for batch in events[rewarmed..].chunks(256) {
+            core.ingest_all(batch).unwrap();
+        }
+        core.flush().unwrap();
+        let after = allocations();
+        assert_eq!(
+            after - before,
+            0,
+            "{}, recovered: {} allocation(s) over {} steady-state events",
+            kind.name(),
+            after - before,
+            events.len() - rewarmed,
+        );
+        let recovered = core.shutdown().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(recovered.result, outcome.result, "{}", kind.name());
     }
 }
