@@ -3,14 +3,14 @@
 use pscd_obs::{AdmitOrigin, EvictReason, NullObserver, ObsHandle, Observer};
 use pscd_types::{Bytes, PageId};
 
-use crate::layout::PageTable;
-use crate::snapshot::{put_f64, put_u32, SnapshotError, SnapshotReader};
+use crate::snapshot::{put_f64, SnapshotError, SnapshotReader};
 use crate::{AccessOutcome, CacheStore, PageRef};
 
 /// The greedy-dual family's shared machinery: an *inflation* value `L` that
 /// rises to the value of the last evicted page, in-cache reference counts
-/// (In-Cache LFU: a page's count is discarded when it is evicted, as the
-/// paper's GD\* implementation does), and value-ordered eviction.
+/// (In-Cache LFU: a page's count lives in its store slot and so is
+/// discarded when it is evicted, as the paper's GD\* implementation
+/// does), and value-ordered eviction.
 ///
 /// Every greedy-dual policy values pages as `V(p) = L + g(p)` for some
 /// weight `g`; the engine is parameterized by `g` per call so one engine
@@ -32,7 +32,6 @@ use crate::{AccessOutcome, CacheStore, PageRef};
 pub struct GreedyDualEngine<O: Observer = NullObserver> {
     store: CacheStore,
     inflation: f64,
-    freq: PageTable<u32>,
     obs: ObsHandle<O>,
 }
 
@@ -41,7 +40,6 @@ impl<O: Observer> Clone for GreedyDualEngine<O> {
         Self {
             store: self.store.clone(),
             inflation: self.inflation,
-            freq: self.freq.clone(),
             obs: self.obs.clone(),
         }
     }
@@ -63,15 +61,13 @@ impl Default for GreedyDualEngine {
 
 impl<O: Observer> GreedyDualEngine<O> {
     /// Creates an engine over the page ordinals `0..page_count`,
-    /// reporting admissions and evictions to `obs`. The store and the
-    /// frequency table are preallocated for the full universe, so
-    /// steady-state operation never allocates; `0` preallocates nothing
-    /// and grows on demand.
+    /// reporting admissions and evictions to `obs`. The store is
+    /// preallocated for the full universe, so steady-state operation
+    /// never allocates; `0` preallocates nothing and grows on demand.
     pub fn with_observer(capacity: Bytes, page_count: usize, obs: ObsHandle<O>) -> Self {
         Self {
             store: CacheStore::dense(capacity, page_count),
             inflation: 0.0,
-            freq: PageTable::new(page_count, 0),
             obs,
         }
     }
@@ -85,7 +81,7 @@ impl<O: Observer> GreedyDualEngine<O> {
     /// The in-cache reference count of a page (0 if absent).
     #[inline]
     pub fn frequency(&self, page: PageId) -> u32 {
-        self.freq.get(page)
+        self.store.slot(page).map_or(0, |slot| slot.refs)
     }
 
     /// Read access to the underlying store.
@@ -117,9 +113,8 @@ impl<O: Observer> GreedyDualEngine<O> {
             return AccessOutcome::MissBypassed;
         }
         self.make_room(page.size, evicted);
-        self.freq.set(page.page, 1);
         let v = value(1, self.inflation);
-        self.store.insert(page.page, page.size, v);
+        self.store.insert_with_refs(page.page, page.size, v, 1);
         if O::ENABLED {
             self.obs.admit(page.page, page.size, v, AdmitOrigin::Access);
         }
@@ -144,10 +139,8 @@ impl<O: Observer> GreedyDualEngine<O> {
         if self.hit(page.page, &mut value) {
             return AccessOutcome::Hit;
         }
-        let f = 1;
-        let v = value(f, self.inflation);
-        if self.try_admit(page, v, EvictReason::Access, evicted) {
-            self.freq.set(page.page, f);
+        let v = value(1, self.inflation);
+        if self.try_admit(page, v, 1, EvictReason::Access, evicted) {
             if O::ENABLED {
                 self.obs.admit(page.page, page.size, v, AdmitOrigin::Access);
             }
@@ -168,10 +161,9 @@ impl<O: Observer> GreedyDualEngine<O> {
         if self.store.contains(page.page) {
             return true;
         }
-        if !self.try_admit(page, value, EvictReason::Push, evicted) {
+        if !self.try_admit(page, value, 0, EvictReason::Push, evicted) {
             return false;
         }
-        self.freq.set(page.page, 0);
         if O::ENABLED {
             self.obs
                 .admit(page.page, page.size, value, AdmitOrigin::Push);
@@ -194,12 +186,8 @@ impl<O: Observer> GreedyDualEngine<O> {
     /// Removes a page (without touching `L`), returning `true` if present.
     /// Reported to the observer as an [`EvictReason::Invalidate`].
     pub fn evict(&mut self, page: PageId) -> bool {
-        // Only residents carry a count, so a miss — the common case when
-        // a stale version is invalidated fleet-wide — leaves the frequency
-        // table untouched.
         match self.store.remove(page) {
             Some(removed) => {
-                self.freq.remove(page);
                 if O::ENABLED {
                     self.obs.evict(
                         removed.page,
@@ -221,11 +209,7 @@ impl<O: Observer> GreedyDualEngine<O> {
     pub fn encode_state(&self, out: &mut Vec<u8>) {
         put_f64(out, self.inflation);
         self.store.encode_state(out);
-        // Frequency counts only exist for residents (In-Cache LFU), so
-        // one u32 per heap slot, in the store's canonical slot order.
-        for slot in self.store.iter() {
-            put_u32(out, self.freq.get(slot.page));
-        }
+        self.store.encode_refs(out);
     }
 
     /// Restores state captured by [`encode_state`](Self::encode_state),
@@ -241,15 +225,8 @@ impl<O: Observer> GreedyDualEngine<O> {
         if inflation.is_nan() {
             return Err(SnapshotError::Corrupt("NaN inflation"));
         }
-        let Self { store, freq, .. } = self;
-        freq.clear();
-        store.decode_state(r)?;
-        for slot in store.iter() {
-            let f = r.read_count()?;
-            if f != 0 {
-                freq.try_insert(slot.page, f)?;
-            }
-        }
+        self.store.decode_state(r)?;
+        self.store.decode_refs(r)?;
         self.inflation = inflation;
         Ok(())
     }
@@ -257,14 +234,8 @@ impl<O: Observer> GreedyDualEngine<O> {
     /// A reference to a resident page: counts it and re-values the page.
     /// Returns `false`, touching nothing, if the page is absent.
     fn hit<W: FnMut(u32, f64) -> f64>(&mut self, page: PageId, value: &mut W) -> bool {
-        if !self.store.contains(page) {
-            return false;
-        }
-        let f = self.freq.get(page) + 1;
-        self.freq.set(page, f);
-        let v = value(f, self.inflation);
-        self.store.update_value(page, v);
-        true
+        let l = self.inflation;
+        self.store.hit(page, |f| value(f, l))
     }
 
     /// Evicts least-valuable pages until `size` fits, raising `L` to the
@@ -277,7 +248,6 @@ impl<O: Observer> GreedyDualEngine<O> {
                 .pop_min()
                 .expect("cache cannot be empty while free < size <= capacity");
             self.inflation = victim.value;
-            self.freq.remove(victim.page);
             if O::ENABLED {
                 self.obs
                     .evict(victim.page, victim.size, victim.value, EvictReason::Access);
@@ -286,13 +256,15 @@ impl<O: Observer> GreedyDualEngine<O> {
         }
     }
 
-    /// Admits a page valued `value` only over strictly-less-valuable
-    /// residents; raises `L` on evictions (reported under `reason`,
-    /// appended to `evicted`). Returns `false` if the page was declined.
+    /// Admits a page valued `value`, with `refs` references counted, only
+    /// over strictly-less-valuable residents; raises `L` on evictions
+    /// (reported under `reason`, appended to `evicted`). Returns `false`
+    /// if the page was declined.
     fn try_admit(
         &mut self,
         page: &PageRef,
         value: f64,
+        refs: u32,
         reason: EvictReason,
         evicted: &mut Vec<PageId>,
     ) -> bool {
@@ -306,14 +278,14 @@ impl<O: Observer> GreedyDualEngine<O> {
                 .expect("candidate check guarantees enough evictable bytes");
             debug_assert!(victim.value < value);
             self.inflation = victim.value;
-            self.freq.remove(victim.page);
             if O::ENABLED {
                 self.obs
                     .evict(victim.page, victim.size, victim.value, reason);
             }
             evicted.push(victim.page);
         }
-        self.store.insert(page.page, page.size, value);
+        self.store
+            .insert_with_refs(page.page, page.size, value, refs);
         true
     }
 }

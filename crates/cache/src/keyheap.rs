@@ -18,10 +18,12 @@ use std::cmp::Ordering;
 
 use pscd_types::{Bytes, PageId};
 
-/// One live heap element: the eviction key plus the page it belongs to
-/// and its size. The slot is the *only* per-page record the store keeps —
-/// the page table maps ordinals to heap positions — so everything a
-/// lookup, peek or eviction needs travels with the slot.
+/// One live heap element: the eviction key plus the page it belongs to,
+/// its size and its reference count. The slot is the *only* per-page
+/// record the store keeps — the page table maps ordinals to heap
+/// positions — so everything a lookup, hit, peek or eviction needs
+/// travels with the slot, and dies with it: 32 bytes, two to a cache
+/// line.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HeapSlot {
     /// Current policy value; eviction pops the smallest first.
@@ -32,6 +34,9 @@ pub struct HeapSlot {
     pub page: PageId,
     /// Bytes the page occupies (payload — never compared).
     pub size: Bytes,
+    /// References to the page since it was cached (In-Cache LFU; payload
+    /// — never compared). Whoever owns the store decides what counts.
+    pub refs: u32,
 }
 
 impl HeapSlot {
@@ -115,6 +120,12 @@ impl KeyHeap {
         self.slots.push(slot);
     }
 
+    /// Every live slot's reference count, in slot order. The counts are
+    /// payload: writing them cannot disturb the heap.
+    pub(crate) fn refs_mut(&mut self) -> impl Iterator<Item = &mut u32> {
+        self.slots.iter_mut().map(|slot| &mut slot.refs)
+    }
+
     /// `false` if some slot pops before its parent (the bytes the slots
     /// were read from were corrupt).
     pub(crate) fn in_heap_order(&self) -> bool {
@@ -161,7 +172,8 @@ impl KeyHeap {
         removed
     }
 
-    /// Re-keys the slot at `pos` and restores heap order.
+    /// Re-keys the slot at `pos`, sets its reference count and restores
+    /// heap order.
     ///
     /// # Panics
     ///
@@ -171,11 +183,12 @@ impl KeyHeap {
         pos: u32,
         value: f64,
         stamp: u64,
+        refs: u32,
         track: &mut impl FnMut(PageId, u32),
     ) {
         let i = pos as usize;
-        self.slots[i].value = value;
-        self.slots[i].stamp = stamp;
+        let slot = &mut self.slots[i];
+        (slot.value, slot.stamp, slot.refs) = (value, stamp, refs);
         if self.sift_up(i, track) == i {
             self.sift_down(i, track);
         }
@@ -251,6 +264,8 @@ mod tests {
                     stamp,
                     page: p,
                     size: Bytes::new(1),
+                    // Payload: any count must leave every order alone.
+                    refs: (stamp.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40) as u32,
                 },
                 &mut |pg, i| {
                     pos.insert(pg, i);
@@ -285,7 +300,8 @@ mod tests {
         fn update(&mut self, p: PageId, value: f64, stamp: u64) {
             let at = self.pos[&p];
             let pos = &mut self.pos;
-            self.heap.update(at, value, stamp, &mut |pg, i| {
+            let refs = (stamp.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40) as u32;
+            self.heap.update(at, value, stamp, refs, &mut |pg, i| {
                 pos.insert(pg, i);
             });
             self.check();
@@ -304,6 +320,11 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_slot_is_half_a_cache_line() {
+        assert_eq!(std::mem::size_of::<HeapSlot>(), 32);
     }
 
     #[test]
@@ -340,7 +361,9 @@ mod tests {
     #[test]
     fn matches_reference_binary_heap_under_churn() {
         // Drive the eager heap and a (sort-based) reference through the
-        // same operation stream; the pop order must match exactly.
+        // same operation stream; the pop order must match exactly. The
+        // heap's slots carry arbitrary reference counts and the
+        // reference's none: a count never changes an ordering.
         let mut t = Tracked::default();
         let mut reference: Vec<HeapSlot> = Vec::new();
         let mut x = 0x2545_f491_4f6c_dd1du64;
@@ -362,6 +385,7 @@ mod tests {
                         stamp,
                         page: page(next_page),
                         size: Bytes::new(1),
+                        refs: 0,
                     });
                     stamp += 1;
                     next_page += 1;

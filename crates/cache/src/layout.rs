@@ -2,8 +2,8 @@
 //!
 //! Every layer names a page by its ordinal in a closed catalog (the
 //! `CompiledTrace` ordinal contract: ids are `0..page_count`), so every
-//! page-keyed structure — the store's position index, frequency counts,
-//! per-strategy side state — is a [`PageTable`]. A caller that knows its
+//! page-keyed structure — the store's position index, per-strategy side
+//! state — is a [`PageTable`]. A caller that knows its
 //! universe passes its size and gets every slot preallocated, after
 //! which no operation allocates; a caller that does not (unit tests,
 //! examples) passes `0` and the table grows on write.
@@ -13,8 +13,10 @@ use pscd_types::PageId;
 use crate::snapshot::SnapshotError;
 
 /// A page-keyed table of plain values in which one value, chosen at
-/// construction, means "absent" — `0` for frequency counts and per-page
-/// counters, an out-of-range sentinel for position indexes. Reads and
+/// construction, means "absent" — `0` for per-page counters and for the
+/// store's position index, which holds positions plus one: a table whose
+/// absent value is all zero bits comes lazily zeroed from the allocator,
+/// so the slots of pages never written are never touched. Reads and
 /// writes are direct `Vec` indexing by page ordinal.
 #[derive(Debug, Clone)]
 pub struct PageTable<T> {
@@ -77,11 +79,6 @@ impl<T: Copy + PartialEq> PageTable<T> {
         (*slot != self.absent).then(|| std::mem::replace(slot, self.absent))
     }
 
-    /// Resets every page to absent, keeping the universe.
-    pub fn clear(&mut self) {
-        self.slots.fill(self.absent);
-    }
-
     /// The fallible write every `decode_state` uses for a page id read
     /// from snapshot bytes: stores `value` only if `page` lies inside the
     /// universe the table already covers and is absent. It never grows
@@ -119,8 +116,6 @@ mod tests {
             assert_eq!(t.find(PageId::new(3)), Some(8));
             assert_eq!(t.get(PageId::new(100)), 0, "out-of-range reads miss");
             assert_eq!(t.remove(PageId::new(100)), None);
-            t.clear();
-            assert_eq!(t.find(PageId::new(3)), None);
         }
     }
 

@@ -135,7 +135,7 @@ impl CacheStore {
 
     /// The live heap slot of a cached page.
     #[inline]
-    fn slot(&self, page: PageId) -> Option<&HeapSlot> {
+    pub(crate) fn slot(&self, page: PageId) -> Option<&HeapSlot> {
         self.position(page)
             .map(|pos| &self.heap.slots()[pos as usize])
     }
@@ -150,8 +150,8 @@ impl CacheStore {
         self.slot(page).map(|s| s.size)
     }
 
-    /// Inserts a page with an initial value. Replaces (and re-sizes) the
-    /// page if already present.
+    /// Inserts a page with an initial value and no references. Replaces
+    /// (and re-sizes) the page if already present.
     ///
     /// The store intentionally allows transient over-capacity — policies
     /// make room *before* inserting — but panics in debug builds if the
@@ -161,6 +161,16 @@ impl CacheStore {
     ///
     /// Panics if `value` is NaN.
     pub fn insert(&mut self, page: PageId, size: Bytes, value: f64) {
+        self.insert_with_refs(page, size, value, 0);
+    }
+
+    /// [`insert`](Self::insert) for a page that enters with `refs`
+    /// references already counted (1 when a request brings it in).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `value` is NaN.
+    pub fn insert_with_refs(&mut self, page: PageId, size: Bytes, value: f64, refs: u32) {
         assert!(!value.is_nan(), "page value must not be NaN");
         debug_assert!(size <= self.capacity, "page larger than the whole cache");
         self.detach(page);
@@ -174,31 +184,56 @@ impl CacheStore {
                 stamp,
                 page,
                 size,
+                refs,
             },
             &mut |p, pos| positions.set(p, pos + 1),
         );
         self.used += size;
     }
 
-    /// Updates the value of a cached page. Returns `false` if absent.
+    /// A reference to a cached page, in one visit to its slot: counts it,
+    /// re-values the page at `value(count)` and re-stamps it. Returns
+    /// `false`, touching nothing, if the page is absent.
     ///
     /// # Panics
     ///
-    /// Panics if `value` is NaN.
-    pub fn update_value(&mut self, page: PageId, value: f64) -> bool {
-        assert!(!value.is_nan(), "page value must not be NaN");
+    /// Panics if `value` returns NaN.
+    pub fn hit(&mut self, page: PageId, value: impl FnOnce(u32) -> f64) -> bool {
         // Look up before bumping: a miss must not burn a stamp (stamps
         // order eviction ties, so phantom bumps would shift tie-breaks
         // between otherwise identical histories).
         let Some(pos) = self.position(page) else {
             return false;
         };
+        let refs = self.heap.slots()[pos as usize].refs + 1;
+        self.rekey(pos, value(refs), refs);
+        true
+    }
+
+    /// Updates the value of a cached page, leaving its reference count.
+    /// Returns `false`, burning no stamp, if absent.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `value` is NaN.
+    pub fn update_value(&mut self, page: PageId, value: f64) -> bool {
+        let Some(pos) = self.position(page) else {
+            return false;
+        };
+        self.rekey(pos, value, self.heap.slots()[pos as usize].refs);
+        true
+    }
+
+    /// Gives the slot at `pos` a new value, a fresh stamp and `refs`.
+    fn rekey(&mut self, pos: u32, value: f64, refs: u32) {
+        assert!(!value.is_nan(), "page value must not be NaN");
         let stamp = self.bump();
         let Self {
             positions, heap, ..
         } = self;
-        heap.update(pos, value, stamp, &mut |p, pos| positions.set(p, pos + 1));
-        true
+        heap.update(pos, value, stamp, refs, &mut |p, pos| {
+            positions.set(p, pos + 1)
+        });
     }
 
     /// Removes a page, returning its record if present.
@@ -288,6 +323,29 @@ impl CacheStore {
         }
     }
 
+    /// Appends every live slot's reference count, in slot order. They are
+    /// not part of [`encode_state`](Self::encode_state): an owner that
+    /// counts references writes them where its layout has them.
+    pub fn encode_refs(&self, out: &mut Vec<u8>) {
+        for slot in self.heap.slots() {
+            put_u32(out, slot.refs);
+        }
+    }
+
+    /// Reads back what [`encode_refs`](Self::encode_refs) wrote, onto the
+    /// slots a [`decode_state`](Self::decode_state) has just restored.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`SnapshotError`] if the buffer is truncated or a count
+    /// is out of range.
+    pub fn decode_refs(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        for refs in self.heap.refs_mut() {
+            *refs = r.read_count()?;
+        }
+        Ok(())
+    }
+
     /// Restores state captured by [`encode_state`](Self::encode_state)
     /// into this store, replacing its current contents. The store keeps
     /// its own capacity and page universe (a page id outside it is
@@ -339,6 +397,7 @@ impl CacheStore {
                 stamp,
                 page,
                 size,
+                refs: 0,
             });
         }
         if used > self.capacity.as_u64() {

@@ -9,23 +9,29 @@ use pscd_cache::{AccessOutcome, CacheStore, GreedyDualEngine, PageRef, StoredPag
 use pscd_types::{Bytes, PageId};
 
 /// The store's contract with nothing of its structure: a flat list of
-/// `(page, size, value, stamp)`, every question answered by a linear scan.
+/// `(page, size, value, stamp, references)`, every question answered by
+/// a linear scan.
 #[derive(Default)]
 struct ScanStore {
-    pages: Vec<(u32, u64, f64, u64)>,
+    pages: Vec<(u32, u64, f64, u64, u32)>,
     next_stamp: u64,
 }
 
 impl ScanStore {
+    /// Stamps count from 0, as the store's do.
     fn stamp(&mut self) -> u64 {
         self.next_stamp += 1;
-        self.next_stamp
+        self.next_stamp - 1
     }
 
-    fn insert(&mut self, page: u32, size: u64, value: f64) {
+    fn contains(&self, page: u32) -> bool {
+        self.pages.iter().any(|p| p.0 == page)
+    }
+
+    fn insert(&mut self, page: u32, size: u64, value: f64, refs: u32) {
         self.pages.retain(|p| p.0 != page);
         let stamp = self.stamp();
-        self.pages.push((page, size, value, stamp));
+        self.pages.push((page, size, value, stamp, refs));
     }
 
     fn update_value(&mut self, page: u32, value: f64) -> bool {
@@ -33,13 +39,24 @@ impl ScanStore {
             return false;
         };
         let stamp = self.stamp();
-        self.pages[i] = (page, self.pages[i].1, value, stamp);
+        (self.pages[i].2, self.pages[i].3) = (value, stamp);
         true
+    }
+
+    /// A reference as three steps: is it there, count it, re-value it.
+    fn hit(&mut self, page: u32, value: impl Fn(u32) -> f64) -> bool {
+        if !self.contains(page) {
+            return false;
+        }
+        let slot = self.pages.iter_mut().find(|p| p.0 == page).unwrap();
+        slot.4 += 1;
+        let refs = slot.4;
+        self.update_value(page, value(refs))
     }
 
     fn remove(&mut self, page: u32) -> Option<StoredPage> {
         let i = self.pages.iter().position(|p| p.0 == page)?;
-        let (page, size, value, _) = self.pages.remove(i);
+        let (page, size, value, ..) = self.pages.remove(i);
         Some(StoredPage {
             page: PageId::new(page),
             size: Bytes::new(size),
@@ -59,7 +76,11 @@ impl ScanStore {
 #[derive(Debug, Clone)]
 enum StoreOp {
     Insert(u32, u64, f64),
+    /// Insert with this many references already counted.
+    InsertCounted(u32, u64, f64, u32),
     Update(u32, f64),
+    /// A reference, valued at this weight per reference counted.
+    Hit(u32, f64),
     Remove(u32),
     PopMin,
 }
@@ -69,7 +90,10 @@ fn store_op() -> impl Strategy<Value = StoreOp> {
     let value = (0u32..24).prop_map(|v| v as f64 / 8.0);
     prop_oneof![
         (0u32..60, 1u64..50, value.clone()).prop_map(|(p, s, v)| StoreOp::Insert(p, s, v)),
-        (0u32..60, value).prop_map(|(p, v)| StoreOp::Update(p, v)),
+        (0u32..60, 1u64..50, value.clone(), 0u32..3)
+            .prop_map(|(p, s, v, f)| StoreOp::InsertCounted(p, s, v, f)),
+        (0u32..60, value.clone()).prop_map(|(p, v)| StoreOp::Update(p, v)),
+        (0u32..60, value).prop_map(|(p, v)| StoreOp::Hit(p, v)),
         (0u32..60).prop_map(StoreOp::Remove),
         Just(StoreOp::PopMin),
     ]
@@ -83,8 +107,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// Every answer the store gives — membership, bytes, the minimum, the
-    /// candidate sum — equals the scan model's after every operation,
-    /// whether the store grows on demand or was preallocated.
+    /// candidate sum, each slot's stamp and reference count, the stamp
+    /// counter (a missed update or reference must not burn one) — equals
+    /// the scan model's after every operation, whether the store grows on
+    /// demand or was preallocated.
     #[test]
     fn store_matches_scan_model(ops in proptest::collection::vec(store_op(), 1..400)) {
         for mut store in [
@@ -96,11 +122,19 @@ proptest! {
                 match *op {
                     StoreOp::Insert(p, size, value) => {
                         store.insert(PageId::new(p), Bytes::new(size), value);
-                        model.insert(p, size, value);
+                        model.insert(p, size, value, 0);
+                    }
+                    StoreOp::InsertCounted(p, size, value, refs) => {
+                        store.insert_with_refs(PageId::new(p), Bytes::new(size), value, refs);
+                        model.insert(p, size, value, refs);
                     }
                     StoreOp::Update(p, value) => prop_assert_eq!(
                         store.update_value(PageId::new(p), value),
                         model.update_value(p, value)
+                    ),
+                    StoreOp::Hit(p, weight) => prop_assert_eq!(
+                        store.hit(PageId::new(p), |refs| refs as f64 * weight),
+                        model.hit(p, |refs| refs as f64 * weight)
                     ),
                     StoreOp::Remove(p) => {
                         prop_assert_eq!(store.remove(PageId::new(p)), model.remove(p))
@@ -116,10 +150,13 @@ proptest! {
                 prop_assert_eq!(store.peek_min().map(|p| p.page.index()), model.min());
                 let below: u64 = model.pages.iter().filter(|p| p.2 < 1.5).map(|p| p.1).sum();
                 prop_assert_eq!(store.candidate_size_below(1.5).as_u64(), below);
+                prop_assert_eq!(store.next_stamp(), model.next_stamp);
             }
-            for &(page, size, value, _) in &model.pages {
+            for &(page, size, value, stamp, refs) in &model.pages {
                 prop_assert_eq!(store.value(PageId::new(page)), Some(value));
                 prop_assert_eq!(store.size(PageId::new(page)), Some(Bytes::new(size)));
+                let slot = store.slots().iter().find(|s| s.page.index() == page).unwrap();
+                prop_assert_eq!((slot.stamp, slot.refs), (stamp, refs));
             }
         }
     }

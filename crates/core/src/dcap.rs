@@ -3,9 +3,7 @@
 use std::cell::RefCell;
 use std::cmp::Ordering;
 
-use pscd_cache::{
-    AccessOutcome, CacheStore, HeapSlot, PageRef, PageTable, SnapshotError, SnapshotReader,
-};
+use pscd_cache::{AccessOutcome, CacheStore, HeapSlot, PageRef, SnapshotError, SnapshotReader};
 use pscd_obs::{AdmitOrigin, EvictReason, NullObserver, ObsHandle, Observer, RelabelDirection};
 use pscd_types::{Bytes, PageId};
 
@@ -38,10 +36,9 @@ pub struct DcAdaptive<O: Observer = NullObserver> {
     pc_alloc: Bytes,
     /// Push-Cache residents under their SUB values.
     pc: CacheStore,
-    /// Access-Cache residents under their GD\* values.
+    /// Access-Cache residents under their GD\* values, each slot holding
+    /// the page's in-cache reference count.
     ac: CacheStore,
-    /// In-cache reference counts of the AC residents.
-    counts: PageTable<u32>,
     /// GD\* inflation of the AC module.
     inflation: f64,
     beta: f64,
@@ -142,7 +139,6 @@ impl<O: Observer> DcAdaptive<O> {
             pc_alloc: capacity.scaled(start),
             pc: CacheStore::dense(capacity, page_count),
             ac: CacheStore::dense(capacity, page_count),
-            counts: PageTable::new(page_count, 0),
             inflation: 0.0,
             beta,
             ac_mark: 0,
@@ -184,15 +180,13 @@ impl<O: Observer> DcAdaptive<O> {
     /// the AC module's GD\* registers, the two stores, and the reference
     /// count of every AC resident in `ac`'s slot order.
     pub(crate) fn encode_state(&self, out: &mut Vec<u8>) {
-        use pscd_cache::snapshot::{put_f64, put_u32, put_u64};
+        use pscd_cache::snapshot::{put_f64, put_u64};
         put_u64(out, self.pc_alloc.as_u64());
         put_f64(out, self.inflation);
         put_u64(out, self.ac_mark);
         self.pc.encode_state(out);
         self.ac.encode_state(out);
-        for slot in self.ac.iter() {
-            put_u32(out, self.counts.get(slot.page));
-        }
+        self.ac.encode_refs(out);
     }
 
     /// The cached pages, in arbitrary order.
@@ -211,7 +205,7 @@ impl<O: Observer> DcAdaptive<O> {
         if inflation.is_nan() {
             return Err(SnapshotError::Corrupt("NaN inflation"));
         }
-        let Self { pc, ac, counts, .. } = self;
+        let Self { pc, ac, .. } = self;
         pc.decode_state(r)?;
         ac.decode_state(r)?;
         if pc.used() > pc_alloc || ac.used() > ac.capacity() - pc_alloc {
@@ -227,13 +221,7 @@ impl<O: Observer> DcAdaptive<O> {
         if ac_mark > ac.next_stamp() {
             return Err(SnapshotError::Corrupt("AC mark beyond the stamp counter"));
         }
-        counts.clear();
-        for slot in ac.iter() {
-            let f = r.read_count()?;
-            if f != 0 {
-                counts.try_insert(slot.page, f)?;
-            }
-        }
+        ac.decode_refs(r)?;
         self.pc_alloc = pc_alloc;
         self.inflation = inflation;
         self.ac_mark = ac_mark;
@@ -302,7 +290,6 @@ impl<O: Observer> DcAdaptive<O> {
     fn place_in_ac(&mut self, page: &PageRef, size: Bytes, evicted: &mut Vec<PageId>) -> f64 {
         while self.free_ac() < size {
             let victim = self.ac.pop_min().expect("AC holds enough bytes");
-            self.counts.remove(victim.page);
             self.inflation = victim.value;
             self.ac_mark = self.ac.next_stamp();
             if O::ENABLED {
@@ -312,8 +299,7 @@ impl<O: Observer> DcAdaptive<O> {
             evicted.push(victim.page);
         }
         let value = self.gd_value(1, page);
-        self.ac.insert(page.page, size, value);
-        self.counts.set(page.page, 1);
+        self.ac.insert_with_refs(page.page, size, value, 1);
         value
     }
 }
@@ -354,7 +340,6 @@ impl<O: Observer> Strategy for DcAdaptive<O> {
             let victims = std::mem::take(&mut *self.victims_scratch.borrow_mut());
             for &victim in &victims {
                 let removed = self.ac.remove(victim).expect("planned victim");
-                self.counts.remove(victim);
                 self.pc_alloc += removed.size;
                 if O::ENABLED {
                     // The stale page dies and its storage switches
@@ -398,11 +383,9 @@ impl<O: Observer> Strategy for DcAdaptive<O> {
         evicted: &mut Vec<PageId>,
     ) -> AccessOutcome {
         evicted.clear();
-        if self.ac.contains(page.page) {
-            let freq = self.counts.get(page.page) + 1;
-            self.counts.set(page.page, freq);
-            let value = self.gd_value(freq, page);
-            self.ac.update_value(page.page, value);
+        let (l, beta) = (self.inflation, self.beta);
+        let gd_value = |freq| value::gd_star(l, freq, page, beta);
+        if self.ac.hit(page.page, gd_value) {
             return AccessOutcome::Hit;
         }
         if let Some(moved) = self.pc.remove(page.page) {
@@ -453,7 +436,6 @@ impl<O: Observer> Strategy for DcAdaptive<O> {
         let Some(removed) = self.pc.remove(page).or_else(|| self.ac.remove(page)) else {
             return false;
         };
-        self.counts.remove(page);
         if O::ENABLED {
             self.obs
                 .evict(page, removed.size, removed.value, EvictReason::Invalidate);

@@ -1,6 +1,6 @@
 //! DM: single cache, dual replacement methods (§3.3).
 
-use pscd_cache::{AccessOutcome, CacheStore, PageRef, PageTable, SnapshotError, SnapshotReader};
+use pscd_cache::{AccessOutcome, CacheStore, PageRef, SnapshotError, SnapshotReader};
 use pscd_obs::{AdmitOrigin, EvictReason, NullObserver, ObsHandle, Observer};
 use pscd_types::{Bytes, PageId};
 
@@ -21,14 +21,13 @@ use crate::{value, PushOutcome, Strategy, StrategyClass};
 /// The one population lives in two [`CacheStore`]s, each built over the
 /// whole capacity and each holding every resident: `by_access` orders
 /// them by GD\* value, `by_sub` by SUB value. A module evicts by popping
-/// its own store and removing the victim from the other.
+/// its own store and removing the victim from the other. A page's
+/// in-cache reference count (0 for a page pushed and not yet requested)
+/// rides in its `by_access` slot and leaves the cache with it.
 #[derive(Debug)]
 pub struct DualMethods<O: Observer = NullObserver> {
     by_access: CacheStore,
     by_sub: CacheStore,
-    /// In-cache reference counts (0 for a page pushed and not yet
-    /// requested); a page's count is dropped when it leaves the cache.
-    counts: PageTable<u32>,
     inflation: f64,
     beta: f64,
     obs: ObsHandle<O>,
@@ -60,7 +59,6 @@ impl<O: Observer> DualMethods<O> {
         Self {
             by_access: CacheStore::dense(capacity, page_count),
             by_sub: CacheStore::dense(capacity, page_count),
-            counts: PageTable::new(page_count, 0),
             inflation: 0.0,
             beta,
             obs,
@@ -76,13 +74,10 @@ impl<O: Observer> DualMethods<O> {
     /// stores, and the reference count of every resident in `by_access`'s
     /// slot order.
     pub(crate) fn encode_state(&self, out: &mut Vec<u8>) {
-        use pscd_cache::snapshot::{put_f64, put_u32};
-        put_f64(out, self.inflation);
+        pscd_cache::snapshot::put_f64(out, self.inflation);
         self.by_access.encode_state(out);
         self.by_sub.encode_state(out);
-        for slot in self.by_access.iter() {
-            put_u32(out, self.counts.get(slot.page));
-        }
+        self.by_access.encode_refs(out);
     }
 
     /// The cached pages, in arbitrary order.
@@ -97,10 +92,7 @@ impl<O: Observer> DualMethods<O> {
             return Err(SnapshotError::Corrupt("NaN inflation"));
         }
         let Self {
-            by_access,
-            by_sub,
-            counts,
-            ..
+            by_access, by_sub, ..
         } = self;
         by_access.decode_state(r)?;
         by_sub.decode_state(r)?;
@@ -115,21 +107,15 @@ impl<O: Observer> DualMethods<O> {
                 "DM's two orders hold different pages",
             ));
         }
-        counts.clear();
-        for slot in by_access.iter() {
-            let f = r.read_count()?;
-            if f != 0 {
-                counts.try_insert(slot.page, f)?;
-            }
-        }
+        by_access.decode_refs(r)?;
         self.inflation = inflation;
         Ok(())
     }
 
     fn insert(&mut self, page: &PageRef, access_value: f64, sub_value: f64, freq: u32) {
-        self.by_access.insert(page.page, page.size, access_value);
+        self.by_access
+            .insert_with_refs(page.page, page.size, access_value, freq);
         self.by_sub.insert(page.page, page.size, sub_value);
-        self.counts.set(page.page, freq);
     }
 }
 
@@ -157,7 +143,6 @@ impl<O: Observer> Strategy for DualMethods<O> {
                 .pop_min()
                 .expect("candidate check guarantees room");
             self.by_access.remove(victim.page);
-            self.counts.remove(victim.page);
             if O::ENABLED {
                 self.obs
                     .evict(victim.page, victim.size, victim.value, EvictReason::Push);
@@ -186,11 +171,9 @@ impl<O: Observer> Strategy for DualMethods<O> {
 
     fn on_access(&mut self, page: &PageRef, subs: u32, evicted: &mut Vec<PageId>) -> AccessOutcome {
         evicted.clear();
-        if self.by_access.contains(page.page) {
-            let freq = self.counts.get(page.page) + 1;
-            self.counts.set(page.page, freq);
-            let v = self.gd_value(freq, page);
-            self.by_access.update_value(page.page, v);
+        let (l, beta) = (self.inflation, self.beta);
+        let gd_value = |freq| value::gd_star(l, freq, page, beta);
+        if self.by_access.hit(page.page, gd_value) {
             return AccessOutcome::Hit;
         }
         // GD* replacement on miss: always admit (classic), evicting by
@@ -204,7 +187,6 @@ impl<O: Observer> Strategy for DualMethods<O> {
                 .pop_min()
                 .expect("cache not empty while free < size <= capacity");
             self.by_sub.remove(victim.page);
-            self.counts.remove(victim.page);
             self.inflation = victim.value;
             if O::ENABLED {
                 self.obs
@@ -229,7 +211,6 @@ impl<O: Observer> Strategy for DualMethods<O> {
             return false;
         };
         self.by_sub.remove(page);
-        self.counts.remove(page);
         if O::ENABLED {
             self.obs
                 .evict(page, removed.size, removed.value, EvictReason::Invalidate);
