@@ -106,7 +106,7 @@ impl<O: Observer> GreedyDualEngine<O> {
         evicted: &mut Vec<PageId>,
     ) -> AccessOutcome {
         evicted.clear();
-        if self.hit(page.page, &mut value) {
+        if self.store.hit(page.page, |f| value(f, self.inflation)) {
             return AccessOutcome::Hit;
         }
         if page.size > self.store.capacity() {
@@ -136,7 +136,7 @@ impl<O: Observer> GreedyDualEngine<O> {
         evicted: &mut Vec<PageId>,
     ) -> AccessOutcome {
         evicted.clear();
-        if self.hit(page.page, &mut value) {
+        if self.store.hit(page.page, |f| value(f, self.inflation)) {
             return AccessOutcome::Hit;
         }
         let v = value(1, self.inflation);
@@ -229,13 +229,6 @@ impl<O: Observer> GreedyDualEngine<O> {
         self.store.decode_refs(r)?;
         self.inflation = inflation;
         Ok(())
-    }
-
-    /// A reference to a resident page: counts it and re-values the page.
-    /// Returns `false`, touching nothing, if the page is absent.
-    fn hit<W: FnMut(u32, f64) -> f64>(&mut self, page: PageId, value: &mut W) -> bool {
-        let l = self.inflation;
-        self.store.hit(page, |f| value(f, l))
     }
 
     /// Evicts least-valuable pages until `size` fits, raising `L` to the

@@ -99,31 +99,12 @@ impl KeyHeap {
         &self.slots
     }
 
-    /// Drops every slot, keeping the storage.
-    pub(crate) fn clear(&mut self) {
-        self.slots.clear();
-    }
-
-    /// Slots the heap holds room for.
-    #[cfg(test)]
-    pub(crate) fn capacity(&self) -> usize {
-        self.slots.capacity()
-    }
-
-    /// Appends a slot at the position a dump of [`slots`](Self::slots)
-    /// had it, without sifting. A dump of a valid heap is itself a valid
-    /// heap, so putting it back position for position reproduces the
-    /// original ordering bit for bit — which is what snapshot round-trips
-    /// rely on; the caller asks [`in_heap_order`](Self::in_heap_order)
-    /// once every slot is back.
-    pub(crate) fn push_as_dumped(&mut self, slot: HeapSlot) {
-        self.slots.push(slot);
-    }
-
-    /// Every live slot's reference count, in slot order. The counts are
-    /// payload: writing them cannot disturb the heap.
-    pub(crate) fn refs_mut(&mut self) -> impl Iterator<Item = &mut u32> {
-        self.slots.iter_mut().map(|slot| &mut slot.refs)
+    /// The slot storage itself, for a restore: a dump of a valid heap put
+    /// back position for position reproduces its ordering bit for bit.
+    /// Whoever rewrites more than a slot's payload asks
+    /// [`in_heap_order`](Self::in_heap_order) afterwards.
+    pub(crate) fn slots_mut(&mut self) -> &mut Vec<HeapSlot> {
+        &mut self.slots
     }
 
     /// `false` if some slot pops before its parent (the bytes the slots

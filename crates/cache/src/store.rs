@@ -34,12 +34,11 @@ pub struct StoredPage {
 ///
 /// The page → heap-position index is a [`PageTable`] of `u32`: 4 bytes
 /// per page ordinal holding the position plus one, 0 for a page that is
-/// not cached — so the table of a new store is zeroed memory straight
-/// from the allocator, and a page the proxy never holds is never written.
-/// All the per-page state lives in the heap slot the index points at. A
-/// store built with [`dense`](CacheStore::dense) over a trace's
-/// `0..page_count` ordinals preallocates everything and never allocates
-/// again.
+/// not cached — a new store's table is zeroed memory straight from the
+/// allocator, never written for a page the proxy never holds — and all
+/// the per-page state lives in the heap slot it points at. A store built
+/// with [`dense`](CacheStore::dense) over a trace's `0..page_count`
+/// ordinals preallocates everything and never allocates again.
 ///
 /// # Examples
 ///
@@ -59,7 +58,6 @@ pub struct StoredPage {
 pub struct CacheStore {
     capacity: Bytes,
     used: Bytes,
-    /// Heap position plus one per page ordinal; 0 = not cached.
     positions: PageTable<u32>,
     heap: KeyHeap,
     next_stamp: u64,
@@ -127,17 +125,11 @@ impl CacheStore {
         self.positions.get(page) != 0
     }
 
-    /// The heap position of a cached page.
-    #[inline]
-    fn position(&self, page: PageId) -> Option<u32> {
-        self.positions.get(page).checked_sub(1)
-    }
-
     /// The live heap slot of a cached page.
     #[inline]
     pub(crate) fn slot(&self, page: PageId) -> Option<&HeapSlot> {
-        self.position(page)
-            .map(|pos| &self.heap.slots()[pos as usize])
+        let pos = self.positions.get(page).checked_sub(1)?;
+        Some(&self.heap.slots()[pos as usize])
     }
 
     /// The current value of a cached page.
@@ -150,22 +142,19 @@ impl CacheStore {
         self.slot(page).map(|s| s.size)
     }
 
-    /// Inserts a page with an initial value and no references. Replaces
-    /// (and re-sizes) the page if already present.
-    ///
-    /// The store intentionally allows transient over-capacity — policies
-    /// make room *before* inserting — but panics in debug builds if the
-    /// page alone exceeds capacity, which every policy must reject earlier.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `value` is NaN.
+    /// Inserts a page with an initial value and no references counted
+    /// (see [`insert_with_refs`](Self::insert_with_refs)).
     pub fn insert(&mut self, page: PageId, size: Bytes, value: f64) {
         self.insert_with_refs(page, size, value, 0);
     }
 
-    /// [`insert`](Self::insert) for a page that enters with `refs`
-    /// references already counted (1 when a request brings it in).
+    /// Inserts a page with an initial value and `refs` references already
+    /// counted (1 when a request brings it in). Replaces (and re-sizes)
+    /// the page if already present.
+    ///
+    /// The store intentionally allows transient over-capacity — policies
+    /// make room *before* inserting — but panics in debug builds if the
+    /// page alone exceeds capacity, which every policy must reject earlier.
     ///
     /// # Panics
     ///
@@ -178,16 +167,14 @@ impl CacheStore {
         let Self {
             positions, heap, ..
         } = self;
-        heap.push(
-            HeapSlot {
-                value,
-                stamp,
-                page,
-                size,
-                refs,
-            },
-            &mut |p, pos| positions.set(p, pos + 1),
-        );
+        let slot = HeapSlot {
+            value,
+            stamp,
+            page,
+            size,
+            refs,
+        };
+        heap.push(slot, &mut |p, pos| positions.set(p, pos + 1));
         self.used += size;
     }
 
@@ -199,33 +186,29 @@ impl CacheStore {
     ///
     /// Panics if `value` returns NaN.
     pub fn hit(&mut self, page: PageId, value: impl FnOnce(u32) -> f64) -> bool {
-        // Look up before bumping: a miss must not burn a stamp (stamps
-        // order eviction ties, so phantom bumps would shift tie-breaks
-        // between otherwise identical histories).
-        let Some(pos) = self.position(page) else {
-            return false;
-        };
-        let refs = self.heap.slots()[pos as usize].refs + 1;
-        self.rekey(pos, value(refs), refs);
-        true
+        self.rekey(page, |refs| (value(refs + 1), refs + 1))
     }
 
     /// Updates the value of a cached page, leaving its reference count.
-    /// Returns `false`, burning no stamp, if absent.
+    /// Returns `false` if absent.
     ///
     /// # Panics
     ///
     /// Panics if `value` is NaN.
     pub fn update_value(&mut self, page: PageId, value: f64) -> bool {
-        let Some(pos) = self.position(page) else {
-            return false;
-        };
-        self.rekey(pos, value, self.heap.slots()[pos as usize].refs);
-        true
+        self.rekey(page, |refs| (value, refs))
     }
 
-    /// Gives the slot at `pos` a new value, a fresh stamp and `refs`.
-    fn rekey(&mut self, pos: u32, value: f64, refs: u32) {
+    /// Gives a cached page the value and reference count `rekey` makes of
+    /// its present count, and a fresh stamp.
+    fn rekey(&mut self, page: PageId, rekey: impl FnOnce(u32) -> (f64, u32)) -> bool {
+        // Look up before bumping: a miss must not burn a stamp (stamps
+        // order eviction ties, so phantom bumps would shift tie-breaks
+        // between otherwise identical histories).
+        let Some(pos) = self.positions.get(page).checked_sub(1) else {
+            return false;
+        };
+        let (value, refs) = rekey(self.heap.slots()[pos as usize].refs);
         assert!(!value.is_nan(), "page value must not be NaN");
         let stamp = self.bump();
         let Self {
@@ -234,6 +217,7 @@ impl CacheStore {
         heap.update(pos, value, stamp, refs, &mut |p, pos| {
             positions.set(p, pos + 1)
         });
+        true
     }
 
     /// Removes a page, returning its record if present.
@@ -323,25 +307,24 @@ impl CacheStore {
         }
     }
 
-    /// Appends every live slot's reference count, in slot order. They are
-    /// not part of [`encode_state`](Self::encode_state): an owner that
-    /// counts references writes them where its layout has them.
+    /// Appends every live slot's reference count, in slot order: not part
+    /// of [`encode_state`](Self::encode_state), because an owner that
+    /// counts references writes them where its own layout has them.
     pub fn encode_refs(&self, out: &mut Vec<u8>) {
         for slot in self.heap.slots() {
             put_u32(out, slot.refs);
         }
     }
 
-    /// Reads back what [`encode_refs`](Self::encode_refs) wrote, onto the
-    /// slots a [`decode_state`](Self::decode_state) has just restored.
+    /// Reads [`encode_refs`](Self::encode_refs)' counts back onto the
+    /// slots a [`decode_state`](Self::decode_state) has restored.
     ///
     /// # Errors
     ///
-    /// Returns a [`SnapshotError`] if the buffer is truncated or a count
-    /// is out of range.
+    /// A [`SnapshotError`] for a truncated buffer or a count out of range.
     pub fn decode_refs(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        for refs in self.heap.refs_mut() {
-            *refs = r.read_count()?;
+        for slot in self.heap.slots_mut() {
+            slot.refs = r.read_count()?;
         }
         Ok(())
     }
@@ -372,13 +355,11 @@ impl CacheStore {
         }
         // Empty the store's own tables and refill them: a store built over
         // a universe keeps the room it was built with.
-        let Self {
-            positions, heap, ..
-        } = self;
-        for slot in heap.slots() {
+        let positions = &mut self.positions;
+        let slots = self.heap.slots_mut();
+        for slot in slots.drain(..) {
             positions.remove(slot.page);
         }
-        heap.clear();
         let mut used = 0u64;
         for pos in 0..n {
             let value = r.read_f64()?;
@@ -392,7 +373,7 @@ impl CacheStore {
             used = used
                 .checked_add(size.as_u64())
                 .ok_or(SnapshotError::Corrupt("resident bytes overflow"))?;
-            heap.push_as_dumped(HeapSlot {
+            slots.push(HeapSlot {
                 value,
                 stamp,
                 page,
@@ -403,7 +384,7 @@ impl CacheStore {
         if used > self.capacity.as_u64() {
             return Err(SnapshotError::Corrupt("resident bytes exceed capacity"));
         }
-        if !heap.in_heap_order() {
+        if !self.heap.in_heap_order() {
             return Err(SnapshotError::Corrupt("slots are not in heap order"));
         }
         self.used = Bytes::new(used);
@@ -602,11 +583,11 @@ mod tests {
         let mut bytes = Vec::new();
         donor.encode_state(&mut bytes);
         let mut s = CacheStore::dense(Bytes::new(100), 64);
-        let built = s.heap.capacity();
+        let built = s.heap.slots_mut().capacity();
         assert!(built >= 64);
         s.insert(page(1), Bytes::new(10), 1.0);
         s.decode_state(&mut SnapshotReader::new(&bytes)).unwrap();
-        assert!(s.heap.capacity() >= built, "{} slots", s.heap.capacity());
+        assert!(s.heap.slots_mut().capacity() >= built);
         // What the store held before is gone, index entry included.
         assert!(!s.contains(page(1)));
         assert_eq!((s.len(), s.used()), (2, Bytes::new(20)));

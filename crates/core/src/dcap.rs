@@ -171,11 +171,6 @@ impl<O: Observer> DcAdaptive<O> {
         self.ac_allocation().saturating_sub(self.ac.used())
     }
 
-    /// The AC module's value of a page referenced `freq` times.
-    fn gd_value(&self, freq: u32, page: &PageRef) -> f64 {
-        value::gd_star(self.inflation, freq, page, self.beta)
-    }
-
     /// Serializes the mutable state for a snapshot: the partition point,
     /// the AC module's GD\* registers, the two stores, and the reference
     /// count of every AC resident in `ac`'s slot order.
@@ -298,7 +293,7 @@ impl<O: Observer> DcAdaptive<O> {
             }
             evicted.push(victim.page);
         }
-        let value = self.gd_value(1, page);
+        let value = value::gd_star(self.inflation, 1, page, self.beta);
         self.ac.insert_with_refs(page.page, size, value, 1);
         value
     }
@@ -383,8 +378,7 @@ impl<O: Observer> Strategy for DcAdaptive<O> {
         evicted: &mut Vec<PageId>,
     ) -> AccessOutcome {
         evicted.clear();
-        let (l, beta) = (self.inflation, self.beta);
-        let gd_value = |freq| value::gd_star(l, freq, page, beta);
+        let gd_value = |freq| value::gd_star(self.inflation, freq, page, self.beta);
         if self.ac.hit(page.page, gd_value) {
             return AccessOutcome::Hit;
         }

@@ -65,11 +65,6 @@ impl<O: Observer> DualMethods<O> {
         }
     }
 
-    /// The access module's value of a page referenced `freq` times.
-    fn gd_value(&self, freq: u32, page: &PageRef) -> f64 {
-        value::gd_star(self.inflation, freq, page, self.beta)
-    }
-
     /// Serializes the mutable state for a snapshot: inflation, the two
     /// stores, and the reference count of every resident in `by_access`'s
     /// slot order.
@@ -151,7 +146,8 @@ impl<O: Observer> Strategy for DualMethods<O> {
         }
         // A pushed page has no access history: its GD* value is just L
         // (f = 0), so the access module treats it as cold until requested.
-        self.insert(page, self.gd_value(0, page), v, 0);
+        let cold = value::gd_star(self.inflation, 0, page, self.beta);
+        self.insert(page, cold, v, 0);
         if O::ENABLED {
             self.obs.admit(page.page, page.size, v, AdmitOrigin::Push);
         }
@@ -171,8 +167,7 @@ impl<O: Observer> Strategy for DualMethods<O> {
 
     fn on_access(&mut self, page: &PageRef, subs: u32, evicted: &mut Vec<PageId>) -> AccessOutcome {
         evicted.clear();
-        let (l, beta) = (self.inflation, self.beta);
-        let gd_value = |freq| value::gd_star(l, freq, page, beta);
+        let gd_value = |freq| value::gd_star(self.inflation, freq, page, self.beta);
         if self.by_access.hit(page.page, gd_value) {
             return AccessOutcome::Hit;
         }
@@ -194,7 +189,7 @@ impl<O: Observer> Strategy for DualMethods<O> {
             }
             evicted.push(victim.page);
         }
-        let v = self.gd_value(1, page);
+        let v = value::gd_star(self.inflation, 1, page, self.beta);
         self.insert(page, v, value::sub(subs, page), 1);
         if O::ENABLED {
             self.obs.admit(page.page, page.size, v, AdmitOrigin::Access);

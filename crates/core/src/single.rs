@@ -199,23 +199,11 @@ impl<O: Observer> SingleCache<O> {
             let rows: u32 = self.counted.iter().map(|word| word.count_ones()).sum();
             put_u32(out, rows);
             // Words in order, bits from the lowest: ascending page order.
-            for page in self.counted_pages() {
+            for page in set_bits(&self.counted) {
                 put_u32(out, page.index());
                 put_u32(out, self.accesses.get(page));
             }
         }
-    }
-
-    /// The pages with a request count, ascending.
-    fn counted_pages(&self) -> impl Iterator<Item = PageId> + '_ {
-        self.counted.iter().enumerate().flat_map(|(w, &word)| {
-            let mut rest = word;
-            std::iter::from_fn(move || {
-                let bit = (rest != 0).then(|| rest.trailing_zeros())?;
-                rest &= rest - 1;
-                Some(PageId::new(w as u32 * 64 + bit))
-            })
-        })
     }
 
     /// The cached pages, in arbitrary order — what an owner that tracks
@@ -235,15 +223,10 @@ impl<O: Observer> SingleCache<O> {
             if n > r.remaining() / 8 {
                 return Err(SnapshotError::Corrupt("access-count table overruns buffer"));
             }
-            let Self {
-                accesses, counted, ..
-            } = self;
-            for (w, word) in counted.iter_mut().enumerate() {
-                while *word != 0 {
-                    accesses.remove(PageId::new(w as u32 * 64 + word.trailing_zeros()));
-                    *word &= *word - 1;
-                }
+            for page in set_bits(&self.counted) {
+                self.accesses.remove(page);
             }
+            self.counted.fill(0);
             // The encoder writes each counted page once (`try_insert`
             // refuses a second time), in ascending order, and never a
             // zero: anything else is not its output.
@@ -252,29 +235,14 @@ impl<O: Observer> SingleCache<O> {
                 let page = PageId::new(r.read_u32()?);
                 let a = r.read_count()?;
                 if a == 0 || page.index() < last {
-                    return Err(SnapshotError::Corrupt(
-                        "access-count table is not canonical",
-                    ));
+                    return Err(SnapshotError::Corrupt("request counts not canonical"));
                 }
                 last = page.index();
-                accesses.try_insert(page, a)?;
-                counted[page.as_usize() / 64] |= 1 << (page.index() % 64);
+                self.accesses.try_insert(page, a)?;
+                self.counted[page.as_usize() / 64] |= 1 << (page.index() % 64);
             }
         }
         Ok(())
-    }
-
-    /// Counts one more request for `page` and returns the new total.
-    fn count_request(&mut self, page: PageId) -> u32 {
-        let a = self.accesses.get(page) + 1;
-        self.accesses.set(page, a);
-        let word = page.as_usize() / 64;
-        if word >= self.counted.len() {
-            // Only a cache built without a universe grows, as its table does.
-            self.counted.resize(word + 1, 0);
-        }
-        self.counted[word] |= 1 << (page.index() % 64);
-        a
     }
 
     /// What a page pushed now would be worth: no reference yet, and the
@@ -283,6 +251,18 @@ impl<O: Observer> SingleCache<O> {
         let a = self.accesses.get(page.page);
         self.model.value(page, subs, a, self.engine.inflation())
     }
+}
+
+/// The page ordinals whose bits are set in `words`, ascending.
+fn set_bits(words: &[u64]) -> impl Iterator<Item = PageId> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            let bit = (rest != 0).then(|| rest.trailing_zeros())?;
+            rest &= rest - 1;
+            Some(PageId::new(w as u32 * 64 + bit))
+        })
+    })
 }
 
 impl<O: Observer> Strategy for SingleCache<O> {
@@ -331,7 +311,14 @@ impl<O: Observer> Strategy for SingleCache<O> {
                 }
             }
             StrategyClass::Combined => {
-                let a = self.count_request(page.page);
+                let a = self.accesses.get(page.page) + 1;
+                self.accesses.set(page.page, a);
+                let word = page.page.as_usize() / 64;
+                if word >= self.counted.len() {
+                    // Only a cache built without a universe grows, as its table does.
+                    self.counted.resize(word + 1, 0);
+                }
+                self.counted[word] |= 1 << (page.page.index() % 64);
                 self.engine
                     .access_gated(page, |_, l| model.value(page, subs, a, l), evicted)
             }
