@@ -317,6 +317,16 @@ impl EngineMatcher {
         self.contents.len()
     }
 
+    /// `true` if the registered pages are exactly the dense universe
+    /// `0..pages`: that many of them, and content for every id below
+    /// `pages`. A page without content fans out to nobody and counts 0
+    /// without an error, so whoever resolves a whole universe through this
+    /// matcher checks here first.
+    pub fn covers(&self, pages: usize) -> bool {
+        self.contents.len() == pages
+            && (0..pages).all(|id| self.contents.contains_key(&PageId::new(id as u32)))
+    }
+
     /// How many of these delta entries match `content`.
     fn delta_matches(&self, entries: &[(ServerId, SubscriptionId)], content: &Content) -> u32 {
         let live = entries
@@ -399,6 +409,20 @@ mod tests {
         assert!(m.matched_servers(PageId::new(0)).is_empty());
         assert_eq!(m.match_count(PageId::new(0), ServerId::new(0)), 0);
         assert!(m.content(PageId::new(0)).is_none());
+    }
+
+    #[test]
+    fn covers_asks_for_every_id_not_for_their_number() {
+        let mut m = EngineMatcher::new(1);
+        assert!(m.covers(0));
+        for id in [1, 2] {
+            m.register_page(PageId::new(id), Content::new());
+        }
+        assert_eq!(m.page_count(), 2);
+        assert!(!m.covers(2), "ids 1 and 2 are not the universe 0..2");
+        m.register_page(PageId::new(0), Content::new());
+        assert!(m.covers(3));
+        assert!(!m.covers(2) && !m.covers(4));
     }
 
     #[test]

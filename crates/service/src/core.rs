@@ -258,7 +258,7 @@ impl ServiceCore {
     /// page universe than the configured one.
     pub fn attach_matcher(&mut self, mut matcher: EngineMatcher) -> Result<(), ServiceError> {
         if matcher.server_count() != self.config.server_count()
-            || matcher.page_count() != self.config.pages.len()
+            || !matcher.covers(self.config.pages.len())
         {
             return Err(ServiceError::Config {
                 what: "matcher",

@@ -490,6 +490,24 @@ fn content_mode_rejects_mismatched_matchers() {
     assert_equivalent(kind, &outcome, false, "after rejected matcher");
 }
 
+/// The right *number* of pages over the wrong ids is no cover: page 0
+/// would fan out to nobody and count 0 without an error.
+#[test]
+fn content_mode_rejects_a_matcher_over_shifted_ids() {
+    use pscd_matching::{Content, EngineMatcher};
+    use pscd_types::PageId;
+
+    let f = fixture();
+    let mut core = ServiceCore::new(service_config(StrategyKind::Lru, false)).unwrap();
+    let mut shifted = EngineMatcher::new(f.trace.server_count());
+    for id in 1..=f.pages.len() as u32 {
+        shifted.register_page(PageId::new(id), Content::new());
+    }
+    assert_eq!(shifted.page_count(), f.pages.len());
+    let err = core.attach_matcher(shifted).unwrap_err();
+    assert!(err.to_string().contains("page universe"), "{err}");
+}
+
 /// A convergence-relevant subset of the lineup: one representative per
 /// state shape (list-backed, heap-backed, subscription-aware, dual, and
 /// the adaptive pair), keeping the proptest affordable.

@@ -302,9 +302,7 @@ impl StreamingTrace {
     /// Returns [`SimError::MismatchedMatcher`] if the matcher covers a
     /// different fleet or page universe than the trace.
     pub fn attach_matcher(&mut self, mut matcher: EngineMatcher) -> Result<(), SimError> {
-        if matcher.server_count() != self.meta.servers
-            || matcher.page_count() != self.meta.pages.len()
-        {
+        if matcher.server_count() != self.meta.servers || !matcher.covers(self.meta.pages.len()) {
             return Err(SimError::MismatchedMatcher {
                 servers: self.meta.servers,
                 matcher_servers: matcher.server_count(),
@@ -788,6 +786,23 @@ mod tests {
         let mut other = StreamingTrace::new(&config(), 1.0, SimTime::from_hours(13), 1).unwrap();
         assert!(matches!(
             other.attach_matcher(EngineMatcher::new(1)),
+            Err(SimError::MismatchedMatcher { .. })
+        ));
+    }
+
+    /// The right *number* of pages over the wrong ids: page 0 would fan out
+    /// to nobody and count 0 without an error.
+    #[test]
+    fn attach_matcher_rejects_a_matcher_over_shifted_ids() {
+        let mut stream = StreamingTrace::new(&config(), 1.0, SimTime::from_hours(13), 1).unwrap();
+        let pages = stream.meta().pages().len();
+        let mut shifted = EngineMatcher::new(stream.meta().server_count());
+        for id in 1..=pages as u32 {
+            shifted.register_page(pscd_types::PageId::new(id), pscd_matching::Content::new());
+        }
+        assert_eq!(shifted.page_count(), pages);
+        assert!(matches!(
+            stream.attach_matcher(shifted),
             Err(SimError::MismatchedMatcher { .. })
         ));
     }

@@ -194,7 +194,7 @@ impl CompiledTrace {
         matcher: &mut EngineMatcher,
     ) -> Result<Self, SimError> {
         if matcher.server_count() != workload.server_count()
-            || matcher.page_count() != workload.pages().len()
+            || !matcher.covers(workload.pages().len())
         {
             return Err(SimError::MismatchedMatcher {
                 servers: workload.server_count(),
@@ -637,6 +637,22 @@ mod tests {
         let mut empty = EngineMatcher::new(w.server_count());
         assert!(matches!(
             CompiledTrace::compile_from_matcher(&w, &mut empty),
+            Err(SimError::MismatchedMatcher { .. })
+        ));
+    }
+
+    /// The right *number* of pages over the wrong ids: page 0 would fan out
+    /// to nobody and count 0 without an error.
+    #[test]
+    fn compile_from_matcher_rejects_a_matcher_over_shifted_ids() {
+        let (w, _) = fixture();
+        let mut shifted = EngineMatcher::new(w.server_count());
+        for id in 1..=w.pages().len() as u32 {
+            shifted.register_page(PageId::new(id), pscd_matching::Content::new());
+        }
+        assert_eq!(shifted.page_count(), w.pages().len());
+        assert!(matches!(
+            CompiledTrace::compile_from_matcher(&w, &mut shifted),
             Err(SimError::MismatchedMatcher { .. })
         ));
     }
