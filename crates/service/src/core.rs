@@ -29,6 +29,7 @@ use pscd_types::{LiveEvent, PageId, ServerId};
 
 use crate::config::{ServiceConfig, ServiceError};
 use crate::journal::Journal;
+use crate::kept::KeptFanouts;
 use crate::wire::SNAPSHOT_MAGIC;
 use crate::worker::{
     read_server_snap, ResolvedBatch, ResolvedEvent, ServerSnap, Shard, ShardRestore, ShardSnap,
@@ -79,11 +80,12 @@ pub struct ServiceCore {
     snapshot_buf: Vec<u8>,
     events_applied: u64,
     last_snapshot: u64,
-    /// Optional content-based matcher. When attached, publish fan-outs and
-    /// request counts resolve against its frozen kernel instead of the
-    /// count rows; the kernel absorbs dynamic [`subscribe_content`] calls,
-    /// and only a burst past what it absorbs makes the next resolve
-    /// refreeze it.
+    /// Optional content-based matcher. When attached, publish fan-outs
+    /// resolve against its frozen kernel instead of the count rows, and
+    /// request counts against the fan-out their page's publish found
+    /// (`kept`), or the kernel where that is stale; the kernel absorbs
+    /// dynamic [`subscribe_content`] calls, and only a burst past what it
+    /// absorbs makes the next resolve refreeze it.
     ///
     /// [`subscribe_content`]: ServiceCore::subscribe_content
     matcher: Option<EngineMatcher>,
@@ -91,6 +93,10 @@ pub struct ServiceCore {
     match_scratch: MatchScratch,
     /// Fan-out buffer for the attached matcher (reused per publish).
     fanout_buf: Vec<(ServerId, u32)>,
+    /// The fan-outs the attached matcher has computed, per page. In-memory
+    /// state like the matcher: emptied when one is attached, never
+    /// persisted.
+    kept: KeptFanouts,
 }
 
 /// Contiguous even partition of `servers` across `workers` shards.
@@ -135,6 +141,7 @@ impl ServiceCore {
             matcher: None,
             match_scratch: MatchScratch::new(),
             fanout_buf: Vec::new(),
+            kept: KeptFanouts::default(),
             config,
         })
     }
@@ -184,6 +191,7 @@ impl ServiceCore {
             matcher: None,
             match_scratch: MatchScratch::new(),
             fanout_buf: Vec::new(),
+            kept: KeptFanouts::default(),
             config,
         };
         // Replay the journal suffix without re-journaling and without
@@ -267,6 +275,8 @@ impl ServiceCore {
         }
         matcher.freeze();
         self.matcher = Some(matcher);
+        self.kept
+            .reset(self.config.pages.len(), self.config.server_count());
         Ok(())
     }
 
@@ -293,16 +303,20 @@ impl ServiceCore {
         server: ServerId,
         subscription: Subscription,
     ) -> Result<SubscriptionId, ServiceError> {
+        let servers = self.config.server_count();
         let matcher = self.matcher.as_mut().ok_or(ServiceError::Config {
             what: "matcher",
             constraint: "attached before subscribe_content",
         })?;
-        matcher
+        let unknown = ServiceError::UnknownServer {
+            server: server.index(),
+            servers,
+        };
+        let id = matcher
             .subscribe(server, subscription)
-            .map_err(|_| ServiceError::UnknownServer {
-                server: server.index(),
-                servers: self.config.server_count(),
-            })
+            .map_err(|_| unknown)?;
+        self.kept.churned(server, self.events_applied);
+        Ok(id)
     }
 
     /// Removes a content-based subscription — one registered by
@@ -334,7 +348,9 @@ impl ServiceCore {
                 what: "subscription id",
                 constraint: "registered at the given server",
             },
-        })
+        })?;
+        self.kept.churned(server, self.events_applied);
+        Ok(())
     }
 
     /// Ingests one event.
@@ -426,6 +442,7 @@ impl ServiceCore {
                         // it before the fan-out (a no-op while one answers).
                         m.freeze();
                         m.matched_servers_into(page, &mut self.match_scratch, &mut self.fanout_buf);
+                        self.kept.keep(page, &self.fanout_buf, self.events_applied);
                         self.batch.pairs.extend_from_slice(&self.fanout_buf);
                     }
                     None => self.batch.pairs.extend_from_slice(self.rows.row(page)),
@@ -443,7 +460,11 @@ impl ServiceCore {
                 let subs = match &mut self.matcher {
                     Some(m) => {
                         m.freeze();
-                        m.match_count_with(page, server, &mut self.match_scratch)
+                        // What the page's publish found at this proxy, unless
+                        // the proxy's subscriptions changed since.
+                        self.kept.count(page, server).unwrap_or_else(|| {
+                            m.match_count_with(page, server, &mut self.match_scratch)
+                        })
                     }
                     None => self.rows.subs(page, server),
                 };
@@ -697,6 +718,319 @@ fn decode_snapshot_file(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use proptest::prelude::*;
+    use pscd_broker::PushScheme;
+    use pscd_core::StrategyKind;
+    use pscd_matching::{Content, Predicate, Value};
+    use pscd_types::{Bytes, PageKind, PageMeta, SimTime};
+
+    const CATEGORIES: [&str; 3] = ["a", "b", "c"];
+
+    /// A service over `pages` original pages and `servers` proxies whose
+    /// batch outlasts the test, so every resolved event stays readable.
+    fn tiny_service(servers: u16, pages: u32) -> ServiceCore {
+        let metas = (0..pages).map(|id| {
+            let size = Bytes::new(10 + u64::from(id));
+            PageMeta::new(PageId::new(id), size, SimTime::ZERO, PageKind::Original)
+        });
+        let config = ServiceConfig::new(
+            StrategyKind::Sg2 { beta: 2.0 },
+            vec![Bytes::new(100); servers as usize],
+            vec![1.0; servers as usize],
+            PushScheme::Always,
+            metas.collect(),
+            1,
+        );
+        ServiceCore::new(config.with_batch_size(1 << 16)).unwrap()
+    }
+
+    /// Page `id` carries `page = id`, `n = id` and one of three categories.
+    fn tiny_matcher(servers: u16, pages: u32) -> EngineMatcher {
+        let mut matcher = EngineMatcher::new(servers);
+        for id in 0..pages {
+            let content = Content::new()
+                .with("page", Value::int(i64::from(id)))
+                .with("n", Value::int(i64::from(id)))
+                .with("cat", Value::str(CATEGORIES[id as usize % 3]));
+            matcher.register_page(PageId::new(id), content);
+        }
+        matcher
+    }
+
+    fn page_sub(page: i64) -> Subscription {
+        Subscription::new(vec![Predicate::eq("page", Value::int(page))])
+    }
+
+    fn publish(page: u32) -> LiveEvent {
+        LiveEvent::Publish {
+            time: SimTime::ZERO,
+            page: PageId::new(page),
+        }
+    }
+
+    fn request(server: u16, page: u32) -> LiveEvent {
+        LiveEvent::Request {
+            time: SimTime::ZERO,
+            server: ServerId::new(server),
+            page: PageId::new(page),
+        }
+    }
+
+    /// The `subs` of the last resolved event, a request.
+    fn last_subs(core: &ServiceCore) -> u32 {
+        match core.batch.events.last() {
+            Some(ResolvedEvent::Request { subs, .. }) => *subs,
+            other => panic!("not a request: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_request_before_its_publish_resolves_through_the_kernel() {
+        let mut core = tiny_service(2, 3);
+        let mut matcher = tiny_matcher(2, 3);
+        for _ in 0..2 {
+            matcher.subscribe(ServerId::new(1), page_sub(2)).unwrap();
+        }
+        core.attach_matcher(matcher).unwrap();
+        let mut rows = tiny_service(2, 3);
+        rows.ingest(LiveEvent::Subscribe {
+            page: PageId::new(2),
+            server: ServerId::new(1),
+            count: 2,
+        })
+        .unwrap();
+
+        assert_eq!(core.kept.count(PageId::new(2), ServerId::new(1)), None);
+        for ev in [request(1, 2), request(0, 2), publish(2), request(1, 2)] {
+            core.ingest(ev).unwrap();
+            rows.ingest(ev).unwrap();
+        }
+        assert_eq!(core.kept.count(PageId::new(2), ServerId::new(1)), Some(2));
+        assert_eq!(core.batch.events, rows.batch.events);
+        assert_eq!(core.batch.pairs, rows.batch.pairs);
+        assert_eq!(last_subs(&core), 2);
+    }
+
+    #[test]
+    fn a_page_published_twice_reads_the_second_row() {
+        let mut core = tiny_service(3, 2);
+        let mut matcher = tiny_matcher(3, 2);
+        let first = matcher.subscribe(ServerId::new(0), page_sub(0)).unwrap();
+        matcher.subscribe(ServerId::new(2), page_sub(0)).unwrap();
+        core.attach_matcher(matcher).unwrap();
+        let read = |core: &mut ServiceCore, server: u16| {
+            core.ingest(request(server, 0)).unwrap();
+            last_subs(core)
+        };
+
+        core.ingest(publish(0)).unwrap();
+        assert_eq!(core.kept.arena_len(), 2);
+        assert_eq!([read(&mut core, 0), read(&mut core, 1)], [1, 0]);
+
+        // Unchanged: the same span. Proxy 0 leaves and proxy 2 gains one:
+        // a shorter row, in place, and proxy 0's stale stamp is behind it.
+        core.ingest(publish(0)).unwrap();
+        assert_eq!(core.kept.arena_len(), 2, "an unchanged page does not grow");
+        core.unsubscribe_content(ServerId::new(0), first).unwrap();
+        core.subscribe_content(ServerId::new(2), page_sub(0))
+            .unwrap();
+        assert_eq!(core.kept.count(PageId::new(0), ServerId::new(0)), None);
+        assert_eq!(core.kept.count(PageId::new(0), ServerId::new(1)), Some(0));
+        assert_eq!([read(&mut core, 0), read(&mut core, 2)], [0, 2], "kernel");
+        core.ingest(publish(0)).unwrap();
+        assert_eq!(core.kept.arena_len(), 2, "a shorter row fits");
+        for (server, subs) in [(0, 0), (1, 0), (2, 2)] {
+            let kept = core.kept.count(PageId::new(0), ServerId::new(server));
+            assert_eq!(kept, Some(subs));
+            assert_eq!(read(&mut core, server), subs);
+        }
+
+        // All three proxies match: longer than the span, so appended.
+        for server in [0, 1] {
+            core.subscribe_content(ServerId::new(server), Subscription::wildcard())
+                .unwrap();
+        }
+        core.ingest(publish(0)).unwrap();
+        assert_eq!(core.kept.arena_len(), 2 + 3);
+        for (server, subs) in [(0, 1), (1, 1), (2, 2)] {
+            let kept = core.kept.count(PageId::new(0), ServerId::new(server));
+            assert_eq!(kept, Some(subs));
+            assert_eq!(read(&mut core, server), subs);
+        }
+    }
+
+    #[test]
+    fn a_second_attach_forgets_every_row() {
+        let mut core = tiny_service(2, 2);
+        let mut matcher = tiny_matcher(2, 2);
+        matcher.subscribe(ServerId::new(0), page_sub(1)).unwrap();
+        core.attach_matcher(matcher).unwrap();
+        core.ingest(publish(1)).unwrap();
+        core.subscribe_content(ServerId::new(1), page_sub(0))
+            .unwrap();
+        assert_eq!(core.kept.count(PageId::new(1), ServerId::new(0)), Some(1));
+        assert_eq!(core.kept.count(PageId::new(1), ServerId::new(1)), None);
+
+        // The same pages under other subscriptions: the old row would say 1.
+        let mut other = tiny_matcher(2, 2);
+        for _ in 0..5 {
+            other.subscribe(ServerId::new(0), page_sub(1)).unwrap();
+        }
+        core.attach_matcher(other).unwrap();
+        assert_eq!(core.kept.arena_len(), 0);
+        assert_eq!(core.kept.count(PageId::new(1), ServerId::new(0)), None);
+        core.ingest(request(0, 1)).unwrap();
+        assert_eq!(last_subs(&core), 5);
+        // Proxy 1's stamp went with the rows.
+        core.ingest(publish(1)).unwrap();
+        assert_eq!(core.kept.count(PageId::new(1), ServerId::new(1)), Some(0));
+    }
+
+    /// A call the matcher rejected changed no subscription: the proxy's
+    /// kept rows stay readable (a stamp there would send its requests to
+    /// the kernel for nothing).
+    #[test]
+    fn a_rejected_content_call_leaves_the_stamp_untouched() {
+        let mut core = tiny_service(2, 2);
+        let mut matcher = tiny_matcher(2, 2);
+        matcher.subscribe(ServerId::new(0), page_sub(1)).unwrap();
+        core.attach_matcher(matcher).unwrap();
+        core.ingest(publish(1)).unwrap();
+        let unknown = SubscriptionId::new(u64::MAX);
+        assert!(core.unsubscribe_content(ServerId::new(0), unknown).is_err());
+        assert!(core.unsubscribe_content(ServerId::new(2), unknown).is_err());
+        let wildcard = Subscription::wildcard();
+        assert!(core.subscribe_content(ServerId::new(2), wildcard).is_err());
+        for (server, subs) in [(0, 1), (1, 0)] {
+            let kept = core.kept.count(PageId::new(1), ServerId::new(server));
+            assert_eq!(kept, Some(subs));
+        }
+    }
+
+    /// Counter-based draws from one seed (`pscd_workload::seeds`).
+    struct Draws {
+        seed: u64,
+        drawn: u64,
+    }
+
+    impl Draws {
+        fn below(&mut self, n: usize) -> usize {
+            self.drawn += 1;
+            (pscd_workload::seeds::substream(self.seed, 0, self.drawn) % n as u64) as usize
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Publishes, requests (before, between and after their page's
+        /// publishes) and content churn in any order: every resolved event
+        /// of the content-mode service equals what a count-row service
+        /// told the resulting counts resolves, and what the matcher says
+        /// when asked directly.
+        #[test]
+        fn content_mode_resolves_as_count_rows_and_the_matcher_do(
+            seed in 0u64..u64::MAX,
+            servers in 1u16..=4,
+            pages in 1u32..=16,
+            steps in 1usize..=300,
+        ) {
+            let mut draw = Draws { seed, drawn: 0 };
+            let subscription = |draw: &mut Draws| match draw.below(8) {
+                0 => Subscription::wildcard(),
+                1 => page_sub(-1),
+                2 | 3 => Subscription::new(vec![
+                    Predicate::eq("cat", Value::str(CATEGORIES[draw.below(3)])),
+                    Predicate::ge("n", draw.below(pages as usize) as i64),
+                ]),
+                _ => page_sub(draw.below(pages as usize) as i64),
+            };
+            // The same calls go to the attached matcher and to a twin that
+            // is asked directly; ids are per-proxy counters, so they agree.
+            let mut twin = tiny_matcher(servers, pages);
+            let mut attached = tiny_matcher(servers, pages);
+            let mut live: Vec<(ServerId, SubscriptionId)> = Vec::new();
+            for _ in 0..draw.below(12) {
+                let server = ServerId::new(draw.below(servers as usize) as u16);
+                let sub = subscription(&mut draw);
+                let id = twin.subscribe(server, sub.clone()).unwrap();
+                prop_assert_eq!(attached.subscribe(server, sub).unwrap(), id);
+                live.push((server, id));
+            }
+            let mut core = tiny_service(servers, pages);
+            core.attach_matcher(attached).unwrap();
+            let mut rows = tiny_service(servers, pages);
+            // Tells the count-row service what `server`'s subscriptions
+            // now count, page by page.
+            let tell = |rows: &mut ServiceCore, twin: &EngineMatcher, server: ServerId| {
+                let mut scratch = MatchScratch::new();
+                for page in (0..pages).map(PageId::new) {
+                    let count = twin.match_count_with(page, server, &mut scratch);
+                    rows.ingest(LiveEvent::Subscribe { page, server, count }).unwrap();
+                }
+            };
+            for server in (0..servers).map(ServerId::new) {
+                tell(&mut rows, &twin, server);
+            }
+
+            let mut scratch = MatchScratch::new();
+            let mut fanout = Vec::new();
+            let (mut kept_reads, mut kernel_reads) = (0u32, 0u32);
+            for _ in 0..steps {
+                let server = ServerId::new(draw.below(servers as usize) as u16);
+                let page = draw.below(pages as usize) as u32;
+                match draw.below(20) {
+                    0..=7 => {
+                        match core.kept.count(PageId::new(page), server) {
+                            Some(_) => kept_reads += 1,
+                            None => kernel_reads += 1,
+                        }
+                        let ev = request(server.index(), page);
+                        core.ingest(ev).unwrap();
+                        rows.ingest(ev).unwrap();
+                        let direct = twin.match_count_with(PageId::new(page), server, &mut scratch);
+                        prop_assert_eq!(last_subs(&core), direct);
+                    }
+                    8..=12 => {
+                        core.ingest(publish(page)).unwrap();
+                        rows.ingest(publish(page)).unwrap();
+                        twin.matched_servers_into(PageId::new(page), &mut scratch, &mut fanout);
+                        let at = core.batch.pairs.len() - fanout.len();
+                        prop_assert_eq!(&core.batch.pairs[at..], &fanout[..]);
+                    }
+                    13..=15 => {
+                        let sub = subscription(&mut draw);
+                        let id = twin.subscribe(server, sub.clone()).unwrap();
+                        prop_assert_eq!(core.subscribe_content(server, sub).unwrap(), id);
+                        live.push((server, id));
+                        tell(&mut rows, &twin, server);
+                    }
+                    16..=18 if !live.is_empty() => {
+                        let (server, id) = live.swap_remove(draw.below(live.len()));
+                        twin.unsubscribe(server, id).unwrap();
+                        core.unsubscribe_content(server, id).unwrap();
+                        tell(&mut rows, &twin, server);
+                    }
+                    16..=18 => {}
+                    _ => {
+                        // A burst of ghosts the kernel cannot absorb: the
+                        // next resolve answers from a rebuild.
+                        for k in 0..60 {
+                            let id = twin.subscribe(server, page_sub(-2 - k)).unwrap();
+                            core.subscribe_content(server, page_sub(-2 - k)).unwrap();
+                            live.push((server, id));
+                        }
+                        prop_assert!(!core.matcher_frozen());
+                    }
+                }
+            }
+            prop_assert_eq!(&core.batch.events, &rows.batch.events);
+            prop_assert_eq!(&core.batch.pairs, &rows.batch.pairs);
+            // Both ways to a count are exercised in any run of some length.
+            prop_assert!(steps < 100 || (kept_reads > 0 && kernel_reads > 0));
+        }
+    }
 
     #[test]
     fn partition_is_contiguous_and_even() {

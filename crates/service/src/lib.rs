@@ -59,6 +59,7 @@
 mod config;
 mod core;
 mod journal;
+mod kept;
 mod load;
 mod service;
 mod wire;

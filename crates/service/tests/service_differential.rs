@@ -300,8 +300,10 @@ fn content_churn_keeps_the_kernel_frozen_and_stays_identical() {
 
 /// Churn that does change the outcome — subscriptions to pages published
 /// later in the stream join, frozen ones to such pages leave, some of the
-/// joined leave again — resolves the same whichever way the matcher takes
-/// it. One service absorbs every call into its frozen kernel. A second is
+/// joined leave again; and the same for pages published *before* the call
+/// and requested after it, whose fan-out the service has kept — resolves
+/// the same whichever way the matcher takes it. One service absorbs every
+/// call into its frozen kernel. A second is
 /// first given a burst of never-matching subscriptions that overflows the
 /// kernel, so the same calls land in the mutable indexes and the next
 /// resolve answers from a full rebuild; the burst is withdrawn afterwards.
@@ -350,11 +352,48 @@ fn content_churn_through_the_delta_equals_churn_through_a_refreeze() {
     let first_join = joiners(&later[0], 7);
     let mut second_leave: Vec<_> = first_join.iter().copied().step_by(2).collect();
     second_leave.extend(frozen_leavers(&later[1], 1));
-    let script = [
+    let mut script = [
         (frozen_leavers(&later[0], 0), first_join),
         (second_leave, joiners(&later[1], 3)),
     ];
     assert!(script.iter().all(|(leave, _)| leave.len() >= 24));
+
+    // The pages whose publish lies before a cut and a request behind it,
+    // with that request's proxy: the count the publish found there is the
+    // one a call at the cut makes stale. Frozen subscriptions leave at the
+    // asking proxy; others join there and at its neighbour, whose own
+    // requests for the page may still read what the publish found (few
+    // of them: every joiner of both cuts has to fit the kernel's delta).
+    let mut gone: Vec<(ServerId, PageId)> = Vec::new();
+    for (&cut, (leave, join)) in cuts.iter().zip(&mut script) {
+        let earlier = published(&f.events[..cut]);
+        let mut aged: Vec<(ServerId, PageId)> = f.events[cut..]
+            .iter()
+            .filter_map(|ev| match *ev {
+                LiveEvent::Request { server, page, .. } => Some((server, page)),
+                _ => None,
+            })
+            .filter(|(server, page)| earlier.contains(page) && f.subs.count(*page, *server) > 0)
+            .collect();
+        aged.sort_unstable();
+        aged.dedup();
+        let leavers = aged.iter().filter(|key| !gone.contains(key));
+        let leavers: Vec<_> = leavers.copied().step_by(2).collect();
+        let joiners: Vec<_> = aged
+            .iter()
+            .skip(1)
+            .step_by(2)
+            .take(4)
+            .flat_map(|&(server, page)| {
+                let neighbour = ServerId::new((server.index() + 1) % servers);
+                [(server, page), (neighbour, page)]
+            })
+            .collect();
+        assert!(leavers.len() >= 8 && joiners.len() == 8, "cut {cut}");
+        leave.extend(leavers);
+        join.extend(joiners);
+        gone.extend(leave.iter());
+    }
 
     let page_sub = |page: PageId| {
         Subscription::new(vec![Predicate::eq("page", Value::int(page.index() as i64))])
