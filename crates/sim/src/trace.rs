@@ -39,10 +39,6 @@ static COMPILE_COUNT: AtomicU64 = AtomicU64::new(0);
 /// boundaries never affect the compiled output.
 const PUBLISH_CHUNK: usize = 512;
 
-/// Requests resolved per subscription-count job; scheduling granularity
-/// only, like [`PUBLISH_CHUNK`].
-const REQUEST_CHUNK: usize = 4096;
-
 /// One event of the flattened timeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompiledEvent {
@@ -142,13 +138,14 @@ impl CompiledTrace {
     /// Compiles a workload on up to `threads` pool workers (`0` = auto).
     ///
     /// The stream merge (timeline order, `supersedes` lineage) is
-    /// inherently sequential and stays on the caller's thread; the two
-    /// expensive strategy-independent resolutions — the publish fan-out
-    /// table and the per-request subscription counts — are each a pure
-    /// per-event function of the static matching information, so they
-    /// shard over the pool by event index and reassemble in index order.
-    /// The compiled value is **bit-identical at every thread count**; the
-    /// `cold_differential` suite enforces this.
+    /// inherently sequential and stays on the caller's thread, and so does
+    /// reading each request's subscription count out of the finished
+    /// fan-out table; the expensive strategy-independent resolution — the
+    /// fan-out table itself — is a pure per-publish function of the static
+    /// matching information, so it shards over the pool by publish ordinal
+    /// and reassembles in ordinal order. The compiled value is
+    /// **bit-identical at every thread count**; the `cold_differential`
+    /// suite enforces this.
     ///
     /// # Errors
     ///
@@ -174,8 +171,8 @@ impl CompiledTrace {
 
     /// [`compile`](CompiledTrace::compile) resolving through a
     /// content-based [`EngineMatcher`] instead of a precomputed
-    /// [`SubscriptionTable`]: every publish fan-out and per-request count
-    /// is evaluated live against the per-proxy subscription indexes.
+    /// [`SubscriptionTable`]: every publish fan-out is evaluated live
+    /// against the per-proxy subscription indexes.
     ///
     /// The matcher is frozen first (a no-op if already frozen), so the
     /// whole resolution runs on the frozen kernel — interned symbols, CSR
@@ -208,13 +205,12 @@ impl CompiledTrace {
     }
 
     /// The one compile body. The stream merge (phase 1) stays on the
-    /// caller's thread; fan-outs (phase 2) and request counts (phase 3)
-    /// are per-event lookups in `matching`, sharded over the pool by
-    /// event index with one [`MatchBuffers`] per job and reassembled in
-    /// index order.
+    /// caller's thread; fan-outs (phase 2) are per-publish lookups in
+    /// `matching`, sharded over the pool by ordinal with one
+    /// [`MatchBuffers`] per job and reassembled in ordinal order; request
+    /// counts (phase 3) are read out of the rows phase 2 wrote.
     fn compile_with(workload: &Workload, matching: Matching<'_>, threads: usize) -> Self {
         let publishes = workload.publishing().events();
-        let requests = workload.requests().events();
         let mut events = Self::merge_timeline(workload);
 
         // Phase 2: one CSR fragment per chunk of publish ordinals,
@@ -238,19 +234,19 @@ impl CompiledTrace {
             pairs.extend_from_slice(&part);
         }
 
-        // Phase 3: per-request subscription counts in request-stream
-        // order, written back into the timeline.
-        let subs_counts: Vec<u32> =
-            parallel_chunked(requests.len(), REQUEST_CHUNK, threads, |range| {
-                let mut buf = MatchBuffers::default();
-                range
-                    .map(|i| matching.count(requests[i].page, requests[i].server, &mut buf))
-                    .collect()
-            });
-        let mut next_request = subs_counts.iter();
+        // Phase 3: a request's subscription count is its proxy's entry in
+        // the row its page's publish wrote. A workload publishes every page
+        // exactly once (`Workload::from_parts`), so page → ordinal is total.
+        let mut ordinal_of = vec![0u32; workload.pages().len()];
+        for (ordinal, publish) in publishes.iter().enumerate() {
+            ordinal_of[publish.page.as_usize()] = ordinal as u32;
+        }
         for ev in &mut events {
-            if let CompiledEventKind::Request { subs, .. } = &mut ev.kind {
-                *subs = *next_request.next().expect("one count per request");
+            if let CompiledEventKind::Request { server, subs } = &mut ev.kind {
+                let o = ordinal_of[ev.page.as_usize()] as usize;
+                let row = &pairs[offsets[o] as usize..offsets[o + 1] as usize];
+                let at = row.binary_search_by_key(server, |&(s, _)| s);
+                *subs = at.map_or(0, |at| row[at].1);
             }
         }
 
@@ -639,6 +635,32 @@ mod tests {
             CompiledTrace::compile_from_matcher(&w, &mut empty),
             Err(SimError::MismatchedMatcher { .. })
         ));
+    }
+
+    /// Phase 3 reads the rows phase 2 wrote; asking the matching source per
+    /// request — what it did before — is the oracle.
+    #[test]
+    fn phase_3_counts_equal_the_source_asked_per_request() {
+        let (w, subs) = fixture();
+        let mut matcher = pscd_workload::matcher_from_table(&subs, w.server_count());
+        let from_matcher = CompiledTrace::compile_from_matcher(&w, &mut matcher).unwrap();
+        let from_table = CompiledTrace::compile(&w, &subs).unwrap();
+        let arms = [
+            (from_table, Matching::Table(&subs)),
+            (from_matcher, Matching::Matcher(&matcher)),
+        ];
+        let mut buf = MatchBuffers::default();
+        for (trace, source) in &arms {
+            let mut requests = 0;
+            for ev in trace.events() {
+                if let CompiledEventKind::Request { server, subs: n } = ev.kind {
+                    assert_eq!(n, source.count(ev.page, server, &mut buf), "{ev:?}");
+                    requests += 1;
+                }
+            }
+            assert_eq!(requests, w.requests().len());
+            assert!(requests > 0);
+        }
     }
 
     /// The right *number* of pages over the wrong ids: page 0 would fan out
