@@ -9,16 +9,24 @@
 
 use pscd_types::{PageId, ServerId};
 
+/// A `(proxy, count)` pair in six bytes where the tuple takes eight: the
+/// proxy, then the count's low and high halves. The arena is all of what
+/// content mode adds to a round's peak, 1.3 M pairs on `match-churn`.
+type Entry = [u16; 3];
+
 /// Where a page's kept row lies in the arena, and when it was computed.
 #[derive(Debug, Clone, Copy, Default)]
 struct Span {
     start: usize,
-    len: u32,
-    /// The longest row this span has held: what fits in place.
-    room: u32,
     /// `events_applied` at the publish that computed the row (≥ 1); 0
     /// while nothing is kept for the page.
     kept_at: u64,
+    block: u32,
+    /// A row has at most one entry per proxy, and a fleet is counted in
+    /// `u16`.
+    len: u16,
+    /// The longest row this span has held: what fits in place.
+    room: u16,
 }
 
 /// Every page's last fan-out in one arena, and every proxy's last churn.
@@ -28,8 +36,11 @@ pub(crate) struct KeptFanouts {
     /// overwrites its span when the new row fits and takes a fresh span at
     /// the end when it does not, so a page's abandoned spans are each
     /// shorter than the one that replaced them and none is longer than the
-    /// fleet.
-    arena: Vec<(ServerId, u32)>,
+    /// fleet. The arena grows by whole blocks, each as large as all before
+    /// it together and none ever reallocated: growing the way one `Vec`
+    /// does — into a copy twice the size — left a freed hole the size of
+    /// the arena beside it (EXPERIMENTS.md, PR 24).
+    blocks: Vec<Vec<Entry>>,
     /// Indexed by page.
     spans: Vec<Span>,
     /// Indexed by proxy: `events_applied` at its last accepted content
@@ -40,7 +51,9 @@ pub(crate) struct KeptFanouts {
 impl KeptFanouts {
     /// Forgets every row and stamp, for a universe of this size.
     pub(crate) fn reset(&mut self, pages: usize, servers: u16) {
-        self.arena.clear();
+        // An empty first block, for empty rows to lie in.
+        self.blocks.clear();
+        self.blocks.push(Vec::new());
         self.spans.clear();
         self.spans.resize(pages, Span::default());
         self.churned_at.clear();
@@ -50,13 +63,22 @@ impl KeptFanouts {
     /// Keeps `row` as the fan-out of `page`, computed at event `at`.
     pub(crate) fn keep(&mut self, page: PageId, row: &[(ServerId, u32)], at: u64) {
         let span = &mut self.spans[page.as_usize()];
-        let len = row.len() as u32;
+        let len = row.len() as u16;
         if len > span.room {
-            span.start = self.arena.len();
+            let fits = |block: &Vec<Entry>| block.capacity() - block.len() >= row.len();
+            if !self.blocks.last().is_some_and(fits) {
+                let held: usize = self.blocks.iter().map(Vec::capacity).sum();
+                self.blocks.push(Vec::with_capacity(held.max(row.len())));
+            }
+            span.block = self.blocks.len() as u32 - 1;
+            let block = &mut self.blocks[span.block as usize];
+            span.start = block.len();
             span.room = len;
-            self.arena.extend_from_slice(row);
-        } else {
-            self.arena[span.start..span.start + row.len()].copy_from_slice(row);
+            block.resize(span.start + row.len(), Entry::default());
+        }
+        let slots = &mut self.blocks[span.block as usize][span.start..][..row.len()];
+        for (slot, &(server, count)) in slots.iter_mut().zip(row) {
+            *slot = [server.index(), count as u16, (count >> 16) as u16];
         }
         span.len = len;
         span.kept_at = at;
@@ -76,15 +98,15 @@ impl KeptFanouts {
         if span.kept_at <= self.churned_at[server.as_usize()] {
             return None;
         }
-        let row = &self.arena[span.start..span.start + span.len as usize];
-        let at = row.binary_search_by_key(&server, |&(s, _)| s);
-        Some(at.map_or(0, |i| row[i].1))
+        let row = &self.blocks[span.block as usize][span.start..][..span.len as usize];
+        let at = row.binary_search_by_key(&server.index(), |entry| entry[0]);
+        Some(at.map_or(0, |i| u32::from(row[i][1]) | u32::from(row[i][2]) << 16))
     }
 
     /// Pairs the arena holds, abandoned spans included.
     #[cfg(test)]
     pub(crate) fn arena_len(&self) -> usize {
-        self.arena.len()
+        self.blocks.iter().map(Vec::len).sum()
     }
 }
 
@@ -168,5 +190,32 @@ mod tests {
         assert_eq!(kept.count(PageId::new(1), ServerId::new(2)), Some(9));
         kept.keep(page, &grown, 10);
         assert_eq!(kept.arena_len(), 8, "and that one is reused in turn");
+    }
+
+    #[test]
+    fn the_arena_grows_by_blocks_that_stay_where_they_are() {
+        let mut kept = KeptFanouts::default();
+        kept.reset(200, 3);
+        // Counts on both sides of the entry's sixteen-bit seam.
+        let count = |page: u32, server: u16| (page * 40_000 + u32::from(server)) | 1;
+        let mut homes = Vec::new();
+        for page in 0..200u32 {
+            let pairs: Vec<_> = (0..3).map(|s| (s, count(page, s))).collect();
+            kept.keep(PageId::new(page), &row(&pairs[..1 + page as usize % 3]), 1);
+            homes.push(kept.blocks.iter().map(|b| b.as_ptr()).collect::<Vec<_>>());
+        }
+        assert_eq!(kept.arena_len(), (0..200).map(|p| 1 + p % 3).sum::<usize>());
+        // Each block is as large as all before it: few of them, none moved.
+        assert!(kept.blocks.len() <= 12, "{} blocks", kept.blocks.len());
+        let last = homes.last().unwrap();
+        assert!(homes.iter().all(|h| h[..] == last[..h.len()]));
+        for page in 0..200u32 {
+            for server in 0..3u16 {
+                let held = u32::from(server) < 1 + page % 3;
+                let want = if held { count(page, server) } else { 0 };
+                let got = kept.count(PageId::new(page), ServerId::new(server));
+                assert_eq!(got, Some(want), "page {page} at {server}");
+            }
+        }
     }
 }
