@@ -318,13 +318,12 @@ impl EngineMatcher {
     }
 
     /// `true` if the registered pages are exactly the dense universe
-    /// `0..pages`: that many of them, and content for every id below
-    /// `pages`. A page without content fans out to nobody and counts 0
-    /// without an error, so whoever resolves a whole universe through this
-    /// matcher checks here first.
+    /// `0..pages`: that many of them, none with an id outside it — and so
+    /// content for every id below `pages`. A page without content fans out
+    /// to nobody and counts 0 without an error, so whoever resolves a whole
+    /// universe through this matcher checks here first.
     pub fn covers(&self, pages: usize) -> bool {
-        self.contents.len() == pages
-            && (0..pages).all(|id| self.contents.contains_key(&PageId::new(id as u32)))
+        self.contents.len() == pages && self.contents.keys().all(|page| page.as_usize() < pages)
     }
 
     /// How many of these delta entries match `content`.

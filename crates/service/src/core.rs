@@ -249,16 +249,20 @@ impl ServiceCore {
         self.events_applied
     }
 
-    /// Attaches a content-based matcher: from now on, publish fan-outs and
-    /// request subscription counts resolve against its frozen kernel
-    /// instead of the count rows ([`LiveEvent::Subscribe`] events still
-    /// maintain the rows — and the snapshot format — but no longer drive
+    /// Attaches a content-based matcher: from now on, publish fan-outs
+    /// resolve against its frozen kernel instead of the count rows, and a
+    /// request's subscription count is the one its page's last publish
+    /// found at that proxy — or the kernel's, for a page not published
+    /// since the attach or a proxy whose content subscriptions changed
+    /// after that publish ([`LiveEvent::Subscribe`] events still maintain
+    /// the rows — and the snapshot format — but no longer drive
     /// resolution). The matcher is frozen here; later content calls keep
     /// that compilation current instead of dropping it.
     ///
-    /// The matcher is in-memory state, not persisted: a
-    /// [`recover`](ServiceCore::recover)ed service starts back in count-row
-    /// mode until a matcher is attached again.
+    /// The matcher and the fan-outs kept from it are in-memory state, not
+    /// persisted: a [`recover`](ServiceCore::recover)ed service starts
+    /// back in count-row mode until a matcher is attached again, and
+    /// attaching one forgets what was kept from the last.
     ///
     /// # Errors
     ///
