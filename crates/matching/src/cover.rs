@@ -33,7 +33,10 @@ pub fn covers(a: &Subscription, b: &Subscription) -> bool {
 }
 
 /// `true` if satisfying `premise` guarantees satisfying `conclusion`
-/// (conservative single-predicate implication).
+/// (conservative single-predicate implication). A premise bound at the
+/// integer edge (`Lt(i64::MIN)`, `Gt(i64::MAX)`) can never be satisfied,
+/// so it implies an `Le` (`Ge`) conclusion whatever its bound: an
+/// unsatisfiable premise implies the conclusion.
 fn implies(premise: &Predicate, conclusion: &Predicate) -> bool {
     if premise.attr() != conclusion.attr() {
         return false;
@@ -54,13 +57,13 @@ fn implies(premise: &Predicate, conclusion: &Predicate) -> bool {
         (Eq(Value::Str(s)), Prefix(p)) => s.starts_with(p.as_str()),
         (Ne(x), Ne(y)) => x == y,
         (Lt(x), Lt(y)) => x <= y,
-        (Lt(x), Le(y)) => x - 1 <= *y,
+        (Lt(x), Le(y)) => x.checked_sub(1).is_none_or(|top| top <= *y),
         (Lt(x), Ne(Value::Int(v))) => v >= x,
         (Le(x), Le(y)) => x <= y,
         (Le(x), Lt(y)) => x < y,
         (Le(x), Ne(Value::Int(v))) => v > x,
         (Gt(x), Gt(y)) => x >= y,
-        (Gt(x), Ge(y)) => x + 1 >= *y,
+        (Gt(x), Ge(y)) => x.checked_add(1).is_none_or(|bottom| bottom >= *y),
         (Gt(x), Ne(Value::Int(v))) => v <= x,
         (Ge(x), Ge(y)) => x >= y,
         (Ge(x), Gt(y)) => x > y,
@@ -199,6 +202,20 @@ mod tests {
             &sub(vec![Predicate::le("w", 9)]),
             &sub(vec![Predicate::lt("w", 10)])
         ));
+    }
+
+    #[test]
+    fn lt_min_implies_any_le() {
+        let never = sub(vec![Predicate::lt("w", i64::MIN)]);
+        assert!(covers(&sub(vec![Predicate::le("w", 0)]), &never));
+        assert!(covers(&sub(vec![Predicate::le("w", i64::MIN)]), &never));
+    }
+
+    #[test]
+    fn gt_max_implies_any_ge() {
+        let never = sub(vec![Predicate::gt("w", i64::MAX)]);
+        assert!(covers(&sub(vec![Predicate::ge("w", 0)]), &never));
+        assert!(covers(&sub(vec![Predicate::ge("w", i64::MAX)]), &never));
     }
 
     #[test]

@@ -11,21 +11,29 @@
 //! * **Singles** (one predicate — the common case): the predicate is
 //!   indexed in its family's buckets and its *token* is the
 //!   subscription's bit; a satisfied predicate is one `OR`.
-//! * **Conjunctions** (two or more): exactly one predicate — the *access
-//!   predicate* — is indexed, and its token is the conjunction's bit in a
-//!   second region of the bitset. The other predicates are compiled into
-//!   one flat *residual* array and evaluated against the content only for
-//!   the candidates whose access bit was set; a candidate that fails has
-//!   its bit cleared (the access-predicate scheme of Fabret et al.,
-//!   SIGMOD 2001). A publish pays for the conjunctions its content
-//!   selects, not for every predicate it satisfies.
+//! * **Conjunctions** (two or more): only the *access key* — one
+//!   predicate, or two keyed ones together — is indexed, and its token is
+//!   the conjunction's bit in a second region of the bitset. The other
+//!   predicates are compiled into one flat *residual* array and evaluated
+//!   against the content only for the candidates whose access bit was
+//!   set; a candidate that fails has its bit cleared (the
+//!   access-predicate scheme of Fabret et al., SIGMOD 2001). A publish
+//!   pays for the conjunctions its content selects, not for every
+//!   predicate it satisfies.
 //!
-//! The access predicate is chosen at freeze: the predicate of a *keyed*
-//! family (integer equality, string equality, tag membership) whose
-//! content key carries the fewest conjunction predicates fleet-wide; ties
-//! go to the family, in that order, then to the earlier predicate. A
-//! conjunction of scanned-family predicates only (ranges, `exists`, the
-//! rare operators) is indexed by its first.
+//! The access key is chosen at freeze. Its predicates are *keyed*
+//! (integer equality, string equality, tag membership) and ranked by how
+//! many conjunction predicates their content key carries fleet-wide, then
+//! by family, in that order, then by position. A conjunction with keyed
+//! predicates on two different content keys is filed under the *pair* of
+//! its two first-ranked ones, in one more family: each component key has
+//! an id (its position in the sorted `pair_keys`), and the pair's bucket
+//! key is the two ids. A publish looks each keyed content key up in
+//! `pair_keys` and searches every two it finds: k(k − 1)/2 searches for
+//! k components, ≈ 4 on `match-churn` (a category and 2.4 tags). A
+//! conjunction with one keyed content key is filed under its first-ranked
+//! predicate; one of scanned-family predicates only (ranges, `exists`,
+//! the rare operators) under its first.
 //!
 //! **The proxy is a dimension of the index, not a reason for a second
 //! one.** Every bucket key carries the proxy in its low 16 bits, so the
@@ -164,6 +172,8 @@ pub(crate) struct FrozenScratch {
     /// A publish's matches per proxy, wildcards plus what the touched
     /// words fold to.
     lane_counts: Vec<u32>,
+    /// The ids of the pair components the view carries.
+    pair_ids: Vec<u32>,
     view: SymView,
 }
 
@@ -344,13 +354,21 @@ fn attr_key(attr: u32) -> u64 {
     (attr as u64) << 16
 }
 
-/// The predicate families, as bits of [`FrozenIndex::families`].
+/// The key of a pair of components, by id, `lo < hi`.
+#[inline]
+fn pair_key(lo: u32, hi: u32) -> u128 {
+    (lo as u128) << 48 | (hi as u128) << 16
+}
+
+/// The predicate families, as bits of [`FrozenIndex::families`]; `PAIR`
+/// marks an attribute with a content key that is a pair component.
 const EQ_INT: u8 = 1;
 const EQ_STR: u8 = 1 << 1;
 const TAG: u8 = 1 << 2;
 const RANGE: u8 = 1 << 3;
 const EXISTS: u8 = 1 << 4;
 const MISC: u8 = 1 << 5;
+const PAIR: u8 = 1 << 6;
 
 /// One predicate family's buckets: the sorted distinct keys (content key
 /// with the proxy below it), each with the range it owns in the family's
@@ -519,14 +537,18 @@ struct Rows<'a> {
     misc: Vec<(u64, u32, SymOp)>,
     operands: Operands,
     /// Every conjunction's predicates, in subscription order, until
-    /// [`Rows::choose_access`] moves one of each into its family and
-    /// leaves the residuals.
+    /// [`Rows::choose_access`] moves each one's access key into its family
+    /// and leaves the residuals.
     resid: Vec<SymPred>,
     /// Conjunction ordinal -> start of its predicates in `resid`.
     resid_base: Vec<u32>,
     /// The conjunctions' keyed predicates, as if all were indexed
     /// fleet-wide: [`SymPred::bucket`] and position in `resid`.
     keyed: TokenRows<u128>,
+    /// The sorted content keys that are a pair's component, and the pair
+    /// family's rows, keyed [`pair_key`] of their ids.
+    pair_keys: Vec<u128>,
+    pair: TokenRows<u128>,
 }
 
 impl<'a> Rows<'a> {
@@ -651,10 +673,15 @@ impl<'a> Rows<'a> {
                 MISC
             }
         };
-        if self.families.len() <= a as usize {
-            self.families.resize(a as usize + 1, 0);
+        self.mark(a, family);
+    }
+
+    /// Records that attribute `attr` has a bucket in `family`.
+    fn mark(&mut self, attr: u32, family: u8) {
+        if self.families.len() <= attr as usize {
+            self.families.resize(attr as usize + 1, 0);
         }
-        self.families[a as usize] |= family;
+        self.families[attr as usize] |= family;
     }
 
     /// Compiles a conjunction, ordinal `c`, into `resid` and files its
@@ -672,39 +699,64 @@ impl<'a> Rows<'a> {
         }
     }
 
-    /// Moves each conjunction's access predicate out of `resid` into its
-    /// family — token `tok0 + c` — and closes the gaps, once every
-    /// proxy's conjunctions are in and the bucket sizes final. `c_base`
-    /// is the conjunctions' proxy-major layout.
+    /// Moves each conjunction's access key out of `resid` — token `tok0 +
+    /// c` — and closes the gaps, once every proxy's conjunctions are in
+    /// and the bucket sizes final: a pair into the pair family, one
+    /// predicate into its own. `c_base` is the conjunctions' proxy-major
+    /// layout.
     fn choose_access(&mut self, c_base: &[u32], tok0: u32) {
         let conjunctions = *c_base.last().expect("class bases are never empty");
         fit_u32(self.resid.len() as u64, "conjunction predicates");
         self.resid_base
             .resize(conjunctions as usize + 1, self.resid.len() as u32);
-        // A keyed predicate's bucket size: the length of its run once the
-        // keyed predicates are sorted into buckets.
+        // A keyed predicate's content key, as the index of its run once
+        // the keyed predicates are sorted into buckets; the run's length
+        // is the key's size.
         let (buckets, at) = std::mem::take(&mut self.keyed).into_buckets("conjunction predicates");
-        let mut size = vec![0; self.resid.len()];
-        for run in buckets.bounds.windows(2) {
-            for &i in &at[run[0] as usize..run[1] as usize] {
-                size[i as usize] = run[1] - run[0];
+        let mut run = vec![u32::MAX; self.resid.len()];
+        for (r, span) in buckets.bounds.windows(2).enumerate() {
+            for &i in &at[span[0] as usize..span[1] as usize] {
+                run[i as usize] = r as u32;
             }
         }
+        let mut component = vec![false; buckets.keys.len()];
         let mut kept = 0;
         for (lane, ordinals) in c_base.windows(2).enumerate() {
             for c in ordinals[0] as usize..ordinals[1] as usize {
                 let preds = self.resid_base[c] as usize..self.resid_base[c + 1] as usize;
                 self.resid_base[c] = kept as u32;
+                if preds.is_empty() {
+                    // A proxy's padding.
+                    continue;
+                }
                 // The smallest bucket, then the family (the bits, low in
-                // the bucket key, are in rank order), then the position;
-                // no keyed predicate: the first.
-                let rank = |i: usize| Some((size[i], self.resid[i].bucket()? as u8, i));
-                let access = preds.clone().filter_map(rank).min();
-                let access = access.map_or(preds.start, |(_, _, i)| i);
+                // the bucket key, are in rank order), then the position.
+                let rank = |i: usize| {
+                    let r = run[i] as usize;
+                    let size = || buckets.bounds[r + 1] - buckets.bounds[r];
+                    (run[i] != u32::MAX).then(|| (size(), buckets.keys[r] as u8, i))
+                };
+                let first = preds.clone().filter_map(rank).min().map(|(.., i)| i);
+                let second = first.and_then(|a| {
+                    let other = preds.clone().filter(|&i| run[i] != run[a]);
+                    other.filter_map(rank).min().map(|(.., i)| i)
+                });
+                // No keyed predicate: the first.
+                let access = first.unwrap_or(preds.start);
+                let tok = tok0 + c as u32;
+                if let Some(b) = second {
+                    let (lo, hi) = (run[access].min(run[b]), run[access].max(run[b]));
+                    self.pair
+                        .push(pair_key(lo, hi) | u128::from(lane as u16), tok);
+                    component[lo as usize] = true;
+                    component[hi as usize] = true;
+                    self.mark(self.resid[access].attr, PAIR);
+                    self.mark(self.resid[b].attr, PAIR);
+                } else {
+                    self.index(lane as u16, self.resid[access], tok);
+                }
                 for i in preds {
-                    if i == access {
-                        self.index(lane as u16, self.resid[i], tok0 + c as u32);
-                    } else {
+                    if i != access && Some(i) != second {
                         self.resid[kept] = self.resid[i];
                         kept += 1;
                     }
@@ -713,6 +765,17 @@ impl<'a> Rows<'a> {
         }
         self.resid_base[conjunctions as usize] = kept as u32;
         self.resid.truncate(kept);
+        // The pairs were keyed by run; the components' ids ascend with
+        // their runs, so rekeying keeps every pair's `lo < hi`.
+        let mut id = vec![0; component.len()];
+        for (r, _) in component.iter().enumerate().filter(|&(_, &c)| c) {
+            id[r] = self.pair_keys.len() as u32;
+            self.pair_keys.push(buckets.keys[r]);
+        }
+        for key in &mut self.pair.keys {
+            let (lo, hi) = ((*key >> 48) as u32, (*key >> 16) as u32);
+            *key = pair_key(id[lo as usize], id[hi as usize]) | u128::from(*key as u16);
+        }
     }
 }
 
@@ -799,6 +862,13 @@ pub struct FrozenIndex {
     /// `Contains`: tag membership (and string equality), same key.
     tag: Csr<u128>,
     tag_tok: Vec<u32>,
+
+    /// Conjunctions filed under two keyed predicates, keyed [`pair_key`]
+    /// of the components' ids: a component's id is its position in
+    /// `pair_keys`, the sorted `content key | family` of every component.
+    pair_keys: Vec<u128>,
+    pair: Csr<u128>,
+    pair_tok: Vec<u32>,
 
     /// Numeric ranges, SoA grouped per [`attr_key`]: normalized inclusive
     /// `[lo, hi]` intervals scanned with a branch-free bounds test.
@@ -906,6 +976,7 @@ impl FrozenIndex {
         let (eq_int, eq_int_tok) = rows.eq_int.into_buckets("integer-equality entries");
         let (eq_str, eq_str_tok) = rows.eq_str.into_buckets("string-equality entries");
         let (tag, tag_tok) = rows.tag.into_buckets("tag entries");
+        let (pair, pair_tok) = rows.pair.into_buckets("pair entries");
         let (exists, exists_tok) = rows.exists.into_buckets("exists entries");
         let (mut range, mut misc) = (rows.range, rows.misc);
         range.sort_unstable();
@@ -931,6 +1002,9 @@ impl FrozenIndex {
             eq_str_tok,
             tag,
             tag_tok,
+            pair_keys: rows.pair_keys,
+            pair,
+            pair_tok,
             exists,
             exists_tok,
             range_lo: range.iter().map(|r| r.1).collect(),
@@ -1102,19 +1176,30 @@ impl FrozenIndex {
     fn accumulate<'s>(&self, scratch: &'s mut MatchScratch, lanes: Lanes) -> &'s mut FrozenScratch {
         let fs = &mut scratch.frozen;
         fs.begin(self.word_lane.len());
-        // The view moves out for the loop so `bump` can borrow the rest.
+        // The view and the ids move out for the loop so `bump` can borrow
+        // the rest.
         let view = std::mem::take(&mut fs.view);
+        let mut ids = std::mem::take(&mut fs.pair_ids);
+        ids.clear();
         for attr in &view.attrs {
             let a = attr.name_sym;
             // A name interned after this index froze, or one that only
             // residuals test, has no bucket here.
             let has = self.families.get(a as usize).copied().unwrap_or(0);
+            let mut component = |key: u128| {
+                if has & PAIR != 0 {
+                    if let Ok(id) = self.pair_keys.binary_search(&key) {
+                        ids.push(id as u32);
+                    }
+                }
+            };
             match &attr.val {
                 SymVal::Int(v) => {
+                    let key = int_key(a, *v);
                     if has & EQ_INT != 0 {
-                        let span = self.eq_int.span(int_key(a, *v), lanes);
-                        fs.bump_all(&self.eq_int_tok[span]);
+                        fs.bump_all(&self.eq_int_tok[self.eq_int.span(key, lanes)]);
                     }
+                    component(key | u128::from(EQ_INT));
                     if has & RANGE != 0 {
                         for j in self.range.span(attr_key(a), lanes) {
                             if *v >= self.range_lo[j] && *v <= self.range_hi[j] {
@@ -1133,13 +1218,18 @@ impl FrozenIndex {
                         if has & TAG != 0 {
                             fs.bump_all(&self.tag_tok[self.tag.span(key, lanes)]);
                         }
+                        component(key | u128::from(EQ_STR));
+                        component(key | u128::from(TAG));
                     }
                 }
                 SymVal::Tags { start, end, .. } => {
-                    if has & TAG != 0 {
+                    if has & (TAG | PAIR) != 0 {
                         for &tsym in &view.tag_syms[*start as usize..*end as usize] {
-                            let span = self.tag.span(sym_key(a, tsym), lanes);
-                            fs.bump_all(&self.tag_tok[span]);
+                            let key = sym_key(a, tsym);
+                            if has & TAG != 0 {
+                                fs.bump_all(&self.tag_tok[self.tag.span(key, lanes)]);
+                            }
+                            component(key | u128::from(TAG));
                         }
                     }
                 }
@@ -1155,6 +1245,14 @@ impl FrozenIndex {
                 }
             }
         }
+        // Every two components the view carries: k(k − 1)/2 searches.
+        ids.sort_unstable();
+        for (i, &lo) in ids.iter().enumerate() {
+            for &hi in &ids[i + 1..] {
+                fs.bump_all(&self.pair_tok[self.pair.span(pair_key(lo, hi), lanes)]);
+            }
+        }
+        fs.pair_ids = ids;
         // Before anything is verified or counted: a retired subscription
         // is neither a candidate nor a match.
         if self.retired > 0 {
@@ -1573,13 +1671,23 @@ mod tests {
         assert_eq!(frozen.ids[64], SubscriptionId::new(0));
         assert_eq!(frozen.ids[64 * 6 + 1], SubscriptionId::new(4));
         assert_eq!(frozen.ids[64 * 6 + 2], NO_ID);
-        // One access predicate each; the two- and the three-predicate
-        // conjunction leave one and two residuals.
+        // Two access predicates each, a category and a tag: the two- and
+        // the three-predicate conjunction leave none and one residual.
         assert_eq!(frozen.resid_base.len(), 64 * 3 + 1);
-        assert_eq!(frozen.resid_base[..4], [0, 1, 3, 3]);
-        assert_eq!(frozen.resid_base[64..67], [3, 4, 6]);
-        assert_eq!(frozen.resid_base[64 * 3], 9);
-        assert_eq!(frozen.resid.len(), 9);
+        assert_eq!(frozen.resid_base[..4], [0, 0, 1, 1]);
+        assert_eq!(frozen.resid_base[64..67], [1, 1, 2]);
+        assert_eq!(frozen.resid_base[64 * 3], 3);
+        assert_eq!(frozen.resid.len(), 3);
+        // Two pairs at each proxy over three components, and a pair
+        // entry's proxy owns its token's word.
+        assert_eq!(frozen.pair_keys.len(), 3);
+        assert_eq!(frozen.pair.keys.len(), 6);
+        assert!(frozen.eq_str_tok.is_empty() && frozen.tag_tok.is_empty());
+        for (key, run) in frozen.pair.keys.iter().zip(frozen.pair.bounds.windows(2)) {
+            for &tok in &frozen.pair_tok[run[0] as usize..run[1] as usize] {
+                assert_eq!(frozen.word_lane[tok as usize / 64], *key as u16);
+            }
+        }
     }
 
     #[test]
@@ -1746,8 +1854,10 @@ mod tests {
                 fleet[i / 100 % 4].push(breaking(i, more));
             }
             let (frozen, table) = frozen_fleet(fleet);
-            assert_eq!(frozen.eq_str_tok.len(), 10_000, "indexed by category");
-            assert!(frozen.tag_tok.is_empty() && frozen.range_tok.is_empty());
+            assert_eq!(frozen.pair_tok.len(), 10_000, "indexed by category and tag");
+            assert_eq!(frozen.pair_keys.len(), 101);
+            assert!(frozen.eq_str_tok.is_empty() && frozen.tag_tok.is_empty());
+            assert!(frozen.range_tok.is_empty());
             let bytes = table.name_sym("bytes").map(|a| a as usize);
             let scanned = bytes.and_then(|a| frozen.families.get(a));
             assert_eq!(scanned.copied().unwrap_or(0), 0, "no RANGE bit for bytes");
@@ -1755,8 +1865,10 @@ mod tests {
             let hit = page("cat7").with("bytes", Value::int(512));
             assert_eq!(work(&frozen, &table, &hit), (100, 100));
             assert_eq!(work(&frozen, &table, &page("cat100")), (0, 0));
+            // Under its category alone, the untagged page's 100 would be
+            // candidates.
             let untagged = hit.clone().with("tags", Value::tags(["local"]));
-            assert_eq!(work(&frozen, &table, &untagged), (100, 0));
+            assert_eq!(work(&frozen, &table, &untagged), (0, 0));
             // A request verifies its own proxy's candidates only.
             let mut scratch = MatchScratch::new();
             scratch.symbolize(&table, &hit);
@@ -1769,37 +1881,57 @@ mod tests {
     fn access_predicate_is_the_smallest_bucket_then_family_then_position() {
         let hot = || Predicate::eq("category", Value::str("hot"));
         let author = |name: &str| Predicate::eq("author", Value::str(name));
+        let tag = |t: &str| Predicate::contains("tags", t);
         let sub = |preds: &[Predicate]| Subscription::new(preds.to_vec());
+        // The work of a page that carries, letter by letter, `category =
+        // hot`, author ann or bob, tag t, and `n = 5`.
+        let on = |frozen: &FrozenIndex, table: &SymbolTable, attrs: &str| {
+            let mut page = Content::new();
+            for attr in attrs.chars() {
+                match attr {
+                    'c' => page.set("category", Value::str("hot")),
+                    'a' => page.set("author", Value::str("ann")),
+                    'b' => page.set("author", Value::str("bob")),
+                    't' => page.set("tags", Value::tags(["t"])),
+                    _ => page.set("n", Value::int(5)),
+                };
+            }
+            work(frozen, table, &page)
+        };
 
         // `category = hot` is carried by three conjunctions, every other
-        // key by one — at another proxy: sizes are fleet-wide.
+        // key by one, two of them at another proxy: sizes are fleet-wide.
+        // At proxy 0 alone all three keys of the first tie, and the pair
+        // would be `hot` and `ann`.
         let (frozen, table) = frozen_fleet(vec![
-            vec![sub(&[hot(), author("ann")]), sub(&[hot(), author("bob")])],
-            vec![sub(&[hot(), Predicate::contains("tags", "t")])],
+            vec![sub(&[hot(), author("ann"), tag("t")])],
+            vec![sub(&[hot(), author("bob")]), sub(&[hot(), tag("u")])],
         ]);
-        assert_eq!((frozen.eq_str_tok.len(), frozen.tag_tok.len()), (2, 1));
-        // The candidates a content of that one attribute verifies.
-        let verified = |frozen: &FrozenIndex, table: &SymbolTable, attr: &str, value: Value| {
-            work(frozen, table, &Content::new().with(attr, value)).0
-        };
-        assert_eq!(verified(&frozen, &table, "category", Value::str("hot")), 0);
-        assert_eq!(verified(&frozen, &table, "author", Value::str("ann")), 1);
-        assert_eq!(verified(&frozen, &table, "tags", Value::tags(["t"])), 1);
+        assert_eq!(frozen.pair_tok.len(), 3);
+        assert_eq!(frozen.resid.len(), 1, "hot is the residual");
+        // The first is a candidate of `ann` and `t` together only.
+        assert_eq!(on(&frozen, &table, "at"), (1, 0));
+        assert_eq!(on(&frozen, &table, "ca"), (0, 0));
+        assert_eq!(on(&frozen, &table, "c"), (0, 0));
 
         // A tie goes to the family (integer equality, string equality,
         // tag), whatever the position ...
-        let (frozen, _) = frozen_fleet(vec![vec![sub(&[
-            Predicate::contains("tags", "t"),
+        let (frozen, table) = frozen_fleet(vec![vec![sub(&[
+            tag("t"),
             author("ann"),
             Predicate::eq("n", Value::int(5)),
         ])]]);
-        let keyed = [&frozen.eq_int_tok, &frozen.eq_str_tok, &frozen.tag_tok];
-        assert_eq!(keyed.map(Vec::len), [1, 0, 0]);
+        assert_eq!((frozen.pair_tok.len(), frozen.pair_keys.len()), (1, 2));
+        let resid: Vec<_> = frozen.resid.iter().map(|p| p.op).collect();
+        assert!(matches!(resid[..], [SymOp::Contains(_)]));
+        assert_eq!(on(&frozen, &table, "na"), (1, 0));
+        assert_eq!(on(&frozen, &table, "at"), (0, 0));
+        assert_eq!(on(&frozen, &table, "nat"), (1, 1));
         // ... then to the earlier predicate.
-        let (frozen, table) = frozen_fleet(vec![vec![sub(&[author("ann"), hot()])]]);
-        assert_eq!(frozen.eq_str_tok.len(), 1);
-        assert_eq!(verified(&frozen, &table, "category", Value::str("hot")), 0);
-        assert_eq!(verified(&frozen, &table, "author", Value::str("ann")), 1);
+        let (frozen, table) = frozen_fleet(vec![vec![sub(&[author("ann"), hot(), author("bob")])]]);
+        assert_eq!(frozen.pair_tok.len(), 1);
+        assert_eq!(on(&frozen, &table, "ca"), (1, 0));
+        assert_eq!(on(&frozen, &table, "cb"), (0, 0));
 
         // A keyed predicate wins over any scanned one before it; a
         // conjunction of scanned predicates only is indexed by its first.
@@ -1823,6 +1955,213 @@ mod tests {
         assert_eq!(frozen.eq_str_tok.len(), 1);
         assert_eq!(frozen.resid.len(), 1);
         assert_eq!(work(&frozen, &table, &sports_page()), (1, 1));
+    }
+
+    /// The one conjunction `preds`, frozen: the sizes of its pair family
+    /// and of its residual array, and the `(verified, matches)` of each of
+    /// `pages`.
+    fn one_conjunction(
+        preds: Vec<Predicate>,
+        pages: &[Content],
+    ) -> (usize, usize, Vec<(u32, usize)>) {
+        let (frozen, table) = frozen_fleet(vec![vec![Subscription::new(preds)]]);
+        let work = pages.iter().map(|page| work(&frozen, &table, page));
+        (frozen.pair_tok.len(), frozen.resid.len(), work.collect())
+    }
+
+    #[test]
+    fn a_pair_can_come_from_one_string_attribute() {
+        // Equality and `Contains` on one string are two content keys.
+        let sports = || Content::new().with("category", Value::str("sports"));
+        let pages = [
+            sports(),
+            Content::new().with("category", Value::str("tech")),
+        ];
+        let preds = vec![
+            Predicate::eq("category", Value::str("sports")),
+            Predicate::contains("category", "sports"),
+        ];
+        assert_eq!(one_conjunction(preds, &pages), (1, 0, vec![(1, 1), (0, 0)]));
+    }
+
+    #[test]
+    fn a_pair_can_be_two_tags_of_one_set() {
+        let tagged = |tags: &[&str]| Content::new().with("tags", Value::tags(tags.iter().copied()));
+        let pages = [
+            tagged(&["a", "b"]),
+            tagged(&["a"]),
+            tagged(&["b", "c", "a"]),
+        ];
+        let preds = vec![
+            Predicate::contains("tags", "b"),
+            Predicate::contains("tags", "a"),
+        ];
+        let work = vec![(1, 1), (0, 0), (1, 1)];
+        assert_eq!(one_conjunction(preds, &pages), (1, 0, work));
+    }
+
+    #[test]
+    fn an_integer_key_pairs_with_a_string_key() {
+        // `n`, the first name interned, keys its 5 below any key of
+        // `category`, which a page lists first: the ids arrive out of
+        // order.
+        let page = |n: i64| sports_page().with("n", Value::int(n));
+        let pages = [
+            page(5),
+            page(-1),
+            sports_page(),
+            page(5).with("words", Value::int(900)),
+        ];
+        let preds = vec![
+            Predicate::eq("n", Value::int(5)),
+            Predicate::ge("words", 900),
+            Predicate::eq("category", Value::str("sports")),
+        ];
+        // The sports page's 800 words fail the residual.
+        let work = vec![(1, 0), (0, 0), (0, 0), (1, 1)];
+        assert_eq!(one_conjunction(preds, &pages), (1, 1, work));
+    }
+
+    #[test]
+    fn p_p_q_pairs_p_with_q_and_verifies_the_second_p() {
+        let p = Predicate::eq("category", Value::str("sports"));
+        let q = Predicate::contains("tags", "tennis");
+        let work = vec![(1, 1), (0, 0)];
+        let pages = [
+            sports_page(),
+            sports_page().with("tags", Value::tags(["golf"])),
+        ];
+        assert_eq!(one_conjunction(vec![p.clone(), p, q], &pages), (1, 1, work));
+    }
+
+    #[test]
+    fn one_keyed_content_key_keeps_one_access_predicate() {
+        let p = || Predicate::eq("category", Value::str("sports"));
+        let conjunctions = [
+            vec![p(), p()],
+            vec![p(), Predicate::ge("words", 5)],
+            vec![
+                Predicate::exists("tags"),
+                p(),
+                Predicate::prefix("category", "s"),
+            ],
+        ];
+        for preds in conjunctions {
+            let (frozen, table) = frozen_fleet(vec![vec![Subscription::new(preds)]]);
+            assert!(frozen.pair_keys.is_empty() && frozen.pair_tok.is_empty());
+            assert_eq!(frozen.eq_str_tok.len(), 1);
+            assert!(frozen.families.iter().all(|&f| f & PAIR == 0));
+            assert_eq!(work(&frozen, &table, &sports_page()), (1, 1));
+        }
+    }
+
+    /// Proxy `p` of three holds `p + 1` sports-and-tennis doubles, one
+    /// sports-and-golf double and one sports-and-tennis-and-long triple.
+    fn paired_fleet() -> Vec<SubscriptionIndex> {
+        let mut fleet = vec![SubscriptionIndex::new(); 3];
+        let sports = || Predicate::eq("category", Value::str("sports"));
+        for (lane, idx) in fleet.iter_mut().enumerate() {
+            for _ in 0..=lane {
+                idx.insert(Subscription::new(vec![
+                    sports(),
+                    Predicate::contains("tags", "tennis"),
+                ]));
+            }
+            idx.insert(Subscription::new(vec![
+                sports(),
+                Predicate::contains("tags", "golf"),
+            ]));
+            idx.insert(Subscription::new(vec![
+                Predicate::contains("tags", "tennis"),
+                Predicate::ge("words", 1000),
+                sports(),
+            ]));
+        }
+        fleet
+    }
+
+    #[test]
+    fn a_request_counts_through_a_pair() {
+        let fleet = paired_fleet();
+        let mut table = SymbolTable::new();
+        let frozen = FrozenIndex::freeze_fleet(&fleet, &mut table);
+        assert_eq!(frozen.pair_tok.len(), 3 + 4 + 5);
+        let mut scratch = MatchScratch::new();
+        scratch.symbolize(&table, &sports_page());
+        for lane in 0..3u16 {
+            let count = frozen.count_at_view(&mut scratch, ServerId::new(lane));
+            assert_eq!(count, u32::from(lane) + 1);
+            // Its own proxy's doubles and triple, nobody else's.
+            assert_eq!(scratch.frozen.verified, u32::from(lane) + 2);
+        }
+        assert_fleet_agrees(&frozen, &table, &fleet);
+    }
+
+    #[test]
+    fn a_retired_paired_conjunction_leaves_every_answer() {
+        let mut fleet = paired_fleet();
+        let mut table = SymbolTable::new();
+        let mut frozen = FrozenIndex::freeze_fleet(&fleet, &mut table);
+        // Proxy 2's third double, then its triple.
+        for (id, left) in [(2, 2), (4, 2)] {
+            let id = SubscriptionId::new(id);
+            let sub = fleet[2].remove(id).unwrap();
+            assert!(frozen.retire(2, id, sub.len()));
+            assert_fleet_agrees(&frozen, &table, &fleet);
+            let mut scratch = MatchScratch::new();
+            scratch.symbolize(&table, &sports_page());
+            assert_eq!(frozen.count_at_view(&mut scratch, ServerId::new(2)), left);
+            // A retired conjunction is not a candidate.
+            assert_eq!(scratch.frozen.verified, left + u32::from(id.raw() == 2));
+        }
+    }
+
+    #[test]
+    fn a_match_churn_shaped_fleet_verifies_what_both_keys_select() {
+        // 10 categories x 20 tags, doubles and multis (a bytes floor on
+        // every second) over 8 proxies, page-equality singles beside them.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut draw = |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let category = |c: u64| Value::str(format!("cat{c}"));
+        let tag = |t: u64| format!("tag{t}");
+        let mut fleet = vec![Vec::new(); 8];
+        let mut pairs = Vec::new();
+        for i in 0..4_000 {
+            let mut preds = vec![
+                Predicate::eq("category", category(draw(10))),
+                Predicate::contains("tags", tag(draw(20))),
+            ];
+            pairs.push(Subscription::new(preds.clone()));
+            if i % 2 == 1 {
+                preds.push(Predicate::ge("bytes", 2_048 << (2 * draw(3))));
+            }
+            let lane = draw(8) as usize;
+            fleet[lane].push(Subscription::new(preds));
+            fleet[lane].push(Subscription::new(vec![Predicate::eq(
+                "page",
+                Value::int(i),
+            )]));
+        }
+        let subs: Vec<_> = fleet.iter().flatten().cloned().collect();
+        let (frozen, table) = frozen_fleet(fleet);
+        assert_eq!(frozen.pair_tok.len(), 4_000);
+        assert_eq!(frozen.pair_keys.len(), 30);
+        for page in 0..50 {
+            let tags: BTreeSet<_> = (0..1 + draw(3)).map(|_| tag(draw(20))).collect();
+            let content = Content::new()
+                .with("page", Value::int(page))
+                .with("category", category(draw(10)))
+                .with("tags", Value::tags(tags))
+                .with("bytes", Value::int(1 << (10 + draw(8))));
+            let both_keys = pairs.iter().filter(|s| s.matches(&content)).count();
+            let matches = subs.iter().filter(|s| s.matches(&content)).count();
+            assert_eq!(work(&frozen, &table, &content), (both_keys as u32, matches));
+        }
     }
 
     /// Every kind of value at its edges: the integer extremes, the empty

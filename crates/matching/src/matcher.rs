@@ -119,14 +119,16 @@ struct Frozen {
 /// the next `freeze` folds them all in. An entry costs a hash lookup and a
 /// brute-force evaluation, so the bound is what keeps a publish near the
 /// kernel's cost. Measured at the `match-churn` population (201 k
-/// subscriptions over 100 proxies; a fan-out 7.3–9.1 µs, a request
-/// 720–870 ns): a fan-out pays 29 ns per page-equality entry and 42 ns
+/// subscriptions over 100 proxies; since PR 25 a fan-out 2.8–2.9 µs, a
+/// request 0.9 µs): a fan-out pays 39 ns per page-equality entry and 44 ns
 /// per three-predicate one, a request — which scans its own proxy's
-/// entries only — 0.5–0.7 ns per entry of the fleet's. A full delta of 48
-/// adds 1.4–2.0 µs to a fan-out, 19–22 % (64 reads 26–30 %), and
-/// 25–35 ns to a request, 3–5 %; a burst pays one 28–31 ms rebuild per
-/// 49 subscribes, 0.6 ms a call. EXPERIMENTS.md, "Churn without a
-/// refreeze (PR 21)", has the sweep.
+/// entries only — under 1 ns per entry of the fleet's. A full delta of 48
+/// adds 1.9–2.1 µs to a fan-out, two thirds of it (16 read a fifth, 64
+/// 81–99 %), and 18–34 ns to a request; a burst pays one 28–31 ms rebuild
+/// per 49 subscribes, 0.6 ms a call. No workload holds more than one
+/// entry, so no benchmark could carry a re-tune of the bound.
+/// EXPERIMENTS.md, "Churn without a refreeze (PR 21)" and "Two keys to a
+/// conjunction (PR 25)", has the sweeps.
 const DELTA_MAX: usize = 48;
 
 impl EngineMatcher {

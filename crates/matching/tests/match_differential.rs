@@ -58,29 +58,33 @@ fn subscription_strategy() -> impl Strategy<Value = Subscription> {
 }
 
 /// A keyed predicate from a small skewed pool: a few hot keys carried by
-/// most conjunctions, a tail of cold ones, all three keyed families.
+/// most conjunctions, a tail of cold ones, all three keyed families, and
+/// keys that pair on one attribute (two tags of a set; equality and
+/// `Contains` on one category).
 fn hot_key_strategy() -> impl Strategy<Value = Predicate> {
     prop_oneof![
         6 => Just(Predicate::eq("category", Value::str("sports"))),
         3 => Just(Predicate::contains("tags", "a")),
         2 => Just(Predicate::eq("category", Value::str("politics"))),
         2 => Just(Predicate::eq("words", Value::int(7))),
-        1 => Just(Predicate::contains("tags", "b")),
+        2 => Just(Predicate::contains("tags", "b")),
         1 => Just(Predicate::contains("category", "tech")),
+        1 => Just(Predicate::contains("category", "sports")),
         1 => Just(Predicate::eq("author", Value::str("music"))),
     ]
 }
 
 /// 65-200 conjunctions over the hot keys, so one proxy's candidate bits
 /// span several words and the buckets differ in size by an order of
-/// magnitude; each has one or two hot keys and up to two arbitrary
-/// predicates in any position. A conjunction of scanned-family
-/// predicates only and a five-predicate one are always among them, and up
-/// to three singles share the hot keys' buckets (a family then holds
-/// singles and access predicates of several proxies).
+/// magnitude; each has one to three hot keys (a pair, or a pair and a
+/// residual key; repeats included) and up to two arbitrary predicates in
+/// any position. A conjunction of scanned-family predicates only and a
+/// five-predicate one are always among them, and up to three singles
+/// share the hot keys' buckets (a family then holds singles and access
+/// predicates of several proxies).
 fn conjunctions_strategy() -> impl Strategy<Value = Vec<Subscription>> {
     let conjunction = (
-        proptest::collection::vec(hot_key_strategy(), 1..3),
+        proptest::collection::vec(hot_key_strategy(), 1..4),
         proptest::collection::vec(predicate_strategy(), 0..3),
         proptest::bool::ANY,
     )

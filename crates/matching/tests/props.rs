@@ -14,11 +14,18 @@ const TAGS: [&str; 6] = ["a", "b", "c", "d", "e", "f"];
 
 fn value_strategy() -> impl Strategy<Value = Value> {
     prop_oneof![
-        (-50i64..50).prop_map(Value::int),
+        bound_strategy().prop_map(Value::int),
         proptest::sample::select(STRINGS.to_vec()).prop_map(Value::str),
         proptest::collection::btree_set(proptest::sample::select(TAGS.to_vec()), 0..4)
             .prop_map(|set| Value::tags(set.into_iter().collect::<Vec<_>>())),
     ]
+}
+
+/// A range bound: a small one, or one at or next to the integer edge,
+/// where `Lt`/`Gt` stop being satisfiable.
+fn bound_strategy() -> impl Strategy<Value = i64> {
+    let edges = vec![i64::MIN, i64::MIN + 1, i64::MAX - 1, i64::MAX];
+    prop_oneof![4 => -50i64..50, 1 => proptest::sample::select(edges)]
 }
 
 fn predicate_strategy() -> impl Strategy<Value = Predicate> {
@@ -26,10 +33,10 @@ fn predicate_strategy() -> impl Strategy<Value = Predicate> {
     prop_oneof![
         (attr.clone(), value_strategy()).prop_map(|(a, v)| Predicate::new(a, Op::Eq(v))),
         (attr.clone(), value_strategy()).prop_map(|(a, v)| Predicate::new(a, Op::Ne(v))),
-        (attr.clone(), -50i64..50).prop_map(|(a, b)| Predicate::lt(a, b)),
-        (attr.clone(), -50i64..50).prop_map(|(a, b)| Predicate::le(a, b)),
-        (attr.clone(), -50i64..50).prop_map(|(a, b)| Predicate::gt(a, b)),
-        (attr.clone(), -50i64..50).prop_map(|(a, b)| Predicate::ge(a, b)),
+        (attr.clone(), bound_strategy()).prop_map(|(a, b)| Predicate::lt(a, b)),
+        (attr.clone(), bound_strategy()).prop_map(|(a, b)| Predicate::le(a, b)),
+        (attr.clone(), bound_strategy()).prop_map(|(a, b)| Predicate::gt(a, b)),
+        (attr.clone(), bound_strategy()).prop_map(|(a, b)| Predicate::ge(a, b)),
         (attr.clone(), proptest::sample::select(TAGS.to_vec()))
             .prop_map(|(a, t)| Predicate::contains(a, t)),
         (
