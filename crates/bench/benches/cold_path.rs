@@ -6,16 +6,14 @@
 //! `generate`/`subscriptions`/`compile` phases at `threads = 1` and
 //! `threads = 0` (auto) — the two ends of the `repro --threads` knob,
 //! proven bit-identical by the `cold_differential` suite, so the gap
-//! here is pure speed. The matching tier drives a one-million
-//! subscription index — far past any workload tier, sized to make the
-//! per-call allocation of the legacy wrapper visible against the
-//! scratch-reusing kernel. EXPERIMENTS.md reports these numbers.
+//! here is pure speed. The matching tier freezes a one-million
+//! subscription population — far past any workload tier. EXPERIMENTS.md
+//! reports these numbers.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use pscd_matching::{
-    Content, FrozenIndex, MatchScratch, Predicate, Subscription, SubscriptionIndex, SymbolTable,
-    Value,
+    Content, FrozenIndex, MatchScratch, Predicate, Subscription, SubscriptionId, SymbolTable, Value,
 };
 use pscd_sim::CompiledTrace;
 use pscd_workload::{Workload, WorkloadConfig};
@@ -79,14 +77,14 @@ fn compile(c: &mut Criterion) {
     group.finish();
 }
 
-/// One million single-predicate equality subscriptions spread over 2,000
+/// One million subscriptions numbered as one proxy's, spread over 2,000
 /// distinct categories (~500 matches per content), plus a tag layer —
 /// the ISSUE's ≥1M-subscription matching tier.
-fn million_sub_index() -> (SubscriptionIndex, Vec<Content>) {
+fn million_subs() -> (Vec<(SubscriptionId, Subscription)>, Vec<Content>) {
     const SUBS: usize = 1_000_000;
     const CATEGORIES: usize = 2_000;
     let categories: Vec<String> = (0..CATEGORIES).map(|i| format!("cat{i}")).collect();
-    let mut index = SubscriptionIndex::new();
+    let mut rows = Vec::with_capacity(SUBS);
     for i in 0..SUBS {
         let cat = &categories[i % CATEGORIES];
         let sub = if i % 10 == 0 {
@@ -97,7 +95,7 @@ fn million_sub_index() -> (SubscriptionIndex, Vec<Content>) {
         } else {
             Subscription::new(vec![Predicate::eq("category", Value::str(cat))])
         };
-        index.insert(sub);
+        rows.push((SubscriptionId::new(i as u64), sub));
     }
     let contents = (0..64usize)
         .map(|i| {
@@ -109,53 +107,18 @@ fn million_sub_index() -> (SubscriptionIndex, Vec<Content>) {
                 )
         })
         .collect();
-    (index, contents)
+    (rows, contents)
 }
 
 fn matching_1m(c: &mut Criterion) {
-    let (index, contents) = million_sub_index();
+    let (subs, contents) = million_subs();
     let mut group = c.benchmark_group("cold_match_1m_subs");
     group.sample_size(20);
-    // The batched kernel: caller-owned scratch and output, zero
-    // steady-state allocations (asserted by the alloc-free test).
-    group.bench_function("matches_into_scratch", |b| {
-        let mut scratch = MatchScratch::new();
-        let mut out = Vec::new();
-        b.iter(|| {
-            let mut total = 0usize;
-            for content in &contents {
-                index.matches_into(content, &mut scratch, &mut out);
-                total += out.len();
-            }
-            total
-        })
-    });
-    // The legacy wrapper: same kernel, but a fresh scratch and a fresh
-    // result vector per call.
-    group.bench_function("matches_legacy_alloc", |b| {
-        b.iter(|| {
-            let mut total = 0usize;
-            for content in &contents {
-                total += index.matches(content).len();
-            }
-            total
-        })
-    });
-    group.bench_function("match_count_scratch", |b| {
-        let mut scratch = MatchScratch::new();
-        b.iter(|| {
-            let mut total = 0usize;
-            for content in &contents {
-                total += index.match_count_scratch(content, &mut scratch);
-            }
-            total
-        })
-    });
-    // The frozen kernel: same index compiled to interned symbols, CSR
-    // buckets, and epoch-bitset counters (compile cost excluded here —
+    // The frozen kernel: interned symbols, CSR buckets and epoch bitsets,
+    // caller-owned scratch and output (compile cost excluded here —
     // `match_kernel.freeze_build` in the pinned suite prices it).
     let mut symbols = SymbolTable::new();
-    let frozen = FrozenIndex::freeze(&index, &mut symbols);
+    let frozen = FrozenIndex::freeze(&subs, &mut symbols);
     group.bench_function("matches_into_frozen", |b| {
         let mut scratch = MatchScratch::new();
         let mut out = Vec::new();
@@ -173,7 +136,7 @@ fn matching_1m(c: &mut Criterion) {
         b.iter(|| {
             let mut total = 0usize;
             for content in &contents {
-                total += frozen.match_count_scratch(&symbols, content, &mut scratch);
+                total += frozen.match_count(&symbols, content, &mut scratch);
             }
             total
         })

@@ -1,13 +1,13 @@
 //! Microbenchmarks of the substrates: cache replacement throughput,
-//! content-based matching, workload sampling, topology generation.
+//! observer overhead, workload sampling, topology generation. The match
+//! kernel is priced in `cold_path.rs`.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use rand::SeedableRng;
 
 use pscd_cache::PageRef;
 use pscd_core::StrategyKind;
-use pscd_matching::{Content, Predicate, Subscription, SubscriptionIndex, Value};
 use pscd_obs::{SharedObserver, StatsObserver};
 use pscd_sim::{simulate, SimOptions, Simulation};
 use pscd_topology::{FetchCosts, TopologyBuilder};
@@ -123,37 +123,6 @@ fn observer_benches(c: &mut Criterion) {
     group.finish();
 }
 
-fn matching_benches(c: &mut Criterion) {
-    let mut group = c.benchmark_group("matching");
-    // 10k subscriptions over 20 categories + range predicates.
-    let mut index = SubscriptionIndex::new();
-    let mut rng = StdRng::seed_from_u64(2);
-    for i in 0..10_000u32 {
-        let mut preds = vec![Predicate::eq(
-            "category",
-            Value::str(format!("cat{}", i % 20)),
-        )];
-        if i % 3 == 0 {
-            preds.push(Predicate::ge("bytes", (i % 50) as i64 * 100));
-        }
-        index.insert(Subscription::new(preds));
-    }
-    let events: Vec<Content> = (0..512)
-        .map(|_| {
-            Content::new()
-                .with(
-                    "category",
-                    Value::str(format!("cat{}", rng.random_range(0..20u32))),
-                )
-                .with("bytes", Value::int(rng.random_range(0..5_000)))
-        })
-        .collect();
-    group.bench_function("counting_index_512_events_10k_subs", |b| {
-        b.iter(|| events.iter().map(|e| index.match_count(e)).sum::<usize>())
-    });
-    group.finish();
-}
-
 fn generation_benches(c: &mut Criterion) {
     let mut group = c.benchmark_group("generation");
     group.sample_size(10);
@@ -166,11 +135,5 @@ fn generation_benches(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    cache_benches,
-    observer_benches,
-    matching_benches,
-    generation_benches
-);
+criterion_group!(benches, cache_benches, observer_benches, generation_benches);
 criterion_main!(benches);

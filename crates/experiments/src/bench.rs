@@ -18,8 +18,7 @@ use std::time::Instant;
 
 use pscd_core::StrategyKind;
 use pscd_matching::{
-    Content, FrozenIndex, MatchScratch, Predicate, Subscription, SubscriptionIndex, SymbolTable,
-    Value,
+    Content, FrozenIndex, MatchScratch, Predicate, Subscription, SubscriptionId, SymbolTable, Value,
 };
 use pscd_sim::trace::CompiledTrace;
 use pscd_sim::{simulate_compiled, PrefetchOptions, ReplaySource, SimOptions, StreamingTrace};
@@ -36,7 +35,7 @@ pub const BENCH_SCHEMA: &str = "pscd-bench/1";
 pub const BENCH_PR: u32 = 10;
 
 /// Minimum benchmarks a valid document must carry (the pinned suite has
-/// sixteen; a shrunk document means the suite silently lost coverage).
+/// fourteen; a shrunk document means the suite silently lost coverage).
 pub const MIN_BENCHMARKS: usize = 8;
 
 /// One benchmark's summarized samples.
@@ -222,53 +221,22 @@ impl BenchReport {
             })?,
         ));
 
-        // Match kernel throughput over a large equality+tag index (the
-        // index is built once; samples time matching only).
-        let (index, contents) = bench_index(if quick { 100_000 } else { 1_000_000 });
-        rows.push(summarize(
-            "match_kernel.count",
-            "Mmatch/s",
-            sample(n, || {
-                let mut scratch = MatchScratch::new();
-                let mut total = 0usize;
-                let t = Instant::now();
-                for content in &contents {
-                    total += index.match_count_scratch(content, &mut scratch);
-                }
-                Ok(total as f64 / t.elapsed().as_secs_f64() / 1e6)
-            })?,
-        ));
-        rows.push(summarize(
-            "match_kernel.matches_into",
-            "Mmatch/s",
-            sample(n, || {
-                let mut scratch = MatchScratch::new();
-                let mut out = Vec::new();
-                let mut total = 0usize;
-                let t = Instant::now();
-                for content in &contents {
-                    index.matches_into(content, &mut scratch, &mut out);
-                    total += out.len();
-                }
-                Ok(total as f64 / t.elapsed().as_secs_f64() / 1e6)
-            })?,
-        ));
-
-        // Frozen kernel: one-time compile cost, then the same batch
-        // through the interned-symbol/CSR/bitset fast path.
+        // Match kernel over a large equality+tag population: the one-time
+        // freeze, then matching throughput (samples time matching only).
+        let (subs, contents) = bench_subscriptions(if quick { 100_000 } else { 1_000_000 });
         rows.push(summarize(
             "match_kernel.freeze_build",
             "ms",
             sample(n, || {
                 let t = Instant::now();
-                let frozen = FrozenIndex::freeze(&index, &mut SymbolTable::new());
+                let frozen = FrozenIndex::freeze(&subs, &mut SymbolTable::new());
                 let ms = millis(t);
                 std::hint::black_box(frozen.len());
                 Ok(ms)
             })?,
         ));
         let mut symbols = SymbolTable::new();
-        let frozen = FrozenIndex::freeze(&index, &mut symbols);
+        let frozen = FrozenIndex::freeze(&subs, &mut symbols);
         rows.push(summarize(
             "match_kernel.frozen",
             "Mmatch/s",
@@ -397,12 +365,13 @@ fn summarize(name: &str, unit: &str, mut samples: Vec<f64>) -> BenchRow {
     }
 }
 
-/// A large equality+tag subscription index (the shape of the criterion
-/// `cold_match_1m_subs` bench) plus a fixed content batch.
-fn bench_index(subs: usize) -> (SubscriptionIndex, Vec<Content>) {
+/// A large equality+tag subscription population, numbered as one proxy's
+/// (the shape of the criterion `cold_match_1m_subs` bench), plus a fixed
+/// content batch.
+fn bench_subscriptions(subs: usize) -> (Vec<(SubscriptionId, Subscription)>, Vec<Content>) {
     const CATEGORIES: usize = 2_000;
     let categories: Vec<String> = (0..CATEGORIES).map(|i| format!("cat{i}")).collect();
-    let mut index = SubscriptionIndex::new();
+    let mut rows = Vec::with_capacity(subs);
     for i in 0..subs {
         let cat = &categories[i % CATEGORIES];
         let sub = if i % 10 == 0 {
@@ -413,7 +382,7 @@ fn bench_index(subs: usize) -> (SubscriptionIndex, Vec<Content>) {
         } else {
             Subscription::new(vec![Predicate::eq("category", Value::str(cat))])
         };
-        index.insert(sub);
+        rows.push((SubscriptionId::new(i as u64), sub));
     }
     let contents = (0..64usize)
         .map(|i| {
@@ -425,7 +394,7 @@ fn bench_index(subs: usize) -> (SubscriptionIndex, Vec<Content>) {
                 )
         })
         .collect();
-    (index, contents)
+    (rows, contents)
 }
 
 fn git_sha() -> String {
@@ -864,8 +833,6 @@ mod tests {
             "hot_loop.sub",
             "hot_loop.sg2",
             "hot_loop.dc_lap",
-            "match_kernel.count",
-            "match_kernel.matches_into",
             "match_kernel.freeze_build",
             "match_kernel.frozen",
             "exhibit.table2",

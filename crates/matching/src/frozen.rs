@@ -1,10 +1,10 @@
 //! Frozen, data-oriented match kernel.
 //!
-//! [`FrozenIndex`] is an immutable compilation of one
-//! [`SubscriptionIndex`] — or of a whole fleet's, one per proxy — into a
-//! single set of flat arrays: every string is interned into a dense `u32`
-//! symbol ([`SymbolTable`]), the nested hash-map buckets become CSR arrays
-//! searched by integer keys, and the match state is one epoch-stamped
+//! [`FrozenIndex`] is an immutable compilation of one proxy's
+//! subscriptions — or of a whole fleet's — into a single set of flat
+//! arrays: every string is interned into a dense `u32` symbol
+//! ([`SymbolTable`]), predicates are filed in CSR buckets searched by
+//! integer keys, and the match state is one epoch-stamped
 //! bitset — a match is a set bit, a count is a popcount, and no
 //! subscription has a counter:
 //!
@@ -44,8 +44,8 @@
 //! entries' bits for every proxy, and folds the touched words into one
 //! count per proxy; a request searches the exact `(key, proxy)` bucket and
 //! touches that proxy's words only. Both run the same `accumulate`,
-//! restricted to a range of proxies (`Lanes`). An index frozen from one
-//! [`SubscriptionIndex`] is the one-proxy fleet.
+//! restricted to a range of proxies (`Lanes`). An index built by
+//! [`FrozenIndex::freeze`] is the one-proxy fleet.
 //!
 //! Words are epoch-stamped and reset lazily on first touch, so a match
 //! clears nothing and allocates nothing: the hot loop is integer binary
@@ -56,23 +56,24 @@
 //! Content is symbolized **once per publish** into a [`SymView`] (owned by
 //! the caller's [`MatchScratch`]), so the loop does no string hashing.
 //!
-//! The mutable [`SubscriptionIndex`] stays the build-time front end and
-//! the owner of every subscription. A frozen subscription that is removed
-//! is *retired*: its bit goes into the `dead` mask that a match clears
-//! from every touched word before it verifies or counts anything, so the
-//! kernel answers on without a rebuild ([`EngineMatcher`](crate::EngineMatcher)
-//! keeps the subscriptions added since the freeze beside it).
+//! [`EngineMatcher`](crate::EngineMatcher) owns the subscriptions; their
+//! rows, ascending by id, are what a freeze reads. A frozen subscription
+//! that is removed is *retired*: its bit goes into the `dead` mask that a
+//! match clears from every touched word before it verifies or counts
+//! anything, so the kernel answers on without a rebuild (the matcher keeps
+//! the subscriptions added since the freeze beside it).
 
+use std::borrow::Borrow;
 use std::collections::BTreeSet;
 use std::ops::Range;
 
 use pscd_types::ServerId;
 
 use crate::symbol::NO_SYM;
-use crate::{
-    Content, MatchScratch, Op, Predicate, Subscription, SubscriptionId, SubscriptionIndex,
-    SymbolTable, Value,
-};
+use crate::{Content, Op, Predicate, Subscription, SubscriptionId, SymbolTable, Value};
+
+/// One subscription as its owner holds it.
+type Row = (SubscriptionId, Subscription);
 
 /// A content descriptor translated into symbol space: attribute names and
 /// string values replaced by their [`SymbolTable`] symbols, tags flattened
@@ -156,19 +157,24 @@ impl SymView {
     }
 }
 
-/// Epoch-stamped state for the frozen kernel, embedded in
-/// [`MatchScratch`]: one array of u64 words — the singles' bitset, then the
-/// conjunctions' — addressed directly by token. A word is live only when
-/// its stamp equals the current epoch; a new match bumps the epoch in O(1)
-/// and resets each word lazily on first touch.
+/// Reusable state for the frozen kernel: the symbolized content, and one
+/// array of u64 words — the singles' bitset, then the conjunctions' —
+/// addressed directly by token. A word is live only when its stamp equals
+/// the current epoch; a new match bumps the epoch in O(1) and resets each
+/// word lazily on first touch. After warm-up (words sized to the largest
+/// index, buffers grown to the biggest result) a match makes **zero
+/// allocations**, the property the `alloc_free` suite asserts.
+///
+/// One scratch serves any number of indexes and contents; it only grows.
+/// Not `Sync`: use one scratch per worker thread.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct FrozenScratch {
+pub struct MatchScratch {
     epoch: u32,
     words: Vec<u64>,
     stamp: Vec<u32>,
     touched: Vec<u32>,
     /// How many conjunction candidates the last match verified.
-    pub(crate) verified: u32,
+    verified: u32,
     /// A publish's matches per proxy, wildcards plus what the touched
     /// words fold to.
     lane_counts: Vec<u32>,
@@ -177,7 +183,21 @@ pub(crate) struct FrozenScratch {
     view: SymView,
 }
 
-impl FrozenScratch {
+impl MatchScratch {
+    /// Creates an empty scratch; it sizes itself to the index on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Translates `content` into symbol space against `table`, storing the
+    /// view in this scratch. One symbolization serves any number of
+    /// [`FrozenIndex::matches_view_into`] /
+    /// [`FrozenIndex::match_count_view`] calls against indexes frozen with
+    /// the same table.
+    pub fn symbolize(&mut self, table: &SymbolTable, content: &Content) {
+        self.view.symbolize(table, content);
+    }
+
     fn begin(&mut self, words: usize) {
         if self.stamp.len() < words {
             self.stamp.resize(words, 0);
@@ -218,17 +238,6 @@ impl FrozenScratch {
         words
             .map(|w| (w, self.words[w]))
             .filter(|&(_, bits)| bits != 0)
-    }
-}
-
-impl MatchScratch {
-    /// Translates `content` into symbol space against `table`, storing the
-    /// view in this scratch. One symbolization serves any number of
-    /// [`FrozenIndex::matches_view_into`] /
-    /// [`FrozenIndex::match_count_view`] calls against indexes frozen with
-    /// the same table.
-    pub fn symbolize(&mut self, table: &SymbolTable, content: &Content) {
-        self.frozen.view.symbolize(table, content);
     }
 }
 
@@ -559,10 +568,10 @@ impl<'a> Rows<'a> {
     /// vectors grow by doubling was the source of the freeze_build p90
     /// outlier (first-touch page faults on each fresh doubling); across a
     /// fleet the growth is amortized.
-    fn reserve(&mut self, subs: &[(SubscriptionId, &Subscription)]) {
+    fn reserve<'s>(&mut self, subs: impl Iterator<Item = &'s Subscription>) {
         let (mut eq_int, mut eq_str, mut tag) = (0, 0, 0);
         let (mut range, mut exists, mut misc, mut resid) = (0, 0, 0, 0);
-        for (_, sub) in subs {
+        for sub in subs {
             let [pred] = sub.predicates() else {
                 resid += sub.len();
                 continue;
@@ -783,7 +792,7 @@ impl<'a> Rows<'a> {
 /// points at them.
 const NO_ID: SubscriptionId = SubscriptionId::new(u64::MAX);
 
-/// The frozen, data-oriented compilation of a [`SubscriptionIndex`]; see
+/// The frozen, data-oriented compilation of a set of subscriptions; see
 /// the [module docs](self) for the layout. Nothing is ever added to a
 /// frozen index; the one change it takes is a removed subscription's
 /// retirement.
@@ -797,13 +806,13 @@ const NO_ID: SubscriptionId = SubscriptionId::new(u64::MAX);
 ///
 /// ```
 /// use pscd_matching::{
-///     Content, FrozenIndex, MatchScratch, Predicate, Subscription, SubscriptionIndex,
-///     SymbolTable, Value,
+///     Content, FrozenIndex, MatchScratch, Predicate, Subscription, SubscriptionId, SymbolTable,
+///     Value,
 /// };
-/// let mut idx = SubscriptionIndex::new();
-/// let id = idx.insert(Subscription::new(vec![Predicate::ge("words", 100)]));
+/// let id = SubscriptionId::new(0);
+/// let subs = [(id, Subscription::new(vec![Predicate::ge("words", 100)]))];
 /// let mut table = SymbolTable::new();
-/// let frozen = FrozenIndex::freeze(&idx, &mut table);
+/// let frozen = FrozenIndex::freeze(&subs, &mut table);
 /// let mut scratch = MatchScratch::new();
 /// let mut out = Vec::new();
 /// frozen.matches_into(
@@ -890,29 +899,38 @@ pub struct FrozenIndex {
 impl Default for FrozenIndex {
     /// The frozen empty index.
     fn default() -> Self {
-        Self::freeze_fleet(&[], &mut SymbolTable::new())
+        Self::freeze(&[], &mut SymbolTable::new())
     }
 }
 
 impl FrozenIndex {
-    /// Compiles `index` into a frozen kernel, interning every predicate
-    /// string into `table`: the one-proxy fleet.
-    pub fn freeze(index: &SubscriptionIndex, table: &mut SymbolTable) -> Self {
-        Self::freeze_fleet(std::slice::from_ref(index), table)
+    /// Compiles `subscriptions`, in any order, into a frozen kernel,
+    /// interning every predicate string into `table`: the one-proxy fleet.
+    pub fn freeze(
+        subscriptions: &[(SubscriptionId, Subscription)],
+        table: &mut SymbolTable,
+    ) -> Self {
+        let mut by_id: Vec<&Row> = subscriptions.iter().collect();
+        by_id.sort_unstable_by_key(|row| row.0);
+        Self::freeze_fleet(&[by_id], table)
     }
 
-    /// Compiles a fleet's indexes — `indexes[p]` holds proxy `p`'s
-    /// subscriptions — into one frozen kernel.
+    /// Compiles a fleet — `fleet[p]` holds proxy `p`'s subscriptions,
+    /// ascending by id — into one frozen kernel.
     ///
     /// # Panics
     ///
     /// Panics if the fleet has more than `u16::MAX` proxies, or a
     /// population (a class's padded ordinals, the token space, a family's
     /// entries) does not fit `u32`.
-    pub(crate) fn freeze_fleet(indexes: &[SubscriptionIndex], table: &mut SymbolTable) -> Self {
+    pub(crate) fn freeze_fleet<'a, P, R>(fleet: &'a [P], table: &mut SymbolTable) -> Self
+    where
+        P: AsRef<[R]>,
+        R: Borrow<Row> + 'a,
+    {
         // An empty fleet freezes as one empty proxy, so there is always a
         // lane to search.
-        let lanes = indexes.len().max(1);
+        let lanes = fleet.len().max(1);
         assert!(
             lanes <= usize::from(u16::MAX),
             "frozen kernel: {lanes} proxies do not fit the u16 lane"
@@ -923,9 +941,9 @@ impl FrozenIndex {
         // on the totals; the casts further down are inside these bounds.
         // Per proxy: wildcards, singles, conjunctions.
         let mut classes = vec![[0usize; 3]; lanes];
-        for (class, index) in classes.iter_mut().zip(indexes) {
-            for &n in index.pred_counts() {
-                class[(n as usize).min(2)] += 1;
+        for (class, subs) in classes.iter_mut().zip(fleet) {
+            for row in subs.as_ref() {
+                class[row.borrow().1.len().min(2)] += 1;
             }
         }
         let w_base = class_bases(classes.iter().map(|c| c[0]), 1, "wildcards");
@@ -941,23 +959,24 @@ impl FrozenIndex {
         let mut wildcards = Vec::with_capacity(w_base[lanes] as usize);
         let mut rows = Rows::default();
         // Proxy by proxy, so a proxy's subscriptions are still in cache
-        // when the second pass compiles them; both passes walk the one
-        // collected slice, ascending by id.
-        for (lane, index) in indexes.iter().enumerate() {
-            let subs: Vec<(SubscriptionId, &Subscription)> = index.iter().collect();
-            rows.reserve(&subs);
+        // when the second pass compiles them; both passes walk the owner's
+        // slice, ascending by id.
+        for (lane, subs) in fleet.iter().enumerate() {
+            let subs = subs.as_ref();
+            rows.reserve(subs.iter().map(|row| &row.borrow().1));
             let (mut s, mut c) = (s_base[lane], c_base[lane]);
-            for &(id, sub) in &subs {
+            for row in subs {
+                let (id, sub) = row.borrow();
                 match sub.predicates() {
-                    [] => wildcards.push(id),
+                    [] => wildcards.push(*id),
                     [pred] => {
-                        ids[s as usize] = id;
+                        ids[s as usize] = *id;
                         let pred = rows.compile(table, pred);
                         rows.index(lane as u16, pred, s);
                         s += 1;
                     }
                     preds => {
-                        ids[(s_bits + c) as usize] = id;
+                        ids[(s_bits + c) as usize] = *id;
                         rows.push_conjunction(table, c, preds);
                         c += 1;
                     }
@@ -983,7 +1002,7 @@ impl FrozenIndex {
         misc.sort_by_key(|&(key, tok, _)| (key, tok));
 
         FrozenIndex {
-            len: indexes.iter().map(SubscriptionIndex::len).sum(),
+            len: fleet.iter().map(|subs| subs.as_ref().len()).sum(),
             lanes: lanes as u16,
             s_bits,
             ids,
@@ -1094,7 +1113,7 @@ impl FrozenIndex {
 
     /// The number of subscriptions matching `content` — symbolizes, then
     /// counts by popcount without materializing ids.
-    pub fn match_count_scratch(
+    pub fn match_count(
         &self,
         table: &SymbolTable,
         content: &Content,
@@ -1173,8 +1192,7 @@ impl FrozenIndex {
     /// the bit of every satisfied indexed predicate of the proxies in
     /// `lanes` — a single's match, a conjunction's candidacy — verifies
     /// the candidates, and returns the state holding the matches.
-    fn accumulate<'s>(&self, scratch: &'s mut MatchScratch, lanes: Lanes) -> &'s mut FrozenScratch {
-        let fs = &mut scratch.frozen;
+    fn accumulate<'s>(&self, fs: &'s mut MatchScratch, lanes: Lanes) -> &'s mut MatchScratch {
         fs.begin(self.word_lane.len());
         // The view and the ids move out for the loop so `bump` can borrow
         // the rest.
@@ -1268,7 +1286,7 @@ impl FrozenIndex {
     /// Evaluates the residuals of every conjunction whose access bit is
     /// set and clears the bit of each that fails, so what stays set in a
     /// conjunctions' word is a match, like in a singles' word.
-    fn verify(&self, fs: &mut FrozenScratch, view: &SymView) {
+    fn verify(&self, fs: &mut MatchScratch, view: &SymView) {
         let first = (self.s_bits / 64) as usize;
         fs.verified = 0;
         for &w in &fs.touched {
@@ -1293,19 +1311,56 @@ impl FrozenIndex {
 mod tests {
     use super::*;
 
-    fn frozen(idx: &SubscriptionIndex) -> (FrozenIndex, SymbolTable) {
-        let mut table = SymbolTable::new();
-        (FrozenIndex::freeze(idx, &mut table), table)
+    /// One proxy's rows, numbered as the matcher numbers them — from 0,
+    /// never reused — with brute force as the oracle.
+    #[derive(Debug, Clone, Default)]
+    struct Owner {
+        rows: Vec<Row>,
+        next: u64,
     }
 
-    fn frozen_matches(idx: &SubscriptionIndex, content: &Content) -> Vec<SubscriptionId> {
+    impl Owner {
+        fn insert(&mut self, sub: Subscription) -> SubscriptionId {
+            let id = SubscriptionId::new(self.next);
+            self.next += 1;
+            self.rows.push((id, sub));
+            id
+        }
+
+        fn remove(&mut self, id: SubscriptionId) -> Option<Subscription> {
+            let at = self.rows.iter().position(|row| row.0 == id)?;
+            Some(self.rows.remove(at).1)
+        }
+
+        fn matches(&self, content: &Content) -> Vec<SubscriptionId> {
+            let hits = self.rows.iter().filter(|(_, sub)| sub.matches(content));
+            hits.map(|row| row.0).collect()
+        }
+
+        fn match_count(&self, content: &Content) -> usize {
+            self.matches(content).len()
+        }
+    }
+
+    impl AsRef<[Row]> for Owner {
+        fn as_ref(&self) -> &[Row] {
+            &self.rows
+        }
+    }
+
+    fn frozen(idx: &Owner) -> (FrozenIndex, SymbolTable) {
+        let mut table = SymbolTable::new();
+        (FrozenIndex::freeze(idx.as_ref(), &mut table), table)
+    }
+
+    fn frozen_matches(idx: &Owner, content: &Content) -> Vec<SubscriptionId> {
         let (f, table) = frozen(idx);
         let mut scratch = MatchScratch::new();
         let mut out = Vec::new();
         f.matches_into(&table, content, &mut scratch, &mut out);
-        let n = f.match_count_scratch(&table, content, &mut scratch);
+        let n = f.match_count(&table, content, &mut scratch);
         assert_eq!(n, out.len(), "count and id list disagree");
-        assert_eq!(out, idx.matches(content), "frozen and legacy disagree");
+        assert_eq!(out, idx.matches(content), "frozen and brute force disagree");
         out
     }
 
@@ -1318,7 +1373,7 @@ mod tests {
 
     #[test]
     fn eq_and_tag_buckets() {
-        let mut idx = SubscriptionIndex::new();
+        let mut idx = Owner::default();
         let a = idx.insert(Subscription::new(vec![Predicate::eq(
             "category",
             Value::str("sports"),
@@ -1339,7 +1394,7 @@ mod tests {
 
     #[test]
     fn both_classes_and_wildcards() {
-        let mut idx = SubscriptionIndex::new();
+        let mut idx = Owner::default();
         let single = idx.insert(Subscription::new(vec![Predicate::ge("words", 100)]));
         let double = idx.insert(Subscription::new(vec![
             Predicate::eq("category", Value::str("sports")),
@@ -1370,7 +1425,7 @@ mod tests {
 
     #[test]
     fn ranges_ne_prefix_exists() {
-        let mut idx = SubscriptionIndex::new();
+        let mut idx = Owner::default();
         let lt = idx.insert(Subscription::new(vec![Predicate::lt("words", 900)]));
         idx.insert(Subscription::new(vec![Predicate::lt("words", 800)]));
         let le = idx.insert(Subscription::new(vec![Predicate::le("words", 800)]));
@@ -1404,7 +1459,7 @@ mod tests {
 
     #[test]
     fn edge_bounds_never_match() {
-        let mut idx = SubscriptionIndex::new();
+        let mut idx = Owner::default();
         idx.insert(Subscription::new(vec![Predicate::lt("x", i64::MIN)]));
         idx.insert(Subscription::new(vec![Predicate::gt("x", i64::MAX)]));
         let le = idx.insert(Subscription::new(vec![Predicate::le("x", i64::MIN)]));
@@ -1421,7 +1476,7 @@ mod tests {
 
     #[test]
     fn whole_tag_set_equality() {
-        let mut idx = SubscriptionIndex::new();
+        let mut idx = Owner::default();
         let eq = idx.insert(Subscription::new(vec![Predicate::eq(
             "tags",
             Value::tags(["tennis", "us-open"]),
@@ -1452,7 +1507,7 @@ mod tests {
 
     #[test]
     fn uninterned_content_strings() {
-        let mut idx = SubscriptionIndex::new();
+        let mut idx = Owner::default();
         let ne = idx.insert(Subscription::new(vec![Predicate::ne(
             "category",
             Value::str("politics"),
@@ -1468,7 +1523,7 @@ mod tests {
 
     #[test]
     fn duplicate_predicates_in_one_subscription() {
-        let mut idx = SubscriptionIndex::new();
+        let mut idx = Owner::default();
         let d = idx.insert(Subscription::new(vec![
             Predicate::eq("category", Value::str("sports")),
             Predicate::eq("category", Value::str("sports")),
@@ -1483,17 +1538,17 @@ mod tests {
 
     #[test]
     fn empty_index_and_scratch_reuse_across_indexes() {
-        let empty = SubscriptionIndex::new();
+        let empty = Owner::default();
         assert!(frozen_matches(&empty, &sports_page()).is_empty());
         let (f, _) = frozen(&empty);
         assert!(f.is_empty());
 
         // One scratch, two frozen indexes of different sizes and tables.
-        let mut big = SubscriptionIndex::new();
+        let mut big = Owner::default();
         for i in 0..200 {
             big.insert(Subscription::new(vec![Predicate::ge("words", i * 10)]));
         }
-        let mut small = SubscriptionIndex::new();
+        let mut small = Owner::default();
         let s = small.insert(Subscription::new(vec![Predicate::contains(
             "tags", "tennis",
         )]));
@@ -1513,17 +1568,17 @@ mod tests {
     #[test]
     fn shared_table_symbolize_once() {
         let mut table = SymbolTable::new();
-        let mut a = SubscriptionIndex::new();
+        let mut a = Owner::default();
         let sa = a.insert(Subscription::new(vec![Predicate::eq(
             "category",
             Value::str("sports"),
         )]));
-        let mut b = SubscriptionIndex::new();
+        let mut b = Owner::default();
         let sb = b.insert(Subscription::new(vec![Predicate::contains(
             "tags", "tennis",
         )]));
-        let fa = FrozenIndex::freeze(&a, &mut table);
-        let fb = FrozenIndex::freeze(&b, &mut table);
+        let fa = FrozenIndex::freeze(a.as_ref(), &mut table);
+        let fb = FrozenIndex::freeze(b.as_ref(), &mut table);
         let mut scratch = MatchScratch::new();
         let mut out = Vec::new();
         scratch.symbolize(&table, &sports_page());
@@ -1536,8 +1591,8 @@ mod tests {
     }
 
     #[test]
-    fn freeze_after_churn_matches_legacy() {
-        let mut idx = SubscriptionIndex::new();
+    fn freeze_after_churn_matches_brute_force() {
+        let mut idx = Owner::default();
         let mut ids = Vec::new();
         for i in 0..30 {
             ids.push(idx.insert(Subscription::new(vec![Predicate::ge("words", i * 50)])));
@@ -1554,8 +1609,8 @@ mod tests {
 
     /// A three-proxy fleet of uneven populations, every class at every
     /// proxy and `p` wildcards at proxy `p`.
-    fn small_fleet() -> Vec<SubscriptionIndex> {
-        let mut fleet = vec![SubscriptionIndex::new(); 3];
+    fn small_fleet() -> Vec<Owner> {
+        let mut fleet = vec![Owner::default(); 3];
         for (lane, idx) in fleet.iter_mut().enumerate() {
             for i in 0..(70 * lane as i64 + 3) {
                 idx.insert(Subscription::new(vec![Predicate::ge("words", i * 10)]));
@@ -1577,8 +1632,8 @@ mod tests {
     }
 
     /// Fan-out rows, per-proxy counts, the fleet total and the id list of
-    /// `frozen` against the mutable indexes it must equal.
-    fn assert_fleet_agrees(frozen: &FrozenIndex, table: &SymbolTable, fleet: &[SubscriptionIndex]) {
+    /// `frozen` against brute force over the proxies' rows.
+    fn assert_fleet_agrees(frozen: &FrozenIndex, table: &SymbolTable, fleet: &[Owner]) {
         let mut scratch = MatchScratch::new();
         let (mut rows, mut ids) = (Vec::new(), Vec::new());
         for content in [
@@ -1613,13 +1668,13 @@ mod tests {
     }
 
     #[test]
-    fn fleet_fanout_and_requests_match_the_per_proxy_indexes() {
+    fn fleet_fanout_and_requests_match_brute_force() {
         let fleet = small_fleet();
         let mut table = SymbolTable::new();
         let frozen = FrozenIndex::freeze_fleet(&fleet, &mut table);
         assert_eq!(
             frozen.len(),
-            fleet.iter().map(SubscriptionIndex::len).sum::<usize>()
+            fleet.iter().map(|idx| idx.rows.len()).sum::<usize>()
         );
         assert_fleet_agrees(&frozen, &table, &fleet);
     }
@@ -1694,7 +1749,7 @@ mod tests {
     fn empty_fleet_and_default_are_one_empty_proxy() {
         for frozen in [
             FrozenIndex::default(),
-            FrozenIndex::freeze_fleet(&[], &mut SymbolTable::new()),
+            FrozenIndex::freeze_fleet::<Owner, Row>(&[], &mut SymbolTable::new()),
         ] {
             assert!(frozen.is_empty());
             let mut scratch = MatchScratch::new();
@@ -1814,7 +1869,7 @@ mod tests {
 
     /// Freezes one proxy per element of `fleet`.
     fn frozen_fleet(fleet: Vec<Vec<Subscription>>) -> (FrozenIndex, SymbolTable) {
-        let mut indexes = vec![SubscriptionIndex::new(); fleet.len()];
+        let mut indexes = vec![Owner::default(); fleet.len()];
         for (index, subs) in indexes.iter_mut().zip(fleet) {
             for sub in subs {
                 index.insert(sub);
@@ -1827,8 +1882,8 @@ mod tests {
     /// `(candidates verified, matches)` of one fleet-wide match.
     fn work(frozen: &FrozenIndex, table: &SymbolTable, content: &Content) -> (u32, usize) {
         let mut scratch = MatchScratch::new();
-        let matches = frozen.match_count_scratch(table, content, &mut scratch);
-        (scratch.frozen.verified, matches)
+        let matches = frozen.match_count(table, content, &mut scratch);
+        (scratch.verified, matches)
     }
 
     #[test]
@@ -1873,7 +1928,7 @@ mod tests {
             let mut scratch = MatchScratch::new();
             scratch.symbolize(&table, &hit);
             assert_eq!(frozen.count_at_view(&mut scratch, ServerId::new(3)), 25);
-            assert_eq!(scratch.frozen.verified, 25);
+            assert_eq!(scratch.verified, 25);
         }
     }
 
@@ -2057,8 +2112,8 @@ mod tests {
 
     /// Proxy `p` of three holds `p + 1` sports-and-tennis doubles, one
     /// sports-and-golf double and one sports-and-tennis-and-long triple.
-    fn paired_fleet() -> Vec<SubscriptionIndex> {
-        let mut fleet = vec![SubscriptionIndex::new(); 3];
+    fn paired_fleet() -> Vec<Owner> {
+        let mut fleet = vec![Owner::default(); 3];
         let sports = || Predicate::eq("category", Value::str("sports"));
         for (lane, idx) in fleet.iter_mut().enumerate() {
             for _ in 0..=lane {
@@ -2092,7 +2147,7 @@ mod tests {
             let count = frozen.count_at_view(&mut scratch, ServerId::new(lane));
             assert_eq!(count, u32::from(lane) + 1);
             // Its own proxy's doubles and triple, nobody else's.
-            assert_eq!(scratch.frozen.verified, u32::from(lane) + 2);
+            assert_eq!(scratch.verified, u32::from(lane) + 2);
         }
         assert_fleet_agrees(&frozen, &table, &fleet);
     }
@@ -2112,7 +2167,7 @@ mod tests {
             scratch.symbolize(&table, &sports_page());
             assert_eq!(frozen.count_at_view(&mut scratch, ServerId::new(2)), left);
             // A retired conjunction is not a candidate.
-            assert_eq!(scratch.frozen.verified, left + u32::from(id.raw() == 2));
+            assert_eq!(scratch.verified, left + u32::from(id.raw() == 2));
         }
     }
 

@@ -7,10 +7,9 @@
 //!
 //! * A full **content-based matching engine**: subscriptions are
 //!   conjunctions of [`Predicate`]s over typed page attributes
-//!   ([`Content`]), evaluated through a counting-based
-//!   [`SubscriptionIndex`] in the style of Fabret et al. (SIGMOD'01) /
-//!   Yan & Garcia-Molina. A Siena-style [covering relation](covers) lets
-//!   brokers aggregate subscriptions.
+//!   ([`Content`]). [`EngineMatcher`] owns every proxy's subscriptions and
+//!   compiles them into one [`FrozenIndex`], an access-predicate kernel in
+//!   the style of Fabret et al. (SIGMOD'01).
 //! * The [`Matcher`] abstraction consumed by the broker and simulator:
 //!   [`EngineMatcher`] runs the real engine over registered content, while
 //!   [`TableMatcher`] wraps a precomputed
@@ -21,42 +20,40 @@
 //! # Examples
 //!
 //! ```
-//! use pscd_matching::{Content, Predicate, Subscription, SubscriptionIndex, Value};
+//! use pscd_matching::{Content, EngineMatcher, Matcher, Predicate, Subscription, Value};
+//! use pscd_types::{PageId, ServerId};
 //!
-//! let mut index = SubscriptionIndex::new();
+//! let mut m = EngineMatcher::new(1);
 //! let sports = Subscription::new(vec![
 //!     Predicate::eq("category", Value::str("sports")),
 //!     Predicate::contains("tags", "tennis"),
 //! ]);
-//! let id = index.insert(sports);
+//! m.subscribe(ServerId::new(0), sports)?;
+//! m.freeze();
 //!
 //! let page = Content::new()
 //!     .with("category", Value::str("sports"))
 //!     .with("tags", Value::tags(["tennis", "us-open"]));
-//! assert_eq!(index.matches(&page), vec![id]);
+//! m.register_page(PageId::new(0), page);
+//! assert_eq!(m.matched_servers(PageId::new(0)), vec![(ServerId::new(0), 1)]);
+//! # Ok::<(), pscd_matching::MatchError>(())
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod aggregate;
 mod content;
-mod cover;
 mod error;
 mod frozen;
-mod index;
 mod matcher;
 mod predicate;
 mod subscription;
 mod symbol;
 
-pub use aggregate::AggregatedMatcher;
 pub use content::{Content, Value};
-pub use cover::{covers, CoverSet};
 pub use error::MatchError;
-pub use frozen::{FrozenIndex, SymView};
-pub use index::{MatchScratch, SubscriptionIndex};
+pub use frozen::{FrozenIndex, MatchScratch, SymView};
 pub use matcher::{EngineMatcher, Matcher, TableMatcher};
 pub use predicate::{Op, Predicate};
 pub use subscription::{Subscription, SubscriptionId};

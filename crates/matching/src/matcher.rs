@@ -5,8 +5,7 @@ use std::collections::HashMap;
 use pscd_types::{PageId, ServerId, SubscriptionTable};
 
 use crate::{
-    Content, FrozenIndex, MatchError, MatchScratch, Subscription, SubscriptionId,
-    SubscriptionIndex, SymbolTable,
+    Content, FrozenIndex, MatchError, MatchScratch, Subscription, SubscriptionId, SymbolTable,
 };
 
 /// Source of per-(page, server) subscription match counts.
@@ -18,8 +17,8 @@ use crate::{
 /// * [`TableMatcher`] — counts precomputed by the workload generator
 ///   (the paper's setting, where subscriptions are synthesized from the
 ///   request trace through the subscription-quality model).
-/// * [`EngineMatcher`] — counts computed live by the content-based
-///   [`SubscriptionIndex`] over registered page content.
+/// * [`EngineMatcher`] — counts computed live from content-based
+///   subscriptions over registered page content.
 pub trait Matcher {
     /// Servers with at least one matching subscription for `page`, with
     /// their counts, sorted by server id.
@@ -63,13 +62,15 @@ impl Matcher for TableMatcher {
     }
 }
 
-/// [`Matcher`] that evaluates real content-based subscriptions: one
-/// mutable [`SubscriptionIndex`] per proxy server, compiled by
-/// [`EngineMatcher::freeze`] into one [`FrozenIndex`] for the whole fleet.
-/// The compilation stays current across subscription churn: a subscription
-/// added since the freeze is evaluated beside the kernel, a frozen one
-/// that is removed is masked out of it, and only a burst past what that
-/// absorbs falls back to the mutable indexes until the next `freeze`.
+/// [`Matcher`] that evaluates real content-based subscriptions. It holds
+/// each proxy's subscriptions once, ascending by id (ids count from 0 per
+/// proxy and are never reused), and [`EngineMatcher::freeze`] compiles
+/// them into one [`FrozenIndex`] for the whole fleet. The compilation
+/// stays current across subscription churn: a subscription added since the
+/// freeze is evaluated beside the kernel, a frozen one that is removed is
+/// masked out of it, and only a burst past what that absorbs drops it.
+/// While no kernel answers, a query evaluates every subscription by brute
+/// force.
 ///
 /// # Examples
 ///
@@ -92,7 +93,10 @@ impl Matcher for TableMatcher {
 /// ```
 #[derive(Debug, Default)]
 pub struct EngineMatcher {
-    per_server: Vec<SubscriptionIndex>,
+    /// Per proxy, its subscriptions ascending by id: the one owner.
+    subscriptions: Vec<Vec<(SubscriptionId, Subscription)>>,
+    /// Per proxy, the id its next subscription gets.
+    next_id: Vec<u64>,
     contents: HashMap<PageId, Content>,
     /// The frozen compilation of the whole fleet, kept current across
     /// subscription churn; dropped when churn outgrows it and rebuilt by
@@ -110,15 +114,15 @@ struct Frozen {
     index: FrozenIndex,
     /// The subscriptions the kernel does not hold, ascending by proxy and
     /// then id: evaluated with [`Subscription::matches`] after the kernel
-    /// has answered. An entry names its subscription in the proxy's
-    /// [`SubscriptionIndex`], which stays the one owner of the predicates.
+    /// has answered. An entry names its subscription in the owner's rows.
     delta: Vec<(ServerId, SubscriptionId)>,
 }
 
 /// The most subscriptions a delta holds; one more thaws the kernel, and
-/// the next `freeze` folds them all in. An entry costs a hash lookup and a
-/// brute-force evaluation, so the bound is what keeps a publish near the
-/// kernel's cost. Measured at the `match-churn` population (201 k
+/// the next `freeze` folds them all in. An entry costs a binary search in
+/// its proxy's rows and a brute-force evaluation, so the bound is what
+/// keeps a publish near the kernel's cost. Measured at PR 25, when the
+/// lookup was a hash, at the `match-churn` population (201 k
 /// subscriptions over 100 proxies; since PR 25 a fan-out 2.8–2.9 µs, a
 /// request 0.9 µs): a fan-out pays 39 ns per page-equality entry and 44 ns
 /// per three-predicate one, a request — which scans its own proxy's
@@ -135,7 +139,8 @@ impl EngineMatcher {
     /// Creates a matcher for `servers` proxies with no subscriptions.
     pub fn new(servers: u16) -> Self {
         Self {
-            per_server: (0..servers).map(|_| SubscriptionIndex::new()).collect(),
+            subscriptions: vec![Vec::new(); usize::from(servers)],
+            next_id: vec![0; usize::from(servers)],
             contents: HashMap::new(),
             frozen: None,
         }
@@ -143,7 +148,7 @@ impl EngineMatcher {
 
     /// Number of proxies.
     pub fn server_count(&self) -> u16 {
-        self.per_server.len() as u16
+        self.subscriptions.len() as u16
     }
 
     /// Registers a subscription for a user attached to `server`.
@@ -156,7 +161,11 @@ impl EngineMatcher {
         server: ServerId,
         subscription: Subscription,
     ) -> Result<SubscriptionId, MatchError> {
-        let id = self.index_mut(server)?.insert(subscription);
+        let lane = self.lane(server)?;
+        let id = SubscriptionId::new(self.next_id[lane]);
+        self.next_id[lane] += 1;
+        // Ids only grow, so the rows stay ascending.
+        self.subscriptions[lane].push((id, subscription));
         if let Some(frozen) = &mut self.frozen {
             if frozen.delta.len() < DELTA_MAX {
                 // Ids only grow, so the newest goes last among its proxy's.
@@ -176,10 +185,12 @@ impl EngineMatcher {
     /// Returns [`MatchError::UnknownServer`] if `server` is out of range and
     /// [`MatchError::UnknownSubscription`] if the id is not registered there.
     pub fn unsubscribe(&mut self, server: ServerId, id: SubscriptionId) -> Result<(), MatchError> {
-        let removed = self
-            .index_mut(server)?
-            .remove(id)
-            .ok_or(MatchError::UnknownSubscription { id })?;
+        let lane = self.lane(server)?;
+        let rows = &mut self.subscriptions[lane];
+        let at = rows
+            .binary_search_by_key(&id, |row| row.0)
+            .map_err(|_| MatchError::UnknownSubscription { id })?;
+        let (_, removed) = rows.remove(at);
         if let Some(frozen) = &mut self.frozen {
             match frozen.delta.binary_search(&(server, id)) {
                 Ok(at) => {
@@ -197,19 +208,19 @@ impl EngineMatcher {
         Ok(())
     }
 
-    /// Compiles every per-server index into one fleet-wide frozen kernel.
-    /// A no-op while a kernel answers: subscribe/unsubscribe calls keep it
-    /// current (the delta and the retired mask), so ordinary churn costs
-    /// no rebuild. Only a delta grown past its bound, or a base more than
-    /// half retired, drops the kernel; the matcher then falls back to the
-    /// mutable indexes until the next call here folds everything into a
-    /// fresh compilation.
+    /// Compiles every proxy's subscriptions into one fleet-wide frozen
+    /// kernel. A no-op while a kernel answers: subscribe/unsubscribe calls
+    /// keep it current (the delta and the retired mask), so ordinary churn
+    /// costs no rebuild. Only a delta grown past its bound, or a base more
+    /// than half retired, drops the kernel; the matcher then answers by
+    /// brute force until the next call here folds everything into a fresh
+    /// compilation.
     pub fn freeze(&mut self) {
         if self.frozen.is_some() {
             return;
         }
         let mut table = SymbolTable::new();
-        let index = FrozenIndex::freeze_fleet(&self.per_server, &mut table);
+        let index = FrozenIndex::freeze_fleet(&self.subscriptions, &mut table);
         self.frozen = Some(Frozen {
             table,
             index,
@@ -235,25 +246,24 @@ impl EngineMatcher {
         self.contents.get(&page)
     }
 
-    /// The per-server subscription index (read-only view).
+    /// The subscriptions registered at `server`, ascending by id.
     ///
     /// # Errors
     ///
     /// Returns [`MatchError::UnknownServer`] if `server` is out of range.
-    pub fn index(&self, server: ServerId) -> Result<&SubscriptionIndex, MatchError> {
-        self.per_server
-            .get(server.as_usize())
-            .ok_or(MatchError::UnknownServer {
-                server,
-                server_count: self.per_server.len() as u16,
-            })
+    pub fn subscriptions(
+        &self,
+        server: ServerId,
+    ) -> Result<&[(SubscriptionId, Subscription)], MatchError> {
+        Ok(&self.subscriptions[self.lane(server)?])
     }
 
     /// The batched form of [`Matcher::matched_servers`]: writes the
     /// matched `(server, count)` rows into `out` (cleared first), sorted
-    /// by server id, counting in the caller's [`MatchScratch`]. After
-    /// warm-up the call makes zero allocations, so a publish fan-out loop
-    /// can evaluate the whole fleet without touching the allocator.
+    /// by server id, counting in the caller's [`MatchScratch`]. While a
+    /// kernel answers, the call makes zero allocations after warm-up, so a
+    /// publish fan-out loop can evaluate the whole fleet without touching
+    /// the allocator.
     pub fn matched_servers_into(
         &self,
         page: PageId,
@@ -280,10 +290,10 @@ impl EngineMatcher {
             }
             return;
         }
-        for (i, idx) in self.per_server.iter().enumerate() {
-            let n = idx.match_count_scratch(content, scratch) as u32;
+        for (lane, rows) in self.subscriptions.iter().enumerate() {
+            let n = brute_force(rows, content);
             if n > 0 {
-                out.push((ServerId::new(i as u16), n));
+                out.push((ServerId::new(lane as u16), n));
             }
         }
     }
@@ -308,10 +318,8 @@ impl EngineMatcher {
             return frozen.index.count_at_view(scratch, server)
                 + self.delta_matches(&delta[own], content);
         }
-        self.per_server
-            .get(server.as_usize())
-            .map(|idx| idx.match_count_scratch(content, scratch) as u32)
-            .unwrap_or(0)
+        let rows = self.subscriptions.get(server.as_usize());
+        rows.map_or(0, |rows| brute_force(rows, content))
     }
 
     /// Number of pages with registered content.
@@ -330,21 +338,31 @@ impl EngineMatcher {
 
     /// How many of these delta entries match `content`.
     fn delta_matches(&self, entries: &[(ServerId, SubscriptionId)], content: &Content) -> u32 {
-        let live = entries
-            .iter()
-            .filter_map(|&(server, id)| self.per_server[server.as_usize()].get(id));
+        let live = entries.iter().filter_map(|&(server, id)| {
+            let rows = &self.subscriptions[server.as_usize()];
+            let at = rows.binary_search_by_key(&id, |row| row.0).ok()?;
+            Some(&rows[at].1)
+        });
         live.filter(|sub| sub.matches(content)).count() as u32
     }
 
-    fn index_mut(&mut self, server: ServerId) -> Result<&mut SubscriptionIndex, MatchError> {
-        let count = self.per_server.len() as u16;
-        self.per_server
-            .get_mut(server.as_usize())
-            .ok_or(MatchError::UnknownServer {
+    /// `server`'s position in the fleet.
+    fn lane(&self, server: ServerId) -> Result<usize, MatchError> {
+        let server_count = self.server_count();
+        if server.index() < server_count {
+            Ok(server.as_usize())
+        } else {
+            Err(MatchError::UnknownServer {
                 server,
-                server_count: count,
+                server_count,
             })
+        }
     }
+}
+
+/// How many of `rows` match `content`: the answer while no kernel does.
+fn brute_force(rows: &[(SubscriptionId, Subscription)], content: &Content) -> u32 {
+    rows.iter().filter(|(_, sub)| sub.matches(content)).count() as u32
 }
 
 impl Matcher for EngineMatcher {
@@ -449,13 +467,17 @@ mod tests {
             m.subscribe(ServerId::new(9), Subscription::wildcard()),
             Err(MatchError::UnknownServer { .. })
         ));
-        assert!(m.index(ServerId::new(0)).is_ok());
-        assert!(m.index(ServerId::new(9)).is_err());
+        assert!(m.subscriptions(ServerId::new(0)).unwrap().is_empty());
+        assert!(m.subscriptions(ServerId::new(9)).is_err());
+        assert!(matches!(
+            m.unsubscribe(ServerId::new(9), SubscriptionId::new(0)),
+            Err(MatchError::UnknownServer { .. })
+        ));
         assert_eq!(m.match_count(PageId::new(0), ServerId::new(9)), 0);
     }
 
     #[test]
-    fn frozen_matches_legacy_and_stays_current_across_churn() {
+    fn frozen_matches_brute_force_and_stays_current_across_churn() {
         let mut m = EngineMatcher::new(3);
         let sports = Subscription::new(vec![Predicate::eq("cat", Value::str("sports"))]);
         m.subscribe(ServerId::new(0), sports.clone()).unwrap();
@@ -465,19 +487,19 @@ mod tests {
             PageId::new(7),
             Content::new().with("cat", Value::str("sports")),
         );
-        let legacy = m.matched_servers(PageId::new(7));
+        let brute = m.matched_servers(PageId::new(7));
         assert!(!m.is_frozen());
         m.freeze();
         assert!(m.is_frozen());
         m.freeze(); // idempotent
-        assert_eq!(m.matched_servers(PageId::new(7)), legacy);
+        assert_eq!(m.matched_servers(PageId::new(7)), brute);
         assert_eq!(m.match_count(PageId::new(7), ServerId::new(0)), 2);
         assert_eq!(m.match_count(PageId::new(7), ServerId::new(1)), 0);
         assert_eq!(m.match_count(PageId::new(7), ServerId::new(9)), 0);
         let mut scratch = MatchScratch::new();
         let mut out = Vec::new();
         m.matched_servers_into(PageId::new(7), &mut scratch, &mut out);
-        assert_eq!(out, legacy);
+        assert_eq!(out, brute);
         // A frozen subscription is retired; the kernel answers on.
         m.unsubscribe(ServerId::new(2), at2).unwrap();
         assert!(m.is_frozen());
@@ -534,7 +556,7 @@ mod tests {
         let last = m.subscribe(ServerId::new(0), sports).unwrap();
         assert!(!m.is_frozen(), "one more than the bound thaws");
         m.unsubscribe(ServerId::new(0), last).unwrap();
-        assert_eq!(m.matched_servers(PageId::new(0)), full, "mutable indexes");
+        assert_eq!(m.matched_servers(PageId::new(0)), full, "brute force");
         m.freeze();
         assert!(m.is_frozen());
         assert_eq!(m.matched_servers(PageId::new(0)), full, "folded");
@@ -610,5 +632,174 @@ mod tests {
         assert_eq!(m.match_count(PageId::new(0), ServerId::new(0)), 1);
         m.register_page(PageId::new(0), Content::new().with("cat", Value::str("b")));
         assert_eq!(m.match_count(PageId::new(0), ServerId::new(0)), 0);
+    }
+
+    /// Every class: singles, pairs, conjunctions with a residual, a range
+    /// and wildcards.
+    fn shapes() -> Vec<Subscription> {
+        let cat = |c: &str| Predicate::eq("cat", Value::str(c));
+        let tag = |t: &str| Predicate::contains("tags", t);
+        let mut subs = vec![Subscription::wildcard(), Subscription::wildcard()];
+        for (c, t) in [("a", "x"), ("a", "y"), ("b", "x"), ("b", "y")] {
+            subs.push(Subscription::new(vec![cat(c)]));
+            subs.push(Subscription::new(vec![cat(c), tag(t)]));
+            subs.push(Subscription::new(vec![
+                tag(t),
+                Predicate::ge("n", 2),
+                cat(c),
+            ]));
+        }
+        subs.push(Subscription::new(vec![Predicate::lt("n", 3)]));
+        subs
+    }
+
+    /// An empty page, then each category with a tag and a small or large
+    /// `n`.
+    fn pages() -> Vec<Content> {
+        let mut pages = vec![Content::new()];
+        for c in ["a", "b", "c"] {
+            for n in [1, 4] {
+                let page = Content::new().with("cat", Value::str(c));
+                pages.push(
+                    page.with("tags", Value::tags(["x"]))
+                        .with("n", Value::int(n)),
+                );
+            }
+        }
+        pages
+    }
+
+    /// [`shapes`] round-robin over three proxies, [`pages`] registered.
+    fn fleet() -> EngineMatcher {
+        let mut m = EngineMatcher::new(3);
+        for (i, sub) in shapes().into_iter().enumerate() {
+            m.subscribe(ServerId::new(i as u16 % 3), sub).unwrap();
+        }
+        for (page, content) in pages().into_iter().enumerate() {
+            m.register_page(PageId::new(page as u32), content);
+        }
+        m
+    }
+
+    type Answers = Vec<(Vec<(ServerId, u32)>, Vec<u32>)>;
+
+    /// Per page, one unregistered included: the fan-out and every
+    /// proxy's request count, one proxy past the fleet included.
+    fn answers(m: &EngineMatcher) -> Answers {
+        let mut scratch = MatchScratch::new();
+        let pages = (0..=m.page_count() as u32).map(PageId::new);
+        let answer = |page| {
+            let mut fanout = Vec::new();
+            m.matched_servers_into(page, &mut scratch, &mut fanout);
+            let servers = (0..=m.server_count()).map(ServerId::new);
+            let counts = servers.map(|s| m.match_count_with(page, s, &mut scratch));
+            (fanout, counts.collect())
+        };
+        pages.map(answer).collect()
+    }
+
+    /// The same, by [`Subscription::matches`] over the owner's rows.
+    fn brute(m: &EngineMatcher) -> Answers {
+        let pages = (0..=m.page_count() as u32).map(PageId::new);
+        let count = |page, server| match (m.content(page), m.subscriptions(server)) {
+            (Some(content), Ok(rows)) => brute_force(rows, content),
+            _ => 0,
+        };
+        let answer = |page| {
+            let servers = (0..=m.server_count()).map(ServerId::new);
+            let counts: Vec<_> = servers.map(|s| count(page, s)).collect();
+            let rows = counts.iter().enumerate().filter(|&(_, &n)| n > 0);
+            let fanout = rows.map(|(s, &n)| (ServerId::new(s as u16), n)).collect();
+            (fanout, counts)
+        };
+        pages.map(answer).collect()
+    }
+
+    fn ids(m: &EngineMatcher, server: ServerId) -> Vec<u64> {
+        let rows = m.subscriptions(server).unwrap();
+        rows.iter().map(|row| row.0.raw()).collect()
+    }
+
+    #[test]
+    fn ids_are_per_proxy_and_never_reused() {
+        let mut m = EngineMatcher::new(2);
+        let (s0, s1) = (ServerId::new(0), ServerId::new(1));
+        for server in [s0, s0, s1, s0] {
+            m.subscribe(server, Subscription::wildcard()).unwrap();
+        }
+        assert_eq!((ids(&m, s0), ids(&m, s1)), (vec![0, 1, 2], vec![0]));
+        // The newest leaves; its id does not come back, thawed or frozen.
+        m.unsubscribe(s0, SubscriptionId::new(2)).unwrap();
+        assert_eq!(m.subscribe(s0, Subscription::wildcard()).unwrap().raw(), 3);
+        m.freeze();
+        m.unsubscribe(s0, SubscriptionId::new(3)).unwrap();
+        m.unsubscribe(s0, SubscriptionId::new(0)).unwrap();
+        assert_eq!(m.subscribe(s0, Subscription::wildcard()).unwrap().raw(), 4);
+        assert_eq!((ids(&m, s0), ids(&m, s1)), (vec![1, 4], vec![0]));
+        assert!(matches!(
+            m.unsubscribe(s0, SubscriptionId::new(3)),
+            Err(MatchError::UnknownSubscription { .. })
+        ));
+    }
+
+    #[test]
+    fn a_thawed_matcher_answers_like_the_refrozen_kernel() {
+        let mut m = fleet();
+        m.freeze();
+        let before = answers(&m);
+        assert_eq!(before, brute(&m));
+        let shapes = shapes();
+        for k in 0..=DELTA_MAX {
+            let sub = shapes[k % shapes.len()].clone();
+            m.subscribe(ServerId::new(k as u16 % 3), sub).unwrap();
+        }
+        assert!(!m.is_frozen());
+        let thawed = answers(&m);
+        assert_ne!(thawed, before, "the burst matches");
+        assert_eq!(thawed, brute(&m));
+        m.freeze();
+        assert_eq!(answers(&m), thawed);
+    }
+
+    #[test]
+    fn unsubscribing_the_last_first_and_a_middle_id_then_freezing_matches_brute_force() {
+        let mut m = fleet();
+        for server in (0..3).map(ServerId::new) {
+            let all = ids(&m, server);
+            for id in [all[all.len() - 1], all[0], all[all.len() / 2]] {
+                m.unsubscribe(server, SubscriptionId::new(id)).unwrap();
+            }
+            let left = ids(&m, server);
+            assert_eq!(left.len(), all.len() - 3);
+            assert!(left.is_sorted());
+        }
+        m.freeze();
+        assert_eq!(answers(&m), brute(&m));
+    }
+
+    #[test]
+    fn freeze_takes_rows_in_any_order() {
+        let rows: Vec<_> = (0..)
+            .step_by(3)
+            .map(SubscriptionId::new)
+            .zip(shapes())
+            .collect();
+        let mut shuffled = rows.clone();
+        shuffled.reverse();
+        shuffled.swap(0, 7);
+        let (mut in_order, mut out_of_order) = (SymbolTable::new(), SymbolTable::new());
+        let a = FrozenIndex::freeze(&rows, &mut in_order);
+        let b = FrozenIndex::freeze(&shuffled, &mut out_of_order);
+        let mut scratch = MatchScratch::new();
+        let (mut ids_a, mut ids_b) = (Vec::new(), Vec::new());
+        for content in pages() {
+            let hits = rows.iter().filter(|(_, sub)| sub.matches(&content));
+            let brute: Vec<_> = hits.map(|row| row.0).collect();
+            a.matches_into(&in_order, &content, &mut scratch, &mut ids_a);
+            b.matches_into(&out_of_order, &content, &mut scratch, &mut ids_b);
+            assert_eq!((&ids_a, &ids_b), (&brute, &brute));
+            let n = b.match_count(&out_of_order, &content, &mut scratch);
+            assert_eq!(n, brute.len());
+        }
     }
 }

@@ -5,7 +5,9 @@ use std::fmt;
 
 use crate::{Content, Predicate};
 
-/// Identifier of a subscription inside a [`SubscriptionIndex`](crate::SubscriptionIndex).
+/// Identifier of a subscription at one proxy of an
+/// [`EngineMatcher`](crate::EngineMatcher): ids count from 0 per proxy and
+/// are never reused.
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
 )]

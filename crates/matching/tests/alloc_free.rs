@@ -1,12 +1,12 @@
 //! Proves the batched match kernel is allocation-free in steady state.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; the test
-//! builds a heterogeneous index (equality, tag, range, wildcard
+//! freezes a heterogeneous population (equality, tag, range, wildcard
 //! subscriptions), warms one `MatchScratch` and output buffer past their
 //! one-time growth, then matches every content again and asserts the
-//! allocation counter did not move — the `matches_into` /
-//! `match_count_scratch` / `matched_servers_into` / `match_count_with`
-//! contract the publish fan-out and request loops rely on. The engine's
+//! allocation counter did not move — the `matches_into` / `match_count` /
+//! `matched_servers_into` / `match_count_with` contract the publish
+//! fan-out and request loops rely on. The engine's
 //! kernel is measured the way a live broker runs it: with subscriptions
 //! added since the freeze on two proxies and frozen ones of every class
 //! retired.
@@ -18,7 +18,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use pscd_matching::{
-    Content, EngineMatcher, FrozenIndex, MatchScratch, Predicate, Subscription, SubscriptionIndex,
+    Content, EngineMatcher, FrozenIndex, MatchScratch, Predicate, Subscription, SubscriptionId,
     SymbolTable, Value,
 };
 use pscd_types::{PageId, ServerId};
@@ -60,9 +60,9 @@ fn steady_state_matching_does_not_allocate() {
     let categories = ["sports", "politics", "tech", "music", "science"];
     let tags = ["tennis", "elections", "ai", "jazz", "space", "live"];
 
-    // A populated index exercising every bucket type: equality pairs,
-    // tag containment, range predicates (the scan path), wildcards.
-    let mut index = SubscriptionIndex::new();
+    // A population exercising every bucket type: equality pairs, tag
+    // containment, range predicates (the scan path), wildcards.
+    let mut rows = Vec::new();
     for i in 0..2_000usize {
         let cat = categories[i % categories.len()];
         let tag = tags[i % tags.len()];
@@ -75,7 +75,7 @@ fn steady_state_matching_does_not_allocate() {
             2 => Subscription::new(vec![Predicate::ge("bytes", (i as i64 % 16) * 1_024)]),
             _ => Subscription::wildcard(),
         };
-        index.insert(sub);
+        rows.push((SubscriptionId::new(i as u64), sub));
     }
 
     // A fleet over the same kind of mix, every class at most proxies —
@@ -152,10 +152,10 @@ fn steady_state_matching_does_not_allocate() {
         engine.register_page(PageId::new(i as u32), content.clone());
     }
 
-    // The frozen kernel over the same population: standalone index and
-    // the engine's fleet-wide kernel.
+    // The frozen kernel: one proxy's standalone index and the engine's
+    // fleet-wide kernel.
     let mut table = SymbolTable::new();
-    let frozen = FrozenIndex::freeze(&index, &mut table);
+    let frozen = FrozenIndex::freeze(&rows, &mut table);
     engine.freeze();
     // Churn the kernel absorbs: a single, a double, a triple and a
     // wildcard are retired, and a single and a conjunction join at proxy 2
@@ -179,7 +179,6 @@ fn steady_state_matching_does_not_allocate() {
     assert!(engine.is_frozen());
 
     let mut scratch = MatchScratch::new();
-    let mut out = Vec::new();
     let mut fanout = Vec::new();
     let mut frozen_out = Vec::new();
 
@@ -187,13 +186,12 @@ fn steady_state_matching_does_not_allocate() {
     // and the output buffers reach their high-water marks.
     let mut warm_matches = 0usize;
     for content in &contents {
-        index.matches_into(content, &mut scratch, &mut out);
-        warm_matches += out.len();
-        warm_matches += index.match_count_scratch(content, &mut scratch);
         frozen.matches_into(&table, content, &mut scratch, &mut frozen_out);
-        assert_eq!(frozen_out, out, "frozen and legacy kernels disagree");
+        let brute = rows.iter().filter(|(_, sub)| sub.matches(content));
+        let brute: Vec<_> = brute.map(|&(id, _)| id).collect();
+        assert_eq!(frozen_out, brute, "frozen kernel and brute force disagree");
         warm_matches += frozen_out.len();
-        warm_matches += frozen.match_count_scratch(&table, content, &mut scratch);
+        warm_matches += frozen.match_count(&table, content, &mut scratch);
     }
     // The fan-out's per-proxy count array and the fleet-wide bitsets grow
     // here, in warm-up, and never again.
@@ -219,18 +217,15 @@ fn steady_state_matching_does_not_allocate() {
     assert!(warm_matches > 0, "warm-up matched nothing — bad fixture");
 
     // Measurement window: the same calls must not touch the allocator —
-    // the legacy kernel, the frozen kernel, and the frozen engine's
-    // fan-out and request paths.
+    // the frozen kernel, and the frozen engine's fan-out and request
+    // paths.
     let before = allocations();
     let mut steady_matches = 0usize;
     for _ in 0..4 {
         for content in &contents {
-            index.matches_into(content, &mut scratch, &mut out);
-            steady_matches += out.len();
-            steady_matches += index.match_count_scratch(content, &mut scratch);
             frozen.matches_into(&table, content, &mut scratch, &mut frozen_out);
             steady_matches += frozen_out.len();
-            steady_matches += frozen.match_count_scratch(&table, content, &mut scratch);
+            steady_matches += frozen.match_count(&table, content, &mut scratch);
         }
         for i in 0..contents.len() {
             let page = PageId::new(i as u32);

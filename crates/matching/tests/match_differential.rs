@@ -1,18 +1,17 @@
-//! Differential proof for the frozen match kernel: [`FrozenIndex`] vs. the
-//! mutable [`SubscriptionIndex`] vs. brute-force predicate evaluation must
-//! be bit-identical — same match-id sets, same counts — over rotating
-//! subscription shapes, content shapes, insert/remove churn, and the
-//! wildcard/empty edge cases. A one-index freeze is the one-proxy case of
-//! the fleet-wide kernel; the fleet property drives the same code through
-//! [`EngineMatcher`] with one to five proxies. The end-to-end `SimResult`
-//! half of the differential (all 12 strategies) lives in
-//! `crates/sim/tests/frozen_differential.rs`.
+//! Differential proof for the frozen match kernel: [`FrozenIndex`] vs.
+//! brute-force predicate evaluation must be bit-identical — same match-id
+//! sets, same counts — over rotating subscription shapes, content shapes,
+//! insert/remove churn, and the wildcard/empty edge cases.
+//! [`FrozenIndex::freeze`] is the one-proxy case of the fleet-wide
+//! kernel; the fleet property drives the same code through
+//! [`EngineMatcher`] with one to five proxies. The end-to-end `SimResult` half of the differential (all
+//! 12 strategies) lives in `crates/sim/tests/frozen_differential.rs`.
 
 use proptest::prelude::*;
 
 use pscd_matching::{
     Content, EngineMatcher, FrozenIndex, MatchScratch, Matcher, Op, Predicate, Subscription,
-    SubscriptionId, SubscriptionIndex, SymbolTable, Value,
+    SubscriptionId, SymbolTable, Value,
 };
 use pscd_types::{PageId, ServerId};
 
@@ -157,28 +156,39 @@ fn content_strategy() -> impl Strategy<Value = Content> {
     prop_oneof![arbitrary().prop_map(content_of), hot]
 }
 
-/// Freezes `index` and checks all three kernels agree on every content:
-/// brute force (the oracle), the mutable counting index, and the frozen
-/// kernel — ids and counts both.
-fn assert_differential(index: &SubscriptionIndex, contents: &[Content]) {
+/// One proxy's subscriptions as the matcher owns them.
+type Rows = Vec<(SubscriptionId, Subscription)>;
+
+/// `subs` numbered from 0, as one proxy of a matcher numbers them.
+fn numbered(subs: Vec<Subscription>) -> Rows {
+    (0..).map(SubscriptionId::new).zip(subs).collect()
+}
+
+/// The ids of `rows` matching `content`, ascending: the oracle.
+fn brute_force(rows: &[(SubscriptionId, Subscription)], content: &Content) -> Vec<SubscriptionId> {
+    let mut ids: Vec<_> = rows
+        .iter()
+        .filter(|(_, s)| s.matches(content))
+        .map(|&(id, _)| id)
+        .collect();
+    ids.sort_unstable();
+    ids
+}
+
+/// Freezes `rows` and checks the kernel against brute force on every
+/// content — ids and counts both.
+fn assert_differential(rows: &[(SubscriptionId, Subscription)], contents: &[Content]) {
     let mut table = SymbolTable::new();
-    let frozen = FrozenIndex::freeze(index, &mut table);
-    assert_eq!(frozen.len(), index.len());
+    let frozen = FrozenIndex::freeze(rows, &mut table);
+    assert_eq!(frozen.len(), rows.len());
     let mut scratch = MatchScratch::new();
     let mut frozen_ids = Vec::new();
     for content in contents {
-        let brute: Vec<_> = index
-            .iter()
-            .filter(|(_, s)| s.matches(content))
-            .map(|(id, _)| id)
-            .collect();
-        let legacy = index.matches(content);
+        let brute = brute_force(rows, content);
         frozen.matches_into(&table, content, &mut scratch, &mut frozen_ids);
-        assert_eq!(&legacy, &brute, "legacy vs brute force");
         assert_eq!(&frozen_ids, &brute, "frozen vs brute force");
-        let n = frozen.match_count_scratch(&table, content, &mut scratch);
+        let n = frozen.match_count(&table, content, &mut scratch);
         assert_eq!(n, brute.len(), "frozen count vs brute force");
-        assert_eq!(index.match_count(content), brute.len(), "legacy count");
     }
 }
 
@@ -195,14 +205,17 @@ fn proxy_strategy() -> impl Strategy<Value = Vec<Subscription>> {
 
 /// What a fleet holds, kept beside the matcher: per proxy, every live
 /// `(id, subscription)` — the brute-force oracle's input.
-type Mirror = Vec<Vec<(SubscriptionId, Subscription)>>;
+type Mirror = Vec<Rows>;
 
 /// Checks `matcher` against `mirror` on every content: the fan-out rows
 /// and every single `(page, server)` count must equal brute-force
-/// `Subscription::matches` and the per-proxy mutable index, whichever
-/// kernel (frozen or mutable) the matcher is on.
+/// `Subscription::matches`, whether a kernel answers or the matcher is
+/// thawed, and the matcher's own rows must be the mirror's.
 fn assert_fleet(matcher: &EngineMatcher, mirror: &Mirror, contents: &[Content]) {
     let servers = mirror.len() as u16;
+    for (server, rows) in (0..servers).map(ServerId::new).zip(mirror) {
+        assert_eq!(matcher.subscriptions(server).unwrap(), &rows[..]);
+    }
     let mut scratch = MatchScratch::new();
     let mut rows = vec![(ServerId::new(0), 0)];
     for (i, content) in contents.iter().enumerate() {
@@ -225,8 +238,6 @@ fn assert_fleet(matcher: &EngineMatcher, mirror: &Mirror, contents: &[Content]) 
                 n,
                 "page {i} at {server:?}"
             );
-            let index = matcher.index(server).unwrap();
-            assert_eq!(index.match_count(content) as u32, n, "mutable index");
         }
         for outside in [servers, u16::MAX] {
             let outside = ServerId::new(outside);
@@ -320,11 +331,11 @@ proptest! {
     /// The fleet-wide kernel: random fleets of one to five proxies (empty,
     /// wildcard-only and mixed ones, the same subscriptions duplicated at
     /// several proxies) resolve every publish fan-out and every request
-    /// like brute force and the mutable indexes — frozen, after every
-    /// subscribe and unsubscribe the kernel absorbs (a delta, retired bits,
-    /// both), thawed by a burst past either bound, and frozen again.
+    /// like brute force — frozen, after every subscribe and unsubscribe
+    /// the kernel absorbs (a delta, retired bits, both), thawed by a burst
+    /// past either bound, and frozen again.
     #[test]
-    fn fleet_fanout_and_requests_agree_with_per_proxy_indexes(
+    fn fleet_fanout_and_requests_agree_with_brute_force(
         proxies in proptest::collection::vec(proxy_strategy(), 1..6),
         shared in proptest::collection::vec((subscription_strategy(), 0u8..32), 0..4),
         contents in proptest::collection::vec(content_strategy(), 1..8),
@@ -424,23 +435,19 @@ proptest! {
         fleet.freeze();
     }
 
-    /// Freeze-of-fresh-index: all three kernels agree on random
-    /// subscription populations and contents.
+    /// Freeze of a fresh proxy: the kernel agrees with brute force on
+    /// random subscription populations and contents.
     #[test]
-    fn frozen_agrees_with_legacy_and_brute_force(
+    fn frozen_agrees_with_brute_force(
         subs in proptest::collection::vec(subscription_strategy(), 0..24),
         contents in proptest::collection::vec(content_strategy(), 0..10),
     ) {
-        let mut index = SubscriptionIndex::new();
-        for s in subs {
-            index.insert(s);
-        }
-        assert_differential(&index, &contents);
+        assert_differential(&numbered(subs), &contents);
     }
 
-    /// Freeze-after-churn: interleaved inserts and swap-removes leave the
-    /// mutable index with scrambled ordinals; freezing it must still be
-    /// bit-identical to brute force.
+    /// Freeze after churn: unsubscribes leave gaps in a proxy's ids and
+    /// later subscribes number on past them; freezing the rows must still
+    /// be bit-identical to brute force.
     #[test]
     fn frozen_agrees_after_insert_remove_churn(
         subs in proptest::collection::vec(subscription_strategy(), 1..24),
@@ -448,17 +455,12 @@ proptest! {
         late_subs in proptest::collection::vec(subscription_strategy(), 0..8),
         contents in proptest::collection::vec(content_strategy(), 0..8),
     ) {
-        let mut index = SubscriptionIndex::new();
-        let ids: Vec<_> = subs.into_iter().map(|s| index.insert(s)).collect();
-        for (id, &remove) in ids.iter().zip(&removes) {
-            if remove {
-                index.remove(*id);
-            }
-        }
-        for s in late_subs {
-            index.insert(s);
-        }
-        assert_differential(&index, &contents);
+        let mut rows = numbered(subs);
+        let next = rows.len() as u64;
+        let mut removes = removes.into_iter();
+        rows.retain(|_| !removes.next().unwrap_or(false));
+        rows.extend((next..).map(SubscriptionId::new).zip(late_subs));
+        assert_differential(&rows, &contents);
     }
 
     /// One scratch reused across many (index, content) pairs never leaks
@@ -469,54 +471,42 @@ proptest! {
         subs_b in proptest::collection::vec(subscription_strategy(), 0..12),
         contents in proptest::collection::vec(content_strategy(), 1..6),
     ) {
-        let mut ia = SubscriptionIndex::new();
-        for s in subs_a {
-            ia.insert(s);
-        }
-        let mut ib = SubscriptionIndex::new();
-        for s in subs_b {
-            ib.insert(s);
-        }
+        let (ra, rb) = (numbered(subs_a), numbered(subs_b));
         let mut table = SymbolTable::new();
-        let fa = FrozenIndex::freeze(&ia, &mut table);
-        let fb = FrozenIndex::freeze(&ib, &mut table);
+        let fa = FrozenIndex::freeze(&ra, &mut table);
+        let fb = FrozenIndex::freeze(&rb, &mut table);
         let mut scratch = MatchScratch::new();
         let mut out = Vec::new();
         for content in &contents {
             // Shared table: symbolize once, match both indexes.
             scratch.symbolize(&table, content);
             fa.matches_view_into(&mut scratch, &mut out);
-            prop_assert_eq!(&out, &ia.matches(content));
+            prop_assert_eq!(&out, &brute_force(&ra, content));
             fb.matches_view_into(&mut scratch, &mut out);
-            prop_assert_eq!(&out, &ib.matches(content));
+            prop_assert_eq!(&out, &brute_force(&rb, content));
         }
     }
 }
 
 #[test]
 fn wildcard_and_empty_edges() {
-    // Empty index, empty content.
-    assert_differential(&SubscriptionIndex::new(), &[Content::new()]);
+    // No subscriptions, empty content.
+    assert_differential(&[], &[Content::new()]);
     // Wildcards only.
-    let mut idx = SubscriptionIndex::new();
-    idx.insert(Subscription::wildcard());
-    idx.insert(Subscription::wildcard());
     assert_differential(
-        &idx,
+        &numbered(vec![Subscription::wildcard(); 2]),
         &[
             Content::new(),
             Content::new().with("category", Value::str("sports")),
         ],
     );
     // Content whose every attribute and string is unknown to the table.
-    let mut idx = SubscriptionIndex::new();
-    idx.insert(Subscription::new(vec![Predicate::eq(
-        "category",
-        Value::str("sports"),
-    )]));
-    idx.insert(Subscription::wildcard());
+    let rows = numbered(vec![
+        Subscription::new(vec![Predicate::eq("category", Value::str("sports"))]),
+        Subscription::wildcard(),
+    ]);
     assert_differential(
-        &idx,
+        &rows,
         &[Content::new()
             .with("unknown", Value::str("never-interned"))
             .with("other", Value::tags(["nope"]))],

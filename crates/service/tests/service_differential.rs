@@ -305,7 +305,7 @@ fn content_churn_keeps_the_kernel_frozen_and_stays_identical() {
 /// the same whichever way the matcher takes it. One service absorbs every
 /// call into its frozen kernel. A second is
 /// first given a burst of never-matching subscriptions that overflows the
-/// kernel, so the same calls land in the mutable indexes and the next
+/// kernel, so the same calls land in the thawed matcher's rows and the next
 /// resolve answers from a full rebuild; the burst is withdrawn afterwards.
 /// A third has no matcher at all: it is told the resulting counts as
 /// `Subscribe` rows. Result and every proxy's cache state must agree.
@@ -404,7 +404,7 @@ fn content_churn_through_the_delta_equals_churn_through_a_refreeze() {
         // The live subscriptions of each (server, page), newest last.
         let mut live: HashMap<(ServerId, PageId), Vec<SubscriptionId>> = HashMap::new();
         for server in (0..servers).map(ServerId::new) {
-            for (id, sub) in matcher.index(server).unwrap().iter() {
+            for &(id, ref sub) in matcher.subscriptions(server).unwrap() {
                 let Op::Eq(Value::Int(page)) = sub.predicates()[0].op() else {
                     panic!("`matcher_from_table` subscribes to pages by id");
                 };

@@ -15,7 +15,9 @@
 use proptest::prelude::*;
 
 use pscd_core::StrategyKind;
-use pscd_matching::{MatchScratch, Predicate, Subscription, SubscriptionIndex, Value};
+use pscd_matching::{
+    FrozenIndex, MatchScratch, Predicate, Subscription, SubscriptionId, SymbolTable, Value,
+};
 use pscd_sim::{simulate_compiled, CompiledTrace, SimOptions, SimResult};
 use pscd_topology::{FetchCosts, TopologyBuilder};
 use pscd_workload::{ContentModel, Workload, WorkloadConfig};
@@ -105,89 +107,55 @@ fn end_to_end_cold_path_yields_identical_sim_results() {
     }
 }
 
-/// A deliberately heterogeneous index: equality, tag-containment, range
+/// A deliberately heterogeneous proxy: equality, tag-containment, range
 /// (scan path), and wildcard subscriptions, with enough of each that
-/// every bucket type participates; removals force the swap-remove
-/// ordinal renumbering the scratch kernel depends on.
-fn heterogeneous_index() -> (
-    SubscriptionIndex,
-    Vec<(pscd_matching::SubscriptionId, Subscription)>,
-) {
+/// every bucket type participates; the ids of the unsubscribed ones are
+/// gaps, as a matcher leaves them.
+fn heterogeneous_rows() -> Vec<(SubscriptionId, Subscription)> {
     let categories = ["sports", "politics", "tech", "music"];
     let tags = ["tennis", "elections", "ai", "jazz", "live"];
-    let mut index = SubscriptionIndex::new();
-    let mut kept = Vec::new();
-    let mut doomed = Vec::new();
+    let mut subs = Vec::new();
     for (i, &cat) in categories.iter().enumerate() {
         for (j, &tag) in tags.iter().enumerate() {
             let sub = Subscription::new(vec![
                 Predicate::eq("category", Value::str(cat)),
                 Predicate::contains("tags", tag),
             ]);
-            let id = index.insert(sub.clone());
-            if (i + j) % 3 == 0 {
-                doomed.push(id);
-            } else {
-                kept.push((id, sub));
-            }
+            subs.push(((i + j) % 3 != 0).then_some(sub));
         }
-        let ranged = Subscription::new(vec![Predicate::ge("bytes", 2_048)]);
-        kept.push((index.insert(ranged.clone()), ranged));
+        subs.push(Some(Subscription::new(vec![Predicate::ge("bytes", 2_048)])));
     }
-    let wild = Subscription::wildcard();
-    kept.push((index.insert(wild.clone()), wild));
-    for id in doomed {
-        assert!(index.remove(id).is_some());
-    }
-    (index, kept)
+    subs.push(Some(Subscription::wildcard()));
+    let ids = (0..).map(SubscriptionId::new);
+    ids.zip(subs)
+        .filter_map(|(id, sub)| Some((id, sub?)))
+        .collect()
 }
 
 #[test]
-fn batched_match_kernel_agrees_with_wrapper_and_brute_force() {
-    let (index, reference) = heterogeneous_index();
+fn frozen_match_kernel_agrees_with_brute_force() {
+    let rows = heterogeneous_rows();
+    let mut table = SymbolTable::new();
+    let frozen = FrozenIndex::freeze(&rows, &mut table);
     let w = Workload::generate(&WorkloadConfig::news_scaled(0.004)).unwrap();
     let model = ContentModel::new(w.config().seed);
     let mut scratch = MatchScratch::new();
     let mut out = Vec::new();
     for page in w.pages().iter().take(400) {
         let content = model.content_for(page);
-        index.matches_into(&content, &mut scratch, &mut out);
-        // The allocating wrapper is a thin shim over the same kernel.
-        assert_eq!(out, index.matches(&content));
-        assert_eq!(out.len(), index.match_count_scratch(&content, &mut scratch));
-        assert_eq!(out.len(), index.match_count(&content));
+        frozen.matches_into(&table, &content, &mut scratch, &mut out);
+        assert_eq!(
+            out.len(),
+            frozen.match_count(&table, &content, &mut scratch)
+        );
         // Brute force: evaluate every live subscription directly.
-        let mut expected: Vec<_> = reference
+        let mut expected: Vec<_> = rows
             .iter()
             .filter(|(_, sub)| sub.matches(&content))
             .map(|&(id, _)| id)
             .collect();
         expected.sort_unstable();
         assert_eq!(out, expected);
-    }
-}
-
-#[test]
-fn scratch_survives_interleaved_indexes_of_different_sizes() {
-    // One scratch serving two indexes whose ordinal ranges differ — the
-    // epoch stamping must isolate every call from every previous one.
-    let (big, _) = heterogeneous_index();
-    let mut small = SubscriptionIndex::new();
-    let id = small.insert(Subscription::new(vec![Predicate::eq(
-        "category",
-        Value::str("sports"),
-    )]));
-    let content = pscd_matching::Content::new()
-        .with("category", Value::str("sports"))
-        .with("tags", Value::tags(["tennis"]))
-        .with("bytes", Value::int(4_096));
-    let mut scratch = MatchScratch::new();
-    let mut out = Vec::new();
-    for _ in 0..3 {
-        big.matches_into(&content, &mut scratch, &mut out);
-        assert_eq!(out, big.matches(&content));
-        small.matches_into(&content, &mut scratch, &mut out);
-        assert_eq!(out, vec![id]);
     }
 }
 

@@ -5,7 +5,7 @@
 //! the table-compiled trace, for every strategy the paper evaluates and
 //! at every thread count. This is the `SimResult` half of the kernel
 //! differential; `crates/matching/tests/match_differential.rs` proves
-//! the per-call half (frozen vs. mutable index on arbitrary content).
+//! the per-call half (frozen vs. brute force on arbitrary content).
 
 use pscd_core::StrategyKind;
 use pscd_sim::{simulate_compiled, CompiledTrace, SimOptions};

@@ -117,8 +117,9 @@ impl ContentModel {
 /// to one resolved through the table, which is what the engine-backed
 /// trace-compile differential asserts.
 ///
-/// The matcher is returned *unfrozen*; callers freeze it once after any
-/// further synthesis ([`EngineMatcher::freeze`]).
+/// The matcher is returned *unfrozen*, answering by brute force over its
+/// subscriptions; callers freeze it once after any further synthesis
+/// ([`EngineMatcher::freeze`]).
 ///
 /// # Panics
 ///

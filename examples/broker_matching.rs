@@ -3,7 +3,7 @@
 //! The paper's workload only models subscription *counts*; this example
 //! exercises the full pipeline instead: users register predicate
 //! subscriptions ("category == sports AND tags contains tennis"), the
-//! counting-based matching engine evaluates each published page, and the
+//! matching engine's frozen kernel evaluates each published page, and the
 //! delivery engine pushes matched pages to the subscribers' proxies.
 //!
 //! ```text
@@ -13,7 +13,7 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use pscd::matching::{covers, EngineMatcher};
+use pscd::matching::EngineMatcher;
 use pscd::workload::{ContentModel, CATEGORIES};
 use pscd::{
     Content, DeliveryEngine, Matcher, Predicate, PushScheme, ServerId, Strategy, StrategyKind,
@@ -38,16 +38,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         matcher.subscribe(server, Subscription::new(predicates))?;
     }
-
-    // The covering relation lets a broker aggregate: the plain category
-    // subscription covers the size-restricted one.
-    let wide = Subscription::new(vec![Predicate::eq("category", Value::str("sports"))]);
-    let narrow = Subscription::new(vec![
-        Predicate::eq("category", Value::str("sports")),
-        Predicate::ge("bytes", 4_096),
-    ]);
-    assert!(covers(&wide, &narrow));
-    println!("covering check: {wide}  ⊒  {narrow}");
+    // Compile every proxy's subscriptions into the fleet-wide kernel that
+    // answers each publish below.
+    matcher.freeze();
 
     // 2. Proxies run SG2; deliveries use Pushing-When-Necessary.
     let capacities = workload.cache_capacities(0.05);

@@ -15,7 +15,7 @@
 //! |---|---|---|
 //! | [`types`] | `pscd-types` | ids, time, sizes, traces, subscription tables |
 //! | [`topology`] | `pscd-topology` | Waxman / Barabási–Albert graphs, fetch costs |
-//! | [`matching`] | `pscd-matching` | predicate subscriptions, counting index, covering |
+//! | [`matching`] | `pscd-matching` | predicate subscriptions, frozen match kernel |
 //! | [`workload`] | `pscd-workload` | NEWS / ALTERNATIVE synthetic traces |
 //! | [`cache`] | `pscd-cache` | cache substrate: store, heap, page table, greedy-dual engine |
 //! | [`strategies`] | `pscd-core` | LRU, GDS, LFU-DA, GD\*, SUB, SG1, SG2, SR, DM, DC-FP, DC-AP, DC-LAP |
@@ -65,7 +65,7 @@ pub use pscd_broker::{DeliveryEngine, PushScheme, Traffic};
 pub use pscd_cache::PageRef;
 pub use pscd_core::{Strategy, StrategyKind};
 pub use pscd_experiments::ExperimentContext;
-pub use pscd_matching::{Content, Matcher, Predicate, Subscription, SubscriptionIndex, Value};
+pub use pscd_matching::{Content, Matcher, Predicate, Subscription, Value};
 pub use pscd_sim::{simulate, simulate_compiled, CompiledTrace, CrashPlan, SimOptions, SimResult};
 pub use pscd_topology::{FetchCosts, GraphModel, TopologyBuilder};
 pub use pscd_types::{Bytes, PageId, PageMeta, ServerId, SimTime, SubscriptionTable};
