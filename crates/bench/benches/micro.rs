@@ -9,7 +9,7 @@ use rand::SeedableRng;
 use pscd_cache::PageRef;
 use pscd_core::StrategyKind;
 use pscd_obs::{SharedObserver, StatsObserver};
-use pscd_sim::{simulate, SimOptions, Simulation};
+use pscd_sim::{simulate_compiled, CompiledTrace, SimOptions, Simulation};
 use pscd_topology::{FetchCosts, TopologyBuilder};
 use pscd_types::{Bytes, PageId, ServerId};
 use pscd_workload::{generate_publishing, PublishingConfig, Workload, WorkloadConfig, Zipf};
@@ -102,19 +102,24 @@ fn observer_benches(c: &mut Criterion) {
         )
     });
 
-    // End-to-end simulation loop, tiny trace.
+    // End-to-end simulation loop over a tiny compiled trace.
     group.sample_size(20);
     let w = Workload::generate(&WorkloadConfig::news_scaled(0.004)).expect("generates");
     let subs = w.subscriptions(1.0).expect("valid quality");
+    let trace = CompiledTrace::compile(&w, &subs).expect("compiles");
     let costs = FetchCosts::uniform(w.server_count());
     let options = SimOptions::at_capacity(StrategyKind::Sg2 { beta: 2.0 }, 0.05);
     group.bench_function("sim_loop_null", |b| {
-        b.iter(|| simulate(&w, &subs, &costs, &options).expect("runs").hits)
+        b.iter(|| {
+            simulate_compiled(&trace, &costs, &options)
+                .expect("runs")
+                .hits
+        })
     });
     group.bench_function("sim_loop_stats", |b| {
         b.iter(|| {
             let obs = SharedObserver::new(StatsObserver::new());
-            Simulation::with_observer(&w, &subs, &costs, &options, obs)
+            Simulation::from_compiled_observed(&trace, &costs, &options, obs)
                 .expect("runs")
                 .run()
                 .hits
@@ -127,7 +132,7 @@ fn generation_benches(c: &mut Criterion) {
     let mut group = c.benchmark_group("generation");
     group.sample_size(10);
     group.bench_function("publishing_stream_10pct", |b| {
-        b.iter(|| generate_publishing(&PublishingConfig::scaled(0.1), 7).expect("generates"))
+        b.iter(|| generate_publishing(&PublishingConfig::scaled(0.1), 7, 1).expect("generates"))
     });
     group.bench_function("waxman_topology_101_nodes", |b| {
         b.iter(|| TopologyBuilder::new(101).seed(7).build().expect("builds"))

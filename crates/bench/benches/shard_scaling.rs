@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use pscd_core::StrategyKind;
-use pscd_sim::{simulate, SimOptions};
+use pscd_sim::{simulate_compiled, CompiledTrace, SimOptions};
 use pscd_topology::FetchCosts;
 use pscd_workload::{Workload, WorkloadConfig};
 
@@ -16,7 +16,8 @@ fn shard_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("shard_scaling");
     group.sample_size(10);
     let w = Workload::generate(&WorkloadConfig::news_scaled(0.02)).expect("generates");
-    let subs = w.subscriptions(1.0).expect("valid quality");
+    let trace = CompiledTrace::compile(&w, &w.subscriptions(1.0).expect("valid quality"))
+        .expect("compiles");
     let costs = FetchCosts::uniform(w.server_count());
     let base = SimOptions::at_capacity(StrategyKind::Sg2 { beta: 2.0 }, 0.05);
     // 0 = auto (machine parallelism); explicit counts show the curve.
@@ -28,7 +29,11 @@ fn shard_scaling(c: &mut Criterion) {
         };
         let options = base.with_threads(threads);
         group.bench_function(&name, |b| {
-            b.iter(|| simulate(&w, &subs, &costs, &options).expect("runs").hits)
+            b.iter(|| {
+                simulate_compiled(&trace, &costs, &options)
+                    .expect("runs")
+                    .hits
+            })
         });
     }
     group.finish();

@@ -5,15 +5,15 @@
 //! cost a grid pays per workload. `grid_reuse` replays the same N-cell
 //! strategy × capacity grid twice: once against a shared pre-compiled
 //! trace (`compiled_once`, the `run_grid` path since the compiled-trace
-//! refactor) and once through the convenience wrapper that re-derives the
-//! timeline, fan-outs and lineage per cell (`cold_per_cell`, the old
+//! refactor) and once compiling a fresh trace per cell, re-deriving the
+//! timeline, fan-outs and lineage each time (`cold_per_cell`, the old
 //! behavior). The gap between them is the refactor's per-cell win, and is
 //! what EXPERIMENTS.md reports.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use pscd_core::StrategyKind;
-use pscd_sim::{simulate, simulate_compiled, CompiledTrace, SimOptions};
+use pscd_sim::{simulate_compiled, CompiledTrace, SimOptions};
 use pscd_topology::FetchCosts;
 use pscd_workload::{Workload, WorkloadConfig};
 
@@ -63,7 +63,10 @@ fn grid_reuse(c: &mut Criterion) {
         b.iter(|| {
             cells
                 .iter()
-                .map(|opt| simulate(&w, &subs, &costs, opt).expect("runs").hits)
+                .map(|opt| {
+                    let fresh = CompiledTrace::compile(&w, &subs).expect("compiles");
+                    simulate_compiled(&fresh, &costs, opt).expect("runs").hits
+                })
                 .sum::<u64>()
         })
     });

@@ -11,6 +11,7 @@
 #![warn(missing_docs)]
 
 use pscd_experiments::ExperimentContext;
+use pscd_obs::TraceSink;
 
 /// The workload scale benches run at (`PSCD_BENCH_SCALE`, default 0.02).
 pub fn bench_scale() -> f64 {
@@ -21,13 +22,14 @@ pub fn bench_scale() -> f64 {
         .unwrap_or(0.02)
 }
 
-/// Builds the shared experiment context at [`bench_scale`].
+/// Builds the shared experiment context at [`bench_scale`] (auto threads).
 ///
 /// # Panics
 ///
 /// Panics if workload generation fails (it cannot for built-in configs).
 pub fn bench_context() -> ExperimentContext {
-    ExperimentContext::scaled(bench_scale()).expect("built-in configs generate")
+    ExperimentContext::scaled(bench_scale(), 0, TraceSink::disabled())
+        .expect("built-in configs generate")
 }
 
 #[cfg(test)]

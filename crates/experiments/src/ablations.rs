@@ -9,8 +9,8 @@ use pscd_sim::SimOptions;
 use pscd_workload::{Workload, WorkloadConfig};
 
 use crate::{
-    pct, run_grid_threads, ExperimentContext, ExperimentError, StrategyCells, TextTable, Trace,
-    TraceRow, CAPACITIES, PAPER_BETA,
+    pct, run_grid, ExperimentContext, ExperimentError, StrategyCells, TextTable, Trace, TraceRow,
+    CAPACITIES, PAPER_BETA,
 };
 
 /// Classic access-only baselines (LRU, GDS, LFU-DA) against GD\*,
@@ -44,7 +44,7 @@ impl ClassicBaselines {
                     .iter()
                     .map(|&kind| (&*compiled, SimOptions::at_capacity(kind, capacity)))
                     .collect();
-                let results = run_grid_threads(ctx.costs(), &jobs, ctx.threads())?;
+                let results = run_grid(ctx.costs(), &jobs, ctx.threads())?;
                 rows.push((
                     trace,
                     capacity,
@@ -134,7 +134,7 @@ impl LapBoundsSweep {
                     )
                 })
                 .collect();
-            let results = run_grid_threads(ctx.costs(), &jobs, ctx.threads())?;
+            let results = run_grid(ctx.costs(), &jobs, ctx.threads())?;
             for (&bounds, r) in LAP_BOUNDS.iter().zip(results) {
                 cells.push((trace, bounds, r.hit_ratio()));
             }
@@ -207,7 +207,7 @@ impl PartitionSweep {
                     )
                 })
                 .collect();
-            let results = run_grid_threads(ctx.costs(), &jobs, ctx.threads())?;
+            let results = run_grid(ctx.costs(), &jobs, ctx.threads())?;
             for (&frac, r) in PC_FRACTIONS.iter().zip(results) {
                 cells.push((trace, frac, r.hit_ratio()));
             }
@@ -279,7 +279,7 @@ impl CoverageSweep {
                     .iter()
                     .map(|&kind| (&compiled, SimOptions::at_capacity(kind, 0.05)))
                     .collect();
-                let results = run_grid_threads(ctx.costs(), &jobs, ctx.threads())?;
+                let results = run_grid(ctx.costs(), &jobs, ctx.threads())?;
                 rows.push((
                     trace,
                     coverage,
@@ -370,7 +370,7 @@ impl ShiftSensitivity {
                 .iter()
                 .map(|&kind| (&compiled, SimOptions::at_capacity(kind, 0.05)))
                 .collect();
-            let results = run_grid_threads(ctx.costs(), &jobs, ctx.threads())?;
+            let results = run_grid(ctx.costs(), &jobs, ctx.threads())?;
             rows.push((
                 shift,
                 pairs,
@@ -416,9 +416,10 @@ impl fmt::Display for ShiftSensitivity {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pscd_obs::TraceSink;
 
     fn ctx() -> ExperimentContext {
-        ExperimentContext::scaled(0.004).unwrap()
+        ExperimentContext::scaled(0.004, 0, TraceSink::disabled()).unwrap()
     }
 
     #[test]

@@ -254,7 +254,7 @@ mod tests {
 
     #[test]
     fn audit_writes_artifacts_and_totals_match() {
-        let ctx = ExperimentContext::scaled(0.003).unwrap();
+        let ctx = ExperimentContext::scaled(0.003, 0, TraceSink::disabled()).unwrap();
         let dir = std::env::temp_dir().join(format!("pscd_audit_{}", std::process::id()));
         let kinds = [
             StrategyKind::GdStar { beta: 2.0 },
@@ -296,8 +296,8 @@ mod tests {
     fn sharded_audit_matches_serial_audit() {
         // Without --events the audit replays through the sharded runner;
         // its hard-checked totals must equal the serial tee run's.
-        let serial_ctx = ExperimentContext::scaled(0.003).unwrap().with_threads(1);
-        let sharded_ctx = ExperimentContext::scaled(0.003).unwrap().with_threads(4);
+        let serial_ctx = ExperimentContext::scaled(0.003, 1, TraceSink::disabled()).unwrap();
+        let sharded_ctx = ExperimentContext::scaled(0.003, 4, TraceSink::disabled()).unwrap();
         let base = std::env::temp_dir().join(format!("pscd_audit_shard_{}", std::process::id()));
         let kinds = [StrategyKind::Sg2 { beta: 2.0 }, StrategyKind::Sub];
         let serial = ObsAudit::run(&serial_ctx, &kinds, 0.05, &base.join("serial"), false).unwrap();

@@ -171,7 +171,7 @@ impl BenchReport {
         // Hot loop: sequential replay ns/event for four strategies that
         // cover the implementation families (access-only GD*, push-all
         // SUB, subscription-aware SG2, adaptive dual-cache DC-LAP).
-        let ctx = ExperimentContext::scaled(scale)?;
+        let ctx = ExperimentContext::scaled(scale, 0, pscd_obs::TraceSink::disabled())?;
         let compiled = ctx.compiled(Trace::News, 1.0)?;
         let events = compiled.len().max(1) as f64;
         for (name, kind) in [

@@ -6,7 +6,7 @@ use pscd_core::StrategyKind;
 use pscd_sim::SimOptions;
 
 use crate::{
-    pct, run_grid_threads, ExperimentContext, ExperimentError, TextTable, Trace, BETAS, CAPACITIES,
+    pct, run_grid, ExperimentContext, ExperimentError, TextTable, Trace, BETAS, CAPACITIES,
 };
 
 /// Which GD\*-framework algorithm a β sweep cell belongs to.
@@ -72,7 +72,7 @@ impl BetaSweep {
                     )
                 })
                 .collect();
-            let results = run_grid_threads(ctx.costs(), &jobs, ctx.threads())?;
+            let results = run_grid(ctx.costs(), &jobs, ctx.threads())?;
             for ((algorithm, capacity, beta), result) in plan.into_iter().zip(results) {
                 cells.push(BetaCell {
                     trace,
@@ -143,10 +143,11 @@ impl fmt::Display for BetaSweep {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pscd_obs::TraceSink;
 
     #[test]
     fn sweep_runs_at_small_scale() {
-        let ctx = ExperimentContext::scaled(0.002).unwrap();
+        let ctx = ExperimentContext::scaled(0.002, 0, TraceSink::disabled()).unwrap();
         let sweep = BetaSweep::run(&ctx).unwrap();
         assert_eq!(sweep.cells.len(), 2 * 3 * 3 * BETAS.len());
         let best = sweep.best_beta(Trace::News, "GD*", 0.05).unwrap();

@@ -18,14 +18,39 @@ use pscd_experiments::{
 };
 use pscd_obs::{render_chrome_trace, NullObserver, SpanEvent, TraceSink};
 use pscd_sim::{
-    simulate_observed_sharded, simulate_streamed, simulate_streamed_prefetched, PrefetchOptions,
-    SimOptions, StreamingTrace,
+    simulate_observed_sharded, simulate_streamed_prefetched_traced, PrefetchOptions, SimOptions,
+    StreamingTrace, DEFAULT_PREFETCH_DEPTH,
 };
 use pscd_topology::{FetchCosts, TopologyBuilder};
 use pscd_types::SimTime;
 use pscd_workload::ScenarioConfig;
 
-const USAGE: &str = "usage: repro <beta|fig3|fig4|table2|fig5|fig6|fig7|classic|lap-bounds|partition|coverage|shift|crash|invalidation|variance|ablations|all> [--scale FRACTION] [--threads N] [--stream-window HOURS [--prefetch N]] [--csv DIR] [--obs-dir DIR [--events]] [--trace FILE]\n       repro scenario <list|NAME|FILE> [--stream-window HOURS] [--prefetch N] [--threads N]\n       repro bench [--quick] [--out FILE] [--check FILE]\n       repro serve --load [--scale FRACTION] [--threads N] [--batch N] [--dir DIR [--snapshot-every K]]";
+const USAGE: &str = "usage: repro <beta|fig3|fig4|table2|fig5|fig6|fig7|classic|lap-bounds|partition|coverage|shift|crash|invalidation|variance|ablations|all> [--scale FRACTION] [--threads N] [--csv DIR] [--obs-dir DIR [--events]] [--trace FILE]\n       repro scenario <list|NAME|FILE> [--threads N]\n       repro bench [--quick] [--out FILE] [--check FILE]\n       repro serve --load [--scale FRACTION] [--threads N] [--batch N] [--dir DIR [--snapshot-every K]]";
+
+/// The flags each subcommand takes (every exhibit takes the same ones); a
+/// flag outside its subcommand's list is refused by name.
+const EXHIBIT_FLAGS: &[&str] = &[
+    "--scale",
+    "--threads",
+    "--csv",
+    "--obs-dir",
+    "--events",
+    "--trace",
+];
+const SCENARIO_FLAGS: &[&str] = &["--threads"];
+const BENCH_FLAGS: &[&str] = &["--quick", "--out", "--check"];
+const SERVE_FLAGS: &[&str] = &[
+    "--load",
+    "--scale",
+    "--threads",
+    "--batch",
+    "--dir",
+    "--snapshot-every",
+];
+
+/// `repro scenario` streams its workload through windows of this many
+/// hours.
+const SCENARIO_WINDOW_HOURS: u64 = 24;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -40,14 +65,16 @@ fn main() -> ExitCode {
     let mut bench_out: Option<PathBuf> = None;
     let mut bench_check: Option<PathBuf> = None;
     let mut load = false;
-    let mut stream_window: Option<u64> = None;
-    let mut prefetch: Option<usize> = None;
+    let mut given: Vec<&str> = Vec::new();
     let mut scenario_arg: Option<String> = None;
     let mut batch = 256usize;
     let mut snapshot_every = 0u64;
     let mut serve_dir: Option<PathBuf> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
+        if arg.starts_with("--") {
+            given.push(arg);
+        }
         match arg.as_str() {
             "--scale" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
                 Some(v) if v > 0.0 && v <= 1.0 => scale = v,
@@ -81,20 +108,6 @@ fn main() -> ExitCode {
                 Some(path) => trace_file = Some(PathBuf::from(path)),
                 None => {
                     eprintln!("--trace needs an output file (Chrome trace-event JSON)");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--stream-window" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(h) if h > 0 => stream_window = Some(h),
-                _ => {
-                    eprintln!("--stream-window needs a positive window length in hours");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--prefetch" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(d) if d > 0 => prefetch = Some(d),
-                _ => {
-                    eprintln!("--prefetch needs a positive compile-ahead depth in windows");
                     return ExitCode::FAILURE;
                 }
             },
@@ -140,6 +153,10 @@ fn main() -> ExitCode {
                 println!("{USAGE}");
                 return ExitCode::SUCCESS;
             }
+            other if other.starts_with('-') => {
+                eprintln!("unknown argument: {other}\n{USAGE}");
+                return ExitCode::FAILURE;
+            }
             name if exhibit.is_none() => exhibit = Some(name.to_owned()),
             name if exhibit.as_deref() == Some("scenario") && scenario_arg.is_none() => {
                 scenario_arg = Some(name.to_owned())
@@ -154,28 +171,20 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    if exhibit == "scenario" {
-        // A scenario run prints its table and nothing else; refuse the
-        // exhibit output flags instead of silently dropping them.
-        let outputs = [
-            ("--trace", trace_file.is_some()),
-            ("--csv", csv_dir.is_some()),
-            ("--obs-dir", obs_dir.is_some()),
-            ("--events", events),
-        ];
-        if let Some((flag, _)) = outputs.iter().find(|(_, given)| *given) {
-            eprintln!("repro scenario does not take {flag}\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
+    let accepted = match exhibit.as_str() {
+        "scenario" => SCENARIO_FLAGS,
+        "bench" => BENCH_FLAGS,
+        "serve" => SERVE_FLAGS,
+        _ => EXHIBIT_FLAGS,
+    };
+    // Refuse a flag the subcommand would not use instead of silently
+    // dropping it.
+    if let Some(flag) = given.iter().find(|flag| !accepted.contains(flag)) {
+        eprintln!("repro {exhibit} does not take {flag}\n{USAGE}");
+        return ExitCode::FAILURE;
     }
     if events && obs_dir.is_none() {
         eprintln!("--events requires --obs-dir\n{USAGE}");
-        return ExitCode::FAILURE;
-    }
-    if prefetch.is_some() && stream_window.is_none() && exhibit != "scenario" {
-        // Scenario runs always stream (24 h default window); exhibit runs
-        // only stream when asked, so compile-ahead needs the window first.
-        eprintln!("--prefetch requires --stream-window\n{USAGE}");
         return ExitCode::FAILURE;
     }
     if exhibit == "bench" {
@@ -186,7 +195,7 @@ fn main() -> ExitCode {
             eprintln!("scenario needs <list|NAME|FILE>\n{USAGE}");
             return ExitCode::FAILURE;
         };
-        return match run_scenario(&arg, threads, stream_window, prefetch) {
+        return match run_scenario(&arg, threads) {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
                 eprintln!("error: {e}");
@@ -215,7 +224,7 @@ fn main() -> ExitCode {
         trace_file: trace_file.as_deref(),
         events,
     };
-    match run(&exhibit, scale, threads, stream_window, prefetch, &outputs) {
+    match run(&exhibit, scale, threads, &outputs) {
         Ok(true) => ExitCode::SUCCESS,
         Ok(false) => {
             eprintln!("unknown exhibit: {exhibit}\n{USAGE}");
@@ -299,7 +308,7 @@ fn run_serve(
     dir: Option<&std::path::Path>,
 ) -> Result<(), ExperimentError> {
     eprintln!("generating workloads (scale = {scale}) …");
-    let ctx = ExperimentContext::scaled_threads(scale, 0)?;
+    let ctx = ExperimentContext::scaled(scale, 0, TraceSink::disabled())?;
     let compiled = ctx.compiled(Trace::News, 1.0)?;
     let subs = ctx.subscriptions(Trace::News, 1.0)?;
     let events = ctx.workload(Trace::News).live_events(&subs);
@@ -368,14 +377,9 @@ fn run_serve(
 
 /// `repro scenario`: the config-driven workload library. `list` prints
 /// the shipped scenarios; a name (or a path to a scenario text file)
-/// builds the workload through the streaming compiler and replays the
-/// figure-4 lineup on it at the paper's middle capacity.
-fn run_scenario(
-    arg: &str,
-    threads: usize,
-    stream_window: Option<u64>,
-    prefetch: Option<usize>,
-) -> Result<(), ExperimentError> {
+/// streams the workload through the pipelined compile-ahead prefetcher and
+/// replays the figure-4 lineup on it at the paper's middle capacity.
+fn run_scenario(arg: &str, threads: usize) -> Result<(), ExperimentError> {
     if arg == "list" {
         println!("shipped scenarios:");
         for s in ScenarioConfig::shipped() {
@@ -400,16 +404,12 @@ fn run_scenario(
                 .map_err(|e| ExperimentError::Io(format!("{arg}: {e}")))?
         }
     };
-    let window = SimTime::from_hours(stream_window.unwrap_or(24));
     eprintln!(
-        "building scenario \"{}\" through {}-hour streaming windows{} …",
-        scenario.name,
-        window.as_millis() / SimTime::from_hours(1).as_millis(),
-        match prefetch {
-            Some(d) => format!(" (compile-ahead depth {d})"),
-            None => String::new(),
-        }
+        "building scenario \"{}\" through {SCENARIO_WINDOW_HOURS}-hour streaming windows \
+         (compile-ahead depth {DEFAULT_PREFETCH_DEPTH}) …",
+        scenario.name
     );
+    let window = SimTime::from_hours(SCENARIO_WINDOW_HOURS);
     let stream = StreamingTrace::from_scenario(&scenario, 1.0, window, threads)?;
     let meta = stream.meta();
     println!(
@@ -430,14 +430,16 @@ fn run_scenario(
         "{:<8} {:>9} {:>12} {:>13}",
         "strategy", "hit rate", "pushed pages", "fetched pages"
     );
+    let prefetch = PrefetchOptions::new(DEFAULT_PREFETCH_DEPTH);
     for kind in StrategyKind::figure4_lineup(PAPER_BETA) {
         let options = SimOptions::at_capacity(kind, 0.05).with_threads(threads);
-        let result = match prefetch {
-            Some(d) => {
-                simulate_streamed_prefetched(&stream, &costs, &options, &PrefetchOptions::new(d))?
-            }
-            None => simulate_streamed(&stream, &costs, &options)?,
-        };
+        let result = simulate_streamed_prefetched_traced(
+            &stream,
+            &costs,
+            &options,
+            &prefetch,
+            &TraceSink::disabled(),
+        )?;
         let hit_rate = if result.requests > 0 {
             result.hits as f64 / result.requests as f64
         } else {
@@ -467,8 +469,6 @@ fn run(
     exhibit: &str,
     scale: f64,
     threads: usize,
-    stream_window: Option<u64>,
-    prefetch: Option<usize>,
     outputs: &Outputs<'_>,
 ) -> Result<bool, ExperimentError> {
     let &Outputs {
@@ -488,24 +488,7 @@ fn run(
         pscd_sim::pool::spans::enable(epoch);
     }
     eprintln!("generating workloads (scale = {scale}) …");
-    let mut ctx = ExperimentContext::scaled_threads_traced(scale, threads, sink.clone())?;
-    if let Some(hours) = stream_window {
-        match prefetch {
-            Some(depth) => {
-                eprintln!(
-                    "compiling traces through {hours}-hour streaming windows \
-                     (pipelined, compile-ahead depth {depth}) …"
-                );
-                ctx = ctx
-                    .with_stream_window(SimTime::from_hours(hours))
-                    .with_prefetch(depth);
-            }
-            None => {
-                eprintln!("compiling traces through {hours}-hour streaming windows …");
-                ctx = ctx.with_stream_window(SimTime::from_hours(hours));
-            }
-        }
-    }
+    let ctx = ExperimentContext::scaled(scale, threads, sink.clone())?;
     let all = exhibit == "all";
     let mut known = all;
     let emit = |result: &dyn ToCsv| {

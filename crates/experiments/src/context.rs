@@ -8,9 +8,8 @@ use parking_lot::Mutex;
 
 use pscd_obs::{Registry, SharedRegistry, TraceSink};
 use pscd_sim::trace::CompiledTrace;
-use pscd_sim::{PrefetchOptions, StreamingTrace};
 use pscd_topology::{FetchCosts, TopologyBuilder};
-use pscd_types::{SimTime, SubscriptionTable};
+use pscd_types::SubscriptionTable;
 use pscd_workload::{Workload, WorkloadConfig};
 
 use crate::ExperimentError;
@@ -64,18 +63,6 @@ pub struct ExperimentContext {
     alternative: Workload,
     costs: FetchCosts,
     threads: usize,
-    /// When set, [`compiled`](Self::compiled) builds each trace through
-    /// the streaming window compiler ([`StreamingTrace`]) at this window
-    /// size instead of the monolithic [`CompiledTrace::compile`]. The
-    /// result is bit-identical (the streaming differential suite proves
-    /// it), so every exhibit's CSV byte-compares across the two modes —
-    /// the knob trades peak compile memory for window bookkeeping.
-    stream_window: Option<SimTime>,
-    /// When set alongside `stream_window`, the streaming compile runs
-    /// through the pipelined prefetcher at this compile-ahead depth
-    /// (`repro --prefetch`): the window producer overlaps the consuming
-    /// concatenation. Bit-identical to the serial streaming compile.
-    prefetch: Option<usize>,
     /// Compiled traces keyed by `(trace, quality.to_bits())`: each
     /// `(workload, subscription table)` pair is compiled exactly once and
     /// every grid cell of every exhibit replays the shared value.
@@ -92,58 +79,25 @@ pub struct ExperimentContext {
 }
 
 impl ExperimentContext {
-    /// Full paper-scale context (30,147 pages, ~195k requests, 100
-    /// proxies, BRITE-style Waxman topology).
+    /// Both traces at `factor` of the paper's scale (`1.0` = 30,147
+    /// pages, ~195k requests, 100 proxies, BRITE-style Waxman topology).
+    ///
+    /// The entire cold path — workload generation now, subscription
+    /// synthesis and trace compilation later in
+    /// [`compiled`](Self::compiled) — and every sweep and audit run on up
+    /// to `threads` pool workers (`0` = auto, `1` = serial). Purely a
+    /// speed knob: every generated and compiled value, and so every
+    /// exhibit, is bit-identical at any setting. Each phase's wall-clock
+    /// span is recorded for [`cold_timing`](Self::cold_timing); a live
+    /// `sink` also records it on the `cold` track and keeps the worker
+    /// pool's task-span phase label current, so per-chunk pool tasks
+    /// attribute to the right phase. A disabled sink records nothing.
     ///
     /// # Errors
     ///
     /// Propagates workload/topology generation failures (none occur for
     /// the built-in configurations).
-    pub fn paper_scale() -> Result<Self, ExperimentError> {
-        Self::scaled(1.0)
-    }
-
-    /// Proportionally scaled-down context for tests and benches;
-    /// equivalent to [`scaled_threads`](Self::scaled_threads) with the
-    /// auto thread count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates workload/topology generation failures.
-    pub fn scaled(factor: f64) -> Result<Self, ExperimentError> {
-        Self::scaled_threads(factor, 0)
-    }
-
-    /// Scaled context whose entire cold path — workload generation now,
-    /// subscription synthesis and trace compilation later in
-    /// [`compiled`](Self::compiled) — runs on up to `threads` pool
-    /// workers (`0` = auto, `1` = serial). Purely a speed knob: every
-    /// generated and compiled value is bit-identical at any setting.
-    /// Each phase's wall-clock span is recorded for
-    /// [`cold_timing`](Self::cold_timing).
-    ///
-    /// # Errors
-    ///
-    /// Propagates workload/topology generation failures.
-    pub fn scaled_threads(factor: f64, threads: usize) -> Result<Self, ExperimentError> {
-        Self::scaled_threads_traced(factor, threads, TraceSink::disabled())
-    }
-
-    /// [`scaled_threads`](Self::scaled_threads) with timeline tracing:
-    /// every cold-path phase (now and in later
-    /// [`compiled`](Self::compiled) calls) records a span on the `cold`
-    /// track of `sink`, and the worker pool's task-span phase label is
-    /// kept current so per-chunk pool tasks attribute to the right phase.
-    /// A disabled sink makes this exactly `scaled_threads`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates workload/topology generation failures.
-    pub fn scaled_threads_traced(
-        factor: f64,
-        threads: usize,
-        sink: TraceSink,
-    ) -> Result<Self, ExperimentError> {
+    pub fn scaled(factor: f64, threads: usize, sink: TraceSink) -> Result<Self, ExperimentError> {
         let cold = SharedRegistry::new();
         let news = phase(&cold, &sink, "cold.generate.news", || {
             Workload::generate_threads(&WorkloadConfig::news_scaled(factor), threads)
@@ -162,59 +116,15 @@ impl ExperimentContext {
             alternative,
             costs,
             threads,
-            stream_window: None,
-            prefetch: None,
             compiled: Mutex::new(HashMap::new()),
             cold,
             sink,
         })
     }
 
-    /// Sets the worker-pool size used by sweeps and audits: `0` = auto
-    /// (machine parallelism, the default), `1` = serial, `n` = exactly
-    /// `n` workers. Purely a speed knob — every exhibit is bit-identical
-    /// at any setting.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// The configured worker-pool size (`0` = auto).
+    /// The worker-pool size sweeps and audits use (`0` = auto).
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Routes every later [`compiled`](Self::compiled) call through the
-    /// streaming window compiler at `window` (`repro --stream-window`).
-    /// Purely a memory-shape knob: the compiled value is bit-identical
-    /// to the monolithic path, so downstream exhibits are unchanged.
-    #[must_use]
-    pub fn with_stream_window(mut self, window: SimTime) -> Self {
-        self.stream_window = Some(window);
-        self
-    }
-
-    /// The streaming compile window, if one is configured.
-    pub fn stream_window(&self) -> Option<SimTime> {
-        self.stream_window
-    }
-
-    /// Routes the streaming compile through the pipelined prefetcher at
-    /// compile-ahead depth `depth` (`repro --prefetch N`; clamped to at
-    /// least 1). Only meaningful together with
-    /// [`with_stream_window`](Self::with_stream_window). Purely a speed
-    /// knob: the compiled value stays bit-identical, so every exhibit's
-    /// CSV byte-compares across serial, streamed, and pipelined modes.
-    #[must_use]
-    pub fn with_prefetch(mut self, depth: usize) -> Self {
-        self.prefetch = Some(depth.max(1));
-        self
-    }
-
-    /// The pipelined compile-ahead depth, if one is configured.
-    pub fn prefetch(&self) -> Option<usize> {
-        self.prefetch
     }
 
     /// The workload of one trace.
@@ -269,36 +179,12 @@ impl ExperimentContext {
             }
         }
         let workload = self.workload(trace);
-        let compiled = if let Some(window) = self.stream_window {
-            // Streaming mode: generate-and-compile one window at a time
-            // from the workload config (subscriptions derive from the
-            // counted per-page draws inside), then concatenate. Same
-            // value, O(window) compile memory. With a prefetch depth the
-            // compile-ahead producer generates and compiles windows on its
-            // own thread while this one concatenates.
-            let name = match self.prefetch {
-                Some(_) => "cold.stream.pipelined",
-                None => "cold.stream",
-            };
-            Arc::new(phase(&self.cold, &self.sink, name, || {
-                StreamingTrace::new(workload.config(), quality, window, self.threads).map(|s| {
-                    match self.prefetch {
-                        Some(depth) => s.materialize_prefetched_traced(
-                            &PrefetchOptions::new(depth),
-                            &self.sink,
-                        ),
-                        None => s.materialize(),
-                    }
-                })
-            })?)
-        } else {
-            let subs = phase(&self.cold, &self.sink, "cold.subscriptions", || {
-                workload.subscriptions_threads(quality, self.threads)
-            })?;
-            Arc::new(phase(&self.cold, &self.sink, "cold.compile", || {
-                CompiledTrace::compile_threads(workload, &subs, self.threads)
-            })?)
-        };
+        let subs = phase(&self.cold, &self.sink, "cold.subscriptions", || {
+            workload.subscriptions_threads(quality, self.threads)
+        })?;
+        let compiled = Arc::new(phase(&self.cold, &self.sink, "cold.compile", || {
+            CompiledTrace::compile_threads(workload, &subs, self.threads)
+        })?);
         let mut cache = self.compiled.lock();
         Ok(Arc::clone(cache.entry(key).or_insert(compiled)))
     }
@@ -317,8 +203,7 @@ impl ExperimentContext {
     }
 
     /// The timeline-tracing sink this context records cold phases into
-    /// (disabled unless constructed via
-    /// [`scaled_threads_traced`](Self::scaled_threads_traced)).
+    /// (the one [`scaled`](Self::scaled) was given).
     pub fn trace_sink(&self) -> &TraceSink {
         &self.sink
     }
@@ -347,7 +232,7 @@ mod tests {
 
     #[test]
     fn scaled_context_builds() {
-        let ctx = ExperimentContext::scaled(0.005).unwrap();
+        let ctx = ExperimentContext::scaled(0.005, 0, TraceSink::disabled()).unwrap();
         assert_eq!(ctx.workload(Trace::News).server_count(), 100);
         assert_eq!(ctx.costs().server_count(), 100);
         assert!(ctx.subscriptions(Trace::News, 1.0).is_ok());
@@ -356,12 +241,11 @@ mod tests {
         assert_eq!(Trace::News.name(), "NEWS");
         assert_eq!(Trace::Alternative.alpha(), 1.0);
         assert_eq!(ctx.threads(), 0);
-        assert_eq!(ctx.with_threads(2).threads(), 2);
     }
 
     #[test]
     fn cold_timing_records_phase_spans() {
-        let ctx = ExperimentContext::scaled_threads(0.003, 2).unwrap();
+        let ctx = ExperimentContext::scaled(0.003, 2, TraceSink::disabled()).unwrap();
         assert_eq!(ctx.threads(), 2);
         let labels = |reg: &Registry| -> Vec<String> {
             reg.spans().iter().map(|(l, _)| l.clone()).collect()
@@ -380,54 +264,8 @@ mod tests {
     }
 
     #[test]
-    fn stream_window_compiles_identically() {
-        let mono = ExperimentContext::scaled(0.003)
-            .unwrap()
-            .compiled(Trace::News, 1.0)
-            .unwrap();
-        let ctx = ExperimentContext::scaled(0.003)
-            .unwrap()
-            .with_stream_window(SimTime::from_hours(12));
-        assert_eq!(ctx.stream_window(), Some(SimTime::from_hours(12)));
-        let streamed = ctx.compiled(Trace::News, 1.0).unwrap();
-        assert_eq!(*mono, *streamed);
-        let labels: Vec<String> = ctx
-            .cold_timing()
-            .spans()
-            .iter()
-            .map(|(l, _)| l.clone())
-            .collect();
-        assert!(labels.contains(&"cold.stream".into()));
-        assert!(!labels.contains(&"cold.compile".into()));
-    }
-
-    #[test]
-    fn prefetched_stream_window_compiles_identically() {
-        let mono = ExperimentContext::scaled(0.003)
-            .unwrap()
-            .compiled(Trace::News, 1.0)
-            .unwrap();
-        let ctx = ExperimentContext::scaled(0.003)
-            .unwrap()
-            .with_stream_window(SimTime::from_hours(12))
-            .with_prefetch(2);
-        assert_eq!(ctx.prefetch(), Some(2));
-        let piped = ctx.compiled(Trace::News, 1.0).unwrap();
-        assert_eq!(*mono, *piped);
-        let labels: Vec<String> = ctx
-            .cold_timing()
-            .spans()
-            .iter()
-            .map(|(l, _)| l.clone())
-            .collect();
-        assert!(labels.contains(&"cold.stream.pipelined".into()));
-        assert!(!labels.contains(&"cold.stream".into()));
-        assert!(!labels.contains(&"cold.compile".into()));
-    }
-
-    #[test]
     fn compiled_traces_are_cached_per_trace_and_quality() {
-        let ctx = ExperimentContext::scaled(0.003).unwrap();
+        let ctx = ExperimentContext::scaled(0.003, 0, TraceSink::disabled()).unwrap();
         let a = ctx.compiled(Trace::News, 1.0).unwrap();
         let b = ctx.compiled(Trace::News, 1.0).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "same key must hit the cache");

@@ -200,10 +200,11 @@ impl ToCsv for CrashRecovery {
 mod tests {
     use super::*;
     use crate::ExperimentContext;
+    use pscd_obs::TraceSink;
 
     #[test]
     fn grid_and_hourly_exports_are_well_formed() {
-        let ctx = ExperimentContext::scaled(0.003).unwrap();
+        let ctx = ExperimentContext::scaled(0.003, 0, TraceSink::disabled()).unwrap();
         let fig4 = Fig4::run(&ctx).unwrap();
         let files = fig4.to_csv();
         assert_eq!(files.len(), 2);
@@ -234,7 +235,7 @@ mod tests {
 
     #[test]
     fn sweep_exports_have_one_row_per_cell() {
-        let ctx = ExperimentContext::scaled(0.003).unwrap();
+        let ctx = ExperimentContext::scaled(0.003, 0, TraceSink::disabled()).unwrap();
         let lap = LapBoundsSweep::run(&ctx).unwrap();
         let (_, content) = &lap.to_csv()[0];
         assert_eq!(content.lines().count(), 1 + lap.cells.len());

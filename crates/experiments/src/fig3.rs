@@ -6,8 +6,8 @@ use pscd_core::StrategyKind;
 use pscd_sim::SimOptions;
 
 use crate::{
-    pct, run_grid_threads, ExperimentContext, ExperimentError, TextTable, Trace, TraceRow,
-    CAPACITIES, PAPER_BETA,
+    pct, run_grid, ExperimentContext, ExperimentError, TextTable, Trace, TraceRow, CAPACITIES,
+    PAPER_BETA,
 };
 
 /// Figure 3 of the paper: GD\* against the dual family (DM, DC-FP, DC-AP,
@@ -36,7 +36,7 @@ impl Fig3 {
                     .iter()
                     .map(|&kind| (&*compiled, SimOptions::at_capacity(kind, capacity)))
                     .collect();
-                let results = run_grid_threads(ctx.costs(), &jobs, ctx.threads())?;
+                let results = run_grid(ctx.costs(), &jobs, ctx.threads())?;
                 rows.push((
                     trace,
                     capacity,
@@ -98,10 +98,11 @@ impl fmt::Display for Fig3 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pscd_obs::TraceSink;
 
     #[test]
     fn runs_and_orders_dual_family() {
-        let ctx = ExperimentContext::scaled(0.004).unwrap();
+        let ctx = ExperimentContext::scaled(0.004, 0, TraceSink::disabled()).unwrap();
         let fig = Fig3::run(&ctx).unwrap();
         assert_eq!(fig.rows.len(), 6);
         // Every dual strategy should beat GD* at 5% on both traces (the

@@ -6,8 +6,8 @@ use pscd_core::StrategyKind;
 use pscd_sim::SimOptions;
 
 use crate::{
-    pct, run_grid_threads, ExperimentContext, ExperimentError, TextTable, Trace, TraceRow,
-    CAPACITIES, PAPER_BETA,
+    pct, run_grid, ExperimentContext, ExperimentError, TextTable, Trace, TraceRow, CAPACITIES,
+    PAPER_BETA,
 };
 
 /// Figure 4 of the paper: GD\*, SUB, SG1, SG2, SR and DC-LAP across the
@@ -35,7 +35,7 @@ impl Fig4 {
                     .iter()
                     .map(|&kind| (&*compiled, SimOptions::at_capacity(kind, capacity)))
                     .collect();
-                let results = run_grid_threads(ctx.costs(), &jobs, ctx.threads())?;
+                let results = run_grid(ctx.costs(), &jobs, ctx.threads())?;
                 rows.push((
                     trace,
                     capacity,
@@ -94,10 +94,11 @@ impl fmt::Display for Fig4 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pscd_obs::TraceSink;
 
     #[test]
     fn runs_with_paper_orderings() {
-        let ctx = ExperimentContext::scaled(0.004).unwrap();
+        let ctx = ExperimentContext::scaled(0.004, 0, TraceSink::disabled()).unwrap();
         let fig = Fig4::run(&ctx).unwrap();
         assert_eq!(fig.rows.len(), 6);
         for trace in [Trace::News, Trace::Alternative] {

@@ -6,8 +6,8 @@ use pscd_core::StrategyKind;
 use pscd_sim::SimOptions;
 
 use crate::{
-    pct, run_grid_threads, ExperimentContext, ExperimentError, TextTable, Trace, TraceRow,
-    PAPER_BETA, QUALITIES,
+    pct, run_grid, ExperimentContext, ExperimentError, TextTable, Trace, TraceRow, PAPER_BETA,
+    QUALITIES,
 };
 
 /// Figure 5 of the paper: hit ratios of GD\*, SUB, SG1, SG2, SR and DC-LAP
@@ -35,7 +35,7 @@ impl Fig5 {
                     .iter()
                     .map(|&kind| (&*compiled, SimOptions::at_capacity(kind, 0.05)))
                     .collect();
-                let results = run_grid_threads(ctx.costs(), &jobs, ctx.threads())?;
+                let results = run_grid(ctx.costs(), &jobs, ctx.threads())?;
                 rows.push((
                     trace,
                     quality,
@@ -97,10 +97,11 @@ impl fmt::Display for Fig5 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pscd_obs::TraceSink;
 
     #[test]
     fn sq_sensitivity_shapes() {
-        let ctx = ExperimentContext::scaled(0.004).unwrap();
+        let ctx = ExperimentContext::scaled(0.004, 0, TraceSink::disabled()).unwrap();
         let fig = Fig5::run(&ctx).unwrap();
         assert_eq!(fig.rows.len(), 8);
         for trace in [Trace::News, Trace::Alternative] {

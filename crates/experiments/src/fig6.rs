@@ -5,7 +5,7 @@ use std::fmt;
 use pscd_core::StrategyKind;
 use pscd_sim::SimOptions;
 
-use crate::{run_grid_threads, ExperimentContext, ExperimentError, TextTable, Trace, PAPER_BETA};
+use crate::{run_grid, ExperimentContext, ExperimentError, TextTable, Trace, PAPER_BETA};
 
 /// The strategies of figure 6: the best combined scheme against the two
 /// single-opportunity schemes.
@@ -43,7 +43,7 @@ impl Fig6 {
                 .into_iter()
                 .map(|kind| (&*compiled, SimOptions::at_capacity(kind, 0.05)))
                 .collect();
-            let results = run_grid_threads(ctx.costs(), &jobs, ctx.threads())?;
+            let results = run_grid(ctx.costs(), &jobs, ctx.threads())?;
             for r in results {
                 series.push((trace, r.strategy.clone(), r.hourly.hit_ratio_percent()));
             }
@@ -116,10 +116,11 @@ impl fmt::Display for Fig6 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pscd_obs::TraceSink;
 
     #[test]
     fn temporal_shapes() {
-        let ctx = ExperimentContext::scaled(0.004).unwrap();
+        let ctx = ExperimentContext::scaled(0.004, 0, TraceSink::disabled()).unwrap();
         let fig = Fig6::run(&ctx).unwrap();
         assert_eq!(fig.series.len(), 6);
         for trace in [Trace::News, Trace::Alternative] {

@@ -6,7 +6,7 @@ use pscd_broker::PushScheme;
 use pscd_core::StrategyKind;
 use pscd_sim::SimOptions;
 
-use crate::{run_grid_threads, ExperimentContext, ExperimentError, TextTable, Trace, PAPER_BETA};
+use crate::{run_grid, ExperimentContext, ExperimentError, TextTable, Trace, PAPER_BETA};
 
 /// The strategies of figure 7.
 fn lineup(beta: f64) -> Vec<StrategyKind> {
@@ -66,7 +66,7 @@ impl Fig7 {
                     )
                 })
                 .collect();
-            let results = run_grid_threads(ctx.costs(), &jobs, ctx.threads())?;
+            let results = run_grid(ctx.costs(), &jobs, ctx.threads())?;
             for r in results {
                 series.push((scheme, r.strategy.clone(), r.hourly.traffic_pages()));
                 totals.push((
@@ -166,10 +166,11 @@ impl fmt::Display for Fig7 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pscd_obs::TraceSink;
 
     #[test]
     fn traffic_shapes() {
-        let ctx = ExperimentContext::scaled(0.004).unwrap();
+        let ctx = ExperimentContext::scaled(0.004, 0, TraceSink::disabled()).unwrap();
         let fig = Fig7::run(&ctx).unwrap();
         assert_eq!(fig.series.len(), 6);
         {

@@ -22,28 +22,13 @@ use crate::ExperimentError;
 /// options.
 pub type GridJob<'a> = (&'a CompiledTrace, SimOptions);
 
-/// Runs a batch of simulations across all available cores, preserving job
-/// order in the results.
+/// Runs a batch of simulations on up to `threads` pool workers (`0` = auto,
+/// machine parallelism; `1` = serial), preserving job order in the
+/// results.
 ///
 /// Each cell replays its (shared, immutable) compiled trace through its
 /// own proxy fleet, so the grid parallelizes perfectly; the paper's
 /// largest sweep (the β tuning of §5.1: 126 runs) completes in seconds.
-/// Equivalent to [`run_grid_threads`] with `threads = 0` (auto).
-///
-/// # Errors
-///
-/// Returns the first simulation error encountered (the remaining jobs are
-/// still drained).
-pub fn run_grid(
-    costs: &FetchCosts,
-    jobs: &[GridJob<'_>],
-) -> Result<Vec<SimResult>, ExperimentError> {
-    run_grid_threads(costs, jobs, 0)
-}
-
-/// [`run_grid`] with an explicit pool size: `0` = auto (machine
-/// parallelism), `1` = serial, `n` = exactly `n` workers.
-///
 /// Grid-level workers compose with intra-run sharding (each job's
 /// [`SimOptions::threads`]); sweeps normally keep jobs sequential and
 /// parallelize across cells here instead, which avoids oversubscription.
@@ -52,7 +37,7 @@ pub fn run_grid(
 ///
 /// Returns the first simulation error encountered (the remaining jobs are
 /// still drained).
-pub fn run_grid_threads(
+pub fn run_grid(
     costs: &FetchCosts,
     jobs: &[GridJob<'_>],
     threads: usize,
@@ -79,7 +64,6 @@ pub fn run_grid_threads(
 mod tests {
     use super::*;
     use pscd_core::StrategyKind;
-    use pscd_sim::simulate;
     use pscd_topology::FetchCosts;
     use pscd_workload::Workload;
 
@@ -94,17 +78,18 @@ mod tests {
     #[test]
     fn grid_matches_serial_runs() {
         let (w, trace, costs) = fixture();
-        let subs = w.subscriptions(1.0).unwrap();
         let options = [
             SimOptions::at_capacity(StrategyKind::GdStar { beta: 2.0 }, 0.05),
             SimOptions::at_capacity(StrategyKind::Sg2 { beta: 2.0 }, 0.05),
             SimOptions::at_capacity(StrategyKind::Sub, 0.01),
         ];
         let jobs: Vec<GridJob> = options.iter().map(|&o| (&trace, o)).collect();
-        let parallel = run_grid(&costs, &jobs).unwrap();
+        let parallel = run_grid(&costs, &jobs, 0).unwrap();
+        // The grid over one shared trace must match compiling a trace here
+        // and replaying it cell by cell.
+        let fresh = CompiledTrace::compile(&w, &w.subscriptions(1.0).unwrap()).unwrap();
         for (job, out) in jobs.iter().zip(&parallel) {
-            // The grid (compiled path) must match the raw-input path.
-            let serial = simulate(&w, &subs, &costs, &job.1).unwrap();
+            let serial = simulate_compiled(&fresh, &costs, &job.1).unwrap();
             assert_eq!(&serial, out);
         }
     }
@@ -120,9 +105,9 @@ mod tests {
             SimOptions::at_capacity(StrategyKind::GdStar { beta: 2.0 }, 0.05).with_threads(3),
         ];
         let jobs: Vec<GridJob> = options.iter().map(|&o| (&trace, o)).collect();
-        let serial = run_grid_threads(&costs, &jobs, 1).unwrap();
+        let serial = run_grid(&costs, &jobs, 1).unwrap();
         for threads in [0, 2, 4] {
-            let pooled = run_grid_threads(&costs, &jobs, threads).unwrap();
+            let pooled = run_grid(&costs, &jobs, threads).unwrap();
             assert_eq!(serial, pooled, "grid threads={threads}");
         }
     }
@@ -130,7 +115,7 @@ mod tests {
     #[test]
     fn empty_grid_is_empty() {
         let (_w, _trace, costs) = fixture();
-        assert!(run_grid(&costs, &[]).unwrap().is_empty());
+        assert!(run_grid(&costs, &[], 0).unwrap().is_empty());
     }
 
     #[test]
@@ -138,6 +123,6 @@ mod tests {
         let (_w, trace, _costs) = fixture();
         let bad_costs = FetchCosts::uniform(3); // wrong size
         let jobs: Vec<GridJob> = vec![(&trace, SimOptions::at_capacity(StrategyKind::Sub, 0.05))];
-        assert!(run_grid(&bad_costs, &jobs).is_err());
+        assert!(run_grid(&bad_costs, &jobs, 0).is_err());
     }
 }

@@ -5,9 +5,7 @@ use std::fmt;
 use pscd_core::StrategyKind;
 use pscd_sim::SimOptions;
 
-use crate::{
-    pct, run_grid_threads, ExperimentContext, ExperimentError, TextTable, Trace, PAPER_BETA,
-};
+use crate::{pct, run_grid, ExperimentContext, ExperimentError, TextTable, Trace, PAPER_BETA};
 
 /// Hit ratios with and without stale-version invalidation (NEWS and
 /// ALTERNATIVE, SQ = 1, 5% capacity).
@@ -49,7 +47,7 @@ impl InvalidationStudy {
                     SimOptions::at_capacity(kind, 0.05).with_invalidation(),
                 ));
             }
-            let results = run_grid_threads(ctx.costs(), &jobs, ctx.threads())?;
+            let results = run_grid(ctx.costs(), &jobs, ctx.threads())?;
             for pair in results.chunks(2) {
                 rows.push((
                     trace,
@@ -110,10 +108,11 @@ impl fmt::Display for InvalidationStudy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pscd_obs::TraceSink;
 
     #[test]
     fn freshness_tax_is_bounded_and_reported() {
-        let ctx = ExperimentContext::scaled(0.01).unwrap();
+        let ctx = ExperimentContext::scaled(0.01, 0, TraceSink::disabled()).unwrap();
         let study = InvalidationStudy::run(&ctx).unwrap();
         assert_eq!(study.rows.len(), 8);
         for trace in [Trace::News, Trace::Alternative] {

@@ -22,8 +22,10 @@
 //!
 //! ```
 //! use pscd_experiments::{ExperimentContext, Table2};
-//! // 0.4% scale for the doctest; use paper_scale() to reproduce the paper.
-//! let ctx = ExperimentContext::scaled(0.004)?;
+//! use pscd_obs::TraceSink;
+//! // 0.4% scale for the doctest; scale 1.0 reproduces the paper. Thread
+//! // count 0 = auto.
+//! let ctx = ExperimentContext::scaled(0.004, 0, TraceSink::disabled())?;
 //! let table2 = Table2::run(&ctx)?;
 //! println!("{table2}");
 //! # Ok::<(), pscd_experiments::ExperimentError>(())
@@ -69,7 +71,7 @@ pub use fig4::Fig4;
 pub use fig5::Fig5;
 pub use fig6::Fig6;
 pub use fig7::Fig7;
-pub use grid::{run_grid, run_grid_threads, GridJob};
+pub use grid::{run_grid, GridJob};
 pub use invalidation::InvalidationStudy;
 pub use recovery::{CrashRecovery, CRASH_HOUR};
 pub use table::{pct, signed_pct, TextTable};

@@ -12,7 +12,7 @@ use pscd_core::StrategyKind;
 use pscd_sim::{CrashPlan, SimOptions};
 use pscd_types::SimTime;
 
-use crate::{run_grid_threads, ExperimentContext, ExperimentError, TextTable, Trace, PAPER_BETA};
+use crate::{run_grid, ExperimentContext, ExperimentError, TextTable, Trace, PAPER_BETA};
 
 /// The crash instant used by the experiment (mid-week).
 pub const CRASH_HOUR: usize = 84;
@@ -48,7 +48,7 @@ impl CrashRecovery {
                 )
             })
             .collect();
-        let results = run_grid_threads(ctx.costs(), &jobs, ctx.threads())?;
+        let results = run_grid(ctx.costs(), &jobs, ctx.threads())?;
         Ok(Self {
             series: results
                 .into_iter()
@@ -124,10 +124,11 @@ impl fmt::Display for CrashRecovery {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pscd_obs::TraceSink;
 
     #[test]
     fn push_strategies_recover_faster_than_gdstar() {
-        let ctx = ExperimentContext::scaled(0.02).unwrap();
+        let ctx = ExperimentContext::scaled(0.02, 0, TraceSink::disabled()).unwrap();
         let rec = CrashRecovery::run(&ctx).unwrap();
         assert_eq!(rec.series.len(), 3);
         // Everyone dips at the crash...

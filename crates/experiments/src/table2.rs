@@ -6,7 +6,7 @@ use pscd_core::StrategyKind;
 use pscd_sim::SimOptions;
 
 use crate::{
-    run_grid_threads, signed_pct, ExperimentContext, ExperimentError, TextTable, Trace, PAPER_BETA,
+    run_grid, signed_pct, ExperimentContext, ExperimentError, TextTable, Trace, PAPER_BETA,
 };
 
 /// The strategies Table 2 reports, in column order.
@@ -50,7 +50,7 @@ impl Table2 {
                 .iter()
                 .map(|&kind| (&*compiled, SimOptions::at_capacity(kind, 0.05)))
                 .collect();
-            let results = run_grid_threads(ctx.costs(), &jobs, ctx.threads())?;
+            let results = run_grid(ctx.costs(), &jobs, ctx.threads())?;
             let baseline = &results[0];
             baselines.push((trace, baseline.hit_ratio()));
             rows.push((
@@ -108,10 +108,11 @@ impl fmt::Display for Table2 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pscd_obs::TraceSink;
 
     #[test]
     fn improvements_larger_for_alternative() {
-        let ctx = ExperimentContext::scaled(0.004).unwrap();
+        let ctx = ExperimentContext::scaled(0.004, 0, TraceSink::disabled()).unwrap();
         let t = Table2::run(&ctx).unwrap();
         assert_eq!(t.rows.len(), 2);
         // The paper's key observation: gains are much larger for α = 1.0.

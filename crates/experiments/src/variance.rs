@@ -14,7 +14,7 @@ use pscd_sim::trace::CompiledTrace;
 use pscd_sim::SimOptions;
 use pscd_workload::{Workload, WorkloadConfig};
 
-use crate::{run_grid_threads, ExperimentContext, ExperimentError, TextTable, Trace, PAPER_BETA};
+use crate::{run_grid, ExperimentContext, ExperimentError, TextTable, Trace, PAPER_BETA};
 
 /// Mean and standard deviation of a sample.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -93,7 +93,7 @@ impl VarianceStudy {
                     .iter()
                     .map(|&kind| (&compiled, SimOptions::at_capacity(kind, 0.05)))
                     .collect();
-                let results = run_grid_threads(ctx.costs(), &jobs, ctx.threads())?;
+                let results = run_grid(ctx.costs(), &jobs, ctx.threads())?;
                 for r in results {
                     let slot = samples
                         .iter_mut()
@@ -176,6 +176,7 @@ impl fmt::Display for VarianceStudy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pscd_obs::TraceSink;
 
     #[test]
     fn mean_sd_math() {
@@ -189,7 +190,7 @@ mod tests {
 
     #[test]
     fn study_runs_and_sg2_wins_on_every_seed() {
-        let ctx = ExperimentContext::scaled(0.01).unwrap();
+        let ctx = ExperimentContext::scaled(0.01, 0, TraceSink::disabled()).unwrap();
         let study = VarianceStudy::run(&ctx, 0.01, &[1, 2, 3]).unwrap();
         assert_eq!(study.seeds, vec![1, 2, 3]);
         for trace in [Trace::News, Trace::Alternative] {

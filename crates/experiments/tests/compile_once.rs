@@ -9,7 +9,8 @@
 use std::sync::Arc;
 
 use pscd_core::StrategyKind;
-use pscd_experiments::{run_grid_threads, ExperimentContext, Fig3, Fig4, Trace, CAPACITIES};
+use pscd_experiments::{run_grid, ExperimentContext, Fig3, Fig4, Trace, CAPACITIES};
+use pscd_obs::TraceSink;
 use pscd_sim::{CompiledTrace, SimOptions};
 
 fn compile_count() -> u64 {
@@ -18,7 +19,7 @@ fn compile_count() -> u64 {
 
 #[test]
 fn grids_compile_each_workload_exactly_once() {
-    let ctx = ExperimentContext::scaled(0.003).unwrap().with_threads(2);
+    let ctx = ExperimentContext::scaled(0.003, 2, TraceSink::disabled()).unwrap();
     let before = compile_count();
 
     // A grid over one compiled trace: many cells, one compilation.
@@ -35,8 +36,8 @@ fn grids_compile_each_workload_exactly_once() {
             jobs.push((&*compiled, SimOptions::at_capacity(kind, capacity)));
         }
     }
-    let first = run_grid_threads(ctx.costs(), &jobs, ctx.threads()).unwrap();
-    let second = run_grid_threads(ctx.costs(), &jobs, ctx.threads()).unwrap();
+    let first = run_grid(ctx.costs(), &jobs, ctx.threads()).unwrap();
+    let second = run_grid(ctx.costs(), &jobs, ctx.threads()).unwrap();
     assert_eq!(first, second, "replays of one compiled trace agree");
     assert_eq!(
         compile_count() - before,

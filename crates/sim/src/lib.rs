@@ -21,9 +21,23 @@
 //! generates and compiles each time-window lazily from the workload
 //! config, so peak memory is bounded by the window, not the trace
 //! ([`simulate_streamed`]), and the pipelined variant
-//! ([`simulate_streamed_prefetched`]) overlaps that lazy compile with
-//! replay through a bounded compile-ahead prefetcher. All three are
+//! ([`simulate_streamed_prefetched_traced`]) overlaps that lazy compile
+//! with replay through a bounded compile-ahead prefetcher. All three are
 //! bit-identical (the `stream_differential` suite proves it).
+//!
+//! The replay entry points, one per source:
+//!
+//! | source | whole run | observed / stepped |
+//! |---|---|---|
+//! | [`CompiledTrace`] | [`simulate_compiled`] | [`simulate_observed_sharded`], [`Simulation::from_compiled`], [`Simulation::from_compiled_observed`] |
+//! | [`StreamingTrace`], serial | [`simulate_streamed`] | — |
+//! | [`StreamingTrace`], prefetched | [`simulate_streamed_prefetched_traced`] | — |
+//!
+//! Threads are [`SimOptions::threads`]; tracing is a [`TraceSink`]
+//! argument (pass [`TraceSink::disabled`] for none).
+//!
+//! [`TraceSink`]: pscd_obs::TraceSink
+//! [`TraceSink::disabled`]: pscd_obs::TraceSink::disabled
 //!
 //! Because the proxies are independent caches, one run can also be
 //! sharded across threads along the proxy axis ([`SimOptions::threads`]):
@@ -37,14 +51,14 @@
 //!
 //! ```
 //! use pscd_core::StrategyKind;
-//! use pscd_sim::{simulate, SimOptions};
+//! use pscd_sim::{simulate_compiled, CompiledTrace, SimOptions};
 //! use pscd_topology::FetchCosts;
 //! use pscd_workload::{Workload, WorkloadConfig};
 //!
 //! let workload = Workload::generate(&WorkloadConfig::news_scaled(0.005))?;
-//! let subs = workload.subscriptions(1.0)?;
+//! let trace = CompiledTrace::compile(&workload, &workload.subscriptions(1.0)?)?;
 //! let costs = FetchCosts::uniform(workload.server_count());
-//! let gd = simulate(&workload, &subs, &costs,
+//! let gd = simulate_compiled(&trace, &costs,
 //!     &SimOptions::at_capacity(StrategyKind::GdStar { beta: 2.0 }, 0.05))?;
 //! println!("GD* hit ratio: {:.1}%", gd.hit_ratio_percent());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -70,12 +84,10 @@ pub mod window;
 pub use error::SimError;
 pub use metrics::{HourlySeries, SimResult};
 pub use prefetch::{
-    simulate_streamed_prefetched, simulate_streamed_prefetched_traced, PrefetchOptions,
-    PrefetchStats, DEFAULT_PREFETCH_DEPTH,
+    simulate_streamed_prefetched_traced, PrefetchOptions, PrefetchStats, DEFAULT_PREFETCH_DEPTH,
 };
 pub use runner::{
-    simulate, simulate_compiled, simulate_observed_sharded, CrashPlan, SimOptions, Simulation,
-    StepEvent,
+    simulate_compiled, simulate_observed_sharded, CrashPlan, SimOptions, Simulation, StepEvent,
 };
 pub use shard::ShardPlan;
 pub use stream::{simulate_streamed, StreamingTrace, StreamingWindows};

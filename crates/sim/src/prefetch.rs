@@ -55,7 +55,7 @@ use pscd_types::{RequestEvent, ServerId};
 use crate::runner::{validate_meta, SimOptions};
 use crate::shard::{merge, plan_for, replay_shard};
 use crate::stream::{StreamingTrace, WindowState};
-use crate::trace::{CompiledEvent, CompiledTrace};
+use crate::trace::CompiledEvent;
 use crate::window::{ReplayMeta, ReplaySource, TraceWindow};
 use crate::{SimError, SimResult};
 
@@ -420,25 +420,14 @@ fn pipelined<T: Send>(
 /// serial streaming pass and the monolithic compile at every depth and
 /// thread count (the `stream_differential` suite proves it).
 ///
+/// A live `sink` records the producer's and each shard consumer's track —
+/// the chrome trace shows the overlap; pass [`TraceSink::disabled`] for an
+/// untraced run, which records nothing.
+///
 /// # Errors
 ///
 /// Returns [`SimError`] if the fetch-cost vector does not cover the
 /// trace's proxies or an option is out of range.
-pub fn simulate_streamed_prefetched(
-    trace: &StreamingTrace,
-    costs: &FetchCosts,
-    options: &SimOptions,
-    prefetch: &PrefetchOptions,
-) -> Result<SimResult, SimError> {
-    simulate_streamed_prefetched_traced(trace, costs, options, prefetch, &TraceSink::disabled())
-}
-
-/// [`simulate_streamed_prefetched`] recording producer and per-shard
-/// consumer tracks into `sink` — the chrome trace shows the overlap.
-///
-/// # Errors
-///
-/// Returns [`SimError`] like [`simulate_streamed_prefetched`].
 pub fn simulate_streamed_prefetched_traced(
     trace: &StreamingTrace,
     costs: &FetchCosts,
@@ -455,27 +444,6 @@ pub fn simulate_streamed_prefetched_traced(
 }
 
 impl StreamingTrace {
-    /// [`materialize`](StreamingTrace::materialize) through the pipelined
-    /// prefetcher: the producer compiles ahead while this thread
-    /// concatenates. Bit-identical to the serial materialization at every
-    /// depth.
-    pub fn materialize_prefetched(&self, prefetch: &PrefetchOptions) -> CompiledTrace {
-        self.materialize_prefetched_traced(prefetch, &TraceSink::disabled())
-    }
-
-    /// [`materialize_prefetched`](StreamingTrace::materialize_prefetched)
-    /// recording the producer track into `sink`.
-    pub fn materialize_prefetched_traced(
-        &self,
-        prefetch: &PrefetchOptions,
-        sink: &TraceSink,
-    ) -> CompiledTrace {
-        let (mut out, _peaks) = pipelined(self, prefetch, 1, sink, |_, source| {
-            CompiledTrace::concat(source)
-        });
-        out.pop().expect("one consumer")
-    }
-
     /// Drives one full pipelined pass discarding the windows, returning
     /// the queue's and the producer's counts and high-water marks. This is
     /// the replay-free cost of the pipeline (what `cold.stream.pipelined`
@@ -493,9 +461,10 @@ impl StreamingTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::CompiledTrace;
     use pscd_core::StrategyKind;
     use pscd_types::SimTime;
-    use pscd_workload::WorkloadConfig;
+    use pscd_workload::{Workload, WorkloadConfig};
     use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
@@ -504,13 +473,59 @@ mod tests {
         WorkloadConfig::news_scaled(0.004)
     }
 
+    /// The window-level oracle, stronger than equal `SimResult`s: the
+    /// windows the producer hands over, concatenated in order, are `==` to
+    /// the monolithic compile — events, CSR fan-out tables and meta — at
+    /// depths 1, 3 and 64 (past every fixture's window count).
+    fn assert_prefetched_windows_concatenate_to(
+        stream: &StreamingTrace,
+        reference: &CompiledTrace,
+    ) {
+        for depth in [1, 3, 64] {
+            let (mut out, _) = pipelined(
+                stream,
+                &PrefetchOptions::new(depth),
+                1,
+                &TraceSink::disabled(),
+                |_, source| CompiledTrace::concat(source),
+            );
+            let piped = out.pop().expect("one consumer");
+            assert_eq!(&piped, reference, "depth = {depth}");
+        }
+    }
+
     #[test]
-    fn prefetched_materialize_matches_serial_at_every_depth() {
-        let stream = StreamingTrace::new(&config(), 1.0, SimTime::from_hours(9), 1).unwrap();
-        let serial = stream.materialize();
-        for depth in [1, 2, 4, 9] {
-            let piped = stream.materialize_prefetched(&PrefetchOptions::new(depth));
-            assert_eq!(piped, serial, "depth = {depth}");
+    fn prefetched_windows_concatenate_to_the_monolithic_compile() {
+        let w = Workload::generate(&config()).unwrap();
+        // Quality 0.8 exercises the non-trivial subscription seed too.
+        for (quality, hours) in [(1.0, 9), (0.8, 36)] {
+            let reference = CompiledTrace::compile(&w, &w.subscriptions(quality).unwrap()).unwrap();
+            let stream =
+                StreamingTrace::new(&config(), quality, SimTime::from_hours(hours), 1).unwrap();
+            assert_prefetched_windows_concatenate_to(&stream, &reference);
+        }
+    }
+
+    /// Near-flat age decay spreads a page's requests over the whole
+    /// horizon, so most of the trace passes through the producer's pending
+    /// tail: 1-hour windows over 7 days, and the same trace squeezed into
+    /// one hour at 1-minute windows, where equal-time requests for one
+    /// page at different servers meet the `(time, page)` sort.
+    #[test]
+    fn prefetched_windows_of_a_tail_heavy_stream_concatenate_to_the_monolithic_compile() {
+        for (horizon, window, volume) in [
+            (SimTime::from_days(7), SimTime::from_hours(1), 8),
+            (SimTime::from_hours(1), SimTime::from_millis(60_000), 16),
+        ] {
+            let mut config = config();
+            config.publishing.horizon = horizon;
+            config.requests.horizon = horizon;
+            config.requests.class_gammas = [0.05; 4];
+            config.requests.total_requests *= volume;
+            let w = Workload::generate(&config).unwrap();
+            let reference = CompiledTrace::compile(&w, &w.subscriptions(1.0).unwrap()).unwrap();
+            let stream = StreamingTrace::new(&config, 1.0, window, 1).unwrap();
+            assert_prefetched_windows_concatenate_to(&stream, &reference);
         }
     }
 
@@ -520,20 +535,19 @@ mod tests {
         let costs = FetchCosts::uniform(stream.meta().server_count());
         let options = SimOptions::at_capacity(StrategyKind::Sg2 { beta: 2.0 }, 0.05);
         let serial = crate::simulate_streamed(&stream, &costs, &options).unwrap();
+        let sink = TraceSink::disabled();
         for depth in [1, 3] {
-            let piped = simulate_streamed_prefetched(
-                &stream,
-                &costs,
-                &options,
-                &PrefetchOptions::new(depth),
-            )
-            .unwrap();
+            let prefetch = PrefetchOptions::new(depth);
+            let piped =
+                simulate_streamed_prefetched_traced(&stream, &costs, &options, &prefetch, &sink)
+                    .unwrap();
             assert_eq!(piped, serial, "depth = {depth}");
-            let sharded = simulate_streamed_prefetched(
+            let sharded = simulate_streamed_prefetched_traced(
                 &stream,
                 &costs,
                 &options.with_threads(3),
-                &PrefetchOptions::new(depth),
+                &prefetch,
+                &sink,
             )
             .unwrap();
             assert_eq!(sharded, serial, "depth = {depth}, sharded");
@@ -571,9 +585,14 @@ mod tests {
             &sink,
         )
         .unwrap();
-        let plain =
-            simulate_streamed_prefetched(&stream, &costs, &options, &PrefetchOptions::default())
-                .unwrap();
+        let plain = simulate_streamed_prefetched_traced(
+            &stream,
+            &costs,
+            &options,
+            &PrefetchOptions::default(),
+            &TraceSink::disabled(),
+        )
+        .unwrap();
         assert_eq!(traced, plain, "tracing must not perturb results");
         let log = sink.drain();
         let names: Vec<&str> = log.tracks().iter().map(|t| t.name.as_str()).collect();

@@ -18,8 +18,7 @@ use pscd_broker::{DeliveryEngine, PushRecord, PushScheme};
 use pscd_core::StrategyKind;
 use pscd_obs::{MergeableObserver, NullObserver, Observer, SharedObserver, TraceSink};
 use pscd_topology::FetchCosts;
-use pscd_types::{ServerId, SimTime, SubscriptionTable};
-use pscd_workload::Workload;
+use pscd_types::{ServerId, SimTime};
 
 use crate::shard::{drain, plan_for, run_shards};
 use crate::trace::{CompiledEventKind, CompiledTrace};
@@ -130,61 +129,40 @@ impl SimOptions {
     }
 }
 
-/// Runs one full simulation: compiles the workload's merged
-/// publishing/request timeline (see [`CompiledTrace`]) and replays it
-/// through a [`DeliveryEngine`] configured with one strategy instance per
-/// proxy.
+/// Runs one full simulation of a compiled trace (see [`CompiledTrace`]):
+/// replays its merged publishing/request timeline through a
+/// [`DeliveryEngine`] configured with one strategy instance per proxy,
+/// sharded across the fleet when [`SimOptions::threads`] asks for it.
 ///
 /// Publish events and request events are processed in time order
 /// (publishes first at equal timestamps, since a notification must precede
-/// the requests it triggers).
-///
-/// Callers replaying the *same* `(workload, subscriptions)` pair more
-/// than once should compile once with [`CompiledTrace::compile`] and use
-/// [`simulate_compiled`]; this convenience wrapper compiles per call.
+/// the requests it triggers). Compile once, replay any number of
+/// cells/shards against the same immutable value by reference.
 ///
 /// # Errors
 ///
 /// Returns [`SimError`] if the fetch-cost vector does not cover the
-/// workload's proxies or the capacity fraction is not positive.
+/// trace's proxies or an option is out of range.
 ///
 /// # Examples
 ///
 /// ```
 /// use pscd_core::StrategyKind;
-/// use pscd_sim::{simulate, SimOptions};
+/// use pscd_sim::{simulate_compiled, CompiledTrace, SimOptions};
 /// use pscd_topology::FetchCosts;
 /// use pscd_workload::{Workload, WorkloadConfig};
 ///
 /// let w = Workload::generate(&WorkloadConfig::news_scaled(0.005))?;
-/// let subs = w.subscriptions(1.0)?;
+/// let trace = CompiledTrace::compile(&w, &w.subscriptions(1.0)?)?;
 /// let costs = FetchCosts::uniform(w.server_count());
-/// let result = simulate(
-///     &w,
-///     &subs,
+/// let result = simulate_compiled(
+///     &trace,
 ///     &costs,
 ///     &SimOptions::at_capacity(StrategyKind::Sg2 { beta: 2.0 }, 0.05),
 /// )?;
 /// assert!(result.requests > 0);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub fn simulate(
-    workload: &Workload,
-    subscriptions: &SubscriptionTable,
-    costs: &FetchCosts,
-    options: &SimOptions,
-) -> Result<SimResult, SimError> {
-    Ok(Simulation::new(workload, subscriptions, costs, options)?.run())
-}
-
-/// [`simulate`] over an already-compiled trace: the whole point of
-/// [`CompiledTrace`] — compile once, replay N cells/shards against the
-/// same immutable value by reference.
-///
-/// # Errors
-///
-/// Returns [`SimError`] if the fetch-cost vector does not cover the
-/// trace's proxies or an option is out of range.
 pub fn simulate_compiled(
     trace: &CompiledTrace,
     costs: &FetchCosts,
@@ -203,9 +181,9 @@ pub fn simulate_compiled(
 ///
 /// This exists because a [`SharedObserver`] is single-threaded by design
 /// (`Rc<RefCell<_>>`): an arbitrary observer handed to
-/// [`Simulation::with_observer`] cannot cross shard boundaries, but an
-/// observer type that knows how to merge can be built per shard and
-/// recombined.
+/// [`Simulation::from_compiled_observed`] cannot cross shard boundaries,
+/// but an observer type that knows how to merge can be built per shard
+/// and recombined.
 ///
 /// With a live `sink` each shard worker records one track of coarse
 /// per-chunk replay spans (export with
@@ -249,33 +227,10 @@ pub fn simulate_observed_sharded<O: MergeableObserver>(
     Ok(run_shards(trace.meta(), open, costs, options, sink))
 }
 
-/// Rejects mismatched inputs and invalid options; shared by every entry
-/// point that starts from a raw `(workload, subscriptions)` pair.
-pub(crate) fn validate(
-    workload: &Workload,
-    subscriptions: &SubscriptionTable,
-    costs: &FetchCosts,
-    options: &SimOptions,
-) -> Result<(), SimError> {
-    let servers = workload.server_count();
-    if costs.server_count() != servers {
-        return Err(SimError::MismatchedCosts {
-            servers,
-            costs: costs.server_count(),
-        });
-    }
-    check_options(options)?;
-    if subscriptions.page_count() != workload.pages().len() {
-        return Err(SimError::MismatchedSubscriptions {
-            pages: workload.pages().len(),
-            table_pages: subscriptions.page_count(),
-        });
-    }
-    Ok(())
-}
-
-/// [`validate`] for entry points starting from any [`ReplaySource`] — the
-/// trace-wide facts in [`ReplayMeta`] are all validation needs.
+/// Rejects mismatched costs and invalid options; shared by every entry
+/// point. The trace-wide facts in [`ReplayMeta`] are all it needs (the
+/// subscription table was checked against the workload when the trace was
+/// compiled).
 pub(crate) fn validate_meta(
     meta: &ReplayMeta,
     costs: &FetchCosts,
@@ -632,41 +587,27 @@ impl<O: Observer> ReplayState<O> {
     }
 }
 
-/// The trace a [`Simulation`] replays: compiled privately from raw inputs
-/// or borrowed from the caller (compile once, simulate many).
-#[derive(Debug)]
-enum TraceSource<'a> {
-    Owned(Box<CompiledTrace>),
-    Shared(&'a CompiledTrace),
-}
-
-impl TraceSource<'_> {
-    fn get(&self) -> &CompiledTrace {
-        match self {
-            TraceSource::Owned(t) => t,
-            TraceSource::Shared(t) => t,
-        }
-    }
-}
-
-/// A stepping simulation: the same semantics as [`simulate`], exposed one
-/// event at a time so callers can interleave their own logic — live
-/// dashboards, additional fault injection, early stopping, custom
-/// notification models.
+/// A stepping simulation: the same semantics as [`simulate_compiled`],
+/// exposed one event at a time so callers can interleave their own logic —
+/// live dashboards, additional fault injection, early stopping, custom
+/// notification models. It borrows its compiled trace for its lifetime
+/// (the trace is immutable and can feed any number of simulations,
+/// concurrently included).
 ///
 /// # Examples
 ///
 /// ```
 /// use pscd_core::StrategyKind;
-/// use pscd_sim::{SimOptions, Simulation, StepEvent};
+/// use pscd_sim::{CompiledTrace, SimOptions, Simulation, StepEvent};
 /// use pscd_topology::FetchCosts;
 /// use pscd_workload::{Workload, WorkloadConfig};
 ///
 /// let w = Workload::generate(&WorkloadConfig::news_scaled(0.003))?;
-/// let subs = w.subscriptions(1.0)?;
+/// let trace = CompiledTrace::compile(&w, &w.subscriptions(1.0)?)?;
 /// let costs = FetchCosts::uniform(w.server_count());
-/// let mut sim = Simulation::new(
-///     &w, &subs, &costs,
+/// let mut sim = Simulation::from_compiled(
+///     &trace,
+///     &costs,
 ///     &SimOptions::at_capacity(StrategyKind::Sg2 { beta: 2.0 }, 0.05),
 /// )?;
 /// let mut hits = 0;
@@ -680,37 +621,14 @@ impl TraceSource<'_> {
 /// ```
 #[derive(Debug)]
 pub struct Simulation<'a, O: Observer = NullObserver> {
-    trace: TraceSource<'a>,
+    trace: &'a CompiledTrace,
     costs: FetchCosts,
     state: ReplayState<O>,
 }
 
 impl<'a> Simulation<'a> {
-    /// Prepares a simulation (compiles the trace and builds the proxy
+    /// Prepares a simulation over a compiled trace (builds the proxy
     /// fleet; consumes no events).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] for mismatched inputs or invalid options, like
-    /// [`simulate`].
-    pub fn new(
-        workload: &Workload,
-        subscriptions: &SubscriptionTable,
-        costs: &FetchCosts,
-        options: &SimOptions,
-    ) -> Result<Self, SimError> {
-        Simulation::with_observer(
-            workload,
-            subscriptions,
-            costs,
-            options,
-            SharedObserver::disabled(),
-        )
-    }
-
-    /// Prepares a simulation over an already-compiled trace, borrowed for
-    /// the simulation's lifetime (the trace is immutable and can feed any
-    /// number of simulations, concurrently included).
     ///
     /// # Errors
     ///
@@ -725,37 +643,35 @@ impl<'a> Simulation<'a> {
 }
 
 impl<'a, O: Observer> Simulation<'a, O> {
-    /// [`new`](Simulation::new) with every simulator decision reported to
-    /// `obs`: timeline events (publish, request, crash, invalidation) fire
-    /// from the runner, push outcomes from the delivery engine, and cache
-    /// decisions (admissions, evictions, relabels) from the per-proxy
-    /// strategies.
+    /// [`from_compiled`](Simulation::from_compiled) with every simulator
+    /// decision reported to `obs`: timeline events (publish, request,
+    /// crash, invalidation) fire from the runner, push outcomes from the
+    /// delivery engine, and cache decisions (admissions, evictions,
+    /// relabels) from the per-proxy strategies.
     ///
     /// Keep a [`SharedObserver`] clone to read the observer back after the
     /// run. With a [`NullObserver`] this compiles to exactly
-    /// [`new`](Simulation::new).
+    /// [`from_compiled`](Simulation::from_compiled).
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] for mismatched inputs or invalid options, like
-    /// [`simulate`].
+    /// Returns [`SimError`] for mismatched costs or invalid options.
     ///
     /// # Examples
     ///
     /// ```
     /// use pscd_core::StrategyKind;
     /// use pscd_obs::{SharedObserver, StatsObserver};
-    /// use pscd_sim::{SimOptions, Simulation};
+    /// use pscd_sim::{CompiledTrace, SimOptions, Simulation};
     /// use pscd_topology::FetchCosts;
     /// use pscd_workload::{Workload, WorkloadConfig};
     ///
     /// let w = Workload::generate(&WorkloadConfig::news_scaled(0.003))?;
-    /// let subs = w.subscriptions(1.0)?;
+    /// let trace = CompiledTrace::compile(&w, &w.subscriptions(1.0)?)?;
     /// let costs = FetchCosts::uniform(w.server_count());
     /// let obs = SharedObserver::new(StatsObserver::new());
-    /// let result = Simulation::with_observer(
-    ///     &w,
-    ///     &subs,
+    /// let result = Simulation::from_compiled_observed(
+    ///     &trace,
     ///     &costs,
     ///     &SimOptions::at_capacity(StrategyKind::Sg2 { beta: 2.0 }, 0.05),
     ///     obs.clone(),
@@ -765,29 +681,6 @@ impl<'a, O: Observer> Simulation<'a, O> {
     /// assert_eq!(stats.requests(), result.requests);
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
-    pub fn with_observer(
-        workload: &Workload,
-        subscriptions: &SubscriptionTable,
-        costs: &FetchCosts,
-        options: &SimOptions,
-        obs: SharedObserver<O>,
-    ) -> Result<Self, SimError> {
-        validate(workload, subscriptions, costs, options)?;
-        let trace = CompiledTrace::compile(workload, subscriptions)?;
-        Ok(Self::build(
-            TraceSource::Owned(Box::new(trace)),
-            costs,
-            options,
-            obs,
-        ))
-    }
-
-    /// [`from_compiled`](Simulation::from_compiled) with all simulator
-    /// decisions reported to `obs`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] for mismatched costs or invalid options.
     pub fn from_compiled_observed(
         trace: &'a CompiledTrace,
         costs: &FetchCosts,
@@ -795,27 +688,17 @@ impl<'a, O: Observer> Simulation<'a, O> {
         obs: SharedObserver<O>,
     ) -> Result<Self, SimError> {
         validate_meta(trace.meta(), costs, options)?;
-        Ok(Self::build(TraceSource::Shared(trace), costs, options, obs))
-    }
-
-    fn build(
-        trace: TraceSource<'a>,
-        costs: &FetchCosts,
-        options: &SimOptions,
-        obs: SharedObserver<O>,
-    ) -> Self {
-        let servers = trace.get().server_count();
-        let state = ReplayState::new(trace.get().meta(), costs, options, obs, 0, servers);
-        Self {
+        let state = ReplayState::new(trace.meta(), costs, options, obs, 0, trace.server_count());
+        Ok(Self {
             trace,
             costs: costs.clone(),
             state,
-        }
+        })
     }
 
     /// The compiled trace this simulation replays.
     pub fn trace(&self) -> &CompiledTrace {
-        self.trace.get()
+        self.trace
     }
 
     /// Read access to the live delivery engine (per-proxy strategies,
@@ -826,16 +709,14 @@ impl<'a, O: Observer> Simulation<'a, O> {
 
     /// `(events processed, events total)` progress.
     pub fn progress(&self) -> (usize, usize) {
-        (self.state.cursor(), self.trace.get().len())
+        (self.state.cursor(), self.trace.len())
     }
 
     /// Processes the next timeline event (publishes before requests at
     /// equal timestamps, since a notification must precede the requests it
     /// triggers). Returns `None` when the timeline is exhausted.
     pub fn step(&mut self) -> Option<StepEvent> {
-        let Self { trace, state, .. } = self;
-        let window = trace.get().full_window();
-        state.step(&window)
+        self.state.step(&self.trace.full_window())
     }
 
     /// Drains the remaining timeline and returns the result.
@@ -852,7 +733,6 @@ impl<'a, O: Observer> Simulation<'a, O> {
             costs,
             state,
         } = self;
-        let trace = trace.get();
         let options = *state.options();
         let open = || trace.windows(usize::MAX);
         let untouched = !O::ENABLED && state.cursor() == 0 && !state.pending_invalidation();
@@ -875,10 +755,14 @@ impl<'a, O: Observer> Simulation<'a, O> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pscd_workload::WorkloadConfig;
+    use pscd_types::SubscriptionTable;
+    use pscd_workload::{Workload, WorkloadConfig};
 
-    fn tiny_workload() -> Workload {
-        Workload::generate(&WorkloadConfig::news_scaled(0.004)).unwrap()
+    fn tiny() -> (Workload, CompiledTrace, FetchCosts) {
+        let w = Workload::generate(&WorkloadConfig::news_scaled(0.004)).unwrap();
+        let trace = CompiledTrace::compile(&w, &w.subscriptions(1.0).unwrap()).unwrap();
+        let costs = FetchCosts::uniform(w.server_count());
+        (w, trace, costs)
     }
 
     #[test]
@@ -919,9 +803,7 @@ mod tests {
 
     #[test]
     fn all_strategies_complete_and_account_consistently() {
-        let w = tiny_workload();
-        let subs = w.subscriptions(1.0).unwrap();
-        let costs = FetchCosts::uniform(w.server_count());
+        let (w, trace, costs) = tiny();
         for kind in [
             StrategyKind::GdStar { beta: 2.0 },
             StrategyKind::Sub,
@@ -933,7 +815,8 @@ mod tests {
             StrategyKind::DcAp { beta: 2.0 },
             StrategyKind::dc_lap(2.0),
         ] {
-            let r = simulate(&w, &subs, &costs, &SimOptions::at_capacity(kind, 0.05)).unwrap();
+            let r =
+                simulate_compiled(&trace, &costs, &SimOptions::at_capacity(kind, 0.05)).unwrap();
             assert_eq!(r.requests, w.requests().len() as u64, "{}", r.strategy);
             assert!(r.hits <= r.requests);
             // Every miss fetches exactly one page.
@@ -948,17 +831,18 @@ mod tests {
         }
     }
 
+    /// One shared trace replayed by every entry point equals a trace
+    /// compiled inside the test and replayed once.
     #[test]
-    fn compiled_entry_point_matches_convenience_wrapper() {
-        let w = tiny_workload();
-        let subs = w.subscriptions(1.0).unwrap();
-        let costs = FetchCosts::uniform(w.server_count());
-        let trace = CompiledTrace::compile(&w, &subs).unwrap();
+    fn a_shared_trace_replays_like_a_fresh_compile() {
+        let (w, trace, costs) = tiny();
+        let fresh = CompiledTrace::compile(&w, &w.subscriptions(1.0).unwrap()).unwrap();
         for kind in [StrategyKind::Sub, StrategyKind::Sg2 { beta: 2.0 }] {
             let opt = SimOptions::at_capacity(kind, 0.05);
-            let compiled = simulate_compiled(&trace, &costs, &opt).unwrap();
-            let raw = simulate(&w, &subs, &costs, &opt).unwrap();
-            assert_eq!(compiled, raw);
+            let expected = simulate_compiled(&fresh, &costs, &opt).unwrap();
+            assert_eq!(simulate_compiled(&trace, &costs, &opt).unwrap(), expected);
+            let stepped = Simulation::from_compiled(&trace, &costs, &opt).unwrap();
+            assert_eq!(stepped.run(), expected);
         }
         // Compiled-path validation still rejects bad inputs.
         assert!(matches!(
@@ -983,15 +867,14 @@ mod tests {
     /// on a shard worker when `threads > 1`.
     #[test]
     fn invalid_strategy_parameters_are_a_typed_error_at_every_entry_point() {
-        use crate::{simulate_streamed, simulate_streamed_prefetched};
+        use crate::{simulate_streamed, simulate_streamed_prefetched_traced};
         use crate::{PrefetchOptions, StreamingTrace};
+        use pscd_obs::StatsObserver;
 
+        let (_, trace, costs) = tiny();
         let config = WorkloadConfig::news_scaled(0.004);
-        let w = Workload::generate(&config).unwrap();
-        let subs = w.subscriptions(1.0).unwrap();
-        let costs = FetchCosts::uniform(w.server_count());
-        let trace = CompiledTrace::compile(&w, &subs).unwrap();
         let stream = StreamingTrace::new(&config, 1.0, SimTime::from_hours(9), 1).unwrap();
+        let sink = TraceSink::disabled();
         let bad = [
             (
                 StrategyKind::DcFp {
@@ -1014,13 +897,36 @@ mod tests {
             for threads in [1, 2] {
                 let opt = SimOptions::at_capacity(kind, 0.05).with_threads(threads);
                 let prefetch = PrefetchOptions::default();
+                let observed = SharedObserver::new(StatsObserver::new());
                 for (entry, result) in [
-                    ("simulate", simulate(&w, &subs, &costs, &opt)),
-                    ("compiled", simulate_compiled(&trace, &costs, &opt)),
-                    ("streamed", simulate_streamed(&stream, &costs, &opt)),
+                    (
+                        "compiled",
+                        simulate_compiled(&trace, &costs, &opt).map(|_| ()),
+                    ),
+                    (
+                        "observed sharded",
+                        simulate_observed_sharded::<StatsObserver>(&trace, &costs, &opt, &sink)
+                            .map(|_| ()),
+                    ),
+                    (
+                        "streamed",
+                        simulate_streamed(&stream, &costs, &opt).map(|_| ()),
+                    ),
                     (
                         "prefetched",
-                        simulate_streamed_prefetched(&stream, &costs, &opt, &prefetch),
+                        simulate_streamed_prefetched_traced(
+                            &stream, &costs, &opt, &prefetch, &sink,
+                        )
+                        .map(|_| ()),
+                    ),
+                    (
+                        "Simulation::from_compiled",
+                        Simulation::from_compiled(&trace, &costs, &opt).map(|_| ()),
+                    ),
+                    (
+                        "Simulation::from_compiled_observed",
+                        Simulation::from_compiled_observed(&trace, &costs, &opt, observed.clone())
+                            .map(|_| ()),
                     ),
                 ] {
                     assert!(
@@ -1034,19 +940,15 @@ mod tests {
 
     #[test]
     fn subscription_strategies_beat_gdstar_on_perfect_subscriptions() {
-        let w = tiny_workload();
-        let subs = w.subscriptions(1.0).unwrap();
-        let costs = FetchCosts::uniform(w.server_count());
-        let gd = simulate(
-            &w,
-            &subs,
+        let (_, trace, costs) = tiny();
+        let gd = simulate_compiled(
+            &trace,
             &costs,
             &SimOptions::at_capacity(StrategyKind::GdStar { beta: 2.0 }, 0.05),
         )
         .unwrap();
-        let sg2 = simulate(
-            &w,
-            &subs,
+        let sg2 = simulate_compiled(
+            &trace,
             &costs,
             &SimOptions::at_capacity(StrategyKind::Sg2 { beta: 2.0 }, 0.05),
         )
@@ -1061,12 +963,9 @@ mod tests {
 
     #[test]
     fn access_only_strategy_has_no_push_traffic() {
-        let w = tiny_workload();
-        let subs = w.subscriptions(1.0).unwrap();
-        let costs = FetchCosts::uniform(w.server_count());
-        let r = simulate(
-            &w,
-            &subs,
+        let (_, trace, costs) = tiny();
+        let r = simulate_compiled(
+            &trace,
             &costs,
             &SimOptions::at_capacity(StrategyKind::GdStar { beta: 2.0 }, 0.05),
         )
@@ -1077,9 +976,7 @@ mod tests {
 
     #[test]
     fn when_necessary_never_pushes_more_than_always() {
-        let w = tiny_workload();
-        let subs = w.subscriptions(1.0).unwrap();
-        let costs = FetchCosts::uniform(w.server_count());
+        let (_, trace, costs) = tiny();
         let mk = |scheme| SimOptions {
             strategy: StrategyKind::Sub,
             capacity_fraction: 0.05,
@@ -1088,54 +985,47 @@ mod tests {
             invalidate_stale: false,
             threads: 1,
         };
-        let always = simulate(&w, &subs, &costs, &mk(PushScheme::Always)).unwrap();
-        let necessary = simulate(&w, &subs, &costs, &mk(PushScheme::WhenNecessary)).unwrap();
+        let always = simulate_compiled(&trace, &costs, &mk(PushScheme::Always)).unwrap();
+        let necessary = simulate_compiled(&trace, &costs, &mk(PushScheme::WhenNecessary)).unwrap();
         assert!(necessary.traffic.pushed_pages <= always.traffic.pushed_pages);
         assert!(necessary.traffic.pushed_pages > 0);
     }
 
     #[test]
     fn deterministic_runs() {
-        let w = tiny_workload();
-        let subs = w.subscriptions(1.0).unwrap();
-        let costs = FetchCosts::uniform(w.server_count());
+        let (_, trace, costs) = tiny();
         let opt = SimOptions::at_capacity(StrategyKind::dc_lap(2.0), 0.05);
-        let a = simulate(&w, &subs, &costs, &opt).unwrap();
-        let b = simulate(&w, &subs, &costs, &opt).unwrap();
+        let a = simulate_compiled(&trace, &costs, &opt).unwrap();
+        let b = simulate_compiled(&trace, &costs, &opt).unwrap();
         assert_eq!(a, b);
     }
 
     #[test]
     fn invalid_inputs_rejected() {
-        let w = tiny_workload();
-        let subs = w.subscriptions(1.0).unwrap();
-        let bad_costs = FetchCosts::uniform(3);
+        let (w, trace, costs) = tiny();
         let opt = SimOptions::at_capacity(StrategyKind::Sub, 0.05);
         assert!(matches!(
-            simulate(&w, &subs, &bad_costs, &opt),
+            Simulation::from_compiled(&trace, &FetchCosts::uniform(3), &opt),
             Err(SimError::MismatchedCosts { .. })
         ));
-        let costs = FetchCosts::uniform(w.server_count());
         let bad_opt = SimOptions::at_capacity(StrategyKind::Sub, 0.0);
         assert!(matches!(
-            simulate(&w, &subs, &costs, &bad_opt),
+            simulate_compiled(&trace, &costs, &bad_opt),
             Err(SimError::InvalidOption { .. })
         ));
         let bad_subs = SubscriptionTable::empty(1);
         assert!(matches!(
-            simulate(&w, &bad_subs, &costs, &opt),
+            CompiledTrace::compile(&w, &bad_subs),
             Err(SimError::MismatchedSubscriptions { .. })
         ));
     }
 
     #[test]
     fn invalidation_costs_hits_and_reports_events() {
-        let w = tiny_workload();
-        let subs = w.subscriptions(1.0).unwrap();
-        let costs = FetchCosts::uniform(w.server_count());
+        let (_, trace, costs) = tiny();
         let base = SimOptions::at_capacity(StrategyKind::Sg2 { beta: 2.0 }, 0.10);
-        let clean = simulate(&w, &subs, &costs, &base).unwrap();
-        let strict = simulate(&w, &subs, &costs, &base.with_invalidation()).unwrap();
+        let clean = simulate_compiled(&trace, &costs, &base).unwrap();
+        let strict = simulate_compiled(&trace, &costs, &base.with_invalidation()).unwrap();
         // Dropping superseded versions can only lose hits on this trace.
         assert!(
             strict.hits <= clean.hits,
@@ -1145,7 +1035,7 @@ mod tests {
         );
         assert_eq!(strict.requests, clean.requests);
         // The stepping API reports the invalidations.
-        let mut sim = Simulation::new(&w, &subs, &costs, &base.with_invalidation()).unwrap();
+        let mut sim = Simulation::from_compiled(&trace, &costs, &base.with_invalidation()).unwrap();
         let mut invalidations = 0;
         while let Some(ev) = sim.step() {
             if let StepEvent::Invalidated { proxies, .. } = ev {
@@ -1156,18 +1046,16 @@ mod tests {
         assert!(invalidations > 0, "expected some stale drops");
         assert_eq!(sim.finish(), strict);
         // Determinism.
-        let again = simulate(&w, &subs, &costs, &base.with_invalidation()).unwrap();
+        let again = simulate_compiled(&trace, &costs, &base.with_invalidation()).unwrap();
         assert_eq!(strict, again);
     }
 
     #[test]
     fn stepping_api_matches_batch_run() {
-        let w = tiny_workload();
-        let subs = w.subscriptions(1.0).unwrap();
-        let costs = FetchCosts::uniform(w.server_count());
+        let (w, trace, costs) = tiny();
         let opt = SimOptions::at_capacity(StrategyKind::Sg2 { beta: 2.0 }, 0.05);
-        let batch = simulate(&w, &subs, &costs, &opt).unwrap();
-        let mut sim = Simulation::new(&w, &subs, &costs, &opt).unwrap();
+        let batch = simulate_compiled(&trace, &costs, &opt).unwrap();
+        let mut sim = Simulation::from_compiled(&trace, &costs, &opt).unwrap();
         let mut published = 0u64;
         let mut requested = 0u64;
         let mut hits = 0u64;
@@ -1195,12 +1083,10 @@ mod tests {
 
     #[test]
     fn stepping_api_reports_crash_event_and_progress() {
-        let w = tiny_workload();
-        let subs = w.subscriptions(1.0).unwrap();
-        let costs = FetchCosts::uniform(w.server_count());
+        let (w, trace, costs) = tiny();
         let opt = SimOptions::at_capacity(StrategyKind::GdStar { beta: 2.0 }, 0.05)
             .with_crash(CrashPlan::new(pscd_types::SimTime::from_days(2), 1.0));
-        let mut sim = Simulation::new(&w, &subs, &costs, &opt).unwrap();
+        let mut sim = Simulation::from_compiled(&trace, &costs, &opt).unwrap();
         let (done0, total) = sim.progress();
         assert_eq!(done0, 0);
         assert_eq!(total, w.publishing().len() + w.requests().len());
@@ -1220,7 +1106,7 @@ mod tests {
         assert_eq!(sim.progress(), (total, total));
         assert!(sim.engine().server_count() == w.server_count());
         // Early finish mid-run is usable too.
-        let mut sim2 = Simulation::new(&w, &subs, &costs, &opt).unwrap();
+        let mut sim2 = Simulation::from_compiled(&trace, &costs, &opt).unwrap();
         for _ in 0..50 {
             sim2.step();
         }
@@ -1230,16 +1116,13 @@ mod tests {
 
     #[test]
     fn crash_wipes_caches_and_dents_hit_ratio() {
-        let w = tiny_workload();
-        let subs = w.subscriptions(1.0).unwrap();
-        let costs = FetchCosts::uniform(w.server_count());
+        let (_, trace, costs) = tiny();
         // SG2 relies on cached pushed pages, so losing the caches at day 3
         // must cost hits.
         let base = SimOptions::at_capacity(StrategyKind::Sg2 { beta: 2.0 }, 0.05);
-        let clean = simulate(&w, &subs, &costs, &base).unwrap();
-        let crashed = simulate(
-            &w,
-            &subs,
+        let clean = simulate_compiled(&trace, &costs, &base).unwrap();
+        let crashed = simulate_compiled(
+            &trace,
             &costs,
             &base.with_crash(CrashPlan::new(pscd_types::SimTime::from_days(3), 1.0)),
         )
@@ -1258,9 +1141,8 @@ mod tests {
             &crashed.hourly.hits[..crash_hour]
         );
         // Determinism with a crash plan.
-        let again = simulate(
-            &w,
-            &subs,
+        let again = simulate_compiled(
+            &trace,
             &costs,
             &base.with_crash(CrashPlan::new(pscd_types::SimTime::from_days(3), 1.0)),
         )
@@ -1270,21 +1152,17 @@ mod tests {
 
     #[test]
     fn partial_crash_affects_partial_fleet() {
-        let w = tiny_workload();
-        let subs = w.subscriptions(1.0).unwrap();
-        let costs = FetchCosts::uniform(w.server_count());
+        let (_, trace, costs) = tiny();
         let base = SimOptions::at_capacity(StrategyKind::Sg2 { beta: 2.0 }, 0.05);
-        let clean = simulate(&w, &subs, &costs, &base).unwrap();
-        let half = simulate(
-            &w,
-            &subs,
+        let clean = simulate_compiled(&trace, &costs, &base).unwrap();
+        let half = simulate_compiled(
+            &trace,
             &costs,
             &base.with_crash(CrashPlan::new(pscd_types::SimTime::from_days(3), 0.5)),
         )
         .unwrap();
-        let full = simulate(
-            &w,
-            &subs,
+        let full = simulate_compiled(
+            &trace,
             &costs,
             &base.with_crash(CrashPlan::new(pscd_types::SimTime::from_days(3), 1.0)),
         )
@@ -1293,9 +1171,8 @@ mod tests {
         assert!(half.hits >= full.hits);
         // Invalid fraction rejected.
         assert!(matches!(
-            simulate(
-                &w,
-                &subs,
+            simulate_compiled(
+                &trace,
                 &costs,
                 &base.with_crash(CrashPlan::new(pscd_types::SimTime::ZERO, 1.5)),
             ),
@@ -1305,19 +1182,15 @@ mod tests {
 
     #[test]
     fn higher_capacity_does_not_hurt_gdstar() {
-        let w = tiny_workload();
-        let subs = w.subscriptions(1.0).unwrap();
-        let costs = FetchCosts::uniform(w.server_count());
-        let lo = simulate(
-            &w,
-            &subs,
+        let (_, trace, costs) = tiny();
+        let lo = simulate_compiled(
+            &trace,
             &costs,
             &SimOptions::at_capacity(StrategyKind::GdStar { beta: 2.0 }, 0.01),
         )
         .unwrap();
-        let hi = simulate(
-            &w,
-            &subs,
+        let hi = simulate_compiled(
+            &trace,
             &costs,
             &SimOptions::at_capacity(StrategyKind::GdStar { beta: 2.0 }, 0.10),
         )

@@ -50,7 +50,7 @@
 //! Two pulls on the same machinery exist. The serial pass
 //! ([`StreamingTrace::open`]) gathers one window at a time on the replay
 //! thread. The pipelined pass (`crate::prefetch`,
-//! [`simulate_streamed_prefetched`](crate::simulate_streamed_prefetched))
+//! [`simulate_streamed_prefetched_traced`](crate::simulate_streamed_prefetched_traced))
 //! moves generation + compilation to a producer thread that works
 //! `prefetch_depth` windows ahead. Both drive the same `gather_batch` +
 //! [`compile_window_into`](StreamingTrace::compile_window_into) pair over
@@ -70,7 +70,7 @@ use pscd_obs::{NullObserver, TraceSink};
 use pscd_topology::FetchCosts;
 use pscd_types::{Bytes, PublishEvent, RequestEvent, ServerId, SimTime, SubscriptionTable};
 use pscd_workload::{
-    generate_publishing_threads, generate_subscriptions_from_counts, RequestStream, ScenarioConfig,
+    generate_publishing, generate_subscriptions_from_counts, RequestStream, ScenarioConfig,
     TimeWarp, WorkloadConfig, WorkloadError,
 };
 
@@ -99,7 +99,7 @@ const SCAN_CHUNK: usize = 256;
 ///
 /// [`open`](StreamingTrace::open) starts a serial window pass;
 /// [`simulate_streamed`] replays one (sharded if asked);
-/// [`simulate_streamed_prefetched`](crate::simulate_streamed_prefetched)
+/// [`simulate_streamed_prefetched_traced`](crate::simulate_streamed_prefetched_traced)
 /// replays through the pipelined prefetcher;
 /// [`materialize`](StreamingTrace::materialize) rebuilds the full
 /// [`CompiledTrace`] for differential proofs and memoizing consumers.
@@ -159,7 +159,7 @@ impl StreamingTrace {
 
     /// [`new`](StreamingTrace::new) for a scenario: derives the workload
     /// config and [`TimeWarp`] from `scenario` and streams the warped
-    /// timeline — bit-identical to compiling `scenario.build_threads()`.
+    /// timeline — bit-identical to compiling `scenario.build(threads)`.
     ///
     /// # Errors
     ///
@@ -196,7 +196,7 @@ impl StreamingTrace {
         };
         let window_count = (horizon.as_millis().max(1)).div_ceil(window_ms).max(1) as usize;
 
-        let publishing = generate_publishing_threads(&config.publishing, config.seed, threads)?;
+        let publishing = generate_publishing(&config.publishing, config.seed, threads)?;
         let pages = publishing.pages;
         let stream = RequestStream::prepare(pages.len(), &config.requests, config.seed, threads)?;
 
@@ -654,7 +654,7 @@ impl ReplaySource for StreamingWindows<'_> {
 /// window and one tail each). Results are bit-identical to the materialized replay at
 /// every window size and thread count; the `stream_differential` suite
 /// proves it. This is the serial reference arm — see
-/// [`simulate_streamed_prefetched`](crate::simulate_streamed_prefetched)
+/// [`simulate_streamed_prefetched_traced`](crate::simulate_streamed_prefetched_traced)
 /// for the pipelined path that overlaps generation with replay and shares
 /// one prefetcher across shards.
 ///
@@ -766,7 +766,7 @@ mod tests {
     #[test]
     fn scenario_stream_matches_compiled_scenario_build() {
         let scenario = ScenarioConfig::flash_crowds();
-        let w = scenario.build_threads(0).unwrap();
+        let w = scenario.build(0).unwrap();
         let subs = w.subscriptions(1.0).unwrap();
         let reference = CompiledTrace::compile(&w, &subs).unwrap();
         let stream =

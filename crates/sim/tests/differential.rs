@@ -8,8 +8,8 @@
 //! The anchor is [`reference_simulate`]: the pre-refactor per-event loop,
 //! re-derived from the raw workload streams with no `CompiledTrace`
 //! anywhere, kept alive as an executable specification. The sequential
-//! compiled replay, the sharded replay at every thread count, and the
-//! convenience wrappers are all proven against it.
+//! compiled replay and the sharded replay at every thread count are both
+//! proven against it.
 //!
 //! The two sides also differ in how proxies are built and dispatched: the
 //! reference loop builds `Box<dyn Strategy>` proxies whose page tables
@@ -31,7 +31,7 @@ use pscd_core::StrategyKind;
 use pscd_obs::SharedObserver;
 use pscd_obs::{StatsObserver, TraceSink};
 use pscd_sim::{
-    simulate, simulate_compiled, simulate_observed_sharded, CompiledTrace, CrashPlan, HourlySeries,
+    simulate_compiled, simulate_observed_sharded, CompiledTrace, CrashPlan, HourlySeries,
     SimOptions, SimResult, Simulation,
 };
 use pscd_topology::FetchCosts;
@@ -56,24 +56,27 @@ fn all_strategies() -> [StrategyKind; 12] {
     ]
 }
 
-fn fixture() -> (Workload, SubscriptionTable, FetchCosts) {
-    let w = Workload::generate(&WorkloadConfig::news_scaled(0.004)).unwrap();
-    let subs = w.subscriptions(0.8).unwrap();
-    let costs = FetchCosts::uniform(w.server_count());
-    (w, subs, costs)
+/// One shared fixture (with its compilation), built once per process —
+/// the reference loop is the slow path here, so the inputs are reused
+/// across tests and proptest cases.
+fn fixture() -> &'static (Workload, SubscriptionTable, FetchCosts, CompiledTrace) {
+    static FIX: OnceLock<(Workload, SubscriptionTable, FetchCosts, CompiledTrace)> =
+        OnceLock::new();
+    FIX.get_or_init(|| {
+        let w = Workload::generate(&WorkloadConfig::news_scaled(0.004)).unwrap();
+        let subs = w.subscriptions(0.8).unwrap();
+        let costs = FetchCosts::uniform(w.server_count());
+        let trace = CompiledTrace::compile(&w, &subs).unwrap();
+        (w, subs, costs, trace)
+    })
 }
 
 /// Asserts `threads = 4` reproduces `threads = 1` bit for bit. The whole
 /// `SimResult` is compared — hits, requests, traffic, the full
 /// `HourlySeries`, and per-server stats.
-fn assert_bit_identical(
-    w: &Workload,
-    subs: &SubscriptionTable,
-    costs: &FetchCosts,
-    options: SimOptions,
-) {
-    let sequential = simulate(w, subs, costs, &options.with_threads(1)).unwrap();
-    let sharded = simulate(w, subs, costs, &options.with_threads(4)).unwrap();
+fn assert_bit_identical(trace: &CompiledTrace, costs: &FetchCosts, options: SimOptions) {
+    let sequential = simulate_compiled(trace, costs, &options.with_threads(1)).unwrap();
+    let sharded = simulate_compiled(trace, costs, &options.with_threads(4)).unwrap();
     assert_eq!(
         sequential, sharded,
         "threads=4 diverged from threads=1 for {}",
@@ -84,15 +87,15 @@ fn assert_bit_identical(
 
 #[test]
 fn every_strategy_is_bit_identical_sharded() {
-    let (w, subs, costs) = fixture();
+    let (_, _, costs, trace) = fixture();
     for kind in all_strategies() {
-        assert_bit_identical(&w, &subs, &costs, SimOptions::at_capacity(kind, 0.05));
+        assert_bit_identical(trace, costs, SimOptions::at_capacity(kind, 0.05));
     }
 }
 
 #[test]
 fn every_strategy_is_bit_identical_sharded_with_crash() {
-    let (w, subs, costs) = fixture();
+    let (_, _, costs, trace) = fixture();
     let crash = CrashPlan {
         time: SimTime::from_days(2),
         fraction: 0.5,
@@ -100,9 +103,8 @@ fn every_strategy_is_bit_identical_sharded_with_crash() {
     };
     for kind in all_strategies() {
         assert_bit_identical(
-            &w,
-            &subs,
-            &costs,
+            trace,
+            costs,
             SimOptions::at_capacity(kind, 0.05).with_crash(crash),
         );
     }
@@ -110,7 +112,7 @@ fn every_strategy_is_bit_identical_sharded_with_crash() {
 
 #[test]
 fn when_necessary_scheme_is_bit_identical_sharded() {
-    let (w, subs, costs) = fixture();
+    let (_, _, costs, trace) = fixture();
     for kind in [
         StrategyKind::Sub,
         StrategyKind::Sg2 { beta: 2.0 },
@@ -118,21 +120,20 @@ fn when_necessary_scheme_is_bit_identical_sharded() {
     ] {
         let mut options = SimOptions::at_capacity(kind, 0.05);
         options.scheme = PushScheme::WhenNecessary;
-        assert_bit_identical(&w, &subs, &costs, options);
+        assert_bit_identical(trace, costs, options);
     }
 }
 
 #[test]
 fn invalidation_is_bit_identical_sharded() {
-    let (w, subs, costs) = fixture();
+    let (_, _, costs, trace) = fixture();
     for kind in [
         StrategyKind::Sg2 { beta: 2.0 },
         StrategyKind::GdStar { beta: 2.0 },
     ] {
         assert_bit_identical(
-            &w,
-            &subs,
-            &costs,
+            trace,
+            costs,
             SimOptions::at_capacity(kind, 0.10).with_invalidation(),
         );
     }
@@ -140,19 +141,19 @@ fn invalidation_is_bit_identical_sharded() {
 
 #[test]
 fn totals_are_independent_of_shard_count() {
-    let (w, subs, costs) = fixture();
+    let (_, _, costs, trace) = fixture();
     let base = SimOptions::at_capacity(StrategyKind::Sg2 { beta: 2.0 }, 0.05);
-    let sequential = simulate(&w, &subs, &costs, &base).unwrap();
+    let sequential = simulate_compiled(trace, costs, &base).unwrap();
     // 0 = auto (machine parallelism); large counts clamp to the fleet.
     for threads in [0, 2, 3, 4, 7, 64] {
-        let sharded = simulate(&w, &subs, &costs, &base.with_threads(threads)).unwrap();
+        let sharded = simulate_compiled(trace, costs, &base.with_threads(threads)).unwrap();
         assert_eq!(sequential, sharded, "threads={threads}");
     }
 }
 
 #[test]
 fn crash_with_full_fleet_and_edge_fractions_shards_cleanly() {
-    let (w, subs, costs) = fixture();
+    let (_, _, costs, trace) = fixture();
     let base = SimOptions::at_capacity(StrategyKind::Sg2 { beta: 2.0 }, 0.05);
     for fraction in [0.0, 0.3, 1.0] {
         let crash = CrashPlan {
@@ -160,20 +161,19 @@ fn crash_with_full_fleet_and_edge_fractions_shards_cleanly() {
             fraction,
             seed: 7,
         };
-        assert_bit_identical(&w, &subs, &costs, base.with_crash(crash));
+        assert_bit_identical(trace, costs, base.with_crash(crash));
     }
     // A crash instant past the last event never fires anywhere.
     let late = CrashPlan::new(SimTime::from_days(100_000), 1.0);
-    assert_bit_identical(&w, &subs, &costs, base.with_crash(late));
+    assert_bit_identical(trace, costs, base.with_crash(late));
 }
 
 #[test]
 fn sharded_observer_totals_match_simresult_and_sequential_observer() {
-    let (w, subs, costs) = fixture();
+    let (_, _, costs, trace) = fixture();
     let options = SimOptions::at_capacity(StrategyKind::Sg2 { beta: 2.0 }, 0.05).with_threads(4);
-    let trace = CompiledTrace::compile(&w, &subs).unwrap();
     let (result, merged): (_, StatsObserver) =
-        simulate_observed_sharded(&trace, &costs, &options, &TraceSink::disabled()).unwrap();
+        simulate_observed_sharded(trace, costs, &options, &TraceSink::disabled()).unwrap();
     // The merged shard registries must agree with the simulator's own
     // accounting exactly — this is what `repro --obs-dir` hard-checks.
     assert_eq!(merged.requests(), result.requests);
@@ -192,7 +192,7 @@ fn sharded_observer_totals_match_simresult_and_sequential_observer() {
     // split across shards; everything below must merge exactly).
     let shared = SharedObserver::new(StatsObserver::new());
     let seq_result =
-        Simulation::with_observer(&w, &subs, &costs, &options.with_threads(1), shared.clone())
+        Simulation::from_compiled_observed(trace, costs, &options.with_threads(1), shared.clone())
             .unwrap()
             .run();
     let seq = shared.try_unwrap().unwrap();
@@ -226,7 +226,7 @@ fn sharded_observer_totals_match_simresult_and_sequential_observer() {
 
 #[test]
 fn sharded_observer_crash_totals_merge_exactly() {
-    let (w, subs, costs) = fixture();
+    let (w, _, costs, trace) = fixture();
     let crash = CrashPlan {
         time: SimTime::from_days(2),
         fraction: 0.5,
@@ -235,9 +235,8 @@ fn sharded_observer_crash_totals_merge_exactly() {
     let options = SimOptions::at_capacity(StrategyKind::Sg2 { beta: 2.0 }, 0.05)
         .with_crash(crash)
         .with_threads(4);
-    let trace = CompiledTrace::compile(&w, &subs).unwrap();
     let (result, merged): (_, StatsObserver) =
-        simulate_observed_sharded(&trace, &costs, &options, &TraceSink::disabled()).unwrap();
+        simulate_observed_sharded(trace, costs, &options, &TraceSink::disabled()).unwrap();
     assert_eq!(merged.requests(), result.requests);
     assert_eq!(merged.hits(), result.hits);
     // Victim and restart totals are additive across shards.
@@ -251,10 +250,10 @@ fn stepped_then_run_still_matches() {
     // A simulation that already stepped must keep draining sequentially
     // (the shards would otherwise replay consumed events) and still end
     // at the sequential answer.
-    let (w, subs, costs) = fixture();
+    let (_, _, costs, trace) = fixture();
     let options = SimOptions::at_capacity(StrategyKind::Sub, 0.05).with_threads(4);
-    let sequential = simulate(&w, &subs, &costs, &options.with_threads(1)).unwrap();
-    let mut sim = Simulation::new(&w, &subs, &costs, &options).unwrap();
+    let sequential = simulate_compiled(trace, costs, &options.with_threads(1)).unwrap();
+    let mut sim = Simulation::from_compiled(trace, costs, &options).unwrap();
     for _ in 0..10 {
         sim.step();
     }
@@ -366,32 +365,16 @@ fn reference_simulate(
     }
 }
 
-/// One shared fixture (with its compilation) for the reference-loop
-/// tests, built once per process — the reference loop is the slow path
-/// here, so the inputs are reused across tests and proptest cases.
-fn shared_fixture() -> &'static (Workload, SubscriptionTable, FetchCosts, CompiledTrace) {
-    static FIX: OnceLock<(Workload, SubscriptionTable, FetchCosts, CompiledTrace)> =
-        OnceLock::new();
-    FIX.get_or_init(|| {
-        let (w, subs, costs) = fixture();
-        let trace = CompiledTrace::compile(&w, &subs).unwrap();
-        (w, subs, costs, trace)
-    })
-}
-
 #[test]
 fn compiled_replay_matches_the_reference_loop_for_every_strategy() {
-    let (w, subs, costs, trace) = shared_fixture();
+    let (w, subs, costs, trace) = fixture();
     for kind in all_strategies() {
         let options = SimOptions::at_capacity(kind, 0.05);
         let reference = reference_simulate(w, subs, costs, &options);
-        // Sequential compiled replay, the convenience wrapper (which
-        // compiles privately), and the sharded replay all land on the
-        // reference answer bit for bit.
+        // Sequential compiled replay and the sharded replay both land on
+        // the reference answer bit for bit.
         let compiled = simulate_compiled(trace, costs, &options).unwrap();
         assert_eq!(reference, compiled, "compiled diverged for {}", kind.name());
-        let raw = simulate(w, subs, costs, &options).unwrap();
-        assert_eq!(reference, raw, "wrapper diverged for {}", kind.name());
         let sharded = simulate_compiled(trace, costs, &options.with_threads(4)).unwrap();
         assert_eq!(reference, sharded, "shards diverged for {}", kind.name());
     }
@@ -399,7 +382,7 @@ fn compiled_replay_matches_the_reference_loop_for_every_strategy() {
 
 #[test]
 fn reference_agrees_under_crash_invalidation_and_when_necessary() {
-    let (w, subs, costs, trace) = shared_fixture();
+    let (w, subs, costs, trace) = fixture();
     let crash = CrashPlan {
         time: SimTime::from_days(2),
         fraction: 0.5,
@@ -436,7 +419,7 @@ fn reference_agrees_under_crash_invalidation_and_when_necessary() {
 /// cross product itself).
 #[test]
 fn every_strategy_matches_the_reference_rotating_axes() {
-    let (w, subs, costs, trace) = shared_fixture();
+    let (w, subs, costs, trace) = fixture();
     let crash = CrashPlan {
         time: SimTime::from_days(2),
         fraction: 0.5,
@@ -480,7 +463,7 @@ proptest! {
         invalidate in select(vec![false, true]),
         threads in select(vec![1usize, 2, 4, 7]),
     ) {
-        let (w, subs, costs, trace) = shared_fixture();
+        let (w, subs, costs, trace) = fixture();
         let mut options = SimOptions::at_capacity(kind, capacity);
         options.scheme = scheme;
         options.crash = crash;
@@ -489,7 +472,5 @@ proptest! {
         let compiled =
             simulate_compiled(trace, costs, &options.with_threads(threads)).unwrap();
         prop_assert_eq!(&reference, &compiled);
-        let raw = simulate(w, subs, costs, &options.with_threads(threads)).unwrap();
-        prop_assert_eq!(&reference, &raw);
     }
 }

@@ -10,21 +10,20 @@ use proptest::sample::select;
 
 use pscd_core::StrategyKind;
 use pscd_obs::{SharedObserver, StatsObserver, TraceSink};
-use pscd_sim::{simulate, simulate_observed_sharded, CompiledTrace, SimOptions, Simulation};
+use pscd_sim::{
+    simulate_compiled, simulate_observed_sharded, CompiledTrace, SimOptions, Simulation,
+};
 use pscd_topology::FetchCosts;
-use pscd_types::SubscriptionTable;
 use pscd_workload::{Workload, WorkloadConfig};
 
-type Fixture = (Workload, SubscriptionTable, FetchCosts, CompiledTrace);
-
-fn fixture() -> &'static Fixture {
-    static FIX: OnceLock<Fixture> = OnceLock::new();
+fn fixture() -> &'static (FetchCosts, CompiledTrace) {
+    static FIX: OnceLock<(FetchCosts, CompiledTrace)> = OnceLock::new();
     FIX.get_or_init(|| {
         let w = Workload::generate(&WorkloadConfig::news_scaled(0.003)).unwrap();
         let subs = w.subscriptions(1.0).unwrap();
         let costs = FetchCosts::uniform(w.server_count());
         let trace = CompiledTrace::compile(&w, &subs).unwrap();
-        (w, subs, costs, trace)
+        (costs, trace)
     })
 }
 
@@ -43,9 +42,9 @@ proptest! {
         ]),
         capacity in select(vec![0.01, 0.05, 0.10]),
     ) {
-        let (w, subs, costs, _) = fixture();
+        let (costs, trace) = fixture();
         let options = SimOptions::at_capacity(kind, capacity);
-        let plain = simulate(w, subs, costs, &options).unwrap();
+        let plain = simulate_compiled(trace, costs, &options).unwrap();
 
         // Global totals are exactly the per-server sums.
         let hits: u64 = plain.per_server.iter().map(|&(h, _)| h).sum();
@@ -56,7 +55,7 @@ proptest! {
         // An aggregating observer sees the same totals and leaves the
         // result bit-identical.
         let obs = SharedObserver::new(StatsObserver::new());
-        let observed = Simulation::with_observer(w, subs, costs, &options, obs.clone())
+        let observed = Simulation::from_compiled_observed(trace, costs, &options, obs.clone())
             .unwrap()
             .run();
         prop_assert_eq!(&observed, &plain);
@@ -79,10 +78,10 @@ proptest! {
         capacity in select(vec![0.01, 0.05, 0.10]),
         threads in select(vec![2usize, 3, 4]),
     ) {
-        let (w, subs, costs, trace) = fixture();
+        let (costs, trace) = fixture();
         let options = SimOptions::at_capacity(kind, capacity);
-        let sequential = simulate(w, subs, costs, &options).unwrap();
-        let sharded = simulate(w, subs, costs, &options.with_threads(threads)).unwrap();
+        let sequential = simulate_compiled(trace, costs, &options).unwrap();
+        let sharded = simulate_compiled(trace, costs, &options.with_threads(threads)).unwrap();
         // Bit-identical to the sequential run...
         prop_assert_eq!(&sharded, &sequential);
 

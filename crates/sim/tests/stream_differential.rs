@@ -13,8 +13,9 @@ use proptest::prelude::*;
 use proptest::sample::select;
 
 use pscd_core::StrategyKind;
+use pscd_obs::TraceSink;
 use pscd_sim::{
-    simulate_compiled, simulate_streamed, simulate_streamed_prefetched, CompiledEventKind,
+    simulate_compiled, simulate_streamed, simulate_streamed_prefetched_traced, CompiledEventKind,
     CompiledTrace, CrashPlan, PrefetchOptions, ReplaySource, SimOptions, StreamingTrace,
 };
 use pscd_topology::FetchCosts;
@@ -260,8 +261,14 @@ fn pipelined_replay_is_bit_identical_at_every_depth_and_thread_count() {
             ] {
                 let options = SimOptions::at_capacity(kind, 0.05).with_threads(threads);
                 let compiled = simulate_compiled(trace, costs, &options).unwrap();
-                let pipelined =
-                    simulate_streamed_prefetched(&stream, costs, &options, &prefetch).unwrap();
+                let pipelined = simulate_streamed_prefetched_traced(
+                    &stream,
+                    costs,
+                    &options,
+                    &prefetch,
+                    &TraceSink::disabled(),
+                )
+                .unwrap();
                 assert_eq!(
                     compiled,
                     pipelined,
@@ -294,33 +301,24 @@ fn pipelined_crash_exactly_at_a_window_seam_is_seam_safe() {
                     seed: 42,
                 });
             let compiled = simulate_compiled(trace, costs, &options).unwrap();
+            let sink = TraceSink::disabled();
             let pipelined =
-                simulate_streamed_prefetched(&stream, costs, &options, &prefetch).unwrap();
+                simulate_streamed_prefetched_traced(&stream, costs, &options, &prefetch, &sink)
+                    .unwrap();
             assert_eq!(
                 compiled, pipelined,
                 "crash at {crash_at:?} depth {depth} diverged"
             );
-            let sharded =
-                simulate_streamed_prefetched(&stream, costs, &options.with_threads(3), &prefetch)
-                    .unwrap();
+            let sharded = simulate_streamed_prefetched_traced(
+                &stream,
+                costs,
+                &options.with_threads(3),
+                &prefetch,
+                &sink,
+            )
+            .unwrap();
             assert_eq!(compiled, sharded, "sharded crash at {crash_at:?} diverged");
         }
-    }
-}
-
-/// The pipelined materialization (producer compiles ahead, consumer
-/// concatenates) equals the monolithic compile — events, CSR fan-out
-/// tables, and meta — including a depth larger than the window count.
-#[test]
-fn pipelined_materialization_equals_monolithic_compile() {
-    let (trace, _) = reference();
-    let stream = streaming(SimTime::from_hours(36));
-    for depth in [1usize, 3, 64] {
-        assert_eq!(
-            &stream.materialize_prefetched(&PrefetchOptions::new(depth)),
-            trace,
-            "depth = {depth}"
-        );
     }
 }
 
@@ -363,7 +361,8 @@ fn every_pass_draws_each_request_exactly_once() {
 /// near-flat age decay a page's requests spread over the whole horizon,
 /// so with windows far shorter than that most of the trace passes through
 /// the pending tail instead of being a sliver of it. Memory grows; the
-/// windows must not change. Two fixtures: the 7-day horizon at 1-hour
+/// windows must not change (the prefetched windows themselves are compared
+/// with the monolithic compile in `prefetch::tests`). Two fixtures: the 7-day horizon at 1-hour
 /// windows, and the same trace squeezed into one hour at 1-minute
 /// windows, where millisecond collisions give equal-time requests for one
 /// page at different servers — the only place the `(time, page)` sort key
@@ -433,13 +432,14 @@ fn slow_decay_tail_heavy_stream_is_bit_identical() {
         let compiled = simulate_compiled(&reference, &costs, &options).unwrap();
         for depth in [1usize, 2, 4] {
             let prefetch = PrefetchOptions::new(depth);
-            assert_eq!(
-                stream.materialize_prefetched(&prefetch),
-                reference,
-                "depth = {depth}"
-            );
-            let pipelined =
-                simulate_streamed_prefetched(&stream, &costs, &options, &prefetch).unwrap();
+            let pipelined = simulate_streamed_prefetched_traced(
+                &stream,
+                &costs,
+                &options,
+                &prefetch,
+                &TraceSink::disabled(),
+            )
+            .unwrap();
             assert_eq!(compiled, pipelined, "3 shards, depth = {depth}");
         }
     }
@@ -464,8 +464,8 @@ proptest! {
         let compiled = simulate_compiled(trace, costs, &options).unwrap();
         let streamed = simulate_streamed(&stream, costs, &options).unwrap();
         prop_assert_eq!(&compiled, &streamed);
-        let pipelined = simulate_streamed_prefetched(
-            &stream, costs, &options, &PrefetchOptions::new(depth)).unwrap();
+        let pipelined = simulate_streamed_prefetched_traced(
+            &stream, costs, &options, &PrefetchOptions::new(depth), &TraceSink::disabled()).unwrap();
         prop_assert_eq!(&compiled, &pipelined);
     }
 }

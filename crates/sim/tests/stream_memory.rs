@@ -18,9 +18,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use pscd_core::StrategyKind;
+use pscd_obs::TraceSink;
 use pscd_sim::{
-    simulate_streamed, simulate_streamed_prefetched, CompiledTrace, PrefetchOptions, ReplaySource,
-    SimOptions, StreamingTrace,
+    simulate_streamed, simulate_streamed_prefetched_traced, CompiledTrace, PrefetchOptions,
+    ReplaySource, SimOptions, StreamingTrace,
 };
 use pscd_topology::FetchCosts;
 use pscd_types::{RequestEvent, SimTime};
@@ -192,7 +193,15 @@ fn prefetch_peak_is_bounded_by_depth_windows_not_the_trace() {
     let (serial_peak, serial) =
         peak_growth(|| simulate_streamed(&stream, &costs, &options).unwrap());
     let (pipelined_peak, result) = peak_growth(|| {
-        simulate_streamed_prefetched(&stream, &costs, &options, &PrefetchOptions::new(2)).unwrap()
+        let prefetch = PrefetchOptions::new(2);
+        simulate_streamed_prefetched_traced(
+            &stream,
+            &costs,
+            &options,
+            &prefetch,
+            &TraceSink::disabled(),
+        )
+        .unwrap()
     });
     assert_eq!(result, serial);
     assert_eq!(result.requests as usize, stream.meta().request_count());

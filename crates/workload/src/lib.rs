@@ -52,16 +52,12 @@ mod workload;
 pub use content::{matcher_from_table, ContentModel, CATEGORIES, TAGS};
 pub use dist::{AgeDecay, LogNormal, StepwiseInterval, Zipf};
 pub use error::WorkloadError;
-pub use publishing::{
-    generate_publishing, generate_publishing_threads, PublishingConfig, PublishingOutput,
-};
+pub use publishing::{generate_publishing, PublishingConfig, PublishingOutput};
 pub use requests::{
-    generate_requests, generate_requests_threads, popularity_class, popularity_class_shifted,
-    RequestConfig, RequestStream,
+    generate_requests, popularity_class, popularity_class_shifted, RequestConfig, RequestStream,
 };
 pub use scenario::{DiurnalCycle, FlashCrowd, ScenarioConfig, ScenarioError, TimeWarp};
 pub use subscriptions::{
-    generate_subscriptions, generate_subscriptions_from_counts, generate_subscriptions_partial,
-    generate_subscriptions_partial_threads, generate_subscriptions_threads, request_groups,
+    generate_subscriptions, generate_subscriptions_from_counts, request_groups,
 };
 pub use workload::{Workload, WorkloadConfig};

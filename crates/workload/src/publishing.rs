@@ -135,8 +135,8 @@ pub struct PublishingOutput {
 /// Randomness comes from per-entity substreams ([`crate::seeds`]): each
 /// original's first-publish instant, each origin's modification interval,
 /// and each page's size draw from an independently seeded child stream, so
-/// [`generate_publishing_threads`] produces **bit-identical** output on
-/// any number of worker threads.
+/// the output is **bit-identical** on any number of `threads` pool workers
+/// (`0` = auto, `1` = inline).
 ///
 /// # Errors
 ///
@@ -146,24 +146,11 @@ pub struct PublishingOutput {
 ///
 /// ```
 /// use pscd_workload::{generate_publishing, PublishingConfig};
-/// let out = generate_publishing(&PublishingConfig::scaled(0.01), 7)?;
+/// let out = generate_publishing(&PublishingConfig::scaled(0.01), 7, 1)?;
 /// assert_eq!(out.pages.len(), out.stream.len());
 /// # Ok::<(), pscd_workload::WorkloadError>(())
 /// ```
 pub fn generate_publishing(
-    config: &PublishingConfig,
-    seed: u64,
-) -> Result<PublishingOutput, WorkloadError> {
-    generate_publishing_threads(config, seed, 1)
-}
-
-/// [`generate_publishing`] on up to `threads` pool workers (`0` = auto,
-/// `1` = inline). Output is bit-identical at every thread count.
-///
-/// # Errors
-///
-/// Returns [`WorkloadError::InvalidConfig`] for inconsistent configs.
-pub fn generate_publishing_threads(
     config: &PublishingConfig,
     seed: u64,
     threads: usize,
@@ -294,7 +281,7 @@ mod tests {
 
     #[test]
     fn exact_page_count_and_sorted_stream() {
-        let out = generate_publishing(&small(), 1).unwrap();
+        let out = generate_publishing(&small(), 1, 1).unwrap();
         assert_eq!(out.pages.len(), 400);
         assert_eq!(out.stream.len(), 400);
         let times: Vec<_> = out.stream.iter().map(|e| e.time).collect();
@@ -303,9 +290,9 @@ mod tests {
 
     #[test]
     fn deterministic_in_seed() {
-        let a = generate_publishing(&small(), 5).unwrap();
-        let b = generate_publishing(&small(), 5).unwrap();
-        let c = generate_publishing(&small(), 6).unwrap();
+        let a = generate_publishing(&small(), 5, 1).unwrap();
+        let b = generate_publishing(&small(), 5, 1).unwrap();
+        let c = generate_publishing(&small(), 6, 1).unwrap();
         assert_eq!(a, b);
         assert_ne!(a, c);
     }
@@ -313,9 +300,9 @@ mod tests {
     #[test]
     fn parallel_generation_is_bit_identical() {
         for seed in [0, 5, 99] {
-            let seq = generate_publishing_threads(&small(), seed, 1).unwrap();
+            let seq = generate_publishing(&small(), seed, 1).unwrap();
             for threads in [2, 4, 0] {
-                let par = generate_publishing_threads(&small(), seed, threads).unwrap();
+                let par = generate_publishing(&small(), seed, threads).unwrap();
                 assert_eq!(seq, par, "threads = {threads}, seed = {seed}");
             }
         }
@@ -324,7 +311,7 @@ mod tests {
     #[test]
     fn originals_then_modifications() {
         let cfg = small();
-        let out = generate_publishing(&cfg, 2).unwrap();
+        let out = generate_publishing(&cfg, 2, 1).unwrap();
         for (i, p) in out.pages.iter().enumerate() {
             assert_eq!(p.id().as_usize(), i);
             if i < cfg.distinct_pages {
@@ -340,7 +327,7 @@ mod tests {
 
     #[test]
     fn versions_count_up_per_origin() {
-        let out = generate_publishing(&small(), 3).unwrap();
+        let out = generate_publishing(&small(), 3, 1).unwrap();
         use std::collections::HashMap;
         let mut seen: HashMap<PageId, u32> = HashMap::new();
         // Modified pages are ordered by publish time, so versions of one
@@ -357,7 +344,7 @@ mod tests {
     #[test]
     fn sizes_within_bounds_and_within_horizon() {
         let cfg = small();
-        let out = generate_publishing(&cfg, 4).unwrap();
+        let out = generate_publishing(&cfg, 4, 1).unwrap();
         for p in &out.pages {
             assert!(p.size().as_u64() >= cfg.min_page_bytes);
             assert!(p.size().as_u64() <= cfg.max_page_bytes);
@@ -368,7 +355,7 @@ mod tests {
     #[test]
     fn paper_scale_counts() {
         let cfg = PublishingConfig::paper();
-        let out = generate_publishing(&cfg, 0).unwrap();
+        let out = generate_publishing(&cfg, 0, 1).unwrap();
         assert_eq!(out.pages.len(), 30_147);
         let originals = out.pages.iter().filter(|p| p.kind().is_original()).count();
         assert_eq!(originals, 6_000);
@@ -389,35 +376,35 @@ mod tests {
         assert_eq!(s.distinct_pages, 600);
         assert_eq!(s.updated_pages, 240);
         assert_eq!(s.total_pages, 3_015);
-        assert!(generate_publishing(&s, 1).is_ok());
+        assert!(generate_publishing(&s, 1, 1).is_ok());
     }
 
     #[test]
     fn invalid_configs_rejected() {
         let mut c = small();
         c.distinct_pages = 0;
-        assert!(generate_publishing(&c, 0).is_err());
+        assert!(generate_publishing(&c, 0, 1).is_err());
         let mut c = small();
         c.updated_pages = c.distinct_pages + 1;
-        assert!(generate_publishing(&c, 0).is_err());
+        assert!(generate_publishing(&c, 0, 1).is_err());
         let mut c = small();
         c.total_pages = c.distinct_pages - 1;
-        assert!(generate_publishing(&c, 0).is_err());
+        assert!(generate_publishing(&c, 0, 1).is_err());
         let mut c = small();
         c.updated_pages = 0;
-        assert!(generate_publishing(&c, 0).is_err());
+        assert!(generate_publishing(&c, 0, 1).is_err());
         let mut c = small();
         c.horizon = SimTime::ZERO;
-        assert!(generate_publishing(&c, 0).is_err());
+        assert!(generate_publishing(&c, 0, 1).is_err());
         let mut c = small();
         c.size_sigma = -1.0;
-        assert!(generate_publishing(&c, 0).is_err());
+        assert!(generate_publishing(&c, 0, 1).is_err());
         let mut c = small();
         c.min_page_bytes = 0;
-        assert!(generate_publishing(&c, 0).is_err());
+        assert!(generate_publishing(&c, 0, 1).is_err());
         let mut c = small();
         c.max_page_bytes = c.min_page_bytes - 1;
-        assert!(generate_publishing(&c, 0).is_err());
+        assert!(generate_publishing(&c, 0, 1).is_err());
     }
 
     #[test]
@@ -428,7 +415,7 @@ mod tests {
             total_pages: 50,
             ..PublishingConfig::paper()
         };
-        let out = generate_publishing(&cfg, 9).unwrap();
+        let out = generate_publishing(&cfg, 9, 1).unwrap();
         assert_eq!(out.pages.len(), 50);
         assert!(out.pages.iter().all(|p| p.kind().is_original()));
     }

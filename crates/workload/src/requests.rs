@@ -151,29 +151,14 @@ pub fn popularity_class_shifted(rank: usize, alpha: f64, shift: f64) -> usize {
 /// Randomness comes from per-entity substreams ([`crate::seeds`]): the
 /// multinomial draw is chunked into fixed-size substream blocks and each
 /// page's placement (times, pools, server picks) draws from that page's
-/// own child stream, so [`generate_requests_threads`] is **bit-identical**
-/// at any thread count.
+/// own child stream, so the trace is **bit-identical** on any number of
+/// `threads` pool workers (`0` = auto, `1` = inline).
 ///
 /// # Errors
 ///
 /// Returns [`WorkloadError::InvalidConfig`] for invalid configs or an empty
 /// page table.
 pub fn generate_requests(
-    pages: &[PageMeta],
-    config: &RequestConfig,
-    seed: u64,
-) -> Result<RequestTrace, WorkloadError> {
-    generate_requests_threads(pages, config, seed, 1)
-}
-
-/// [`generate_requests`] on up to `threads` pool workers (`0` = auto,
-/// `1` = inline). Output is bit-identical at every thread count.
-///
-/// # Errors
-///
-/// Returns [`WorkloadError::InvalidConfig`] for invalid configs or an empty
-/// page table.
-pub fn generate_requests_threads(
     pages: &[PageMeta],
     config: &RequestConfig,
     seed: u64,
@@ -202,7 +187,7 @@ pub fn generate_requests_threads(
 /// then replays phase 3–4 for a single page from that page's own RNG
 /// substream. Because every per-page draw is keyed only by `(seed,
 /// page_idx)` and the prepared counts, generating pages in any grouping
-/// yields exactly the events of [`generate_requests_threads`] — the
+/// yields exactly the events of [`generate_requests`] — the
 /// generator itself is now just `prepare` + a parallel loop over all
 /// pages.
 #[derive(Debug, Clone)]
@@ -438,7 +423,7 @@ mod tests {
             total_pages: 600,
             ..PublishingConfig::paper()
         };
-        generate_publishing(&cfg, 11).unwrap().pages
+        generate_publishing(&cfg, 11, 1).unwrap().pages
     }
 
     fn small_config() -> RequestConfig {
@@ -452,7 +437,7 @@ mod tests {
     #[test]
     fn exact_request_count_sorted_and_valid() {
         let pages = pages();
-        let trace = generate_requests(&pages, &small_config(), 1).unwrap();
+        let trace = generate_requests(&pages, &small_config(), 1, 1).unwrap();
         assert_eq!(trace.len(), 5_000);
         assert!(trace.validate(pages.len(), 20).is_ok());
         let times: Vec<_> = trace.iter().map(|e| e.time).collect();
@@ -463,7 +448,7 @@ mod tests {
     fn requests_start_after_publication() {
         let pages = pages();
         let cfg = small_config();
-        let trace = generate_requests(&pages, &cfg, 2).unwrap();
+        let trace = generate_requests(&pages, &cfg, 2, 1).unwrap();
         for ev in &trace {
             let page = &pages[ev.page.as_usize()];
             assert!(ev.time >= page.publish_time());
@@ -474,9 +459,9 @@ mod tests {
     #[test]
     fn deterministic_in_seed() {
         let pages = pages();
-        let a = generate_requests(&pages, &small_config(), 3).unwrap();
-        let b = generate_requests(&pages, &small_config(), 3).unwrap();
-        let c = generate_requests(&pages, &small_config(), 4).unwrap();
+        let a = generate_requests(&pages, &small_config(), 3, 1).unwrap();
+        let b = generate_requests(&pages, &small_config(), 3, 1).unwrap();
+        let c = generate_requests(&pages, &small_config(), 4, 1).unwrap();
         assert_eq!(a, b);
         assert_ne!(a, c);
     }
@@ -491,9 +476,9 @@ mod tests {
             ..RequestConfig::news()
         };
         for seed in [0, 3, 77] {
-            let seq = generate_requests_threads(&pages, &cfg, seed, 1).unwrap();
+            let seq = generate_requests(&pages, &cfg, seed, 1).unwrap();
             for threads in [2, 4, 0] {
-                let par = generate_requests_threads(&pages, &cfg, seed, threads).unwrap();
+                let par = generate_requests(&pages, &cfg, seed, threads).unwrap();
                 assert_eq!(seq, par, "threads = {threads}, seed = {seed}");
             }
         }
@@ -502,7 +487,7 @@ mod tests {
     #[test]
     fn popularity_is_zipf_skewed() {
         let pages = pages();
-        let trace = generate_requests(&pages, &small_config(), 5).unwrap();
+        let trace = generate_requests(&pages, &small_config(), 5, 1).unwrap();
         let mut counts = vec![0u64; pages.len()];
         for ev in &trace {
             counts[ev.page.as_usize()] += 1;
@@ -524,7 +509,7 @@ mod tests {
     #[test]
     fn popular_pages_touch_more_servers() {
         let pages = pages();
-        let trace = generate_requests(&pages, &small_config(), 6).unwrap();
+        let trace = generate_requests(&pages, &small_config(), 6, 1).unwrap();
         use std::collections::{HashMap, HashSet};
         let mut counts: HashMap<u32, u64> = HashMap::new();
         let mut servers: HashMap<u32, HashSet<u16>> = HashMap::new();
@@ -570,23 +555,23 @@ mod tests {
         let pages = pages();
         let mut c = small_config();
         c.servers = 0;
-        assert!(generate_requests(&pages, &c, 0).is_err());
+        assert!(generate_requests(&pages, &c, 0, 1).is_err());
         let mut c = small_config();
         c.total_requests = 0;
-        assert!(generate_requests(&pages, &c, 0).is_err());
+        assert!(generate_requests(&pages, &c, 0, 1).is_err());
         let mut c = small_config();
         c.zipf_alpha = -0.5;
-        assert!(generate_requests(&pages, &c, 0).is_err());
+        assert!(generate_requests(&pages, &c, 0, 1).is_err());
         let mut c = small_config();
         c.day_overlap = 1.5;
-        assert!(generate_requests(&pages, &c, 0).is_err());
+        assert!(generate_requests(&pages, &c, 0, 1).is_err());
         let mut c = small_config();
         c.class_gammas[2] = f64::NAN;
-        assert!(generate_requests(&pages, &c, 0).is_err());
+        assert!(generate_requests(&pages, &c, 0, 1).is_err());
         let mut c = small_config();
         c.server_exponent = 0.0;
-        assert!(generate_requests(&pages, &c, 0).is_err());
-        assert!(generate_requests(&[], &small_config(), 0).is_err());
+        assert!(generate_requests(&pages, &c, 0, 1).is_err());
+        assert!(generate_requests(&[], &small_config(), 0, 1).is_err());
     }
 
     #[test]
@@ -597,7 +582,7 @@ mod tests {
             total_requests: 500,
             ..RequestConfig::news()
         };
-        let trace = generate_requests(&pages, &cfg, 7).unwrap();
+        let trace = generate_requests(&pages, &cfg, 7, 1).unwrap();
         assert!(trace.iter().all(|e| e.server == ServerId::new(0)));
     }
 

@@ -30,8 +30,8 @@ use serde::{Deserialize, Serialize};
 use pscd_types::{RequestTrace, SimTime};
 
 use crate::{
-    generate_publishing_threads, PublishingConfig, RequestConfig, RequestStream, Workload,
-    WorkloadConfig, WorkloadError,
+    generate_publishing, PublishingConfig, RequestConfig, RequestStream, Workload, WorkloadConfig,
+    WorkloadError,
 };
 
 /// Pages per pool job when a scenario regenerates its request trace.
@@ -299,10 +299,10 @@ impl ScenarioConfig {
     /// # Errors
     ///
     /// Returns [`WorkloadError::InvalidConfig`] for out-of-range fields.
-    pub fn build_threads(&self, threads: usize) -> Result<Workload, WorkloadError> {
+    pub fn build(&self, threads: usize) -> Result<Workload, WorkloadError> {
         let config = self.workload_config()?;
         let warp = self.time_warp()?;
-        let publishing = generate_publishing_threads(&config.publishing, config.seed, threads)?;
+        let publishing = generate_publishing(&config.publishing, config.seed, threads)?;
         let stream = RequestStream::prepare(
             publishing.pages.len(),
             &config.requests,
@@ -331,15 +331,6 @@ impl ScenarioConfig {
         )
     }
 
-    /// [`build_threads`](ScenarioConfig::build_threads) inline.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WorkloadError::InvalidConfig`] for out-of-range fields.
-    pub fn build(&self) -> Result<Workload, WorkloadError> {
-        self.build_threads(1)
-    }
-
     /// A seed-stable FNV-1a digest of the generated workload (every
     /// publish and request event) — what the scenario golden tests pin.
     ///
@@ -347,7 +338,7 @@ impl ScenarioConfig {
     ///
     /// Returns [`WorkloadError::InvalidConfig`] for out-of-range fields.
     pub fn digest(&self) -> Result<u64, WorkloadError> {
-        let w = self.build_threads(0)?;
+        let w = self.build(0)?;
         let mut hash = Fnv1a::new();
         for page in w.pages() {
             hash.write_u64(u64::from(page.id().index()));
@@ -725,7 +716,7 @@ mod tests {
     fn stationary_scenario_has_no_warp_and_matches_plain_generation() {
         let s = ScenarioConfig::news_baseline();
         assert_eq!(s.time_warp().unwrap(), None);
-        let w = s.build().unwrap();
+        let w = s.build(1).unwrap();
         let plain = Workload::generate(&s.workload_config().unwrap()).unwrap();
         assert_eq!(w, plain, "no warp means the plain generator output");
     }
@@ -733,19 +724,19 @@ mod tests {
     #[test]
     fn build_is_deterministic_and_thread_independent() {
         let s = ScenarioConfig::flash_crowds();
-        let a = s.build_threads(1).unwrap();
-        let b = s.build_threads(4).unwrap();
+        let a = s.build(1).unwrap();
+        let b = s.build(4).unwrap();
         assert_eq!(a, b);
         let mut reseeded = s.clone();
         reseeded.seed = 9;
-        assert_ne!(reseeded.build().unwrap(), a);
+        assert_ne!(reseeded.build(1).unwrap(), a);
     }
 
     #[test]
     fn flash_crowd_concentrates_requests_in_the_surge() {
         let s = ScenarioConfig::flash_crowds();
-        let warped = s.build().unwrap();
-        let baseline = ScenarioConfig::news_baseline().build().unwrap();
+        let warped = s.build(1).unwrap();
+        let baseline = ScenarioConfig::news_baseline().build(1).unwrap();
         let share = |w: &Workload| {
             let surge = w
                 .requests()
@@ -766,7 +757,7 @@ mod tests {
     #[test]
     fn diurnal_cycle_modulates_hourly_volume() {
         let s = ScenarioConfig::diurnal();
-        let w = s.build().unwrap();
+        let w = s.build(1).unwrap();
         let mut hourly = [0u64; 24];
         for ev in w.requests() {
             hourly[ev.time.hour_index() % 24] += 1;
@@ -811,7 +802,7 @@ mod tests {
         assert!(s.workload_config().is_err());
         let mut s = ScenarioConfig::news_baseline();
         s.horizon_days = 0;
-        assert!(s.build().is_err());
+        assert!(s.build(1).is_err());
         let mut s = ScenarioConfig::news_baseline();
         s.churn_updated_fraction = 1.5;
         assert!(s.workload_config().is_err());

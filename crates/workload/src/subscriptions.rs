@@ -31,14 +31,23 @@ const GROUP_CHUNK: usize = 512;
 /// `quality == 1` is the ideal case where subscriptions predict requests
 /// exactly (`S_{i,j} = P_{i,j}`).
 ///
-/// The quality draws of one page's (page, server) pairs come from that
-/// page's own RNG substream ([`crate::seeds`]), in ascending server order,
-/// so [`generate_subscriptions_threads`] is **bit-identical** at any
-/// thread count.
+/// Only a `coverage` fraction of the (page, server) request pairs carries
+/// subscriptions at all (`1` = every pair, the paper's setting). This
+/// models the scenario the paper leaves to future work — "more general
+/// scenarios in which not all requests to pages are driven through
+/// notification services": pairs outside the covered set have requests
+/// (walk-in readers) but zero matching subscriptions, so the push-time
+/// modules are blind to them.
+///
+/// The coverage and quality draws of one page's (page, server) pairs come
+/// from that page's own RNG substream ([`crate::seeds`]), in ascending
+/// server order, so the table is **bit-identical** on any number of
+/// `threads` pool workers (`0` = auto, `1` = inline).
 ///
 /// # Errors
 ///
-/// Returns [`WorkloadError::InvalidConfig`] unless `0 < quality <= 1`.
+/// Returns [`WorkloadError::InvalidConfig`] unless `0 < quality <= 1` and
+/// `0 <= coverage <= 1`.
 ///
 /// # Examples
 ///
@@ -49,67 +58,11 @@ const GROUP_CHUNK: usize = 512;
 ///     RequestEvent::new(SimTime::from_secs(1), ServerId::new(0), PageId::new(0)),
 ///     RequestEvent::new(SimTime::from_secs(2), ServerId::new(0), PageId::new(0)),
 /// ]);
-/// let subs = generate_subscriptions(&trace, 1, 1.0, 7)?;
+/// let subs = generate_subscriptions(&trace, 1, 1.0, 1.0, 7, 1)?;
 /// assert_eq!(subs.count(PageId::new(0), ServerId::new(0)), 2);
 /// # Ok::<(), pscd_workload::WorkloadError>(())
 /// ```
 pub fn generate_subscriptions(
-    trace: &RequestTrace,
-    page_count: usize,
-    quality: f64,
-    seed: u64,
-) -> Result<SubscriptionTable, WorkloadError> {
-    generate_subscriptions_partial_threads(trace, page_count, quality, 1.0, seed, 1)
-}
-
-/// [`generate_subscriptions`] on up to `threads` pool workers (`0` = auto,
-/// `1` = inline). Output is bit-identical at every thread count.
-///
-/// # Errors
-///
-/// Returns [`WorkloadError::InvalidConfig`] unless `0 < quality <= 1`.
-pub fn generate_subscriptions_threads(
-    trace: &RequestTrace,
-    page_count: usize,
-    quality: f64,
-    seed: u64,
-    threads: usize,
-) -> Result<SubscriptionTable, WorkloadError> {
-    generate_subscriptions_partial_threads(trace, page_count, quality, 1.0, seed, threads)
-}
-
-/// Like [`generate_subscriptions`], but only a `coverage` fraction of the
-/// (page, server) request pairs carries subscriptions at all.
-///
-/// This models the scenario the paper leaves to future work — "more
-/// general scenarios in which not all requests to pages are driven
-/// through notification services": pairs outside the covered set have
-/// requests (walk-in readers) but zero matching subscriptions, so the
-/// push-time modules are blind to them.
-///
-/// # Errors
-///
-/// Returns [`WorkloadError::InvalidConfig`] unless `0 < quality <= 1` and
-/// `0 <= coverage <= 1`.
-pub fn generate_subscriptions_partial(
-    trace: &RequestTrace,
-    page_count: usize,
-    quality: f64,
-    coverage: f64,
-    seed: u64,
-) -> Result<SubscriptionTable, WorkloadError> {
-    generate_subscriptions_partial_threads(trace, page_count, quality, coverage, seed, 1)
-}
-
-/// [`generate_subscriptions_partial`] on up to `threads` pool workers
-/// (`0` = auto, `1` = inline). Output is bit-identical at every thread
-/// count.
-///
-/// # Errors
-///
-/// Returns [`WorkloadError::InvalidConfig`] unless `0 < quality <= 1` and
-/// `0 <= coverage <= 1`.
-pub fn generate_subscriptions_partial_threads(
     trace: &RequestTrace,
     page_count: usize,
     quality: f64,
@@ -150,13 +103,12 @@ pub fn request_groups(trace: &RequestTrace) -> Vec<(u32, Vec<(u16, u64)>)> {
     groups
 }
 
-/// [`generate_subscriptions_partial_threads`] from precomputed
-/// `P_{i,j}` counts (the [`request_groups`] shape) instead of a
-/// materialized trace — what lets a streaming workload build its
+/// [`generate_subscriptions`] from precomputed `P_{i,j}` counts (the
+/// [`request_groups`] shape) instead of a materialized trace — what lets a streaming workload build its
 /// subscription table from a single per-page counting pass without ever
 /// holding the request events. Each page's quality draws come from that
 /// page's own substream, so the table is bit-identical to the trace-based
-/// entry points given the same counts.
+/// entry point given the same counts.
 ///
 /// `groups` must be in ascending page order with each group's servers in
 /// ascending server order, pages within `0..page_count` (debug-asserted).
@@ -243,7 +195,7 @@ mod tests {
 
     #[test]
     fn perfect_quality_equals_request_counts() {
-        let subs = generate_subscriptions(&trace(), 3, 1.0, 1).unwrap();
+        let subs = generate_subscriptions(&trace(), 3, 1.0, 1.0, 1, 1).unwrap();
         assert_eq!(subs.count(PageId::new(0), ServerId::new(0)), 5);
         assert_eq!(subs.count(PageId::new(0), ServerId::new(1)), 3);
         assert_eq!(subs.count(PageId::new(2), ServerId::new(0)), 1);
@@ -253,7 +205,7 @@ mod tests {
 
     #[test]
     fn lower_quality_inflates_counts() {
-        let subs = generate_subscriptions(&trace(), 3, 0.5, 2).unwrap();
+        let subs = generate_subscriptions(&trace(), 3, 0.5, 1.0, 2, 1).unwrap();
         assert!(subs.count(PageId::new(0), ServerId::new(0)) >= 5);
         assert!(subs.count(PageId::new(0), ServerId::new(1)) >= 3);
         // Statistically: across many pairs, counts well above requests.
@@ -273,33 +225,25 @@ mod tests {
             ));
         }
         let t = RequestTrace::from_unsorted(events);
-        let subs = generate_subscriptions(&t, 1, 0.75, 3).unwrap();
+        let subs = generate_subscriptions(&t, 1, 0.75, 1.0, 3, 1).unwrap();
         let s = subs.count(PageId::new(0), ServerId::new(0));
         assert!((100..=200).contains(&s), "s = {s}");
     }
 
     #[test]
     fn deterministic_in_seed() {
-        let a = generate_subscriptions(&trace(), 3, 0.25, 9).unwrap();
-        let b = generate_subscriptions(&trace(), 3, 0.25, 9).unwrap();
+        let a = generate_subscriptions(&trace(), 3, 0.25, 1.0, 9, 1).unwrap();
+        let b = generate_subscriptions(&trace(), 3, 0.25, 1.0, 9, 1).unwrap();
         assert_eq!(a, b);
     }
 
     #[test]
     fn parallel_generation_is_bit_identical() {
         for (quality, coverage) in [(1.0, 1.0), (0.5, 1.0), (0.25, 0.6)] {
-            let seq = generate_subscriptions_partial_threads(&trace(), 3, quality, coverage, 9, 1)
-                .unwrap();
+            let seq = generate_subscriptions(&trace(), 3, quality, coverage, 9, 1).unwrap();
             for threads in [2, 4, 0] {
-                let par = generate_subscriptions_partial_threads(
-                    &trace(),
-                    3,
-                    quality,
-                    coverage,
-                    9,
-                    threads,
-                )
-                .unwrap();
+                let par =
+                    generate_subscriptions(&trace(), 3, quality, coverage, 9, threads).unwrap();
                 assert_eq!(seq, par, "threads = {threads}, quality = {quality}");
             }
         }
@@ -311,8 +255,7 @@ mod tests {
         let groups = request_groups(&t);
         assert_eq!(groups, vec![(0, vec![(0, 5), (1, 3)]), (2, vec![(0, 1)])]);
         for (quality, coverage) in [(1.0, 1.0), (0.5, 1.0), (0.25, 0.6)] {
-            let via_trace =
-                generate_subscriptions_partial_threads(&t, 3, quality, coverage, 9, 1).unwrap();
+            let via_trace = generate_subscriptions(&t, 3, quality, coverage, 9, 1).unwrap();
             let via_counts =
                 generate_subscriptions_from_counts(&groups, 3, quality, coverage, 9, 2).unwrap();
             assert_eq!(via_trace, via_counts, "quality = {quality}");
@@ -322,16 +265,16 @@ mod tests {
 
     #[test]
     fn invalid_quality_rejected() {
-        assert!(generate_subscriptions(&trace(), 3, 0.0, 0).is_err());
-        assert!(generate_subscriptions(&trace(), 3, -0.1, 0).is_err());
-        assert!(generate_subscriptions(&trace(), 3, 1.1, 0).is_err());
+        assert!(generate_subscriptions(&trace(), 3, 0.0, 1.0, 0, 1).is_err());
+        assert!(generate_subscriptions(&trace(), 3, -0.1, 1.0, 0, 1).is_err());
+        assert!(generate_subscriptions(&trace(), 3, 1.1, 1.0, 0, 1).is_err());
     }
 
     #[test]
     fn partial_coverage_drops_pairs() {
-        let full = generate_subscriptions_partial(&trace(), 3, 1.0, 1.0, 4).unwrap();
-        let none = generate_subscriptions_partial(&trace(), 3, 1.0, 0.0, 4).unwrap();
-        let half = generate_subscriptions_partial(&trace(), 3, 1.0, 0.5, 4).unwrap();
+        let full = generate_subscriptions(&trace(), 3, 1.0, 1.0, 4, 1).unwrap();
+        let none = generate_subscriptions(&trace(), 3, 1.0, 0.0, 4, 1).unwrap();
+        let half = generate_subscriptions(&trace(), 3, 1.0, 0.5, 4, 1).unwrap();
         assert_eq!(full.iter().count(), 3);
         assert_eq!(none.iter().count(), 0);
         let h = half.iter().count();
@@ -341,14 +284,14 @@ mod tests {
             assert_eq!(count, full.count(page, server));
         }
         // Invalid coverage rejected.
-        assert!(generate_subscriptions_partial(&trace(), 3, 1.0, 1.5, 0).is_err());
-        assert!(generate_subscriptions_partial(&trace(), 3, 1.0, -0.1, 0).is_err());
+        assert!(generate_subscriptions(&trace(), 3, 1.0, 1.5, 0, 1).is_err());
+        assert!(generate_subscriptions(&trace(), 3, 1.0, -0.1, 0, 1).is_err());
     }
 
     #[test]
     fn empty_trace_gives_empty_table() {
         let t = RequestTrace::default();
-        let subs = generate_subscriptions(&t, 4, 1.0, 0).unwrap();
+        let subs = generate_subscriptions(&t, 4, 1.0, 1.0, 0, 1).unwrap();
         assert_eq!(subs.iter().count(), 0);
         assert_eq!(subs.page_count(), 4);
     }

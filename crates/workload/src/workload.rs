@@ -7,8 +7,8 @@ use pscd_types::{
 };
 
 use crate::{
-    generate_publishing_threads, generate_requests_threads, generate_subscriptions_partial_threads,
-    generate_subscriptions_threads, PublishingConfig, RequestConfig, WorkloadError,
+    generate_publishing, generate_requests, generate_subscriptions, PublishingConfig,
+    RequestConfig, WorkloadError,
 };
 
 /// Full configuration of a synthetic publish/subscribe workload.
@@ -119,9 +119,9 @@ impl Workload {
                 "publishing.horizon == requests.horizon",
             ));
         }
-        let publishing = generate_publishing_threads(&config.publishing, config.seed, threads)?;
+        let publishing = generate_publishing(&config.publishing, config.seed, threads)?;
         let requests =
-            generate_requests_threads(&publishing.pages, &config.requests, config.seed, threads)?;
+            generate_requests(&publishing.pages, &config.requests, config.seed, threads)?;
         Ok(Self {
             config: config.clone(),
             pages: publishing.pages,
@@ -232,10 +232,11 @@ impl Workload {
         quality: f64,
         threads: usize,
     ) -> Result<SubscriptionTable, WorkloadError> {
-        generate_subscriptions_threads(
+        generate_subscriptions(
             &self.requests,
             self.pages.len(),
             quality,
+            1.0,
             self.config.seed ^ quality.to_bits(),
             threads,
         )
@@ -255,7 +256,7 @@ impl Workload {
         quality: f64,
         coverage: f64,
     ) -> Result<SubscriptionTable, WorkloadError> {
-        generate_subscriptions_partial_threads(
+        generate_subscriptions(
             &self.requests,
             self.pages.len(),
             quality,

@@ -3,8 +3,7 @@
 use proptest::prelude::*;
 
 use pscd_workload::{
-    generate_publishing, generate_requests, generate_subscriptions_partial, PublishingConfig,
-    RequestConfig,
+    generate_publishing, generate_requests, generate_subscriptions, PublishingConfig, RequestConfig,
 };
 
 fn publishing_config() -> impl Strategy<Value = PublishingConfig> {
@@ -26,7 +25,7 @@ proptest! {
     /// versions after their originals, and stays within the horizon.
     #[test]
     fn publishing_invariants(cfg in publishing_config(), seed in 0u64..500) {
-        let out = generate_publishing(&cfg, seed).unwrap();
+        let out = generate_publishing(&cfg, seed, 1).unwrap();
         prop_assert_eq!(out.pages.len(), cfg.total_pages);
         prop_assert_eq!(out.stream.len(), cfg.total_pages);
         let originals = out.pages.iter().filter(|p| p.kind().is_original()).count();
@@ -63,7 +62,7 @@ proptest! {
             total_pages: 150,
             ..PublishingConfig::paper()
         };
-        let pages = generate_publishing(&pcfg, seed).unwrap().pages;
+        let pages = generate_publishing(&pcfg, seed, 1).unwrap().pages;
         let rcfg = RequestConfig {
             servers,
             total_requests: total,
@@ -71,7 +70,7 @@ proptest! {
             zipf_shift: shift,
             ..RequestConfig::news()
         };
-        let trace = generate_requests(&pages, &rcfg, seed).unwrap();
+        let trace = generate_requests(&pages, &rcfg, seed, 1).unwrap();
         prop_assert_eq!(trace.len() as u64, total);
         prop_assert!(trace.validate(pages.len(), servers).is_ok());
         for ev in &trace {
@@ -95,15 +94,15 @@ proptest! {
             total_pages: 80,
             ..PublishingConfig::paper()
         };
-        let pages = generate_publishing(&pcfg, seed).unwrap().pages;
+        let pages = generate_publishing(&pcfg, seed, 1).unwrap().pages;
         let rcfg = RequestConfig {
             servers: 10,
             total_requests: 500,
             ..RequestConfig::news()
         };
-        let trace = generate_requests(&pages, &rcfg, seed).unwrap();
+        let trace = generate_requests(&pages, &rcfg, seed, 1).unwrap();
         let table =
-            generate_subscriptions_partial(&trace, pages.len(), quality, coverage, seed)
+            generate_subscriptions(&trace, pages.len(), quality, coverage, seed, 1)
                 .unwrap();
         let mut requests: std::collections::HashMap<(u32, u16), u32> =
             std::collections::HashMap::new();

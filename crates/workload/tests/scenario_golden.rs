@@ -81,7 +81,7 @@ fn shipped_scenario_digests_are_pinned() {
         );
         // The local fold is the library's, so the rows below pin the
         // same kind of digest.
-        assert_eq!(workload_digest(&scenario.build().unwrap()), digest);
+        assert_eq!(workload_digest(&scenario.build(1).unwrap()), digest);
     }
     let alternative = Workload::generate(&WorkloadConfig::alternative_scaled(0.05)).unwrap();
     let news = Workload::generate(&WorkloadConfig::news_scaled(0.05)).unwrap();
@@ -105,8 +105,8 @@ fn digests_are_thread_and_rebuild_stable() {
     let again = scenario.digest().unwrap();
     assert_eq!(again, scenario.digest().unwrap());
     // Thread count must not leak into the generated workload.
-    let w1 = scenario.build_threads(1).unwrap();
-    let w4 = scenario.build_threads(4).unwrap();
+    let w1 = scenario.build(1).unwrap();
+    let w4 = scenario.build(4).unwrap();
     assert_eq!(w1, w4);
 }
 
@@ -156,14 +156,14 @@ fn unknown_fields_are_rejected_not_ignored() {
 fn scenarios_build_valid_workloads_with_expected_shapes() {
     for scenario in ScenarioConfig::shipped() {
         let w = scenario
-            .build()
+            .build(1)
             .unwrap_or_else(|e| panic!("{}: {e}", scenario.name));
         assert!(!w.pages().is_empty(), "{}", scenario.name);
         assert!(!w.requests().is_empty(), "{}", scenario.name);
         // Catalog churn publishes far more versions per original than the
         // news baseline.
         if scenario.name == "catalog-churn" {
-            let news = ScenarioConfig::news_baseline().build().unwrap();
+            let news = ScenarioConfig::news_baseline().build(1).unwrap();
             assert!(w.pages().len() > 2 * news.pages().len());
         }
     }

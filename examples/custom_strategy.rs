@@ -17,8 +17,8 @@ use pscd::cache::{AccessOutcome, GreedyDualEngine};
 use pscd::strategies::{PushOutcome, StrategyClass};
 use pscd::types::SubscriptionTable;
 use pscd::{
-    Bytes, FetchCosts, PageId, PageRef, PushScheme, SimOptions, Strategy, StrategyKind, Workload,
-    WorkloadConfig,
+    simulate_compiled, Bytes, CompiledTrace, FetchCosts, PageId, PageRef, PushScheme, SimOptions,
+    Strategy, StrategyKind, Workload, WorkloadConfig,
 };
 
 /// Pushes every matched page (no value judgement) and runs plain LRU over
@@ -92,7 +92,8 @@ impl Strategy for PushLru {
 }
 
 /// Runs a workload through a hand-built proxy fleet (the same loop
-/// `pscd_sim::simulate` uses, written out to show the moving parts).
+/// `pscd_sim::simulate_compiled` replays, written out to show the moving
+/// parts).
 fn run_custom(
     workload: &Workload,
     subscriptions: &SubscriptionTable,
@@ -147,17 +148,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // The built-in strategies, through the standard simulator.
+    let trace = CompiledTrace::compile(&workload, &subscriptions)?;
     let costs = FetchCosts::uniform(workload.server_count());
     for kind in [
         StrategyKind::GdStar { beta: 2.0 },
         StrategyKind::Sg2 { beta: 2.0 },
     ] {
-        let r = pscd::simulate(
-            &workload,
-            &subscriptions,
-            &costs,
-            &SimOptions::at_capacity(kind, 0.05),
-        )?;
+        let r = simulate_compiled(&trace, &costs, &SimOptions::at_capacity(kind, 0.05))?;
         println!(
             "{:8} hit ratio {:5.1}%   traffic {} pages",
             r.strategy,

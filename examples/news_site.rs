@@ -11,13 +11,14 @@
 
 use pscd::experiments::TextTable;
 use pscd::{
-    simulate, FetchCosts, SimOptions, StrategyKind, TopologyBuilder, Workload, WorkloadConfig,
+    simulate_compiled, CompiledTrace, FetchCosts, SimOptions, StrategyKind, TopologyBuilder,
+    Workload, WorkloadConfig,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Full paper scale; takes a few seconds in release mode.
     let workload = Workload::generate(&WorkloadConfig::news())?;
-    let subscriptions = workload.subscriptions(1.0)?;
+    let trace = CompiledTrace::compile(&workload, &workload.subscriptions(1.0)?)?;
 
     // 1 publisher + 100 proxies wired by the Waxman model (BRITE's
     // default); fetch cost = network distance to the publisher.
@@ -51,12 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for capacity in [0.01, 0.05, 0.10] {
         let mut row = vec![format!("{:.0}%", capacity * 100.0)];
         for kind in lineup {
-            let r = simulate(
-                &workload,
-                &subscriptions,
-                &costs,
-                &SimOptions::at_capacity(kind, capacity),
-            )?;
+            let r = simulate_compiled(&trace, &costs, &SimOptions::at_capacity(kind, capacity))?;
             row.push(format!("{:.1}", r.hit_ratio_percent()));
         }
         table.add_row(row);
@@ -65,12 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("Traffic at 5% capacity (publisher→proxy):");
     for kind in lineup {
-        let r = simulate(
-            &workload,
-            &subscriptions,
-            &costs,
-            &SimOptions::at_capacity(kind, 0.05),
-        )?;
+        let r = simulate_compiled(&trace, &costs, &SimOptions::at_capacity(kind, 0.05))?;
         println!(
             "  {:6}  pushed {:>8} pages / {:>9}   fetched {:>8} pages / {:>9}",
             r.strategy,

@@ -5,7 +5,10 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use pscd::{simulate, FetchCosts, SimOptions, StrategyKind, Workload, WorkloadConfig};
+use pscd::{
+    simulate_compiled, CompiledTrace, FetchCosts, SimOptions, StrategyKind, Workload,
+    WorkloadConfig,
+};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A 10%-scale version of the paper's NEWS trace (α = 1.5): ~3,000
@@ -21,8 +24,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Perfect subscription information (SQ = 1): the subscription counts
-    // at each proxy predict its requests exactly.
+    // at each proxy predict its requests exactly. Compiling resolves the
+    // timeline, fan-outs and counts once; every strategy replays it.
     let subscriptions = workload.subscriptions(1.0)?;
+    let trace = CompiledTrace::compile(&workload, &subscriptions)?;
     let costs = FetchCosts::uniform(workload.server_count());
 
     // Caches sized at 5% of each proxy's unique requested bytes.
@@ -31,12 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         StrategyKind::Sub,                  // push-time only
         StrategyKind::Sg2 { beta: 2.0 },    // combined: GD* with f = s − a
     ] {
-        let result = simulate(
-            &workload,
-            &subscriptions,
-            &costs,
-            &SimOptions::at_capacity(kind, 0.05),
-        )?;
+        let result = simulate_compiled(&trace, &costs, &SimOptions::at_capacity(kind, 0.05))?;
         println!(
             "{:6}  hit ratio {:5.1}%   pushed {:6} pages   fetched-on-miss {:6} pages",
             result.strategy,

@@ -1,7 +1,7 @@
 //! Driving the simulator one event at a time.
 //!
-//! The batch API (`pscd::simulate`) replays a whole 7-day workload in one
-//! call; the stepping API exposes every event, which makes it easy to add
+//! The batch API (`pscd::simulate_compiled`) replays a whole 7-day
+//! workload in one call; the stepping API exposes every event, which makes it easy to add
 //! custom instrumentation, stop early, or — as here — watch how a
 //! mid-week proxy-fleet crash plays out hour by hour.
 //!
@@ -10,17 +10,20 @@
 //! ```
 
 use pscd::sim::{Simulation, StepEvent};
-use pscd::{CrashPlan, FetchCosts, SimOptions, SimTime, StrategyKind, Workload, WorkloadConfig};
+use pscd::{
+    CompiledTrace, CrashPlan, FetchCosts, SimOptions, SimTime, StrategyKind, Workload,
+    WorkloadConfig,
+};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let workload = Workload::generate(&WorkloadConfig::news_scaled(0.1))?;
-    let subscriptions = workload.subscriptions(1.0)?;
+    let trace = CompiledTrace::compile(&workload, &workload.subscriptions(1.0)?)?;
     let costs = FetchCosts::uniform(workload.server_count());
 
     // SG2 with every proxy crashing at hour 84.
     let options = SimOptions::at_capacity(StrategyKind::Sg2 { beta: 2.0 }, 0.05)
         .with_crash(CrashPlan::new(SimTime::from_hours(84), 1.0));
-    let mut sim = Simulation::new(&workload, &subscriptions, &costs, &options)?;
+    let mut sim = Simulation::from_compiled(&trace, &costs, &options)?;
 
     let mut window_hits = 0u64;
     let mut window_requests = 0u64;

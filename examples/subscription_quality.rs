@@ -11,7 +11,10 @@
 //! ```
 
 use pscd::experiments::TextTable;
-use pscd::{simulate, FetchCosts, SimOptions, StrategyKind, Workload, WorkloadConfig};
+use pscd::{
+    simulate_compiled, CompiledTrace, FetchCosts, SimOptions, StrategyKind, Workload,
+    WorkloadConfig,
+};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let workload = Workload::generate(&WorkloadConfig::news_scaled(0.25))?;
@@ -33,15 +36,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // Each quality level derives a different subscription table from
         // the same request trace: lower SQ inflates subscription counts
         // with noise (subscribers who never come back for the page).
-        let subscriptions = workload.subscriptions(quality)?;
+        let trace = CompiledTrace::compile(&workload, &workload.subscriptions(quality)?)?;
         let mut row = vec![format!("{quality}")];
         for kind in lineup {
-            let r = simulate(
-                &workload,
-                &subscriptions,
-                &costs,
-                &SimOptions::at_capacity(kind, 0.05),
-            )?;
+            let r = simulate_compiled(&trace, &costs, &SimOptions::at_capacity(kind, 0.05))?;
             row.push(format!("{:.1}", r.hit_ratio_percent()));
         }
         table.add_row(row);

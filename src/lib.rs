@@ -28,19 +28,23 @@
 //! # Quickstart
 //!
 //! ```
-//! use pscd::{simulate, FetchCosts, SimOptions, StrategyKind, Workload, WorkloadConfig};
+//! use pscd::{
+//!     simulate_compiled, CompiledTrace, FetchCosts, SimOptions, StrategyKind, Workload,
+//!     WorkloadConfig,
+//! };
 //!
 //! // 1. Generate a (scaled-down) news workload: publishing stream,
-//! //    request trace and subscription model.
+//! //    request trace and subscription model; compile it once.
 //! let workload = Workload::generate(&WorkloadConfig::news_scaled(0.01))?;
 //! let subscriptions = workload.subscriptions(1.0)?;
+//! let trace = CompiledTrace::compile(&workload, &subscriptions)?;
 //! let costs = FetchCosts::uniform(workload.server_count());
 //!
-//! // 2. Simulate the paper's best combined strategy (SG2) against the
+//! // 2. Replay the paper's best combined strategy (SG2) against the
 //! //    access-only baseline (GD*).
-//! let sg2 = simulate(&workload, &subscriptions, &costs,
+//! let sg2 = simulate_compiled(&trace, &costs,
 //!     &SimOptions::at_capacity(StrategyKind::Sg2 { beta: 2.0 }, 0.05))?;
-//! let gd = simulate(&workload, &subscriptions, &costs,
+//! let gd = simulate_compiled(&trace, &costs,
 //!     &SimOptions::at_capacity(StrategyKind::GdStar { beta: 2.0 }, 0.05))?;
 //!
 //! // 3. Subscription-aware pushing raises the local hit ratio.
@@ -66,7 +70,7 @@ pub use pscd_cache::PageRef;
 pub use pscd_core::{Strategy, StrategyKind};
 pub use pscd_experiments::ExperimentContext;
 pub use pscd_matching::{Content, Matcher, Predicate, Subscription, Value};
-pub use pscd_sim::{simulate, simulate_compiled, CompiledTrace, CrashPlan, SimOptions, SimResult};
+pub use pscd_sim::{simulate_compiled, CompiledTrace, CrashPlan, SimOptions, SimResult};
 pub use pscd_topology::{FetchCosts, GraphModel, TopologyBuilder};
 pub use pscd_types::{Bytes, PageId, PageMeta, ServerId, SimTime, SubscriptionTable};
 pub use pscd_workload::{Workload, WorkloadConfig};

@@ -1,8 +1,8 @@
 //! End-to-end integration: workload → topology → simulation → metrics.
 
 use pscd::{
-    simulate, FetchCosts, GraphModel, PushScheme, SimOptions, StrategyKind, TopologyBuilder,
-    Workload, WorkloadConfig,
+    simulate_compiled, CompiledTrace, FetchCosts, GraphModel, PushScheme, SimOptions, StrategyKind,
+    TopologyBuilder, Workload, WorkloadConfig,
 };
 
 fn workload() -> Workload {
@@ -18,10 +18,9 @@ fn full_pipeline_runs_on_topology_costs() {
         .build()
         .unwrap();
     let costs = FetchCosts::from_topology(&topo, 0).unwrap();
-    let subs = w.subscriptions(1.0).unwrap();
-    let r = simulate(
-        &w,
-        &subs,
+    let trace = CompiledTrace::compile(&w, &w.subscriptions(1.0).unwrap()).unwrap();
+    let r = simulate_compiled(
+        &trace,
         &costs,
         &SimOptions::at_capacity(StrategyKind::Sg2 { beta: 2.0 }, 0.05),
     )
@@ -39,10 +38,9 @@ fn barabasi_albert_topology_works_too() {
         .build()
         .unwrap();
     let costs = FetchCosts::from_topology(&topo, 0).unwrap();
-    let subs = w.subscriptions(0.75).unwrap();
-    let r = simulate(
-        &w,
-        &subs,
+    let trace = CompiledTrace::compile(&w, &w.subscriptions(0.75).unwrap()).unwrap();
+    let r = simulate_compiled(
+        &trace,
         &costs,
         &SimOptions::at_capacity(StrategyKind::dc_lap(2.0), 0.05),
     )
@@ -54,6 +52,7 @@ fn barabasi_albert_topology_works_too() {
 fn traffic_accounting_is_exact_for_every_strategy() {
     let w = workload();
     let subs = w.subscriptions(1.0).unwrap();
+    let trace = CompiledTrace::compile(&w, &subs).unwrap();
     let costs = FetchCosts::uniform(w.server_count());
     let total_matched_pairs: u64 = w
         .pages()
@@ -83,10 +82,10 @@ fn traffic_accounting_is_exact_for_every_strategy() {
                 invalidate_stale: false,
                 threads: 1,
             };
-            let r = simulate(&w, &subs, &costs, &options).unwrap();
+            let r = simulate_compiled(&trace, &costs, &options).unwrap();
             // The sharded runner reproduces the sequential accounting
             // bit for bit, so every check below covers both paths.
-            let sharded = simulate(&w, &subs, &costs, &options.with_threads(4)).unwrap();
+            let sharded = simulate_compiled(&trace, &costs, &options.with_threads(4)).unwrap();
             assert_eq!(r, sharded, "{} / {scheme:?}", kind.name());
             // Misses and fetches balance exactly.
             assert_eq!(
@@ -127,7 +126,7 @@ fn when_necessary_only_drops_declined_transfers() {
     // identical to Always-Pushing (the proxy stores exactly the same
     // pages) while never pushing more.
     let w = workload();
-    let subs = w.subscriptions(1.0).unwrap();
+    let trace = CompiledTrace::compile(&w, &w.subscriptions(1.0).unwrap()).unwrap();
     let costs = FetchCosts::uniform(w.server_count());
     for kind in [
         StrategyKind::Sub,
@@ -140,9 +139,8 @@ fn when_necessary_only_drops_declined_transfers() {
         StrategyKind::dc_lap(2.0),
     ] {
         let run = |scheme| {
-            simulate(
-                &w,
-                &subs,
+            simulate_compiled(
+                &trace,
                 &costs,
                 &SimOptions {
                     strategy: kind,
@@ -182,10 +180,10 @@ fn deterministic_across_runs_and_seed_sensitivity() {
     let subs_b = b.subscriptions(1.0).unwrap();
     assert_eq!(subs_a, subs_b);
     let opt = SimOptions::at_capacity(StrategyKind::DcAp { beta: 2.0 }, 0.05);
-    assert_eq!(
-        simulate(&a, &subs_a, &costs, &opt).unwrap(),
-        simulate(&b, &subs_b, &costs, &opt).unwrap()
-    );
+    let replay = |w: &Workload, subs| {
+        simulate_compiled(&CompiledTrace::compile(w, subs).unwrap(), &costs, &opt).unwrap()
+    };
+    assert_eq!(replay(&a, &subs_a), replay(&b, &subs_b));
     // A different seed changes the workload (and almost surely the result).
     let c = Workload::generate(&cfg.clone().with_seed(1234)).unwrap();
     assert_ne!(a, c);
@@ -194,13 +192,13 @@ fn deterministic_across_runs_and_seed_sensitivity() {
 #[test]
 fn capacity_monotonicity_for_subscription_strategies() {
     let w = workload();
-    let subs = w.subscriptions(1.0).unwrap();
+    let trace = CompiledTrace::compile(&w, &w.subscriptions(1.0).unwrap()).unwrap();
     let costs = FetchCosts::uniform(w.server_count());
     for kind in [StrategyKind::Sg2 { beta: 2.0 }, StrategyKind::dc_lap(2.0)] {
         let h: Vec<f64> = [0.01, 0.05, 0.10]
             .iter()
             .map(|&c| {
-                simulate(&w, &subs, &costs, &SimOptions::at_capacity(kind, c))
+                simulate_compiled(&trace, &costs, &SimOptions::at_capacity(kind, c))
                     .unwrap()
                     .hit_ratio()
             })

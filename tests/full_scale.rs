@@ -3,11 +3,12 @@
 //! absolute cache sizes of the 195k-request trace.
 
 use pscd::experiments::{ExperimentContext, Fig3, Fig4, Trace};
+use pscd_obs::TraceSink;
 
 #[test]
 #[ignore = "full-scale run; use cargo test --release -- --ignored"]
 fn sub_trails_gdstar_only_at_one_percent_on_news() {
-    let ctx = ExperimentContext::paper_scale().unwrap();
+    let ctx = ExperimentContext::scaled(1.0, 0, TraceSink::disabled()).unwrap();
     let fig = Fig4::run(&ctx).unwrap();
     // "The only case in which any of our new approaches are worse than
     // GD* is SUB when the cache capacity is low (1%) on NEWS."
@@ -28,7 +29,7 @@ fn sub_trails_gdstar_only_at_one_percent_on_news() {
 #[test]
 #[ignore = "full-scale run; use cargo test --release -- --ignored"]
 fn dclap_leads_the_dual_family_at_every_capacity() {
-    let ctx = ExperimentContext::paper_scale().unwrap();
+    let ctx = ExperimentContext::scaled(1.0, 0, TraceSink::disabled()).unwrap();
     let fig = Fig3::run(&ctx).unwrap();
     for trace in [Trace::News, Trace::Alternative] {
         for cap in [0.01, 0.05, 0.10] {

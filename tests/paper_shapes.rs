@@ -7,9 +7,10 @@
 
 use pscd::experiments::{ExperimentContext, Fig3, Fig4, Fig5, Fig6, Fig7, Table2, Trace};
 use pscd::PushScheme;
+use pscd_obs::TraceSink;
 
 fn ctx() -> ExperimentContext {
-    ExperimentContext::scaled(0.05).unwrap()
+    ExperimentContext::scaled(0.05, 0, TraceSink::disabled()).unwrap()
 }
 
 #[test]

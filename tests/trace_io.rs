@@ -3,7 +3,10 @@
 use pscd::workload::io::{
     read_pages, read_requests, read_subscriptions, write_pages, write_requests, write_subscriptions,
 };
-use pscd::{simulate, FetchCosts, SimOptions, StrategyKind, Workload, WorkloadConfig};
+use pscd::{
+    simulate_compiled, CompiledTrace, FetchCosts, SimOptions, StrategyKind, Workload,
+    WorkloadConfig,
+};
 
 #[test]
 fn exported_traces_simulate_identically() {
@@ -35,8 +38,11 @@ fn exported_traces_simulate_identically() {
     // … and simulate both: identical results.
     let costs = FetchCosts::uniform(original.server_count());
     let opt = SimOptions::at_capacity(StrategyKind::Sg2 { beta: 2.0 }, 0.05);
-    let a = simulate(&original, &subs, &costs, &opt).unwrap();
-    let b = simulate(&rebuilt, &subs_back, &costs, &opt).unwrap();
+    let replay = |w: &Workload, subs| {
+        simulate_compiled(&CompiledTrace::compile(w, subs).unwrap(), &costs, &opt).unwrap()
+    };
+    let a = replay(&original, &subs);
+    let b = replay(&rebuilt, &subs_back);
     assert_eq!(a, b);
     assert_eq!(subs_back, subs);
 }
