@@ -7,8 +7,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use pscd_cache::PageRef;
-use pscd_core::StrategyKind;
-use pscd_obs::{SharedObserver, StatsObserver};
+use pscd_core::{Strategy, StrategyImpl, StrategyKind};
+use pscd_obs::{ObsHandle, SharedObserver, StatsObserver};
 use pscd_sim::{simulate_compiled, CompiledTrace, SimOptions, Simulation};
 use pscd_topology::{FetchCosts, TopologyBuilder};
 use pscd_types::{Bytes, PageId, ServerId};
@@ -22,6 +22,24 @@ fn page_ref(i: u32) -> PageRef {
     )
 }
 
+/// An unobserved strategy at 256 KiB whose page tables grow on demand.
+fn build(kind: StrategyKind) -> StrategyImpl {
+    kind.build(Bytes::from_kib(256), 0, ObsHandle::disabled())
+}
+
+/// Every third step a push, the rest accesses, over `accesses`.
+fn run_mixed(s: &mut impl Strategy, accesses: &[u32]) -> usize {
+    let mut evicted = Vec::new();
+    for (k, &i) in accesses.iter().enumerate() {
+        if k % 3 == 0 {
+            let _ = s.on_push(&page_ref(i), (i % 13) + 1, &mut evicted);
+        } else {
+            let _ = s.on_access(&page_ref(i), (i % 13) + 1, &mut evicted);
+        }
+    }
+    s.len()
+}
+
 fn cache_benches(c: &mut Criterion) {
     let mut group = c.benchmark_group("cache");
     // GD* under a skewed access stream (10k accesses, 1k pages).
@@ -30,7 +48,7 @@ fn cache_benches(c: &mut Criterion) {
     let accesses: Vec<u32> = (0..10_000).map(|_| zipf.sample(&mut rng) as u32).collect();
     group.bench_function("gdstar_10k_accesses", |b| {
         b.iter_batched(
-            || StrategyKind::GdStar { beta: 2.0 }.build(Bytes::from_kib(256)),
+            || build(StrategyKind::GdStar { beta: 2.0 }),
             |mut cache| {
                 let mut evicted = Vec::new();
                 for &i in &accesses {
@@ -44,18 +62,8 @@ fn cache_benches(c: &mut Criterion) {
     // The paper's richest strategy under mixed push/access load.
     group.bench_function("dclap_10k_mixed", |b| {
         b.iter_batched(
-            || StrategyKind::dc_lap(2.0).build(Bytes::from_kib(256)),
-            |mut s| {
-                let mut evicted = Vec::new();
-                for (k, &i) in accesses.iter().enumerate() {
-                    if k % 3 == 0 {
-                        let _ = s.on_push(&page_ref(i), (i % 13) + 1, &mut evicted);
-                    } else {
-                        let _ = s.on_access(&page_ref(i), (i % 13) + 1, &mut evicted);
-                    }
-                }
-                s.len()
-            },
+            || build(StrategyKind::dc_lap(2.0)),
+            |mut s| run_mixed(&mut s, &accesses),
             BatchSize::SmallInput,
         )
     });
@@ -71,21 +79,10 @@ fn observer_benches(c: &mut Criterion) {
     let zipf = Zipf::new(1_000, 1.0).expect("valid zipf");
     let mut rng = StdRng::seed_from_u64(1);
     let accesses: Vec<u32> = (0..10_000).map(|_| zipf.sample(&mut rng) as u32).collect();
-    let run_mixed = |s: &mut Box<dyn pscd_core::Strategy>| {
-        let mut evicted = Vec::new();
-        for (k, &i) in accesses.iter().enumerate() {
-            if k % 3 == 0 {
-                let _ = s.on_push(&page_ref(i), (i % 13) + 1, &mut evicted);
-            } else {
-                let _ = s.on_access(&page_ref(i), (i % 13) + 1, &mut evicted);
-            }
-        }
-        s.len()
-    };
     group.bench_function("dclap_10k_mixed_null", |b| {
         b.iter_batched(
-            || StrategyKind::dc_lap(2.0).build(Bytes::from_kib(256)),
-            |mut s| run_mixed(&mut s),
+            || build(StrategyKind::dc_lap(2.0)),
+            |mut s| run_mixed(&mut s, &accesses),
             BatchSize::SmallInput,
         )
     });
@@ -93,11 +90,14 @@ fn observer_benches(c: &mut Criterion) {
         b.iter_batched(
             || {
                 let obs = SharedObserver::new(StatsObserver::new());
-                let s = StrategyKind::dc_lap(2.0)
-                    .build_observed(Bytes::from_kib(256), obs.handle(ServerId::new(0)));
+                let s = StrategyKind::dc_lap(2.0).build(
+                    Bytes::from_kib(256),
+                    0,
+                    obs.handle(ServerId::new(0)),
+                );
                 (s, obs)
             },
-            |(mut s, _obs)| run_mixed(&mut s),
+            |(mut s, _obs)| run_mixed(&mut s, &accesses),
             BatchSize::SmallInput,
         )
     });

@@ -8,8 +8,8 @@
 //! The sweep is `O(live)` per query with zero bookkeeping on the
 //! mutation paths; replayed traces keep the live population small (tens
 //! of pages at the paper's capacities), so trading the `O(log n)`
-//! indexed query for maintenance-free mutations is a large net win —
-//! `replay_hot_loop` measures it end to end.
+//! indexed query for maintenance-free mutations is a large net win,
+//! which the repo benchmark's `replay-grid` workload measures end to end.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 

@@ -72,16 +72,23 @@ struct Proxy<O: Observer> {
 /// ```
 /// use pscd_broker::{DeliveryEngine, PushScheme};
 /// use pscd_core::StrategyKind;
+/// use pscd_obs::{ObsHandle, SharedObserver};
 /// use pscd_types::{Bytes, PageId, PageKind, PageMeta, ServerId, SimTime};
 ///
+/// // Page count 0: the strategy's page tables grow on demand.
+/// let sg2 = StrategyKind::Sg2 { beta: 2.0 };
 /// let mut engine = DeliveryEngine::new(
-///     vec![StrategyKind::Sg2 { beta: 2.0 }.build(Bytes::from_kib(64))],
+///     vec![sg2.build(Bytes::from_kib(64), 0, ObsHandle::disabled())],
 ///     vec![1.0],
 ///     PushScheme::Always,
+///     SharedObserver::disabled(),
+///     ServerId::new(0),
 /// )?;
 /// let page = PageMeta::new(PageId::new(0), Bytes::new(512), SimTime::ZERO, PageKind::Original);
-/// engine.publish(&page, &[(ServerId::new(0), 4)]);
-/// let rec = engine.request(ServerId::new(0), &page)?;
+/// let mut records = Vec::new();
+/// engine.publish(&page, &[(ServerId::new(0), 4)], &mut records);
+/// assert!(records[0].stored);
+/// let rec = engine.request(ServerId::new(0), &page, 4)?;
 /// assert!(rec.hit);
 /// # Ok::<(), pscd_broker::BrokerError>(())
 /// ```
@@ -105,71 +112,17 @@ pub struct DeliveryEngine<O: Observer = NullObserver> {
     first: u16,
 }
 
-impl DeliveryEngine {
-    /// Creates an engine from per-proxy strategies and fetch costs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BrokerError::MismatchedCosts`] if `strategies` and `costs`
-    /// differ in length.
-    pub fn new(
-        strategies: Vec<Box<dyn Strategy>>,
-        costs: Vec<f64>,
-        scheme: PushScheme,
-    ) -> Result<Self, BrokerError> {
-        DeliveryEngine::with_observer(strategies, costs, scheme, SharedObserver::disabled())
-    }
-}
-
 impl<O: Observer> DeliveryEngine<O> {
-    /// [`new`](DeliveryEngine::new), additionally reporting push outcomes
-    /// to `obs`. Cache-level decisions (admissions, evictions) are reported
-    /// by the strategies themselves when they are built with
-    /// [`StrategyKind::build_observed`](pscd_core::StrategyKind::build_observed).
+    /// Creates an engine from per-proxy strategies (made by
+    /// [`StrategyKind::build`](pscd_core::StrategyKind::build)) and fetch
+    /// costs, reporting push outcomes to `obs`. Cache-level decisions
+    /// (admissions, evictions) are reported by the strategies themselves,
+    /// through the handle each was built with.
     ///
-    /// # Errors
-    ///
-    /// Returns [`BrokerError::MismatchedCosts`] if `strategies` and `costs`
-    /// differ in length.
-    pub fn with_observer(
-        strategies: Vec<Box<dyn Strategy>>,
-        costs: Vec<f64>,
-        scheme: PushScheme,
-        obs: SharedObserver<O>,
-    ) -> Result<Self, BrokerError> {
-        DeliveryEngine::with_observer_offset(strategies, costs, scheme, obs, ServerId::new(0))
-    }
-
-    /// [`with_observer`](DeliveryEngine::with_observer) for an engine that
-    /// owns only the contiguous server range starting at `first`: proxy
-    /// `i` of `strategies` serves global server `first + i`. All public
-    /// APIs keep speaking global [`ServerId`]s, so a shard-local engine is
-    /// a drop-in replacement for a full one over its range.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BrokerError::MismatchedCosts`] if `strategies` and `costs`
-    /// differ in length.
-    pub fn with_observer_offset(
-        strategies: Vec<Box<dyn Strategy>>,
-        costs: Vec<f64>,
-        scheme: PushScheme,
-        obs: SharedObserver<O>,
-        first: ServerId,
-    ) -> Result<Self, BrokerError> {
-        Self::from_impls(
-            strategies.into_iter().map(StrategyImpl::from).collect(),
-            costs,
-            scheme,
-            obs,
-            first,
-        )
-    }
-
-    /// [`with_observer_offset`](DeliveryEngine::with_observer_offset) over
-    /// concrete enum-dispatched strategies — the allocation-free form used
-    /// by the replay hot loop (built via
-    /// [`StrategyKind::build_impl_observed`](pscd_core::StrategyKind::build_impl_observed)).
+    /// The engine owns the contiguous server range starting at `first`:
+    /// proxy `i` of `strategies` serves global server `first + i`. All
+    /// public APIs speak global [`ServerId`]s, so a shard-local engine is
+    /// a drop-in replacement for a full one (`first` 0) over its range.
     ///
     /// The strategies must be empty: the engine learns what a proxy holds
     /// from the outcomes it reports (the [`Strategy`] residency contract),
@@ -179,8 +132,9 @@ impl<O: Observer> DeliveryEngine<O> {
     /// # Errors
     ///
     /// Returns [`BrokerError::MismatchedCosts`] if `strategies` and `costs`
-    /// differ in length.
-    pub fn from_impls(
+    /// differ in length, and [`BrokerError::NonEmptyStrategy`] for the
+    /// first strategy that already holds pages.
+    pub fn new(
         strategies: Vec<StrategyImpl<O>>,
         costs: Vec<f64>,
         scheme: PushScheme,
@@ -193,10 +147,12 @@ impl<O: Observer> DeliveryEngine<O> {
                 costs: costs.len(),
             });
         }
-        debug_assert!(
-            strategies.iter().all(|s| s.is_empty()),
-            "strategies handed to an engine start empty"
-        );
+        if let Some(i) = strategies.iter().position(|s| !s.is_empty()) {
+            return Err(BrokerError::NonEmptyStrategy {
+                server: ServerId::new(first.index() + i as u16),
+                resident: strategies[i].len(),
+            });
+        }
         Ok(Self {
             residency: Residency::new(strategies.len()),
             proxies: strategies
@@ -259,26 +215,14 @@ impl<O: Observer> DeliveryEngine<O> {
     /// Delivers a freshly published page to every matched proxy according
     /// to the pushing scheme. `matched` lists `(server, subscription
     /// count)` pairs from the matching engine; proxies without a push-time
-    /// module are skipped entirely (no traffic, no placement).
+    /// module are skipped entirely (no traffic, no placement). One record
+    /// per offered proxy is written into `out`, which is cleared on entry
+    /// and reused by the caller, so the replay loop stays allocation-free.
     ///
     /// # Panics
     ///
     /// Panics if a matched server is out of range.
-    pub fn publish(&mut self, page: &PageMeta, matched: &[(ServerId, u32)]) -> Vec<PushRecord> {
-        let mut records = Vec::with_capacity(matched.len());
-        self.publish_into(page, matched, &mut records);
-        records
-    }
-
-    /// [`publish`](DeliveryEngine::publish) writing its records into a
-    /// caller-provided buffer (cleared on entry) instead of allocating a
-    /// fresh `Vec` — the form the replay hot loop uses to stay
-    /// allocation-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a matched server is out of range.
-    pub fn publish_into(
+    pub fn publish(
         &mut self,
         page: &PageMeta,
         matched: &[(ServerId, u32)],
@@ -345,29 +289,16 @@ impl<O: Observer> DeliveryEngine<O> {
         residency.mark_word(page.id(), word, stored_bits);
     }
 
-    /// Serves a subscriber request for `page` at `server`. A miss fetches
-    /// the page from the publisher (counted in the proxy's traffic)
-    /// whether or not the strategy then caches it.
+    /// Serves a subscriber request for `page` at `server`, passing the
+    /// page's subscription count at this proxy (`subs`, needed by the
+    /// combined strategies' value functions; 0 where it is unknown). A
+    /// miss fetches the page from the publisher (counted in the proxy's
+    /// traffic) whether or not the strategy then caches it.
     ///
     /// # Errors
     ///
     /// Returns [`BrokerError::UnknownServer`] if `server` is out of range.
     pub fn request(
-        &mut self,
-        server: ServerId,
-        page: &PageMeta,
-    ) -> Result<RequestRecord, BrokerError> {
-        self.request_with_subs(server, page, 0)
-    }
-
-    /// Like [`request`](DeliveryEngine::request), additionally passing the
-    /// page's subscription count at this proxy (needed by the combined
-    /// strategies' value functions).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BrokerError::UnknownServer`] if `server` is out of range.
-    pub fn request_with_subs(
         &mut self,
         server: ServerId,
         page: &PageMeta,
@@ -439,19 +370,13 @@ impl<O: Observer> DeliveryEngine<O> {
             .used()
     }
 
-    /// Read access to a proxy's strategy.
-    pub fn strategy(&self, server: ServerId) -> &dyn Strategy {
-        &self.proxies[self.slot(server).expect("server out of range")].strategy
-    }
-
-    /// Read access to a proxy's concrete strategy — the enum-dispatch form,
-    /// giving snapshot code access to
-    /// [`StrategyImpl::encode_snapshot`](pscd_core::StrategyImpl).
+    /// Read access to a proxy's strategy, snapshot encoding included
+    /// ([`StrategyImpl::encode_snapshot`](pscd_core::StrategyImpl::encode_snapshot)).
     ///
     /// # Panics
     ///
     /// Panics if `server` is out of range.
-    pub fn strategy_impl(&self, server: ServerId) -> &StrategyImpl<O> {
+    pub fn strategy(&self, server: ServerId) -> &StrategyImpl<O> {
         &self.proxies[self.slot(server).expect("server out of range")].strategy
     }
 
@@ -482,7 +407,8 @@ impl<O: Observer> DeliveryEngine<O> {
         } = self;
         let strategy = &mut proxies[slot].strategy;
         strategy.decode_snapshot(r)?;
-        strategy.for_each_resident(|page| residency.mark(page, slot))
+        strategy.for_each_resident(|page| residency.mark(page, slot));
+        Ok(())
     }
 
     /// Overwrites a proxy's accounting counters (hits, requests, traffic)
@@ -536,19 +462,26 @@ impl<O: Observer> DeliveryEngine<O> {
     ///
     /// # Errors
     ///
-    /// Returns [`BrokerError::UnknownServer`] if `server` is out of range.
+    /// Returns [`BrokerError::UnknownServer`] if `server` is out of range
+    /// and [`BrokerError::NonEmptyStrategy`] if `strategy` already holds
+    /// pages (the engine would never ask it to drop them); the proxy keeps
+    /// its old strategy then.
     pub fn replace_strategy(
         &mut self,
         server: ServerId,
-        strategy: impl Into<StrategyImpl<O>>,
+        strategy: StrategyImpl<O>,
     ) -> Result<(), BrokerError> {
         let count = self.proxies.len() as u16;
         let slot = self.slot(server).ok_or(BrokerError::UnknownServer {
             server,
             server_count: count,
         })?;
-        let strategy = strategy.into();
-        debug_assert!(strategy.is_empty(), "a restarted proxy starts empty");
+        if !strategy.is_empty() {
+            return Err(BrokerError::NonEmptyStrategy {
+                server,
+                resident: strategy.len(),
+            });
+        }
         self.proxies[slot].strategy = strategy;
         Ok(())
     }
@@ -558,6 +491,7 @@ impl<O: Observer> DeliveryEngine<O> {
 mod tests {
     use super::*;
     use pscd_core::StrategyKind;
+    use pscd_obs::ObsHandle;
     use pscd_types::{PageId, PageKind, SimTime};
 
     fn page(i: u32, size: u64) -> PageMeta {
@@ -569,32 +503,107 @@ mod tests {
         )
     }
 
-    fn engine(kind: StrategyKind, scheme: PushScheme) -> DeliveryEngine {
+    fn build(kind: StrategyKind, capacity: u64) -> StrategyImpl {
+        kind.build(Bytes::new(capacity), 0, ObsHandle::disabled())
+    }
+
+    /// A two-proxy engine owning global servers `first` and `first + 1`.
+    fn engine_from(kind: StrategyKind, scheme: PushScheme, first: u16) -> DeliveryEngine {
         DeliveryEngine::new(
-            vec![kind.build(Bytes::new(1_000)), kind.build(Bytes::new(1_000))],
+            vec![build(kind, 1_000), build(kind, 1_000)],
             vec![1.0, 2.0],
             scheme,
+            SharedObserver::disabled(),
+            ServerId::new(first),
         )
         .unwrap()
+    }
+
+    fn engine(kind: StrategyKind, scheme: PushScheme) -> DeliveryEngine {
+        engine_from(kind, scheme, 0)
+    }
+
+    fn publish<O: Observer>(
+        e: &mut DeliveryEngine<O>,
+        page: &PageMeta,
+        matched: &[(ServerId, u32)],
+    ) -> Vec<PushRecord> {
+        // A leftover record, which `publish` must clear.
+        let mut records = vec![PushRecord {
+            server: ServerId::new(99),
+            transferred: true,
+            stored: true,
+        }];
+        e.publish(page, matched, &mut records);
+        records
     }
 
     #[test]
     fn mismatched_costs_rejected() {
         let err = DeliveryEngine::new(
-            vec![StrategyKind::Sub.build(Bytes::new(10))],
+            vec![build(StrategyKind::Sub, 10)],
             vec![1.0, 2.0],
             PushScheme::Always,
+            SharedObserver::disabled(),
+            ServerId::new(0),
         )
         .unwrap_err();
         assert!(matches!(err, BrokerError::MismatchedCosts { .. }));
+    }
+
+    /// Regression: a strategy that already held pages was accepted (the
+    /// check was a debug assertion), and since the residency index never
+    /// saw those pages arrive, `invalidate_everywhere` left them cached.
+    #[test]
+    fn populated_strategies_are_refused() {
+        let kind = StrategyKind::Sg2 { beta: 2.0 };
+        let p = page(1, 100);
+        let populated = || {
+            let mut s = build(kind, 1_000);
+            let at = PageRef::new(p.id(), p.size(), 1.0);
+            assert!(s.on_push(&at, 3, &mut Vec::new()).is_stored());
+            s
+        };
+        let err = DeliveryEngine::new(
+            vec![build(kind, 1_000), populated()],
+            vec![1.0, 2.0],
+            PushScheme::Always,
+            SharedObserver::disabled(),
+            ServerId::new(3),
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            BrokerError::NonEmptyStrategy {
+                server: ServerId::new(4),
+                resident: 1,
+            }
+        );
+
+        let mut e = engine(kind, PushScheme::Always);
+        let err = e
+            .replace_strategy(ServerId::new(1), populated())
+            .unwrap_err();
+        assert_eq!(
+            err,
+            BrokerError::NonEmptyStrategy {
+                server: ServerId::new(1),
+                resident: 1,
+            }
+        );
+        // The refused strategy never took the proxy's place, so no stale
+        // copy survives an invalidation.
+        assert_eq!(e.strategy(ServerId::new(1)).len(), 0);
+        assert_eq!(e.invalidate_everywhere(p.id()), 0);
+        assert!(!e.request(ServerId::new(1), &p, 3).unwrap().hit);
     }
 
     #[test]
     fn always_pushing_counts_transfer_even_when_declined() {
         let mut e = engine(StrategyKind::Sub, PushScheme::Always);
         // Fill proxy 0 with a high-value page, then push a worthless one.
-        e.publish(&page(1, 1_000), &[(ServerId::new(0), 100)]);
-        let recs = e.publish(&page(2, 1_000), &[(ServerId::new(0), 1)]);
+        publish(&mut e, &page(1, 1_000), &[(ServerId::new(0), 100)]);
+        let recs = publish(&mut e, &page(2, 1_000), &[(ServerId::new(0), 1)]);
         assert_eq!(recs.len(), 1);
         assert!(recs[0].transferred);
         assert!(!recs[0].stored);
@@ -604,8 +613,8 @@ mod tests {
     #[test]
     fn when_necessary_skips_declined_transfers() {
         let mut e = engine(StrategyKind::Sub, PushScheme::WhenNecessary);
-        e.publish(&page(1, 1_000), &[(ServerId::new(0), 100)]);
-        let recs = e.publish(&page(2, 1_000), &[(ServerId::new(0), 1)]);
+        publish(&mut e, &page(1, 1_000), &[(ServerId::new(0), 100)]);
+        let recs = publish(&mut e, &page(2, 1_000), &[(ServerId::new(0), 1)]);
         assert!(!recs[0].transferred);
         assert!(!recs[0].stored);
         assert_eq!(e.traffic(ServerId::new(0)).pushed_pages, 1);
@@ -615,7 +624,7 @@ mod tests {
     #[test]
     fn access_only_strategies_receive_no_pushes() {
         let mut e = engine(StrategyKind::GdStar { beta: 2.0 }, PushScheme::Always);
-        let recs = e.publish(&page(1, 100), &[(ServerId::new(0), 50)]);
+        let recs = publish(&mut e, &page(1, 100), &[(ServerId::new(0), 50)]);
         assert!(recs.is_empty());
         assert_eq!(e.total_traffic().pushed_pages, 0);
     }
@@ -624,9 +633,9 @@ mod tests {
     fn hits_and_misses_tracked_per_proxy() {
         let mut e = engine(StrategyKind::GdStar { beta: 2.0 }, PushScheme::Always);
         let p = page(1, 100);
-        let r = e.request(ServerId::new(0), &p).unwrap();
+        let r = e.request(ServerId::new(0), &p, 0).unwrap();
         assert!(!r.hit);
-        let r = e.request(ServerId::new(0), &p).unwrap();
+        let r = e.request(ServerId::new(0), &p, 0).unwrap();
         assert!(r.hit);
         assert_eq!(e.hit_stats(ServerId::new(0)), (1, 2));
         assert_eq!(e.hit_stats(ServerId::new(1)), (0, 0));
@@ -640,7 +649,7 @@ mod tests {
     fn unknown_server_errors() {
         let mut e = engine(StrategyKind::Sub, PushScheme::Always);
         assert!(matches!(
-            e.request(ServerId::new(9), &page(1, 10)),
+            e.request(ServerId::new(9), &page(1, 10), 0),
             Err(BrokerError::UnknownServer { .. })
         ));
     }
@@ -649,8 +658,8 @@ mod tests {
     fn push_then_request_hits_without_fetch() {
         let mut e = engine(StrategyKind::Sg2 { beta: 2.0 }, PushScheme::Always);
         let p = page(1, 100);
-        e.publish(&p, &[(ServerId::new(0), 5), (ServerId::new(1), 2)]);
-        let r = e.request_with_subs(ServerId::new(0), &p, 5).unwrap();
+        publish(&mut e, &p, &[(ServerId::new(0), 5), (ServerId::new(1), 2)]);
+        let r = e.request(ServerId::new(0), &p, 5).unwrap();
         assert!(r.hit);
         assert_eq!(e.traffic(ServerId::new(0)).fetched_pages, 0);
         assert_eq!(e.total_traffic().pushed_pages, 2);
@@ -662,30 +671,28 @@ mod tests {
     fn invalidate_everywhere_drops_stale_copies() {
         let mut e = engine(StrategyKind::Sg2 { beta: 2.0 }, PushScheme::Always);
         let p = page(1, 100);
-        e.publish(&p, &[(ServerId::new(0), 3), (ServerId::new(1), 2)]);
+        publish(&mut e, &p, &[(ServerId::new(0), 3), (ServerId::new(1), 2)]);
         assert_eq!(e.invalidate_everywhere(p.id()), 2);
         assert_eq!(e.invalidate_everywhere(p.id()), 0);
         // The stale page now misses.
-        assert!(!e.request_with_subs(ServerId::new(0), &p, 3).unwrap().hit);
+        assert!(!e.request(ServerId::new(0), &p, 3).unwrap().hit);
     }
 
     #[test]
     fn replace_strategy_models_a_crash() {
-        let mut e = engine(StrategyKind::GdStar { beta: 2.0 }, PushScheme::Always);
+        let gd = StrategyKind::GdStar { beta: 2.0 };
+        let mut e = engine(gd, PushScheme::Always);
         let p = page(1, 100);
-        e.request(ServerId::new(0), &p).unwrap(); // miss, cached
-        assert!(e.request(ServerId::new(0), &p).unwrap().hit);
+        e.request(ServerId::new(0), &p, 0).unwrap(); // miss, cached
+        assert!(e.request(ServerId::new(0), &p, 0).unwrap().hit);
         // Crash: fresh strategy, empty cache; counters survive.
-        e.replace_strategy(
-            ServerId::new(0),
-            StrategyKind::GdStar { beta: 2.0 }.build(Bytes::new(1_000)),
-        )
-        .unwrap();
+        e.replace_strategy(ServerId::new(0), build(gd, 1_000))
+            .unwrap();
         assert_eq!(e.cache_used(ServerId::new(0)), Bytes::ZERO);
         assert_eq!(e.hit_stats(ServerId::new(0)), (1, 2));
-        assert!(!e.request(ServerId::new(0), &p).unwrap().hit);
+        assert!(!e.request(ServerId::new(0), &p, 0).unwrap().hit);
         assert!(e
-            .replace_strategy(ServerId::new(9), StrategyKind::Sub.build(Bytes::new(1)))
+            .replace_strategy(ServerId::new(9), build(StrategyKind::Sub, 1))
             .is_err());
     }
 
@@ -693,20 +700,13 @@ mod tests {
     fn offset_engine_speaks_global_server_ids() {
         let kind = StrategyKind::Sg2 { beta: 2.0 };
         // A shard-local engine owning global servers 3 and 4.
-        let mut e = DeliveryEngine::with_observer_offset(
-            vec![kind.build(Bytes::new(1_000)), kind.build(Bytes::new(1_000))],
-            vec![1.0, 2.0],
-            PushScheme::Always,
-            SharedObserver::disabled(),
-            ServerId::new(3),
-        )
-        .unwrap();
+        let mut e = engine_from(kind, PushScheme::Always, 3);
         assert_eq!(e.first_server(), ServerId::new(3));
         let p = page(1, 100);
-        let recs = e.publish(&p, &[(ServerId::new(3), 5), (ServerId::new(4), 2)]);
+        let recs = publish(&mut e, &p, &[(ServerId::new(3), 5), (ServerId::new(4), 2)]);
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[0].server, ServerId::new(3));
-        let r = e.request_with_subs(ServerId::new(4), &p, 2).unwrap();
+        let r = e.request(ServerId::new(4), &p, 2).unwrap();
         assert!(r.hit);
         assert_eq!(e.hit_stats(ServerId::new(4)), (1, 1));
         assert_eq!(e.traffic(ServerId::new(3)).pushed_pages, 1);
@@ -714,18 +714,18 @@ mod tests {
         assert_eq!(e.strategy(ServerId::new(4)).name(), "SG2");
         // Servers below or above the owned range are unknown.
         assert!(matches!(
-            e.request(ServerId::new(2), &p),
+            e.request(ServerId::new(2), &p, 0),
             Err(BrokerError::UnknownServer { .. })
         ));
         assert!(matches!(
-            e.request(ServerId::new(5), &p),
+            e.request(ServerId::new(5), &p, 0),
             Err(BrokerError::UnknownServer { .. })
         ));
-        e.replace_strategy(ServerId::new(4), kind.build(Bytes::new(1_000)))
+        e.replace_strategy(ServerId::new(4), build(kind, 1_000))
             .unwrap();
         assert_eq!(e.cache_used(ServerId::new(4)), Bytes::ZERO);
         assert!(e
-            .replace_strategy(ServerId::new(0), kind.build(Bytes::new(1)))
+            .replace_strategy(ServerId::new(0), build(kind, 1))
             .is_err());
     }
 
@@ -741,19 +741,21 @@ mod tests {
 
         let shared = SharedObserver::new(StatsObserver::new());
         let kind = StrategyKind::Sub;
-        let mut e = DeliveryEngine::with_observer(
+        let mut e = DeliveryEngine::new(
             vec![
-                kind.build_observed(Bytes::new(1_000), shared.handle(ServerId::new(0))),
-                kind.build_observed(Bytes::new(1_000), shared.handle(ServerId::new(1))),
+                kind.build(Bytes::new(1_000), 0, shared.handle(ServerId::new(0))),
+                kind.build(Bytes::new(1_000), 0, shared.handle(ServerId::new(1))),
             ],
             vec![1.0, 2.0],
             PushScheme::Always,
             shared.clone(),
+            ServerId::new(0),
         )
         .unwrap();
-        e.publish(&page(1, 1_000), &[(ServerId::new(0), 100)]);
+        publish(&mut e, &page(1, 1_000), &[(ServerId::new(0), 100)]);
         // Full proxy 0 declines this one; proxy 1 stores it.
-        e.publish(
+        publish(
+            &mut e,
             &page(2, 1_000),
             &[(ServerId::new(0), 1), (ServerId::new(1), 1)],
         );

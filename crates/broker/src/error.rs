@@ -23,6 +23,15 @@ pub enum BrokerError {
         /// Number of configured servers.
         server_count: u16,
     },
+    /// A strategy handed to the engine already held pages. The engine
+    /// learns residency only from the outcomes a strategy reports, so it
+    /// would never invalidate those pages.
+    NonEmptyStrategy {
+        /// The proxy the strategy was meant for.
+        server: ServerId,
+        /// Pages the strategy held.
+        resident: usize,
+    },
 }
 
 impl fmt::Display for BrokerError {
@@ -37,6 +46,10 @@ impl fmt::Display for BrokerError {
             } => write!(
                 f,
                 "{server} out of range: only {server_count} proxies configured"
+            ),
+            BrokerError::NonEmptyStrategy { server, resident } => write!(
+                f,
+                "strategy for {server} already holds {resident} pages; engines take empty ones"
             ),
         }
     }
@@ -60,5 +73,10 @@ mod tests {
             server_count: 4,
         };
         assert!(e.to_string().contains("server7"));
+        let e = BrokerError::NonEmptyStrategy {
+            server: ServerId::new(2),
+            resident: 5,
+        };
+        assert!(e.to_string().contains("server2 already holds 5 pages"));
     }
 }

@@ -15,15 +15,20 @@
 //! ```
 //! use pscd_broker::{DeliveryEngine, PushScheme};
 //! use pscd_core::StrategyKind;
+//! use pscd_obs::{ObsHandle, SharedObserver};
 //! use pscd_types::{Bytes, PageId, PageKind, PageMeta, ServerId, SimTime};
 //!
+//! // One unobserved SUB proxy (page tables grow on demand), owning server 0.
 //! let mut engine = DeliveryEngine::new(
-//!     vec![StrategyKind::Sub.build(Bytes::from_kib(16))],
+//!     vec![StrategyKind::Sub.build(Bytes::from_kib(16), 0, ObsHandle::disabled())],
 //!     vec![1.5],
 //!     PushScheme::WhenNecessary,
+//!     SharedObserver::disabled(),
+//!     ServerId::new(0),
 //! )?;
 //! let page = PageMeta::new(PageId::new(0), Bytes::new(2_048), SimTime::ZERO, PageKind::Original);
-//! let records = engine.publish(&page, &[(ServerId::new(0), 7)]);
+//! let mut records = Vec::new();
+//! engine.publish(&page, &[(ServerId::new(0), 7)], &mut records);
 //! assert!(records[0].stored);
 //! # Ok::<(), pscd_broker::BrokerError>(())
 //! ```

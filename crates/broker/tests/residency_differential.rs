@@ -14,7 +14,7 @@
 use proptest::prelude::*;
 
 use pscd_broker::{DeliveryEngine, PushRecord, PushScheme};
-use pscd_cache::{PageRef, SnapshotError, SnapshotReader};
+use pscd_cache::{PageRef, SnapshotReader};
 use pscd_core::{Strategy as _, StrategyImpl, StrategyKind};
 use pscd_obs::{ObsHandle, SharedObserver};
 use pscd_types::{Bytes, PageId, PageKind, PageMeta, ServerId, SimTime};
@@ -24,9 +24,8 @@ const PAGES: u32 = 16;
 const BEYOND: u32 = 1_000;
 const CAPACITY: Bytes = Bytes::new(120);
 
-/// The 12 [`StrategyKind`]s, then one `Box<dyn Strategy>`
-/// ([`StrategyImpl::Dyn`]) as lineup entry 12.
-const LINEUP: usize = 13;
+/// The 12 [`StrategyKind`]s.
+const LINEUP: usize = 12;
 
 fn kind(i: usize) -> StrategyKind {
     [
@@ -42,17 +41,11 @@ fn kind(i: usize) -> StrategyKind {
         StrategyKind::dc_fp(2.0),
         StrategyKind::DcAp { beta: 2.0 },
         StrategyKind::dc_lap(2.0),
-        // The dyn entry: a combined strategy, so both outcomes mark.
-        StrategyKind::Sg2 { beta: 2.0 },
     ][i]
 }
 
 fn fresh(lineup: usize, universe: usize) -> StrategyImpl {
-    if lineup == LINEUP - 1 {
-        StrategyImpl::Dyn(kind(lineup).build(CAPACITY))
-    } else {
-        kind(lineup).build_impl_observed(CAPACITY, universe, ObsHandle::disabled())
-    }
+    kind(lineup).build(CAPACITY, universe, ObsHandle::disabled())
 }
 
 fn page(i: u32) -> PageMeta {
@@ -88,7 +81,7 @@ impl Shape {
     /// snapshot restores only into a strategy that covers its pages).
     fn engine(&self, universe: usize) -> DeliveryEngine {
         let n = self.fleet as usize;
-        let mut engine = DeliveryEngine::from_impls(
+        let mut engine = DeliveryEngine::new(
             (0..n).map(|_| fresh(self.lineup, universe)).collect(),
             (0..n).map(cost).collect(),
             self.scheme,
@@ -199,8 +192,7 @@ fn op() -> impl Strategy<Value = Op> {
 
 /// Saves every proxy of `engine` and of `mirror`, rebuilds both from
 /// fresh strategies and restores them — the engine through
-/// `restore_strategy`, whose residency index starts empty. The dyn lineup
-/// entry cannot be snapshotted on either side and is left as it was.
+/// `restore_strategy`, whose residency index starts empty.
 fn snapshot_restore(shape: Shape, engine: &mut DeliveryEngine, mirror: &mut Mirror) {
     let mut restored = shape.engine(PAGES as usize);
     let mut restored_mirror = Mirror::new(shape, PAGES as usize);
@@ -208,17 +200,8 @@ fn snapshot_restore(shape: Shape, engine: &mut DeliveryEngine, mirror: &mut Mirr
     for slot in 0..shape.fleet {
         let server = shape.server(slot);
         let (mut blob, mut mirror_blob) = (Vec::new(), Vec::new());
-        let encoded = engine.strategy_impl(server).encode_snapshot(&mut blob);
-        let mirror_encoded = mirror.strategies[slot as usize].encode_snapshot(&mut mirror_blob);
-        if shape.lineup == LINEUP - 1 {
-            assert!(matches!(encoded, Err(SnapshotError::Unsupported(_))));
-            assert!(matches!(mirror_encoded, Err(SnapshotError::Unsupported(_))));
-            let refused = restored.restore_strategy(server, &mut SnapshotReader::new(&[0]));
-            assert!(matches!(refused, Err(SnapshotError::Unsupported(_))));
-            return;
-        }
-        encoded.unwrap();
-        mirror_encoded.unwrap();
+        engine.strategy(server).encode_snapshot(&mut blob);
+        mirror.strategies[slot as usize].encode_snapshot(&mut mirror_blob);
         assert_eq!(blob, mirror_blob, "{server:?} diverged before the snapshot");
 
         let mut r = SnapshotReader::new(&blob);
@@ -266,6 +249,7 @@ fn run(shape: Shape, ops: &[Op]) {
     };
     let mut engine = shape.engine(universe);
     let mut mirror = Mirror::new(shape, universe);
+    let mut records = Vec::new();
     for (step, op) in ops.iter().enumerate() {
         match op {
             Op::Publish { page: p, matched } => {
@@ -275,8 +259,9 @@ fn run(shape: Shape, ops: &[Op]) {
                     .collect();
                 matched.sort_unstable_by_key(|&(server, _)| server);
                 matched.dedup_by_key(|&mut (server, _)| server);
+                engine.publish(&page(*p), &matched, &mut records);
                 assert_eq!(
-                    engine.publish(&page(*p), &matched),
+                    records,
                     mirror.publish(&page(*p), &matched),
                     "{shape:?} step {step} {op:?}"
                 );
@@ -287,7 +272,7 @@ fn run(shape: Shape, ops: &[Op]) {
                 subs,
             } => {
                 let server = shape.server(*slot);
-                let record = engine.request_with_subs(server, &page(*p), *subs).unwrap();
+                let record = engine.request(server, &page(*p), *subs).unwrap();
                 assert_eq!(
                     record.hit,
                     mirror.request(server, &page(*p), *subs),

@@ -18,7 +18,7 @@
 //! There are no policy types here. A replacement policy is a value
 //! function handed to the engine per call; LRU, GDS, LFU-DA and GD\* —
 //! the paper's access-time baseline (eq. 1) — are strategy kinds of
-//! `pscd-core` (`StrategyKind::Lru.build(capacity)`), beside the
+//! `pscd-core` (`StrategyKind::Lru.build(capacity, pages, obs)`), beside the
 //! subscription-aware ones.
 //!
 //! # Examples

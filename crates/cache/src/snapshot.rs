@@ -20,8 +20,7 @@
 use std::error::Error;
 use std::fmt;
 
-/// Why a snapshot could not be decoded (or encoded, for unsupported
-/// states).
+/// Why a snapshot could not be decoded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SnapshotError {
     /// The buffer ended before the field at byte offset `at`.
@@ -32,8 +31,6 @@ pub enum SnapshotError {
     /// A structurally invalid field (bad tag, impossible count, state
     /// kind mismatch).
     Corrupt(&'static str),
-    /// The state cannot be snapshotted (e.g. a boxed `dyn` strategy).
-    Unsupported(&'static str),
 }
 
 impl fmt::Display for SnapshotError {
@@ -43,9 +40,6 @@ impl fmt::Display for SnapshotError {
                 write!(f, "snapshot truncated at byte {at}")
             }
             SnapshotError::Corrupt(what) => write!(f, "snapshot corrupt: {what}"),
-            SnapshotError::Unsupported(what) => {
-                write!(f, "state not snapshottable: {what}")
-            }
         }
     }
 }
@@ -285,10 +279,6 @@ mod tests {
         assert_eq!(
             SnapshotError::Corrupt("bad tag").to_string(),
             "snapshot corrupt: bad tag"
-        );
-        assert_eq!(
-            SnapshotError::Unsupported("dyn strategy").to_string(),
-            "state not snapshottable: dyn strategy"
         );
     }
 }

@@ -16,10 +16,13 @@ use crate::{DcAdaptive, DualMethods, PushOutcome, SingleCache, Strategy, Strateg
 /// # Examples
 ///
 /// ```
-/// use pscd_core::StrategyKind;
+/// use pscd_core::{Strategy, StrategyKind};
+/// use pscd_obs::ObsHandle;
 /// use pscd_types::Bytes;
 ///
-/// let strategy = StrategyKind::Sg2 { beta: 2.0 }.build(Bytes::from_kib(64));
+/// // Page count 0: the page tables grow on demand.
+/// let strategy =
+///     StrategyKind::Sg2 { beta: 2.0 }.build(Bytes::from_kib(64), 0, ObsHandle::disabled());
 /// assert_eq!(strategy.name(), "SG2");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -79,8 +82,7 @@ pub enum StrategyKind {
 
 impl StrategyKind {
     /// Checks the parameters, which arrive from scenario files and
-    /// configurations; `build` and its siblings panic on a kind that
-    /// fails this.
+    /// configurations; `build` panics on a kind that fails this.
     ///
     /// # Errors
     ///
@@ -129,29 +131,12 @@ impl StrategyKind {
     }
 
     /// Instantiates the strategy for one proxy cache of the given
-    /// capacity, unobserved and with nothing preallocated (its page
-    /// tables grow on demand).
-    pub fn build(&self, capacity: Bytes) -> Box<dyn Strategy> {
-        self.build_observed(capacity, ObsHandle::disabled())
-    }
-
-    /// [`build`](StrategyKind::build) with the strategy's cache decisions
-    /// (admissions, evictions, relabels) reported to `obs`.
-    pub fn build_observed<O: Observer>(
-        &self,
-        capacity: Bytes,
-        obs: ObsHandle<O>,
-    ) -> Box<dyn Strategy> {
-        Box::new(self.build_impl_observed(capacity, 0, obs))
-    }
-
-    /// Instantiates the strategy as a concrete [`StrategyImpl`] — the
-    /// enum-dispatch form used by the replay hot loop — over the page
-    /// ordinals `0..page_count`. Every per-page table is preallocated to
-    /// the universe size, making the steady-state hot loop free of heap
-    /// allocations (see DESIGN.md §12); `0` preallocates nothing and the
-    /// tables grow on demand.
-    pub fn build_impl_observed<O: Observer>(
+    /// capacity over the page ordinals `0..page_count`, its cache
+    /// decisions (admissions, evictions, relabels) reported to `obs`.
+    /// Every per-page table is preallocated to the universe size, making
+    /// the steady-state hot loop free of heap allocations (see DESIGN.md
+    /// §12); `0` preallocates nothing and the tables grow on demand.
+    pub fn build<O: Observer>(
         &self,
         capacity: Bytes,
         page_count: usize,
@@ -229,15 +214,13 @@ impl StrategyKind {
 
 /// A concrete, enum-dispatched strategy: one variant per strategy type —
 /// the eight one-cache strategies are one type, the three dual-cache
-/// ones another — plus a
-/// [`Box<dyn Strategy>`] extension point for externally-defined
-/// strategies (nothing in this crate constructs it).
+/// ones another. [`StrategyKind::build`] makes one.
 ///
-/// The replay hot loop stores proxies as `StrategyImpl` so per-event
-/// dispatch is a jump table over a small enum instead of a virtual call,
-/// and so the compiler can inline the strategy bodies into the loop.
-/// `StrategyImpl` itself implements [`Strategy`], so any code written
-/// against the trait accepts it unchanged.
+/// Every proxy is a `StrategyImpl`, so per-event dispatch is a jump table
+/// over a small enum instead of a virtual call, and the compiler can
+/// inline the strategy bodies into the replay loop. `StrategyImpl`
+/// itself implements [`Strategy`], so any code written against the trait
+/// accepts it unchanged.
 #[derive(Debug)]
 pub enum StrategyImpl<O: Observer = NullObserver> {
     /// LRU / GDS / LFU-DA / GD\* / SUB / SG1 / SG2 / SR.
@@ -246,8 +229,6 @@ pub enum StrategyImpl<O: Observer = NullObserver> {
     Dm(DualMethods<O>),
     /// DC-FP / DC-AP / DC-LAP.
     Dc(DcAdaptive<O>),
-    /// Escape hatch: dynamic dispatch over an arbitrary strategy.
-    Dyn(Box<dyn Strategy>),
 }
 
 impl<O: Observer> StrategyImpl<O> {
@@ -255,17 +236,12 @@ impl<O: Observer> StrategyImpl<O> {
     /// the one-cache models' (an LRU blob is refused by a GDS cache). 6,
     /// 7 and 8 were DM's, DC-FP's and DC-AP/DC-LAP's earlier layouts and
     /// stay retired, so a blob written in them is refused, not misread.
-    fn snapshot_tag(&self) -> Result<u8, SnapshotError> {
-        Ok(match self {
+    fn snapshot_tag(&self) -> u8 {
+        match self {
             StrategyImpl::Single(s) => s.snapshot_tag(),
             StrategyImpl::Dm(_) => 9,
             StrategyImpl::Dc(_) => 10,
-            StrategyImpl::Dyn(_) => {
-                return Err(SnapshotError::Unsupported(
-                    "dyn strategies cannot be snapshotted",
-                ))
-            }
-        })
+        }
     }
 
     /// Serializes the strategy's mutable state (cache contents, heap
@@ -273,17 +249,14 @@ impl<O: Observer> StrategyImpl<O> {
     ///
     /// Configuration — capacity, β, partition bounds — is *not* encoded:
     /// snapshots are restored into a freshly built strategy of the same
-    /// [`StrategyKind`], which already carries it. [`StrategyImpl::Dyn`]
-    /// is opaque and returns [`SnapshotError::Unsupported`].
-    pub fn encode_snapshot(&self, out: &mut Vec<u8>) -> Result<(), SnapshotError> {
-        put_u8(out, self.snapshot_tag()?);
+    /// [`StrategyKind`], which already carries it.
+    pub fn encode_snapshot(&self, out: &mut Vec<u8>) {
+        put_u8(out, self.snapshot_tag());
         match self {
             StrategyImpl::Single(s) => s.encode_state(out),
             StrategyImpl::Dm(s) => s.encode_state(out),
             StrategyImpl::Dc(s) => s.encode_state(out),
-            StrategyImpl::Dyn(_) => unreachable!("snapshot_tag rejects Dyn"),
         }
-        Ok(())
     }
 
     /// Restores state captured by [`encode_snapshot`](Self::encode_snapshot)
@@ -293,14 +266,13 @@ impl<O: Observer> StrategyImpl<O> {
     /// strategy's state is unspecified and it should be discarded.
     pub fn decode_snapshot(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         let tag = r.read_u8()?;
-        if tag != self.snapshot_tag()? {
+        if tag != self.snapshot_tag() {
             return Err(SnapshotError::Corrupt("snapshot tag mismatches strategy"));
         }
         match self {
             StrategyImpl::Single(s) => s.decode_state(r),
             StrategyImpl::Dm(s) => s.decode_state(r),
             StrategyImpl::Dc(s) => s.decode_state(r),
-            StrategyImpl::Dyn(_) => unreachable!("snapshot_tag rejects Dyn"),
         }
     }
 
@@ -309,27 +281,13 @@ impl<O: Observer> StrategyImpl<O> {
     /// [`on_push`](Strategy::on_push) / [`on_access`](Strategy::on_access)
     /// outcome saying so; an owner that tracks residency from those
     /// outcomes (the delivery engine's residency index) reads the
-    /// restored population here. [`StrategyImpl::Dyn`] is opaque — it
-    /// cannot be restored into either — and returns
-    /// [`SnapshotError::Unsupported`].
-    pub fn for_each_resident(&self, resident: impl FnMut(PageId)) -> Result<(), SnapshotError> {
+    /// restored population here.
+    pub fn for_each_resident(&self, resident: impl FnMut(PageId)) {
         match self {
             StrategyImpl::Single(s) => s.residents().for_each(resident),
             StrategyImpl::Dm(s) => s.residents().for_each(resident),
             StrategyImpl::Dc(s) => s.residents().for_each(resident),
-            StrategyImpl::Dyn(_) => {
-                return Err(SnapshotError::Unsupported(
-                    "dyn strategies cannot list their residents",
-                ))
-            }
         }
-        Ok(())
-    }
-}
-
-impl<O: Observer> From<Box<dyn Strategy>> for StrategyImpl<O> {
-    fn from(strategy: Box<dyn Strategy>) -> Self {
-        StrategyImpl::Dyn(strategy)
     }
 }
 
@@ -339,7 +297,6 @@ macro_rules! dispatch {
             StrategyImpl::Single($s) => $body,
             StrategyImpl::Dm($s) => $body,
             StrategyImpl::Dc($s) => $body,
-            StrategyImpl::Dyn($s) => $body,
         }
     };
 }
@@ -418,7 +375,7 @@ mod tests {
     }
 
     fn fresh(kind: StrategyKind, universe: usize) -> StrategyImpl {
-        kind.build_impl_observed(Bytes::new(300), universe, ObsHandle::disabled())
+        kind.build(Bytes::new(300), universe, ObsHandle::disabled())
     }
 
     fn xorshift(mut x: u64) -> impl FnMut() -> u64 {
@@ -448,7 +405,7 @@ mod tests {
     fn every_kind_builds_and_reports_its_name() {
         let mut ev = Vec::new();
         for kind in all_kinds() {
-            let mut s = kind.build(Bytes::from_kib(4));
+            let mut s = kind.build(Bytes::from_kib(4), 0, ObsHandle::disabled());
             assert_eq!(s.name(), kind.name());
             assert_eq!(s.capacity(), Bytes::from_kib(4));
             // Smoke: run one push and one access through each.
@@ -474,7 +431,7 @@ mod tests {
         ] {
             let mut ev = Vec::new();
             let shared = SharedObserver::new(StatsObserver::new());
-            let mut s = kind.build_observed(Bytes::from_kib(4), shared.handle(ServerId::new(0)));
+            let mut s = kind.build(Bytes::from_kib(4), 0, shared.handle(ServerId::new(0)));
             let p = PageRef::new(PageId::new(0), Bytes::new(128), 1.0);
             let _ = s.on_push(&p, 3, &mut ev);
             let _ = s.on_access(&p, 3, &mut ev);
@@ -514,7 +471,7 @@ mod tests {
         for (kind, misses, big) in cases {
             let mut ev = Vec::new();
             let shared = SharedObserver::new(StatsObserver::new());
-            let mut s = kind.build_observed(Bytes::new(100), shared.handle(ServerId::new(0)));
+            let mut s = kind.build(Bytes::new(100), 0, shared.handle(ServerId::new(0)));
             for page in misses {
                 s.on_access(page, 0, &mut ev);
             }
@@ -577,7 +534,7 @@ mod tests {
             let (named, _constraint) = kind.check().expect_err(kind.name());
             assert_eq!(named, parameter, "{kind:?}");
             // The constructors' own guard agrees.
-            let built = std::panic::catch_unwind(|| kind.build(Bytes::new(100)));
+            let built = std::panic::catch_unwind(|| fresh(kind, 0));
             assert!(built.is_err(), "{kind:?} built");
         }
         // The bounds may touch the start and the ends.
@@ -594,8 +551,7 @@ mod tests {
             // then verify both copies behave identically afterwards.
             churn(&mut live, &mut rng, 500);
             let mut buf = Vec::new();
-            live.encode_snapshot(&mut buf)
-                .unwrap_or_else(|e| panic!("{}: encode failed: {e}", kind.name()));
+            live.encode_snapshot(&mut buf);
             let mut restored = fresh(kind, 32);
             let mut r = SnapshotReader::new(&buf);
             restored
@@ -636,26 +592,22 @@ mod tests {
             // Re-encoding both sides must now be byte-identical.
             let mut buf_a = Vec::new();
             let mut buf_b = Vec::new();
-            live.encode_snapshot(&mut buf_a).unwrap();
-            restored.encode_snapshot(&mut buf_b).unwrap();
+            live.encode_snapshot(&mut buf_a);
+            restored.encode_snapshot(&mut buf_b);
             assert_eq!(buf_a, buf_b, "{}: re-encoded snapshots differ", kind.name());
         }
     }
 
     #[test]
-    fn snapshot_rejects_mismatched_tag_and_dyn() {
+    fn snapshot_rejects_mismatched_tag() {
         let lru = fresh(StrategyKind::Lru, 8);
         let mut buf = Vec::new();
-        lru.encode_snapshot(&mut buf).unwrap();
+        lru.encode_snapshot(&mut buf);
         let mut gds = fresh(StrategyKind::Gds, 8);
         let err = gds
             .decode_snapshot(&mut SnapshotReader::new(&buf))
             .unwrap_err();
         assert!(matches!(err, SnapshotError::Corrupt(_)), "{err}");
-
-        let dynamic: StrategyImpl = StrategyKind::Lru.build(Bytes::new(100)).into();
-        let err = dynamic.encode_snapshot(&mut Vec::new()).unwrap_err();
-        assert!(matches!(err, SnapshotError::Unsupported(_)), "{err}");
     }
 
     #[test]
@@ -729,7 +681,7 @@ mod tests {
             assert!(live.on_push(&page(5), 3, &mut ev).is_stored());
             assert!(live.on_push(&page(6), 3, &mut ev).is_stored());
             let mut blob = Vec::new();
-            live.encode_snapshot(&mut blob).unwrap();
+            live.encode_snapshot(&mut blob);
             for &at in &copies {
                 for id in [8, u32::MAX] {
                     let err = decode_with_page_id(kind, &blob, &[at], 5, id);
@@ -747,7 +699,7 @@ mod tests {
         let mut live = fresh(sg2, 8);
         assert!(live.on_access(&page(5), 3, &mut ev).is_miss());
         let mut blob = Vec::new();
-        live.encode_snapshot(&mut blob).unwrap();
+        live.encode_snapshot(&mut blob);
         for id in [8, u32::MAX] {
             let err = decode_with_page_id(sg2, &blob, &[blob.len() - 8], 5, id);
             assert!(matches!(err, Err(SnapshotError::Corrupt(_))), "{err:?}");
@@ -760,7 +712,7 @@ mod tests {
         let mut live = fresh(kind, 32);
         churn(&mut live, &mut xorshift(0x2545_f491), 400);
         let mut blob = Vec::new();
-        live.encode_snapshot(&mut blob).unwrap();
+        live.encode_snapshot(&mut blob);
         blob
     }
 
@@ -796,7 +748,7 @@ mod tests {
                 // The encoding is canonical: what decodes is what the
                 // restored strategy would write.
                 let mut again = Vec::new();
-                victim.encode_snapshot(&mut again).unwrap();
+                victim.encode_snapshot(&mut again);
                 prop_assert!(again == bad[..r.position()], "{}: re-encoded differently", kind.name());
                 // What decoded must also be usable: keep going on it.
                 let mut rng = xorshift(0x9e37_79b9 ^ start as u64);

@@ -24,18 +24,22 @@
 //! two bounds. The paper's five value equations are written once, in one
 //! private module that all three types call.
 //!
-//! [`StrategyKind`] is the config-friendly factory used by the simulator
-//! and benchmarks.
+//! [`StrategyKind`] is the config-friendly description of a strategy;
+//! [`StrategyKind::build`] makes the one strategy value every proxy
+//! holds, a [`StrategyImpl`].
 //!
 //! # Examples
 //!
 //! ```
 //! use pscd_cache::PageRef;
 //! use pscd_core::{Strategy, StrategyKind};
+//! use pscd_obs::ObsHandle;
 //! use pscd_types::{Bytes, PageId};
 //!
-//! // An SG2 proxy cache: GD* with f = subscriptions - accesses.
-//! let mut proxy = StrategyKind::Sg2 { beta: 2.0 }.build(Bytes::from_kib(64));
+//! // An SG2 proxy cache: GD* with f = subscriptions - accesses, its page
+//! // tables growing on demand (page count 0), unobserved.
+//! let mut proxy =
+//!     StrategyKind::Sg2 { beta: 2.0 }.build(Bytes::from_kib(64), 0, ObsHandle::disabled());
 //!
 //! // A fresh page matching 12 subscriptions at this proxy is pushed…
 //! let mut evicted = Vec::new();

@@ -114,16 +114,18 @@ impl Model {
 /// ```
 /// use pscd_cache::PageRef;
 /// use pscd_core::{Strategy, StrategyKind};
+/// use pscd_obs::ObsHandle;
 /// use pscd_types::{Bytes, PageId};
 ///
-/// let mut sg2 = StrategyKind::Sg2 { beta: 2.0 }.build(Bytes::from_kib(4));
+/// let build = |kind: StrategyKind| kind.build(Bytes::from_kib(4), 0, ObsHandle::disabled());
+/// let mut sg2 = build(StrategyKind::Sg2 { beta: 2.0 });
 /// let mut evicted = Vec::new();
 /// let page = PageRef::new(PageId::new(0), Bytes::new(256), 1.0);
 /// assert!(sg2.on_push(&page, 5, &mut evicted).is_stored());
 /// assert!(sg2.on_access(&page, 5, &mut evicted).is_hit());
 ///
 /// // An access-time strategy has no push module.
-/// let mut gd = StrategyKind::GdStar { beta: 2.0 }.build(Bytes::from_kib(4));
+/// let mut gd = build(StrategyKind::GdStar { beta: 2.0 });
 /// assert!(!gd.on_push(&page, 5, &mut evicted).is_stored());
 /// assert!(gd.on_access(&page, 0, &mut evicted).is_miss());
 /// assert!(gd.on_access(&page, 0, &mut evicted).is_hit());

@@ -312,14 +312,13 @@ proptest! {
         let capacity = Bytes::new(capacity);
         for kind in one_cache_kinds(beta) {
             let mut model = Model::new(kind, capacity);
-            let mut grown = kind.build(capacity);
-            let mut preallocated =
-                kind.build_impl_observed(capacity, PAGES as usize, ObsHandle::disabled());
+            let mut grown = kind.build(capacity, 0, ObsHandle::disabled());
+            let mut preallocated = kind.build(capacity, PAGES as usize, ObsHandle::disabled());
             prop_assert_eq!(grown.class(), model.class(), "{}", kind.name());
             for &op in &ops {
                 let expected = apply(&mut model, op);
                 prop_assert_eq!(
-                    &apply(grown.as_mut(), op), &expected,
+                    &apply(&mut grown, op), &expected,
                     "{} grown, {:?}", kind.name(), op
                 );
                 prop_assert_eq!(
@@ -341,7 +340,7 @@ proptest! {
         size in 1u64..50,
     ) {
         let mut caches: Vec<_> = (1..=8)
-            .map(|k| StrategyKind::Lru.build(Bytes::new(k * size)))
+            .map(|k| StrategyKind::Lru.build(Bytes::new(k * size), 0, ObsHandle::disabled()))
             .collect();
         let mut evicted = Vec::new();
         for (id, what) in steps {

@@ -553,7 +553,7 @@ impl ServiceCore {
             Fleet::Inline(shard) => {
                 put_hourly(out, shard.hourly());
                 put_u16(out, config.server_count());
-                shard.encode_servers(out)?;
+                shard.encode_servers(out);
             }
             Fleet::Threaded(handles) => {
                 let mut replies = Vec::with_capacity(handles.len());
@@ -564,7 +564,7 @@ impl ServiceCore {
                 }
                 let snaps = replies
                     .into_iter()
-                    .map(|rx| Ok(rx.recv().map_err(|_| ServiceError::Stopped)??))
+                    .map(|rx| rx.recv().map_err(|_| ServiceError::Stopped))
                     .collect::<Result<Vec<ShardSnap>, ServiceError>>()?;
                 let mut hourly = snaps[0].hourly.clone();
                 for snap in &snaps[1..] {
@@ -591,7 +591,7 @@ impl ServiceCore {
         self.flush()?;
         let servers = self.config.server_count();
         let partials = match &mut self.fleet {
-            Fleet::Inline(shard) => vec![shard.finish(servers)?],
+            Fleet::Inline(shard) => vec![shard.finish(servers)],
             Fleet::Threaded(handles) => {
                 let mut replies = Vec::with_capacity(handles.len());
                 for handle in handles.iter() {
@@ -601,7 +601,7 @@ impl ServiceCore {
                 }
                 replies
                     .into_iter()
-                    .map(|rx| Ok(rx.recv().map_err(|_| ServiceError::Stopped)??))
+                    .map(|rx| rx.recv().map_err(|_| ServiceError::Stopped))
                     .collect::<Result<Vec<_>, ServiceError>>()?
             }
         };

@@ -16,6 +16,7 @@ use std::thread::JoinHandle;
 use pscd_broker::{DeliveryEngine, PushRecord, Traffic};
 use pscd_cache::snapshot::{put_u32, put_u64};
 use pscd_cache::{SnapshotError, SnapshotReader};
+use pscd_core::Strategy;
 use pscd_obs::SharedObserver;
 use pscd_sim::live::{apply_publish, apply_request};
 use pscd_sim::{HourlySeries, SimResult};
@@ -140,7 +141,7 @@ impl Shard {
         let obs = SharedObserver::disabled();
         let strategies = (start..end)
             .map(|s| {
-                config.strategy.build_impl_observed(
+                config.strategy.build(
                     config.capacities[s as usize],
                     config.pages.len(),
                     obs.handle(ServerId::new(s)),
@@ -149,8 +150,8 @@ impl Shard {
             .collect();
         let costs = (start..end).map(|s| config.costs[s as usize]).collect();
         let mut engine =
-            DeliveryEngine::from_impls(strategies, costs, config.scheme, obs, ServerId::new(start))
-                .expect("lengths match by construction");
+            DeliveryEngine::new(strategies, costs, config.scheme, obs, ServerId::new(start))
+                .expect("fresh strategies, one per cost");
         engine.reserve_pages(config.pages.len());
         Self {
             engine,
@@ -225,7 +226,7 @@ impl Shard {
     /// each one's accounting, then its strategy blob behind its length.
     /// The strategy encodes straight into `out`; the length is patched in
     /// behind it.
-    pub(crate) fn encode_servers(&self, out: &mut Vec<u8>) -> Result<(), SnapshotError> {
+    pub(crate) fn encode_servers(&self, out: &mut Vec<u8>) {
         for s in self.start..self.end {
             let server = ServerId::new(s);
             let (hits, requests) = self.engine.hit_stats(server);
@@ -238,21 +239,20 @@ impl Shard {
             put_u64(out, traffic.fetched_bytes.as_u64());
             let at = out.len();
             put_u32(out, 0);
-            self.engine.strategy_impl(server).encode_snapshot(out)?;
+            self.engine.strategy(server).encode_snapshot(out);
             let len = (out.len() - at - 4) as u32;
             out[at..at + 4].copy_from_slice(&len.to_le_bytes());
         }
-        Ok(())
     }
 
     /// Captures the shard's full mutable state.
-    pub(crate) fn snapshot(&self) -> Result<ShardSnap, SnapshotError> {
+    pub(crate) fn snapshot(&self) -> ShardSnap {
         let mut servers = Vec::new();
-        self.encode_servers(&mut servers)?;
-        Ok(ShardSnap {
+        self.encode_servers(&mut servers);
+        ShardSnap {
             hourly: self.hourly.clone(),
             servers,
-        })
+        }
     }
 
     /// Restores state captured by [`Shard::encode_servers`] into this
@@ -278,10 +278,7 @@ impl Shard {
     /// The shard's contribution to the final result: an identity-shaped
     /// [`SimResult`] (zeros outside the range) plus the per-proxy
     /// strategy blobs, in range order.
-    pub(crate) fn finish(
-        &self,
-        servers_total: u16,
-    ) -> Result<(SimResult, Vec<Vec<u8>>), SnapshotError> {
+    pub(crate) fn finish(&self, servers_total: u16) -> ShardFinish {
         let mut per_server = vec![(0u64, 0u64); servers_total as usize];
         let mut hits = 0u64;
         let mut requests = 0u64;
@@ -307,24 +304,24 @@ impl Shard {
         for s in self.start..self.end {
             blob.clear();
             self.engine
-                .strategy_impl(ServerId::new(s))
-                .encode_snapshot(&mut blob)?;
+                .strategy(ServerId::new(s))
+                .encode_snapshot(&mut blob);
             proxies.push(blob.clone());
         }
-        Ok((result, proxies))
+        (result, proxies)
     }
 }
 
 /// What a shard hands back at shutdown: its partial `SimResult` plus the
 /// canonical per-proxy cache snapshots for its server range.
-pub(crate) type ShardFinish = Result<(SimResult, Vec<Vec<u8>>), SnapshotError>;
+pub(crate) type ShardFinish = (SimResult, Vec<Vec<u8>>);
 
 /// Messages to a worker thread. FIFO channel order doubles as the
 /// barrier: a `Snapshot`/`Finish` reply reflects every batch sent before
 /// it.
 pub(crate) enum ToWorker {
     Batch(Arc<ResolvedBatch>),
-    Snapshot(Sender<Result<ShardSnap, SnapshotError>>),
+    Snapshot(Sender<ShardSnap>),
     Finish(Sender<ShardFinish>),
 }
 

@@ -86,10 +86,7 @@ fn batch_run(kind: StrategyKind, invalidate: bool) -> (SimResult, Vec<Vec<u8>>) 
     let proxies = (0..f.trace.server_count())
         .map(|s| {
             let mut blob = Vec::new();
-            engine
-                .strategy_impl(ServerId::new(s))
-                .encode_snapshot(&mut blob)
-                .unwrap();
+            engine.strategy(ServerId::new(s)).encode_snapshot(&mut blob);
             blob
         })
         .collect();

@@ -37,7 +37,7 @@ pub fn apply_publish<O: Observer>(
     matched: &[(ServerId, u32)],
     push_scratch: &mut Vec<PushRecord>,
 ) -> usize {
-    engine.publish_into(meta, matched, push_scratch);
+    engine.publish(meta, matched, push_scratch);
     let mut pushed = 0;
     for record in push_scratch.iter() {
         if record.transferred {
@@ -63,7 +63,7 @@ pub fn apply_request<O: Observer>(
     time: SimTime,
     subs: u32,
 ) -> Result<RequestRecord, BrokerError> {
-    let record = engine.request_with_subs(server, meta, subs)?;
+    let record = engine.request(server, meta, subs)?;
     hourly.record_request(time, record.hit, meta.size());
     Ok(record)
 }
@@ -73,7 +73,21 @@ mod tests {
     use super::*;
     use pscd_broker::PushScheme;
     use pscd_core::StrategyKind;
+    use pscd_obs::{ObsHandle, SharedObserver};
     use pscd_types::{Bytes, PageId, PageKind, PageMeta, SimTime};
+
+    fn engine(kind: StrategyKind, proxies: usize) -> DeliveryEngine {
+        DeliveryEngine::new(
+            (0..proxies)
+                .map(|_| kind.build(Bytes::new(1_000), 0, ObsHandle::disabled()))
+                .collect(),
+            vec![1.0; proxies],
+            PushScheme::Always,
+            SharedObserver::disabled(),
+            ServerId::new(0),
+        )
+        .unwrap()
+    }
 
     fn page(i: u32, size: u64) -> PageMeta {
         PageMeta::new(
@@ -86,15 +100,7 @@ mod tests {
 
     #[test]
     fn apply_publish_counts_transfers_and_hourly_pushes() {
-        let mut engine = DeliveryEngine::new(
-            vec![
-                StrategyKind::Sub.build(Bytes::new(1_000)),
-                StrategyKind::Sub.build(Bytes::new(1_000)),
-            ],
-            vec![1.0, 1.0],
-            PushScheme::Always,
-        )
-        .unwrap();
+        let mut engine = engine(StrategyKind::Sub, 2);
         let mut hourly = HourlySeries::new(2);
         let mut scratch = Vec::new();
         let p = page(0, 100);
@@ -113,12 +119,7 @@ mod tests {
 
     #[test]
     fn apply_request_records_hits_misses_and_fetches() {
-        let mut engine = DeliveryEngine::new(
-            vec![StrategyKind::GdStar { beta: 2.0 }.build(Bytes::new(1_000))],
-            vec![1.0],
-            PushScheme::Always,
-        )
-        .unwrap();
+        let mut engine = engine(StrategyKind::GdStar { beta: 2.0 }, 1);
         let mut hourly = HourlySeries::new(2);
         let p = page(0, 100);
         let t = SimTime::from_secs(5);

@@ -339,7 +339,7 @@ pub(crate) struct ReplayState<O: Observer> {
     /// Page-universe size every strategy this replay builds (including
     /// crash restarts) preallocates for.
     page_count: usize,
-    /// Reused publish-record buffer: [`DeliveryEngine::publish_into`]
+    /// Reused publish-record buffer: [`DeliveryEngine::publish`]
     /// writes into it, keeping the steady-state loop allocation-free.
     push_scratch: Vec<PushRecord>,
     start: u16,
@@ -364,22 +364,20 @@ impl<O: Observer> ReplayState<O> {
         let strategies = (start..end)
             .map(|s| {
                 let server = ServerId::new(s);
-                options.strategy.build_impl_observed(
-                    capacities[s as usize],
-                    page_count,
-                    obs.handle(server),
-                )
+                options
+                    .strategy
+                    .build(capacities[s as usize], page_count, obs.handle(server))
             })
             .collect();
         let local_costs = (start..end).map(|s| costs.cost(ServerId::new(s))).collect();
-        let mut engine = DeliveryEngine::from_impls(
+        let mut engine = DeliveryEngine::new(
             strategies,
             local_costs,
             options.scheme,
             obs.clone(),
             ServerId::new(start),
         )
-        .expect("lengths match by construction");
+        .expect("fresh strategies, one per cost");
         // Size the engine's per-page state (eviction scratch, residency
         // index) once so the hot loop never grows it.
         engine.reserve_pages(meta.pages().len());
@@ -475,7 +473,7 @@ impl<O: Observer> ReplayState<O> {
                         self.engine
                             .replace_strategy(
                                 server,
-                                self.options.strategy.build_impl_observed(
+                                self.options.strategy.build(
                                     capacity,
                                     self.page_count,
                                     self.obs.handle(server),

@@ -11,14 +11,14 @@
 //! compiled replay and the sharded replay at every thread count are both
 //! proven against it.
 //!
-//! The two sides also differ in how proxies are built and dispatched: the
-//! reference loop builds `Box<dyn Strategy>` proxies whose page tables
-//! grow on demand (`StrategyKind::build`, virtual dispatch) while the
-//! production replay builds enum-dispatched ones preallocated for the
-//! trace's page universe (`build_impl_observed`, scratch buffers). Every
-//! reference test is therefore simultaneously a loop-vs-compiled and an
-//! enum-vs-dyn differential; `every_strategy_matches_the_reference_*`
-//! below sweeps the remaining option axes.
+//! The two sides also differ in how proxies are built: the reference loop
+//! builds proxies whose page tables grow on demand
+//! (`StrategyKind::build` with page count 0) while the production replay
+//! preallocates every table for the trace's page universe. Every
+//! reference test is therefore simultaneously a loop-vs-compiled and a
+//! grown-vs-preallocated differential;
+//! `every_strategy_matches_the_reference_*` below sweeps the remaining
+//! option axes.
 
 use std::collections::HashMap;
 use std::sync::OnceLock;
@@ -28,8 +28,7 @@ use proptest::sample::select;
 
 use pscd_broker::{DeliveryEngine, PushScheme};
 use pscd_core::StrategyKind;
-use pscd_obs::SharedObserver;
-use pscd_obs::{StatsObserver, TraceSink};
+use pscd_obs::{ObsHandle, SharedObserver, StatsObserver, TraceSink};
 use pscd_sim::{
     simulate_compiled, simulate_observed_sharded, CompiledTrace, CrashPlan, HourlySeries,
     SimOptions, SimResult, Simulation,
@@ -281,12 +280,19 @@ fn reference_simulate(
 ) -> SimResult {
     let servers = w.server_count();
     let capacities = w.cache_capacities(options.capacity_fraction);
-    let strategies = capacities
-        .iter()
-        .map(|&c| options.strategy.build(c))
-        .collect();
+    // Page count 0: every table grows on demand.
+    let build = |c| options.strategy.build(c, 0, ObsHandle::disabled());
+    let strategies = capacities.iter().map(|&c| build(c)).collect();
     let cost_vec = (0..servers).map(|s| costs.cost(ServerId::new(s))).collect();
-    let mut engine = DeliveryEngine::new(strategies, cost_vec, options.scheme).unwrap();
+    let mut engine = DeliveryEngine::new(
+        strategies,
+        cost_vec,
+        options.scheme,
+        SharedObserver::disabled(),
+        ServerId::new(0),
+    )
+    .unwrap();
+    let mut push_records = Vec::new();
     let mut hourly = HourlySeries::new((w.horizon().as_hours_f64().ceil() as usize).max(1));
     let mut latest_version: HashMap<PageId, PageId> = HashMap::new();
     let mut crash = options.crash;
@@ -318,10 +324,7 @@ fn reference_simulate(
                 crash = None;
                 for &server in &victims {
                     engine
-                        .replace_strategy(
-                            server,
-                            options.strategy.build(capacities[server.as_usize()]),
-                        )
+                        .replace_strategy(server, build(capacities[server.as_usize()]))
                         .unwrap();
                 }
             }
@@ -337,7 +340,8 @@ fn reference_simulate(
                     engine.invalidate_everywhere(stale);
                 }
             }
-            for record in engine.publish(meta, subs.matched_servers(ev.page)) {
+            engine.publish(meta, subs.matched_servers(ev.page), &mut push_records);
+            for record in &push_records {
                 if record.transferred {
                     hourly.record_push(ev.time, meta.size());
                 }
@@ -347,7 +351,7 @@ fn reference_simulate(
             ri += 1;
             let meta = &pages[ev.page.as_usize()];
             let record = engine
-                .request_with_subs(ev.server, meta, subs.count(ev.page, ev.server))
+                .request(ev.server, meta, subs.count(ev.page, ev.server))
                 .unwrap();
             hourly.record_request(ev.time, record.hit, meta.size());
         }

@@ -16,9 +16,10 @@ use rand::{RngExt, SeedableRng};
 use pscd::matching::EngineMatcher;
 use pscd::workload::{ContentModel, CATEGORIES};
 use pscd::{
-    Content, DeliveryEngine, Matcher, Predicate, PushScheme, ServerId, Strategy, StrategyKind,
-    Subscription, Value, Workload, WorkloadConfig,
+    Content, DeliveryEngine, Matcher, Predicate, PushScheme, ServerId, StrategyKind, Subscription,
+    Value, Workload, WorkloadConfig,
 };
+use pscd_obs::{ObsHandle, SharedObserver};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let workload = Workload::generate(&WorkloadConfig::news_scaled(0.02))?;
@@ -44,14 +45,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. Proxies run SG2; deliveries use Pushing-When-Necessary.
     let capacities = workload.cache_capacities(0.05);
-    let strategies: Vec<Box<dyn Strategy>> = capacities
+    //    Unobserved, page tables growing on demand (page count 0).
+    let strategies = capacities
         .iter()
-        .map(|&c| StrategyKind::Sg2 { beta: 2.0 }.build(c))
+        .map(|&c| StrategyKind::Sg2 { beta: 2.0 }.build(c, 0, ObsHandle::disabled()))
         .collect();
     let mut engine = DeliveryEngine::new(
         strategies,
         vec![1.0; servers as usize],
         PushScheme::WhenNecessary,
+        SharedObserver::disabled(),
+        ServerId::new(0),
     )?;
 
     // 3. Replay the publishing stream through the matching engine; after
@@ -60,16 +64,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let pages = workload.pages();
     let mut notified_pairs = 0u64;
     let mut requests = 0u64;
+    let mut pushes = Vec::new();
     for ev in workload.publishing() {
         let meta = &pages[ev.page.as_usize()];
         let content: Content = model.content_for(meta);
         matcher.register_page(ev.page, content);
         let matched = matcher.matched_servers(ev.page);
         notified_pairs += matched.len() as u64;
-        engine.publish(meta, &matched);
+        engine.publish(meta, &matched, &mut pushes);
         for (server, subs) in matched {
             if rng.random::<f64>() < 0.7 {
-                engine.request_with_subs(server, meta, subs)?;
+                engine.request(server, meta, subs)?;
                 requests += 1;
             }
         }

@@ -1,24 +1,24 @@
-//! Plugging a custom strategy into the simulator.
+//! Writing a custom strategy against the public [`Strategy`] trait.
 //!
 //! The paper points out that its framework composes with other
 //! replacement algorithms. This example implements a new combined
-//! strategy — *push-everything + LRU* — against the public
-//! [`Strategy`] trait and races it against GD\* and SG2 on the same
-//! workload. (It loses: pushing without a value function thrashes the
-//! cache.) A replacement policy is a value function handed to the
-//! [`GreedyDualEngine`] on each call, so the strategy composes the engine
-//! directly: LRU is `V(p) = L + 1`.
+//! strategy — *push-everything + LRU* — replays a compiled trace through
+//! a fleet of them by hand, and races it against GD\* and SG2, replayed
+//! by the simulator on the same trace. (It loses: pushing without a
+//! value function thrashes the cache.) A replacement policy is a value
+//! function handed to the [`GreedyDualEngine`] on each call, so the
+//! strategy composes the engine directly: LRU is `V(p) = L + 1`.
 //!
 //! ```text
 //! cargo run --release --example custom_strategy
 //! ```
 
 use pscd::cache::{AccessOutcome, GreedyDualEngine};
+use pscd::sim::CompiledEventKind;
 use pscd::strategies::{PushOutcome, StrategyClass};
-use pscd::types::SubscriptionTable;
 use pscd::{
-    simulate_compiled, Bytes, CompiledTrace, FetchCosts, PageId, PageRef, PushScheme, SimOptions,
-    Strategy, StrategyKind, Workload, WorkloadConfig,
+    simulate_compiled, Bytes, CompiledTrace, FetchCosts, PageId, PageRef, SimOptions, Strategy,
+    StrategyKind, Workload, WorkloadConfig,
 };
 
 /// Pushes every matched page (no value judgement) and runs plain LRU over
@@ -91,64 +91,53 @@ impl Strategy for PushLru {
     }
 }
 
-/// Runs a workload through a hand-built proxy fleet (the same loop
-/// `pscd_sim::simulate_compiled` replays, written out to show the moving
-/// parts).
-fn run_custom(
-    workload: &Workload,
-    subscriptions: &SubscriptionTable,
-    build: impl Fn(Bytes) -> Box<dyn Strategy>,
-) -> (f64, u64) {
-    use pscd::DeliveryEngine;
-    let capacities = workload.cache_capacities(0.05);
-    let strategies: Vec<Box<dyn Strategy>> = capacities.iter().map(|&c| build(c)).collect();
-    let costs = vec![1.0; workload.server_count() as usize];
-    let mut engine = DeliveryEngine::new(strategies, costs, PushScheme::Always).unwrap();
-
-    let pages = workload.pages();
-    let publishes = workload.publishing().events();
-    let requests = workload.requests().events();
-    let (mut pi, mut ri) = (0, 0);
-    while pi < publishes.len() || ri < requests.len() {
-        let publish_first = match (publishes.get(pi), requests.get(ri)) {
-            (Some(p), Some(r)) => p.time <= r.time,
-            (Some(_), None) => true,
-            (None, _) => false,
-        };
-        if publish_first {
-            let ev = publishes[pi];
-            pi += 1;
-            engine.publish(
-                &pages[ev.page.as_usize()],
-                subscriptions.matched_servers(ev.page),
-            );
-        } else {
-            let ev = requests[ri];
-            ri += 1;
-            let subs = subscriptions.count(ev.page, ev.server);
-            engine
-                .request_with_subs(ev.server, &pages[ev.page.as_usize()], subs)
-                .unwrap();
+/// Replays a compiled trace through a fleet of `PushLru` proxies, one
+/// per server, under Always-Pushing: every matched page is pushed (and
+/// crosses the network), and every request that misses is fetched from
+/// the publisher. Returns the global hit ratio and the pages transferred.
+fn run_push_lru(trace: &CompiledTrace, capacities: &[Bytes]) -> (f64, u64) {
+    let mut proxies: Vec<PushLru> = capacities.iter().map(|&c| PushLru::new(c)).collect();
+    let mut evicted = Vec::new();
+    let (mut hits, mut requests, mut transferred) = (0u64, 0u64, 0u64);
+    for ev in trace.events() {
+        let meta = trace.page(ev.page);
+        let page = PageRef::new(meta.id(), meta.size(), 1.0);
+        match ev.kind {
+            CompiledEventKind::Publish { ordinal, .. } => {
+                for &(server, subs) in trace.matched(ordinal) {
+                    proxies[server.as_usize()].on_push(&page, subs, &mut evicted);
+                    transferred += 1;
+                }
+            }
+            CompiledEventKind::Request { server, subs } => {
+                requests += 1;
+                if proxies[server.as_usize()]
+                    .on_access(&page, subs, &mut evicted)
+                    .is_hit()
+                {
+                    hits += 1;
+                } else {
+                    transferred += 1;
+                }
+            }
         }
     }
-    (
-        engine.global_hit_ratio(),
-        engine.total_traffic().total_pages(),
-    )
+    (hits as f64 / requests as f64, transferred)
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let workload = Workload::generate(&WorkloadConfig::news_scaled(0.1))?;
     let subscriptions = workload.subscriptions(1.0)?;
 
-    let (h, pages) = run_custom(&workload, &subscriptions, |cap| Box::new(PushLru::new(cap)));
+    let trace = CompiledTrace::compile(&workload, &subscriptions)?;
+
+    let (h, pages) = run_push_lru(&trace, &trace.capacities(0.05));
     println!(
         "PushLRU  hit ratio {:5.1}%   traffic {pages} pages",
         100.0 * h
     );
 
     // The built-in strategies, through the standard simulator.
-    let trace = CompiledTrace::compile(&workload, &subscriptions)?;
     let costs = FetchCosts::uniform(workload.server_count());
     for kind in [
         StrategyKind::GdStar { beta: 2.0 },

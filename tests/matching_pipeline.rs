@@ -4,9 +4,10 @@
 use pscd::matching::EngineMatcher;
 use pscd::workload::{ContentModel, CATEGORIES};
 use pscd::{
-    Content, DeliveryEngine, Matcher, Predicate, PushScheme, ServerId, Strategy, StrategyKind,
-    Subscription, SubscriptionTable, Value, Workload, WorkloadConfig,
+    Content, DeliveryEngine, Matcher, Predicate, PushScheme, ServerId, StrategyKind, Subscription,
+    SubscriptionTable, Value, Workload, WorkloadConfig,
 };
+use pscd_obs::{ObsHandle, SharedObserver};
 
 fn workload() -> Workload {
     Workload::generate(&WorkloadConfig::news_scaled(0.01)).unwrap()
@@ -51,22 +52,25 @@ fn table_matcher_and_engine_matcher_drive_the_same_delivery_api() {
     let table = w.subscriptions(1.0).unwrap();
     let capacities = w.cache_capacities(0.05);
 
-    let strategies: Vec<Box<dyn Strategy>> = capacities
+    let strategies = capacities
         .iter()
-        .map(|&c| StrategyKind::Sg1 { beta: 2.0 }.build(c))
+        .map(|&c| StrategyKind::Sg1 { beta: 2.0 }.build(c, 0, ObsHandle::disabled()))
         .collect();
     let mut engine = DeliveryEngine::new(
         strategies,
         vec![1.0; w.server_count() as usize],
         PushScheme::Always,
+        SharedObserver::disabled(),
+        ServerId::new(0),
     )
     .unwrap();
 
     let from_table: &SubscriptionTable = &table;
     let mut pushed = 0u64;
+    let mut records = Vec::new();
     for ev in w.publishing().iter().take(500) {
         let meta = &w.pages()[ev.page.as_usize()];
-        let records = engine.publish(meta, from_table.matched_servers(ev.page));
+        engine.publish(meta, from_table.matched_servers(ev.page), &mut records);
         pushed += records.iter().filter(|r| r.transferred).count() as u64;
     }
     assert!(pushed > 0);

@@ -3,8 +3,9 @@
 use proptest::prelude::*;
 
 use pscd::cache::CacheStore;
-use pscd::{Bytes, PageId, PageRef, ServerId, StrategyKind};
-use pscd_obs::{SharedObserver, StatsObserver};
+use pscd::strategies::StrategyImpl;
+use pscd::{Bytes, PageId, PageRef, ServerId, Strategy as _, StrategyKind};
+use pscd_obs::{ObsHandle, SharedObserver, StatsObserver};
 
 /// A scripted cache operation.
 #[derive(Debug, Clone)]
@@ -42,6 +43,11 @@ fn tied_page_ref(page: u32) -> PageRef {
     PageRef::new(PageId::new(page), Bytes::new(size), cost)
 }
 
+/// An unobserved strategy whose page tables grow on demand.
+fn build(kind: StrategyKind, capacity: u64) -> StrategyImpl {
+    kind.build(Bytes::new(capacity), 0, ObsHandle::disabled())
+}
+
 /// Replays `ops` on every kind, checking after each operation that the
 /// cache holds no more than its capacity and that the observer's ledger
 /// balances: every resident was admitted and not yet evicted.
@@ -54,7 +60,7 @@ fn check_accounting(ops: &[Op], capacity: u64, page_ref: fn(u32) -> PageRef) {
     };
     for kind in all_kinds().into_iter().chain([lopsided]) {
         let shared = SharedObserver::new(StatsObserver::new());
-        let mut s = kind.build_observed(Bytes::new(capacity), shared.handle(ServerId::new(0)));
+        let mut s = kind.build(Bytes::new(capacity), 0, shared.handle(ServerId::new(0)));
         let mut ev = Vec::new();
         for op in ops {
             match *op {
@@ -146,7 +152,7 @@ proptest! {
         capacity in 64u64..1024,
     ) {
         for kind in all_kinds() {
-            let mut s = kind.build(Bytes::new(capacity));
+            let mut s = build(kind, capacity);
             if !s.uses_push() {
                 continue;
             }
@@ -179,7 +185,7 @@ proptest! {
         capacity in 64u64..1024,
     ) {
         for kind in all_kinds() {
-            let mut s = kind.build(Bytes::new(capacity));
+            let mut s = build(kind, capacity);
             let mut ev = Vec::new();
             for op in &ops {
                 match *op {
@@ -232,7 +238,7 @@ proptest! {
         let pr = PageRef::new(PageId::new(page), Bytes::new(size), 1.0);
         let mut ev = Vec::new();
         for kind in &all_kinds()[..8] {
-            let mut s = kind.build(Bytes::new(1024));
+            let mut s = build(*kind, 1024);
             if *kind == StrategyKind::Sub {
                 prop_assert!(s.on_push(&pr, 1, &mut ev).is_stored());
             }
