@@ -7,6 +7,7 @@ use std::sync::Arc;
 use pscd_broker::{BrokerError, PushScheme};
 use pscd_cache::SnapshotError;
 use pscd_core::StrategyKind;
+use pscd_topology::FetchCosts;
 use pscd_types::{Bytes, PageMeta};
 
 /// Configuration of a live broker service: the same strategy/capacity/
@@ -23,7 +24,8 @@ pub struct ServiceConfig {
     pub strategy: StrategyKind,
     /// Per-proxy cache capacities (the fleet size is `capacities.len()`).
     pub capacities: Vec<Bytes>,
-    /// Per-proxy fetch costs; must match `capacities` in length.
+    /// Per-proxy fetch costs, each finite and positive; must match
+    /// `capacities` in length.
     pub costs: Vec<f64>,
     /// The pushing scheme (paper §5.6).
     pub scheme: PushScheme,
@@ -118,6 +120,12 @@ impl ServiceConfig {
     /// Returns [`ServiceError::Config`] when a field violates its
     /// constraint.
     pub fn validate(&self) -> Result<(), ServiceError> {
+        self.checked_costs().map(drop)
+    }
+
+    /// [`validate`](ServiceConfig::validate)s the configuration and
+    /// returns its fetch costs as the replay takes them.
+    pub(crate) fn checked_costs(&self) -> Result<FetchCosts, ServiceError> {
         if self.capacities.is_empty() {
             return Err(ServiceError::Config {
                 what: "capacities",
@@ -150,7 +158,11 @@ impl ServiceConfig {
         }
         self.strategy
             .check()
-            .map_err(|(what, constraint)| ServiceError::Config { what, constraint })
+            .map_err(|(what, constraint)| ServiceError::Config { what, constraint })?;
+        FetchCosts::from_values(self.costs.clone()).map_err(|_| ServiceError::Config {
+            what: "costs",
+            constraint: "finite and > 0",
+        })
     }
 }
 
@@ -298,6 +310,20 @@ mod tests {
         let mut c = base();
         c.hours = 0;
         assert!(c.validate().is_err());
+        // Regression: the simulator refuses these costs, and the service
+        // started on them.
+        for cost in [f64::NAN, 0.0, -1.0, f64::INFINITY] {
+            let mut c = base();
+            c.costs[1] = cost;
+            assert!(matches!(
+                c.validate(),
+                Err(ServiceError::Config { what: "costs", .. })
+            ));
+            assert!(matches!(
+                crate::ServiceCore::new(c),
+                Err(ServiceError::Config { what: "costs", .. })
+            ));
+        }
     }
 
     /// Regression: these panicked in a strategy constructor — with

@@ -3,19 +3,20 @@
 //!
 //! [`ServiceCore`] owns everything strategy-independent — the live
 //! subscription rows, version lineage, the write-ahead journal and the
-//! snapshot cadence — and streams fully resolved batches to the proxy
-//! fleet. Events are **resolved at ingest**: a publish's fan-out is
-//! copied out of the subscription rows the moment it arrives, so a later
-//! subscribe in the same batch can never retroactively change it. That
-//! is what makes the service bit-identical to the batch replay, which
-//! performs the same resolution in [`CompiledTrace::compile`] — and the
-//! resolution state machines themselves live in [`pscd_sim::resolve`],
-//! shared verbatim by both paths.
+//! snapshot cadence — and resolves each batch into the simulator's own
+//! window buffer ([`OwnedWindow`]), which every shard of the proxy fleet
+//! drains through the simulator's replay step. Events are **resolved at
+//! ingest**: a publish's fan-out is copied out of the subscription rows
+//! the moment it arrives, so a later subscribe in the same batch can
+//! never retroactively change it. That is what makes the service
+//! bit-identical to the batch replay, which performs the same resolution
+//! in [`CompiledTrace::compile`] — and the resolution state machines
+//! themselves live in [`pscd_sim::resolve`], shared verbatim by both
+//! paths.
 //!
 //! [`CompiledTrace::compile`]: pscd_sim::CompiledTrace::compile
 
 use std::fs;
-use std::mem;
 use std::sync::mpsc;
 use std::sync::Arc;
 
@@ -24,7 +25,8 @@ use pscd_cache::SnapshotReader;
 use pscd_matching::{EngineMatcher, MatchScratch, Subscription, SubscriptionId};
 use pscd_pool::effective_threads;
 use pscd_sim::resolve::{SubscriptionRows, VersionHeads};
-use pscd_sim::{HourlySeries, SimResult};
+use pscd_sim::{HourlySeries, OwnedWindow, SimResult};
+use pscd_topology::FetchCosts;
 use pscd_types::{LiveEvent, PageId, ServerId};
 
 use crate::config::{ServiceConfig, ServiceError};
@@ -32,8 +34,8 @@ use crate::journal::Journal;
 use crate::kept::KeptFanouts;
 use crate::wire::SNAPSHOT_MAGIC;
 use crate::worker::{
-    read_server_snap, ResolvedBatch, ResolvedEvent, ServerSnap, Shard, ShardRestore, ShardSnap,
-    ToWorker, WorkerHandle,
+    build_shard, encode_servers, finish, read_server_snap, ServerSnap, Shard, ShardRestore,
+    ShardSnap, ToWorker, WorkerHandle,
 };
 
 const JOURNAL_FILE: &str = "journal.bin";
@@ -74,7 +76,9 @@ pub struct ServiceCore {
     heads: VersionHeads,
     fleet: Fleet,
     journal: Option<Journal>,
-    batch: ResolvedBatch,
+    /// The pending batch. Publish ordinals are batch-local, so they never
+    /// wrap however long the service runs.
+    batch: OwnedWindow,
     /// The last snapshot file's bytes, kept so the next one is encoded
     /// into storage that is already there.
     snapshot_buf: Vec<u8>,
@@ -114,12 +118,22 @@ fn partition(servers: u16, workers: usize) -> Vec<(u16, u16)> {
     ranges
 }
 
+/// An empty batch with room for `batch_size` events. One publish fans out
+/// to at most the whole fleet, so `batch_size * servers` bounds the pair
+/// table — the same worst-case-dense sizing the replay's eviction scratch
+/// uses, which is what keeps the inline ingest path allocation-free in
+/// steady state.
+fn new_batch(config: &ServiceConfig) -> OwnedWindow {
+    let servers = config.server_count() as usize;
+    OwnedWindow::with_capacity(config.batch_size, config.batch_size * servers)
+}
+
 impl ServiceCore {
     /// Starts a fresh service. With a persistence directory configured,
     /// any existing journal is truncated — use [`ServiceCore::recover`]
     /// to resume from persisted state instead.
     pub fn new(config: ServiceConfig) -> Result<Self, ServiceError> {
-        config.validate()?;
+        let costs = config.checked_costs()?;
         let journal = match &config.dir {
             Some(dir) => {
                 fs::create_dir_all(dir)?;
@@ -127,14 +141,14 @@ impl ServiceCore {
             }
             None => None,
         };
-        let fleet = Self::build_fleet(&config, None)?;
+        let fleet = Self::build_fleet(&config, &costs, None)?;
         let pages = config.pages.len();
         Ok(Self {
             rows: SubscriptionRows::new(pages),
             heads: VersionHeads::new(pages),
             fleet,
             journal,
-            batch: ResolvedBatch::with_capacity(config.batch_size, config.server_count()),
+            batch: new_batch(&config),
             snapshot_buf: Vec::new(),
             events_applied: 0,
             last_snapshot: 0,
@@ -152,7 +166,7 @@ impl ServiceCore {
     /// exact state of a service that never crashed, because resolution
     /// and apply are deterministic functions of the event sequence.
     pub fn recover(config: ServiceConfig) -> Result<Self, ServiceError> {
-        config.validate()?;
+        let costs = config.checked_costs()?;
         let dir = config.dir.clone().ok_or(ServiceError::Config {
             what: "dir",
             constraint: "set for recovery",
@@ -178,13 +192,13 @@ impl ServiceCore {
         // The snapshot covers the journal's first `k` records: they are
         // walked, not decoded.
         let events = Journal::read_from(&journal_path, k)?;
-        let fleet = Self::build_fleet(&config, restore)?;
+        let fleet = Self::build_fleet(&config, &costs, restore)?;
         let mut core = Self {
             rows,
             heads,
             fleet,
             journal: None,
-            batch: ResolvedBatch::with_capacity(config.batch_size, config.server_count()),
+            batch: new_batch(&config),
             snapshot_buf: Vec::new(),
             events_applied: k,
             last_snapshot: k,
@@ -199,7 +213,7 @@ impl ServiceCore {
         for ev in &events {
             core.check(ev)?;
             core.resolve(*ev);
-            if core.batch.events.len() >= core.config.batch_size {
+            if core.batch.len() >= core.config.batch_size {
                 core.dispatch()?;
             }
         }
@@ -210,6 +224,7 @@ impl ServiceCore {
 
     fn build_fleet(
         config: &ServiceConfig,
+        costs: &FetchCosts,
         restore: Option<FleetRestore>,
     ) -> Result<Fleet, ServiceError> {
         let servers = config.server_count();
@@ -230,16 +245,13 @@ impl ServiceCore {
                 })
         };
         if workers <= 1 {
-            let mut shard = Box::new(Shard::build(config, 0, servers));
-            if let Some(restore) = restore_of(0, servers) {
-                shard.restore(&restore)?;
-            }
-            return Ok(Fleet::Inline(shard));
+            let shard = build_shard(config, costs, 0, servers, restore_of(0, servers))?;
+            return Ok(Fleet::Inline(Box::new(shard)));
         }
         let mut handles = Vec::with_capacity(workers);
         for (start, end) in partition(servers, workers) {
             let restore = restore_of(start, end);
-            handles.push(WorkerHandle::spawn(config, start, end, restore)?);
+            handles.push(WorkerHandle::spawn(config, costs, start, end, restore)?);
         }
         Ok(Fleet::Threaded(handles))
     }
@@ -383,7 +395,7 @@ impl ServiceCore {
         }
         for ev in events {
             self.resolve(*ev);
-            if self.batch.events.len() >= self.config.batch_size {
+            if self.batch.len() >= self.config.batch_size {
                 self.dispatch()?;
             }
             if self.config.snapshot_every > 0
@@ -438,8 +450,7 @@ impl ServiceCore {
             LiveEvent::Publish { time, page } => {
                 let meta = &self.config.pages[page.as_usize()];
                 let supersedes = self.heads.publish(page, meta);
-                let pair_lo = self.batch.pairs.len() as u32;
-                match &mut self.matcher {
+                let fanout = match &mut self.matcher {
                     Some(m) => {
                         // Lazy refreeze: a burst of content calls since the
                         // last resolve may have outgrown the kernel; rebuild
@@ -447,18 +458,11 @@ impl ServiceCore {
                         m.freeze();
                         m.matched_servers_into(page, &mut self.match_scratch, &mut self.fanout_buf);
                         self.kept.keep(page, &self.fanout_buf, self.events_applied);
-                        self.batch.pairs.extend_from_slice(&self.fanout_buf);
+                        &self.fanout_buf[..]
                     }
-                    None => self.batch.pairs.extend_from_slice(self.rows.row(page)),
-                }
-                let pair_hi = self.batch.pairs.len() as u32;
-                self.batch.events.push(ResolvedEvent::Publish {
-                    time,
-                    page,
-                    pair_lo,
-                    pair_hi,
-                    supersedes,
-                });
+                    None => self.rows.row(page),
+                };
+                self.batch.push_publish(time, page, supersedes, fanout);
             }
             LiveEvent::Request { time, server, page } => {
                 let subs = match &mut self.matcher {
@@ -472,37 +476,30 @@ impl ServiceCore {
                     }
                     None => self.rows.subs(page, server),
                 };
-                self.batch.events.push(ResolvedEvent::Request {
-                    time,
-                    server,
-                    page,
-                    subs,
-                });
+                self.batch.push_request(time, server, page, subs);
             }
         }
     }
 
-    /// Sends the pending batch to the fleet.
+    /// Applies the pending batch to the fleet: every shard steps through
+    /// all of it.
     fn dispatch(&mut self) -> Result<(), ServiceError> {
-        if self.batch.events.is_empty() {
+        if self.batch.is_empty() {
             return Ok(());
         }
         match &mut self.fleet {
             Fleet::Inline(shard) => {
-                shard.apply(
-                    &self.batch,
-                    &self.config.pages,
-                    self.config.invalidate_stale,
-                );
-                self.batch.clear();
+                let window = self.batch.view(&self.config.pages);
+                while shard.step(&window).is_some() {}
             }
             Fleet::Threaded(handles) => {
-                let batch = Arc::new(mem::take(&mut self.batch));
+                let batch = Arc::new(self.batch.clone());
                 for handle in handles.iter() {
                     handle.send(ToWorker::Batch(Arc::clone(&batch)))?;
                 }
             }
         }
+        self.batch.clear();
         Ok(())
     }
 
@@ -553,7 +550,7 @@ impl ServiceCore {
             Fleet::Inline(shard) => {
                 put_hourly(out, shard.hourly());
                 put_u16(out, config.server_count());
-                shard.encode_servers(out);
+                encode_servers(shard, out);
             }
             Fleet::Threaded(handles) => {
                 let mut replies = Vec::with_capacity(handles.len());
@@ -590,8 +587,8 @@ impl ServiceCore {
     pub fn shutdown(mut self) -> Result<ServiceOutcome, ServiceError> {
         self.flush()?;
         let servers = self.config.server_count();
-        let partials = match &mut self.fleet {
-            Fleet::Inline(shard) => vec![shard.finish(servers)],
+        let partials = match self.fleet {
+            Fleet::Inline(shard) => vec![finish(*shard)],
             Fleet::Threaded(handles) => {
                 let mut replies = Vec::with_capacity(handles.len());
                 for handle in handles.iter() {
@@ -647,8 +644,11 @@ fn put_hourly(out: &mut Vec<u8>, hourly: &HourlySeries) {
     }
 }
 
-fn read_hourly(r: &mut SnapshotReader<'_>) -> Result<HourlySeries, ServiceError> {
-    let hours = r.read_u32()? as usize;
+/// Reads a series [`put_hourly`] wrote, which must span `hours` buckets.
+fn read_hourly(r: &mut SnapshotReader<'_>, hours: usize) -> Result<HourlySeries, ServiceError> {
+    if r.read_u32()? as usize != hours {
+        return Err(ServiceError::CorruptFile("snapshot hour count"));
+    }
     let mut hourly = HourlySeries::new(hours);
     for series in [
         &mut hourly.hits,
@@ -679,25 +679,38 @@ fn decode_snapshot_file(
     if page_count != config.pages.len() {
         return Err(ServiceError::CorruptFile("snapshot page universe"));
     }
+    // Bound what the file says before allocating for it: a row lists each
+    // proxy at most once, in ascending order.
+    let fleet = config.server_count();
     let mut rows = Vec::with_capacity(page_count);
     for _ in 0..page_count {
         let len = r.read_u32()? as usize;
-        let mut row = Vec::with_capacity(len);
+        if len > fleet as usize {
+            return Err(ServiceError::CorruptFile("snapshot row length"));
+        }
+        let mut row: Vec<(ServerId, u32)> = Vec::with_capacity(len);
         for _ in 0..len {
-            let server = ServerId::new(r.read_u16()?);
-            let count = r.read_u32()?;
-            row.push((server, count));
+            let server = r.read_u16()?;
+            let ascending = row.last().is_none_or(|&(last, _)| last.index() < server);
+            if !ascending || server >= fleet {
+                return Err(ServiceError::CorruptFile("snapshot row servers"));
+            }
+            row.push((ServerId::new(server), r.read_u32()?));
         }
         rows.push(row);
     }
     let mut heads = Vec::with_capacity(page_count);
     for _ in 0..page_count {
-        let raw = r.read_u32()?;
-        heads.push((raw != u32::MAX).then(|| PageId::new(raw)));
+        let head = match r.read_u32()? {
+            u32::MAX => None,
+            raw if (raw as usize) < page_count => Some(PageId::new(raw)),
+            _ => return Err(ServiceError::CorruptFile("snapshot version head")),
+        };
+        heads.push(head);
     }
-    let hourly = read_hourly(&mut r)?;
+    let hourly = read_hourly(&mut r, config.hours)?;
     let server_count = r.read_u16()?;
-    if server_count != config.server_count() {
+    if server_count != fleet {
         return Err(ServiceError::CorruptFile("snapshot fleet size"));
     }
     let mut servers = Vec::with_capacity(server_count as usize);
@@ -727,26 +740,31 @@ mod tests {
     use pscd_broker::PushScheme;
     use pscd_core::StrategyKind;
     use pscd_matching::{Content, Predicate, Value};
+    use pscd_sim::CompiledEventKind;
     use pscd_types::{Bytes, PageKind, PageMeta, SimTime};
 
     const CATEGORIES: [&str; 3] = ["a", "b", "c"];
 
-    /// A service over `pages` original pages and `servers` proxies whose
-    /// batch outlasts the test, so every resolved event stays readable.
-    fn tiny_service(servers: u16, pages: u32) -> ServiceCore {
+    /// A service over `pages` original pages and `servers` proxies.
+    fn tiny_config(servers: u16, pages: u32) -> ServiceConfig {
         let metas = (0..pages).map(|id| {
             let size = Bytes::new(10 + u64::from(id));
             PageMeta::new(PageId::new(id), size, SimTime::ZERO, PageKind::Original)
         });
-        let config = ServiceConfig::new(
+        ServiceConfig::new(
             StrategyKind::Sg2 { beta: 2.0 },
             vec![Bytes::new(100); servers as usize],
             vec![1.0; servers as usize],
             PushScheme::Always,
             metas.collect(),
             1,
-        );
-        ServiceCore::new(config.with_batch_size(1 << 16)).unwrap()
+        )
+    }
+
+    /// [`tiny_config`]'s service, whose batch outlasts the test, so every
+    /// resolved event stays readable.
+    fn tiny_service(servers: u16, pages: u32) -> ServiceCore {
+        ServiceCore::new(tiny_config(servers, pages).with_batch_size(1 << 16)).unwrap()
     }
 
     /// Page `id` carries `page = id`, `n = id` and one of three categories.
@@ -781,10 +799,16 @@ mod tests {
         }
     }
 
+    /// The last resolved event.
+    fn last_event(core: &ServiceCore) -> CompiledEventKind {
+        let window = core.batch.view(&core.config.pages);
+        window.events().last().expect("an event resolved").kind
+    }
+
     /// The `subs` of the last resolved event, a request.
     fn last_subs(core: &ServiceCore) -> u32 {
-        match core.batch.events.last() {
-            Some(ResolvedEvent::Request { subs, .. }) => *subs,
+        match last_event(core) {
+            CompiledEventKind::Request { subs, .. } => subs,
             other => panic!("not a request: {other:?}"),
         }
     }
@@ -811,8 +835,7 @@ mod tests {
             rows.ingest(ev).unwrap();
         }
         assert_eq!(core.kept.count(PageId::new(2), ServerId::new(1)), Some(2));
-        assert_eq!(core.batch.events, rows.batch.events);
-        assert_eq!(core.batch.pairs, rows.batch.pairs);
+        assert_eq!(core.batch, rows.batch);
         assert_eq!(last_subs(&core), 2);
     }
 
@@ -1000,8 +1023,11 @@ mod tests {
                         core.ingest(publish(page)).unwrap();
                         rows.ingest(publish(page)).unwrap();
                         twin.matched_servers_into(PageId::new(page), &mut scratch, &mut fanout);
-                        let at = core.batch.pairs.len() - fanout.len();
-                        prop_assert_eq!(&core.batch.pairs[at..], &fanout[..]);
+                        let CompiledEventKind::Publish { ordinal, .. } = last_event(&core) else {
+                            panic!("not a publish");
+                        };
+                        let window = core.batch.view(&core.config.pages);
+                        prop_assert_eq!(window.matched(ordinal), &fanout[..]);
                     }
                     13..=15 => {
                         let sub = subscription(&mut draw);
@@ -1029,8 +1055,7 @@ mod tests {
                     }
                 }
             }
-            prop_assert_eq!(&core.batch.events, &rows.batch.events);
-            prop_assert_eq!(&core.batch.pairs, &rows.batch.pairs);
+            prop_assert_eq!(&core.batch, &rows.batch);
             // Both ways to a count are exercised in any run of some length.
             prop_assert!(steps < 100 || (kept_reads > 0 && kernel_reads > 0));
         }
@@ -1061,7 +1086,104 @@ mod tests {
         let mut out = Vec::new();
         put_hourly(&mut out, &h);
         let mut r = SnapshotReader::new(&out);
-        assert_eq!(read_hourly(&mut r).unwrap(), h);
+        assert_eq!(read_hourly(&mut r, 3).unwrap(), h);
         assert!(r.is_empty());
+    }
+
+    /// The snapshot file of a journaled two-proxy, three-page service whose
+    /// page 0 row lists both proxies and whose page 0 was published (it
+    /// heads its own lineage), and the config that recovers from it.
+    fn persisted_snapshot(tag: &str) -> (ServiceConfig, Vec<u8>) {
+        let dir =
+            std::env::temp_dir().join(format!("pscd-service-corrupt-{tag}-{}", std::process::id()));
+        fs::remove_dir_all(&dir).ok();
+        let config = tiny_config(2, 3).with_persistence(dir.clone(), 0);
+        let mut core = ServiceCore::new(config.clone()).unwrap();
+        for server in [0, 1] {
+            core.ingest(LiveEvent::Subscribe {
+                page: PageId::new(0),
+                server: ServerId::new(server),
+                count: 1,
+            })
+            .unwrap();
+        }
+        core.ingest(publish(0)).unwrap();
+        core.snapshot_now().unwrap();
+        drop(core);
+        let file = fs::read(dir.join(SNAPSHOT_FILE)).unwrap();
+        (config, file)
+    }
+
+    /// Offsets in [`persisted_snapshot`]'s file: page 0's row length, its
+    /// two server ids, the first version head and the hour count.
+    const ROW_0: usize = SNAPSHOT_MAGIC.len() + 8 + 4;
+    const ROW_0_SERVERS: [usize; 2] = [ROW_0 + 4, ROW_0 + 10];
+    const HEAD_0: usize = ROW_0 + 16 + 2 * 4;
+    const HOURS: usize = HEAD_0 + 3 * 4;
+
+    /// Recovers from `file` with `patch` written at `at`, then removes the
+    /// persistence directory.
+    fn recover_patched(
+        config: &ServiceConfig,
+        file: &[u8],
+        at: usize,
+        patch: &[u8],
+    ) -> Result<ServiceCore, ServiceError> {
+        let mut file = file.to_vec();
+        file[at..at + patch.len()].copy_from_slice(patch);
+        let dir = config.dir.as_ref().unwrap();
+        fs::write(dir.join(SNAPSHOT_FILE), file).unwrap();
+        let recovered = ServiceCore::recover(config.clone());
+        fs::remove_dir_all(dir).ok();
+        recovered
+    }
+
+    fn assert_corrupt(recovered: Result<ServiceCore, ServiceError>, what: &str) {
+        match recovered {
+            Err(ServiceError::CorruptFile(field)) => assert_eq!(field, what),
+            other => panic!("expected a corrupt {what}: {other:?}"),
+        }
+    }
+
+    /// Regression: the length was allocated for before it was read, and
+    /// `u32::MAX` aborted the process.
+    #[test]
+    fn snapshot_row_longer_than_the_fleet_is_corrupt() {
+        let (config, file) = persisted_snapshot("row-length");
+        assert!(recover_patched(&config, &file, ROW_0, &2u32.to_le_bytes()).is_ok());
+        for len in [3, u32::MAX] {
+            let (config, file) = persisted_snapshot("row-length");
+            let recovered = recover_patched(&config, &file, ROW_0, &len.to_le_bytes());
+            assert_corrupt(recovered, "snapshot row length");
+        }
+    }
+
+    /// Regression: a row naming a proxy outside the fleet recovered `Ok`.
+    #[test]
+    fn snapshot_row_servers_out_of_order_or_outside_the_fleet_are_corrupt() {
+        for (at, server) in [(1, 9u16), (1, 2), (1, 0), (0, 1)] {
+            let (config, file) = persisted_snapshot("row-servers");
+            let at = ROW_0_SERVERS[at];
+            let recovered = recover_patched(&config, &file, at, &server.to_le_bytes());
+            assert_corrupt(recovered, "snapshot row servers");
+        }
+    }
+
+    #[test]
+    fn snapshot_version_head_outside_the_page_universe_is_corrupt() {
+        let (config, file) = persisted_snapshot("head");
+        assert!(recover_patched(&config, &file, HEAD_0, &2u32.to_le_bytes()).is_ok());
+        let (config, file) = persisted_snapshot("head");
+        let recovered = recover_patched(&config, &file, HEAD_0, &3u32.to_le_bytes());
+        assert_corrupt(recovered, "snapshot version head");
+    }
+
+    #[test]
+    fn snapshot_hour_count_other_than_the_configs_is_corrupt() {
+        for hours in [0, 2, u32::MAX] {
+            let (config, file) = persisted_snapshot("hours");
+            let recovered = recover_patched(&config, &file, HOURS, &hours.to_le_bytes());
+            assert_corrupt(recovered, "snapshot hour count");
+        }
     }
 }

@@ -5,12 +5,13 @@
 //! simulator replays, but as a long-lived process: events arrive one at
 //! a time through an ingestion front door (no pre-merged timeline), a
 //! supervisor resolves each event against the live subscription rows and
-//! version lineage, and per-proxy workers apply the resolved stream —
-//! through the **same** [`pscd_sim::live`] step functions the batch
-//! replay uses, which is why the service's final accounting and cache
-//! contents are bit-identical to `simulate_compiled` over the same
-//! events (the `service_differential` suite proves this for every
-//! strategy).
+//! version lineage into the simulator's window buffer
+//! ([`OwnedWindow`](pscd_sim::OwnedWindow)), and every shard of the proxy
+//! fleet is a [`ReplayState`](pscd_sim::ReplayState) that steps through
+//! each batch — the **same** step the batch replay runs, which is why the
+//! service's final accounting and cache contents are bit-identical to
+//! `simulate_compiled` over the same events (the `service_differential`
+//! suite checks this for every strategy).
 //!
 //! Durability is a write-ahead event journal plus periodic state
 //! snapshots (serialized dense cache state + accounting). A killed

@@ -47,6 +47,12 @@
 //! bit-identical to the sequential replay (see the `differential` test
 //! suite and DESIGN.md).
 //!
+//! That loop is [`ReplayState::step`], and it is the workspace's only
+//! one: the live broker service (`pscd-service`) resolves each ingest
+//! batch into an [`OwnedWindow`] and each of its shards is a
+//! [`ReplayState`] stepping through it, so the service and the simulator
+//! apply an event through the same code.
+//!
 //! # Examples
 //!
 //! ```
@@ -69,7 +75,6 @@
 #![warn(missing_debug_implementations)]
 
 mod error;
-pub mod live;
 mod merge;
 mod metrics;
 pub use pscd_pool as pool;
@@ -87,9 +92,10 @@ pub use prefetch::{
     simulate_streamed_prefetched_traced, PrefetchOptions, PrefetchStats, DEFAULT_PREFETCH_DEPTH,
 };
 pub use runner::{
-    simulate_compiled, simulate_observed_sharded, CrashPlan, SimOptions, Simulation, StepEvent,
+    simulate_compiled, simulate_observed_sharded, CrashPlan, ReplayState, SimOptions, Simulation,
+    StepEvent,
 };
 pub use shard::ShardPlan;
 pub use stream::{simulate_streamed, StreamingTrace, StreamingWindows};
 pub use trace::{CompiledEvent, CompiledEventKind, CompiledTrace};
-pub use window::{CompiledWindows, ReplayMeta, ReplaySource, TraceWindow};
+pub use window::{CompiledWindows, OwnedWindow, ReplayMeta, ReplaySource, TraceWindow};

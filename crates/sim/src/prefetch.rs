@@ -50,13 +50,12 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use pscd_obs::{NullObserver, TraceSink};
 use pscd_topology::FetchCosts;
-use pscd_types::{RequestEvent, ServerId};
+use pscd_types::RequestEvent;
 
 use crate::runner::{validate_meta, SimOptions};
 use crate::shard::{merge, plan_for, replay_shard};
 use crate::stream::{StreamingTrace, WindowState};
-use crate::trace::CompiledEvent;
-use crate::window::{ReplayMeta, ReplaySource, TraceWindow};
+use crate::window::{OwnedWindow, ReplayMeta, ReplaySource, TraceWindow};
 use crate::{SimError, SimResult};
 
 /// Default compile-ahead depth: one window in flight behind the one being
@@ -115,37 +114,6 @@ pub struct PrefetchStats {
     /// Request events the producer drew; `meta.request_count()` when every
     /// page was drawn exactly once.
     pub generated_events: usize,
-}
-
-/// One compiled window with owned buffers, safe to hand across threads;
-/// consumers borrow it back into a [`TraceWindow`] view for the replay
-/// loop.
-#[derive(Debug)]
-pub(crate) struct OwnedWindow {
-    events: Vec<CompiledEvent>,
-    offsets: Vec<u32>,
-    pairs: Vec<(ServerId, u32)>,
-    ordinal_base: u32,
-    start_index: usize,
-}
-
-impl OwnedWindow {
-    fn bytes(&self) -> usize {
-        self.events.capacity() * std::mem::size_of::<CompiledEvent>()
-            + self.offsets.capacity() * std::mem::size_of::<u32>()
-            + self.pairs.capacity() * std::mem::size_of::<(ServerId, u32)>()
-    }
-
-    fn view<'a>(&'a self, trace: &'a StreamingTrace) -> TraceWindow<'a> {
-        TraceWindow {
-            pages: &trace.meta().pages,
-            events: &self.events,
-            offsets: &self.offsets,
-            pairs: &self.pairs,
-            ordinal_base: self.ordinal_base,
-            start_index: self.start_index,
-        }
-    }
 }
 
 #[derive(Debug)]
@@ -240,7 +208,7 @@ impl WindowQueue {
         let bytes = window.bytes();
         g.live_bytes += bytes;
         g.stats.windows += 1;
-        g.stats.events += window.events.len();
+        g.stats.events += window.len();
         g.buf.push_back((Arc::new(window), bytes));
         g.pushed += 1;
         g.stats.peak_bytes = g.stats.peak_bytes.max(g.live_bytes);
@@ -322,7 +290,9 @@ impl ReplaySource for QueueWindows<'_> {
         // a window's life past the queue's own accounting.
         self.current = None;
         self.current = self.queue.take(self.consumer);
-        self.current.as_deref().map(|w| w.view(self.trace))
+        self.current
+            .as_deref()
+            .map(|w| w.view(self.trace.meta().pages()))
     }
 }
 
@@ -352,29 +322,15 @@ fn produce(trace: &StreamingTrace, queue: &WindowQueue, depth: usize, sink: &Tra
         });
         for (k, bucket) in windows.zip(&mut buckets) {
             let span = rec.begin();
-            let mut events = Vec::new();
-            let mut offsets = Vec::new();
-            let mut pairs = Vec::new();
-            let (ordinal_base, start_index) = trace.compile_window_into(
-                &mut state,
-                bucket,
-                &mut events,
-                &mut offsets,
-                &mut pairs,
-            );
-            let n = events.len();
+            let mut window = OwnedWindow::with_capacity(0, 0);
+            trace.compile_window_into(&mut state, bucket, &mut window);
+            let n = window.len();
             rec.end_with(span, "prefetch.compile", || {
                 format!("window {k} ({n} events)")
             });
             // Push outside the span: blocked-on-backpressure time shows
             // as a gap in the producer track, not as compile work.
-            queue.push(OwnedWindow {
-                events,
-                offsets,
-                pairs,
-                ordinal_base,
-                start_index,
-            });
+            queue.push(window);
         }
     }
     let mut g = queue.lock();
@@ -630,13 +586,7 @@ mod tests {
     }
 
     fn empty_window() -> OwnedWindow {
-        OwnedWindow {
-            events: Vec::new(),
-            offsets: vec![0],
-            pairs: Vec::new(),
-            ordinal_base: 0,
-            start_index: 0,
-        }
+        OwnedWindow::with_capacity(0, 0)
     }
 
     #[test]

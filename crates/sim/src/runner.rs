@@ -1,12 +1,15 @@
 //! The discrete-event simulation runner.
 //!
-//! There is exactly **one** replay loop in the simulator:
+//! There is exactly **one** replay loop in the workspace:
 //! [`ReplayState::step`], driven over compiled [`TraceWindow`]s by the
 //! driver in `shard.rs`. The sequential runner replays the full server
 //! range over one whole-trace window; a shard worker is the same replay
 //! over `[start, end)`; a streamed run pulls bounded windows from its
-//! [`ReplaySource`](crate::ReplaySource). Nothing re-derives timeline
-//! order, fan-outs, subscription counts or invalidation lineage per run.
+//! [`ReplaySource`](crate::ReplaySource); a live service shard steps each
+//! ingest batch. Nothing re-derives timeline order, fan-outs,
+//! subscription counts or invalidation lineage per run.
+
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
@@ -18,7 +21,7 @@ use pscd_broker::{DeliveryEngine, PushRecord, PushScheme};
 use pscd_core::StrategyKind;
 use pscd_obs::{MergeableObserver, NullObserver, Observer, SharedObserver, TraceSink};
 use pscd_topology::FetchCosts;
-use pscd_types::{ServerId, SimTime};
+use pscd_types::{Bytes, ServerId, SimTime};
 
 use crate::shard::{drain, plan_for, run_shards};
 use crate::trace::{CompiledEventKind, CompiledTrace};
@@ -307,22 +310,25 @@ pub enum StepEvent {
 }
 
 /// THE replay loop: the single implementation of event processing, shared
-/// by the sequential runner (full server range) and every shard worker
-/// (its `[start, end)` range). Holds everything mutable about a replay —
-/// the engine, the global cursor, pending crash/invalidation — while the
-/// timeline arrives as [`TraceWindow`]s passed by reference into each
-/// call: the whole trace at once ([`CompiledTrace::full_window`]), or one
-/// bounded chunk at a time from any
-/// [`ReplaySource`](crate::ReplaySource). The state carries nothing
-/// window-local, so window boundaries are invisible to replay semantics
-/// (the `stream_differential` suite proves it).
+/// by the sequential runner (full server range), every shard worker (its
+/// `[start, end)` range) and every shard of the live service
+/// (`pscd-service`, which resolves each ingest batch into an
+/// [`OwnedWindow`](crate::window::OwnedWindow)). Holds everything mutable
+/// about a replay — the engine, the hourly series, the global cursor,
+/// pending crash/invalidation — while the timeline arrives as
+/// [`TraceWindow`]s passed by reference into each call: the whole trace at
+/// once ([`CompiledTrace::full_window`]), or one bounded chunk at a time
+/// from any [`ReplaySource`](crate::ReplaySource). The state carries
+/// nothing window-local, so window boundaries are invisible to replay
+/// semantics (the `stream_differential` suite proves it).
 #[derive(Debug)]
-pub(crate) struct ReplayState<O: Observer> {
-    options: SimOptions,
+pub struct ReplayState<O: Observer> {
+    strategy: StrategyKind,
+    invalidate_stale: bool,
     engine: DeliveryEngine<O>,
     obs: SharedObserver<O>,
     /// Full-fleet capacities (crash restarts index by global server id).
-    capacities: Vec<pscd_types::Bytes>,
+    capacities: Vec<Bytes>,
     hourly: HourlySeries,
     /// Next *global* timeline index to process.
     cursor: usize,
@@ -346,59 +352,94 @@ pub(crate) struct ReplayState<O: Observer> {
     end: u16,
 }
 
+/// The replay of `options` over `meta`'s trace for servers `range`.
+/// Options must already be validated.
+pub(crate) fn replay_state<O: Observer>(
+    meta: &ReplayMeta,
+    costs: &FetchCosts,
+    options: &SimOptions,
+    obs: SharedObserver<O>,
+    range: Range<u16>,
+) -> ReplayState<O> {
+    ReplayState::new(
+        options.strategy,
+        options.scheme,
+        options.invalidate_stale,
+        options.crash,
+        meta.capacities(options.capacity_fraction),
+        costs,
+        meta.pages().len(),
+        HourlySeries::new(meta.hours()),
+        obs,
+        range,
+    )
+}
+
 impl<O: Observer> ReplayState<O> {
-    /// Builds the proxy fleet for servers `[start, end)`. Options must
-    /// already be validated.
-    pub(crate) fn new(
-        meta: &ReplayMeta,
+    /// Builds the proxy fleet for servers `range` of a fleet whose
+    /// per-server cache capacities are `capacities` and fetch costs
+    /// `costs`: one `strategy` per proxy, preallocated for the page ids
+    /// `0..page_count`, delivering under `scheme`. With
+    /// `invalidate_stale` a publish first drops the version it supersedes
+    /// from every cache in range; `crash` restarts its victims in range.
+    /// Accounting adds to `hourly`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacities` or `costs` covers fewer servers than `range`
+    /// reaches.
+    #[allow(clippy::too_many_arguments)]
+    pub fn new(
+        strategy: StrategyKind,
+        scheme: PushScheme,
+        invalidate_stale: bool,
+        crash: Option<CrashPlan>,
+        capacities: Vec<Bytes>,
         costs: &FetchCosts,
-        options: &SimOptions,
+        page_count: usize,
+        hourly: HourlySeries,
         obs: SharedObserver<O>,
-        start: u16,
-        end: u16,
+        range: Range<u16>,
     ) -> Self {
-        let capacities = meta.capacities(options.capacity_fraction);
-        // Page ids in a compiled trace are dense ordinals `0..pages()`, so
-        // every per-page table can be a flat preallocated vector.
-        let page_count = meta.pages().len();
+        let Range { start, end } = range;
+        // Page ids are dense ordinals `0..page_count`, so every per-page
+        // table can be a flat preallocated vector.
         let strategies = (start..end)
             .map(|s| {
                 let server = ServerId::new(s);
-                options
-                    .strategy
-                    .build(capacities[s as usize], page_count, obs.handle(server))
+                strategy.build(capacities[s as usize], page_count, obs.handle(server))
             })
             .collect();
         let local_costs = (start..end).map(|s| costs.cost(ServerId::new(s))).collect();
         let mut engine = DeliveryEngine::new(
             strategies,
             local_costs,
-            options.scheme,
+            scheme,
             obs.clone(),
             ServerId::new(start),
         )
         .expect("fresh strategies, one per cost");
         // Size the engine's per-page state (eviction scratch, residency
         // index) once so the hot loop never grows it.
-        engine.reserve_pages(meta.pages().len());
+        engine.reserve_pages(page_count);
         // Victims are resolved over the *full* fleet (a pure function of
         // the seed) and filtered to the range, so fault injection hits
         // exactly the proxies it hits sequentially.
-        let victims = options
-            .crash
-            .map(|plan| plan.victims(meta.server_count()))
+        let victims = crash
+            .map(|plan| plan.victims(capacities.len() as u16))
             .unwrap_or_default()
             .into_iter()
             .filter(|v| (start..end).contains(&v.index()))
             .collect();
         Self {
-            options: *options,
+            strategy,
+            invalidate_stale,
             engine,
             obs,
             capacities,
-            hourly: HourlySeries::new(meta.hours()),
+            hourly,
             cursor: 0,
-            crash_at: options.crash.map(|plan| plan.time),
+            crash_at: crash.map(|plan| plan.time),
             victims,
             pending_invalidation: None,
             page_count,
@@ -420,19 +461,33 @@ impl<O: Observer> ReplayState<O> {
         self.pending_invalidation.is_some()
     }
 
-    pub(crate) fn options(&self) -> &SimOptions {
-        &self.options
+    pub(crate) fn strategy(&self) -> StrategyKind {
+        self.strategy
     }
 
-    pub(crate) fn engine(&self) -> &DeliveryEngine<O> {
+    /// Read access to the delivery engine (per-proxy strategies,
+    /// counters).
+    pub fn engine(&self) -> &DeliveryEngine<O> {
         &self.engine
+    }
+
+    /// Write access to the delivery engine, for restoring saved proxy
+    /// state before the first step.
+    pub fn engine_mut(&mut self) -> &mut DeliveryEngine<O> {
+        &mut self.engine
+    }
+
+    /// The hourly accounting so far.
+    pub fn hourly(&self) -> &HourlySeries {
+        &self.hourly
     }
 
     /// Processes the next timeline event of `window` owned by this
     /// replay's server range. Returns `None` when the window is exhausted
-    /// — the driver then pulls the next window from its source (a `None`
-    /// on the final window ends the replay).
-    pub(crate) fn step(&mut self, window: &TraceWindow<'_>) -> Option<StepEvent> {
+    /// — the caller then steps through the next window (a `None` on the
+    /// final window ends the replay). Consecutive windows must tile the
+    /// timeline: each starts at the global index where the last ended.
+    pub fn step(&mut self, window: &TraceWindow<'_>) -> Option<StepEvent> {
         if let Some((stale, proxies)) = self.pending_invalidation.take() {
             return Some(StepEvent::Invalidated { stale, proxies });
         }
@@ -473,7 +528,7 @@ impl<O: Observer> ReplayState<O> {
                         self.engine
                             .replace_strategy(
                                 server,
-                                self.options.strategy.build(
+                                self.strategy.build(
                                     capacity,
                                     self.page_count,
                                     self.obs.handle(server),
@@ -495,7 +550,7 @@ impl<O: Observer> ReplayState<O> {
                 supersedes,
             } => {
                 let meta = window.page(ev.page);
-                if self.options.invalidate_stale {
+                if self.invalidate_stale {
                     // The superseded version was resolved at compile time;
                     // drop it from every cache in range before notifying.
                     if let Some(stale) = supersedes {
@@ -514,14 +569,14 @@ impl<O: Observer> ReplayState<O> {
                     self.obs
                         .notify(ev.time, ev.page, window.matched(ordinal).len());
                 }
-                let pushed = crate::live::apply_publish(
-                    &mut self.engine,
-                    &mut self.hourly,
-                    meta,
-                    ev.time,
-                    matched,
-                    &mut self.push_scratch,
-                );
+                self.engine.publish(meta, matched, &mut self.push_scratch);
+                let mut pushed = 0;
+                for record in &self.push_scratch {
+                    if record.transferred {
+                        self.hourly.record_push(ev.time, meta.size());
+                        pushed += 1;
+                    }
+                }
                 if self.start == 0 {
                     self.obs.publish(
                         ev.time,
@@ -539,15 +594,11 @@ impl<O: Observer> ReplayState<O> {
             }
             CompiledEventKind::Request { server, subs } => {
                 let meta = window.page(ev.page);
-                let record = crate::live::apply_request(
-                    &mut self.engine,
-                    &mut self.hourly,
-                    server,
-                    meta,
-                    ev.time,
-                    subs,
-                )
-                .expect("requests filtered to the replay range");
+                let record = self
+                    .engine
+                    .request(server, meta, subs)
+                    .expect("requests filtered to the replay range");
+                self.hourly.record_request(ev.time, record.hit, meta.size());
                 self.obs
                     .request(ev.time, server, ev.page, meta.size(), record.hit);
                 Some(StepEvent::Requested {
@@ -563,7 +614,7 @@ impl<O: Observer> ReplayState<O> {
     /// Finalizes the result from the current state. The per-server vector
     /// spans the full fleet (zeros outside this replay's range) so shard
     /// results merge by uniform component-wise addition.
-    pub(crate) fn finish(self) -> SimResult {
+    pub fn finish(self) -> SimResult {
         let servers = self.capacities.len();
         let mut per_server = vec![(0u64, 0u64); servers];
         let mut hits = 0u64;
@@ -575,7 +626,7 @@ impl<O: Observer> ReplayState<O> {
             total_requests += stats.1;
         }
         SimResult {
-            strategy: self.options.strategy.name().to_owned(),
+            strategy: self.strategy.name().to_owned(),
             hits,
             requests: total_requests,
             traffic: self.engine.total_traffic(),
@@ -621,6 +672,7 @@ impl<O: Observer> ReplayState<O> {
 pub struct Simulation<'a, O: Observer = NullObserver> {
     trace: &'a CompiledTrace,
     costs: FetchCosts,
+    options: SimOptions,
     state: ReplayState<O>,
 }
 
@@ -686,10 +738,11 @@ impl<'a, O: Observer> Simulation<'a, O> {
         obs: SharedObserver<O>,
     ) -> Result<Self, SimError> {
         validate_meta(trace.meta(), costs, options)?;
-        let state = ReplayState::new(trace.meta(), costs, options, obs, 0, trace.server_count());
+        let state = replay_state(trace.meta(), costs, options, obs, 0..trace.server_count());
         Ok(Self {
             trace,
             costs: costs.clone(),
+            options: *options,
             state,
         })
     }
@@ -729,9 +782,9 @@ impl<'a, O: Observer> Simulation<'a, O> {
         let Self {
             trace,
             costs,
+            options,
             state,
         } = self;
-        let options = *state.options();
         let open = || trace.windows(usize::MAX);
         let untouched = !O::ENABLED && state.cursor() == 0 && !state.pending_invalidation();
         if untouched && plan_for(trace.meta(), &options).shards() > 1 {
@@ -753,7 +806,8 @@ impl<'a, O: Observer> Simulation<'a, O> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pscd_types::SubscriptionTable;
+    use crate::window::OwnedWindow;
+    use pscd_types::{PageId, PageKind, PageMeta, SubscriptionTable};
     use pscd_workload::{Workload, WorkloadConfig};
 
     fn tiny() -> (Workload, CompiledTrace, FetchCosts) {
@@ -1176,6 +1230,71 @@ mod tests {
             ),
             Err(SimError::InvalidOption { .. })
         ));
+    }
+
+    /// A full-range replay of `proxies` proxies over a one-page universe,
+    /// and that page.
+    fn tiny_state(kind: StrategyKind, proxies: u16) -> (ReplayState<NullObserver>, [PageMeta; 1]) {
+        let state = ReplayState::new(
+            kind,
+            PushScheme::Always,
+            false,
+            None,
+            vec![Bytes::new(1_000); proxies as usize],
+            &FetchCosts::uniform(proxies),
+            1,
+            HourlySeries::new(2),
+            SharedObserver::disabled(),
+            0..proxies,
+        );
+        let page = PageMeta::new(
+            PageId::new(0),
+            Bytes::new(100),
+            SimTime::ZERO,
+            PageKind::Original,
+        );
+        (state, [page])
+    }
+
+    #[test]
+    fn a_publish_counts_transfers_and_hourly_pushes() {
+        let (mut state, pages) = tiny_state(StrategyKind::Sub, 2);
+        let mut window = OwnedWindow::with_capacity(1, 2);
+        let fanout = [(ServerId::new(0), 3), (ServerId::new(1), 1)];
+        window.push_publish(SimTime::from_secs(10), PageId::new(0), None, &fanout);
+        let window = window.view(&pages);
+        let pushed = match state.step(&window) {
+            Some(StepEvent::Published { pushed, .. }) => pushed,
+            other => panic!("not a publish: {other:?}"),
+        };
+        assert_eq!(pushed, 2);
+        assert!(state.step(&window).is_none());
+        assert_eq!(state.hourly().pushed_pages[0], 2);
+        assert_eq!(state.engine().total_traffic().pushed_pages, 2);
+    }
+
+    #[test]
+    fn a_request_records_hits_misses_and_fetches() {
+        let (mut state, pages) = tiny_state(StrategyKind::GdStar { beta: 2.0 }, 1);
+        let t = SimTime::from_secs(5);
+        let mut window = OwnedWindow::with_capacity(3, 0);
+        // The third is outside the replay's range: skipped, not served.
+        for server in [0, 0, 7] {
+            window.push_request(t, ServerId::new(server), PageId::new(0), 0);
+        }
+        let window = window.view(&pages);
+        let served: Vec<_> = std::iter::from_fn(|| state.step(&window)).collect();
+        assert!(matches!(
+            served[..],
+            [
+                StepEvent::Requested { hit: false, .. },
+                StepEvent::Requested { hit: true, .. },
+            ]
+        ));
+        let hourly = state.finish().hourly;
+        assert_eq!(hourly.requests[0], 2);
+        assert_eq!(hourly.hits[0], 1);
+        assert_eq!(hourly.fetched_pages[0], 1);
     }
 
     #[test]

@@ -41,7 +41,7 @@ use pscd_obs::{MergeableObserver, Observer, SharedObserver, TraceRecorder, Trace
 use pscd_topology::FetchCosts;
 
 use crate::pool::parallel_indexed;
-use crate::runner::{ReplayState, SimOptions};
+use crate::runner::{replay_state, ReplayState, SimOptions};
 use crate::window::{ReplayMeta, ReplaySource, TraceWindow};
 use crate::SimResult;
 
@@ -126,7 +126,7 @@ fn replay_chunked<O: Observer>(
     window: &TraceWindow<'_>,
     rec: &mut TraceRecorder,
 ) {
-    let label = format!("replay.{}", state.options().strategy.name());
+    let label = format!("replay.{}", state.strategy().name());
     loop {
         let from = state.cursor();
         let span = rec.begin();
@@ -177,7 +177,7 @@ pub(crate) fn replay_shard<O: MergeableObserver>(
 ) -> (SimResult, O) {
     let (start, end) = plan.range(k);
     let obs = SharedObserver::new(O::default());
-    let state = ReplayState::new(source.meta(), costs, options, obs.clone(), start, end);
+    let state = replay_state(source.meta(), costs, options, obs.clone(), start..end);
     let mut rec = sink
         .is_enabled()
         .then(|| sink.recorder(format!("shard {k} [{start},{end})")));

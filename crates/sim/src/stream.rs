@@ -68,7 +68,7 @@ use std::ops::Range;
 use pscd_matching::EngineMatcher;
 use pscd_obs::{NullObserver, TraceSink};
 use pscd_topology::FetchCosts;
-use pscd_types::{Bytes, PublishEvent, RequestEvent, ServerId, SimTime, SubscriptionTable};
+use pscd_types::{Bytes, PublishEvent, RequestEvent, SimTime, SubscriptionTable};
 use pscd_workload::{
     generate_publishing, generate_subscriptions_from_counts, RequestStream, ScenarioConfig,
     TimeWarp, WorkloadConfig, WorkloadError,
@@ -78,8 +78,8 @@ use crate::pool::parallel_chunked;
 use crate::resolve::{MatchBuffers, Matching, VersionHeads};
 use crate::runner::{validate_meta, SimOptions};
 use crate::shard::run_shards;
-use crate::trace::{CompiledEvent, CompiledEventKind, CompiledTrace};
-use crate::window::{ReplayMeta, ReplaySource, TraceWindow};
+use crate::trace::{merge_timeline, CompiledEventKind, CompiledTrace};
+use crate::window::{OwnedWindow, ReplayMeta, ReplaySource, TraceWindow};
 use crate::{SimError, SimResult};
 
 /// Pages per pool job in the counting scan. Scheduling granularity only —
@@ -412,25 +412,21 @@ impl StreamingTrace {
         Some(first..end)
     }
 
-    /// Compiles the next window (per `state`) from its gathered
-    /// `requests` (stably sorted by `(time, page)` here, so ties land as in
-    /// the monolithic path whatever order the pages were drawn in):
-    /// consumes the publish stream up to the window end, merges with the
-    /// `publish.time <= request.time` tie-break, and resolves
-    /// fan-outs/counts — the same lookups as `CompiledTrace::compile`,
-    /// with the lineage carried in `state.heads` instead of a trace-local
-    /// map. Returns the window's `(ordinal_base, start_index)` and
-    /// advances every piece of carried state. Both the serial pass and the
-    /// pipelined producer funnel through here, so the merge/resolve logic
-    /// cannot diverge.
+    /// Compiles the next window (per `state`) into `window` from its
+    /// gathered `requests` (stably sorted by `(time, page)` here, so ties
+    /// land as in the monolithic path whatever order the pages were drawn
+    /// in): consumes the publish stream up to the window end, merges
+    /// through the monolithic compiler's [`merge_timeline`] with the
+    /// lineage carried in `state.heads`, and resolves fan-outs/counts —
+    /// the same lookups as `CompiledTrace::compile`. Advances every piece
+    /// of carried state. Both the serial pass and the pipelined producer
+    /// funnel through here, so the merge/resolve logic cannot diverge.
     pub(crate) fn compile_window_into(
         &self,
         state: &mut WindowState,
         requests: &mut [RequestEvent],
-        events: &mut Vec<CompiledEvent>,
-        offsets: &mut Vec<u32>,
-        pairs: &mut Vec<(ServerId, u32)>,
-    ) -> (u32, usize) {
+        window: &mut OwnedWindow,
+    ) {
         let k = state.next_window;
         debug_assert!(k < self.window_count, "compile past the last window");
         state.next_window += 1;
@@ -456,50 +452,30 @@ impl StreamingTrace {
         }
         let window_pubs = &self.publishes[pub_start..state.publish_cursor];
 
-        events.clear();
-        offsets.clear();
-        offsets.push(0);
-        pairs.clear();
-        let (mut pi, mut ri) = (0usize, 0usize);
-        while pi < window_pubs.len() || ri < requests.len() {
-            let publish_next = match (window_pubs.get(pi), requests.get(ri)) {
-                (Some(p), Some(r)) => p.time <= r.time,
-                (Some(_), None) => true,
-                (None, _) => false,
-            };
-            if publish_next {
-                let ev = window_pubs[pi];
-                let ordinal = (pub_start + pi) as u32;
-                pi += 1;
-                let meta = &self.meta.pages[ev.page.as_usize()];
-                let supersedes = state.heads.publish(ev.page, meta);
-                pairs.extend_from_slice(matching.fanout(ev.page, &mut state.match_buf));
-                offsets.push(pairs.len() as u32);
-                events.push(CompiledEvent {
-                    time: ev.time,
-                    page: ev.page,
-                    kind: CompiledEventKind::Publish {
-                        ordinal,
-                        supersedes,
-                    },
-                });
-            } else {
-                let ev = requests[ri];
-                ri += 1;
-                events.push(CompiledEvent {
-                    time: ev.time,
-                    page: ev.page,
-                    kind: CompiledEventKind::Request {
-                        server: ev.server,
-                        subs: matching.count(ev.page, ev.server, &mut state.match_buf),
-                    },
-                });
+        window.clear();
+        window.ordinal_base = pub_start as u32;
+        window.start_index = state.start_index;
+        merge_timeline(
+            window_pubs,
+            pub_start as u32,
+            requests,
+            &self.meta.pages,
+            &mut state.heads,
+            &mut window.events,
+        );
+        for ev in &mut window.events {
+            match &mut ev.kind {
+                CompiledEventKind::Publish { .. } => {
+                    let fanout = matching.fanout(ev.page, &mut state.match_buf);
+                    window.pairs.extend_from_slice(fanout);
+                    window.offsets.push(window.pairs.len() as u32);
+                }
+                CompiledEventKind::Request { server, subs } => {
+                    *subs = matching.count(ev.page, *server, &mut state.match_buf);
+                }
             }
         }
-
-        let start_index = state.start_index;
-        state.start_index += events.len();
-        (pub_start as u32, start_index)
+        state.start_index += window.events.len();
     }
 
     /// Starts a serial window pass: a [`ReplaySource`] yielding the
@@ -514,9 +490,7 @@ impl StreamingTrace {
         StreamingWindows {
             trace: self,
             state: WindowState::new(self),
-            events: Vec::new(),
-            offsets: Vec::new(),
-            pairs: Vec::new(),
+            window: OwnedWindow::with_capacity(0, 0),
             scratch: Vec::new(),
             requests: Vec::new(),
         }
@@ -589,9 +563,7 @@ impl WindowState {
 pub struct StreamingWindows<'a> {
     trace: &'a StreamingTrace,
     state: WindowState,
-    events: Vec<CompiledEvent>,
-    offsets: Vec<u32>,
-    pairs: Vec<(ServerId, u32)>,
+    window: OwnedWindow,
     /// Per-page draw buffer.
     scratch: Vec<RequestEvent>,
     /// The window's warped requests.
@@ -604,9 +576,7 @@ impl StreamingWindows<'_> {
     /// concretely; the `stream_memory` suite checks the allocator against
     /// it.
     pub fn buffer_bytes(&self) -> usize {
-        self.events.capacity() * std::mem::size_of::<CompiledEvent>()
-            + self.offsets.capacity() * std::mem::size_of::<u32>()
-            + self.pairs.capacity() * std::mem::size_of::<(ServerId, u32)>()
+        self.window.bytes()
             + self.scratch.capacity() * std::mem::size_of::<RequestEvent>()
             + self.requests.capacity() * std::mem::size_of::<RequestEvent>()
             + self.state.tail_bytes()
@@ -628,21 +598,8 @@ impl ReplaySource for StreamingWindows<'_> {
         let trace = self.trace;
         let requests = std::slice::from_mut(&mut self.requests);
         trace.gather_batch(&mut self.state, &mut self.scratch, requests)?;
-        let (ordinal_base, start_index) = trace.compile_window_into(
-            &mut self.state,
-            &mut self.requests,
-            &mut self.events,
-            &mut self.offsets,
-            &mut self.pairs,
-        );
-        Some(TraceWindow {
-            pages: &trace.meta.pages,
-            events: &self.events,
-            offsets: &self.offsets,
-            pairs: &self.pairs,
-            ordinal_base,
-            start_index,
-        })
+        trace.compile_window_into(&mut self.state, &mut self.requests, &mut self.window);
+        Some(self.window.view(&trace.meta.pages))
     }
 }
 

@@ -22,7 +22,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use pscd_matching::EngineMatcher;
-use pscd_types::{Bytes, PageId, PageMeta, ServerId, SimTime, SubscriptionTable};
+use pscd_types::{
+    Bytes, PageId, PageMeta, PublishEvent, RequestEvent, ServerId, SimTime, SubscriptionTable,
+};
 use pscd_workload::Workload;
 
 use crate::pool::parallel_chunked;
@@ -211,7 +213,17 @@ impl CompiledTrace {
     /// counts (phase 3) are read out of the rows phase 2 wrote.
     fn compile_with(workload: &Workload, matching: Matching<'_>, threads: usize) -> Self {
         let publishes = workload.publishing().events();
-        let mut events = Self::merge_timeline(workload);
+        let requests = workload.requests().events();
+        let mut events = Vec::with_capacity(publishes.len() + requests.len());
+        let mut heads = VersionHeads::new(workload.pages().len());
+        merge_timeline(
+            publishes,
+            0,
+            requests,
+            workload.pages(),
+            &mut heads,
+            &mut events,
+        );
 
         // Phase 2: one CSR fragment per chunk of publish ordinals,
         // stitched in ordinal order.
@@ -268,55 +280,6 @@ impl CompiledTrace {
                 min_capacity: workload.min_cache_capacity(),
             },
         }
-    }
-
-    /// Phase 1 (sequential): merges the publish and request streams into
-    /// the timeline skeleton. Publishes go before requests at equal
-    /// timestamps — a notification must precede the requests it triggers —
-    /// and the lineage map is driven by the publish stream alone, so it is
-    /// resolved here, once, into per-event `supersedes` links. Request
-    /// `subs` counts are left 0 and filled in by phase 3.
-    fn merge_timeline(workload: &Workload) -> Vec<CompiledEvent> {
-        let publishes = workload.publishing().events();
-        let requests = workload.requests().events();
-        let pages = workload.pages();
-        let mut events = Vec::with_capacity(publishes.len() + requests.len());
-        let mut latest_version = VersionHeads::new(pages.len());
-        let (mut pi, mut ri) = (0usize, 0usize);
-        while pi < publishes.len() || ri < requests.len() {
-            let publish_next = match (publishes.get(pi), requests.get(ri)) {
-                (Some(p), Some(r)) => p.time <= r.time,
-                (Some(_), None) => true,
-                (None, _) => false,
-            };
-            if publish_next {
-                let ev = publishes[pi];
-                let ordinal = pi as u32;
-                pi += 1;
-                let meta = &pages[ev.page.as_usize()];
-                let supersedes = latest_version.publish(ev.page, meta);
-                events.push(CompiledEvent {
-                    time: ev.time,
-                    page: ev.page,
-                    kind: CompiledEventKind::Publish {
-                        ordinal,
-                        supersedes,
-                    },
-                });
-            } else {
-                let ev = requests[ri];
-                ri += 1;
-                events.push(CompiledEvent {
-                    time: ev.time,
-                    page: ev.page,
-                    kind: CompiledEventKind::Request {
-                        server: ev.server,
-                        subs: 0,
-                    },
-                });
-            }
-        }
-        events
     }
 
     /// Concatenates every remaining window of `source` into one compiled
@@ -504,6 +467,55 @@ impl CompiledTrace {
     /// requested nothing get a one-page minimum).
     pub fn capacities(&self, fraction: f64) -> Vec<Bytes> {
         self.meta.capacities(fraction)
+    }
+}
+
+/// Phase 1 of both compilers, the monolithic one and the per-window one:
+/// merges time-sorted `publishes` and `requests` onto `events`. Publishes
+/// go before requests at equal timestamps — a notification must precede
+/// the requests it triggers. Publish `i` gets ordinal `first_ordinal + i`
+/// and the `supersedes` link `heads` resolves, which the publish stream
+/// alone drives. Request `subs` counts are left 0 for the caller.
+pub(crate) fn merge_timeline(
+    publishes: &[PublishEvent],
+    first_ordinal: u32,
+    requests: &[RequestEvent],
+    pages: &[PageMeta],
+    heads: &mut VersionHeads,
+    events: &mut Vec<CompiledEvent>,
+) {
+    let (mut pi, mut ri) = (0usize, 0usize);
+    while pi < publishes.len() || ri < requests.len() {
+        let publish_next = match (publishes.get(pi), requests.get(ri)) {
+            (Some(p), Some(r)) => p.time <= r.time,
+            (Some(_), None) => true,
+            (None, _) => false,
+        };
+        if publish_next {
+            let ev = publishes[pi];
+            let ordinal = first_ordinal + pi as u32;
+            pi += 1;
+            let supersedes = heads.publish(ev.page, &pages[ev.page.as_usize()]);
+            events.push(CompiledEvent {
+                time: ev.time,
+                page: ev.page,
+                kind: CompiledEventKind::Publish {
+                    ordinal,
+                    supersedes,
+                },
+            });
+        } else {
+            let ev = requests[ri];
+            ri += 1;
+            events.push(CompiledEvent {
+                time: ev.time,
+                page: ev.page,
+                kind: CompiledEventKind::Request {
+                    server: ev.server,
+                    subs: 0,
+                },
+            });
+        }
     }
 }
 

@@ -12,10 +12,16 @@
 //! window on demand so peak memory is O(window), not O(trace), either on
 //! the replay thread or ahead of it through the prefetch queue. The
 //! `stream_differential` suite proves all three replay bit-identically.
+//!
+//! An [`OwnedWindow`] is the one buffer a window is compiled into outside a
+//! materialized trace: the serial stream reuses one, the prefetch producer
+//! hands each across threads, and the live service (`pscd-service`)
+//! resolves every ingest batch into one and drains it through the same
+//! replay step.
 
 use pscd_types::{Bytes, PageId, PageMeta, ServerId, SimTime};
 
-use crate::trace::CompiledEvent;
+use crate::trace::{CompiledEvent, CompiledEventKind};
 
 /// Trace-wide facts every replay needs before the first window: the page
 /// universe, the fleet, the hour-bucket span, and the capacity/load basis.
@@ -199,6 +205,110 @@ impl<'a> TraceWindow<'a> {
     }
 }
 
+/// One compiled window in owned buffers, borrowed back as a
+/// [`TraceWindow`] through [`view`](OwnedWindow::view). The streaming
+/// sources compile into it; the live service fills it with
+/// [`push_publish`](OwnedWindow::push_publish) and
+/// [`push_request`](OwnedWindow::push_request), one batch at a time.
+#[derive(Debug, Clone, PartialEq)]
+pub struct OwnedWindow {
+    pub(crate) events: Vec<CompiledEvent>,
+    /// CSR offsets into `pairs`: one per publish in the window plus one.
+    pub(crate) offsets: Vec<u32>,
+    pub(crate) pairs: Vec<(ServerId, u32)>,
+    pub(crate) ordinal_base: u32,
+    pub(crate) start_index: usize,
+}
+
+impl OwnedWindow {
+    /// An empty window at the start of a timeline, with room for `events`
+    /// events whose publishes match `pairs` `(server, count)` pairs in all.
+    pub fn with_capacity(events: usize, pairs: usize) -> Self {
+        let mut offsets = Vec::with_capacity(events + 1);
+        offsets.push(0);
+        Self {
+            events: Vec::with_capacity(events),
+            offsets,
+            pairs: Vec::with_capacity(pairs),
+            ordinal_base: 0,
+            start_index: 0,
+        }
+    }
+
+    /// Appends the publish of `page` at `time`, superseding `supersedes`
+    /// and matched at `fanout` (sorted by server). Its ordinal is the
+    /// window's base plus the publishes already in it.
+    pub fn push_publish(
+        &mut self,
+        time: SimTime,
+        page: PageId,
+        supersedes: Option<PageId>,
+        fanout: &[(ServerId, u32)],
+    ) {
+        let ordinal = self.ordinal_base + (self.offsets.len() - 1) as u32;
+        self.pairs.extend_from_slice(fanout);
+        self.offsets.push(self.pairs.len() as u32);
+        self.events.push(CompiledEvent {
+            time,
+            page,
+            kind: CompiledEventKind::Publish {
+                ordinal,
+                supersedes,
+            },
+        });
+    }
+
+    /// Appends a request for `page` at `server` and `time`, where `subs`
+    /// subscriptions match it.
+    pub fn push_request(&mut self, time: SimTime, server: ServerId, page: PageId, subs: u32) {
+        self.events.push(CompiledEvent {
+            time,
+            page,
+            kind: CompiledEventKind::Request { server, subs },
+        });
+    }
+
+    /// Number of events in the window.
+    pub fn len(&self) -> usize {
+        self.events.len()
+    }
+
+    /// `true` for a window with no events.
+    pub fn is_empty(&self) -> bool {
+        self.events.is_empty()
+    }
+
+    /// Empties the window for the events that follow it: the next one
+    /// takes the timeline index after this window's last, and publish
+    /// ordinals start again at the window's base. Keeps the buffers.
+    pub fn clear(&mut self) {
+        self.start_index += self.events.len();
+        self.events.clear();
+        self.offsets.truncate(1);
+        self.pairs.clear();
+    }
+
+    /// The window as the replay loop reads it, over the page table
+    /// `pages`.
+    pub fn view<'a>(&'a self, pages: &'a [PageMeta]) -> TraceWindow<'a> {
+        TraceWindow {
+            pages,
+            events: &self.events,
+            offsets: &self.offsets,
+            pairs: &self.pairs,
+            ordinal_base: self.ordinal_base,
+            start_index: self.start_index,
+        }
+    }
+
+    /// Bytes the buffers hold.
+    pub(crate) fn bytes(&self) -> usize {
+        self.events.capacity() * std::mem::size_of::<CompiledEvent>()
+            + self.offsets.capacity() * std::mem::size_of::<u32>()
+            + self.pairs.capacity() * std::mem::size_of::<(ServerId, u32)>()
+    }
+}
+
 /// A producer of compiled [`TraceWindow`]s, consumed strictly in timeline
 /// order. The implementations are the materialized [`CompiledWindows`]
 /// (slices of a [`CompiledTrace`](crate::CompiledTrace)), the lazily
@@ -258,7 +368,7 @@ impl ReplaySource for CompiledWindows<'_> {
         } else {
             slice
                 .iter()
-                .filter(|e| matches!(e.kind, crate::trace::CompiledEventKind::Publish { .. }))
+                .filter(|e| matches!(e.kind, CompiledEventKind::Publish { .. }))
                 .count()
         };
         self.publishes_before += publishes;
@@ -278,7 +388,7 @@ impl ReplaySource for CompiledWindows<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{CompiledEventKind, CompiledTrace};
+    use crate::trace::CompiledTrace;
     use pscd_workload::{Workload, WorkloadConfig};
 
     fn fixture() -> CompiledTrace {
