@@ -1,14 +1,16 @@
 //! Cold-path benchmarks: what workload generation, subscription
 //! synthesis, and trace compilation cost serially vs on the worker pool,
-//! and what the batched match kernel buys over the allocating wrapper.
+//! and what freezing and matching a one-million-subscription population
+//! costs in the frozen match kernel.
 //!
 //! Three workload tiers (1%, 5%, 20% of the paper's trace) price the
 //! `generate`/`subscriptions`/`compile` phases at `threads = 1` and
 //! `threads = 0` (auto) — the two ends of the `repro --threads` knob,
 //! proven bit-identical by the `cold_differential` suite, so the gap
 //! here is pure speed. The matching tier freezes a one-million
-//! subscription population — far past any workload tier. EXPERIMENTS.md
-//! reports these numbers.
+//! subscription population — far past any workload tier, and past the
+//! repo benchmark's `match-churn` (~200k), which is why it lives here.
+//! EXPERIMENTS.md reports these numbers.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -78,8 +80,7 @@ fn compile(c: &mut Criterion) {
 }
 
 /// One million subscriptions numbered as one proxy's, spread over 2,000
-/// distinct categories (~500 matches per content), plus a tag layer —
-/// the ISSUE's ≥1M-subscription matching tier.
+/// distinct categories (~500 matches per content), plus a tag layer.
 fn million_subs() -> (Vec<(SubscriptionId, Subscription)>, Vec<Content>) {
     const SUBS: usize = 1_000_000;
     const CATEGORIES: usize = 2_000;
@@ -114,9 +115,14 @@ fn matching_1m(c: &mut Criterion) {
     let (subs, contents) = million_subs();
     let mut group = c.benchmark_group("cold_match_1m_subs");
     group.sample_size(20);
+    // Building the frozen kernel from scratch over the whole population
+    // (interning included), which the matching arms below exclude.
+    group.bench_function("freeze_1m", |b| {
+        b.iter(|| FrozenIndex::freeze(&subs, &mut SymbolTable::new()).len())
+    });
     // The frozen kernel: interned symbols, CSR buckets and epoch bitsets,
-    // caller-owned scratch and output (compile cost excluded here —
-    // `match_kernel.freeze_build` in the pinned suite prices it).
+    // caller-owned scratch and output (freeze cost excluded: `freeze_1m`
+    // above prices it).
     let mut symbols = SymbolTable::new();
     let frozen = FrozenIndex::freeze(&subs, &mut symbols);
     group.bench_function("matches_into_frozen", |b| {

@@ -11,10 +11,9 @@ use std::process::ExitCode;
 
 use pscd_core::StrategyKind;
 use pscd_experiments::{
-    validate_bench_json, BenchReport, BetaSweep, ClassicBaselines, CoverageSweep, CrashRecovery,
-    ExperimentContext, ExperimentError, Fig3, Fig4, Fig5, Fig6, Fig7, InvalidationStudy,
-    LapBoundsSweep, ObsAudit, PartitionSweep, ShiftSensitivity, Table2, ToCsv, Trace,
-    VarianceStudy, BENCH_PR, PAPER_BETA,
+    BetaSweep, ClassicBaselines, CoverageSweep, CrashRecovery, ExperimentContext, ExperimentError,
+    Fig3, Fig4, Fig5, Fig6, Fig7, InvalidationStudy, LapBoundsSweep, ObsAudit, PartitionSweep,
+    ShiftSensitivity, Table2, ToCsv, Trace, VarianceStudy, PAPER_BETA,
 };
 use pscd_obs::{render_chrome_trace, NullObserver, SpanEvent, TraceSink};
 use pscd_sim::{
@@ -25,7 +24,7 @@ use pscd_topology::{FetchCosts, TopologyBuilder};
 use pscd_types::SimTime;
 use pscd_workload::ScenarioConfig;
 
-const USAGE: &str = "usage: repro <beta|fig3|fig4|table2|fig5|fig6|fig7|classic|lap-bounds|partition|coverage|shift|crash|invalidation|variance|ablations|all> [--scale FRACTION] [--threads N] [--csv DIR] [--obs-dir DIR [--events]] [--trace FILE]\n       repro scenario <list|NAME|FILE> [--threads N]\n       repro bench [--quick] [--out FILE] [--check FILE]\n       repro serve --load [--scale FRACTION] [--threads N] [--batch N] [--dir DIR [--snapshot-every K]]";
+const USAGE: &str = "usage: repro <beta|fig3|fig4|table2|fig5|fig6|fig7|classic|lap-bounds|partition|coverage|shift|crash|invalidation|variance|ablations|all> [--scale FRACTION] [--threads N] [--csv DIR] [--obs-dir DIR [--events]] [--trace FILE]\n       repro scenario <list|NAME|FILE> [--threads N]\n       repro serve --load [--scale FRACTION] [--threads N] [--batch N] [--dir DIR [--snapshot-every K]]";
 
 /// The flags each subcommand takes (every exhibit takes the same ones); a
 /// flag outside its subcommand's list is refused by name.
@@ -38,7 +37,6 @@ const EXHIBIT_FLAGS: &[&str] = &[
     "--trace",
 ];
 const SCENARIO_FLAGS: &[&str] = &["--threads"];
-const BENCH_FLAGS: &[&str] = &["--quick", "--out", "--check"];
 const SERVE_FLAGS: &[&str] = &[
     "--load",
     "--scale",
@@ -61,9 +59,6 @@ fn main() -> ExitCode {
     let mut obs_dir: Option<PathBuf> = None;
     let mut trace_file: Option<PathBuf> = None;
     let mut events = false;
-    let mut quick = false;
-    let mut bench_out: Option<PathBuf> = None;
-    let mut bench_check: Option<PathBuf> = None;
     let mut load = false;
     let mut given: Vec<&str> = Vec::new();
     let mut scenario_arg: Option<String> = None;
@@ -112,7 +107,6 @@ fn main() -> ExitCode {
                 }
             },
             "--events" => events = true,
-            "--quick" => quick = true,
             "--load" => load = true,
             "--batch" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
                 Some(n) if n > 0 => batch = n,
@@ -132,20 +126,6 @@ fn main() -> ExitCode {
                 Some(dir) => serve_dir = Some(PathBuf::from(dir)),
                 None => {
                     eprintln!("--dir needs a directory for the journal and snapshots");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--out" => match it.next() {
-                Some(path) => bench_out = Some(PathBuf::from(path)),
-                None => {
-                    eprintln!("--out needs an output file");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--check" => match it.next() {
-                Some(path) => bench_check = Some(PathBuf::from(path)),
-                None => {
-                    eprintln!("--check needs a BENCH_*.json file to validate");
                     return ExitCode::FAILURE;
                 }
             },
@@ -173,7 +153,6 @@ fn main() -> ExitCode {
     };
     let accepted = match exhibit.as_str() {
         "scenario" => SCENARIO_FLAGS,
-        "bench" => BENCH_FLAGS,
         "serve" => SERVE_FLAGS,
         _ => EXHIBIT_FLAGS,
     };
@@ -186,9 +165,6 @@ fn main() -> ExitCode {
     if events && obs_dir.is_none() {
         eprintln!("--events requires --obs-dir\n{USAGE}");
         return ExitCode::FAILURE;
-    }
-    if exhibit == "bench" {
-        return run_bench(quick, bench_out.as_deref(), bench_check.as_deref());
     }
     if exhibit == "scenario" {
         let Some(arg) = scenario_arg else {
@@ -232,64 +208,6 @@ fn main() -> ExitCode {
         }
         Err(e) => {
             eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// `repro bench`: run the pinned perf suite and write `BENCH_<pr>.json`,
-/// or — with `--check FILE` — just validate an existing document against
-/// the schema (the CI bench-smoke contract).
-fn run_bench(
-    quick: bool,
-    out: Option<&std::path::Path>,
-    check: Option<&std::path::Path>,
-) -> ExitCode {
-    if let Some(path) = check {
-        let text = match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(e) => {
-                eprintln!("cannot read {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        return match validate_bench_json(&text) {
-            Ok(n) => {
-                println!("{}: valid ({n} benchmarks)", path.display());
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("{}: INVALID: {e}", path.display());
-                ExitCode::FAILURE
-            }
-        };
-    }
-    eprintln!(
-        "running pinned bench suite ({}) …",
-        if quick { "quick" } else { "full" }
-    );
-    let report = match BenchReport::run(quick) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    print!("{report}");
-    let default = PathBuf::from(format!("BENCH_{BENCH_PR}.json"));
-    let path = out.unwrap_or(&default);
-    let json = report.to_json();
-    if let Err(e) = validate_bench_json(&json) {
-        eprintln!("internal error: emitted JSON fails its own schema: {e}");
-        return ExitCode::FAILURE;
-    }
-    match std::fs::write(path, json) {
-        Ok(()) => {
-            eprintln!("wrote {}", path.display());
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("cannot write {}: {e}", path.display());
             ExitCode::FAILURE
         }
     }
@@ -491,68 +409,62 @@ fn run(
     let ctx = ExperimentContext::scaled(scale, threads, sink.clone())?;
     let all = exhibit == "all";
     let mut known = all;
-    let emit = |result: &dyn ToCsv| {
-        let Some(dir) = csv_dir else { return };
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("cannot create {}: {e}", dir.display());
-            return;
-        }
-        for (name, content) in result.to_csv() {
-            let path = dir.join(&name);
-            match std::fs::write(&path, content) {
-                Ok(()) => eprintln!("wrote {}", path.display()),
-                Err(e) => eprintln!("cannot write {}: {e}", path.display()),
+    let emit = |result: &dyn ToCsv| -> Result<(), ExperimentError> {
+        if let Some(dir) = csv_dir {
+            for path in result.write_csv(dir)? {
+                eprintln!("wrote {}", path.display());
             }
         }
+        Ok(())
     };
     if all || exhibit == "beta" {
         known = true;
         eprintln!("running β sweep (126 simulations) …");
         let result = BetaSweep::run(&ctx)?;
         println!("{result}");
-        emit(&result);
+        emit(&result)?;
     }
     if all || exhibit == "fig3" {
         known = true;
         eprintln!("running figure 3 …");
         let result = Fig3::run(&ctx)?;
         println!("{result}");
-        emit(&result);
+        emit(&result)?;
     }
     if all || exhibit == "fig4" {
         known = true;
         eprintln!("running figure 4 …");
         let result = Fig4::run(&ctx)?;
         println!("{result}");
-        emit(&result);
+        emit(&result)?;
     }
     if all || exhibit == "table2" {
         known = true;
         eprintln!("running table 2 …");
         let result = Table2::run(&ctx)?;
         println!("{result}");
-        emit(&result);
+        emit(&result)?;
     }
     if all || exhibit == "fig5" {
         known = true;
         eprintln!("running figure 5 …");
         let result = Fig5::run(&ctx)?;
         println!("{result}");
-        emit(&result);
+        emit(&result)?;
     }
     if all || exhibit == "fig6" {
         known = true;
         eprintln!("running figure 6 …");
         let result = Fig6::run(&ctx)?;
         println!("{result}");
-        emit(&result);
+        emit(&result)?;
     }
     if all || exhibit == "fig7" {
         known = true;
         eprintln!("running figure 7 …");
         let result = Fig7::run(&ctx)?;
         println!("{result}");
-        emit(&result);
+        emit(&result)?;
     }
     let ablations = exhibit == "ablations";
     if all || ablations || exhibit == "classic" {
@@ -560,35 +472,35 @@ fn run(
         eprintln!("running classic-baseline ablation …");
         let result = ClassicBaselines::run(&ctx)?;
         println!("{result}");
-        emit(&result);
+        emit(&result)?;
     }
     if all || ablations || exhibit == "lap-bounds" {
         known = true;
         eprintln!("running DC-LAP bounds ablation …");
         let result = LapBoundsSweep::run(&ctx)?;
         println!("{result}");
-        emit(&result);
+        emit(&result)?;
     }
     if all || ablations || exhibit == "partition" {
         known = true;
         eprintln!("running DC-FP partition ablation …");
         let result = PartitionSweep::run(&ctx)?;
         println!("{result}");
-        emit(&result);
+        emit(&result)?;
     }
     if all || ablations || exhibit == "coverage" {
         known = true;
         eprintln!("running notification-coverage extension …");
         let result = CoverageSweep::run(&ctx)?;
         println!("{result}");
-        emit(&result);
+        emit(&result)?;
     }
     if all || ablations || exhibit == "crash" {
         known = true;
         eprintln!("running crash-recovery extension …");
         let result = CrashRecovery::run(&ctx)?;
         println!("{result}");
-        emit(&result);
+        emit(&result)?;
     }
     if all || ablations || exhibit == "invalidation" {
         known = true;

@@ -17,7 +17,7 @@ pub enum ExperimentError {
     Topology(TopologyError),
     /// A simulation run failed.
     Sim(SimError),
-    /// Writing observability artifacts failed.
+    /// Reading or writing a file failed; the detail names the path.
     Io(String),
     /// A live service run failed (rendered, since service errors carry
     /// non-cloneable I/O sources).
@@ -38,7 +38,7 @@ impl fmt::Display for ExperimentError {
             ExperimentError::Workload(e) => write!(f, "workload generation failed: {e}"),
             ExperimentError::Topology(e) => write!(f, "topology generation failed: {e}"),
             ExperimentError::Sim(e) => write!(f, "simulation failed: {e}"),
-            ExperimentError::Io(detail) => write!(f, "cannot write audit output: {detail}"),
+            ExperimentError::Io(detail) => write!(f, "I/O failed: {detail}"),
             ExperimentError::Service(detail) => write!(f, "service run failed: {detail}"),
             ExperimentError::ObserverMismatch { strategy, detail } => {
                 write!(

@@ -37,7 +37,6 @@
 
 mod ablations;
 mod audit;
-mod bench;
 mod beta;
 mod context;
 mod csv;
@@ -59,9 +58,6 @@ pub use ablations::{
     LAP_BOUNDS, PC_FRACTIONS, SHIFTS,
 };
 pub use audit::{AuditRow, ObsAudit};
-pub use bench::{
-    validate_bench_json, BenchReport, BenchRow, BENCH_PR, BENCH_SCHEMA, MIN_BENCHMARKS,
-};
 pub use beta::{BetaCell, BetaSweep};
 pub use context::{ExperimentContext, Trace, BETAS, CAPACITIES, PAPER_BETA, QUALITIES};
 pub use csv::ToCsv;
