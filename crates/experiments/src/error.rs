@@ -106,7 +106,10 @@ mod tests {
             constraint: "c",
         });
         assert!(e.to_string().contains("simulation"));
-        let e = ExperimentError::from(pscd_service::ServiceError::Stopped);
+        let e = ExperimentError::from(pscd_service::ServiceError::WorkerPanicked {
+            shard: 1,
+            message: "boom".to_owned(),
+        });
         assert!(e.to_string().contains("service"));
         assert!(e.source().is_none());
     }

@@ -37,11 +37,13 @@ pub struct ServiceConfig {
     pub pages: Arc<[PageMeta]>,
     /// Hourly accounting buckets to preallocate.
     pub hours: usize,
-    /// Worker threads: `1` (the default) applies events inline on the
-    /// ingesting thread, `0` picks the machine's parallelism, any other
-    /// count shards the proxy fleet across that many persistent workers.
+    /// Worker threads stepping the proxy fleet, each over a contiguous
+    /// server range (`0` picks the machine's parallelism). Shard 0 always
+    /// runs inline on the ingesting thread: with `1` (the default) no
+    /// worker is spawned and shard 0 is the whole fleet; with more, the
+    /// workers split the fleet and shard 0 owns no server.
     pub workers: usize,
-    /// Events buffered per dispatch to the workers.
+    /// Events buffered per dispatch to the shards.
     pub batch_size: usize,
     /// Take a state snapshot every this many ingested events
     /// (`0` disables snapshots; a journal-only service recovers by
@@ -198,8 +200,13 @@ pub enum ServiceError {
     Io(std::io::Error),
     /// A persisted file is structurally invalid.
     CorruptFile(&'static str),
-    /// The service thread is no longer running.
-    Stopped,
+    /// A shard's worker thread panicked; the service cannot go on.
+    WorkerPanicked {
+        /// The shard's index in the fleet.
+        shard: usize,
+        /// The panic's message.
+        message: String,
+    },
 }
 
 impl fmt::Display for ServiceError {
@@ -224,7 +231,9 @@ impl fmt::Display for ServiceError {
             ServiceError::Snapshot(e) => write!(f, "snapshot error: {e}"),
             ServiceError::Io(e) => write!(f, "service i/o error: {e}"),
             ServiceError::CorruptFile(what) => write!(f, "corrupt service file: {what}"),
-            ServiceError::Stopped => write!(f, "service is no longer running"),
+            ServiceError::WorkerPanicked { shard, message } => {
+                write!(f, "the worker of shard {shard} panicked: {message}")
+            }
         }
     }
 }
@@ -368,7 +377,11 @@ mod tests {
             constraint: ">= 1",
         };
         assert_eq!(e.to_string(), "invalid service config: hours must be >= 1");
-        assert!(ServiceError::Stopped.to_string().contains("no longer"));
+        let e = ServiceError::WorkerPanicked {
+            shard: 2,
+            message: "boom".to_owned(),
+        };
+        assert!(e.to_string().contains("shard 2 panicked: boom"));
         assert!(ServiceError::CorruptFile("bad magic")
             .to_string()
             .contains("bad magic"));

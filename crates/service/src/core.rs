@@ -17,38 +17,23 @@
 //! [`CompiledTrace::compile`]: pscd_sim::CompiledTrace::compile
 
 use std::fs;
-use std::sync::mpsc;
 use std::sync::Arc;
 
-use pscd_cache::snapshot::{put_u16, put_u32, put_u64};
-use pscd_cache::SnapshotReader;
 use pscd_matching::{EngineMatcher, MatchScratch, Subscription, SubscriptionId};
 use pscd_pool::effective_threads;
 use pscd_sim::resolve::{SubscriptionRows, VersionHeads};
-use pscd_sim::{HourlySeries, OwnedWindow, SimResult};
+use pscd_sim::{OwnedWindow, ShardPlan, SimResult};
 use pscd_topology::FetchCosts;
-use pscd_types::{LiveEvent, PageId, ServerId};
+use pscd_types::{LiveEvent, ServerId};
 
 use crate::config::{ServiceConfig, ServiceError};
 use crate::journal::Journal;
 use crate::kept::KeptFanouts;
-use crate::wire::SNAPSHOT_MAGIC;
-use crate::worker::{
-    build_shard, encode_servers, finish, read_server_snap, ServerSnap, Shard, ShardRestore,
-    ShardSnap, ToWorker, WorkerHandle,
-};
+use crate::wire::{decode_snapshot_file, put_snapshot_fleet, put_snapshot_head, SnapshotState};
+use crate::worker::{build_shard, finish, Shard, ToWorker, Worker};
 
 const JOURNAL_FILE: &str = "journal.bin";
-const SNAPSHOT_FILE: &str = "snapshot.bin";
-
-/// The proxy fleet: either one shard applied inline on the ingesting
-/// thread (the allocation-free single-threaded path), or persistent
-/// worker threads each owning a contiguous server range.
-#[derive(Debug)]
-enum Fleet {
-    Inline(Box<Shard>),
-    Threaded(Vec<WorkerHandle>),
-}
+pub(crate) const SNAPSHOT_FILE: &str = "snapshot.bin";
 
 /// The final state of a drained service: the run's accounting (the same
 /// [`SimResult`] shape the batch simulation produces) plus every proxy's
@@ -74,7 +59,11 @@ pub struct ServiceCore {
     rows: SubscriptionRows,
     /// Invalidation lineage: latest published version per origin page.
     heads: VersionHeads,
-    fleet: Fleet,
+    /// Shard 0 of the fleet, stepped on the ingesting thread: the whole
+    /// fleet without workers, no server with them.
+    shard: Shard,
+    /// Shards 1.., one worker thread each.
+    workers: Vec<Worker>,
     journal: Option<Journal>,
     /// The pending batch. Publish ordinals are batch-local, so they never
     /// wrap however long the service runs.
@@ -103,31 +92,6 @@ pub struct ServiceCore {
     kept: KeptFanouts,
 }
 
-/// Contiguous even partition of `servers` across `workers` shards.
-fn partition(servers: u16, workers: usize) -> Vec<(u16, u16)> {
-    let workers = workers as u16;
-    let base = servers / workers;
-    let rem = servers % workers;
-    let mut ranges = Vec::with_capacity(workers as usize);
-    let mut start = 0u16;
-    for i in 0..workers {
-        let len = base + u16::from(i < rem);
-        ranges.push((start, start + len));
-        start += len;
-    }
-    ranges
-}
-
-/// An empty batch with room for `batch_size` events. One publish fans out
-/// to at most the whole fleet, so `batch_size * servers` bounds the pair
-/// table — the same worst-case-dense sizing the replay's eviction scratch
-/// uses, which is what keeps the inline ingest path allocation-free in
-/// steady state.
-fn new_batch(config: &ServiceConfig) -> OwnedWindow {
-    let servers = config.server_count() as usize;
-    OwnedWindow::with_capacity(config.batch_size, config.batch_size * servers)
-}
-
 impl ServiceCore {
     /// Starts a fresh service. With a persistence directory configured,
     /// any existing journal is truncated — use [`ServiceCore::recover`]
@@ -141,23 +105,8 @@ impl ServiceCore {
             }
             None => None,
         };
-        let fleet = Self::build_fleet(&config, &costs, None)?;
-        let pages = config.pages.len();
-        Ok(Self {
-            rows: SubscriptionRows::new(pages),
-            heads: VersionHeads::new(pages),
-            fleet,
-            journal,
-            batch: new_batch(&config),
-            snapshot_buf: Vec::new(),
-            events_applied: 0,
-            last_snapshot: 0,
-            matcher: None,
-            match_scratch: MatchScratch::new(),
-            fanout_buf: Vec::new(),
-            kept: KeptFanouts::default(),
-            config,
-        })
+        let fresh = SnapshotState::fresh(config.pages.len());
+        Self::start(config, &costs, fresh, journal)
     }
 
     /// Rebuilds a crashed service from its persistence directory: the
@@ -172,49 +121,24 @@ impl ServiceCore {
             constraint: "set for recovery",
         })?;
         let journal_path = dir.join(JOURNAL_FILE);
-        let snapshot = match fs::read(dir.join(SNAPSHOT_FILE)) {
-            Ok(bytes) => Some(decode_snapshot_file(Arc::new(bytes), &config)?),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
+        let state = match fs::read(dir.join(SNAPSHOT_FILE)) {
+            Ok(bytes) => decode_snapshot_file(bytes, &config)?,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                SnapshotState::fresh(config.pages.len())
+            }
             Err(e) => return Err(e.into()),
         };
-        let (k, rows, heads, restore) = match snapshot {
-            Some(s) => (s.events_applied, s.rows, s.heads, Some(s.restore)),
-            None => {
-                let pages = config.pages.len();
-                (
-                    0,
-                    SubscriptionRows::new(pages),
-                    VersionHeads::new(pages),
-                    None,
-                )
-            }
-        };
-        // The snapshot covers the journal's first `k` records: they are
-        // walked, not decoded.
-        let events = Journal::read_from(&journal_path, k)?;
-        let fleet = Self::build_fleet(&config, &costs, restore)?;
-        let mut core = Self {
-            rows,
-            heads,
-            fleet,
-            journal: None,
-            batch: new_batch(&config),
-            snapshot_buf: Vec::new(),
-            events_applied: k,
-            last_snapshot: k,
-            matcher: None,
-            match_scratch: MatchScratch::new(),
-            fanout_buf: Vec::new(),
-            kept: KeptFanouts::default(),
-            config,
-        };
+        // The snapshot covers the journal's first `events_applied`
+        // records: they are walked, not decoded.
+        let events = Journal::read_from(&journal_path, state.events_applied)?;
+        let mut core = Self::start(config, &costs, state, None)?;
         // Replay the journal suffix without re-journaling and without
         // taking cadence snapshots (the journal already covers it).
         for ev in &events {
             core.check(ev)?;
             core.resolve(*ev);
             if core.batch.len() >= core.config.batch_size {
-                core.dispatch()?;
+                core.flush()?;
             }
         }
         core.flush()?;
@@ -222,38 +146,56 @@ impl ServiceCore {
         Ok(core)
     }
 
-    fn build_fleet(
-        config: &ServiceConfig,
+    /// The service resuming from `state`: shard 0 is built here, and a
+    /// worker is spawned for each later shard.
+    fn start(
+        config: ServiceConfig,
         costs: &FetchCosts,
-        restore: Option<FleetRestore>,
-    ) -> Result<Fleet, ServiceError> {
+        state: SnapshotState,
+        journal: Option<Journal>,
+    ) -> Result<Self, ServiceError> {
         let servers = config.server_count();
         let workers = effective_threads(config.workers, servers as usize);
-        // Restored state arrives as one merged snapshot: all servers in
-        // order plus one hourly series. The servers are dealt back across
-        // the fleet; the hourly buckets all land on the first shard
-        // (absorb is component-wise addition, so placement is irrelevant
-        // to totals).
-        let mut restore = restore.map(|r| (r.file, r.servers.into_iter(), Some(r.hourly)));
-        let mut restore_of = |start: u16, end: u16| {
-            restore
-                .as_mut()
-                .map(|(file, servers, hourly)| ShardRestore {
-                    file: Arc::clone(file),
-                    servers: servers.by_ref().take((end - start) as usize).collect(),
-                    hourly: hourly.take(),
-                })
-        };
-        if workers <= 1 {
-            let shard = build_shard(config, costs, 0, servers, restore_of(0, servers))?;
-            return Ok(Fleet::Inline(Box::new(shard)));
-        }
-        let mut handles = Vec::with_capacity(workers);
-        for (start, end) in partition(servers, workers) {
-            let restore = restore_of(start, end);
-            handles.push(WorkerHandle::spawn(config, costs, start, end, restore)?);
-        }
-        Ok(Fleet::Threaded(handles))
+        let plan = ShardPlan::balanced(&vec![1; servers as usize], workers);
+        // One worker, the default, means none: shard 0 is the whole fleet.
+        // Otherwise the workers split the fleet and the ingesting thread
+        // only resolves: its shard 0 is an empty range past the fleet's end.
+        let idle = (workers > 1).then_some((servers, servers));
+        let split = (0..plan.shards()).map(|k| plan.range(k));
+        let mut ranges = idle.into_iter().chain(split);
+        // Restored state arrives as one merged snapshot: each shard restores
+        // its servers from it, and the hourly buckets all land on shard 0
+        // (absorb is component-wise addition, so placement is irrelevant to
+        // totals).
+        let restore = state.restore.map(Arc::new);
+        let hourly = restore.as_ref().map(|r| r.hourly.clone());
+        let (start, end) = ranges.next().expect("a fleet has at least one proxy");
+        let shard = build_shard(&config, costs, start..end, restore.as_deref(), hourly)?;
+        let workers = ranges.enumerate().map(|(i, (start, end))| {
+            Worker::spawn(i + 1, &config, costs, start..end, restore.clone())
+        });
+        let workers = workers.collect::<Result<_, _>>()?;
+        // One publish fans out to at most the whole fleet, so this bounds
+        // the batch's pair table — the same worst-case-dense sizing the
+        // replay's eviction scratch uses, which is what keeps the inline
+        // ingest path allocation-free in steady state.
+        let pairs = config.batch_size * servers as usize;
+        Ok(Self {
+            rows: state.rows,
+            heads: state.heads,
+            shard,
+            workers,
+            journal,
+            batch: OwnedWindow::with_capacity(config.batch_size, pairs),
+            snapshot_buf: Vec::new(),
+            events_applied: state.events_applied,
+            last_snapshot: state.events_applied,
+            matcher: None,
+            match_scratch: MatchScratch::new(),
+            fanout_buf: Vec::new(),
+            kept: KeptFanouts::default(),
+            config,
+        })
     }
 
     /// Total events accepted so far (journal offset of the next event).
@@ -375,7 +317,8 @@ impl ServiceCore {
     ///
     /// [`ServiceError::UnknownPage`]/[`ServiceError::UnknownServer`] if
     /// the event references ids outside the configured universe (the
-    /// event is rejected before it is journaled), or a persistence error.
+    /// event is rejected before it is journaled), a persistence error, or
+    /// [`ServiceError::WorkerPanicked`] once a worker has died.
     pub fn ingest(&mut self, ev: LiveEvent) -> Result<(), ServiceError> {
         self.ingest_all(std::slice::from_ref(&ev))
     }
@@ -396,7 +339,7 @@ impl ServiceCore {
         for ev in events {
             self.resolve(*ev);
             if self.batch.len() >= self.config.batch_size {
-                self.dispatch()?;
+                self.flush()?;
             }
             if self.config.snapshot_every > 0
                 && self.events_applied - self.last_snapshot >= self.config.snapshot_every
@@ -481,31 +424,37 @@ impl ServiceCore {
         }
     }
 
-    /// Applies the pending batch to the fleet: every shard steps through
-    /// all of it.
-    fn dispatch(&mut self) -> Result<(), ServiceError> {
+    /// Applies every buffered event now: every shard of the fleet steps
+    /// through the pending batch, the workers' while shard 0's does.
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceError::WorkerPanicked`] once a worker has died.
+    pub fn flush(&mut self) -> Result<(), ServiceError> {
         if self.batch.is_empty() {
             return Ok(());
         }
-        match &mut self.fleet {
-            Fleet::Inline(shard) => {
-                let window = self.batch.view(&self.config.pages);
-                while shard.step(&window).is_some() {}
-            }
-            Fleet::Threaded(handles) => {
-                let batch = Arc::new(self.batch.clone());
-                for handle in handles.iter() {
-                    handle.send(ToWorker::Batch(Arc::clone(&batch)))?;
-                }
-            }
+        // Without workers nothing is copied: the inline path allocates nothing.
+        if !self.workers.is_empty() {
+            let batch = Arc::new(self.batch.clone());
+            self.send_all(|| ToWorker::Batch(Arc::clone(&batch)))?;
         }
+        let window = self.batch.view(&self.config.pages);
+        while self.shard.step(&window).is_some() {}
         self.batch.clear();
         Ok(())
     }
 
-    /// Applies every buffered event now.
-    pub fn flush(&mut self) -> Result<(), ServiceError> {
-        self.dispatch()
+    /// Sends `msg()` to every worker, or to none once one has been found
+    /// dead: a call that failed halfway is never half-repeated.
+    fn send_all(&mut self, msg: impl Fn() -> ToWorker) -> Result<(), ServiceError> {
+        for worker in &mut self.workers {
+            worker.alive()?;
+        }
+        for worker in &mut self.workers {
+            worker.send(msg())?;
+        }
+        Ok(())
     }
 
     /// Takes a state snapshot immediately (flushing buffered events
@@ -514,66 +463,21 @@ impl ServiceCore {
     /// # Errors
     ///
     /// [`ServiceError::Config`] if no persistence directory is
-    /// configured; otherwise snapshot-encoding or I/O errors.
+    /// configured; otherwise snapshot-encoding, I/O or worker errors.
     pub fn snapshot_now(&mut self) -> Result<(), ServiceError> {
         let dir = self.config.dir.clone().ok_or(ServiceError::Config {
             what: "dir",
             constraint: "set for snapshots",
         })?;
         self.flush()?;
-        let Self {
-            snapshot_buf: out,
-            config,
-            rows,
-            heads,
-            fleet,
-            ..
-        } = self;
-        out.clear();
-        out.extend_from_slice(SNAPSHOT_MAGIC);
-        put_u64(out, self.events_applied);
-        put_u32(out, config.pages.len() as u32);
-        for row in rows.rows() {
-            put_u32(out, row.len() as u32);
-            for &(server, count) in row {
-                put_u16(out, server.index());
-                put_u32(out, count);
-            }
-        }
-        for latest in heads.heads() {
-            put_u32(out, latest.map_or(u32::MAX, PageId::index));
-        }
-        // The merged hourly series, the fleet size, then every server in
-        // order. The inline shard encodes straight into the file's buffer;
-        // workers encode their ranges side by side and hand them over.
-        match fleet {
-            Fleet::Inline(shard) => {
-                put_hourly(out, shard.hourly());
-                put_u16(out, config.server_count());
-                encode_servers(shard, out);
-            }
-            Fleet::Threaded(handles) => {
-                let mut replies = Vec::with_capacity(handles.len());
-                for handle in handles.iter() {
-                    let (tx, rx) = mpsc::channel();
-                    handle.send(ToWorker::Snapshot(tx))?;
-                    replies.push(rx);
-                }
-                let snaps = replies
-                    .into_iter()
-                    .map(|rx| rx.recv().map_err(|_| ServiceError::Stopped))
-                    .collect::<Result<Vec<ShardSnap>, ServiceError>>()?;
-                let mut hourly = snaps[0].hourly.clone();
-                for snap in &snaps[1..] {
-                    hourly.absorb(&snap.hourly);
-                }
-                put_hourly(out, &hourly);
-                put_u16(out, config.server_count());
-                for snap in &snaps {
-                    out.extend_from_slice(&snap.servers);
-                }
-            }
-        }
+        // The workers encode their ranges while the supervisor encodes
+        // what precedes them in the file.
+        self.send_all(|| ToWorker::Snapshot)?;
+        let out = &mut self.snapshot_buf;
+        put_snapshot_head(out, self.events_applied, &self.rows, &self.heads);
+        let snaps = self.workers.iter_mut().map(Worker::snapshot);
+        let snaps = snaps.collect::<Result<Vec<_>, _>>()?;
+        put_snapshot_fleet(out, self.config.server_count(), &self.shard, &snaps);
         let tmp = dir.join(format!("{SNAPSHOT_FILE}.tmp"));
         fs::write(&tmp, &*out)?;
         fs::rename(&tmp, dir.join(SNAPSHOT_FILE))?;
@@ -584,24 +488,19 @@ impl ServiceCore {
     /// Drains the service: flushes buffered events, stops the workers,
     /// and returns the merged accounting plus every proxy's serialized
     /// cache state.
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceError::WorkerPanicked`] if a worker died.
     pub fn shutdown(mut self) -> Result<ServiceOutcome, ServiceError> {
         self.flush()?;
+        // Every worker finishes its shard while shard 0 finishes here.
+        self.send_all(|| ToWorker::Finish)?;
         let servers = self.config.server_count();
-        let partials = match self.fleet {
-            Fleet::Inline(shard) => vec![finish(*shard)],
-            Fleet::Threaded(handles) => {
-                let mut replies = Vec::with_capacity(handles.len());
-                for handle in handles.iter() {
-                    let (tx, rx) = mpsc::channel();
-                    handle.send(ToWorker::Finish(tx))?;
-                    replies.push(rx);
-                }
-                replies
-                    .into_iter()
-                    .map(|rx| rx.recv().map_err(|_| ServiceError::Stopped))
-                    .collect::<Result<Vec<_>, ServiceError>>()?
-            }
-        };
+        let mut partials = vec![finish(self.shard)];
+        for worker in self.workers {
+            partials.push(worker.join()?);
+        }
         let mut result = SimResult::identity(&partials[0].0.strategy, self.config.hours, servers);
         let mut proxies = Vec::with_capacity(servers as usize);
         for (partial, blobs) in partials {
@@ -612,154 +511,28 @@ impl ServiceCore {
     }
 }
 
-/// A decoded snapshot file.
-struct SnapshotState {
-    events_applied: u64,
-    rows: SubscriptionRows,
-    heads: VersionHeads,
-    restore: FleetRestore,
-}
-
-/// The fleet's share of a decoded snapshot file: every server in order,
-/// blobs still in the file, and the merged hourly series.
-struct FleetRestore {
-    file: Arc<Vec<u8>>,
-    servers: Vec<ServerSnap>,
-    hourly: HourlySeries,
-}
-
-fn put_hourly(out: &mut Vec<u8>, hourly: &HourlySeries) {
-    put_u32(out, hourly.hours() as u32);
-    for series in [
-        &hourly.hits,
-        &hourly.requests,
-        &hourly.pushed_pages,
-        &hourly.pushed_bytes,
-        &hourly.fetched_pages,
-        &hourly.fetched_bytes,
-    ] {
-        for &v in series {
-            put_u64(out, v);
-        }
-    }
-}
-
-/// Reads a series [`put_hourly`] wrote, which must span `hours` buckets.
-fn read_hourly(r: &mut SnapshotReader<'_>, hours: usize) -> Result<HourlySeries, ServiceError> {
-    if r.read_u32()? as usize != hours {
-        return Err(ServiceError::CorruptFile("snapshot hour count"));
-    }
-    let mut hourly = HourlySeries::new(hours);
-    for series in [
-        &mut hourly.hits,
-        &mut hourly.requests,
-        &mut hourly.pushed_pages,
-        &mut hourly.pushed_bytes,
-        &mut hourly.fetched_pages,
-        &mut hourly.fetched_bytes,
-    ] {
-        for v in series.iter_mut() {
-            *v = r.read_u64()?;
-        }
-    }
-    Ok(hourly)
-}
-
-fn decode_snapshot_file(
-    file: Arc<Vec<u8>>,
-    config: &ServiceConfig,
-) -> Result<SnapshotState, ServiceError> {
-    // From the file's first byte, so that positions are file offsets.
-    let mut r = SnapshotReader::new(&file);
-    if r.read_bytes(SNAPSHOT_MAGIC.len()).ok() != Some(&SNAPSHOT_MAGIC[..]) {
-        return Err(ServiceError::CorruptFile("snapshot header"));
-    }
-    let events_applied = r.read_u64()?;
-    let page_count = r.read_u32()? as usize;
-    if page_count != config.pages.len() {
-        return Err(ServiceError::CorruptFile("snapshot page universe"));
-    }
-    // Bound what the file says before allocating for it: a row lists each
-    // proxy at most once, in ascending order.
-    let fleet = config.server_count();
-    let mut rows = Vec::with_capacity(page_count);
-    for _ in 0..page_count {
-        let len = r.read_u32()? as usize;
-        if len > fleet as usize {
-            return Err(ServiceError::CorruptFile("snapshot row length"));
-        }
-        let mut row: Vec<(ServerId, u32)> = Vec::with_capacity(len);
-        for _ in 0..len {
-            let server = r.read_u16()?;
-            let ascending = row.last().is_none_or(|&(last, _)| last.index() < server);
-            if !ascending || server >= fleet {
-                return Err(ServiceError::CorruptFile("snapshot row servers"));
-            }
-            row.push((ServerId::new(server), r.read_u32()?));
-        }
-        rows.push(row);
-    }
-    let mut heads = Vec::with_capacity(page_count);
-    for _ in 0..page_count {
-        let head = match r.read_u32()? {
-            u32::MAX => None,
-            raw if (raw as usize) < page_count => Some(PageId::new(raw)),
-            _ => return Err(ServiceError::CorruptFile("snapshot version head")),
-        };
-        heads.push(head);
-    }
-    let hourly = read_hourly(&mut r, config.hours)?;
-    let server_count = r.read_u16()?;
-    if server_count != fleet {
-        return Err(ServiceError::CorruptFile("snapshot fleet size"));
-    }
-    let mut servers = Vec::with_capacity(server_count as usize);
-    for _ in 0..server_count {
-        servers.push(read_server_snap(&mut r)?);
-    }
-    if !r.is_empty() {
-        return Err(ServiceError::CorruptFile("trailing snapshot bytes"));
-    }
-    Ok(SnapshotState {
-        events_applied,
-        rows: SubscriptionRows::from_rows(rows),
-        heads: VersionHeads::from_heads(heads),
-        restore: FleetRestore {
-            servers,
-            hourly,
-            file,
-        },
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{self, AtomicBool};
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     use proptest::prelude::*;
     use pscd_broker::PushScheme;
     use pscd_core::StrategyKind;
     use pscd_matching::{Content, Predicate, Value};
-    use pscd_sim::CompiledEventKind;
-    use pscd_types::{Bytes, PageKind, PageMeta, SimTime};
+    use pscd_sim::{
+        simulate_compiled, CompiledEventKind, CompiledTrace, SimOptions, DEFAULT_PREFETCH_DEPTH,
+    };
+    use pscd_types::{PageId, SimTime};
+    use pscd_workload::{Workload, WorkloadConfig};
+
+    use crate::test_support::{publish, tiny_config};
 
     const CATEGORIES: [&str; 3] = ["a", "b", "c"];
-
-    /// A service over `pages` original pages and `servers` proxies.
-    fn tiny_config(servers: u16, pages: u32) -> ServiceConfig {
-        let metas = (0..pages).map(|id| {
-            let size = Bytes::new(10 + u64::from(id));
-            PageMeta::new(PageId::new(id), size, SimTime::ZERO, PageKind::Original)
-        });
-        ServiceConfig::new(
-            StrategyKind::Sg2 { beta: 2.0 },
-            vec![Bytes::new(100); servers as usize],
-            vec![1.0; servers as usize],
-            PushScheme::Always,
-            metas.collect(),
-            1,
-        )
-    }
 
     /// [`tiny_config`]'s service, whose batch outlasts the test, so every
     /// resolved event stays readable.
@@ -782,13 +555,6 @@ mod tests {
 
     fn page_sub(page: i64) -> Subscription {
         Subscription::new(vec![Predicate::eq("page", Value::int(page))])
-    }
-
-    fn publish(page: u32) -> LiveEvent {
-        LiveEvent::Publish {
-            time: SimTime::ZERO,
-            page: PageId::new(page),
-        }
     }
 
     fn request(server: u16, page: u32) -> LiveEvent {
@@ -1061,129 +827,146 @@ mod tests {
         }
     }
 
-    #[test]
-    fn partition_is_contiguous_and_even() {
-        assert_eq!(partition(8, 3), vec![(0, 3), (3, 6), (6, 8)]);
-        assert_eq!(partition(4, 4), vec![(0, 1), (1, 2), (2, 3), (3, 4)]);
-        assert_eq!(partition(5, 2), vec![(0, 3), (3, 5)]);
-        let ranges = partition(7, 3);
-        assert_eq!(ranges.first().unwrap().0, 0);
-        assert_eq!(ranges.last().unwrap().1, 7);
+    /// Runs `f` on its own thread and fails the test, instead of hanging
+    /// it, when `f` has not returned within a minute (the guard
+    /// `pscd_sim::prefetch`'s tests use).
+    fn within_a_minute<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let _ = tx.send(catch_unwind(AssertUnwindSafe(f)));
+        });
+        let outcome = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("service hung");
+        worker.join().expect("worker catches its own panics");
+        outcome.unwrap_or_else(|panic| resume_unwind(panic))
     }
 
-    #[test]
-    fn hourly_round_trips() {
-        let mut h = HourlySeries::new(3);
-        h.record_request(
-            pscd_types::SimTime::from_hours(1),
-            false,
-            pscd_types::Bytes::new(7),
-        );
-        h.record_push(
-            pscd_types::SimTime::from_hours(2),
-            pscd_types::Bytes::new(9),
-        );
-        let mut out = Vec::new();
-        put_hourly(&mut out, &h);
-        let mut r = SnapshotReader::new(&out);
-        assert_eq!(read_hourly(&mut r, 3).unwrap(), h);
-        assert!(r.is_empty());
+    /// Runs `hook` on shard `shard`'s worker thread when its next batch
+    /// arrives, before the worker steps it.
+    fn hook_worker(core: &mut ServiceCore, shard: usize, hook: impl FnOnce() + Send + 'static) {
+        let worker = &mut core.workers[shard - 1];
+        worker.send(ToWorker::Hook(Box::new(hook))).unwrap();
     }
 
-    /// The snapshot file of a journaled two-proxy, three-page service whose
-    /// page 0 row lists both proxies and whose page 0 was published (it
-    /// heads its own lineage), and the config that recovers from it.
-    fn persisted_snapshot(tag: &str) -> (ServiceConfig, Vec<u8>) {
-        let dir =
-            std::env::temp_dir().join(format!("pscd-service-corrupt-{tag}-{}", std::process::id()));
-        fs::remove_dir_all(&dir).ok();
-        let config = tiny_config(2, 3).with_persistence(dir.clone(), 0);
-        let mut core = ServiceCore::new(config.clone()).unwrap();
-        for server in [0, 1] {
-            core.ingest(LiveEvent::Subscribe {
-                page: PageId::new(0),
-                server: ServerId::new(server),
-                count: 1,
-            })
-            .unwrap();
-        }
-        core.ingest(publish(0)).unwrap();
-        core.snapshot_now().unwrap();
-        drop(core);
-        let file = fs::read(dir.join(SNAPSHOT_FILE)).unwrap();
-        (config, file)
-    }
-
-    /// Offsets in [`persisted_snapshot`]'s file: page 0's row length, its
-    /// two server ids, the first version head and the hour count.
-    const ROW_0: usize = SNAPSHOT_MAGIC.len() + 8 + 4;
-    const ROW_0_SERVERS: [usize; 2] = [ROW_0 + 4, ROW_0 + 10];
-    const HEAD_0: usize = ROW_0 + 16 + 2 * 4;
-    const HOURS: usize = HEAD_0 + 3 * 4;
-
-    /// Recovers from `file` with `patch` written at `at`, then removes the
-    /// persistence directory.
-    fn recover_patched(
-        config: &ServiceConfig,
-        file: &[u8],
-        at: usize,
-        patch: &[u8],
-    ) -> Result<ServiceCore, ServiceError> {
-        let mut file = file.to_vec();
-        file[at..at + patch.len()].copy_from_slice(patch);
-        let dir = config.dir.as_ref().unwrap();
-        fs::write(dir.join(SNAPSHOT_FILE), file).unwrap();
-        let recovered = ServiceCore::recover(config.clone());
-        fs::remove_dir_all(dir).ok();
-        recovered
-    }
-
-    fn assert_corrupt(recovered: Result<ServiceCore, ServiceError>, what: &str) {
-        match recovered {
-            Err(ServiceError::CorruptFile(field)) => assert_eq!(field, what),
-            other => panic!("expected a corrupt {what}: {other:?}"),
+    fn assert_panicked<T: std::fmt::Debug>(result: Result<T, ServiceError>, shard: usize) {
+        match result {
+            Err(ServiceError::WorkerPanicked { shard: s, message }) => {
+                assert_eq!((s, message), (shard, format!("shard {shard} gives up")));
+            }
+            other => panic!("expected shard {shard}'s panic: {other:?}"),
         }
     }
 
-    /// Regression: the length was allocated for before it was read, and
-    /// `u32::MAX` aborted the process.
+    /// A worker that panics takes the service down with a typed error: the
+    /// call that finds it dead — a snapshot waiting for its reply, or a
+    /// shutdown joining it — and every call after it return the panic,
+    /// none of them hangs, and the surviving worker is sent nothing more.
     #[test]
-    fn snapshot_row_longer_than_the_fleet_is_corrupt() {
-        let (config, file) = persisted_snapshot("row-length");
-        assert!(recover_patched(&config, &file, ROW_0, &2u32.to_le_bytes()).is_ok());
-        for len in [3, u32::MAX] {
-            let (config, file) = persisted_snapshot("row-length");
-            let recovered = recover_patched(&config, &file, ROW_0, &len.to_le_bytes());
-            assert_corrupt(recovered, "snapshot row length");
+    fn a_panicked_worker_fails_every_later_call() {
+        for (shard, snapshot_first) in [(1, true), (2, true), (2, false)] {
+            within_a_minute(move || {
+                let dir = std::env::temp_dir().join(format!(
+                    "pscd-service-panic-{shard}-{snapshot_first}-{}",
+                    std::process::id()
+                ));
+                fs::remove_dir_all(&dir).ok();
+                let config = tiny_config(3, 2)
+                    .with_workers(2)
+                    .with_batch_size(2)
+                    .with_persistence(dir.clone(), 0);
+                let mut core = ServiceCore::new(config).unwrap();
+                let batch = [publish(0), request(shard as u16, 0)];
+                core.ingest_all(&batch).unwrap();
+                hook_worker(&mut core, shard, move || panic!("shard {shard} gives up"));
+                // The batch that meets the hook is sent before the worker
+                // dies on it.
+                core.ingest_all(&batch).unwrap();
+                let stepped = Arc::new(AtomicBool::new(false));
+                if snapshot_first {
+                    assert_panicked(core.snapshot_now(), shard);
+                    let stepped = Arc::clone(&stepped);
+                    let survivor = 3 - shard;
+                    hook_worker(&mut core, survivor, move || {
+                        stepped.store(true, atomic::Ordering::SeqCst)
+                    });
+                    assert_panicked(core.ingest_all(&batch), shard);
+                    assert_panicked(core.flush(), shard);
+                }
+                assert_panicked(core.shutdown(), shard);
+                // The dropped service joined the survivor: it met no batch.
+                assert!(!stepped.load(atomic::Ordering::SeqCst));
+                fs::remove_dir_all(&dir).ok();
+            });
         }
     }
 
-    /// Regression: a row naming a proxy outside the fleet recovered `Ok`.
+    /// The hand-off to a worker is bounded: with worker 1 holding its first
+    /// batch, `DEFAULT_PREFETCH_DEPTH` more fit its channel, and the
+    /// dispatch after them waits until the worker moves. The run still ends
+    /// where the batch replay does.
     #[test]
-    fn snapshot_row_servers_out_of_order_or_outside_the_fleet_are_corrupt() {
-        for (at, server) in [(1, 9u16), (1, 2), (1, 0), (0, 1)] {
-            let (config, file) = persisted_snapshot("row-servers");
-            let at = ROW_0_SERVERS[at];
-            let recovered = recover_patched(&config, &file, at, &server.to_le_bytes());
-            assert_corrupt(recovered, "snapshot row servers");
-        }
-    }
+    fn a_full_worker_channel_blocks_dispatch() {
+        const BATCH: usize = 16;
+        within_a_minute(|| {
+            let w = Workload::generate(&WorkloadConfig::news_scaled(0.002)).unwrap();
+            let subs = w.subscriptions(1.0).unwrap();
+            let events = w.live_events(&subs);
+            let trace = CompiledTrace::compile(&w, &subs).unwrap();
+            let costs = FetchCosts::uniform(w.server_count());
+            let kind = StrategyKind::Sg2 { beta: 2.0 };
+            let options = SimOptions::at_capacity(kind, 0.05);
+            let reference = simulate_compiled(&trace, &costs, &options).unwrap();
+            let config = ServiceConfig::new(
+                kind,
+                trace.capacities(0.05),
+                costs.iter().collect(),
+                PushScheme::Always,
+                trace.pages().iter().copied().collect(),
+                trace.hours(),
+            );
+            let mut core = ServiceCore::new(config.with_workers(2).with_batch_size(BATCH)).unwrap();
+            // The subscription rows open the stream and are never
+            // dispatched; behind them every `BATCH` events are one dispatch.
+            let is_row = |ev: &LiveEvent| matches!(ev, LiveEvent::Subscribe { .. });
+            let traffic = events.iter().position(|ev| !is_row(ev)).unwrap();
+            assert!(events[traffic..].iter().all(|ev| !is_row(ev)));
+            core.ingest_all(&events[..traffic]).unwrap();
+            let mut batches = events[traffic..].chunks(BATCH);
+            assert!(batches.len() > DEFAULT_PREFETCH_DEPTH + 2);
 
-    #[test]
-    fn snapshot_version_head_outside_the_page_universe_is_corrupt() {
-        let (config, file) = persisted_snapshot("head");
-        assert!(recover_patched(&config, &file, HEAD_0, &2u32.to_le_bytes()).is_ok());
-        let (config, file) = persisted_snapshot("head");
-        let recovered = recover_patched(&config, &file, HEAD_0, &3u32.to_le_bytes());
-        assert_corrupt(recovered, "snapshot version head");
-    }
-
-    #[test]
-    fn snapshot_hour_count_other_than_the_configs_is_corrupt() {
-        for hours in [0, 2, u32::MAX] {
-            let (config, file) = persisted_snapshot("hours");
-            let recovered = recover_patched(&config, &file, HOURS, &hours.to_le_bytes());
-            assert_corrupt(recovered, "snapshot hour count");
-        }
+            let (open, gate) = mpsc::channel::<()>();
+            hook_worker(&mut core, 1, move || {
+                let _ = gate.recv();
+            });
+            let opened = Arc::new(AtomicBool::new(false));
+            let (full, wait) = mpsc::channel();
+            let opener = std::thread::spawn({
+                let opened = Arc::clone(&opened);
+                move || {
+                    wait.recv().unwrap();
+                    // Time for a dispatch that does not wait to return first.
+                    std::thread::sleep(Duration::from_millis(100));
+                    opened.store(true, atomic::Ordering::SeqCst);
+                    drop(open);
+                }
+            });
+            for batch in batches.by_ref().take(DEFAULT_PREFETCH_DEPTH + 1) {
+                core.ingest_all(batch).unwrap();
+            }
+            assert!(!opened.load(atomic::Ordering::SeqCst));
+            full.send(()).unwrap();
+            core.ingest_all(batches.next().unwrap()).unwrap();
+            assert!(
+                opened.load(atomic::Ordering::SeqCst),
+                "dispatch {} did not wait for the held worker",
+                DEFAULT_PREFETCH_DEPTH + 2
+            );
+            for batch in batches {
+                core.ingest_all(batch).unwrap();
+            }
+            opener.join().unwrap();
+            assert_eq!(core.shutdown().unwrap().result, reference);
+        });
     }
 }

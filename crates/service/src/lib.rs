@@ -3,15 +3,18 @@
 //! Runs the same [`DeliveryEngine`](pscd_broker::DeliveryEngine) +
 //! [`StrategyKind`](pscd_core::StrategyKind) machinery the batch
 //! simulator replays, but as a long-lived process: events arrive one at
-//! a time through an ingestion front door (no pre-merged timeline), a
-//! supervisor resolves each event against the live subscription rows and
+//! a time through [`ServiceCore::ingest_all`] (no pre-merged timeline),
+//! the core resolves each event against the live subscription rows and
 //! version lineage into the simulator's window buffer
 //! ([`OwnedWindow`](pscd_sim::OwnedWindow)), and every shard of the proxy
 //! fleet is a [`ReplayState`](pscd_sim::ReplayState) that steps through
 //! each batch — the **same** step the batch replay runs, which is why the
 //! service's final accounting and cache contents are bit-identical to
 //! `simulate_compiled` over the same events (the `service_differential`
-//! suite checks this for every strategy).
+//! suite checks this for every strategy). By default the calling thread
+//! steps the whole fleet; with more [`ServiceConfig::workers`] it only
+//! resolves, worker threads fed over bounded channels step the fleet, and
+//! a worker's panic comes back as [`ServiceError::WorkerPanicked`].
 //!
 //! Durability is a write-ahead event journal plus periodic state
 //! snapshots (serialized dense cache state + accounting). A killed
@@ -62,11 +65,12 @@ mod core;
 mod journal;
 mod kept;
 mod load;
-mod service;
 mod wire;
 mod worker;
 
 pub use config::{ServiceConfig, ServiceError};
 pub use core::{ServiceCore, ServiceOutcome};
 pub use load::{run_load, LoadReport};
-pub use service::{BrokerService, ServiceHandle};
+
+#[cfg(test)]
+mod test_support;

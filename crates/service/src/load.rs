@@ -32,7 +32,7 @@ pub struct LoadReport {
 }
 
 /// Drives `events` into the service in batches of `batch` (the ingest
-/// granularity a front-door client would use), recording per-batch
+/// granularity a client would use), recording per-batch
 /// latency into `registry` and a span per batch into `sink`.
 ///
 /// # Errors

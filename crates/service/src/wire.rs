@@ -4,10 +4,24 @@
 //! [`pscd_cache::snapshot`], so a byte string written by one process
 //! decodes identically in another — the property the crash-recovery
 //! tests depend on.
+//!
+//! A snapshot file (`PSCDSNP1`) is the journal offset it covers, the
+//! subscription rows, the version heads, the fleet's merged hourly series,
+//! the fleet size, then per server in order its accounting and its
+//! strategy's blob behind the blob's length.
 
+use std::borrow::Cow;
+use std::ops::Range;
+
+use pscd_broker::Traffic;
 use pscd_cache::snapshot::{put_u16, put_u32, put_u64, put_u8};
 use pscd_cache::{SnapshotError, SnapshotReader};
-use pscd_types::{LiveEvent, PageId, ServerId, SimTime};
+use pscd_obs::Observer;
+use pscd_sim::resolve::{SubscriptionRows, VersionHeads};
+use pscd_sim::{HourlySeries, ReplayState};
+use pscd_types::{Bytes, LiveEvent, PageId, ServerId, SimTime};
+
+use crate::config::{ServiceConfig, ServiceError};
 
 /// Journal file magic + format version.
 pub(crate) const JOURNAL_MAGIC: &[u8; 8] = b"PSCDJRN1";
@@ -86,9 +100,283 @@ pub(crate) fn skip_event(r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError
     r.read_bytes(payload).map(|_| ())
 }
 
+/// Starts a snapshot file in `out` (cleared first): the sections before
+/// the fleet's.
+pub(crate) fn put_snapshot_head(
+    out: &mut Vec<u8>,
+    events_applied: u64,
+    rows: &SubscriptionRows,
+    heads: &VersionHeads,
+) {
+    out.clear();
+    out.extend_from_slice(SNAPSHOT_MAGIC);
+    put_u64(out, events_applied);
+    put_u32(out, heads.page_count() as u32);
+    for row in rows.rows() {
+        put_u32(out, row.len() as u32);
+        for &(server, count) in row {
+            put_u16(out, server.index());
+            put_u32(out, count);
+        }
+    }
+    for latest in heads.heads() {
+        put_u32(out, latest.map_or(u32::MAX, PageId::index));
+    }
+}
+
+/// What a worker's shard contributes to a snapshot: its hourly series and
+/// its servers' records as the snapshot file holds them, in range order.
+#[derive(Debug)]
+pub(crate) struct ShardSnap {
+    hourly: HourlySeries,
+    servers: Vec<u8>,
+}
+
+/// Takes a worker shard's part of a snapshot, on the worker's thread.
+pub(crate) fn shard_snap<O: Observer>(shard: &ReplayState<O>) -> ShardSnap {
+    let mut servers = Vec::new();
+    encode_servers(shard, &mut servers);
+    let hourly = shard.hourly().clone();
+    ShardSnap { hourly, servers }
+}
+
+/// Ends a snapshot file with a fleet of `server_count` proxies: shard 0,
+/// encoded straight into `out`, then the workers' shards as they sent
+/// them, in order.
+pub(crate) fn put_snapshot_fleet<O: Observer>(
+    out: &mut Vec<u8>,
+    server_count: u16,
+    shard: &ReplayState<O>,
+    workers: &[ShardSnap],
+) {
+    let mut hourly = Cow::Borrowed(shard.hourly());
+    for worker in workers {
+        hourly.to_mut().absorb(&worker.hourly);
+    }
+    put_hourly(out, &hourly);
+    put_u16(out, server_count);
+    encode_servers(shard, out);
+    for worker in workers {
+        out.extend_from_slice(&worker.servers);
+    }
+}
+
+/// Appends the shard's servers to a snapshot file, in range order: each
+/// one's accounting, then its strategy blob behind its length. The
+/// strategy encodes straight into `out`; the length is patched in behind
+/// it.
+fn encode_servers<O: Observer>(shard: &ReplayState<O>, out: &mut Vec<u8>) {
+    let engine = shard.engine();
+    for server in shard.servers().map(ServerId::new) {
+        let (hits, requests) = engine.hit_stats(server);
+        let traffic = engine.traffic(server);
+        put_u64(out, hits);
+        put_u64(out, requests);
+        put_u64(out, traffic.pushed_pages);
+        put_u64(out, traffic.pushed_bytes.as_u64());
+        put_u64(out, traffic.fetched_pages);
+        put_u64(out, traffic.fetched_bytes.as_u64());
+        let at = out.len();
+        put_u32(out, 0);
+        engine.strategy(server).encode_snapshot(out);
+        let len = (out.len() - at - 4) as u32;
+        out[at..at + 4].copy_from_slice(&len.to_le_bytes());
+    }
+}
+
+fn put_hourly(out: &mut Vec<u8>, hourly: &HourlySeries) {
+    put_u32(out, hourly.hours() as u32);
+    for series in [
+        &hourly.hits,
+        &hourly.requests,
+        &hourly.pushed_pages,
+        &hourly.pushed_bytes,
+        &hourly.fetched_pages,
+        &hourly.fetched_bytes,
+    ] {
+        for &v in series {
+            put_u64(out, v);
+        }
+    }
+}
+
+/// Reads a series [`put_hourly`] wrote, which must span `hours` buckets.
+fn read_hourly(r: &mut SnapshotReader<'_>, hours: usize) -> Result<HourlySeries, ServiceError> {
+    if r.read_u32()? as usize != hours {
+        return Err(ServiceError::CorruptFile("snapshot hour count"));
+    }
+    let mut hourly = HourlySeries::new(hours);
+    for series in [
+        &mut hourly.hits,
+        &mut hourly.requests,
+        &mut hourly.pushed_pages,
+        &mut hourly.pushed_bytes,
+        &mut hourly.fetched_pages,
+        &mut hourly.fetched_bytes,
+    ] {
+        for v in series.iter_mut() {
+            *v = r.read_u64()?;
+        }
+    }
+    Ok(hourly)
+}
+
+/// One proxy's share of a decoded snapshot file: its accounting, and
+/// where in the file its strategy blob lies.
+#[derive(Debug)]
+pub(crate) struct ServerSnap {
+    hits: u64,
+    requests: u64,
+    traffic: Traffic,
+    blob: Range<usize>,
+}
+
+/// Decodes one server record (what [`encode_servers`] wrote for it),
+/// leaving the blob where it is: `r` must read the file from its first
+/// byte, so that positions are file offsets.
+fn read_server_snap(r: &mut SnapshotReader<'_>) -> Result<ServerSnap, SnapshotError> {
+    let hits = r.read_u64()?;
+    let requests = r.read_u64()?;
+    let traffic = Traffic {
+        pushed_pages: r.read_u64()?,
+        pushed_bytes: Bytes::new(r.read_u64()?),
+        fetched_pages: r.read_u64()?,
+        fetched_bytes: Bytes::new(r.read_u64()?),
+    };
+    let len = r.read_u32()? as usize;
+    let at = r.position();
+    r.read_bytes(len)?;
+    Ok(ServerSnap {
+        hits,
+        requests,
+        traffic,
+        blob: at..at + len,
+    })
+}
+
+/// Restores every server a freshly built `shard` owns from `restore`.
+pub(crate) fn restore_servers<O: Observer>(
+    shard: &mut ReplayState<O>,
+    restore: &FleetRestore,
+) -> Result<(), SnapshotError> {
+    let range = shard.servers();
+    let engine = shard.engine_mut();
+    for server in range.map(ServerId::new) {
+        let snap = &restore.servers[server.as_usize()];
+        let mut r = SnapshotReader::new(&restore.file[snap.blob.clone()]);
+        engine.restore_strategy(server, &mut r)?;
+        if !r.is_empty() {
+            return Err(SnapshotError::Corrupt("trailing bytes in strategy blob"));
+        }
+        engine.restore_accounting(server, snap.hits, snap.requests, snap.traffic);
+    }
+    Ok(())
+}
+
+/// What a service starts from: a decoded snapshot file, or nothing yet.
+pub(crate) struct SnapshotState {
+    pub(crate) events_applied: u64,
+    pub(crate) rows: SubscriptionRows,
+    pub(crate) heads: VersionHeads,
+    pub(crate) restore: Option<FleetRestore>,
+}
+
+impl SnapshotState {
+    /// The state of a service over `pages` pages that has ingested nothing.
+    pub(crate) fn fresh(pages: usize) -> Self {
+        Self {
+            events_applied: 0,
+            rows: SubscriptionRows::new(pages),
+            heads: VersionHeads::new(pages),
+            restore: None,
+        }
+    }
+}
+
+/// The fleet's share of a decoded snapshot file: every server in order,
+/// blobs still in the file, and the merged hourly series.
+#[derive(Debug)]
+pub(crate) struct FleetRestore {
+    file: Vec<u8>,
+    servers: Vec<ServerSnap>,
+    pub(crate) hourly: HourlySeries,
+}
+
+/// Decodes a snapshot file, checking every length and id against `config`
+/// before it allocates for it or stores it.
+pub(crate) fn decode_snapshot_file(
+    file: Vec<u8>,
+    config: &ServiceConfig,
+) -> Result<SnapshotState, ServiceError> {
+    // From the file's first byte, so that positions are file offsets.
+    let mut r = SnapshotReader::new(&file);
+    if r.read_bytes(SNAPSHOT_MAGIC.len()).ok() != Some(&SNAPSHOT_MAGIC[..]) {
+        return Err(ServiceError::CorruptFile("snapshot header"));
+    }
+    let events_applied = r.read_u64()?;
+    let page_count = r.read_u32()? as usize;
+    if page_count != config.pages.len() {
+        return Err(ServiceError::CorruptFile("snapshot page universe"));
+    }
+    // Bound what the file says before allocating for it: a row lists each
+    // proxy at most once, in ascending order.
+    let fleet = config.server_count();
+    let mut rows = Vec::with_capacity(page_count);
+    for _ in 0..page_count {
+        let len = r.read_u32()? as usize;
+        if len > fleet as usize {
+            return Err(ServiceError::CorruptFile("snapshot row length"));
+        }
+        let mut row: Vec<(ServerId, u32)> = Vec::with_capacity(len);
+        for _ in 0..len {
+            let server = r.read_u16()?;
+            let ascending = row.last().is_none_or(|&(last, _)| last.index() < server);
+            if !ascending || server >= fleet {
+                return Err(ServiceError::CorruptFile("snapshot row servers"));
+            }
+            row.push((ServerId::new(server), r.read_u32()?));
+        }
+        rows.push(row);
+    }
+    let mut heads = Vec::with_capacity(page_count);
+    for _ in 0..page_count {
+        let head = match r.read_u32()? {
+            u32::MAX => None,
+            raw if (raw as usize) < page_count => Some(PageId::new(raw)),
+            _ => return Err(ServiceError::CorruptFile("snapshot version head")),
+        };
+        heads.push(head);
+    }
+    let hourly = read_hourly(&mut r, config.hours)?;
+    let server_count = r.read_u16()?;
+    if server_count != fleet {
+        return Err(ServiceError::CorruptFile("snapshot fleet size"));
+    }
+    let servers = (0..server_count).map(|_| read_server_snap(&mut r));
+    let servers = servers.collect::<Result<Vec<_>, _>>()?;
+    if !r.is_empty() {
+        return Err(ServiceError::CorruptFile("trailing snapshot bytes"));
+    }
+    Ok(SnapshotState {
+        events_applied,
+        rows: SubscriptionRows::from_rows(rows),
+        heads: VersionHeads::from_heads(heads),
+        restore: Some(FleetRestore {
+            servers,
+            hourly,
+            file,
+        }),
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use std::fs;
+
+    use crate::core::{ServiceCore, SNAPSHOT_FILE};
+    use crate::test_support::{publish, tiny_config};
 
     #[test]
     fn events_round_trip() {
@@ -181,5 +469,121 @@ mod tests {
             read_event(&mut r),
             Err(SnapshotError::Truncated { .. })
         ));
+    }
+
+    #[test]
+    fn hourly_round_trips() {
+        let mut h = HourlySeries::new(3);
+        h.record_request(
+            pscd_types::SimTime::from_hours(1),
+            false,
+            pscd_types::Bytes::new(7),
+        );
+        h.record_push(
+            pscd_types::SimTime::from_hours(2),
+            pscd_types::Bytes::new(9),
+        );
+        let mut out = Vec::new();
+        put_hourly(&mut out, &h);
+        let mut r = SnapshotReader::new(&out);
+        assert_eq!(read_hourly(&mut r, 3).unwrap(), h);
+        assert!(r.is_empty());
+    }
+
+    /// The snapshot file of a journaled two-proxy, three-page service whose
+    /// page 0 row lists both proxies and whose page 0 was published (it
+    /// heads its own lineage), and the config that recovers from it.
+    fn persisted_snapshot(tag: &str) -> (ServiceConfig, Vec<u8>) {
+        let dir =
+            std::env::temp_dir().join(format!("pscd-service-corrupt-{tag}-{}", std::process::id()));
+        fs::remove_dir_all(&dir).ok();
+        let config = tiny_config(2, 3).with_persistence(dir.clone(), 0);
+        let mut core = ServiceCore::new(config.clone()).unwrap();
+        for server in [0, 1] {
+            core.ingest(LiveEvent::Subscribe {
+                page: PageId::new(0),
+                server: ServerId::new(server),
+                count: 1,
+            })
+            .unwrap();
+        }
+        core.ingest(publish(0)).unwrap();
+        core.snapshot_now().unwrap();
+        drop(core);
+        let file = fs::read(dir.join(SNAPSHOT_FILE)).unwrap();
+        (config, file)
+    }
+
+    /// Offsets in [`persisted_snapshot`]'s file: page 0's row length, its
+    /// two server ids, the first version head and the hour count.
+    const ROW_0: usize = SNAPSHOT_MAGIC.len() + 8 + 4;
+    const ROW_0_SERVERS: [usize; 2] = [ROW_0 + 4, ROW_0 + 10];
+    const HEAD_0: usize = ROW_0 + 16 + 2 * 4;
+    const HOURS: usize = HEAD_0 + 3 * 4;
+
+    /// Recovers from `file` with `patch` written at `at`, then removes the
+    /// persistence directory.
+    fn recover_patched(
+        config: &ServiceConfig,
+        file: &[u8],
+        at: usize,
+        patch: &[u8],
+    ) -> Result<ServiceCore, ServiceError> {
+        let mut file = file.to_vec();
+        file[at..at + patch.len()].copy_from_slice(patch);
+        let dir = config.dir.as_ref().unwrap();
+        fs::write(dir.join(SNAPSHOT_FILE), file).unwrap();
+        let recovered = ServiceCore::recover(config.clone());
+        fs::remove_dir_all(dir).ok();
+        recovered
+    }
+
+    fn assert_corrupt(recovered: Result<ServiceCore, ServiceError>, what: &str) {
+        match recovered {
+            Err(ServiceError::CorruptFile(field)) => assert_eq!(field, what),
+            other => panic!("expected a corrupt {what}: {other:?}"),
+        }
+    }
+
+    /// Regression: the length was allocated for before it was read, and
+    /// `u32::MAX` aborted the process.
+    #[test]
+    fn snapshot_row_longer_than_the_fleet_is_corrupt() {
+        let (config, file) = persisted_snapshot("row-length");
+        assert!(recover_patched(&config, &file, ROW_0, &2u32.to_le_bytes()).is_ok());
+        for len in [3, u32::MAX] {
+            let (config, file) = persisted_snapshot("row-length");
+            let recovered = recover_patched(&config, &file, ROW_0, &len.to_le_bytes());
+            assert_corrupt(recovered, "snapshot row length");
+        }
+    }
+
+    /// Regression: a row naming a proxy outside the fleet recovered `Ok`.
+    #[test]
+    fn snapshot_row_servers_out_of_order_or_outside_the_fleet_are_corrupt() {
+        for (at, server) in [(1, 9u16), (1, 2), (1, 0), (0, 1)] {
+            let (config, file) = persisted_snapshot("row-servers");
+            let at = ROW_0_SERVERS[at];
+            let recovered = recover_patched(&config, &file, at, &server.to_le_bytes());
+            assert_corrupt(recovered, "snapshot row servers");
+        }
+    }
+
+    #[test]
+    fn snapshot_version_head_outside_the_page_universe_is_corrupt() {
+        let (config, file) = persisted_snapshot("head");
+        assert!(recover_patched(&config, &file, HEAD_0, &2u32.to_le_bytes()).is_ok());
+        let (config, file) = persisted_snapshot("head");
+        let recovered = recover_patched(&config, &file, HEAD_0, &3u32.to_le_bytes());
+        assert_corrupt(recovered, "snapshot version head");
+    }
+
+    #[test]
+    fn snapshot_hour_count_other_than_the_configs_is_corrupt() {
+        for hours in [0, 2, u32::MAX] {
+            let (config, file) = persisted_snapshot("hours");
+            let recovered = recover_patched(&config, &file, HOURS, &hours.to_le_bytes());
+            assert_corrupt(recovered, "snapshot hour count");
+        }
     }
 }

@@ -1,78 +1,46 @@
-//! Per-proxy workers: shard state and the persistent worker threads.
+//! The fleet's shards, and the worker threads that own shards 1…
 //!
 //! A shard is the simulator's own replay over the shard's server range, a
 //! [`ReplayState`]: the supervisor resolves each batch into the
 //! simulator's window buffer ([`OwnedWindow`]) and a shard drains it with
-//! [`ReplayState::step`], the step batch replay runs. A `ReplayState`'s
+//! [`ReplayState::step`], the step batch replay runs. Shard 0 steps on the
+//! ingesting thread (over no server once there are workers). A shard's
 //! [`DeliveryEngine`](pscd_broker::DeliveryEngine) is deliberately
-//! single-threaded (its observer handle is an `Rc`), so the service never
-//! shares shards across threads. Instead each worker thread *builds and
-//! owns* its shard of the fleet, and the supervisor streams every batch
-//! to every worker over a channel. Message order per channel is FIFO, so
-//! a snapshot or shutdown request enqueued after a batch observes that
-//! batch applied — no separate barrier is needed.
+//! single-threaded (its observer handle is an `Rc`), so every other shard
+//! is built and owned by a [`Worker`] thread, and the supervisor sends it
+//! each batch over a channel bounded at [`DEFAULT_PREFETCH_DEPTH`]: a
+//! supervisor that outruns its slowest worker waits for it. Message order
+//! per channel is FIFO, so a snapshot or finish request sent after a batch
+//! observes that batch applied — no separate barrier is needed. A channel
+//! that closes without a finish request (a dropped service) ends the
+//! thread without finishing its shard.
 
 use std::ops::Range;
-use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
 use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::thread::{self, JoinHandle};
 
-use pscd_broker::Traffic;
-use pscd_cache::snapshot::{put_u32, put_u64};
-use pscd_cache::{SnapshotError, SnapshotReader};
+use pscd_cache::SnapshotError;
 use pscd_obs::{NullObserver, SharedObserver};
-use pscd_sim::{HourlySeries, OwnedWindow, ReplayState, SimResult};
+use pscd_sim::{HourlySeries, OwnedWindow, ReplayState, SimResult, DEFAULT_PREFETCH_DEPTH};
 use pscd_topology::FetchCosts;
-use pscd_types::ServerId;
+use pscd_types::{PageMeta, ServerId};
 
 use crate::config::{ServiceConfig, ServiceError};
+use crate::wire::{restore_servers, shard_snap, FleetRestore, ShardSnap};
 
 /// One shard of the proxy fleet.
 pub(crate) type Shard = ReplayState<NullObserver>;
 
-/// One proxy's share of a decoded snapshot file: its accounting, and
-/// where in the file its strategy blob lies.
-#[derive(Debug, Clone)]
-pub(crate) struct ServerSnap {
-    pub(crate) hits: u64,
-    pub(crate) requests: u64,
-    pub(crate) traffic: Traffic,
-    pub(crate) blob: Range<usize>,
-}
-
-/// What one shard contributes to a snapshot: its hourly series and its
-/// servers' records as the snapshot file holds them, in range order.
-#[derive(Debug)]
-pub(crate) struct ShardSnap {
-    pub(crate) hourly: HourlySeries,
-    pub(crate) servers: Vec<u8>,
-}
-
-/// State to restore into a freshly built shard before it processes any
-/// event.
-#[derive(Debug)]
-pub(crate) struct ShardRestore {
-    /// The snapshot file the blob ranges index: shared, not copied, by
-    /// every shard restored from it.
-    pub(crate) file: Arc<Vec<u8>>,
-    /// Per-server state for the shard's range, in range order.
-    pub(crate) servers: Vec<ServerSnap>,
-    /// The merged hourly series; only one shard receives it (absorb is
-    /// component-wise addition, so where the buckets live is irrelevant
-    /// to the merged totals).
-    pub(crate) hourly: Option<HourlySeries>,
-}
-
-/// Builds the shard owning global servers `[start, end)`, restored from
-/// `restore` when given.
+/// Builds the shard owning global servers `range`, restored from
+/// `restore` and starting from the `hourly` series when given.
 pub(crate) fn build_shard(
     config: &ServiceConfig,
     costs: &FetchCosts,
-    start: u16,
-    end: u16,
-    mut restore: Option<ShardRestore>,
+    range: Range<u16>,
+    restore: Option<&FleetRestore>,
+    hourly: Option<HourlySeries>,
 ) -> Result<Shard, SnapshotError> {
-    let hourly = restore.as_mut().and_then(|r| r.hourly.take());
     let mut shard = ReplayState::new(
         config.strategy,
         config.scheme,
@@ -83,61 +51,12 @@ pub(crate) fn build_shard(
         config.pages.len(),
         hourly.unwrap_or_else(|| HourlySeries::new(config.hours)),
         SharedObserver::disabled(),
-        start..end,
+        range,
     );
-    let Some(restore) = restore else {
-        return Ok(shard);
-    };
-    debug_assert_eq!(restore.servers.len(), (end - start) as usize);
-    let engine = shard.engine_mut();
-    for (server, snap) in (start..end).map(ServerId::new).zip(&restore.servers) {
-        let mut r = SnapshotReader::new(&restore.file[snap.blob.clone()]);
-        engine.restore_strategy(server, &mut r)?;
-        if !r.is_empty() {
-            return Err(SnapshotError::Corrupt("trailing bytes in strategy blob"));
-        }
-        engine.restore_accounting(server, snap.hits, snap.requests, snap.traffic);
+    if let Some(restore) = restore {
+        restore_servers(&mut shard, restore)?;
     }
     Ok(shard)
-}
-
-/// The servers a shard owns, in order.
-fn servers(shard: &Shard) -> impl Iterator<Item = ServerId> {
-    let first = shard.engine().first_server().index();
-    (first..first + shard.engine().server_count()).map(ServerId::new)
-}
-
-/// Appends the shard's servers to a snapshot file, in range order: each
-/// one's accounting, then its strategy blob behind its length. The
-/// strategy encodes straight into `out`; the length is patched in behind
-/// it.
-pub(crate) fn encode_servers(shard: &Shard, out: &mut Vec<u8>) {
-    let engine = shard.engine();
-    for server in servers(shard) {
-        let (hits, requests) = engine.hit_stats(server);
-        let traffic = engine.traffic(server);
-        put_u64(out, hits);
-        put_u64(out, requests);
-        put_u64(out, traffic.pushed_pages);
-        put_u64(out, traffic.pushed_bytes.as_u64());
-        put_u64(out, traffic.fetched_pages);
-        put_u64(out, traffic.fetched_bytes.as_u64());
-        let at = out.len();
-        put_u32(out, 0);
-        engine.strategy(server).encode_snapshot(out);
-        let len = (out.len() - at - 4) as u32;
-        out[at..at + 4].copy_from_slice(&len.to_le_bytes());
-    }
-}
-
-/// Captures the shard's full mutable state.
-fn snapshot(shard: &Shard) -> ShardSnap {
-    let mut servers = Vec::new();
-    encode_servers(shard, &mut servers);
-    ShardSnap {
-        hourly: shard.hourly().clone(),
-        servers,
-    }
 }
 
 /// The shard's contribution to the final result: its [`SimResult`]
@@ -147,10 +66,12 @@ pub(crate) fn finish(shard: Shard) -> ShardFinish {
     // One buffer grows to a blob's size once; each proxy keeps an exact
     // copy.
     let mut blob = Vec::new();
-    let proxies = servers(&shard)
+    let proxies = shard
+        .servers()
         .map(|server| {
             blob.clear();
-            shard.engine().strategy(server).encode_snapshot(&mut blob);
+            let strategy = shard.engine().strategy(ServerId::new(server));
+            strategy.encode_snapshot(&mut blob);
             blob.clone()
         })
         .collect();
@@ -161,145 +82,170 @@ pub(crate) fn finish(shard: Shard) -> ShardFinish {
 /// canonical per-proxy cache snapshots for its server range.
 pub(crate) type ShardFinish = (SimResult, Vec<Vec<u8>>);
 
-/// Messages to a worker thread. FIFO channel order doubles as the
-/// barrier: a `Snapshot`/`Finish` reply reflects every batch sent before
-/// it.
+/// Messages to a worker.
 pub(crate) enum ToWorker {
+    /// Step every event of the batch.
     Batch(Arc<OwnedWindow>),
-    Snapshot(Sender<ShardSnap>),
-    Finish(Sender<ShardFinish>),
+    /// Reply with the shard's [`ShardSnap`].
+    Snapshot,
+    /// Finish the shard; the thread returns its [`ShardFinish`].
+    Finish,
+    /// Run the hook on the worker's thread when the next batch arrives,
+    /// before stepping it: a test's slow or failing shard.
+    #[cfg(test)]
+    Hook(Box<dyn FnOnce() + Send>),
 }
 
-impl std::fmt::Debug for ToWorker {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ToWorker::Batch(b) => write!(f, "Batch({} events)", b.len()),
-            ToWorker::Snapshot(_) => write!(f, "Snapshot"),
-            ToWorker::Finish(_) => write!(f, "Finish"),
-        }
-    }
-}
-
-/// A handle to one persistent worker thread. Dropping the handle closes
-/// the channel and joins the thread.
+/// A worker thread and the shard it owns. Dropping it closes its channel
+/// and joins the thread; only [`Worker::join`] reports how it ended.
 #[derive(Debug)]
-pub(crate) struct WorkerHandle {
-    tx: Option<Sender<ToWorker>>,
-    join: Option<JoinHandle<()>>,
+pub(crate) struct Worker {
+    /// The shard's index in the fleet.
+    shard: usize,
+    /// `None` once dropped: the thread then steps what it holds and
+    /// returns.
+    tx: Option<SyncSender<ToWorker>>,
+    /// One reply per [`ToWorker::Snapshot`].
+    snaps: Receiver<ShardSnap>,
+    /// `None` once joined.
+    thread: Option<JoinHandle<Result<Option<ShardFinish>, SnapshotError>>>,
+    /// What the thread panicked with, once joined.
+    panic: String,
 }
 
-impl WorkerHandle {
-    /// Spawns a worker owning servers `[start, end)`, optionally restored
-    /// from snapshot state before it accepts batches.
+impl Worker {
+    /// Spawns the worker for shard `shard`, owning servers `range` and
+    /// restored from `restore` before it takes a batch.
     pub(crate) fn spawn(
+        shard: usize,
         config: &ServiceConfig,
         costs: &FetchCosts,
-        start: u16,
-        end: u16,
-        restore: Option<ShardRestore>,
+        range: Range<u16>,
+        restore: Option<Arc<FleetRestore>>,
     ) -> Result<Self, ServiceError> {
-        let (tx, rx) = mpsc::channel::<ToWorker>();
-        // The restore result must reach the supervisor before it starts
-        // streaming batches into a possibly half-restored shard.
-        let (ready_tx, ready_rx) = mpsc::channel::<Result<(), SnapshotError>>();
-        let config = config.clone();
-        let costs = costs.clone();
-        let join = std::thread::Builder::new()
-            .name(format!("pscd-worker-{start}"))
+        let (tx, rx) = mpsc::sync_channel(DEFAULT_PREFETCH_DEPTH);
+        let (snap_tx, snaps) = mpsc::channel();
+        let (ready_tx, ready) = mpsc::channel();
+        let (config, costs) = (config.clone(), costs.clone());
+        let thread = thread::Builder::new()
+            .name(format!("pscd-worker-{shard}"))
             .spawn(move || {
-                worker_main(&config, &costs, start, end, restore, &ready_tx, &rx);
+                let state = build_shard(&config, &costs, range, restore.as_deref(), None)?;
+                drop(restore);
+                ready_tx.send(()).expect("spawn waits for it");
+                Ok(run(state, &config.pages, &rx, &snap_tx))
             })?;
-        match ready_rx.recv() {
-            Ok(Ok(())) => Ok(Self {
-                tx: Some(tx),
-                join: Some(join),
-            }),
-            Ok(Err(e)) => {
-                join.join().ok();
-                Err(e.into())
-            }
-            Err(_) => {
-                join.join().ok();
-                Err(ServiceError::Stopped)
-            }
+        let mut worker = Self {
+            shard,
+            tx: Some(tx),
+            snaps,
+            thread: Some(thread),
+            panic: String::new(),
+        };
+        // A restore error or a panic ends the thread before it is ready.
+        match ready.recv() {
+            Ok(()) => Ok(worker),
+            Err(_) => Err(worker.stopped()),
         }
     }
 
-    /// Sends a message; [`ServiceError::Stopped`] if the worker died.
-    pub(crate) fn send(&self, msg: ToWorker) -> Result<(), ServiceError> {
-        self.tx
-            .as_ref()
-            .ok_or(ServiceError::Stopped)?
-            .send(msg)
-            .map_err(|_| ServiceError::Stopped)
+    /// Fails once the worker has been found dead (joined: its end is its
+    /// panic).
+    pub(crate) fn alive(&mut self) -> Result<(), ServiceError> {
+        match self.thread {
+            Some(_) => Ok(()),
+            None => self.end().map(drop),
+        }
+    }
+
+    /// Queues `msg`, waiting while the worker's channel is full.
+    pub(crate) fn send(&mut self, msg: ToWorker) -> Result<(), ServiceError> {
+        match &self.tx {
+            Some(tx) if tx.send(msg).is_ok() => Ok(()),
+            _ => Err(self.stopped()),
+        }
+    }
+
+    /// The reply to the [`ToWorker::Snapshot`] sent last.
+    pub(crate) fn snapshot(&mut self) -> Result<ShardSnap, ServiceError> {
+        self.snaps.recv().map_err(|_| self.stopped())
+    }
+
+    /// Returns the shard's finish, once [`ToWorker::Finish`] is sent.
+    pub(crate) fn join(mut self) -> Result<ShardFinish, ServiceError> {
+        Ok(self.end()?.expect("sent `Finish`, a worker returns"))
+    }
+
+    /// Why a worker whose channel or reply broke stopped.
+    fn stopped(&mut self) -> ServiceError {
+        // Only a restore error or a panic ends a worker whose channel is
+        // open before it is sent `Finish`.
+        self.end()
+            .expect_err("a worker returns only on `Finish` or a closed channel")
+    }
+
+    /// Joins the thread (the first call) and returns how it ended; a panic
+    /// is kept for every later call.
+    fn end(&mut self) -> Result<Option<ShardFinish>, ServiceError> {
+        if let Some(thread) = self.thread.take() {
+            match thread.join() {
+                Ok(end) => return end.map_err(ServiceError::from),
+                Err(payload) => {
+                    self.panic = match payload.downcast::<String>() {
+                        Ok(message) => *message,
+                        Err(payload) => payload
+                            .downcast_ref::<&str>()
+                            .copied()
+                            .unwrap_or("a panic payload that is not a string")
+                            .to_owned(),
+                    };
+                }
+            }
+        }
+        Err(ServiceError::WorkerPanicked {
+            shard: self.shard,
+            message: self.panic.clone(),
+        })
     }
 }
 
-impl Drop for WorkerHandle {
+impl Drop for Worker {
     fn drop(&mut self) {
-        // Close the channel first so the worker's recv loop ends, then
-        // join to keep thread lifetimes inside the supervisor's.
-        self.tx.take();
-        if let Some(join) = self.join.take() {
-            join.join().ok();
-        }
+        self.tx = None;
+        // A dropped service has no caller to tell how the worker ended.
+        let _ = self.end();
     }
 }
 
-fn worker_main(
-    config: &ServiceConfig,
-    costs: &FetchCosts,
-    start: u16,
-    end: u16,
-    restore: Option<ShardRestore>,
-    ready: &Sender<Result<(), SnapshotError>>,
+/// Steps `shard` through every batch the channel brings and answers its
+/// snapshot requests. Returns the shard's finish when asked for it, and
+/// nothing when the channel closes first.
+fn run(
+    mut shard: Shard,
+    pages: &[PageMeta],
     rx: &Receiver<ToWorker>,
-) {
-    let mut shard = match build_shard(config, costs, start, end, restore) {
-        Ok(shard) => shard,
-        Err(e) => {
-            ready.send(Err(e)).ok();
-            return;
-        }
-    };
-    ready.send(Ok(())).ok();
-    while let Ok(msg) = rx.recv() {
+    snaps: &Sender<ShardSnap>,
+) -> Option<ShardFinish> {
+    #[cfg(test)]
+    let mut hook: Option<Box<dyn FnOnce() + Send>> = None;
+    for msg in rx {
         match msg {
             ToWorker::Batch(batch) => {
-                let window = batch.view(&config.pages);
+                #[cfg(test)]
+                if let Some(hook) = hook.take() {
+                    hook();
+                }
+                let window = batch.view(pages);
                 while shard.step(&window).is_some() {}
             }
-            ToWorker::Snapshot(reply) => {
-                reply.send(snapshot(&shard)).ok();
+            ToWorker::Snapshot => {
+                let snap = shard_snap(&shard);
+                snaps.send(snap).expect("the receiver outlives the thread");
             }
-            ToWorker::Finish(reply) => {
-                reply.send(finish(shard)).ok();
-                return;
-            }
+            ToWorker::Finish => return Some(finish(shard)),
+            #[cfg(test)]
+            ToWorker::Hook(next) => hook = Some(next),
         }
     }
-}
-
-/// Decodes one server record of a snapshot file (what
-/// [`encode_servers`] wrote for it), leaving the blob where it is: `r`
-/// must read the file from its first byte, so that positions are file
-/// offsets.
-pub(crate) fn read_server_snap(r: &mut SnapshotReader<'_>) -> Result<ServerSnap, SnapshotError> {
-    let hits = r.read_u64()?;
-    let requests = r.read_u64()?;
-    let traffic = Traffic {
-        pushed_pages: r.read_u64()?,
-        pushed_bytes: pscd_types::Bytes::new(r.read_u64()?),
-        fetched_pages: r.read_u64()?,
-        fetched_bytes: pscd_types::Bytes::new(r.read_u64()?),
-    };
-    let len = r.read_u32()? as usize;
-    let at = r.position();
-    r.read_bytes(len)?;
-    Ok(ServerSnap {
-        hits,
-        requests,
-        traffic,
-        blob: at..at + len,
-    })
+    None
 }

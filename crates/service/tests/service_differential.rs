@@ -1,11 +1,13 @@
 //! Service-vs-batch differential suite: the live service, fed the same
-//! events one at a time through its ingestion front door, must end in
-//! **bit-identical** state to the batch replay — the same `SimResult`
-//! (hits, requests, traffic, hourly buckets, per-proxy stats) and the
-//! same serialized per-proxy cache contents — for every strategy the
-//! paper evaluates, at any worker count and batch size.
+//! events through [`ServiceCore::ingest_all`] in client-sized chunks (one
+//! event at a time included), must end in **bit-identical** state to the
+//! batch replay — the same `SimResult` (hits, requests, traffic, hourly
+//! buckets, per-proxy stats) and the same serialized per-proxy cache
+//! contents — for every strategy the paper evaluates, at any worker count
+//! and batch size.
 //!
-//! The second half is the crash-recovery property: a service killed at a
+//! The second half is the crash-recovery property: a service killed (its
+//! core dropped, inline shard and worker threads alike) at a
 //! proptest-chosen journal offset and rebuilt via
 //! [`ServiceCore::recover`] must converge to the *uncrashed* run (and
 //! hence, transitively, to the batch replay).
@@ -16,7 +18,7 @@ use proptest::prelude::*;
 
 use pscd_broker::PushScheme;
 use pscd_core::StrategyKind;
-use pscd_service::{BrokerService, ServiceConfig, ServiceCore, ServiceOutcome};
+use pscd_service::{ServiceConfig, ServiceCore, ServiceOutcome};
 use pscd_sim::{CompiledTrace, SimOptions, SimResult, Simulation};
 use pscd_topology::FetchCosts;
 use pscd_types::{LiveEvent, PageMeta, ServerId};
@@ -156,19 +158,23 @@ fn every_strategy_is_bit_identical_inline() {
 #[test]
 fn every_strategy_is_bit_identical_threaded() {
     let f = fixture();
-    for kind in all_strategies() {
-        let mut core = ServiceCore::new(
-            service_config(kind, false)
-                .with_workers(3)
-                .with_batch_size(64),
-        )
-        .unwrap();
-        // Uneven submission chunks exercise the batching boundaries.
-        for chunk in f.events.chunks(101) {
-            core.ingest_all(chunk).unwrap();
+    // (workers, batch size, client chunk): uneven chunks exercise the
+    // batching boundaries.
+    for (workers, batch_size, chunk) in [(3, 64, 101), (2, 256, 157)] {
+        for kind in all_strategies() {
+            let mut core = ServiceCore::new(
+                service_config(kind, false)
+                    .with_workers(workers)
+                    .with_batch_size(batch_size),
+            )
+            .unwrap();
+            for chunk in f.events.chunks(chunk) {
+                core.ingest_all(chunk).unwrap();
+            }
+            core.flush().unwrap();
+            let outcome = core.shutdown().unwrap();
+            assert_equivalent(kind, &outcome, false, &format!("workers={workers}"));
         }
-        let outcome = core.shutdown().unwrap();
-        assert_equivalent(kind, &outcome, false, "workers=3");
     }
 }
 
@@ -200,20 +206,6 @@ fn single_event_ingest_matches_batched_ingest() {
     }
     let outcome = core.shutdown().unwrap();
     assert_equivalent(kind, &outcome, false, "batch_size=1");
-}
-
-#[test]
-fn channel_front_door_is_bit_identical() {
-    let f = fixture();
-    let kind = StrategyKind::GdStar { beta: 2.0 };
-    let service = BrokerService::start(service_config(kind, false).with_workers(2), false).unwrap();
-    let handle = service.handle();
-    for chunk in f.events.chunks(157) {
-        handle.submit_all(chunk.to_vec()).unwrap();
-    }
-    handle.flush().unwrap();
-    let outcome = service.shutdown().unwrap();
-    assert_equivalent(kind, &outcome, false, "channel API");
 }
 
 #[test]
@@ -624,17 +616,21 @@ fn persisted_bytes_are_pinned() {
 
 /// Recovery walks the journal records a snapshot covers and replays the
 /// rest: wherever the snapshot was taken — before the first event, after
-/// it, inside a dispatch batch, after the last event — that must end
-/// where replaying the whole journal does, which is where the batch
+/// it, inside a dispatch batch, after the last event — and whether the
+/// inline fleet or three workers wrote it and restore from it, that must
+/// end where replaying the whole journal does, which is where the batch
 /// replay does.
 #[test]
 fn recover_with_a_snapshot_equals_recover_without_one() {
     let f = fixture();
     let kind = StrategyKind::Sg2 { beta: 2.0 };
     let mid_batch = f.events.len() / 2 / 256 * 256 + 100;
-    for k in [0, 1, mid_batch, f.events.len()] {
-        let dir = temp_service_dir(&format!("snapshot-at-{k}"));
-        let config = service_config(kind, true).with_persistence(dir.clone(), 0);
+    let points = [0, 1, mid_batch, f.events.len()];
+    for (workers, k) in [1, 3].into_iter().flat_map(|w| points.map(|k| (w, k))) {
+        let dir = temp_service_dir(&format!("snapshot-at-{k}-{workers}"));
+        let config = service_config(kind, true)
+            .with_workers(workers)
+            .with_persistence(dir.clone(), 0);
         let mut core = ServiceCore::new(config.clone()).unwrap();
         core.ingest_all(&f.events[..k]).unwrap();
         core.snapshot_now().unwrap();
@@ -648,8 +644,14 @@ fn recover_with_a_snapshot_equals_recover_without_one() {
         let with = finish(ServiceCore::recover(config.clone()).unwrap());
         std::fs::remove_file(dir.join("snapshot.bin")).unwrap();
         let without = finish(ServiceCore::recover(config.clone()).unwrap());
-        assert_eq!(with.result, without.result, "snapshot at {k}");
-        assert_eq!(with.proxies, without.proxies, "snapshot at {k}");
+        assert_eq!(
+            with.result, without.result,
+            "snapshot at {k}, {workers} workers"
+        );
+        assert_eq!(
+            with.proxies, without.proxies,
+            "snapshot at {k}, {workers} workers"
+        );
         assert_equivalent(kind, &with, true, "recovered from a snapshot");
 
         // A journal that ends before the snapshot does is refused.
@@ -677,20 +679,26 @@ proptest! {
     /// last snapshot, ingest the rest — the final state must be
     /// bit-identical to the batch replay of the whole stream. With
     /// `invalidate` the recovered engine must still find every restored
-    /// copy of a superseded page.
+    /// copy of a superseded page; with three workers the killed fleet's
+    /// threads go down with it and the restored servers are dealt back
+    /// across new ones. A `chunk` of `usize::MAX` sends the prefix as one
+    /// call.
     #[test]
     fn recovery_converges_to_the_uncrashed_run(
         strategy_idx in 0usize..6,
         invalidate in proptest::bool::ANY,
         kill_at in 0.0f64..1.0,
-        snapshot_every in proptest::sample::select(vec![0u64, 64, 256, 1024]),
-        chunk in proptest::sample::select(vec![1usize, 7, 50]),
+        snapshot_every in proptest::sample::select(vec![0u64, 64, 256, 512, 1024]),
+        chunk in proptest::sample::select(vec![1usize, 7, 50, usize::MAX]),
+        workers in proptest::sample::select(vec![1usize, 3]),
     ) {
         let f = fixture();
         let kind = recovery_strategies()[strategy_idx];
         let k = (kill_at * f.events.len() as f64) as usize;
-        let dir = temp_service_dir(&format!("{strategy_idx}-{snapshot_every}-{chunk}"));
-        let config = service_config(kind, invalidate).with_persistence(dir.clone(), snapshot_every);
+        let dir = temp_service_dir(&format!("{strategy_idx}-{snapshot_every}-{chunk}-{workers}"));
+        let config = service_config(kind, invalidate)
+            .with_workers(workers)
+            .with_persistence(dir.clone(), snapshot_every);
 
         let mut core = ServiceCore::new(config.clone()).unwrap();
         for c in f.events[..k].chunks(chunk) {
@@ -712,31 +720,4 @@ proptest! {
         prop_assert_eq!(&outcome.proxies, &proxies);
     }
 
-    /// The channel front door's crash path: `kill` drops the core
-    /// mid-stream; a recovered service finishes the run identically.
-    #[test]
-    fn killed_service_recovers_through_the_front_door(
-        kill_at in 0.1f64..0.9,
-        invalidate in proptest::bool::ANY,
-    ) {
-        let f = fixture();
-        let kind = StrategyKind::Sg2 { beta: 2.0 };
-        let k = (kill_at * f.events.len() as f64) as usize;
-        let dir = temp_service_dir("front-door");
-        let config = service_config(kind, invalidate).with_persistence(dir.clone(), 512);
-
-        let service = BrokerService::start(config.clone(), false).unwrap();
-        let handle = service.handle();
-        handle.submit_all(f.events[..k].to_vec()).unwrap();
-        service.kill();
-
-        let recovered = BrokerService::start(config, true).unwrap();
-        recovered.handle().submit_all(f.events[k..].to_vec()).unwrap();
-        let outcome = recovered.shutdown().unwrap();
-        std::fs::remove_dir_all(&dir).ok();
-
-        let (reference, proxies) = batch_run(kind, invalidate);
-        prop_assert_eq!(&outcome.result, &reference);
-        prop_assert_eq!(&outcome.proxies, &proxies);
-    }
 }

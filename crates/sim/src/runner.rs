@@ -482,6 +482,11 @@ impl<O: Observer> ReplayState<O> {
         &self.hourly
     }
 
+    /// The global server ids this replay owns.
+    pub fn servers(&self) -> Range<u16> {
+        self.start..self.end
+    }
+
     /// Processes the next timeline event of `window` owned by this
     /// replay's server range. Returns `None` when the window is exhausted
     /// — the caller then steps through the next window (a `None` on the
