@@ -53,109 +53,31 @@
 //! parallel SoA arrays (`lo[]`, `hi[]`, `tok[]`) scanned with a
 //! branch-free bounds test the compiler can vectorize.
 //!
-//! Content is symbolized **once per publish** into a [`SymView`] (owned by
-//! the caller's [`MatchScratch`]), so the loop does no string hashing.
+//! The kernel matches content already in symbol space ([`View`]): an
+//! [`EngineMatcher`](crate::EngineMatcher) reads the view its page was
+//! given at `register_page`, and the standalone
+//! [`FrozenIndex::matches_into`] symbolizes into the caller's
+//! [`MatchScratch`]. Either way the loop does no string hashing.
 //!
-//! [`EngineMatcher`](crate::EngineMatcher) owns the subscriptions; their
-//! rows, ascending by id, are what a freeze reads. A frozen subscription
-//! that is removed is *retired*: its bit goes into the `dead` mask that a
-//! match clears from every touched word before it verifies or counts
-//! anything, so the kernel answers on without a rebuild (the matcher keeps
-//! the subscriptions added since the freeze beside it).
+//! The kernel's input is subscriptions compiled into symbol space
+//! ([`Compiled`], by the one [`compile`]): the matcher compiles each at
+//! `subscribe` and owns the rows, ascending by id, that a freeze reads;
+//! [`FrozenIndex::freeze`] compiles its rows first. A freeze interns
+//! nothing. A frozen subscription that is removed is *retired*: its bit
+//! goes into the `dead` mask that a match clears from every touched word
+//! before it verifies or counts anything, so the kernel answers on without
+//! a rebuild (the matcher keeps the subscriptions added since the freeze
+//! beside it).
 
-use std::borrow::Borrow;
-use std::collections::BTreeSet;
 use std::ops::Range;
 
 use pscd_types::ServerId;
 
-use crate::symbol::NO_SYM;
-use crate::{Content, Op, Predicate, Subscription, SubscriptionId, SymbolTable, Value};
+use crate::symbol::{SymVal, View, NO_SYM};
+use crate::{Content, Op, Predicate, Subscription, SubscriptionId, SymView, SymbolTable, Value};
 
-/// One subscription as its owner holds it.
-type Row = (SubscriptionId, Subscription);
-
-/// A content descriptor translated into symbol space: attribute names and
-/// string values replaced by their [`SymbolTable`] symbols, tags flattened
-/// into a sorted symbol slice, string bytes copied into one reusable
-/// buffer (prefix predicates still need them). Attributes whose name no
-/// predicate interned are dropped — nothing can match them.
-///
-/// A view is plain owned data with no lifetime ties, so one lives inside
-/// each [`MatchScratch`] and is rebuilt (allocation-free after warm-up)
-/// per publish via [`MatchScratch::symbolize`].
-#[derive(Debug, Clone, Default)]
-pub struct SymView {
-    attrs: Vec<SymAttr>,
-    tag_syms: Vec<u32>,
-    str_buf: String,
-}
-
-#[derive(Debug, Clone)]
-struct SymAttr {
-    name_sym: u32,
-    val: SymVal,
-}
-
-#[derive(Debug, Clone)]
-enum SymVal {
-    Int(i64),
-    /// `sym` is [`NO_SYM`] when no predicate interned the string; the byte
-    /// range into [`SymView::str_buf`] serves prefix predicates.
-    Str {
-        sym: u32,
-        start: u32,
-        end: u32,
-    },
-    /// Sorted interned tag symbols in `tag_syms[start..end]`; `total` is
-    /// the full tag count including uninterned ones (set-equality needs
-    /// it).
-    Tags {
-        start: u32,
-        end: u32,
-        total: u32,
-    },
-}
-
-impl SymView {
-    fn symbolize(&mut self, table: &SymbolTable, content: &Content) {
-        self.attrs.clear();
-        self.tag_syms.clear();
-        self.str_buf.clear();
-        for (name, value) in content.iter() {
-            let Some(name_sym) = table.name_sym(name) else {
-                continue;
-            };
-            let val = match value {
-                Value::Int(i) => SymVal::Int(*i),
-                Value::Str(s) => {
-                    let start = self.str_buf.len() as u32;
-                    self.str_buf.push_str(s);
-                    SymVal::Str {
-                        sym: table.string_sym(s).unwrap_or(NO_SYM),
-                        start,
-                        end: self.str_buf.len() as u32,
-                    }
-                }
-                Value::Tags(tags) => {
-                    let start = self.tag_syms.len() as u32;
-                    for tag in tags {
-                        if let Some(sym) = table.string_sym(tag) {
-                            self.tag_syms.push(sym);
-                        }
-                    }
-                    self.tag_syms[start as usize..].sort_unstable();
-                    SymVal::Tags {
-                        start,
-                        end: self.tag_syms.len() as u32,
-                        total: tags.len() as u32,
-                    }
-                }
-            };
-            self.attrs.push(SymAttr { name_sym, val });
-        }
-    }
-}
+/// One subscription as its owner holds it: compiled.
+pub(crate) type Row = (SubscriptionId, Compiled);
 
 /// Reusable state for the frozen kernel: the symbolized content, and one
 /// array of u64 words — the singles' bitset, then the conjunctions' —
@@ -193,9 +115,18 @@ impl MatchScratch {
     /// view in this scratch. One symbolization serves any number of
     /// [`FrozenIndex::matches_view_into`] /
     /// [`FrozenIndex::match_count_view`] calls against indexes frozen with
-    /// the same table.
+    /// the same table. A lookup: the table does not grow.
     pub fn symbolize(&mut self, table: &SymbolTable, content: &Content) {
         self.view.symbolize(table, content);
+    }
+
+    /// Runs `f` over the view symbolized into this scratch and the rest of
+    /// the scratch (the view moves out while `f` borrows it).
+    fn with_view<R>(&mut self, f: impl FnOnce(View<'_>, &mut Self) -> R) -> R {
+        let view = std::mem::take(&mut self.view);
+        let r = f(view.view(), self);
+        self.view = view;
+        r
     }
 
     fn begin(&mut self, words: usize) {
@@ -243,11 +174,11 @@ impl MatchScratch {
 
 /// A predicate's operator in symbol space: every string operand replaced
 /// by its symbol or copied into [`Operands`], so evaluation never touches
-/// the original strings. Indexed predicates of the rare operators and
-/// every residual predicate are held in this form and evaluated by the one
-/// [`Operands::eval`].
+/// the original strings. Indexed predicates of the rare operators, every
+/// residual predicate and every subscription the kernel does not hold are
+/// in this form and evaluated by the one [`Operands::eval`].
 #[derive(Debug, Clone, Copy)]
-enum SymOp {
+pub(crate) enum SymOp {
     EqInt(i64),
     EqStr(u32),
     /// Tag membership; on a string attribute, equality.
@@ -270,9 +201,118 @@ enum SymOp {
 
 /// A compiled predicate: the attribute's name symbol and the operator.
 #[derive(Debug, Clone, Copy)]
-struct SymPred {
+pub(crate) struct SymPred {
     attr: u32,
     op: SymOp,
+}
+
+/// Compiles one predicate into symbol space: interns its attribute and
+/// strings into `table` and copies a tag-set or prefix operand into
+/// `operands`. The one compiler, for the matcher's `subscribe` and the
+/// standalone [`FrozenIndex::freeze`].
+pub(crate) fn compile(
+    table: &mut SymbolTable,
+    operands: &mut Operands,
+    pred: &Predicate,
+) -> SymPred {
+    let attr = table.intern_name(pred.attr());
+    let op = match pred.op() {
+        Op::Eq(Value::Int(v)) => SymOp::EqInt(*v),
+        Op::Eq(Value::Str(s)) => SymOp::EqStr(table.intern_string(s)),
+        Op::Contains(t) => SymOp::Contains(table.intern_string(t)),
+        Op::Exists => SymOp::Exists,
+        Op::Lt(b) => b
+            .checked_sub(1)
+            .map_or(SymOp::Range(1, 0), |hi| SymOp::Range(i64::MIN, hi)),
+        Op::Le(b) => SymOp::Range(i64::MIN, *b),
+        Op::Gt(b) => b
+            .checked_add(1)
+            .map_or(SymOp::Range(1, 0), |lo| SymOp::Range(lo, i64::MAX)),
+        Op::Ge(b) => SymOp::Range(*b, i64::MAX),
+        Op::Eq(Value::Tags(tags)) => {
+            let (start, end) = operands.push_tags(tags.iter().map(|t| table.intern_string(t)));
+            SymOp::EqTags(start, end)
+        }
+        Op::Ne(Value::Int(v)) => SymOp::NeInt(*v),
+        Op::Ne(Value::Str(s)) => SymOp::NeStr(table.intern_string(s)),
+        Op::Ne(Value::Tags(tags)) => {
+            let (start, end) = operands.push_tags(tags.iter().map(|t| table.intern_string(t)));
+            SymOp::NeTags(start, end)
+        }
+        Op::Prefix(p) => {
+            let (start, end) = operands.push_bytes(p.as_bytes());
+            SymOp::Prefix(start, end)
+        }
+    };
+    SymPred { attr, op }
+}
+
+/// A subscription compiled into symbol space: what a freeze reads, and
+/// what the matcher evaluates for the subscriptions no kernel holds. A
+/// single predicate, the common case, is held inline; a conjunction is one
+/// boxed slice.
+#[derive(Debug, Clone)]
+pub(crate) enum Compiled {
+    Wildcard,
+    Single(SymPred),
+    Conjunction(Box<[SymPred]>),
+}
+
+impl Compiled {
+    /// Compiles `sub` through [`compile`].
+    pub(crate) fn new(
+        table: &mut SymbolTable,
+        operands: &mut Operands,
+        sub: &Subscription,
+    ) -> Self {
+        match sub.predicates() {
+            [] => Compiled::Wildcard,
+            [pred] => Compiled::Single(compile(table, operands, pred)),
+            preds => {
+                let compiled = preds.iter().map(|pred| compile(table, operands, pred));
+                Compiled::Conjunction(compiled.collect())
+            }
+        }
+    }
+
+    /// The predicates of the conjunction: none for the wildcard.
+    #[inline]
+    pub(crate) fn preds(&self) -> &[SymPred] {
+        match self {
+            Compiled::Wildcard => &[],
+            Compiled::Single(pred) => std::slice::from_ref(pred),
+            Compiled::Conjunction(preds) => preds,
+        }
+    }
+
+    /// Moves every operand the subscription points into from `from` into
+    /// `to`.
+    pub(crate) fn rehome(&mut self, to: &mut Operands, from: &Operands) {
+        let preds = match self {
+            Compiled::Wildcard => &mut [][..],
+            Compiled::Single(pred) => std::slice::from_mut(pred),
+            Compiled::Conjunction(preds) => preds,
+        };
+        for pred in preds {
+            pred.op = match pred.op {
+                SymOp::EqTags(s, e) => {
+                    let (s, e) =
+                        to.push_tags(from.tag_syms[s as usize..e as usize].iter().copied());
+                    SymOp::EqTags(s, e)
+                }
+                SymOp::NeTags(s, e) => {
+                    let (s, e) =
+                        to.push_tags(from.tag_syms[s as usize..e as usize].iter().copied());
+                    SymOp::NeTags(s, e)
+                }
+                SymOp::Prefix(s, e) => {
+                    let (s, e) = to.push_bytes(&from.bytes[s as usize..e as usize]);
+                    SymOp::Prefix(s, e)
+                }
+                op => op,
+            };
+        }
+    }
 }
 
 impl SymPred {
@@ -290,21 +330,28 @@ impl SymPred {
 
 /// The operands [`SymOp`]s point into: tag-set symbols and prefix bytes.
 #[derive(Debug, Clone, Default)]
-struct Operands {
+pub(crate) struct Operands {
     tag_syms: Vec<u32>,
-    bytes: String,
+    bytes: Vec<u8>,
 }
 
 impl Operands {
+    /// `true` if every one of `preds` holds in `view`: a compiled
+    /// subscription's match, the wildcard's included.
+    #[inline]
+    pub(crate) fn matches(&self, preds: &[SymPred], view: View<'_>) -> bool {
+        preds.iter().all(|pred| self.holds(pred, view))
+    }
+
     /// Evaluates `pred` against the view; like [`Predicate::eval`], a
     /// missing attribute or a type mismatch is `false`.
-    fn holds(&self, pred: &SymPred, view: &SymView) -> bool {
-        let attr = view.attrs.iter().find(|a| a.name_sym == pred.attr);
+    fn holds(&self, pred: &SymPred, view: View<'_>) -> bool {
+        let attr = view.attrs.iter().find(|a| a.name == pred.attr);
         attr.is_some_and(|a| self.eval(pred.op, &a.val, view))
     }
 
     /// The one evaluator: `op` against an attribute's value.
-    fn eval(&self, op: SymOp, val: &SymVal, view: &SymView) -> bool {
+    fn eval(&self, op: SymOp, val: &SymVal, view: View<'_>) -> bool {
         match (op, val) {
             (SymOp::Exists, _) => true,
             (SymOp::EqInt(x), SymVal::Int(v)) => *v == x,
@@ -312,22 +359,43 @@ impl Operands {
             (SymOp::Range(lo, hi), SymVal::Int(v)) => lo <= *v && *v <= hi,
             (SymOp::EqStr(x) | SymOp::Contains(x), SymVal::Str { sym, .. }) => *sym == x,
             (SymOp::NeStr(x), SymVal::Str { sym, .. }) => *sym != x,
-            (SymOp::Contains(x), SymVal::Tags { start, end, .. }) => {
+            (SymOp::Contains(x), SymVal::Tags { start, end }) => {
                 view.tag_syms[*start as usize..*end as usize].contains(&x)
             }
-            (SymOp::EqTags(s, e) | SymOp::NeTags(s, e), SymVal::Tags { start, end, total }) => {
+            (SymOp::EqTags(s, e) | SymOp::NeTags(s, e), SymVal::Tags { start, end }) => {
+                // Both sides are sorted sets of symbols; a content tag the
+                // lookup table lacks is a `NO_SYM`, in no predicate's set.
                 let pred = &self.tag_syms[s as usize..e as usize];
                 let got = &view.tag_syms[*start as usize..*end as usize];
-                // An uninterned content tag (dropped from `got`, counted
-                // in `total`) can never appear in the predicate's set.
-                let equal = *total as usize == pred.len() && got == pred;
-                equal == matches!(op, SymOp::EqTags(..))
+                (got == pred) == matches!(op, SymOp::EqTags(..))
             }
-            (SymOp::Prefix(s, e), SymVal::Str { start, end, .. }) => view.str_buf
+            (SymOp::Prefix(s, e), SymVal::Str { start, end, .. }) => view.bytes
                 [*start as usize..*end as usize]
                 .starts_with(&self.bytes[s as usize..e as usize]),
             _ => false,
         }
+    }
+
+    /// Appends a tag-set operand as sorted symbols; returns its range.
+    fn push_tags(&mut self, syms: impl Iterator<Item = u32>) -> (u32, u32) {
+        let start = self.tag_syms.len();
+        self.tag_syms.extend(syms);
+        self.tag_syms[start..].sort_unstable();
+        let end = fit_u32(self.tag_syms.len() as u64, "tag-set operand symbols");
+        (start as u32, end)
+    }
+
+    /// Appends a prefix operand; returns its range.
+    fn push_bytes(&mut self, bytes: &[u8]) -> (u32, u32) {
+        let start = self.bytes.len() as u32;
+        self.bytes.extend_from_slice(bytes);
+        let end = fit_u32(self.bytes.len() as u64, "prefix operand bytes");
+        (start, end)
+    }
+
+    /// `true` if no operand is held.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.tag_syms.is_empty() && self.bytes.is_empty()
     }
 }
 
@@ -531,11 +599,7 @@ impl<K: Key> TokenRows<K> {
 /// and the rare operators carry their compiled operand beside the key and
 /// the token — and the conjunctions' compiled predicates.
 #[derive(Default)]
-struct Rows<'a> {
-    /// The attribute name interned last and its symbol: a proxy's
-    /// predicates mostly repeat one name, which then costs a short string
-    /// compare instead of a hash.
-    last_attr: Option<(&'a str, u32)>,
+struct Rows {
     /// Per attribute symbol, the families holding a predicate on it.
     families: Vec<u8>,
     eq_int: TokenRows<u128>,
@@ -544,7 +608,6 @@ struct Rows<'a> {
     range: Vec<(u64, i64, i64, u32)>,
     exists: TokenRows<u64>,
     misc: Vec<(u64, u32, SymOp)>,
-    operands: Operands,
     /// Every conjunction's predicates, in subscription order, until
     /// [`Rows::choose_access`] moves each one's access key into its family
     /// and leaves the residuals.
@@ -560,7 +623,7 @@ struct Rows<'a> {
     pair: TokenRows<u128>,
 }
 
-impl<'a> Rows<'a> {
+impl Rows {
     /// Counting pre-pass over one proxy's subscriptions: sizes the
     /// families for its singles and `resid` for its conjunctions before a
     /// single push; the access predicates grow their families later. At
@@ -568,21 +631,21 @@ impl<'a> Rows<'a> {
     /// vectors grow by doubling was the source of the freeze_build p90
     /// outlier (first-touch page faults on each fresh doubling); across a
     /// fleet the growth is amortized.
-    fn reserve<'s>(&mut self, subs: impl Iterator<Item = &'s Subscription>) {
+    fn reserve(&mut self, subs: &[Row]) {
         let (mut eq_int, mut eq_str, mut tag) = (0, 0, 0);
         let (mut range, mut exists, mut misc, mut resid) = (0, 0, 0, 0);
-        for sub in subs {
-            let [pred] = sub.predicates() else {
-                resid += sub.len();
+        for (_, sub) in subs {
+            let Compiled::Single(pred) = sub else {
+                resid += sub.preds().len();
                 continue;
             };
-            match pred.op() {
-                Op::Eq(Value::Int(_)) => eq_int += 1,
-                Op::Eq(Value::Str(_)) => eq_str += 1,
-                Op::Contains(_) => tag += 1,
-                Op::Lt(_) | Op::Le(_) | Op::Gt(_) | Op::Ge(_) => range += 1,
-                Op::Exists => exists += 1,
-                Op::Eq(Value::Tags(_)) | Op::Ne(_) | Op::Prefix(_) => misc += 1,
+            match pred.op {
+                SymOp::EqInt(_) => eq_int += 1,
+                SymOp::EqStr(_) => eq_str += 1,
+                SymOp::Contains(_) => tag += 1,
+                SymOp::Range(..) => range += 1,
+                SymOp::Exists => exists += 1,
+                _ => misc += 1,
             }
         }
         self.eq_int.reserve(eq_int);
@@ -592,62 +655,6 @@ impl<'a> Rows<'a> {
         self.exists.reserve(exists);
         self.misc.reserve(misc);
         self.resid.reserve(resid);
-    }
-
-    /// Compiles one predicate into symbol space, interning its strings
-    /// into `table`. Fused with [`Rows::index`] in the singles' loop; as
-    /// calls the two cost 3–4 ms more of a 25 ms 200 k-single freeze.
-    #[inline(always)]
-    fn compile(&mut self, table: &mut SymbolTable, pred: &'a Predicate) -> SymPred {
-        let attr = match self.last_attr {
-            Some((name, sym)) if name == pred.attr() => sym,
-            _ => {
-                let sym = table.intern_name(pred.attr());
-                self.last_attr = Some((pred.attr(), sym));
-                sym
-            }
-        };
-        let op = match pred.op() {
-            Op::Eq(Value::Int(v)) => SymOp::EqInt(*v),
-            Op::Eq(Value::Str(s)) => SymOp::EqStr(table.intern_string(s)),
-            Op::Contains(t) => SymOp::Contains(table.intern_string(t)),
-            Op::Exists => SymOp::Exists,
-            Op::Lt(b) => b
-                .checked_sub(1)
-                .map_or(SymOp::Range(1, 0), |hi| SymOp::Range(i64::MIN, hi)),
-            Op::Le(b) => SymOp::Range(i64::MIN, *b),
-            Op::Gt(b) => b
-                .checked_add(1)
-                .map_or(SymOp::Range(1, 0), |lo| SymOp::Range(lo, i64::MAX)),
-            Op::Ge(b) => SymOp::Range(*b, i64::MAX),
-            Op::Eq(Value::Tags(tags)) => {
-                let (start, end) = self.tag_set(table, tags);
-                SymOp::EqTags(start, end)
-            }
-            Op::Ne(Value::Int(v)) => SymOp::NeInt(*v),
-            Op::Ne(Value::Str(s)) => SymOp::NeStr(table.intern_string(s)),
-            Op::Ne(Value::Tags(tags)) => {
-                let (start, end) = self.tag_set(table, tags);
-                SymOp::NeTags(start, end)
-            }
-            Op::Prefix(p) => {
-                let bytes = &mut self.operands.bytes;
-                let start = bytes.len() as u32;
-                bytes.push_str(p);
-                SymOp::Prefix(start, fit_u32(bytes.len() as u64, "prefix operand bytes"))
-            }
-        };
-        SymPred { attr, op }
-    }
-
-    /// Appends a tag-set operand as sorted symbols; returns its range.
-    fn tag_set(&mut self, table: &mut SymbolTable, tags: &BTreeSet<String>) -> (u32, u32) {
-        let syms = &mut self.operands.tag_syms;
-        let start = syms.len();
-        syms.extend(tags.iter().map(|t| table.intern_string(t)));
-        syms[start..].sort_unstable();
-        let end = fit_u32(syms.len() as u64, "tag-set operand symbols");
-        (start as u32, end)
     }
 
     /// Indexes a compiled predicate of proxy `lane` in its family; `tok`
@@ -693,14 +700,13 @@ impl<'a> Rows<'a> {
         self.families[attr as usize] |= family;
     }
 
-    /// Compiles a conjunction, ordinal `c`, into `resid` and files its
-    /// keyed predicates in `keyed`.
-    fn push_conjunction(&mut self, table: &mut SymbolTable, c: u32, preds: &'a [Predicate]) {
+    /// Copies a conjunction, ordinal `c`, into `resid` and files its keyed
+    /// predicates in `keyed`.
+    fn push_conjunction(&mut self, c: u32, preds: &[SymPred]) {
         // Ordinals skipped as a proxy's padding own no predicates.
         self.resid_base
             .resize(c as usize + 1, self.resid.len() as u32);
-        for pred in preds {
-            let pred = self.compile(table, pred);
+        for &pred in preds {
             if let Some(bucket) = pred.bucket() {
                 self.keyed.push(bucket, self.resid.len() as u32);
             }
@@ -910,24 +916,26 @@ impl FrozenIndex {
         subscriptions: &[(SubscriptionId, Subscription)],
         table: &mut SymbolTable,
     ) -> Self {
-        let mut by_id: Vec<&Row> = subscriptions.iter().collect();
+        let mut by_id: Vec<_> = subscriptions.iter().collect();
         by_id.sort_unstable_by_key(|row| row.0);
-        Self::freeze_fleet(&[by_id], table)
+        let mut operands = Operands::default();
+        let rows: Vec<Row> = by_id
+            .into_iter()
+            .map(|(id, sub)| (*id, Compiled::new(table, &mut operands, sub)))
+            .collect();
+        Self::freeze_fleet(&[rows], &operands)
     }
 
-    /// Compiles a fleet — `fleet[p]` holds proxy `p`'s subscriptions,
-    /// ascending by id — into one frozen kernel.
+    /// Freezes a compiled fleet — `fleet[p]` holds proxy `p`'s
+    /// subscriptions, ascending by id, their operands in `operands` — into
+    /// one kernel, which keeps its own copy of the operands.
     ///
     /// # Panics
     ///
     /// Panics if the fleet has more than `u16::MAX` proxies, or a
     /// population (a class's padded ordinals, the token space, a family's
     /// entries) does not fit `u32`.
-    pub(crate) fn freeze_fleet<'a, P, R>(fleet: &'a [P], table: &mut SymbolTable) -> Self
-    where
-        P: AsRef<[R]>,
-        R: Borrow<Row> + 'a,
-    {
+    pub(crate) fn freeze_fleet<P: AsRef<[Row]>>(fleet: &[P], operands: &Operands) -> Self {
         // An empty fleet freezes as one empty proxy, so there is always a
         // lane to search.
         let lanes = fleet.len().max(1);
@@ -942,8 +950,8 @@ impl FrozenIndex {
         // Per proxy: wildcards, singles, conjunctions.
         let mut classes = vec![[0usize; 3]; lanes];
         for (class, subs) in classes.iter_mut().zip(fleet) {
-            for row in subs.as_ref() {
-                class[row.borrow().1.len().min(2)] += 1;
+            for (_, sub) in subs.as_ref() {
+                class[sub.preds().len().min(2)] += 1;
             }
         }
         let w_base = class_bases(classes.iter().map(|c| c[0]), 1, "wildcards");
@@ -959,25 +967,23 @@ impl FrozenIndex {
         let mut wildcards = Vec::with_capacity(w_base[lanes] as usize);
         let mut rows = Rows::default();
         // Proxy by proxy, so a proxy's subscriptions are still in cache
-        // when the second pass compiles them; both passes walk the owner's
+        // when the second pass files them; both passes walk the owner's
         // slice, ascending by id.
         for (lane, subs) in fleet.iter().enumerate() {
             let subs = subs.as_ref();
-            rows.reserve(subs.iter().map(|row| &row.borrow().1));
+            rows.reserve(subs);
             let (mut s, mut c) = (s_base[lane], c_base[lane]);
-            for row in subs {
-                let (id, sub) = row.borrow();
-                match sub.predicates() {
-                    [] => wildcards.push(*id),
-                    [pred] => {
+            for (id, sub) in subs {
+                match sub {
+                    Compiled::Wildcard => wildcards.push(*id),
+                    Compiled::Single(pred) => {
                         ids[s as usize] = *id;
-                        let pred = rows.compile(table, pred);
-                        rows.index(lane as u16, pred, s);
+                        rows.index(lane as u16, *pred, s);
                         s += 1;
                     }
-                    preds => {
+                    Compiled::Conjunction(preds) => {
                         ids[(s_bits + c) as usize] = *id;
-                        rows.push_conjunction(table, c, preds);
+                        rows.push_conjunction(c, preds);
                         c += 1;
                     }
                 }
@@ -1008,7 +1014,7 @@ impl FrozenIndex {
             ids,
             resid: rows.resid,
             resid_base: rows.resid_base,
-            operands: rows.operands,
+            operands: operands.clone(),
             wildcards,
             dead: vec![0; word_lane.len()],
             retired: 0,
@@ -1127,41 +1133,53 @@ impl FrozenIndex {
     /// [`MatchScratch::symbolize`]).
     pub fn matches_view_into(&self, scratch: &mut MatchScratch, out: &mut Vec<SubscriptionId>) {
         out.clear();
-        let fs = self.accumulate(scratch, self.fleet());
-        // A word's ordinals are its own bits.
-        for (w, mut bits) in fs.matched() {
-            while bits != 0 {
-                out.push(self.ids[w * 64 + bits.trailing_zeros() as usize]);
-                bits &= bits - 1;
+        scratch.with_view(|view, scratch| {
+            let fs = self.accumulate(view, scratch, self.fleet());
+            // A word's ordinals are its own bits.
+            for (w, mut bits) in fs.matched() {
+                while bits != 0 {
+                    out.push(self.ids[w * 64 + bits.trailing_zeros() as usize]);
+                    bits &= bits - 1;
+                }
             }
-        }
+        });
         out.extend_from_slice(&self.wildcards);
         out.sort_unstable();
     }
 
     /// Counts matches against the view already symbolized into `scratch`.
     pub fn match_count_view(&self, scratch: &mut MatchScratch) -> usize {
-        self.count_in(scratch, self.fleet())
+        scratch.with_view(|view, scratch| self.count_in(view, scratch, self.fleet()))
     }
 
-    /// A request's count: the matches of the symbolized view at `server`
-    /// alone, 0 for a proxy outside the fleet. Only that proxy's buckets
-    /// are searched and only its words touched.
-    pub(crate) fn count_at_view(&self, scratch: &mut MatchScratch, server: ServerId) -> u32 {
+    /// A request's count: the matches of `view` at `server` alone, 0 for a
+    /// proxy outside the fleet. Only that proxy's buckets are searched and
+    /// only its words touched.
+    pub(crate) fn count_at(
+        &self,
+        view: View<'_>,
+        scratch: &mut MatchScratch,
+        server: ServerId,
+    ) -> u32 {
         let lane = server.index();
         if lane >= self.lanes {
             return 0;
         }
-        self.count_in(scratch, Lanes { lo: lane, hi: lane }) as u32
+        self.count_in(view, scratch, Lanes { lo: lane, hi: lane }) as u32
     }
 
-    /// A publish's fan-out: the `(proxy, count)` rows of the symbolized
-    /// view with at least one match, ascending by proxy, into `out`
-    /// (cleared first). One pass over the fleet's buckets, then one over
-    /// the touched words, each of which belongs to a single proxy.
-    pub(crate) fn fanout_view(&self, scratch: &mut MatchScratch, out: &mut Vec<(ServerId, u32)>) {
+    /// A publish's fan-out: the `(proxy, count)` rows of `view` with at
+    /// least one match, ascending by proxy, into `out` (cleared first). One
+    /// pass over the fleet's buckets, then one over the touched words, each
+    /// of which belongs to a single proxy.
+    pub(crate) fn fanout(
+        &self,
+        view: View<'_>,
+        scratch: &mut MatchScratch,
+        out: &mut Vec<(ServerId, u32)>,
+    ) {
         out.clear();
-        let fs = self.accumulate(scratch, self.fleet());
+        let fs = self.accumulate(view, scratch, self.fleet());
         // Out of the scratch while `matched` borrows it; the capacity
         // comes back, so only warm-up allocates.
         let mut counts = std::mem::take(&mut fs.lane_counts);
@@ -1181,28 +1199,32 @@ impl FrozenIndex {
     /// Accumulates over `lanes` and counts their matches, wildcards
     /// included. Everything touched lies inside `lanes`, so the touched
     /// words are the whole answer.
-    fn count_in(&self, scratch: &mut MatchScratch, lanes: Lanes) -> usize {
+    fn count_in(&self, view: View<'_>, scratch: &mut MatchScratch, lanes: Lanes) -> usize {
         let wild = self.w_base[usize::from(lanes.hi) + 1] - self.w_base[usize::from(lanes.lo)];
-        let fs = self.accumulate(scratch, lanes);
+        let fs = self.accumulate(view, scratch, lanes);
         let matched: u32 = fs.matched().map(|(_, bits)| bits.count_ones()).sum();
         (wild + matched) as usize
     }
 
-    /// The one kernel body: for the view symbolized into `scratch`, sets
-    /// the bit of every satisfied indexed predicate of the proxies in
-    /// `lanes` — a single's match, a conjunction's candidacy — verifies
-    /// the candidates, and returns the state holding the matches.
-    fn accumulate<'s>(&self, fs: &'s mut MatchScratch, lanes: Lanes) -> &'s mut MatchScratch {
+    /// The one kernel body: for `view`, sets the bit of every satisfied
+    /// indexed predicate of the proxies in `lanes` — a single's match, a
+    /// conjunction's candidacy — verifies the candidates, and returns the
+    /// state holding the matches.
+    fn accumulate<'s>(
+        &self,
+        view: View<'_>,
+        fs: &'s mut MatchScratch,
+        lanes: Lanes,
+    ) -> &'s mut MatchScratch {
         fs.begin(self.word_lane.len());
-        // The view and the ids move out for the loop so `bump` can borrow
-        // the rest.
-        let view = std::mem::take(&mut fs.view);
+        // The ids move out for the loop so `bump` can borrow the rest.
         let mut ids = std::mem::take(&mut fs.pair_ids);
         ids.clear();
-        for attr in &view.attrs {
-            let a = attr.name_sym;
-            // A name interned after this index froze, or one that only
-            // residuals test, has no bucket here.
+        for attr in view.attrs {
+            let a = attr.name;
+            // A name interned after this index froze (by a content, or by
+            // a subscription in the delta), or one that only residuals
+            // test, has no bucket here.
             let has = self.families.get(a as usize).copied().unwrap_or(0);
             let mut component = |key: u128| {
                 if has & PAIR != 0 {
@@ -1240,7 +1262,7 @@ impl FrozenIndex {
                         component(key | u128::from(TAG));
                     }
                 }
-                SymVal::Tags { start, end, .. } => {
+                SymVal::Tags { start, end } => {
                     if has & (TAG | PAIR) != 0 {
                         for &tsym in &view.tag_syms[*start as usize..*end as usize] {
                             let key = sym_key(a, tsym);
@@ -1257,7 +1279,7 @@ impl FrozenIndex {
             }
             if has & MISC != 0 {
                 for j in self.misc.span(attr_key(a), lanes) {
-                    if self.operands.eval(self.misc_ops[j], &attr.val, &view) {
+                    if self.operands.eval(self.misc_ops[j], &attr.val, view) {
                         fs.bump(self.misc_tok[j]);
                     }
                 }
@@ -1278,15 +1300,14 @@ impl FrozenIndex {
                 fs.words[w as usize] &= !self.dead[w as usize];
             }
         }
-        self.verify(fs, &view);
-        fs.view = view;
+        self.verify(fs, view);
         fs
     }
 
     /// Evaluates the residuals of every conjunction whose access bit is
     /// set and clears the bit of each that fails, so what stays set in a
     /// conjunctions' word is a match, like in a singles' word.
-    fn verify(&self, fs: &mut MatchScratch, view: &SymView) {
+    fn verify(&self, fs: &mut MatchScratch, view: View<'_>) {
         let first = (self.s_bits / 64) as usize;
         fs.verified = 0;
         for &w in &fs.touched {
@@ -1298,8 +1319,7 @@ impl FrozenIndex {
                 fs.verified += 1;
                 let c = (w - first) * 64 + bit;
                 let resid = self.resid_base[c] as usize..self.resid_base[c + 1] as usize;
-                let mut resid = self.resid[resid].iter();
-                if !resid.all(|p| self.operands.holds(p, view)) {
+                if !self.operands.matches(&self.resid[resid], view) {
                     fs.words[w] &= !(1 << bit);
                 }
             }
@@ -1309,13 +1329,15 @@ impl FrozenIndex {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
 
     /// One proxy's rows, numbered as the matcher numbers them — from 0,
     /// never reused — with brute force as the oracle.
     #[derive(Debug, Clone, Default)]
     struct Owner {
-        rows: Vec<Row>,
+        rows: Vec<(SubscriptionId, Subscription)>,
         next: u64,
     }
 
@@ -1342,15 +1364,29 @@ mod tests {
         }
     }
 
-    impl AsRef<[Row]> for Owner {
-        fn as_ref(&self) -> &[Row] {
-            &self.rows
-        }
-    }
-
     fn frozen(idx: &Owner) -> (FrozenIndex, SymbolTable) {
         let mut table = SymbolTable::new();
-        (FrozenIndex::freeze(idx.as_ref(), &mut table), table)
+        (FrozenIndex::freeze(&idx.rows, &mut table), table)
+    }
+
+    /// Compiles each owner's rows, as the matcher does at `subscribe`,
+    /// and freezes them as one fleet.
+    fn freeze_owners(fleet: &[Owner], table: &mut SymbolTable) -> FrozenIndex {
+        let mut operands = Operands::default();
+        let mut compile = |owner: &Owner| -> Vec<Row> {
+            let rows = owner.rows.iter();
+            rows.map(|(id, sub)| (*id, Compiled::new(table, &mut operands, sub)))
+                .collect()
+        };
+        let compiled: Vec<_> = fleet.iter().map(&mut compile).collect();
+        FrozenIndex::freeze_fleet(&compiled, &operands)
+    }
+
+    /// `content` in symbol space, by lookup in `table`.
+    fn symbolized(table: &SymbolTable, content: &Content) -> SymView {
+        let mut view = SymView::default();
+        view.symbolize(table, content);
+        view
     }
 
     fn frozen_matches(idx: &Owner, content: &Content) -> Vec<SubscriptionId> {
@@ -1577,8 +1613,8 @@ mod tests {
         let sb = b.insert(Subscription::new(vec![Predicate::contains(
             "tags", "tennis",
         )]));
-        let fa = FrozenIndex::freeze(a.as_ref(), &mut table);
-        let fb = FrozenIndex::freeze(b.as_ref(), &mut table);
+        let fa = FrozenIndex::freeze(&a.rows, &mut table);
+        let fb = FrozenIndex::freeze(&b.rows, &mut table);
         let mut scratch = MatchScratch::new();
         let mut out = Vec::new();
         scratch.symbolize(&table, &sports_page());
@@ -1641,8 +1677,11 @@ mod tests {
             Content::new(),
             sports_page().with("words", Value::int(5)),
         ] {
+            // The same view twice: passed in, and in the scratch for the
+            // public calls below.
+            let view = symbolized(table, &content);
             scratch.symbolize(table, &content);
-            frozen.fanout_view(&mut scratch, &mut rows);
+            frozen.fanout(view.view(), &mut scratch, &mut rows);
             let expected: Vec<_> = fleet
                 .iter()
                 .enumerate()
@@ -1653,11 +1692,14 @@ mod tests {
             for (lane, idx) in fleet.iter().enumerate() {
                 let server = ServerId::new(lane as u16);
                 assert_eq!(
-                    frozen.count_at_view(&mut scratch, server) as usize,
+                    frozen.count_at(view.view(), &mut scratch, server) as usize,
                     idx.match_count(&content)
                 );
             }
-            assert_eq!(frozen.count_at_view(&mut scratch, ServerId::new(3)), 0);
+            assert_eq!(
+                frozen.count_at(view.view(), &mut scratch, ServerId::new(3)),
+                0
+            );
             let total: u32 = rows.iter().map(|&(_, n)| n).sum();
             assert_eq!(frozen.match_count_view(&mut scratch), total as usize);
             frozen.matches_view_into(&mut scratch, &mut ids);
@@ -1671,7 +1713,7 @@ mod tests {
     fn fleet_fanout_and_requests_match_brute_force() {
         let fleet = small_fleet();
         let mut table = SymbolTable::new();
-        let frozen = FrozenIndex::freeze_fleet(&fleet, &mut table);
+        let frozen = freeze_owners(&fleet, &mut table);
         assert_eq!(
             frozen.len(),
             fleet.iter().map(|idx| idx.rows.len()).sum::<usize>()
@@ -1683,7 +1725,7 @@ mod tests {
     fn a_retired_subscription_leaves_every_answer() {
         let mut fleet = small_fleet();
         let mut table = SymbolTable::new();
-        let mut frozen = FrozenIndex::freeze_fleet(&fleet, &mut table);
+        let mut frozen = freeze_owners(&fleet, &mut table);
         // Proxy `p` holds singles `0..70p + 3`, then a double, a triple
         // and `p` wildcards. A token is searched in its own proxy's range
         // of its own class only.
@@ -1712,7 +1754,7 @@ mod tests {
     #[test]
     fn every_word_belongs_to_one_proxy() {
         let fleet = small_fleet();
-        let frozen = FrozenIndex::freeze_fleet(&fleet, &mut SymbolTable::new());
+        let frozen = freeze_owners(&fleet, &mut SymbolTable::new());
         // 3, 73 and 143 singles pad to 1, 2 and 3 words; two conjunctions
         // each pad to a word.
         assert_eq!(frozen.s_bits, 64 * 6);
@@ -1749,15 +1791,18 @@ mod tests {
     fn empty_fleet_and_default_are_one_empty_proxy() {
         for frozen in [
             FrozenIndex::default(),
-            FrozenIndex::freeze_fleet::<Owner, Row>(&[], &mut SymbolTable::new()),
+            freeze_owners(&[], &mut SymbolTable::new()),
         ] {
             assert!(frozen.is_empty());
             let mut scratch = MatchScratch::new();
             let mut rows = vec![(ServerId::new(7), 1)];
-            scratch.symbolize(&SymbolTable::new(), &sports_page());
-            frozen.fanout_view(&mut scratch, &mut rows);
+            let view = symbolized(&SymbolTable::new(), &sports_page());
+            frozen.fanout(view.view(), &mut scratch, &mut rows);
             assert!(rows.is_empty());
-            assert_eq!(frozen.count_at_view(&mut scratch, ServerId::new(0)), 0);
+            assert_eq!(
+                frozen.count_at(view.view(), &mut scratch, ServerId::new(0)),
+                0
+            );
             assert_eq!(frozen.match_count_view(&mut scratch), 0);
         }
     }
@@ -1876,7 +1921,7 @@ mod tests {
             }
         }
         let mut table = SymbolTable::new();
-        (FrozenIndex::freeze_fleet(&indexes, &mut table), table)
+        (freeze_owners(&indexes, &mut table), table)
     }
 
     /// `(candidates verified, matches)` of one fleet-wide match.
@@ -1926,8 +1971,11 @@ mod tests {
             assert_eq!(work(&frozen, &table, &untagged), (0, 0));
             // A request verifies its own proxy's candidates only.
             let mut scratch = MatchScratch::new();
-            scratch.symbolize(&table, &hit);
-            assert_eq!(frozen.count_at_view(&mut scratch, ServerId::new(3)), 25);
+            let view = symbolized(&table, &hit);
+            assert_eq!(
+                frozen.count_at(view.view(), &mut scratch, ServerId::new(3)),
+                25
+            );
             assert_eq!(scratch.verified, 25);
         }
     }
@@ -2139,12 +2187,12 @@ mod tests {
     fn a_request_counts_through_a_pair() {
         let fleet = paired_fleet();
         let mut table = SymbolTable::new();
-        let frozen = FrozenIndex::freeze_fleet(&fleet, &mut table);
+        let frozen = freeze_owners(&fleet, &mut table);
         assert_eq!(frozen.pair_tok.len(), 3 + 4 + 5);
         let mut scratch = MatchScratch::new();
-        scratch.symbolize(&table, &sports_page());
+        let view = symbolized(&table, &sports_page());
         for lane in 0..3u16 {
-            let count = frozen.count_at_view(&mut scratch, ServerId::new(lane));
+            let count = frozen.count_at(view.view(), &mut scratch, ServerId::new(lane));
             assert_eq!(count, u32::from(lane) + 1);
             // Its own proxy's doubles and triple, nobody else's.
             assert_eq!(scratch.verified, u32::from(lane) + 2);
@@ -2156,7 +2204,7 @@ mod tests {
     fn a_retired_paired_conjunction_leaves_every_answer() {
         let mut fleet = paired_fleet();
         let mut table = SymbolTable::new();
-        let mut frozen = FrozenIndex::freeze_fleet(&fleet, &mut table);
+        let mut frozen = freeze_owners(&fleet, &mut table);
         // Proxy 2's third double, then its triple.
         for (id, left) in [(2, 2), (4, 2)] {
             let id = SubscriptionId::new(id);
@@ -2164,8 +2212,11 @@ mod tests {
             assert!(frozen.retire(2, id, sub.len()));
             assert_fleet_agrees(&frozen, &table, &fleet);
             let mut scratch = MatchScratch::new();
-            scratch.symbolize(&table, &sports_page());
-            assert_eq!(frozen.count_at_view(&mut scratch, ServerId::new(2)), left);
+            let view = symbolized(&table, &sports_page());
+            assert_eq!(
+                frozen.count_at(view.view(), &mut scratch, ServerId::new(2)),
+                left
+            );
             // A retired conjunction is not a candidate.
             assert_eq!(scratch.verified, left + u32::from(id.raw() == 2));
         }
@@ -2253,7 +2304,11 @@ mod tests {
         /// absent and holding every value, of the right type and the
         /// wrong ones, interned, interned by another predicate only, and
         /// never interned — in drawn surroundings: decoy predicates
-        /// compiled first and other attributes beside `x`.
+        /// compiled first and other attributes beside `x`. The content is
+        /// symbolized three ways: by lookup after the predicates (the
+        /// standalone kernel), interned after them (a page registered
+        /// after a subscribe) and interned before them (a subscribe whose
+        /// strings a page interned first).
         #[test]
         fn symbol_space_evaluator_agrees_with_predicate_eval(
             decoys in proptest::collection::vec(
@@ -2273,23 +2328,34 @@ mod tests {
             values.push(None);
             for op in edge_ops() {
                 let pred = Predicate::new("x", op);
-                let (mut table, mut rows) = (SymbolTable::new(), Rows::default());
-                for decoy in &decoys {
-                    rows.compile(&mut table, decoy);
-                }
-                let compiled = rows.compile(&mut table, &pred);
+                let compiled = |table: &mut SymbolTable, operands: &mut Operands| {
+                    for decoy in &decoys {
+                        compile(table, operands, decoy);
+                    }
+                    compile(table, operands, &pred)
+                };
+                let (mut table, mut operands) = (SymbolTable::new(), Operands::default());
+                let after = compiled(&mut table, &mut operands);
                 for value in &values {
                     let mut content = Content::new();
                     for (attr, value) in beside.iter().chain(value.as_ref().map(|v| (&"x", v))) {
                         content.set(*attr, value.clone());
                     }
-                    let mut view = SymView::default();
-                    view.symbolize(&table, &content);
-                    proptest::prop_assert_eq!(
-                        rows.operands.holds(&compiled, &view),
-                        pred.eval(&content),
-                        "{} on {:?}", pred, content
-                    );
+                    let mut looked_up = SymView::default();
+                    looked_up.symbolize(&table, &content);
+                    let mut interned = SymView::default();
+                    interned.symbolize(&mut table.clone(), &content);
+                    let (mut first, mut first_operands) = (SymbolTable::new(), Operands::default());
+                    let mut interned_first = SymView::default();
+                    interned_first.symbolize(&mut first, &content);
+                    let before = compiled(&mut first, &mut first_operands);
+                    let holds = [
+                        operands.holds(&after, looked_up.view()),
+                        operands.holds(&after, interned.view()),
+                        first_operands.holds(&before, interned_first.view()),
+                    ];
+                    let expected = pred.eval(&content);
+                    proptest::prop_assert_eq!(holds, [expected; 3], "{} on {:?}", pred, content);
                 }
             }
         }

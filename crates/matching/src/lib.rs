@@ -8,8 +8,9 @@
 //! * A full **content-based matching engine**: subscriptions are
 //!   conjunctions of [`Predicate`]s over typed page attributes
 //!   ([`Content`]). [`EngineMatcher`] owns every proxy's subscriptions and
-//!   compiles them into one [`FrozenIndex`], an access-predicate kernel in
-//!   the style of Fabret et al. (SIGMOD'01).
+//!   every page's content, both interned once into symbols, and freezes
+//!   the subscriptions into one [`FrozenIndex`], an access-predicate kernel
+//!   in the style of Fabret et al. (SIGMOD'01).
 //! * The [`Matcher`] abstraction consumed by the broker and simulator:
 //!   [`EngineMatcher`] runs the real engine over registered content, while
 //!   [`TableMatcher`] wraps a precomputed
@@ -53,8 +54,8 @@ mod symbol;
 
 pub use content::{Content, Value};
 pub use error::MatchError;
-pub use frozen::{FrozenIndex, MatchScratch, SymView};
+pub use frozen::{FrozenIndex, MatchScratch};
 pub use matcher::{EngineMatcher, Matcher, TableMatcher};
 pub use predicate::{Op, Predicate};
 pub use subscription::{Subscription, SubscriptionId};
-pub use symbol::SymbolTable;
+pub use symbol::{SymView, SymbolTable};

@@ -1,9 +1,9 @@
 //! The matching abstraction consumed by the delivery engine.
 
-use std::collections::HashMap;
-
 use pscd_types::{PageId, ServerId, SubscriptionTable};
 
+use crate::frozen::{Compiled, Operands, Row};
+use crate::symbol::{PageViews, View};
 use crate::{
     Content, FrozenIndex, MatchError, MatchScratch, Subscription, SubscriptionId, SymbolTable,
 };
@@ -62,15 +62,25 @@ impl Matcher for TableMatcher {
     }
 }
 
-/// [`Matcher`] that evaluates real content-based subscriptions. It holds
-/// each proxy's subscriptions once, ascending by id (ids count from 0 per
-/// proxy and are never reused), and [`EngineMatcher::freeze`] compiles
-/// them into one [`FrozenIndex`] for the whole fleet. The compilation
-/// stays current across subscription churn: a subscription added since the
-/// freeze is evaluated beside the kernel, a frozen one that is removed is
-/// masked out of it, and only a burst past what that absorbs drops it.
-/// While no kernel answers, a query evaluates every subscription by brute
-/// force.
+/// [`Matcher`] that evaluates real content-based subscriptions.
+///
+/// Everything it holds is in one symbol space: a [`SymbolTable`] that
+/// lives as long as the matcher interns each subscription's predicates at
+/// [`EngineMatcher::subscribe`] and each page's content at
+/// [`EngineMatcher::register_page`], and no query hashes a string. It
+/// holds each proxy's subscriptions once, compiled, ascending by id (ids
+/// count from 0 per proxy and are never reused), and every page's
+/// symbolized content in one arena indexed by page id; memory follows the
+/// largest registered id. A subscription of one predicate costs no heap
+/// block of its own, a conjunction one, a page none.
+///
+/// [`EngineMatcher::freeze`] indexes the subscriptions in one
+/// [`FrozenIndex`] for the whole fleet. The index stays current across
+/// subscription churn: a subscription added since the freeze is evaluated
+/// beside the kernel, a frozen one that is removed is masked out of it, and
+/// only a burst past what that absorbs drops it. While no kernel answers,
+/// a query evaluates every subscription by brute force. All three paths
+/// evaluate through the kernel's one symbol-space evaluator.
 ///
 /// # Examples
 ///
@@ -93,11 +103,16 @@ impl Matcher for TableMatcher {
 /// ```
 #[derive(Debug, Default)]
 pub struct EngineMatcher {
+    /// Every name and string a subscription or a page carries.
+    table: SymbolTable,
     /// Per proxy, its subscriptions ascending by id: the one owner.
-    subscriptions: Vec<Vec<(SubscriptionId, Subscription)>>,
+    subscriptions: Vec<Vec<Row>>,
+    /// The tag-set and prefix operands the subscriptions point into;
+    /// compacted when a freeze rebuilds the kernel.
+    operands: Operands,
     /// Per proxy, the id its next subscription gets.
     next_id: Vec<u64>,
-    contents: HashMap<PageId, Content>,
+    pages: PageViews,
     /// The frozen compilation of the whole fleet, kept current across
     /// subscription churn; dropped when churn outgrows it and rebuilt by
     /// [`EngineMatcher::freeze`].
@@ -105,34 +120,30 @@ pub struct EngineMatcher {
 }
 
 /// Every proxy's subscriptions as of the last freeze in one
-/// [`FrozenIndex`] — less the ones retired since — with the
-/// [`SymbolTable`] its contents are symbolized against, and the
-/// subscriptions added since.
+/// [`FrozenIndex`] — less the ones retired since — and the subscriptions
+/// added since.
 #[derive(Debug)]
 struct Frozen {
-    table: SymbolTable,
     index: FrozenIndex,
     /// The subscriptions the kernel does not hold, ascending by proxy and
-    /// then id: evaluated with [`Subscription::matches`] after the kernel
-    /// has answered. An entry names its subscription in the owner's rows.
+    /// then id: evaluated after the kernel has answered. An entry names its
+    /// subscription in the owner's rows.
     delta: Vec<(ServerId, SubscriptionId)>,
 }
 
 /// The most subscriptions a delta holds; one more thaws the kernel, and
 /// the next `freeze` folds them all in. An entry costs a binary search in
-/// its proxy's rows and a brute-force evaluation, so the bound is what
-/// keeps a publish near the kernel's cost. Measured at PR 25, when the
-/// lookup was a hash, at the `match-churn` population (201 k
-/// subscriptions over 100 proxies; since PR 25 a fan-out 2.8–2.9 µs, a
-/// request 0.9 µs): a fan-out pays 39 ns per page-equality entry and 44 ns
-/// per three-predicate one, a request — which scans its own proxy's
-/// entries only — under 1 ns per entry of the fleet's. A full delta of 48
-/// adds 1.9–2.1 µs to a fan-out, two thirds of it (16 read a fifth, 64
-/// 81–99 %), and 18–34 ns to a request; a burst pays one 28–31 ms rebuild
-/// per 49 subscribes, 0.6 ms a call. No workload holds more than one
-/// entry, so no benchmark could carry a re-tune of the bound.
-/// EXPERIMENTS.md, "Churn without a refreeze (PR 21)" and "Two keys to a
-/// conjunction (PR 25)", has the sweeps.
+/// its proxy's rows and an evaluation of its predicates against the page's
+/// stored symbols, so the bound is what keeps a publish near the kernel's
+/// cost. At the `match-churn` population (201 k subscriptions over 100
+/// proxies), measured in October 2026 on a 2-core host, a full delta of
+/// 48 page-equality entries adds 2.6 µs (54 ns an entry) to a 2.8 µs
+/// fan-out and 50–60 ns to a 250 ns request. The sweeps behind the bound
+/// (16 entries a fifth of a fan-out, 64 entries 81–99 %; one 28–31 ms
+/// rebuild per 49 subscribes) were taken when an entry was evaluated over
+/// the page's `Content` (EXPERIMENTS.md, "Churn without a refreeze" and
+/// "Two keys to a conjunction"). No workload holds more than one entry,
+/// so no benchmark could carry a re-tune of the bound.
 const DELTA_MAX: usize = 48;
 
 impl EngineMatcher {
@@ -141,8 +152,7 @@ impl EngineMatcher {
         Self {
             subscriptions: vec![Vec::new(); usize::from(servers)],
             next_id: vec![0; usize::from(servers)],
-            contents: HashMap::new(),
-            frozen: None,
+            ..Self::default()
         }
     }
 
@@ -151,7 +161,8 @@ impl EngineMatcher {
         self.subscriptions.len() as u16
     }
 
-    /// Registers a subscription for a user attached to `server`.
+    /// Registers a subscription for a user attached to `server`, compiling
+    /// its predicates into the matcher's symbols.
     ///
     /// # Errors
     ///
@@ -164,8 +175,9 @@ impl EngineMatcher {
         let lane = self.lane(server)?;
         let id = SubscriptionId::new(self.next_id[lane]);
         self.next_id[lane] += 1;
+        let compiled = Compiled::new(&mut self.table, &mut self.operands, &subscription);
         // Ids only grow, so the rows stay ascending.
-        self.subscriptions[lane].push((id, subscription));
+        self.subscriptions[lane].push((id, compiled));
         if let Some(frozen) = &mut self.frozen {
             if frozen.delta.len() < DELTA_MAX {
                 // Ids only grow, so the newest goes last among its proxy's.
@@ -197,7 +209,8 @@ impl EngineMatcher {
                     frozen.delta.remove(at);
                 }
                 Err(_) => {
-                    let retired = frozen.index.retire(server.index(), id, removed.len());
+                    let predicates = removed.preds().len();
+                    let retired = frozen.index.retire(server.index(), id, predicates);
                     debug_assert!(retired, "{id} at {server:?} is in neither delta nor base");
                     if frozen.index.mostly_retired() {
                         self.frozen = None;
@@ -208,22 +221,27 @@ impl EngineMatcher {
         Ok(())
     }
 
-    /// Compiles every proxy's subscriptions into one fleet-wide frozen
-    /// kernel. A no-op while a kernel answers: subscribe/unsubscribe calls
-    /// keep it current (the delta and the retired mask), so ordinary churn
-    /// costs no rebuild. Only a delta grown past its bound, or a base more
-    /// than half retired, drops the kernel; the matcher then answers by
-    /// brute force until the next call here folds everything into a fresh
-    /// compilation.
+    /// Indexes every proxy's subscriptions in one fleet-wide frozen
+    /// kernel; they are already compiled, so this interns nothing. A no-op
+    /// while a kernel answers: subscribe/unsubscribe calls keep it current
+    /// (the delta and the retired mask), so ordinary churn costs no
+    /// rebuild. Only a delta grown past its bound, or a base more than half
+    /// retired, drops the kernel; the matcher then answers by brute force
+    /// until the next call here folds everything into a fresh compilation.
     pub fn freeze(&mut self) {
         if self.frozen.is_some() {
             return;
         }
-        let mut table = SymbolTable::new();
-        let index = FrozenIndex::freeze_fleet(&self.subscriptions, &mut table);
+        if !self.operands.is_empty() {
+            // Removed subscriptions leave their operands behind; keep the
+            // live ones only.
+            let old = std::mem::take(&mut self.operands);
+            for (_, sub) in self.subscriptions.iter_mut().flatten() {
+                sub.rehome(&mut self.operands, &old);
+            }
+        }
         self.frozen = Some(Frozen {
-            table,
-            index,
+            index: FrozenIndex::freeze_fleet(&self.subscriptions, &self.operands),
             delta: Vec::new(),
         });
     }
@@ -235,27 +253,26 @@ impl EngineMatcher {
         self.frozen.is_some()
     }
 
-    /// Associates content with a page id (typically at publish time).
-    /// Re-registering replaces the previous content.
+    /// Associates content with a page id (typically at publish time),
+    /// symbolizing it once: its names and strings are interned, and the
+    /// content itself is not kept. Re-registering replaces the previous
+    /// content, in place where it fits.
     pub fn register_page(&mut self, page: PageId, content: Content) {
-        self.contents.insert(page, content);
+        self.pages.register(page, &mut self.table, &content);
     }
 
-    /// The registered content of a page, if any.
-    pub fn content(&self, page: PageId) -> Option<&Content> {
-        self.contents.get(&page)
-    }
-
-    /// The subscriptions registered at `server`, ascending by id.
+    /// The ids of the subscriptions registered at `server`, ascending.
     ///
     /// # Errors
     ///
     /// Returns [`MatchError::UnknownServer`] if `server` is out of range.
-    pub fn subscriptions(
+    pub fn subscription_ids(
         &self,
         server: ServerId,
-    ) -> Result<&[(SubscriptionId, Subscription)], MatchError> {
-        Ok(&self.subscriptions[self.lane(server)?])
+    ) -> Result<impl Iterator<Item = SubscriptionId> + '_, MatchError> {
+        Ok(self.subscriptions[self.lane(server)?]
+            .iter()
+            .map(|row| row.0))
     }
 
     /// The batched form of [`Matcher::matched_servers`]: writes the
@@ -271,16 +288,15 @@ impl EngineMatcher {
         out: &mut Vec<(ServerId, u32)>,
     ) {
         out.clear();
-        let Some(content) = self.contents.get(&page) else {
+        let Some(view) = self.pages.view(page) else {
             return;
         };
         if let Some(frozen) = &self.frozen {
-            // Frozen fast path: symbolize once, one pass over the fleet.
-            scratch.symbolize(&frozen.table, content);
-            frozen.index.fanout_view(scratch, out);
+            // Frozen fast path: one pass over the fleet.
+            frozen.index.fanout(view, scratch, out);
             for run in frozen.delta.chunk_by(|a, b| a.0 == b.0) {
                 let server = run[0].0;
-                let n = self.delta_matches(run, content);
+                let n = self.delta_matches(run, view);
                 if n > 0 {
                     match out.binary_search_by_key(&server, |&(s, _)| s) {
                         Ok(row) => out[row].1 += n,
@@ -291,7 +307,7 @@ impl EngineMatcher {
             return;
         }
         for (lane, rows) in self.subscriptions.iter().enumerate() {
-            let n = brute_force(rows, content);
+            let n = self.brute_force(rows, view);
             if n > 0 {
                 out.push((ServerId::new(lane as u16), n));
             }
@@ -307,24 +323,23 @@ impl EngineMatcher {
         server: ServerId,
         scratch: &mut MatchScratch,
     ) -> u32 {
-        let Some(content) = self.contents.get(&page) else {
+        let Some(view) = self.pages.view(page) else {
             return 0;
         };
         if let Some(frozen) = &self.frozen {
-            scratch.symbolize(&frozen.table, content);
             let delta = &frozen.delta;
             let own = delta.partition_point(|&(s, _)| s < server)
                 ..delta.partition_point(|&(s, _)| s <= server);
-            return frozen.index.count_at_view(scratch, server)
-                + self.delta_matches(&delta[own], content);
+            return frozen.index.count_at(view, scratch, server)
+                + self.delta_matches(&delta[own], view);
         }
         let rows = self.subscriptions.get(server.as_usize());
-        rows.map_or(0, |rows| brute_force(rows, content))
+        rows.map_or(0, |rows| self.brute_force(rows, view))
     }
 
     /// Number of pages with registered content.
     pub fn page_count(&self) -> usize {
-        self.contents.len()
+        self.pages.len()
     }
 
     /// `true` if the registered pages are exactly the dense universe
@@ -333,17 +348,26 @@ impl EngineMatcher {
     /// to nobody and counts 0 without an error, so whoever resolves a whole
     /// universe through this matcher checks here first.
     pub fn covers(&self, pages: usize) -> bool {
-        self.contents.len() == pages && self.contents.keys().all(|page| page.as_usize() < pages)
+        self.pages.covers(pages)
     }
 
-    /// How many of these delta entries match `content`.
-    fn delta_matches(&self, entries: &[(ServerId, SubscriptionId)], content: &Content) -> u32 {
+    /// How many of these delta entries match `view`.
+    fn delta_matches(&self, entries: &[(ServerId, SubscriptionId)], view: View<'_>) -> u32 {
         let live = entries.iter().filter_map(|&(server, id)| {
             let rows = &self.subscriptions[server.as_usize()];
             let at = rows.binary_search_by_key(&id, |row| row.0).ok()?;
             Some(&rows[at].1)
         });
-        live.filter(|sub| sub.matches(content)).count() as u32
+        let matching = live.filter(|sub| self.operands.matches(sub.preds(), view));
+        matching.count() as u32
+    }
+
+    /// How many of `rows` match `view`: the answer while no kernel does.
+    fn brute_force(&self, rows: &[Row], view: View<'_>) -> u32 {
+        let matching = rows
+            .iter()
+            .filter(|(_, sub)| self.operands.matches(sub.preds(), view));
+        matching.count() as u32
     }
 
     /// `server`'s position in the fleet.
@@ -358,11 +382,6 @@ impl EngineMatcher {
             })
         }
     }
-}
-
-/// How many of `rows` match `content`: the answer while no kernel does.
-fn brute_force(rows: &[(SubscriptionId, Subscription)], content: &Content) -> u32 {
-    rows.iter().filter(|(_, sub)| sub.matches(content)).count() as u32
 }
 
 impl Matcher for EngineMatcher {
@@ -427,7 +446,7 @@ mod tests {
             .unwrap();
         assert!(m.matched_servers(PageId::new(0)).is_empty());
         assert_eq!(m.match_count(PageId::new(0), ServerId::new(0)), 0);
-        assert!(m.content(PageId::new(0)).is_none());
+        assert_eq!(m.page_count(), 0);
     }
 
     #[test]
@@ -467,8 +486,8 @@ mod tests {
             m.subscribe(ServerId::new(9), Subscription::wildcard()),
             Err(MatchError::UnknownServer { .. })
         ));
-        assert!(m.subscriptions(ServerId::new(0)).unwrap().is_empty());
-        assert!(m.subscriptions(ServerId::new(9)).is_err());
+        assert!(ids(&m, ServerId::new(0)).is_empty());
+        assert!(m.subscription_ids(ServerId::new(9)).is_err());
         assert!(matches!(
             m.unsubscribe(ServerId::new(9), SubscriptionId::new(0)),
             Err(MatchError::UnknownServer { .. })
@@ -669,16 +688,62 @@ mod tests {
         pages
     }
 
-    /// [`shapes`] round-robin over three proxies, [`pages`] registered.
-    fn fleet() -> EngineMatcher {
-        let mut m = EngineMatcher::new(3);
-        for (i, sub) in shapes().into_iter().enumerate() {
-            m.subscribe(ServerId::new(i as u16 % 3), sub).unwrap();
+    /// A matcher beside what it was given: per proxy the `(id,
+    /// subscription)` rows, and the pages' contents, which the oracle
+    /// reads.
+    struct Fleet {
+        m: EngineMatcher,
+        rows: Vec<Vec<(SubscriptionId, Subscription)>>,
+        pages: Vec<Content>,
+    }
+
+    impl Fleet {
+        /// [`shapes`] round-robin over three proxies, [`pages`] registered.
+        fn new() -> Self {
+            let mut fleet = Fleet {
+                m: EngineMatcher::new(3),
+                rows: vec![Vec::new(); 3],
+                pages: pages(),
+            };
+            for (i, sub) in shapes().into_iter().enumerate() {
+                fleet.subscribe(i % 3, sub);
+            }
+            for (page, content) in fleet.pages.iter().enumerate() {
+                fleet
+                    .m
+                    .register_page(PageId::new(page as u32), content.clone());
+            }
+            fleet
         }
-        for (page, content) in pages().into_iter().enumerate() {
-            m.register_page(PageId::new(page as u32), content);
+
+        fn subscribe(&mut self, at: usize, sub: Subscription) {
+            let id = self.m.subscribe(ServerId::new(at as u16), sub.clone());
+            self.rows[at].push((id.unwrap(), sub));
         }
-        m
+
+        fn unsubscribe(&mut self, at: usize, id: SubscriptionId) {
+            self.m.unsubscribe(ServerId::new(at as u16), id).unwrap();
+            self.rows[at].retain(|row| row.0 != id);
+        }
+
+        /// What [`answers`] must be, by [`Subscription::matches`] over
+        /// the rows and contents.
+        fn brute(&self) -> Answers {
+            let count =
+                |page: usize, server: usize| match (self.pages.get(page), self.rows.get(server)) {
+                    (Some(content), Some(rows)) => {
+                        rows.iter().filter(|(_, sub)| sub.matches(content)).count() as u32
+                    }
+                    _ => 0,
+                };
+            let answer = |page| {
+                let counts: Vec<_> = (0..=self.rows.len()).map(|s| count(page, s)).collect();
+                let rows = counts.iter().enumerate().filter(|&(_, &n)| n > 0);
+                let fanout = rows.map(|(s, &n)| (ServerId::new(s as u16), n)).collect();
+                (fanout, counts)
+            };
+            (0..=self.pages.len()).map(answer).collect()
+        }
     }
 
     type Answers = Vec<(Vec<(ServerId, u32)>, Vec<u32>)>;
@@ -698,26 +763,11 @@ mod tests {
         pages.map(answer).collect()
     }
 
-    /// The same, by [`Subscription::matches`] over the owner's rows.
-    fn brute(m: &EngineMatcher) -> Answers {
-        let pages = (0..=m.page_count() as u32).map(PageId::new);
-        let count = |page, server| match (m.content(page), m.subscriptions(server)) {
-            (Some(content), Ok(rows)) => brute_force(rows, content),
-            _ => 0,
-        };
-        let answer = |page| {
-            let servers = (0..=m.server_count()).map(ServerId::new);
-            let counts: Vec<_> = servers.map(|s| count(page, s)).collect();
-            let rows = counts.iter().enumerate().filter(|&(_, &n)| n > 0);
-            let fanout = rows.map(|(s, &n)| (ServerId::new(s as u16), n)).collect();
-            (fanout, counts)
-        };
-        pages.map(answer).collect()
-    }
-
     fn ids(m: &EngineMatcher, server: ServerId) -> Vec<u64> {
-        let rows = m.subscriptions(server).unwrap();
-        rows.iter().map(|row| row.0.raw()).collect()
+        m.subscription_ids(server)
+            .unwrap()
+            .map(SubscriptionId::raw)
+            .collect()
     }
 
     #[test]
@@ -744,37 +794,37 @@ mod tests {
 
     #[test]
     fn a_thawed_matcher_answers_like_the_refrozen_kernel() {
-        let mut m = fleet();
-        m.freeze();
-        let before = answers(&m);
-        assert_eq!(before, brute(&m));
+        let mut fleet = Fleet::new();
+        fleet.m.freeze();
+        let before = answers(&fleet.m);
+        assert_eq!(before, fleet.brute());
         let shapes = shapes();
         for k in 0..=DELTA_MAX {
-            let sub = shapes[k % shapes.len()].clone();
-            m.subscribe(ServerId::new(k as u16 % 3), sub).unwrap();
+            fleet.subscribe(k % 3, shapes[k % shapes.len()].clone());
         }
-        assert!(!m.is_frozen());
-        let thawed = answers(&m);
+        assert!(!fleet.m.is_frozen());
+        let thawed = answers(&fleet.m);
         assert_ne!(thawed, before, "the burst matches");
-        assert_eq!(thawed, brute(&m));
-        m.freeze();
-        assert_eq!(answers(&m), thawed);
+        assert_eq!(thawed, fleet.brute());
+        fleet.m.freeze();
+        assert_eq!(answers(&fleet.m), thawed);
     }
 
     #[test]
     fn unsubscribing_the_last_first_and_a_middle_id_then_freezing_matches_brute_force() {
-        let mut m = fleet();
-        for server in (0..3).map(ServerId::new) {
-            let all = ids(&m, server);
+        let mut fleet = Fleet::new();
+        for at in 0..3 {
+            let all = ids(&fleet.m, ServerId::new(at as u16));
             for id in [all[all.len() - 1], all[0], all[all.len() / 2]] {
-                m.unsubscribe(server, SubscriptionId::new(id)).unwrap();
+                fleet.unsubscribe(at, SubscriptionId::new(id));
             }
-            let left = ids(&m, server);
+            let left = ids(&fleet.m, ServerId::new(at as u16));
             assert_eq!(left.len(), all.len() - 3);
             assert!(left.is_sorted());
         }
-        m.freeze();
-        assert_eq!(answers(&m), brute(&m));
+        assert_eq!(answers(&fleet.m), fleet.brute(), "thawed");
+        fleet.m.freeze();
+        assert_eq!(answers(&fleet.m), fleet.brute());
     }
 
     #[test]

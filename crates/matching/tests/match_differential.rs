@@ -210,11 +210,12 @@ type Mirror = Vec<Rows>;
 /// Checks `matcher` against `mirror` on every content: the fan-out rows
 /// and every single `(page, server)` count must equal brute-force
 /// `Subscription::matches`, whether a kernel answers or the matcher is
-/// thawed, and the matcher's own rows must be the mirror's.
+/// thawed, and the matcher's ids must be the mirror's.
 fn assert_fleet(matcher: &EngineMatcher, mirror: &Mirror, contents: &[Content]) {
     let servers = mirror.len() as u16;
     for (server, rows) in (0..servers).map(ServerId::new).zip(mirror) {
-        assert_eq!(matcher.subscriptions(server).unwrap(), &rows[..]);
+        let ids: Vec<_> = matcher.subscription_ids(server).unwrap().collect();
+        assert_eq!(ids, rows.iter().map(|row| row.0).collect::<Vec<_>>());
     }
     let mut scratch = MatchScratch::new();
     let mut rows = vec![(ServerId::new(0), 0)];
@@ -253,19 +254,77 @@ fn assert_fleet(matcher: &EngineMatcher, mirror: &Mirror, contents: &[Content]) 
     );
 }
 
+/// Pages registered after the first freeze: a name (`late`) and strings
+/// (`fresh`, `freshly`, `stale`, `fresh-tag`) no predicate has seen yet,
+/// and integers at the `i64` edges.
+fn late_pages() -> Vec<Content> {
+    vec![
+        content_of([
+            ("late", Value::str("fresh")),
+            ("words", Value::int(i64::MIN)),
+            ("tags", Value::tags(["a", "zz", "fresh-tag"])),
+        ]),
+        content_of([
+            ("late", Value::str("freshly")),
+            ("words", Value::int(i64::MAX)),
+            ("tags", Value::tags(["a"])),
+            ("category", Value::str("spam")),
+        ]),
+        content_of([
+            ("late", Value::str("stale")),
+            ("tags", Value::tags(["fresh-tag"])),
+        ]),
+    ]
+}
+
+/// Every operator, each alone and then each with the next: `!=` on an
+/// integer, a string and a tag set, tag-set `==`, prefixes, ranges at the
+/// `i64` edges, and operands a content interned first (`zz` by a drawn
+/// content, the rest by [`late_pages`]).
+fn every_operator() -> Vec<Subscription> {
+    let preds = [
+        Predicate::ne("words", Value::int(7)),
+        Predicate::ne("category", Value::str("sports")),
+        Predicate::ne("late", Value::str("fresh")),
+        Predicate::ne("tags", Value::tags(["a"])),
+        Predicate::ne("tags", Value::tags(["a", "zz"])),
+        Predicate::eq("tags", Value::tags(["a"])),
+        Predicate::eq("tags", Value::tags(["a", "zz", "fresh-tag"])),
+        Predicate::prefix("category", "sp"),
+        Predicate::prefix("late", "fre"),
+        Predicate::lt("words", i64::MIN),
+        Predicate::le("words", i64::MIN),
+        Predicate::gt("words", i64::MAX),
+        Predicate::ge("words", i64::MAX),
+        Predicate::lt("words", i64::MAX),
+        Predicate::gt("words", i64::MIN),
+        Predicate::eq("late", Value::str("fresh")),
+        Predicate::contains("tags", "zz"),
+        Predicate::contains("late", "fresh"),
+        Predicate::exists("late"),
+    ];
+    let next = |i: usize| preds[(i + 1) % preds.len()].clone();
+    let singles = preds.iter().map(|p| Subscription::new(vec![p.clone()]));
+    let pairs = (0..preds.len()).map(|i| Subscription::new(vec![preds[i].clone(), next(i)]));
+    singles.chain(pairs).collect()
+}
+
 /// `EngineMatcher`'s private bound on its delta, mirrored: the number of
 /// subscriptions a frozen matcher takes before it thaws.
 const DELTA_BOUND: usize = 48;
 
 /// A matcher under churn beside what it must equal: the brute-force
-/// mirror, and a model of when a kernel answers — frozen until the delta
-/// would pass its bound or more than half of the base is retired. Every
-/// call checks the whole fleet, so each state a kernel passes through
-/// (delta only, retired bits only, both, thawed, folded) is compared.
-struct Churned<'a> {
+/// mirror of its subscriptions and of its pages' contents, and a model of
+/// when a kernel answers — frozen until the delta would pass its bound or
+/// more than half of the base is retired. The matcher keeps neither a
+/// `Subscription` nor a `Content`, so the mirror is the oracle's only
+/// input. Every call checks the whole fleet, so each state a kernel passes
+/// through (delta only, retired bits only, both, thawed, folded) is
+/// compared.
+struct Churned {
     matcher: EngineMatcher,
     mirror: Mirror,
-    contents: &'a [Content],
+    contents: Vec<Content>,
     /// Subscriptions the current kernel was frozen from, and how many of
     /// them are retired; ids added since, per proxy.
     base: usize,
@@ -274,10 +333,22 @@ struct Churned<'a> {
     frozen: bool,
 }
 
-impl Churned<'_> {
+impl Churned {
     fn check(&self) {
         assert_eq!(self.matcher.is_frozen(), self.frozen, "a kernel answers");
-        assert_fleet(&self.matcher, &self.mirror, self.contents);
+        assert_fleet(&self.matcher, &self.mirror, &self.contents);
+    }
+
+    /// Registers `content` as page `page`: the next id, or one already
+    /// registered, whose content it replaces.
+    fn register(&mut self, page: usize, content: Content) {
+        self.matcher
+            .register_page(PageId::new(page as u32), content.clone());
+        match self.contents.get_mut(page) {
+            Some(old) => *old = content,
+            None => self.contents.push(content),
+        }
+        self.check();
     }
 
     fn freeze(&mut self) {
@@ -333,7 +404,11 @@ proptest! {
     /// several proxies) resolve every publish fan-out and every request
     /// like brute force — frozen, after every subscribe and unsubscribe
     /// the kernel absorbs (a delta, retired bits, both), thawed by a burst
-    /// past either bound, and frozen again.
+    /// past either bound, and frozen again. Between the churn and the
+    /// burst, pages join with names and strings no predicate has seen,
+    /// pages are registered again, and every operator joins the delta over
+    /// strings those pages interned first; the burst then thaws them into
+    /// brute force and the freeze after it folds them into the kernel.
     #[test]
     fn fleet_fanout_and_requests_agree_with_brute_force(
         proxies in proptest::collection::vec(proxy_strategy(), 1..6),
@@ -347,14 +422,14 @@ proptest! {
         let mut fleet = Churned {
             matcher: EngineMatcher::new(servers as u16),
             mirror: vec![Vec::new(); servers],
-            contents: &contents,
+            contents: Vec::new(),
             base: 0,
             retired: 0,
             delta: Vec::new(),
             frozen: false,
         };
         for (i, content) in contents.iter().enumerate() {
-            fleet.matcher.register_page(PageId::new(i as u32), content.clone());
+            fleet.register(i, content.clone());
         }
         for (at, subs) in proxies.iter().enumerate() {
             for sub in subs {
@@ -409,9 +484,21 @@ proptest! {
             }
         }
 
+        fleet.freeze();
+        for page in late_pages() {
+            fleet.register(fleet.contents.len(), page);
+        }
+        // Page 0 takes a late page's content and the last one page 0's.
+        let last = fleet.contents.len() - 1;
+        fleet.register(0, late_pages()[0].clone());
+        fleet.register(last, contents[0].clone());
+        for (k, sub) in every_operator().iter().enumerate() {
+            fleet.subscribe(k % servers, sub);
+        }
+        prop_assert!(fleet.frozen, "every operator is in the delta");
+
         // A burst past the delta's bound thaws the kernel; the next
         // freeze folds base and delta, and nothing it answers changes.
-        fleet.freeze();
         for k in fleet.delta.len()..=DELTA_BOUND {
             prop_assert!(fleet.frozen, "entry {} fits the delta", k);
             fleet.subscribe(k % servers, &planted[k % planted.len()]);

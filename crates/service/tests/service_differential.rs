@@ -302,7 +302,7 @@ fn content_churn_keeps_the_kernel_frozen_and_stays_identical() {
 fn content_churn_through_the_delta_equals_churn_through_a_refreeze() {
     use std::collections::HashMap;
 
-    use pscd_matching::{Op, Predicate, Subscription, SubscriptionId, Value};
+    use pscd_matching::{Predicate, Subscription, SubscriptionId, Value};
     use pscd_types::PageId;
 
     let f = fixture();
@@ -390,16 +390,16 @@ fn content_churn_through_the_delta_equals_churn_through_a_refreeze() {
     let content_service = |burst: bool| {
         let mut core = ServiceCore::new(service_config(kind, false)).unwrap();
         let matcher = pscd_workload::matcher_from_table(&f.subs, servers);
-        // The live subscriptions of each (server, page), newest last.
+        // The live subscriptions of each (server, page), newest last:
+        // `matcher_from_table` subscribes `count` to each row's page, in
+        // the table's order, and a proxy numbers its ids from 0.
         let mut live: HashMap<(ServerId, PageId), Vec<SubscriptionId>> = HashMap::new();
-        for server in (0..servers).map(ServerId::new) {
-            for &(id, ref sub) in matcher.subscriptions(server).unwrap() {
-                let Op::Eq(Value::Int(page)) = sub.predicates()[0].op() else {
-                    panic!("`matcher_from_table` subscribes to pages by id");
-                };
-                let key = (server, PageId::new(*page as u32));
-                live.entry(key).or_default().push(id);
-            }
+        let mut next = vec![0; usize::from(servers)];
+        for (page, server, count) in f.subs.iter() {
+            let ids = &mut next[server.as_usize()];
+            let new = (*ids..*ids + u64::from(count)).map(SubscriptionId::new);
+            live.entry((server, page)).or_default().extend(new);
+            *ids += u64::from(count);
         }
         core.attach_matcher(matcher).unwrap();
         let mut from = 0;
