@@ -12,12 +12,11 @@
 //! repo benchmark's `match-churn` (~200k), which is why it lives here.
 //! EXPERIMENTS.md reports these numbers.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
-use pscd_matching::{
-    Content, FrozenIndex, MatchScratch, Predicate, Subscription, SubscriptionId, SymbolTable, Value,
-};
+use pscd_matching::{Content, EngineMatcher, MatchScratch, Predicate, Subscription, Value};
 use pscd_sim::CompiledTrace;
+use pscd_types::{PageId, ServerId};
 use pscd_workload::{Workload, WorkloadConfig};
 
 /// The three workload tiers: (label, scale of the paper's NEWS trace).
@@ -79,9 +78,9 @@ fn compile(c: &mut Criterion) {
     group.finish();
 }
 
-/// One million subscriptions numbered as one proxy's, spread over 2,000
-/// distinct categories (~500 matches per content), plus a tag layer.
-fn million_subs() -> (Vec<(SubscriptionId, Subscription)>, Vec<Content>) {
+/// One million subscriptions, spread over 2,000 distinct categories (~500
+/// matches per content), plus a tag layer.
+fn million_subs() -> (Vec<Subscription>, Vec<Content>) {
     const SUBS: usize = 1_000_000;
     const CATEGORIES: usize = 2_000;
     let categories: Vec<String> = (0..CATEGORIES).map(|i| format!("cat{i}")).collect();
@@ -96,7 +95,7 @@ fn million_subs() -> (Vec<(SubscriptionId, Subscription)>, Vec<Content>) {
         } else {
             Subscription::new(vec![Predicate::eq("category", Value::str(cat))])
         };
-        rows.push((SubscriptionId::new(i as u64), sub));
+        rows.push(sub);
     }
     let contents = (0..64usize)
         .map(|i| {
@@ -111,28 +110,53 @@ fn million_subs() -> (Vec<(SubscriptionId, Subscription)>, Vec<Content>) {
     (rows, contents)
 }
 
+/// A one-proxy matcher holding `subs`, each interned and compiled at
+/// `subscribe`.
+fn subscribed(subs: Vec<Subscription>) -> EngineMatcher {
+    let mut matcher = EngineMatcher::new(1);
+    for sub in subs {
+        matcher
+            .subscribe(ServerId::new(0), sub)
+            .expect("proxy 0 is in the fleet");
+    }
+    matcher
+}
+
 fn matching_1m(c: &mut Criterion) {
     let (subs, contents) = million_subs();
     let mut group = c.benchmark_group("cold_match_1m_subs");
     group.sample_size(20);
     // Building the frozen kernel from scratch over the whole population
-    // (interning included), which the matching arms below exclude.
+    // (interning and compiling at `subscribe` included), which the
+    // matching arms below exclude. Cloning the subscriptions is untimed.
     group.bench_function("freeze_1m", |b| {
-        b.iter(|| FrozenIndex::freeze(&subs, &mut SymbolTable::new()).len())
+        b.iter_batched(
+            || subs.clone(),
+            |subs| {
+                let mut matcher = subscribed(subs);
+                matcher.freeze();
+                matcher.is_frozen()
+            },
+            BatchSize::LargeInput,
+        )
     });
-    // The frozen kernel: interned symbols, CSR buckets and epoch bitsets,
-    // caller-owned scratch and output (freeze cost excluded: `freeze_1m`
-    // above prices it).
-    let mut symbols = SymbolTable::new();
-    let frozen = FrozenIndex::freeze(&subs, &mut symbols);
+    // The frozen kernel over pages registered once: interned symbols, CSR
+    // buckets and epoch bitsets, caller-owned scratch and output (freeze
+    // cost excluded: `freeze_1m` above prices it).
+    let mut matcher = subscribed(subs);
+    let pages = contents.len() as u32;
+    for (page, content) in (0..pages).map(PageId::new).zip(contents) {
+        matcher.register_page(page, content);
+    }
+    matcher.freeze();
     group.bench_function("matches_into_frozen", |b| {
         let mut scratch = MatchScratch::new();
         let mut out = Vec::new();
         b.iter(|| {
-            let mut total = 0usize;
-            for content in &contents {
-                frozen.matches_into(&symbols, content, &mut scratch, &mut out);
-                total += out.len();
+            let mut total = 0u32;
+            for page in (0..pages).map(PageId::new) {
+                matcher.matched_servers_into(page, &mut scratch, &mut out);
+                total += out.iter().map(|&(_, n)| n).sum::<u32>();
             }
             total
         })
@@ -140,9 +164,9 @@ fn matching_1m(c: &mut Criterion) {
     group.bench_function("match_count_frozen", |b| {
         let mut scratch = MatchScratch::new();
         b.iter(|| {
-            let mut total = 0usize;
-            for content in &contents {
-                total += frozen.match_count(&symbols, content, &mut scratch);
+            let mut total = 0u32;
+            for page in (0..pages).map(PageId::new) {
+                total += matcher.match_count_with(page, ServerId::new(0), &mut scratch);
             }
             total
         })

@@ -166,6 +166,10 @@ fn main() -> ExitCode {
         eprintln!("--events requires --obs-dir\n{USAGE}");
         return ExitCode::FAILURE;
     }
+    if given.contains(&"--snapshot-every") && serve_dir.is_none() {
+        eprintln!("--snapshot-every requires --dir\n{USAGE}");
+        return ExitCode::FAILURE;
+    }
     if exhibit == "scenario" {
         let Some(arg) = scenario_arg else {
             eprintln!("scenario needs <list|NAME|FILE>\n{USAGE}");

@@ -3,25 +3,21 @@
 //! The paper's architecture (§2) contains a **matching engine** that, when a
 //! page is published, determines which subscribers' interest profiles match
 //! it; the content-distribution strategies then only consume the *count* of
-//! matching subscriptions per (page, proxy). This crate provides both layers:
-//!
-//! * A full **content-based matching engine**: subscriptions are
-//!   conjunctions of [`Predicate`]s over typed page attributes
-//!   ([`Content`]). [`EngineMatcher`] owns every proxy's subscriptions and
-//!   every page's content, both interned once into symbols, and freezes
-//!   the subscriptions into one [`FrozenIndex`], an access-predicate kernel
-//!   in the style of Fabret et al. (SIGMOD'01).
-//! * The [`Matcher`] abstraction consumed by the broker and simulator:
-//!   [`EngineMatcher`] runs the real engine over registered content, while
-//!   [`TableMatcher`] wraps a precomputed
-//!   [`SubscriptionTable`](pscd_types::SubscriptionTable) — which is what
-//!   the paper's synthetic workload produces (only counts are modeled,
-//!   §4.3).
+//! matching subscriptions per (page, proxy), `f_S(p)` in eq. 2. The paper's
+//! synthetic workload models only those counts (§4.3): a
+//! [`SubscriptionTable`](pscd_types::SubscriptionTable). This crate computes
+//! them from real subscriptions, conjunctions of [`Predicate`]s over typed
+//! page attributes ([`Content`]). [`EngineMatcher`] owns every proxy's
+//! subscriptions and every page's content, both interned once into
+//! symbols, and freezes the subscriptions into one fleet-wide
+//! access-predicate kernel in the style of Fabret et al. (SIGMOD'01);
+//! [`EngineMatcher::matched_servers_into`] answers a publish and
+//! [`EngineMatcher::match_count_with`] a request.
 //!
 //! # Examples
 //!
 //! ```
-//! use pscd_matching::{Content, EngineMatcher, Matcher, Predicate, Subscription, Value};
+//! use pscd_matching::{Content, EngineMatcher, MatchScratch, Predicate, Subscription, Value};
 //! use pscd_types::{PageId, ServerId};
 //!
 //! let mut m = EngineMatcher::new(1);
@@ -36,7 +32,9 @@
 //!     .with("category", Value::str("sports"))
 //!     .with("tags", Value::tags(["tennis", "us-open"]));
 //! m.register_page(PageId::new(0), page);
-//! assert_eq!(m.matched_servers(PageId::new(0)), vec![(ServerId::new(0), 1)]);
+//! let (mut scratch, mut fanout) = (MatchScratch::new(), Vec::new());
+//! m.matched_servers_into(PageId::new(0), &mut scratch, &mut fanout);
+//! assert_eq!(fanout, vec![(ServerId::new(0), 1)]);
 //! # Ok::<(), pscd_matching::MatchError>(())
 //! ```
 
@@ -54,8 +52,7 @@ mod symbol;
 
 pub use content::{Content, Value};
 pub use error::MatchError;
-pub use frozen::{FrozenIndex, MatchScratch};
-pub use matcher::{EngineMatcher, Matcher, TableMatcher};
+pub use frozen::MatchScratch;
+pub use matcher::EngineMatcher;
 pub use predicate::{Op, Predicate};
 pub use subscription::{Subscription, SubscriptionId};
-pub use symbol::{SymView, SymbolTable};

@@ -1,70 +1,17 @@
-//! The matching abstraction consumed by the delivery engine.
+//! The content-based matcher: `f_S(p)` from real subscriptions.
 
-use pscd_types::{PageId, ServerId, SubscriptionTable};
+use pscd_types::{PageId, ServerId};
 
-use crate::frozen::{Compiled, Operands, Row};
-use crate::symbol::{PageViews, View};
-use crate::{
-    Content, FrozenIndex, MatchError, MatchScratch, Subscription, SubscriptionId, SymbolTable,
-};
+use crate::frozen::{Compiled, FrozenIndex, Operands, Row};
+use crate::symbol::{PageViews, SymbolTable, View};
+use crate::{Content, MatchError, MatchScratch, Subscription, SubscriptionId};
 
-/// Source of per-(page, server) subscription match counts.
+/// Computes `f_S(p)` of the paper's eq. 2 — how many subscriptions at each
+/// proxy match a published page — live, from content-based subscriptions.
+/// (The paper's own setting, counts the workload generator synthesizes,
+/// is a [`SubscriptionTable`](pscd_types::SubscriptionTable).)
 ///
-/// Push-time placement strategies need to know, for a freshly published
-/// page, which proxies have interested subscribers and how many (`f_S(p)`
-/// in the paper's eq. 2). Two implementations exist:
-///
-/// * [`TableMatcher`] — counts precomputed by the workload generator
-///   (the paper's setting, where subscriptions are synthesized from the
-///   request trace through the subscription-quality model).
-/// * [`EngineMatcher`] — counts computed live from content-based
-///   subscriptions over registered page content.
-pub trait Matcher {
-    /// Servers with at least one matching subscription for `page`, with
-    /// their counts, sorted by server id.
-    fn matched_servers(&self, page: PageId) -> Vec<(ServerId, u32)>;
-
-    /// The number of subscriptions at `server` matching `page`.
-    fn match_count(&self, page: PageId, server: ServerId) -> u32;
-}
-
-/// [`Matcher`] backed by a precomputed [`SubscriptionTable`].
-#[derive(Debug, Clone, Default)]
-pub struct TableMatcher {
-    table: SubscriptionTable,
-}
-
-impl TableMatcher {
-    /// Wraps a subscription table.
-    pub fn new(table: SubscriptionTable) -> Self {
-        Self { table }
-    }
-
-    /// The underlying table.
-    pub fn table(&self) -> &SubscriptionTable {
-        &self.table
-    }
-}
-
-impl From<SubscriptionTable> for TableMatcher {
-    fn from(table: SubscriptionTable) -> Self {
-        Self::new(table)
-    }
-}
-
-impl Matcher for TableMatcher {
-    fn matched_servers(&self, page: PageId) -> Vec<(ServerId, u32)> {
-        self.table.matched_servers(page).to_vec()
-    }
-
-    fn match_count(&self, page: PageId, server: ServerId) -> u32 {
-        self.table.count(page, server)
-    }
-}
-
-/// [`Matcher`] that evaluates real content-based subscriptions.
-///
-/// Everything it holds is in one symbol space: a [`SymbolTable`] that
+/// Everything it holds is in one symbol space: a symbol table that
 /// lives as long as the matcher interns each subscription's predicates at
 /// [`EngineMatcher::subscribe`] and each page's content at
 /// [`EngineMatcher::register_page`], and no query hashes a string. It
@@ -74,8 +21,8 @@ impl Matcher for TableMatcher {
 /// largest registered id. A subscription of one predicate costs no heap
 /// block of its own, a conjunction one, a page none.
 ///
-/// [`EngineMatcher::freeze`] indexes the subscriptions in one
-/// [`FrozenIndex`] for the whole fleet. The index stays current across
+/// [`EngineMatcher::freeze`] indexes the subscriptions in one frozen
+/// kernel for the whole fleet. The kernel stays current across
 /// subscription churn: a subscription added since the freeze is evaluated
 /// beside the kernel, a frozen one that is removed is masked out of it, and
 /// only a burst past what that absorbs drops it. While no kernel answers,
@@ -85,7 +32,7 @@ impl Matcher for TableMatcher {
 /// # Examples
 ///
 /// ```
-/// use pscd_matching::{Content, EngineMatcher, Matcher, Predicate, Subscription, Value};
+/// use pscd_matching::{Content, EngineMatcher, MatchScratch, Predicate, Subscription, Value};
 /// use pscd_types::{PageId, ServerId};
 ///
 /// let mut m = EngineMatcher::new(2);
@@ -97,8 +44,10 @@ impl Matcher for TableMatcher {
 ///     PageId::new(0),
 ///     Content::new().with("category", Value::str("sports")),
 /// );
-/// assert_eq!(m.match_count(PageId::new(0), ServerId::new(0)), 1);
-/// assert_eq!(m.match_count(PageId::new(0), ServerId::new(1)), 0);
+/// let mut scratch = MatchScratch::new();
+/// let page = PageId::new(0);
+/// assert_eq!(m.match_count_with(page, ServerId::new(0), &mut scratch), 1);
+/// assert_eq!(m.match_count_with(page, ServerId::new(1), &mut scratch), 0);
 /// # Ok::<(), pscd_matching::MatchError>(())
 /// ```
 #[derive(Debug, Default)]
@@ -275,9 +224,10 @@ impl EngineMatcher {
             .map(|row| row.0))
     }
 
-    /// The batched form of [`Matcher::matched_servers`]: writes the
-    /// matched `(server, count)` rows into `out` (cleared first), sorted
-    /// by server id, counting in the caller's [`MatchScratch`]. While a
+    /// A publish's fan-out, `f_S(page)` at every proxy: writes the
+    /// `(server, count)` rows of the servers with at least one matching
+    /// subscription into `out` (cleared first), sorted by server id,
+    /// counting in the caller's [`MatchScratch`]. While a
     /// kernel answers, the call makes zero allocations after warm-up, so a
     /// publish fan-out loop can evaluate the whole fleet without touching
     /// the allocator.
@@ -314,9 +264,10 @@ impl EngineMatcher {
         }
     }
 
-    /// The batched form of [`Matcher::match_count`]: counts in the
-    /// caller's [`MatchScratch`] instead of allocating one per call, so a
-    /// request-resolution loop can run alloc-free after warm-up.
+    /// A request's count: the number of subscriptions at `server` matching
+    /// `page` (0 for a proxy outside the fleet or a page without content),
+    /// counted in the caller's [`MatchScratch`], so a request-resolution
+    /// loop runs alloc-free after warm-up.
     pub fn match_count_with(
         &self,
         page: PageId,
@@ -384,39 +335,21 @@ impl EngineMatcher {
     }
 }
 
-impl Matcher for EngineMatcher {
-    fn matched_servers(&self, page: PageId) -> Vec<(ServerId, u32)> {
-        let mut scratch = MatchScratch::new();
-        let mut out = Vec::new();
-        self.matched_servers_into(page, &mut scratch, &mut out);
-        out
-    }
-
-    fn match_count(&self, page: PageId, server: ServerId) -> u32 {
-        let mut scratch = MatchScratch::new();
-        self.match_count_with(page, server, &mut scratch)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{Predicate, Value};
-    use pscd_types::SubscriptionTableBuilder;
 
-    #[test]
-    fn table_matcher_delegates() {
-        let mut b = SubscriptionTableBuilder::new(2);
-        b.add(PageId::new(0), ServerId::new(1), 4);
-        let m = TableMatcher::from(b.build());
-        assert_eq!(m.match_count(PageId::new(0), ServerId::new(1)), 4);
-        assert_eq!(m.match_count(PageId::new(0), ServerId::new(0)), 0);
-        assert_eq!(
-            m.matched_servers(PageId::new(0)),
-            vec![(ServerId::new(1), 4)]
-        );
-        assert!(m.matched_servers(PageId::new(1)).is_empty());
-        assert_eq!(m.table().page_count(), 2);
+    /// `page`'s fan-out rows.
+    fn fanout(m: &EngineMatcher, page: PageId) -> Vec<(ServerId, u32)> {
+        let mut out = Vec::new();
+        m.matched_servers_into(page, &mut MatchScratch::new(), &mut out);
+        out
+    }
+
+    /// `page`'s count at `server`.
+    fn count(m: &EngineMatcher, page: PageId, server: ServerId) -> u32 {
+        m.match_count_with(page, server, &mut MatchScratch::new())
     }
 
     #[test]
@@ -432,11 +365,11 @@ mod tests {
             Content::new().with("cat", Value::str("sports")),
         );
         assert_eq!(
-            m.matched_servers(PageId::new(7)),
+            fanout(&m, PageId::new(7)),
             vec![(ServerId::new(0), 2), (ServerId::new(2), 1)]
         );
-        assert_eq!(m.match_count(PageId::new(7), ServerId::new(0)), 2);
-        assert_eq!(m.match_count(PageId::new(7), ServerId::new(1)), 0);
+        assert_eq!(count(&m, PageId::new(7), ServerId::new(0)), 2);
+        assert_eq!(count(&m, PageId::new(7), ServerId::new(1)), 0);
     }
 
     #[test]
@@ -444,8 +377,8 @@ mod tests {
         let mut m = EngineMatcher::new(1);
         m.subscribe(ServerId::new(0), Subscription::wildcard())
             .unwrap();
-        assert!(m.matched_servers(PageId::new(0)).is_empty());
-        assert_eq!(m.match_count(PageId::new(0), ServerId::new(0)), 0);
+        assert!(fanout(&m, PageId::new(0)).is_empty());
+        assert_eq!(count(&m, PageId::new(0), ServerId::new(0)), 0);
         assert_eq!(m.page_count(), 0);
     }
 
@@ -470,9 +403,9 @@ mod tests {
             .subscribe(ServerId::new(0), Subscription::wildcard())
             .unwrap();
         m.register_page(PageId::new(0), Content::new());
-        assert_eq!(m.match_count(PageId::new(0), ServerId::new(0)), 1);
+        assert_eq!(count(&m, PageId::new(0), ServerId::new(0)), 1);
         m.unsubscribe(ServerId::new(0), id).unwrap();
-        assert_eq!(m.match_count(PageId::new(0), ServerId::new(0)), 0);
+        assert_eq!(count(&m, PageId::new(0), ServerId::new(0)), 0);
         assert!(matches!(
             m.unsubscribe(ServerId::new(0), id),
             Err(MatchError::UnknownSubscription { .. })
@@ -492,7 +425,7 @@ mod tests {
             m.unsubscribe(ServerId::new(9), SubscriptionId::new(0)),
             Err(MatchError::UnknownServer { .. })
         ));
-        assert_eq!(m.match_count(PageId::new(0), ServerId::new(9)), 0);
+        assert_eq!(count(&m, PageId::new(0), ServerId::new(9)), 0);
     }
 
     #[test]
@@ -506,15 +439,15 @@ mod tests {
             PageId::new(7),
             Content::new().with("cat", Value::str("sports")),
         );
-        let brute = m.matched_servers(PageId::new(7));
+        let brute = fanout(&m, PageId::new(7));
         assert!(!m.is_frozen());
         m.freeze();
         assert!(m.is_frozen());
         m.freeze(); // idempotent
-        assert_eq!(m.matched_servers(PageId::new(7)), brute);
-        assert_eq!(m.match_count(PageId::new(7), ServerId::new(0)), 2);
-        assert_eq!(m.match_count(PageId::new(7), ServerId::new(1)), 0);
-        assert_eq!(m.match_count(PageId::new(7), ServerId::new(9)), 0);
+        assert_eq!(fanout(&m, PageId::new(7)), brute);
+        assert_eq!(count(&m, PageId::new(7), ServerId::new(0)), 2);
+        assert_eq!(count(&m, PageId::new(7), ServerId::new(1)), 0);
+        assert_eq!(count(&m, PageId::new(7), ServerId::new(9)), 0);
         let mut scratch = MatchScratch::new();
         let mut out = Vec::new();
         m.matched_servers_into(PageId::new(7), &mut scratch, &mut out);
@@ -522,30 +455,24 @@ mod tests {
         // A frozen subscription is retired; the kernel answers on.
         m.unsubscribe(ServerId::new(2), at2).unwrap();
         assert!(m.is_frozen());
-        assert_eq!(
-            m.matched_servers(PageId::new(7)),
-            vec![(ServerId::new(0), 2)]
-        );
-        assert_eq!(m.match_count(PageId::new(7), ServerId::new(2)), 0);
+        assert_eq!(fanout(&m, PageId::new(7)), vec![(ServerId::new(0), 2)]);
+        assert_eq!(count(&m, PageId::new(7), ServerId::new(2)), 0);
         // A new one answers from the delta: a row of its own at proxy 1,
         // one more match in proxy 0's row.
         let at1 = m.subscribe(ServerId::new(1), sports.clone()).unwrap();
         m.subscribe(ServerId::new(0), sports).unwrap();
         assert!(m.is_frozen());
         assert_eq!(
-            m.matched_servers(PageId::new(7)),
+            fanout(&m, PageId::new(7)),
             vec![(ServerId::new(0), 3), (ServerId::new(1), 1)]
         );
-        assert_eq!(m.match_count(PageId::new(7), ServerId::new(0)), 3);
-        assert_eq!(m.match_count(PageId::new(7), ServerId::new(1)), 1);
-        assert_eq!(m.match_count(PageId::new(7), ServerId::new(2)), 0);
+        assert_eq!(count(&m, PageId::new(7), ServerId::new(0)), 3);
+        assert_eq!(count(&m, PageId::new(7), ServerId::new(1)), 1);
+        assert_eq!(count(&m, PageId::new(7), ServerId::new(2)), 0);
         // ... and leaves it again.
         m.unsubscribe(ServerId::new(1), at1).unwrap();
         assert!(m.is_frozen());
-        assert_eq!(
-            m.matched_servers(PageId::new(7)),
-            vec![(ServerId::new(0), 3)]
-        );
+        assert_eq!(fanout(&m, PageId::new(7)), vec![(ServerId::new(0), 3)]);
         assert!(matches!(
             m.unsubscribe(ServerId::new(1), at1),
             Err(MatchError::UnknownSubscription { .. })
@@ -571,14 +498,14 @@ mod tests {
             (ServerId::new(0), DELTA_MAX as u32 / 2),
             (ServerId::new(1), DELTA_MAX as u32 / 2 + 1),
         ];
-        assert_eq!(m.matched_servers(PageId::new(0)), full);
+        assert_eq!(fanout(&m, PageId::new(0)), full);
         let last = m.subscribe(ServerId::new(0), sports).unwrap();
         assert!(!m.is_frozen(), "one more than the bound thaws");
         m.unsubscribe(ServerId::new(0), last).unwrap();
-        assert_eq!(m.matched_servers(PageId::new(0)), full, "brute force");
+        assert_eq!(fanout(&m, PageId::new(0)), full, "brute force");
         m.freeze();
         assert!(m.is_frozen());
-        assert_eq!(m.matched_servers(PageId::new(0)), full, "folded");
+        assert_eq!(fanout(&m, PageId::new(0)), full, "folded");
         assert!(m.frozen.as_ref().unwrap().delta.is_empty());
     }
 
@@ -606,12 +533,12 @@ mod tests {
         let extra = m.subscribe(server, Subscription::wildcard()).unwrap();
         m.unsubscribe(server, extra).unwrap();
         for (gone, &id) in ids.iter().enumerate() {
-            assert_eq!(m.match_count(PageId::new(0), server), 4 - gone as u32);
+            assert_eq!(count(&m, PageId::new(0), server), 4 - gone as u32);
             assert_eq!(m.is_frozen(), gone <= 2, "{gone} of 4 retired");
             m.unsubscribe(server, id).unwrap();
         }
         assert!(!m.is_frozen());
-        assert_eq!(m.match_count(PageId::new(0), server), 0);
+        assert_eq!(count(&m, PageId::new(0), server), 0);
     }
 
     #[test]
@@ -648,9 +575,9 @@ mod tests {
         )
         .unwrap();
         m.register_page(PageId::new(0), Content::new().with("cat", Value::str("a")));
-        assert_eq!(m.match_count(PageId::new(0), ServerId::new(0)), 1);
+        assert_eq!(count(&m, PageId::new(0), ServerId::new(0)), 1);
         m.register_page(PageId::new(0), Content::new().with("cat", Value::str("b")));
-        assert_eq!(m.match_count(PageId::new(0), ServerId::new(0)), 0);
+        assert_eq!(count(&m, PageId::new(0), ServerId::new(0)), 0);
     }
 
     /// Every class: singles, pairs, conjunctions with a residual, a range
@@ -825,31 +752,5 @@ mod tests {
         assert_eq!(answers(&fleet.m), fleet.brute(), "thawed");
         fleet.m.freeze();
         assert_eq!(answers(&fleet.m), fleet.brute());
-    }
-
-    #[test]
-    fn freeze_takes_rows_in_any_order() {
-        let rows: Vec<_> = (0..)
-            .step_by(3)
-            .map(SubscriptionId::new)
-            .zip(shapes())
-            .collect();
-        let mut shuffled = rows.clone();
-        shuffled.reverse();
-        shuffled.swap(0, 7);
-        let (mut in_order, mut out_of_order) = (SymbolTable::new(), SymbolTable::new());
-        let a = FrozenIndex::freeze(&rows, &mut in_order);
-        let b = FrozenIndex::freeze(&shuffled, &mut out_of_order);
-        let mut scratch = MatchScratch::new();
-        let (mut ids_a, mut ids_b) = (Vec::new(), Vec::new());
-        for content in pages() {
-            let hits = rows.iter().filter(|(_, sub)| sub.matches(&content));
-            let brute: Vec<_> = hits.map(|row| row.0).collect();
-            a.matches_into(&in_order, &content, &mut scratch, &mut ids_a);
-            b.matches_into(&out_of_order, &content, &mut scratch, &mut ids_b);
-            assert_eq!((&ids_a, &ids_b), (&brute, &brute));
-            let n = b.match_count(&out_of_order, &content, &mut scratch);
-            assert_eq!(n, brute.len());
-        }
     }
 }

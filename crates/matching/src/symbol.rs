@@ -11,11 +11,8 @@
 //! at `register_page`, and keeps every page's view in one arena
 //! ([`PageViews`]), so a publish or a request reads symbols that were
 //! computed once. Content interns what it carries: a predicate interned
-//! later finds the symbols the pages already hold. The standalone kernel
-//! ([`FrozenIndex::matches_into`](crate::FrozenIndex::matches_into))
-//! symbolizes a content per call by lookup against the table its
-//! predicates were interned into; a string no predicate interned maps to a
-//! sentinel that matches nothing, and the table does not grow.
+//! later finds the symbols the pages already hold, and a string no
+//! predicate names has a symbol no bucket or operand holds.
 
 use std::collections::HashMap;
 
@@ -23,41 +20,22 @@ use pscd_types::PageId;
 
 use crate::{Content, Value};
 
-/// Sentinel for "this string is not interned" (no predicate references it).
-pub(crate) const NO_SYM: u32 = u32::MAX;
-
 /// Two dense intern spaces: one for attribute *names*, one for string
 /// *values and tags* (they share a space — buckets are keyed by `(attr,
 /// string)` pairs, so equality values and tags can never collide).
 ///
-/// One table serves every proxy's subscriptions in a fleet-wide
-/// [`FrozenIndex`](crate::FrozenIndex), so one symbolized content matches
-/// against all of them with zero string work.
-///
-/// # Examples
-///
-/// ```
-/// use pscd_matching::SymbolTable;
-/// let mut t = SymbolTable::new();
-/// let a = t.intern_name("category");
-/// assert_eq!(t.intern_name("category"), a);
-/// assert_eq!(t.name_sym("category"), Some(a));
-/// assert_eq!(t.name_sym("missing"), None);
-/// ```
+/// One table serves every proxy's subscriptions in the fleet-wide frozen
+/// kernel, so one symbolized content matches against all of them with
+/// zero string work.
 #[derive(Debug, Clone, Default)]
-pub struct SymbolTable {
+pub(crate) struct SymbolTable {
     names: HashMap<String, u32>,
     strings: HashMap<String, u32>,
 }
 
 impl SymbolTable {
-    /// Creates an empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Interns an attribute name, returning its dense symbol.
-    pub fn intern_name(&mut self, name: &str) -> u32 {
+    pub(crate) fn intern_name(&mut self, name: &str) -> u32 {
         let next = self.names.len() as u32;
         match self.names.get(name) {
             Some(&sym) => sym,
@@ -69,7 +47,7 @@ impl SymbolTable {
     }
 
     /// Interns a string value or tag, returning its dense symbol.
-    pub fn intern_string(&mut self, s: &str) -> u32 {
+    pub(crate) fn intern_string(&mut self, s: &str) -> u32 {
         let next = self.strings.len() as u32;
         match self.strings.get(s) {
             Some(&sym) => sym,
@@ -79,60 +57,6 @@ impl SymbolTable {
             }
         }
     }
-
-    /// The symbol of an attribute name, if it was interned.
-    #[inline]
-    pub fn name_sym(&self, name: &str) -> Option<u32> {
-        self.names.get(name).copied()
-    }
-
-    /// The symbol of a string value or tag, if it was interned.
-    #[inline]
-    pub fn string_sym(&self, s: &str) -> Option<u32> {
-        self.strings.get(s).copied()
-    }
-
-    /// Number of interned attribute names.
-    pub fn name_count(&self) -> usize {
-        self.names.len()
-    }
-
-    /// Number of interned string values/tags.
-    pub fn string_count(&self) -> usize {
-        self.strings.len()
-    }
-}
-
-/// Where a content's symbols come from: a table read by lookup, or one
-/// that interns what it has not seen.
-pub(crate) trait Symbols {
-    /// An attribute name's symbol; `None` drops the attribute.
-    fn name(&mut self, name: &str) -> Option<u32>;
-    /// A string value's or tag's symbol.
-    fn string(&mut self, s: &str) -> u32;
-}
-
-/// Lookup: no predicate can test a name the table lacks, so its attribute
-/// is dropped, and a string it lacks equals no predicate's.
-impl Symbols for &SymbolTable {
-    fn name(&mut self, name: &str) -> Option<u32> {
-        self.name_sym(name)
-    }
-
-    fn string(&mut self, s: &str) -> u32 {
-        self.string_sym(s).unwrap_or(NO_SYM)
-    }
-}
-
-/// Interning: every name and string gets its symbol.
-impl Symbols for &mut SymbolTable {
-    fn name(&mut self, name: &str) -> Option<u32> {
-        Some(self.intern_name(name))
-    }
-
-    fn string(&mut self, s: &str) -> u32 {
-        self.intern_string(s)
-    }
 }
 
 /// A content descriptor translated into symbol space: attribute names and
@@ -140,12 +64,8 @@ impl Symbols for &mut SymbolTable {
 /// flattened into a sorted symbol slice, string bytes copied (prefix
 /// predicates still need them). Offsets are relative to the view's own
 /// arrays, so a view is copied into the matcher's page arena as it is.
-///
-/// A view is plain owned data; one lives inside each
-/// [`MatchScratch`](crate::MatchScratch) and is rebuilt (allocation-free
-/// after warm-up) by [`MatchScratch::symbolize`](crate::MatchScratch::symbolize).
 #[derive(Debug, Clone, Default)]
-pub struct SymView {
+pub(crate) struct SymView {
     attrs: Vec<SymAttr>,
     tag_syms: Vec<u32>,
     bytes: Vec<u8>,
@@ -161,15 +81,14 @@ pub(crate) struct SymAttr {
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum SymVal {
     Int(i64),
-    /// `sym` is [`NO_SYM`] for a string the lookup table lacks; the view's
-    /// `bytes[start..end]` serve prefix predicates.
+    /// The string's symbol; the view's `bytes[start..end]` serve prefix
+    /// predicates.
     Str {
         sym: u32,
         start: u32,
         end: u32,
     },
-    /// The view's `tag_syms[start..end]`, sorted; a tag the lookup table
-    /// lacks is a [`NO_SYM`] among them.
+    /// The view's `tag_syms[start..end]`, sorted.
     Tags {
         start: u32,
         end: u32,
@@ -186,16 +105,14 @@ pub(crate) struct View<'a> {
 }
 
 impl SymView {
-    /// Replaces the view with `content`, its strings symbolized by
-    /// `symbols`.
-    pub(crate) fn symbolize(&mut self, mut symbols: impl Symbols, content: &Content) {
+    /// Replaces the view with `content`, its names and strings interned
+    /// into `table`.
+    pub(crate) fn symbolize(&mut self, table: &mut SymbolTable, content: &Content) {
         self.attrs.clear();
         self.tag_syms.clear();
         self.bytes.clear();
         for (name, value) in content.iter() {
-            let Some(name) = symbols.name(name) else {
-                continue;
-            };
+            let name = table.intern_name(name);
             let val = match value {
                 Value::Int(i) => SymVal::Int(*i),
                 Value::Str(s) => {
@@ -203,14 +120,15 @@ impl SymView {
                     self.bytes.extend_from_slice(s.as_bytes());
                     let end = offset(self.bytes.len());
                     SymVal::Str {
-                        sym: symbols.string(s),
+                        sym: table.intern_string(s),
                         start,
                         end,
                     }
                 }
                 Value::Tags(tags) => {
                     let start = self.tag_syms.len();
-                    self.tag_syms.extend(tags.iter().map(|t| symbols.string(t)));
+                    self.tag_syms
+                        .extend(tags.iter().map(|t| table.intern_string(t)));
                     self.tag_syms[start..].sort_unstable();
                     SymVal::Tags {
                         start: offset(start),
@@ -223,6 +141,7 @@ impl SymView {
     }
 
     /// The view, borrowed.
+    #[cfg(test)]
     pub(crate) fn view(&self) -> View<'_> {
         View {
             attrs: &self.attrs,
@@ -290,8 +209,9 @@ impl PageViews {
                 // contents take turns at being the largest settles.
                 let held = old.map_or([0; 3], |slot| slot.room);
                 let room = [0, 1, 2].map(|part| need[part].max(held[part]));
+                // Past a slot's length; never read.
                 let filler = SymAttr {
-                    name: NO_SYM,
+                    name: u32::MAX,
                     val: SymVal::Int(0),
                 };
                 Slot {
@@ -355,16 +275,14 @@ mod tests {
 
     #[test]
     fn interning_is_idempotent_and_dense() {
-        let mut t = SymbolTable::new();
+        let mut t = SymbolTable::default();
         assert_eq!(t.intern_name("a"), 0);
         assert_eq!(t.intern_name("b"), 1);
         assert_eq!(t.intern_name("a"), 0);
-        assert_eq!(t.name_count(), 2);
         assert_eq!(t.intern_string("x"), 0);
         assert_eq!(t.intern_string("x"), 0);
-        assert_eq!(t.string_count(), 1);
-        assert_eq!(t.string_sym("x"), Some(0));
-        assert_eq!(t.string_sym("y"), None);
+        assert_eq!(t.intern_string("a"), 1, "names and strings apart");
+        assert_eq!((t.names.len(), t.strings.len()), (2, 2));
     }
 
     /// What a view holds, by attribute: `(name, int)`, `(name, sym,
@@ -390,31 +308,27 @@ mod tests {
     }
 
     #[test]
-    fn a_lookup_drops_unknown_names_and_marks_unknown_strings() {
-        let mut table = SymbolTable::new();
+    fn symbolizing_interns_every_name_and_string() {
+        let mut table = SymbolTable::default();
         let (cat, b) = (table.intern_name("cat"), table.intern_string("b"));
-        table.intern_name("tags");
         let content = Content::new()
             .with("cat", Value::str("zz"))
             .with("tags", Value::tags(["zz", "b"]))
             .with("unknown", Value::int(3));
         let mut view = SymView::default();
-        view.symbolize(&table, &content);
-        assert_eq!(view.attrs.len(), 2, "the unknown name is dropped");
-        assert_eq!(view.attrs[0].name, cat);
-        assert_eq!(view.tag_syms, [b, NO_SYM]);
-        assert_eq!(table.string_count(), 1, "a lookup interns nothing");
-        // Interning gives every name and string a symbol.
         view.symbolize(&mut table, &content);
+        assert_eq!(view.attrs[0].name, cat);
+        assert_eq!(view.tag_syms, [b, 1]);
         assert_eq!(
             read(&table, view.view()),
             ["cat=1:zz", "tags=[0, 1]", "unknown=3"]
         );
+        assert_eq!((table.names.len(), table.strings.len()), (3, 2));
     }
 
     #[test]
     fn a_page_reads_back_what_it_was_registered_with() {
-        let (mut table, mut pages) = (SymbolTable::new(), PageViews::default());
+        let (mut table, mut pages) = (SymbolTable::default(), PageViews::default());
         let page = |i: i64, cat: &str, tags: &[&str]| {
             Content::new()
                 .with("n", Value::int(i))
@@ -436,7 +350,7 @@ mod tests {
 
     #[test]
     fn re_registering_a_page_a_thousand_times_does_not_grow_the_arena() {
-        let (mut table, mut pages) = (SymbolTable::new(), PageViews::default());
+        let (mut table, mut pages) = (SymbolTable::default(), PageViews::default());
         let words = ["a", "bb", "ccc", "dddd"];
         // Most tags, most string bytes and most attributes come in turns,
         // so no content is the largest in every part.
@@ -457,7 +371,7 @@ mod tests {
         let mut expected = SymView::default();
         for i in 0..1_000 {
             pages.register(PageId::new(0), &mut table, &content(i));
-            expected.symbolize(&table, &content(i));
+            expected.symbolize(&mut table, &content(i));
             let page = pages.view(PageId::new(0)).unwrap();
             assert_eq!(read(&table, page), read(&table, expected.view()));
             assert_eq!(read(&table, pages.view(PageId::new(1)).unwrap()), neighbour);

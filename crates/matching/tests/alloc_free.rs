@@ -4,12 +4,11 @@
 //! freezes a heterogeneous population (equality, tag, range, wildcard
 //! subscriptions), warms one `MatchScratch` and output buffer past their
 //! one-time growth, then matches every content again and asserts the
-//! allocation counter did not move — the `matches_into` / `match_count` /
-//! `matched_servers_into` / `match_count_with` contract the publish
-//! fan-out and request loops rely on. The engine's
-//! kernel is measured the way a live broker runs it: with subscriptions
-//! added since the freeze on two proxies and frozen ones of every class
-//! retired.
+//! allocation counter did not move — the `matched_servers_into` /
+//! `match_count_with` contract the publish fan-out and request loops rely
+//! on. Two matchers are measured: one proxy frozen with no churn, and a
+//! fleet run the way a live broker runs it, with subscriptions added since
+//! the freeze on two proxies and frozen ones of every class retired.
 //!
 //! Everything lives in ONE `#[test]` so no harness bookkeeping runs — and
 //! allocates — inside the measurement window.
@@ -17,10 +16,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use pscd_matching::{
-    Content, EngineMatcher, FrozenIndex, MatchScratch, Predicate, Subscription, SubscriptionId,
-    SymbolTable, Value,
-};
+use pscd_matching::{Content, EngineMatcher, MatchScratch, Predicate, Subscription, Value};
 use pscd_types::{PageId, ServerId};
 
 struct CountingAlloc;
@@ -60,9 +56,10 @@ fn steady_state_matching_does_not_allocate() {
     let categories = ["sports", "politics", "tech", "music", "science"];
     let tags = ["tennis", "elections", "ai", "jazz", "space", "live"];
 
-    // A population exercising every bucket type: equality pairs, tag
-    // containment, range predicates (the scan path), wildcards.
-    let mut rows = Vec::new();
+    // One proxy whose population exercises every bucket type: equality
+    // pairs, tag containment, range predicates (the scan path), wildcards.
+    let mut single = EngineMatcher::new(1);
+    let mut population = Vec::new();
     for i in 0..2_000usize {
         let cat = categories[i % categories.len()];
         let tag = tags[i % tags.len()];
@@ -75,7 +72,8 @@ fn steady_state_matching_does_not_allocate() {
             2 => Subscription::new(vec![Predicate::ge("bytes", (i as i64 % 16) * 1_024)]),
             _ => Subscription::wildcard(),
         };
-        rows.push((SubscriptionId::new(i as u64), sub));
+        single.subscribe(ServerId::new(0), sub.clone()).unwrap();
+        population.push(sub);
     }
 
     // A fleet over the same kind of mix, every class at most proxies —
@@ -149,13 +147,12 @@ fn steady_state_matching_does_not_allocate() {
         })
         .collect();
     for (i, content) in contents.iter().enumerate() {
+        single.register_page(PageId::new(i as u32), content.clone());
         engine.register_page(PageId::new(i as u32), content.clone());
     }
 
-    // The frozen kernel: one proxy's standalone index and the engine's
-    // fleet-wide kernel.
-    let mut table = SymbolTable::new();
-    let frozen = FrozenIndex::freeze(&rows, &mut table);
+    // The frozen kernels: the one proxy's and the fleet's.
+    single.freeze();
     engine.freeze();
     // Churn the kernel absorbs: a single, a double, a triple and a
     // wildcard are retired, and a single and a conjunction join at proxy 2
@@ -180,18 +177,24 @@ fn steady_state_matching_does_not_allocate() {
 
     let mut scratch = MatchScratch::new();
     let mut fanout = Vec::new();
-    let mut frozen_out = Vec::new();
+    let at = ServerId::new(0);
 
     // Warm-up: every content once, so scratch arrays, the touched list,
     // and the output buffers reach their high-water marks.
     let mut warm_matches = 0usize;
-    for content in &contents {
-        frozen.matches_into(&table, content, &mut scratch, &mut frozen_out);
-        let brute = rows.iter().filter(|(_, sub)| sub.matches(content));
-        let brute: Vec<_> = brute.map(|&(id, _)| id).collect();
-        assert_eq!(frozen_out, brute, "frozen kernel and brute force disagree");
-        warm_matches += frozen_out.len();
-        warm_matches += frozen.match_count(&table, content, &mut scratch);
+    for (i, content) in contents.iter().enumerate() {
+        let page = PageId::new(i as u32);
+        let brute = population.iter().filter(|sub| sub.matches(content)).count() as u32;
+        single.matched_servers_into(page, &mut scratch, &mut fanout);
+        // A wildcard matches every page, so the row is never empty.
+        assert_eq!(
+            fanout,
+            [(at, brute)],
+            "frozen kernel and brute force disagree"
+        );
+        let count = single.match_count_with(page, at, &mut scratch);
+        assert_eq!(count, brute, "frozen kernel and brute force disagree");
+        warm_matches += 2 * count as usize;
     }
     // The fan-out's per-proxy count array and the fleet-wide bitsets grow
     // here, in warm-up, and never again.
@@ -217,15 +220,15 @@ fn steady_state_matching_does_not_allocate() {
     assert!(warm_matches > 0, "warm-up matched nothing — bad fixture");
 
     // Measurement window: the same calls must not touch the allocator —
-    // the frozen kernel, and the frozen engine's fan-out and request
-    // paths.
+    // both frozen matchers' fan-out and request paths.
     let before = allocations();
     let mut steady_matches = 0usize;
     for _ in 0..4 {
-        for content in &contents {
-            frozen.matches_into(&table, content, &mut scratch, &mut frozen_out);
-            steady_matches += frozen_out.len();
-            steady_matches += frozen.match_count(&table, content, &mut scratch);
+        for i in 0..contents.len() {
+            let page = PageId::new(i as u32);
+            single.matched_servers_into(page, &mut scratch, &mut fanout);
+            steady_matches += fanout.iter().map(|&(_, n)| n as usize).sum::<usize>();
+            steady_matches += single.match_count_with(page, at, &mut scratch) as usize;
         }
         for i in 0..contents.len() {
             let page = PageId::new(i as u32);

@@ -1,17 +1,16 @@
-//! Differential proof for the frozen match kernel: [`FrozenIndex`] vs.
-//! brute-force predicate evaluation must be bit-identical — same match-id
-//! sets, same counts — over rotating subscription shapes, content shapes,
-//! insert/remove churn, and the wildcard/empty edge cases.
-//! [`FrozenIndex::freeze`] is the one-proxy case of the fleet-wide
-//! kernel; the fleet property drives the same code through
-//! [`EngineMatcher`] with one to five proxies. The end-to-end `SimResult` half of the differential (all
-//! 12 strategies) lives in `crates/sim/tests/frozen_differential.rs`.
+//! Differential proof for [`EngineMatcher`]: its frozen kernel and its
+//! brute-force evaluation must equal `Subscription::matches` — the same
+//! counts, the same fan-out rows — over rotating subscription shapes,
+//! content shapes, insert/remove churn, and the wildcard/empty edge
+//! cases, on one proxy and on fleets of one to five. The kernel's
+//! id-level checks are its unit tests (`frozen::tests`). The end-to-end
+//! `SimResult` half of the differential (all 12 strategies) lives in
+//! `crates/sim/tests/frozen_differential.rs`.
 
 use proptest::prelude::*;
 
 use pscd_matching::{
-    Content, EngineMatcher, FrozenIndex, MatchScratch, Matcher, Op, Predicate, Subscription,
-    SubscriptionId, SymbolTable, Value,
+    Content, EngineMatcher, MatchScratch, Op, Predicate, Subscription, SubscriptionId, Value,
 };
 use pscd_types::{PageId, ServerId};
 
@@ -164,31 +163,74 @@ fn numbered(subs: Vec<Subscription>) -> Rows {
     (0..).map(SubscriptionId::new).zip(subs).collect()
 }
 
-/// The ids of `rows` matching `content`, ascending: the oracle.
-fn brute_force(rows: &[(SubscriptionId, Subscription)], content: &Content) -> Vec<SubscriptionId> {
-    let mut ids: Vec<_> = rows
-        .iter()
-        .filter(|(_, s)| s.matches(content))
-        .map(|&(id, _)| id)
-        .collect();
-    ids.sort_unstable();
-    ids
+/// How many of `rows` match `content`: the oracle.
+fn brute_force(rows: &[(SubscriptionId, Subscription)], content: &Content) -> u32 {
+    rows.iter().filter(|(_, s)| s.matches(content)).count() as u32
 }
 
-/// Freezes `rows` and checks the kernel against brute force on every
-/// content — ids and counts both.
+/// A one-proxy matcher holding `rows`, ids and all — an id `rows` skips
+/// is subscribed and removed again — with `contents` registered as pages
+/// `0..`, before the subscriptions or after them.
+fn one_proxy(
+    rows: &[(SubscriptionId, Subscription)],
+    contents: &[Content],
+    pages_first: bool,
+) -> EngineMatcher {
+    let (mut matcher, at) = (EngineMatcher::new(1), ServerId::new(0));
+    let register = |matcher: &mut EngineMatcher| {
+        for (i, content) in contents.iter().enumerate() {
+            matcher.register_page(PageId::new(i as u32), content.clone());
+        }
+    };
+    if pages_first {
+        register(&mut matcher);
+    }
+    for (id, sub) in rows {
+        loop {
+            let next = matcher.subscribe(at, sub.clone()).unwrap();
+            if next == *id {
+                break;
+            }
+            matcher.unsubscribe(at, next).unwrap();
+        }
+    }
+    if !pages_first {
+        register(&mut matcher);
+    }
+    let ids: Vec<_> = matcher.subscription_ids(at).unwrap().collect();
+    assert_eq!(ids, rows.iter().map(|row| row.0).collect::<Vec<_>>());
+    matcher
+}
+
+/// Checks one-proxy matchers holding `rows` against brute force on every
+/// content — the count and the fan-out row, thawed and frozen — with the
+/// pages registered before the subscriptions (a predicate then finds the
+/// symbols a page interned) and after them.
 fn assert_differential(rows: &[(SubscriptionId, Subscription)], contents: &[Content]) {
-    let mut table = SymbolTable::new();
-    let frozen = FrozenIndex::freeze(rows, &mut table);
-    assert_eq!(frozen.len(), rows.len());
+    let at = ServerId::new(0);
     let mut scratch = MatchScratch::new();
-    let mut frozen_ids = Vec::new();
-    for content in contents {
-        let brute = brute_force(rows, content);
-        frozen.matches_into(&table, content, &mut scratch, &mut frozen_ids);
-        assert_eq!(&frozen_ids, &brute, "frozen vs brute force");
-        let n = frozen.match_count(&table, content, &mut scratch);
-        assert_eq!(n, brute.len(), "frozen count vs brute force");
+    let mut fanout = Vec::new();
+    for pages_first in [true, false] {
+        let mut matcher = one_proxy(rows, contents, pages_first);
+        for frozen in [false, true] {
+            if frozen {
+                matcher.freeze();
+            }
+            for (i, content) in contents.iter().enumerate() {
+                let (page, n) = (PageId::new(i as u32), brute_force(rows, content));
+                let count = matcher.match_count_with(page, at, &mut scratch);
+                assert_eq!(
+                    count, n,
+                    "page {i}, pages first {pages_first}, frozen {frozen}"
+                );
+                matcher.matched_servers_into(page, &mut scratch, &mut fanout);
+                let row: Vec<_> = (n > 0).then_some((at, n)).into_iter().collect();
+                assert_eq!(
+                    fanout, row,
+                    "page {i}, pages first {pages_first}, frozen {frozen}"
+                );
+            }
+        }
     }
 }
 
@@ -232,7 +274,6 @@ fn assert_fleet(matcher: &EngineMatcher, mirror: &Mirror, contents: &[Content]) 
             .filter(|&(_, n)| n > 0)
             .collect();
         assert_eq!(rows, expected, "fan-out rows of page {i}");
-        assert_eq!(matcher.matched_servers(page), expected);
         for (server, &n) in (0..servers).map(ServerId::new).zip(&brute) {
             assert_eq!(
                 matcher.match_count_with(page, server, &mut scratch),
@@ -550,8 +591,8 @@ proptest! {
         assert_differential(&rows, &contents);
     }
 
-    /// One scratch reused across many (index, content) pairs never leaks
-    /// state between matches (epoch discipline under rotation).
+    /// One scratch reused across two frozen matchers, page by page, never
+    /// leaks state between matches (epoch discipline under rotation).
     #[test]
     fn scratch_rotation_is_stateless(
         subs_a in proptest::collection::vec(subscription_strategy(), 0..12),
@@ -559,18 +600,17 @@ proptest! {
         contents in proptest::collection::vec(content_strategy(), 1..6),
     ) {
         let (ra, rb) = (numbered(subs_a), numbered(subs_b));
-        let mut table = SymbolTable::new();
-        let fa = FrozenIndex::freeze(&ra, &mut table);
-        let fb = FrozenIndex::freeze(&rb, &mut table);
+        let (mut ma, mut mb) = (one_proxy(&ra, &contents, false), one_proxy(&rb, &contents, false));
+        ma.freeze();
+        mb.freeze();
+        let at = ServerId::new(0);
         let mut scratch = MatchScratch::new();
-        let mut out = Vec::new();
-        for content in &contents {
-            // Shared table: symbolize once, match both indexes.
-            scratch.symbolize(&table, content);
-            fa.matches_view_into(&mut scratch, &mut out);
-            prop_assert_eq!(&out, &brute_force(&ra, content));
-            fb.matches_view_into(&mut scratch, &mut out);
-            prop_assert_eq!(&out, &brute_force(&rb, content));
+        for (i, content) in contents.iter().enumerate() {
+            let page = PageId::new(i as u32);
+            for (matcher, rows) in [(&ma, &ra), (&mb, &rb)] {
+                let count = matcher.match_count_with(page, at, &mut scratch);
+                prop_assert_eq!(count, brute_force(rows, content));
+            }
         }
     }
 }

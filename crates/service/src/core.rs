@@ -2,16 +2,16 @@
 //! crash recovery.
 //!
 //! [`ServiceCore`] owns everything strategy-independent — the live
-//! subscription rows, version lineage, the write-ahead journal and the
+//! subscription counts, version lineage, the write-ahead journal and the
 //! snapshot cadence — and resolves each batch into the simulator's own
 //! window buffer ([`OwnedWindow`]), which every shard of the proxy fleet
 //! drains through the simulator's replay step. Events are **resolved at
-//! ingest**: a publish's fan-out is copied out of the subscription rows
+//! ingest**: a publish's fan-out is copied out of the subscription counts
 //! the moment it arrives, so a later subscribe in the same batch can
 //! never retroactively change it. That is what makes the service
 //! bit-identical to the batch replay, which performs the same resolution
-//! in [`CompiledTrace::compile`] — and the resolution state machines
-//! themselves live in [`pscd_sim::resolve`], shared verbatim by both
+//! in [`CompiledTrace::compile`] — over the same [`SubscriptionTable`],
+//! with the lineage of [`pscd_sim::resolve`], shared verbatim by both
 //! paths.
 //!
 //! [`CompiledTrace::compile`]: pscd_sim::CompiledTrace::compile
@@ -21,10 +21,10 @@ use std::sync::Arc;
 
 use pscd_matching::{EngineMatcher, MatchScratch, Subscription, SubscriptionId};
 use pscd_pool::effective_threads;
-use pscd_sim::resolve::{SubscriptionRows, VersionHeads};
+use pscd_sim::resolve::VersionHeads;
 use pscd_sim::{OwnedWindow, ShardPlan, SimResult};
 use pscd_topology::FetchCosts;
-use pscd_types::{LiveEvent, ServerId};
+use pscd_types::{LiveEvent, ServerId, SubscriptionTable};
 
 use crate::config::{ServiceConfig, ServiceError};
 use crate::journal::Journal;
@@ -55,8 +55,9 @@ pub struct ServiceOutcome {
 #[derive(Debug)]
 pub struct ServiceCore {
     config: ServiceConfig,
-    /// Live subscription rows (shared resolution state machine).
-    rows: SubscriptionRows,
+    /// Live subscription counts, one row per page, kept current by
+    /// [`SubscriptionTable::set`].
+    counts: SubscriptionTable,
     /// Invalidation lineage: latest published version per origin page.
     heads: VersionHeads,
     /// Shard 0 of the fleet, stepped on the ingesting thread: the whole
@@ -130,7 +131,7 @@ impl ServiceCore {
         };
         // The snapshot covers the journal's first `events_applied`
         // records: they are walked, not decoded.
-        let events = Journal::read_from(&journal_path, state.events_applied)?;
+        let (events, end) = Journal::read_from(&journal_path, state.events_applied)?;
         let mut core = Self::start(config, &costs, state, None)?;
         // Replay the journal suffix without re-journaling and without
         // taking cadence snapshots (the journal already covers it).
@@ -142,7 +143,7 @@ impl ServiceCore {
             }
         }
         core.flush()?;
-        core.journal = Some(Journal::open_append(&journal_path)?);
+        core.journal = Some(Journal::open_append(&journal_path, end)?);
         Ok(core)
     }
 
@@ -181,7 +182,7 @@ impl ServiceCore {
         // ingest path allocation-free in steady state.
         let pairs = config.batch_size * servers as usize;
         Ok(Self {
-            rows: state.rows,
+            counts: state.counts,
             heads: state.heads,
             shard,
             workers,
@@ -387,8 +388,8 @@ impl ServiceCore {
             } => {
                 // Subscribes take effect instantly and are never
                 // dispatched: every publish resolved before this point
-                // already copied its fan-out out of the rows.
-                self.rows.set(page, server, count);
+                // already copied its fan-out out of the counts.
+                self.counts.set(page, server, count);
             }
             LiveEvent::Publish { time, page } => {
                 let meta = &self.config.pages[page.as_usize()];
@@ -403,7 +404,7 @@ impl ServiceCore {
                         self.kept.keep(page, &self.fanout_buf, self.events_applied);
                         &self.fanout_buf[..]
                     }
-                    None => self.rows.row(page),
+                    None => self.counts.matched_servers(page),
                 };
                 self.batch.push_publish(time, page, supersedes, fanout);
             }
@@ -417,7 +418,7 @@ impl ServiceCore {
                             m.match_count_with(page, server, &mut self.match_scratch)
                         })
                     }
-                    None => self.rows.subs(page, server),
+                    None => self.counts.count(page, server),
                 };
                 self.batch.push_request(time, server, page, subs);
             }
@@ -474,7 +475,7 @@ impl ServiceCore {
         // what precedes them in the file.
         self.send_all(|| ToWorker::Snapshot)?;
         let out = &mut self.snapshot_buf;
-        put_snapshot_head(out, self.events_applied, &self.rows, &self.heads);
+        put_snapshot_head(out, self.events_applied, &self.counts, &self.heads);
         let snaps = self.workers.iter_mut().map(Worker::snapshot);
         let snaps = snaps.collect::<Result<Vec<_>, _>>()?;
         put_snapshot_fleet(out, self.config.server_count(), &self.shard, &snaps);

@@ -4,8 +4,9 @@
 //! are applied, in one `write_all` from a reused scratch buffer. The
 //! crash model is process death (no fsync): a killed service loses at
 //! most the tail record of an in-flight write, which recovery detects as
-//! a truncated record and discards. Everything the journal holds before
-//! that point replays deterministically.
+//! a truncated record, discards and cuts off before the journal grows
+//! again. Everything the journal holds before that point replays
+//! deterministically.
 
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -36,10 +37,13 @@ impl Journal {
         })
     }
 
-    /// Opens an existing journal for appending (the header must already
-    /// be present — use after [`Journal::read_from`] during recovery).
-    pub(crate) fn open_append(path: &Path) -> Result<Self, ServiceError> {
+    /// Opens an existing journal for appending behind its first `end`
+    /// bytes — the header and the whole records [`Journal::read_from`]
+    /// found — cutting off a torn tail record, so that the next record
+    /// follows the last whole one.
+    pub(crate) fn open_append(path: &Path, end: u64) -> Result<Self, ServiceError> {
         let file = OpenOptions::new().append(true).open(path)?;
+        file.set_len(end)?;
         Ok(Self {
             file,
             scratch: Vec::new(),
@@ -60,20 +64,21 @@ impl Journal {
     /// `skip` records — the ones a snapshot already covers — are stepped
     /// over by length, tag and wholeness checked, and only the rest are
     /// materialized. A truncated final record (a write cut short by a
-    /// crash) is silently dropped; anything else malformed is an error. A
-    /// file that does not exist holds no records.
+    /// crash) is dropped; anything else malformed is an error. A file that
+    /// does not exist holds no records. Returns the records and where the
+    /// last whole one ends: what [`Journal::open_append`] keeps.
     ///
     /// # Errors
     ///
     /// [`ServiceError::CorruptFile`] for a bad header or fewer than
     /// `skip` whole records; a snapshot error for an unknown record tag.
-    pub(crate) fn read_from(path: &Path, skip: u64) -> Result<Vec<LiveEvent>, ServiceError> {
+    pub(crate) fn read_from(path: &Path, skip: u64) -> Result<(Vec<LiveEvent>, u64), ServiceError> {
         let short = ServiceError::CorruptFile("journal shorter than snapshot");
         let buf = match std::fs::read(path) {
             Ok(buf) => buf,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
                 return if skip == 0 {
-                    Ok(Vec::new())
+                    Ok((Vec::new(), 0))
                 } else {
                     Err(short)
                 };
@@ -92,16 +97,20 @@ impl Journal {
             }
         }
         let mut events = Vec::new();
+        let mut end = r.position();
         while !r.is_empty() {
             match read_event(&mut r) {
-                Ok(ev) => events.push(ev),
+                Ok(ev) => {
+                    events.push(ev);
+                    end = r.position();
+                }
                 // A crash mid-write leaves a partial tail record; state
                 // was never applied past it, so dropping it is correct.
                 Err(SnapshotError::Truncated { .. }) => break,
                 Err(e) => return Err(e.into()),
             }
         }
-        Ok(events)
+        Ok((events, (JOURNAL_MAGIC.len() + end) as u64))
     }
 }
 
@@ -144,13 +153,15 @@ mod tests {
             j.append(&evs[..2]).unwrap();
             j.append(&evs[2..]).unwrap();
         }
-        assert_eq!(Journal::read_from(&path, 0).unwrap(), evs);
+        let (read, end) = Journal::read_from(&path, 0).unwrap();
+        assert_eq!(read, evs);
+        assert_eq!(end, std::fs::metadata(&path).unwrap().len());
         // Reopen in append mode and extend.
         {
-            let mut j = Journal::open_append(&path).unwrap();
+            let mut j = Journal::open_append(&path, end).unwrap();
             j.append(&evs[..1]).unwrap();
         }
-        let all = Journal::read_from(&path, 0).unwrap();
+        let (all, _) = Journal::read_from(&path, 0).unwrap();
         assert_eq!(all.len(), 4);
         assert_eq!(all[3], evs[0]);
         std::fs::remove_file(&path).ok();
@@ -159,11 +170,11 @@ mod tests {
     #[test]
     fn missing_file_reads_empty() {
         let path = tmp("missing").with_file_name("nope.bin");
-        assert!(Journal::read_from(&path, 0).unwrap().is_empty());
+        assert!(Journal::read_from(&path, 0).unwrap().0.is_empty());
     }
 
     #[test]
-    fn truncated_tail_record_is_dropped() {
+    fn truncated_tail_record_is_dropped_and_cut_before_an_append() {
         let path = tmp("truncated");
         {
             let mut j = Journal::create(&path).unwrap();
@@ -171,8 +182,19 @@ mod tests {
         }
         let full = std::fs::read(&path).unwrap();
         std::fs::write(&path, &full[..full.len() - 3]).unwrap();
-        let evs = Journal::read_from(&path, 0).unwrap();
+        let (evs, end) = Journal::read_from(&path, 0).unwrap();
         assert_eq!(evs, events()[..2]);
+        // The header, an 11-byte subscribe and a 13-byte publish.
+        assert_eq!(end, 8 + 11 + 13);
+        // The torn bytes go before the record that replaces them.
+        Journal::open_append(&path, end)
+            .unwrap()
+            .append(&events()[2..])
+            .unwrap();
+        assert_eq!(
+            Journal::read_from(&path, 0).unwrap(),
+            (events(), full.len() as u64)
+        );
         std::fs::remove_file(&path).ok();
     }
 
@@ -185,10 +207,10 @@ mod tests {
             j.append(&evs).unwrap();
         }
         for skip in 0..=evs.len() {
-            let rest = Journal::read_from(&path, skip as u64).unwrap();
+            let (rest, _) = Journal::read_from(&path, skip as u64).unwrap();
             assert_eq!(rest, evs[skip..], "skip {skip}");
         }
-        let short = |r: Result<Vec<LiveEvent>, ServiceError>| {
+        let short = |r: Result<(Vec<LiveEvent>, u64), ServiceError>| {
             matches!(
                 r,
                 Err(ServiceError::CorruptFile("journal shorter than snapshot"))
@@ -204,7 +226,7 @@ mod tests {
         let full = std::fs::read(&path).unwrap();
         std::fs::write(&path, &full[..full.len() - 3]).unwrap();
         assert!(short(Journal::read_from(&path, 3)));
-        assert_eq!(Journal::read_from(&path, 2).unwrap(), []);
+        assert_eq!(Journal::read_from(&path, 2).unwrap().0, []);
         // An unknown tag inside the prefix is refused, not stepped over:
         // the second record starts behind the header and an 11-byte
         // subscribe.

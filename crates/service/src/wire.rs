@@ -6,7 +6,8 @@
 //! tests depend on.
 //!
 //! A snapshot file (`PSCDSNP1`) is the journal offset it covers, the
-//! subscription rows, the version heads, the fleet's merged hourly series,
+//! subscription counts page by page (each row's servers ascending, no
+//! count zero), the version heads, the fleet's merged hourly series,
 //! the fleet size, then per server in order its accounting and its
 //! strategy's blob behind the blob's length.
 
@@ -17,9 +18,11 @@ use pscd_broker::Traffic;
 use pscd_cache::snapshot::{put_u16, put_u32, put_u64, put_u8};
 use pscd_cache::{SnapshotError, SnapshotReader};
 use pscd_obs::Observer;
-use pscd_sim::resolve::{SubscriptionRows, VersionHeads};
+use pscd_sim::resolve::VersionHeads;
 use pscd_sim::{HourlySeries, ReplayState};
-use pscd_types::{Bytes, LiveEvent, PageId, ServerId, SimTime};
+use pscd_types::{
+    Bytes, LiveEvent, PageId, ServerId, SimTime, SubscriptionTable, SubscriptionTableBuilder,
+};
 
 use crate::config::{ServiceConfig, ServiceError};
 
@@ -105,14 +108,15 @@ pub(crate) fn skip_event(r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError
 pub(crate) fn put_snapshot_head(
     out: &mut Vec<u8>,
     events_applied: u64,
-    rows: &SubscriptionRows,
+    counts: &SubscriptionTable,
     heads: &VersionHeads,
 ) {
     out.clear();
     out.extend_from_slice(SNAPSHOT_MAGIC);
     put_u64(out, events_applied);
     put_u32(out, heads.page_count() as u32);
-    for row in rows.rows() {
+    for page in (0..counts.page_count() as u32).map(PageId::new) {
+        let row = counts.matched_servers(page);
         put_u32(out, row.len() as u32);
         for &(server, count) in row {
             put_u16(out, server.index());
@@ -276,7 +280,7 @@ pub(crate) fn restore_servers<O: Observer>(
 /// What a service starts from: a decoded snapshot file, or nothing yet.
 pub(crate) struct SnapshotState {
     pub(crate) events_applied: u64,
-    pub(crate) rows: SubscriptionRows,
+    pub(crate) counts: SubscriptionTable,
     pub(crate) heads: VersionHeads,
     pub(crate) restore: Option<FleetRestore>,
 }
@@ -286,7 +290,7 @@ impl SnapshotState {
     pub(crate) fn fresh(pages: usize) -> Self {
         Self {
             events_applied: 0,
-            rows: SubscriptionRows::new(pages),
+            counts: SubscriptionTable::empty(pages),
             heads: VersionHeads::new(pages),
             restore: None,
         }
@@ -319,24 +323,28 @@ pub(crate) fn decode_snapshot_file(
         return Err(ServiceError::CorruptFile("snapshot page universe"));
     }
     // Bound what the file says before allocating for it: a row lists each
-    // proxy at most once, in ascending order.
+    // proxy at most once, in ascending order, and never a zero count
+    // (which would offer a publish to a proxy with no subscription).
     let fleet = config.server_count();
-    let mut rows = Vec::with_capacity(page_count);
-    for _ in 0..page_count {
+    let mut counts = SubscriptionTableBuilder::new(page_count);
+    for page in (0..page_count as u32).map(PageId::new) {
         let len = r.read_u32()? as usize;
         if len > fleet as usize {
             return Err(ServiceError::CorruptFile("snapshot row length"));
         }
-        let mut row: Vec<(ServerId, u32)> = Vec::with_capacity(len);
+        let mut last = None;
         for _ in 0..len {
             let server = r.read_u16()?;
-            let ascending = row.last().is_none_or(|&(last, _)| last.index() < server);
-            if !ascending || server >= fleet {
+            if last.is_some_and(|last| last >= server) || server >= fleet {
                 return Err(ServiceError::CorruptFile("snapshot row servers"));
             }
-            row.push((ServerId::new(server), r.read_u32()?));
+            last = Some(server);
+            let count = r.read_u32()?;
+            if count == 0 {
+                return Err(ServiceError::CorruptFile("snapshot row count"));
+            }
+            counts.add(page, ServerId::new(server), count);
         }
-        rows.push(row);
     }
     let mut heads = Vec::with_capacity(page_count);
     for _ in 0..page_count {
@@ -359,7 +367,7 @@ pub(crate) fn decode_snapshot_file(
     }
     Ok(SnapshotState {
         events_applied,
-        rows: SubscriptionRows::from_rows(rows),
+        counts: counts.build(),
         heads: VersionHeads::from_heads(heads),
         restore: Some(FleetRestore {
             servers,
@@ -515,9 +523,11 @@ mod tests {
     }
 
     /// Offsets in [`persisted_snapshot`]'s file: page 0's row length, its
-    /// two server ids, the first version head and the hour count.
+    /// two server ids and their counts, the first version head and the
+    /// hour count.
     const ROW_0: usize = SNAPSHOT_MAGIC.len() + 8 + 4;
     const ROW_0_SERVERS: [usize; 2] = [ROW_0 + 4, ROW_0 + 10];
+    const ROW_0_COUNTS: [usize; 2] = [ROW_0 + 6, ROW_0 + 12];
     const HEAD_0: usize = ROW_0 + 16 + 2 * 4;
     const HOURS: usize = HEAD_0 + 3 * 4;
 
@@ -566,6 +576,20 @@ mod tests {
             let at = ROW_0_SERVERS[at];
             let recovered = recover_patched(&config, &file, at, &server.to_le_bytes());
             assert_corrupt(recovered, "snapshot row servers");
+        }
+    }
+
+    /// Regression: a zero count recovered `Ok`, and a publish then offered
+    /// the page to a proxy with no subscription.
+    #[test]
+    fn snapshot_row_count_of_zero_is_corrupt() {
+        let (config, file) = persisted_snapshot("row-count");
+        let at = ROW_0_COUNTS[0];
+        assert!(recover_patched(&config, &file, at, &5u32.to_le_bytes()).is_ok());
+        for at in ROW_0_COUNTS {
+            let (config, file) = persisted_snapshot("row-count");
+            let recovered = recover_patched(&config, &file, at, &0u32.to_le_bytes());
+            assert_corrupt(recovered, "snapshot row count");
         }
     }
 

@@ -671,6 +671,38 @@ fn recover_with_a_snapshot_equals_recover_without_one() {
     }
 }
 
+/// Regression: recovery dropped a torn final record, but the records
+/// appended after it followed the torn bytes, and the next recovery
+/// misread them. A crash cuts the last record short, recovery drops it,
+/// the rest of the stream (that record again included) is ingested, a
+/// second crash and a second recovery follow: the run must end where the
+/// batch replay does.
+#[test]
+fn a_torn_tail_is_cut_before_the_journal_grows() {
+    let f = fixture();
+    let kind = StrategyKind::Sg2 { beta: 2.0 };
+    let k = f.events.len() / 2;
+    let dir = temp_service_dir("torn-tail");
+    let config = service_config(kind, false).with_persistence(dir.clone(), 0);
+    let mut core = ServiceCore::new(config.clone()).unwrap();
+    core.ingest_all(&f.events[..k]).unwrap();
+    drop(core);
+    let journal = dir.join("journal.bin");
+    let len = std::fs::metadata(&journal).unwrap().len();
+    let torn = std::fs::OpenOptions::new().write(true).open(&journal);
+    torn.unwrap().set_len(len - 3).unwrap();
+
+    let mut recovered = ServiceCore::recover(config.clone()).unwrap();
+    assert_eq!(recovered.events_applied(), k as u64 - 1);
+    recovered.ingest_all(&f.events[k - 1..]).unwrap();
+    drop(recovered);
+    let recovered = ServiceCore::recover(config).unwrap();
+    assert_eq!(recovered.events_applied(), f.events.len() as u64);
+    let outcome = recovered.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    assert_equivalent(kind, &outcome, false, "recovered across a torn tail");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 

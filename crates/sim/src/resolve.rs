@@ -8,8 +8,11 @@
 //! time. Batch compilation ([`CompiledTrace`](crate::CompiledTrace)),
 //! the streaming source ([`StreamingTrace`](crate::StreamingTrace)) and
 //! the live service (`pscd-service`) all perform exactly this resolution
-//! — the service's differential suite proves they end bit-identical — so
-//! the state machines live here, once, and every resolver calls them.
+//! — the service's differential suite proves they end bit-identical. A
+//! fan-out and a count come from one of the two ways to answer `f_S(p)`:
+//! a [`SubscriptionTable`] (the live service keeps one current with
+//! [`SubscriptionTable::set`]) or an [`EngineMatcher`]. The lineage's
+//! state machine, [`VersionHeads`], lives here, once.
 
 use pscd_matching::{EngineMatcher, MatchScratch};
 use pscd_types::{PageId, PageMeta, ServerId, SubscriptionTable};
@@ -108,88 +111,6 @@ impl VersionHeads {
     }
 }
 
-/// Live per-(page, server) subscription counts: page-major rows, each
-/// sorted by server id — the mutable twin of
-/// [`SubscriptionTable`].
-///
-/// A publish freezes its fan-out by copying the page's current row; a
-/// request reads its subscription count from the row as of request time.
-/// Both are order-sensitive against subscribes, which is why every
-/// resolver must share this one implementation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SubscriptionRows {
-    rows: Vec<Vec<(ServerId, u32)>>,
-}
-
-impl SubscriptionRows {
-    /// Empty rows over a `page_count`-page universe.
-    pub fn new(page_count: usize) -> Self {
-        Self {
-            rows: vec![Vec::new(); page_count],
-        }
-    }
-
-    /// Rebuilds carried rows (service snapshot recovery).
-    pub fn from_rows(rows: Vec<Vec<(ServerId, u32)>>) -> Self {
-        Self { rows }
-    }
-
-    /// Applies a subscribe: sets `(page, server)` to `count`, inserting,
-    /// updating or (at `count == 0`) removing the pair while keeping the
-    /// row sorted by server.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `page` is outside the page universe.
-    #[inline]
-    pub fn set(&mut self, page: PageId, server: ServerId, count: u32) {
-        let row = &mut self.rows[page.as_usize()];
-        match row.binary_search_by_key(&server, |&(s, _)| s) {
-            Ok(i) if count == 0 => {
-                row.remove(i);
-            }
-            Ok(i) => row[i].1 = count,
-            Err(_) if count == 0 => {}
-            Err(i) => row.insert(i, (server, count)),
-        }
-    }
-
-    /// The current `(server, count)` row of `page`, sorted by server —
-    /// what a publish freezes into its fan-out.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `page` is outside the page universe.
-    #[inline]
-    pub fn row(&self, page: PageId) -> &[(ServerId, u32)] {
-        &self.rows[page.as_usize()]
-    }
-
-    /// The subscription count of `(page, server)` right now — what a
-    /// request resolves against.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `page` is outside the page universe.
-    #[inline]
-    pub fn subs(&self, page: PageId, server: ServerId) -> u32 {
-        let row = &self.rows[page.as_usize()];
-        row.binary_search_by_key(&server, |&(s, _)| s)
-            .map(|i| row[i].1)
-            .unwrap_or(0)
-    }
-
-    /// All rows, page-major (snapshot encoding).
-    pub fn rows(&self) -> &[Vec<(ServerId, u32)>] {
-        &self.rows
-    }
-
-    /// Size of the page universe the rows cover.
-    pub fn page_count(&self) -> usize {
-        self.rows.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,37 +164,5 @@ mod tests {
         // Round-trips through raw heads.
         let rebuilt = VersionHeads::from_heads(heads.heads().to_vec());
         assert_eq!(rebuilt, heads);
-    }
-
-    #[test]
-    fn subscription_rows_insert_update_remove_keep_order() {
-        let mut rows = SubscriptionRows::new(2);
-        let page = PageId::new(1);
-        rows.set(page, ServerId::new(5), 3);
-        rows.set(page, ServerId::new(1), 7);
-        rows.set(page, ServerId::new(9), 2);
-        assert_eq!(
-            rows.row(page),
-            &[
-                (ServerId::new(1), 7),
-                (ServerId::new(5), 3),
-                (ServerId::new(9), 2)
-            ]
-        );
-        // Update in place.
-        rows.set(page, ServerId::new(5), 4);
-        assert_eq!(rows.subs(page, ServerId::new(5)), 4);
-        // Zero removes; zero on an absent pair is a no-op.
-        rows.set(page, ServerId::new(1), 0);
-        rows.set(page, ServerId::new(3), 0);
-        assert_eq!(
-            rows.row(page),
-            &[(ServerId::new(5), 4), (ServerId::new(9), 2)]
-        );
-        assert_eq!(rows.subs(page, ServerId::new(1)), 0);
-        assert!(rows.row(PageId::new(0)).is_empty());
-        // Round-trips through raw rows.
-        let rebuilt = SubscriptionRows::from_rows(rows.rows().to_vec());
-        assert_eq!(rebuilt, rows);
     }
 }

@@ -15,11 +15,10 @@
 use proptest::prelude::*;
 
 use pscd_core::StrategyKind;
-use pscd_matching::{
-    FrozenIndex, MatchScratch, Predicate, Subscription, SubscriptionId, SymbolTable, Value,
-};
+use pscd_matching::{EngineMatcher, MatchScratch, Predicate, Subscription, Value};
 use pscd_sim::{simulate_compiled, CompiledTrace, SimOptions, SimResult};
 use pscd_topology::{FetchCosts, TopologyBuilder};
+use pscd_types::ServerId;
 use pscd_workload::{ContentModel, Workload, WorkloadConfig};
 
 /// The two exhibit workloads at test scale, plus a reseeded variant of
@@ -109,53 +108,59 @@ fn end_to_end_cold_path_yields_identical_sim_results() {
 
 /// A deliberately heterogeneous proxy: equality, tag-containment, range
 /// (scan path), and wildcard subscriptions, with enough of each that
-/// every bucket type participates; the ids of the unsubscribed ones are
-/// gaps, as a matcher leaves them.
-fn heterogeneous_rows() -> Vec<(SubscriptionId, Subscription)> {
+/// every bucket type participates; a third of the conjunctions are
+/// unsubscribed again, leaving gaps in the ids. Returns the matcher and
+/// its live subscriptions.
+fn heterogeneous_proxy() -> (EngineMatcher, Vec<Subscription>) {
     let categories = ["sports", "politics", "tech", "music"];
     let tags = ["tennis", "elections", "ai", "jazz", "live"];
-    let mut subs = Vec::new();
+    let (mut matcher, at) = (EngineMatcher::new(1), ServerId::new(0));
+    let mut live = Vec::new();
     for (i, &cat) in categories.iter().enumerate() {
         for (j, &tag) in tags.iter().enumerate() {
             let sub = Subscription::new(vec![
                 Predicate::eq("category", Value::str(cat)),
                 Predicate::contains("tags", tag),
             ]);
-            subs.push(((i + j) % 3 != 0).then_some(sub));
+            let id = matcher.subscribe(at, sub.clone()).unwrap();
+            if (i + j) % 3 == 0 {
+                matcher.unsubscribe(at, id).unwrap();
+            } else {
+                live.push(sub);
+            }
         }
-        subs.push(Some(Subscription::new(vec![Predicate::ge("bytes", 2_048)])));
+        live.push(Subscription::new(vec![Predicate::ge("bytes", 2_048)]));
+        matcher.subscribe(at, live[live.len() - 1].clone()).unwrap();
     }
-    subs.push(Some(Subscription::wildcard()));
-    let ids = (0..).map(SubscriptionId::new);
-    ids.zip(subs)
-        .filter_map(|(id, sub)| Some((id, sub?)))
-        .collect()
+    live.push(Subscription::wildcard());
+    matcher.subscribe(at, Subscription::wildcard()).unwrap();
+    (matcher, live)
 }
 
 #[test]
 fn frozen_match_kernel_agrees_with_brute_force() {
-    let rows = heterogeneous_rows();
-    let mut table = SymbolTable::new();
-    let frozen = FrozenIndex::freeze(&rows, &mut table);
+    let (mut matcher, live) = heterogeneous_proxy();
     let w = Workload::generate(&WorkloadConfig::news_scaled(0.004)).unwrap();
     let model = ContentModel::new(w.config().seed);
+    let pages = &w.pages()[..w.pages().len().min(400)];
+    for page in pages {
+        matcher.register_page(page.id(), model.content_for(page));
+    }
+    matcher.freeze();
+    let at = ServerId::new(0);
     let mut scratch = MatchScratch::new();
-    let mut out = Vec::new();
-    for page in w.pages().iter().take(400) {
+    let mut fanout = Vec::new();
+    for page in pages {
         let content = model.content_for(page);
-        frozen.matches_into(&table, &content, &mut scratch, &mut out);
-        assert_eq!(
-            out.len(),
-            frozen.match_count(&table, &content, &mut scratch)
-        );
         // Brute force: evaluate every live subscription directly.
-        let mut expected: Vec<_> = rows
-            .iter()
-            .filter(|(_, sub)| sub.matches(&content))
-            .map(|&(id, _)| id)
-            .collect();
-        expected.sort_unstable();
-        assert_eq!(out, expected);
+        let expected = live.iter().filter(|sub| sub.matches(&content)).count() as u32;
+        matcher.matched_servers_into(page.id(), &mut scratch, &mut fanout);
+        // The wildcard matches every page, so the row is never empty.
+        assert_eq!(fanout, [(at, expected)]);
+        assert_eq!(
+            matcher.match_count_with(page.id(), at, &mut scratch),
+            expected
+        );
     }
 }
 

@@ -46,6 +46,7 @@ impl SubscriptionTable {
 
     /// The number of subscriptions at `server` matching `page` (0 if the
     /// page is outside the table).
+    #[inline]
     pub fn count(&self, page: PageId, server: ServerId) -> u32 {
         self.rows
             .get(page.as_usize())
@@ -59,11 +60,32 @@ impl SubscriptionTable {
 
     /// The servers with at least one subscription matching `page`, with
     /// their counts, sorted by server id. Empty for pages outside the table.
+    #[inline]
     pub fn matched_servers(&self, page: PageId) -> &[(ServerId, u32)] {
         self.rows
             .get(page.as_usize())
             .map(Vec::as_slice)
             .unwrap_or(&[])
+    }
+
+    /// Sets the count of `(page, server)` to `count` — a live subscribe:
+    /// inserts, updates or (at `count == 0`) removes the pair, keeping the
+    /// row sorted by server and free of zero counts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `page` is outside the table.
+    #[inline]
+    pub fn set(&mut self, page: PageId, server: ServerId, count: u32) {
+        let row = &mut self.rows[page.as_usize()];
+        match row.binary_search_by_key(&server, |&(s, _)| s) {
+            Ok(i) if count == 0 => {
+                row.remove(i);
+            }
+            Ok(i) => row[i].1 = count,
+            Err(_) if count == 0 => {}
+            Err(i) => row.insert(i, (server, count)),
+        }
     }
 
     /// Total number of subscriptions matching `page` across all servers.
@@ -156,6 +178,36 @@ mod tests {
         );
         assert_eq!(t.total_count(PageId::new(1)), 12);
         assert_eq!(t.count(PageId::new(1), ServerId::new(3)), 0);
+    }
+
+    #[test]
+    fn set_inserts_updates_and_removes_keeping_order() {
+        let mut t = SubscriptionTable::empty(2);
+        let page = PageId::new(1);
+        t.set(page, ServerId::new(5), 3);
+        t.set(page, ServerId::new(1), 7);
+        t.set(page, ServerId::new(9), 2);
+        assert_eq!(
+            t.matched_servers(page),
+            &[
+                (ServerId::new(1), 7),
+                (ServerId::new(5), 3),
+                (ServerId::new(9), 2)
+            ]
+        );
+        // Update in place.
+        t.set(page, ServerId::new(5), 4);
+        assert_eq!(t.count(page, ServerId::new(5)), 4);
+        // Zero removes; zero on an absent pair is a no-op.
+        t.set(page, ServerId::new(1), 0);
+        t.set(page, ServerId::new(3), 0);
+        assert_eq!(t.count(page, ServerId::new(1)), 0);
+        assert!(t.matched_servers(PageId::new(0)).is_empty());
+        // The table a builder makes of the same counts.
+        let mut b = SubscriptionTableBuilder::new(2);
+        b.add(page, ServerId::new(9), 2)
+            .add(page, ServerId::new(5), 4);
+        assert_eq!(t, b.build());
     }
 
     #[test]

@@ -200,7 +200,6 @@ mod tests {
 
     #[test]
     fn matcher_from_table_reproduces_every_row() {
-        use pscd_matching::Matcher;
         let mut b = SubscriptionTableBuilder::new(4);
         b.add(PageId::new(0), ServerId::new(1), 3);
         b.add(PageId::new(0), ServerId::new(2), 1);
@@ -208,16 +207,15 @@ mod tests {
         let table = b.build();
         let mut m = matcher_from_table(&table, 3);
         m.freeze();
+        let (mut scratch, mut fanout) = (pscd_matching::MatchScratch::new(), Vec::new());
         for page in 0..4u32 {
             let page = PageId::new(page);
-            assert_eq!(
-                m.matched_servers(page).as_slice(),
-                table.matched_servers(page),
-                "page {page:?}"
-            );
+            m.matched_servers_into(page, &mut scratch, &mut fanout);
+            assert_eq!(fanout, table.matched_servers(page), "page {page:?}");
             for server in 0..3u16 {
                 let server = ServerId::new(server);
-                assert_eq!(m.match_count(page, server), table.count(page, server));
+                let count = m.match_count_with(page, server, &mut scratch);
+                assert_eq!(count, table.count(page, server));
             }
         }
     }

@@ -13,11 +13,11 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use pscd::matching::EngineMatcher;
+use pscd::matching::{EngineMatcher, MatchScratch};
 use pscd::workload::{ContentModel, CATEGORIES};
 use pscd::{
-    Content, DeliveryEngine, Matcher, Predicate, PushScheme, ServerId, StrategyKind, Subscription,
-    Value, Workload, WorkloadConfig,
+    Content, DeliveryEngine, Predicate, PushScheme, ServerId, StrategyKind, Subscription, Value,
+    Workload, WorkloadConfig,
 };
 use pscd_obs::{ObsHandle, SharedObserver};
 
@@ -65,14 +65,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut notified_pairs = 0u64;
     let mut requests = 0u64;
     let mut pushes = Vec::new();
+    let (mut scratch, mut matched) = (MatchScratch::new(), Vec::new());
     for ev in workload.publishing() {
         let meta = &pages[ev.page.as_usize()];
         let content: Content = model.content_for(meta);
         matcher.register_page(ev.page, content);
-        let matched = matcher.matched_servers(ev.page);
+        matcher.matched_servers_into(ev.page, &mut scratch, &mut matched);
         notified_pairs += matched.len() as u64;
         engine.publish(meta, &matched, &mut pushes);
-        for (server, subs) in matched {
+        for &(server, subs) in &matched {
             if rng.random::<f64>() < 0.7 {
                 engine.request(server, meta, subs)?;
                 requests += 1;

@@ -69,7 +69,7 @@ pub use pscd_broker::{DeliveryEngine, PushScheme, Traffic};
 pub use pscd_cache::PageRef;
 pub use pscd_core::{Strategy, StrategyKind};
 pub use pscd_experiments::ExperimentContext;
-pub use pscd_matching::{Content, Matcher, Predicate, Subscription, Value};
+pub use pscd_matching::{Content, Predicate, Subscription, Value};
 pub use pscd_sim::{simulate_compiled, CompiledTrace, CrashPlan, SimOptions, SimResult};
 pub use pscd_topology::{FetchCosts, GraphModel, TopologyBuilder};
 pub use pscd_types::{Bytes, PageId, PageMeta, ServerId, SimTime, SubscriptionTable};

@@ -1,10 +1,10 @@
 //! Integration of the content-based matching engine with the workload's
 //! content model and the delivery engine.
 
-use pscd::matching::EngineMatcher;
+use pscd::matching::{EngineMatcher, MatchScratch};
 use pscd::workload::{ContentModel, CATEGORIES};
 use pscd::{
-    Content, DeliveryEngine, Matcher, Predicate, PushScheme, ServerId, StrategyKind, Subscription,
+    Content, DeliveryEngine, Predicate, PushScheme, ServerId, StrategyKind, Subscription,
     SubscriptionTable, Value, Workload, WorkloadConfig,
 };
 use pscd_obs::{ObsHandle, SharedObserver};
@@ -30,15 +30,16 @@ fn engine_matcher_agrees_with_manual_evaluation() {
     for page in w.pages().iter().take(300) {
         matcher.register_page(page.id(), model.content_for(page));
     }
+    let (mut scratch, mut matched) = (MatchScratch::new(), Vec::new());
     for page in w.pages().iter().take(300) {
         let content: Content = model.content_for(page);
-        let matched = matcher.matched_servers(page.id());
+        matcher.matched_servers_into(page.id(), &mut scratch, &mut matched);
         for s in 0..w.server_count() {
             let expected = subs_at[s as usize].matches(&content);
             let got = matched.iter().any(|&(srv, _)| srv == ServerId::new(s));
             assert_eq!(expected, got, "page {} server {s}", page.id());
             assert_eq!(
-                matcher.match_count(page.id(), ServerId::new(s)),
+                matcher.match_count_with(page.id(), ServerId::new(s), &mut scratch),
                 u32::from(expected)
             );
         }
@@ -95,11 +96,13 @@ fn modified_versions_match_like_their_originals() {
     for page in w.pages() {
         matcher.register_page(page.id(), model.content_for(page));
     }
+    let mut scratch = MatchScratch::new();
+    let mut count = |page| matcher.match_count_with(page, ServerId::new(0), &mut scratch);
     for page in w.pages() {
         if let Some(origin) = page.kind().origin() {
             assert_eq!(
-                matcher.match_count(page.id(), ServerId::new(0)),
-                matcher.match_count(origin, ServerId::new(0)),
+                count(page.id()),
+                count(origin),
                 "version {} vs origin {origin}",
                 page.id()
             );
