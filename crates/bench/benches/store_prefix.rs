@@ -1,19 +1,21 @@
 //! Cost tracking for the store's two hot operations since the
 //! value-index removal: the placement query
-//! [`CacheStore::candidate_size_below`] (one branch-predictable sweep of
-//! the heap's compact slot array, 64 queries per iteration) and a mixed
-//! insert/update/evict churn loop (1,000 mutations per iteration — the
-//! traffic that used to pay treap maintenance on every step).
+//! [`CacheStore::candidates_cover`] (a sweep of the heap's compact slot
+//! array that stops once the candidates cover the need, 64 queries per
+//! iteration) and a mixed insert/update/evict churn loop (1,000
+//! mutations per iteration — the traffic that used to pay treap
+//! maintenance on every step) over a store whose position index is
+//! reserved for exactly the pages its capacity can hold.
 //!
-//! The sweep is `O(live)` per query with zero bookkeeping on the
-//! mutation paths; replayed traces keep the live population small (tens
-//! of pages at the paper's capacities), so trading the `O(log n)`
+//! The sweep is `O(live)` per query at worst with zero bookkeeping on
+//! the mutation paths; replayed traces keep the live population small
+//! (tens of pages at the paper's capacities), so trading the `O(log n)`
 //! indexed query for maintenance-free mutations is a large net win,
 //! which the repo benchmark's `replay-grid` workload measures end to end.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use pscd_cache::CacheStore;
+use pscd_cache::{CacheStore, PageUniverse};
 use pscd_types::{Bytes, PageId};
 
 fn xorshift(x: &mut u64) -> u64 {
@@ -23,17 +25,27 @@ fn xorshift(x: &mut u64) -> u64 {
     *x
 }
 
-/// A populated store plus the query values the placement path would ask.
-fn populated(entries: u32) -> (CacheStore, Vec<f64>) {
-    let mut store = CacheStore::new(Bytes::new(u64::MAX));
+/// A store holding `entries` pages of a universe of as many, its
+/// capacity exactly their total, plus the `(value, need)` queries the
+/// placement path would ask.
+fn populated(entries: u32) -> (CacheStore, Vec<(f64, Bytes)>) {
     let mut x = 0x1234_5678_9abc_def0u64;
-    for i in 0..entries {
-        let value = ((xorshift(&mut x) % 1_024) as f64) / 8.0;
-        let size = Bytes::new(xorshift(&mut x) % 10_000 + 500);
-        store.insert(PageId::new(i), size, value);
+    let pages: Vec<(f64, Bytes)> = (0..entries)
+        .map(|_| {
+            let value = ((xorshift(&mut x) % 1_024) as f64) / 8.0;
+            (value, Bytes::new(xorshift(&mut x) % 10_000 + 500))
+        })
+        .collect();
+    let universe = PageUniverse::new(pages.iter().map(|&(_, size)| size));
+    let mut store = CacheStore::dense(pages.iter().map(|&(_, size)| size).sum(), &universe);
+    for (i, &(value, size)) in pages.iter().enumerate() {
+        store.insert(PageId::new(i as u32), size, value);
     }
-    let queries: Vec<f64> = (0..64)
-        .map(|_| ((xorshift(&mut x) % 1_024) as f64) / 8.0)
+    let queries = (0..64)
+        .map(|_| {
+            let value = ((xorshift(&mut x) % 1_024) as f64) / 8.0;
+            (value, Bytes::new(xorshift(&mut x) % 10_000 + 500))
+        })
         .collect();
     (store, queries)
 }
@@ -46,8 +58,8 @@ fn store_ops(c: &mut Criterion) {
             b.iter(|| {
                 queries
                     .iter()
-                    .map(|&q| store.candidate_size_below(q).as_u64())
-                    .sum::<u64>()
+                    .filter(|&&(value, need)| store.candidates_cover(value, need))
+                    .count()
             })
         });
         group.bench_function(&format!("churn_{entries}"), |b| {

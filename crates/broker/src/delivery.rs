@@ -71,14 +71,16 @@ struct Proxy<O: Observer> {
 ///
 /// ```
 /// use pscd_broker::{DeliveryEngine, PushScheme};
+/// use pscd_cache::PageUniverse;
 /// use pscd_core::StrategyKind;
 /// use pscd_obs::{ObsHandle, SharedObserver};
 /// use pscd_types::{Bytes, PageId, PageKind, PageMeta, ServerId, SimTime};
 ///
-/// // Page count 0: the strategy's page tables grow on demand.
+/// // The empty universe: the strategy's tables grow on demand.
 /// let sg2 = StrategyKind::Sg2 { beta: 2.0 };
+/// let universe = PageUniverse::default();
 /// let mut engine = DeliveryEngine::new(
-///     vec![sg2.build(Bytes::from_kib(64), 0, ObsHandle::disabled())],
+///     vec![sg2.build(Bytes::from_kib(64), &universe, ObsHandle::disabled())],
 ///     vec![1.0],
 ///     PushScheme::Always,
 ///     SharedObserver::disabled(),
@@ -490,6 +492,7 @@ impl<O: Observer> DeliveryEngine<O> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pscd_cache::PageUniverse;
     use pscd_core::StrategyKind;
     use pscd_obs::ObsHandle;
     use pscd_types::{PageId, PageKind, SimTime};
@@ -504,7 +507,11 @@ mod tests {
     }
 
     fn build(kind: StrategyKind, capacity: u64) -> StrategyImpl {
-        kind.build(Bytes::new(capacity), 0, ObsHandle::disabled())
+        kind.build(
+            Bytes::new(capacity),
+            &PageUniverse::default(),
+            ObsHandle::disabled(),
+        )
     }
 
     /// A two-proxy engine owning global servers `first` and `first + 1`.
@@ -743,8 +750,16 @@ mod tests {
         let kind = StrategyKind::Sub;
         let mut e = DeliveryEngine::new(
             vec![
-                kind.build(Bytes::new(1_000), 0, shared.handle(ServerId::new(0))),
-                kind.build(Bytes::new(1_000), 0, shared.handle(ServerId::new(1))),
+                kind.build(
+                    Bytes::new(1_000),
+                    &PageUniverse::default(),
+                    shared.handle(ServerId::new(0)),
+                ),
+                kind.build(
+                    Bytes::new(1_000),
+                    &PageUniverse::default(),
+                    shared.handle(ServerId::new(1)),
+                ),
             ],
             vec![1.0, 2.0],
             PushScheme::Always,

@@ -14,13 +14,20 @@
 //!
 //! ```
 //! use pscd_broker::{DeliveryEngine, PushScheme};
+//! use pscd_cache::PageUniverse;
 //! use pscd_core::StrategyKind;
 //! use pscd_obs::{ObsHandle, SharedObserver};
 //! use pscd_types::{Bytes, PageId, PageKind, PageMeta, ServerId, SimTime};
 //!
-//! // One unobserved SUB proxy (page tables grow on demand), owning server 0.
+//! // One unobserved SUB proxy (over the empty universe, its tables grow
+//! // on demand), owning server 0.
+//! let sub = StrategyKind::Sub.build(
+//!     Bytes::from_kib(16),
+//!     &PageUniverse::default(),
+//!     ObsHandle::disabled(),
+//! );
 //! let mut engine = DeliveryEngine::new(
-//!     vec![StrategyKind::Sub.build(Bytes::from_kib(16), 0, ObsHandle::disabled())],
+//!     vec![sub],
 //!     vec![1.5],
 //!     PushScheme::WhenNecessary,
 //!     SharedObserver::disabled(),

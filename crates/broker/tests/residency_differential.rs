@@ -14,7 +14,7 @@
 use proptest::prelude::*;
 
 use pscd_broker::{DeliveryEngine, PushRecord, PushScheme};
-use pscd_cache::{PageRef, SnapshotReader};
+use pscd_cache::{PageRef, PageUniverse, SnapshotReader};
 use pscd_core::{Strategy as _, StrategyImpl, StrategyKind};
 use pscd_obs::{ObsHandle, SharedObserver};
 use pscd_types::{Bytes, PageId, PageKind, PageMeta, ServerId, SimTime};
@@ -44,7 +44,7 @@ fn kind(i: usize) -> StrategyKind {
     ][i]
 }
 
-fn fresh(lineup: usize, universe: usize) -> StrategyImpl {
+fn fresh(lineup: usize, universe: &PageUniverse) -> StrategyImpl {
     kind(lineup).build(CAPACITY, universe, ObsHandle::disabled())
 }
 
@@ -55,6 +55,11 @@ fn page(i: u32) -> PageMeta {
         SimTime::ZERO,
         PageKind::Original,
     )
+}
+
+/// The universe of pages `0..PAGES`.
+fn sized() -> PageUniverse {
+    PageUniverse::new((0..PAGES).map(|i| page(i).size()))
 }
 
 fn cost(slot: usize) -> f64 {
@@ -68,7 +73,7 @@ struct Shape {
     first: u16,
     scheme: PushScheme,
     /// Strategies and engine sized for [`PAGES`] up front; otherwise
-    /// universe 0, everything grown on write.
+    /// the empty universe, everything grown on write.
     preallocated: bool,
 }
 
@@ -79,7 +84,7 @@ impl Shape {
 
     /// A fresh engine; `universe` is what its strategies preallocate (a
     /// snapshot restores only into a strategy that covers its pages).
-    fn engine(&self, universe: usize) -> DeliveryEngine {
+    fn engine(&self, universe: &PageUniverse) -> DeliveryEngine {
         let n = self.fleet as usize;
         let mut engine = DeliveryEngine::new(
             (0..n).map(|_| fresh(self.lineup, universe)).collect(),
@@ -105,7 +110,7 @@ struct Mirror {
 }
 
 impl Mirror {
-    fn new(shape: Shape, universe: usize) -> Self {
+    fn new(shape: Shape, universe: &PageUniverse) -> Self {
         let n = shape.fleet as usize;
         Self {
             shape,
@@ -194,8 +199,8 @@ fn op() -> impl Strategy<Value = Op> {
 /// fresh strategies and restores them — the engine through
 /// `restore_strategy`, whose residency index starts empty.
 fn snapshot_restore(shape: Shape, engine: &mut DeliveryEngine, mirror: &mut Mirror) {
-    let mut restored = shape.engine(PAGES as usize);
-    let mut restored_mirror = Mirror::new(shape, PAGES as usize);
+    let mut restored = shape.engine(&sized());
+    let mut restored_mirror = Mirror::new(shape, &sized());
     restored_mirror.stats = mirror.stats.clone();
     for slot in 0..shape.fleet {
         let server = shape.server(slot);
@@ -243,12 +248,12 @@ fn assert_agree(shape: Shape, engine: &DeliveryEngine, mirror: &Mirror, step: us
 
 fn run(shape: Shape, ops: &[Op]) {
     let universe = if shape.preallocated {
-        PAGES as usize
+        sized()
     } else {
-        0
+        PageUniverse::default()
     };
-    let mut engine = shape.engine(universe);
-    let mut mirror = Mirror::new(shape, universe);
+    let mut engine = shape.engine(&universe);
+    let mut mirror = Mirror::new(shape, &universe);
     let mut records = Vec::new();
     for (step, op) in ops.iter().enumerate() {
         match op {
@@ -293,9 +298,9 @@ fn run(shape: Shape, ops: &[Op]) {
             Op::Restart { slot } => {
                 let server = shape.server(*slot);
                 engine
-                    .replace_strategy(server, fresh(shape.lineup, universe))
+                    .replace_strategy(server, fresh(shape.lineup, &universe))
                     .unwrap();
-                mirror.strategies[(slot % shape.fleet) as usize] = fresh(shape.lineup, universe);
+                mirror.strategies[(slot % shape.fleet) as usize] = fresh(shape.lineup, &universe);
             }
             Op::SnapshotRestore => snapshot_restore(shape, &mut engine, &mut mirror),
         }

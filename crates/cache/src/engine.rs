@@ -4,7 +4,7 @@ use pscd_obs::{AdmitOrigin, EvictReason, NullObserver, ObsHandle, Observer};
 use pscd_types::{Bytes, PageId};
 
 use crate::snapshot::{put_f64, SnapshotError, SnapshotReader};
-use crate::{AccessOutcome, CacheStore, PageRef};
+use crate::{AccessOutcome, CacheStore, PageRef, PageUniverse};
 
 /// The greedy-dual family's shared machinery: an *inflation* value `L` that
 /// rises to the value of the last evicted page, in-cache reference counts
@@ -19,9 +19,9 @@ use crate::{AccessOutcome, CacheStore, PageRef};
 /// `pscd-core`.
 ///
 /// Evicted pages are reported through caller-owned scratch buffers (a
-/// `&mut Vec<PageId>` per operation, cleared on entry): with the page
-/// universe preallocated and a warm scratch buffer, no engine operation
-/// allocates.
+/// `&mut Vec<PageId>` per operation, cleared on entry): with the store
+/// reserved over its page universe and a warm scratch buffer, no engine
+/// operation allocates.
 ///
 /// The observer parameter defaults to [`NullObserver`], whose hooks are
 /// compile-time disabled: uninstrumented engines pay nothing. An engine
@@ -49,7 +49,7 @@ impl GreedyDualEngine {
     /// Creates an unobserved engine with the given capacity; `L` starts
     /// at 0.
     pub fn new(capacity: Bytes) -> Self {
-        Self::with_observer(capacity, 0, ObsHandle::disabled())
+        Self::with_observer(capacity, &PageUniverse::default(), ObsHandle::disabled())
     }
 }
 
@@ -60,13 +60,14 @@ impl Default for GreedyDualEngine {
 }
 
 impl<O: Observer> GreedyDualEngine<O> {
-    /// Creates an engine over the page ordinals `0..page_count`,
-    /// reporting admissions and evictions to `obs`. The store is
-    /// preallocated for the full universe, so steady-state operation
-    /// never allocates; `0` preallocates nothing and grows on demand.
-    pub fn with_observer(capacity: Bytes, page_count: usize, obs: ObsHandle<O>) -> Self {
+    /// Creates an engine over the pages of `universe`, reporting
+    /// admissions and evictions to `obs`. The store is reserved for the
+    /// most pages the capacity can hold
+    /// ([`CacheStore::dense`]), so steady-state operation never
+    /// allocates; the empty universe reserves nothing and grows on demand.
+    pub fn with_observer(capacity: Bytes, universe: &PageUniverse, obs: ObsHandle<O>) -> Self {
         Self {
-            store: CacheStore::dense(capacity, page_count),
+            store: CacheStore::dense(capacity, universe),
             inflation: 0.0,
             obs,
         }
@@ -179,8 +180,7 @@ impl<O: Observer> GreedyDualEngine<O> {
     pub fn would_admit(&self, page: &PageRef, value: f64) -> bool {
         let store = &self.store;
         page.size <= store.capacity()
-            && (store.free() >= page.size
-                || store.free() + store.candidate_size_below(value) >= page.size)
+            && store.candidates_cover(value, page.size.saturating_sub(store.free()))
     }
 
     /// Removes a page (without touching `L`), returning `true` if present.
@@ -426,8 +426,11 @@ mod tests {
 
         let mut ev = Vec::new();
         let shared = SharedObserver::new(StatsObserver::new());
-        let mut e =
-            GreedyDualEngine::with_observer(Bytes::new(20), 0, shared.handle(ServerId::new(5)));
+        let mut e = GreedyDualEngine::with_observer(
+            Bytes::new(20),
+            &PageUniverse::default(),
+            shared.handle(ServerId::new(5)),
+        );
         e.access(&pref(1, 10), |_, l| l + 1.0, &mut ev);
         e.access(&pref(2, 10), |_, l| l + 2.0, &mut ev);
         e.access(&pref(3, 10), |_, l| l + 5.0, &mut ev); // evicts page 1 (access)
@@ -456,7 +459,7 @@ mod tests {
         let decode = |blob: &[u8]| {
             GreedyDualEngine::with_observer(
                 Bytes::new(30),
-                8,
+                &PageUniverse::new(vec![Bytes::new(10); 8]),
                 ObsHandle::<NullObserver>::disabled(),
             )
             .decode_state(&mut SnapshotReader::new(blob))

@@ -1,22 +1,22 @@
-//! The one page-keyed table: a flat `Vec` indexed by page ordinal.
+//! The page-keyed table: a flat `Vec` indexed by page ordinal.
 //!
 //! Every layer names a page by its ordinal in a closed catalog (the
-//! `CompiledTrace` ordinal contract: ids are `0..page_count`), so every
-//! page-keyed structure — the store's position index, per-strategy side
-//! state — is a [`PageTable`]. A caller that knows its
+//! `CompiledTrace` ordinal contract: ids are `0..page_count`), so
+//! per-page state that outlives a residency — SG1/SG2/SR's request
+//! counts — is a [`PageTable`]. A caller that knows its
 //! universe passes its size and gets every slot preallocated, after
 //! which no operation allocates; a caller that does not (unit tests,
-//! examples) passes `0` and the table grows on write.
+//! examples) passes `0` and the table grows on write. (A store's
+//! position index is sized by its capacity instead: `index.rs`.)
 
 use pscd_types::PageId;
 
 use crate::snapshot::SnapshotError;
 
 /// A page-keyed table of plain values in which one value, chosen at
-/// construction, means "absent" — `0` for per-page counters and for the
-/// store's position index, which holds positions plus one: a table whose
-/// absent value is all zero bits comes lazily zeroed from the allocator,
-/// so the slots of pages never written are never touched. Reads and
+/// construction, means "absent" — `0` for per-page counters: a table
+/// whose absent value is all zero bits comes lazily zeroed from the
+/// allocator, so the slots of pages never written are never touched. Reads and
 /// writes are direct `Vec` indexing by page ordinal.
 #[derive(Debug, Clone)]
 pub struct PageTable<T> {
@@ -67,8 +67,8 @@ impl<T: Copy + PartialEq> PageTable<T> {
     /// present.
     #[inline]
     pub fn remove(&mut self, page: PageId) -> Option<T> {
-        // An absent slot is left unwritten: most removals miss, and a
-        // store would dirty a page of a large, mostly-vacant table.
+        // An absent slot is left unwritten: it would dirty a page of a
+        // large, mostly-vacant table.
         let slot = self.slots.get_mut(page.as_usize())?;
         (*slot != self.absent).then(|| std::mem::replace(slot, self.absent))
     }

@@ -6,10 +6,12 @@
 //!
 //! * [`CacheStore`] — a capacity-limited page store with value-ordered
 //!   eviction (eager index-addressable min-heap, [`KeyHeap`]).
-//! * [`PageTable`] — the one page-keyed table, a flat array indexed by
-//!   page ordinal. A cache told its page-universe size preallocates
-//!   every table to it, so the steady-state replay loop performs no heap
-//!   allocations; told `0`, it grows on demand.
+//! * [`PageUniverse`] — the pages a cache is built over. A store over it
+//!   reserves room for the most pages its capacity can hold, so the
+//!   replay loop performs no heap allocations; over the empty universe
+//!   it grows on demand.
+//! * [`PageTable`] — the page-keyed table for state that outlives a
+//!   residency, a flat array indexed by page ordinal.
 //! * [`GreedyDualEngine`] — the greedy-dual machinery shared by the whole
 //!   policy family: inflation value `L`, In-Cache LFU reference counts,
 //!   always-admit and value-gated placement, the push-time placement
@@ -18,7 +20,7 @@
 //! There are no policy types here. A replacement policy is a value
 //! function handed to the engine per call; LRU, GDS, LFU-DA and GD\* —
 //! the paper's access-time baseline (eq. 1) — are strategy kinds of
-//! `pscd-core` (`StrategyKind::Lru.build(capacity, pages, obs)`), beside the
+//! `pscd-core` (`StrategyKind::Lru.build(capacity, &universe, obs)`), beside the
 //! subscription-aware ones.
 //!
 //! # Examples
@@ -43,6 +45,7 @@
 #![warn(missing_debug_implementations)]
 
 mod engine;
+mod index;
 mod keyheap;
 mod layout;
 mod policy;
@@ -50,6 +53,7 @@ pub mod snapshot;
 mod store;
 
 pub use engine::GreedyDualEngine;
+pub use index::PageUniverse;
 pub use keyheap::{HeapSlot, KeyHeap};
 pub use layout::PageTable;
 pub use policy::{AccessOutcome, PageRef};

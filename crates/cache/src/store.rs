@@ -2,8 +2,8 @@
 
 use pscd_types::{Bytes, PageId};
 
+use crate::index::{PageUniverse, PositionIndex};
 use crate::keyheap::{HeapSlot, KeyHeap};
-use crate::layout::PageTable;
 use crate::snapshot::{put_f64, put_u32, put_u64, SnapshotError, SnapshotReader};
 
 /// One cached page with its current value under the owning policy.
@@ -26,19 +26,17 @@ pub struct StoredPage {
 /// min-value order in an eager index-addressable heap ([`KeyHeap`]), so
 /// updates are `O(log n)` with no stale-entry churn and
 /// [`peek_min`](CacheStore::peek_min) is a `&self` read. The heap slots
-/// *are* the entries — the page table only maps pages to heap positions —
-/// so the live population sits in one compact array and the push-time
-/// placement question, [`candidate_size_below`](CacheStore::candidate_size_below),
-/// is answered by a full sweep of that array — every live slot, nothing
-/// pruned — with zero bookkeeping on the mutation paths.
+/// *are* the entries — the index only maps pages to heap positions — so
+/// the live population sits in one compact array and the push-time
+/// placement question, [`candidates_cover`](CacheStore::candidates_cover),
+/// is answered by a sweep of that array that stops as soon as it has its
+/// answer, with zero bookkeeping on the mutation paths.
 ///
-/// The page → heap-position index is a [`PageTable`] of `u32`: 4 bytes
-/// per page ordinal holding the position plus one, 0 for a page that is
-/// not cached — a new store's table is zeroed memory straight from the
-/// allocator, never written for a page the proxy never holds — and all
-/// the per-page state lives in the heap slot it points at. A store built
-/// with [`dense`](CacheStore::dense) over a trace's `0..page_count`
-/// ordinals preallocates everything and never allocates again.
+/// The page → heap-position index is an open-addressing hash table, and
+/// all the per-page state lives in the heap slot it points at. A store
+/// built with [`dense`](CacheStore::dense) over a [`PageUniverse`]
+/// reserves both for the most pages its capacity can hold at once, and
+/// so never allocates again.
 ///
 /// # Examples
 ///
@@ -58,9 +56,12 @@ pub struct StoredPage {
 pub struct CacheStore {
     capacity: Bytes,
     used: Bytes,
-    positions: PageTable<u32>,
+    positions: PositionIndex,
     heap: KeyHeap,
     next_stamp: u64,
+    /// The most pages the capacity can hold (`usize::MAX` over an unsized
+    /// universe): a snapshot with more slots is corrupt.
+    bound: usize,
 }
 
 impl Default for CacheStore {
@@ -73,19 +74,28 @@ impl CacheStore {
     /// Creates an empty store with the given byte capacity that
     /// preallocates nothing and grows as pages are inserted.
     pub fn new(capacity: Bytes) -> Self {
-        Self::dense(capacity, 0)
+        Self::dense(capacity, &PageUniverse::default())
     }
 
-    /// Creates an empty store with the given byte capacity over the page
-    /// ordinals `0..page_count`. All internal structures are preallocated
-    /// to the universe size, so no operation on those pages allocates.
-    pub fn dense(capacity: Bytes, page_count: usize) -> Self {
+    /// Creates an empty store with the given byte capacity over the pages
+    /// of `universe`. Its index and heap are reserved for the most pages
+    /// of the universe the capacity can hold
+    /// ([`resident_bound`](PageUniverse::resident_bound)), so no operation
+    /// on those pages allocates; over the empty universe nothing is
+    /// reserved and the store grows on write.
+    pub fn dense(capacity: Bytes, universe: &PageUniverse) -> Self {
+        let bound = universe.resident_bound(capacity);
         Self {
             capacity,
             used: Bytes::ZERO,
-            positions: PageTable::new(page_count, 0),
-            heap: KeyHeap::with_capacity(page_count),
+            positions: PositionIndex::with_room(bound, universe.page_count()),
+            heap: KeyHeap::with_capacity(bound),
             next_stamp: 0,
+            bound: if universe.page_count() == 0 {
+                usize::MAX
+            } else {
+                bound
+            },
         }
     }
 
@@ -122,13 +132,13 @@ impl CacheStore {
     /// `true` if `page` is cached.
     #[inline]
     pub fn contains(&self, page: PageId) -> bool {
-        self.positions.get(page) != 0
+        self.positions.get(page).is_some()
     }
 
     /// The live heap slot of a cached page.
     #[inline]
     pub(crate) fn slot(&self, page: PageId) -> Option<&HeapSlot> {
-        let pos = self.positions.get(page).checked_sub(1)?;
+        let pos = self.positions.get(page)?;
         Some(&self.heap.slots()[pos as usize])
     }
 
@@ -174,7 +184,7 @@ impl CacheStore {
             size,
             refs,
         };
-        heap.push(slot, &mut |p, pos| positions.set(p, pos + 1));
+        heap.push(slot, &mut |p, pos| positions.set(p, pos));
         self.used += size;
     }
 
@@ -205,7 +215,7 @@ impl CacheStore {
         // Look up before bumping: a miss must not burn a stamp (stamps
         // order eviction ties, so phantom bumps would shift tie-breaks
         // between otherwise identical histories).
-        let Some(pos) = self.positions.get(page).checked_sub(1) else {
+        let Some(pos) = self.positions.get(page) else {
             return false;
         };
         let (value, refs) = rekey(self.heap.slots()[pos as usize].refs);
@@ -214,9 +224,7 @@ impl CacheStore {
         let Self {
             positions, heap, ..
         } = self;
-        heap.update(pos, value, stamp, refs, &mut |p, pos| {
-            positions.set(p, pos + 1)
-        });
+        heap.update(pos, value, stamp, refs, &mut |p, pos| positions.set(p, pos));
         true
     }
 
@@ -244,26 +252,31 @@ impl CacheStore {
         self.remove(page)
     }
 
-    /// Total size of cached pages whose value is strictly below `value` —
-    /// the *candidate pages* of the paper's push-time placement (§3.2).
+    /// `true` if the cached pages whose value is strictly below `value` —
+    /// the *candidate pages* of the paper's push-time placement (§3.2) —
+    /// hold at least `need` bytes between them.
     ///
-    /// Answered by one branch-predictable sweep of the heap's compact
-    /// slot array, with *no* auxiliary index to maintain on the
-    /// insert/update/evict paths. The live population is small (a mean
-    /// of 18–490 pages per proxy at paper scale and 1–10 % capacity) and
-    /// sits in one contiguous array, so the sweep is cheaper than any
-    /// pointer-hopping index —
-    /// and byte sizes sum in `u64`, so visit order cannot perturb the
-    /// answer: it is bit-identical by construction.
-    pub fn candidate_size_below(&self, value: f64) -> Bytes {
-        let total: u64 = self
-            .heap
+    /// `false` at once when even the least valuable page is no candidate;
+    /// otherwise one sweep of the heap's compact slot array that stops at
+    /// the first slot where the candidates seen so far cover `need`, with
+    /// *no* auxiliary index to maintain on the insert/update/evict paths.
+    /// Byte sizes sum in `u64`, so visit order cannot change the answer.
+    pub fn candidates_cover(&self, value: f64, need: Bytes) -> bool {
+        if need.is_zero() {
+            return true;
+        }
+        if !self.heap.peek().is_some_and(|min| min.value < value) {
+            return false;
+        }
+        let mut covered = 0u64;
+        self.heap
             .slots()
             .iter()
             .filter(|slot| slot.value < value)
-            .map(|slot| slot.size.as_u64())
-            .sum();
-        Bytes::new(total)
+            .any(|slot| {
+                covered += slot.size.as_u64();
+                covered >= need.as_u64()
+            })
     }
 
     /// Iterates over all cached pages (arbitrary order). Cost is
@@ -331,10 +344,11 @@ impl CacheStore {
 
     /// Restores state captured by [`encode_state`](Self::encode_state)
     /// into this store, replacing its current contents. The store keeps
-    /// its own capacity and page universe (a page id outside it is
-    /// corrupt, never a reason to grow) and its own slot storage; the
-    /// snapshot's slots go back position for position, so the restored
-    /// eviction order is bit-identical to the encoded one.
+    /// its own capacity and page universe (a page id outside it, or more
+    /// slots than the capacity can hold, is corrupt, never a reason to
+    /// grow) and its own storage; the snapshot's slots go back position
+    /// for position, so the restored eviction order is bit-identical to
+    /// the encoded one.
     ///
     /// # Errors
     ///
@@ -353,13 +367,15 @@ impl CacheStore {
         if n > r.remaining() / 24 {
             return Err(SnapshotError::Corrupt("slot count exceeds snapshot size"));
         }
+        if n > self.bound {
+            return Err(SnapshotError::Corrupt("more slots than the capacity holds"));
+        }
         // Empty the store's own tables and refill them: a store built over
         // a universe keeps the room it was built with.
         let positions = &mut self.positions;
+        positions.clear();
         let slots = self.heap.slots_mut();
-        for slot in slots.drain(..) {
-            positions.remove(slot.page);
-        }
+        slots.clear();
         let mut used = 0u64;
         for pos in 0..n {
             let value = r.read_f64()?;
@@ -369,7 +385,7 @@ impl CacheStore {
             if value.is_nan() {
                 return Err(SnapshotError::Corrupt("NaN page value"));
             }
-            positions.try_insert(page, pos as u32 + 1)?;
+            positions.try_insert(page, pos as u32)?;
             used = used
                 .checked_add(size.as_u64())
                 .ok_or(SnapshotError::Corrupt("resident bytes overflow"))?;
@@ -394,11 +410,11 @@ impl CacheStore {
 
     /// Unlinks a live entry from both structures, returning its slot.
     fn detach(&mut self, page: PageId) -> Option<HeapSlot> {
-        let pos = self.positions.remove(page)? - 1;
+        let pos = self.positions.remove(page)?;
         let Self {
             positions, heap, ..
         } = self;
-        let slot = heap.remove(pos, &mut |p, pos| positions.set(p, pos + 1));
+        let slot = heap.remove(pos, &mut |p, pos| positions.set(p, pos));
         self.used -= slot.size;
         Some(slot)
     }
@@ -418,11 +434,17 @@ mod tests {
         PageId::new(i)
     }
 
+    /// A universe of `n` one-byte pages: a store over it with capacity
+    /// `c` is reserved for `min(n, c)` pages.
+    fn units(n: usize) -> PageUniverse {
+        PageUniverse::new(vec![Bytes::new(1); n])
+    }
+
     /// Every store test runs against a growing and a preallocated store.
     fn both(capacity: u64) -> [CacheStore; 2] {
         [
             CacheStore::new(Bytes::new(capacity)),
-            CacheStore::dense(Bytes::new(capacity), 64),
+            CacheStore::dense(Bytes::new(capacity), &units(64)),
         ]
     }
 
@@ -507,14 +529,19 @@ mod tests {
     }
 
     #[test]
-    fn candidate_size_below_counts_strictly() {
+    fn candidates_count_strictly() {
         for mut s in both(100) {
+            assert!(s.candidates_cover(1.0, Bytes::ZERO), "nothing is needed");
+            assert!(!s.candidates_cover(1.0, Bytes::new(1)), "an empty store");
             s.insert(page(1), Bytes::new(10), 1.0);
             s.insert(page(2), Bytes::new(20), 2.0);
             s.insert(page(3), Bytes::new(30), 3.0);
-            assert_eq!(s.candidate_size_below(3.0), Bytes::new(30));
-            assert_eq!(s.candidate_size_below(3.1), Bytes::new(60));
-            assert_eq!(s.candidate_size_below(1.0), Bytes::ZERO);
+            assert!(s.candidates_cover(3.0, Bytes::new(30)));
+            assert!(!s.candidates_cover(3.0, Bytes::new(31)));
+            assert!(s.candidates_cover(3.1, Bytes::new(60)));
+            assert!(!s.candidates_cover(3.1, Bytes::new(61)));
+            assert!(!s.candidates_cover(1.0, Bytes::new(1)));
+            assert!(s.candidates_cover(1.0, Bytes::ZERO));
         }
     }
 
@@ -556,18 +583,18 @@ mod tests {
     fn dense_rejects_out_of_universe_inserts() {
         // A decoded page id never grows the position table: one past the
         // universe is corrupt, whether 4 pages were preallocated or none.
-        let mut donor = CacheStore::dense(Bytes::new(100), 8);
+        let mut donor = CacheStore::dense(Bytes::new(100), &units(8));
         donor.insert(page(4), Bytes::new(10), 1.0);
         let mut bytes = Vec::new();
         donor.encode_state(&mut bytes);
         for mut s in [
-            CacheStore::dense(Bytes::new(100), 4),
+            CacheStore::dense(Bytes::new(100), &units(4)),
             CacheStore::new(Bytes::new(100)),
         ] {
             let err = s.decode_state(&mut SnapshotReader::new(&bytes));
             assert!(matches!(err, Err(SnapshotError::Corrupt(_))), "{err:?}");
         }
-        let mut s = CacheStore::dense(Bytes::new(100), 5);
+        let mut s = CacheStore::dense(Bytes::new(100), &units(5));
         s.decode_state(&mut SnapshotReader::new(&bytes)).unwrap();
         assert_eq!(s.value(page(4)), Some(1.0));
     }
@@ -577,17 +604,19 @@ mod tests {
         // Regression: decode adopted a slot array sized to the snapshot's
         // population, so a restored `dense` store reallocated on its next
         // insert past that population.
-        let mut donor = CacheStore::dense(Bytes::new(100), 64);
+        let mut donor = CacheStore::dense(Bytes::new(100), &units(64));
         donor.insert(page(4), Bytes::new(10), 1.0);
         donor.insert(page(9), Bytes::new(10), 2.0);
         let mut bytes = Vec::new();
         donor.encode_state(&mut bytes);
-        let mut s = CacheStore::dense(Bytes::new(100), 64);
+        let mut s = CacheStore::dense(Bytes::new(100), &units(64));
         let built = s.heap.slots_mut().capacity();
         assert!(built >= 64);
+        let index = s.positions.storage();
         s.insert(page(1), Bytes::new(10), 1.0);
         s.decode_state(&mut SnapshotReader::new(&bytes)).unwrap();
         assert!(s.heap.slots_mut().capacity() >= built);
+        assert_eq!(s.positions.storage(), index);
         // What the store held before is gone, index entry included.
         assert!(!s.contains(page(1)));
         assert_eq!((s.len(), s.used()), (2, Bytes::new(20)));
@@ -601,7 +630,7 @@ mod tests {
         // The index holds position + 1 and 0 for "not cached": the one
         // resident of a one-page store sits at position 0.
         for mut s in [
-            CacheStore::dense(Bytes::new(10), 1),
+            CacheStore::dense(Bytes::new(10), &units(1)),
             CacheStore::new(Bytes::new(10)),
         ] {
             assert!(!s.contains(page(0)));
@@ -620,29 +649,29 @@ mod tests {
 
     #[test]
     fn decode_rejects_resident_bytes_above_capacity() {
-        let mut donor = CacheStore::dense(Bytes::new(100), 8);
+        let mut donor = CacheStore::dense(Bytes::new(100), &units(8));
         donor.insert(page(1), Bytes::new(60), 1.0);
         donor.insert(page(2), Bytes::new(40), 2.0);
         let mut bytes = Vec::new();
         donor.encode_state(&mut bytes);
-        let mut exact = CacheStore::dense(Bytes::new(100), 8);
+        let mut exact = CacheStore::dense(Bytes::new(100), &units(8));
         exact
             .decode_state(&mut SnapshotReader::new(&bytes))
             .unwrap();
         assert_eq!(exact.used(), Bytes::new(100));
-        let err =
-            CacheStore::dense(Bytes::new(99), 8).decode_state(&mut SnapshotReader::new(&bytes));
+        let err = CacheStore::dense(Bytes::new(99), &units(8))
+            .decode_state(&mut SnapshotReader::new(&bytes));
         assert!(matches!(err, Err(SnapshotError::Corrupt(_))), "{err:?}");
     }
 
     #[test]
     fn decode_rejects_a_stamp_counter_about_to_overflow() {
         let mut bytes = Vec::new();
-        CacheStore::dense(Bytes::new(100), 8).encode_state(&mut bytes);
+        CacheStore::dense(Bytes::new(100), &units(8)).encode_state(&mut bytes);
         // The counter is the blob's first word.
         bytes[..8].copy_from_slice(&u64::MAX.to_le_bytes());
-        let err =
-            CacheStore::dense(Bytes::new(100), 8).decode_state(&mut SnapshotReader::new(&bytes));
+        let err = CacheStore::dense(Bytes::new(100), &units(8))
+            .decode_state(&mut SnapshotReader::new(&bytes));
         assert!(matches!(err, Err(SnapshotError::Corrupt(_))), "{err:?}");
     }
 
@@ -665,11 +694,15 @@ mod tests {
     }
 
     #[test]
-    fn candidate_size_matches_full_scan_under_churn() {
-        // The indexed prefix sum must equal the O(n) scan it replaced,
-        // bit for bit, across inserts, re-inserts, updates and evictions.
-        let scan = |s: &CacheStore, v: f64| -> Bytes {
-            s.iter().filter(|p| p.value < v).map(|p| p.size).sum()
+    fn candidates_cover_matches_a_full_scan_under_churn() {
+        // The early-exit query must answer what the full sum would, at a
+        // need of nothing, one byte, exactly the candidates' bytes and one
+        // byte more, across inserts, re-inserts, updates and evictions.
+        let scan = |s: &CacheStore, v: f64| -> u64 {
+            s.iter()
+                .filter(|p| p.value < v)
+                .map(|p| p.size.as_u64())
+                .sum()
         };
         for mut s in both(10_000) {
             let mut x = 0x9e37_79b9u64;
@@ -697,13 +730,178 @@ mod tests {
                     }
                 }
                 let q = ((rng() % 32) as f64) / 8.0;
-                assert_eq!(s.candidate_size_below(q), scan(&s, q), "step {step}");
+                let exact = scan(&s, q);
+                for need in [0, 1, exact, exact + 1] {
+                    assert_eq!(
+                        s.candidates_cover(q, Bytes::new(need)),
+                        exact >= need,
+                        "step {step}, need {need}"
+                    );
+                }
             }
-            assert_eq!(
-                s.candidate_size_below(f64::INFINITY),
-                s.used(),
+            let used = s.used();
+            assert!(
+                s.candidates_cover(f64::INFINITY, used),
                 "everything is below +inf"
             );
+            assert!(!s.candidates_cover(f64::INFINITY, used + Bytes::new(1)));
+        }
+    }
+
+    /// Where the store's index and heap live: unchanged across any run of
+    /// operations that did not reallocate them.
+    fn storage(s: &mut CacheStore) -> [(*const (), usize); 2] {
+        let heap = s.heap.slots_mut();
+        let heap = (heap.as_ptr().cast(), heap.capacity());
+        [s.positions.storage(), heap]
+    }
+
+    /// A universe of `n` pages sized 1 to 97 bytes, and those sizes.
+    fn mixed(n: u32) -> (PageUniverse, Vec<Bytes>) {
+        let sizes: Vec<Bytes> = (0..n)
+            .map(|i| Bytes::new(1 + (i as u64 * 37) % 97))
+            .collect();
+        (PageUniverse::new(sizes.iter().copied()), sizes)
+    }
+
+    #[test]
+    fn the_resident_bound_is_exact() {
+        // Filled with the k smallest pages, a store holds all k; the next
+        // smallest forces an eviction, so no capacity holds k + 1.
+        let (universe, sizes) = mixed(300);
+        let mut by_size: Vec<u32> = (0..300).collect();
+        by_size.sort_by_key(|&i| (sizes[i as usize], i));
+        for capacity in [1u64, 50, 97, 500, 2_000, 9_999] {
+            let capacity = Bytes::new(capacity);
+            let k = universe.resident_bound(capacity);
+            let mut engine = crate::GreedyDualEngine::with_observer(
+                capacity,
+                &universe,
+                pscd_obs::ObsHandle::<pscd_obs::NullObserver>::disabled(),
+            );
+            let mut evicted = Vec::new();
+            let page_ref = |i: u32| crate::PageRef::new(page(i), sizes[i as usize], 1.0);
+            for &i in &by_size[..k] {
+                engine.access(&page_ref(i), |_, l| l + 1.0, &mut evicted);
+                assert!(
+                    evicted.is_empty(),
+                    "capacity {capacity:?}: page {i} evicted"
+                );
+            }
+            assert_eq!(engine.store().len(), k, "capacity {capacity:?}");
+            let next = by_size[k];
+            engine.access(&page_ref(next), |_, l| l + 1.0, &mut evicted);
+            assert!(
+                !evicted.is_empty() || sizes[next as usize] > capacity,
+                "capacity {capacity:?} held {} pages",
+                k + 1
+            );
+        }
+    }
+
+    #[test]
+    fn churn_within_capacity_never_reallocates_and_agrees_with_a_map() {
+        use std::collections::HashMap;
+
+        let (universe, sizes) = mixed(400);
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut rng = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for capacity in [97u64, 1_000, 6_000] {
+            let mut s = CacheStore::dense(Bytes::new(capacity), &universe);
+            let built = storage(&mut s);
+            let mut model: HashMap<u32, (Bytes, f64)> = HashMap::new();
+            for step in 0..20_000 {
+                let p = (rng() % 400) as u32;
+                let value = (rng() % 64) as f64 / 4.0;
+                match rng() % 5 {
+                    0 | 1 => {
+                        // An insert that makes room first, as every
+                        // policy does.
+                        let size = sizes[p as usize];
+                        if size <= s.capacity() {
+                            model.remove(&p);
+                            s.remove(page(p));
+                            while s.free() < size {
+                                let victim = s.pop_min().unwrap();
+                                model.remove(&victim.page.index());
+                            }
+                            s.insert(page(p), size, value);
+                            model.insert(p, (size, value));
+                        }
+                    }
+                    2 => {
+                        let hit = s.hit(page(p), |_| value);
+                        assert_eq!(hit, model.contains_key(&p));
+                        if let Some(entry) = model.get_mut(&p) {
+                            entry.1 = value;
+                        }
+                    }
+                    3 => {
+                        let gone = s.remove(page(p)).map(|r| (r.size, r.value));
+                        assert_eq!(gone, model.remove(&p));
+                    }
+                    _ => {
+                        if let Some(min) = s.pop_min() {
+                            assert!(model.remove(&min.page.index()).is_some());
+                        }
+                    }
+                }
+                assert_eq!(storage(&mut s), built, "capacity {capacity}, step {step}");
+                assert_eq!(s.len(), model.len());
+                let probe = (rng() % 400) as u32;
+                let got = s.size(page(probe)).zip(s.value(page(probe)));
+                assert_eq!(got, model.get(&probe).copied(), "page {probe}");
+            }
+            for p in 0..400 {
+                let got = s.size(page(p)).zip(s.value(page(p)));
+                assert_eq!(got, model.get(&p).copied(), "page {p}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_corrupt_blob_is_refused_without_touching_the_storage() {
+        let (universe, sizes) = mixed(64);
+        let capacity = Bytes::new(200);
+        let k = universe.resident_bound(capacity);
+        let mut by_size: Vec<u32> = (0..64).collect();
+        by_size.sort_by_key(|&i| (sizes[i as usize], i));
+        let blob = |pages: &[u32]| {
+            let mut donor = CacheStore::new(Bytes::new(u64::MAX));
+            for (v, &i) in pages.iter().enumerate() {
+                donor.insert(page(i), sizes[i as usize], v as f64);
+            }
+            let mut out = Vec::new();
+            donor.encode_state(&mut out);
+            out
+        };
+        let valid = blob(&by_size[..k]);
+        let one_too_many = blob(&by_size[..k + 1]);
+        let mut outside = blob(&by_size[..2]);
+        let mut twice = outside.clone();
+        // Header (stamp u64, count u32), then per slot value, stamp, page.
+        let page_word = |slot: usize| 12 + slot * 28 + 16;
+        outside[page_word(1)..page_word(1) + 4].copy_from_slice(&64u32.to_le_bytes());
+        let first = twice[page_word(0)..page_word(0) + 4].to_vec();
+        twice[page_word(1)..page_word(1) + 4].copy_from_slice(&first);
+
+        let mut s = CacheStore::dense(capacity, &universe);
+        s.decode_state(&mut SnapshotReader::new(&valid)).unwrap();
+        assert_eq!(s.len(), k);
+        let built = storage(&mut s);
+        let err = s.decode_state(&mut SnapshotReader::new(&one_too_many));
+        assert!(matches!(err, Err(SnapshotError::Corrupt(_))), "{err:?}");
+        assert_eq!(s.len(), k, "refused before anything was touched");
+        assert_eq!(storage(&mut s), built);
+        for bad in [outside, twice] {
+            let err = s.decode_state(&mut SnapshotReader::new(&bad));
+            assert!(matches!(err, Err(SnapshotError::Corrupt(_))), "{err:?}");
+            assert_eq!(storage(&mut s), built);
         }
     }
 }

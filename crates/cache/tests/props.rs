@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 
-use pscd_cache::{AccessOutcome, CacheStore, GreedyDualEngine, PageRef, StoredPage};
+use pscd_cache::{AccessOutcome, CacheStore, GreedyDualEngine, PageRef, PageUniverse, StoredPage};
 use pscd_types::{Bytes, PageId};
 
 /// The store's contract with nothing of its structure: a flat list of
@@ -106,16 +106,17 @@ fn page_params(page: u32) -> (u64, f64) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Every answer the store gives — membership, bytes, the minimum, the
-    /// candidate sum, each slot's stamp and reference count, the stamp
-    /// counter (a missed update or reference must not burn one) — equals
-    /// the scan model's after every operation, whether the store grows on
-    /// demand or was preallocated.
+    /// Every answer the store gives — membership, bytes, the minimum,
+    /// whether the candidates cover a need (of nothing, one byte, exactly
+    /// their bytes and one more), each slot's stamp and reference count,
+    /// the stamp counter (a missed update or reference must not burn
+    /// one) — equals the scan model's after every operation, whether the
+    /// store grows on demand or was reserved over a universe.
     #[test]
     fn store_matches_scan_model(ops in proptest::collection::vec(store_op(), 1..400)) {
         for mut store in [
             CacheStore::new(Bytes::new(10_000)),
-            CacheStore::dense(Bytes::new(10_000), 60),
+            CacheStore::dense(Bytes::new(10_000), &PageUniverse::new(vec![Bytes::new(1); 60])),
         ] {
             let mut model = ScanStore::default();
             for op in &ops {
@@ -149,7 +150,9 @@ proptest! {
                 prop_assert_eq!(store.used().as_u64(), model.pages.iter().map(|p| p.1).sum::<u64>());
                 prop_assert_eq!(store.peek_min().map(|p| p.page.index()), model.min());
                 let below: u64 = model.pages.iter().filter(|p| p.2 < 1.5).map(|p| p.1).sum();
-                prop_assert_eq!(store.candidate_size_below(1.5).as_u64(), below);
+                for need in [0, 1, below, below + 1] {
+                    prop_assert_eq!(store.candidates_cover(1.5, Bytes::new(need)), below >= need);
+                }
                 prop_assert_eq!(store.next_stamp(), model.next_stamp);
             }
             for &(page, size, value, stamp, refs) in &model.pages {

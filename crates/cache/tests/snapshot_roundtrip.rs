@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 
-use pscd_cache::{CacheStore, SnapshotError, SnapshotReader};
+use pscd_cache::{CacheStore, PageUniverse, SnapshotError, SnapshotReader};
 use pscd_types::{Bytes, PageId};
 
 const UNIVERSE: u32 = 48;
@@ -49,6 +49,12 @@ fn apply(store: &mut CacheStore, op: Op) {
     }
 }
 
+/// The pages `0..UNIVERSE`, one byte each: an unbounded store over it is
+/// reserved for all of them.
+fn universe() -> PageUniverse {
+    PageUniverse::new(vec![Bytes::new(1); UNIVERSE as usize])
+}
+
 fn encode(store: &CacheStore) -> Vec<u8> {
     let mut out = Vec::new();
     store.encode_state(&mut out);
@@ -64,13 +70,13 @@ proptest! {
         history in proptest::collection::vec(op_strategy(), 0..200),
         epilogue in proptest::collection::vec(op_strategy(), 0..60),
     ) {
-        let mut original = CacheStore::dense(Bytes::new(u64::MAX), UNIVERSE as usize);
+        let mut original = CacheStore::dense(Bytes::new(u64::MAX), &universe());
         for &op in &history {
             apply(&mut original, op);
         }
 
         let blob = encode(&original);
-        let mut restored = CacheStore::dense(Bytes::new(u64::MAX), UNIVERSE as usize);
+        let mut restored = CacheStore::dense(Bytes::new(u64::MAX), &universe());
         // Restore must also overwrite pre-existing contents.
         restored.insert(PageId::new(0), Bytes::new(3), 1.0);
         let mut r = SnapshotReader::new(&blob);
@@ -113,7 +119,7 @@ proptest! {
         history in proptest::collection::vec(op_strategy(), 1..100),
         cut in 0usize..100,
     ) {
-        let mut store = CacheStore::dense(Bytes::new(u64::MAX), UNIVERSE as usize);
+        let mut store = CacheStore::dense(Bytes::new(u64::MAX), &universe());
         for &op in &history {
             apply(&mut store, op);
         }
@@ -121,7 +127,7 @@ proptest! {
         // Clamp instead of discarding: every case must cut inside the
         // blob (the header alone is 12 bytes, so len > 1 always holds).
         let cut = cut % blob.len();
-        let mut victim = CacheStore::dense(Bytes::new(u64::MAX), UNIVERSE as usize);
+        let mut victim = CacheStore::dense(Bytes::new(u64::MAX), &universe());
         let mut r = SnapshotReader::new(&blob[..cut]);
         prop_assert!(victim.decode_state(&mut r).is_err());
     }
@@ -131,7 +137,7 @@ proptest! {
 /// out-of-bounds index, never a reason to grow the position table.
 #[test]
 fn out_of_universe_page_id_is_corrupt() {
-    let mut store = CacheStore::dense(Bytes::new(u64::MAX), UNIVERSE as usize);
+    let mut store = CacheStore::dense(Bytes::new(u64::MAX), &universe());
     store.insert(PageId::new(7), Bytes::new(9), 1.5);
     let blob = encode(&store);
     // Header (stamp u64, count u32), then the slot's value and stamp.
@@ -140,7 +146,7 @@ fn out_of_universe_page_id_is_corrupt() {
     for id in [UNIVERSE, UNIVERSE + 1, u32::MAX] {
         let mut bad = blob.clone();
         bad[page_word..page_word + 4].copy_from_slice(&id.to_le_bytes());
-        let mut victim = CacheStore::dense(Bytes::new(u64::MAX), UNIVERSE as usize);
+        let mut victim = CacheStore::dense(Bytes::new(u64::MAX), &universe());
         let err = victim.decode_state(&mut SnapshotReader::new(&bad));
         assert!(
             matches!(err, Err(SnapshotError::Corrupt(_))),

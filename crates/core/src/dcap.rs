@@ -3,7 +3,9 @@
 use std::cell::RefCell;
 use std::cmp::Ordering;
 
-use pscd_cache::{AccessOutcome, CacheStore, HeapSlot, PageRef, SnapshotError, SnapshotReader};
+use pscd_cache::{
+    AccessOutcome, CacheStore, HeapSlot, PageRef, PageUniverse, SnapshotError, SnapshotReader,
+};
 use pscd_obs::{AdmitOrigin, EvictReason, NullObserver, ObsHandle, Observer, RelabelDirection};
 use pscd_types::{Bytes, PageId};
 
@@ -74,7 +76,7 @@ impl DcAdaptive {
             "pc_fraction must be in (0, 1)"
         );
         let pinned = [pc_fraction; 3];
-        Self::new(capacity, beta, pinned, "DC-FP", 0, ObsHandle::disabled())
+        Self::configured(capacity, beta, pinned, "DC-FP")
     }
 
     /// Creates a DC-AP cache (unbounded adaptive partition, 50/50 start).
@@ -84,7 +86,7 @@ impl DcAdaptive {
     /// Panics unless `beta` is positive and finite.
     pub fn ap(capacity: Bytes, beta: f64) -> Self {
         let split = [0.5, 0.0, 1.0];
-        Self::new(capacity, beta, split, "DC-AP", 0, ObsHandle::disabled())
+        Self::configured(capacity, beta, split, "DC-AP")
     }
 
     /// Creates a DC-LAP cache with the paper's PC-fraction bounds
@@ -105,19 +107,30 @@ impl DcAdaptive {
     /// `0 <= lo <= 0.5 <= hi <= 1` (the cache starts at 50/50).
     pub fn lap_with_bounds(capacity: Bytes, beta: f64, lo: f64, hi: f64) -> Self {
         let split = [0.5, lo, hi];
-        Self::new(capacity, beta, split, "DC-LAP", 0, ObsHandle::disabled())
+        Self::configured(capacity, beta, split, "DC-LAP")
+    }
+
+    /// An unobserved cache over the empty universe; `split` is the PC
+    /// fraction's `[start, lo, hi]`.
+    fn configured(capacity: Bytes, beta: f64, split: [f64; 3], name: &'static str) -> Self {
+        let (universe, obs) = (PageUniverse::default(), ObsHandle::disabled());
+        Self::new(capacity, beta, split, name, &universe, obs)
     }
 }
 
 impl<O: Observer> DcAdaptive<O> {
     /// An empty cache with this one's capacity, β and partition bounds
-    /// over the page ordinals `0..page_count`, reporting cache decisions
-    /// to `obs`. Every table is preallocated for the universe, so
-    /// steady-state operation never allocates (`0` preallocates nothing
-    /// and grows on demand).
-    pub fn observed<P: Observer>(self, page_count: usize, obs: ObsHandle<P>) -> DcAdaptive<P> {
+    /// over the pages of `universe`, reporting cache decisions to `obs`.
+    /// Both stores and the relabel pools are reserved for the most pages
+    /// the capacity can hold, so steady-state operation never allocates
+    /// (the empty universe reserves nothing and grows on demand).
+    pub fn observed<P: Observer>(
+        self,
+        universe: &PageUniverse,
+        obs: ObsHandle<P>,
+    ) -> DcAdaptive<P> {
         let capacity = self.pc.capacity();
-        DcAdaptive::new(capacity, self.beta, self.split, self.name, page_count, obs)
+        DcAdaptive::new(capacity, self.beta, self.split, self.name, universe, obs)
     }
 
     /// `split` is the PC fraction's `[start, lo, hi]`.
@@ -126,7 +139,7 @@ impl<O: Observer> DcAdaptive<O> {
         beta: f64,
         split: [f64; 3],
         name: &'static str,
-        page_count: usize,
+        universe: &PageUniverse,
         obs: ObsHandle<O>,
     ) -> Self {
         let [start, lo, hi] = split;
@@ -135,10 +148,11 @@ impl<O: Observer> DcAdaptive<O> {
             (0.0..=start).contains(&lo) && (start..=1.0).contains(&hi),
             "bounds must satisfy 0 <= lo <= start <= hi <= 1"
         );
+        let bound = universe.resident_bound(capacity);
         Self {
             pc_alloc: capacity.scaled(start),
-            pc: CacheStore::dense(capacity, page_count),
-            ac: CacheStore::dense(capacity, page_count),
+            pc: CacheStore::dense(capacity, universe),
+            ac: CacheStore::dense(capacity, universe),
             inflation: 0.0,
             beta,
             ac_mark: 0,
@@ -146,9 +160,10 @@ impl<O: Observer> DcAdaptive<O> {
             lo: capacity.scaled(lo),
             hi: capacity.scaled(hi),
             name,
-            // The adaptive-step pools hold at most one item per resident page.
-            stale_scratch: RefCell::new(Vec::with_capacity(page_count)),
-            victims_scratch: RefCell::new(Vec::with_capacity(page_count)),
+            // The adaptive-step pools hold at most one item per resident
+            // page, and the two sides share the capacity.
+            stale_scratch: RefCell::new(Vec::with_capacity(bound)),
+            victims_scratch: RefCell::new(Vec::with_capacity(bound)),
             obs,
         }
     }
@@ -227,8 +242,9 @@ impl<O: Observer> DcAdaptive<O> {
     /// that fits the free bytes needs no sweep).
     fn sub_fits(&self, page: &PageRef, v: f64) -> bool {
         page.size <= self.pc_alloc
-            && (self.free_pc() >= page.size
-                || self.free_pc() + self.pc.candidate_size_below(v) >= page.size)
+            && self
+                .pc
+                .candidates_cover(v, page.size.saturating_sub(self.free_pc()))
     }
 
     /// Plans the adaptive relabeling for a page needing `needed` extra PC
@@ -773,9 +789,11 @@ mod tests {
         blob
     }
 
-    /// Decodes into a fresh cache of `like`'s configuration over 8 pages.
+    /// Decodes into a fresh cache of `like`'s configuration over 8
+    /// one-byte pages.
     fn decode(like: DcAdaptive, blob: &[u8]) -> Result<(), SnapshotError> {
-        like.observed(8, ObsHandle::<NullObserver>::disabled())
+        let universe = PageUniverse::new(vec![Bytes::new(1); 8]);
+        like.observed(&universe, ObsHandle::<NullObserver>::disabled())
             .decode_state(&mut SnapshotReader::new(blob))
     }
 

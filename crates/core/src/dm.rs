@@ -1,6 +1,6 @@
 //! DM: single cache, dual replacement methods (§3.3).
 
-use pscd_cache::{AccessOutcome, CacheStore, PageRef, SnapshotError, SnapshotReader};
+use pscd_cache::{AccessOutcome, CacheStore, PageRef, PageUniverse, SnapshotError, SnapshotReader};
 use pscd_obs::{AdmitOrigin, EvictReason, NullObserver, ObsHandle, Observer};
 use pscd_types::{Bytes, PageId};
 
@@ -41,24 +41,33 @@ impl DualMethods {
     /// Panics unless `beta` is positive and finite.
     pub fn new(capacity: Bytes, beta: f64) -> Self {
         assert!(beta.is_finite() && beta > 0.0, "beta must be positive");
-        Self::build(capacity, beta, 0, ObsHandle::disabled())
+        Self::build(
+            capacity,
+            beta,
+            &PageUniverse::default(),
+            ObsHandle::disabled(),
+        )
     }
 }
 
 impl<O: Observer> DualMethods<O> {
-    /// An empty cache with this one's capacity and β over the page
-    /// ordinals `0..page_count`, reporting cache decisions to `obs`.
-    /// Every table is preallocated for the universe, so steady-state
-    /// operation never allocates (`0` preallocates nothing and grows on
-    /// demand).
-    pub fn observed<P: Observer>(self, page_count: usize, obs: ObsHandle<P>) -> DualMethods<P> {
-        DualMethods::build(self.by_access.capacity(), self.beta, page_count, obs)
+    /// An empty cache with this one's capacity and β over the pages of
+    /// `universe`, reporting cache decisions to `obs`. Both stores are
+    /// reserved for the most pages the capacity can hold, so steady-state
+    /// operation never allocates (the empty universe reserves nothing and
+    /// grows on demand).
+    pub fn observed<P: Observer>(
+        self,
+        universe: &PageUniverse,
+        obs: ObsHandle<P>,
+    ) -> DualMethods<P> {
+        DualMethods::build(self.by_access.capacity(), self.beta, universe, obs)
     }
 
-    fn build(capacity: Bytes, beta: f64, page_count: usize, obs: ObsHandle<O>) -> Self {
+    fn build(capacity: Bytes, beta: f64, universe: &PageUniverse, obs: ObsHandle<O>) -> Self {
         Self {
-            by_access: CacheStore::dense(capacity, page_count),
-            by_sub: CacheStore::dense(capacity, page_count),
+            by_access: CacheStore::dense(capacity, universe),
+            by_sub: CacheStore::dense(capacity, universe),
             inflation: 0.0,
             beta,
             obs,
@@ -162,7 +171,10 @@ impl<O: Observer> Strategy for DualMethods<O> {
         if page.size > store.capacity() {
             return false;
         }
-        store.free() + store.candidate_size_below(value::sub(subs, page)) >= page.size
+        store.candidates_cover(
+            value::sub(subs, page),
+            page.size.saturating_sub(store.free()),
+        )
     }
 
     fn on_access(&mut self, page: &PageRef, subs: u32, evicted: &mut Vec<PageId>) -> AccessOutcome {
@@ -350,6 +362,11 @@ mod tests {
         assert!(dm.len() > 0);
     }
 
+    /// `n` one-byte pages.
+    fn units(n: usize) -> PageUniverse {
+        PageUniverse::new(vec![Bytes::new(1); n])
+    }
+
     /// Two pushed pages, then whatever `damage` does to the SUB order,
     /// encoded and decoded into a fresh cache over the same universe.
     fn decode_after(damage: impl FnOnce(&mut CacheStore)) -> Result<(), SnapshotError> {
@@ -361,7 +378,7 @@ mod tests {
         let mut blob = Vec::new();
         dm.encode_state(&mut blob);
         DualMethods::new(Bytes::new(100), 1.0)
-            .observed(8, ObsHandle::<NullObserver>::disabled())
+            .observed(&units(8), ObsHandle::<NullObserver>::disabled())
             .decode_state(&mut SnapshotReader::new(&blob))
     }
 
@@ -394,7 +411,7 @@ mod tests {
         dm.encode_state(&mut blob);
         let decode = |blob: &[u8]| {
             DualMethods::new(Bytes::new(100), 1.0)
-                .observed(8, ObsHandle::<NullObserver>::disabled())
+                .observed(&units(8), ObsHandle::<NullObserver>::disabled())
                 .decode_state(&mut SnapshotReader::new(blob))
         };
         assert_eq!(decode(&blob), Ok(()));

@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use pscd_cache::snapshot::put_u8;
-use pscd_cache::{AccessOutcome, PageRef, SnapshotError, SnapshotReader};
+use pscd_cache::{AccessOutcome, PageRef, PageUniverse, SnapshotError, SnapshotReader};
 use pscd_obs::{NullObserver, ObsHandle, Observer};
 use pscd_types::{Bytes, PageId};
 
@@ -16,13 +16,15 @@ use crate::{DcAdaptive, DualMethods, PushOutcome, SingleCache, Strategy, Strateg
 /// # Examples
 ///
 /// ```
+/// use pscd_cache::PageUniverse;
 /// use pscd_core::{Strategy, StrategyKind};
 /// use pscd_obs::ObsHandle;
 /// use pscd_types::Bytes;
 ///
-/// // Page count 0: the page tables grow on demand.
+/// // The empty universe: the tables grow on demand.
+/// let universe = PageUniverse::default();
 /// let strategy =
-///     StrategyKind::Sg2 { beta: 2.0 }.build(Bytes::from_kib(64), 0, ObsHandle::disabled());
+///     StrategyKind::Sg2 { beta: 2.0 }.build(Bytes::from_kib(64), &universe, ObsHandle::disabled());
 /// assert_eq!(strategy.name(), "SG2");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -131,15 +133,16 @@ impl StrategyKind {
     }
 
     /// Instantiates the strategy for one proxy cache of the given
-    /// capacity over the page ordinals `0..page_count`, its cache
-    /// decisions (admissions, evictions, relabels) reported to `obs`.
-    /// Every per-page table is preallocated to the universe size, making
-    /// the steady-state hot loop free of heap allocations (see DESIGN.md
-    /// §12); `0` preallocates nothing and the tables grow on demand.
+    /// capacity over the pages of `universe`, its cache decisions
+    /// (admissions, evictions, relabels) reported to `obs`. Every store
+    /// is reserved for the most pages the capacity can hold and every
+    /// per-page table for the universe, making the steady-state hot loop
+    /// free of heap allocations (see DESIGN.md §12); the empty universe
+    /// reserves nothing and the tables grow on demand.
     pub fn build<O: Observer>(
         &self,
         capacity: Bytes,
-        page_count: usize,
+        universe: &PageUniverse,
         obs: ObsHandle<O>,
     ) -> StrategyImpl<O> {
         let model = match *self {
@@ -152,23 +155,23 @@ impl StrategyKind {
             StrategyKind::Sg2 { beta } => Model::Sg2 { beta },
             StrategyKind::Sr => Model::Sr,
             StrategyKind::Dm { beta } => {
-                return StrategyImpl::Dm(DualMethods::new(capacity, beta).observed(page_count, obs))
+                return StrategyImpl::Dm(DualMethods::new(capacity, beta).observed(universe, obs))
             }
             StrategyKind::DcFp { beta, pc_fraction } => {
                 return StrategyImpl::Dc(
-                    DcAdaptive::fp(capacity, beta, pc_fraction).observed(page_count, obs),
+                    DcAdaptive::fp(capacity, beta, pc_fraction).observed(universe, obs),
                 )
             }
             StrategyKind::DcAp { beta } => {
-                return StrategyImpl::Dc(DcAdaptive::ap(capacity, beta).observed(page_count, obs))
+                return StrategyImpl::Dc(DcAdaptive::ap(capacity, beta).observed(universe, obs))
             }
             StrategyKind::DcLap { beta, lo, hi } => {
                 return StrategyImpl::Dc(
-                    DcAdaptive::lap_with_bounds(capacity, beta, lo, hi).observed(page_count, obs),
+                    DcAdaptive::lap_with_bounds(capacity, beta, lo, hi).observed(universe, obs),
                 )
             }
         };
-        StrategyImpl::Single(SingleCache::new(model, capacity, page_count, obs))
+        StrategyImpl::Single(SingleCache::new(model, capacity, universe, obs))
     }
 
     /// The paper's defaults: DC-FP at 50/50, DC-LAP bounded to [25%, 75%].
@@ -374,8 +377,10 @@ mod tests {
         )
     }
 
-    fn fresh(kind: StrategyKind, universe: usize) -> StrategyImpl {
-        kind.build(Bytes::new(300), universe, ObsHandle::disabled())
+    /// `kind` over the pages `0..pages` (none: grown on write).
+    fn fresh(kind: StrategyKind, pages: u32) -> StrategyImpl {
+        let universe = PageUniverse::new((0..pages).map(|i| page(i).size));
+        kind.build(Bytes::new(300), &universe, ObsHandle::disabled())
     }
 
     fn xorshift(mut x: u64) -> impl FnMut() -> u64 {
@@ -405,7 +410,11 @@ mod tests {
     fn every_kind_builds_and_reports_its_name() {
         let mut ev = Vec::new();
         for kind in all_kinds() {
-            let mut s = kind.build(Bytes::from_kib(4), 0, ObsHandle::disabled());
+            let mut s = kind.build(
+                Bytes::from_kib(4),
+                &PageUniverse::default(),
+                ObsHandle::disabled(),
+            );
             assert_eq!(s.name(), kind.name());
             assert_eq!(s.capacity(), Bytes::from_kib(4));
             // Smoke: run one push and one access through each.
@@ -431,7 +440,11 @@ mod tests {
         ] {
             let mut ev = Vec::new();
             let shared = SharedObserver::new(StatsObserver::new());
-            let mut s = kind.build(Bytes::from_kib(4), 0, shared.handle(ServerId::new(0)));
+            let mut s = kind.build(
+                Bytes::from_kib(4),
+                &PageUniverse::default(),
+                shared.handle(ServerId::new(0)),
+            );
             let p = PageRef::new(PageId::new(0), Bytes::new(128), 1.0);
             let _ = s.on_push(&p, 3, &mut ev);
             let _ = s.on_access(&p, 3, &mut ev);
@@ -471,7 +484,11 @@ mod tests {
         for (kind, misses, big) in cases {
             let mut ev = Vec::new();
             let shared = SharedObserver::new(StatsObserver::new());
-            let mut s = kind.build(Bytes::new(100), 0, shared.handle(ServerId::new(0)));
+            let mut s = kind.build(
+                Bytes::new(100),
+                &PageUniverse::default(),
+                shared.handle(ServerId::new(0)),
+            );
             for page in misses {
                 s.on_access(page, 0, &mut ev);
             }

@@ -31,15 +31,16 @@
 //! # Examples
 //!
 //! ```
-//! use pscd_cache::PageRef;
+//! use pscd_cache::{PageRef, PageUniverse};
 //! use pscd_core::{Strategy, StrategyKind};
 //! use pscd_obs::ObsHandle;
 //! use pscd_types::{Bytes, PageId};
 //!
 //! // An SG2 proxy cache: GD* with f = subscriptions - accesses, its page
-//! // tables growing on demand (page count 0), unobserved.
+//! // tables growing on demand (the empty universe), unobserved.
+//! let universe = PageUniverse::default();
 //! let mut proxy =
-//!     StrategyKind::Sg2 { beta: 2.0 }.build(Bytes::from_kib(64), 0, ObsHandle::disabled());
+//!     StrategyKind::Sg2 { beta: 2.0 }.build(Bytes::from_kib(64), &universe, ObsHandle::disabled());
 //!
 //! // A fresh page matching 12 subscriptions at this proxy is pushed…
 //! let mut evicted = Vec::new();

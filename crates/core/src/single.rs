@@ -3,7 +3,8 @@
 
 use pscd_cache::snapshot::put_u32;
 use pscd_cache::{
-    AccessOutcome, GreedyDualEngine, PageRef, PageTable, SnapshotError, SnapshotReader,
+    AccessOutcome, GreedyDualEngine, PageRef, PageTable, PageUniverse, SnapshotError,
+    SnapshotReader,
 };
 use pscd_obs::{NullObserver, ObsHandle, Observer};
 use pscd_types::{Bytes, PageId};
@@ -112,12 +113,13 @@ impl Model {
 /// # Examples
 ///
 /// ```
-/// use pscd_cache::PageRef;
+/// use pscd_cache::{PageRef, PageUniverse};
 /// use pscd_core::{Strategy, StrategyKind};
 /// use pscd_obs::ObsHandle;
 /// use pscd_types::{Bytes, PageId};
 ///
-/// let build = |kind: StrategyKind| kind.build(Bytes::from_kib(4), 0, ObsHandle::disabled());
+/// let universe = PageUniverse::default();
+/// let build = |kind: StrategyKind| kind.build(Bytes::from_kib(4), &universe, ObsHandle::disabled());
 /// let mut sg2 = build(StrategyKind::Sg2 { beta: 2.0 });
 /// let mut evicted = Vec::new();
 /// let page = PageRef::new(PageId::new(0), Bytes::new(256), 1.0);
@@ -144,27 +146,32 @@ pub struct SingleCache<O: Observer = NullObserver> {
 }
 
 impl<O: Observer> SingleCache<O> {
-    /// An empty cache under `model` over the page ordinals
-    /// `0..page_count`, reporting cache decisions to `obs`. Every table
-    /// the model uses is preallocated for the universe, so steady-state
-    /// operation never allocates (`0` preallocates nothing and grows on
-    /// demand).
+    /// An empty cache under `model` over the pages of `universe`,
+    /// reporting cache decisions to `obs`. The store is reserved for the
+    /// most pages the capacity can hold and the request counts for the
+    /// universe, so steady-state operation never allocates (the empty
+    /// universe reserves nothing and grows on demand).
     ///
     /// # Panics
     ///
     /// Panics unless the model's `beta`, if it has one, is positive and
     /// finite.
-    pub(crate) fn new(model: Model, capacity: Bytes, page_count: usize, obs: ObsHandle<O>) -> Self {
+    pub(crate) fn new(
+        model: Model,
+        capacity: Bytes,
+        universe: &PageUniverse,
+        obs: ObsHandle<O>,
+    ) -> Self {
         if let Model::GdStar { beta } | Model::Sg1 { beta } | Model::Sg2 { beta } = model {
             assert!(beta.is_finite() && beta > 0.0, "beta must be positive");
         }
         let counted = if model.counts_every_request() {
-            page_count
+            universe.page_count()
         } else {
             0
         };
         Self {
-            engine: GreedyDualEngine::with_observer(capacity, page_count, obs),
+            engine: GreedyDualEngine::with_observer(capacity, universe, obs),
             accesses: PageTable::new(counted, 0),
             counted: vec![0; counted.div_ceil(64)],
             model,
@@ -357,7 +364,12 @@ mod tests {
     const GD_STAR: Model = Model::GdStar { beta: 2.0 };
 
     fn cache(model: Model, capacity: u64) -> SingleCache {
-        SingleCache::new(model, Bytes::new(capacity), 0, ObsHandle::disabled())
+        SingleCache::new(
+            model,
+            Bytes::new(capacity),
+            &PageUniverse::default(),
+            ObsHandle::disabled(),
+        )
     }
 
     fn page(i: u32, size: u64, cost: f64) -> PageRef {
@@ -505,7 +517,7 @@ mod tests {
         let mut lru = SingleCache::new(
             Model::Lru,
             Bytes::new(20),
-            0,
+            &PageUniverse::default(),
             shared.handle(ServerId::new(0)),
         );
         lru.on_access(&page(1, 10, 1.0), 0, &mut ev);
@@ -717,7 +729,7 @@ mod tests {
     fn only_the_counting_models_keep_and_encode_a_request_table() {
         let mut ev = Vec::new();
         for model in [Model::Lru, Model::Gds, Model::LfuDa, GD_STAR, Model::Sub] {
-            let mut s = SingleCache::new(model, Bytes::new(100), 8, ObsHandle::disabled());
+            let mut s = counting(model, 8);
             s.on_push(&page(1, 10, 1.0), 4, &mut ev);
             s.on_access(&page(1, 10, 1.0), 4, &mut ev);
             s.on_access(&page(2, 10, 1.0), 4, &mut ev);
@@ -727,7 +739,7 @@ mod tests {
             s.engine.encode_state(&mut engine);
             assert_eq!(blob, engine, "{}", s.name());
         }
-        let mut sr = SingleCache::new(Model::Sr, Bytes::new(100), 8, ObsHandle::disabled());
+        let mut sr = counting(Model::Sr, 8);
         sr.on_access(&page(2, 10, 1.0), 4, &mut ev);
         let (mut blob, mut engine) = (Vec::new(), Vec::new());
         sr.encode_state(&mut blob);
@@ -743,15 +755,7 @@ mod tests {
         sg2.on_access(&page(1, 10, 1.0), 4, &mut ev);
         let mut blob = Vec::new();
         sg2.encode_state(&mut blob);
-        let decode = |blob: &[u8]| {
-            SingleCache::new(
-                SG2,
-                Bytes::new(100),
-                8,
-                ObsHandle::<NullObserver>::disabled(),
-            )
-            .decode_state(&mut SnapshotReader::new(blob))
-        };
+        let decode = |blob: &[u8]| counting(SG2, 8).decode_state(&mut SnapshotReader::new(blob));
         assert_eq!(decode(&blob), Ok(()));
         // The table's one row, (page, count), is the blob's last 8 bytes.
         let at = blob.len() - 4;
@@ -760,9 +764,11 @@ mod tests {
         assert!(matches!(err, Err(SnapshotError::Corrupt(_))), "{err:?}");
     }
 
-    /// A counting cache over `pages` ordinals (0: grown on write).
+    /// A 100-byte cache over `pages` one-byte ordinals (0: grown on
+    /// write).
     fn counting(model: Model, pages: usize) -> SingleCache {
-        SingleCache::new(model, Bytes::new(100), pages, ObsHandle::disabled())
+        let universe = PageUniverse::new(vec![Bytes::new(1); pages]);
+        SingleCache::new(model, Bytes::new(100), &universe, ObsHandle::disabled())
     }
 
     /// An SR blob: an empty engine, then the given request-count rows.

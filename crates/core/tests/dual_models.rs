@@ -10,7 +10,7 @@
 
 use proptest::prelude::*;
 
-use pscd_cache::{AccessOutcome, PageRef};
+use pscd_cache::{AccessOutcome, PageRef, PageUniverse};
 use pscd_core::{DcAdaptive, DualMethods, PushOutcome, Strategy as Proxy, StrategyClass};
 use pscd_obs::{NullObserver, ObsHandle};
 use pscd_types::{Bytes, PageId};
@@ -498,8 +498,11 @@ fn agree(a: &mut dyn Proxy, b: &mut dyn Proxy, op: Op) {
     }
 }
 
-/// Grown on demand, and preallocated for the universe.
-const UNIVERSES: [usize; 2] = [0, PAGES as usize];
+/// Grown on demand, and reserved over the universe.
+fn universes() -> [PageUniverse; 2] {
+    let sized = PageUniverse::new((0..PAGES).map(|p| page(p).size));
+    [PageUniverse::default(), sized]
+}
 
 /// The fixed splits of EXPERIMENTS.md's "DC-FP partition ablation".
 const PINNED: [f64; 7] = [0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9];
@@ -528,7 +531,7 @@ proptest! {
         beta in proptest::sample::select(vec![1.0f64, 2.0]),
     ) {
         let capacity = Bytes::new(capacity);
-        for universe in UNIVERSES {
+        for universe in &universes() {
             let mut real = DualMethods::new(capacity, beta).observed(universe, unobserved());
             let mut model = DmModel::new(capacity, beta);
             for &op in &ops {
@@ -546,7 +549,7 @@ proptest! {
     ) {
         let capacity = Bytes::new(capacity);
         let [start, lo, hi] = split;
-        for universe in UNIVERSES {
+        for universe in &universes() {
             let built = if lo == hi {
                 DcAdaptive::fp(capacity, beta, start)
             } else if (lo, hi) == (0.0, 1.0) {

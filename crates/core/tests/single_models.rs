@@ -15,7 +15,7 @@
 
 use proptest::prelude::*;
 
-use pscd_cache::{AccessOutcome, PageRef};
+use pscd_cache::{AccessOutcome, PageRef, PageUniverse};
 use pscd_core::{PushOutcome, Strategy as Proxy, StrategyClass, StrategyKind};
 use pscd_obs::ObsHandle;
 use pscd_types::{Bytes, PageId};
@@ -312,8 +312,9 @@ proptest! {
         let capacity = Bytes::new(capacity);
         for kind in one_cache_kinds(beta) {
             let mut model = Model::new(kind, capacity);
-            let mut grown = kind.build(capacity, 0, ObsHandle::disabled());
-            let mut preallocated = kind.build(capacity, PAGES as usize, ObsHandle::disabled());
+            let mut grown = kind.build(capacity, &PageUniverse::default(), ObsHandle::disabled());
+            let universe = PageUniverse::new((0..PAGES).map(|p| page(p).size));
+            let mut preallocated = kind.build(capacity, &universe, ObsHandle::disabled());
             prop_assert_eq!(grown.class(), model.class(), "{}", kind.name());
             for &op in &ops {
                 let expected = apply(&mut model, op);
@@ -340,7 +341,7 @@ proptest! {
         size in 1u64..50,
     ) {
         let mut caches: Vec<_> = (1..=8)
-            .map(|k| StrategyKind::Lru.build(Bytes::new(k * size), 0, ObsHandle::disabled()))
+            .map(|k| StrategyKind::Lru.build(Bytes::new(k * size), &PageUniverse::default(), ObsHandle::disabled()))
             .collect();
         let mut evicted = Vec::new();
         for (id, what) in steps {

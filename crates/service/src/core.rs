@@ -19,12 +19,13 @@
 use std::fs;
 use std::sync::Arc;
 
+use pscd_cache::PageUniverse;
 use pscd_matching::{EngineMatcher, MatchScratch, Subscription, SubscriptionId};
 use pscd_pool::effective_threads;
 use pscd_sim::resolve::VersionHeads;
 use pscd_sim::{OwnedWindow, ShardPlan, SimResult};
 use pscd_topology::FetchCosts;
-use pscd_types::{LiveEvent, ServerId, SubscriptionTable};
+use pscd_types::{LiveEvent, PageMeta, ServerId, SubscriptionTable};
 
 use crate::config::{ServiceConfig, ServiceError};
 use crate::journal::Journal;
@@ -170,10 +171,25 @@ impl ServiceCore {
         // totals).
         let restore = state.restore.map(Arc::new);
         let hourly = restore.as_ref().map(|r| r.hourly.clone());
+        let universe = PageUniverse::new(config.pages.iter().map(PageMeta::size));
         let (start, end) = ranges.next().expect("a fleet has at least one proxy");
-        let shard = build_shard(&config, costs, start..end, restore.as_deref(), hourly)?;
+        let shard = build_shard(
+            &config,
+            costs,
+            &universe,
+            start..end,
+            restore.as_deref(),
+            hourly,
+        )?;
         let workers = ranges.enumerate().map(|(i, (start, end))| {
-            Worker::spawn(i + 1, &config, costs, start..end, restore.clone())
+            Worker::spawn(
+                i + 1,
+                &config,
+                costs,
+                &universe,
+                start..end,
+                restore.clone(),
+            )
         });
         let workers = workers.collect::<Result<_, _>>()?;
         // One publish fans out to at most the whole fleet, so this bounds

@@ -20,7 +20,7 @@ use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 
-use pscd_cache::SnapshotError;
+use pscd_cache::{PageUniverse, SnapshotError};
 use pscd_obs::{NullObserver, SharedObserver};
 use pscd_sim::{HourlySeries, OwnedWindow, ReplayState, SimResult, DEFAULT_PREFETCH_DEPTH};
 use pscd_topology::FetchCosts;
@@ -32,11 +32,13 @@ use crate::wire::{restore_servers, shard_snap, FleetRestore, ShardSnap};
 /// One shard of the proxy fleet.
 pub(crate) type Shard = ReplayState<NullObserver>;
 
-/// Builds the shard owning global servers `range`, restored from
-/// `restore` and starting from the `hourly` series when given.
+/// Builds the shard owning global servers `range` over `universe` (the
+/// configured pages'), restored from `restore` and starting from the
+/// `hourly` series when given.
 pub(crate) fn build_shard(
     config: &ServiceConfig,
     costs: &FetchCosts,
+    universe: &PageUniverse,
     range: Range<u16>,
     restore: Option<&FleetRestore>,
     hourly: Option<HourlySeries>,
@@ -48,7 +50,7 @@ pub(crate) fn build_shard(
         None,
         config.capacities.clone(),
         costs,
-        config.pages.len(),
+        universe,
         hourly.unwrap_or_else(|| HourlySeries::new(config.hours)),
         SharedObserver::disabled(),
         range,
@@ -120,17 +122,19 @@ impl Worker {
         shard: usize,
         config: &ServiceConfig,
         costs: &FetchCosts,
+        universe: &PageUniverse,
         range: Range<u16>,
         restore: Option<Arc<FleetRestore>>,
     ) -> Result<Self, ServiceError> {
         let (tx, rx) = mpsc::sync_channel(DEFAULT_PREFETCH_DEPTH);
         let (snap_tx, snaps) = mpsc::channel();
         let (ready_tx, ready) = mpsc::channel();
-        let (config, costs) = (config.clone(), costs.clone());
+        let (config, costs, universe) = (config.clone(), costs.clone(), universe.clone());
         let thread = thread::Builder::new()
             .name(format!("pscd-worker-{shard}"))
             .spawn(move || {
-                let state = build_shard(&config, &costs, range, restore.as_deref(), None)?;
+                let state =
+                    build_shard(&config, &costs, &universe, range, restore.as_deref(), None)?;
                 drop(restore);
                 ready_tx.send(()).expect("spawn waits for it");
                 Ok(run(state, &config.pages, &rx, &snap_tx))

@@ -18,6 +18,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use pscd_broker::{DeliveryEngine, PushRecord, PushScheme};
+use pscd_cache::PageUniverse;
 use pscd_core::StrategyKind;
 use pscd_obs::{MergeableObserver, NullObserver, Observer, SharedObserver, TraceSink};
 use pscd_topology::FetchCosts;
@@ -342,9 +343,9 @@ pub struct ReplayState<O: Observer> {
     victims: Vec<ServerId>,
     /// An invalidation to report before processing the next event.
     pending_invalidation: Option<(pscd_types::PageId, usize)>,
-    /// Page-universe size every strategy this replay builds (including
-    /// crash restarts) preallocates for.
-    page_count: usize,
+    /// The page universe every strategy this replay builds (including
+    /// crash restarts) is reserved over.
+    universe: PageUniverse,
     /// Reused publish-record buffer: [`DeliveryEngine::publish`]
     /// writes into it, keeping the steady-state loop allocation-free.
     push_scratch: Vec<PushRecord>,
@@ -368,7 +369,7 @@ pub(crate) fn replay_state<O: Observer>(
         options.crash,
         meta.capacities(options.capacity_fraction),
         costs,
-        meta.pages().len(),
+        meta.universe(),
         HourlySeries::new(meta.hours()),
         obs,
         range,
@@ -378,8 +379,8 @@ pub(crate) fn replay_state<O: Observer>(
 impl<O: Observer> ReplayState<O> {
     /// Builds the proxy fleet for servers `range` of a fleet whose
     /// per-server cache capacities are `capacities` and fetch costs
-    /// `costs`: one `strategy` per proxy, preallocated for the page ids
-    /// `0..page_count`, delivering under `scheme`. With
+    /// `costs`: one `strategy` per proxy, reserved over `universe` (see
+    /// [`StrategyKind::build`]), delivering under `scheme`. With
     /// `invalidate_stale` a publish first drops the version it supersedes
     /// from every cache in range; `crash` restarts its victims in range.
     /// Accounting adds to `hourly`.
@@ -396,18 +397,16 @@ impl<O: Observer> ReplayState<O> {
         crash: Option<CrashPlan>,
         capacities: Vec<Bytes>,
         costs: &FetchCosts,
-        page_count: usize,
+        universe: &PageUniverse,
         hourly: HourlySeries,
         obs: SharedObserver<O>,
         range: Range<u16>,
     ) -> Self {
         let Range { start, end } = range;
-        // Page ids are dense ordinals `0..page_count`, so every per-page
-        // table can be a flat preallocated vector.
         let strategies = (start..end)
             .map(|s| {
                 let server = ServerId::new(s);
-                strategy.build(capacities[s as usize], page_count, obs.handle(server))
+                strategy.build(capacities[s as usize], universe, obs.handle(server))
             })
             .collect();
         let local_costs = (start..end).map(|s| costs.cost(ServerId::new(s))).collect();
@@ -421,7 +420,7 @@ impl<O: Observer> ReplayState<O> {
         .expect("fresh strategies, one per cost");
         // Size the engine's per-page state (eviction scratch, residency
         // index) once so the hot loop never grows it.
-        engine.reserve_pages(page_count);
+        engine.reserve_pages(universe.page_count());
         // Victims are resolved over the *full* fleet (a pure function of
         // the seed) and filtered to the range, so fault injection hits
         // exactly the proxies it hits sequentially.
@@ -442,7 +441,7 @@ impl<O: Observer> ReplayState<O> {
             crash_at: crash.map(|plan| plan.time),
             victims,
             pending_invalidation: None,
-            page_count,
+            universe: universe.clone(),
             push_scratch: Vec::with_capacity((end - start) as usize),
             start,
             end,
@@ -535,7 +534,7 @@ impl<O: Observer> ReplayState<O> {
                                 server,
                                 self.strategy.build(
                                     capacity,
-                                    self.page_count,
+                                    &self.universe,
                                     self.obs.handle(server),
                                 ),
                             )
@@ -1240,6 +1239,12 @@ mod tests {
     /// A full-range replay of `proxies` proxies over a one-page universe,
     /// and that page.
     fn tiny_state(kind: StrategyKind, proxies: u16) -> (ReplayState<NullObserver>, [PageMeta; 1]) {
+        let page = PageMeta::new(
+            PageId::new(0),
+            Bytes::new(100),
+            SimTime::ZERO,
+            PageKind::Original,
+        );
         let state = ReplayState::new(
             kind,
             PushScheme::Always,
@@ -1247,16 +1252,10 @@ mod tests {
             None,
             vec![Bytes::new(1_000); proxies as usize],
             &FetchCosts::uniform(proxies),
-            1,
+            &PageUniverse::new([page.size()]),
             HourlySeries::new(2),
             SharedObserver::disabled(),
             0..proxies,
-        );
-        let page = PageMeta::new(
-            PageId::new(0),
-            Bytes::new(100),
-            SimTime::ZERO,
-            PageKind::Original,
         );
         (state, [page])
     }

@@ -65,10 +65,11 @@
 
 use std::ops::Range;
 
+use pscd_cache::PageUniverse;
 use pscd_matching::EngineMatcher;
 use pscd_obs::{NullObserver, TraceSink};
 use pscd_topology::FetchCosts;
-use pscd_types::{Bytes, PublishEvent, RequestEvent, SimTime, SubscriptionTable};
+use pscd_types::{Bytes, PageMeta, PublishEvent, RequestEvent, SimTime, SubscriptionTable};
 use pscd_workload::{
     generate_publishing, generate_subscriptions_from_counts, RequestStream, ScenarioConfig,
     TimeWarp, WorkloadConfig, WorkloadError,
@@ -271,6 +272,7 @@ impl StreamingTrace {
             meta: ReplayMeta {
                 publish_count: publishes.len(),
                 request_count,
+                universe: PageUniverse::new(pages.iter().map(PageMeta::size)),
                 pages,
                 servers,
                 hours: (horizon.as_hours_f64().ceil() as usize).max(1),

@@ -21,6 +21,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use pscd_cache::PageUniverse;
 use pscd_matching::EngineMatcher;
 use pscd_types::{
     Bytes, PageId, PageMeta, PublishEvent, RequestEvent, ServerId, SimTime, SubscriptionTable,
@@ -270,6 +271,7 @@ impl CompiledTrace {
             pairs,
             meta: ReplayMeta {
                 pages: workload.pages().to_vec(),
+                universe: PageUniverse::new(workload.pages().iter().map(PageMeta::size)),
                 servers,
                 hours: (workload.horizon().as_hours_f64().ceil() as usize).max(1),
                 horizon: workload.horizon(),

@@ -19,6 +19,7 @@
 //! resolves every ingest batch into one and drains it through the same
 //! replay step.
 
+use pscd_cache::PageUniverse;
 use pscd_types::{Bytes, PageId, PageMeta, ServerId, SimTime};
 
 use crate::trace::{CompiledEvent, CompiledEventKind};
@@ -30,6 +31,8 @@ use crate::trace::{CompiledEvent, CompiledEventKind};
 pub struct ReplayMeta {
     /// Page metadata, indexed by page id.
     pub(crate) pages: Vec<PageMeta>,
+    /// The page sizes as the caches see them (each proxy's resident bound).
+    pub(crate) universe: PageUniverse,
     pub(crate) servers: u16,
     pub(crate) hours: usize,
     pub(crate) horizon: SimTime,
@@ -47,6 +50,11 @@ impl ReplayMeta {
     /// The page table, indexed by page id.
     pub fn pages(&self) -> &[PageMeta] {
         &self.pages
+    }
+
+    /// The page universe every proxy cache of a replay is built over.
+    pub fn universe(&self) -> &PageUniverse {
+        &self.universe
     }
 
     /// Metadata of one page.

@@ -27,6 +27,7 @@ use proptest::prelude::*;
 use proptest::sample::select;
 
 use pscd_broker::{DeliveryEngine, PushScheme};
+use pscd_cache::PageUniverse;
 use pscd_core::StrategyKind;
 use pscd_obs::{ObsHandle, SharedObserver, StatsObserver, TraceSink};
 use pscd_sim::{
@@ -281,7 +282,11 @@ fn reference_simulate(
     let servers = w.server_count();
     let capacities = w.cache_capacities(options.capacity_fraction);
     // Page count 0: every table grows on demand.
-    let build = |c| options.strategy.build(c, 0, ObsHandle::disabled());
+    let build = |c| {
+        options
+            .strategy
+            .build(c, &PageUniverse::default(), ObsHandle::disabled())
+    };
     let strategies = capacities.iter().map(|&c| build(c)).collect();
     let cost_vec = (0..servers).map(|s| costs.cost(ServerId::new(s))).collect();
     let mut engine = DeliveryEngine::new(

@@ -13,6 +13,7 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
+use pscd::cache::PageUniverse;
 use pscd::matching::{EngineMatcher, MatchScratch};
 use pscd::workload::{ContentModel, CATEGORIES};
 use pscd::{
@@ -48,7 +49,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    Unobserved, page tables growing on demand (page count 0).
     let strategies = capacities
         .iter()
-        .map(|&c| StrategyKind::Sg2 { beta: 2.0 }.build(c, 0, ObsHandle::disabled()))
+        .map(|&c| {
+            StrategyKind::Sg2 { beta: 2.0 }.build(
+                c,
+                &PageUniverse::default(),
+                ObsHandle::disabled(),
+            )
+        })
         .collect();
     let mut engine = DeliveryEngine::new(
         strategies,

@@ -1,6 +1,7 @@
 //! Integration of the content-based matching engine with the workload's
 //! content model and the delivery engine.
 
+use pscd::cache::PageUniverse;
 use pscd::matching::{EngineMatcher, MatchScratch};
 use pscd::workload::{ContentModel, CATEGORIES};
 use pscd::{
@@ -55,7 +56,13 @@ fn table_matcher_and_engine_matcher_drive_the_same_delivery_api() {
 
     let strategies = capacities
         .iter()
-        .map(|&c| StrategyKind::Sg1 { beta: 2.0 }.build(c, 0, ObsHandle::disabled()))
+        .map(|&c| {
+            StrategyKind::Sg1 { beta: 2.0 }.build(
+                c,
+                &PageUniverse::default(),
+                ObsHandle::disabled(),
+            )
+        })
         .collect();
     let mut engine = DeliveryEngine::new(
         strategies,

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use pscd::cache::CacheStore;
+use pscd::cache::{CacheStore, PageUniverse};
 use pscd::strategies::StrategyImpl;
 use pscd::{Bytes, PageId, PageRef, ServerId, Strategy as _, StrategyKind};
 use pscd_obs::{ObsHandle, SharedObserver, StatsObserver};
@@ -45,7 +45,11 @@ fn tied_page_ref(page: u32) -> PageRef {
 
 /// An unobserved strategy whose page tables grow on demand.
 fn build(kind: StrategyKind, capacity: u64) -> StrategyImpl {
-    kind.build(Bytes::new(capacity), 0, ObsHandle::disabled())
+    kind.build(
+        Bytes::new(capacity),
+        &PageUniverse::default(),
+        ObsHandle::disabled(),
+    )
 }
 
 /// Replays `ops` on every kind, checking after each operation that the
@@ -60,7 +64,11 @@ fn check_accounting(ops: &[Op], capacity: u64, page_ref: fn(u32) -> PageRef) {
     };
     for kind in all_kinds().into_iter().chain([lopsided]) {
         let shared = SharedObserver::new(StatsObserver::new());
-        let mut s = kind.build(Bytes::new(capacity), 0, shared.handle(ServerId::new(0)));
+        let mut s = kind.build(
+            Bytes::new(capacity),
+            &PageUniverse::default(),
+            shared.handle(ServerId::new(0)),
+        );
         let mut ev = Vec::new();
         for op in ops {
             match *op {
