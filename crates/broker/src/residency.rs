@@ -8,8 +8,7 @@ use pscd_types::PageId;
 ///
 /// Evictions do not clear bits, so a row is a superset of the proxies that
 /// hold the page — enough for invalidation, which asks each marked proxy
-/// and lets the strategy answer exactly. Like a
-/// [`PageTable`](pscd_cache::PageTable), the index is preallocated for a
+/// and lets the strategy answer exactly. The index is preallocated for a
 /// known universe ([`reserve`](Self::reserve)), after which marking never
 /// allocates, and grows on write otherwise.
 #[derive(Debug)]

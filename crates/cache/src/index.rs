@@ -1,13 +1,16 @@
-//! The store's page → heap-position index, and the page universe that
-//! sizes it.
+//! The page → position index behind a store and a request-count map,
+//! and the page universe that sizes them.
 //!
 //! A proxy caches a few percent of the bytes it is asked for, so the
 //! pages it can hold at once are a small, bounded share of the universe.
 //! [`PageUniverse`] computes that bound exactly from the page sizes: no
 //! set of distinct pages whose sizes fit a capacity is larger than the
-//! set of the smallest pages that fit it. The index is an open-addressing
-//! table reserved for the bound, so it never grows and its footprint
-//! follows the capacity, not the catalog.
+//! set of the smallest pages that fit it. A store's index is an
+//! open-addressing table reserved for the bound, so it never grows and
+//! its footprint follows the capacity, not the catalog. A request-count
+//! map cannot know in advance how many pages it will be asked for, so
+//! its index reserves the universe as address space and doubles inside
+//! it (see [`PageCounts`](crate::PageCounts)).
 
 use std::sync::Arc;
 
@@ -78,10 +81,12 @@ struct Entry {
     at: u32,
 }
 
-/// Page → heap position: linear probing over a power-of-two table kept
-/// at most half full, backward-shift deletion (no tombstones). Built with
+/// Page → position: linear probing over a power-of-two table kept at
+/// most half full, backward-shift deletion (no tombstones). Built with
 /// room for a bound it never allocates while it holds no more pages than
-/// that; built with none it grows by doubling.
+/// that; built with none it grows by doubling. Built
+/// [`reserved`](Self::reserved), its owner doubles it in place with
+/// [`regrow`](Self::regrow).
 #[derive(Debug, Clone)]
 pub(crate) struct PositionIndex {
     slots: Vec<Entry>,
@@ -108,6 +113,67 @@ impl PositionIndex {
             index.rebuild((2 * room).next_power_of_two());
         }
         index
+    }
+
+    /// An empty table whose storage is reserved, never written, for
+    /// every page of a `universe`-page universe: it doubles in place
+    /// inside that reservation, so only the prefix in use is touched.
+    pub(crate) fn reserved(universe: usize) -> Self {
+        Self {
+            slots: Vec::with_capacity(if universe > 0 {
+                (2 * universe).next_power_of_two().max(8)
+            } else {
+                0
+            }),
+            len: 0,
+            shift: 32,
+            universe,
+        }
+    }
+
+    /// Number of page ordinals the index accepts from outside (see
+    /// [`try_insert`](Self::try_insert)).
+    #[inline]
+    pub(crate) fn universe(&self) -> usize {
+        self.universe
+    }
+
+    /// Number of table slots.
+    #[inline]
+    pub(crate) fn slot_count(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Whether one more page would fill the table past half: an owner
+    /// that [`regrow`](Self::regrow)s calls that first.
+    #[inline]
+    pub(crate) fn is_full(&self) -> bool {
+        2 * (self.len + 1) > self.slots.len()
+    }
+
+    /// Doubles the table (to 8 slots from none) and indexes `entries`,
+    /// which must be exactly the pages and positions it holds. Inside a
+    /// [`reserved`](Self::reserved) table's storage this reallocates
+    /// nothing.
+    #[cold]
+    pub(crate) fn regrow(&mut self, entries: impl IntoIterator<Item = (PageId, u32)>) {
+        let size = (2 * self.slots.len()).max(8);
+        self.slots.clear();
+        self.slots.resize(size, Entry::default());
+        self.shift = 32 - size.trailing_zeros();
+        for (page, pos) in entries {
+            let i = self.probe(page.index());
+            self.slots[i] = Entry {
+                page: page.index(),
+                at: pos + 1,
+            };
+        }
+    }
+
+    /// The table storage's address and capacity: unchanged across any
+    /// run of operations that did not reallocate it.
+    pub(crate) fn storage(&self) -> (usize, usize) {
+        (self.slots.as_ptr() as usize, self.slots.capacity())
     }
 
     #[inline]
@@ -235,13 +301,6 @@ impl PositionIndex {
             let i = self.probe(e.page);
             self.slots[i] = e;
         }
-    }
-
-    /// The table storage's address and length: unchanged across any run
-    /// of operations that did not reallocate it.
-    #[cfg(test)]
-    pub(crate) fn storage(&self) -> (*const (), usize) {
-        (self.slots.as_ptr().cast(), self.slots.len())
     }
 }
 

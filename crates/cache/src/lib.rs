@@ -1,5 +1,5 @@
-//! Byte-capacity cache substrate: a store, its heap, a page table and
-//! the greedy-dual engine.
+//! Byte-capacity cache substrate: a store, its heap, a page → count map
+//! and the greedy-dual engine.
 //!
 //! This crate provides the caching layer the paper's strategies are
 //! built on:
@@ -10,8 +10,9 @@
 //!   reserves room for the most pages its capacity can hold, so the
 //!   replay loop performs no heap allocations; over the empty universe
 //!   it grows on demand.
-//! * [`PageTable`] — the page-keyed table for state that outlives a
-//!   residency, a flat array indexed by page ordinal.
+//! * [`PageCounts`] — a count per page for state that outlives a
+//!   residency, with rows only for the pages ever counted; over a
+//!   universe its storage is reserved for every page and never moves.
 //! * [`GreedyDualEngine`] — the greedy-dual machinery shared by the whole
 //!   policy family: inflation value `L`, In-Cache LFU reference counts,
 //!   always-admit and value-gated placement, the push-time placement
@@ -44,18 +45,18 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod counts;
 mod engine;
 mod index;
 mod keyheap;
-mod layout;
 mod policy;
 pub mod snapshot;
 mod store;
 
+pub use counts::PageCounts;
 pub use engine::GreedyDualEngine;
 pub use index::PageUniverse;
 pub use keyheap::{HeapSlot, KeyHeap};
-pub use layout::PageTable;
 pub use policy::{AccessOutcome, PageRef};
 pub use snapshot::{SnapshotError, SnapshotReader};
 pub use store::{CacheStore, StoredPage};

@@ -750,9 +750,9 @@ mod tests {
 
     /// Where the store's index and heap live: unchanged across any run of
     /// operations that did not reallocate them.
-    fn storage(s: &mut CacheStore) -> [(*const (), usize); 2] {
+    fn storage(s: &mut CacheStore) -> [(usize, usize); 2] {
         let heap = s.heap.slots_mut();
-        let heap = (heap.as_ptr().cast(), heap.capacity());
+        let heap = (heap.as_ptr() as usize, heap.capacity());
         [s.positions.storage(), heap]
     }
 

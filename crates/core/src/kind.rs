@@ -135,10 +135,11 @@ impl StrategyKind {
     /// Instantiates the strategy for one proxy cache of the given
     /// capacity over the pages of `universe`, its cache decisions
     /// (admissions, evictions, relabels) reported to `obs`. Every store
-    /// is reserved for the most pages the capacity can hold and every
-    /// per-page table for the universe, making the steady-state hot loop
-    /// free of heap allocations (see DESIGN.md §12); the empty universe
-    /// reserves nothing and the tables grow on demand.
+    /// is reserved for the most pages the capacity can hold and the
+    /// request counts, as address space, for the universe, making the
+    /// steady-state hot loop free of heap allocations (see DESIGN.md
+    /// §12); the empty universe reserves nothing and the tables grow on
+    /// demand.
     pub fn build<O: Observer>(
         &self,
         capacity: Bytes,

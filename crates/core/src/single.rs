@@ -1,9 +1,8 @@
 //! The one-cache strategies: eight cells of the paper's Table 1 over one
 //! greedy-dual engine.
 
-use pscd_cache::snapshot::put_u32;
 use pscd_cache::{
-    AccessOutcome, GreedyDualEngine, PageRef, PageTable, PageUniverse, SnapshotError,
+    AccessOutcome, GreedyDualEngine, PageCounts, PageRef, PageUniverse, SnapshotError,
     SnapshotReader,
 };
 use pscd_obs::{NullObserver, ObsHandle, Observer};
@@ -136,21 +135,18 @@ impl Model {
 pub struct SingleCache<O: Observer = NullObserver> {
     engine: GreedyDualEngine<O>,
     /// Requests per page since the start, for the models that count them
-    /// (see [`Model::counts_every_request`]); never written otherwise.
-    accesses: PageTable<u32>,
-    /// One bit per page ordinal, set exactly where `accesses` holds a
-    /// count: a snapshot and a restore walk these words and so touch only
-    /// the pages this proxy was ever asked for.
-    counted: Vec<u64>,
+    /// (see [`Model::counts_every_request`]); empty, never written,
+    /// otherwise. A row per page this proxy was ever asked for.
+    requests: PageCounts,
     model: Model,
 }
 
 impl<O: Observer> SingleCache<O> {
     /// An empty cache under `model` over the pages of `universe`,
     /// reporting cache decisions to `obs`. The store is reserved for the
-    /// most pages the capacity can hold and the request counts for the
-    /// universe, so steady-state operation never allocates (the empty
-    /// universe reserves nothing and grows on demand).
+    /// most pages the capacity can hold and the request counts, as address
+    /// space, for the universe, so steady-state operation never allocates
+    /// (the empty universe reserves nothing and grows on demand).
     ///
     /// # Panics
     ///
@@ -165,15 +161,14 @@ impl<O: Observer> SingleCache<O> {
         if let Model::GdStar { beta } | Model::Sg1 { beta } | Model::Sg2 { beta } = model {
             assert!(beta.is_finite() && beta > 0.0, "beta must be positive");
         }
-        let counted = if model.counts_every_request() {
-            universe.page_count()
+        let requests = if model.counts_every_request() {
+            PageCounts::new(universe)
         } else {
-            0
+            PageCounts::default()
         };
         Self {
             engine: GreedyDualEngine::with_observer(capacity, universe, obs),
-            accesses: PageTable::new(counted, 0),
-            counted: vec![0; counted.div_ceil(64)],
+            requests,
             model,
         }
     }
@@ -181,7 +176,7 @@ impl<O: Observer> SingleCache<O> {
     /// The requests recorded for a page since the start (0 under a model
     /// that does not count them).
     pub fn access_count(&self, page: PageId) -> u32 {
-        self.accesses.get(page)
+        self.requests.get(page)
     }
 
     /// The wire tag of this cache's snapshot layout: the model's, so that
@@ -205,13 +200,7 @@ impl<O: Observer> SingleCache<O> {
     pub(crate) fn encode_state(&self, out: &mut Vec<u8>) {
         self.engine.encode_state(out);
         if self.model.counts_every_request() {
-            let rows: u32 = self.counted.iter().map(|word| word.count_ones()).sum();
-            put_u32(out, rows);
-            // Words in order, bits from the lowest: ascending page order.
-            for page in set_bits(&self.counted) {
-                put_u32(out, page.index());
-                put_u32(out, self.accesses.get(page));
-            }
+            self.requests.encode_state(out);
         }
     }
 
@@ -228,28 +217,7 @@ impl<O: Observer> SingleCache<O> {
     pub(crate) fn decode_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         self.engine.decode_state(r)?;
         if self.model.counts_every_request() {
-            let n = r.read_u32()? as usize;
-            if n > r.remaining() / 8 {
-                return Err(SnapshotError::Corrupt("access-count table overruns buffer"));
-            }
-            for page in set_bits(&self.counted) {
-                self.accesses.remove(page);
-            }
-            self.counted.fill(0);
-            // The encoder writes each counted page once (`try_insert`
-            // refuses a second time), in ascending order, and never a
-            // zero: anything else is not its output.
-            let mut last = 0;
-            for _ in 0..n {
-                let page = PageId::new(r.read_u32()?);
-                let a = r.read_count()?;
-                if a == 0 || page.index() < last {
-                    return Err(SnapshotError::Corrupt("request counts not canonical"));
-                }
-                last = page.index();
-                self.accesses.try_insert(page, a)?;
-                self.counted[page.as_usize() / 64] |= 1 << (page.index() % 64);
-            }
+            self.requests.decode_state(r)?;
         }
         Ok(())
     }
@@ -257,21 +225,9 @@ impl<O: Observer> SingleCache<O> {
     /// What a page pushed now would be worth: no reference yet, and the
     /// requests seen so far where the model counts them.
     fn push_value(&self, page: &PageRef, subs: u32) -> f64 {
-        let a = self.accesses.get(page.page);
+        let a = self.requests.get(page.page);
         self.model.value(page, subs, a, self.engine.inflation())
     }
-}
-
-/// The page ordinals whose bits are set in `words`, ascending.
-fn set_bits(words: &[u64]) -> impl Iterator<Item = PageId> + '_ {
-    words.iter().enumerate().flat_map(|(w, &word)| {
-        let mut rest = word;
-        std::iter::from_fn(move || {
-            let bit = (rest != 0).then(|| rest.trailing_zeros())?;
-            rest &= rest - 1;
-            Some(PageId::new(w as u32 * 64 + bit))
-        })
-    })
 }
 
 impl<O: Observer> Strategy for SingleCache<O> {
@@ -320,14 +276,7 @@ impl<O: Observer> Strategy for SingleCache<O> {
                 }
             }
             StrategyClass::Combined => {
-                let a = self.accesses.get(page.page) + 1;
-                self.accesses.set(page.page, a);
-                let word = page.page.as_usize() / 64;
-                if word >= self.counted.len() {
-                    // Only a cache built without a universe grows, as its table does.
-                    self.counted.resize(word + 1, 0);
-                }
-                self.counted[word] |= 1 << (page.page.index() % 64);
+                let a = self.requests.increment(page.page);
                 self.engine
                     .access_gated(page, |_, l| model.value(page, subs, a, l), evicted)
             }
@@ -357,6 +306,10 @@ impl<O: Observer> Strategy for SingleCache<O> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
+    use pscd_cache::snapshot::put_u32;
+
     use super::*;
 
     const SG1: Model = Model::Sg1 { beta: 2.0 };
@@ -733,7 +686,9 @@ mod tests {
             s.on_push(&page(1, 10, 1.0), 4, &mut ev);
             s.on_access(&page(1, 10, 1.0), 4, &mut ev);
             s.on_access(&page(2, 10, 1.0), 4, &mut ev);
-            assert!(s.counted.is_empty(), "{}", s.name());
+            assert!(s.requests.is_empty(), "{}", s.name());
+            let reserved = s.requests.storage().map(|(_, capacity)| capacity);
+            assert_eq!(reserved, [0, 0], "{}: nothing reserved", s.name());
             let (mut blob, mut engine) = (Vec::new(), Vec::new());
             s.encode_state(&mut blob);
             s.engine.encode_state(&mut engine);
@@ -786,38 +741,53 @@ mod tests {
 
     #[test]
     fn decode_rejects_a_request_table_the_encoder_cannot_have_written() {
-        let decode = |rows: &[(u32, u32)]| {
+        let mut sr = counting(Model::Sr, 8);
+        let built = sr.requests.storage();
+        let mut decode = |rows: &[(u32, u32)]| {
             let blob = blob_with_rows(rows);
-            let mut sr = counting(Model::Sr, 8);
             let decoded = sr.decode_state(&mut SnapshotReader::new(&blob));
+            // Corrupt or not, the rows never outgrow their reservation.
+            assert_eq!(sr.requests.storage(), built, "{rows:?}");
+            assert!(sr.requests.len() <= 8, "{rows:?}");
             let mut again = Vec::new();
             sr.encode_state(&mut again);
             decoded.map(|()| again == blob)
         };
         assert_eq!(decode(&[(2, 5), (7, 1)]), Ok(true));
+        let every_page: Vec<(u32, u32)> = (0..8).map(|p| (p, 1)).collect();
+        assert_eq!(decode(&every_page), Ok(true));
+        let one_too_many: Vec<(u32, u32)> = (0..9).map(|p| (p, 1)).collect();
         // Regression: a zero wrote the table's absent value, so the row
         // after it passed the duplicate check and the cache re-encoded to
         // other bytes than it was given.
-        for rows in [&[(2, 0), (2, 5)][..], &[(2, 0)], &[(7, 1), (2, 5)]] {
+        let zero: [&[(u32, u32)]; 2] = [&[(2, 0), (2, 5)], &[(2, 0)]];
+        let past_the_universe: [&[(u32, u32)]; 2] = [&[(2, 5), (8, 1)], &[(u32::MAX, 1)]];
+        let duplicate_or_descending: [&[(u32, u32)]; 2] = [&[(2, 5), (2, 5)], &[(7, 1), (2, 5)]];
+        let corrupt = [&one_too_many[..]]
+            .into_iter()
+            .chain(zero)
+            .chain(past_the_universe)
+            .chain(duplicate_or_descending);
+        for rows in corrupt {
             let err = decode(rows);
-            assert!(matches!(err, Err(SnapshotError::Corrupt(_))), "{err:?}");
+            assert!(
+                matches!(err, Err(SnapshotError::Corrupt(_))),
+                "{rows:?}: {err:?}"
+            );
         }
-        let err = decode(&[(2, 5), (2, 5)]);
-        assert!(matches!(err, Err(SnapshotError::Corrupt(_))), "{err:?}");
     }
 
-    /// The bitmap's one invariant: a bit is set exactly where the table
-    /// holds a count.
-    fn assert_bits_match_counts(s: &SingleCache, pages: u32) {
-        for p in 0..pages + 70 {
-            let bit = (s.counted.get(p as usize / 64)).is_some_and(|w| w >> (p % 64) & 1 == 1);
-            assert_eq!(bit, s.access_count(PageId::new(p)) != 0, "page {p}");
-        }
+    /// Every counted page has a row, and no other page has one.
+    fn assert_rows_match_counts(s: &SingleCache, pages: u32) {
+        let counted = (0..pages + 70)
+            .filter(|&p| s.access_count(PageId::new(p)) != 0)
+            .count();
+        assert_eq!(s.requests.len(), counted);
     }
 
     #[test]
-    fn a_bit_is_set_exactly_where_a_request_count_is() {
-        // 100 is not a multiple of 64; 0 grows table and bitmap on write.
+    fn request_counts_survive_a_snapshot_into_a_used_cache() {
+        // 0 grows the map on write.
         for universe in [100usize, 0] {
             let mut ev = Vec::new();
             let mut x = 0x2545_f491_4f6c_dd1du64;
@@ -829,20 +799,22 @@ mod tests {
             };
             let mut a = counting(SG2, universe);
             let mut b = counting(SG2, 100);
-            assert_eq!(a.counted.len(), universe.div_ceil(64));
+            let built = b.requests.storage();
+            assert_eq!(a.requests.storage()[0].1, universe);
             for round in 0..6 {
                 for _ in 0..40 {
                     let id = (rng() % 100) as u32;
                     a.on_access(&page(id, 10, 1.0), 3, &mut ev);
                 }
-                assert_bits_match_counts(&a, 100);
+                assert_rows_match_counts(&a, 100);
                 // Into a used cache: what `b` counted before must go.
                 let stale = (rng() % 100) as u32;
                 b.on_access(&page(stale, 10, 1.0), 3, &mut ev);
                 let mut blob = Vec::new();
                 a.encode_state(&mut blob);
                 b.decode_state(&mut SnapshotReader::new(&blob)).unwrap();
-                assert_bits_match_counts(&b, 100);
+                assert_rows_match_counts(&b, 100);
+                assert_eq!(b.requests.storage(), built);
                 let mut again = Vec::new();
                 b.encode_state(&mut again);
                 assert_eq!(again, blob, "universe {universe}, round {round}");
@@ -851,6 +823,36 @@ mod tests {
                     assert_eq!(a.access_count(p), b.access_count(p));
                 }
             }
+        }
+    }
+
+    #[test]
+    fn request_counts_take_room_for_the_pages_asked_for_not_the_universe() {
+        let universe = PageUniverse::new(vec![Bytes::new(100); 1_000_000]);
+        let mut sg2 = SingleCache::new(SG2, Bytes::new(1_000), &universe, ObsHandle::disabled());
+        let mut rng = {
+            let mut x = 0x9e37_79b9_7f4a_7c15u64;
+            move || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            }
+        };
+        let asked: Vec<u32> = (0..500).map(|_| (rng() % 1_000_000) as u32).collect();
+        let mut tally = HashMap::<u32, u32>::new();
+        let mut ev = Vec::new();
+        for _ in 0..5_000 {
+            let id = asked[(rng() % 500) as usize];
+            *tally.entry(id).or_default() += 1;
+            sg2.on_access(&page(id, 100, 1.0), 2, &mut ev);
+        }
+        assert_eq!(tally.len(), 500, "the draw repeats no page");
+        assert_eq!(sg2.requests.len(), 500);
+        assert!(sg2.requests.index_slots() <= 2_048);
+        for p in (0..1_000_000).step_by(997).chain(asked.iter().copied()) {
+            let want = tally.get(&p).copied().unwrap_or(0);
+            assert_eq!(sg2.access_count(PageId::new(p)), want, "page {p}");
         }
     }
 
