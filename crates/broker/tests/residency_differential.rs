@@ -15,8 +15,9 @@ use proptest::prelude::*;
 
 use pscd_broker::{DeliveryEngine, PushRecord, PushScheme};
 use pscd_cache::{PageRef, PageUniverse, SnapshotReader};
-use pscd_core::{Strategy as _, StrategyImpl, StrategyKind};
+use pscd_core::{Strategy as _, StrategyImpl};
 use pscd_obs::{ObsHandle, SharedObserver};
+use pscd_spec::LINEUP;
 use pscd_types::{Bytes, PageId, PageKind, PageMeta, ServerId, SimTime};
 
 /// Page ordinals `0..PAGES` are the universe; [`BEYOND`] lies outside it.
@@ -24,28 +25,8 @@ const PAGES: u32 = 16;
 const BEYOND: u32 = 1_000;
 const CAPACITY: Bytes = Bytes::new(120);
 
-/// The 12 [`StrategyKind`]s.
-const LINEUP: usize = 12;
-
-fn kind(i: usize) -> StrategyKind {
-    [
-        StrategyKind::Lru,
-        StrategyKind::Gds,
-        StrategyKind::LfuDa,
-        StrategyKind::GdStar { beta: 2.0 },
-        StrategyKind::Sub,
-        StrategyKind::Sg1 { beta: 2.0 },
-        StrategyKind::Sg2 { beta: 2.0 },
-        StrategyKind::Sr,
-        StrategyKind::Dm { beta: 2.0 },
-        StrategyKind::dc_fp(2.0),
-        StrategyKind::DcAp { beta: 2.0 },
-        StrategyKind::dc_lap(2.0),
-    ][i]
-}
-
 fn fresh(lineup: usize, universe: &PageUniverse) -> StrategyImpl {
-    kind(lineup).build(CAPACITY, universe, ObsHandle::disabled())
+    LINEUP[lineup].build(CAPACITY, universe, ObsHandle::disabled())
 }
 
 fn page(i: u32) -> PageMeta {
@@ -322,7 +303,7 @@ proptest! {
         preallocated in proptest::bool::ANY,
         ops in proptest::collection::vec(op(), 1..160),
     ) {
-        for lineup in 0..LINEUP {
+        for lineup in 0..LINEUP.len() {
             run(Shape { lineup, fleet, first, scheme, preallocated }, &ops);
         }
     }

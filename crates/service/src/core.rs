@@ -532,7 +532,6 @@ impl ServiceCore {
 mod tests {
     use super::*;
 
-    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
     use std::sync::atomic::{self, AtomicBool};
     use std::sync::mpsc;
     use std::time::Duration;
@@ -544,6 +543,7 @@ mod tests {
     use pscd_sim::{
         simulate_compiled, CompiledEventKind, CompiledTrace, SimOptions, DEFAULT_PREFETCH_DEPTH,
     };
+    use pscd_spec::within_a_minute;
     use pscd_types::{PageId, SimTime};
     use pscd_workload::{Workload, WorkloadConfig};
 
@@ -842,21 +842,6 @@ mod tests {
             // Both ways to a count are exercised in any run of some length.
             prop_assert!(steps < 100 || (kept_reads > 0 && kernel_reads > 0));
         }
-    }
-
-    /// Runs `f` on its own thread and fails the test, instead of hanging
-    /// it, when `f` has not returned within a minute (the guard
-    /// `pscd_sim::prefetch`'s tests use).
-    fn within_a_minute<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
-        let (tx, rx) = mpsc::channel();
-        let worker = std::thread::spawn(move || {
-            let _ = tx.send(catch_unwind(AssertUnwindSafe(f)));
-        });
-        let outcome = rx
-            .recv_timeout(Duration::from_secs(60))
-            .expect("service hung");
-        worker.join().expect("worker catches its own panics");
-        outcome.unwrap_or_else(|panic| resume_unwind(panic))
     }
 
     /// Runs `hook` on shard `shard`'s worker thread when its next batch

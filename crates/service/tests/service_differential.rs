@@ -1,10 +1,12 @@
 //! Service-vs-batch differential suite: the live service, fed the same
-//! events through [`ServiceCore::ingest_all`] in client-sized chunks (one
-//! event at a time included), must end in **bit-identical** state to the
-//! batch replay — the same `SimResult` (hits, requests, traffic, hourly
-//! buckets, per-proxy stats) and the same serialized per-proxy cache
-//! contents — for every strategy the paper evaluates, at any worker count
-//! and batch size.
+//! events through [`ServiceCore::ingest_all`], must end in
+//! **bit-identical** state to the batch replay — the same `SimResult`
+//! and the same serialized per-proxy cache contents — after a rejected
+//! ingest and across content churn. That it does so for every strategy
+//! (inline, on worker threads, one event at a time, in content mode,
+//! with and without invalidation) is a row of the variant table
+//! (`crates/spec/tests/variants.rs`), checked there against the spec
+//! loop.
 //!
 //! The second half is the crash-recovery property: a service killed (its
 //! core dropped, inline shard and worker threads alike) at a
@@ -20,27 +22,10 @@ use pscd_broker::PushScheme;
 use pscd_core::StrategyKind;
 use pscd_service::{ServiceConfig, ServiceCore, ServiceOutcome};
 use pscd_sim::{CompiledTrace, SimOptions, SimResult, Simulation};
+use pscd_spec::LINEUP;
 use pscd_topology::FetchCosts;
 use pscd_types::{LiveEvent, PageMeta, ServerId};
 use pscd_workload::{Workload, WorkloadConfig};
-
-/// Every strategy the paper evaluates (§5), plus the classic baselines.
-fn all_strategies() -> [StrategyKind; 12] {
-    [
-        StrategyKind::Lru,
-        StrategyKind::Gds,
-        StrategyKind::LfuDa,
-        StrategyKind::GdStar { beta: 2.0 },
-        StrategyKind::Sub,
-        StrategyKind::Sg1 { beta: 2.0 },
-        StrategyKind::Sg2 { beta: 2.0 },
-        StrategyKind::Sr,
-        StrategyKind::Dm { beta: 2.0 },
-        StrategyKind::dc_fp(2.0),
-        StrategyKind::DcAp { beta: 2.0 },
-        StrategyKind::dc_lap(2.0),
-    ]
-}
 
 struct Fixture {
     trace: CompiledTrace,
@@ -126,88 +111,6 @@ fn assert_equivalent(kind: StrategyKind, outcome: &ServiceOutcome, invalidate: b
     );
 }
 
-/// Guards against a vacuous differential: the shared stream must be
-/// substantial and the reference run must actually exercise hits,
-/// misses and pushes.
-#[test]
-fn fixture_is_not_degenerate() {
-    let f = fixture();
-    assert!(f.events.len() > 1_000, "only {} events", f.events.len());
-    assert!(f
-        .events
-        .iter()
-        .any(|ev| matches!(ev, LiveEvent::Publish { .. })));
-    let (reference, _) = batch_run(StrategyKind::Sg2 { beta: 2.0 }, false);
-    assert!(reference.requests > 0);
-    assert!(reference.hits > 0);
-    assert!(reference.hits < reference.requests, "no misses exercised");
-    assert!(reference.traffic.pushed_pages > 0);
-}
-
-#[test]
-fn every_strategy_is_bit_identical_inline() {
-    let f = fixture();
-    for kind in all_strategies() {
-        let mut core = ServiceCore::new(service_config(kind, false)).unwrap();
-        core.ingest_all(&f.events).unwrap();
-        let outcome = core.shutdown().unwrap();
-        assert_equivalent(kind, &outcome, false, "workers=1");
-    }
-}
-
-#[test]
-fn every_strategy_is_bit_identical_threaded() {
-    let f = fixture();
-    // (workers, batch size, client chunk): uneven chunks exercise the
-    // batching boundaries.
-    for (workers, batch_size, chunk) in [(3, 64, 101), (2, 256, 157)] {
-        for kind in all_strategies() {
-            let mut core = ServiceCore::new(
-                service_config(kind, false)
-                    .with_workers(workers)
-                    .with_batch_size(batch_size),
-            )
-            .unwrap();
-            for chunk in f.events.chunks(chunk) {
-                core.ingest_all(chunk).unwrap();
-            }
-            core.flush().unwrap();
-            let outcome = core.shutdown().unwrap();
-            assert_equivalent(kind, &outcome, false, &format!("workers={workers}"));
-        }
-    }
-}
-
-#[test]
-fn invalidation_is_bit_identical() {
-    let f = fixture();
-    for kind in [
-        StrategyKind::GdStar { beta: 2.0 },
-        StrategyKind::Sg2 { beta: 2.0 },
-        StrategyKind::dc_lap(2.0),
-    ] {
-        for workers in [1usize, 4] {
-            let mut core =
-                ServiceCore::new(service_config(kind, true).with_workers(workers)).unwrap();
-            core.ingest_all(&f.events).unwrap();
-            let outcome = core.shutdown().unwrap();
-            assert_equivalent(kind, &outcome, true, "invalidation");
-        }
-    }
-}
-
-#[test]
-fn single_event_ingest_matches_batched_ingest() {
-    let f = fixture();
-    let kind = StrategyKind::Sg2 { beta: 2.0 };
-    let mut core = ServiceCore::new(service_config(kind, false).with_batch_size(1)).unwrap();
-    for ev in &f.events {
-        core.ingest(*ev).unwrap();
-    }
-    let outcome = core.shutdown().unwrap();
-    assert_equivalent(kind, &outcome, false, "batch_size=1");
-}
-
 #[test]
 fn invalid_events_are_rejected_without_side_effects() {
     let f = fixture();
@@ -225,29 +128,6 @@ fn invalid_events_are_rejected_without_side_effects() {
     core.ingest_all(&f.events).unwrap();
     let outcome = core.shutdown().unwrap();
     assert_equivalent(kind, &outcome, false, "after rejected ingest");
-}
-
-/// Content mode: the same service with a frozen content matcher attached
-/// (encoding each count-table row as `count` copies of an exact-match
-/// `page = <id>` subscription) must resolve every publish and request
-/// through the frozen kernel to the **same** outcome as count-row mode.
-#[test]
-fn content_mode_resolution_is_bit_identical() {
-    let f = fixture();
-    for kind in [
-        StrategyKind::Sg2 { beta: 2.0 },
-        StrategyKind::GdStar { beta: 2.0 },
-        StrategyKind::dc_lap(2.0),
-    ] {
-        let mut core = ServiceCore::new(service_config(kind, false)).unwrap();
-        let matcher = pscd_workload::matcher_from_table(&f.subs, f.trace.server_count());
-        core.attach_matcher(matcher).unwrap();
-        assert!(core.matcher_frozen(), "attach must freeze the matcher");
-        core.ingest_all(&f.events).unwrap();
-        assert!(core.matcher_frozen(), "resolution must leave it frozen");
-        let outcome = core.shutdown().unwrap();
-        assert_equivalent(kind, &outcome, false, "content mode");
-    }
 }
 
 /// Dynamic churn through the content front door: a subscribe or an
@@ -590,7 +470,7 @@ fn persisted_bytes_are_pinned() {
     ];
     let f = fixture();
     let quarter = f.events.len() / 4;
-    let digests = all_strategies().map(|kind| {
+    let digests = LINEUP.map(|kind| {
         let dir = temp_service_dir(&format!("pinned-{}", kind.name()));
         let mut core =
             ServiceCore::new(service_config(kind, true).with_persistence(dir.clone(), 0)).unwrap();

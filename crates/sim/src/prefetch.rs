@@ -419,11 +419,11 @@ mod tests {
     use super::*;
     use crate::trace::CompiledTrace;
     use pscd_core::StrategyKind;
+    use pscd_spec::within_a_minute;
     use pscd_types::SimTime;
     use pscd_workload::{Workload, WorkloadConfig};
-    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::time::Duration;
 
     fn config() -> WorkloadConfig {
         WorkloadConfig::news_scaled(0.004)
@@ -486,31 +486,6 @@ mod tests {
     }
 
     #[test]
-    fn prefetched_replay_matches_serial_streamed() {
-        let stream = StreamingTrace::new(&config(), 1.0, SimTime::from_hours(13), 1).unwrap();
-        let costs = FetchCosts::uniform(stream.meta().server_count());
-        let options = SimOptions::at_capacity(StrategyKind::Sg2 { beta: 2.0 }, 0.05);
-        let serial = crate::simulate_streamed(&stream, &costs, &options).unwrap();
-        let sink = TraceSink::disabled();
-        for depth in [1, 3] {
-            let prefetch = PrefetchOptions::new(depth);
-            let piped =
-                simulate_streamed_prefetched_traced(&stream, &costs, &options, &prefetch, &sink)
-                    .unwrap();
-            assert_eq!(piped, serial, "depth = {depth}");
-            let sharded = simulate_streamed_prefetched_traced(
-                &stream,
-                &costs,
-                &options.with_threads(3),
-                &prefetch,
-                &sink,
-            )
-            .unwrap();
-            assert_eq!(sharded, serial, "depth = {depth}, sharded");
-        }
-    }
-
-    #[test]
     fn queue_bounds_alive_windows_by_depth_plus_one() {
         let stream = StreamingTrace::new(&config(), 1.0, SimTime::from_hours(6), 1).unwrap();
         assert!(stream.window_count() >= 8, "need enough windows to matter");
@@ -569,20 +544,6 @@ mod tests {
             .events
             .iter()
             .any(|e| e.label == "prefetch.compile"));
-    }
-
-    /// Runs `f` on its own thread and fails the test, instead of hanging
-    /// it, when `f` has not returned within a minute.
-    fn within_a_minute<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
-        let (tx, rx) = std::sync::mpsc::channel();
-        let worker = std::thread::spawn(move || {
-            let _ = tx.send(catch_unwind(AssertUnwindSafe(f)));
-        });
-        let outcome = rx
-            .recv_timeout(Duration::from_secs(60))
-            .expect("pipeline hung");
-        worker.join().expect("worker catches its own panics");
-        outcome.unwrap_or_else(|panic| resume_unwind(panic))
     }
 
     fn empty_window() -> OwnedWindow {

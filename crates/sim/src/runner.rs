@@ -860,17 +860,7 @@ mod tests {
     #[test]
     fn all_strategies_complete_and_account_consistently() {
         let (w, trace, costs) = tiny();
-        for kind in [
-            StrategyKind::GdStar { beta: 2.0 },
-            StrategyKind::Sub,
-            StrategyKind::Sg1 { beta: 2.0 },
-            StrategyKind::Sg2 { beta: 2.0 },
-            StrategyKind::Sr,
-            StrategyKind::Dm { beta: 2.0 },
-            StrategyKind::dc_fp(2.0),
-            StrategyKind::DcAp { beta: 2.0 },
-            StrategyKind::dc_lap(2.0),
-        ] {
+        for kind in pscd_spec::LINEUP {
             let r =
                 simulate_compiled(&trace, &costs, &SimOptions::at_capacity(kind, 0.05)).unwrap();
             assert_eq!(r.requests, w.requests().len() as u64, "{}", r.strategy);

@@ -707,22 +707,6 @@ mod tests {
     }
 
     #[test]
-    fn streamed_replay_matches_compiled_replay() {
-        let reference = monolithic(&config(), 1.0);
-        let costs = FetchCosts::uniform(reference.server_count());
-        let stream = StreamingTrace::new(&config(), 1.0, SimTime::from_hours(9), 1).unwrap();
-        for kind in [StrategyKind::Sg2 { beta: 2.0 }, StrategyKind::Lru] {
-            let opt = SimOptions::at_capacity(kind, 0.05);
-            let compiled = crate::simulate_compiled(&reference, &costs, &opt).unwrap();
-            let streamed = simulate_streamed(&stream, &costs, &opt).unwrap();
-            assert_eq!(streamed, compiled);
-            // Sharded streaming merges to the same totals.
-            let sharded = simulate_streamed(&stream, &costs, &opt.with_threads(4)).unwrap();
-            assert_eq!(sharded, compiled);
-        }
-    }
-
-    #[test]
     fn scenario_stream_matches_compiled_scenario_build() {
         let scenario = ScenarioConfig::flash_crowds();
         let w = scenario.build(0).unwrap();

@@ -8,11 +8,11 @@ use std::sync::OnceLock;
 use proptest::prelude::*;
 use proptest::sample::select;
 
-use pscd_core::StrategyKind;
 use pscd_obs::{SharedObserver, StatsObserver, TraceSink};
 use pscd_sim::{
     simulate_compiled, simulate_observed_sharded, CompiledTrace, SimOptions, Simulation,
 };
+use pscd_spec::LINEUP;
 use pscd_topology::FetchCosts;
 use pscd_workload::{Workload, WorkloadConfig};
 
@@ -32,14 +32,7 @@ proptest! {
 
     #[test]
     fn per_server_accounting_and_observer_agree(
-        kind in select(vec![
-            StrategyKind::GdStar { beta: 2.0 },
-            StrategyKind::Sub,
-            StrategyKind::Sg2 { beta: 2.0 },
-            StrategyKind::Sr,
-            StrategyKind::Dm { beta: 2.0 },
-            StrategyKind::dc_lap(2.0),
-        ]),
+        kind in select(LINEUP.to_vec()),
         capacity in select(vec![0.01, 0.05, 0.10]),
     ) {
         let (costs, trace) = fixture();
@@ -68,13 +61,7 @@ proptest! {
 
     #[test]
     fn sharded_path_keeps_the_accounting_invariants(
-        kind in select(vec![
-            StrategyKind::GdStar { beta: 2.0 },
-            StrategyKind::Sub,
-            StrategyKind::Sg2 { beta: 2.0 },
-            StrategyKind::Dm { beta: 2.0 },
-            StrategyKind::dc_lap(2.0),
-        ]),
+        kind in select(LINEUP.to_vec()),
         capacity in select(vec![0.01, 0.05, 0.10]),
         threads in select(vec![2usize, 3, 4]),
     ) {

@@ -2,15 +2,14 @@
 //! lazily from the workload config ([`StreamingTrace`]) must be bit-for-
 //! bit indistinguishable from compiling the whole timeline up front
 //! ([`CompiledTrace`]) — same compiled events, same `SimResult` (totals,
-//! hourly series, AND per-proxy accounting) — for every strategy the
-//! paper evaluates, at every window size, at every thread count, with
-//! crashes landing exactly on window seams and invalidation lineage
-//! spanning them.
+//! hourly series, AND per-proxy accounting) — with crashes landing
+//! exactly on window seams, invalidation lineage spanning them, empty
+//! windows and tail-heavy streams. That a streamed or prefetched replay
+//! equals the spec loop for every strategy, at three window sizes, two
+//! depths and several thread counts, is a row of the variant table
+//! (`crates/spec/tests/variants.rs`).
 
 use std::sync::OnceLock;
-
-use proptest::prelude::*;
-use proptest::sample::select;
 
 use pscd_core::StrategyKind;
 use pscd_obs::TraceSink;
@@ -21,25 +20,6 @@ use pscd_sim::{
 use pscd_topology::FetchCosts;
 use pscd_types::{RequestEvent, SimTime};
 use pscd_workload::{ScenarioConfig, Workload, WorkloadConfig};
-
-/// Every strategy the paper evaluates (§5), plus the classic baselines —
-/// the same twelve-strategy lineup as the other differential suites.
-fn all_strategies() -> [StrategyKind; 12] {
-    [
-        StrategyKind::Lru,
-        StrategyKind::Gds,
-        StrategyKind::LfuDa,
-        StrategyKind::GdStar { beta: 2.0 },
-        StrategyKind::Sub,
-        StrategyKind::Sg1 { beta: 2.0 },
-        StrategyKind::Sg2 { beta: 2.0 },
-        StrategyKind::Sr,
-        StrategyKind::Dm { beta: 2.0 },
-        StrategyKind::dc_fp(2.0),
-        StrategyKind::DcAp { beta: 2.0 },
-        StrategyKind::dc_lap(2.0),
-    ]
-}
 
 fn config() -> WorkloadConfig {
     WorkloadConfig::news_scaled(0.004)
@@ -60,58 +40,6 @@ fn reference() -> &'static (CompiledTrace, FetchCosts) {
 
 fn streaming(window: SimTime) -> StreamingTrace {
     StreamingTrace::new(&config(), 0.8, window, 1).unwrap()
-}
-
-/// The headline proof: for all 12 strategies and three window sizes, a
-/// streamed replay equals the monolithic one in every `SimResult` field —
-/// `per_server` included, so per-proxy accounting is covered, not just
-/// the totals.
-#[test]
-fn streamed_replay_is_bit_identical_for_every_strategy_and_window() {
-    let (trace, costs) = reference();
-    let windows = [
-        SimTime::from_hours(3),
-        SimTime::from_hours(25),
-        SimTime::from_days(2),
-    ];
-    for window in windows {
-        let stream = streaming(window);
-        assert!(stream.window_count() > 1, "window {window:?} must tile");
-        for kind in all_strategies() {
-            let options = SimOptions::at_capacity(kind, 0.05);
-            let compiled = simulate_compiled(trace, costs, &options).unwrap();
-            let streamed = simulate_streamed(&stream, costs, &options).unwrap();
-            assert_eq!(
-                compiled,
-                streamed,
-                "{} diverged at window {window:?}",
-                kind.name()
-            );
-            assert_eq!(compiled.hourly, streamed.hourly);
-            assert_eq!(compiled.per_server, streamed.per_server);
-        }
-    }
-}
-
-/// Sharded streaming (each worker opens its own window pass) merges to
-/// the same result as the monolithic sharded replay.
-#[test]
-fn sharded_streaming_matches_at_every_thread_count() {
-    let (trace, costs) = reference();
-    let stream = streaming(SimTime::from_hours(13));
-    for kind in [StrategyKind::Sg2 { beta: 2.0 }, StrategyKind::dc_lap(2.0)] {
-        for threads in [2usize, 4, 7] {
-            let options = SimOptions::at_capacity(kind, 0.05).with_threads(threads);
-            let compiled = simulate_compiled(trace, costs, &options).unwrap();
-            let streamed = simulate_streamed(&stream, costs, &options).unwrap();
-            assert_eq!(
-                compiled,
-                streamed,
-                "{} diverged at threads={threads}",
-                kind.name()
-            );
-        }
-    }
 }
 
 /// The materialized concatenation of the streamed windows is `==` to the
@@ -239,47 +167,6 @@ fn empty_windows_mid_stream_are_harmless() {
         simulate_compiled(trace, costs, &options).unwrap(),
         simulate_streamed(&stream, costs, &options).unwrap()
     );
-}
-
-/// The pipelined (compile-ahead) replay is bit-identical to the
-/// monolithic reference — totals, hourly series, AND per-proxy byte
-/// accounting — at every prefetch depth × consumer thread count. The
-/// producer compiles windows ahead on its own thread while shard
-/// consumers replay, so this is the proof that the overlap preserves
-/// the serial window order's semantics exactly.
-#[test]
-fn pipelined_replay_is_bit_identical_at_every_depth_and_thread_count() {
-    let (trace, costs) = reference();
-    let stream = streaming(SimTime::from_hours(13));
-    for depth in [1usize, 2, 4] {
-        let prefetch = PrefetchOptions::new(depth);
-        for threads in [1usize, 2, 0] {
-            for kind in [
-                StrategyKind::GdStar { beta: 2.0 },
-                StrategyKind::Sg2 { beta: 2.0 },
-                StrategyKind::dc_lap(2.0),
-            ] {
-                let options = SimOptions::at_capacity(kind, 0.05).with_threads(threads);
-                let compiled = simulate_compiled(trace, costs, &options).unwrap();
-                let pipelined = simulate_streamed_prefetched_traced(
-                    &stream,
-                    costs,
-                    &options,
-                    &prefetch,
-                    &TraceSink::disabled(),
-                )
-                .unwrap();
-                assert_eq!(
-                    compiled,
-                    pipelined,
-                    "{} diverged at depth={depth} threads={threads}",
-                    kind.name()
-                );
-                assert_eq!(compiled.hourly, pipelined.hourly);
-                assert_eq!(compiled.per_server, pipelined.per_server);
-            }
-        }
-    }
 }
 
 /// A crash landing exactly on a window seam (day 2 with 1-day windows)
@@ -442,30 +329,5 @@ fn slow_decay_tail_heavy_stream_is_bit_identical() {
             .unwrap();
             assert_eq!(compiled, pipelined, "3 shards, depth = {depth}");
         }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    /// Rotating differential: any (strategy, window size, thread count)
-    /// triple replays bit-identically — through both the serial streaming
-    /// pass and the pipelined prefetcher.
-    #[test]
-    fn any_strategy_window_thread_triple_matches(
-        kind in select(all_strategies().to_vec()),
-        window_hours in select(vec![2u64, 7, 24, 50, 100]),
-        threads in select(vec![1usize, 2, 4]),
-        depth in select(vec![1usize, 2, 3]),
-    ) {
-        let (trace, costs) = reference();
-        let stream = streaming(SimTime::from_hours(window_hours));
-        let options = SimOptions::at_capacity(kind, 0.05).with_threads(threads);
-        let compiled = simulate_compiled(trace, costs, &options).unwrap();
-        let streamed = simulate_streamed(&stream, costs, &options).unwrap();
-        prop_assert_eq!(&compiled, &streamed);
-        let pipelined = simulate_streamed_prefetched_traced(
-            &stream, costs, &options, &PrefetchOptions::new(depth), &TraceSink::disabled()).unwrap();
-        prop_assert_eq!(&compiled, &pipelined);
     }
 }

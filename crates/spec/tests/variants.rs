@@ -1,0 +1,301 @@
+//! One variant table: every way the workspace replays a workload, checked
+//! against the spec loop. A row is one variant × the twelve strategies of
+//! [`LINEUP`] × one set of option axes, on one fixture (NEWS at 0.004
+//! scale: about 780 requests and 120 pages, so the spec's linear scans
+//! stay cheap). The spec's result is the expected value of every row, and
+//! the whole `SimResult` is compared, `per_server` and `hourly` included.
+//!
+//! The service has no crash injection, so its rows skip the crash axes;
+//! in them it also hands back every proxy's cache state, which must equal
+//! the sequential replay's byte for byte.
+
+use std::sync::{Arc, OnceLock};
+
+use pscd_broker::PushScheme;
+use pscd_core::StrategyKind;
+use pscd_obs::{NullObserver, TraceSink};
+use pscd_service::{ServiceConfig, ServiceCore};
+use pscd_sim::{
+    simulate_compiled, simulate_observed_sharded, simulate_streamed,
+    simulate_streamed_prefetched_traced, CompiledTrace, CrashPlan, PrefetchOptions, SimOptions,
+    SimResult, Simulation, StreamingTrace,
+};
+use pscd_spec::{spec_replay, spec_strategy, SpecInput, SpecRun, LINEUP};
+use pscd_topology::FetchCosts;
+use pscd_types::{Bytes, LiveEvent, PageMeta, ServerId, SimTime, SubscriptionTable};
+use pscd_workload::{matcher_from_table, Workload, WorkloadConfig};
+
+const QUALITY: f64 = 0.8;
+
+fn config() -> WorkloadConfig {
+    WorkloadConfig::news_scaled(0.004)
+}
+
+struct Fixture {
+    input: SpecInput,
+    costs: FetchCosts,
+    trace: CompiledTrace,
+    matcher_trace: CompiledTrace,
+    subs: SubscriptionTable,
+    /// The service's stream: the subscription rows, then the timeline.
+    events: Vec<LiveEvent>,
+    pages: Arc<[PageMeta]>,
+}
+
+fn fixture() -> &'static Fixture {
+    static FIXTURE: OnceLock<Fixture> = OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        let w = Workload::generate(&config()).unwrap();
+        let subs = w.subscriptions(QUALITY).unwrap();
+        let costs = FetchCosts::uniform(w.server_count());
+        let trace = CompiledTrace::compile(&w, &subs).unwrap();
+        let mut matcher = matcher_from_table(&subs, w.server_count());
+        Fixture {
+            input: SpecInput::from_workload(&w, &subs, &costs),
+            matcher_trace: CompiledTrace::compile_from_matcher(&w, &mut matcher).unwrap(),
+            events: w.live_events(&subs),
+            pages: trace.pages().iter().copied().collect(),
+            costs,
+            trace,
+            subs,
+        }
+    })
+}
+
+type Axes = (PushScheme, Option<(u64, f64)>, bool);
+
+/// `(scheme, crash (day, fraction), invalidation)`: the paper's setting,
+/// then the extensions in pairs.
+const AXES: [Axes; 4] = [
+    (PushScheme::Always, None, false),
+    (PushScheme::WhenNecessary, None, true),
+    (PushScheme::Always, Some((2, 0.5)), true),
+    (PushScheme::WhenNecessary, Some((1, 1.0)), false),
+];
+
+fn options(kind: StrategyKind, (scheme, crash, invalidate_stale): Axes) -> SimOptions {
+    let crash = crash.map(|(day, fraction)| CrashPlan {
+        time: SimTime::from_days(day),
+        fraction,
+        seed: 42,
+    });
+    SimOptions {
+        scheme,
+        crash,
+        invalidate_stale,
+        ..SimOptions::at_capacity(kind, 0.05)
+    }
+}
+
+/// The spec's run of every axes set × strategy, computed once.
+fn spec() -> &'static [[SpecRun; 12]; 4] {
+    static SPEC: OnceLock<[[SpecRun; 12]; 4]> = OnceLock::new();
+    let input = &fixture().input;
+    SPEC.get_or_init(|| {
+        AXES.map(|axes| LINEUP.map(|kind| spec_replay(input, &options(kind, axes))))
+    })
+}
+
+/// Every row of `variant`: each axes set it runs (`run` returns `Some`)
+/// × the lineup, the replay equal to the spec.
+fn assert_rows(variant: &str, run: impl Fn(&SimOptions) -> Option<SimResult>) {
+    for (axes, runs) in AXES.into_iter().zip(spec()) {
+        for (kind, expected) in LINEUP.into_iter().zip(runs) {
+            if let Some(got) = run(&options(kind, axes)) {
+                assert_eq!(got, expected.result, "{variant}, {}, {axes:?}", kind.name());
+            }
+        }
+    }
+}
+
+#[test]
+fn sequential_replay_equals_the_spec() {
+    let f = fixture();
+    assert_rows("sequential", |o| {
+        Some(simulate_compiled(&f.trace, &f.costs, o).unwrap())
+    });
+}
+
+#[test]
+fn sharded_replay_equals_the_spec() {
+    let f = fixture();
+    // 0 = auto; 64 clamps to the fleet.
+    for threads in [2, 4, 7, 0, 64] {
+        assert_rows(&format!("{threads} shards"), |o| {
+            Some(simulate_compiled(&f.trace, &f.costs, &o.with_threads(threads)).unwrap())
+        });
+    }
+}
+
+fn streaming(window: SimTime) -> StreamingTrace {
+    StreamingTrace::new(&config(), QUALITY, window, 1).unwrap()
+}
+
+#[test]
+fn streamed_replay_equals_the_spec() {
+    let f = fixture();
+    // Windows that do not divide the day, and ones longer than it.
+    let crossed = [2, 7, 9, 50, 100]
+        .into_iter()
+        .flat_map(|h| [1, 2, 4].map(|t| (h, t)));
+    for (hours, threads) in [(3, 1), (25, 2), (48, 7)].into_iter().chain(crossed) {
+        let window = SimTime::from_hours(hours);
+        let stream = streaming(window);
+        assert!(stream.window_count() > 1, "window {window:?} must tile");
+        assert_rows(&format!("streamed, {window:?}, {threads} shards"), |o| {
+            Some(simulate_streamed(&stream, &f.costs, &o.with_threads(threads)).unwrap())
+        });
+    }
+}
+
+#[test]
+fn prefetched_replay_equals_the_spec() {
+    let f = fixture();
+    // (depth, window hours): short windows keep a deep pipeline full.
+    let pipelines = [(1, 13), (2, 2), (4, 7)].into_iter();
+    let crossed = pipelines.flat_map(|p| [1, 2, 3, 0].map(|t| (p, t)));
+    for ((depth, hours), threads) in crossed.chain([((3, 100), 3)]) {
+        let stream = streaming(SimTime::from_hours(hours));
+        let prefetch = PrefetchOptions::new(depth);
+        assert_rows(
+            &format!("prefetched, depth {depth}, {hours} h, {threads} shards"),
+            |o| {
+                let (o, sink) = (o.with_threads(threads), TraceSink::disabled());
+                let run =
+                    simulate_streamed_prefetched_traced(&stream, &f.costs, &o, &prefetch, &sink);
+                Some(run.unwrap())
+            },
+        );
+    }
+}
+
+/// Traced on three shards: the sink also records one track per shard and
+/// the strategy's replay spans.
+#[test]
+fn traced_replay_equals_the_spec() {
+    let f = fixture();
+    assert_rows("traced", |o| {
+        let sink = TraceSink::enabled();
+        let run = simulate_observed_sharded(&f.trace, &f.costs, &o.with_threads(3), &sink);
+        let (result, _): (_, NullObserver) = run.unwrap();
+        let log = sink.drain();
+        let tracks = log.tracks().iter().filter(|t| t.name.starts_with("shard "));
+        assert_eq!(tracks.count(), 3, "one track per shard");
+        let label = format!("replay.{}", o.strategy.name());
+        let mut spans = log.tracks().iter().flat_map(|t| &t.events);
+        assert!(spans.any(|e| e.label == label), "no {label} span");
+        Some(result)
+    });
+}
+
+#[test]
+fn matcher_compiled_replay_equals_the_spec() {
+    let f = fixture();
+    assert_rows("matcher-compiled", |o| {
+        Some(simulate_compiled(&f.matcher_trace, &f.costs, o).unwrap())
+    });
+}
+
+/// The sequential replay's cache state: every proxy's strategy snapshot.
+fn replay_blobs(options: &SimOptions) -> Vec<Vec<u8>> {
+    let f = fixture();
+    let mut sim = Simulation::from_compiled(&f.trace, &f.costs, options).unwrap();
+    while sim.step().is_some() {}
+    let blob = |s| {
+        let mut blob = Vec::new();
+        let strategy = sim.engine().strategy(ServerId::new(s));
+        strategy.encode_snapshot(&mut blob);
+        blob
+    };
+    (0..f.trace.server_count()).map(blob).collect()
+}
+
+/// The live service's rows, fed in `chunk`-event calls (`ingest` for one
+/// event, `ingest_all` for more). In content mode every count comes from
+/// a matcher reproducing the table, whose kernel must stay frozen.
+fn assert_service_rows(workers: usize, batch: usize, chunk: usize, content: bool) {
+    let f = fixture();
+    assert_rows(&format!("service, {workers} workers"), |o| {
+        if o.crash.is_some() {
+            return None;
+        }
+        let capacities = f.trace.capacities(o.capacity_fraction);
+        let (costs, pages) = (f.costs.iter().collect(), Arc::clone(&f.pages));
+        let hours = f.trace.hours();
+        let mut config = ServiceConfig::new(o.strategy, capacities, costs, o.scheme, pages, hours);
+        (config.workers, config.batch_size) = (workers, batch);
+        config.invalidate_stale = o.invalidate_stale;
+        let mut core = ServiceCore::new(config).unwrap();
+        if content {
+            core.attach_matcher(matcher_from_table(&f.subs, f.trace.server_count()))
+                .unwrap();
+            assert!(core.matcher_frozen(), "attach must freeze the matcher");
+        }
+        for chunk in f.events.chunks(chunk) {
+            match chunk {
+                [event] => core.ingest(*event).unwrap(),
+                events => core.ingest_all(events).unwrap(),
+            }
+        }
+        assert_eq!(
+            core.matcher_frozen(),
+            content,
+            "resolution leaves it frozen"
+        );
+        let outcome = core.shutdown().unwrap();
+        assert_eq!(
+            outcome.proxies,
+            replay_blobs(o),
+            "cache of {}",
+            o.strategy.name()
+        );
+        Some(outcome.result)
+    });
+}
+
+#[test]
+fn inline_service_equals_the_spec() {
+    assert_service_rows(1, 256, usize::MAX, false);
+    // One event per call and per batch.
+    assert_service_rows(1, 1, 1, false);
+}
+
+#[test]
+fn threaded_service_equals_the_spec() {
+    // Uneven chunks exercise the batching boundaries.
+    for (workers, batch, chunk) in [(3, 64, 101), (2, 256, 157)] {
+        assert_service_rows(workers, batch, chunk, false);
+    }
+}
+
+#[test]
+fn content_mode_service_equals_the_spec() {
+    assert_service_rows(1, 256, usize::MAX, true);
+}
+
+/// Guards the table against passing vacuously: the fixture is
+/// substantial (and its matcher-compiled trace `==` the table-compiled
+/// one: events, fan-out rows, request counts), and in the spec runs every strategy hits and misses,
+/// exactly the push-time ones are pushed pages, and each extension the
+/// axes turn on does something — When Necessary declines offers,
+/// invalidation drops stale copies, the crash restarts proxies.
+#[test]
+fn the_fixture_exercises_every_part_of_the_loop() {
+    let f = fixture();
+    assert!(f.trace.len() > 500 && f.events.len() > 1_000 && f.input.subscriptions.len() > 100);
+    assert_eq!(f.trace, f.matcher_trace);
+    for (axes, runs) in AXES.into_iter().zip(spec()) {
+        for (kind, run) in LINEUP.into_iter().zip(runs) {
+            let (result, name) = (&run.result, kind.name());
+            let misses = result.requests - result.hits;
+            assert!(result.hits > 0 && misses > 0, "{name}, {axes:?}");
+            let pushes = spec_strategy(kind, Bytes::ZERO).uses_push();
+            assert_eq!(result.traffic.pushed_pages > 0, pushes, "{name}, {axes:?}");
+            assert_eq!(run.victims > 0, axes.1.is_some(), "{name}, {axes:?}");
+        }
+        let some = |count: fn(&SpecRun) -> u64| runs.iter().any(|run| count(run) > 0);
+        let necessary = axes.0 == PushScheme::WhenNecessary;
+        assert_eq!(some(|run| run.declined), necessary, "{axes:?}");
+        assert_eq!(some(|run| run.dropped), axes.2, "{axes:?}");
+    }
+}

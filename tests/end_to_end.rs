@@ -4,6 +4,7 @@ use pscd::{
     simulate_compiled, CompiledTrace, FetchCosts, GraphModel, PushScheme, SimOptions, StrategyKind,
     TopologyBuilder, Workload, WorkloadConfig,
 };
+use pscd_spec::LINEUP;
 
 fn workload() -> Workload {
     Workload::generate(&WorkloadConfig::news_scaled(0.01)).unwrap()
@@ -59,20 +60,7 @@ fn traffic_accounting_is_exact_for_every_strategy() {
         .iter()
         .map(|p| subs.matched_servers(p.id()).len() as u64)
         .sum();
-    for kind in [
-        StrategyKind::Lru,
-        StrategyKind::Gds,
-        StrategyKind::LfuDa,
-        StrategyKind::GdStar { beta: 2.0 },
-        StrategyKind::Sub,
-        StrategyKind::Sg1 { beta: 2.0 },
-        StrategyKind::Sg2 { beta: 2.0 },
-        StrategyKind::Sr,
-        StrategyKind::Dm { beta: 2.0 },
-        StrategyKind::dc_fp(2.0),
-        StrategyKind::DcAp { beta: 2.0 },
-        StrategyKind::dc_lap(2.0),
-    ] {
+    for kind in LINEUP {
         for scheme in [PushScheme::Always, PushScheme::WhenNecessary] {
             let options = SimOptions {
                 strategy: kind,

@@ -6,6 +6,7 @@ use pscd::cache::{CacheStore, PageUniverse};
 use pscd::strategies::StrategyImpl;
 use pscd::{Bytes, PageId, PageRef, ServerId, Strategy as _, StrategyKind};
 use pscd_obs::{ObsHandle, SharedObserver, StatsObserver};
+use pscd_spec::LINEUP;
 
 /// A scripted cache operation.
 #[derive(Debug, Clone)]
@@ -43,6 +44,17 @@ fn tied_page_ref(page: u32) -> PageRef {
     PageRef::new(PageId::new(page), Bytes::new(size), cost)
 }
 
+/// Parameter points the lineup leaves out: SG2 at β < 1, DM at β = 1.
+const OFF_LINEUP: [StrategyKind; 2] = [
+    StrategyKind::Sg2 { beta: 0.5 },
+    StrategyKind::Dm { beta: 1.0 },
+];
+
+/// The lineup, then [`OFF_LINEUP`].
+fn kinds() -> impl Iterator<Item = StrategyKind> {
+    LINEUP.into_iter().chain(OFF_LINEUP)
+}
+
 /// An unobserved strategy whose page tables grow on demand.
 fn build(kind: StrategyKind, capacity: u64) -> StrategyImpl {
     kind.build(
@@ -62,7 +74,7 @@ fn check_accounting(ops: &[Op], capacity: u64, page_ref: fn(u32) -> PageRef) {
         beta: 2.0,
         pc_fraction: 0.75,
     };
-    for kind in all_kinds().into_iter().chain([lopsided]) {
+    for kind in kinds().chain([lopsided]) {
         let shared = SharedObserver::new(StatsObserver::new());
         let mut s = kind.build(
             Bytes::new(capacity),
@@ -112,23 +124,6 @@ fn check_accounting(ops: &[Op], capacity: u64, page_ref: fn(u32) -> PageRef) {
     }
 }
 
-fn all_kinds() -> Vec<StrategyKind> {
-    vec![
-        StrategyKind::Lru,
-        StrategyKind::Gds,
-        StrategyKind::LfuDa,
-        StrategyKind::GdStar { beta: 2.0 },
-        StrategyKind::Sub,
-        StrategyKind::Sg1 { beta: 2.0 },
-        StrategyKind::Sg2 { beta: 0.5 },
-        StrategyKind::Sr,
-        StrategyKind::Dm { beta: 1.0 },
-        StrategyKind::dc_fp(2.0),
-        StrategyKind::DcAp { beta: 2.0 },
-        StrategyKind::dc_lap(2.0),
-    ]
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -159,7 +154,7 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(30), 1..200),
         capacity in 64u64..1024,
     ) {
-        for kind in all_kinds() {
+        for kind in kinds() {
             let mut s = build(kind, capacity);
             if !s.uses_push() {
                 continue;
@@ -192,7 +187,7 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(30), 1..200),
         capacity in 64u64..1024,
     ) {
-        for kind in all_kinds() {
+        for kind in kinds() {
             let mut s = build(kind, capacity);
             let mut ev = Vec::new();
             for op in &ops {
@@ -245,7 +240,7 @@ proptest! {
     fn second_access_hits(page in 0u32..1000, size in 1u64..512) {
         let pr = PageRef::new(PageId::new(page), Bytes::new(size), 1.0);
         let mut ev = Vec::new();
-        for kind in &all_kinds()[..8] {
+        for kind in LINEUP[..8].iter().chain(&OFF_LINEUP[..1]) {
             let mut s = build(*kind, 1024);
             if *kind == StrategyKind::Sub {
                 prop_assert!(s.on_push(&pr, 1, &mut ev).is_stored());
