@@ -61,7 +61,7 @@ impl PageCounts {
     pub fn new(universe: &PageUniverse) -> Self {
         Self {
             rows: Vec::with_capacity(universe.page_count()),
-            index: PositionIndex::reserved(universe.page_count()),
+            index: PositionIndex::reserved(universe.page_count(), universe.page_count()),
         }
     }
 

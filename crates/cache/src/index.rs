@@ -1,16 +1,17 @@
 //! The page → position index behind a store and a request-count map,
-//! and the page universe that sizes them.
+//! and the page universe that bounds them.
 //!
 //! A proxy caches a few percent of the bytes it is asked for, so the
 //! pages it can hold at once are a small, bounded share of the universe.
 //! [`PageUniverse`] computes that bound exactly from the page sizes: no
 //! set of distinct pages whose sizes fit a capacity is larger than the
-//! set of the smallest pages that fit it. A store's index is an
-//! open-addressing table reserved for the bound, so it never grows and
-//! its footprint follows the capacity, not the catalog. A request-count
-//! map cannot know in advance how many pages it will be asked for, so
-//! its index reserves the universe as address space and doubles inside
-//! it (see [`PageCounts`](crate::PageCounts)).
+//! set of the smallest pages that fit it. Both owners reserve their
+//! index's storage as address space for what they can ever hold (a
+//! store its bound, a request-count map the universe), start the table
+//! empty and double it in place inside the reservation as their live
+//! population grows. The table stays a quarter to a half full, so it is
+//! as small as what it indexes, and the owner never allocates after
+//! construction.
 
 use std::sync::Arc;
 
@@ -82,11 +83,10 @@ struct Entry {
 }
 
 /// Page → position: linear probing over a power-of-two table kept at
-/// most half full, backward-shift deletion (no tombstones). Built with
-/// room for a bound it never allocates while it holds no more pages than
-/// that; built with none it grows by doubling. Built
-/// [`reserved`](Self::reserved), its owner doubles it in place with
-/// [`regrow`](Self::regrow).
+/// most half full, backward-shift deletion (no tombstones). The table
+/// starts empty; its owner [`regrow`](Self::regrow)s it before indexing
+/// a page that would fill it past half, which inside the storage
+/// [`reserved`](Self::reserved) for it reallocates nothing.
 #[derive(Debug, Clone)]
 pub(crate) struct PositionIndex {
     slots: Vec<Entry>,
@@ -100,28 +100,14 @@ pub(crate) struct PositionIndex {
 }
 
 impl PositionIndex {
-    /// An empty index over `universe` page ordinals with room for `room`
-    /// pages.
-    pub(crate) fn with_room(room: usize, universe: usize) -> Self {
-        let mut index = Self {
-            slots: Vec::new(),
-            len: 0,
-            shift: 32,
-            universe,
-        };
-        if room > 0 {
-            index.rebuild((2 * room).next_power_of_two());
-        }
-        index
-    }
-
-    /// An empty table whose storage is reserved, never written, for
-    /// every page of a `universe`-page universe: it doubles in place
+    /// An empty table over `universe` page ordinals whose storage is
+    /// reserved, never written, for `room` pages: it doubles in place
     /// inside that reservation, so only the prefix in use is touched.
-    pub(crate) fn reserved(universe: usize) -> Self {
+    /// With no room it allocates as it grows.
+    pub(crate) fn reserved(room: usize, universe: usize) -> Self {
         Self {
-            slots: Vec::with_capacity(if universe > 0 {
-                (2 * universe).next_power_of_two().max(8)
+            slots: Vec::with_capacity(if room > 0 {
+                (2 * room).next_power_of_two().max(8)
             } else {
                 0
             }),
@@ -204,36 +190,21 @@ impl PositionIndex {
         self.slots[self.probe(page.index())].at.checked_sub(1)
     }
 
-    /// Points `page` at heap position `pos`, indexing it if new.
+    /// Points `page` at heap position `pos`, indexing it if new. A new
+    /// page needs room: its owner regrows a [`full`](Self::is_full)
+    /// table first.
     #[inline]
     pub(crate) fn set(&mut self, page: PageId, pos: u32) {
-        let entry = Entry {
+        let i = self.probe(page.index());
+        if self.slots[i].at == 0 {
+            debug_assert!(!self.is_full(), "regrow before indexing a new page");
+            self.len += 1;
+            self.universe = self.universe.max(page.as_usize() + 1);
+        }
+        self.slots[i] = Entry {
             page: page.index(),
             at: pos + 1,
         };
-        if !self.slots.is_empty() {
-            let i = self.probe(entry.page);
-            if self.slots[i].at != 0 {
-                self.slots[i].at = entry.at;
-                return;
-            }
-            if 2 * (self.len + 1) <= self.slots.len() {
-                self.slots[i] = entry;
-                self.indexed(page);
-                return;
-            }
-        }
-        self.grow();
-        let i = self.probe(entry.page);
-        self.slots[i] = entry;
-        self.indexed(page);
-    }
-
-    /// Counts a newly indexed page.
-    #[inline]
-    fn indexed(&mut self, page: PageId) {
-        self.len += 1;
-        self.universe = self.universe.max(page.as_usize() + 1);
     }
 
     /// Unindexes `page`, returning the position it had.
@@ -264,10 +235,12 @@ impl PositionIndex {
         Some(pos)
     }
 
-    /// Empties the index, keeping its storage.
+    /// Empties the index down to no slots, keeping its storage: the next
+    /// page indexed regrows it from the start.
     pub(crate) fn clear(&mut self) {
-        self.slots.fill(Entry::default());
+        self.slots.clear();
         self.len = 0;
+        self.shift = 32;
     }
 
     /// The fallible write every `decode_state` uses for a page id read
@@ -286,21 +259,6 @@ impl PositionIndex {
         }
         self.set(page, pos);
         Ok(())
-    }
-
-    #[cold]
-    fn grow(&mut self) {
-        self.rebuild((2 * self.slots.len()).max(8));
-    }
-
-    /// Moves every entry into a fresh table of `size` slots.
-    fn rebuild(&mut self, size: usize) {
-        let old = std::mem::replace(&mut self.slots, vec![Entry::default(); size]);
-        self.shift = 32 - size.trailing_zeros();
-        for e in old.into_iter().filter(|e| e.at != 0) {
-            let i = self.probe(e.page);
-            self.slots[i] = e;
-        }
     }
 }
 
@@ -327,15 +285,34 @@ mod tests {
         assert_eq!(huge.resident_bound(Bytes::new(u64::MAX)), 2);
     }
 
+    /// Indexes `page` at `pos` the way an owner does: regrowing a full
+    /// table from `live`, the pages and positions it holds, first.
+    fn add(index: &mut PositionIndex, live: &mut Vec<(PageId, u32)>, page: PageId, pos: u32) {
+        if index.is_full() {
+            index.regrow(live.iter().copied());
+        }
+        index.set(page, pos);
+        live.push((page, pos));
+    }
+
     #[test]
     fn a_growing_index_doubles_and_keeps_every_entry() {
-        let mut index = PositionIndex::with_room(0, 0);
+        let mut index = PositionIndex::reserved(1_000, 7_000);
+        let built = index.storage();
+        assert_eq!(built.1, 2_048);
+        assert_eq!(index.slot_count(), 0, "nothing written before a page");
         assert_eq!(index.get(PageId::new(3)), None);
         assert_eq!(index.remove(PageId::new(3)), None);
+        let mut live = Vec::new();
+        let mut sizes = Vec::new();
         for p in 0..1_000u32 {
-            index.set(PageId::new(p * 7), p);
+            add(&mut index, &mut live, PageId::new(p * 7), p);
+            if sizes.last() != Some(&index.slot_count()) {
+                sizes.push(index.slot_count());
+            }
         }
-        assert_eq!(index.universe, 6_994);
+        assert_eq!(sizes, [8, 16, 32, 64, 128, 256, 512, 1_024, 2_048]);
+        assert_eq!(index.storage(), built, "doubling stays in the reservation");
         for p in 0..1_000u32 {
             assert_eq!(index.get(PageId::new(p * 7)), Some(p));
             assert_eq!(index.get(PageId::new(p * 7 + 1)), None);
@@ -348,6 +325,21 @@ mod tests {
             assert_eq!(index.get(PageId::new(p * 7)), want, "page {}", p * 7);
         }
         index.clear();
-        assert_eq!(index.get(PageId::new(7)), None);
+        assert_eq!((index.get(PageId::new(7)), index.slot_count()), (None, 0));
+        assert_eq!(index.storage(), built);
+    }
+
+    #[test]
+    fn an_index_without_room_grows_and_follows_the_largest_page() {
+        let mut index = PositionIndex::reserved(0, 0);
+        assert_eq!(index.storage().1, 0);
+        let mut live = Vec::new();
+        for p in 0..100u32 {
+            add(&mut index, &mut live, PageId::new(p * 7), p);
+        }
+        assert_eq!((index.slot_count(), index.universe()), (256, 694));
+        for p in 0..100u32 {
+            assert_eq!(index.get(PageId::new(p * 7)), Some(p));
+        }
     }
 }

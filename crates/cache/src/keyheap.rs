@@ -3,7 +3,7 @@
 //!
 //! [`KeyHeap`] holds exactly the live entries: every mutation reports
 //! position moves through a caller-supplied writeback so an external
-//! table ([`CacheStore`](crate::CacheStore)'s per-ordinal position slot)
+//! table ([`CacheStore`](crate::CacheStore)'s page → position index)
 //! can address any element directly. That makes `peek` a `&self` read,
 //! `remove`/`update` `O(log n)` without tombstones, and the heap's
 //! footprint proportional to the cache's live population — the
@@ -20,10 +20,10 @@ use pscd_types::{Bytes, PageId};
 
 /// One live heap element: the eviction key plus the page it belongs to,
 /// its size and its reference count. The slot is the *only* per-page
-/// record the store keeps — the page table maps ordinals to heap
-/// positions — so everything a lookup, hit, peek or eviction needs
-/// travels with the slot, and dies with it: 32 bytes, two to a cache
-/// line.
+/// record the store keeps — its index maps pages to heap positions —
+/// so everything a lookup, hit, peek or eviction needs travels with the
+/// slot, and dies with it: 32 bytes, but only 8-aligned in a `Vec`, so
+/// up to half the slots straddle two cache lines.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HeapSlot {
     /// Current policy value; eviction pops the smallest first.

@@ -36,7 +36,9 @@ pub struct StoredPage {
 /// all the per-page state lives in the heap slot it points at. A store
 /// built with [`dense`](CacheStore::dense) over a [`PageUniverse`]
 /// reserves both for the most pages its capacity can hold at once, and
-/// so never allocates again.
+/// so never allocates again; the index starts empty and doubles inside
+/// its reservation as the store fills, so it is sized by the pages the
+/// store holds, not by what it could hold.
 ///
 /// # Examples
 ///
@@ -78,8 +80,8 @@ impl CacheStore {
     }
 
     /// Creates an empty store with the given byte capacity over the pages
-    /// of `universe`. Its index and heap are reserved for the most pages
-    /// of the universe the capacity can hold
+    /// of `universe`. Its index and heap are reserved, as address space,
+    /// for the most pages of the universe the capacity can hold
     /// ([`resident_bound`](PageUniverse::resident_bound)), so no operation
     /// on those pages allocates; over the empty universe nothing is
     /// reserved and the store grows on write.
@@ -88,7 +90,7 @@ impl CacheStore {
         Self {
             capacity,
             used: Bytes::ZERO,
-            positions: PositionIndex::with_room(bound, universe.page_count()),
+            positions: PositionIndex::reserved(bound, universe.page_count()),
             heap: KeyHeap::with_capacity(bound),
             next_stamp: 0,
             bound: if universe.page_count() == 0 {
@@ -121,6 +123,13 @@ impl CacheStore {
     #[inline]
     pub fn len(&self) -> usize {
         self.heap.len()
+    }
+
+    /// Number of slots in the page index's table:
+    /// `max(8, (2 * peak).next_power_of_two())` for the most pages held
+    /// since the store was built or decoded into, none before the first.
+    pub fn index_slots(&self) -> usize {
+        self.positions.slot_count()
     }
 
     /// `true` if nothing is cached.
@@ -173,6 +182,7 @@ impl CacheStore {
         assert!(!value.is_nan(), "page value must not be NaN");
         debug_assert!(size <= self.capacity, "page larger than the whole cache");
         self.detach(page);
+        self.make_room();
         let stamp = self.bump();
         let Self {
             positions, heap, ..
@@ -371,11 +381,10 @@ impl CacheStore {
             return Err(SnapshotError::Corrupt("more slots than the capacity holds"));
         }
         // Empty the store's own tables and refill them: a store built over
-        // a universe keeps the room it was built with.
-        let positions = &mut self.positions;
-        positions.clear();
-        let slots = self.heap.slots_mut();
-        slots.clear();
+        // a universe keeps the room it was built with, and its index
+        // regrows for the decoded population alone.
+        self.positions.clear();
+        self.heap.slots_mut().clear();
         let mut used = 0u64;
         for pos in 0..n {
             let value = r.read_f64()?;
@@ -385,11 +394,12 @@ impl CacheStore {
             if value.is_nan() {
                 return Err(SnapshotError::Corrupt("NaN page value"));
             }
-            positions.try_insert(page, pos as u32)?;
+            self.make_room();
+            self.positions.try_insert(page, pos as u32)?;
             used = used
                 .checked_add(size.as_u64())
                 .ok_or(SnapshotError::Corrupt("resident bytes overflow"))?;
-            slots.push(HeapSlot {
+            self.heap.slots_mut().push(HeapSlot {
                 value,
                 stamp,
                 page,
@@ -417,6 +427,17 @@ impl CacheStore {
         let slot = heap.remove(pos, &mut |p, pos| positions.set(p, pos));
         self.used -= slot.size;
         Some(slot)
+    }
+
+    /// Regrows a full index from the heap's slots before it takes a new
+    /// page.
+    #[inline]
+    fn make_room(&mut self) {
+        if self.positions.is_full() {
+            let slots = self.heap.slots().iter().enumerate();
+            self.positions
+                .regrow(slots.map(|(at, slot)| (slot.page, at as u32)));
+        }
     }
 
     fn bump(&mut self) -> u64 {
@@ -705,13 +726,7 @@ mod tests {
                 .sum()
         };
         for mut s in both(10_000) {
-            let mut x = 0x9e37_79b9u64;
-            let mut rng = move || {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                x
-            };
+            let mut rng = xorshift(0x9e37_79b9);
             for step in 0..1_500u64 {
                 match rng() % 4 {
                     0 | 1 => {
@@ -754,6 +769,15 @@ mod tests {
         let heap = s.heap.slots_mut();
         let heap = (heap.as_ptr() as usize, heap.capacity());
         [s.positions.storage(), heap]
+    }
+
+    fn xorshift(mut x: u64) -> impl FnMut() -> u64 {
+        move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        }
     }
 
     /// A universe of `n` pages sized 1 to 97 bytes, and those sizes.
@@ -804,13 +828,7 @@ mod tests {
         use std::collections::HashMap;
 
         let (universe, sizes) = mixed(400);
-        let mut x = 0x2545_f491_4f6c_dd1du64;
-        let mut rng = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
+        let mut rng = xorshift(0x2545_f491_4f6c_dd1d);
         for capacity in [97u64, 1_000, 6_000] {
             let mut s = CacheStore::dense(Bytes::new(capacity), &universe);
             let built = storage(&mut s);
@@ -861,6 +879,96 @@ mod tests {
                 let got = s.size(page(p)).zip(s.value(page(p)));
                 assert_eq!(got, model.get(&p).copied(), "page {p}");
             }
+        }
+    }
+
+    #[test]
+    fn the_index_is_sized_by_the_pages_held_not_by_the_bound() {
+        use std::collections::BTreeMap;
+
+        // A million one-byte pages and room for all of them: the bound is
+        // the universe, the population a few hundred at most.
+        let mut s = CacheStore::dense(Bytes::new(1_000_000), &units(1_000_000));
+        let built = storage(&mut s);
+        assert_eq!(built[0].1, 1 << 21, "the index reserves the bound");
+        assert_eq!(s.index_slots(), 0, "nothing written before a page");
+        let mut rng = xorshift(0x9e37_79b9_7f4a_7c15);
+        let mut model: BTreeMap<u32, f64> = BTreeMap::new();
+        let mut peak = 0;
+        for (phase, limit) in [40usize, 600, 12, 300, 1].into_iter().enumerate() {
+            for step in 0..6_000 {
+                let p = (rng() % 1_000_000) as u32;
+                let value = (rng() % 64) as f64;
+                match rng() % 4 {
+                    0 | 1 => {
+                        while s.len() >= limit {
+                            let victim = s.pop_min().unwrap();
+                            assert!(model.remove(&victim.page.index()).is_some());
+                        }
+                        s.insert(page(p), Bytes::new(1), value);
+                        model.insert(p, value);
+                    }
+                    2 => {
+                        // A cached page if there is one: the first at or
+                        // after `p`.
+                        let old = model.range(p..).next().map_or(p, |(&old, _)| old);
+                        assert_eq!(s.hit(page(old), |_| value), model.contains_key(&old));
+                        model.entry(old).and_modify(|v| *v = value);
+                    }
+                    _ => {
+                        let old = model.range(p..).next().map_or(p, |(&old, _)| old);
+                        let gone = s.remove(page(old)).map(|r| r.value);
+                        assert_eq!(gone, model.remove(&old));
+                    }
+                }
+                peak = peak.max(s.len());
+                let slots = s.index_slots();
+                assert!(
+                    slots <= (2 * peak).next_power_of_two().max(8) && 2 * s.len() <= slots,
+                    "phase {phase}, step {step}: {slots} slots for {} pages (peak {peak})",
+                    s.len()
+                );
+                assert_eq!(storage(&mut s), built, "phase {phase}, step {step}");
+            }
+            assert_eq!(s.len(), model.len());
+            for (&p, &value) in &model {
+                assert_eq!(s.value(page(p)), Some(value), "page {p}");
+            }
+        }
+        assert_eq!(s.index_slots(), 2_048, "600 pages at the peak");
+    }
+
+    #[test]
+    fn decode_sizes_the_index_for_the_decoded_count_and_keeps_the_storage() {
+        let blob = |pages: u32| {
+            let mut donor = CacheStore::new(Bytes::new(u64::MAX));
+            for p in 0..pages {
+                donor.insert(page(p * 3), Bytes::new(1), p as f64);
+            }
+            let mut out = Vec::new();
+            donor.encode_state(&mut out);
+            out
+        };
+        let (hundred, none) = (blob(100), blob(0));
+        let mut fresh = CacheStore::dense(Bytes::new(5_000), &units(10_000));
+        let mut used = CacheStore::dense(Bytes::new(5_000), &units(10_000));
+        for p in 0..3_000 {
+            used.insert(page(p), Bytes::new(1), 1.0);
+        }
+        assert_eq!(used.index_slots(), 8_192);
+        for s in [&mut fresh, &mut used] {
+            let built = storage(s);
+            s.decode_state(&mut SnapshotReader::new(&hundred)).unwrap();
+            assert_eq!((s.len(), s.index_slots()), (100, 256));
+            assert_eq!(storage(s), built);
+            let mut again = Vec::new();
+            s.encode_state(&mut again);
+            assert_eq!(again, hundred);
+            s.decode_state(&mut SnapshotReader::new(&none)).unwrap();
+            assert_eq!((s.len(), s.index_slots()), (0, 0));
+            s.insert(page(7), Bytes::new(1), 1.0);
+            assert_eq!((s.value(page(7)), s.index_slots()), (Some(1.0), 8));
+            assert_eq!(storage(s), built);
         }
     }
 

@@ -5,7 +5,8 @@
 //! cases, on one proxy and on fleets of one to five. The kernel's
 //! id-level checks are its unit tests (`frozen::tests`). The end-to-end
 //! `SimResult` half of the differential (all 12 strategies) lives in
-//! `crates/sim/tests/frozen_differential.rs`.
+//! `crates/spec/tests/variants.rs`: its matcher-compiled and content-mode
+//! service rows.
 
 use proptest::prelude::*;
 

@@ -22,8 +22,9 @@
 //! config, so peak memory is bounded by the window, not the trace
 //! ([`simulate_streamed`]), and the pipelined variant
 //! ([`simulate_streamed_prefetched_traced`]) overlaps that lazy compile
-//! with replay through a bounded compile-ahead prefetcher. All three are
-//! bit-identical (the `stream_differential` suite proves it).
+//! with replay through a bounded compile-ahead prefetcher. All three
+//! replay to the spec loop's result (`pscd-spec`'s variant table,
+//! `crates/spec/tests/variants.rs`, has a row set for each).
 //!
 //! The replay entry points, one per source:
 //!
@@ -44,8 +45,8 @@
 //! the fleet is partitioned into contiguous server ranges, each shard
 //! replays its sub-timeline in parallel (the same replay loop restricted
 //! to a server range), and the shard results merge into totals
-//! bit-identical to the sequential replay (see the `differential` test
-//! suite and DESIGN.md).
+//! bit-identical to the sequential replay (the variant table's sharded
+//! and sequential rows both equal the spec; see DESIGN.md).
 //!
 //! That loop is [`ReplayState::step`], and it is the workspace's only
 //! one: the live broker service (`pscd-service`) resolves each ingest

@@ -374,7 +374,8 @@ fn pipelined<T: Send>(
 /// prefetcher: generation + compilation overlap replay, sharded consumers
 /// share one window stream, and the result is bit-identical to both the
 /// serial streaming pass and the monolithic compile at every depth and
-/// thread count (the `stream_differential` suite proves it).
+/// thread count (the prefetched rows of `crates/spec/tests/variants.rs`
+/// check it against the spec).
 ///
 /// A live `sink` records the producer's and each shard consumer's track —
 /// the chrome trace shows the overlap; pass [`TraceSink::disabled`] for an

@@ -92,8 +92,9 @@ pub struct SimOptions {
     /// the whole trace sequentially, `0` picks the machine's available
     /// parallelism, and any other count shards the proxy fleet across
     /// that many threads (oversubscription allowed). Sharded totals are
-    /// bit-identical to sequential ones — the `differential` test suite
-    /// proves it for every strategy — so this is purely a speed knob.
+    /// bit-identical to sequential ones — `crates/spec/tests/variants.rs`
+    /// checks both against the spec loop for every strategy — so this is
+    /// purely a speed knob.
     pub threads: usize,
 }
 
@@ -321,7 +322,9 @@ pub enum StepEvent {
 /// once ([`CompiledTrace::full_window`]), or one bounded chunk at a time
 /// from any [`ReplaySource`](crate::ReplaySource). The state carries
 /// nothing window-local, so window boundaries are invisible to replay
-/// semantics (the `stream_differential` suite proves it).
+/// semantics (the streamed rows of `crates/spec/tests/variants.rs` equal
+/// the spec at every window size; `stream_differential` pins crashes and
+/// invalidation at the seams).
 #[derive(Debug)]
 pub struct ReplayState<O: Observer> {
     strategy: StrategyKind,
@@ -779,7 +782,7 @@ impl<'a, O: Observer> Simulation<'a, O> {
     /// With [`SimOptions::threads`] other than 1 an untouched simulation
     /// (no [`step`](Simulation::step) calls yet) runs sharded across the
     /// proxy fleet; the totals are bit-identical to the sequential replay
-    /// (see the `differential` test suite). A simulation that has already
+    /// (see `crates/spec/tests/variants.rs`). A simulation that has already
     /// stepped, or one with an enabled observer (whose event stream is
     /// inherently sequential), always drains on the calling thread.
     pub fn run(self) -> SimResult {

@@ -26,7 +26,8 @@
 //! 3. **Merging is exact.** Every merged quantity is an unsigned integer
 //!    and filtering preserves each proxy's event subsequence, so
 //!    component-wise addition reproduces the sequential totals bit for
-//!    bit (see `merge.rs` and the `differential` test suite).
+//!    bit (see `merge.rs`; the sharded rows of
+//!    `crates/spec/tests/variants.rs` equal the spec).
 //!
 //! Observer notes: timeline-wide events are reported once — the shard
 //! owning server 0 fires `on_notify`/`on_publish` with the *global*

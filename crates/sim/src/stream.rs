@@ -55,13 +55,15 @@
 //! `prefetch_depth` windows ahead. Both drive the same `gather_batch` +
 //! [`compile_window_into`](StreamingTrace::compile_window_into) pair over
 //! a [`WindowState`] — the serial pass is the batch of one — so the
-//! per-window gather/merge/resolve logic cannot diverge; what the
-//! differential suite additionally proves is that a wider batch scatters
+//! per-window gather/merge/resolve logic cannot diverge; what
+//! `prefetch::tests` additionally prove is that a wider batch scatters
 //! the same events.
 //!
 //! The `stream_differential` suite asserts [`StreamingTrace::materialize`]
-//! `==` [`CompiledTrace::compile`] and replay-result equality for every
-//! strategy across window sizes, thread counts, and prefetch depths.
+//! `==` [`CompiledTrace::compile`] and that crashes and invalidation cross
+//! window seams intact; `crates/spec/tests/variants.rs` checks every
+//! strategy's replay against the spec across window sizes, thread counts
+//! and prefetch depths.
 
 use std::ops::Range;
 
@@ -297,7 +299,7 @@ impl StreamingTrace {
     /// instead of the subscription table. The matcher is frozen here, once
     /// (a no-op if already frozen). When the matcher reproduces the table
     /// (see `pscd_workload::matcher_from_table`), streaming output stays
-    /// bit-identical — the `frozen_differential` suite proves it.
+    /// bit-identical (`attached_matcher_streams_bit_identically` below).
     ///
     /// # Errors
     ///
@@ -611,8 +613,9 @@ impl ReplaySource for StreamingWindows<'_> {
 /// the proxy axis like the materialized path — each shard worker opens
 /// its own window pass (drawing the stream once per shard, holding one
 /// window and one tail each). Results are bit-identical to the materialized replay at
-/// every window size and thread count; the `stream_differential` suite
-/// proves it. This is the serial reference arm — see
+/// every window size and thread count; the streamed rows of
+/// `crates/spec/tests/variants.rs` check both against the spec. This is
+/// the serial reference arm — see
 /// [`simulate_streamed_prefetched_traced`](crate::simulate_streamed_prefetched_traced)
 /// for the pipelined path that overlaps generation with replay and shares
 /// one prefetcher across shards.

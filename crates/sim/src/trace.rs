@@ -181,8 +181,9 @@ impl CompiledTrace {
     /// whole resolution runs on the frozen kernel — interned symbols, CSR
     /// buckets, epoch-bitset counting. When the matcher was synthesized to
     /// reproduce a table (see `pscd_workload::matcher_from_table`), the
-    /// compiled value is `==` to the table-compiled one; the
-    /// `frozen_differential` suite proves it end to end.
+    /// compiled value is `==` to the table-compiled one; the fixture
+    /// guard of `crates/spec/tests/variants.rs` asserts it, and its
+    /// matcher-compiled rows replay it to the spec.
     ///
     /// # Errors
     ///

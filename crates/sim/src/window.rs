@@ -11,7 +11,8 @@
 //! [`StreamingTrace`](crate::StreamingTrace) generates and compiles each
 //! window on demand so peak memory is O(window), not O(trace), either on
 //! the replay thread or ahead of it through the prefetch queue. The
-//! `stream_differential` suite proves all three replay bit-identically.
+//! variant table (`crates/spec/tests/variants.rs`) replays all three to
+//! the spec's result.
 //!
 //! An [`OwnedWindow`] is the one buffer a window is compiled into outside a
 //! materialized trace: the serial stream reuses one, the prefetch producer
@@ -322,8 +323,8 @@ impl OwnedWindow {
 /// (slices of a [`CompiledTrace`](crate::CompiledTrace)), the lazily
 /// generating [`StreamingWindows`](crate::stream::StreamingWindows), and
 /// the prefetch queue's per-consumer cursor; the replay loop cannot tell
-/// them apart — the `stream_differential` suite proves the results
-/// bit-identical.
+/// them apart — each source's rows in `crates/spec/tests/variants.rs`
+/// equal the spec.
 pub trait ReplaySource {
     /// Trace-wide facts, available before (and independent of) any window.
     fn meta(&self) -> &ReplayMeta;

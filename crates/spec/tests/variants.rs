@@ -210,6 +210,17 @@ fn replay_blobs(options: &SimOptions) -> Vec<Vec<u8>> {
     (0..f.trace.server_count()).map(blob).collect()
 }
 
+/// The service configuration replaying `o` over the fixture.
+fn service_config(o: &SimOptions) -> ServiceConfig {
+    let f = fixture();
+    let capacities = f.trace.capacities(o.capacity_fraction);
+    let (costs, pages) = (f.costs.iter().collect(), Arc::clone(&f.pages));
+    let hours = f.trace.hours();
+    let mut config = ServiceConfig::new(o.strategy, capacities, costs, o.scheme, pages, hours);
+    config.invalidate_stale = o.invalidate_stale;
+    config
+}
+
 /// The live service's rows, fed in `chunk`-event calls (`ingest` for one
 /// event, `ingest_all` for more). In content mode every count comes from
 /// a matcher reproducing the table, whose kernel must stay frozen.
@@ -219,12 +230,8 @@ fn assert_service_rows(workers: usize, batch: usize, chunk: usize, content: bool
         if o.crash.is_some() {
             return None;
         }
-        let capacities = f.trace.capacities(o.capacity_fraction);
-        let (costs, pages) = (f.costs.iter().collect(), Arc::clone(&f.pages));
-        let hours = f.trace.hours();
-        let mut config = ServiceConfig::new(o.strategy, capacities, costs, o.scheme, pages, hours);
+        let mut config = service_config(o);
         (config.workers, config.batch_size) = (workers, batch);
-        config.invalidate_stale = o.invalidate_stale;
         let mut core = ServiceCore::new(config).unwrap();
         if content {
             core.attach_matcher(matcher_from_table(&f.subs, f.trace.server_count()))
@@ -271,6 +278,45 @@ fn threaded_service_equals_the_spec() {
 #[test]
 fn content_mode_service_equals_the_spec() {
     assert_service_rows(1, 256, usize::MAX, true);
+}
+
+/// A journaled service snapshots halfway, journals another quarter and is
+/// dropped; recovered from the snapshot and the journal's suffix, it
+/// finishes the stream. Restoring decodes every proxy's cache into a
+/// fresh fleet.
+#[test]
+fn recovered_service_equals_the_spec() {
+    let f = fixture();
+    let (half, three_quarters) = (f.events.len() / 2, f.events.len() * 3 / 4);
+    assert_rows("recovered service", |o| {
+        if o.crash.is_some() {
+            return None;
+        }
+        let dir = std::env::temp_dir().join(format!(
+            "pscd-spec-recovered-{}-{}",
+            o.strategy.name(),
+            std::process::id()
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        let config = service_config(o).with_persistence(dir.clone(), 0);
+        let mut core = ServiceCore::new(config.clone()).unwrap();
+        core.ingest_all(&f.events[..half]).unwrap();
+        core.snapshot_now().unwrap();
+        core.ingest_all(&f.events[half..three_quarters]).unwrap();
+        drop(core);
+        let mut core = ServiceCore::recover(config).unwrap();
+        assert_eq!(core.events_applied(), three_quarters as u64);
+        core.ingest_all(&f.events[three_quarters..]).unwrap();
+        let outcome = core.shutdown().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(
+            outcome.proxies,
+            replay_blobs(o),
+            "cache of {}",
+            o.strategy.name()
+        );
+        Some(outcome.result)
+    });
 }
 
 /// Guards the table against passing vacuously: the fixture is
