@@ -2,9 +2,7 @@
 //! the compiled-trace cache every exhibit's grid replays from.
 
 use std::collections::HashMap;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use pscd_obs::{Registry, SharedRegistry, TraceSink};
 use pscd_sim::trace::CompiledTrace;
@@ -155,10 +153,11 @@ impl ExperimentContext {
     /// many grids replay it.
     ///
     /// Compilation happens **outside** the cache lock: the memo `Mutex` is
-    /// taken only for the map lookup and the insert (and, being `parking_lot`,
-    /// cannot poison if a panic unwinds through a replay), so a caller compiling
+    /// taken only for the map lookup and the insert, so a caller compiling
     /// a cold key (seconds at paper scale) never blocks callers of other,
-    /// already-warm keys. Two callers racing on the same cold key may both
+    /// already-warm keys. A panic elsewhere that poisons the lock leaves
+    /// the map whole (each insert is one call), so a poisoned lock is
+    /// taken as it is. Two callers racing on the same cold key may both
     /// compile; the double-checked insert keeps the first value, every
     /// caller gets the same `Arc`, and sequential suites still compile each
     /// pair exactly once (asserted by the `compile_once` integration test).
@@ -173,7 +172,7 @@ impl ExperimentContext {
     ) -> Result<Arc<CompiledTrace>, ExperimentError> {
         let key = (trace, quality.to_bits());
         {
-            let cache = self.compiled.lock();
+            let cache = self.compiled.lock().unwrap_or_else(PoisonError::into_inner);
             if let Some(hit) = cache.get(&key) {
                 return Ok(Arc::clone(hit));
             }
@@ -185,7 +184,7 @@ impl ExperimentContext {
         let compiled = Arc::new(phase(&self.cold, &self.sink, "cold.compile", || {
             CompiledTrace::compile_threads(workload, &subs, self.threads)
         })?);
-        let mut cache = self.compiled.lock();
+        let mut cache = self.compiled.lock().unwrap_or_else(PoisonError::into_inner);
         Ok(Arc::clone(cache.entry(key).or_insert(compiled)))
     }
 
