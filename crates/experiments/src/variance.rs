@@ -120,16 +120,14 @@ impl VarianceStudy {
     /// Mean ± sd of SG2's relative improvement over GD\* (%), paired by
     /// seed.
     pub fn sg2_gain(&self, trace: Trace) -> Option<MeanSd> {
-        let gd = &self
-            .samples
-            .iter()
-            .find(|(t, n, _)| *t == trace && n == "GD*")?
-            .2;
-        let sg2 = &self
-            .samples
-            .iter()
-            .find(|(t, n, _)| *t == trace && n == "SG2")?
-            .2;
+        let series = |name: &str| {
+            let found = self
+                .samples
+                .iter()
+                .find(|(t, n, _)| *t == trace && n == name);
+            found.map(|(_, _, xs)| xs)
+        };
+        let (gd, sg2) = (series("GD*")?, series("SG2")?);
         let gains: Vec<f64> = gd
             .iter()
             .zip(sg2)
@@ -152,22 +150,12 @@ impl fmt::Display for VarianceStudy {
                 .map(str::to_owned)
                 .to_vec(),
         );
+        let cell = |m: Option<MeanSd>| m.map(|m| m.to_string()).unwrap_or_default();
         for trace in [Trace::News, Trace::Alternative] {
-            table.add_row(vec![
-                trace.name().to_owned(),
-                self.hit_ratio(trace, "GD*")
-                    .map(|m| m.to_string())
-                    .unwrap_or_default(),
-                self.hit_ratio(trace, "SG2")
-                    .map(|m| m.to_string())
-                    .unwrap_or_default(),
-                self.hit_ratio(trace, "DC-LAP")
-                    .map(|m| m.to_string())
-                    .unwrap_or_default(),
-                self.sg2_gain(trace)
-                    .map(|m| m.to_string())
-                    .unwrap_or_default(),
-            ]);
+            let mut row = vec![trace.name().to_owned()];
+            row.extend(["GD*", "SG2", "DC-LAP"].map(|s| cell(self.hit_ratio(trace, s))));
+            row.push(cell(self.sg2_gain(trace)));
+            table.add_row(row);
         }
         writeln!(f, "{table}")
     }
