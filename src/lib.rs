@@ -17,11 +17,11 @@
 //! | [`topology`] | `pscd-topology` | Waxman / Barabási–Albert graphs, fetch costs |
 //! | [`matching`] | `pscd-matching` | predicate subscriptions, frozen match kernel |
 //! | [`workload`] | `pscd-workload` | NEWS / ALTERNATIVE synthetic traces |
-//! | [`cache`] | `pscd-cache` | cache substrate: store, heap, page table, greedy-dual engine |
+//! | [`cache`] | `pscd-cache` | cache substrate: store, heap, page → count map, greedy-dual engine |
 //! | [`strategies`] | `pscd-core` | LRU, GDS, LFU-DA, GD\*, SUB, SG1, SG2, SR, DM, DC-FP, DC-AP, DC-LAP |
 //! | [`broker`] | `pscd-broker` | delivery engine, pushing schemes, traffic |
 //! | [`sim`] | `pscd-sim` | simulator and metrics |
-//! | [`experiments`] | `pscd-experiments` | per-table/figure reproduction drivers |
+//! | [`experiments`] | `pscd-experiments` | every exhibit as an `Exhibit` spec, its runner and renderers |
 //!
 //! The most common entry points are re-exported at the top level.
 //!
