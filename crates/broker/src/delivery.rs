@@ -103,9 +103,10 @@ pub struct DeliveryEngine<O: Observer = NullObserver> {
     /// performs no per-event allocation once it has grown to the high-water
     /// mark (see [`reserve_pages`](Self::reserve_pages)).
     scratch: Vec<PageId>,
-    /// Which proxies may hold each page: marked wherever a strategy reports
-    /// an admission, consumed by
-    /// [`invalidate_everywhere`](Self::invalidate_everywhere).
+    /// Which proxies may hold each page: asleep until the first
+    /// [`invalidate_everywhere`](Self::invalidate_everywhere), which marks
+    /// every resident; from then on marked wherever a strategy reports an
+    /// admission, and consumed by each invalidation.
     residency: Residency,
     /// Global id of the first proxy this engine owns. Non-zero only for
     /// shard-local engines, which own the contiguous server range
@@ -178,9 +179,11 @@ impl<O: Observer> DeliveryEngine<O> {
     /// Sizes the engine's per-page state for the page ordinals
     /// `0..page_count`: the eviction scratch (a single event can evict at
     /// most the resident page count, so the universe is a safe bound) and
-    /// the residency index (`page_count × ⌈proxies / 64⌉` words). Call once
-    /// before entering an allocation-free replay loop; without it both grow
-    /// on demand.
+    /// the residency index (`page_count × ⌈proxies / 64⌉` words, reserved
+    /// as address space and written only when the first
+    /// [`invalidate_everywhere`](Self::invalidate_everywhere) wakes it).
+    /// Call once before entering an allocation-free replay loop; without
+    /// it both grow on demand.
     pub fn reserve_pages(&mut self, page_count: usize) {
         if self.scratch.capacity() < page_count {
             self.scratch.reserve(page_count - self.scratch.capacity());
@@ -255,20 +258,11 @@ impl<O: Observer> DeliveryEngine<O> {
                 continue;
             }
             let page_ref = PageRef::new(page.id(), page.size(), proxy.cost);
-            let (transferred, stored) = match scheme {
-                PushScheme::Always => {
-                    let stored = proxy.strategy.on_push(&page_ref, subs, scratch).is_stored();
-                    (true, stored)
-                }
-                PushScheme::WhenNecessary => {
-                    if proxy.strategy.would_store(&page_ref, subs) {
-                        let stored = proxy.strategy.on_push(&page_ref, subs, scratch).is_stored();
-                        (stored, stored)
-                    } else {
-                        (false, false)
-                    }
-                }
-            };
+            let stored = proxy.strategy.on_push(&page_ref, subs, scratch).is_stored();
+            // Under PWN the push is the meta-information check itself: a
+            // declined push changes nothing (`Strategy::would_store`'s
+            // contract), and only a stored page's content crosses.
+            let transferred = stored || scheme == PushScheme::Always;
             if transferred {
                 proxy.traffic.record_push(page.size());
             }
@@ -384,9 +378,9 @@ impl<O: Observer> DeliveryEngine<O> {
 
     /// Restores a proxy's strategy in place from bytes written by
     /// [`StrategyImpl::encode_snapshot`](pscd_core::StrategyImpl::encode_snapshot),
-    /// then marks every restored page in the residency index — a restore
-    /// is the one way pages enter a strategy without the engine seeing an
-    /// admission.
+    /// then, once the residency index is awake, marks every restored page
+    /// in it — a restore is the one way pages enter a strategy without
+    /// the engine seeing an admission.
     ///
     /// # Errors
     ///
@@ -409,7 +403,9 @@ impl<O: Observer> DeliveryEngine<O> {
         } = self;
         let strategy = &mut proxies[slot].strategy;
         strategy.decode_snapshot(r)?;
-        strategy.for_each_resident(|page| residency.mark(page, slot));
+        if residency.is_awake() {
+            strategy.for_each_resident(|page| residency.mark(page, slot));
+        }
         Ok(())
     }
 
@@ -444,11 +440,16 @@ impl<O: Observer> DeliveryEngine<O> {
     /// exist rather than the size of the fleet; each still answers through
     /// [`Strategy::invalidate`], which checks exactly and reports the
     /// observer event. The page's marks are cleared: nobody holds it
-    /// afterwards.
+    /// afterwards. The first call wakes the index: it writes the rows
+    /// [`reserve_pages`](Self::reserve_pages) made room for and marks
+    /// every page every proxy holds.
     pub fn invalidate_everywhere(&mut self, page: PageId) -> usize {
         let Self {
             proxies, residency, ..
         } = self;
+        if !residency.is_awake() {
+            wake(residency, proxies);
+        }
         let mut dropped = 0;
         residency.take(page, |slot| {
             dropped += usize::from(proxies[slot].strategy.invalidate(page));
@@ -486,6 +487,18 @@ impl<O: Observer> DeliveryEngine<O> {
         }
         self.proxies[slot].strategy = strategy;
         Ok(())
+    }
+}
+
+/// Wakes a sleeping residency index over the fleet it indexes.
+#[cold]
+#[inline(never)]
+fn wake<O: Observer>(residency: &mut Residency, proxies: &[Proxy<O>]) {
+    residency.wake();
+    for (slot, proxy) in proxies.iter().enumerate() {
+        proxy
+            .strategy
+            .for_each_resident(|page| residency.mark(page, slot));
     }
 }
 

@@ -8,30 +8,60 @@ use pscd_types::PageId;
 ///
 /// Evictions do not clear bits, so a row is a superset of the proxies that
 /// hold the page — enough for invalidation, which asks each marked proxy
-/// and lets the strategy answer exactly. The index is preallocated for a
-/// known universe ([`reserve`](Self::reserve)), after which marking never
-/// allocates, and grows on write otherwise.
+/// and lets the strategy answer exactly.
+///
+/// The index starts asleep: marks are dropped unwritten until its owner
+/// [`wake`](Self::wake)s it, at the first invalidation, and marks every
+/// page each proxy holds at that moment. A run that never invalidates
+/// never writes a row. Room for a known universe is reserved as address
+/// space ([`reserve`](Self::reserve)) and written when the index wakes,
+/// after which marking never allocates; without it the index grows on
+/// write.
 #[derive(Debug)]
 pub(crate) struct Residency {
     words_per_page: usize,
     /// Row-major: page `p` owns `bits[p * words_per_page..][..words_per_page]`.
     bits: Vec<u64>,
+    /// Words of rows [`reserve`](Self::reserve) made room for.
+    reserved: usize,
+    awake: bool,
 }
 
 impl Residency {
-    /// An empty index over `proxies` slots, nothing preallocated.
+    /// An empty, sleeping index over `proxies` slots, nothing reserved.
     pub(crate) fn new(proxies: usize) -> Self {
         Self {
             words_per_page: proxies.div_ceil(64),
             bits: Vec::new(),
+            reserved: 0,
+            awake: false,
         }
     }
 
-    /// Preallocates the rows of the page ordinals `0..page_count`.
+    /// Reserves, without writing, the rows of the page ordinals
+    /// `0..page_count`.
     pub(crate) fn reserve(&mut self, page_count: usize) {
         let len = page_count * self.words_per_page;
-        if self.bits.len() < len {
-            self.bits.resize(len, 0);
+        if self.bits.capacity() < len {
+            self.bits.reserve_exact(len - self.bits.len());
+        }
+        self.reserved = self.reserved.max(len);
+    }
+
+    /// Whether marks are being recorded.
+    #[inline]
+    pub(crate) fn is_awake(&self) -> bool {
+        self.awake
+    }
+
+    /// Starts recording marks, writing the reserved rows clear inside
+    /// the room [`reserve`](Self::reserve) made (no allocation). The
+    /// caller then marks every page each proxy holds.
+    #[cold]
+    pub(crate) fn wake(&mut self) {
+        self.awake = true;
+        if self.bits.len() < self.reserved {
+            self.bits.resize(self.reserved, 0);
         }
     }
 
@@ -59,13 +89,14 @@ impl Residency {
     }
 
     /// Records the proxies `word * 64 + i`, for each set bit `i` of `bits`,
-    /// as possible holders of `page`; no bits leave the index untouched.
+    /// as possible holders of `page`; no bits, or a sleeping index, leave
+    /// the index untouched.
     /// Bits already set are not rewritten: marks outlive evictions, so a
     /// proxy re-admitting a page usually finds its bit in place, and the
     /// store would only dirty the line again.
     #[inline]
     pub(crate) fn mark_word(&mut self, page: PageId, word: usize, bits: u64) {
-        if bits == 0 {
+        if bits == 0 || !self.awake {
             return;
         }
         let slot = &mut self.row_mut(page)[word];
@@ -110,10 +141,28 @@ mod tests {
     }
 
     #[test]
+    fn a_sleeping_index_writes_nothing_and_wakes_inside_its_reservation() {
+        let mut r = Residency::new(130);
+        r.reserve(8);
+        let room = (r.bits.as_ptr(), r.bits.capacity());
+        assert_eq!((room.1, r.bits.len()), (24, 0), "reserved, not written");
+        r.mark(PageId::new(5), 3);
+        r.mark_word(PageId::new(9), 1, 0b11);
+        assert_eq!((taken(&mut r, 5), r.bits.len()), (vec![], 0));
+        r.wake();
+        assert_eq!((r.bits.as_ptr(), r.bits.capacity()), room);
+        assert_eq!(r.bits.len(), 24);
+        assert_eq!(taken(&mut r, 5), [], "marks made asleep are gone");
+        r.mark(PageId::new(5), 3);
+        assert_eq!(taken(&mut r, 5), [3]);
+    }
+
+    #[test]
     fn take_yields_marked_slots_ascending_and_clears_the_row() {
         for reserved in [0, 8] {
             let mut r = Residency::new(130);
             r.reserve(reserved);
+            r.wake();
             for slot in [129, 0, 64, 63, 65, 64] {
                 r.mark(PageId::new(5), slot);
             }
@@ -131,6 +180,7 @@ mod tests {
     fn pages_beyond_the_index_are_unmarked_and_reads_never_grow_it() {
         let mut r = Residency::new(3);
         r.reserve(4);
+        r.wake();
         assert_eq!(taken(&mut r, 4), []);
         assert_eq!(taken(&mut r, u32::MAX), []);
         assert_eq!(r.bits.len(), 4);
@@ -143,6 +193,7 @@ mod tests {
     fn an_engine_without_proxies_indexes_nothing() {
         let mut r = Residency::new(0);
         r.reserve(100);
+        r.wake();
         assert!(r.bits.is_empty());
         assert_eq!(taken(&mut r, 1), []);
     }

@@ -4,9 +4,11 @@
 //! asking every proxy. The sweep lives on only here, as the reference.
 //!
 //! Random publish / request / invalidate / crash-restart /
-//! snapshot-restore sequences run through both; after every step the
-//! invalidation count, every proxy's `contains` for every page, `used()`
-//! and hit counters agree. A strategy that cached a page without
+//! snapshot-restore sequences run through both, each after a prefix of
+//! random length with no invalidation in it, so the first invalidation —
+//! which wakes the engine's index — meets a populated fleet; after every
+//! step the invalidation count, every proxy's `contains` for every page,
+//! `used()` and hit counters agree. A strategy that cached a page without
 //! reporting it, a mark lost across a restore, a slot mapped to the wrong
 //! word or bit, or a proxy visited out of range would all show up as a
 //! copy the engine failed to drop.
@@ -165,12 +167,19 @@ enum Op {
 
 fn op() -> impl Strategy<Value = Op> {
     prop_oneof![
+        16 => quiet_op(),
+        4 => (0..PAGES).prop_map(|page| Op::Invalidate { page }),
+        1 => Just(Op::Invalidate { page: BEYOND }),
+    ]
+}
+
+/// Any step but an invalidation.
+fn quiet_op() -> impl Strategy<Value = Op> {
+    prop_oneof![
         5 => (0..PAGES, proptest::collection::vec((0u16..130, 0u32..20), 0..12))
             .prop_map(|(page, matched)| Op::Publish { page, matched }),
         6 => (0u16..130, 0..PAGES, 0u32..20)
             .prop_map(|(slot, page, subs)| Op::Request { slot, page, subs }),
-        4 => (0..PAGES).prop_map(|page| Op::Invalidate { page }),
-        1 => Just(Op::Invalidate { page: BEYOND }),
         1 => (0u16..130).prop_map(|slot| Op::Restart { slot }),
         1 => Just(Op::SnapshotRestore),
     ]
@@ -301,8 +310,10 @@ proptest! {
         first in proptest::sample::select(vec![0u16, 7]),
         scheme in proptest::sample::select(vec![PushScheme::Always, PushScheme::WhenNecessary]),
         preallocated in proptest::bool::ANY,
+        quiet in proptest::collection::vec(quiet_op(), 0..120),
         ops in proptest::collection::vec(op(), 1..160),
     ) {
+        let ops = [quiet, ops].concat();
         for lineup in 0..LINEUP.len() {
             run(Shape { lineup, fleet, first, scheme, preallocated }, &ops);
         }

@@ -8,7 +8,7 @@ use crate::{AccessOutcome, CacheStore, PageRef, PageUniverse};
 
 /// The greedy-dual family's shared machinery: an *inflation* value `L` that
 /// rises to the value of the last evicted page, in-cache reference counts
-/// (In-Cache LFU: a page's count lives in its store slot and so is
+/// (In-Cache LFU: a page's count lives in its store record and so is
 /// discarded when it is evicted, as the paper's GD\* implementation
 /// does), and value-ordered eviction.
 ///
@@ -82,7 +82,7 @@ impl<O: Observer> GreedyDualEngine<O> {
     /// The in-cache reference count of a page (0 if absent).
     #[inline]
     pub fn frequency(&self, page: PageId) -> u32 {
-        self.store.slot(page).map_or(0, |slot| slot.refs)
+        self.store.refs(page).unwrap_or(0)
     }
 
     /// Read access to the underlying store.

@@ -1,5 +1,5 @@
-//! The page → position index behind a store and a request-count map,
-//! and the page universe that bounds them.
+//! The page → handle index behind a store and a request-count map, and
+//! the page universe that bounds them.
 //!
 //! A proxy caches a few percent of the bytes it is asked for, so the
 //! pages it can hold at once are a small, bounded share of the universe.
@@ -74,15 +74,15 @@ impl PageUniverse {
     }
 }
 
-/// One table slot: a page and its heap position plus one; a zero `at`
-/// marks the slot empty.
+/// One table slot: a page and its owner's handle for it (a store's heap
+/// record, a count map's row) plus one; a zero `at` marks the slot empty.
 #[derive(Debug, Clone, Copy, Default)]
 struct Entry {
     page: u32,
     at: u32,
 }
 
-/// Page → position: linear probing over a power-of-two table kept at
+/// Page → handle: linear probing over a power-of-two table kept at
 /// most half full, backward-shift deletion (no tombstones). The table
 /// starts empty; its owner [`regrow`](Self::regrow)s it before indexing
 /// a page that would fill it past half, which inside the storage
@@ -138,7 +138,7 @@ impl PositionIndex {
     }
 
     /// Doubles the table (to 8 slots from none) and indexes `entries`,
-    /// which must be exactly the pages and positions it holds. Inside a
+    /// which must be exactly the pages and handles it holds. Inside a
     /// [`reserved`](Self::reserved) table's storage this reallocates
     /// nothing.
     #[cold]
@@ -181,7 +181,7 @@ impl PositionIndex {
         }
     }
 
-    /// The heap position of `page`, if indexed.
+    /// The handle of `page`, if indexed.
     #[inline]
     pub(crate) fn get(&self, page: PageId) -> Option<u32> {
         if self.len == 0 {
@@ -190,7 +190,7 @@ impl PositionIndex {
         self.slots[self.probe(page.index())].at.checked_sub(1)
     }
 
-    /// Points `page` at heap position `pos`, indexing it if new. A new
+    /// Points `page` at handle `pos`, indexing it if new. A new
     /// page needs room: its owner regrows a [`full`](Self::is_full)
     /// table first.
     #[inline]
@@ -207,7 +207,7 @@ impl PositionIndex {
         };
     }
 
-    /// Unindexes `page`, returning the position it had.
+    /// Unindexes `page`, returning the handle it had.
     #[inline]
     pub(crate) fn remove(&mut self, page: PageId) -> Option<u32> {
         if self.len == 0 {

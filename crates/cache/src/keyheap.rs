@@ -1,29 +1,32 @@
-//! An eager, index-addressable min-heap over `(value, stamp, page)` keys
+//! An eager, handle-addressed min-heap over `(value, stamp, page)` keys
 //! — the only eviction order in the workspace.
 //!
-//! [`KeyHeap`] holds exactly the live entries: every mutation reports
-//! position moves through a caller-supplied writeback so an external
-//! table ([`CacheStore`](crate::CacheStore)'s page → position index)
-//! can address any element directly. That makes `peek` a `&self` read,
-//! `remove`/`update` `O(log n)` without tombstones, and the heap's
-//! footprint proportional to the cache's live population — the
+//! [`KeyHeap`] holds exactly the live entries. Each entry gets a stable
+//! *handle* when it is pushed and gives it back when it is removed; a
+//! per-handle record holds the entry's heap position and its reference
+//! count. A sift moves a hole rather than swapping, and writes each
+//! moved slot's new position straight into that slot's record, so an
+//! owner that maps pages to handles
+//! ([`CacheStore`](crate::CacheStore)'s index) writes its map once per
+//! insert and once per removal, never inside a sift. That makes `peek` a
+//! `&self` read, `remove`/`update` `O(log n)` without tombstones, and the
+//! heap's footprint proportional to the cache's live population — the
 //! properties the allocation-free replay loop is built on.
 //!
 //! The comparator: smallest value first, ties broken by smallest stamp
 //! (oldest (re)valuation), then smallest page id. Stamps are unique
 //! within one owner, so the pop sequence is a total order — it depends
-//! on the keys alone, never on the order operations reached the heap.
+//! on the keys alone, never on the order operations reached the heap,
+//! nor on which handles the entries hold.
 
 use std::cmp::Ordering;
 
 use pscd_types::{Bytes, PageId};
 
 /// One live heap element: the eviction key plus the page it belongs to,
-/// its size and its reference count. The slot is the *only* per-page
-/// record the store keeps — its index maps pages to heap positions —
-/// so everything a lookup, hit, peek or eviction needs travels with the
-/// slot, and dies with it: 32 bytes, but only 8-aligned in a `Vec`, so
-/// up to half the slots straddle two cache lines.
+/// its size and its handle. The slot is all a peek, a comparison or an
+/// eviction reads: 32 bytes, but only 8-aligned in a `Vec`, so up to
+/// half the slots straddle two cache lines.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HeapSlot {
     /// Current policy value; eviction pops the smallest first.
@@ -34,9 +37,9 @@ pub struct HeapSlot {
     pub page: PageId,
     /// Bytes the page occupies (payload — never compared).
     pub size: Bytes,
-    /// References to the page since it was cached (In-Cache LFU; payload
-    /// — never compared). Whoever owns the store decides what counts.
-    pub refs: u32,
+    /// The entry's record: its position and reference count (never
+    /// compared).
+    pub(crate) handle: u32,
 }
 
 impl HeapSlot {
@@ -56,55 +59,115 @@ impl HeapSlot {
     }
 }
 
-/// An index-addressable binary min-heap (see the module docs).
-///
-/// Every mutating call takes a `track(page, pos)` writeback closure and
-/// invokes it for each slot whose array position changed (including the
-/// inserted or re-keyed slot's final position), never for a removed slot.
-#[derive(Debug, Clone, Default)]
-pub struct KeyHeap {
+/// What a handle addresses: the entry's heap position and the references
+/// counted to its page since it was cached (In-Cache LFU; whoever owns
+/// the store decides what counts). A free record's `pos` links to the
+/// next free handle instead.
+#[derive(Debug, Clone, Copy, Default)]
+struct Record {
+    pos: u32,
+    refs: u32,
+}
+
+/// No handle: the end of the free list.
+const NONE: u32 = u32::MAX;
+
+/// A handle-addressed binary min-heap (see the module docs).
+#[derive(Debug, Clone)]
+pub(crate) struct KeyHeap {
     slots: Vec<HeapSlot>,
+    /// One record per handle ever issued and not reclaimed by a
+    /// [`clear`](Self::clear): as many as the most entries held at once.
+    records: Vec<Record>,
+    /// The most recently freed handle, or [`NONE`].
+    free: u32,
 }
 
 impl KeyHeap {
-    /// An empty heap.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An empty heap with room for `n` slots before reallocating.
-    pub fn with_capacity(n: usize) -> Self {
+    /// An empty heap with room for `n` entries before reallocating.
+    pub(crate) fn with_capacity(n: usize) -> Self {
         Self {
             slots: Vec::with_capacity(n),
+            records: Vec::with_capacity(n),
+            free: NONE,
         }
     }
 
     /// Number of live slots.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.slots.len()
     }
 
     /// `true` if the heap holds nothing.
     #[inline]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.slots.is_empty()
     }
 
     /// The live slots in heap order (position `i`'s children sit at
-    /// `2i + 1` and `2i + 2`). Useful for iterating the live population
-    /// without any notion of sortedness.
+    /// `2i + 1` and `2i + 2`).
     #[inline]
-    pub fn slots(&self) -> &[HeapSlot] {
+    pub(crate) fn slots(&self) -> &[HeapSlot] {
         &self.slots
     }
 
-    /// The slot storage itself, for a restore: a dump of a valid heap put
-    /// back position for position reproduces its ordering bit for bit.
-    /// Whoever rewrites more than a slot's payload asks
-    /// [`in_heap_order`](Self::in_heap_order) afterwards.
-    pub(crate) fn slots_mut(&mut self) -> &mut Vec<HeapSlot> {
-        &mut self.slots
+    /// The live slot a handle addresses.
+    #[inline]
+    pub(crate) fn slot(&self, handle: u32) -> &HeapSlot {
+        &self.slots[self.records[handle as usize].pos as usize]
+    }
+
+    /// The reference count a handle's record holds.
+    #[inline]
+    pub(crate) fn refs(&self, handle: u32) -> u32 {
+        self.records[handle as usize].refs
+    }
+
+    /// Sets the reference count a handle's record holds.
+    #[inline]
+    pub(crate) fn set_refs(&mut self, handle: u32, refs: u32) {
+        self.records[handle as usize].refs = refs;
+    }
+
+    /// The storage's addresses and capacities: unchanged across any run of
+    /// operations that did not reallocate it.
+    #[cfg(test)]
+    pub(crate) fn storage(&self) -> [(usize, usize); 2] {
+        [
+            (self.slots.as_ptr() as usize, self.slots.capacity()),
+            (self.records.as_ptr() as usize, self.records.capacity()),
+        ]
+    }
+
+    /// Drops every entry and reclaims every handle, keeping the storage.
+    pub(crate) fn clear(&mut self) {
+        self.slots.clear();
+        self.records.clear();
+        self.free = NONE;
+    }
+
+    /// Appends a slot at the next position without ordering it, for a
+    /// restore: a dump of a valid heap put back position for position
+    /// reproduces its ordering bit for bit, which
+    /// [`in_heap_order`](Self::in_heap_order) checks afterwards. Returns
+    /// the slot's handle.
+    pub(crate) fn push_unordered(
+        &mut self,
+        value: f64,
+        stamp: u64,
+        page: PageId,
+        size: Bytes,
+    ) -> u32 {
+        let handle = self.issue(self.slots.len() as u32, 0);
+        self.slots.push(HeapSlot {
+            value,
+            stamp,
+            page,
+            size,
+            handle,
+        });
+        handle
     }
 
     /// `false` if some slot pops before its parent (the bytes the slots
@@ -115,106 +178,213 @@ impl KeyHeap {
 
     /// The minimum slot, without mutating anything.
     #[inline]
-    pub fn peek(&self) -> Option<&HeapSlot> {
+    pub(crate) fn peek(&self) -> Option<&HeapSlot> {
         self.slots.first()
     }
 
-    /// Inserts a slot, reporting every position move through `track`.
-    pub fn push(&mut self, slot: HeapSlot, track: &mut impl FnMut(PageId, u32)) {
-        self.slots.push(slot);
-        self.sift_up(self.slots.len() - 1, track);
+    /// Inserts an entry with `refs` references counted, returning its
+    /// handle.
+    pub(crate) fn push(
+        &mut self,
+        value: f64,
+        stamp: u64,
+        page: PageId,
+        size: Bytes,
+        refs: u32,
+    ) -> u32 {
+        let handle = self.issue(0, refs);
+        self.slots.push(HeapSlot {
+            value,
+            stamp,
+            page,
+            size,
+            handle,
+        });
+        self.sift_up(self.slots.len() - 1);
+        handle
     }
 
-    /// Removes and returns the minimum slot.
-    pub fn pop(&mut self, track: &mut impl FnMut(PageId, u32)) -> Option<HeapSlot> {
-        if self.slots.is_empty() {
-            None
-        } else {
-            Some(self.remove(0, track))
-        }
-    }
-
-    /// Removes the slot at `pos` (as last reported through `track`).
+    /// Removes the entry a handle addresses and reclaims the handle.
     ///
     /// # Panics
     ///
-    /// Panics if `pos` is out of bounds.
-    pub fn remove(&mut self, pos: u32, track: &mut impl FnMut(PageId, u32)) -> HeapSlot {
-        let i = pos as usize;
-        let last = self.slots.len() - 1;
-        self.slots.swap(i, last);
-        let removed = self.slots.pop().expect("remove from a non-empty heap");
+    /// Panics if `handle` addresses no live entry.
+    pub(crate) fn remove(&mut self, handle: u32) -> HeapSlot {
+        let i = self.records[handle as usize].pos as usize;
+        let removed = self.slots.swap_remove(i);
+        debug_assert_eq!(removed.handle, handle, "a stale handle");
+        self.records[handle as usize].pos = self.free;
+        self.free = handle;
         if i < self.slots.len() {
             // The former tail landed mid-heap; it may belong either way.
-            if self.sift_up(i, track) == i {
-                self.sift_down(i, track);
-            }
+            self.resift(i);
         }
         removed
     }
 
-    /// Re-keys the slot at `pos`, sets its reference count and restores
-    /// heap order.
+    /// Re-keys the entry a handle addresses, sets its reference count
+    /// and restores heap order.
     ///
     /// # Panics
     ///
-    /// Panics if `pos` is out of bounds.
-    pub fn update(
-        &mut self,
-        pos: u32,
-        value: f64,
-        stamp: u64,
-        refs: u32,
-        track: &mut impl FnMut(PageId, u32),
-    ) {
-        let i = pos as usize;
+    /// Panics if `handle` addresses no live entry.
+    pub(crate) fn update(&mut self, handle: u32, value: f64, stamp: u64, refs: u32) {
+        let record = &mut self.records[handle as usize];
+        record.refs = refs;
+        let i = record.pos as usize;
         let slot = &mut self.slots[i];
-        (slot.value, slot.stamp, slot.refs) = (value, stamp, refs);
-        if self.sift_up(i, track) == i {
-            self.sift_down(i, track);
+        (slot.value, slot.stamp) = (value, stamp);
+        self.resift(i);
+    }
+
+    /// The live slots in pop order, without popping: a frontier of
+    /// positions — the children of every slot yielded so far that have
+    /// not been yielded themselves — ordered by the heap's own
+    /// comparator. `frontier` is the caller's scratch; it holds at most
+    /// one position per live slot.
+    pub(crate) fn ascending<'a>(
+        &'a self,
+        frontier: &'a mut Vec<u32>,
+    ) -> impl Iterator<Item = &'a HeapSlot> + 'a {
+        frontier.clear();
+        if !self.slots.is_empty() {
+            frontier.push(0);
+        }
+        let slots = &self.slots[..];
+        let before = move |a: u32, b: u32| slots[a as usize].before(&slots[b as usize]);
+        std::iter::from_fn(move || {
+            let top = *frontier.first()?;
+            // The first child takes the top's place, the second joins.
+            let left = 2 * top + 1;
+            if (left as usize) < slots.len() {
+                frontier[0] = left;
+            } else {
+                frontier.swap_remove(0);
+            }
+            sift_down(frontier, 0, before);
+            if ((left + 1) as usize) < slots.len() {
+                frontier.push(left + 1);
+                let last = frontier.len() - 1;
+                sift_up(frontier, last, before);
+            }
+            Some(&slots[top as usize])
+        })
+    }
+
+    /// A handle for an entry at `pos` with `refs` references: the most
+    /// recently freed one, or a new record.
+    fn issue(&mut self, pos: u32, refs: u32) -> u32 {
+        let record = Record { pos, refs };
+        if self.free == NONE {
+            self.records.push(record);
+            (self.records.len() - 1) as u32
+        } else {
+            let handle = self.free;
+            let slot = &mut self.records[handle as usize];
+            self.free = slot.pos;
+            *slot = record;
+            handle
         }
     }
 
-    /// Moves `slots[i]` up to its place; reports every move plus the
-    /// final resting position. Returns the final position.
-    fn sift_up(&mut self, mut i: usize, track: &mut impl FnMut(PageId, u32)) -> usize {
+    /// Writes `slot` at position `i` and into its record.
+    #[inline]
+    fn place(&mut self, i: usize, slot: HeapSlot) {
+        self.records[slot.handle as usize].pos = i as u32;
+        self.slots[i] = slot;
+    }
+
+    /// Moves `slots[i]` whichever way it belongs.
+    #[inline]
+    fn resift(&mut self, i: usize) {
+        if i > 0 && self.slots[i].before(&self.slots[(i - 1) / 2]) {
+            self.sift_up(i);
+        } else {
+            self.sift_down(i);
+        }
+    }
+
+    /// Moves `slots[i]` up to its place: every parent it passes moves
+    /// down into the hole, and each moved slot's record learns its new
+    /// position.
+    fn sift_up(&mut self, mut i: usize) {
+        let slot = self.slots[i];
         while i > 0 {
             let parent = (i - 1) / 2;
-            if self.slots[i].before(&self.slots[parent]) {
-                self.slots.swap(i, parent);
-                track(self.slots[i].page, i as u32);
-                i = parent;
-            } else {
+            if !slot.before(&self.slots[parent]) {
                 break;
             }
+            self.place(i, self.slots[parent]);
+            i = parent;
         }
-        track(self.slots[i].page, i as u32);
-        i
+        self.place(i, slot);
     }
 
-    /// Moves `slots[i]` down to its place; reports every move plus the
-    /// final resting position. Returns the final position.
-    fn sift_down(&mut self, mut i: usize, track: &mut impl FnMut(PageId, u32)) -> usize {
+    /// Moves `slots[i]` down to its place: the smaller child that pops
+    /// before it moves up into the hole, and each moved slot's record
+    /// learns its new position.
+    fn sift_down(&mut self, mut i: usize) {
+        let slot = self.slots[i];
+        let n = self.slots.len();
         loop {
             let left = 2 * i + 1;
             let right = left + 1;
-            let mut min = i;
-            if left < self.slots.len() && self.slots[left].before(&self.slots[min]) {
-                min = left;
+            let mut min = &slot;
+            let mut at = i;
+            if left < n && self.slots[left].before(min) {
+                (min, at) = (&self.slots[left], left);
             }
-            if right < self.slots.len() && self.slots[right].before(&self.slots[min]) {
-                min = right;
+            if right < n && self.slots[right].before(min) {
+                at = right;
             }
-            if min == i {
+            if at == i {
                 break;
             }
-            self.slots.swap(i, min);
-            track(self.slots[i].page, i as u32);
-            i = min;
+            self.place(i, self.slots[at]);
+            i = at;
         }
-        track(self.slots[i].page, i as u32);
-        i
+        self.place(i, slot);
     }
+}
+
+/// Moves `heap[i]` up a binary min-heap of positions ordered by `before`.
+fn sift_up(heap: &mut [u32], mut i: usize, before: impl Fn(u32, u32) -> bool) {
+    let item = heap[i];
+    while i > 0 {
+        let parent = (i - 1) / 2;
+        if !before(item, heap[parent]) {
+            break;
+        }
+        heap[i] = heap[parent];
+        i = parent;
+    }
+    heap[i] = item;
+}
+
+/// Moves `heap[i]` down a binary min-heap of positions ordered by
+/// `before`.
+fn sift_down(heap: &mut [u32], mut i: usize, before: impl Fn(u32, u32) -> bool) {
+    let Some(&item) = heap.get(i) else {
+        return;
+    };
+    loop {
+        let left = 2 * i + 1;
+        let right = left + 1;
+        let mut at = i;
+        let mut min = item;
+        if left < heap.len() && before(heap[left], min) {
+            (at, min) = (left, heap[left]);
+        }
+        if right < heap.len() && before(heap[right], min) {
+            at = right;
+        }
+        if at == i {
+            break;
+        }
+        heap[i] = heap[at];
+        i = at;
+    }
+    heap[i] = item;
 }
 
 #[cfg(test)]
@@ -227,79 +397,72 @@ mod tests {
         PageId::new(i)
     }
 
-    /// A reference harness: a `KeyHeap` plus a position map maintained
-    /// purely through the writeback, checked for consistency after every
-    /// operation.
-    #[derive(Default)]
+    /// A payload count: any count must leave every order alone.
+    fn refs_of(stamp: u64) -> u32 {
+        (stamp.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40) as u32
+    }
+
+    /// A reference harness: a `KeyHeap` plus a page → handle map, checked
+    /// for consistency after every operation.
     struct Tracked {
         heap: KeyHeap,
-        pos: HashMap<PageId, u32>,
+        handles: HashMap<PageId, u32>,
+        frontier: Vec<u32>,
+    }
+
+    impl Default for Tracked {
+        fn default() -> Self {
+            Self {
+                heap: KeyHeap::with_capacity(0),
+                handles: HashMap::new(),
+                frontier: Vec::new(),
+            }
+        }
     }
 
     impl Tracked {
         fn push(&mut self, value: f64, stamp: u64, p: PageId) {
-            let pos = &mut self.pos;
-            self.heap.push(
-                HeapSlot {
-                    value,
-                    stamp,
-                    page: p,
-                    size: Bytes::new(1),
-                    // Payload: any count must leave every order alone.
-                    refs: (stamp.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40) as u32,
-                },
-                &mut |pg, i| {
-                    pos.insert(pg, i);
-                },
-            );
+            let handle = self
+                .heap
+                .push(value, stamp, p, Bytes::new(1), refs_of(stamp));
+            self.handles.insert(p, handle);
             self.check();
         }
 
         fn pop(&mut self) -> Option<HeapSlot> {
-            let pos = &mut self.pos;
-            let out = self.heap.pop(&mut |pg, i| {
-                pos.insert(pg, i);
-            });
-            if let Some(s) = out {
-                self.pos.remove(&s.page);
-            }
-            self.check();
-            out
+            let page = self.heap.peek()?.page;
+            Some(self.remove(page))
         }
 
         fn remove(&mut self, p: PageId) -> HeapSlot {
-            let at = self.pos[&p];
-            let pos = &mut self.pos;
-            let out = self.heap.remove(at, &mut |pg, i| {
-                pos.insert(pg, i);
-            });
-            self.pos.remove(&p);
+            let out = self.heap.remove(self.handles.remove(&p).unwrap());
+            assert_eq!(out.page, p);
             self.check();
             out
         }
 
         fn update(&mut self, p: PageId, value: f64, stamp: u64) {
-            let at = self.pos[&p];
-            let pos = &mut self.pos;
-            let refs = (stamp.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40) as u32;
-            self.heap.update(at, value, stamp, refs, &mut |pg, i| {
-                pos.insert(pg, i);
-            });
+            self.heap
+                .update(self.handles[&p], value, stamp, refs_of(stamp));
             self.check();
         }
 
-        fn check(&self) {
-            assert_eq!(self.pos.len(), self.heap.len(), "position map drift");
-            for (&p, &i) in &self.pos {
-                assert_eq!(self.heap.slots()[i as usize].page, p, "stale position");
+        fn check(&mut self) {
+            let heap = &self.heap;
+            assert_eq!(self.handles.len(), heap.len(), "handle map drift");
+            for (&p, &h) in &self.handles {
+                let slot = heap.slot(h);
+                assert_eq!((slot.page, slot.handle), (p, h), "stale position");
+                assert_eq!(heap.refs(h), refs_of(slot.stamp), "count moved");
             }
-            for i in 1..self.heap.len() {
-                let parent = (i - 1) / 2;
-                assert!(
-                    !self.heap.slots()[i].before(&self.heap.slots()[parent]),
-                    "heap property violated at {i}"
-                );
-            }
+            assert!(heap.in_heap_order());
+            // The walk yields every slot once, in pop order.
+            let walked: Vec<HeapSlot> = heap.ascending(&mut self.frontier).copied().collect();
+            assert_eq!(walked.len(), heap.len());
+            assert!(
+                walked.windows(2).all(|w| w[0].before(&w[1])),
+                "walk out of order"
+            );
         }
     }
 
@@ -340,13 +503,26 @@ mod tests {
     }
 
     #[test]
+    fn freed_handles_are_reissued_and_records_stay_bounded() {
+        let mut t = Tracked::default();
+        for i in 0..8 {
+            t.push(i as f64, i, page(i as u32));
+        }
+        for round in 0..50u64 {
+            t.pop();
+            t.push(round as f64, 8 + round, page(8 + round as u32));
+        }
+        assert_eq!(t.heap.records.len(), 8, "one record per entry held at once");
+    }
+
+    #[test]
     fn matches_reference_binary_heap_under_churn() {
         // Drive the eager heap and a (sort-based) reference through the
         // same operation stream; the pop order must match exactly. The
-        // heap's slots carry arbitrary reference counts and the
+        // heap's entries carry arbitrary reference counts and the
         // reference's none: a count never changes an ordering.
         let mut t = Tracked::default();
-        let mut reference: Vec<HeapSlot> = Vec::new();
+        let mut reference: Vec<(f64, u64, PageId)> = Vec::new();
         let mut x = 0x2545_f491_4f6c_dd1du64;
         let mut rng = move || {
             x ^= x << 13;
@@ -361,39 +537,23 @@ mod tests {
                 0 | 1 => {
                     let value = ((rng() % 16) as f64) / 4.0;
                     t.push(value, stamp, page(next_page));
-                    reference.push(HeapSlot {
-                        value,
-                        stamp,
-                        page: page(next_page),
-                        size: Bytes::new(1),
-                        refs: 0,
-                    });
+                    reference.push((value, stamp, page(next_page)));
                     stamp += 1;
                     next_page += 1;
                 }
                 2 if !reference.is_empty() => {
                     let k = (rng() as usize) % reference.len();
-                    let p = reference[k].page;
+                    let p = reference[k].2;
                     let value = ((rng() % 16) as f64) / 4.0;
                     t.update(p, value, stamp);
-                    reference[k].value = value;
-                    reference[k].stamp = stamp;
+                    (reference[k].0, reference[k].1) = (value, stamp);
                     stamp += 1;
                 }
                 _ => {
                     let got = t.pop();
-                    reference.sort_by(|a, b| {
-                        a.value
-                            .partial_cmp(&b.value)
-                            .unwrap()
-                            .then(a.stamp.cmp(&b.stamp))
-                    });
-                    let want = if reference.is_empty() {
-                        None
-                    } else {
-                        Some(reference.remove(0))
-                    };
-                    assert_eq!(got.map(|s| s.page), want.map(|s| s.page));
+                    reference.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
+                    let want = (!reference.is_empty()).then(|| reference.remove(0));
+                    assert_eq!(got.map(|s| s.page), want.map(|w| w.2));
                 }
             }
         }

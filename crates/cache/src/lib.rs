@@ -5,7 +5,7 @@
 //! built on:
 //!
 //! * [`CacheStore`] — a capacity-limited page store with value-ordered
-//!   eviction (eager index-addressable min-heap, [`KeyHeap`]).
+//!   eviction (an eager handle-addressed min-heap of [`HeapSlot`]s).
 //! * [`PageUniverse`] — the pages a cache is built over. A store over it
 //!   reserves room for the most pages its capacity can hold, so the
 //!   replay loop performs no heap allocations; over the empty universe
@@ -56,7 +56,7 @@ mod store;
 pub use counts::PageCounts;
 pub use engine::GreedyDualEngine;
 pub use index::PageUniverse;
-pub use keyheap::{HeapSlot, KeyHeap};
+pub use keyheap::HeapSlot;
 pub use policy::{AccessOutcome, PageRef};
 pub use snapshot::{SnapshotError, SnapshotReader};
 pub use store::{CacheStore, StoredPage};

@@ -23,22 +23,25 @@ pub struct StoredPage {
 ///
 /// This is the substrate under every replacement policy in `pscd`: the
 /// policy decides the values, the store tracks bytes and keeps the
-/// min-value order in an eager index-addressable heap ([`KeyHeap`]), so
-/// updates are `O(log n)` with no stale-entry churn and
+/// min-value order in an eager handle-addressed heap, so updates are
+/// `O(log n)` with no stale-entry churn and
 /// [`peek_min`](CacheStore::peek_min) is a `&self` read. The heap slots
-/// *are* the entries — the index only maps pages to heap positions — so
-/// the live population sits in one compact array and the push-time
-/// placement question, [`candidates_cover`](CacheStore::candidates_cover),
-/// is answered by a sweep of that array that stops as soon as it has its
-/// answer, with zero bookkeeping on the mutation paths.
+/// *are* the entries, so the live population sits in one compact array:
+/// the push-time placement question,
+/// [`candidates_cover`](CacheStore::candidates_cover), is a sweep of
+/// that array that stops as soon as it has its answer, and
+/// [`ascending`](CacheStore::ascending) walks it in eviction order
+/// without popping.
 ///
-/// The page → heap-position index is an open-addressing hash table, and
-/// all the per-page state lives in the heap slot it points at. A store
-/// built with [`dense`](CacheStore::dense) over a [`PageUniverse`]
-/// reserves both for the most pages its capacity can hold at once, and
-/// so never allocates again; the index starts empty and doubles inside
-/// its reservation as the store fills, so it is sized by the pages the
-/// store holds, not by what it could hold.
+/// The page → handle index is an open-addressing hash table, written
+/// once when a page is inserted and once when it leaves; a handle
+/// addresses a record of the page's heap position and reference count,
+/// which the heap keeps current as slots move. A store built with
+/// [`dense`](CacheStore::dense) over a [`PageUniverse`] reserves the
+/// index, the slots and the records for the most pages its capacity can
+/// hold at once, and so never allocates again; the index starts empty
+/// and doubles inside its reservation as the store fills, so it is sized
+/// by the pages the store holds, not by what it could hold.
 ///
 /// # Examples
 ///
@@ -146,9 +149,14 @@ impl CacheStore {
 
     /// The live heap slot of a cached page.
     #[inline]
-    pub(crate) fn slot(&self, page: PageId) -> Option<&HeapSlot> {
-        let pos = self.positions.get(page)?;
-        Some(&self.heap.slots()[pos as usize])
+    fn slot(&self, page: PageId) -> Option<&HeapSlot> {
+        Some(self.heap.slot(self.positions.get(page)?))
+    }
+
+    /// The references counted to a cached page since it was cached.
+    #[inline]
+    pub fn refs(&self, page: PageId) -> Option<u32> {
+        Some(self.heap.refs(self.positions.get(page)?))
     }
 
     /// The current value of a cached page.
@@ -184,17 +192,8 @@ impl CacheStore {
         self.detach(page);
         self.make_room();
         let stamp = self.bump();
-        let Self {
-            positions, heap, ..
-        } = self;
-        let slot = HeapSlot {
-            value,
-            stamp,
-            page,
-            size,
-            refs,
-        };
-        heap.push(slot, &mut |p, pos| positions.set(p, pos));
+        let handle = self.heap.push(value, stamp, page, size, refs);
+        self.positions.set(page, handle);
         self.used += size;
     }
 
@@ -225,16 +224,13 @@ impl CacheStore {
         // Look up before bumping: a miss must not burn a stamp (stamps
         // order eviction ties, so phantom bumps would shift tie-breaks
         // between otherwise identical histories).
-        let Some(pos) = self.positions.get(page) else {
+        let Some(handle) = self.positions.get(page) else {
             return false;
         };
-        let (value, refs) = rekey(self.heap.slots()[pos as usize].refs);
+        let (value, refs) = rekey(self.heap.refs(handle));
         assert!(!value.is_nan(), "page value must not be NaN");
         let stamp = self.bump();
-        let Self {
-            positions, heap, ..
-        } = self;
-        heap.update(pos, value, stamp, refs, &mut |p, pos| positions.set(p, pos));
+        self.heap.update(handle, value, stamp, refs);
         true
     }
 
@@ -289,6 +285,20 @@ impl CacheStore {
             })
     }
 
+    /// The cached pages in eviction order — least valuable first, ties
+    /// to the oldest stamp — without popping any: each step yields the
+    /// least valuable slot not yet yielded, so a caller that stops after
+    /// `k` slots visits `O(k log k)` of the heap. `frontier` is the
+    /// caller's scratch, cleared on entry; it holds at most one entry per
+    /// cached page, so one reserved for the universe's
+    /// [`resident_bound`](PageUniverse::resident_bound) never regrows.
+    pub fn ascending<'a>(
+        &'a self,
+        frontier: &'a mut Vec<u32>,
+    ) -> impl Iterator<Item = &'a HeapSlot> + 'a {
+        self.heap.ascending(frontier)
+    }
+
     /// Iterates over all cached pages (arbitrary order). Cost is
     /// proportional to the live population in both layouts.
     pub fn iter(&self) -> impl Iterator<Item = StoredPage> + '_ {
@@ -301,7 +311,8 @@ impl CacheStore {
 
     /// The live slots in heap order, stamps included: a slot's stamp is
     /// the value [`next_stamp`](Self::next_stamp) had when the page was
-    /// last inserted or re-valued.
+    /// last inserted or re-valued. A page's reference count is not in its
+    /// slot: [`refs`](Self::refs) reads it.
     #[inline]
     pub fn slots(&self) -> &[HeapSlot] {
         self.heap.slots()
@@ -335,7 +346,7 @@ impl CacheStore {
     /// counts references writes them where its own layout has them.
     pub fn encode_refs(&self, out: &mut Vec<u8>) {
         for slot in self.heap.slots() {
-            put_u32(out, slot.refs);
+            put_u32(out, self.heap.refs(slot.handle));
         }
     }
 
@@ -346,8 +357,9 @@ impl CacheStore {
     ///
     /// A [`SnapshotError`] for a truncated buffer or a count out of range.
     pub fn decode_refs(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        for slot in self.heap.slots_mut() {
-            slot.refs = r.read_count()?;
+        for at in 0..self.heap.len() {
+            let handle = self.heap.slots()[at].handle;
+            self.heap.set_refs(handle, r.read_count()?);
         }
         Ok(())
     }
@@ -384,7 +396,7 @@ impl CacheStore {
         // a universe keeps the room it was built with, and its index
         // regrows for the decoded population alone.
         self.positions.clear();
-        self.heap.slots_mut().clear();
+        self.heap.clear();
         let mut used = 0u64;
         for pos in 0..n {
             let value = r.read_f64()?;
@@ -395,17 +407,14 @@ impl CacheStore {
                 return Err(SnapshotError::Corrupt("NaN page value"));
             }
             self.make_room();
+            // Handles are issued in slot order, from 0: the one a slot
+            // gets is its position.
             self.positions.try_insert(page, pos as u32)?;
             used = used
                 .checked_add(size.as_u64())
                 .ok_or(SnapshotError::Corrupt("resident bytes overflow"))?;
-            self.heap.slots_mut().push(HeapSlot {
-                value,
-                stamp,
-                page,
-                size,
-                refs: 0,
-            });
+            let handle = self.heap.push_unordered(value, stamp, page, size);
+            debug_assert_eq!(handle, pos as u32);
         }
         if used > self.capacity.as_u64() {
             return Err(SnapshotError::Corrupt("resident bytes exceed capacity"));
@@ -420,11 +429,7 @@ impl CacheStore {
 
     /// Unlinks a live entry from both structures, returning its slot.
     fn detach(&mut self, page: PageId) -> Option<HeapSlot> {
-        let pos = self.positions.remove(page)?;
-        let Self {
-            positions, heap, ..
-        } = self;
-        let slot = heap.remove(pos, &mut |p, pos| positions.set(p, pos));
+        let slot = self.heap.remove(self.positions.remove(page)?);
         self.used -= slot.size;
         Some(slot)
     }
@@ -434,9 +439,9 @@ impl CacheStore {
     #[inline]
     fn make_room(&mut self) {
         if self.positions.is_full() {
-            let slots = self.heap.slots().iter().enumerate();
+            let slots = self.heap.slots().iter();
             self.positions
-                .regrow(slots.map(|(at, slot)| (slot.page, at as u32)));
+                .regrow(slots.map(|slot| (slot.page, slot.handle)));
         }
     }
 
@@ -631,12 +636,12 @@ mod tests {
         let mut bytes = Vec::new();
         donor.encode_state(&mut bytes);
         let mut s = CacheStore::dense(Bytes::new(100), &units(64));
-        let built = s.heap.slots_mut().capacity();
-        assert!(built >= 64);
+        let built = s.heap.storage();
+        assert!(built.iter().all(|&(_, capacity)| capacity >= 64));
         let index = s.positions.storage();
         s.insert(page(1), Bytes::new(10), 1.0);
         s.decode_state(&mut SnapshotReader::new(&bytes)).unwrap();
-        assert!(s.heap.slots_mut().capacity() >= built);
+        assert_eq!(s.heap.storage(), built);
         assert_eq!(s.positions.storage(), index);
         // What the store held before is gone, index entry included.
         assert!(!s.contains(page(1)));
@@ -765,10 +770,9 @@ mod tests {
 
     /// Where the store's index and heap live: unchanged across any run of
     /// operations that did not reallocate them.
-    fn storage(s: &mut CacheStore) -> [(usize, usize); 2] {
-        let heap = s.heap.slots_mut();
-        let heap = (heap.as_ptr() as usize, heap.capacity());
-        [s.positions.storage(), heap]
+    fn storage(s: &mut CacheStore) -> [(usize, usize); 3] {
+        let [slots, records] = s.heap.storage();
+        [s.positions.storage(), slots, records]
     }
 
     fn xorshift(mut x: u64) -> impl FnMut() -> u64 {

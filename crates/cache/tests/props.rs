@@ -66,10 +66,15 @@ impl ScanStore {
 
     /// Least value first, ties to the least recently (re)valued.
     fn min(&self) -> Option<u32> {
-        self.pages
-            .iter()
-            .min_by(|a, b| a.2.partial_cmp(&b.2).unwrap().then(a.3.cmp(&b.3)))
-            .map(|p| p.0)
+        self.ascending().first().copied()
+    }
+
+    /// Every page, least value first, ties to the least recently
+    /// (re)valued.
+    fn ascending(&self) -> Vec<u32> {
+        let mut pages = self.pages.clone();
+        pages.sort_by(|a, b| a.2.partial_cmp(&b.2).unwrap().then(a.3.cmp(&b.3)));
+        pages.iter().map(|p| p.0).collect()
     }
 }
 
@@ -110,8 +115,9 @@ proptest! {
     /// whether the candidates cover a need (of nothing, one byte, exactly
     /// their bytes and one more), each slot's stamp and reference count,
     /// the stamp counter (a missed update or reference must not burn
-    /// one) — equals the scan model's after every operation, whether the
-    /// store grows on demand or was reserved over a universe.
+    /// one), the pages in eviction order as the store walks them without
+    /// popping — equals the scan model's after every operation, whether
+    /// the store grows on demand or was reserved over a universe.
     #[test]
     fn store_matches_scan_model(ops in proptest::collection::vec(store_op(), 1..400)) {
         for mut store in [
@@ -119,6 +125,7 @@ proptest! {
             CacheStore::dense(Bytes::new(10_000), &PageUniverse::new(vec![Bytes::new(1); 60])),
         ] {
             let mut model = ScanStore::default();
+            let mut frontier = Vec::new();
             for op in &ops {
                 match *op {
                     StoreOp::Insert(p, size, value) => {
@@ -154,12 +161,14 @@ proptest! {
                     prop_assert_eq!(store.candidates_cover(1.5, Bytes::new(need)), below >= need);
                 }
                 prop_assert_eq!(store.next_stamp(), model.next_stamp);
+                let walked: Vec<u32> = store.ascending(&mut frontier).map(|s| s.page.index()).collect();
+                prop_assert_eq!(walked, model.ascending());
             }
             for &(page, size, value, stamp, refs) in &model.pages {
                 prop_assert_eq!(store.value(PageId::new(page)), Some(value));
                 prop_assert_eq!(store.size(PageId::new(page)), Some(Bytes::new(size)));
                 let slot = store.slots().iter().find(|s| s.page.index() == page).unwrap();
-                prop_assert_eq!((slot.stamp, slot.refs), (stamp, refs));
+                prop_assert_eq!((slot.stamp, store.refs(PageId::new(page))), (stamp, Some(refs)));
             }
         }
     }

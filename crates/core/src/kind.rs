@@ -407,6 +407,131 @@ mod tests {
         }
     }
 
+    /// One step of a [`would_store`](Strategy::would_store) contract
+    /// script.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Push(PageRef, u32),
+        Access(PageRef, u32),
+        Invalidate(PageId),
+    }
+
+    /// Seeded pushes, accesses and invalidations over the pages `0..32`,
+    /// half of them pushes: enough to fill a 300-byte cache many times
+    /// over, leave AC pages unreferenced across replacements and relabel
+    /// them.
+    fn seeded(seed: u64, steps: usize) -> Vec<Op> {
+        let mut rng = xorshift(seed);
+        (0..steps)
+            .map(|_| {
+                let p = page((rng() % 32) as u32);
+                let subs = (rng() % 20) as u32;
+                match rng() % 6 {
+                    0..=2 => Op::Push(p, subs),
+                    3 => Op::Invalidate(p.page),
+                    _ => Op::Access(p, subs),
+                }
+            })
+            .collect()
+    }
+
+    /// The contract the Pushing-When-Necessary scheme relies on, so that
+    /// the delivery engine can decide each offer once, with `on_push`:
+    /// `would_store` answers what `on_push` then does, before every push
+    /// of every script, for every kind. The seeded rows must reach full
+    /// caches (evictions), declines and — on DC-AP and DC-LAP — relabels.
+    #[test]
+    fn would_store_is_what_on_push_then_does() {
+        use pscd_obs::{SharedObserver, StatsObserver};
+        use pscd_types::ServerId;
+
+        let p = |id, size| PageRef::new(PageId::new(id), Bytes::new(size), 1.0);
+        // SUB and SG1 over 20 bytes: five pushes of mixed value, the last
+        // larger than the cache.
+        let single = [
+            (p(1, 10), 10),
+            (p(2, 10), 5),
+            (p(3, 10), 1),
+            (p(4, 15), 30),
+            (p(5, 25), 99),
+        ];
+        // DC-LAP over 100 bytes: five pushes of mixed value, one larger
+        // than the PC bound.
+        let dual = [
+            (p(1, 40), 10),
+            (p(2, 30), 2),
+            (p(3, 30), 50),
+            (p(4, 80), 90),
+            (p(5, 10), 0),
+        ];
+        let pushes = |list: &[(PageRef, u32)]| list.iter().map(|&(p, s)| Op::Push(p, s)).collect();
+        // (kind, capacity, pages in the universe (0: grown on write),
+        // script, whether coverage is checked).
+        let mut rows: Vec<(StrategyKind, u64, u32, Vec<Op>, bool)> = vec![
+            (StrategyKind::Sub, 20, 0, pushes(&single), false),
+            (
+                StrategyKind::Sg1 { beta: 2.0 },
+                20,
+                0,
+                pushes(&single),
+                false,
+            ),
+            (StrategyKind::dc_lap(2.0), 100, 0, pushes(&dual), false),
+        ];
+        for kind in all_kinds() {
+            for seed in [0x9e37_79b9, 0x2545_f491, 0x5851_f42d] {
+                rows.push((kind, 300, 32, seeded(seed, 1_500), true));
+            }
+        }
+        let mut ev = Vec::new();
+        for (kind, capacity, pages, script, covered) in rows {
+            let universe = PageUniverse::new((0..pages).map(|i| page(i).size));
+            let shared = SharedObserver::new(StatsObserver::new());
+            let mut s = kind.build(
+                Bytes::new(capacity),
+                &universe,
+                shared.handle(ServerId::new(0)),
+            );
+            let mut outcomes = [0u32; 2];
+            for (step, op) in script.into_iter().enumerate() {
+                match op {
+                    Op::Push(p, subs) => {
+                        let predicted = s.would_store(&p, subs);
+                        let stored = s.on_push(&p, subs, &mut ev).is_stored();
+                        assert_eq!(predicted, stored, "{} step {step}: {p:?}", kind.name());
+                        outcomes[usize::from(stored)] += 1;
+                    }
+                    Op::Access(p, subs) => drop(s.on_access(&p, subs, &mut ev)),
+                    Op::Invalidate(page) => drop(s.invalidate(page)),
+                }
+            }
+            drop(s);
+            let stats = shared.try_unwrap().unwrap();
+            let r = stats.registry();
+            let evictions: u64 = r.counters_with_prefix("evict.").map(|(_, n)| n).sum();
+            if covered {
+                assert!(evictions > 0, "{}: never full", kind.name());
+                if kind
+                    .build(Bytes::new(1), &universe, ObsHandle::disabled())
+                    .uses_push()
+                {
+                    assert!(
+                        outcomes.iter().all(|&n| n > 0),
+                        "{}: {outcomes:?}",
+                        kind.name()
+                    );
+                }
+                if matches!(kind, StrategyKind::DcAp { .. } | StrategyKind::DcLap { .. }) {
+                    assert!(
+                        r.counter("relabel.ac_to_pc") > 0,
+                        "{}: no relabel",
+                        kind.name()
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn every_kind_builds_and_reports_its_name() {
         let mut ev = Vec::new();

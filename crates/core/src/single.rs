@@ -659,26 +659,6 @@ mod tests {
     }
 
     #[test]
-    fn would_store_matches_on_push() {
-        let mut ev = Vec::new();
-        for model in [Model::Sub, SG1] {
-            let mut s = cache(model, 20);
-            let cases = [
-                (page(1, 10, 1.0), 10u32),
-                (page(2, 10, 1.0), 5),
-                (page(3, 10, 1.0), 1),
-                (page(4, 15, 1.0), 30),
-                (page(5, 25, 1.0), 99),
-            ];
-            for (p, subs) in cases {
-                let predicted = s.would_store(&p, subs);
-                let actual = s.on_push(&p, subs, &mut ev).is_stored();
-                assert_eq!(predicted, actual, "{} page {:?}", s.name(), p.page);
-            }
-        }
-    }
-
-    #[test]
     fn only_the_counting_models_keep_and_encode_a_request_table() {
         let mut ev = Vec::new();
         for model in [Model::Lru, Model::Gds, Model::LfuDa, GD_STAR, Model::Sub] {

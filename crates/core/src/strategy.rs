@@ -81,9 +81,14 @@ pub trait Strategy: fmt::Debug {
     fn on_push(&mut self, page: &PageRef, subs: u32, evicted: &mut Vec<PageId>) -> PushOutcome;
 
     /// Pure predicate: would [`on_push`](Strategy::on_push) store this page
-    /// right now? Used by the Pushing-When-Necessary scheme (§5.6), where
-    /// the proxy evaluates the page's meta-information before the publisher
-    /// transfers any content.
+    /// right now? The Pushing-When-Necessary scheme (§5.6) is this
+    /// question — the proxy evaluates the page's meta-information before
+    /// the publisher transfers any content.
+    ///
+    /// Contract: `would_store(p, s) == on_push(p, s, ..).is_stored()` in
+    /// every state, and an `on_push` that declines changes nothing. So
+    /// the delivery engine asks `on_push` alone and transfers only what
+    /// it stored; a strategy must keep the two in step.
     fn would_store(&self, page: &PageRef, subs: u32) -> bool;
 
     /// Handles a user request for `page` at this proxy. `evicted` follows
