@@ -201,12 +201,6 @@ impl<O: Observer> DeliveryEngine<O> {
             .filter(|&i| i < self.proxies.len())
     }
 
-    /// Global id of the first proxy this engine owns (0 for a full-range
-    /// engine).
-    pub fn first_server(&self) -> ServerId {
-        ServerId::new(self.first)
-    }
-
     /// Number of proxies.
     pub fn server_count(&self) -> u16 {
         self.proxies.len() as u16
@@ -721,7 +715,6 @@ mod tests {
         let kind = StrategyKind::Sg2 { beta: 2.0 };
         // A shard-local engine owning global servers 3 and 4.
         let mut e = engine_from(kind, PushScheme::Always, 3);
-        assert_eq!(e.first_server(), ServerId::new(3));
         let p = page(1, 100);
         let recs = publish(&mut e, &p, &[(ServerId::new(3), 5), (ServerId::new(4), 2)]);
         assert_eq!(recs.len(), 2);

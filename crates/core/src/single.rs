@@ -173,12 +173,6 @@ impl<O: Observer> SingleCache<O> {
         }
     }
 
-    /// The requests recorded for a page since the start (0 under a model
-    /// that does not count them).
-    pub fn access_count(&self, page: PageId) -> u32 {
-        self.requests.get(page)
-    }
-
     /// The wire tag of this cache's snapshot layout: the model's, so that
     /// an LRU blob is refused by a GDS cache. SG1, SG2 and SR share one —
     /// an engine followed by the request-count table.
@@ -452,7 +446,7 @@ mod tests {
             assert!(s.contains(p.page));
             assert!(s.on_access(&p, 0, &mut ev).is_hit());
             assert_eq!(s.used(), Bytes::new(10));
-            assert_eq!(s.access_count(p.page), 0);
+            assert_eq!(s.requests.get(p.page), 0);
             assert_eq!(
                 s.on_access(&page(2, 101, 1.0), 0, &mut ev),
                 AccessOutcome::MissBypassed
@@ -566,7 +560,7 @@ mod tests {
             let p = page(1, 10, 1.0);
             assert!(s.on_push(&p, 4, &mut ev).is_stored());
             assert!(s.on_access(&p, 4, &mut ev).is_hit());
-            assert_eq!(s.access_count(p.page), 1);
+            assert_eq!(s.requests.get(p.page), 1);
         }
     }
 
@@ -608,9 +602,9 @@ mod tests {
         assert!(sr.on_push(&page(2, 10, 1.0), 100, &mut ev).is_stored());
         assert!(!sr.contains(p.page));
         // The count is still there: a = 1 persists.
-        assert_eq!(sr.access_count(p.page), 1);
+        assert_eq!(sr.requests.get(p.page), 1);
         sr.on_access(&p, 3, &mut ev); // a = 2, f = 1, value small -> gated out
-        assert_eq!(sr.access_count(p.page), 2);
+        assert_eq!(sr.requests.get(p.page), 2);
     }
 
     #[test]
@@ -760,7 +754,7 @@ mod tests {
     /// Every counted page has a row, and no other page has one.
     fn assert_rows_match_counts(s: &SingleCache, pages: u32) {
         let counted = (0..pages + 70)
-            .filter(|&p| s.access_count(PageId::new(p)) != 0)
+            .filter(|&p| s.requests.get(PageId::new(p)) != 0)
             .count();
         assert_eq!(s.requests.len(), counted);
     }
@@ -800,7 +794,7 @@ mod tests {
                 assert_eq!(again, blob, "universe {universe}, round {round}");
                 for p in 0..100 {
                     let p = PageId::new(p);
-                    assert_eq!(a.access_count(p), b.access_count(p));
+                    assert_eq!(a.requests.get(p), b.requests.get(p));
                 }
             }
         }
@@ -832,7 +826,7 @@ mod tests {
         assert!(sg2.requests.index_slots() <= 2_048);
         for p in (0..1_000_000).step_by(997).chain(asked.iter().copied()) {
             let want = tally.get(&p).copied().unwrap_or(0);
-            assert_eq!(sg2.access_count(PageId::new(p)), want, "page {p}");
+            assert_eq!(sg2.requests.get(PageId::new(p)), want, "page {p}");
         }
     }
 

@@ -15,7 +15,7 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 use pscd_core::StrategyKind;
-use pscd_obs::{JsonlObserver, Registry, SharedObserver, StatsObserver, TraceSink};
+use pscd_obs::{JsonlObserver, SharedObserver, StatsObserver, TraceLog, TraceSink};
 use pscd_sim::{simulate_observed_sharded, SimOptions, Simulation};
 
 use crate::{ExperimentContext, ExperimentError, Trace};
@@ -51,8 +51,9 @@ pub struct ObsAudit {
     pub capacity: f64,
     /// One row per strategy, in lineup order.
     pub rows: Vec<AuditRow>,
-    /// Wall-clock spans (one per strategy) and any audit-level metrics.
-    pub timing: Registry,
+    /// Wall-clock spans: the context's cold-path phases, then one per
+    /// strategy.
+    pub timing: TraceLog,
 }
 
 impl ObsAudit {
@@ -109,6 +110,8 @@ impl ObsAudit {
         // costs, subscriptions, compilation) so the audit shows where
         // setup time went before any strategy replay span.
         let mut timing = ctx.cold_timing();
+        let replays = TraceSink::enabled();
+        let mut rec = replays.recorder("audit");
         for &kind in kinds {
             let (result, stats, events_path, events_written) = if events {
                 let events_path = dir.join(format!("events_{}.jsonl", slug(kind.name())));
@@ -116,7 +119,7 @@ impl ObsAudit {
                     JsonlObserver::to_file(&events_path).map_err(|e| io_err(&events_path, e))?;
                 let obs = SharedObserver::new((StatsObserver::new(), Some(jsonl)));
                 let options = SimOptions::at_capacity(kind, capacity);
-                let result = timing.time(kind.name(), || {
+                let result = rec.span(kind.name(), || {
                     Simulation::from_compiled_observed(
                         &compiled,
                         ctx.costs(),
@@ -133,7 +136,7 @@ impl ObsAudit {
                 (result, stats, Some(events_path), events_written)
             } else {
                 let options = SimOptions::at_capacity(kind, capacity).with_threads(ctx.threads());
-                let (result, stats): (_, StatsObserver) = timing.time(kind.name(), || {
+                let (result, stats): (_, StatsObserver) = rec.span(kind.name(), || {
                     simulate_observed_sharded(&compiled, ctx.costs(), &options, sink)
                 })?;
                 (result, stats, None, 0)
@@ -173,6 +176,8 @@ impl ObsAudit {
                 events_written,
             });
         }
+        rec.flush();
+        timing.absorb(replays.drain());
         let audit = Self {
             trace,
             capacity,
@@ -210,8 +215,22 @@ impl fmt::Display for ObsAudit {
             }
             writeln!(f, "{}", row.summary)?;
         }
+        // Aggregated by label: a phase that ran N times (e.g. one
+        // `cold.compile` per cache miss) prints one row with its total and
+        // count instead of N look-alike rows.
         writeln!(f, "== timing ==")?;
-        write!(f, "{}", self.timing.render())
+        if !self.timing.is_empty() {
+            writeln!(f, "spans:")?;
+        }
+        for (label, total, count) in self.timing.span_totals() {
+            let ms = total.as_secs_f64() * 1e3;
+            if count == 1 {
+                writeln!(f, "  {label:<40} {ms:>12.3} ms")?;
+            } else {
+                writeln!(f, "  {label:<40} {ms:>12.3} ms  (x{count})")?;
+            }
+        }
+        Ok(())
     }
 }
 
@@ -253,6 +272,29 @@ mod tests {
     }
 
     #[test]
+    fn timing_prints_one_row_per_label() {
+        let span = |label: &str| pscd_obs::SpanEvent {
+            label: label.into(),
+            start_ns: 0,
+            dur_ns: 1_000_000,
+            detail: None,
+        };
+        let mut timing = TraceLog::new();
+        timing.add_events("cold", vec![span("cold.compile"), span("cold.compile")]);
+        timing.add_events("audit", vec![span("SG2")]);
+        let audit = ObsAudit {
+            trace: Trace::News,
+            capacity: 0.05,
+            rows: Vec::new(),
+            timing,
+        };
+        let text = audit.to_string();
+        assert!(text.contains("2.000 ms  (x2)"), "{text}");
+        assert_eq!(text.matches("cold.compile").count(), 1, "{text}");
+        assert!(text.find("SG2") < text.find("cold.compile"), "label order");
+    }
+
+    #[test]
     fn audit_writes_artifacts_and_totals_match() {
         let ctx = ExperimentContext::scaled(0.003, 0, TraceSink::disabled()).unwrap();
         let dir = std::env::temp_dir().join(format!("pscd_audit_{}", std::process::id()));
@@ -281,12 +323,7 @@ mod tests {
         // Cold-path phase spans lead, one replay span per strategy follows.
         assert!(summary.contains("cold.generate.news"));
         assert!(summary.contains("cold.compile"));
-        let labels: Vec<&str> = audit
-            .timing
-            .spans()
-            .iter()
-            .map(|(l, _)| l.as_str())
-            .collect();
+        let labels: Vec<&str> = audit.timing.spans().map(|s| s.label.as_str()).collect();
         assert_eq!(labels.last(), Some(&"SG2"));
         assert_eq!(labels.iter().filter(|l| !l.starts_with("cold.")).count(), 2);
         std::fs::remove_dir_all(&dir).ok();

@@ -12,7 +12,7 @@
 use std::collections::{HashMap, HashSet};
 use std::process::ExitCode;
 
-use pscd_obs::Registry;
+use pscd_obs::{Registry, TraceSink};
 use pscd_workload::{popularity_class_shifted, Workload, WorkloadConfig};
 
 fn main() -> ExitCode {
@@ -87,6 +87,8 @@ fn usage() -> ExitCode {
 
 fn print_stats(w: &Workload, trace: &str) {
     let mut reg = Registry::new();
+    let phases = TraceSink::enabled();
+    let mut rec = phases.recorder("phases");
     let pages = w.pages();
     let alpha = w.config().requests.zipf_alpha;
     let shift = w.config().requests.zipf_shift;
@@ -106,7 +108,7 @@ fn print_stats(w: &Workload, trace: &str) {
         pages.len() - originals,
         origins.len()
     );
-    let mut sizes: Vec<u64> = reg.time("scan.stream", || {
+    let mut sizes: Vec<u64> = rec.span("scan.stream", || {
         pages.iter().map(|p| p.size().as_u64()).collect()
     });
     sizes.sort_unstable();
@@ -124,7 +126,7 @@ fn print_stats(w: &Workload, trace: &str) {
     let requests = w.requests();
     let mut per_page: HashMap<u32, u64> = HashMap::new();
     let mut pairs: HashSet<(u32, u16)> = HashSet::new();
-    reg.time("scan.stream", || {
+    rec.span("scan.stream", || {
         for ev in requests {
             *per_page.entry(ev.page.index()).or_default() += 1;
             pairs.insert((ev.page.index(), ev.server.index()));
@@ -151,8 +153,8 @@ fn print_stats(w: &Workload, trace: &str) {
     println!("class sizes:      {class_pages:?} (by rank, classes 0-3)");
 
     // Subscriptions at SQ = 1.
-    let subs = reg
-        .time("subscriptions", || w.subscriptions(1.0))
+    let subs = rec
+        .span("subscriptions", || w.subscriptions(1.0))
         .expect("SQ = 1 is valid");
     let total_subs: u64 = subs.iter().map(|(_, _, c)| c as u64).sum();
     println!("\n# subscriptions (SQ = 1)");
@@ -180,7 +182,8 @@ fn print_stats(w: &Workload, trace: &str) {
     // Aggregated phase timings: the two stream scans share one label, so
     // the rolled-up view shows the total with its repeat count.
     println!("\n# phase totals");
-    for (label, total, count) in reg.span_totals() {
+    rec.flush();
+    for (label, total, count) in phases.drain().span_totals() {
         println!("{label:<18} {total:>10.3?}  (x{count})");
     }
 

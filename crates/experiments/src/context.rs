@@ -4,7 +4,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
 
-use pscd_obs::{Registry, SharedRegistry, TraceSink};
+use pscd_obs::{TraceLog, TraceSink};
 use pscd_sim::trace::CompiledTrace;
 use pscd_topology::{FetchCosts, TopologyBuilder};
 use pscd_types::SubscriptionTable;
@@ -65,16 +65,16 @@ pub struct ExperimentContext {
     /// `(workload, subscription table)` pair is compiled exactly once and
     /// every grid cell of every exhibit replays the shared value.
     compiled: Mutex<HashMap<(Trace, u64), Arc<CompiledTrace>>>,
-    /// Wall-clock spans of the cold-path phases (workload generation,
-    /// fetch costs, subscription synthesis, trace compilation) — merged
-    /// into audit reports so `--obs-dir` shows where setup time goes.
-    cold: SharedRegistry,
-    /// Timeline tracing sink (`repro --trace`): every cold phase records
-    /// a span on the `cold` track, and the worker pool's per-task phase
-    /// label follows the current phase. Disabled by default — recording
-    /// then costs nothing.
-    sink: TraceSink,
+    /// Where the cold-path phases (workload generation, fetch costs,
+    /// subscription synthesis, trace compilation) record their spans, on
+    /// the `cold` track: the `repro --trace` sink when it is live,
+    /// otherwise a private live one, so audit reports always show where
+    /// setup time went.
+    cold: TraceSink,
 }
+
+/// The track the cold-path phases record on.
+const COLD_TRACK: &str = "cold";
 
 impl ExperimentContext {
     /// Both traces at `factor` of the paper's scale (`1.0` = 30,147
@@ -85,25 +85,29 @@ impl ExperimentContext {
     /// [`compiled`](Self::compiled) — and every sweep and audit run on up
     /// to `threads` pool workers (`0` = auto, `1` = serial). Purely a
     /// speed knob: every generated and compiled value, and so every
-    /// exhibit, is bit-identical at any setting. Each phase's wall-clock
-    /// span is recorded for [`cold_timing`](Self::cold_timing); a live
-    /// `sink` also records it on the `cold` track and keeps the worker
-    /// pool's task-span phase label current, so per-chunk pool tasks
-    /// attribute to the right phase. A disabled sink records nothing.
+    /// exhibit, is bit-identical at any setting. Each phase records one
+    /// span on the `cold` track for [`cold_timing`](Self::cold_timing),
+    /// into `sink` when it is live and otherwise into a private sink, and
+    /// keeps the worker pool's task-span phase label current, so
+    /// per-chunk pool tasks attribute to the right phase.
     ///
     /// # Errors
     ///
     /// Propagates workload/topology generation failures (none occur for
     /// the built-in configurations).
     pub fn scaled(factor: f64, threads: usize, sink: TraceSink) -> Result<Self, ExperimentError> {
-        let cold = SharedRegistry::new();
-        let news = phase(&cold, &sink, "cold.generate.news", || {
+        let cold = if sink.is_enabled() {
+            sink
+        } else {
+            TraceSink::enabled()
+        };
+        let news = phase(&cold, "cold.generate.news", || {
             Workload::generate_threads(&WorkloadConfig::news_scaled(factor), threads)
         })?;
-        let alternative = phase(&cold, &sink, "cold.generate.alternative", || {
+        let alternative = phase(&cold, "cold.generate.alternative", || {
             Workload::generate_threads(&WorkloadConfig::alternative_scaled(factor), threads)
         })?;
-        let costs = phase(&cold, &sink, "cold.costs", || {
+        let costs = phase(&cold, "cold.costs", || {
             let topo = TopologyBuilder::new(news.server_count() as usize + 1)
                 .seed(42)
                 .build()?;
@@ -116,7 +120,6 @@ impl ExperimentContext {
             threads,
             compiled: Mutex::new(HashMap::new()),
             cold,
-            sink,
         })
     }
 
@@ -178,10 +181,10 @@ impl ExperimentContext {
             }
         }
         let workload = self.workload(trace);
-        let subs = phase(&self.cold, &self.sink, "cold.subscriptions", || {
+        let subs = phase(&self.cold, "cold.subscriptions", || {
             workload.subscriptions_threads(quality, self.threads)
         })?;
-        let compiled = Arc::new(phase(&self.cold, &self.sink, "cold.compile", || {
+        let compiled = Arc::new(phase(&self.cold, "cold.compile", || {
             CompiledTrace::compile_threads(workload, &subs, self.threads)
         })?);
         let mut cache = self.compiled.lock().unwrap_or_else(PoisonError::into_inner);
@@ -196,33 +199,25 @@ impl ExperimentContext {
     /// A snapshot of the cold-path phase timings recorded so far:
     /// `cold.generate.*` from construction, plus one
     /// `cold.subscriptions` / `cold.compile` span per compiled-cache
-    /// miss. Audits merge this into their timing report.
-    pub fn cold_timing(&self) -> Registry {
-        self.cold.snapshot()
-    }
-
-    /// The timeline-tracing sink this context records cold phases into
-    /// (the one [`scaled`](Self::scaled) was given).
-    pub fn trace_sink(&self) -> &TraceSink {
-        &self.sink
+    /// miss, as the one `cold` track of a [`TraceLog`]. Audits lead their
+    /// timing report with it.
+    pub fn cold_timing(&self) -> TraceLog {
+        let mut log = TraceLog::new();
+        for track in self.cold.snapshot().tracks() {
+            if track.name == COLD_TRACK {
+                log.add_events(COLD_TRACK, track.events.clone());
+            }
+        }
+        log
     }
 }
 
-/// Runs one cold-path phase: a registry span (for `cold_timing`), a trace
-/// span on the `cold` track, and the pool's task-span phase label, all
-/// under the same name. With a disabled sink this is exactly
-/// `cold.time(label, f)`.
-fn phase<T, E>(
-    cold: &SharedRegistry,
-    sink: &TraceSink,
-    label: &str,
-    f: impl FnOnce() -> Result<T, E>,
-) -> Result<T, E> {
-    if sink.is_enabled() {
-        pscd_sim::pool::spans::set_phase(label);
-    }
-    let mut rec = sink.recorder("cold");
-    rec.span(label, || cold.time(label, f))
+/// Runs one cold-path phase: one span on `cold`'s `cold` track and the
+/// pool's task-span phase label (a no-op unless `repro --trace` collects
+/// task spans), both under the same name.
+fn phase<T, E>(cold: &TraceSink, label: &str, f: impl FnOnce() -> Result<T, E>) -> Result<T, E> {
+    pscd_sim::pool::spans::set_phase(label);
+    cold.recorder(COLD_TRACK).span(label, f)
 }
 
 #[cfg(test)]
@@ -246,9 +241,8 @@ mod tests {
     fn cold_timing_records_phase_spans() {
         let ctx = ExperimentContext::scaled(0.003, 2, TraceSink::disabled()).unwrap();
         assert_eq!(ctx.threads(), 2);
-        let labels = |reg: &Registry| -> Vec<String> {
-            reg.spans().iter().map(|(l, _)| l.clone()).collect()
-        };
+        let labels =
+            |log: &TraceLog| -> Vec<String> { log.spans().map(|s| s.label.clone()).collect() };
         let before = labels(&ctx.cold_timing());
         assert!(before.contains(&"cold.generate.news".into()));
         assert!(before.contains(&"cold.generate.alternative".into()));
@@ -259,7 +253,7 @@ mod tests {
         assert!(after.contains(&"cold.compile".into()));
         // A cache hit re-derives nothing, so it times nothing.
         ctx.compiled(Trace::News, 1.0).unwrap();
-        assert_eq!(ctx.cold_timing().spans().len(), after.len());
+        assert_eq!(ctx.cold_timing().span_count(), after.len());
     }
 
     #[test]
@@ -272,7 +266,10 @@ mod tests {
         assert!(!Arc::ptr_eq(&a, &c), "different quality is a new entry");
         let d = ctx.compiled(Trace::Alternative, 1.0).unwrap();
         assert!(!Arc::ptr_eq(&a, &d), "different trace is a new entry");
-        assert_eq!(a.server_count(), ctx.workload(Trace::News).server_count());
+        assert_eq!(
+            a.meta().server_count(),
+            ctx.workload(Trace::News).server_count()
+        );
         assert!(ctx.compiled(Trace::News, 0.0).is_err());
     }
 }

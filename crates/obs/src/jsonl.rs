@@ -76,11 +76,6 @@ impl JsonlObserver {
         self.seq
     }
 
-    /// `true` once a sink write has failed; subsequent events are dropped.
-    pub fn sink_errored(&self) -> bool {
-        self.errored
-    }
-
     /// Flushes buffered events through to the sink.
     ///
     /// # Errors
@@ -395,7 +390,7 @@ mod tests {
         let mut obs = JsonlObserver::new(Box::new(BrokenSink));
         obs.on_restart(SimTime::ZERO, ServerId::new(0));
         assert!(obs.flush().is_err());
-        assert!(obs.sink_errored());
+        assert!(obs.errored);
         // Later events are dropped silently.
         obs.on_restart(SimTime::ZERO, ServerId::new(1));
         assert_eq!(obs.events_written(), 1);

@@ -16,13 +16,13 @@
 //!   [`Registry`] (constant memory), [`JsonlObserver`] logs one JSON
 //!   object per event for offline analysis. Observers compose: a tuple
 //!   `(A, B)` tees the stream, `Option<O>` gates it at runtime.
-//! * [`Registry`] / [`SharedRegistry`] — in-process metrics: named
-//!   counters, byte counters, [`Log2Histogram`]s (order-of-magnitude
-//!   distributions of eviction values and page sizes) and wall-clock
-//!   span timing for coarse stages.
-//! * [`TraceSink`] / [`TraceRecorder`] / [`TraceLog`] — timeline tracing:
-//!   nested, monotonic-timestamped, per-track span events, merged across
-//!   shards like the registry monoid and exported as Chrome trace-event
+//! * [`Registry`] — in-process metrics: named counters, byte counters and
+//!   [`Log2Histogram`]s (order-of-magnitude distributions of eviction
+//!   values and page sizes).
+//! * [`TraceSink`] / [`TraceRecorder`] / [`TraceLog`] — the one span
+//!   store: nested, monotonic-timestamped, per-track span events (with
+//!   per-label totals for reports), merged across shards like the
+//!   registry monoid and exported as Chrome trace-event
 //!   JSON by [`chrome::render_chrome_trace`] (load the file in
 //!   `chrome://tracing` or Perfetto). Zero-cost when the sink is
 //!   disabled.
@@ -69,6 +69,6 @@ pub use observer::{
     AdmitOrigin, EvictReason, MergeableObserver, NullObserver, ObsHandle, Observer,
     RelabelDirection, SharedObserver,
 };
-pub use registry::{Log2Histogram, Registry, SharedRegistry};
+pub use registry::{Log2Histogram, Registry};
 pub use stats::{StatsObserver, K_PUSH_TRANSFERS, K_REQUEST_HITS, K_REQUEST_MISSES};
 pub use trace::{OpenSpan, SpanEvent, TraceLog, TraceRecorder, TraceSink, Track};

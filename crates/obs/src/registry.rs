@@ -1,12 +1,8 @@
-//! In-process metrics: named counters, byte counters, log₂ histograms,
-//! and wall-clock span timing for coarse pipeline stages.
+//! In-process metrics: named counters, byte counters and log₂ histograms.
+//! (Wall-clock spans live in [`TraceLog`](crate::TraceLog).)
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-use parking_lot::Mutex;
 
 use pscd_types::Bytes;
 
@@ -183,8 +179,8 @@ impl Log2Histogram {
     }
 }
 
-/// A registry of named counters, byte counters, [`Log2Histogram`]s and
-/// timed spans — the in-process metrics store behind
+/// A registry of named counters, byte counters and [`Log2Histogram`]s —
+/// the in-process metrics store behind
 /// [`StatsObserver`](crate::StatsObserver) and the CLI's
 /// `--obs-dir` summaries.
 ///
@@ -198,18 +194,15 @@ impl Log2Histogram {
 /// reg.inc("request.hits");
 /// reg.add_bytes("bytes.fetched", Bytes::new(512));
 /// reg.observe("page_size", 512.0);
-/// let sum = reg.time("stage", || 2 + 2);
-/// assert_eq!(sum, 4);
 /// assert_eq!(reg.counter("request.hits"), 1);
 /// assert_eq!(reg.bytes("bytes.fetched"), 512);
-/// assert_eq!(reg.spans().len(), 1);
+/// assert_eq!(reg.histogram("page_size").unwrap().count(), 1);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
     counters: BTreeMap<String, u64>,
     bytes: BTreeMap<String, u64>,
     histograms: BTreeMap<String, Log2Histogram>,
-    spans: Vec<(String, Duration)>,
 }
 
 impl Registry {
@@ -220,10 +213,7 @@ impl Registry {
 
     /// `true` if nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-            && self.bytes.is_empty()
-            && self.histograms.is_empty()
-            && self.spans.is_empty()
+        self.counters.is_empty() && self.bytes.is_empty() && self.histograms.is_empty()
     }
 
     /// Increments counter `name` by one.
@@ -277,11 +267,6 @@ impl Registry {
         self.counters.iter().map(|(n, &v)| (n.as_str(), v))
     }
 
-    /// All byte counters in name order.
-    pub fn byte_counters(&self) -> impl Iterator<Item = (&str, u64)> + '_ {
-        self.bytes.iter().map(|(n, &v)| (n.as_str(), v))
-    }
-
     /// Counters whose name starts with `prefix`, in name order.
     pub fn counters_with_prefix<'a>(
         &'a self,
@@ -291,44 +276,8 @@ impl Registry {
             .filter(move |(name, _)| name.starts_with(prefix))
     }
 
-    /// Records an already-measured span.
-    pub fn record_span(&mut self, label: &str, elapsed: Duration) {
-        self.spans.push((label.to_owned(), elapsed));
-    }
-
-    /// Times `f` under `label` and returns its result.
-    pub fn time<R>(&mut self, label: &str, f: impl FnOnce() -> R) -> R {
-        let start = Instant::now();
-        let result = f();
-        self.record_span(label, start.elapsed());
-        result
-    }
-
-    /// Recorded spans in recording order.
-    pub fn spans(&self) -> &[(String, Duration)] {
-        &self.spans
-    }
-
-    /// Spans aggregated by label, in label order: `(label, total, count)`.
-    /// The flat [`spans`](Self::spans) list keeps every recording (and
-    /// duplicates labels when a phase runs more than once — e.g. one
-    /// `cold.compile` per compiled-cache miss); this is the rolled-up
-    /// view reports should print.
-    pub fn span_totals(&self) -> Vec<(&str, Duration, u64)> {
-        let mut totals: BTreeMap<&str, (Duration, u64)> = BTreeMap::new();
-        for (label, d) in &self.spans {
-            let entry = totals.entry(label.as_str()).or_insert((Duration::ZERO, 0));
-            entry.0 += *d;
-            entry.1 += 1;
-        }
-        totals
-            .into_iter()
-            .map(|(label, (total, count))| (label, total, count))
-            .collect()
-    }
-
     /// Folds another registry into this one (counters add up, histograms
-    /// merge, spans concatenate).
+    /// merge).
     pub fn merge(&mut self, other: &Registry) {
         for (name, &v) in &other.counters {
             bump(&mut self.counters, name, v);
@@ -344,26 +293,11 @@ impl Registry {
                 }
             }
         }
-        self.spans.extend(other.spans.iter().cloned());
     }
 
-    /// Plain-text report: spans, counters, byte counters, histograms.
+    /// Plain-text report: counters, byte counters, histograms.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        if !self.spans.is_empty() {
-            // Aggregated by label: a phase that ran N times (e.g. one
-            // `cold.compile` per cache miss) prints one row with its
-            // total and count instead of N look-alike rows.
-            out.push_str("spans:\n");
-            for (label, total, count) in self.span_totals() {
-                let ms = total.as_secs_f64() * 1e3;
-                if count == 1 {
-                    let _ = writeln!(out, "  {label:<40} {ms:>12.3} ms");
-                } else {
-                    let _ = writeln!(out, "  {label:<40} {ms:>12.3} ms  (x{count})");
-                }
-            }
-        }
         if !self.counters.is_empty() {
             out.push_str("counters:\n");
             for (name, v) in &self.counters {
@@ -401,39 +335,6 @@ fn bump(map: &mut BTreeMap<String, u64>, name: &str, n: u64) {
         None => {
             map.insert(name.to_owned(), n);
         }
-    }
-}
-
-/// A thread-safe registry handle (`Arc<Mutex<Registry>>`): worker threads
-/// record into one store, e.g. the per-stage spans of a parallel
-/// experiment grid.
-#[derive(Debug, Clone, Default)]
-pub struct SharedRegistry {
-    inner: Arc<Mutex<Registry>>,
-}
-
-impl SharedRegistry {
-    /// An empty shared registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Runs `f` with exclusive access to the registry.
-    pub fn with<R>(&self, f: impl FnOnce(&mut Registry) -> R) -> R {
-        f(&mut self.inner.lock())
-    }
-
-    /// Times `f` under `label` without holding the lock while it runs.
-    pub fn time<R>(&self, label: &str, f: impl FnOnce() -> R) -> R {
-        let start = Instant::now();
-        let result = f();
-        self.inner.lock().record_span(label, start.elapsed());
-        result
-    }
-
-    /// A snapshot of the current contents.
-    pub fn snapshot(&self) -> Registry {
-        self.inner.lock().clone()
     }
 }
 
@@ -525,28 +426,6 @@ mod tests {
     }
 
     #[test]
-    fn span_totals_aggregate_duplicate_labels() {
-        let mut r = Registry::new();
-        r.record_span("compile", Duration::from_millis(10));
-        r.record_span("generate", Duration::from_millis(5));
-        r.record_span("compile", Duration::from_millis(30));
-        // The flat list keeps every recording…
-        assert_eq!(r.spans().len(), 3);
-        // …while the rolled-up view sums by label.
-        assert_eq!(
-            r.span_totals(),
-            [
-                ("compile", Duration::from_millis(40), 2),
-                ("generate", Duration::from_millis(5), 1),
-            ]
-        );
-        let text = r.render();
-        assert!(text.contains("(x2)"), "duplicate count shown: {text}");
-        // One row per label, not per recording.
-        assert_eq!(text.matches("compile").count(), 1);
-    }
-
-    #[test]
     fn counters_and_prefixes() {
         let mut r = Registry::new();
         assert!(r.is_empty());
@@ -566,17 +445,11 @@ mod tests {
     }
 
     #[test]
-    fn spans_and_render() {
+    fn render_lists_counters_and_histograms() {
         let mut r = Registry::new();
-        let v = r.time("matching", || 21 * 2);
-        assert_eq!(v, 42);
-        r.record_span("workload generation", Duration::from_millis(5));
         r.observe("page_size", 512.0);
         r.inc("request.hits");
-        assert_eq!(r.spans().len(), 2);
-        assert_eq!(r.spans()[1].1, Duration::from_millis(5));
         let text = r.render();
-        assert!(text.contains("matching"));
         assert!(text.contains("request.hits"));
         assert!(text.contains("histogram page_size"));
         assert!(text.contains("[2^9, 2^10)"));
@@ -587,7 +460,6 @@ mod tests {
         let mut a = Registry::new();
         a.inc("x");
         a.observe("h", 2.0);
-        a.record_span("s", Duration::from_millis(1));
         let mut b = Registry::new();
         b.add("x", 4);
         b.inc("y");
@@ -600,25 +472,5 @@ mod tests {
         assert_eq!(a.bytes("bb"), 7);
         assert_eq!(a.histogram("h").unwrap().count(), 2);
         assert_eq!(a.histogram("h2").unwrap().count(), 1);
-        assert_eq!(a.spans().len(), 1);
-    }
-
-    #[test]
-    fn shared_registry_across_threads() {
-        let shared = SharedRegistry::new();
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let shared = shared.clone();
-                scope.spawn(move || {
-                    for _ in 0..100 {
-                        shared.with(|r| r.inc("ticks"));
-                    }
-                    shared.time("work", || std::hint::black_box(3 + 4));
-                });
-            }
-        });
-        let snap = shared.snapshot();
-        assert_eq!(snap.counter("ticks"), 400);
-        assert_eq!(snap.spans().len(), 4);
     }
 }

@@ -38,13 +38,8 @@ impl StatsObserver {
         &self.registry
     }
 
-    /// Consumes the observer, returning the collected metrics.
-    pub fn into_registry(self) -> Registry {
-        self.registry
-    }
-
     /// Folds another observer's registry into this one (counters and byte
-    /// totals add up exactly; histograms merge; spans concatenate). Used
+    /// totals add up exactly; histograms merge). Used
     /// to combine the per-shard observers of a sharded simulation run.
     pub fn merge(&mut self, other: &StatsObserver) {
         self.registry.merge(&other.registry);

@@ -2,9 +2,10 @@
 //! timeline profiling, exportable as Chrome trace-event JSON (see
 //! [`crate::chrome`]).
 //!
-//! Where [`Registry`](crate::Registry) spans answer *how long did phase X
-//! take in total*, trace spans answer *when did it run, on which thread,
-//! and what ran concurrently*. The design mirrors the rest of the crate:
+//! Trace spans are the crate's one span store: they answer *when did phase
+//! X run, on which thread, and what ran concurrently*, and
+//! [`TraceLog::span_totals`] answers *how long did it take in total*. The
+//! design mirrors the rest of the crate:
 //!
 //! * [`TraceSink`] — a cheap-clone handle shared across threads. A
 //!   disabled sink (the default) carries no allocation and turns every
@@ -39,8 +40,9 @@
 //! assert_eq!(log.tracks()[0].events[0].label, "sum");
 //! ```
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
@@ -85,6 +87,28 @@ impl TraceLog {
     /// The recorded tracks, in first-flush order.
     pub fn tracks(&self) -> &[Track] {
         &self.tracks
+    }
+
+    /// Every span, track by track in first-flush order.
+    pub fn spans(&self) -> impl Iterator<Item = &SpanEvent> + '_ {
+        self.tracks.iter().flat_map(|t| &t.events)
+    }
+
+    /// Spans aggregated by label across every track, in label order:
+    /// `(label, total, count)`. A phase that ran more than once (e.g. one
+    /// `cold.compile` per compiled-cache miss) is one row; this is the
+    /// rolled-up view reports print.
+    pub fn span_totals(&self) -> Vec<(&str, Duration, u64)> {
+        let mut totals: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
+        for span in self.spans() {
+            let entry = totals.entry(span.label.as_str()).or_default();
+            entry.0 += span.dur_ns;
+            entry.1 += 1;
+        }
+        totals
+            .into_iter()
+            .map(|(label, (ns, count))| (label, Duration::from_nanos(ns), count))
+            .collect()
     }
 
     /// Total spans across all tracks.
@@ -393,6 +417,30 @@ mod tests {
         let mut e = TraceLog::new();
         e.add_events("ghost", Vec::new());
         assert!(e.is_empty() && e.tracks().is_empty());
+    }
+
+    #[test]
+    fn span_totals_aggregate_duplicate_labels_across_tracks() {
+        let span = |label: &str, dur_ns| SpanEvent {
+            label: label.into(),
+            start_ns: 0,
+            dur_ns,
+            detail: None,
+        };
+        let mut log = TraceLog::new();
+        log.add_events("cold", vec![span("compile", 10), span("generate", 5)]);
+        log.add_events("audit", vec![span("compile", 30)]);
+        // The flat view keeps every recording, track by track…
+        let labels: Vec<&str> = log.spans().map(|s| s.label.as_str()).collect();
+        assert_eq!(labels, ["compile", "generate", "compile"]);
+        // …while the rolled-up view sums by label, in label order.
+        assert_eq!(
+            log.span_totals(),
+            [
+                ("compile", Duration::from_nanos(40), 2),
+                ("generate", Duration::from_nanos(5), 1),
+            ]
+        );
     }
 
     #[test]

@@ -70,7 +70,7 @@ fn batch_run(kind: StrategyKind, invalidate: bool) -> (SimResult, Vec<Vec<u8>>) 
     let mut sim = Simulation::from_compiled(&f.trace, &f.costs, &options).unwrap();
     while sim.step().is_some() {}
     let engine = sim.engine();
-    let proxies = (0..f.trace.server_count())
+    let proxies = (0..f.trace.meta().server_count())
         .map(|s| {
             let mut blob = Vec::new();
             engine.strategy(ServerId::new(s)).encode_snapshot(&mut blob);
@@ -118,7 +118,7 @@ fn invalid_events_are_rejected_without_side_effects() {
     let mut core = ServiceCore::new(service_config(kind, false)).unwrap();
     let bad = LiveEvent::Request {
         time: pscd_types::SimTime::ZERO,
-        server: ServerId::new(f.trace.server_count()),
+        server: ServerId::new(f.trace.meta().server_count()),
         page: pscd_types::PageId::new(0),
     };
     // A slice with a bad event is rejected whole; the good prefix must
@@ -143,7 +143,7 @@ fn content_churn_keeps_the_kernel_frozen_and_stays_identical() {
     let mut core = ServiceCore::new(service_config(kind, false)).unwrap();
     core.attach_matcher(pscd_workload::matcher_from_table(
         &f.subs,
-        f.trace.server_count(),
+        f.trace.meta().server_count(),
     ))
     .unwrap();
 
@@ -187,7 +187,7 @@ fn content_churn_through_the_delta_equals_churn_through_a_refreeze() {
 
     let f = fixture();
     let kind = StrategyKind::Sg2 { beta: 2.0 };
-    let servers = f.trace.server_count();
+    let servers = f.trace.meta().server_count();
     // The stream opens with the table's subscribe rows; both cuts lie in
     // the publish/request timeline behind them.
     let is_row = |ev: &LiveEvent| matches!(ev, LiveEvent::Subscribe { .. });
@@ -360,7 +360,7 @@ fn content_rejected_churn_keeps_the_kernel_frozen() {
     use pscd_matching::{Subscription, SubscriptionId};
 
     let f = fixture();
-    let servers = f.trace.server_count();
+    let servers = f.trace.meta().server_count();
     let mut core = ServiceCore::new(service_config(StrategyKind::Lru, false)).unwrap();
     core.attach_matcher(pscd_workload::matcher_from_table(&f.subs, servers))
         .unwrap();
@@ -407,7 +407,7 @@ fn content_mode_rejects_a_matcher_over_shifted_ids() {
 
     let f = fixture();
     let mut core = ServiceCore::new(service_config(StrategyKind::Lru, false)).unwrap();
-    let mut shifted = EngineMatcher::new(f.trace.server_count());
+    let mut shifted = EngineMatcher::new(f.trace.meta().server_count());
     for id in 1..=f.pages.len() as u32 {
         shifted.register_page(PageId::new(id), Content::new());
     }

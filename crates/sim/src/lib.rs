@@ -16,8 +16,9 @@
 //! [`ReplaySource`]; then any number of strategy × capacity × scheme
 //! cells replay those windows through one shared replay loop. The
 //! materialized source compiles everything **once** into an immutable
-//! [`CompiledTrace`] and replays it by reference
-//! ([`simulate_compiled`]); the streaming source ([`StreamingTrace`])
+//! [`CompiledTrace`] — the trace-wide [`ReplayMeta`] plus one
+//! [`OwnedWindow`] spanning the timeline — and replays it by reference as
+//! one window ([`simulate_compiled`]); the streaming source ([`StreamingTrace`])
 //! generates and compiles each time-window lazily from the workload
 //! config, so peak memory is bounded by the window, not the trace
 //! ([`simulate_streamed`]), and the pipelined variant
@@ -28,11 +29,11 @@
 //!
 //! The replay entry points, one per source:
 //!
-//! | source | whole run | observed / stepped |
-//! |---|---|---|
-//! | [`CompiledTrace`] | [`simulate_compiled`] | [`simulate_observed_sharded`], [`Simulation::from_compiled`], [`Simulation::from_compiled_observed`] |
-//! | [`StreamingTrace`], serial | [`simulate_streamed`] | — |
-//! | [`StreamingTrace`], prefetched | [`simulate_streamed_prefetched_traced`] | — |
+//! | source | windows | whole run | observed / stepped |
+//! |---|---|---|---|
+//! | [`CompiledTrace`] | one, [`CompiledTrace::full_window`] | [`simulate_compiled`] | [`simulate_observed_sharded`], [`Simulation::from_compiled`], [`Simulation::from_compiled_observed`] |
+//! | [`StreamingTrace`], serial | one per time-window, into one reused [`OwnedWindow`] | [`simulate_streamed`] | — |
+//! | [`StreamingTrace`], prefetched | [`OwnedWindow`]s compiled ahead on a producer thread | [`simulate_streamed_prefetched_traced`] | — |
 //!
 //! Threads are [`SimOptions::threads`]; tracing is a [`TraceSink`]
 //! argument (pass [`TraceSink::disabled`] for none).
@@ -99,4 +100,4 @@ pub use runner::{
 pub use shard::ShardPlan;
 pub use stream::{simulate_streamed, StreamingTrace, StreamingWindows};
 pub use trace::{CompiledEvent, CompiledEventKind, CompiledTrace};
-pub use window::{CompiledWindows, OwnedWindow, ReplayMeta, ReplaySource, TraceWindow};
+pub use window::{OwnedWindow, ReplayMeta, ReplaySource, TraceWindow};

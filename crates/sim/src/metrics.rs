@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use pscd_broker::Traffic;
-use pscd_types::{Bytes, ServerId, SimTime};
+use pscd_types::{Bytes, SimTime};
 
 /// Per-hour counters over the simulation horizon (the paper's figures 6
 /// and 7 are drawn from exactly these series).
@@ -87,15 +87,6 @@ impl HourlySeries {
             .map(|(&p, &f)| p + f)
             .collect()
     }
-
-    /// Total publisher→proxy bytes per hour (pushed + fetched).
-    pub fn traffic_bytes(&self) -> Vec<u64> {
-        self.pushed_bytes
-            .iter()
-            .zip(&self.fetched_bytes)
-            .map(|(&p, &f)| p + f)
-            .collect()
-    }
 }
 
 /// The outcome of one simulation run: one strategy, one capacity setting,
@@ -131,16 +122,6 @@ impl SimResult {
         100.0 * self.hit_ratio()
     }
 
-    /// Hit ratio at a single proxy; 0 with no requests there.
-    pub fn server_hit_ratio(&self, server: ServerId) -> f64 {
-        let (h, r) = self.per_server[server.as_usize()];
-        if r == 0 {
-            0.0
-        } else {
-            h as f64 / r as f64
-        }
-    }
-
     /// Relative improvement of this run's hit ratio over a baseline run,
     /// in percent (Table 2's quantity: `100·(H − H_base)/H_base`).
     pub fn relative_improvement_percent(&self, baseline: &SimResult) -> f64 {
@@ -172,7 +153,6 @@ mod tests {
         assert_eq!(s.pushed_pages, [0, 0, 2]);
         assert_eq!(s.pushed_bytes, [0, 0, 35]);
         assert_eq!(s.traffic_pages(), [0, 1, 2]);
-        assert_eq!(s.traffic_bytes(), [0, 20, 35]);
     }
 
     #[test]
@@ -215,8 +195,6 @@ mod tests {
         assert!((base.hit_ratio() - 0.4).abs() < 1e-12);
         assert!((better.hit_ratio_percent() - 60.0).abs() < 1e-12);
         assert!((better.relative_improvement_percent(&base) - 50.0).abs() < 1e-12);
-        assert_eq!(base.server_hit_ratio(ServerId::new(0)), 0.4);
-        assert_eq!(base.server_hit_ratio(ServerId::new(1)), 0.0);
     }
 
     #[test]

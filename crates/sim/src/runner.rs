@@ -3,7 +3,9 @@
 //! There is exactly **one** replay loop in the workspace:
 //! [`ReplayState::step`], driven over compiled [`TraceWindow`]s by the
 //! driver in `shard.rs`. The sequential runner replays the full server
-//! range over one whole-trace window; a shard worker is the same replay
+//! range over one whole-trace window (a [`CompiledTrace`] holds its
+//! timeline as one [`OwnedWindow`](crate::OwnedWindow), served by
+//! [`CompiledTrace::full_window`]); a shard worker is the same replay
 //! over `[start, end)`; a streamed run pulls bounded windows from its
 //! [`ReplaySource`](crate::ReplaySource); a live service shard steps each
 //! ingest batch. Nothing re-derives timeline order, fan-outs,
@@ -228,7 +230,7 @@ pub fn simulate_observed_sharded<O: MergeableObserver>(
     sink: &TraceSink,
 ) -> Result<(SimResult, O), SimError> {
     validate_meta(trace.meta(), costs, options)?;
-    let open = || trace.windows(usize::MAX);
+    let open = || trace.source();
     Ok(run_shards(trace.meta(), open, costs, options, sink))
 }
 
@@ -745,7 +747,8 @@ impl<'a, O: Observer> Simulation<'a, O> {
         obs: SharedObserver<O>,
     ) -> Result<Self, SimError> {
         validate_meta(trace.meta(), costs, options)?;
-        let state = replay_state(trace.meta(), costs, options, obs, 0..trace.server_count());
+        let meta = trace.meta();
+        let state = replay_state(meta, costs, options, obs, 0..meta.server_count());
         Ok(Self {
             trace,
             costs: costs.clone(),
@@ -792,7 +795,7 @@ impl<'a, O: Observer> Simulation<'a, O> {
             options,
             state,
         } = self;
-        let open = || trace.windows(usize::MAX);
+        let open = || trace.source();
         let untouched = !O::ENABLED && state.cursor() == 0 && !state.pending_invalidation();
         if untouched && plan_for(trace.meta(), &options).shards() > 1 {
             let sink = TraceSink::disabled();

@@ -329,11 +329,6 @@ impl StreamingTrace {
         &self.subscriptions
     }
 
-    /// Window length.
-    pub fn window_size(&self) -> SimTime {
-        SimTime::from_millis(self.window_ms)
-    }
-
     /// Number of windows tiling the horizon.
     pub fn window_count(&self) -> usize {
         self.window_count
@@ -483,7 +478,7 @@ impl StreamingTrace {
     }
 
     /// Starts a serial window pass: a [`ReplaySource`] yielding the
-    /// timeline in `window_size` slices. Each open pass draws the request
+    /// timeline in `window`-long slices. Each open pass draws the request
     /// events window by window (reusing its buffers), carrying version
     /// heads, publish ordinals, event indices and the pending tail across
     /// seams.
@@ -683,7 +678,6 @@ mod tests {
         );
         assert_eq!(stream.meta().capacities(0.05), w.cache_capacities(0.05));
         assert_eq!(stream.window_count(), 7);
-        assert_eq!(stream.window_size(), SimTime::from_days(1));
     }
 
     #[test]

@@ -30,7 +30,7 @@ use pscd_workload::Workload;
 
 use crate::pool::parallel_chunked;
 use crate::resolve::{MatchBuffers, Matching, VersionHeads};
-use crate::window::{CompiledWindows, ReplayMeta, ReplaySource, TraceWindow};
+use crate::window::{OneWindow, OwnedWindow, ReplayMeta, ReplaySource, TraceWindow};
 use crate::SimError;
 
 /// Process-wide count of [`CompiledTrace::compile`] invocations; lets
@@ -59,7 +59,7 @@ pub enum CompiledEventKind {
     /// A page is published.
     Publish {
         /// Position in the publishing stream; indexes the fan-out table
-        /// ([`CompiledTrace::matched`]).
+        /// ([`TraceWindow::matched`]).
         ordinal: u32,
         /// The previously-latest version of this article that this
         /// publish supersedes (the invalidation lineage, resolved at
@@ -107,19 +107,13 @@ pub enum CompiledEventKind {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledTrace {
-    /// The merged timeline (publishes before requests at equal times).
-    events: Vec<CompiledEvent>,
-    /// `offsets[i]..offsets[i + 1]` indexes `pairs` for publish ordinal
-    /// `i` (CSR fan-out, absorbed from the old `pscd_broker::Fanout`).
-    offsets: Vec<u32>,
-    /// Matched `(server, count)` pairs in publish order; each publish's
-    /// sublist is sorted by server id.
-    pairs: Vec<(ServerId, u32)>,
     /// Trace-wide facts shared with every other [`ReplaySource`]
     /// implementation (page table, fleet, capacity/load basis).
-    ///
-    /// [`ReplaySource`]: crate::ReplaySource
     meta: ReplayMeta,
+    /// The whole timeline as one window: the merged events (publishes
+    /// before requests at equal times), the CSR fan-out table (absorbed
+    /// from the old `pscd_broker::Fanout`) and its matched pairs.
+    window: OwnedWindow,
 }
 
 impl CompiledTrace {
@@ -267,9 +261,6 @@ impl CompiledTrace {
         let servers = workload.server_count();
         COMPILE_COUNT.fetch_add(1, Ordering::Relaxed);
         Self {
-            events,
-            offsets,
-            pairs,
             meta: ReplayMeta {
                 pages: workload.pages().to_vec(),
                 universe: PageUniverse::new(workload.pages().iter().map(PageMeta::size)),
@@ -282,12 +273,20 @@ impl CompiledTrace {
                 unique_bytes: workload.unique_bytes_per_server(),
                 min_capacity: workload.min_cache_capacity(),
             },
+            window: OwnedWindow {
+                events,
+                offsets,
+                pairs,
+                ordinal_base: 0,
+                start_index: 0,
+            },
         }
     }
 
     /// Concatenates every remaining window of `source` into one compiled
-    /// trace, rebasing each window's CSR slice onto the global pair table
-    /// — how [`StreamingTrace::materialize`](crate::StreamingTrace::materialize)
+    /// trace, each window appended to the one timeline window with its
+    /// CSR slice rebased — how
+    /// [`StreamingTrace::materialize`](crate::StreamingTrace::materialize)
     /// produces a value comparable (with `==`) against [`compile`]'s.
     /// Counts as a compilation for [`compile_count`].
     ///
@@ -295,24 +294,12 @@ impl CompiledTrace {
     /// [`compile_count`]: CompiledTrace::compile_count
     pub(crate) fn concat(source: &mut impl ReplaySource) -> Self {
         let meta = source.meta().clone();
-        let mut events = Vec::with_capacity(meta.len());
-        let mut offsets = Vec::with_capacity(meta.publish_count() + 1);
-        offsets.push(0u32);
-        let mut pairs = Vec::new();
+        let mut window = OwnedWindow::with_capacity(meta.len(), 0);
         while let Some(w) = source.next_window() {
-            events.extend_from_slice(w.events);
-            let (lo, hi) = (w.offsets[0], w.offsets[w.offsets.len() - 1]);
-            let base = pairs.len() as u32;
-            offsets.extend(w.offsets[1..].iter().map(|off| base + (off - lo)));
-            pairs.extend_from_slice(&w.pairs[lo as usize..hi as usize]);
+            window.append(&w);
         }
         COMPILE_COUNT.fetch_add(1, Ordering::Relaxed);
-        Self {
-            events,
-            offsets,
-            pairs,
-            meta,
-        }
+        Self { meta, window }
     }
 
     /// Process-wide number of [`compile`](CompiledTrace::compile) calls so
@@ -324,23 +311,18 @@ impl CompiledTrace {
     /// The merged timeline.
     #[inline]
     pub fn events(&self) -> &[CompiledEvent] {
-        &self.events
+        &self.window.events
     }
 
     /// Total events (publishes + requests).
     #[inline]
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.window.len()
     }
 
     /// `true` if the timeline is empty.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Number of publish events.
-    pub fn publish_count(&self) -> usize {
-        self.meta.publish_count
+        self.window.is_empty()
     }
 
     /// Number of request events.
@@ -353,25 +335,9 @@ impl CompiledTrace {
         &self.meta.pages
     }
 
-    /// Metadata of one page.
-    #[inline]
-    pub fn page(&self, page: PageId) -> &PageMeta {
-        self.meta.page(page)
-    }
-
-    /// Number of proxy servers.
-    pub fn server_count(&self) -> u16 {
-        self.meta.servers
-    }
-
     /// Hour buckets covering the horizon (≥ 1).
     pub fn hours(&self) -> usize {
         self.meta.hours
-    }
-
-    /// The simulation horizon.
-    pub fn horizon(&self) -> SimTime {
-        self.meta.horizon
     }
 
     /// The trace-wide replay facts, shared with every other
@@ -381,88 +347,23 @@ impl CompiledTrace {
     }
 
     /// The whole timeline as a single [`TraceWindow`] — how the
-    /// materialized trace plugs into the window-driven replay loop
-    /// without chunking overhead.
+    /// materialized trace plugs into the window-driven replay loop.
     pub fn full_window(&self) -> TraceWindow<'_> {
-        TraceWindow {
-            pages: &self.meta.pages,
-            events: &self.events,
-            offsets: &self.offsets,
-            pairs: &self.pairs,
-            ordinal_base: 0,
-            start_index: 0,
-        }
+        self.window.view(&self.meta.pages)
     }
 
-    /// A [`ReplaySource`] serving this trace in
-    /// `per_window`-event slices (the final slice may be shorter; a
-    /// `per_window` of 0 is treated as 1). A `per_window` of at least
-    /// [`len`](CompiledTrace::len) serves the whole timeline as one
-    /// window — [`full_window`] behind the source seam, which is how
-    /// every monolithic replay reaches the driver.
-    ///
-    /// [`full_window`]: CompiledTrace::full_window
-    pub fn windows(&self, per_window: usize) -> CompiledWindows<'_> {
-        CompiledWindows {
-            trace: self,
-            per_window: per_window.max(1),
-            cursor: 0,
-            publishes_before: 0,
-            done: false,
-        }
-    }
-
-    /// The trace-wide CSR offsets (window sources slice these).
-    pub(crate) fn offsets(&self) -> &[u32] {
-        &self.offsets
-    }
-
-    /// The trace-wide matched-pair table.
-    pub(crate) fn pairs(&self) -> &[(ServerId, u32)] {
-        &self.pairs
-    }
-
-    /// The matched `(server, subscription count)` list of publish ordinal
-    /// `ordinal`, sorted by server id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ordinal` is out of range.
-    #[inline]
-    pub fn matched(&self, ordinal: u32) -> &[(ServerId, u32)] {
-        let lo = self.offsets[ordinal as usize] as usize;
-        let hi = self.offsets[ordinal as usize + 1] as usize;
-        &self.pairs[lo..hi]
-    }
-
-    /// The part of ordinal `ordinal`'s matched list inside the half-open
-    /// server range `[start, end)` — a subslice found by binary search,
-    /// because each list is sorted by server id. This is how a shard
-    /// owning a contiguous server range reads its share of the push
-    /// schedule without copying or filtering.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ordinal` is out of range.
-    #[inline]
-    pub fn matched_in(&self, ordinal: u32, start: u16, end: u16) -> &[(ServerId, u32)] {
-        let matched = self.matched(ordinal);
-        let lo = matched.partition_point(|&(s, _)| s.index() < start);
-        let hi = matched.partition_point(|&(s, _)| s.index() < end);
-        &matched[lo..hi]
+    /// [`full_window`](CompiledTrace::full_window) behind the
+    /// [`ReplaySource`] seam: how every replay of a materialized trace
+    /// reaches the driver.
+    pub(crate) fn source(&self) -> OneWindow<'_> {
+        OneWindow::new(&self.meta, self.full_window())
     }
 
     /// Total matched `(event, server)` pairs across the whole push
     /// schedule — an upper bound on the pages any pushing scheme can
     /// transfer.
     pub fn total_matched_pairs(&self) -> u64 {
-        self.pairs.len() as u64
-    }
-
-    /// Requests per server over the whole trace — the load vector shard
-    /// plans balance on.
-    pub fn request_load(&self) -> &[u64] {
-        &self.meta.load
+        self.window.pairs.len() as u64
     }
 
     /// Per-server cache capacities at a fraction of unique requested
@@ -539,7 +440,7 @@ mod tests {
         let (w, subs) = fixture();
         let trace = CompiledTrace::compile(&w, &subs).unwrap();
         assert_eq!(trace.len(), w.publishing().len() + w.requests().len());
-        assert_eq!(trace.publish_count(), w.publishing().len());
+        assert_eq!(trace.meta().publish_count(), w.publishing().len());
         assert_eq!(trace.request_count(), w.requests().len());
         for pair in trace.events().windows(2) {
             assert!(pair[0].time <= pair[1].time, "timeline out of order");
@@ -563,8 +464,11 @@ mod tests {
         for ev in trace.events() {
             match ev.kind {
                 CompiledEventKind::Publish { ordinal, .. } => {
-                    assert_eq!(trace.matched(ordinal), subs.matched_servers(ev.page));
-                    pairs += trace.matched(ordinal).len() as u64;
+                    assert_eq!(
+                        trace.full_window().matched(ordinal),
+                        subs.matched_servers(ev.page)
+                    );
+                    pairs += trace.full_window().matched(ordinal).len() as u64;
                     publishes += 1;
                 }
                 CompiledEventKind::Request { server, subs: n } => {
@@ -572,7 +476,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(publishes as usize, trace.publish_count());
+        assert_eq!(publishes as usize, trace.meta().publish_count());
         assert_eq!(pairs, trace.total_matched_pairs());
     }
 
@@ -580,13 +484,13 @@ mod tests {
     fn matched_in_slices_are_exact_partitions() {
         let (w, subs) = fixture();
         let trace = CompiledTrace::compile(&w, &subs).unwrap();
-        let servers = trace.server_count();
-        for ordinal in 0..trace.publish_count().min(40) as u32 {
+        let servers = trace.meta().server_count();
+        for ordinal in 0..trace.meta().publish_count().min(40) as u32 {
             for split in [0, 1, servers / 2, servers] {
-                let left = trace.matched_in(ordinal, 0, split);
-                let right = trace.matched_in(ordinal, split, servers);
+                let left = trace.full_window().matched_in(ordinal, 0, split);
+                let right = trace.full_window().matched_in(ordinal, split, servers);
                 let whole: Vec<_> = left.iter().chain(right).copied().collect();
-                assert_eq!(whole.as_slice(), trace.matched(ordinal));
+                assert_eq!(whole.as_slice(), trace.full_window().matched(ordinal));
             }
         }
     }
@@ -599,7 +503,12 @@ mod tests {
         let mut links = 0usize;
         for ev in trace.events() {
             if let CompiledEventKind::Publish { supersedes, .. } = ev.kind {
-                let origin = trace.page(ev.page).kind().origin().unwrap_or(ev.page);
+                let origin = trace
+                    .meta()
+                    .page(ev.page)
+                    .kind()
+                    .origin()
+                    .unwrap_or(ev.page);
                 assert_eq!(supersedes, latest.insert(origin, ev.page));
                 if supersedes.is_some() {
                     links += 1;
@@ -617,13 +526,13 @@ mod tests {
             assert_eq!(trace.capacities(fraction), w.cache_capacities(fraction));
         }
         assert_eq!(
-            trace.request_load(),
+            trace.meta().request_load(),
             w.requests()
                 .requests_per_server(w.server_count())
                 .as_slice()
         );
-        assert_eq!(trace.server_count(), w.server_count());
-        assert_eq!(trace.horizon(), w.horizon());
+        assert_eq!(trace.meta().server_count(), w.server_count());
+        assert_eq!(trace.meta().horizon(), w.horizon());
     }
 
     #[test]

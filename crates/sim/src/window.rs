@@ -5,18 +5,17 @@
 //! events strictly in order. A [`ReplaySource`] hands it one compiled
 //! [`TraceWindow`] at a time plus the trace-wide facts ([`ReplayMeta`]:
 //! page table, fleet size, capacity basis) that must exist up front.
-//! [`CompiledTrace`](crate::CompiledTrace) is the materialized source
-//! (one window, or pre-chunked, via
-//! [`windows`](crate::CompiledTrace::windows));
+//! [`CompiledTrace`](crate::CompiledTrace) is the materialized source: one
+//! [`OwnedWindow`] spanning the whole timeline, served as one window;
 //! [`StreamingTrace`](crate::StreamingTrace) generates and compiles each
 //! window on demand so peak memory is O(window), not O(trace), either on
 //! the replay thread or ahead of it through the prefetch queue. The
 //! variant table (`crates/spec/tests/variants.rs`) replays all three to
 //! the spec's result.
 //!
-//! An [`OwnedWindow`] is the one buffer a window is compiled into outside a
-//! materialized trace: the serial stream reuses one, the prefetch producer
-//! hands each across threads, and the live service (`pscd-service`)
+//! An [`OwnedWindow`] is the one buffer every window is compiled into: a
+//! compiled trace holds one, the serial stream reuses one, the prefetch
+//! producer hands each across threads, and the live service (`pscd-service`)
 //! resolves every ingest batch into one and drains it through the same
 //! replay step.
 
@@ -126,12 +125,11 @@ impl ReplayMeta {
 /// One bounded, fully compiled chunk of the timeline: a contiguous event
 /// range with its publish fan-outs resolved into a CSR slice.
 ///
-/// The representation is shared by both sources. `offsets` has one entry
-/// per publish in the window plus one; publish ordinal `o` (global) maps
-/// to local index `o - ordinal_base`, and `offsets` values index `pairs`
-/// directly — for a materialized trace they are global indices into the
-/// trace-wide pair table, for a streaming window local indices into the
-/// window's own buffer. The arithmetic is identical either way.
+/// Every window is an [`OwnedWindow`] borrowed through
+/// [`view`](OwnedWindow::view). `offsets` has one entry per publish in the
+/// window plus one; publish ordinal `o` (global) maps to local index
+/// `o - ordinal_base`, and `offsets` values index the window's own
+/// `pairs`.
 #[derive(Debug, Clone, Copy)]
 pub struct TraceWindow<'a> {
     /// The full page table (pages outlive any window).
@@ -310,6 +308,18 @@ impl OwnedWindow {
         }
     }
 
+    /// Appends `window`, which must follow this one on the timeline, with
+    /// its CSR slice rebased onto this window's pair table.
+    pub(crate) fn append(&mut self, window: &TraceWindow<'_>) {
+        self.events.extend_from_slice(window.events);
+        let (lo, hi) = (window.offsets[0], window.offsets[window.offsets.len() - 1]);
+        let base = self.pairs.len() as u32;
+        self.offsets
+            .extend(window.offsets[1..].iter().map(|off| base + (off - lo)));
+        self.pairs
+            .extend_from_slice(&window.pairs[lo as usize..hi as usize]);
+    }
+
     /// Bytes the buffers hold.
     pub(crate) fn bytes(&self) -> usize {
         self.events.capacity() * std::mem::size_of::<CompiledEvent>()
@@ -319,8 +329,8 @@ impl OwnedWindow {
 }
 
 /// A producer of compiled [`TraceWindow`]s, consumed strictly in timeline
-/// order. The implementations are the materialized [`CompiledWindows`]
-/// (slices of a [`CompiledTrace`](crate::CompiledTrace)), the lazily
+/// order. The implementations are a materialized
+/// [`CompiledTrace`](crate::CompiledTrace)'s one window, the lazily
 /// generating [`StreamingWindows`](crate::stream::StreamingWindows), and
 /// the prefetch queue's per-consumer cursor; the replay loop cannot tell
 /// them apart — each source's rows in `crates/spec/tests/variants.rs`
@@ -335,62 +345,32 @@ pub trait ReplaySource {
     fn next_window(&mut self) -> Option<TraceWindow<'_>>;
 }
 
-/// [`ReplaySource`] over a materialized [`CompiledTrace`]: yields the
-/// timeline in `per_window`-event slices (the final slice may be
-/// shorter). Created by [`CompiledTrace::windows`].
-///
-/// [`CompiledTrace`]: crate::CompiledTrace
-/// [`CompiledTrace::windows`]: crate::CompiledTrace::windows
+/// A [`ReplaySource`] of exactly one window: the window, then `None`. It
+/// is how a materialized [`CompiledTrace`](crate::CompiledTrace) reaches
+/// the driver (an empty trace still yields one empty window).
 #[derive(Debug, Clone)]
-pub struct CompiledWindows<'a> {
-    pub(crate) trace: &'a crate::CompiledTrace,
-    pub(crate) per_window: usize,
-    /// Next timeline index to serve.
-    pub(crate) cursor: usize,
-    /// Publishes before `cursor` (the next window's `ordinal_base`).
-    pub(crate) publishes_before: usize,
-    /// `true` once the final window has been served (so an empty trace
-    /// still yields exactly one empty window, then ends).
-    pub(crate) done: bool,
+pub(crate) struct OneWindow<'a> {
+    meta: &'a ReplayMeta,
+    window: Option<TraceWindow<'a>>,
 }
 
-impl ReplaySource for CompiledWindows<'_> {
+impl<'a> OneWindow<'a> {
+    /// A source serving `window` once under `meta`.
+    pub(crate) fn new(meta: &'a ReplayMeta, window: TraceWindow<'a>) -> Self {
+        Self {
+            meta,
+            window: Some(window),
+        }
+    }
+}
+
+impl ReplaySource for OneWindow<'_> {
     fn meta(&self) -> &ReplayMeta {
-        self.trace.meta()
+        self.meta
     }
 
     fn next_window(&mut self) -> Option<TraceWindow<'_>> {
-        if self.done {
-            return None;
-        }
-        let events = self.trace.events();
-        let start = self.cursor;
-        let end = start.saturating_add(self.per_window).min(events.len());
-        self.cursor = end;
-        let slice = &events[start..end];
-        let first_pub = self.publishes_before;
-        self.done = end == events.len();
-        let publishes = if self.done {
-            // The final window (the only one when `per_window` covers the
-            // trace) owns every remaining publish: no counting pass.
-            self.trace.publish_count() - first_pub
-        } else {
-            slice
-                .iter()
-                .filter(|e| matches!(e.kind, CompiledEventKind::Publish { .. }))
-                .count()
-        };
-        self.publishes_before += publishes;
-        Some(TraceWindow {
-            pages: self.trace.pages(),
-            events: slice,
-            // Always a valid subslice, even for a publish-free window
-            // (one offset entry delimits zero publishes).
-            offsets: &self.trace.offsets()[first_pub..=first_pub + publishes],
-            pairs: self.trace.pairs(),
-            ordinal_base: first_pub as u32,
-            start_index: start,
-        })
+        self.window.take()
     }
 }
 
@@ -413,38 +393,41 @@ mod tests {
         assert_eq!(w.start_index(), 0);
         assert_eq!(w.len(), trace.len());
         assert_eq!(w.events(), trace.events());
+        let mut pairs = 0;
         for ev in w.events() {
             if let CompiledEventKind::Publish { ordinal, .. } = ev.kind {
-                assert_eq!(w.matched(ordinal), trace.matched(ordinal));
+                pairs += w.matched(ordinal).len() as u64;
             }
         }
-    }
+        assert_eq!(pairs, trace.total_matched_pairs());
 
-    #[test]
-    fn chunked_windows_tile_and_agree_with_the_trace() {
-        let trace = fixture();
-        for per_window in [1, 7, 128, trace.len(), trace.len() + 5] {
-            let mut source = trace.windows(per_window);
-            assert_eq!(source.meta(), trace.meta());
-            let mut next_start = 0usize;
-            let mut seen = 0usize;
-            while let Some(w) = source.next_window() {
-                assert_eq!(w.start_index(), next_start, "windows tile");
-                next_start = w.end_index();
-                for ev in w.events() {
-                    assert_eq!(ev, &trace.events()[seen]);
-                    if let CompiledEventKind::Publish { ordinal, .. } = ev.kind {
-                        assert_eq!(w.matched(ordinal), trace.matched(ordinal));
-                        assert_eq!(
-                            w.matched_in(ordinal, 3, 40),
-                            trace.matched_in(ordinal, 3, 40)
-                        );
-                    }
-                    seen += 1;
-                }
-            }
-            assert_eq!(seen, trace.len(), "per_window = {per_window}");
-        }
+        // The one-window source serves exactly `full_window()`, then ends.
+        let mut source = trace.source();
+        assert_eq!(source.meta(), trace.meta());
+        let served = source.next_window().expect("one window");
+        assert!(std::ptr::eq(served.events, w.events));
+        assert!(std::ptr::eq(served.offsets, w.offsets));
+        assert!(std::ptr::eq(served.pairs, w.pairs));
+        assert_eq!(
+            (served.ordinal_base, served.start_index),
+            (w.ordinal_base, w.start_index)
+        );
+        assert!(source.next_window().is_none());
+
+        // An empty trace still yields one (empty) window.
+        let meta = ReplayMeta {
+            publish_count: 0,
+            request_count: 0,
+            ..trace.meta().clone()
+        };
+        let none = OwnedWindow::with_capacity(0, 0);
+        let empty = CompiledTrace::concat(&mut OneWindow::new(&meta, none.view(&meta.pages)));
+        assert!(empty.is_empty());
+        let mut source = empty.source();
+        let served = source.next_window().expect("one empty window");
+        assert!(served.is_empty());
+        assert_eq!(served.offsets, [0]);
+        assert!(source.next_window().is_none());
     }
 
     #[test]
@@ -452,12 +435,10 @@ mod tests {
         let trace = fixture();
         let meta = trace.meta();
         assert_eq!(meta.capacities(0.05), trace.capacities(0.05));
-        assert_eq!(meta.server_count(), trace.server_count());
         assert_eq!(meta.hours(), trace.hours());
-        assert_eq!(meta.horizon(), trace.horizon());
-        assert_eq!(meta.request_load(), trace.request_load());
+        assert_eq!(meta.pages(), trace.pages());
         assert_eq!(meta.len(), trace.len());
-        assert_eq!(meta.publish_count(), trace.publish_count());
+        assert_eq!(meta.request_count(), trace.request_count());
         assert!(!meta.is_empty());
     }
 }

@@ -139,14 +139,17 @@ fn invalidation_lineage_spans_window_boundaries() {
 
 /// Tiny windows leave many interior windows empty; they must still tile
 /// the timeline correctly (indices, ordinals) and replay identically.
+/// Every window's events and fan-outs equal the monolithic compile's
+/// (which `materialize()` equals, above) at the same indices.
 #[test]
 fn empty_windows_mid_stream_are_harmless() {
     let (trace, costs) = reference();
+    let whole = trace.full_window();
     let stream = streaming(SimTime::from_millis(10 * 60 * 1000));
     let mut pass = stream.open();
     let mut empty_interior = 0usize;
     let mut seen_nonempty = false;
-    let mut total_events = 0usize;
+    let mut next_start = 0usize;
     while let Some(w) = pass.next_window() {
         if w.is_empty() {
             if seen_nonempty {
@@ -155,13 +158,24 @@ fn empty_windows_mid_stream_are_harmless() {
         } else {
             seen_nonempty = true;
         }
-        total_events += w.len();
+        assert_eq!(w.start_index(), next_start, "windows tile");
+        next_start = w.end_index();
+        for (at, ev) in (w.start_index()..).zip(w.events()) {
+            assert_eq!(ev, &trace.events()[at]);
+            if let CompiledEventKind::Publish { ordinal, .. } = ev.kind {
+                assert_eq!(w.matched(ordinal), whole.matched(ordinal));
+                assert_eq!(
+                    w.matched_in(ordinal, 3, 40),
+                    whole.matched_in(ordinal, 3, 40)
+                );
+            }
+        }
     }
     assert!(
         empty_interior > 0,
         "fixture has no empty mid-stream windows; shrink the window"
     );
-    assert_eq!(total_events, trace.len());
+    assert_eq!(next_start, trace.len());
     let options = SimOptions::at_capacity(StrategyKind::Gds, 0.05);
     assert_eq!(
         simulate_compiled(trace, costs, &options).unwrap(),

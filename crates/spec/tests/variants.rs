@@ -207,7 +207,7 @@ fn replay_blobs(options: &SimOptions) -> Vec<Vec<u8>> {
         strategy.encode_snapshot(&mut blob);
         blob
     };
-    (0..f.trace.server_count()).map(blob).collect()
+    (0..f.trace.meta().server_count()).map(blob).collect()
 }
 
 /// The service configuration replaying `o` over the fixture.
@@ -234,7 +234,7 @@ fn assert_service_rows(workers: usize, batch: usize, chunk: usize, content: bool
         (config.workers, config.batch_size) = (workers, batch);
         let mut core = ServiceCore::new(config).unwrap();
         if content {
-            core.attach_matcher(matcher_from_table(&f.subs, f.trace.server_count()))
+            core.attach_matcher(matcher_from_table(&f.subs, f.trace.meta().server_count()))
                 .unwrap();
             assert!(core.matcher_frozen(), "attach must freeze the matcher");
         }

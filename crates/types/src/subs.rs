@@ -88,14 +88,6 @@ impl SubscriptionTable {
         }
     }
 
-    /// Total number of subscriptions matching `page` across all servers.
-    pub fn total_count(&self, page: PageId) -> u64 {
-        self.matched_servers(page)
-            .iter()
-            .map(|&(_, c)| c as u64)
-            .sum()
-    }
-
     /// Iterates over `(page, server, count)` for every non-zero entry.
     pub fn iter(&self) -> impl Iterator<Item = (PageId, ServerId, u32)> + '_ {
         self.rows
@@ -154,7 +146,6 @@ mod tests {
         assert_eq!(t.page_count(), 3);
         assert_eq!(t.count(PageId::new(0), ServerId::new(0)), 0);
         assert!(t.matched_servers(PageId::new(2)).is_empty());
-        assert_eq!(t.total_count(PageId::new(1)), 0);
     }
 
     #[test]
@@ -176,7 +167,6 @@ mod tests {
             t.matched_servers(PageId::new(1)),
             &[(ServerId::new(1), 7), (ServerId::new(5), 5)]
         );
-        assert_eq!(t.total_count(PageId::new(1)), 12);
         assert_eq!(t.count(PageId::new(1), ServerId::new(3)), 0);
     }
 

@@ -4,7 +4,7 @@ use std::collections::HashSet;
 
 use serde::{Deserialize, Serialize};
 
-use crate::{Bytes, PageMeta, PublishEvent, RequestEvent, ServerId, SimTime, TraceError};
+use crate::{Bytes, PageMeta, PublishEvent, RequestEvent, SimTime, TraceError};
 
 fn check_sorted<T, K: Fn(&T) -> SimTime>(events: &[T], key: K) -> Result<(), TraceError> {
     for (i, w) in events.windows(2).enumerate() {
@@ -246,17 +246,10 @@ pub struct TraceStats {
     pub span: SimTime,
 }
 
-impl TraceStats {
-    /// Requests observed at one server.
-    pub fn requests_at(&self, server: ServerId) -> u64 {
-        self.requests_per_server[server.as_usize()]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{PageId, PageKind};
+    use crate::{PageId, PageKind, ServerId};
 
     fn req(t: u64, s: u16, p: u32) -> RequestEvent {
         RequestEvent::new(SimTime::from_secs(t), ServerId::new(s), PageId::new(p))
@@ -318,7 +311,7 @@ mod tests {
         let st = t.stats(2);
         assert_eq!(st.requests, 3);
         assert_eq!(st.distinct_pages, 2);
-        assert_eq!(st.requests_at(ServerId::new(1)), 2);
+        assert_eq!(st.requests_per_server[1], 2);
         assert_eq!(st.span, SimTime::from_secs(9));
     }
 

@@ -91,12 +91,6 @@ impl ContentModel {
             .with("version", Value::int(version))
     }
 
-    /// The category assigned to the article behind `origin`.
-    pub fn category_of(&self, origin: PageId) -> &'static str {
-        let mut rng = self.article_rng(origin);
-        CATEGORIES[rng.random_range(0..CATEGORIES.len())]
-    }
-
     fn article_rng(&self, origin: PageId) -> StdRng {
         StdRng::seed_from_u64(
             self.seed
@@ -179,22 +173,12 @@ mod tests {
     }
 
     #[test]
-    fn category_of_matches_content() {
-        let m = ContentModel::new(3);
-        let p = page(7, PageKind::Original);
-        let c = m.content_for(&p);
-        assert_eq!(
-            c.get("category"),
-            Some(&Value::str(m.category_of(PageId::new(7))))
-        );
-    }
-
-    #[test]
     fn different_seeds_shuffle_categories() {
         let a = ContentModel::new(10);
         let b = ContentModel::new(11);
+        let category = |m: &ContentModel, i| m.content_for(&page(i, PageKind::Original));
         let differs =
-            (0..50).any(|i| a.category_of(PageId::new(i)) != b.category_of(PageId::new(i)));
+            (0..50).any(|i| category(&a, i).get("category") != category(&b, i).get("category"));
         assert!(differs);
     }
 

@@ -99,12 +99,13 @@ fn run_push_lru(trace: &CompiledTrace, capacities: &[Bytes]) -> (f64, u64) {
     let mut proxies: Vec<PushLru> = capacities.iter().map(|&c| PushLru::new(c)).collect();
     let mut evicted = Vec::new();
     let (mut hits, mut requests, mut transferred) = (0u64, 0u64, 0u64);
-    for ev in trace.events() {
-        let meta = trace.page(ev.page);
+    let window = trace.full_window();
+    for ev in window.events() {
+        let meta = window.page(ev.page);
         let page = PageRef::new(meta.id(), meta.size(), 1.0);
         match ev.kind {
             CompiledEventKind::Publish { ordinal, .. } => {
-                for &(server, subs) in trace.matched(ordinal) {
+                for &(server, subs) in window.matched(ordinal) {
                     proxies[server.as_usize()].on_push(&page, subs, &mut evicted);
                     transferred += 1;
                 }
