@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 use pscd_cache::{AccessOutcome, PageRef, SnapshotError, SnapshotReader};
 use pscd_core::{Strategy, StrategyImpl};
 use pscd_obs::{NullObserver, Observer, SharedObserver};
-use pscd_types::{Bytes, PageId, PageMeta, ServerId};
+use pscd_types::{count, Bytes, PageId, PageMeta, ServerId};
 
 use crate::residency::Residency;
 use crate::{BrokerError, Traffic};
@@ -253,6 +253,9 @@ impl<O: Observer> DeliveryEngine<O> {
             }
             let page_ref = PageRef::new(page.id(), page.size(), proxy.cost);
             let stored = proxy.strategy.on_push(&page_ref, subs, scratch).is_stored();
+            count!(Counter::PushOffers, 1);
+            count!(Counter::Admissions, u64::from(stored));
+            count!(Counter::Evictions, scratch.len());
             // Under PWN the push is the meta-information check itself: a
             // declined push changes nothing (`Strategy::would_store`'s
             // contract), and only a stored page's content crosses.
@@ -308,7 +311,9 @@ impl<O: Observer> DeliveryEngine<O> {
         let proxy = &mut proxies[slot];
         let page_ref = PageRef::new(page.id(), page.size(), proxy.cost);
         let outcome = proxy.strategy.on_access(&page_ref, subs, scratch);
+        count!(Counter::Evictions, scratch.len());
         if outcome == AccessOutcome::MissAdmitted {
+            count!(Counter::Admissions, 1);
             residency.mark(page.id(), slot);
         }
         proxy.requests += 1;

@@ -1,6 +1,6 @@
 //! The page-major residency index: which proxies may hold each page.
 
-use pscd_types::PageId;
+use pscd_types::{count, PageId};
 
 /// One row of `⌈proxies / 64⌉` words per page ordinal; bit `slot` of a
 /// page's row is set when proxy `slot` reported storing the page since the
@@ -60,6 +60,10 @@ impl Residency {
     #[cold]
     pub(crate) fn wake(&mut self) {
         self.awake = true;
+        count!(
+            Counter::ResidencyWords,
+            self.reserved.saturating_sub(self.bits.len())
+        );
         if self.bits.len() < self.reserved {
             self.bits.resize(self.reserved, 0);
         }
@@ -101,6 +105,7 @@ impl Residency {
         }
         let slot = &mut self.row_mut(page)[word];
         if *slot | bits != *slot {
+            count!(Counter::ResidencyWords, 1);
             *slot |= bits;
         }
     }
@@ -121,6 +126,7 @@ impl Residency {
             if *word == 0 {
                 continue;
             }
+            count!(Counter::ResidencyWords, 1);
             let mut bits = std::mem::take(word);
             while bits != 0 {
                 visit(w * 64 + bits.trailing_zeros() as usize);

@@ -15,7 +15,7 @@
 
 use std::sync::Arc;
 
-use pscd_types::{Bytes, PageId};
+use pscd_types::{count, Bytes, PageId};
 
 use crate::snapshot::SnapshotError;
 
@@ -170,6 +170,7 @@ impl PositionIndex {
     /// The table slot holding `page`, or the empty slot ending its probe.
     #[inline]
     fn probe(&self, page: u32) -> usize {
+        count!(Counter::IndexProbes, 1);
         let mask = self.slots.len() - 1;
         let mut i = self.home(page);
         loop {

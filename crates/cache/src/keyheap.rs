@@ -21,7 +21,7 @@
 
 use std::cmp::Ordering;
 
-use pscd_types::{Bytes, PageId};
+use pscd_types::{count, Bytes, PageId};
 
 /// One live heap element: the eviction key plus the page it belongs to,
 /// its size and its handle. The slot is all a peek, a comparison or an
@@ -254,6 +254,7 @@ impl KeyHeap {
         let before = move |a: u32, b: u32| slots[a as usize].before(&slots[b as usize]);
         std::iter::from_fn(move || {
             let top = *frontier.first()?;
+            count!(Counter::HeapNodesWalked, 1);
             // The first child takes the top's place, the second joins.
             let left = 2 * top + 1;
             if (left as usize) < slots.len() {
@@ -314,6 +315,7 @@ impl KeyHeap {
             if !slot.before(&self.slots[parent]) {
                 break;
             }
+            count!(Counter::SiftMoves, 1);
             self.place(i, self.slots[parent]);
             i = parent;
         }
@@ -340,6 +342,7 @@ impl KeyHeap {
             if at == i {
                 break;
             }
+            count!(Counter::SiftMoves, 1);
             self.place(i, self.slots[at]);
             i = at;
         }
@@ -355,6 +358,7 @@ fn sift_up(heap: &mut [u32], mut i: usize, before: impl Fn(u32, u32) -> bool) {
         if !before(item, heap[parent]) {
             break;
         }
+        count!(Counter::SiftMoves, 1);
         heap[i] = heap[parent];
         i = parent;
     }
@@ -381,6 +385,7 @@ fn sift_down(heap: &mut [u32], mut i: usize, before: impl Fn(u32, u32) -> bool) 
         if at == i {
             break;
         }
+        count!(Counter::SiftMoves, 1);
         heap[i] = heap[at];
         i = at;
     }

@@ -1,6 +1,6 @@
 //! Byte-capacity cache store with value-ordered eviction.
 
-use pscd_types::{Bytes, PageId};
+use pscd_types::{count, Bytes, PageId};
 
 use crate::index::{PageUniverse, PositionIndex};
 use crate::keyheap::{HeapSlot, KeyHeap};
@@ -227,6 +227,7 @@ impl CacheStore {
         let Some(handle) = self.positions.get(page) else {
             return false;
         };
+        count!(Counter::Revalues, 1);
         let (value, refs) = rekey(self.heap.refs(handle));
         assert!(!value.is_nan(), "page value must not be NaN");
         let stamp = self.bump();
@@ -278,7 +279,10 @@ impl CacheStore {
         self.heap
             .slots()
             .iter()
-            .filter(|slot| slot.value < value)
+            .filter(|slot| {
+                count!(Counter::SlotsSwept, 1);
+                slot.value < value
+            })
             .any(|slot| {
                 covered += slot.size.as_u64();
                 covered >= need.as_u64()

@@ -6,7 +6,7 @@ use pscd_cache::{
     AccessOutcome, CacheStore, HeapSlot, PageRef, PageUniverse, SnapshotError, SnapshotReader,
 };
 use pscd_obs::{AdmitOrigin, EvictReason, NullObserver, ObsHandle, Observer, RelabelDirection};
-use pscd_types::{Bytes, PageId};
+use pscd_types::{count, Bytes, PageId};
 
 use crate::{value, PushOutcome, Strategy, StrategyClass};
 
@@ -258,6 +258,7 @@ impl<O: Observer> DcAdaptive<O> {
         if self.pc_alloc + needed > self.hi {
             // Every accepted victim keeps the allocation at or under `hi`,
             // so the pool cannot free this much: skip collecting it.
+            count!(Counter::RelabelRefused, 1);
             return false;
         }
         let stale = |slot: &&HeapSlot| slot.stamp < self.ac_mark;
@@ -270,6 +271,7 @@ impl<O: Observer> DcAdaptive<O> {
             .sum();
         if stale_bytes < needed.as_u64() {
             // Not even the whole pool frees enough: refuse without a walk.
+            count!(Counter::RelabelRefused, 1);
             return false;
         }
         let mut frontier = self.frontier_scratch.borrow_mut();
@@ -291,6 +293,7 @@ impl<O: Observer> DcAdaptive<O> {
             freed += slot.size;
             victims.push(slot.page);
         }
+        count!(Counter::RelabelRefused, u64::from(freed < needed));
         freed >= needed
     }
 

@@ -2,7 +2,7 @@
 
 use pscd_cache::{AccessOutcome, CacheStore, PageRef, PageUniverse, SnapshotError, SnapshotReader};
 use pscd_obs::{AdmitOrigin, EvictReason, NullObserver, ObsHandle, Observer};
-use pscd_types::{Bytes, PageId};
+use pscd_types::{count, Bytes, PageId};
 
 use crate::{value, PushOutcome, Strategy, StrategyClass};
 
@@ -117,6 +117,8 @@ impl<O: Observer> DualMethods<O> {
     }
 
     fn insert(&mut self, page: &PageRef, access_value: f64, sub_value: f64, freq: u32) {
+        count!(Counter::DmAccessHeapOps, 1);
+        count!(Counter::DmSubHeapOps, 1);
         self.by_access
             .insert_with_refs(page.page, page.size, access_value, freq);
         self.by_sub.insert(page.page, page.size, sub_value);
@@ -147,6 +149,8 @@ impl<O: Observer> Strategy for DualMethods<O> {
                 .pop_min()
                 .expect("candidate check guarantees room");
             self.by_access.remove(victim.page);
+            count!(Counter::DmSubHeapOps, 1);
+            count!(Counter::DmAccessHeapOps, 1);
             if O::ENABLED {
                 self.obs
                     .evict(victim.page, victim.size, victim.value, EvictReason::Push);
@@ -181,6 +185,7 @@ impl<O: Observer> Strategy for DualMethods<O> {
         evicted.clear();
         let gd_value = |freq| value::gd_star(self.inflation, freq, page, self.beta);
         if self.by_access.hit(page.page, gd_value) {
+            count!(Counter::DmAccessHeapOps, 1);
             return AccessOutcome::Hit;
         }
         // GD* replacement on miss: always admit (classic), evicting by
@@ -194,6 +199,8 @@ impl<O: Observer> Strategy for DualMethods<O> {
                 .pop_min()
                 .expect("cache not empty while free < size <= capacity");
             self.by_sub.remove(victim.page);
+            count!(Counter::DmAccessHeapOps, 1);
+            count!(Counter::DmSubHeapOps, 1);
             self.inflation = victim.value;
             if O::ENABLED {
                 self.obs
@@ -218,6 +225,8 @@ impl<O: Observer> Strategy for DualMethods<O> {
             return false;
         };
         self.by_sub.remove(page);
+        count!(Counter::DmAccessHeapOps, 1);
+        count!(Counter::DmSubHeapOps, 1);
         if O::ENABLED {
             self.obs
                 .evict(page, removed.size, removed.value, EvictReason::Invalidate);

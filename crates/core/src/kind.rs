@@ -5,7 +5,7 @@ use serde::{Deserialize, Serialize};
 use pscd_cache::snapshot::put_u8;
 use pscd_cache::{AccessOutcome, PageRef, PageUniverse, SnapshotError, SnapshotReader};
 use pscd_obs::{NullObserver, ObsHandle, Observer};
-use pscd_types::{Bytes, PageId};
+use pscd_types::{count, Bytes, PageId};
 
 use crate::single::Model;
 use crate::{DcAdaptive, DualMethods, PushOutcome, SingleCache, Strategy, StrategyClass};
@@ -315,10 +315,12 @@ impl<O: Observer> Strategy for StrategyImpl<O> {
     }
 
     fn on_push(&mut self, page: &PageRef, subs: u32, evicted: &mut Vec<PageId>) -> PushOutcome {
+        count!(Counter::PlacementEvaluations, 1);
         dispatch!(self, s => s.on_push(page, subs, evicted))
     }
 
     fn would_store(&self, page: &PageRef, subs: u32) -> bool {
+        count!(Counter::PlacementEvaluations, 1);
         dispatch!(self, s => s.would_store(page, subs))
     }
 

@@ -68,7 +68,7 @@
 
 use std::ops::Range;
 
-use pscd_types::ServerId;
+use pscd_types::{count, ServerId};
 
 use crate::symbol::{SymVal, SymbolTable, View};
 use crate::{Op, Predicate, Subscription, SubscriptionId, Value};
@@ -1194,6 +1194,8 @@ impl FrozenIndex {
                 }
             }
         }
+        count!(Counter::Matches, 1);
+        count!(Counter::CandidatesVerified, fs.verified);
     }
 }
 
