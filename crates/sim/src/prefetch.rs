@@ -310,11 +310,10 @@ fn produce(trace: &StreamingTrace, queue: &WindowQueue, depth: usize, sink: &Tra
     let _finish = FinishGuard(queue);
     let mut rec = sink.recorder("prefetch producer");
     let mut state = WindowState::new(trace);
-    let mut scratch: Vec<RequestEvent> = Vec::new();
     let mut buckets: Vec<Vec<RequestEvent>> = (0..depth).map(|_| Vec::new()).collect();
     loop {
         let span = rec.begin();
-        let Some(windows) = trace.gather_batch(&mut state, &mut scratch, &mut buckets) else {
+        let Some(windows) = trace.gather_batch(&mut state, &mut buckets) else {
             break;
         };
         rec.end_with(span, "prefetch.generate", || {
