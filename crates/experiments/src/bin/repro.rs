@@ -327,7 +327,7 @@ fn run_counters(scale: f64, seed: u64) -> Result<(), ExperimentError> {
     for (trace_name, capacity, scheme) in columns {
         let trace = &traces[usize::from(trace_name == "alternative")];
         for kind in lineup {
-            let mut options = SimOptions::at_capacity(kind, capacity);
+            let mut options = SimOptions::at_capacity(kind, capacity).with_threads(1);
             if scheme == PushScheme::WhenNecessary {
                 options = options.with_invalidation();
                 options.scheme = scheme;

@@ -12,7 +12,7 @@
 
 use pscd_sim::pool::{effective_threads, parallel_indexed};
 use pscd_sim::trace::CompiledTrace;
-use pscd_sim::{simulate_compiled, SimOptions, SimResult};
+use pscd_sim::{shard_count, simulate_compiled, ReplaySite, SimOptions, SimResult};
 use pscd_topology::FetchCosts;
 
 use crate::ExperimentError;
@@ -30,8 +30,9 @@ pub type GridJob<'a> = (&'a CompiledTrace, SimOptions);
 /// own proxy fleet, so the grid parallelizes perfectly; the paper's
 /// largest sweep (the β tuning of §5.1: 126 runs) completes in seconds.
 /// Grid-level workers compose with intra-run sharding (each job's
-/// [`SimOptions::threads`]); sweeps normally keep jobs sequential and
-/// parallelize across cells here instead, which avoids oversubscription.
+/// [`SimOptions::threads`]). A job left at auto takes one shard
+/// ([`ReplaySite::GridCell`]): the grid parallelizes across cells instead,
+/// which avoids oversubscription.
 ///
 /// # Errors
 ///
@@ -53,7 +54,9 @@ pub fn run_grid(
     let threads = effective_threads(threads, jobs.len());
     parallel_indexed(jobs.len(), threads, |i| {
         let (trace, options) = &jobs[i];
-        simulate_compiled(trace, costs, options)
+        let servers = trace.meta().server_count();
+        let shards = shard_count(options.threads, servers, ReplaySite::GridCell);
+        simulate_compiled(trace, costs, &options.with_threads(shards))
     })
     .into_iter()
     .map(|r| r.map_err(ExperimentError::from))
@@ -89,7 +92,7 @@ mod tests {
         // and replaying it cell by cell.
         let fresh = CompiledTrace::compile(&w, &w.subscriptions(1.0).unwrap()).unwrap();
         for (job, out) in jobs.iter().zip(&parallel) {
-            let serial = simulate_compiled(&fresh, &costs, &job.1).unwrap();
+            let serial = simulate_compiled(&fresh, &costs, &job.1.with_threads(1)).unwrap();
             assert_eq!(&serial, out);
         }
     }

@@ -172,7 +172,10 @@ pub fn effective_threads(requested: usize, jobs: usize) -> usize {
 /// uneven job sizes balance themselves. `threads` is resolved through
 /// [`effective_threads`] (`0` = auto); with one effective thread or fewer
 /// than two jobs everything runs inline on the caller's thread — the
-/// sequential path stays allocation- and synchronization-free.
+/// sequential path stays allocation- and synchronization-free. Otherwise
+/// the calling thread is worker 0 beside `threads − 1` spawned scoped
+/// threads, so a fan-out costs one thread (and one malloc arena) fewer
+/// than it has workers, and the caller never idles while they run.
 ///
 /// A panicking job propagates the panic to the caller (std scoped-thread
 /// semantics).
@@ -196,18 +199,20 @@ where
     }
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<T>>> = (0..jobs).map(|_| Mutex::new(None)).collect();
-    crossbeam::thread::scope(|scope| {
-        let (next, slots, f) = (&next, &slots, &f);
-        for w in 0..threads {
-            scope.spawn(move |_| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= jobs {
-                    break;
-                }
-                let out = spans::run_timed(w, i, || f(i));
-                *slots[i].lock().expect("slot poisoned") = Some(out);
-            });
+    let work = |w: usize| loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= jobs {
+            break;
         }
+        let out = spans::run_timed(w, i, || f(i));
+        *slots[i].lock().expect("slot poisoned") = Some(out);
+    };
+    crossbeam::thread::scope(|scope| {
+        let work = &work;
+        for w in 1..threads {
+            scope.spawn(move |_| work(w));
+        }
+        work(0);
     })
     .expect("shim scope never errors");
     slots
@@ -319,6 +324,39 @@ mod tests {
     fn zero_jobs_is_empty() {
         let out: Vec<u32> = parallel_indexed(0, 4, |_| unreachable!("no jobs"));
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn the_caller_is_worker_zero() {
+        use std::collections::HashSet;
+        use std::thread::{self, ThreadId};
+        // Job 0 waits until job 1 has run, so the two jobs cannot share a
+        // thread: one runs on the caller, the other on the one spawned
+        // worker.
+        let caller = thread::current().id();
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let ids: Vec<ThreadId> = parallel_indexed(2, 2, |i| {
+            if i == 0 {
+                while !done.load(Ordering::Acquire) {
+                    thread::yield_now();
+                }
+            } else {
+                done.store(true, Ordering::Release);
+            }
+            thread::current().id()
+        });
+        assert!(ids.contains(&caller), "no job ran on the caller: {ids:?}");
+        assert_ne!(ids[0], ids[1]);
+        // Uneven jobs over three workers: at most two threads besides the
+        // caller ever run one.
+        let spawned: HashSet<ThreadId> = parallel_indexed(12, 3, |i| {
+            thread::sleep(std::time::Duration::from_millis(i as u64 % 3));
+            thread::current().id()
+        })
+        .into_iter()
+        .filter(|id| *id != caller)
+        .collect();
+        assert!(spawned.len() <= 2, "{} spawned threads", spawned.len());
     }
 
     #[test]

@@ -63,7 +63,7 @@ const CAPACITY_FRACTION: f64 = 0.05;
 /// cache state serialized just before the result is finalized.
 fn batch_run(kind: StrategyKind, invalidate: bool) -> (SimResult, Vec<Vec<u8>>) {
     let f = fixture();
-    let mut options = SimOptions::at_capacity(kind, CAPACITY_FRACTION);
+    let mut options = SimOptions::at_capacity(kind, CAPACITY_FRACTION).with_threads(1);
     if invalidate {
         options = options.with_invalidation();
     }

@@ -35,8 +35,9 @@
 //! | [`StreamingTrace`], serial | one per time-window, into one reused [`OwnedWindow`] | [`simulate_streamed`] | — |
 //! | [`StreamingTrace`], prefetched | [`OwnedWindow`]s compiled ahead on a producer thread | [`simulate_streamed_prefetched_traced`] | — |
 //!
-//! Threads are [`SimOptions::threads`]; tracing is a [`TraceSink`]
-//! argument (pass [`TraceSink::disabled`] for none).
+//! Threads are [`SimOptions::threads`] (auto by default, resolved per
+//! source by [`shard_count`]); tracing is a [`TraceSink`] argument (pass
+//! [`TraceSink::disabled`] for none).
 //!
 //! [`TraceSink`]: pscd_obs::TraceSink
 //! [`TraceSink::disabled`]: pscd_obs::TraceSink::disabled
@@ -97,7 +98,7 @@ pub use runner::{
     simulate_compiled, simulate_observed_sharded, CrashPlan, ReplayState, SimOptions, Simulation,
     StepEvent,
 };
-pub use shard::ShardPlan;
+pub use shard::{shard_count, ReplaySite, ShardPlan};
 pub use stream::{simulate_streamed, StreamingTrace, StreamingWindows};
 pub use trace::{CompiledEvent, CompiledEventKind, CompiledTrace};
 pub use window::{OwnedWindow, ReplayMeta, ReplaySource, TraceWindow};

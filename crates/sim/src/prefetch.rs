@@ -53,7 +53,7 @@ use pscd_topology::FetchCosts;
 use pscd_types::RequestEvent;
 
 use crate::runner::{validate_meta, SimOptions};
-use crate::shard::{merge, plan_for, replay_shard};
+use crate::shard::{merge, plan_for, replay_shard, ReplaySite};
 use crate::stream::{StreamingTrace, WindowState};
 use crate::window::{OwnedWindow, ReplayMeta, ReplaySource, TraceWindow};
 use crate::{SimError, SimResult};
@@ -374,7 +374,9 @@ fn pipelined<T: Send>(
 /// share one window stream, and the result is bit-identical to both the
 /// serial streaming pass and the monolithic compile at every depth and
 /// thread count (the prefetched rows of `crates/spec/tests/variants.rs`
-/// check it against the spec).
+/// check it against the spec). Auto threads (the default) take one
+/// consumer beside the producer (see [`shard_count`](crate::shard_count)):
+/// the producer is the busier track, so a second consumer would wait on it.
 ///
 /// A live `sink` records the producer's and each shard consumer's track —
 /// the chrome trace shows the overlap; pass [`TraceSink::disabled`] for an
@@ -392,7 +394,7 @@ pub fn simulate_streamed_prefetched_traced(
     sink: &TraceSink,
 ) -> Result<SimResult, SimError> {
     validate_meta(trace.meta(), costs, options)?;
-    let plan = plan_for(trace.meta(), options);
+    let plan = plan_for(trace.meta(), options, ReplaySite::Streamed);
     let (shards, _peaks) = pipelined(trace, prefetch, plan.shards(), sink, |k, source| {
         replay_shard::<NullObserver>(source, costs, options, &plan, k, sink)
     });

@@ -26,7 +26,7 @@ use pscd_obs::{MergeableObserver, NullObserver, Observer, SharedObserver, TraceS
 use pscd_topology::FetchCosts;
 use pscd_types::{Bytes, ServerId, SimTime};
 
-use crate::shard::{drain, plan_for, run_shards};
+use crate::shard::{drain, run_shards, shard_count, ReplaySite};
 use crate::trace::{CompiledEventKind, CompiledTrace};
 use crate::window::{ReplayMeta, TraceWindow};
 use crate::{HourlySeries, SimError, SimResult};
@@ -90,19 +90,23 @@ pub struct SimOptions {
     /// previous version from every proxy cache. Requests to the stale
     /// version then miss — the freshness tax of news caching.
     pub invalidate_stale: bool,
-    /// Worker threads for intra-run sharding: `1` (the default) replays
-    /// the whole trace sequentially, `0` picks the machine's available
-    /// parallelism, and any other count shards the proxy fleet across
-    /// that many threads (oversubscription allowed). Sharded totals are
-    /// bit-identical to sequential ones — `crates/spec/tests/variants.rs`
-    /// checks both against the spec loop for every strategy — so this is
-    /// purely a speed knob.
+    /// Worker threads for intra-run sharding: `0` (auto, the default)
+    /// lets [`shard_count`](crate::shard_count) decide by source — the
+    /// machine's available parallelism for an in-memory
+    /// [`CompiledTrace`], one shard for a streamed or prefetched source
+    /// and for a grid cell. `1` replays the whole trace sequentially, and
+    /// any other count shards the proxy fleet across that many threads
+    /// (oversubscription allowed). Sharded totals are bit-identical to
+    /// sequential ones — `crates/spec/tests/variants.rs` checks both
+    /// against the spec loop for every strategy — so this is purely a
+    /// speed knob.
     pub threads: usize,
 }
 
 impl SimOptions {
     /// Options at the paper's headline setting: the given capacity,
-    /// Always-Pushing, no fault injection.
+    /// Always-Pushing, no fault injection, auto threads (`threads: 0`;
+    /// `.with_threads(1)` pins a sequential replay).
     pub fn at_capacity(strategy: StrategyKind, capacity_fraction: f64) -> Self {
         Self {
             strategy,
@@ -110,7 +114,7 @@ impl SimOptions {
             scheme: PushScheme::Always,
             crash: None,
             invalidate_stale: false,
-            threads: 1,
+            threads: 0,
         }
     }
 
@@ -139,7 +143,9 @@ impl SimOptions {
 /// Runs one full simulation of a compiled trace (see [`CompiledTrace`]):
 /// replays its merged publishing/request timeline through a
 /// [`DeliveryEngine`] configured with one strategy instance per proxy,
-/// sharded across the fleet when [`SimOptions::threads`] asks for it.
+/// sharded across the fleet per [`SimOptions::threads`] — by default on
+/// the machine's cores. No whole fleet is built first: each shard builds
+/// only its own part of it.
 ///
 /// Publish events and request events are processed in time order
 /// (publishes first at equal timestamps, since a notification must precede
@@ -175,7 +181,9 @@ pub fn simulate_compiled(
     costs: &FetchCosts,
     options: &SimOptions,
 ) -> Result<SimResult, SimError> {
-    Ok(Simulation::from_compiled(trace, costs, options)?.run())
+    let sink = TraceSink::disabled();
+    simulate_observed_sharded::<NullObserver>(trace, costs, options, &sink)
+        .map(|(result, _)| result)
 }
 
 /// [`simulate_compiled`] over the sharded path with a mergeable observer
@@ -231,7 +239,8 @@ pub fn simulate_observed_sharded<O: MergeableObserver>(
 ) -> Result<(SimResult, O), SimError> {
     validate_meta(trace.meta(), costs, options)?;
     let open = || trace.source();
-    Ok(run_shards(trace.meta(), open, costs, options, sink))
+    let site = ReplaySite::Compiled;
+    Ok(run_shards(trace.meta(), open, costs, options, site, sink))
 }
 
 /// Rejects mismatched costs and invalid options; shared by every entry
@@ -782,10 +791,13 @@ impl<'a, O: Observer> Simulation<'a, O> {
 
     /// Drains the remaining timeline and returns the result.
     ///
-    /// With [`SimOptions::threads`] other than 1 an untouched simulation
-    /// (no [`step`](Simulation::step) calls yet) runs sharded across the
-    /// proxy fleet; the totals are bit-identical to the sequential replay
-    /// (see `crates/spec/tests/variants.rs`). A simulation that has already
+    /// An untouched simulation (no [`step`](Simulation::step) calls yet)
+    /// runs sharded across the proxy fleet whenever
+    /// [`SimOptions::threads`] resolves to more than one shard — by
+    /// default on the machine's cores. The fleet built at construction is
+    /// dropped first, so only the shards' fleets are alive while they
+    /// replay. The totals are bit-identical to the sequential replay (see
+    /// `crates/spec/tests/variants.rs`). A simulation that has already
     /// stepped, or one with an enabled observer (whose event stream is
     /// inherently sequential), always drains on the calling thread.
     pub fn run(self) -> SimResult {
@@ -796,10 +808,13 @@ impl<'a, O: Observer> Simulation<'a, O> {
             state,
         } = self;
         let open = || trace.source();
+        let meta = trace.meta();
         let untouched = !O::ENABLED && state.cursor() == 0 && !state.pending_invalidation();
-        if untouched && plan_for(trace.meta(), &options).shards() > 1 {
+        let site = ReplaySite::Compiled;
+        if untouched && shard_count(options.threads, meta.server_count(), site) > 1 {
+            drop(state);
             let sink = TraceSink::disabled();
-            return run_shards::<_, NullObserver>(trace.meta(), open, &costs, &options, &sink).0;
+            return run_shards::<_, NullObserver>(meta, open, &costs, &options, site, &sink).0;
         }
         // One shard: the fleet built at construction *is* that shard, so
         // it goes to the driver's loop as it stands.

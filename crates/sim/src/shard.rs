@@ -206,23 +206,68 @@ pub(crate) fn merge<O: MergeableObserver>(
     (result, observer)
 }
 
+/// Where a replay reads its timeline from: the one fact besides the
+/// requested count that decides what auto ([`SimOptions::threads`] `0`)
+/// means.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReplaySite {
+    /// An in-memory [`CompiledTrace`](crate::CompiledTrace): auto takes
+    /// the machine's cores, because every shard only reads the one shared
+    /// timeline.
+    Compiled,
+    /// A streamed or prefetched source: auto takes one shard, because
+    /// every extra shard either re-draws the stream (serial pass) or waits
+    /// on the one producer (prefetched pass).
+    Streamed,
+    /// One cell of a grid that already runs its cells in parallel
+    /// (`pscd_experiments::run_grid`): auto takes one shard.
+    GridCell,
+}
+
+/// The number of shards a replay at `site` over `servers` proxies takes
+/// for a requested thread count — the only place auto is resolved. An
+/// explicit count is honoured (oversubscription included); either way
+/// the result is clamped to `1..=servers`. Results are bit-identical at
+/// every count, so this decides speed only.
+///
+/// # Examples
+///
+/// ```
+/// use pscd_sim::{shard_count, ReplaySite};
+///
+/// assert_eq!(shard_count(0, 100, ReplaySite::Streamed), 1);
+/// assert_eq!(shard_count(0, 100, ReplaySite::GridCell), 1);
+/// assert_eq!(shard_count(3, 100, ReplaySite::Streamed), 3);
+/// assert_eq!(shard_count(8, 2, ReplaySite::Compiled), 2);
+/// assert!(shard_count(0, 100, ReplaySite::Compiled) >= 1);
+/// ```
+pub fn shard_count(threads: usize, servers: u16, site: ReplaySite) -> usize {
+    let auto = match site {
+        ReplaySite::Compiled => 0,
+        ReplaySite::Streamed | ReplaySite::GridCell => 1,
+    };
+    let requested = if threads == 0 { auto } else { threads };
+    crate::pool::effective_threads(requested, usize::from(servers))
+}
+
 /// The shard plan [`SimOptions::threads`] asks for over `meta`'s fleet.
-pub(crate) fn plan_for(meta: &ReplayMeta, options: &SimOptions) -> ShardPlan {
-    let threads = crate::pool::effective_threads(options.threads, meta.server_count() as usize);
-    ShardPlan::balanced(meta.request_load(), threads)
+pub(crate) fn plan_for(meta: &ReplayMeta, options: &SimOptions, site: ReplaySite) -> ShardPlan {
+    let shards = shard_count(options.threads, meta.server_count(), site);
+    ShardPlan::balanced(meta.request_load(), shards)
 }
 
 /// Runs one replay over independently opened sources: every shard worker
 /// calls `open()` for its own source and pulls its own window sequence (a
 /// window borrows its source and a [`SharedObserver`] is single-threaded,
 /// so sharing one source across workers is neither possible nor wanted).
-/// One shard runs inline on the calling thread. Inputs must already be
-/// validated against `meta`.
+/// The calling thread runs shard 0. Inputs must already be validated
+/// against `meta`.
 pub(crate) fn run_shards<S, O>(
     meta: &ReplayMeta,
     open: impl Fn() -> S + Sync,
     costs: &FetchCosts,
     options: &SimOptions,
+    site: ReplaySite,
     sink: &TraceSink,
 ) -> (SimResult, O)
 where
@@ -232,7 +277,7 @@ where
     if sink.is_enabled() {
         crate::pool::spans::set_phase("replay.shard");
     }
-    let plan = plan_for(meta, options);
+    let plan = plan_for(meta, options, site);
     let outputs = parallel_indexed(plan.shards(), plan.shards(), |k| {
         let mut source = open();
         debug_assert_eq!(source.meta(), meta, "per-shard source disagrees on meta");
@@ -301,6 +346,33 @@ mod tests {
         for k in 0..4 {
             let (s, e) = plan.range(k);
             assert_eq!(e - s, 2);
+        }
+    }
+
+    #[test]
+    fn auto_resolves_by_site_and_explicit_counts_are_kept() {
+        use ReplaySite::{Compiled, GridCell, Streamed};
+        let cores = crate::pool::effective_threads(0, usize::MAX);
+        // (threads, servers, site, shards)
+        let table = [
+            (0, 100, Compiled, cores.min(100)),
+            (0, 1, Compiled, 1),
+            (0, 100, Streamed, 1),
+            (0, 100, GridCell, 1),
+            (1, 100, Compiled, 1),
+            (2, 100, Compiled, 2),
+            (2, 100, Streamed, 2),
+            (2, 100, GridCell, 2),
+            (5, 100, Streamed, 5),
+            (5, 3, GridCell, 3),
+            (4, 0, Compiled, 1),
+        ];
+        for (threads, servers, site, shards) in table {
+            assert_eq!(
+                shard_count(threads, servers, site),
+                shards,
+                "{threads} threads, {servers} servers, {site:?}"
+            );
         }
     }
 

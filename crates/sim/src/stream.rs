@@ -80,7 +80,7 @@ use pscd_workload::{
 use crate::pool::parallel_chunked;
 use crate::resolve::{MatchBuffers, Matching, VersionHeads};
 use crate::runner::{validate_meta, SimOptions};
-use crate::shard::run_shards;
+use crate::shard::{run_shards, ReplaySite};
 use crate::trace::{merge_timeline, CompiledEventKind, CompiledTrace};
 use crate::window::{OwnedWindow, ReplayMeta, ReplaySource, TraceWindow};
 use crate::{SimError, SimResult};
@@ -620,13 +620,14 @@ impl ReplaySource for StreamingWindows<'_> {
 
 /// [`simulate_compiled`](crate::simulate_compiled) without the compiled
 /// trace: replays a [`StreamingTrace`] window by window in O(window +
-/// live tail) peak memory. With [`SimOptions::threads`] beyond one the run shards along
-/// the proxy axis like the materialized path — each shard worker opens
-/// its own window pass (drawing the stream once per shard, holding one
-/// window and one tail each). Results are bit-identical to the materialized replay at
-/// every window size and thread count; the streamed rows of
-/// `crates/spec/tests/variants.rs` check both against the spec. This is
-/// the serial reference arm — see
+/// live tail) peak memory. Auto threads (the default) take one shard (see
+/// [`shard_count`](crate::shard_count)); an explicit count beyond one
+/// shards along the proxy axis like the materialized path — each shard
+/// worker opens its own window pass (drawing the stream once per shard,
+/// holding one window and one tail each). Results are bit-identical to
+/// the materialized replay at every window size and thread count; the
+/// streamed rows of `crates/spec/tests/variants.rs` check both against
+/// the spec. This is the serial reference arm — see
 /// [`simulate_streamed_prefetched_traced`](crate::simulate_streamed_prefetched_traced)
 /// for the pipelined path that overlaps generation with replay and shares
 /// one prefetcher across shards.
@@ -643,7 +644,8 @@ pub fn simulate_streamed(
     validate_meta(trace.meta(), costs, options)?;
     let open = || trace.open();
     let sink = TraceSink::disabled();
-    Ok(run_shards::<_, NullObserver>(trace.meta(), open, costs, options, &sink).0)
+    let site = ReplaySite::Streamed;
+    Ok(run_shards::<_, NullObserver>(trace.meta(), open, costs, options, site, &sink).0)
 }
 
 #[cfg(test)]

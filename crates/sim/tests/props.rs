@@ -66,7 +66,7 @@ proptest! {
         threads in select(vec![2usize, 3, 4]),
     ) {
         let (costs, trace) = fixture();
-        let options = SimOptions::at_capacity(kind, capacity);
+        let options = SimOptions::at_capacity(kind, capacity).with_threads(1);
         let sequential = simulate_compiled(trace, costs, &options).unwrap();
         let sharded = simulate_compiled(trace, costs, &options.with_threads(threads)).unwrap();
         // Bit-identical to the sequential run...

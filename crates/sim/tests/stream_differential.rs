@@ -74,6 +74,7 @@ fn crash_exactly_at_a_window_seam_is_seam_safe() {
     ] {
         for fraction in [0.5, 1.0] {
             let options = SimOptions::at_capacity(StrategyKind::Sg2 { beta: 2.0 }, 0.05)
+                .with_threads(1)
                 .with_crash(CrashPlan {
                     time: crash_at,
                     fraction,
@@ -196,6 +197,7 @@ fn pipelined_crash_exactly_at_a_window_seam_is_seam_safe() {
         let prefetch = PrefetchOptions::new(depth);
         for crash_at in [SimTime::from_days(2), SimTime::from_hours(53)] {
             let options = SimOptions::at_capacity(StrategyKind::Sg2 { beta: 2.0 }, 0.05)
+                .with_threads(1)
                 .with_crash(CrashPlan {
                     time: crash_at,
                     fraction: 1.0,

@@ -112,7 +112,7 @@ fn assert_rows(variant: &str, run: impl Fn(&SimOptions) -> Option<SimResult>) {
 fn sequential_replay_equals_the_spec() {
     let f = fixture();
     assert_rows("sequential", |o| {
-        Some(simulate_compiled(&f.trace, &f.costs, o).unwrap())
+        Some(simulate_compiled(&f.trace, &f.costs, &o.with_threads(1)).unwrap())
     });
 }
 
@@ -167,6 +167,23 @@ fn prefetched_replay_equals_the_spec() {
             },
         );
     }
+}
+
+/// Prefetched and traced at the default (auto) thread count: a streamed
+/// source takes one shard, so the sink records exactly one shard track.
+#[test]
+fn prefetched_default_threads_replay_on_one_shard() {
+    let f = fixture();
+    let stream = streaming(SimTime::from_hours(7));
+    let prefetch = PrefetchOptions::new(2);
+    assert_rows("prefetched, traced, default threads", |o| {
+        let sink = TraceSink::enabled();
+        let run = simulate_streamed_prefetched_traced(&stream, &f.costs, o, &prefetch, &sink);
+        let log = sink.drain();
+        let tracks = log.tracks().iter().filter(|t| t.name.starts_with("shard "));
+        assert_eq!(tracks.count(), 1, "auto threads on a streamed source");
+        Some(run.unwrap())
+    });
 }
 
 /// Traced on three shards: the sink also records one track per shard and
