@@ -19,8 +19,9 @@
 //! [`CompiledTrace`] — the trace-wide [`ReplayMeta`] plus one
 //! [`OwnedWindow`] spanning the timeline — and replays it by reference as
 //! one window ([`simulate_compiled`]); the streaming source ([`StreamingTrace`])
-//! generates and compiles each time-window lazily from the workload
-//! config, so peak memory is bounded by the window, not the trace
+//! generates and compiles each slice (at most one window long, at most a
+//! budget of drawn events) lazily from the workload config, so peak
+//! memory is bounded by the slice, not the trace
 //! ([`simulate_streamed`]), and the pipelined variant
 //! ([`simulate_streamed_prefetched_traced`]) overlaps that lazy compile
 //! with replay through a bounded compile-ahead prefetcher. All three
@@ -32,7 +33,7 @@
 //! | source | windows | whole run | observed / stepped |
 //! |---|---|---|---|
 //! | [`CompiledTrace`] | one, [`CompiledTrace::full_window`] | [`simulate_compiled`] | [`simulate_observed_sharded`], [`Simulation::from_compiled`], [`Simulation::from_compiled_observed`] |
-//! | [`StreamingTrace`], serial | one per time-window, into one reused [`OwnedWindow`] | [`simulate_streamed`] | — |
+//! | [`StreamingTrace`], serial | one per slice, into one reused [`OwnedWindow`] | [`simulate_streamed`] | — |
 //! | [`StreamingTrace`], prefetched | [`OwnedWindow`]s compiled ahead on a producer thread | [`simulate_streamed_prefetched_traced`] | — |
 //!
 //! Threads are [`SimOptions::threads`] (auto by default, resolved per

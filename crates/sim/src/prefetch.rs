@@ -1,44 +1,47 @@
 //! Pipelined streaming replay: a compile-ahead prefetcher that overlaps
-//! window generation + compilation with replay.
+//! slice generation + compilation with replay.
 //!
 //! The serial pass ([`StreamingTrace::open`]) interleaves two very
-//! different workloads on one thread: generating and compiling window
+//! different workloads on one thread: generating and compiling slice
 //! `N` (cold-path work — RNG substreams, sorting, fan-out resolution) and
 //! replaying it (hot-loop work — cache decisions per event). This module
 //! splits them: a **producer** runs on a dedicated `pscd-pool` pipeline
 //! thread ([`pool::producer_consumers`](crate::pool::producer_consumers)),
-//! generating and compiling up to `prefetch_depth` windows ahead, while
-//! one or more **consumers** (the replay shards) pull finished windows as
-//! [`Arc<OwnedWindow>`] handles through a bounded [`WindowQueue`].
+//! generating and compiling up to `prefetch_depth` slices ahead, while
+//! one or more **consumers** (the replay shards) pull finished slices as
+//! [`Arc<OwnedWindow>`] handles through a bounded [`WindowQueue`]. A
+//! slice (see [`crate::stream`]) is bounded by a budget of drawn events
+//! as well as by the configured window, so no hand-over keeps the
+//! consumer waiting for a whole burst's generation.
 //!
 //! Two structural decisions carry the determinism proof:
 //!
 //! * **One producer owns all carried state.** The [`WindowState`] —
 //!   version heads, publish cursor/ordinal, event index — advances
-//!   strictly in window order on the producer thread, through the same
+//!   strictly in slice order on the producer thread, through the same
 //!   `StreamingTrace::gather_batch` +
 //!   [`StreamingTrace::compile_window_into`] pair the serial pass uses
 //!   (which is the batch of one). Consumers never touch it; overlap
 //!   changes *when* a window is compiled, never *from what*.
 //! * **Batched generation scatters, it does not reorder.** A pass draws
 //!   each page once, in the batch holding its first request, and scatters
-//!   the events to their windows — this batch's buckets, or the pending
+//!   the events to their slices — this batch's buckets, or the pending
 //!   tail until a later batch takes them. The `(time, page)` sort in
 //!   `compile_window_into` makes the draw order irrelevant, so ties land
 //!   as in the serial pass and the monolithic compiler at every depth.
 //!
 //! The memory bound stays explicit: the producer may run at most
-//! `prefetch_depth` windows ahead of the **slowest** consumer, so at most
-//! `prefetch_depth + 1` windows are ever alive (queued + the one each
+//! `prefetch_depth` slices ahead of the **slowest** consumer, so at most
+//! `prefetch_depth + 1` slices are ever alive (queued + the one each
 //! consumer is replaying), beside the producer's pending tail of
-//! already-drawn later requests — O(depth × window + live tail), never
+//! already-drawn later requests — O(depth × slice + live tail), never
 //! O(trace); the tail peaks at 0.13 MB on the `stream_memory` fixture,
 //! under the 0.21 MB its depth-1 queue holds. The queue tracks its own
 //! high-water marks, the producer its tail's ([`PrefetchStats`]), and the
 //! `stream_memory` suite checks a counting allocator against them.
 //!
 //! Sharded replay shares **one** prefetcher: each shard consumes the same
-//! `Arc`ed windows through its own cursor, so the stream is generated
+//! `Arc`ed slices through its own cursor, so the stream is generated
 //! once per run instead of once per worker (the serial sharded path's
 //! price). With a live [`TraceSink`] the producer records a
 //! `prefetch producer` track (`prefetch.generate` / `prefetch.compile`
@@ -58,13 +61,15 @@ use crate::stream::{StreamingTrace, WindowState};
 use crate::window::{OwnedWindow, ReplayMeta, ReplaySource, TraceWindow};
 use crate::{SimError, SimResult};
 
-/// Default compile-ahead depth: one window in flight behind the one being
-/// replayed covers the producer/consumer overlap without holding more
-/// than a couple of windows alive.
+/// Default compile-ahead depth, in slices: one slice in flight behind the
+/// one being replayed covers the producer/consumer overlap while holding
+/// O(depth × slice + live tail), a few slices' buffers beside the tail.
 pub const DEFAULT_PREFETCH_DEPTH: usize = 2;
 
-/// Tuning for the pipelined streaming replay: how many windows the
+/// Tuning for the pipelined streaming replay: how many slices the
 /// prefetcher may generate and compile ahead of the slowest consumer.
+/// Memory is O(depth × slice + live tail): a slice is bounded by a budget
+/// of drawn events, so the bound does not grow with the configured window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PrefetchOptions {
     depth: usize,
@@ -79,7 +84,7 @@ impl Default for PrefetchOptions {
 }
 
 impl PrefetchOptions {
-    /// A prefetcher running at most `depth` windows ahead (clamped to at
+    /// A prefetcher running at most `depth` slices ahead (clamped to at
     /// least 1 — depth 0 would deadlock a bounded pipeline by definition).
     pub fn new(depth: usize) -> Self {
         Self {
@@ -94,22 +99,22 @@ impl PrefetchOptions {
 }
 
 /// High-water marks of one pipelined pass, from the queue's and the
-/// producer's own accounting: what "peak stays O(prefetch_depth × window +
+/// producer's own accounting: what "peak stays O(prefetch_depth × slice +
 /// live tail)" means concretely. The `stream_memory` suite asserts both
 /// these numbers and the allocator agree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PrefetchStats {
-    /// Windows handed over.
+    /// Slices handed over.
     pub windows: usize,
     /// Timeline events across all windows.
     pub events: usize,
-    /// Most windows ever alive at once (queued + still replayable by the
+    /// Most slices ever alive at once (queued + still replayable by the
     /// slowest consumer). Bounded by `depth + 1`.
     pub peak_windows: usize,
     /// Byte high-water of the alive windows' buffers.
     pub peak_bytes: usize,
     /// Byte high-water of the producer's pending tail: requests drawn
-    /// with their page but belonging to windows not yet gathered.
+    /// with their page but belonging to slices not yet gathered.
     pub peak_tail_bytes: usize,
     /// Request events the producer drew; `meta.request_count()` when every
     /// page was drawn exactly once.
@@ -302,8 +307,8 @@ impl Drop for QueueWindows<'_> {
     }
 }
 
-/// The producer loop: gather request batches `depth` windows at a time,
-/// compile each window through the shared
+/// The producer loop: gather request batches `depth` slices at a time,
+/// compile each slice through the shared
 /// [`StreamingTrace::compile_window_into`] core, and push. Runs on its
 /// own pipeline thread; all carried state is local to this function.
 fn produce(trace: &StreamingTrace, queue: &WindowQueue, depth: usize, sink: &TraceSink) {
@@ -313,19 +318,19 @@ fn produce(trace: &StreamingTrace, queue: &WindowQueue, depth: usize, sink: &Tra
     let mut buckets: Vec<Vec<RequestEvent>> = (0..depth).map(|_| Vec::new()).collect();
     loop {
         let span = rec.begin();
-        let Some(windows) = trace.gather_batch(&mut state, &mut buckets) else {
+        let Some(slices) = trace.gather_batch(&mut state, &mut buckets) else {
             break;
         };
         rec.end_with(span, "prefetch.generate", || {
-            format!("windows [{}, {})", windows.start, windows.end)
+            format!("slices [{}, {})", slices.start, slices.end)
         });
-        for (k, bucket) in windows.zip(&mut buckets) {
+        for (k, bucket) in slices.zip(&mut buckets) {
             let span = rec.begin();
             let mut window = OwnedWindow::with_capacity(0, 0);
             trace.compile_window_into(&mut state, bucket, &mut window);
             let n = window.len();
             rec.end_with(span, "prefetch.compile", || {
-                format!("window {k} ({n} events)")
+                format!("slice {k} ({n} events)")
             });
             // Push outside the span: blocked-on-backpressure time shows
             // as a gap in the producer track, not as compile work.

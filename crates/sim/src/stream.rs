@@ -9,13 +9,22 @@
 //! [`StreamingTrace`] exploits that: it keeps only the O(pages) artifacts
 //! resident (page table, publish stream, the [`RequestStream`] draws, the
 //! subscription table, each page's first request instant) and compiles
-//! each time-window of the timeline lazily as the replay loop pulls it,
-//! carrying the cross-window state — per-origin version heads, the global
+//! the timeline one *slice* at a time as the replay loop pulls it,
+//! carrying the cross-slice state — per-origin version heads, the global
 //! publish ordinal, the global event index, the pending tail — explicitly
 //! in [`WindowState`].
 //!
+//! **Slices.** A slice is a time range bounded both by the configured
+//! window and by a fixed budget of drawn events: construction plans the
+//! cut instants once, from each page's first request instant and drawn
+//! count, adding a cut inside a window wherever the pages first
+//! requested since the last cut would draw more than the budget. A flash
+//! crowd thus reaches the replay as several small slices instead of one
+//! window whose generation stalls it, and a slice's buffers stay bounded
+//! whatever the window.
+//!
 //! **Generate once.** A pass draws each page's substream exactly once, in
-//! the batch of windows that contains the page's first request. The
+//! the batch of slices that contains the page's first request. The
 //! events inside the batch go to its buckets; the stragglers beyond it
 //! wait on the *pending tail*, one flat vector, and each later gather
 //! moves the ones that have come due to their buckets. Request times
@@ -23,7 +32,7 @@
 //! because of a few late requests and the tail is a sliver: it peaks at
 //! 7 152 of 156 000 requests (0.13 MB of vector capacity) on the
 //! `stream_memory` fixture at 1 h windows, less than the two compiled
-//! windows a depth-1 queue keeps alive. Peak memory is O(depth × window +
+//! slices a depth-1 queue keeps alive. Peak memory is O(depth × slice +
 //! live tail), not O(trace); the `stream_memory` suite proves it with a
 //! counting allocator.
 //!
@@ -39,29 +48,29 @@
 //!    restores exactly the monolithic order. A scenario [`TimeWarp`] is
 //!    applied per event *before* the sort in both paths, so warping cannot
 //!    reorder ties.
-//! 2. **Publish/request merging is windowable.** Windows cut the timeline
+//! 2. **Publish/request merging is windowable.** Slices cut the timeline
 //!    at instants, so the `publish.time <= request.time` tie-break only
-//!    ever compares events landing in the same window.
+//!    ever compares events landing in the same slice.
 //! 3. **Resolution is per-event or carried.** Fan-outs and subscription
 //!    counts are static table lookups; the only cross-event state,
 //!    the per-origin version heads driving `supersedes`, is carried in
 //!    [`VersionHeads`] across window seams.
 //!
 //! Two pulls on the same machinery exist. The serial pass
-//! ([`StreamingTrace::open`]) gathers one window at a time on the replay
+//! ([`StreamingTrace::open`]) gathers one slice at a time on the replay
 //! thread. The pipelined pass (`crate::prefetch`,
 //! [`simulate_streamed_prefetched_traced`](crate::simulate_streamed_prefetched_traced))
 //! moves generation + compilation to a producer thread that works
-//! `prefetch_depth` windows ahead. Both drive the same `gather_batch` +
+//! `prefetch_depth` slices ahead. Both drive the same `gather_batch` +
 //! [`compile_window_into`](StreamingTrace::compile_window_into) pair over
 //! a [`WindowState`] — the serial pass is the batch of one — so the
-//! per-window gather/merge/resolve logic cannot diverge; what
+//! per-slice gather/merge/resolve logic cannot diverge; what
 //! `prefetch::tests` additionally prove is that a wider batch scatters
 //! the same events.
 //!
 //! The `stream_differential` suite asserts [`StreamingTrace::materialize`]
 //! `==` [`CompiledTrace::compile`] and that crashes and invalidation cross
-//! window seams intact; `crates/spec/tests/variants.rs` checks every
+//! slice seams intact; `crates/spec/tests/variants.rs` checks every
 //! strategy's replay against the spec across window sizes, thread counts
 //! and prefetch depths.
 
@@ -89,8 +98,8 @@ use crate::{SimError, SimResult};
 /// every page has its own substream, so chunking never affects output.
 const SCAN_CHUNK: usize = 256;
 
-/// A replay source that generates and compiles the timeline one
-/// time-window at a time, directly from the workload config.
+/// A replay source that generates and compiles the timeline one slice
+/// at a time, directly from the workload config.
 ///
 /// Construction runs the trace-wide draws ([`RequestStream::prepare`]),
 /// the publish stream, and one counting scan over the pages (request
@@ -125,10 +134,57 @@ pub struct StreamingTrace {
     /// requests, ascending: the order a pass draws pages in, walked by
     /// [`WindowState`]'s cursor.
     draw_order: Vec<(SimTime, u32)>,
-    /// Window length in milliseconds.
-    window_ms: u64,
-    /// Number of windows tiling `[0, horizon)`.
-    window_count: usize,
+    /// Start instant of every slice, ascending from zero (see
+    /// [`plan_cuts`]); the last slice is open-ended.
+    cuts: Vec<SimTime>,
+}
+
+/// Most request events the pages first requested in one slice may draw.
+/// A slice whose first draw instant alone draws more is not split
+/// further: slices cut the timeline at instants.
+const SLICE_DRAWS: u64 = 8_192;
+
+/// Plans a pass's slices over `[0, horizon)`: the start of every
+/// `window` (`0` = the whole horizon) is a cut, and inside a window a cut
+/// goes at the first request instant of the page that would lift the
+/// slice's draws past [`SLICE_DRAWS`].
+fn plan_cuts(
+    draw_order: &[(SimTime, u32)],
+    stream: &RequestStream,
+    window: SimTime,
+    horizon: SimTime,
+) -> Vec<SimTime> {
+    let horizon_ms = horizon.as_millis().max(1);
+    let window_ms = match window.as_millis() {
+        0 => horizon_ms,
+        ms => ms,
+    };
+    let windows = horizon_ms.div_ceil(window_ms);
+    let window_start = |k: u64| SimTime::from_millis(window_ms * k);
+    let mut cuts = vec![SimTime::ZERO];
+    let mut next_window = 1u64;
+    let mut drawn = 0u64;
+    for group in draw_order.chunk_by(|a, b| a.0 == b.0) {
+        let at = group[0].0;
+        while next_window < windows && window_start(next_window) <= at {
+            cuts.push(window_start(next_window));
+            next_window += 1;
+            drawn = 0;
+        }
+        let draws: u64 = group
+            .iter()
+            .map(|&(_, page)| stream.count(page as usize))
+            .sum();
+        // `drawn > 0` means earlier instants since the last cut, so `at`
+        // lies strictly after it.
+        if drawn > 0 && drawn + draws > SLICE_DRAWS {
+            cuts.push(at);
+            drawn = 0;
+        }
+        drawn += draws;
+    }
+    cuts.extend((next_window..windows).map(window_start));
+    cuts
 }
 
 /// One page's contribution to the counting scan.
@@ -142,8 +198,8 @@ struct PageScan {
 
 impl StreamingTrace {
     /// Builds a streaming source for `config` with subscriptions at
-    /// `quality` (coverage 1, like `Workload::subscriptions`), windows of
-    /// length `window` (`0` = one whole-horizon window), on up to
+    /// `quality` (coverage 1, like `Workload::subscriptions`), slices no
+    /// longer than `window` (`0` = the whole horizon), on up to
     /// `threads` pool workers (`0` = auto, `1` = inline). Deterministic in
     /// the config seed at every thread count.
     ///
@@ -193,11 +249,6 @@ impl StreamingTrace {
             });
         }
         let horizon = config.publishing.horizon;
-        let window_ms = match window.as_millis() {
-            0 => horizon.as_millis().max(1),
-            ms => ms,
-        };
-        let window_count = (horizon.as_millis().max(1)).div_ceil(window_ms).max(1) as usize;
 
         let publishing = generate_publishing(&config.publishing, config.seed, threads)?;
         let pages = publishing.pages;
@@ -258,6 +309,7 @@ impl StreamingTrace {
             groups.push((scan.page, scan.servers));
         }
         draw_order.sort_unstable();
+        let cuts = plan_cuts(&draw_order, &stream, window, horizon);
 
         // Same counts, same per-page substreams, same seed derivation as
         // `Workload::subscriptions` — hence the same table.
@@ -290,8 +342,7 @@ impl StreamingTrace {
             subscriptions,
             matcher: None,
             draw_order,
-            window_ms,
-            window_count,
+            cuts,
         })
     }
 
@@ -330,39 +381,36 @@ impl StreamingTrace {
         &self.subscriptions
     }
 
-    /// Number of windows tiling the horizon.
+    /// Number of slices a pass hands over: the configured windows tiling
+    /// the horizon, each split where its pages would draw more than a
+    /// fixed budget of request events.
     pub fn window_count(&self) -> usize {
-        self.window_count
+        self.cuts.len()
     }
 
-    /// The half-open `[t0, t1)` bounds of window `k`. The final window is
+    /// The half-open `[t0, t1)` bounds of slice `k`. The final slice is
     /// open-ended so clamped events at the horizon edge (and any publish
-    /// at it) cannot fall between windows.
+    /// at it) cannot fall between slices.
     fn window_bounds(&self, k: usize) -> (SimTime, SimTime) {
-        let t0 = SimTime::from_millis(self.window_ms * k as u64);
-        let t1 = if k + 1 >= self.window_count {
-            SimTime::from_millis(u64::MAX)
-        } else {
-            SimTime::from_millis(self.window_ms * (k as u64 + 1))
-        };
-        (t0, t1)
+        let t1 = self.cuts.get(k + 1).copied();
+        (self.cuts[k], t1.unwrap_or(SimTime::from_millis(u64::MAX)))
     }
 
-    /// Gathers the requests of the next `buckets.len()` windows (fewer at
+    /// Gathers the requests of the next `buckets.len()` slices (fewer at
     /// the end of the horizon) into `buckets`, unsorted. The pending tail's
     /// events that have come due move to their buckets; then every page
     /// whose first request falls before the end of the batch is drawn —
     /// the one time this pass draws it — and its warped events are
     /// scattered: those of the batch into `buckets`, the later ones onto
-    /// the tail. Returns the gathered window range, or `None` past the
-    /// last window. The serial pass is the batch of one.
+    /// the tail. Returns the gathered slice range, or `None` past the
+    /// last slice. The serial pass is the batch of one.
     pub(crate) fn gather_batch(
         &self,
         state: &mut WindowState,
         buckets: &mut [Vec<RequestEvent>],
     ) -> Option<Range<usize>> {
         let first = state.next_window;
-        let end = (first + buckets.len()).min(self.window_count);
+        let end = (first + buckets.len()).min(self.cuts.len());
         if first >= end {
             return None;
         }
@@ -372,11 +420,12 @@ impl StreamingTrace {
         let (_, t_end) = self.window_bounds(end - 1);
         // Earlier batches drew every page that starts before this one and
         // took every event before it, so an event before `t_end` lands in
-        // `first..end`; the clamp folds the open-ended final window back
-        // onto its bucket.
+        // `first..end`: its bucket is the number of the batch's later cuts
+        // at or before it (the open-ended final slice takes the rest).
+        let inner_cuts = &self.cuts[first + 1..end];
         let mut place = |ev: RequestEvent| {
-            let w = ((ev.time.as_millis() / self.window_ms) as usize).min(end - 1);
-            buckets[w - first].push(ev);
+            let w = inner_cuts.partition_point(|&cut| cut <= ev.time);
+            buckets[w].push(ev);
         };
         state.tail.retain(|ev| {
             let due = ev.time < t_end;
@@ -432,7 +481,7 @@ impl StreamingTrace {
         window: &mut OwnedWindow,
     ) {
         let k = state.next_window;
-        debug_assert!(k < self.window_count, "compile past the last window");
+        debug_assert!(k < self.cuts.len(), "compile past the last slice");
         state.next_window += 1;
         count!(Counter::WindowsCompiled, 1);
         let (_t0, t1) = self.window_bounds(k);
@@ -483,11 +532,10 @@ impl StreamingTrace {
         state.start_index += window.events.len();
     }
 
-    /// Starts a serial window pass: a [`ReplaySource`] yielding the
-    /// timeline in `window`-long slices. Each open pass draws the request
-    /// events window by window (reusing its buffers), carrying version
-    /// heads, publish ordinals, event indices and the pending tail across
-    /// seams.
+    /// Starts a serial pass: a [`ReplaySource`] yielding the timeline
+    /// slice by slice. Each open pass draws the request events slice by
+    /// slice (reusing its buffers), carrying version heads, publish
+    /// ordinals, event indices and the pending tail across seams.
     /// Multiple passes can be open concurrently — the trace itself is
     /// immutable — which is what lets shard workers each pull their own
     /// sequence.
@@ -500,8 +548,8 @@ impl StreamingTrace {
         }
     }
 
-    /// Rebuilds the monolithic [`CompiledTrace`] by draining one window
-    /// pass and concatenating (rebasing each window's local CSR onto the
+    /// Rebuilds the monolithic [`CompiledTrace`] by draining one pass and
+    /// concatenating (rebasing each slice's local CSR onto the
     /// global pair table). The result is `==` to
     /// [`CompiledTrace::compile`] on the materialized workload — the
     /// differential proof, and the bridge for consumers that want to
@@ -587,9 +635,9 @@ pub struct StreamingWindows<'a> {
 }
 
 impl StreamingWindows<'_> {
-    /// Bytes currently held in the reusable window buffers, the page
+    /// Bytes currently held in the reusable slice buffers, the page
     /// draw's buffers and the pending tail — what "peak memory is
-    /// O(window + live tail)" means concretely; the `stream_memory` suite
+    /// O(slice + live tail)" means concretely; the `stream_memory` suite
     /// checks the allocator against it.
     pub fn buffer_bytes(&self) -> usize {
         self.window.bytes()
@@ -619,12 +667,12 @@ impl ReplaySource for StreamingWindows<'_> {
 }
 
 /// [`simulate_compiled`](crate::simulate_compiled) without the compiled
-/// trace: replays a [`StreamingTrace`] window by window in O(window +
-/// live tail) peak memory. Auto threads (the default) take one shard (see
+/// trace: replays a [`StreamingTrace`] slice by slice in O(slice + live
+/// tail) peak memory. Auto threads (the default) take one shard (see
 /// [`shard_count`](crate::shard_count)); an explicit count beyond one
 /// shards along the proxy axis like the materialized path — each shard
-/// worker opens its own window pass (drawing the stream once per shard,
-/// holding one window and one tail each). Results are bit-identical to
+/// worker opens its own pass (drawing the stream once per shard,
+/// holding one slice and one tail each). Results are bit-identical to
 /// the materialized replay at every window size and thread count; the
 /// streamed rows of `crates/spec/tests/variants.rs` check both against
 /// the spec. This is the serial reference arm — see
@@ -730,6 +778,65 @@ mod tests {
         let stream =
             StreamingTrace::from_scenario(&scenario, 1.0, SimTime::from_hours(6), 0).unwrap();
         assert_eq!(stream.materialize(), reference);
+    }
+
+    /// The news baseline with one sharp flash crowd on day 2: at 24 h
+    /// windows the crowd's day draws more than [`SLICE_DRAWS`] events.
+    /// `stream_differential::a_sliced_flash_crowd_replays_like_the_spec`
+    /// replays the same scenario.
+    fn sliced_scenario() -> ScenarioConfig {
+        ScenarioConfig {
+            name: "sliced-crowd".to_owned(),
+            seed: 7,
+            scale: 0.05,
+            flash_crowds: vec![pscd_workload::FlashCrowd {
+                start_hour: 30.0,
+                duration_hours: 3.0,
+                boost: 400.0,
+            }],
+            ..ScenarioConfig::flash_crowds()
+        }
+    }
+
+    #[test]
+    fn a_flash_crowd_is_sliced_within_the_budget() {
+        let scenario = sliced_scenario();
+        let window = SimTime::from_hours(24);
+        let stream = StreamingTrace::from_scenario(&scenario, 1.0, window, 1).unwrap();
+        let days = scenario.horizon_days as usize;
+        assert!(
+            stream.window_count() > days,
+            "no window split: {} slices",
+            stream.window_count()
+        );
+        assert!(stream.cuts.windows(2).all(|c| c[0] < c[1]));
+        let mut window_starts = (0..days as u64).map(SimTime::from_days);
+        assert!(window_starts.all(|t| stream.cuts.contains(&t)));
+
+        // A slice draws at most the budget, unless its pages all share one
+        // first instant (a cut can only fall between instants).
+        let mut slices: Vec<Vec<(SimTime, u64)>> = vec![Vec::new(); stream.window_count()];
+        for &(first, page) in &stream.draw_order {
+            let k = stream.cuts.partition_point(|&cut| cut <= first) - 1;
+            slices[k].push((first, stream.stream.count(page as usize)));
+        }
+        for (k, pages) in slices.iter().enumerate() {
+            let draws: u64 = pages.iter().map(|&(_, n)| n).sum();
+            let one_instant = pages.iter().all(|&(t, _)| t == pages[0].0);
+            assert!(
+                draws <= SLICE_DRAWS || one_instant,
+                "slice {k} draws {draws} events over several instants"
+            );
+        }
+
+        // Slicing changes no event: the replays are compared with the spec
+        // in `stream_differential`.
+        let w = scenario.build(1).unwrap();
+        let subs = w.subscriptions(1.0).unwrap();
+        assert_eq!(
+            stream.materialize(),
+            CompiledTrace::compile(&w, &subs).unwrap()
+        );
     }
 
     #[test]

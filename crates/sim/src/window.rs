@@ -8,7 +8,7 @@
 //! [`CompiledTrace`](crate::CompiledTrace) is the materialized source: one
 //! [`OwnedWindow`] spanning the whole timeline, served as one window;
 //! [`StreamingTrace`](crate::StreamingTrace) generates and compiles each
-//! window on demand so peak memory is O(window), not O(trace), either on
+//! slice on demand so peak memory is O(slice), not O(trace), either on
 //! the replay thread or ahead of it through the prefetch queue. The
 //! variant table (`crates/spec/tests/variants.rs`) replays all three to
 //! the spec's result.

@@ -17,9 +17,10 @@ use pscd_sim::{
     simulate_compiled, simulate_streamed, simulate_streamed_prefetched_traced, CompiledEventKind,
     CompiledTrace, CrashPlan, PrefetchOptions, ReplaySource, SimOptions, StreamingTrace,
 };
+use pscd_spec::{spec_replay, SpecInput};
 use pscd_topology::FetchCosts;
 use pscd_types::{RequestEvent, SimTime};
-use pscd_workload::{ScenarioConfig, Workload, WorkloadConfig};
+use pscd_workload::{FlashCrowd, ScenarioConfig, Workload, WorkloadConfig};
 
 fn config() -> WorkloadConfig {
     WorkloadConfig::news_scaled(0.004)
@@ -344,6 +345,57 @@ fn slow_decay_tail_heavy_stream_is_bit_identical() {
             )
             .unwrap();
             assert_eq!(compiled, pipelined, "3 shards, depth = {depth}");
+        }
+    }
+}
+
+/// A flash crowd that lifts one 24 h window's draws past the slice budget
+/// (the same scenario as `stream::tests::sliced_scenario`, whose unit test
+/// checks the budget): the serial streamed replay equals the spec, and the
+/// prefetched replay at depths 1–3 on one and two shards equals both.
+#[test]
+fn a_sliced_flash_crowd_replays_like_the_spec() {
+    let scenario = ScenarioConfig {
+        name: "sliced-crowd".to_owned(),
+        seed: 7,
+        scale: 0.05,
+        flash_crowds: vec![FlashCrowd {
+            start_hour: 30.0,
+            duration_hours: 3.0,
+            boost: 400.0,
+        }],
+        ..ScenarioConfig::flash_crowds()
+    };
+    let stream = StreamingTrace::from_scenario(&scenario, 1.0, SimTime::from_hours(24), 1).unwrap();
+    let days = scenario.horizon_days as usize;
+    assert!(stream.window_count() > days, "no 24 h window was sliced");
+
+    let w = scenario.build(1).unwrap();
+    let subs = w.subscriptions(1.0).unwrap();
+    let costs = FetchCosts::uniform(w.server_count());
+    let input = SpecInput::from_workload(&w, &subs, &costs);
+    for kind in [StrategyKind::Sub, StrategyKind::GdStar { beta: 2.0 }] {
+        let options = SimOptions::at_capacity(kind, 0.05).with_invalidation();
+        let serial = simulate_streamed(&stream, &costs, &options).unwrap();
+        assert_eq!(
+            serial,
+            spec_replay(&input, &options).result,
+            "{}",
+            kind.name()
+        );
+        for depth in 1..=3 {
+            for threads in 1..=2 {
+                let pipelined = simulate_streamed_prefetched_traced(
+                    &stream,
+                    &costs,
+                    &options.with_threads(threads),
+                    &PrefetchOptions::new(depth),
+                    &TraceSink::disabled(),
+                )
+                .unwrap();
+                let at = format!("{}, depth {depth}, {threads} shards", kind.name());
+                assert_eq!(pipelined, serial, "{at}");
+            }
         }
     }
 }

@@ -91,7 +91,8 @@ counters! {
     Matches => "matches",
     /// Conjunction candidates whose residuals a match verified.
     CandidatesVerified => "candidates_verified",
-    /// Time-windows a streaming pass compiled.
+    /// Slices a streaming pass compiled (a window splits into several
+    /// where its pages draw more than the slice budget).
     WindowsCompiled => "windows_compiled",
     /// Pages whose request events the generator drew.
     PagesDrawn => "pages_drawn",
