@@ -425,7 +425,6 @@ impl StreamingTrace {
 mod tests {
     use super::*;
     use crate::trace::CompiledTrace;
-    use pscd_core::StrategyKind;
     use pscd_spec::within_a_minute;
     use pscd_types::SimTime;
     use pscd_workload::{Workload, WorkloadConfig};
@@ -490,67 +489,6 @@ mod tests {
             let stream = StreamingTrace::new(&config, 1.0, window, 1).unwrap();
             assert_prefetched_windows_concatenate_to(&stream, &reference);
         }
-    }
-
-    #[test]
-    fn queue_bounds_alive_windows_by_depth_plus_one() {
-        let stream = StreamingTrace::new(&config(), 1.0, SimTime::from_hours(6), 1).unwrap();
-        assert!(stream.window_count() >= 8, "need enough windows to matter");
-        for depth in [1, 2, 4] {
-            let stats = stream.drain_prefetched(&PrefetchOptions::new(depth));
-            assert_eq!(stats.windows, stream.window_count());
-            assert_eq!(stats.events, stream.meta().len());
-            assert!(
-                stats.peak_windows <= depth + 1,
-                "depth {depth}: {} windows alive",
-                stats.peak_windows
-            );
-            assert!(stats.peak_bytes > 0);
-        }
-    }
-
-    #[test]
-    fn traced_run_records_producer_and_consumer_tracks() {
-        let stream = StreamingTrace::new(&config(), 1.0, SimTime::from_hours(24), 1).unwrap();
-        let costs = FetchCosts::uniform(stream.meta().server_count());
-        let options = SimOptions::at_capacity(StrategyKind::Lru, 0.05).with_threads(2);
-        let sink = TraceSink::enabled();
-        let traced = simulate_streamed_prefetched_traced(
-            &stream,
-            &costs,
-            &options,
-            &PrefetchOptions::default(),
-            &sink,
-        )
-        .unwrap();
-        let plain = simulate_streamed_prefetched_traced(
-            &stream,
-            &costs,
-            &options,
-            &PrefetchOptions::default(),
-            &TraceSink::disabled(),
-        )
-        .unwrap();
-        assert_eq!(traced, plain, "tracing must not perturb results");
-        let log = sink.drain();
-        let names: Vec<&str> = log.tracks().iter().map(|t| t.name.as_str()).collect();
-        assert!(
-            names.contains(&"prefetch producer"),
-            "producer track missing from {names:?}"
-        );
-        assert!(
-            names.iter().any(|n| n.starts_with("shard ")),
-            "consumer tracks missing from {names:?}"
-        );
-        let producer = log
-            .tracks()
-            .iter()
-            .find(|t| t.name == "prefetch producer")
-            .expect("checked above");
-        assert!(producer
-            .events
-            .iter()
-            .any(|e| e.label == "prefetch.compile"));
     }
 
     fn empty_window() -> OwnedWindow {

@@ -204,8 +204,8 @@ pub fn simulate_compiled(
 /// per-chunk replay spans (export with
 /// [`render_chrome_trace`](pscd_obs::render_chrome_trace)). A disabled
 /// sink makes the workers run the uninstrumented loop, so totals are
-/// bit-identical with tracing on or off (proved by the
-/// `trace_differential` suite).
+/// bit-identical with tracing on or off (proved by
+/// `crates/sim/tests/differential.rs` and the variant table's traced row).
 ///
 /// # Errors
 ///
@@ -878,58 +878,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn all_strategies_complete_and_account_consistently() {
-        let (w, trace, costs) = tiny();
-        for kind in pscd_spec::LINEUP {
-            let r =
-                simulate_compiled(&trace, &costs, &SimOptions::at_capacity(kind, 0.05)).unwrap();
-            assert_eq!(r.requests, w.requests().len() as u64, "{}", r.strategy);
-            assert!(r.hits <= r.requests);
-            // Every miss fetches exactly one page.
-            assert_eq!(r.traffic.fetched_pages, r.requests - r.hits);
-            // Hourly series sums match totals.
-            assert_eq!(r.hourly.requests.iter().sum::<u64>(), r.requests);
-            assert_eq!(r.hourly.hits.iter().sum::<u64>(), r.hits);
-            assert_eq!(
-                r.hourly.pushed_pages.iter().sum::<u64>(),
-                r.traffic.pushed_pages
-            );
-        }
-    }
-
-    /// One shared trace replayed by every entry point equals a trace
-    /// compiled inside the test and replayed once.
-    #[test]
-    fn a_shared_trace_replays_like_a_fresh_compile() {
-        let (w, trace, costs) = tiny();
-        let fresh = CompiledTrace::compile(&w, &w.subscriptions(1.0).unwrap()).unwrap();
-        for kind in [StrategyKind::Sub, StrategyKind::Sg2 { beta: 2.0 }] {
-            let opt = SimOptions::at_capacity(kind, 0.05);
-            let expected = simulate_compiled(&fresh, &costs, &opt).unwrap();
-            assert_eq!(simulate_compiled(&trace, &costs, &opt).unwrap(), expected);
-            let stepped = Simulation::from_compiled(&trace, &costs, &opt).unwrap();
-            assert_eq!(stepped.run(), expected);
-        }
-        // Compiled-path validation still rejects bad inputs.
-        assert!(matches!(
-            simulate_compiled(
-                &trace,
-                &FetchCosts::uniform(3),
-                &SimOptions::at_capacity(StrategyKind::Sub, 0.05)
-            ),
-            Err(SimError::MismatchedCosts { .. })
-        ));
-        assert!(matches!(
-            simulate_compiled(
-                &trace,
-                &costs,
-                &SimOptions::at_capacity(StrategyKind::Sub, 0.0)
-            ),
-            Err(SimError::InvalidOption { .. })
-        ));
-    }
-
     /// Regression: these reached a constructor `assert!` and panicked —
     /// on a shard worker when `threads > 1`.
     #[test]
@@ -1006,73 +954,15 @@ mod tests {
     }
 
     #[test]
-    fn subscription_strategies_beat_gdstar_on_perfect_subscriptions() {
-        let (_, trace, costs) = tiny();
-        let gd = simulate_compiled(
-            &trace,
-            &costs,
-            &SimOptions::at_capacity(StrategyKind::GdStar { beta: 2.0 }, 0.05),
-        )
-        .unwrap();
-        let sg2 = simulate_compiled(
-            &trace,
-            &costs,
-            &SimOptions::at_capacity(StrategyKind::Sg2 { beta: 2.0 }, 0.05),
-        )
-        .unwrap();
-        assert!(
-            sg2.hit_ratio() > gd.hit_ratio(),
-            "SG2 {} <= GD* {}",
-            sg2.hit_ratio(),
-            gd.hit_ratio()
-        );
-    }
-
-    #[test]
-    fn access_only_strategy_has_no_push_traffic() {
-        let (_, trace, costs) = tiny();
-        let r = simulate_compiled(
-            &trace,
-            &costs,
-            &SimOptions::at_capacity(StrategyKind::GdStar { beta: 2.0 }, 0.05),
-        )
-        .unwrap();
-        assert_eq!(r.traffic.pushed_pages, 0);
-        assert!(r.traffic.fetched_pages > 0);
-    }
-
-    #[test]
-    fn when_necessary_never_pushes_more_than_always() {
-        let (_, trace, costs) = tiny();
-        let mk = |scheme| SimOptions {
-            strategy: StrategyKind::Sub,
-            capacity_fraction: 0.05,
-            scheme,
-            crash: None,
-            invalidate_stale: false,
-            threads: 1,
-        };
-        let always = simulate_compiled(&trace, &costs, &mk(PushScheme::Always)).unwrap();
-        let necessary = simulate_compiled(&trace, &costs, &mk(PushScheme::WhenNecessary)).unwrap();
-        assert!(necessary.traffic.pushed_pages <= always.traffic.pushed_pages);
-        assert!(necessary.traffic.pushed_pages > 0);
-    }
-
-    #[test]
-    fn deterministic_runs() {
-        let (_, trace, costs) = tiny();
-        let opt = SimOptions::at_capacity(StrategyKind::dc_lap(2.0), 0.05);
-        let a = simulate_compiled(&trace, &costs, &opt).unwrap();
-        let b = simulate_compiled(&trace, &costs, &opt).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn invalid_inputs_rejected() {
         let (w, trace, costs) = tiny();
         let opt = SimOptions::at_capacity(StrategyKind::Sub, 0.05);
         assert!(matches!(
             Simulation::from_compiled(&trace, &FetchCosts::uniform(3), &opt),
+            Err(SimError::MismatchedCosts { .. })
+        ));
+        assert!(matches!(
+            simulate_compiled(&trace, &FetchCosts::uniform(3), &opt),
             Err(SimError::MismatchedCosts { .. })
         ));
         let bad_opt = SimOptions::at_capacity(StrategyKind::Sub, 0.0);
@@ -1089,7 +979,7 @@ mod tests {
 
     #[test]
     fn invalidation_costs_hits_and_reports_events() {
-        let (_, trace, costs) = tiny();
+        let (w, trace, costs) = tiny();
         let base = SimOptions::at_capacity(StrategyKind::Sg2 { beta: 2.0 }, 0.10);
         let clean = simulate_compiled(&trace, &costs, &base).unwrap();
         let strict = simulate_compiled(&trace, &costs, &base.with_invalidation()).unwrap();
@@ -1101,51 +991,32 @@ mod tests {
             clean.hits
         );
         assert_eq!(strict.requests, clean.requests);
-        // The stepping API reports the invalidations.
+        // The stepping API reports every event, invalidations included,
+        // and ends at the batch run's result.
         let mut sim = Simulation::from_compiled(&trace, &costs, &base.with_invalidation()).unwrap();
-        let mut invalidations = 0;
-        while let Some(ev) = sim.step() {
-            if let StepEvent::Invalidated { proxies, .. } = ev {
-                assert!(proxies > 0);
-                invalidations += 1;
-            }
-        }
-        assert!(invalidations > 0, "expected some stale drops");
-        assert_eq!(sim.finish(), strict);
-        // Determinism.
-        let again = simulate_compiled(&trace, &costs, &base.with_invalidation()).unwrap();
-        assert_eq!(strict, again);
-    }
-
-    #[test]
-    fn stepping_api_matches_batch_run() {
-        let (w, trace, costs) = tiny();
-        let opt = SimOptions::at_capacity(StrategyKind::Sg2 { beta: 2.0 }, 0.05);
-        let batch = simulate_compiled(&trace, &costs, &opt).unwrap();
-        let mut sim = Simulation::from_compiled(&trace, &costs, &opt).unwrap();
-        let mut published = 0u64;
-        let mut requested = 0u64;
-        let mut hits = 0u64;
+        let (mut published, mut requested, mut hits, mut invalidations) = (0, 0, 0, 0);
         while let Some(ev) = sim.step() {
             match ev {
                 StepEvent::Published { .. } => published += 1,
                 StepEvent::Requested { hit, .. } => {
                     requested += 1;
-                    if hit {
-                        hits += 1;
-                    }
+                    hits += u64::from(hit);
+                }
+                StepEvent::Invalidated { proxies, .. } => {
+                    assert!(proxies > 0);
+                    invalidations += 1;
                 }
                 StepEvent::Crashed { .. } => unreachable!("no crash planned"),
-                StepEvent::Invalidated { .. } => {
-                    unreachable!("invalidation not enabled")
-                }
             }
         }
-        assert_eq!(published, w.publishing().len() as u64);
-        assert_eq!(requested, w.requests().len() as u64);
-        let stepped = sim.finish();
-        assert_eq!(stepped, batch);
-        assert_eq!(hits, batch.hits);
+        assert!(invalidations > 0, "expected some stale drops");
+        assert_eq!(published, w.publishing().len());
+        assert_eq!(requested, w.requests().len());
+        assert_eq!(hits, strict.hits);
+        assert_eq!(sim.finish(), strict);
+        // Determinism.
+        let again = simulate_compiled(&trace, &costs, &base.with_invalidation()).unwrap();
+        assert_eq!(strict, again);
     }
 
     #[test]

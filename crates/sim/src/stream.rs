@@ -706,69 +706,6 @@ mod tests {
         WorkloadConfig::news_scaled(0.004)
     }
 
-    fn monolithic(config: &WorkloadConfig, quality: f64) -> CompiledTrace {
-        let w = Workload::generate(config).unwrap();
-        let subs = w.subscriptions(quality).unwrap();
-        CompiledTrace::compile(&w, &subs).unwrap()
-    }
-
-    #[test]
-    fn materialized_stream_equals_monolithic_compile() {
-        let reference = monolithic(&config(), 1.0);
-        for window in [
-            SimTime::ZERO,
-            SimTime::from_hours(1),
-            SimTime::from_hours(13),
-            SimTime::from_days(2),
-            SimTime::from_days(30),
-        ] {
-            let stream = StreamingTrace::new(&config(), 1.0, window, 1).unwrap();
-            assert_eq!(stream.meta(), reference.meta(), "window = {window:?}");
-            assert_eq!(
-                stream.materialize(),
-                reference,
-                "window = {window:?} ({} windows)",
-                stream.window_count()
-            );
-        }
-    }
-
-    #[test]
-    fn streaming_meta_and_table_match_the_workload() {
-        let w = Workload::generate(&config()).unwrap();
-        let stream = StreamingTrace::new(&config(), 0.8, SimTime::from_days(1), 2).unwrap();
-        assert_eq!(stream.subscriptions(), &w.subscriptions(0.8).unwrap());
-        assert_eq!(
-            stream.meta().request_load(),
-            &w.requests().requests_per_server(w.server_count())
-        );
-        assert_eq!(stream.meta().capacities(0.05), w.cache_capacities(0.05));
-        assert_eq!(stream.window_count(), 7);
-    }
-
-    #[test]
-    fn windows_tile_with_carried_state() {
-        let stream = StreamingTrace::new(&config(), 1.0, SimTime::from_hours(11), 1).unwrap();
-        let mut pass = stream.open();
-        let mut next_start = 0usize;
-        let mut next_ordinal = 0u32;
-        let mut windows = 0usize;
-        while let Some(w) = pass.next_window() {
-            assert_eq!(w.start_index(), next_start);
-            next_start = w.end_index();
-            for ev in w.events() {
-                if let CompiledEventKind::Publish { ordinal, .. } = ev.kind {
-                    assert_eq!(ordinal, next_ordinal, "publish ordinals are global");
-                    next_ordinal += 1;
-                }
-            }
-            windows += 1;
-        }
-        assert_eq!(windows, stream.window_count());
-        assert_eq!(next_start, stream.meta().len());
-        assert_eq!(next_ordinal as usize, stream.meta().publish_count());
-    }
-
     #[test]
     fn scenario_stream_matches_compiled_scenario_build() {
         let scenario = ScenarioConfig::flash_crowds();
@@ -829,6 +766,26 @@ mod tests {
             );
         }
 
+        // Each slice holds exactly the requests of its time range, gathered
+        // alone (the serial pass) or in a batch (the prefetcher): the first
+        // request of the page that opens a slice is at its cut.
+        for depth in [1, 3] {
+            let mut state = WindowState::new(&stream);
+            let mut buckets = vec![Vec::new(); depth];
+            while let Some(slices) = stream.gather_batch(&mut state, &mut buckets) {
+                for (k, bucket) in slices.zip(&mut buckets) {
+                    let (t0, t1) = stream.window_bounds(k);
+                    let outside = bucket.iter().find(|ev| ev.time < t0 || ev.time >= t1);
+                    assert_eq!(
+                        outside, None,
+                        "depth {depth}: slice {k} is [{t0:?}, {t1:?})"
+                    );
+                    let mut window = OwnedWindow::with_capacity(0, 0);
+                    stream.compile_window_into(&mut state, bucket, &mut window);
+                }
+            }
+        }
+
         // Slicing changes no event: the replays are compared with the spec
         // in `stream_differential`.
         let w = scenario.build(1).unwrap();
@@ -841,7 +798,8 @@ mod tests {
 
     #[test]
     fn attached_matcher_streams_bit_identically() {
-        let reference = monolithic(&config(), 1.0);
+        let w = Workload::generate(&config()).unwrap();
+        let reference = CompiledTrace::compile(&w, &w.subscriptions(1.0).unwrap()).unwrap();
         let mut stream = StreamingTrace::new(&config(), 1.0, SimTime::from_hours(13), 1).unwrap();
         let matcher =
             pscd_workload::matcher_from_table(stream.subscriptions(), stream.meta().server_count());

@@ -536,16 +536,6 @@ mod tests {
     }
 
     #[test]
-    fn compile_is_bit_identical_at_every_thread_count() {
-        let (w, subs) = fixture();
-        let seq = CompiledTrace::compile_threads(&w, &subs, 1).unwrap();
-        for threads in [2, 4, 0] {
-            let par = CompiledTrace::compile_threads(&w, &subs, threads).unwrap();
-            assert_eq!(seq, par, "threads = {threads}");
-        }
-    }
-
-    #[test]
     fn matcher_compile_equals_table_compile() {
         let (w, subs) = fixture();
         let reference = CompiledTrace::compile(&w, &subs).unwrap();

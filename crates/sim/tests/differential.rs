@@ -2,8 +2,10 @@
 //! table in `crates/spec/tests/variants.rs` checks against the spec loop
 //! for every strategy, axes set and thread count: the merged shard
 //! observers agree with the result and with a sequential observed run,
-//! crash totals merge exactly, and a simulation that already stepped
-//! drains sequentially to the same answer.
+//! a disabled trace sink records nothing, crash totals merge exactly,
+//! and a simulation that already stepped drains sequentially to the same
+//! answer. (That a traced replay equals the spec, with one track per
+//! shard, is the variant table's `traced` row.)
 
 use std::sync::OnceLock;
 
@@ -32,8 +34,10 @@ fn fixture() -> &'static (u16, FetchCosts, CompiledTrace) {
 fn sharded_observer_totals_match_simresult_and_sequential_observer() {
     let (_, costs, trace) = fixture();
     let options = SimOptions::at_capacity(StrategyKind::Sg2 { beta: 2.0 }, 0.05).with_threads(4);
+    let sink = TraceSink::disabled();
     let (result, merged): (_, StatsObserver) =
-        simulate_observed_sharded(trace, costs, &options, &TraceSink::disabled()).unwrap();
+        simulate_observed_sharded(trace, costs, &options, &sink).unwrap();
+    assert!(sink.drain().is_empty(), "disabled sink must stay empty");
     // The merged shard registries must agree with the simulator's own
     // accounting exactly — this is what `repro --obs-dir` hard-checks.
     assert_eq!(merged.requests(), result.requests);

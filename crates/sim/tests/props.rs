@@ -31,35 +31,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn per_server_accounting_and_observer_agree(
-        kind in select(LINEUP.to_vec()),
-        capacity in select(vec![0.01, 0.05, 0.10]),
-    ) {
-        let (costs, trace) = fixture();
-        let options = SimOptions::at_capacity(kind, capacity);
-        let plain = simulate_compiled(trace, costs, &options).unwrap();
-
-        // Global totals are exactly the per-server sums.
-        let hits: u64 = plain.per_server.iter().map(|&(h, _)| h).sum();
-        let requests: u64 = plain.per_server.iter().map(|&(_, r)| r).sum();
-        prop_assert_eq!(plain.hits, hits);
-        prop_assert_eq!(plain.requests, requests);
-
-        // An aggregating observer sees the same totals and leaves the
-        // result bit-identical.
-        let obs = SharedObserver::new(StatsObserver::new());
-        let observed = Simulation::from_compiled_observed(trace, costs, &options, obs.clone())
-            .unwrap()
-            .run();
-        prop_assert_eq!(&observed, &plain);
-
-        let stats = obs.try_unwrap().expect("run kept an observer clone");
-        prop_assert_eq!(stats.requests(), plain.requests);
-        prop_assert_eq!(stats.hits(), plain.hits);
-        prop_assert_eq!(stats.push_transfers(), plain.traffic.pushed_pages);
-    }
-
-    #[test]
     fn sharded_path_keeps_the_accounting_invariants(
         kind in select(LINEUP.to_vec()),
         capacity in select(vec![0.01, 0.05, 0.10]),
@@ -91,7 +62,17 @@ proptest! {
         prop_assert_eq!(sharded.hourly.requests.iter().sum::<u64>(), sharded.requests);
         prop_assert_eq!(sharded.hourly.hits.iter().sum::<u64>(), sharded.hits);
 
-        // Merged shard observers agree with the result exactly.
+        // A sequential observed run and merged shard observers leave the
+        // result bit-identical and agree with it exactly.
+        let obs = SharedObserver::new(StatsObserver::new());
+        let observed = Simulation::from_compiled_observed(trace, costs, &options, obs.clone())
+            .unwrap()
+            .run();
+        prop_assert_eq!(&observed, &sequential);
+        let stats = obs.try_unwrap().expect("run kept an observer clone");
+        prop_assert_eq!(stats.requests(), observed.requests);
+        prop_assert_eq!(stats.hits(), observed.hits);
+        prop_assert_eq!(stats.push_transfers(), observed.traffic.pushed_pages);
         let (observed, stats): (_, StatsObserver) = simulate_observed_sharded(
             trace,
             costs,

@@ -2,11 +2,11 @@
 //! lazily from the workload config ([`StreamingTrace`]) must be bit-for-
 //! bit indistinguishable from compiling the whole timeline up front
 //! ([`CompiledTrace`]) — same compiled events, same `SimResult` (totals,
-//! hourly series, AND per-proxy accounting) — with crashes landing
-//! exactly on window seams, invalidation lineage spanning them, empty
-//! windows and tail-heavy streams. That a streamed or prefetched replay
-//! equals the spec loop for every strategy, at three window sizes, two
-//! depths and several thread counts, is a row of the variant table
+//! hourly series, AND per-proxy accounting) — with invalidation lineage
+//! spanning window seams, empty windows and tail-heavy streams. That a
+//! streamed or prefetched replay equals the spec loop for every strategy,
+//! at many window sizes, depths and thread counts, with crashes on a seam
+//! and inside a window, is a row of the variant table
 //! (`crates/spec/tests/variants.rs`).
 
 use std::sync::OnceLock;
@@ -15,7 +15,7 @@ use pscd_core::StrategyKind;
 use pscd_obs::TraceSink;
 use pscd_sim::{
     simulate_compiled, simulate_streamed, simulate_streamed_prefetched_traced, CompiledEventKind,
-    CompiledTrace, CrashPlan, PrefetchOptions, ReplaySource, SimOptions, StreamingTrace,
+    CompiledTrace, PrefetchOptions, ReplaySource, SimOptions, StreamingTrace,
 };
 use pscd_spec::{spec_replay, SpecInput};
 use pscd_topology::FetchCosts;
@@ -44,115 +44,46 @@ fn streaming(window: SimTime) -> StreamingTrace {
 }
 
 /// The materialized concatenation of the streamed windows is `==` to the
-/// monolithic compile — events, CSR fan-out tables, and meta.
+/// monolithic compile — events, CSR fan-out tables, and meta — at window
+/// lengths from one hour to past the horizon (`ZERO`: one window), over
+/// the workload's own subscription table; a day-long window is one slice.
 #[test]
 fn materialized_windows_equal_monolithic_compile() {
     let (trace, _) = reference();
+    let subs = Workload::generate(&config()).unwrap().subscriptions(0.8);
+    assert_eq!(streaming(SimTime::from_days(1)).window_count(), 7);
     for window in [
+        SimTime::ZERO,
         SimTime::from_hours(1),
+        SimTime::from_hours(13),
         SimTime::from_hours(36),
+        SimTime::from_days(2),
         SimTime::from_days(5),
+        SimTime::from_days(30),
     ] {
         let stream = streaming(window);
+        assert_eq!(stream.subscriptions(), subs.as_ref().unwrap());
+        assert_eq!(stream.meta(), trace.meta(), "window = {window:?}");
         assert_eq!(&stream.materialize(), trace, "window = {window:?}");
     }
 }
 
-/// A crash scheduled exactly at a window seam fires identically in both
-/// paths: the seam-adjacent windows agree on which events precede the
-/// crash instant, so the crash consumes the same victims either way.
-#[test]
-fn crash_exactly_at_a_window_seam_is_seam_safe() {
-    let (trace, costs) = reference();
-    let window = SimTime::from_days(1);
-    let stream = streaming(window);
-    // Day 2 is exactly the seam between windows 1 and 2; also test a
-    // mid-window crash and a crash in the final window.
-    for crash_at in [
-        SimTime::from_days(2),
-        SimTime::from_hours(53),
-        SimTime::from_days(6),
-    ] {
-        for fraction in [0.5, 1.0] {
-            let options = SimOptions::at_capacity(StrategyKind::Sg2 { beta: 2.0 }, 0.05)
-                .with_threads(1)
-                .with_crash(CrashPlan {
-                    time: crash_at,
-                    fraction,
-                    seed: 42,
-                });
-            let compiled = simulate_compiled(trace, costs, &options).unwrap();
-            let streamed = simulate_streamed(&stream, costs, &options).unwrap();
-            assert_eq!(
-                compiled, streamed,
-                "crash at {crash_at:?} fraction {fraction} diverged"
-            );
-            // Sharded too: the crash logic runs per shard worker.
-            let sharded = simulate_streamed(&stream, costs, &options.with_threads(3)).unwrap();
-            assert_eq!(compiled, sharded);
-        }
-    }
-}
-
-/// Stale-version invalidation across window boundaries: with 1-hour
-/// windows, modified versions of the same origin land in different
-/// windows, so the carried [`VersionHeads`] must reproduce the exact
-/// supersedence chain of the monolithic compile.
-///
-/// [`VersionHeads`]: pscd_sim::resolve::VersionHeads
-#[test]
-fn invalidation_lineage_spans_window_boundaries() {
-    let (trace, costs) = reference();
-    let stream = streaming(SimTime::from_hours(1));
-    // Sanity: supersedence must actually cross windows in this fixture —
-    // find a publish superseding a version published in an earlier window.
-    let mut pass = stream.open();
-    let mut window_of_publish = vec![u32::MAX; stream.meta().pages().len()];
-    let mut crossings = 0usize;
-    let mut k = 0u32;
-    while let Some(w) = pass.next_window() {
-        for ev in w.events() {
-            if let CompiledEventKind::Publish { supersedes, .. } = ev.kind {
-                if let Some(old) = supersedes {
-                    if window_of_publish[old.as_usize()] != k {
-                        crossings += 1;
-                    }
-                }
-                window_of_publish[ev.page.as_usize()] = k;
-            }
-        }
-        k += 1;
-    }
-    assert!(
-        crossings > 0,
-        "fixture has no cross-window supersedence; the test proves nothing"
-    );
-    for kind in [
-        StrategyKind::Sub,
-        StrategyKind::Sr,
-        StrategyKind::dc_lap(2.0),
-    ] {
-        let options = SimOptions::at_capacity(kind, 0.05).with_invalidation();
-        let compiled = simulate_compiled(trace, costs, &options).unwrap();
-        let streamed = simulate_streamed(&stream, costs, &options).unwrap();
-        assert_eq!(compiled, streamed, "{} diverged", kind.name());
-    }
-}
-
 /// Tiny windows leave many interior windows empty; they must still tile
-/// the timeline correctly (indices, ordinals) and replay identically.
-/// Every window's events and fan-outs equal the monolithic compile's
-/// (which `materialize()` equals, above) at the same indices.
+/// the timeline correctly (indices, ordinals, one window per slice the
+/// stream counts) and replay identically. Every window's events and
+/// fan-outs equal the monolithic compile's (which `materialize()` equals,
+/// above) at the same indices.
 #[test]
 fn empty_windows_mid_stream_are_harmless() {
     let (trace, costs) = reference();
     let whole = trace.full_window();
     let stream = streaming(SimTime::from_millis(10 * 60 * 1000));
     let mut pass = stream.open();
-    let mut empty_interior = 0usize;
+    let (mut empty_interior, mut windows) = (0usize, 0usize);
     let mut seen_nonempty = false;
     let mut next_start = 0usize;
     while let Some(w) = pass.next_window() {
+        windows += 1;
         if w.is_empty() {
             if seen_nonempty {
                 empty_interior += 1;
@@ -177,53 +108,12 @@ fn empty_windows_mid_stream_are_harmless() {
         empty_interior > 0,
         "fixture has no empty mid-stream windows; shrink the window"
     );
-    assert_eq!(next_start, trace.len());
+    assert_eq!((next_start, windows), (trace.len(), stream.window_count()));
     let options = SimOptions::at_capacity(StrategyKind::Gds, 0.05);
     assert_eq!(
         simulate_compiled(trace, costs, &options).unwrap(),
         simulate_streamed(&stream, costs, &options).unwrap()
     );
-}
-
-/// A crash landing exactly on a window seam (day 2 with 1-day windows)
-/// fires identically through the pipelined path at every depth — the
-/// producer may already have compiled windows past the crash instant
-/// when the consumer reaches it, and that lookahead must not change
-/// which victims the crash consumes.
-#[test]
-fn pipelined_crash_exactly_at_a_window_seam_is_seam_safe() {
-    let (trace, costs) = reference();
-    let stream = streaming(SimTime::from_days(1));
-    for depth in [1usize, 2, 4] {
-        let prefetch = PrefetchOptions::new(depth);
-        for crash_at in [SimTime::from_days(2), SimTime::from_hours(53)] {
-            let options = SimOptions::at_capacity(StrategyKind::Sg2 { beta: 2.0 }, 0.05)
-                .with_threads(1)
-                .with_crash(CrashPlan {
-                    time: crash_at,
-                    fraction: 1.0,
-                    seed: 42,
-                });
-            let compiled = simulate_compiled(trace, costs, &options).unwrap();
-            let sink = TraceSink::disabled();
-            let pipelined =
-                simulate_streamed_prefetched_traced(&stream, costs, &options, &prefetch, &sink)
-                    .unwrap();
-            assert_eq!(
-                compiled, pipelined,
-                "crash at {crash_at:?} depth {depth} diverged"
-            );
-            let sharded = simulate_streamed_prefetched_traced(
-                &stream,
-                costs,
-                &options.with_threads(3),
-                &prefetch,
-                &sink,
-            )
-            .unwrap();
-            assert_eq!(compiled, sharded, "sharded crash at {crash_at:?} diverged");
-        }
-    }
 }
 
 /// Generate-once, tested as a count: a pass draws every page's substream

@@ -17,8 +17,8 @@ use pscd_obs::{NullObserver, TraceSink};
 use pscd_service::{ServiceConfig, ServiceCore};
 use pscd_sim::{
     simulate_compiled, simulate_observed_sharded, simulate_streamed,
-    simulate_streamed_prefetched_traced, CompiledTrace, CrashPlan, PrefetchOptions, SimOptions,
-    SimResult, Simulation, StreamingTrace,
+    simulate_streamed_prefetched_traced, CompiledEventKind, CompiledTrace, CrashPlan,
+    PrefetchOptions, SimOptions, SimResult, Simulation, StreamingTrace,
 };
 use pscd_spec::{spec_replay, spec_strategy, SpecInput, SpecRun, LINEUP};
 use pscd_topology::FetchCosts;
@@ -134,7 +134,9 @@ fn streaming(window: SimTime) -> StreamingTrace {
 #[test]
 fn streamed_replay_equals_the_spec() {
     let f = fixture();
-    // Windows that do not divide the day, and ones longer than it.
+    // Windows that do not divide the day, and ones longer than it; the
+    // crash instants (days 1 and 2) fall on a seam at 2, 3 and 48 h and
+    // inside a window elsewhere.
     let crossed = [2, 7, 9, 50, 100]
         .into_iter()
         .flat_map(|h| [1, 2, 4].map(|t| (h, t)));
@@ -151,10 +153,13 @@ fn streamed_replay_equals_the_spec() {
 #[test]
 fn prefetched_replay_equals_the_spec() {
     let f = fixture();
-    // (depth, window hours): short windows keep a deep pipeline full.
+    // (depth, window hours): short windows keep a deep pipeline full; at
+    // 2 h and 24 h both crash instants fall on a seam, with the producer
+    // compiling ahead of the crash.
     let pipelines = [(1, 13), (2, 2), (4, 7)].into_iter();
     let crossed = pipelines.flat_map(|p| [1, 2, 3, 0].map(|t| (p, t)));
-    for ((depth, hours), threads) in crossed.chain([((3, 100), 3)]) {
+    let seams = [((3, 100), 3), ((1, 24), 3), ((4, 24), 1)];
+    for ((depth, hours), threads) in crossed.chain(seams) {
         let stream = streaming(SimTime::from_hours(hours));
         let prefetch = PrefetchOptions::new(depth);
         assert_rows(
@@ -170,7 +175,8 @@ fn prefetched_replay_equals_the_spec() {
 }
 
 /// Prefetched and traced at the default (auto) thread count: a streamed
-/// source takes one shard, so the sink records exactly one shard track.
+/// source takes one shard, so the sink records exactly one shard track,
+/// beside the producer's track with its compile spans.
 #[test]
 fn prefetched_default_threads_replay_on_one_shard() {
     let f = fixture();
@@ -182,6 +188,13 @@ fn prefetched_default_threads_replay_on_one_shard() {
         let log = sink.drain();
         let tracks = log.tracks().iter().filter(|t| t.name.starts_with("shard "));
         assert_eq!(tracks.count(), 1, "auto threads on a streamed source");
+        let producer = log.tracks().iter().find(|t| t.name == "prefetch producer");
+        let compiles = producer.map(|t| t.events.iter().any(|e| e.label == "prefetch.compile"));
+        assert_eq!(
+            compiles,
+            Some(true),
+            "the producer's track and compile spans"
+        );
         Some(run.unwrap())
     });
 }
@@ -205,11 +218,15 @@ fn traced_replay_equals_the_spec() {
     });
 }
 
+/// The matcher-compiled trace through an untouched `Simulation` run to
+/// the end, which at the default thread count shards as
+/// `simulate_compiled` does.
 #[test]
 fn matcher_compiled_replay_equals_the_spec() {
     let f = fixture();
-    assert_rows("matcher-compiled", |o| {
-        Some(simulate_compiled(&f.matcher_trace, &f.costs, o).unwrap())
+    assert_rows("matcher-compiled, Simulation::run", |o| {
+        let sim = Simulation::from_compiled(&f.matcher_trace, &f.costs, o);
+        Some(sim.unwrap().run())
     });
 }
 
@@ -338,7 +355,9 @@ fn recovered_service_equals_the_spec() {
 
 /// Guards the table against passing vacuously: the fixture is
 /// substantial (and its matcher-compiled trace `==` the table-compiled
-/// one: events, fan-out rows, request counts), and in the spec runs every strategy hits and misses,
+/// one: events, fan-out rows, request counts), some version supersedes
+/// one published in an earlier 2 h window (the streamed rows carry the
+/// lineage across a seam), and in the spec runs every strategy hits and misses,
 /// exactly the push-time ones are pushed pages, and each extension the
 /// axes turn on does something — When Necessary declines offers,
 /// invalidation drops stale copies, the crash restarts proxies.
@@ -347,6 +366,13 @@ fn the_fixture_exercises_every_part_of_the_loop() {
     let f = fixture();
     assert!(f.trace.len() > 500 && f.events.len() > 1_000 && f.input.subscriptions.len() > 100);
     assert_eq!(f.trace, f.matcher_trace);
+    let window = |t: SimTime| t.as_millis() / SimTime::from_hours(2).as_millis();
+    let crosses = f.trace.events().iter().any(|ev| match ev.kind {
+        CompiledEventKind::Publish { supersedes, .. } => supersedes
+            .is_some_and(|old| window(f.pages[old.as_usize()].publish_time()) < window(ev.time)),
+        CompiledEventKind::Request { .. } => false,
+    });
+    assert!(crosses, "no supersedence crosses a 2 h seam");
     for (axes, runs) in AXES.into_iter().zip(spec()) {
         for (kind, run) in LINEUP.into_iter().zip(runs) {
             let (result, name) = (&run.result, kind.name());

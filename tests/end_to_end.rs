@@ -75,7 +75,9 @@ fn traffic_accounting_is_exact_for_every_strategy() {
             // bit for bit, so every check below covers both paths.
             let sharded = simulate_compiled(&trace, &costs, &options.with_threads(4)).unwrap();
             assert_eq!(r, sharded, "{} / {scheme:?}", kind.name());
-            // Misses and fetches balance exactly.
+            // Every request is served once; misses and fetches balance
+            // exactly.
+            assert_eq!(r.requests, w.requests().len() as u64);
             assert_eq!(
                 r.traffic.fetched_pages,
                 r.requests - r.hits,
@@ -89,7 +91,12 @@ fn traffic_accounting_is_exact_for_every_strategy() {
                 kind.name()
             );
             // Hourly series are consistent with global counters.
+            assert_eq!(r.hourly.requests.iter().sum::<u64>(), r.requests);
             assert_eq!(r.hourly.hits.iter().sum::<u64>(), r.hits);
+            assert_eq!(
+                r.hourly.pushed_pages.iter().sum::<u64>(),
+                r.traffic.pushed_pages
+            );
             assert_eq!(
                 r.hourly.fetched_pages.iter().sum::<u64>(),
                 r.traffic.fetched_pages
