@@ -16,7 +16,7 @@ use std::path::{Path, PathBuf};
 
 use pscd_core::StrategyKind;
 use pscd_obs::{JsonlObserver, SharedObserver, StatsObserver, TraceLog, TraceSink};
-use pscd_sim::{simulate_observed_sharded, SimOptions, Simulation};
+use pscd_sim::{Replay, SimOptions, Simulation};
 
 use crate::{ExperimentContext, ExperimentError, Trace};
 
@@ -136,9 +136,12 @@ impl ObsAudit {
                 (result, stats, Some(events_path), events_written)
             } else {
                 let options = SimOptions::at_capacity(kind, capacity).with_threads(ctx.threads());
-                let (result, stats): (_, StatsObserver) = rec.span(kind.name(), || {
-                    simulate_observed_sharded(&compiled, ctx.costs(), &options, sink)
-                })?;
+                let replay = Replay::compiled(&compiled, ctx.costs()).traced(sink);
+                let (result, stats) = rec
+                    .span(kind.name(), || {
+                        replay.run_observed::<StatsObserver>(&[options])
+                    })?
+                    .remove(0);
                 (result, stats, None, 0)
             };
             check(

@@ -15,10 +15,10 @@ use pscd_experiments::{
     Exhibit, ExperimentContext, ExperimentError, ObsAudit, ShiftSensitivity, ToCsv, Trace,
     VarianceStudy, PAPER_BETA,
 };
-use pscd_obs::{render_chrome_trace, NullObserver, SpanEvent, TraceSink};
+use pscd_obs::{render_chrome_trace, SpanEvent, TraceSink};
 use pscd_sim::{
-    simulate_observed_sharded, simulate_streamed_prefetched_traced, CompiledTrace, PrefetchOptions,
-    SimOptions, SimResult, Simulation, StreamingTrace, DEFAULT_PREFETCH_DEPTH,
+    CompiledTrace, PrefetchOptions, Replay, SimOptions, SimResult, Simulation, StreamingTrace,
+    DEFAULT_PREFETCH_DEPTH,
 };
 use pscd_topology::{FetchCosts, TopologyBuilder};
 use pscd_types::SimTime;
@@ -442,16 +442,13 @@ fn run_scenario(arg: &str, threads: usize) -> Result<(), ExperimentError> {
         "{:<8} {:>9} {:>12} {:>13}",
         "strategy", "hit rate", "pushed pages", "fetched pages"
     );
+    // One production of the stream feeds the whole lineup.
     let prefetch = PrefetchOptions::new(DEFAULT_PREFETCH_DEPTH);
-    for kind in StrategyKind::figure4_lineup(PAPER_BETA) {
-        let options = SimOptions::at_capacity(kind, 0.05).with_threads(threads);
-        let result = simulate_streamed_prefetched_traced(
-            &stream,
-            &costs,
-            &options,
-            &prefetch,
-            &TraceSink::disabled(),
-        )?;
+    let lineup: Vec<SimOptions> = (StrategyKind::figure4_lineup(PAPER_BETA).into_iter())
+        .map(|kind| SimOptions::at_capacity(kind, 0.05).with_threads(threads))
+        .collect();
+    let results = Replay::prefetched(&stream, prefetch, &costs).run(&lineup)?;
+    for (options, result) in lineup.iter().zip(results) {
         let hit_rate = if result.requests > 0 {
             result.hits as f64 / result.requests as f64
         } else {
@@ -459,7 +456,7 @@ fn run_scenario(arg: &str, threads: usize) -> Result<(), ExperimentError> {
         };
         println!(
             "{:<8} {:>9.4} {:>12} {:>13}",
-            kind.name(),
+            options.strategy.name(),
             hit_rate,
             result.traffic.pushed_pages,
             result.traffic.fetched_pages
@@ -588,8 +585,9 @@ fn run(
         eprintln!("tracing a sharded replay of {} …", kind.name());
         let compiled = ctx.compiled(Trace::News, 1.0)?;
         let options = SimOptions::at_capacity(kind, 0.05).with_threads(ctx.threads());
-        let (_result, _obs): (_, NullObserver) =
-            simulate_observed_sharded(&compiled, ctx.costs(), &options, &sink)?;
+        Replay::compiled(&compiled, ctx.costs())
+            .traced(&sink)
+            .run(&[options])?;
     }
     if let Some(path) = outputs.trace_file {
         flush_pool_spans(&sink);

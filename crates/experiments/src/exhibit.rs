@@ -16,12 +16,12 @@ use std::sync::Arc;
 use pscd_broker::PushScheme;
 use pscd_core::StrategyKind::{self, DcFp, DcLap, Dm, GdStar, Gds, LfuDa, Lru, Sg1, Sg2, Sr, Sub};
 use pscd_sim::trace::CompiledTrace;
-use pscd_sim::{CrashPlan, SimOptions, SimResult};
+use pscd_sim::{CrashPlan, Replay, SimOptions, SimResult};
 use pscd_types::SimTime;
 
 use crate::{
-    pct, run_grid, signed_pct, ExperimentContext, ExperimentError, GridJob, TextTable, ToCsv,
-    Trace, BETAS, CAPACITIES, PAPER_BETA, QUALITIES,
+    pct, signed_pct, ExperimentContext, ExperimentError, TextTable, ToCsv, Trace, BETAS,
+    CAPACITIES, PAPER_BETA, QUALITIES,
 };
 
 /// The hour of the fleet-wide proxy restart the crash exhibit injects
@@ -531,10 +531,10 @@ impl Exhibit {
         vec![Sg2 { beta }, Sub, GdStar { beta }]
     }
 
-    /// Runs every cell: one [`run_grid`] per compiled trace a trace's
-    /// axis values replay (one for all of them, or one per value for
-    /// quality and coverage). A coverage compile is dropped after its
-    /// grid.
+    /// Runs every cell: one [`Replay`] lineup per compiled trace a
+    /// trace's axis values replay (one for all of them, or one per value
+    /// for quality and coverage). A coverage compile is dropped after its
+    /// lineup.
     ///
     /// # Errors
     ///
@@ -549,15 +549,13 @@ impl Exhibit {
         for &trace in self.traces {
             for group in values.chunks(per_source) {
                 let source = self.axis.source(ctx, trace, group[0])?;
-                let mut jobs: Vec<GridJob<'_>> = Vec::new();
-                for &x in group {
-                    jobs.extend(
-                        self.lineup
-                            .iter()
-                            .map(|&k| (&*source, self.axis.options(x, k))),
-                    );
-                }
-                let mut results = run_grid(ctx.costs(), &jobs, ctx.threads())?.into_iter();
+                let cells: Vec<SimOptions> = (group.iter())
+                    .flat_map(|&x| self.lineup.iter().map(move |&k| self.axis.options(x, k)))
+                    .map(|cell| cell.with_threads(ctx.threads()))
+                    .collect();
+                let mut results = Replay::compiled(&source, ctx.costs())
+                    .run(&cells)?
+                    .into_iter();
                 for &x in group {
                     let row = results.by_ref().take(self.lineup.len()).collect();
                     rows.push((trace, x, row));

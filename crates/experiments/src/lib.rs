@@ -26,7 +26,8 @@
 //! | `shift` | [`ShiftSensitivity`] | the Zipf–Mandelbrot shift calibration |
 //!
 //! [`ExperimentContext`] generates the two traces and the topology once;
-//! [`run_grid`] fans the simulation grid across cores; [`ObsAudit`]
+//! each exhibit replays its cells as one [`Replay`](pscd_sim::Replay)
+//! lineup per compiled trace, across cores; [`ObsAudit`]
 //! replays a lineup with observers (`repro --obs-dir`). The `repro`
 //! binary (`cargo run --release --bin repro -- all`) regenerates
 //! everything.
@@ -53,7 +54,6 @@ mod context;
 mod csv;
 mod error;
 mod exhibit;
-mod grid;
 mod shift;
 mod table;
 mod variance;
@@ -66,7 +66,6 @@ pub use exhibit::{
     Exhibit, ExhibitTable, Fig3, Fig4, Fig5, Fig6, Fig7, Table2, COVERAGES, CRASH_HOUR, LAP_BOUNDS,
     PC_FRACTIONS,
 };
-pub use grid::{run_grid, GridJob};
 pub use shift::{ShiftSensitivity, SHIFTS};
 pub use table::{pct, signed_pct, TextTable};
 pub use variance::{MeanSd, VarianceStudy};

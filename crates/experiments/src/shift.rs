@@ -5,10 +5,10 @@ use std::fmt;
 
 use pscd_core::StrategyKind;
 use pscd_sim::trace::CompiledTrace;
-use pscd_sim::SimOptions;
+use pscd_sim::{Replay, SimOptions};
 use pscd_workload::{Workload, WorkloadConfig};
 
-use crate::{pct, run_grid, ExperimentContext, ExperimentError, TextTable, PAPER_BETA};
+use crate::{pct, ExperimentContext, ExperimentError, TextTable, PAPER_BETA};
 
 /// Popularity-head sensitivity: sweeps the Zipf–Mandelbrot `shift` our
 /// workload calibration introduces (DESIGN.md §3) and reports the trace's
@@ -44,11 +44,9 @@ impl ShiftSensitivity {
             let subs = w.subscriptions(1.0)?;
             let pairs = subs.iter().count() as u64;
             let compiled = CompiledTrace::compile(&w, &subs)?;
-            let jobs: Vec<_> = lineup
-                .iter()
-                .map(|&kind| (&compiled, SimOptions::at_capacity(kind, 0.05)))
-                .collect();
-            let results = run_grid(ctx.costs(), &jobs, ctx.threads())?;
+            let cells =
+                lineup.map(|kind| SimOptions::at_capacity(kind, 0.05).with_threads(ctx.threads()));
+            let results = Replay::compiled(&compiled, ctx.costs()).run(&cells)?;
             rows.push((shift, pairs, results[0].hit_ratio(), results[1].hit_ratio()));
         }
         Ok(Self { rows })

@@ -11,10 +11,10 @@ use std::fmt;
 
 use pscd_core::StrategyKind;
 use pscd_sim::trace::CompiledTrace;
-use pscd_sim::SimOptions;
+use pscd_sim::{Replay, SimOptions};
 use pscd_workload::{Workload, WorkloadConfig};
 
-use crate::{run_grid, ExperimentContext, ExperimentError, TextTable, Trace, PAPER_BETA};
+use crate::{ExperimentContext, ExperimentError, TextTable, Trace, PAPER_BETA};
 
 /// Mean and standard deviation of a sample.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -89,11 +89,9 @@ impl VarianceStudy {
                 // Reseeded workloads are outside the context's cache;
                 // compile once per seed and share across the lineup.
                 let compiled = CompiledTrace::compile(&workload, &subs)?;
-                let jobs: Vec<_> = lineup
-                    .iter()
-                    .map(|&kind| (&compiled, SimOptions::at_capacity(kind, 0.05)))
-                    .collect();
-                let results = run_grid(ctx.costs(), &jobs, ctx.threads())?;
+                let cells = lineup
+                    .map(|kind| SimOptions::at_capacity(kind, 0.05).with_threads(ctx.threads()));
+                let results = Replay::compiled(&compiled, ctx.costs()).run(&cells)?;
                 for r in results {
                     let slot = samples
                         .iter_mut()

@@ -9,9 +9,9 @@
 use std::sync::Arc;
 
 use pscd_core::StrategyKind;
-use pscd_experiments::{run_grid, ExperimentContext, Fig3, Fig4, Trace, CAPACITIES};
+use pscd_experiments::{ExperimentContext, Fig3, Fig4, Trace, CAPACITIES};
 use pscd_obs::TraceSink;
-use pscd_sim::{CompiledTrace, SimOptions};
+use pscd_sim::{CompiledTrace, Replay, SimOptions};
 
 fn compile_count() -> u64 {
     CompiledTrace::compile_count()
@@ -30,14 +30,18 @@ fn grids_compile_each_workload_exactly_once() {
         StrategyKind::Sub,
         StrategyKind::Sg2 { beta: 2.0 },
     ];
-    let mut jobs = Vec::new();
+    let mut cells = Vec::new();
     for &kind in &lineup {
         for &capacity in &CAPACITIES {
-            jobs.push((&*compiled, SimOptions::at_capacity(kind, capacity)));
+            cells.push(SimOptions::at_capacity(kind, capacity).with_threads(ctx.threads()));
         }
     }
-    let first = run_grid(ctx.costs(), &jobs, ctx.threads()).unwrap();
-    let second = run_grid(ctx.costs(), &jobs, ctx.threads()).unwrap();
+    let first = Replay::compiled(&compiled, ctx.costs())
+        .run(&cells)
+        .unwrap();
+    let second = Replay::compiled(&compiled, ctx.costs())
+        .run(&cells)
+        .unwrap();
     assert_eq!(first, second, "replays of one compiled trace agree");
     assert_eq!(
         compile_count() - before,

@@ -540,9 +540,7 @@ mod tests {
     use pscd_broker::PushScheme;
     use pscd_core::StrategyKind;
     use pscd_matching::{Content, Predicate, Value};
-    use pscd_sim::{
-        simulate_compiled, CompiledEventKind, CompiledTrace, SimOptions, DEFAULT_PREFETCH_DEPTH,
-    };
+    use pscd_sim::{CompiledEventKind, CompiledTrace, Replay, SimOptions, DEFAULT_PREFETCH_DEPTH};
     use pscd_spec::within_a_minute;
     use pscd_types::{PageId, SimTime};
     use pscd_workload::{Workload, WorkloadConfig};
@@ -918,7 +916,10 @@ mod tests {
             let costs = FetchCosts::uniform(w.server_count());
             let kind = StrategyKind::Sg2 { beta: 2.0 };
             let options = SimOptions::at_capacity(kind, 0.05);
-            let reference = simulate_compiled(&trace, &costs, &options).unwrap();
+            let reference = Replay::compiled(&trace, &costs)
+                .run(&[options])
+                .unwrap()
+                .remove(0);
             let config = ServiceConfig::new(
                 kind,
                 trace.capacities(0.05),

@@ -10,7 +10,7 @@
 //! fleet is a [`ReplayState`](pscd_sim::ReplayState) that steps through
 //! each batch — the **same** step the batch replay runs, which is why the
 //! service's final accounting and cache contents are bit-identical to
-//! `simulate_compiled` over the same events (the `service_differential`
+//! a [`Replay`](pscd_sim::Replay) over the same events (the `service_differential`
 //! suite checks this for every strategy). By default the calling thread
 //! steps the whole fleet; with more [`ServiceConfig::workers`] it only
 //! resolves, worker threads fed over bounded channels step the fleet, and

@@ -13,35 +13,30 @@
 //! facts of a `(Workload, SubscriptionTable)` pair — timeline order,
 //! per-publish fan-out, per-request subscription counts, invalidation
 //! lineage — are compiled into [`TraceWindow`]s pulled from a
-//! [`ReplaySource`]; then any number of strategy × capacity × scheme
-//! cells replay those windows through one shared replay loop. The
-//! materialized source compiles everything **once** into an immutable
-//! [`CompiledTrace`] — the trace-wide [`ReplayMeta`] plus one
-//! [`OwnedWindow`] spanning the timeline — and replays it by reference as
-//! one window ([`simulate_compiled`]); the streaming source ([`StreamingTrace`])
-//! generates and compiles each slice (at most one window long, at most a
-//! budget of drawn events) lazily from the workload config, so peak
-//! memory is bounded by the slice, not the trace
-//! ([`simulate_streamed`]), and the pipelined variant
-//! ([`simulate_streamed_prefetched_traced`]) overlaps that lazy compile
-//! with replay through a bounded compile-ahead prefetcher. All three
-//! replay to the spec loop's result (`pscd-spec`'s variant table,
-//! `crates/spec/tests/variants.rs`, has a row set for each).
+//! [`ReplaySource`]; then a lineup of strategy × capacity × scheme
+//! cells replays those windows through one shared replay loop. One
+//! [`Replay`] is a source × a lineup (`&[SimOptions]`), and it is the
+//! one way to run one:
 //!
-//! The replay entry points, one per source:
+//! | source | windows | consumers (members × shards) |
+//! |---|---|---|
+//! | [`Replay::compiled`] over a [`CompiledTrace`] | one, [`CompiledTrace::full_window`], read in place | one pool fan-out |
+//! | [`Replay::streamed`] over a [`StreamingTrace`] | one per slice, drawn and compiled by each consumer | one pool fan-out |
+//! | [`Replay::prefetched`] over a [`StreamingTrace`] | [`OwnedWindow`]s compiled once, ahead, on a producer thread | a queue cursor and a thread each |
 //!
-//! | source | windows | whole run | observed / stepped |
-//! |---|---|---|---|
-//! | [`CompiledTrace`] | one, [`CompiledTrace::full_window`] | [`simulate_compiled`] | [`simulate_observed_sharded`], [`Simulation::from_compiled`], [`Simulation::from_compiled_observed`] |
-//! | [`StreamingTrace`], serial | one per slice, into one reused [`OwnedWindow`] | [`simulate_streamed`] | — |
-//! | [`StreamingTrace`], prefetched | [`OwnedWindow`]s compiled ahead on a producer thread | [`simulate_streamed_prefetched_traced`] | — |
-//!
-//! Threads are [`SimOptions::threads`] (auto by default, resolved per
-//! source by [`shard_count`]); tracing is a [`TraceSink`] argument (pass
-//! [`TraceSink::disabled`] for none).
+//! [`Replay::run`] returns one [`SimResult`] per member in lineup order,
+//! [`Replay::run_observed`] a merged observer beside each, and
+//! [`Replay::traced`] records timeline tracks into a [`TraceSink`].
+//! Threads are each member's [`SimOptions::threads`] (auto by default),
+//! split across the lineup by [`shard_count`]. [`Simulation`] steps one
+//! strategy through a compiled trace event by event. Every source
+//! replays to the spec loop's result (`pscd-spec`'s variant table,
+//! `crates/spec/tests/variants.rs`, has a row set for each, and one for
+//! a lineup of all twelve strategies). [`simulate_compiled`],
+//! [`simulate_streamed`] and [`simulate_streamed_prefetched_traced`] are
+//! one-member lineups, kept for the repo benchmark's call sites.
 //!
 //! [`TraceSink`]: pscd_obs::TraceSink
-//! [`TraceSink::disabled`]: pscd_obs::TraceSink::disabled
 //!
 //! Because the proxies are independent caches, one run can also be
 //! sharded across threads along the proxy axis ([`SimOptions::threads`]):
@@ -61,16 +56,16 @@
 //!
 //! ```
 //! use pscd_core::StrategyKind;
-//! use pscd_sim::{simulate_compiled, CompiledTrace, SimOptions};
+//! use pscd_sim::{CompiledTrace, Replay, SimOptions};
 //! use pscd_topology::FetchCosts;
 //! use pscd_workload::{Workload, WorkloadConfig};
 //!
 //! let workload = Workload::generate(&WorkloadConfig::news_scaled(0.005))?;
 //! let trace = CompiledTrace::compile(&workload, &workload.subscriptions(1.0)?)?;
 //! let costs = FetchCosts::uniform(workload.server_count());
-//! let gd = simulate_compiled(&trace, &costs,
-//!     &SimOptions::at_capacity(StrategyKind::GdStar { beta: 2.0 }, 0.05))?;
-//! println!("GD* hit ratio: {:.1}%", gd.hit_ratio_percent());
+//! let gd = SimOptions::at_capacity(StrategyKind::GdStar { beta: 2.0 }, 0.05);
+//! let results = Replay::compiled(&trace, &costs).run(&[gd])?;
+//! println!("GD* hit ratio: {:.1}%", results[0].hit_ratio_percent());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -95,11 +90,8 @@ pub use metrics::{HourlySeries, SimResult};
 pub use prefetch::{
     simulate_streamed_prefetched_traced, PrefetchOptions, PrefetchStats, DEFAULT_PREFETCH_DEPTH,
 };
-pub use runner::{
-    simulate_compiled, simulate_observed_sharded, CrashPlan, ReplayState, SimOptions, Simulation,
-    StepEvent,
-};
-pub use shard::{shard_count, ReplaySite, ShardPlan};
+pub use runner::{simulate_compiled, CrashPlan, ReplayState, SimOptions, Simulation, StepEvent};
+pub use shard::{shard_count, Replay, ReplaySite, ShardPlan};
 pub use stream::{simulate_streamed, StreamingTrace, StreamingWindows};
 pub use trace::{CompiledEvent, CompiledEventKind, CompiledTrace};
 pub use window::{OwnedWindow, ReplayMeta, ReplaySource, TraceWindow};

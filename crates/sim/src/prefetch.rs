@@ -8,7 +8,7 @@
 //! splits them: a **producer** runs on a dedicated `pscd-pool` pipeline
 //! thread ([`pool::producer_consumers`](crate::pool::producer_consumers)),
 //! generating and compiling up to `prefetch_depth` slices ahead, while
-//! one or more **consumers** (the replay shards) pull finished slices as
+//! one or more **consumers** (the replay's shards) pull finished slices as
 //! [`Arc<OwnedWindow>`] handles through a bounded [`WindowQueue`]. A
 //! slice (see [`crate::stream`]) is bounded by a budget of drawn events
 //! as well as by the configured window, so no hand-over keeps the
@@ -40,26 +40,26 @@
 //! high-water marks, the producer its tail's ([`PrefetchStats`]), and the
 //! `stream_memory` suite checks a counting allocator against them.
 //!
-//! Sharded replay shares **one** prefetcher: each shard consumes the same
-//! `Arc`ed slices through its own cursor, so the stream is generated
-//! once per run instead of once per worker (the serial sharded path's
-//! price). With a live [`TraceSink`] the producer records a
-//! `prefetch producer` track (`prefetch.generate` / `prefetch.compile`
-//! spans) and each consumer its `shard k` replay track, so the chrome
-//! trace shows the overlap directly.
+//! A whole [`Replay`] shares **one** prefetcher: each consumer — every
+//! shard of every lineup member — takes the same `Arc`ed slices through
+//! its own cursor, so the stream is generated once per run instead of
+//! once per shard or strategy (the serial pass's price). With a live
+//! [`TraceSink`] the producer records a `prefetch producer` track
+//! (`prefetch.generate` / `prefetch.compile` spans) and each consumer its
+//! `shard k` replay track, so the chrome trace shows the overlap
+//! directly.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-use pscd_obs::{NullObserver, TraceSink};
+use pscd_obs::TraceSink;
 use pscd_topology::FetchCosts;
 use pscd_types::RequestEvent;
 
-use crate::runner::{validate_meta, SimOptions};
-use crate::shard::{merge, plan_for, replay_shard, ReplaySite};
+use crate::runner::SimOptions;
 use crate::stream::{StreamingTrace, WindowState};
 use crate::window::{OwnedWindow, ReplayMeta, ReplaySource, TraceWindow};
-use crate::{SimError, SimResult};
+use crate::{Replay, SimError, SimResult};
 
 /// Default compile-ahead depth, in slices: one slice in flight behind the
 /// one being replayed covers the producer/consumer overlap while holding
@@ -90,11 +90,6 @@ impl PrefetchOptions {
         Self {
             depth: depth.max(1),
         }
-    }
-
-    /// The compile-ahead bound.
-    pub fn depth(&self) -> usize {
-        self.depth
     }
 }
 
@@ -276,7 +271,7 @@ impl Drop for FinishGuard<'_> {
 /// [`ReplaySource`]: the third source beside the monolithic trace and the
 /// serial stream. Dropping it retires the cursor (on unwind too), so the
 /// producer's backpressure wait can always make progress.
-struct QueueWindows<'q> {
+pub(crate) struct QueueWindows<'q> {
     trace: &'q StreamingTrace,
     queue: &'q WindowQueue,
     consumer: usize,
@@ -346,17 +341,17 @@ fn produce(trace: &StreamingTrace, queue: &WindowQueue, depth: usize, sink: &Tra
 /// `consumers` queue-fed sources, each handed to `consume` with its
 /// consumer index. Returns the consumers' outputs in index order and the
 /// pass's high-water marks.
-fn pipelined<T: Send>(
+pub(crate) fn pipelined<T: Send>(
     trace: &StreamingTrace,
     prefetch: &PrefetchOptions,
     consumers: usize,
     sink: &TraceSink,
     consume: impl Fn(usize, &mut QueueWindows<'_>) -> T + Sync,
 ) -> (Vec<T>, PrefetchStats) {
-    let queue = WindowQueue::new(prefetch.depth(), consumers);
+    let queue = WindowQueue::new(prefetch.depth, consumers);
     let outputs = {
         let queue = &queue;
-        let depth = prefetch.depth();
+        let depth = prefetch.depth;
         crate::pool::producer_consumers(
             move || produce(trace, queue, depth, sink),
             consumers,
@@ -374,23 +369,12 @@ fn pipelined<T: Send>(
     (outputs, queue.stats())
 }
 
-/// [`simulate_streamed`](crate::simulate_streamed) through the pipelined
-/// prefetcher: generation + compilation overlap replay, sharded consumers
-/// share one window stream, and the result is bit-identical to both the
-/// serial streaming pass and the monolithic compile at every depth and
-/// thread count (the prefetched rows of `crates/spec/tests/variants.rs`
-/// check it against the spec). Auto threads (the default) take one
-/// consumer beside the producer (see [`shard_count`](crate::shard_count)):
-/// the producer is the busier track, so a second consumer would wait on it.
-///
-/// A live `sink` records the producer's and each shard consumer's track —
-/// the chrome trace shows the overlap; pass [`TraceSink::disabled`] for an
-/// untraced run, which records nothing.
+/// [`Replay::prefetched`] over a one-member lineup; kept only for the
+/// benchmark's call sites.
 ///
 /// # Errors
 ///
-/// Returns [`SimError`] if the fetch-cost vector does not cover the
-/// trace's proxies or an option is out of range.
+/// As [`Replay::run`].
 pub fn simulate_streamed_prefetched_traced(
     trace: &StreamingTrace,
     costs: &FetchCosts,
@@ -398,12 +382,9 @@ pub fn simulate_streamed_prefetched_traced(
     prefetch: &PrefetchOptions,
     sink: &TraceSink,
 ) -> Result<SimResult, SimError> {
-    validate_meta(trace.meta(), costs, options)?;
-    let plan = plan_for(trace.meta(), options, ReplaySite::Streamed);
-    let (shards, _peaks) = pipelined(trace, prefetch, plan.shards(), sink, |k, source| {
-        replay_shard::<NullObserver>(source, costs, options, &plan, k, sink)
-    });
-    Ok(merge(trace.meta(), options, shards).0)
+    Replay::prefetched(trace, *prefetch, costs)
+        .traced(sink)
+        .solo(options)
 }
 
 impl StreamingTrace {
@@ -425,6 +406,7 @@ impl StreamingTrace {
 mod tests {
     use super::*;
     use crate::trace::CompiledTrace;
+    use pscd_core::StrategyKind;
     use pscd_spec::within_a_minute;
     use pscd_types::SimTime;
     use pscd_workload::{Workload, WorkloadConfig};
@@ -591,9 +573,38 @@ mod tests {
         queue.retire_consumer(0);
     }
 
+    /// Six cursors keep at most depth + 1 slices alive, and a lineup of
+    /// six at depth 1 finishes (each blocking cursor has a thread of its
+    /// own) with each member replaying as in the serial pass.
+    #[test]
+    fn six_cursors_keep_depth_plus_one_slices_and_a_lineup_of_six_finishes() {
+        within_a_minute(|| {
+            let stream = StreamingTrace::new(&config(), 1.0, SimTime::from_hours(3), 1).unwrap();
+            for depth in [1, 2, 4] {
+                let sink = TraceSink::disabled();
+                let prefetch = PrefetchOptions::new(depth);
+                let (_, peaks) = pipelined(&stream, &prefetch, 6, &sink, |_, source| {
+                    while source.next_window().is_some() {}
+                });
+                assert_eq!(peaks.windows, stream.window_count(), "depth {depth}");
+                assert!(peaks.peak_windows <= depth + 1, "depth {depth}: {peaks:?}");
+            }
+            let costs = FetchCosts::uniform(stream.meta().server_count());
+            let lineup: Vec<SimOptions> = (StrategyKind::figure4_lineup(2.0).into_iter())
+                .map(|kind| SimOptions::at_capacity(kind, 0.05))
+                .collect();
+            let prefetched = Replay::prefetched(&stream, PrefetchOptions::new(1), &costs);
+            assert_eq!(
+                prefetched.run(&lineup).unwrap(),
+                Replay::streamed(&stream, &costs).run(&lineup).unwrap()
+            );
+            assert!(prefetched.run(&[]).unwrap().is_empty());
+        });
+    }
+
     #[test]
     fn depth_zero_is_clamped_and_options_default() {
-        assert_eq!(PrefetchOptions::new(0).depth(), 1);
-        assert_eq!(PrefetchOptions::default().depth(), DEFAULT_PREFETCH_DEPTH);
+        assert_eq!(PrefetchOptions::new(0).depth, 1);
+        assert_eq!(PrefetchOptions::default().depth, DEFAULT_PREFETCH_DEPTH);
     }
 }

@@ -22,14 +22,14 @@ use rand::SeedableRng;
 use pscd_broker::{DeliveryEngine, PushRecord, PushScheme};
 use pscd_cache::PageUniverse;
 use pscd_core::StrategyKind;
-use pscd_obs::{MergeableObserver, NullObserver, Observer, SharedObserver, TraceSink};
+use pscd_obs::{NullObserver, Observer, SharedObserver};
 use pscd_topology::FetchCosts;
 use pscd_types::{Bytes, ServerId, SimTime};
 
-use crate::shard::{drain, run_shards, shard_count, ReplaySite};
+use crate::shard::{drain, shard_count, ReplaySite};
 use crate::trace::{CompiledEventKind, CompiledTrace};
 use crate::window::{ReplayMeta, TraceWindow};
-use crate::{HourlySeries, SimError, SimResult};
+use crate::{HourlySeries, Replay, SimError, SimResult};
 
 /// A fault-injection plan: at `time`, a `fraction` of the proxies crash
 /// and restart with empty caches (fresh strategy instances; hit/traffic
@@ -93,13 +93,13 @@ pub struct SimOptions {
     /// Worker threads for intra-run sharding: `0` (auto, the default)
     /// lets [`shard_count`](crate::shard_count) decide by source — the
     /// machine's available parallelism for an in-memory
-    /// [`CompiledTrace`], one shard for a streamed or prefetched source
-    /// and for a grid cell. `1` replays the whole trace sequentially, and
-    /// any other count shards the proxy fleet across that many threads
-    /// (oversubscription allowed). Sharded totals are bit-identical to
-    /// sequential ones — `crates/spec/tests/variants.rs` checks both
-    /// against the spec loop for every strategy — so this is purely a
-    /// speed knob.
+    /// [`CompiledTrace`], one thread for a streamed or prefetched source.
+    /// `1` replays the whole trace sequentially, and any other count
+    /// shards the proxy fleet across that many threads (oversubscription
+    /// allowed); a [`Replay`] lineup splits the count across its members.
+    /// Sharded totals are bit-identical to sequential ones —
+    /// `crates/spec/tests/variants.rs` checks both against the spec loop
+    /// for every strategy — so this is purely a speed knob.
     pub threads: usize,
 }
 
@@ -140,107 +140,18 @@ impl SimOptions {
     }
 }
 
-/// Runs one full simulation of a compiled trace (see [`CompiledTrace`]):
-/// replays its merged publishing/request timeline through a
-/// [`DeliveryEngine`] configured with one strategy instance per proxy,
-/// sharded across the fleet per [`SimOptions::threads`] — by default on
-/// the machine's cores. No whole fleet is built first: each shard builds
-/// only its own part of it.
-///
-/// Publish events and request events are processed in time order
-/// (publishes first at equal timestamps, since a notification must precede
-/// the requests it triggers). Compile once, replay any number of
-/// cells/shards against the same immutable value by reference.
+/// [`Replay::compiled`] over a one-member lineup; kept only for the
+/// benchmark's call sites.
 ///
 /// # Errors
 ///
-/// Returns [`SimError`] if the fetch-cost vector does not cover the
-/// trace's proxies or an option is out of range.
-///
-/// # Examples
-///
-/// ```
-/// use pscd_core::StrategyKind;
-/// use pscd_sim::{simulate_compiled, CompiledTrace, SimOptions};
-/// use pscd_topology::FetchCosts;
-/// use pscd_workload::{Workload, WorkloadConfig};
-///
-/// let w = Workload::generate(&WorkloadConfig::news_scaled(0.005))?;
-/// let trace = CompiledTrace::compile(&w, &w.subscriptions(1.0)?)?;
-/// let costs = FetchCosts::uniform(w.server_count());
-/// let result = simulate_compiled(
-///     &trace,
-///     &costs,
-///     &SimOptions::at_capacity(StrategyKind::Sg2 { beta: 2.0 }, 0.05),
-/// )?;
-/// assert!(result.requests > 0);
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
+/// As [`Replay::run`].
 pub fn simulate_compiled(
     trace: &CompiledTrace,
     costs: &FetchCosts,
     options: &SimOptions,
 ) -> Result<SimResult, SimError> {
-    let sink = TraceSink::disabled();
-    simulate_observed_sharded::<NullObserver>(trace, costs, options, &sink)
-        .map(|(result, _)| result)
-}
-
-/// [`simulate_compiled`] over the sharded path with a mergeable observer
-/// and timeline tracing: each shard collects into its own fresh `O` and
-/// the shard observers are folded together in shard order via
-/// [`MergeableObserver::absorb`], so additive observer totals (hits,
-/// misses, transfers, bytes) match the sequential run exactly. Runs
-/// through the shard driver even when [`SimOptions::threads`] resolves to
-/// one thread.
-///
-/// This exists because a [`SharedObserver`] is single-threaded by design
-/// (`Rc<RefCell<_>>`): an arbitrary observer handed to
-/// [`Simulation::from_compiled_observed`] cannot cross shard boundaries,
-/// but an observer type that knows how to merge can be built per shard
-/// and recombined.
-///
-/// With a live `sink` each shard worker records one track of coarse
-/// per-chunk replay spans (export with
-/// [`render_chrome_trace`](pscd_obs::render_chrome_trace)). A disabled
-/// sink makes the workers run the uninstrumented loop, so totals are
-/// bit-identical with tracing on or off (proved by
-/// `crates/sim/tests/differential.rs` and the variant table's traced row).
-///
-/// # Errors
-///
-/// Returns [`SimError`] for the same invalid inputs as
-/// [`simulate_compiled`].
-///
-/// # Examples
-///
-/// ```
-/// use pscd_core::StrategyKind;
-/// use pscd_obs::{StatsObserver, TraceSink};
-/// use pscd_sim::{simulate_observed_sharded, CompiledTrace, SimOptions};
-/// use pscd_topology::FetchCosts;
-/// use pscd_workload::{Workload, WorkloadConfig};
-///
-/// let w = Workload::generate(&WorkloadConfig::news_scaled(0.003))?;
-/// let trace = CompiledTrace::compile(&w, &w.subscriptions(1.0)?)?;
-/// let costs = FetchCosts::uniform(w.server_count());
-/// let opt = SimOptions::at_capacity(StrategyKind::Sg2 { beta: 2.0 }, 0.05).with_threads(4);
-/// let (result, stats): (_, StatsObserver) =
-///     simulate_observed_sharded(&trace, &costs, &opt, &TraceSink::disabled())?;
-/// assert_eq!(stats.requests(), result.requests);
-/// assert_eq!(stats.hits(), result.hits);
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-pub fn simulate_observed_sharded<O: MergeableObserver>(
-    trace: &CompiledTrace,
-    costs: &FetchCosts,
-    options: &SimOptions,
-    sink: &TraceSink,
-) -> Result<(SimResult, O), SimError> {
-    validate_meta(trace.meta(), costs, options)?;
-    let open = || trace.source();
-    let site = ReplaySite::Compiled;
-    Ok(run_shards(trace.meta(), open, costs, options, site, sink))
+    Replay::compiled(trace, costs).solo(options)
 }
 
 /// Rejects mismatched costs and invalid options; shared by every entry
@@ -654,7 +565,7 @@ impl<O: Observer> ReplayState<O> {
     }
 }
 
-/// A stepping simulation: the same semantics as [`simulate_compiled`],
+/// A stepping simulation: the same semantics as a [`Replay`],
 /// exposed one event at a time so callers can interleave their own logic —
 /// live dashboards, additional fault injection, early stopping, custom
 /// notification models. It borrows its compiled trace for its lifetime
@@ -766,20 +677,10 @@ impl<'a, O: Observer> Simulation<'a, O> {
         })
     }
 
-    /// The compiled trace this simulation replays.
-    pub fn trace(&self) -> &CompiledTrace {
-        self.trace
-    }
-
     /// Read access to the live delivery engine (per-proxy strategies,
     /// counters).
     pub fn engine(&self) -> &DeliveryEngine<O> {
         self.state.engine()
-    }
-
-    /// `(events processed, events total)` progress.
-    pub fn progress(&self) -> (usize, usize) {
-        (self.state.cursor(), self.trace.len())
     }
 
     /// Processes the next timeline event (publishes before requests at
@@ -792,11 +693,11 @@ impl<'a, O: Observer> Simulation<'a, O> {
     /// Drains the remaining timeline and returns the result.
     ///
     /// An untouched simulation (no [`step`](Simulation::step) calls yet)
-    /// runs sharded across the proxy fleet whenever
-    /// [`SimOptions::threads`] resolves to more than one shard — by
-    /// default on the machine's cores. The fleet built at construction is
-    /// dropped first, so only the shards' fleets are alive while they
-    /// replay. The totals are bit-identical to the sequential replay (see
+    /// runs as a one-member [`Replay`] whenever [`SimOptions::threads`]
+    /// resolves to more than one shard — by default on the machine's
+    /// cores. The fleet built at construction is dropped first, so only
+    /// the shards' fleets are alive while they replay. The totals are
+    /// bit-identical to the sequential replay (see
     /// `crates/spec/tests/variants.rs`). A simulation that has already
     /// stepped, or one with an enabled observer (whose event stream is
     /// inherently sequential), always drains on the calling thread.
@@ -807,18 +708,16 @@ impl<'a, O: Observer> Simulation<'a, O> {
             options,
             state,
         } = self;
-        let open = || trace.source();
-        let meta = trace.meta();
+        let servers = trace.meta().server_count();
         let untouched = !O::ENABLED && state.cursor() == 0 && !state.pending_invalidation();
-        let site = ReplaySite::Compiled;
-        if untouched && shard_count(options.threads, meta.server_count(), site) > 1 {
+        if untouched && shard_count(options.threads, servers, ReplaySite::Compiled, 1) > 1 {
             drop(state);
-            let sink = TraceSink::disabled();
-            return run_shards::<_, NullObserver>(meta, open, &costs, &options, site, &sink).0;
+            let replay = Replay::compiled(trace, &costs).solo(&options);
+            return replay.expect("validated at construction");
         }
         // One shard: the fleet built at construction *is* that shard, so
         // it goes to the driver's loop as it stands.
-        drain(state, &mut open(), None)
+        drain(state, &mut trace.source(), None)
     }
 
     /// Finalizes the result from the current state (usable mid-timeline
@@ -889,7 +788,8 @@ mod tests {
         let (_, trace, costs) = tiny();
         let config = WorkloadConfig::news_scaled(0.004);
         let stream = StreamingTrace::new(&config, 1.0, SimTime::from_hours(9), 1).unwrap();
-        let sink = TraceSink::disabled();
+        let sink = pscd_obs::TraceSink::disabled();
+        let base = SimOptions::at_capacity(StrategyKind::Sub, 0.05);
         let bad = [
             (
                 StrategyKind::DcFp {
@@ -919,8 +819,9 @@ mod tests {
                         simulate_compiled(&trace, &costs, &opt).map(|_| ()),
                     ),
                     (
-                        "observed sharded",
-                        simulate_observed_sharded::<StatsObserver>(&trace, &costs, &opt, &sink)
+                        "lineup",
+                        Replay::compiled(&trace, &costs)
+                            .run_observed::<StatsObserver>(&[base, opt])
                             .map(|_| ()),
                     ),
                     (
@@ -962,12 +863,12 @@ mod tests {
             Err(SimError::MismatchedCosts { .. })
         ));
         assert!(matches!(
-            simulate_compiled(&trace, &FetchCosts::uniform(3), &opt),
+            Replay::compiled(&trace, &FetchCosts::uniform(3)).solo(&opt),
             Err(SimError::MismatchedCosts { .. })
         ));
         let bad_opt = SimOptions::at_capacity(StrategyKind::Sub, 0.0);
         assert!(matches!(
-            simulate_compiled(&trace, &costs, &bad_opt),
+            Replay::compiled(&trace, &costs).solo(&bad_opt),
             Err(SimError::InvalidOption { .. })
         ));
         let bad_subs = SubscriptionTable::empty(1);
@@ -981,8 +882,10 @@ mod tests {
     fn invalidation_costs_hits_and_reports_events() {
         let (w, trace, costs) = tiny();
         let base = SimOptions::at_capacity(StrategyKind::Sg2 { beta: 2.0 }, 0.10);
-        let clean = simulate_compiled(&trace, &costs, &base).unwrap();
-        let strict = simulate_compiled(&trace, &costs, &base.with_invalidation()).unwrap();
+        let clean = Replay::compiled(&trace, &costs).solo(&base).unwrap();
+        let strict = Replay::compiled(&trace, &costs)
+            .solo(&base.with_invalidation())
+            .unwrap();
         // Dropping superseded versions can only lose hits on this trace.
         assert!(
             strict.hits <= clean.hits,
@@ -1015,7 +918,9 @@ mod tests {
         assert_eq!(hits, strict.hits);
         assert_eq!(sim.finish(), strict);
         // Determinism.
-        let again = simulate_compiled(&trace, &costs, &base.with_invalidation()).unwrap();
+        let again = Replay::compiled(&trace, &costs)
+            .solo(&base.with_invalidation())
+            .unwrap();
         assert_eq!(strict, again);
     }
 
@@ -1025,9 +930,8 @@ mod tests {
         let opt = SimOptions::at_capacity(StrategyKind::GdStar { beta: 2.0 }, 0.05)
             .with_crash(CrashPlan::new(pscd_types::SimTime::from_days(2), 1.0));
         let mut sim = Simulation::from_compiled(&trace, &costs, &opt).unwrap();
-        let (done0, total) = sim.progress();
-        assert_eq!(done0, 0);
-        assert_eq!(total, w.publishing().len() + w.requests().len());
+        let total = w.publishing().len() + w.requests().len();
+        assert_eq!((sim.state.cursor(), trace.len()), (0, total));
         let mut crashes = 0;
         let mut steps = 0usize;
         while let Some(ev) = sim.step() {
@@ -1035,13 +939,13 @@ mod tests {
                 crashes += 1;
                 assert_eq!(servers, w.server_count() as usize);
                 // A crash consumes no timeline event.
-                assert_eq!(sim.progress().0, steps);
+                assert_eq!(sim.state.cursor(), steps);
             } else {
                 steps += 1;
             }
         }
         assert_eq!(crashes, 1);
-        assert_eq!(sim.progress(), (total, total));
+        assert_eq!(sim.state.cursor(), total);
         assert!(sim.engine().server_count() == w.server_count());
         // Early finish mid-run is usable too.
         let mut sim2 = Simulation::from_compiled(&trace, &costs, &opt).unwrap();
@@ -1058,13 +962,10 @@ mod tests {
         // SG2 relies on cached pushed pages, so losing the caches at day 3
         // must cost hits.
         let base = SimOptions::at_capacity(StrategyKind::Sg2 { beta: 2.0 }, 0.05);
-        let clean = simulate_compiled(&trace, &costs, &base).unwrap();
-        let crashed = simulate_compiled(
-            &trace,
-            &costs,
-            &base.with_crash(CrashPlan::new(pscd_types::SimTime::from_days(3), 1.0)),
-        )
-        .unwrap();
+        let clean = Replay::compiled(&trace, &costs).solo(&base).unwrap();
+        let crashed = Replay::compiled(&trace, &costs)
+            .solo(&base.with_crash(CrashPlan::new(pscd_types::SimTime::from_days(3), 1.0)))
+            .unwrap();
         assert!(
             crashed.hits < clean.hits,
             "{} vs {}",
@@ -1079,12 +980,9 @@ mod tests {
             &crashed.hourly.hits[..crash_hour]
         );
         // Determinism with a crash plan.
-        let again = simulate_compiled(
-            &trace,
-            &costs,
-            &base.with_crash(CrashPlan::new(pscd_types::SimTime::from_days(3), 1.0)),
-        )
-        .unwrap();
+        let again = Replay::compiled(&trace, &costs)
+            .solo(&base.with_crash(CrashPlan::new(pscd_types::SimTime::from_days(3), 1.0)))
+            .unwrap();
         assert_eq!(crashed, again);
     }
 
@@ -1092,28 +990,19 @@ mod tests {
     fn partial_crash_affects_partial_fleet() {
         let (_, trace, costs) = tiny();
         let base = SimOptions::at_capacity(StrategyKind::Sg2 { beta: 2.0 }, 0.05);
-        let clean = simulate_compiled(&trace, &costs, &base).unwrap();
-        let half = simulate_compiled(
-            &trace,
-            &costs,
-            &base.with_crash(CrashPlan::new(pscd_types::SimTime::from_days(3), 0.5)),
-        )
-        .unwrap();
-        let full = simulate_compiled(
-            &trace,
-            &costs,
-            &base.with_crash(CrashPlan::new(pscd_types::SimTime::from_days(3), 1.0)),
-        )
-        .unwrap();
+        let clean = Replay::compiled(&trace, &costs).solo(&base).unwrap();
+        let half = Replay::compiled(&trace, &costs)
+            .solo(&base.with_crash(CrashPlan::new(pscd_types::SimTime::from_days(3), 0.5)))
+            .unwrap();
+        let full = Replay::compiled(&trace, &costs)
+            .solo(&base.with_crash(CrashPlan::new(pscd_types::SimTime::from_days(3), 1.0)))
+            .unwrap();
         assert!(clean.hits >= half.hits);
         assert!(half.hits >= full.hits);
         // Invalid fraction rejected.
         assert!(matches!(
-            simulate_compiled(
-                &trace,
-                &costs,
-                &base.with_crash(CrashPlan::new(pscd_types::SimTime::ZERO, 1.5)),
-            ),
+            Replay::compiled(&trace, &costs)
+                .solo(&base.with_crash(CrashPlan::new(pscd_types::SimTime::ZERO, 1.5)),),
             Err(SimError::InvalidOption { .. })
         ));
     }
@@ -1186,18 +1075,10 @@ mod tests {
     #[test]
     fn higher_capacity_does_not_hurt_gdstar() {
         let (_, trace, costs) = tiny();
-        let lo = simulate_compiled(
-            &trace,
-            &costs,
-            &SimOptions::at_capacity(StrategyKind::GdStar { beta: 2.0 }, 0.01),
-        )
-        .unwrap();
-        let hi = simulate_compiled(
-            &trace,
-            &costs,
-            &SimOptions::at_capacity(StrategyKind::GdStar { beta: 2.0 }, 0.10),
-        )
-        .unwrap();
+        let gd = StrategyKind::GdStar { beta: 2.0 };
+        let lineup = [0.01, 0.10].map(|capacity| SimOptions::at_capacity(gd, capacity));
+        let results = Replay::compiled(&trace, &costs).run(&lineup).unwrap();
+        let [lo, hi] = [&results[0], &results[1]];
         assert!(hi.hit_ratio() >= lo.hit_ratio());
     }
 }

@@ -7,12 +7,13 @@
 //! sub-timeline (all publishes + the shard's requests) on its own thread,
 //! and fold the shard-local [`SimResult`]s together in shard order.
 //!
-//! This module is the one replay driver: [`drain`] is the only loop that
-//! feeds a [`ReplaySource`]'s windows to `ReplayState::step`,
-//! [`replay_shard`] the only place a shard's replay is built, and
-//! [`merge`] the only fold. Every entry point — monolithic, streamed,
-//! prefetched, observed, traced — is a source handed to these; the
-//! sequential replay is the one-shard case. Determinism rests on three
+//! This module is the one replay driver: [`Replay`] is the only entry
+//! point that fans consumers out, [`drain`] the only loop that feeds a
+//! [`ReplaySource`]'s windows to `ReplayState::step`, [`replay_shard`]
+//! the only place a shard's replay is built, and [`merge`] the only
+//! fold. Every source — monolithic, streamed, prefetched — and every
+//! lineup is handed to these; the sequential replay is the one-shard,
+//! one-member case. Determinism rests on three
 //! facts, each enforced structurally:
 //!
 //! 1. **The push schedule is computed once.** Every publish event's
@@ -38,13 +39,16 @@
 //! counter merge exactly; only the event-occurrence counters
 //! `crash.events` and `invalidate.events` may split across shards.
 
-use pscd_obs::{MergeableObserver, Observer, SharedObserver, TraceRecorder, TraceSink};
+use pscd_obs::{
+    MergeableObserver, NullObserver, Observer, SharedObserver, TraceRecorder, TraceSink,
+};
 use pscd_topology::FetchCosts;
 
 use crate::pool::parallel_indexed;
-use crate::runner::{replay_state, ReplayState, SimOptions};
+use crate::prefetch::{pipelined, PrefetchOptions};
+use crate::runner::{replay_state, validate_meta, ReplayState, SimOptions};
 use crate::window::{ReplayMeta, ReplaySource, TraceWindow};
-use crate::SimResult;
+use crate::{CompiledTrace, SimError, SimResult, StreamingTrace};
 
 /// A partition of the proxy fleet into contiguous
 /// [`ServerId`](pscd_types::ServerId) ranges, one per shard, balanced by
@@ -149,9 +153,9 @@ fn replay_chunked<O: Observer>(
 /// finalizes the result — the one place a [`ReplaySource`] meets
 /// [`ReplayState::step`]. With a recorder the windows drain in traced
 /// chunks; without one this is the bare uninstrumented loop.
-pub(crate) fn drain<O: Observer>(
+pub(crate) fn drain<O: Observer, S: ReplaySource + ?Sized>(
     mut state: ReplayState<O>,
-    source: &mut impl ReplaySource,
+    source: &mut S,
     mut rec: Option<&mut TraceRecorder>,
 ) -> SimResult {
     while let Some(window) = source.next_window() {
@@ -168,8 +172,8 @@ pub(crate) fn drain<O: Observer>(
 /// result with its own observer. With a live `sink` the shard records one
 /// track (`shard <k> [<start>,<end>)`) of per-chunk replay spans. Inputs
 /// must already be validated.
-pub(crate) fn replay_shard<O: MergeableObserver>(
-    source: &mut impl ReplaySource,
+pub(crate) fn replay_shard<O: MergeableObserver, S: ReplaySource + ?Sized>(
+    source: &mut S,
     costs: &FetchCosts,
     options: &SimOptions,
     plan: &ShardPlan,
@@ -207,83 +211,276 @@ pub(crate) fn merge<O: MergeableObserver>(
 }
 
 /// Where a replay reads its timeline from: the one fact besides the
-/// requested count that decides what auto ([`SimOptions::threads`] `0`)
-/// means.
+/// requested count and the lineup's width that decides what auto
+/// ([`SimOptions::threads`] `0`) means.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplaySite {
-    /// An in-memory [`CompiledTrace`](crate::CompiledTrace): auto takes
-    /// the machine's cores, because every shard only reads the one shared
-    /// timeline.
+    /// An in-memory [`CompiledTrace`]: auto takes the machine's cores,
+    /// because every shard only reads the one shared timeline.
     Compiled,
-    /// A streamed or prefetched source: auto takes one shard, because
+    /// A streamed or prefetched source: auto takes one thread, because
     /// every extra shard either re-draws the stream (serial pass) or waits
     /// on the one producer (prefetched pass).
     Streamed,
-    /// One cell of a grid that already runs its cells in parallel
-    /// (`pscd_experiments::run_grid`): auto takes one shard.
-    GridCell,
 }
 
-/// The number of shards a replay at `site` over `servers` proxies takes
-/// for a requested thread count — the only place auto is resolved. An
-/// explicit count is honoured (oversubscription included); either way
-/// the result is clamped to `1..=servers`. Results are bit-identical at
-/// every count, so this decides speed only.
+/// The number of shards each member of a `width`-strategy lineup takes
+/// at `site` over `servers` proxies for a requested thread count — the
+/// only place auto is resolved. The requested count (auto: the machine's
+/// cores for a compiled source, one thread for a streamed one; an
+/// explicit count is honoured, oversubscription included) is split
+/// across the lineup, `max(1, threads / width)` shards per member,
+/// clamped to `1..=servers`. Results are bit-identical at every count,
+/// so this decides speed only.
 ///
 /// # Examples
 ///
 /// ```
 /// use pscd_sim::{shard_count, ReplaySite};
 ///
-/// assert_eq!(shard_count(0, 100, ReplaySite::Streamed), 1);
-/// assert_eq!(shard_count(0, 100, ReplaySite::GridCell), 1);
-/// assert_eq!(shard_count(3, 100, ReplaySite::Streamed), 3);
-/// assert_eq!(shard_count(8, 2, ReplaySite::Compiled), 2);
-/// assert!(shard_count(0, 100, ReplaySite::Compiled) >= 1);
+/// assert_eq!(shard_count(0, 100, ReplaySite::Streamed, 1), 1);
+/// assert_eq!(shard_count(3, 100, ReplaySite::Streamed, 1), 3);
+/// assert_eq!(shard_count(8, 2, ReplaySite::Compiled, 1), 2);
+/// assert_eq!(shard_count(8, 100, ReplaySite::Compiled, 3), 2);
+/// assert_eq!(shard_count(2, 100, ReplaySite::Compiled, 6), 1);
+/// assert!(shard_count(0, 100, ReplaySite::Compiled, 1) >= 1);
 /// ```
-pub fn shard_count(threads: usize, servers: u16, site: ReplaySite) -> usize {
+pub fn shard_count(threads: usize, servers: u16, site: ReplaySite, width: usize) -> usize {
     let auto = match site {
         ReplaySite::Compiled => 0,
-        ReplaySite::Streamed | ReplaySite::GridCell => 1,
+        ReplaySite::Streamed => 1,
     };
     let requested = if threads == 0 { auto } else { threads };
-    crate::pool::effective_threads(requested, usize::from(servers))
+    let total = crate::pool::effective_threads(requested, usize::MAX);
+    let per_member = (total / width.max(1)).max(1);
+    crate::pool::effective_threads(per_member, usize::from(servers))
 }
 
-/// The shard plan [`SimOptions::threads`] asks for over `meta`'s fleet.
-pub(crate) fn plan_for(meta: &ReplayMeta, options: &SimOptions, site: ReplaySite) -> ShardPlan {
-    let shards = shard_count(options.threads, meta.server_count(), site);
-    ShardPlan::balanced(meta.request_load(), shards)
+/// Where a [`Replay`] reads its timeline from.
+#[derive(Debug, Clone, Copy)]
+enum Source<'a> {
+    Compiled(&'a CompiledTrace),
+    Streamed(&'a StreamingTrace),
+    Prefetched(&'a StreamingTrace, PrefetchOptions),
 }
 
-/// Runs one replay over independently opened sources: every shard worker
-/// calls `open()` for its own source and pulls its own window sequence (a
-/// window borrows its source and a [`SharedObserver`] is single-threaded,
-/// so sharing one source across workers is neither possible nor wanted).
-/// The calling thread runs shard 0. Inputs must already be validated
-/// against `meta`.
-pub(crate) fn run_shards<S, O>(
-    meta: &ReplayMeta,
-    open: impl Fn() -> S + Sync,
-    costs: &FetchCosts,
-    options: &SimOptions,
-    site: ReplaySite,
-    sink: &TraceSink,
-) -> (SimResult, O)
-where
-    S: ReplaySource,
-    O: MergeableObserver,
-{
-    if sink.is_enabled() {
-        crate::pool::spans::set_phase("replay.shard");
+/// One replay: a source of windows × a lineup of strategies, every
+/// member offered the same events (the paper's simulator, §4 and
+/// figure 2).
+///
+/// The consumers are lineup members × shards ([`shard_count`] splits the
+/// requested threads across the lineup). Over a compiled or serial
+/// source they run in one pool fan-out, each opening its own window
+/// sequence; over a prefetched source each takes its own cursor through
+/// one bounded queue, on a thread of its own. Each member's shards merge
+/// in shard order, so a member's result is bit-identical to its solo
+/// replay at every thread count and lineup width.
+///
+/// With a live [`TraceSink`] ([`traced`](Replay::traced)) each consumer
+/// records a track of per-chunk replay spans (`shard <k> [<start>,<end>)`)
+/// and the prefetcher its `prefetch producer` track; totals are
+/// bit-identical either way.
+///
+/// # Examples
+///
+/// ```
+/// use pscd_core::StrategyKind;
+/// use pscd_sim::{CompiledTrace, Replay, SimOptions};
+/// use pscd_topology::FetchCosts;
+/// use pscd_workload::{Workload, WorkloadConfig};
+///
+/// let w = Workload::generate(&WorkloadConfig::news_scaled(0.003))?;
+/// let trace = CompiledTrace::compile(&w, &w.subscriptions(1.0)?)?;
+/// let costs = FetchCosts::uniform(w.server_count());
+/// let lineup = [StrategyKind::GdStar { beta: 2.0 }, StrategyKind::Sg2 { beta: 2.0 }]
+///     .map(|kind| SimOptions::at_capacity(kind, 0.05));
+/// let results = Replay::compiled(&trace, &costs).run(&lineup)?;
+/// assert_eq!(results[0].requests, results[1].requests);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+#[derive(Debug, Clone)]
+pub struct Replay<'a> {
+    source: Source<'a>,
+    costs: &'a FetchCosts,
+    sink: TraceSink,
+}
+
+impl<'a> Replay<'a> {
+    fn new(source: Source<'a>, costs: &'a FetchCosts) -> Self {
+        let sink = TraceSink::disabled();
+        Self {
+            source,
+            costs,
+            sink,
+        }
     }
-    let plan = plan_for(meta, options, site);
-    let outputs = parallel_indexed(plan.shards(), plan.shards(), |k| {
-        let mut source = open();
-        debug_assert_eq!(source.meta(), meta, "per-shard source disagrees on meta");
-        replay_shard(&mut source, costs, options, &plan, k, sink)
-    });
-    merge(meta, options, outputs)
+
+    /// A replay of a compiled trace, which every consumer reads in place
+    /// as one whole-trace window.
+    pub fn compiled(trace: &'a CompiledTrace, costs: &'a FetchCosts) -> Self {
+        Self::new(Source::Compiled(trace), costs)
+    }
+
+    /// A serial streamed replay: every consumer opens its own pass
+    /// ([`StreamingTrace::open`]), drawing and compiling the stream slice
+    /// by slice in O(slice + live tail) memory.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use pscd_core::StrategyKind;
+    /// use pscd_sim::{Replay, SimOptions, StreamingTrace};
+    /// use pscd_topology::FetchCosts;
+    /// use pscd_types::SimTime;
+    /// use pscd_workload::WorkloadConfig;
+    ///
+    /// let config = WorkloadConfig::news_scaled(0.003);
+    /// let stream = StreamingTrace::new(&config, 1.0, SimTime::from_hours(24), 1)?;
+    /// let costs = FetchCosts::uniform(stream.meta().server_count());
+    /// let sub = SimOptions::at_capacity(StrategyKind::Sub, 0.05);
+    /// let results = Replay::streamed(&stream, &costs).run(&[sub])?;
+    /// assert_eq!(results[0].requests as usize, stream.meta().request_count());
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
+    pub fn streamed(trace: &'a StreamingTrace, costs: &'a FetchCosts) -> Self {
+        Self::new(Source::Streamed(trace), costs)
+    }
+
+    /// A pipelined streamed replay: a producer thread generates and
+    /// compiles up to `prefetch`'s depth of slices ahead of the slowest
+    /// consumer, once for the whole lineup, and every consumer replays
+    /// the shared slices through its own cursor. At most depth + 1 slices
+    /// are alive at once, whatever the lineup's width.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use pscd_core::StrategyKind;
+    /// use pscd_sim::{PrefetchOptions, Replay, SimOptions, StreamingTrace};
+    /// use pscd_topology::FetchCosts;
+    /// use pscd_types::SimTime;
+    /// use pscd_workload::WorkloadConfig;
+    ///
+    /// let config = WorkloadConfig::news_scaled(0.003);
+    /// let stream = StreamingTrace::new(&config, 1.0, SimTime::from_hours(6), 1)?;
+    /// let costs = FetchCosts::uniform(stream.meta().server_count());
+    /// let lineup = [StrategyKind::Sub, StrategyKind::Lru]
+    ///     .map(|kind| SimOptions::at_capacity(kind, 0.05));
+    /// let replay = Replay::prefetched(&stream, PrefetchOptions::default(), &costs);
+    /// let results = replay.run(&lineup)?;
+    /// assert_eq!(results[0].requests, results[1].requests);
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
+    pub fn prefetched(
+        trace: &'a StreamingTrace,
+        prefetch: PrefetchOptions,
+        costs: &'a FetchCosts,
+    ) -> Self {
+        Self::new(Source::Prefetched(trace, prefetch), costs)
+    }
+
+    /// Records the replay's timeline tracks into `sink`.
+    #[must_use]
+    pub fn traced(mut self, sink: &TraceSink) -> Self {
+        self.sink = sink.clone();
+        self
+    }
+
+    fn meta(&self) -> &'a ReplayMeta {
+        match self.source {
+            Source::Compiled(trace) => trace.meta(),
+            Source::Streamed(trace) | Source::Prefetched(trace, _) => trace.meta(),
+        }
+    }
+
+    /// Replays every member of `lineup` and returns one result per
+    /// member, in lineup order.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError`] if the fetch-cost vector does not cover the
+    /// source's proxies or a member's option is out of range; nothing is
+    /// replayed then.
+    pub fn run(&self, lineup: &[SimOptions]) -> Result<Vec<SimResult>, SimError> {
+        let observed = self.run_observed::<NullObserver>(lineup)?;
+        Ok(observed.into_iter().map(|(result, _)| result).collect())
+    }
+
+    /// [`run`](Replay::run) with a mergeable observer: each consumer
+    /// collects into its own fresh `O` and a member's shard observers fold
+    /// together in shard order via [`MergeableObserver::absorb`], so
+    /// additive observer totals (hits, misses, transfers, bytes) match the
+    /// sequential run exactly. (A [`SharedObserver`] is single-threaded by
+    /// design; an observer that knows how to merge can be built per
+    /// consumer instead.)
+    ///
+    /// # Errors
+    ///
+    /// Same as [`run`](Replay::run).
+    pub fn run_observed<O: MergeableObserver>(
+        &self,
+        lineup: &[SimOptions],
+    ) -> Result<Vec<(SimResult, O)>, SimError> {
+        let meta = self.meta();
+        for options in lineup {
+            validate_meta(meta, self.costs, options)?;
+        }
+        if lineup.is_empty() {
+            // A prefetcher would still hand its one consumer a cursor.
+            return Ok(Vec::new());
+        }
+        let site = match self.source {
+            Source::Compiled(_) => ReplaySite::Compiled,
+            Source::Streamed(_) | Source::Prefetched(..) => ReplaySite::Streamed,
+        };
+        let servers = meta.server_count();
+        let plans: Vec<ShardPlan> = lineup
+            .iter()
+            .map(|o| {
+                let shards = shard_count(o.threads, servers, site, lineup.len());
+                ShardPlan::balanced(meta.request_load(), shards)
+            })
+            .collect();
+        // Consumer `c` is shard `k` of member `m`, member-major.
+        let consumers: Vec<(usize, usize)> = (plans.iter().enumerate())
+            .flat_map(|(m, plan)| (0..plan.shards()).map(move |k| (m, k)))
+            .collect();
+        let consume = |c: usize, source: &mut dyn ReplaySource| {
+            let (m, k) = consumers[c];
+            replay_shard(source, self.costs, &lineup[m], &plans[m], k, &self.sink)
+        };
+        crate::pool::spans::set_phase("replay");
+        // The fan-out is as wide as the widest member's own request.
+        let threads = (lineup.iter())
+            .map(|o| shard_count(o.threads, servers, site, 1))
+            .max()
+            .unwrap_or(1);
+        let jobs = consumers.len();
+        let outputs = match self.source {
+            Source::Compiled(trace) => {
+                parallel_indexed(jobs, threads, |c| consume(c, &mut trace.source()))
+            }
+            Source::Streamed(trace) => {
+                parallel_indexed(jobs, threads, |c| consume(c, &mut trace.open()))
+            }
+            Source::Prefetched(trace, prefetch) => {
+                let sink = &self.sink;
+                pipelined(trace, &prefetch, jobs, sink, |c, source| consume(c, source)).0
+            }
+        };
+        let mut outputs = outputs.into_iter();
+        let mut member = |(options, plan): (&SimOptions, &ShardPlan)| {
+            let shards = outputs.by_ref().take(plan.shards()).collect();
+            merge(meta, options, shards)
+        };
+        Ok(lineup.iter().zip(&plans).map(&mut member).collect())
+    }
+
+    /// The one result of a one-member lineup.
+    pub(crate) fn solo(&self, options: &SimOptions) -> Result<SimResult, SimError> {
+        let mut results = self.run(std::slice::from_ref(options))?;
+        Ok(results.pop().expect("one result per member"))
+    }
 }
 
 #[cfg(test)]
@@ -350,28 +547,33 @@ mod tests {
     }
 
     #[test]
-    fn auto_resolves_by_site_and_explicit_counts_are_kept() {
-        use ReplaySite::{Compiled, GridCell, Streamed};
+    fn auto_resolves_by_site_and_the_lineup_splits_the_threads() {
+        use ReplaySite::{Compiled, Streamed};
         let cores = crate::pool::effective_threads(0, usize::MAX);
-        // (threads, servers, site, shards)
+        // (threads, servers, site, lineup width, shards per member)
         let table = [
-            (0, 100, Compiled, cores.min(100)),
-            (0, 1, Compiled, 1),
-            (0, 100, Streamed, 1),
-            (0, 100, GridCell, 1),
-            (1, 100, Compiled, 1),
-            (2, 100, Compiled, 2),
-            (2, 100, Streamed, 2),
-            (2, 100, GridCell, 2),
-            (5, 100, Streamed, 5),
-            (5, 3, GridCell, 3),
-            (4, 0, Compiled, 1),
+            (0, 100, Compiled, 1, cores.min(100)),
+            (0, 1, Compiled, 1, 1),
+            (0, 100, Compiled, cores, 1),
+            (0, 100, Compiled, 2 * cores, 1),
+            (0, 100, Streamed, 1, 1),
+            (0, 100, Streamed, 6, 1),
+            (1, 100, Compiled, 1, 1),
+            (2, 100, Compiled, 1, 2),
+            (2, 100, Streamed, 1, 2),
+            (2, 100, Streamed, 6, 1),
+            (5, 100, Streamed, 1, 5),
+            (5, 3, Compiled, 1, 3),
+            (8, 100, Compiled, 3, 2),
+            (12, 100, Streamed, 6, 2),
+            (12, 100, Compiled, 0, 12),
+            (4, 0, Compiled, 1, 1),
         ];
-        for (threads, servers, site, shards) in table {
+        for (threads, servers, site, width, shards) in table {
             assert_eq!(
-                shard_count(threads, servers, site),
+                shard_count(threads, servers, site, width),
                 shards,
-                "{threads} threads, {servers} servers, {site:?}"
+                "{threads} threads, {servers} servers, {site:?}, width {width}"
             );
         }
     }

@@ -59,9 +59,9 @@
 //! Two pulls on the same machinery exist. The serial pass
 //! ([`StreamingTrace::open`]) gathers one slice at a time on the replay
 //! thread. The pipelined pass (`crate::prefetch`,
-//! [`simulate_streamed_prefetched_traced`](crate::simulate_streamed_prefetched_traced))
-//! moves generation + compilation to a producer thread that works
-//! `prefetch_depth` slices ahead. Both drive the same `gather_batch` +
+//! [`Replay::prefetched`](crate::Replay::prefetched)) moves generation +
+//! compilation to a producer thread that works `prefetch_depth` slices
+//! ahead. Both drive the same `gather_batch` +
 //! [`compile_window_into`](StreamingTrace::compile_window_into) pair over
 //! a [`WindowState`] — the serial pass is the batch of one — so the
 //! per-slice gather/merge/resolve logic cannot diverge; what
@@ -78,7 +78,6 @@ use std::ops::Range;
 
 use pscd_cache::PageUniverse;
 use pscd_matching::EngineMatcher;
-use pscd_obs::{NullObserver, TraceSink};
 use pscd_topology::FetchCosts;
 use pscd_types::{count, Bytes, PageMeta, PublishEvent, RequestEvent, SimTime, SubscriptionTable};
 use pscd_workload::{
@@ -88,11 +87,10 @@ use pscd_workload::{
 
 use crate::pool::parallel_chunked;
 use crate::resolve::{MatchBuffers, Matching, VersionHeads};
-use crate::runner::{validate_meta, SimOptions};
-use crate::shard::{run_shards, ReplaySite};
+use crate::runner::SimOptions;
 use crate::trace::{merge_timeline, CompiledEventKind, CompiledTrace};
 use crate::window::{OwnedWindow, ReplayMeta, ReplaySource, TraceWindow};
-use crate::{SimError, SimResult};
+use crate::{Replay, SimError, SimResult};
 
 /// Pages per pool job in the counting scan. Scheduling granularity only —
 /// every page has its own substream, so chunking never affects output.
@@ -110,9 +108,8 @@ const SCAN_CHUNK: usize = 256;
 /// trace, so both paths resolve against the same table.
 ///
 /// [`open`](StreamingTrace::open) starts a serial window pass;
-/// [`simulate_streamed`] replays one (sharded if asked);
-/// [`simulate_streamed_prefetched_traced`](crate::simulate_streamed_prefetched_traced)
-/// replays through the pipelined prefetcher;
+/// [`Replay::streamed`] replays one per consumer;
+/// [`Replay::prefetched`] replays through the pipelined prefetcher;
 /// [`materialize`](StreamingTrace::materialize) rebuilds the full
 /// [`CompiledTrace`] for differential proofs and memoizing consumers.
 #[derive(Debug)]
@@ -666,34 +663,18 @@ impl ReplaySource for StreamingWindows<'_> {
     }
 }
 
-/// [`simulate_compiled`](crate::simulate_compiled) without the compiled
-/// trace: replays a [`StreamingTrace`] slice by slice in O(slice + live
-/// tail) peak memory. Auto threads (the default) take one shard (see
-/// [`shard_count`](crate::shard_count)); an explicit count beyond one
-/// shards along the proxy axis like the materialized path — each shard
-/// worker opens its own pass (drawing the stream once per shard,
-/// holding one slice and one tail each). Results are bit-identical to
-/// the materialized replay at every window size and thread count; the
-/// streamed rows of `crates/spec/tests/variants.rs` check both against
-/// the spec. This is the serial reference arm — see
-/// [`simulate_streamed_prefetched_traced`](crate::simulate_streamed_prefetched_traced)
-/// for the pipelined path that overlaps generation with replay and shares
-/// one prefetcher across shards.
+/// [`Replay::streamed`] over a one-member lineup; kept only for the
+/// benchmark's call sites.
 ///
 /// # Errors
 ///
-/// Returns [`SimError`] if the fetch-cost vector does not cover the
-/// trace's proxies or an option is out of range.
+/// As [`Replay::run`].
 pub fn simulate_streamed(
     trace: &StreamingTrace,
     costs: &FetchCosts,
     options: &SimOptions,
 ) -> Result<SimResult, SimError> {
-    validate_meta(trace.meta(), costs, options)?;
-    let open = || trace.open();
-    let sink = TraceSink::disabled();
-    let site = ReplaySite::Streamed;
-    Ok(run_shards::<_, NullObserver>(trace.meta(), open, costs, options, site, &sink).0)
+    Replay::streamed(trace, costs).solo(options)
 }
 
 #[cfg(test)]
@@ -717,27 +698,9 @@ mod tests {
         assert_eq!(stream.materialize(), reference);
     }
 
-    /// The news baseline with one sharp flash crowd on day 2: at 24 h
-    /// windows the crowd's day draws more than [`SLICE_DRAWS`] events.
-    /// `stream_differential::a_sliced_flash_crowd_replays_like_the_spec`
-    /// replays the same scenario.
-    fn sliced_scenario() -> ScenarioConfig {
-        ScenarioConfig {
-            name: "sliced-crowd".to_owned(),
-            seed: 7,
-            scale: 0.05,
-            flash_crowds: vec![pscd_workload::FlashCrowd {
-                start_hour: 30.0,
-                duration_hours: 3.0,
-                boost: 400.0,
-            }],
-            ..ScenarioConfig::flash_crowds()
-        }
-    }
-
     #[test]
     fn a_flash_crowd_is_sliced_within_the_budget() {
-        let scenario = sliced_scenario();
+        let scenario = pscd_spec::sliced_flash_crowd();
         let window = SimTime::from_hours(24);
         let stream = StreamingTrace::from_scenario(&scenario, 1.0, window, 1).unwrap();
         let days = scenario.horizon_days as usize;

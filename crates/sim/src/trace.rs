@@ -83,7 +83,7 @@ pub enum CompiledEventKind {
 ///
 /// ```
 /// use pscd_core::StrategyKind;
-/// use pscd_sim::{simulate_compiled, CompiledTrace, SimOptions};
+/// use pscd_sim::{CompiledTrace, Replay, SimOptions};
 /// use pscd_topology::FetchCosts;
 /// use pscd_workload::{Workload, WorkloadConfig};
 ///
@@ -92,17 +92,10 @@ pub enum CompiledEventKind {
 /// let costs = FetchCosts::uniform(w.server_count());
 /// let trace = CompiledTrace::compile(&w, &subs)?;
 /// // Replay the same compiled trace under two strategies.
-/// let gd = simulate_compiled(
-///     &trace,
-///     &costs,
-///     &SimOptions::at_capacity(StrategyKind::GdStar { beta: 2.0 }, 0.05),
-/// )?;
-/// let sg2 = simulate_compiled(
-///     &trace,
-///     &costs,
-///     &SimOptions::at_capacity(StrategyKind::Sg2 { beta: 2.0 }, 0.05),
-/// )?;
-/// assert_eq!(gd.requests, sg2.requests);
+/// let lineup = [StrategyKind::GdStar { beta: 2.0 }, StrategyKind::Sg2 { beta: 2.0 }]
+///     .map(|kind| SimOptions::at_capacity(kind, 0.05));
+/// let results = Replay::compiled(&trace, &costs).run(&lineup)?;
+/// assert_eq!(results[0].requests, results[1].requests);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -532,7 +525,7 @@ mod tests {
                 .as_slice()
         );
         assert_eq!(trace.meta().server_count(), w.server_count());
-        assert_eq!(trace.meta().horizon(), w.horizon());
+        assert_eq!(trace.meta().horizon, w.horizon());
     }
 
     #[test]

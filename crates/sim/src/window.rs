@@ -73,11 +73,6 @@ impl ReplayMeta {
         self.hours
     }
 
-    /// The simulation horizon.
-    pub fn horizon(&self) -> SimTime {
-        self.horizon
-    }
-
     /// Number of publish events across the whole timeline.
     pub fn publish_count(&self) -> usize {
         self.publish_count
@@ -157,12 +152,6 @@ impl<'a> TraceWindow<'a> {
     #[inline]
     pub fn start_index(&self) -> usize {
         self.start_index
-    }
-
-    /// Global timeline index one past the window's last event.
-    #[inline]
-    pub fn end_index(&self) -> usize {
-        self.start_index + self.events.len()
     }
 
     /// Number of events in the window.
@@ -340,8 +329,8 @@ pub trait ReplaySource {
     fn meta(&self) -> &ReplayMeta;
 
     /// Compiles and returns the next window, or `None` after the last.
-    /// Windows tile the timeline: `start_index` of each equals the
-    /// previous window's `end_index` (empty windows are legal).
+    /// Windows tile the timeline: `start_index` of each is one past the
+    /// previous window's last event (empty windows are legal).
     fn next_window(&mut self) -> Option<TraceWindow<'_>>;
 }
 

@@ -16,7 +16,7 @@ use proptest::prelude::*;
 
 use pscd_core::StrategyKind;
 use pscd_matching::{EngineMatcher, MatchScratch, Predicate, Subscription, Value};
-use pscd_sim::{simulate_compiled, CompiledTrace, SimOptions, SimResult};
+use pscd_sim::{CompiledTrace, Replay, SimOptions};
 use pscd_topology::{FetchCosts, TopologyBuilder};
 use pscd_types::ServerId;
 use pscd_workload::{ContentModel, Workload, WorkloadConfig};
@@ -95,15 +95,14 @@ fn end_to_end_cold_path_yields_identical_sim_results() {
     let (par_trace, _) = build(0);
     assert_eq!(seq_trace, par_trace);
     let costs = FetchCosts::uniform(servers);
-    for kind in [
+    let lineup = [
         StrategyKind::GdStar { beta: 2.0 },
         StrategyKind::Sg2 { beta: 2.0 },
-    ] {
-        let options = SimOptions::at_capacity(kind, 0.05);
-        let a: SimResult = simulate_compiled(&seq_trace, &costs, &options).unwrap();
-        let b: SimResult = simulate_compiled(&par_trace, &costs, &options).unwrap();
-        assert_eq!(a, b, "{}", kind.name());
-    }
+    ]
+    .map(|kind| SimOptions::at_capacity(kind, 0.05));
+    let a = Replay::compiled(&seq_trace, &costs).run(&lineup).unwrap();
+    let b = Replay::compiled(&par_trace, &costs).run(&lineup).unwrap();
+    assert_eq!(a, b);
 }
 
 /// A deliberately heterogeneous proxy: equality, tag-containment, range

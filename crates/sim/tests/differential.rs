@@ -11,9 +11,7 @@ use std::sync::OnceLock;
 
 use pscd_core::StrategyKind;
 use pscd_obs::{SharedObserver, StatsObserver, TraceSink};
-use pscd_sim::{
-    simulate_compiled, simulate_observed_sharded, CompiledTrace, CrashPlan, SimOptions, Simulation,
-};
+use pscd_sim::{CompiledTrace, CrashPlan, Replay, SimOptions, Simulation};
 use pscd_topology::FetchCosts;
 use pscd_types::SimTime;
 use pscd_workload::{Workload, WorkloadConfig};
@@ -35,8 +33,11 @@ fn sharded_observer_totals_match_simresult_and_sequential_observer() {
     let (_, costs, trace) = fixture();
     let options = SimOptions::at_capacity(StrategyKind::Sg2 { beta: 2.0 }, 0.05).with_threads(4);
     let sink = TraceSink::disabled();
-    let (result, merged): (_, StatsObserver) =
-        simulate_observed_sharded(trace, costs, &options, &sink).unwrap();
+    let replay = Replay::compiled(trace, costs).traced(&sink);
+    let (result, merged) = replay
+        .run_observed::<StatsObserver>(&[options])
+        .unwrap()
+        .remove(0);
     assert!(sink.drain().is_empty(), "disabled sink must stay empty");
     // The merged shard registries must agree with the simulator's own
     // accounting exactly — this is what `repro --obs-dir` hard-checks.
@@ -99,8 +100,11 @@ fn sharded_observer_crash_totals_merge_exactly() {
     let options = SimOptions::at_capacity(StrategyKind::Sg2 { beta: 2.0 }, 0.05)
         .with_crash(crash)
         .with_threads(4);
-    let (result, merged): (_, StatsObserver) =
-        simulate_observed_sharded(trace, costs, &options, &TraceSink::disabled()).unwrap();
+    let replay = Replay::compiled(trace, costs);
+    let (result, merged) = replay
+        .run_observed::<StatsObserver>(&[options])
+        .unwrap()
+        .remove(0);
     assert_eq!(merged.requests(), result.requests);
     assert_eq!(merged.hits(), result.hits);
     // Victim and restart totals are additive across shards.
@@ -116,7 +120,8 @@ fn stepped_then_run_still_matches() {
     // at the sequential answer.
     let (_, costs, trace) = fixture();
     let options = SimOptions::at_capacity(StrategyKind::Sub, 0.05).with_threads(4);
-    let sequential = simulate_compiled(trace, costs, &options.with_threads(1)).unwrap();
+    let replay = Replay::compiled(trace, costs);
+    let sequential = replay.run(&[options.with_threads(1)]).unwrap().remove(0);
     let mut sim = Simulation::from_compiled(trace, costs, &options).unwrap();
     for _ in 0..10 {
         sim.step();

@@ -8,10 +8,8 @@ use std::sync::OnceLock;
 use proptest::prelude::*;
 use proptest::sample::select;
 
-use pscd_obs::{SharedObserver, StatsObserver, TraceSink};
-use pscd_sim::{
-    simulate_compiled, simulate_observed_sharded, CompiledTrace, SimOptions, Simulation,
-};
+use pscd_obs::{SharedObserver, StatsObserver};
+use pscd_sim::{CompiledTrace, Replay, SimOptions, Simulation};
 use pscd_spec::LINEUP;
 use pscd_topology::FetchCosts;
 use pscd_workload::{Workload, WorkloadConfig};
@@ -38,8 +36,9 @@ proptest! {
     ) {
         let (costs, trace) = fixture();
         let options = SimOptions::at_capacity(kind, capacity).with_threads(1);
-        let sequential = simulate_compiled(trace, costs, &options).unwrap();
-        let sharded = simulate_compiled(trace, costs, &options.with_threads(threads)).unwrap();
+        let replay = Replay::compiled(trace, costs);
+        let sequential = replay.run(&[options]).unwrap().remove(0);
+        let sharded = replay.run(&[options.with_threads(threads)]).unwrap().remove(0);
         // Bit-identical to the sequential run...
         prop_assert_eq!(&sharded, &sequential);
 
@@ -73,13 +72,10 @@ proptest! {
         prop_assert_eq!(stats.requests(), observed.requests);
         prop_assert_eq!(stats.hits(), observed.hits);
         prop_assert_eq!(stats.push_transfers(), observed.traffic.pushed_pages);
-        let (observed, stats): (_, StatsObserver) = simulate_observed_sharded(
-            trace,
-            costs,
-            &options.with_threads(threads),
-            &TraceSink::disabled(),
-        )
-        .unwrap();
+        let (observed, stats) = replay
+            .run_observed::<StatsObserver>(&[options.with_threads(threads)])
+            .unwrap()
+            .remove(0);
         prop_assert_eq!(&observed, &sequential);
         prop_assert_eq!(stats.requests(), observed.requests);
         prop_assert_eq!(stats.hits(), observed.hits);

@@ -12,15 +12,14 @@
 use std::sync::OnceLock;
 
 use pscd_core::StrategyKind;
-use pscd_obs::TraceSink;
 use pscd_sim::{
-    simulate_compiled, simulate_streamed, simulate_streamed_prefetched_traced, CompiledEventKind,
-    CompiledTrace, PrefetchOptions, ReplaySource, SimOptions, StreamingTrace,
+    CompiledEventKind, CompiledTrace, PrefetchOptions, Replay, ReplaySource, SimOptions,
+    StreamingTrace,
 };
-use pscd_spec::{spec_replay, SpecInput};
+use pscd_spec::{sliced_flash_crowd, spec_replay, SpecInput};
 use pscd_topology::FetchCosts;
 use pscd_types::{RequestEvent, SimTime};
-use pscd_workload::{FlashCrowd, ScenarioConfig, Workload, WorkloadConfig};
+use pscd_workload::{ScenarioConfig, Workload, WorkloadConfig};
 
 fn config() -> WorkloadConfig {
     WorkloadConfig::news_scaled(0.004)
@@ -92,7 +91,7 @@ fn empty_windows_mid_stream_are_harmless() {
             seen_nonempty = true;
         }
         assert_eq!(w.start_index(), next_start, "windows tile");
-        next_start = w.end_index();
+        next_start = w.start_index() + w.len();
         for (at, ev) in (w.start_index()..).zip(w.events()) {
             assert_eq!(ev, &trace.events()[at]);
             if let CompiledEventKind::Publish { ordinal, .. } = ev.kind {
@@ -109,10 +108,10 @@ fn empty_windows_mid_stream_are_harmless() {
         "fixture has no empty mid-stream windows; shrink the window"
     );
     assert_eq!((next_start, windows), (trace.len(), stream.window_count()));
-    let options = SimOptions::at_capacity(StrategyKind::Gds, 0.05);
+    let options = [SimOptions::at_capacity(StrategyKind::Gds, 0.05)];
     assert_eq!(
-        simulate_compiled(trace, costs, &options).unwrap(),
-        simulate_streamed(&stream, costs, &options).unwrap()
+        Replay::compiled(trace, costs).run(&options).unwrap(),
+        Replay::streamed(&stream, costs).run(&options).unwrap()
     );
 }
 
@@ -222,40 +221,24 @@ fn slow_decay_tail_heavy_stream_is_bit_identical() {
         );
 
         assert_eq!(stream.materialize(), reference);
-        let options = SimOptions::at_capacity(StrategyKind::dc_lap(2.0), 0.05).with_threads(3);
-        let compiled = simulate_compiled(&reference, &costs, &options).unwrap();
+        let options = [SimOptions::at_capacity(StrategyKind::dc_lap(2.0), 0.05).with_threads(3)];
+        let compiled = Replay::compiled(&reference, &costs).run(&options).unwrap();
         for depth in [1usize, 2, 4] {
             let prefetch = PrefetchOptions::new(depth);
-            let pipelined = simulate_streamed_prefetched_traced(
-                &stream,
-                &costs,
-                &options,
-                &prefetch,
-                &TraceSink::disabled(),
-            )
-            .unwrap();
-            assert_eq!(compiled, pipelined, "3 shards, depth = {depth}");
+            let pipelined = Replay::prefetched(&stream, prefetch, &costs).run(&options);
+            assert_eq!(compiled, pipelined.unwrap(), "3 shards, depth = {depth}");
         }
     }
 }
 
 /// A flash crowd that lifts one 24 h window's draws past the slice budget
-/// (the same scenario as `stream::tests::sliced_scenario`, whose unit test
-/// checks the budget): the serial streamed replay equals the spec, and the
-/// prefetched replay at depths 1–3 on one and two shards equals both.
+/// (`stream::tests::a_flash_crowd_is_sliced_within_the_budget` checks the
+/// budget on the same scenario): the serial streamed replay of a
+/// two-strategy lineup equals the spec, and the prefetched lineup at
+/// depths 1–3, on one and two shards per member, equals both.
 #[test]
 fn a_sliced_flash_crowd_replays_like_the_spec() {
-    let scenario = ScenarioConfig {
-        name: "sliced-crowd".to_owned(),
-        seed: 7,
-        scale: 0.05,
-        flash_crowds: vec![FlashCrowd {
-            start_hour: 30.0,
-            duration_hours: 3.0,
-            boost: 400.0,
-        }],
-        ..ScenarioConfig::flash_crowds()
-    };
+    let scenario = sliced_flash_crowd();
     let stream = StreamingTrace::from_scenario(&scenario, 1.0, SimTime::from_hours(24), 1).unwrap();
     let days = scenario.horizon_days as usize;
     assert!(stream.window_count() > days, "no 24 h window was sliced");
@@ -264,28 +247,19 @@ fn a_sliced_flash_crowd_replays_like_the_spec() {
     let subs = w.subscriptions(1.0).unwrap();
     let costs = FetchCosts::uniform(w.server_count());
     let input = SpecInput::from_workload(&w, &subs, &costs);
-    for kind in [StrategyKind::Sub, StrategyKind::GdStar { beta: 2.0 }] {
-        let options = SimOptions::at_capacity(kind, 0.05).with_invalidation();
-        let serial = simulate_streamed(&stream, &costs, &options).unwrap();
-        assert_eq!(
-            serial,
-            spec_replay(&input, &options).result,
-            "{}",
-            kind.name()
-        );
-        for depth in 1..=3 {
-            for threads in 1..=2 {
-                let pipelined = simulate_streamed_prefetched_traced(
-                    &stream,
-                    &costs,
-                    &options.with_threads(threads),
-                    &PrefetchOptions::new(depth),
-                    &TraceSink::disabled(),
-                )
-                .unwrap();
-                let at = format!("{}, depth {depth}, {threads} shards", kind.name());
-                assert_eq!(pipelined, serial, "{at}");
-            }
+    let lineup = [StrategyKind::Sub, StrategyKind::GdStar { beta: 2.0 }]
+        .map(|kind| SimOptions::at_capacity(kind, 0.05).with_invalidation());
+    let serial = Replay::streamed(&stream, &costs).run(&lineup).unwrap();
+    for (options, result) in lineup.iter().zip(&serial) {
+        let expected = spec_replay(&input, options).result;
+        assert_eq!(result, &expected, "{}", options.strategy.name());
+    }
+    for depth in 1..=3 {
+        for shards in 1..=2 {
+            let threads = lineup.map(|o| o.with_threads(shards * lineup.len()));
+            let replay = Replay::prefetched(&stream, PrefetchOptions::new(depth), &costs);
+            let pipelined = replay.run(&threads).unwrap();
+            assert_eq!(pipelined, serial, "depth {depth}, {shards} shards");
         }
     }
 }

@@ -18,11 +18,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use pscd_core::StrategyKind;
-use pscd_obs::TraceSink;
-use pscd_sim::{
-    simulate_streamed, simulate_streamed_prefetched_traced, CompiledTrace, PrefetchOptions,
-    ReplaySource, SimOptions, StreamingTrace,
-};
+use pscd_sim::{CompiledTrace, PrefetchOptions, Replay, ReplaySource, SimOptions, StreamingTrace};
 use pscd_topology::FetchCosts;
 use pscd_types::{RequestEvent, SimTime};
 use pscd_workload::{Workload, WorkloadConfig};
@@ -158,10 +154,13 @@ fn streaming_peak_is_a_fraction_of_the_monolithic_peak() {
     // streaming source peaks far below the monolithic compile alone.
     let stream = StreamingTrace::new(&config, 1.0, window, 1).unwrap();
     let costs = FetchCosts::uniform(stream.meta().server_count());
-    let options = SimOptions::at_capacity(StrategyKind::Sg2 { beta: 2.0 }, 0.05);
+    let options = [SimOptions::at_capacity(
+        StrategyKind::Sg2 { beta: 2.0 },
+        0.05,
+    )];
     let (replay_peak, result) =
-        peak_growth(|| simulate_streamed(&stream, &costs, &options).unwrap());
-    assert!(result.requests > 0);
+        peak_growth(|| Replay::streamed(&stream, &costs).run(&options).unwrap());
+    assert!(result[0].requests > 0);
     assert!(
         replay_peak < mono_peak,
         "streamed replay peak {replay_peak} B exceeds the monolithic \
@@ -192,22 +191,16 @@ fn prefetch_peak_is_bounded_by_depth_windows_not_the_trace() {
     let window = SimTime::from_hours(1);
     let stream = StreamingTrace::new(&config, 1.0, window, 1).unwrap();
     let costs = FetchCosts::uniform(stream.meta().server_count());
-    let options = SimOptions::at_capacity(StrategyKind::Sg2 { beta: 2.0 }, 0.05);
+    let options = [SimOptions::at_capacity(
+        StrategyKind::Sg2 { beta: 2.0 },
+        0.05,
+    )];
     let (serial_peak, serial) =
-        peak_growth(|| simulate_streamed(&stream, &costs, &options).unwrap());
-    let (pipelined_peak, result) = peak_growth(|| {
-        let prefetch = PrefetchOptions::new(2);
-        simulate_streamed_prefetched_traced(
-            &stream,
-            &costs,
-            &options,
-            &prefetch,
-            &TraceSink::disabled(),
-        )
-        .unwrap()
-    });
+        peak_growth(|| Replay::streamed(&stream, &costs).run(&options).unwrap());
+    let prefetched = |depth| Replay::prefetched(&stream, PrefetchOptions::new(depth), &costs);
+    let (pipelined_peak, result) = peak_growth(|| prefetched(2).run(&options).unwrap());
     assert_eq!(result, serial);
-    assert_eq!(result.requests as usize, stream.meta().request_count());
+    assert_eq!(result[0].requests as usize, stream.meta().request_count());
     eprintln!(
         "16x fixture ({len} events): monolithic peak {:.2} MB, serial \
          streamed replay {:.2} MB, pipelined replay {:.2} MB",
@@ -231,9 +224,39 @@ fn prefetch_peak_is_bounded_by_depth_windows_not_the_trace() {
          is not O(depth x window)"
     );
 
+    // A lineup of six shares the one production: at depth 1 (each of its
+    // blocking cursors on a thread of its own) it replays each member as
+    // its solo replay does, and it peaks below the six solo replays'
+    // peaks summed — which count six productions' slices and tails.
+    let six: Vec<_> = (StrategyKind::figure4_lineup(2.0).into_iter())
+        .map(|kind| SimOptions::at_capacity(kind, 0.05))
+        .collect();
+    let solos: Vec<_> = six
+        .iter()
+        .map(|o| peak_growth(|| prefetched(1).run(&[*o]).unwrap()))
+        .collect();
+    let (lineup_peak, lineup) = peak_growth(|| prefetched(1).run(&six).unwrap());
+    let solo_sum: usize = solos.iter().map(|(peak, _)| peak).sum();
+    assert_eq!(
+        lineup,
+        solos
+            .into_iter()
+            .map(|(_, mut r)| r.remove(0))
+            .collect::<Vec<_>>()
+    );
+    eprintln!(
+        "lineup of six at depth 1: {:.2} MB; its six solo replays: {:.2} MB summed",
+        lineup_peak as f64 / 1e6,
+        solo_sum as f64 / 1e6
+    );
+    assert!(
+        lineup_peak < solo_sum,
+        "lineup peak {lineup_peak} B is not below its solo peaks' sum {solo_sum} B"
+    );
+
     // The queue's own high-water accounting agrees with the depth+1
     // bound, and the resident compiled bytes scale with the depth, not
-    // the window count.
+    // the window count (a lineup's count: `prefetch::tests`).
     let [drained, _, deep] = [1, 2, 4].map(|depth| {
         let stats = stream.drain_prefetched(&PrefetchOptions::new(depth));
         assert_eq!((stats.windows, stats.events), (stream.window_count(), len));
@@ -357,7 +380,10 @@ fn million_subscription_run_streams_in_window_memory() {
          do not undercut the monolithic peak {mono_peak} B"
     );
     let costs = FetchCosts::uniform(stream.meta().server_count());
-    let options = SimOptions::at_capacity(StrategyKind::Sg2 { beta: 2.0 }, 0.05);
-    let result = simulate_streamed(&stream, &costs, &options).unwrap();
-    assert_eq!(result.requests as usize, stream.meta().request_count());
+    let options = [SimOptions::at_capacity(
+        StrategyKind::Sg2 { beta: 2.0 },
+        0.05,
+    )];
+    let result = Replay::streamed(&stream, &costs).run(&options).unwrap();
+    assert_eq!(result[0].requests as usize, stream.meta().request_count());
 }

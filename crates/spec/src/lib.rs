@@ -26,6 +26,7 @@ use std::time::Duration;
 
 use pscd_core::{Strategy, StrategyKind};
 use pscd_types::Bytes;
+use pscd_workload::{FlashCrowd, ScenarioConfig};
 
 mod dual;
 mod simulate;
@@ -59,6 +60,24 @@ pub const LINEUP: [StrategyKind; 12] = [
         hi: 0.75,
     },
 ];
+
+/// The news baseline with one sharp flash crowd on day 2 (hours 30–33,
+/// boost 400): at 24 h windows the crowd's day draws more events than a
+/// streaming slice's budget, so a streamed pass cuts that day into
+/// several slices.
+pub fn sliced_flash_crowd() -> ScenarioConfig {
+    ScenarioConfig {
+        name: "sliced-crowd".to_owned(),
+        seed: 7,
+        scale: 0.05,
+        flash_crowds: vec![FlashCrowd {
+            start_hour: 30.0,
+            duration_hours: 3.0,
+            boost: 400.0,
+        }],
+        ..ScenarioConfig::flash_crowds()
+    }
+}
 
 /// The model of `kind`: an empty cache of `capacity` bytes. DC-FP is the
 /// dual cache whose bounds meet at its split; DC-AP and DC-LAP start at

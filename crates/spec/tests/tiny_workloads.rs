@@ -17,7 +17,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use pscd_broker::PushScheme;
-use pscd_sim::{simulate_compiled, CompiledTrace, CrashPlan, SimOptions};
+use pscd_sim::{CompiledTrace, CrashPlan, Replay, SimOptions};
 use pscd_spec::{spec_replay, SpecInput, LINEUP};
 use pscd_topology::FetchCosts;
 use pscd_types::{
@@ -161,8 +161,8 @@ proptest! {
         for options in tiny.runs() {
             let spec = spec_replay(&input, &options).result;
             for threads in [1, 3] {
-                let replay = simulate_compiled(&trace, &tiny.costs, &options.with_threads(threads));
-                prop_assert_eq!(&replay.unwrap(), &spec, "seed {}, {:?}, threads {}", seed, options, threads);
+                let replay = Replay::compiled(&trace, &tiny.costs).run(&[options.with_threads(threads)]);
+                prop_assert_eq!(&replay.unwrap()[0], &spec, "seed {}, {:?}, threads {}", seed, options, threads);
             }
         }
     }

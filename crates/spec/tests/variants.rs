@@ -13,12 +13,11 @@ use std::sync::{Arc, OnceLock};
 
 use pscd_broker::PushScheme;
 use pscd_core::StrategyKind;
-use pscd_obs::{NullObserver, TraceSink};
+use pscd_obs::TraceSink;
 use pscd_service::{ServiceConfig, ServiceCore};
 use pscd_sim::{
-    simulate_compiled, simulate_observed_sharded, simulate_streamed,
-    simulate_streamed_prefetched_traced, CompiledEventKind, CompiledTrace, CrashPlan,
-    PrefetchOptions, SimOptions, SimResult, Simulation, StreamingTrace,
+    CompiledEventKind, CompiledTrace, CrashPlan, PrefetchOptions, Replay, SimOptions, SimResult,
+    Simulation, StreamingTrace,
 };
 use pscd_spec::{spec_replay, spec_strategy, SpecInput, SpecRun, LINEUP};
 use pscd_topology::FetchCosts;
@@ -108,11 +107,19 @@ fn assert_rows(variant: &str, run: impl Fn(&SimOptions) -> Option<SimResult>) {
     }
 }
 
+/// The one result of a one-member lineup.
+fn solo(replay: Replay<'_>, options: SimOptions) -> SimResult {
+    replay.run(&[options]).unwrap().remove(0)
+}
+
 #[test]
 fn sequential_replay_equals_the_spec() {
     let f = fixture();
     assert_rows("sequential", |o| {
-        Some(simulate_compiled(&f.trace, &f.costs, &o.with_threads(1)).unwrap())
+        Some(solo(
+            Replay::compiled(&f.trace, &f.costs),
+            o.with_threads(1),
+        ))
     });
 }
 
@@ -122,7 +129,10 @@ fn sharded_replay_equals_the_spec() {
     // 0 = auto; 64 clamps to the fleet.
     for threads in [2, 4, 7, 0, 64] {
         assert_rows(&format!("{threads} shards"), |o| {
-            Some(simulate_compiled(&f.trace, &f.costs, &o.with_threads(threads)).unwrap())
+            Some(solo(
+                Replay::compiled(&f.trace, &f.costs),
+                o.with_threads(threads),
+            ))
         });
     }
 }
@@ -145,7 +155,10 @@ fn streamed_replay_equals_the_spec() {
         let stream = streaming(window);
         assert!(stream.window_count() > 1, "window {window:?} must tile");
         assert_rows(&format!("streamed, {window:?}, {threads} shards"), |o| {
-            Some(simulate_streamed(&stream, &f.costs, &o.with_threads(threads)).unwrap())
+            Some(solo(
+                Replay::streamed(&stream, &f.costs),
+                o.with_threads(threads),
+            ))
         });
     }
 }
@@ -165,12 +178,39 @@ fn prefetched_replay_equals_the_spec() {
         assert_rows(
             &format!("prefetched, depth {depth}, {hours} h, {threads} shards"),
             |o| {
-                let (o, sink) = (o.with_threads(threads), TraceSink::disabled());
-                let run =
-                    simulate_streamed_prefetched_traced(&stream, &f.costs, &o, &prefetch, &sink);
-                Some(run.unwrap())
+                let replay = Replay::prefetched(&stream, prefetch, &f.costs);
+                Some(solo(replay, o.with_threads(threads)))
             },
         );
+    }
+}
+
+/// A lineup of all twelve strategies per axes set, member by member, over
+/// a compiled, a serial streamed and a prefetched source: at 1 and 2
+/// threads (one shard per member) and at 24 (two).
+#[test]
+fn lineup_replay_equals_the_spec() {
+    let f = fixture();
+    let stream = streaming(SimTime::from_hours(7));
+    let sources = [
+        ("compiled", Replay::compiled(&f.trace, &f.costs)),
+        ("streamed", Replay::streamed(&stream, &f.costs)),
+        (
+            "prefetched",
+            Replay::prefetched(&stream, PrefetchOptions::new(1), &f.costs),
+        ),
+    ];
+    for (source, replay) in &sources {
+        for threads in [1, 2, 24] {
+            for (axes, runs) in AXES.into_iter().zip(spec()) {
+                let lineup = LINEUP.map(|kind| options(kind, axes).with_threads(threads));
+                let results = replay.run(&lineup).unwrap();
+                for ((got, expected), kind) in results.iter().zip(runs).zip(LINEUP) {
+                    let at = format!("{source}, {threads} threads, {axes:?}");
+                    assert_eq!(got, &expected.result, "lineup, {at}, {}", kind.name());
+                }
+            }
+        }
     }
 }
 
@@ -184,7 +224,10 @@ fn prefetched_default_threads_replay_on_one_shard() {
     let prefetch = PrefetchOptions::new(2);
     assert_rows("prefetched, traced, default threads", |o| {
         let sink = TraceSink::enabled();
-        let run = simulate_streamed_prefetched_traced(&stream, &f.costs, o, &prefetch, &sink);
+        let result = solo(
+            Replay::prefetched(&stream, prefetch, &f.costs).traced(&sink),
+            *o,
+        );
         let log = sink.drain();
         let tracks = log.tracks().iter().filter(|t| t.name.starts_with("shard "));
         assert_eq!(tracks.count(), 1, "auto threads on a streamed source");
@@ -195,7 +238,7 @@ fn prefetched_default_threads_replay_on_one_shard() {
             Some(true),
             "the producer's track and compile spans"
         );
-        Some(run.unwrap())
+        Some(result)
     });
 }
 
@@ -206,8 +249,10 @@ fn traced_replay_equals_the_spec() {
     let f = fixture();
     assert_rows("traced", |o| {
         let sink = TraceSink::enabled();
-        let run = simulate_observed_sharded(&f.trace, &f.costs, &o.with_threads(3), &sink);
-        let (result, _): (_, NullObserver) = run.unwrap();
+        let result = solo(
+            Replay::compiled(&f.trace, &f.costs).traced(&sink),
+            o.with_threads(3),
+        );
         let log = sink.drain();
         let tracks = log.tracks().iter().filter(|t| t.name.starts_with("shard "));
         assert_eq!(tracks.count(), 3, "one track per shard");
@@ -219,8 +264,8 @@ fn traced_replay_equals_the_spec() {
 }
 
 /// The matcher-compiled trace through an untouched `Simulation` run to
-/// the end, which at the default thread count shards as
-/// `simulate_compiled` does.
+/// the end, which at the default thread count shards as a compiled
+/// `Replay` does.
 #[test]
 fn matcher_compiled_replay_equals_the_spec() {
     let f = fixture();

@@ -17,8 +17,8 @@ use pscd::cache::{AccessOutcome, GreedyDualEngine};
 use pscd::sim::CompiledEventKind;
 use pscd::strategies::{PushOutcome, StrategyClass};
 use pscd::{
-    simulate_compiled, Bytes, CompiledTrace, FetchCosts, PageId, PageRef, SimOptions, Strategy,
-    StrategyKind, Workload, WorkloadConfig,
+    Bytes, CompiledTrace, FetchCosts, PageId, PageRef, Replay, SimOptions, Strategy, StrategyKind,
+    Workload, WorkloadConfig,
 };
 
 /// Pushes every matched page (no value judgement) and runs plain LRU over
@@ -140,11 +140,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The built-in strategies, through the standard simulator.
     let costs = FetchCosts::uniform(workload.server_count());
-    for kind in [
+    let lineup = [
         StrategyKind::GdStar { beta: 2.0 },
         StrategyKind::Sg2 { beta: 2.0 },
-    ] {
-        let r = simulate_compiled(&trace, &costs, &SimOptions::at_capacity(kind, 0.05))?;
+    ]
+    .map(|kind| SimOptions::at_capacity(kind, 0.05));
+    for r in Replay::compiled(&trace, &costs).run(&lineup)? {
         println!(
             "{:8} hit ratio {:5.1}%   traffic {} pages",
             r.strategy,

@@ -11,8 +11,8 @@
 
 use pscd::experiments::TextTable;
 use pscd::{
-    simulate_compiled, CompiledTrace, FetchCosts, SimOptions, StrategyKind, TopologyBuilder,
-    Workload, WorkloadConfig,
+    CompiledTrace, FetchCosts, Replay, SimOptions, StrategyKind, TopologyBuilder, Workload,
+    WorkloadConfig,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -51,8 +51,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut table = TextTable::new(headers);
     for capacity in [0.01, 0.05, 0.10] {
         let mut row = vec![format!("{:.0}%", capacity * 100.0)];
-        for kind in lineup {
-            let r = simulate_compiled(&trace, &costs, &SimOptions::at_capacity(kind, capacity))?;
+        let cells = lineup.map(|kind| SimOptions::at_capacity(kind, capacity));
+        for r in Replay::compiled(&trace, &costs).run(&cells)? {
             row.push(format!("{:.1}", r.hit_ratio_percent()));
         }
         table.add_row(row);
@@ -60,8 +60,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nHit ratio (%) by strategy and capacity (SQ = 1):\n{table}");
 
     println!("Traffic at 5% capacity (publisher→proxy):");
-    for kind in lineup {
-        let r = simulate_compiled(&trace, &costs, &SimOptions::at_capacity(kind, 0.05))?;
+    let cells = lineup.map(|kind| SimOptions::at_capacity(kind, 0.05));
+    for r in Replay::compiled(&trace, &costs).run(&cells)? {
         println!(
             "  {:6}  pushed {:>8} pages / {:>9}   fetched {:>8} pages / {:>9}",
             r.strategy,

@@ -5,10 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use pscd::{
-    simulate_compiled, CompiledTrace, FetchCosts, SimOptions, StrategyKind, Workload,
-    WorkloadConfig,
-};
+use pscd::{CompiledTrace, FetchCosts, Replay, SimOptions, StrategyKind, Workload, WorkloadConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A 10%-scale version of the paper's NEWS trace (α = 1.5): ~3,000
@@ -30,13 +27,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let trace = CompiledTrace::compile(&workload, &subscriptions)?;
     let costs = FetchCosts::uniform(workload.server_count());
 
-    // Caches sized at 5% of each proxy's unique requested bytes.
-    for kind in [
+    // Caches sized at 5% of each proxy's unique requested bytes; one
+    // lineup replays the three strategies over the same events.
+    let lineup = [
         StrategyKind::GdStar { beta: 2.0 }, // access-time baseline
         StrategyKind::Sub,                  // push-time only
         StrategyKind::Sg2 { beta: 2.0 },    // combined: GD* with f = s − a
-    ] {
-        let result = simulate_compiled(&trace, &costs, &SimOptions::at_capacity(kind, 0.05))?;
+    ]
+    .map(|kind| SimOptions::at_capacity(kind, 0.05));
+    for result in Replay::compiled(&trace, &costs).run(&lineup)? {
         println!(
             "{:6}  hit ratio {:5.1}%   pushed {:6} pages   fetched-on-miss {:6} pages",
             result.strategy,

@@ -1,6 +1,6 @@
 //! Driving the simulator one event at a time.
 //!
-//! The batch API (`pscd::simulate_compiled`) replays a whole 7-day
+//! The batch API (`pscd::Replay`) replays a whole 7-day
 //! workload in one call; the stepping API exposes every event, which makes it easy to add
 //! custom instrumentation, stop early, or — as here — watch how a
 //! mid-week proxy-fleet crash plays out hour by hour.

@@ -11,10 +11,7 @@
 //! ```
 
 use pscd::experiments::TextTable;
-use pscd::{
-    simulate_compiled, CompiledTrace, FetchCosts, SimOptions, StrategyKind, Workload,
-    WorkloadConfig,
-};
+use pscd::{CompiledTrace, FetchCosts, Replay, SimOptions, StrategyKind, Workload, WorkloadConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let workload = Workload::generate(&WorkloadConfig::news_scaled(0.25))?;
@@ -38,8 +35,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // with noise (subscribers who never come back for the page).
         let trace = CompiledTrace::compile(&workload, &workload.subscriptions(quality)?)?;
         let mut row = vec![format!("{quality}")];
-        for kind in lineup {
-            let r = simulate_compiled(&trace, &costs, &SimOptions::at_capacity(kind, 0.05))?;
+        let cells = lineup.map(|kind| SimOptions::at_capacity(kind, 0.05));
+        for r in Replay::compiled(&trace, &costs).run(&cells)? {
             row.push(format!("{:.1}", r.hit_ratio_percent()));
         }
         table.add_row(row);

@@ -29,8 +29,7 @@
 //!
 //! ```
 //! use pscd::{
-//!     simulate_compiled, CompiledTrace, FetchCosts, SimOptions, StrategyKind, Workload,
-//!     WorkloadConfig,
+//!     CompiledTrace, FetchCosts, Replay, SimOptions, StrategyKind, Workload, WorkloadConfig,
 //! };
 //!
 //! // 1. Generate a (scaled-down) news workload: publishing stream,
@@ -41,11 +40,11 @@
 //! let costs = FetchCosts::uniform(workload.server_count());
 //!
 //! // 2. Replay the paper's best combined strategy (SG2) against the
-//! //    access-only baseline (GD*).
-//! let sg2 = simulate_compiled(&trace, &costs,
-//!     &SimOptions::at_capacity(StrategyKind::Sg2 { beta: 2.0 }, 0.05))?;
-//! let gd = simulate_compiled(&trace, &costs,
-//!     &SimOptions::at_capacity(StrategyKind::GdStar { beta: 2.0 }, 0.05))?;
+//! //    access-only baseline (GD*): one lineup over the same events.
+//! let lineup = [StrategyKind::Sg2 { beta: 2.0 }, StrategyKind::GdStar { beta: 2.0 }]
+//!     .map(|kind| SimOptions::at_capacity(kind, 0.05));
+//! let results = Replay::compiled(&trace, &costs).run(&lineup)?;
+//! let (sg2, gd) = (&results[0], &results[1]);
 //!
 //! // 3. Subscription-aware pushing raises the local hit ratio.
 //! assert!(sg2.hit_ratio() > gd.hit_ratio());
@@ -70,7 +69,7 @@ pub use pscd_cache::PageRef;
 pub use pscd_core::{Strategy, StrategyKind};
 pub use pscd_experiments::ExperimentContext;
 pub use pscd_matching::{Content, Predicate, Subscription, Value};
-pub use pscd_sim::{simulate_compiled, CompiledTrace, CrashPlan, SimOptions, SimResult};
+pub use pscd_sim::{CompiledTrace, CrashPlan, Replay, SimOptions, SimResult};
 pub use pscd_topology::{FetchCosts, GraphModel, TopologyBuilder};
 pub use pscd_types::{Bytes, PageId, PageMeta, ServerId, SimTime, SubscriptionTable};
 pub use pscd_workload::{Workload, WorkloadConfig};

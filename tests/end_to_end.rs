@@ -1,7 +1,7 @@
 //! End-to-end integration: workload → topology → simulation → metrics.
 
 use pscd::{
-    simulate_compiled, CompiledTrace, FetchCosts, GraphModel, PushScheme, SimOptions, StrategyKind,
+    CompiledTrace, FetchCosts, GraphModel, PushScheme, Replay, SimOptions, StrategyKind,
     TopologyBuilder, Workload, WorkloadConfig,
 };
 use pscd_spec::LINEUP;
@@ -20,12 +20,11 @@ fn full_pipeline_runs_on_topology_costs() {
         .unwrap();
     let costs = FetchCosts::from_topology(&topo, 0).unwrap();
     let trace = CompiledTrace::compile(&w, &w.subscriptions(1.0).unwrap()).unwrap();
-    let r = simulate_compiled(
-        &trace,
-        &costs,
-        &SimOptions::at_capacity(StrategyKind::Sg2 { beta: 2.0 }, 0.05),
-    )
-    .unwrap();
+    let sg2 = SimOptions::at_capacity(StrategyKind::Sg2 { beta: 2.0 }, 0.05);
+    let r = Replay::compiled(&trace, &costs)
+        .run(&[sg2])
+        .unwrap()
+        .remove(0);
     assert_eq!(r.requests, w.requests().len() as u64);
     assert!(r.hit_ratio() > 0.0 && r.hit_ratio() <= 1.0);
 }
@@ -40,12 +39,11 @@ fn barabasi_albert_topology_works_too() {
         .unwrap();
     let costs = FetchCosts::from_topology(&topo, 0).unwrap();
     let trace = CompiledTrace::compile(&w, &w.subscriptions(0.75).unwrap()).unwrap();
-    let r = simulate_compiled(
-        &trace,
-        &costs,
-        &SimOptions::at_capacity(StrategyKind::dc_lap(2.0), 0.05),
-    )
-    .unwrap();
+    let dc_lap = SimOptions::at_capacity(StrategyKind::dc_lap(2.0), 0.05);
+    let r = Replay::compiled(&trace, &costs)
+        .run(&[dc_lap])
+        .unwrap()
+        .remove(0);
     assert!(r.hits > 0);
 }
 
@@ -70,10 +68,11 @@ fn traffic_accounting_is_exact_for_every_strategy() {
                 invalidate_stale: false,
                 threads: 1,
             };
-            let r = simulate_compiled(&trace, &costs, &options).unwrap();
+            let replay = Replay::compiled(&trace, &costs);
+            let r = replay.run(&[options]).unwrap().remove(0);
             // The sharded runner reproduces the sequential accounting
             // bit for bit, so every check below covers both paths.
-            let sharded = simulate_compiled(&trace, &costs, &options.with_threads(4)).unwrap();
+            let sharded = replay.run(&[options.with_threads(4)]).unwrap().remove(0);
             assert_eq!(r, sharded, "{} / {scheme:?}", kind.name());
             // Every request is served once; misses and fetches balance
             // exactly.
@@ -133,23 +132,16 @@ fn when_necessary_only_drops_declined_transfers() {
         StrategyKind::DcAp { beta: 2.0 },
         StrategyKind::dc_lap(2.0),
     ] {
-        let run = |scheme| {
-            simulate_compiled(
-                &trace,
-                &costs,
-                &SimOptions {
-                    strategy: kind,
-                    capacity_fraction: 0.05,
-                    scheme,
-                    crash: None,
-                    invalidate_stale: false,
-                    threads: 1,
-                },
-            )
-            .unwrap()
-        };
-        let always = run(PushScheme::Always);
-        let necessary = run(PushScheme::WhenNecessary);
+        let lineup = [PushScheme::Always, PushScheme::WhenNecessary].map(|scheme| SimOptions {
+            strategy: kind,
+            capacity_fraction: 0.05,
+            scheme,
+            crash: None,
+            invalidate_stale: false,
+            threads: 1,
+        });
+        let results = Replay::compiled(&trace, &costs).run(&lineup).unwrap();
+        let (always, necessary) = (&results[0], &results[1]);
         assert_eq!(
             always.hits,
             necessary.hits,
@@ -176,7 +168,8 @@ fn deterministic_across_runs_and_seed_sensitivity() {
     assert_eq!(subs_a, subs_b);
     let opt = SimOptions::at_capacity(StrategyKind::DcAp { beta: 2.0 }, 0.05);
     let replay = |w: &Workload, subs| {
-        simulate_compiled(&CompiledTrace::compile(w, subs).unwrap(), &costs, &opt).unwrap()
+        let trace = CompiledTrace::compile(w, subs).unwrap();
+        Replay::compiled(&trace, &costs).run(&[opt]).unwrap()
     };
     assert_eq!(replay(&a, &subs_a), replay(&b, &subs_b));
     // A different seed changes the workload (and almost surely the result).
@@ -190,14 +183,9 @@ fn capacity_monotonicity_for_subscription_strategies() {
     let trace = CompiledTrace::compile(&w, &w.subscriptions(1.0).unwrap()).unwrap();
     let costs = FetchCosts::uniform(w.server_count());
     for kind in [StrategyKind::Sg2 { beta: 2.0 }, StrategyKind::dc_lap(2.0)] {
-        let h: Vec<f64> = [0.01, 0.05, 0.10]
-            .iter()
-            .map(|&c| {
-                simulate_compiled(&trace, &costs, &SimOptions::at_capacity(kind, c))
-                    .unwrap()
-                    .hit_ratio()
-            })
-            .collect();
+        let lineup = [0.01, 0.05, 0.10].map(|c| SimOptions::at_capacity(kind, c));
+        let results = Replay::compiled(&trace, &costs).run(&lineup).unwrap();
+        let h: Vec<f64> = results.iter().map(|r| r.hit_ratio()).collect();
         assert!(
             h[0] <= h[1] && h[1] <= h[2],
             "{}: hit ratio should grow with capacity: {h:?}",

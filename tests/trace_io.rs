@@ -3,10 +3,7 @@
 use pscd::workload::io::{
     read_pages, read_requests, read_subscriptions, write_pages, write_requests, write_subscriptions,
 };
-use pscd::{
-    simulate_compiled, CompiledTrace, FetchCosts, SimOptions, StrategyKind, Workload,
-    WorkloadConfig,
-};
+use pscd::{CompiledTrace, FetchCosts, Replay, SimOptions, StrategyKind, Workload, WorkloadConfig};
 
 #[test]
 fn exported_traces_simulate_identically() {
@@ -39,7 +36,8 @@ fn exported_traces_simulate_identically() {
     let costs = FetchCosts::uniform(original.server_count());
     let opt = SimOptions::at_capacity(StrategyKind::Sg2 { beta: 2.0 }, 0.05);
     let replay = |w: &Workload, subs| {
-        simulate_compiled(&CompiledTrace::compile(w, subs).unwrap(), &costs, &opt).unwrap()
+        let trace = CompiledTrace::compile(w, subs).unwrap();
+        Replay::compiled(&trace, &costs).run(&[opt]).unwrap()
     };
     let a = replay(&original, &subs);
     let b = replay(&rebuilt, &subs_back);
