@@ -10,7 +10,7 @@
 //! here is pure speed. The matching tier freezes a one-million
 //! subscription population — far past any workload tier, and past the
 //! repo benchmark's `match-churn` (~200k), which is why it lives here.
-//! EXPERIMENTS.md reports these numbers.
+//! `experiments/log/PR01-14.md` reports these numbers.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 

@@ -1,8 +1,8 @@
 //! Seed-sensitivity study: how much do the headline numbers move across
 //! workload seeds?
 //!
-//! The paper reports single-run numbers (as does EXPERIMENTS.md's main
-//! section, for comparability). This study regenerates the trace under
+//! The paper reports single-run numbers (as do the other exhibits of
+//! `repro all`, for comparability). This study regenerates the trace under
 //! several master seeds and reports mean ± standard deviation of the
 //! headline hit ratios and of SG2's relative gain over GD\*, quantifying
 //! how much of the result is workload noise.

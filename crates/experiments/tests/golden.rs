@@ -1,11 +1,30 @@
-//! Byte-for-byte pin of `repro all`: stdout and every CSV at scale 0.003
-//! must equal the files under `tests/golden/`.
+//! Byte-for-byte pins of `repro all`'s output.
 //!
-//! The pinned files were written by `repro all --scale 0.003 --threads 2
-//! --csv DIR`, stdout into `stdout.txt`. Output is the same in debug and
-//! release builds and at any thread count, so one set of files serves
-//! every profile. A change that moves a rendered byte on purpose
-//! regenerates them with that command and says why.
+//! - At scale 0.003, stdout and every CSV must equal the files under
+//!   `tests/golden/`. They were written by `repro all --scale 0.003
+//!   --threads 2 --csv DIR`, stdout into `stdout.txt`. Output is the same in
+//!   debug and release builds and at any thread count, so one set of files
+//!   serves every profile. Regenerate, from the repository root, with
+//!
+//!   ```text
+//!   cargo run --release -q -p pscd-experiments --bin repro -- all --scale 0.003 \
+//!       --threads 2 --csv crates/experiments/tests/golden > crates/experiments/tests/golden/stdout.txt
+//!   ```
+//!
+//! - At full scale (`#[ignore]`d: seconds in release, minutes in debug),
+//!   stdout must equal the part of `EXPERIMENTS.md` after its marker line.
+//!   Regenerate, from the repository root, with
+//!
+//!   ```text
+//!   { sed '/^<!-- below: repro all/q' EXPERIMENTS.md
+//!     cargo run --release -q -p pscd-experiments --bin repro -- all; } > EXPERIMENTS.new
+//!   mv EXPERIMENTS.new EXPERIMENTS.md
+//!   ```
+//!
+//!   and re-derive the verdicts in the file's hand-written head.
+//!
+//! A change that moves a rendered byte on purpose regenerates the pin it
+//! moves and says why.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -13,6 +32,25 @@ use std::path::Path;
 use std::process::Command;
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden");
+const EXPERIMENTS_MD: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../EXPERIMENTS.md");
+/// The line of `EXPERIMENTS.md` after which the file is `repro all`'s stdout.
+const MARKER: &str =
+    "\n<!-- below: repro all (full scale), byte for byte; regenerate, never edit -->\n";
+
+/// `repro all` with `args`; its stdout, or a panic with its stderr.
+fn repro_all(args: &[&str]) -> Vec<u8> {
+    let run = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("all")
+        .args(args)
+        .output()
+        .unwrap();
+    assert!(
+        run.status.success(),
+        "repro all failed: {}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    run.stdout
+}
 
 fn csv_names(dir: &Path) -> BTreeSet<String> {
     fs::read_dir(dir)
@@ -26,23 +64,15 @@ fn csv_names(dir: &Path) -> BTreeSet<String> {
 fn repro_all_matches_the_pinned_stdout_and_csvs() {
     let out = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("golden-{}", std::process::id()));
     let _ = fs::remove_dir_all(&out);
-    let run = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(["all", "--scale", "0.003", "--threads", "2", "--csv"])
-        .arg(&out)
-        .output()
-        .unwrap();
-    assert!(
-        run.status.success(),
-        "repro all failed: {}",
-        String::from_utf8_lossy(&run.stderr)
-    );
+    let dir = out.to_str().unwrap();
+    let stdout = repro_all(&["--scale", "0.003", "--threads", "2", "--csv", dir]);
 
     let golden = Path::new(GOLDEN);
-    let stdout = fs::read(golden.join("stdout.txt")).unwrap();
+    let want = fs::read(golden.join("stdout.txt")).unwrap();
     assert!(
-        run.stdout == stdout,
+        stdout == want,
         "stdout differs from tests/golden/stdout.txt:\n{}",
-        String::from_utf8_lossy(&run.stdout)
+        String::from_utf8_lossy(&stdout)
     );
 
     let expected = csv_names(golden);
@@ -58,4 +88,29 @@ fn repro_all_matches_the_pinned_stdout_and_csvs() {
         );
     }
     fs::remove_dir_all(&out).unwrap();
+}
+
+#[test]
+#[ignore = "full-scale run; use cargo test --release -- --ignored"]
+fn experiments_md_is_repro_all_at_full_scale() {
+    let doc = fs::read_to_string(EXPERIMENTS_MD).unwrap();
+    let (_, want) = doc
+        .split_once(MARKER)
+        .expect("EXPERIMENTS.md has the marker line");
+    let got = String::from_utf8(repro_all(&[])).unwrap();
+    if got != want {
+        let (line, (ours, theirs)) = got
+            .lines()
+            .chain(std::iter::repeat("<end of output>"))
+            .zip(want.lines().chain(std::iter::repeat("<end of file>")))
+            .enumerate()
+            .find(|(_, (g, w))| g != w)
+            .expect("texts that differ differ on some line");
+        panic!(
+            "EXPERIMENTS.md's generated part differs from `repro all` at its line {}:\n  \
+             EXPERIMENTS.md: {theirs}\n  repro all:      {ours}\n\
+             regenerate it (see this file's module doc) and re-derive the verdicts",
+            line + 1
+        );
+    }
 }

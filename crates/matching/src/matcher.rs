@@ -90,8 +90,8 @@ struct Frozen {
 /// fan-out and 50–60 ns to a 250 ns request. The sweeps behind the bound
 /// (16 entries a fifth of a fan-out, 64 entries 81–99 %; one 28–31 ms
 /// rebuild per 49 subscribes) were taken when an entry was evaluated over
-/// the page's `Content` (EXPERIMENTS.md, "Churn without a refreeze" and
-/// "Two keys to a conjunction"). No workload holds more than one entry,
+/// the page's `Content` (`experiments/log/PR21.md` and
+/// `experiments/log/PR25.md`). No workload holds more than one entry,
 /// so no benchmark could carry a re-tune of the bound.
 const DELTA_MAX: usize = 48;
 

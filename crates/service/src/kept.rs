@@ -39,7 +39,7 @@ pub(crate) struct KeptFanouts {
     /// fleet. The arena grows by whole blocks, each as large as all before
     /// it together and none ever reallocated: growing the way one `Vec`
     /// does — into a copy twice the size — left a freed hole the size of
-    /// the arena beside it (EXPERIMENTS.md, PR 24).
+    /// the arena beside it (`experiments/log/PR24.md`).
     blocks: Vec<Vec<Entry>>,
     /// Indexed by page.
     spans: Vec<Span>,

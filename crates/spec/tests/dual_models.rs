@@ -65,7 +65,7 @@ fn universes() -> [PageUniverse; 2] {
     [PageUniverse::default(), sized]
 }
 
-/// The fixed splits of EXPERIMENTS.md's "DC-FP partition ablation".
+/// The fixed splits of EXPERIMENTS.md's "Ablation: DC-FP push-cache fraction".
 const PINNED: [f64; 7] = [0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9];
 
 /// `(start, lo, hi)` of the PC share: DC-AP, DC-LAP, or DC-FP at one of

@@ -3,7 +3,7 @@
 //! where* must hold on the regenerated workload.
 //!
 //! Scale 0.05 keeps the suite fast in debug builds while preserving the
-//! distributional structure; EXPERIMENTS.md records the full-scale runs.
+//! distributional structure; EXPERIMENTS.md holds the full-scale tables.
 
 use pscd::experiments::{ExperimentContext, Fig3, Fig4, Fig5, Fig6, Fig7, Table2, Trace};
 use pscd::PushScheme;
