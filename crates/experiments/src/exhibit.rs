@@ -481,8 +481,10 @@ impl Exhibit {
     }
 
     /// Hit ratios with and without stale-version invalidation, 5%, SQ = 1:
-    /// the freshness tax a production news cache pays. It can be negative
-    /// (dropping dead weight frees space for better placements).
+    /// the freshness tax a production news cache pays. Dropping dead weight
+    /// frees space for other placements, but neither pinned run (scale
+    /// 0.003 or full) shows that outweighing the refetches: the tax reads
+    /// zero or positive in every cell.
     pub fn invalidation() -> Self {
         let title = "Extension: stale-version invalidation (capacity = 5%, SQ = 1)";
         let beta = PAPER_BETA;

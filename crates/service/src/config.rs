@@ -37,11 +37,11 @@ pub struct ServiceConfig {
     pub pages: Arc<[PageMeta]>,
     /// Hourly accounting buckets to preallocate.
     pub hours: usize,
-    /// Worker threads stepping the proxy fleet, each over a contiguous
-    /// server range (`0` picks the machine's parallelism). Shard 0 always
-    /// runs inline on the ingesting thread: with `1` (the default) no
-    /// worker is spawned and shard 0 is the whole fleet; with more, the
-    /// workers split the fleet and shard 0 owns no server.
+    /// Threads stepping the proxy fleet, one shard each, every shard over
+    /// a contiguous server range (`0`, the default, picks the machine's
+    /// parallelism, clamped to the fleet). Shard 0, the first range, steps
+    /// on the ingesting thread, and a worker thread steps each later one:
+    /// `1` spawns no worker, and shard 0 is the whole fleet.
     pub workers: usize,
     /// Events buffered per dispatch to the shards.
     pub batch_size: usize,
@@ -55,8 +55,9 @@ pub struct ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// A single-threaded, in-memory service configuration; durability and
-    /// parallelism are opted into via the builder methods.
+    /// An in-memory service configuration over every core (`workers: 0`);
+    /// durability is opted into, and the thread count set, via the
+    /// builder methods.
     pub fn new(
         strategy: StrategyKind,
         capacities: Vec<Bytes>,
@@ -73,7 +74,7 @@ impl ServiceConfig {
             invalidate_stale: false,
             pages,
             hours,
-            workers: 1,
+            workers: 0,
             batch_size: 256,
             snapshot_every: 0,
             dir: None,

@@ -18,12 +18,14 @@
 
 use std::fs;
 use std::sync::Arc;
+use std::thread;
 
 use pscd_cache::PageUniverse;
 use pscd_matching::{EngineMatcher, MatchScratch, Subscription, SubscriptionId};
-use pscd_pool::effective_threads;
 use pscd_sim::resolve::VersionHeads;
-use pscd_sim::{OwnedWindow, ShardPlan, SimResult};
+use pscd_sim::{
+    shard_count, OwnedWindow, ReplaySite, ShardPlan, SimResult, DEFAULT_PREFETCH_DEPTH,
+};
 use pscd_topology::FetchCosts;
 use pscd_types::{LiveEvent, PageMeta, ServerId, SubscriptionTable};
 
@@ -61,8 +63,8 @@ pub struct ServiceCore {
     counts: SubscriptionTable,
     /// Invalidation lineage: latest published version per origin page.
     heads: VersionHeads,
-    /// Shard 0 of the fleet, stepped on the ingesting thread: the whole
-    /// fleet without workers, no server with them.
+    /// Shard 0 of the fleet, the first server range, stepped on the
+    /// ingesting thread.
     shard: Shard,
     /// Shards 1.., one worker thread each.
     workers: Vec<Worker>,
@@ -70,6 +72,11 @@ pub struct ServiceCore {
     /// The pending batch. Publish ordinals are batch-local, so they never
     /// wrap however long the service runs.
     batch: OwnedWindow,
+    /// The buffers a dispatch copies the batch into and shares with every
+    /// worker, used in turn (`next`); empty without workers, where shard 0
+    /// steps the batch in place.
+    ring: Vec<Arc<OwnedWindow>>,
+    next: usize,
     /// The last snapshot file's bytes, kept so the next one is encoded
     /// into storage that is already there.
     snapshot_buf: Vec<u8>,
@@ -157,14 +164,9 @@ impl ServiceCore {
         journal: Option<Journal>,
     ) -> Result<Self, ServiceError> {
         let servers = config.server_count();
-        let workers = effective_threads(config.workers, servers as usize);
-        let plan = ShardPlan::balanced(&vec![1; servers as usize], workers);
-        // One worker, the default, means none: shard 0 is the whole fleet.
-        // Otherwise the workers split the fleet and the ingesting thread
-        // only resolves: its shard 0 is an empty range past the fleet's end.
-        let idle = (workers > 1).then_some((servers, servers));
-        let split = (0..plan.shards()).map(|k| plan.range(k));
-        let mut ranges = idle.into_iter().chain(split);
+        let shards = shard_count(config.workers, servers, ReplaySite::Compiled, 1);
+        let plan = ShardPlan::balanced(&vec![1; servers as usize], shards);
+        let mut ranges = (0..plan.shards()).map(|k| plan.range(k));
         // Restored state arrives as one merged snapshot: each shard restores
         // its servers from it, and the hourly buckets all land on shard 0
         // (absorb is component-wise addition, so placement is irrelevant to
@@ -191,19 +193,31 @@ impl ServiceCore {
                 restore.clone(),
             )
         });
-        let workers = workers.collect::<Result<_, _>>()?;
+        let workers: Vec<Worker> = workers.collect::<Result<_, _>>()?;
         // One publish fans out to at most the whole fleet, so this bounds
         // the batch's pair table — the same worst-case-dense sizing the
-        // replay's eviction scratch uses, which is what keeps the inline
-        // ingest path allocation-free in steady state.
+        // replay's eviction scratch uses, which is what keeps the ingest
+        // path allocation-free in steady state.
         let pairs = config.batch_size * servers as usize;
+        let window = || OwnedWindow::with_capacity(config.batch_size, pairs);
+        // A worker holds at most the batch it steps and the
+        // `DEFAULT_PREFETCH_DEPTH` its inbox queues, and takes them in
+        // order, so one more buffer is always free for the next dispatch.
+        let ring = match workers.len() {
+            0 => Vec::new(),
+            _ => (0..DEFAULT_PREFETCH_DEPTH + 2)
+                .map(|_| Arc::new(window()))
+                .collect(),
+        };
         Ok(Self {
             counts: state.counts,
             heads: state.heads,
             shard,
             workers,
             journal,
-            batch: OwnedWindow::with_capacity(config.batch_size, pairs),
+            batch: window(),
+            ring,
+            next: 0,
             snapshot_buf: Vec::new(),
             events_applied: state.events_applied,
             last_snapshot: state.events_applied,
@@ -451,13 +465,26 @@ impl ServiceCore {
         if self.batch.is_empty() {
             return Ok(());
         }
-        // Without workers nothing is copied: the inline path allocates nothing.
-        if !self.workers.is_empty() {
-            let batch = Arc::new(self.batch.clone());
+        if self.workers.is_empty() {
+            let window = self.batch.view(&self.config.pages);
+            while self.shard.step(&window).is_some() {}
+        } else {
+            let k = self.next;
+            self.next = (k + 1) % self.ring.len();
+            let slot = &mut self.ring[k];
+            // Free by the ring's size, unless a dead worker is still
+            // letting go of what it held.
+            while Arc::get_mut(slot).is_none() {
+                thread::yield_now();
+            }
+            Arc::get_mut(slot)
+                .expect("no worker holds it")
+                .clone_from(&self.batch);
+            let batch = Arc::clone(slot);
             self.send_all(|| ToWorker::Batch(Arc::clone(&batch)))?;
+            let window = batch.view(&self.config.pages);
+            while self.shard.step(&window).is_some() {}
         }
-        let window = self.batch.view(&self.config.pages);
-        while self.shard.step(&window).is_some() {}
         self.batch.clear();
         Ok(())
     }
@@ -872,7 +899,7 @@ mod tests {
                 ));
                 fs::remove_dir_all(&dir).ok();
                 let config = tiny_config(3, 2)
-                    .with_workers(2)
+                    .with_workers(3)
                     .with_batch_size(2)
                     .with_persistence(dir.clone(), 0);
                 let mut core = ServiceCore::new(config).unwrap();

@@ -3,22 +3,26 @@
 //! A shard is the simulator's own replay over the shard's server range, a
 //! [`ReplayState`]: the supervisor resolves each batch into the
 //! simulator's window buffer ([`OwnedWindow`]) and a shard drains it with
-//! [`ReplayState::step`], the step batch replay runs. Shard 0 steps on the
-//! ingesting thread (over no server once there are workers). A shard's
+//! [`ReplayState::step`], the step batch replay runs. Shard 0, the first
+//! server range, steps on the ingesting thread. A shard's
 //! [`DeliveryEngine`](pscd_broker::DeliveryEngine) is deliberately
 //! single-threaded (its observer handle is an `Rc`), so every other shard
 //! is built and owned by a [`Worker`] thread, and the supervisor sends it
-//! each batch over a channel bounded at [`DEFAULT_PREFETCH_DEPTH`]: a
-//! supervisor that outruns its slowest worker waits for it. Message order
-//! per channel is FIFO, so a snapshot or finish request sent after a batch
-//! observes that batch applied — no separate barrier is needed. A channel
-//! that closes without a finish request (a dropped service) ends the
-//! thread without finishing its shard.
+//! each batch through an [`Inbox`] bounded at [`DEFAULT_PREFETCH_DEPTH`]:
+//! a supervisor that outruns its slowest worker waits for it. Message
+//! order per inbox is FIFO, so a snapshot or finish request sent after a
+//! batch observes that batch applied — no separate barrier is needed. An
+//! inbox that closes without a finish request (a dropped service) ends
+//! the thread without finishing its shard.
 
+use std::collections::VecDeque;
+use std::fmt;
+use std::hint;
 use std::ops::Range;
-use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
-use std::sync::Arc;
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
+use std::time::{Duration, Instant};
 
 use pscd_cache::{PageUniverse, SnapshotError};
 use pscd_obs::{NullObserver, SharedObserver};
@@ -98,15 +102,141 @@ pub(crate) enum ToWorker {
     Hook(Box<dyn FnOnce() + Send>),
 }
 
-/// A worker thread and the shard it owns. Dropping it closes its channel
+/// How long an idle worker spins looking for its next message before it
+/// parks: longer than the supervisor takes to resolve a batch, so that a
+/// worker that keeps up is not put to sleep and woken once per batch. A
+/// busy spin, not `yield_now`: a yielding worker that the scheduler put
+/// on the supervisor's core took turns with it there.
+const SPIN: Duration = Duration::from_micros(200);
+
+/// A worker's queue of messages: at most [`DEFAULT_PREFETCH_DEPTH`], in
+/// storage allocated at spawn, so that no hand-off allocates, whether it
+/// waits or not. Each side sleeps only at its end of the queue — the
+/// worker when it is empty, the supervisor when it is full — and is
+/// notified only when the queue leaves that end, so a worker takes every
+/// queued batch before it parks.
+struct Inbox {
+    queue: Mutex<Queue>,
+    /// Signalled when a message lands in an empty queue, and on close.
+    filled: Condvar,
+    /// Signalled when a message leaves a full queue, and on close.
+    drained: Condvar,
+}
+
+struct Queue {
+    messages: VecDeque<ToWorker>,
+    /// Either side let go: the supervisor dropped the worker (which then
+    /// steps what is queued), or the thread ended (what is queued is
+    /// dropped with it).
+    closed: bool,
+}
+
+impl fmt::Debug for Inbox {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Inbox").finish_non_exhaustive()
+    }
+}
+
+impl Inbox {
+    fn new() -> Self {
+        Self {
+            queue: Mutex::new(Queue {
+                messages: VecDeque::with_capacity(DEFAULT_PREFETCH_DEPTH),
+                closed: false,
+            }),
+            filled: Condvar::new(),
+            drained: Condvar::new(),
+        }
+    }
+
+    /// Neither side panics holding the lock, and a panic elsewhere leaves
+    /// the queue consistent.
+    fn lock(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Queues `msg`, waiting while the queue is full; `false` once the
+    /// inbox is closed.
+    fn push(&self, msg: ToWorker) -> bool {
+        let mut queue = self.lock();
+        while queue.messages.len() == DEFAULT_PREFETCH_DEPTH && !queue.closed {
+            queue = self
+                .drained
+                .wait(queue)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        if queue.closed {
+            return false;
+        }
+        queue.messages.push_back(msg);
+        if queue.messages.len() == 1 {
+            self.filled.notify_one();
+        }
+        true
+    }
+
+    /// The next message, waiting while there is none; `None` once the
+    /// queue is empty and closed.
+    fn pop(&self) -> Option<ToWorker> {
+        let mut idle_since = None;
+        let mut queue = self.lock();
+        loop {
+            if let Some(msg) = queue.messages.pop_front() {
+                if queue.messages.len() + 1 == DEFAULT_PREFETCH_DEPTH {
+                    self.drained.notify_one();
+                }
+                return Some(msg);
+            }
+            if queue.closed {
+                return None;
+            }
+            if idle_since.get_or_insert_with(Instant::now).elapsed() < SPIN {
+                // Off the lock, so that a push is not held up.
+                drop(queue);
+                for _ in 0..64 {
+                    hint::spin_loop();
+                }
+                queue = self.lock();
+            } else {
+                queue = self
+                    .filled
+                    .wait(queue)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+        }
+    }
+
+    /// Closes the inbox and wakes both sides; `discard` drops what is
+    /// queued (the worker's end, which releases the batches it held).
+    fn close(&self, discard: bool) {
+        let mut queue = self.lock();
+        queue.closed = true;
+        if discard {
+            queue.messages.clear();
+        }
+        self.filled.notify_all();
+        self.drained.notify_all();
+    }
+}
+
+/// Closes the inbox when the worker thread ends, however it ends.
+struct Closer(Arc<Inbox>);
+
+impl Drop for Closer {
+    fn drop(&mut self) {
+        self.0.close(true);
+    }
+}
+
+/// A worker thread and the shard it owns. Dropping it closes its inbox
 /// and joins the thread; only [`Worker::join`] reports how it ended.
 #[derive(Debug)]
 pub(crate) struct Worker {
     /// The shard's index in the fleet.
     shard: usize,
-    /// `None` once dropped: the thread then steps what it holds and
+    /// Closed once dropped: the thread then steps what is queued and
     /// returns.
-    tx: Option<SyncSender<ToWorker>>,
+    inbox: Arc<Inbox>,
     /// One reply per [`ToWorker::Snapshot`].
     snaps: Receiver<ShardSnap>,
     /// `None` once joined.
@@ -126,22 +256,24 @@ impl Worker {
         range: Range<u16>,
         restore: Option<Arc<FleetRestore>>,
     ) -> Result<Self, ServiceError> {
-        let (tx, rx) = mpsc::sync_channel(DEFAULT_PREFETCH_DEPTH);
+        let inbox = Arc::new(Inbox::new());
+        let closer = Closer(Arc::clone(&inbox));
         let (snap_tx, snaps) = mpsc::channel();
         let (ready_tx, ready) = mpsc::channel();
         let (config, costs, universe) = (config.clone(), costs.clone(), universe.clone());
         let thread = thread::Builder::new()
             .name(format!("pscd-worker-{shard}"))
             .spawn(move || {
+                let closer = closer;
                 let state =
                     build_shard(&config, &costs, &universe, range, restore.as_deref(), None)?;
                 drop(restore);
                 ready_tx.send(()).expect("spawn waits for it");
-                Ok(run(state, &config.pages, &rx, &snap_tx))
+                Ok(run(state, &config.pages, &closer.0, &snap_tx))
             })?;
         let mut worker = Self {
             shard,
-            tx: Some(tx),
+            inbox,
             snaps,
             thread: Some(thread),
             panic: String::new(),
@@ -162,11 +294,11 @@ impl Worker {
         }
     }
 
-    /// Queues `msg`, waiting while the worker's channel is full.
+    /// Queues `msg`, waiting while the worker's inbox is full.
     pub(crate) fn send(&mut self, msg: ToWorker) -> Result<(), ServiceError> {
-        match &self.tx {
-            Some(tx) if tx.send(msg).is_ok() => Ok(()),
-            _ => Err(self.stopped()),
+        match self.inbox.push(msg) {
+            true => Ok(()),
+            false => Err(self.stopped()),
         }
     }
 
@@ -180,12 +312,12 @@ impl Worker {
         Ok(self.end()?.expect("sent `Finish`, a worker returns"))
     }
 
-    /// Why a worker whose channel or reply broke stopped.
+    /// Why a worker whose inbox or reply broke stopped.
     fn stopped(&mut self) -> ServiceError {
-        // Only a restore error or a panic ends a worker whose channel is
+        // Only a restore error or a panic ends a worker whose inbox is
         // open before it is sent `Finish`.
         self.end()
-            .expect_err("a worker returns only on `Finish` or a closed channel")
+            .expect_err("a worker returns only on `Finish` or a closed inbox")
     }
 
     /// Joins the thread (the first call) and returns how it ended; a panic
@@ -215,24 +347,24 @@ impl Worker {
 
 impl Drop for Worker {
     fn drop(&mut self) {
-        self.tx = None;
+        self.inbox.close(false);
         // A dropped service has no caller to tell how the worker ended.
         let _ = self.end();
     }
 }
 
-/// Steps `shard` through every batch the channel brings and answers its
+/// Steps `shard` through every batch the inbox brings and answers its
 /// snapshot requests. Returns the shard's finish when asked for it, and
-/// nothing when the channel closes first.
+/// nothing when the inbox closes first.
 fn run(
     mut shard: Shard,
     pages: &[PageMeta],
-    rx: &Receiver<ToWorker>,
+    inbox: &Inbox,
     snaps: &Sender<ShardSnap>,
 ) -> Option<ShardFinish> {
     #[cfg(test)]
     let mut hook: Option<Box<dyn FnOnce() + Send>> = None;
-    for msg in rx {
+    while let Some(msg) = inbox.pop() {
         match msg {
             ToWorker::Batch(batch) => {
                 #[cfg(test)]

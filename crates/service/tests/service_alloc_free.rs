@@ -1,11 +1,14 @@
-//! Proves the service's inline ingest path is allocation-free in steady
+//! Proves the service's default ingest path is allocation-free in steady
 //! state: once the subscription rows exist and the batch buffers are
 //! warm, publish/request ingestion — resolve, batch, dispatch, apply —
-//! performs no heap allocation. (Threaded fleets ship `Arc` batches; the
-//! claim is specifically about the `workers = 1` hot path, the service
-//! twin of the replay's `alloc_free` suite.) A second window shows the
-//! same of a journaled service that was snapshotted, killed and
-//! recovered: a restored cache keeps the room it was built with.
+//! performs no heap allocation, on any thread. The default config runs a
+//! shard per core, so on a multi-core host this is the threaded path:
+//! a dispatch copies the batch into a buffer of the ring built at start
+//! and hands the workers that buffer, not a fresh one (on one core it is
+//! the inline path, the service twin of the replay's `alloc_free` suite).
+//! A second window shows the same of a journaled service that was
+//! snapshotted, killed and recovered: a restored cache keeps the room it
+//! was built with.
 //!
 //! Everything lives in ONE `#[test]` so no harness bookkeeping (test
 //! threads, output capture) runs — and allocates — inside a measurement

@@ -494,10 +494,51 @@ fn persisted_bytes_are_pinned() {
     assert_eq!(digests, PINNED, "persisted bytes moved: {digests:#018x?}");
 }
 
+/// The digest [`persisted_bytes_are_pinned`] pins does not depend on how
+/// the fleet is split: the inline fleet, the ingesting thread beside one
+/// worker, and beside two write the same bytes.
+#[test]
+fn persisted_bytes_do_not_depend_on_the_thread_count() {
+    let f = fixture();
+    let quarter = f.events.len() / 4;
+    for kind in LINEUP {
+        let digests = [1, 2, 3].map(|workers| {
+            let dir = temp_service_dir(&format!("threads-{}-{workers}", kind.name()));
+            let config = service_config(kind, true)
+                .with_workers(workers)
+                .with_persistence(dir.clone(), 0);
+            let mut core = ServiceCore::new(config).unwrap();
+            let mut digest = 0xcbf2_9ce4_8422_2325;
+            for stretch in f.events.chunks(quarter).take(3) {
+                for chunk in stretch.chunks(256) {
+                    core.ingest_all(chunk).unwrap();
+                }
+                core.snapshot_now().unwrap();
+                digest = fnv1a(digest, &std::fs::read(dir.join("snapshot.bin")).unwrap());
+            }
+            core.ingest_all(&f.events[3 * quarter..]).unwrap();
+            let outcome = core.shutdown().unwrap();
+            digest = fnv1a(digest, &std::fs::read(dir.join("journal.bin")).unwrap());
+            for blob in &outcome.proxies {
+                digest = fnv1a(digest, blob);
+            }
+            std::fs::remove_dir_all(&dir).ok();
+            digest
+        });
+        assert_eq!(
+            digests,
+            [digests[0]; 3],
+            "{}: {digests:#018x?}",
+            kind.name()
+        );
+    }
+}
+
 /// Recovery walks the journal records a snapshot covers and replays the
 /// rest: wherever the snapshot was taken — before the first event, after
 /// it, inside a dispatch batch, after the last event — and whether the
-/// inline fleet or three workers wrote it and restore from it, that must
+/// inline fleet, the ingesting thread beside one worker or beside two
+/// wrote it and restore from it, that must
 /// end where replaying the whole journal does, which is where the batch
 /// replay does.
 #[test]
@@ -506,7 +547,7 @@ fn recover_with_a_snapshot_equals_recover_without_one() {
     let kind = StrategyKind::Sg2 { beta: 2.0 };
     let mid_batch = f.events.len() / 2 / 256 * 256 + 100;
     let points = [0, 1, mid_batch, f.events.len()];
-    for (workers, k) in [1, 3].into_iter().flat_map(|w| points.map(|k| (w, k))) {
+    for (workers, k) in [1, 2, 3].into_iter().flat_map(|w| points.map(|k| (w, k))) {
         let dir = temp_service_dir(&format!("snapshot-at-{k}-{workers}"));
         let config = service_config(kind, true)
             .with_workers(workers)
@@ -591,9 +632,9 @@ proptest! {
     /// last snapshot, ingest the rest — the final state must be
     /// bit-identical to the batch replay of the whole stream. With
     /// `invalidate` the recovered engine must still find every restored
-    /// copy of a superseded page; with three workers the killed fleet's
-    /// threads go down with it and the restored servers are dealt back
-    /// across new ones. A `chunk` of `usize::MAX` sends the prefix as one
+    /// copy of a superseded page; with two or three shards the killed
+    /// fleet's worker threads go down with it and the restored servers
+    /// are dealt back across new ones. A `chunk` of `usize::MAX` sends the prefix as one
     /// call.
     #[test]
     fn recovery_converges_to_the_uncrashed_run(
@@ -602,7 +643,7 @@ proptest! {
         kill_at in 0.0f64..1.0,
         snapshot_every in proptest::sample::select(vec![0u64, 64, 256, 512, 1024]),
         chunk in proptest::sample::select(vec![1usize, 7, 50, usize::MAX]),
-        workers in proptest::sample::select(vec![1usize, 3]),
+        workers in proptest::sample::select(vec![1usize, 2, 3]),
     ) {
         let f = fixture();
         let kind = recovery_strategies()[strategy_idx];

@@ -206,7 +206,7 @@ impl<'a> TraceWindow<'a> {
 /// sources compile into it; the live service fills it with
 /// [`push_publish`](OwnedWindow::push_publish) and
 /// [`push_request`](OwnedWindow::push_request), one batch at a time.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct OwnedWindow {
     pub(crate) events: Vec<CompiledEvent>,
     /// CSR offsets into `pairs`: one per publish in the window plus one.
@@ -314,6 +314,28 @@ impl OwnedWindow {
         self.events.capacity() * std::mem::size_of::<CompiledEvent>()
             + self.offsets.capacity() * std::mem::size_of::<u32>()
             + self.pairs.capacity() * std::mem::size_of::<(ServerId, u32)>()
+    }
+}
+
+impl Clone for OwnedWindow {
+    fn clone(&self) -> Self {
+        Self {
+            events: self.events.clone(),
+            offsets: self.offsets.clone(),
+            pairs: self.pairs.clone(),
+            ordinal_base: self.ordinal_base,
+            start_index: self.start_index,
+        }
+    }
+
+    /// Copies `source` into this window's buffers, which allocate only
+    /// where `source` outgrows them (the service's batch ring).
+    fn clone_from(&mut self, source: &Self) {
+        self.events.clone_from(&source.events);
+        self.offsets.clone_from(&source.offsets);
+        self.pairs.clone_from(&source.pairs);
+        self.ordinal_base = source.ordinal_base;
+        self.start_index = source.start_index;
     }
 }
 
