@@ -138,7 +138,7 @@ impl StrategyKind {
     /// is reserved for the most pages the capacity can hold and the
     /// request counts, as address space, for the universe, making the
     /// steady-state hot loop free of heap allocations (see DESIGN.md
-    /// §12); the empty universe reserves nothing and the tables grow on
+    /// §9); the empty universe reserves nothing and the tables grow on
     /// demand.
     pub fn build<O: Observer>(
         &self,

@@ -21,7 +21,7 @@
 //! service recovers by restoring the last snapshot and replaying the
 //! journal suffix; the crash-recovery property suite kills services at
 //! arbitrary journal offsets and checks convergence to the uncrashed
-//! run. See DESIGN.md §15 for the architecture.
+//! run. See DESIGN.md §12 for the architecture.
 //!
 //! # Examples
 //!

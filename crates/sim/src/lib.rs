@@ -44,7 +44,7 @@
 //! replays its sub-timeline in parallel (the same replay loop restricted
 //! to a server range), and the shard results merge into totals
 //! bit-identical to the sequential replay (the variant table's sharded
-//! and sequential rows both equal the spec; see DESIGN.md).
+//! and sequential rows both equal the spec; see DESIGN.md §7).
 //!
 //! That loop is [`ReplayState::step`], and it is the workspace's only
 //! one: the live broker service (`pscd-service`) resolves each ingest

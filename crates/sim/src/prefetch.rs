@@ -9,18 +9,18 @@
 //! thread ([`pool::producer_consumers`](crate::pool::producer_consumers)),
 //! generating and compiling up to `prefetch_depth` slices ahead, while
 //! one or more **consumers** (the replay's shards) pull finished slices as
-//! [`Arc<OwnedWindow>`] handles through a bounded [`WindowQueue`]. A
+//! [`Arc<OwnedWindow>`] handles through a bounded `WindowQueue`. A
 //! slice (see [`crate::stream`]) is bounded by a budget of drawn events
 //! as well as by the configured window, so no hand-over keeps the
 //! consumer waiting for a whole burst's generation.
 //!
 //! Two structural decisions carry the determinism proof:
 //!
-//! * **One producer owns all carried state.** The [`WindowState`] —
+//! * **One producer owns all carried state.** The `WindowState` —
 //!   version heads, publish cursor/ordinal, event index — advances
 //!   strictly in slice order on the producer thread, through the same
 //!   `StreamingTrace::gather_batch` +
-//!   [`StreamingTrace::compile_window_into`] pair the serial pass uses
+//!   `StreamingTrace::compile_window_into` pair the serial pass uses
 //!   (which is the batch of one). Consumers never touch it; overlap
 //!   changes *when* a window is compiled, never *from what*.
 //! * **Batched generation scatters, it does not reorder.** A pass draws
@@ -35,10 +35,9 @@
 //! `prefetch_depth + 1` slices are ever alive (queued + the one each
 //! consumer is replaying), beside the producer's pending tail of
 //! already-drawn later requests — O(depth × slice + live tail), never
-//! O(trace); the tail peaks at 0.13 MB on the `stream_memory` fixture,
-//! under the 0.21 MB its depth-1 queue holds. The queue tracks its own
-//! high-water marks, the producer its tail's ([`PrefetchStats`]), and the
-//! `stream_memory` suite checks a counting allocator against them.
+//! O(trace). The queue tracks its own high-water marks, the producer its
+//! tail's ([`PrefetchStats`]), and the `stream_memory` suite checks a
+//! counting allocator against them.
 //!
 //! A whole [`Replay`] shares **one** prefetcher: each consumer — every
 //! shard of every lineup member — takes the same `Arc`ed slices through

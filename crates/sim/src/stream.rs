@@ -1,18 +1,17 @@
 //! Streaming trace compilation: bounded-memory replay straight from the
 //! workload config.
 //!
-//! [`CompiledTrace`] materializes the whole timeline — millions of events
-//! for paper-scale traces — before the first replay step. But every
-//! random draw in `pscd-workload` already comes from a per-entity
-//! substream ([`pscd_workload::seeds`]), so any page's request events can
-//! be drawn on demand, bit for bit, without the rest of the trace.
-//! [`StreamingTrace`] exploits that: it keeps only the O(pages) artifacts
-//! resident (page table, publish stream, the [`RequestStream`] draws, the
+//! [`CompiledTrace`] materializes the whole timeline before the first
+//! replay step. Every random draw in `pscd-workload` comes from a
+//! per-entity substream ([`pscd_workload::seeds`]), so any page's request
+//! events can be drawn on demand, bit for bit, without the rest of the
+//! trace. [`StreamingTrace`] keeps only the O(pages) artifacts resident
+//! (page table, publish stream, the [`RequestStream`] draws, the
 //! subscription table, each page's first request instant) and compiles
 //! the timeline one *slice* at a time as the replay loop pulls it,
 //! carrying the cross-slice state — per-origin version heads, the global
-//! publish ordinal, the global event index, the pending tail — explicitly
-//! in [`WindowState`].
+//! publish ordinal, the global event index, the pending tail — in a
+//! `WindowState`.
 //!
 //! **Slices.** A slice is a time range bounded both by the configured
 //! window and by a fixed budget of drawn events: construction plans the
@@ -29,12 +28,9 @@
 //! wait on the *pending tail*, one flat vector, and each later gather
 //! moves the ones that have come due to their buckets. Request times
 //! decay with page age (§4 of the paper), so a page's span is long only
-//! because of a few late requests and the tail is a sliver: it peaks at
-//! 7 152 of 156 000 requests (0.13 MB of vector capacity) on the
-//! `stream_memory` fixture at 1 h windows, less than the two compiled
-//! slices a depth-1 queue keeps alive. Peak memory is O(depth × slice +
-//! live tail), not O(trace); the `stream_memory` suite proves it with a
-//! counting allocator.
+//! because of a few late requests and the tail holds a small share of the
+//! trace. Peak memory is O(depth × slice + live tail), not O(trace); the
+//! `stream_memory` suite proves it with a counting allocator.
 //!
 //! Bit-identity with the monolithic path rests on three facts:
 //!
@@ -56,17 +52,14 @@
 //!    the per-origin version heads driving `supersedes`, is carried in
 //!    [`VersionHeads`] across window seams.
 //!
-//! Two pulls on the same machinery exist. The serial pass
-//! ([`StreamingTrace::open`]) gathers one slice at a time on the replay
-//! thread. The pipelined pass (`crate::prefetch`,
+//! The serial pass ([`StreamingTrace::open`]) gathers one slice at a
+//! time on the replay thread. The pipelined pass ([`crate::prefetch`],
 //! [`Replay::prefetched`](crate::Replay::prefetched)) moves generation +
 //! compilation to a producer thread that works `prefetch_depth` slices
-//! ahead. Both drive the same `gather_batch` +
-//! [`compile_window_into`](StreamingTrace::compile_window_into) pair over
-//! a [`WindowState`] — the serial pass is the batch of one — so the
-//! per-slice gather/merge/resolve logic cannot diverge; what
-//! `prefetch::tests` additionally prove is that a wider batch scatters
-//! the same events.
+//! ahead. Both drive the same `gather_batch` + `compile_window_into` pair
+//! over a `WindowState` — the serial pass is the batch of one — so the
+//! per-slice gather/merge/resolve logic cannot diverge; `prefetch::tests`
+//! prove that a wider batch scatters the same events.
 //!
 //! The `stream_differential` suite asserts [`StreamingTrace::materialize`]
 //! `==` [`CompiledTrace::compile`] and that crashes and invalidation cross
@@ -620,7 +613,7 @@ impl WindowState {
 
 /// One serial pass over a [`StreamingTrace`]'s windows: the lazily
 /// generating [`ReplaySource`]. All cross-window replay state lives in the
-/// owned [`WindowState`]; the window buffers are reused allocation-steady
+/// owned `WindowState`; the window buffers are reused allocation-steady
 /// from window to window.
 #[derive(Debug)]
 pub struct StreamingWindows<'a> {

@@ -11,10 +11,9 @@
 //!
 //! [`CompiledTrace`] performs that work exactly once. The result is an
 //! immutable, `Sync` value: a flat event array with publish-before-request
-//! ordering at equal timestamps baked in, a CSR-style fan-out table
-//! (absorbing what used to be `pscd_broker::Fanout`), per-request
-//! subscription counts, per-publish `supersedes` lineage, and the
-//! capacity basis. The sequential runner, every shard worker, and every
+//! ordering at equal timestamps baked in, a CSR-style fan-out table,
+//! per-request subscription counts, per-publish `supersedes` lineage, and
+//! the capacity basis. The sequential runner, every shard worker, and every
 //! grid cell replay the same compiled value by reference — which is both
 //! the speed win (no per-cell re-derivation) and a determinism pillar
 //! (no consumer can see a different timeline than any other).
@@ -104,8 +103,8 @@ pub struct CompiledTrace {
     /// implementation (page table, fleet, capacity/load basis).
     meta: ReplayMeta,
     /// The whole timeline as one window: the merged events (publishes
-    /// before requests at equal times), the CSR fan-out table (absorbed
-    /// from the old `pscd_broker::Fanout`) and its matched pairs.
+    /// before requests at equal times), the CSR fan-out table and its
+    /// matched pairs.
     window: OwnedWindow,
 }
 

@@ -9,7 +9,7 @@
 //! Scope: all twelve strategies. Every one keeps its pages in
 //! `CacheStore`s — DM and DC-AP/DC-LAP in two each — whose heap and
 //! position table are sized to the page universe at construction
-//! (DESIGN.md §12), so none of them has anything left to grow.
+//! (DESIGN.md §9), so none of them has anything left to grow.
 //!
 //! Everything lives in ONE `#[test]` so no harness bookkeeping (test
 //! threads, output capture) runs — and allocates — inside a measurement

@@ -7,7 +7,7 @@
 //! then counted over *every* event — no warm-up — for all twelve
 //! strategies at 1, 5 and 10 % capacity. Each store is reserved at
 //! construction for the most pages its capacity can hold
-//! (`PageUniverse::resident_bound`, DESIGN.md §12), so none has anything
+//! (`PageUniverse::resident_bound`, DESIGN.md §9), so none has anything
 //! left to grow; a store that started small and doubled would allocate
 //! during the first events.
 //!

@@ -1,5 +1,5 @@
 //! The dual strategies as `Vec`-scan models written from paper §3.3 and
-//! DESIGN.md §3: DM, and the dual cache as DC-AP, DC-LAP and DC-FP (the
+//! DESIGN.md §3 and §9: DM, and the dual cache as DC-AP, DC-LAP and DC-FP (the
 //! dual cache whose bounds meet at its starting split). Residents sit in
 //! a flat list, eviction is a linear minimum over `(value, age)`,
 //! candidate bytes are a filtered sum, and staleness is the paper's own

@@ -3,7 +3,7 @@
 //! written from the paper rather than from the code they check.
 //!
 //! - [`Model`], [`DmModel`] and [`DcModel`] implement
-//!   [`Strategy`](pscd_core::Strategy) with residents in a flat list and
+//!   [`Strategy`] with residents in a flat list and
 //!   every decision a linear scan; [`spec_strategy`] picks the model of a
 //!   [`StrategyKind`].
 //! - [`spec_replay`] replays a [`SpecInput`] — pages, publishes,

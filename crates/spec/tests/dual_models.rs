@@ -1,5 +1,5 @@
 //! The dual strategies against [`DmModel`] and [`DcModel`], the `Vec`-scan
-//! models written from paper §3.3 and DESIGN.md §3 that share nothing
+//! models written from paper §3.3 and DESIGN.md §3 and §9, sharing nothing
 //! with their implementation. The models implement [`Strategy`](Proxy),
 //! so one operation-for-operation comparison serves every property here.
 //! DC-FP is the dual cache whose bounds meet at its starting split.

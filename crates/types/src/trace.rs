@@ -240,7 +240,7 @@ pub struct TraceStats {
     pub requests: u64,
     /// Number of distinct pages referenced.
     pub distinct_pages: u64,
-    /// Requests per server, indexed by [`ServerId`] index.
+    /// Requests per server, indexed by [`ServerId`](crate::ServerId) index.
     pub requests_per_server: Vec<u64>,
     /// Time of the last request.
     pub span: SimTime,

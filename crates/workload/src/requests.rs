@@ -51,7 +51,7 @@ pub struct RequestConfig {
     /// Mandelbrot plateau of the popularity distribution:
     /// `P(rank i) ∝ 1/(shift + i)^alpha`. Zero is pure Zipf. The default is
     /// calibrated so the trace's (page, server) pair density matches the
-    /// traffic volumes of the paper's figure 7 (see DESIGN.md).
+    /// traffic volumes of the paper's figure 7 (see DESIGN.md §3, decision 0).
     pub zipf_shift: f64,
 }
 
