@@ -375,8 +375,9 @@ impl Operands {
     }
 }
 
-/// The inclusive range of proxies one match is restricted to: the whole
-/// fleet for a publish, a single proxy for a request.
+/// The inclusive range of proxies one match is restricted to: a range of
+/// the fleet (the whole of it, or a shard's) for a publish, a single
+/// proxy for a request.
 #[derive(Debug, Clone, Copy)]
 struct Lanes {
     lo: u16,
@@ -1016,14 +1017,6 @@ impl FrozenIndex {
         self.retired * 2 > self.len
     }
 
-    /// Every proxy of the fleet.
-    fn fleet(&self) -> Lanes {
-        Lanes {
-            lo: 0,
-            hi: self.lanes - 1,
-        }
-    }
-
     /// A request's count: the matches of `view` at `server` alone, 0 for a
     /// proxy outside the fleet. Only that proxy's buckets are searched and
     /// only its words touched.
@@ -1040,29 +1033,36 @@ impl FrozenIndex {
         self.count_in(view, scratch, Lanes { lo: lane, hi: lane }) as u32
     }
 
-    /// A publish's fan-out: the `(proxy, count)` rows of `view` with at
-    /// least one match, ascending by proxy, into `out` (cleared first). One
-    /// pass over the fleet's buckets, then one over the touched words, each
-    /// of which belongs to a single proxy.
+    /// A publish's fan-out over the proxies `servers` (clipped to the
+    /// fleet): the `(proxy, count)` rows of `view` with at least one
+    /// match, ascending by proxy, into `out` (cleared first). One pass over
+    /// those proxies' buckets, then one over the touched words, each of
+    /// which belongs to a single proxy.
     pub(crate) fn fanout(
         &self,
         view: View<'_>,
         scratch: &mut MatchScratch,
+        servers: Range<u16>,
         out: &mut Vec<(ServerId, u32)>,
     ) {
         out.clear();
-        let fs = self.accumulate(view, scratch, self.fleet());
+        let (lo, end) = (servers.start, servers.end.min(self.lanes));
+        if lo >= end {
+            return;
+        }
+        let fs = self.accumulate(view, scratch, Lanes { lo, hi: end - 1 });
         // Out of the scratch while `matched` borrows it; the capacity
         // comes back, so only warm-up allocates.
         let mut counts = std::mem::take(&mut fs.lane_counts);
         counts.clear();
-        counts.extend(self.w_base.windows(2).map(|w| w[1] - w[0]));
+        let wild = &self.w_base[usize::from(lo)..=usize::from(end)];
+        counts.extend(wild.windows(2).map(|w| w[1] - w[0]));
         for (w, bits) in fs.matched() {
-            counts[usize::from(self.word_lane[w])] += bits.count_ones();
+            counts[usize::from(self.word_lane[w] - lo)] += bits.count_ones();
         }
-        for (lane, &n) in counts.iter().enumerate() {
+        for (lane, &n) in (lo..).zip(&counts) {
             if n > 0 {
-                out.push((ServerId::new(lane as u16), n));
+                out.push((ServerId::new(lane), n));
             }
         }
         fs.lane_counts = counts;
@@ -1273,7 +1273,7 @@ mod tests {
         scratch: &mut MatchScratch,
     ) -> Vec<SubscriptionId> {
         let mut ids = frozen.wildcards.clone();
-        for (w, mut bits) in frozen.accumulate(view, scratch, frozen.fleet()).matched() {
+        for (w, mut bits) in frozen.accumulate(view, scratch, fleet(frozen)).matched() {
             while bits != 0 {
                 ids.push(frozen.ids[w * 64 + bits.trailing_zeros() as usize]);
                 bits &= bits - 1;
@@ -1283,9 +1283,17 @@ mod tests {
         ids
     }
 
+    /// Every proxy of the fleet.
+    fn fleet(frozen: &FrozenIndex) -> Lanes {
+        Lanes {
+            lo: 0,
+            hi: frozen.lanes - 1,
+        }
+    }
+
     /// The fleet's number of matches for `view`.
     fn total(frozen: &FrozenIndex, view: View<'_>, scratch: &mut MatchScratch) -> usize {
-        frozen.count_in(view, scratch, frozen.fleet())
+        frozen.count_in(view, scratch, fleet(frozen))
     }
 
     fn frozen_matches(idx: &Owner, content: &Content) -> Vec<SubscriptionId> {
@@ -1574,7 +1582,7 @@ mod tests {
             sports_page().with("words", Value::int(5)),
         ] {
             let view = symbolized(table, &content);
-            frozen.fanout(view.view(), &mut scratch, &mut rows);
+            frozen.fanout(view.view(), &mut scratch, 0..u16::MAX, &mut rows);
             let expected: Vec<_> = fleet
                 .iter()
                 .enumerate()
@@ -1687,7 +1695,7 @@ mod tests {
         let mut scratch = MatchScratch::new();
         let mut rows = vec![(ServerId::new(7), 1)];
         let view = symbolized(&mut table, &sports_page());
-        frozen.fanout(view.view(), &mut scratch, &mut rows);
+        frozen.fanout(view.view(), &mut scratch, 0..u16::MAX, &mut rows);
         assert!(rows.is_empty());
         assert_eq!(
             frozen.count_at(view.view(), &mut scratch, ServerId::new(0)),

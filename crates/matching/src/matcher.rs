@@ -1,5 +1,7 @@
 //! The content-based matcher: `f_S(p)` from real subscriptions.
 
+use std::ops::Range;
+
 use pscd_types::{PageId, ServerId};
 
 use crate::frozen::{Compiled, FrozenIndex, Operands, Row};
@@ -230,21 +232,42 @@ impl EngineMatcher {
     /// counting in the caller's [`MatchScratch`]. While a
     /// kernel answers, the call makes zero allocations after warm-up, so a
     /// publish fan-out loop can evaluate the whole fleet without touching
-    /// the allocator.
+    /// the allocator. [`EngineMatcher::matched_servers_in`] over the whole
+    /// fleet.
     pub fn matched_servers_into(
         &self,
         page: PageId,
         scratch: &mut MatchScratch,
         out: &mut Vec<(ServerId, u32)>,
     ) {
+        self.matched_servers_in(page, 0..self.server_count(), scratch, out);
+    }
+
+    /// A publish's fan-out at the proxies `servers` only (clipped to the
+    /// fleet): the rows [`EngineMatcher::matched_servers_into`] writes for
+    /// those proxies, searching only their buckets and, while no kernel
+    /// answers, evaluating only their subscriptions — so a shard of the
+    /// fleet matches its own proxies, and consecutive ranges joined are the
+    /// whole fleet's fan-out.
+    pub fn matched_servers_in(
+        &self,
+        page: PageId,
+        servers: Range<u16>,
+        scratch: &mut MatchScratch,
+        out: &mut Vec<(ServerId, u32)>,
+    ) {
         out.clear();
-        let Some(view) = self.pages.view(page) else {
+        let servers = servers.start..servers.end.min(self.server_count());
+        let Some(view) = self.pages.view(page).filter(|_| !servers.is_empty()) else {
             return;
         };
         if let Some(frozen) = &self.frozen {
-            // Frozen fast path: one pass over the fleet.
-            frozen.index.fanout(view, scratch, out);
-            for run in frozen.delta.chunk_by(|a, b| a.0 == b.0) {
+            // Frozen fast path: one pass over the range's buckets.
+            frozen.index.fanout(view, scratch, servers.clone(), out);
+            let delta = &frozen.delta;
+            let own = delta.partition_point(|&(s, _)| s.index() < servers.start)
+                ..delta.partition_point(|&(s, _)| s.index() < servers.end);
+            for run in delta[own].chunk_by(|a, b| a.0 == b.0) {
                 let server = run[0].0;
                 let n = self.delta_matches(run, view);
                 if n > 0 {
@@ -256,10 +279,10 @@ impl EngineMatcher {
             }
             return;
         }
-        for (lane, rows) in self.subscriptions.iter().enumerate() {
-            let n = self.brute_force(rows, view);
+        for lane in servers {
+            let n = self.brute_force(&self.subscriptions[usize::from(lane)], view);
             if n > 0 {
-                out.push((ServerId::new(lane as u16), n));
+                out.push((ServerId::new(lane), n));
             }
         }
     }

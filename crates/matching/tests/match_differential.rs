@@ -2,7 +2,8 @@
 //! brute-force evaluation must equal `Subscription::matches` — the same
 //! counts, the same fan-out rows — over rotating subscription shapes,
 //! content shapes, insert/remove churn, and the wildcard/empty edge
-//! cases, on one proxy and on fleets of one to five. The kernel's
+//! cases, on one proxy and on fleets of one to five, whole and split into
+//! ranges of proxies. The kernel's
 //! id-level checks are its unit tests (`frozen::tests`). The end-to-end
 //! `SimResult` half of the differential (all 12 strategies) lives in
 //! `crates/spec/tests/variants.rs`: its matcher-compiled and content-mode
@@ -250,11 +251,39 @@ fn proxy_strategy() -> impl Strategy<Value = Vec<Subscription>> {
 /// `(id, subscription)` — the brute-force oracle's input.
 type Mirror = Vec<Rows>;
 
+/// `page`'s fan-out over consecutive ranges of the fleet, joined: a range
+/// ends before every proxy whose bit is set in `cuts`, and the last runs
+/// past the fleet. Each range's rows must lie inside it.
+fn joined_fanout(
+    matcher: &EngineMatcher,
+    page: PageId,
+    cuts: u32,
+    scratch: &mut MatchScratch,
+) -> Vec<(ServerId, u32)> {
+    let servers = matcher.server_count();
+    let mut starts: Vec<u16> = (1..servers).filter(|&s| cuts >> s & 1 == 1).collect();
+    starts.insert(0, 0);
+    let ends = starts.iter().skip(1).copied().chain([u16::MAX]);
+    let mut joined = Vec::new();
+    let mut rows = vec![(ServerId::new(0), 0)];
+    for (start, end) in starts.iter().copied().zip(ends) {
+        matcher.matched_servers_in(page, start..end, scratch, &mut rows);
+        assert!(
+            rows.iter().all(|(s, _)| (start..end).contains(&s.index())),
+            "rows of page {page:?} outside {start}..{end}: {rows:?}"
+        );
+        joined.extend_from_slice(&rows);
+    }
+    joined
+}
+
 /// Checks `matcher` against `mirror` on every content: the fan-out rows
 /// and every single `(page, server)` count must equal brute-force
 /// `Subscription::matches`, whether a kernel answers or the matcher is
-/// thawed, and the matcher's ids must be the mirror's.
-fn assert_fleet(matcher: &EngineMatcher, mirror: &Mirror, contents: &[Content]) {
+/// thawed, and the matcher's ids must be the mirror's. The fan-out over
+/// the ranges `cuts` splits the fleet into, and over one range per proxy
+/// (each the count a request reads there), joined, is the whole fleet's.
+fn assert_fleet(matcher: &EngineMatcher, mirror: &Mirror, contents: &[Content], cuts: u32) {
     let servers = mirror.len() as u16;
     for (server, rows) in (0..servers).map(ServerId::new).zip(mirror) {
         let ids: Vec<_> = matcher.subscription_ids(server).unwrap().collect();
@@ -275,6 +304,15 @@ fn assert_fleet(matcher: &EngineMatcher, mirror: &Mirror, contents: &[Content]) 
             .filter(|&(_, n)| n > 0)
             .collect();
         assert_eq!(rows, expected, "fan-out rows of page {i}");
+        for cuts in [cuts, u32::MAX] {
+            let joined = joined_fanout(matcher, page, cuts, &mut scratch);
+            assert_eq!(joined, rows, "page {i} over the ranges cut at {cuts:b}");
+        }
+        for outside in [servers..servers + 1, servers..u16::MAX] {
+            let mut rows = vec![(ServerId::new(0), 0)];
+            matcher.matched_servers_in(page, outside.clone(), &mut scratch, &mut rows);
+            assert!(rows.is_empty(), "page {i} at {outside:?}");
+        }
         for (server, &n) in (0..servers).map(ServerId::new).zip(&brute) {
             assert_eq!(
                 matcher.match_count_with(page, server, &mut scratch),
@@ -373,12 +411,14 @@ struct Churned {
     retired: usize,
     delta: Vec<(usize, SubscriptionId)>,
     frozen: bool,
+    /// Where [`assert_fleet`] splits the fleet into ranges.
+    cuts: u32,
 }
 
 impl Churned {
     fn check(&self) {
         assert_eq!(self.matcher.is_frozen(), self.frozen, "a kernel answers");
-        assert_fleet(&self.matcher, &self.mirror, &self.contents);
+        assert_fleet(&self.matcher, &self.mirror, &self.contents, self.cuts);
     }
 
     /// Registers `content` as page `page`: the next id, or one already
@@ -451,6 +491,8 @@ proptest! {
     /// pages are registered again, and every operator joins the delta over
     /// strings those pages interned first; the burst then thaws them into
     /// brute force and the freeze after it folds them into the kernel.
+    /// In every one of those states, the fan-outs over a drawn split of
+    /// the fleet into consecutive ranges, joined, are the whole fleet's.
     #[test]
     fn fleet_fanout_and_requests_agree_with_brute_force(
         proxies in proptest::collection::vec(proxy_strategy(), 1..6),
@@ -459,6 +501,7 @@ proptest! {
         removes in proptest::collection::vec(proptest::bool::ANY, 0..24),
         late in proptest::collection::vec((subscription_strategy(), 0usize..5), 0..8),
         adds_first in proptest::bool::ANY,
+        cuts in 0u32..32,
     ) {
         let servers = proxies.len();
         let mut fleet = Churned {
@@ -469,6 +512,7 @@ proptest! {
             retired: 0,
             delta: Vec::new(),
             frozen: false,
+            cuts,
         };
         for (i, content) in contents.iter().enumerate() {
             fleet.register(i, content.clone());

@@ -1,18 +1,27 @@
 //! The service supervisor: event ingestion, routing, snapshots and
 //! crash recovery.
 //!
-//! [`ServiceCore`] owns everything strategy-independent — the live
-//! subscription counts, version lineage, the write-ahead journal and the
-//! snapshot cadence — and resolves each batch into the simulator's own
-//! window buffer ([`OwnedWindow`]), which every shard of the proxy fleet
-//! drains through the simulator's replay step. Events are **resolved at
-//! ingest**: a publish's fan-out is copied out of the subscription counts
-//! the moment it arrives, so a later subscribe in the same batch can
-//! never retroactively change it. That is what makes the service
-//! bit-identical to the batch replay, which performs the same resolution
-//! in [`CompiledTrace::compile`] — over the same [`SubscriptionTable`],
-//! with the lineage of [`pscd_sim::resolve`], shared verbatim by both
-//! paths.
+//! [`ServiceCore`] owns everything strategy-independent and
+//! order-dependent — bounds checks, the write-ahead journal, the live
+//! subscription counts, version lineage and the snapshot cadence — and
+//! resolves each batch into the simulator's own window buffer
+//! ([`OwnedWindow`]), which every shard of the proxy fleet drains through
+//! the simulator's replay step. Events are **resolved at ingest**: a
+//! publish's fan-out is copied out of the subscription counts the moment
+//! it arrives, so a later subscribe in the same batch can never
+//! retroactively change it. That is what makes the service bit-identical
+//! to the batch replay, which performs the same resolution in
+//! [`CompiledTrace::compile`] — over the same [`SubscriptionTable`], with
+//! the lineage of [`pscd_sim::resolve`], shared verbatim by both paths.
+//!
+//! In content mode the lineage is still resolved here, but the matching
+//! is the shards': a publish goes into the batch without a fan-out and a
+//! request without a count, and each shard matches them for its own
+//! proxies when the batch reaches it (`crate::kept`). The content calls
+//! keep that as exact as resolving at ingest: they flush the pending
+//! batch and wait until no shard holds the matcher before they change it,
+//! so every event is matched against the subscriptions of its place in
+//! the stream.
 //!
 //! [`CompiledTrace::compile`]: pscd_sim::CompiledTrace::compile
 
@@ -21,7 +30,7 @@ use std::sync::Arc;
 use std::thread;
 
 use pscd_cache::PageUniverse;
-use pscd_matching::{EngineMatcher, MatchScratch, Subscription, SubscriptionId};
+use pscd_matching::{EngineMatcher, Subscription, SubscriptionId};
 use pscd_sim::resolve::VersionHeads;
 use pscd_sim::{
     shard_count, OwnedWindow, ReplaySite, ShardPlan, SimResult, DEFAULT_PREFETCH_DEPTH,
@@ -31,9 +40,9 @@ use pscd_types::{LiveEvent, PageMeta, ServerId, SubscriptionTable};
 
 use crate::config::{ServiceConfig, ServiceError};
 use crate::journal::Journal;
-use crate::kept::KeptFanouts;
+use crate::kept::{Content, ShardMatching};
 use crate::wire::{decode_snapshot_file, put_snapshot_fleet, put_snapshot_head, SnapshotState};
-use crate::worker::{build_shard, finish, Shard, ToWorker, Worker};
+use crate::worker::{build_shard, finish, shard_window, Shard, ToWorker, Worker};
 
 const JOURNAL_FILE: &str = "journal.bin";
 pub(crate) const SNAPSHOT_FILE: &str = "snapshot.bin";
@@ -82,23 +91,19 @@ pub struct ServiceCore {
     snapshot_buf: Vec<u8>,
     events_applied: u64,
     last_snapshot: u64,
-    /// Optional content-based matcher. When attached, publish fan-outs
-    /// resolve against its frozen kernel instead of the count rows, and
-    /// request counts against the fan-out their page's publish found
-    /// (`kept`), or the kernel where that is stale; the kernel absorbs
+    /// Optional content-based matcher, shared with the shards each batch
+    /// goes to. When attached, publish fan-outs resolve against its
+    /// frozen kernel instead of the count rows, and request counts
+    /// against the fan-out their page's publish found, or the kernel where
+    /// that is stale — each shard for its own proxies. The kernel absorbs
     /// dynamic [`subscribe_content`] calls, and only a burst past what it
-    /// absorbs makes the next resolve refreeze it.
+    /// absorbs makes the next resolved event refreeze it.
     ///
     /// [`subscribe_content`]: ServiceCore::subscribe_content
-    matcher: Option<EngineMatcher>,
-    /// Counting scratch for the attached matcher's frozen kernel.
-    match_scratch: MatchScratch,
-    /// Fan-out buffer for the attached matcher (reused per publish).
-    fanout_buf: Vec<(ServerId, u32)>,
-    /// The fan-outs the attached matcher has computed, per page. In-memory
-    /// state like the matcher: emptied when one is attached, never
-    /// persisted.
-    kept: KeptFanouts,
+    content: Option<Arc<Content>>,
+    /// Shard 0's matching in content mode, built by its first content
+    /// batch. In-memory state like the matcher, never persisted.
+    matching: Option<ShardMatching>,
 }
 
 impl ServiceCore {
@@ -221,10 +226,8 @@ impl ServiceCore {
             snapshot_buf: Vec::new(),
             events_applied: state.events_applied,
             last_snapshot: state.events_applied,
-            matcher: None,
-            match_scratch: MatchScratch::new(),
-            fanout_buf: Vec::new(),
-            kept: KeptFanouts::default(),
+            content: None,
+            matching: None,
             config,
         })
     }
@@ -242,7 +245,8 @@ impl ServiceCore {
     /// after that publish ([`LiveEvent::Subscribe`] events still maintain
     /// the rows — and the snapshot format — but no longer drive
     /// resolution). The matcher is frozen here; later content calls keep
-    /// that compilation current instead of dropping it.
+    /// that compilation current instead of dropping it. Events ingested
+    /// before the call resolve as they would have without it.
     ///
     /// The matcher and the fan-outs kept from it are in-memory state, not
     /// persisted: a [`recover`](ServiceCore::recover)ed service starts
@@ -252,7 +256,8 @@ impl ServiceCore {
     /// # Errors
     ///
     /// [`ServiceError::Config`] if the matcher covers a different fleet or
-    /// page universe than the configured one.
+    /// page universe than the configured one;
+    /// [`ServiceError::WorkerPanicked`] once a worker has died.
     pub fn attach_matcher(&mut self, mut matcher: EngineMatcher) -> Result<(), ServiceError> {
         if matcher.server_count() != self.config.server_count()
             || !matcher.covers(self.config.pages.len())
@@ -262,10 +267,9 @@ impl ServiceCore {
                 constraint: "covering the configured fleet and page universe",
             });
         }
+        self.settle()?;
         matcher.freeze();
-        self.matcher = Some(matcher);
-        self.kept
-            .reset(self.config.pages.len(), self.config.server_count());
+        self.content = Some(Arc::new(Content::new(matcher, &self.batch)));
         Ok(())
     }
 
@@ -274,37 +278,36 @@ impl ServiceCore {
     /// unsubscribes; `false` only between a burst of them that outgrew the
     /// kernel and the next resolved event, which rebuilds it.
     pub fn matcher_frozen(&self) -> bool {
-        self.matcher.as_ref().is_some_and(EngineMatcher::is_frozen)
+        self.content.as_ref().is_some_and(|c| c.matcher.is_frozen())
     }
 
     /// Registers a content-based subscription at `server` — the dynamic
     /// subscribe path of the content mode. Takes effect at once, for the
-    /// next resolved event, with no rebuild: the matcher evaluates it
+    /// next ingested event, with no rebuild: the matcher evaluates it
     /// beside its frozen kernel (see [`EngineMatcher::freeze`] for the
-    /// burst size past which the next resolve recompiles instead).
+    /// burst size past which the next resolved event recompiles instead).
     ///
     /// # Errors
     ///
     /// [`ServiceError::Config`] if no matcher is attached,
-    /// [`ServiceError::UnknownServer`] if `server` is outside the fleet.
+    /// [`ServiceError::UnknownServer`] if `server` is outside the fleet,
+    /// [`ServiceError::WorkerPanicked`] once a worker has died.
     pub fn subscribe_content(
         &mut self,
         server: ServerId,
         subscription: Subscription,
     ) -> Result<SubscriptionId, ServiceError> {
         let servers = self.config.server_count();
-        let matcher = self.matcher.as_mut().ok_or(ServiceError::Config {
-            what: "matcher",
-            constraint: "attached before subscribe_content",
-        })?;
+        let (content, at) = self.content_alone("attached before subscribe_content")?;
         let unknown = ServiceError::UnknownServer {
             server: server.index(),
             servers,
         };
-        let id = matcher
+        let id = content
+            .matcher
             .subscribe(server, subscription)
             .map_err(|_| unknown)?;
-        self.kept.churned(server, self.events_applied);
+        content.churned(server, at);
         Ok(id)
     }
 
@@ -317,28 +320,72 @@ impl ServiceCore {
     ///
     /// [`ServiceError::Config`] if no matcher is attached or the
     /// subscription is not registered at `server`,
-    /// [`ServiceError::UnknownServer`] if `server` is outside the fleet.
+    /// [`ServiceError::UnknownServer`] if `server` is outside the fleet,
+    /// [`ServiceError::WorkerPanicked`] once a worker has died.
     pub fn unsubscribe_content(
         &mut self,
         server: ServerId,
         id: SubscriptionId,
     ) -> Result<(), ServiceError> {
         let servers = self.config.server_count();
-        let matcher = self.matcher.as_mut().ok_or(ServiceError::Config {
-            what: "matcher",
-            constraint: "attached before unsubscribe_content",
-        })?;
-        matcher.unsubscribe(server, id).map_err(|e| match e {
-            pscd_matching::MatchError::UnknownServer { .. } => ServiceError::UnknownServer {
-                server: server.index(),
-                servers,
-            },
-            _ => ServiceError::Config {
-                what: "subscription id",
-                constraint: "registered at the given server",
-            },
-        })?;
-        self.kept.churned(server, self.events_applied);
+        let (content, at) = self.content_alone("attached before unsubscribe_content")?;
+        content
+            .matcher
+            .unsubscribe(server, id)
+            .map_err(|e| match e {
+                pscd_matching::MatchError::UnknownServer { .. } => ServiceError::UnknownServer {
+                    server: server.index(),
+                    servers,
+                },
+                _ => ServiceError::Config {
+                    what: "subscription id",
+                    constraint: "registered at the given server",
+                },
+            })?;
+        content.churned(server, at);
+        Ok(())
+    }
+
+    /// The attached content, taken back from the shards ([`settle`]), and
+    /// the timeline index of the next event: where a change to it takes
+    /// effect.
+    ///
+    /// [`settle`]: ServiceCore::settle
+    fn content_alone(
+        &mut self,
+        constraint: &'static str,
+    ) -> Result<(&mut Content, u64), ServiceError> {
+        if self.content.is_none() {
+            return Err(ServiceError::Config {
+                what: "matcher",
+                constraint,
+            });
+        }
+        self.settle()?;
+        let at = self.batch.view(&self.config.pages).start_index() as u64;
+        let content = self.content.as_mut().and_then(Arc::get_mut);
+        Ok((content.expect("settled: no shard holds it"), at))
+    }
+
+    /// Flushes the pending batch and waits until every shard has resolved
+    /// every batch it was sent — a worker lets go of the content once it
+    /// has — so that the matcher can change without a queued event being
+    /// matched against the change.
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceError::WorkerPanicked`] once a worker has died: one that
+    /// died holding the content closed its inbox before letting go of it.
+    fn settle(&mut self) -> Result<(), ServiceError> {
+        self.flush()?;
+        if let Some(content) = &mut self.content {
+            while Arc::get_mut(content).is_none() {
+                thread::yield_now();
+            }
+        }
+        for worker in &mut self.workers {
+            worker.alive()?;
+        }
         Ok(())
     }
 
@@ -424,29 +471,22 @@ impl ServiceCore {
             LiveEvent::Publish { time, page } => {
                 let meta = &self.config.pages[page.as_usize()];
                 let supersedes = self.heads.publish(page, meta);
-                let fanout = match &mut self.matcher {
-                    Some(m) => {
-                        // Lazy refreeze: a burst of content calls since the
-                        // last resolve may have outgrown the kernel; rebuild
-                        // it before the fan-out (a no-op while one answers).
-                        m.freeze();
-                        m.matched_servers_into(page, &mut self.match_scratch, &mut self.fanout_buf);
-                        self.kept.keep(page, &self.fanout_buf, self.events_applied);
-                        &self.fanout_buf[..]
+                // In content mode each shard matches the publish for its
+                // own proxies.
+                let fanout = match &mut self.content {
+                    Some(content) => {
+                        refreeze(content);
+                        &[]
                     }
                     None => self.counts.matched_servers(page),
                 };
                 self.batch.push_publish(time, page, supersedes, fanout);
             }
             LiveEvent::Request { time, server, page } => {
-                let subs = match &mut self.matcher {
-                    Some(m) => {
-                        m.freeze();
-                        // What the page's publish found at this proxy, unless
-                        // the proxy's subscriptions changed since.
-                        self.kept.count(page, server).unwrap_or_else(|| {
-                            m.match_count_with(page, server, &mut self.match_scratch)
-                        })
+                let subs = match &mut self.content {
+                    Some(content) => {
+                        refreeze(content);
+                        0
                     }
                     None => self.counts.count(page, server),
                 };
@@ -465,10 +505,7 @@ impl ServiceCore {
         if self.batch.is_empty() {
             return Ok(());
         }
-        if self.workers.is_empty() {
-            let window = self.batch.view(&self.config.pages);
-            while self.shard.step(&window).is_some() {}
-        } else {
+        if !self.workers.is_empty() {
             let k = self.next;
             self.next = (k + 1) % self.ring.len();
             let slot = &mut self.ring[k];
@@ -481,10 +518,14 @@ impl ServiceCore {
                 .expect("no worker holds it")
                 .clone_from(&self.batch);
             let batch = Arc::clone(slot);
-            self.send_all(|| ToWorker::Batch(Arc::clone(&batch)))?;
-            let window = batch.view(&self.config.pages);
-            while self.shard.step(&window).is_some() {}
+            let content = self.content.clone();
+            self.send_all(|| ToWorker::Batch(Arc::clone(&batch), content.clone()))?;
         }
+        let content = self.content.as_deref();
+        let matching = &mut self.matching;
+        let window = shard_window(&self.shard, matching, &self.config, &self.batch, content);
+        let window = window.view(&self.config.pages);
+        while self.shard.step(&window).is_some() {}
         self.batch.clear();
         Ok(())
     }
@@ -555,6 +596,17 @@ impl ServiceCore {
     }
 }
 
+/// Lazy refreeze: a burst of content calls since the last resolved event
+/// may have outgrown the kernel; rebuild it before the shards match
+/// against it (a no-op while one answers). Only a content call thaws it,
+/// and that call left no shard holding it, with no batch sent since.
+fn refreeze(content: &mut Arc<Content>) {
+    if !content.matcher.is_frozen() {
+        let content = Arc::get_mut(content).expect("thawed by a content call, which settled");
+        content.matcher.freeze();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -566,7 +618,7 @@ mod tests {
     use proptest::prelude::*;
     use pscd_broker::PushScheme;
     use pscd_core::StrategyKind;
-    use pscd_matching::{Content, Predicate, Value};
+    use pscd_matching::{Content, MatchScratch, Predicate, Value};
     use pscd_sim::{CompiledEventKind, CompiledTrace, Replay, SimOptions, DEFAULT_PREFETCH_DEPTH};
     use pscd_spec::within_a_minute;
     use pscd_types::{PageId, SimTime};
@@ -576,10 +628,11 @@ mod tests {
 
     const CATEGORIES: [&str; 3] = ["a", "b", "c"];
 
-    /// [`tiny_config`]'s service, whose batch outlasts the test, so every
-    /// resolved event stays readable.
+    /// [`tiny_config`]'s service on one shard, whose batch outlasts the
+    /// test: shard 0 resolves the whole fleet whenever the test flushes.
     fn tiny_service(servers: u16, pages: u32) -> ServiceCore {
-        ServiceCore::new(tiny_config(servers, pages).with_batch_size(1 << 16)).unwrap()
+        let config = tiny_config(servers, pages).with_workers(1);
+        ServiceCore::new(config.with_batch_size(1 << 16)).unwrap()
     }
 
     /// Page `id` carries `page = id`, `n = id` and one of three categories.
@@ -607,14 +660,30 @@ mod tests {
         }
     }
 
+    /// Shard 0's matching, once every ingested event is resolved.
+    fn matching(core: &mut ServiceCore) -> &ShardMatching {
+        core.flush().unwrap();
+        core.matching.as_ref().expect("a content batch resolved")
+    }
+
+    /// The count shard 0 kept for `page` at `server`, once every ingested
+    /// event is resolved.
+    fn kept(core: &mut ServiceCore, page: u32, server: u16) -> Option<u32> {
+        core.flush().unwrap();
+        let content = core.content.as_deref().expect("attached");
+        let matching = core.matching.as_ref()?;
+        matching.kept(PageId::new(page), ServerId::new(server), content)
+    }
+
     /// The last resolved event.
-    fn last_event(core: &ServiceCore) -> CompiledEventKind {
-        let window = core.batch.view(&core.config.pages);
+    fn last_event(core: &mut ServiceCore) -> CompiledEventKind {
+        let pages = Arc::clone(&core.config.pages);
+        let window = matching(core).window.view(&pages);
         window.events().last().expect("an event resolved").kind
     }
 
     /// The `subs` of the last resolved event, a request.
-    fn last_subs(core: &ServiceCore) -> u32 {
+    fn last_subs(core: &mut ServiceCore) -> u32 {
         match last_event(core) {
             CompiledEventKind::Request { subs, .. } => subs,
             other => panic!("not a request: {other:?}"),
@@ -637,14 +706,15 @@ mod tests {
         })
         .unwrap();
 
-        assert_eq!(core.kept.count(PageId::new(2), ServerId::new(1)), None);
+        assert_eq!(kept(&mut core, 2, 1), None);
         for ev in [request(1, 2), request(0, 2), publish(2), request(1, 2)] {
             core.ingest(ev).unwrap();
             rows.ingest(ev).unwrap();
         }
-        assert_eq!(core.kept.count(PageId::new(2), ServerId::new(1)), Some(2));
-        assert_eq!(core.batch, rows.batch);
-        assert_eq!(last_subs(&core), 2);
+        assert_eq!(kept(&mut core, 2, 1), Some(2));
+        assert_eq!(matching(&mut core).window, rows.batch);
+        assert_eq!(matching(&mut core).reads, [1, 2], "kept once, kernel twice");
+        assert_eq!(last_subs(&mut core), 2);
     }
 
     #[test]
@@ -658,26 +728,26 @@ mod tests {
             core.ingest(request(server, 0)).unwrap();
             last_subs(core)
         };
+        let arena = |core: &mut ServiceCore| matching(core).kept.arena_len();
 
         core.ingest(publish(0)).unwrap();
-        assert_eq!(core.kept.arena_len(), 2);
+        assert_eq!(arena(&mut core), 2);
         assert_eq!([read(&mut core, 0), read(&mut core, 1)], [1, 0]);
 
         // Unchanged: the same span. Proxy 0 leaves and proxy 2 gains one:
         // a shorter row, in place, and proxy 0's stale stamp is behind it.
         core.ingest(publish(0)).unwrap();
-        assert_eq!(core.kept.arena_len(), 2, "an unchanged page does not grow");
+        assert_eq!(arena(&mut core), 2, "an unchanged page does not grow");
         core.unsubscribe_content(ServerId::new(0), first).unwrap();
         core.subscribe_content(ServerId::new(2), page_sub(0))
             .unwrap();
-        assert_eq!(core.kept.count(PageId::new(0), ServerId::new(0)), None);
-        assert_eq!(core.kept.count(PageId::new(0), ServerId::new(1)), Some(0));
+        assert_eq!(kept(&mut core, 0, 0), None);
+        assert_eq!(kept(&mut core, 0, 1), Some(0));
         assert_eq!([read(&mut core, 0), read(&mut core, 2)], [0, 2], "kernel");
         core.ingest(publish(0)).unwrap();
-        assert_eq!(core.kept.arena_len(), 2, "a shorter row fits");
+        assert_eq!(arena(&mut core), 2, "a shorter row fits");
         for (server, subs) in [(0, 0), (1, 0), (2, 2)] {
-            let kept = core.kept.count(PageId::new(0), ServerId::new(server));
-            assert_eq!(kept, Some(subs));
+            assert_eq!(kept(&mut core, 0, server), Some(subs));
             assert_eq!(read(&mut core, server), subs);
         }
 
@@ -687,10 +757,9 @@ mod tests {
                 .unwrap();
         }
         core.ingest(publish(0)).unwrap();
-        assert_eq!(core.kept.arena_len(), 2 + 3);
+        assert_eq!(arena(&mut core), 2 + 3);
         for (server, subs) in [(0, 1), (1, 1), (2, 2)] {
-            let kept = core.kept.count(PageId::new(0), ServerId::new(server));
-            assert_eq!(kept, Some(subs));
+            assert_eq!(kept(&mut core, 0, server), Some(subs));
             assert_eq!(read(&mut core, server), subs);
         }
     }
@@ -704,8 +773,8 @@ mod tests {
         core.ingest(publish(1)).unwrap();
         core.subscribe_content(ServerId::new(1), page_sub(0))
             .unwrap();
-        assert_eq!(core.kept.count(PageId::new(1), ServerId::new(0)), Some(1));
-        assert_eq!(core.kept.count(PageId::new(1), ServerId::new(1)), None);
+        assert_eq!(kept(&mut core, 1, 0), Some(1));
+        assert_eq!(kept(&mut core, 1, 1), None);
 
         // The same pages under other subscriptions: the old row would say 1.
         let mut other = tiny_matcher(2, 2);
@@ -713,13 +782,13 @@ mod tests {
             other.subscribe(ServerId::new(0), page_sub(1)).unwrap();
         }
         core.attach_matcher(other).unwrap();
-        assert_eq!(core.kept.arena_len(), 0);
-        assert_eq!(core.kept.count(PageId::new(1), ServerId::new(0)), None);
+        assert_eq!(kept(&mut core, 1, 0), None);
         core.ingest(request(0, 1)).unwrap();
-        assert_eq!(last_subs(&core), 5);
+        assert_eq!(last_subs(&mut core), 5);
         // Proxy 1's stamp went with the rows.
         core.ingest(publish(1)).unwrap();
-        assert_eq!(core.kept.count(PageId::new(1), ServerId::new(1)), Some(0));
+        assert_eq!(kept(&mut core, 1, 1), Some(0));
+        assert_eq!(kept(&mut core, 1, 0), Some(5));
     }
 
     /// A call the matcher rejected changed no subscription: the proxy's
@@ -738,40 +807,113 @@ mod tests {
         let wildcard = Subscription::wildcard();
         assert!(core.subscribe_content(ServerId::new(2), wildcard).is_err());
         for (server, subs) in [(0, 1), (1, 0)] {
-            let kept = core.kept.count(PageId::new(1), ServerId::new(server));
-            assert_eq!(kept, Some(subs));
+            assert_eq!(kept(&mut core, 1, server), Some(subs));
         }
     }
 
-    /// Counter-based draws from one seed (`pscd_workload::seeds`).
+    /// Counter-based draws from one seed and stream
+    /// (`pscd_workload::seeds`).
     struct Draws {
         seed: u64,
+        stream: u64,
         drawn: u64,
     }
 
     impl Draws {
         fn below(&mut self, n: usize) -> usize {
             self.drawn += 1;
-            (pscd_workload::seeds::substream(self.seed, 0, self.drawn) % n as u64) as usize
+            let draw = pscd_workload::seeds::substream(self.seed, self.stream, self.drawn);
+            (draw % n as u64) as usize
         }
+    }
+
+    /// What the matcher said, asked directly when an event was ingested.
+    enum Direct {
+        Count(u32),
+        Fanout(Vec<(ServerId, u32)>),
+    }
+
+    /// Checks `window`, a batch a shard resolved for the proxies
+    /// `servers`, event by event against `rows` — a count-row service
+    /// whose one batch holds every event — over the same range, and
+    /// against `direct`, one answer per timeline event. Returns the
+    /// timeline index after the window.
+    fn assert_resolved(
+        window: &OwnedWindow,
+        servers: &std::ops::Range<u16>,
+        rows: &ServiceCore,
+        direct: &[Direct],
+    ) -> usize {
+        let pages = &rows.config.pages;
+        let (window, truth) = (window.view(pages), rows.batch.view(pages));
+        let (lo, hi) = (servers.start, servers.end);
+        for (at, ev) in (window.start_index()..).zip(window.events()) {
+            let want = truth.events()[at];
+            prop_assert_eq!((ev.time, ev.page), (want.time, want.page));
+            match (ev.kind, want.kind, &direct[at]) {
+                (
+                    CompiledEventKind::Publish {
+                        ordinal,
+                        supersedes,
+                    },
+                    CompiledEventKind::Publish {
+                        ordinal: o,
+                        supersedes: s,
+                    },
+                    Direct::Fanout(fanout),
+                ) => {
+                    prop_assert_eq!(supersedes, s);
+                    prop_assert_eq!(window.matched(ordinal), truth.matched_in(o, lo, hi));
+                    let own = fanout.iter().filter(|(s, _)| servers.contains(&s.index()));
+                    prop_assert_eq!(
+                        window.matched(ordinal),
+                        &own.copied().collect::<Vec<_>>()[..]
+                    );
+                }
+                (
+                    CompiledEventKind::Request { server, subs },
+                    CompiledEventKind::Request { server: s, subs: n },
+                    &Direct::Count(count),
+                ) => {
+                    prop_assert_eq!(server, s);
+                    let own = servers.contains(&server.index());
+                    prop_assert_eq!(subs, if own { n } else { 0 });
+                    prop_assert_eq!(subs, if own { count } else { 0 });
+                }
+                _ => prop_assert!(
+                    false,
+                    "event {} resolved as {:?}, not {:?}",
+                    at,
+                    ev.kind,
+                    want.kind
+                ),
+            }
+        }
+        window.start_index() + window.len()
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         /// Publishes, requests (before, between and after their page's
-        /// publishes) and content churn in any order: every resolved event
-        /// of the content-mode service equals what a count-row service
-        /// told the resulting counts resolves, and what the matcher says
-        /// when asked directly.
+        /// publishes) and content churn in any order, flushed at any
+        /// point: every event a shard of the content-mode service resolves
+        /// equals what a count-row service told the resulting counts
+        /// resolves over the shard's proxies, and what the matcher says
+        /// when asked directly — shard 0 of the service over the whole
+        /// fleet, and the shards of a drawn split of the fleet, fed the
+        /// same batches, each over its own range.
         #[test]
         fn content_mode_resolves_as_count_rows_and_the_matcher_do(
             seed in 0u64..u64::MAX,
             servers in 1u16..=4,
             pages in 1u32..=16,
             steps in 1usize..=300,
+            cuts in 0u32..8,
         ) {
-            let mut draw = Draws { seed, drawn: 0 };
+            let mut draw = Draws { seed, stream: 0, drawn: 0 };
+            // Where the batch is flushed, from a stream of its own.
+            let mut flush = Draws { seed, stream: 1, drawn: 0 };
             let subscription = |draw: &mut Draws| match draw.below(8) {
                 0 => Subscription::wildcard(),
                 1 => page_sub(-1),
@@ -808,64 +950,105 @@ mod tests {
             for server in (0..servers).map(ServerId::new) {
                 tell(&mut rows, &twin, server);
             }
+            // The split: a range ends before every proxy whose bit is set
+            // in `cuts`.
+            let mut starts: Vec<u16> = (1..servers).filter(|s| cuts >> s & 1 == 1).collect();
+            starts.insert(0, 0);
+            let ends = starts[1..].iter().copied().chain([servers]);
+            let content = core.content.as_deref().unwrap();
+            let mut shards: Vec<_> = starts
+                .iter()
+                .zip(ends)
+                .map(|(&lo, hi)| (lo..hi, ShardMatching::new(lo..hi, &core.config, content)))
+                .collect();
+            // Resolves the pending batch in every shard of the split, checks
+            // each, and returns the timeline index after it. The service's
+            // own shard 0 resolves the batch at its next flush, on its own
+            // or inside a content call.
+            let mut resolve_pending = |core: &ServiceCore, rows: &ServiceCore, direct: &[Direct]| {
+                let batch = core.batch.view(&core.config.pages);
+                let content = core.content.as_deref().unwrap();
+                let mut end = 0;
+                for (servers, shard) in &mut shards {
+                    end = assert_resolved(shard.resolve(&batch, content), servers, rows, direct);
+                }
+                end
+            };
+            // Checks shard 0's last window, once the service has flushed: the
+            // batch that ends at `end`, or the one before an empty batch.
+            let shard0 = |core: &ServiceCore, rows: &ServiceCore, direct: &[Direct], end: usize| {
+                if let Some(shard0) = &core.matching {
+                    let whole = 0..core.config.server_count();
+                    prop_assert_eq!(assert_resolved(&shard0.window, &whole, rows, direct), end);
+                }
+            };
 
             let mut scratch = MatchScratch::new();
-            let mut fanout = Vec::new();
-            let (mut kept_reads, mut kernel_reads) = (0u32, 0u32);
+            let mut direct = Vec::new();
             for _ in 0..steps {
                 let server = ServerId::new(draw.below(servers as usize) as u16);
                 let page = draw.below(pages as usize) as u32;
                 match draw.below(20) {
                     0..=7 => {
-                        match core.kept.count(PageId::new(page), server) {
-                            Some(_) => kept_reads += 1,
-                            None => kernel_reads += 1,
-                        }
                         let ev = request(server.index(), page);
                         core.ingest(ev).unwrap();
                         rows.ingest(ev).unwrap();
-                        let direct = twin.match_count_with(PageId::new(page), server, &mut scratch);
-                        prop_assert_eq!(last_subs(&core), direct);
+                        let count = twin.match_count_with(PageId::new(page), server, &mut scratch);
+                        direct.push(Direct::Count(count));
                     }
                     8..=12 => {
                         core.ingest(publish(page)).unwrap();
                         rows.ingest(publish(page)).unwrap();
+                        let mut fanout = Vec::new();
                         twin.matched_servers_into(PageId::new(page), &mut scratch, &mut fanout);
-                        let CompiledEventKind::Publish { ordinal, .. } = last_event(&core) else {
-                            panic!("not a publish");
-                        };
-                        let window = core.batch.view(&core.config.pages);
-                        prop_assert_eq!(window.matched(ordinal), &fanout[..]);
+                        direct.push(Direct::Fanout(fanout));
                     }
                     13..=15 => {
+                        let end = resolve_pending(&core, &rows, &direct);
                         let sub = subscription(&mut draw);
                         let id = twin.subscribe(server, sub.clone()).unwrap();
                         prop_assert_eq!(core.subscribe_content(server, sub).unwrap(), id);
+                        shard0(&core, &rows, &direct, end);
                         live.push((server, id));
                         tell(&mut rows, &twin, server);
                     }
                     16..=18 if !live.is_empty() => {
+                        let end = resolve_pending(&core, &rows, &direct);
                         let (server, id) = live.swap_remove(draw.below(live.len()));
                         twin.unsubscribe(server, id).unwrap();
                         core.unsubscribe_content(server, id).unwrap();
+                        shard0(&core, &rows, &direct, end);
                         tell(&mut rows, &twin, server);
                     }
                     16..=18 => {}
                     _ => {
                         // A burst of ghosts the kernel cannot absorb: the
-                        // next resolve answers from a rebuild.
+                        // next resolved event answers from a rebuild.
+                        let end = resolve_pending(&core, &rows, &direct);
                         for k in 0..60 {
                             let id = twin.subscribe(server, page_sub(-2 - k)).unwrap();
                             core.subscribe_content(server, page_sub(-2 - k)).unwrap();
                             live.push((server, id));
                         }
+                        shard0(&core, &rows, &direct, end);
                         prop_assert!(!core.matcher_frozen());
                     }
                 }
+                // A flush between churn calls: kept rows cross batches.
+                if flush.below(6) == 0 {
+                    let end = resolve_pending(&core, &rows, &direct);
+                    core.flush().unwrap();
+                    shard0(&core, &rows, &direct, end);
+                }
             }
-            prop_assert_eq!(&core.batch, &rows.batch);
+            let end = resolve_pending(&core, &rows, &direct);
+            core.flush().unwrap();
+            shard0(&core, &rows, &direct, end);
+            prop_assert_eq!(end, direct.len(), "every event resolved");
             // Both ways to a count are exercised in any run of some length.
-            prop_assert!(steps < 100 || (kept_reads > 0 && kernel_reads > 0));
+            let [kept_reads, kernel_reads] = core.matching.as_ref().map_or([0; 2], |m| m.reads);
+            let both = kept_reads > 0 && kernel_reads > 0;
+            prop_assert!(steps < 100 || both, "{kept_reads} kept, {kernel_reads} kernel reads");
         }
     }
 
@@ -926,6 +1109,105 @@ mod tests {
                 fs::remove_dir_all(&dir).ok();
             });
         }
+    }
+
+    /// A content call takes the matcher back only once no worker holds
+    /// it. A worker that dies holding it — on the batch it was sent with —
+    /// makes the call return the panic rather than wait for it or go on
+    /// without the shard, and every later call, content or not, does the
+    /// same.
+    #[test]
+    fn a_content_call_after_a_panicked_worker_fails() {
+        // Each content call: a subscribe, an unsubscribe (of an id the
+        // matcher would reject) and an attach.
+        fn content_call(core: &mut ServiceCore, call: usize) -> Result<(), ServiceError> {
+            match call {
+                0 => core
+                    .subscribe_content(ServerId::new(0), page_sub(0))
+                    .map(drop),
+                1 => core.unsubscribe_content(ServerId::new(0), SubscriptionId::new(9)),
+                _ => core.attach_matcher(tiny_matcher(3, 2)),
+            }
+        }
+        for call in 0..3 {
+            within_a_minute(move || {
+                let config = tiny_config(3, 2).with_workers(3).with_batch_size(2);
+                let mut core = ServiceCore::new(config).unwrap();
+                core.attach_matcher(tiny_matcher(3, 2)).unwrap();
+                let batch = [publish(0), request(2, 0)];
+                core.ingest_all(&batch).unwrap();
+                hook_worker(&mut core, 2, || panic!("shard 2 gives up"));
+                // Sent with the matcher, before the worker dies on it.
+                core.ingest_all(&batch).unwrap();
+                assert_panicked(content_call(&mut core, call), 2);
+                for later in 0..3 {
+                    assert_panicked(content_call(&mut core, later), 2);
+                }
+                assert_panicked(core.ingest_all(&batch), 2);
+                assert_panicked(core.shutdown(), 2);
+            });
+        }
+    }
+
+    /// A churn call that lands while earlier batches are still queued to a
+    /// held worker waits until that worker has matched them, and the one
+    /// still pending is flushed before it: every event is matched against
+    /// the subscriptions of its place in the stream, as a count-row
+    /// service told the same churn as counts resolves it.
+    #[test]
+    fn a_churn_call_waits_for_the_batches_queued_before_it() {
+        within_a_minute(|| {
+            let config = tiny_config(2, 3).with_batch_size(2);
+            let mut core = ServiceCore::new(config.clone().with_workers(2)).unwrap();
+            let mut rows = ServiceCore::new(config.with_workers(1)).unwrap();
+            let mut matcher = tiny_matcher(2, 3);
+            let id = matcher.subscribe(ServerId::new(1), page_sub(2)).unwrap();
+            core.attach_matcher(matcher).unwrap();
+            let count = |count| LiveEvent::Subscribe {
+                page: PageId::new(2),
+                server: ServerId::new(1),
+                count,
+            };
+            rows.ingest(count(1)).unwrap();
+
+            let (open, gate) = mpsc::channel::<()>();
+            hook_worker(&mut core, 1, move || {
+                let _ = gate.recv();
+            });
+            // Two batches queue at the held worker, which owns proxy 1;
+            // the last publish is still pending.
+            let traffic = [
+                publish(2),
+                request(1, 2),
+                request(1, 2),
+                publish(2),
+                publish(2),
+            ];
+            core.ingest_all(&traffic).unwrap();
+            rows.ingest_all(&traffic).unwrap();
+            let opened = Arc::new(AtomicBool::new(false));
+            let opener = std::thread::spawn({
+                let opened = Arc::clone(&opened);
+                move || {
+                    std::thread::sleep(Duration::from_millis(100));
+                    opened.store(true, atomic::Ordering::SeqCst);
+                    drop(open);
+                }
+            });
+            core.unsubscribe_content(ServerId::new(1), id).unwrap();
+            assert!(
+                opened.load(atomic::Ordering::SeqCst),
+                "the churn did not wait for the held worker"
+            );
+            rows.ingest(count(0)).unwrap();
+            core.ingest_all(&traffic).unwrap();
+            rows.ingest_all(&traffic).unwrap();
+            opener.join().unwrap();
+            let (core, rows) = (core.shutdown().unwrap(), rows.shutdown().unwrap());
+            assert_eq!(core.result, rows.result);
+            assert_eq!(core.proxies, rows.proxies);
+            assert!(core.result.hits > 0, "the churn must matter");
+        });
     }
 
     /// The hand-off to a worker is bounded: with worker 1 holding its first

@@ -1,13 +1,158 @@
-//! The fan-outs a content-mode service has computed, kept so that a
-//! request reads the count its page's publish found.
+//! Content mode's matching: what the ingesting thread shares with the
+//! shards, and what each shard keeps.
 //!
-//! The matcher runs once per publication; `f_S(p)` at a proxy is what
-//! that notification carried, and it stays what the matcher would answer
-//! until that proxy's own subscriptions change. So a kept row is valid
+//! The ingesting thread owns the [`Content`] — the attached matcher and
+//! every proxy's last churn — and shares it read-only, one `Arc`, with
+//! every shard a batch goes to. A shard resolves the batch for its own
+//! proxies in its [`ShardMatching`] and lets go of the `Arc`; a content
+//! call takes it back only once every shard has, so it changes the
+//! matcher alone and no queued event is matched after the change.
+//!
+//! The matcher runs once per publication per shard; `f_S(p)` at a proxy
+//! is what that notification carried, and it stays what the matcher would
+//! answer until that proxy's own subscriptions change. So a shard keeps
+//! the fan-outs it computed ([`KeptFanouts`]), and a kept row is valid
 //! **per proxy**: a content subscribe or unsubscribe stamps its proxy, and
 //! a request reads the row only if the row is younger than the stamp.
 
+use std::ops::Range;
+
+use pscd_matching::{EngineMatcher, MatchScratch};
+use pscd_sim::{CompiledEventKind, OwnedWindow, TraceWindow};
 use pscd_types::{PageId, ServerId};
+
+use crate::config::ServiceConfig;
+
+/// What every shard resolves a content-mode batch against. Changed only
+/// by the ingesting thread, while no shard holds it.
+#[derive(Debug)]
+pub(crate) struct Content {
+    pub(crate) matcher: EngineMatcher,
+    /// Indexed by proxy: the timeline index of the first event after its
+    /// last accepted content subscribe or unsubscribe, or after the
+    /// attach. A row kept from an event before it is stale there.
+    churned_at: Vec<u64>,
+    /// An empty window at the attach's timeline index, where a shard's
+    /// first resolved window starts: every batch before it went out in
+    /// count-row mode, and every batch from it on in content mode.
+    start: OwnedWindow,
+}
+
+impl Content {
+    /// `matcher`, attached where the empty pending batch `start` lies: a
+    /// row kept from an earlier matcher is stale at every proxy.
+    pub(crate) fn new(matcher: EngineMatcher, start: &OwnedWindow) -> Self {
+        debug_assert!(start.is_empty(), "attached between batches");
+        let at = start.view(&[]).start_index() as u64;
+        Self {
+            churned_at: vec![at; usize::from(matcher.server_count())],
+            matcher,
+            start: start.clone(),
+        }
+    }
+
+    /// Records that `server`'s subscriptions changed before timeline
+    /// index `at`.
+    pub(crate) fn churned(&mut self, server: ServerId, at: u64) {
+        self.churned_at[server.as_usize()] = at;
+    }
+}
+
+/// A shard's share of content mode: it resolves each batch for the
+/// shard's proxies — a publish's fan-out over its range, a request's
+/// count at its own proxy — into a window of its own, and keeps the
+/// fan-outs it computed.
+#[derive(Debug)]
+pub(crate) struct ShardMatching {
+    servers: Range<u16>,
+    pub(crate) kept: KeptFanouts,
+    scratch: MatchScratch,
+    fanout: Vec<(ServerId, u32)>,
+    /// The last batch as this shard resolved it.
+    pub(crate) window: OwnedWindow,
+    /// Requests answered from a kept row, and by the matcher.
+    #[cfg(test)]
+    pub(crate) reads: [u32; 2],
+}
+
+impl ShardMatching {
+    /// The matching of the shard owning `servers`, whose first content
+    /// batch starts where `content` was attached.
+    pub(crate) fn new(servers: Range<u16>, config: &ServiceConfig, content: &Content) -> Self {
+        // A publish fans out to at most the range: the same worst-case
+        // sizing as the batch's own pair table.
+        let pairs = config.batch_size * servers.len();
+        let mut window = OwnedWindow::with_capacity(config.batch_size, pairs);
+        window.clone_from(&content.start);
+        Self {
+            fanout: Vec::with_capacity(servers.len()),
+            servers,
+            kept: KeptFanouts::new(config.pages.len()),
+            scratch: MatchScratch::new(),
+            window,
+            #[cfg(test)]
+            reads: [0; 2],
+        }
+    }
+
+    /// Resolves `batch` — its publishes carry no fan-out and its requests
+    /// no count — for the shard's proxies, into the window the shard
+    /// steps. A request at another shard's proxy keeps count 0: the step
+    /// skips it.
+    pub(crate) fn resolve(&mut self, batch: &TraceWindow<'_>, content: &Content) -> &OwnedWindow {
+        self.window.clear();
+        debug_assert_eq!(
+            self.window.view(&[]).start_index(),
+            batch.start_index(),
+            "a shard resolves every content batch, in order"
+        );
+        let first = batch.start_index() as u64;
+        for (ev, kept_at) in batch.events().iter().zip(first + 1..) {
+            match ev.kind {
+                CompiledEventKind::Publish { supersedes, .. } => {
+                    let (servers, scratch) = (self.servers.clone(), &mut self.scratch);
+                    let fanout = &mut self.fanout;
+                    content
+                        .matcher
+                        .matched_servers_in(ev.page, servers, scratch, fanout);
+                    self.kept.keep(ev.page, fanout, kept_at);
+                    self.window
+                        .push_publish(ev.time, ev.page, supersedes, fanout);
+                }
+                CompiledEventKind::Request { server, .. } => {
+                    let subs = match self.servers.contains(&server.index()) {
+                        true => self.count(ev.page, server, content),
+                        false => 0,
+                    };
+                    self.window.push_request(ev.time, server, ev.page, subs);
+                }
+            }
+        }
+        &self.window
+    }
+
+    /// The count `page`'s last publish found at `server` — `None` if the
+    /// shard kept none or the proxy's subscriptions changed since.
+    pub(crate) fn kept(&self, page: PageId, server: ServerId, content: &Content) -> Option<u32> {
+        let churned_at = content.churned_at[server.as_usize()];
+        self.kept.count(page, server, churned_at)
+    }
+
+    /// What `page`'s publish found at `server`, unless the proxy's
+    /// subscriptions changed since; the matcher's answer otherwise.
+    fn count(&mut self, page: PageId, server: ServerId, content: &Content) -> u32 {
+        let kept = self.kept(page, server, content);
+        #[cfg(test)]
+        {
+            self.reads[usize::from(kept.is_none())] += 1;
+        }
+        kept.unwrap_or_else(|| {
+            content
+                .matcher
+                .match_count_with(page, server, &mut self.scratch)
+        })
+    }
+}
 
 /// A `(proxy, count)` pair in six bytes where the tuple takes eight: the
 /// proxy, then the count's low and high halves. The arena is all of what
@@ -18,8 +163,8 @@ type Entry = [u16; 3];
 #[derive(Debug, Clone, Copy, Default)]
 struct Span {
     start: usize,
-    /// `events_applied` at the publish that computed the row (≥ 1); 0
-    /// while nothing is kept for the page.
+    /// One past the timeline index of the publish that computed the row
+    /// (≥ 1); 0 while nothing is kept for the page.
     kept_at: u64,
     block: u32,
     /// A row has at most one entry per proxy, and a fleet is counted in
@@ -29,8 +174,8 @@ struct Span {
     room: u16,
 }
 
-/// Every page's last fan-out in one arena, and every proxy's last churn.
-#[derive(Debug, Default)]
+/// Every page's last fan-out at a shard's proxies, in one arena.
+#[derive(Debug)]
 pub(crate) struct KeptFanouts {
     /// The rows, each sorted by proxy. Append-only: a page published again
     /// overwrites its span when the new row fits and takes a fresh span at
@@ -43,24 +188,20 @@ pub(crate) struct KeptFanouts {
     blocks: Vec<Vec<Entry>>,
     /// Indexed by page.
     spans: Vec<Span>,
-    /// Indexed by proxy: `events_applied` at its last accepted content
-    /// subscribe or unsubscribe.
-    churned_at: Vec<u64>,
 }
 
 impl KeptFanouts {
-    /// Forgets every row and stamp, for a universe of this size.
-    pub(crate) fn reset(&mut self, pages: usize, servers: u16) {
-        // An empty first block, for empty rows to lie in.
-        self.blocks.clear();
-        self.blocks.push(Vec::new());
-        self.spans.clear();
-        self.spans.resize(pages, Span::default());
-        self.churned_at.clear();
-        self.churned_at.resize(servers as usize, 0);
+    /// No row kept yet, for a universe of this size.
+    pub(crate) fn new(pages: usize) -> Self {
+        Self {
+            // An empty first block, for empty rows to lie in.
+            blocks: vec![Vec::new()],
+            spans: vec![Span::default(); pages],
+        }
     }
 
-    /// Keeps `row` as the fan-out of `page`, computed at event `at`.
+    /// Keeps `row` as the fan-out of `page`, computed by the event before
+    /// timeline index `at`.
     pub(crate) fn keep(&mut self, page: PageId, row: &[(ServerId, u32)], at: u64) {
         let span = &mut self.spans[page.as_usize()];
         let len = row.len() as u16;
@@ -84,18 +225,13 @@ impl KeptFanouts {
         span.kept_at = at;
     }
 
-    /// Records that `server`'s subscriptions changed at event `at`.
-    pub(crate) fn churned(&mut self, server: ServerId, at: u64) {
-        self.churned_at[server.as_usize()] = at;
-    }
-
     /// The count `page`'s last publish found at `server` — `None` if the
-    /// page has no kept row or the proxy's subscriptions changed since it
-    /// was computed, and the matcher has to answer.
+    /// page has no kept row or the row was kept before `churned_at`, the
+    /// proxy's last churn, and the matcher has to answer.
     #[inline]
-    pub(crate) fn count(&self, page: PageId, server: ServerId) -> Option<u32> {
+    pub(crate) fn count(&self, page: PageId, server: ServerId, churned_at: u64) -> Option<u32> {
         let span = self.spans[page.as_usize()];
-        if span.kept_at <= self.churned_at[server.as_usize()] {
+        if span.kept_at <= churned_at {
             return None;
         }
         let row = &self.blocks[span.block as usize][span.start..][..span.len as usize];
@@ -120,44 +256,43 @@ mod tests {
 
     #[test]
     fn a_row_answers_until_its_proxy_churns() {
-        let mut kept = KeptFanouts::default();
-        kept.reset(2, 3);
+        let mut kept = KeptFanouts::new(2);
+        // Per proxy, its last churn.
+        let mut churned_at = [0; 3];
+        let count = |kept: &KeptFanouts, churned_at: &[u64; 3], page, server: u16| {
+            kept.count(page, ServerId::new(server), churned_at[usize::from(server)])
+        };
         let (page, other) = (PageId::new(1), PageId::new(0));
-        assert_eq!(kept.count(page, ServerId::new(0)), None, "nothing kept");
+        assert_eq!(count(&kept, &churned_at, page, 0), None, "nothing kept");
         kept.keep(page, &row(&[(0, 2), (2, 5)]), 1);
-        assert_eq!(kept.count(page, ServerId::new(0)), Some(2));
-        assert_eq!(kept.count(page, ServerId::new(1)), Some(0), "unmatched");
-        assert_eq!(kept.count(page, ServerId::new(2)), Some(5));
-        assert_eq!(kept.count(other, ServerId::new(2)), None);
+        assert_eq!(count(&kept, &churned_at, page, 0), Some(2));
+        assert_eq!(count(&kept, &churned_at, page, 1), Some(0), "unmatched");
+        assert_eq!(count(&kept, &churned_at, page, 2), Some(5));
+        assert_eq!(count(&kept, &churned_at, other, 2), None);
 
         // Churn after the row, with no event between: the row is stale at
         // that proxy and only there.
-        kept.churned(ServerId::new(2), 1);
-        assert_eq!(kept.count(page, ServerId::new(2)), None);
-        assert_eq!(kept.count(page, ServerId::new(0)), Some(2));
+        churned_at[2] = 1;
+        assert_eq!(count(&kept, &churned_at, page, 2), None);
+        assert_eq!(count(&kept, &churned_at, page, 0), Some(2));
         // The next publish of any page is kept fresh.
         kept.keep(other, &row(&[(2, 1)]), 2);
-        assert_eq!(kept.count(other, ServerId::new(2)), Some(1));
+        assert_eq!(count(&kept, &churned_at, other, 2), Some(1));
         kept.keep(page, &row(&[(2, 6)]), 3);
-        assert_eq!(kept.count(page, ServerId::new(2)), Some(6));
-        assert_eq!(kept.count(page, ServerId::new(0)), Some(0), "the new len");
+        assert_eq!(count(&kept, &churned_at, page, 2), Some(6));
+        assert_eq!(count(&kept, &churned_at, page, 0), Some(0), "the new len");
 
-        kept.reset(2, 3);
+        kept = KeptFanouts::new(2);
         assert_eq!(kept.arena_len(), 0);
-        assert_eq!(kept.count(page, ServerId::new(0)), None);
-        assert_eq!(kept.count(page, ServerId::new(2)), None);
-        kept.keep(page, &[], 1);
-        assert_eq!(
-            kept.count(page, ServerId::new(2)),
-            Some(0),
-            "stamp forgotten"
-        );
+        assert_eq!(count(&kept, &churned_at, page, 0), None);
+        assert_eq!(count(&kept, &churned_at, page, 2), None);
+        kept.keep(page, &[], 2);
+        assert_eq!(count(&kept, &churned_at, page, 2), Some(0));
     }
 
     #[test]
     fn a_republished_page_is_overwritten_where_it_fits() {
-        let mut kept = KeptFanouts::default();
-        kept.reset(2, 4);
+        let mut kept = KeptFanouts::new(2);
         let page = PageId::new(0);
         kept.keep(page, &row(&[(0, 1), (1, 1), (3, 1)]), 1);
         kept.keep(PageId::new(1), &row(&[(2, 9)]), 2);
@@ -178,24 +313,23 @@ mod tests {
             assert_eq!(kept.arena_len(), 4, "{pairs:?} fits");
             for server in 0..4 {
                 let want = pairs.iter().find(|p| p.0 == server).map_or(0, |p| p.1);
-                assert_eq!(kept.count(page, ServerId::new(server)), Some(want));
+                assert_eq!(kept.count(page, ServerId::new(server), 0), Some(want));
             }
-            assert_eq!(kept.count(PageId::new(1), ServerId::new(2)), Some(9));
+            assert_eq!(kept.count(PageId::new(1), ServerId::new(2), 0), Some(9));
         }
         // Longer than the span ever was: a fresh span at the end.
         let grown = row(&[(0, 4), (1, 4), (2, 4), (3, 4)]);
         kept.keep(page, &grown, 9);
         assert_eq!(kept.arena_len(), 8);
-        assert_eq!(kept.count(page, ServerId::new(2)), Some(4));
-        assert_eq!(kept.count(PageId::new(1), ServerId::new(2)), Some(9));
+        assert_eq!(kept.count(page, ServerId::new(2), 0), Some(4));
+        assert_eq!(kept.count(PageId::new(1), ServerId::new(2), 0), Some(9));
         kept.keep(page, &grown, 10);
         assert_eq!(kept.arena_len(), 8, "and that one is reused in turn");
     }
 
     #[test]
     fn the_arena_grows_by_blocks_that_stay_where_they_are() {
-        let mut kept = KeptFanouts::default();
-        kept.reset(200, 3);
+        let mut kept = KeptFanouts::new(200);
         // Counts on both sides of the entry's sixteen-bit seam.
         let count = |page: u32, server: u16| (page * 40_000 + u32::from(server)) | 1;
         let mut homes = Vec::new();
@@ -213,7 +347,7 @@ mod tests {
             for server in 0..3u16 {
                 let held = u32::from(server) < 1 + page % 3;
                 let want = if held { count(page, server) } else { 0 };
-                let got = kept.count(PageId::new(page), ServerId::new(server));
+                let got = kept.count(PageId::new(page), ServerId::new(server), 0);
                 assert_eq!(got, Some(want), "page {page} at {server}");
             }
         }

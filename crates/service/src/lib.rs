@@ -11,10 +11,12 @@
 //! each batch — the **same** step the batch replay runs, which is why the
 //! service's final accounting and cache contents are bit-identical to
 //! a [`Replay`](pscd_sim::Replay) over the same events (the `service_differential`
-//! suite checks this for every strategy). By default the calling thread
-//! steps the whole fleet; with more [`ServiceConfig::workers`] it only
-//! resolves, worker threads fed over bounded channels step the fleet, and
-//! a worker's panic comes back as [`ServiceError::WorkerPanicked`].
+//! suite checks this for every strategy). By default the fleet is split
+//! into a shard per core ([`ServiceConfig::workers`]): the calling thread
+//! resolves each batch and steps shard 0, worker threads fed over bounded
+//! inboxes step the others, and a worker's panic comes back as
+//! [`ServiceError::WorkerPanicked`]. With a content matcher attached,
+//! each shard matches the batch for its own proxies.
 //!
 //! Durability is a write-ahead event journal plus periodic state
 //! snapshots (serialized dense cache state + accounting). A killed

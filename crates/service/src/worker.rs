@@ -1,10 +1,14 @@
 //! The fleet's shards, and the worker threads that own shards 1…
 //!
 //! A shard is the simulator's own replay over the shard's server range, a
-//! [`ReplayState`]: the supervisor resolves each batch into the
-//! simulator's window buffer ([`OwnedWindow`]) and a shard drains it with
-//! [`ReplayState::step`], the step batch replay runs. Shard 0, the first
-//! server range, steps on the ingesting thread. A shard's
+//! [`ReplayState`]: it drains each batch, in the simulator's window
+//! buffer ([`OwnedWindow`]), with [`ReplayState::step`], the step batch
+//! replay runs. In count-row mode the supervisor resolved the batch and
+//! every shard steps it as it is; in content mode each shard first
+//! matches the batch for its own proxies ([`ShardMatching`]) against the
+//! [`Content`] the batch came with, lets go of it, and steps what it
+//! resolved ([`shard_window`]). Shard 0, the first server range, runs on
+//! the ingesting thread. A shard's
 //! [`DeliveryEngine`](pscd_broker::DeliveryEngine) is deliberately
 //! single-threaded (its observer handle is an `Rc`), so every other shard
 //! is built and owned by a [`Worker`] thread, and the supervisor sends it
@@ -13,7 +17,9 @@
 //! order per inbox is FIFO, so a snapshot or finish request sent after a
 //! batch observes that batch applied — no separate barrier is needed. An
 //! inbox that closes without a finish request (a dropped service) ends
-//! the thread without finishing its shard.
+//! the thread without finishing its shard; a thread that ends closes its
+//! inbox before it lets go of the content it held, so whoever waits for
+//! that content finds the worker dead.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -28,9 +34,10 @@ use pscd_cache::{PageUniverse, SnapshotError};
 use pscd_obs::{NullObserver, SharedObserver};
 use pscd_sim::{HourlySeries, OwnedWindow, ReplayState, SimResult, DEFAULT_PREFETCH_DEPTH};
 use pscd_topology::FetchCosts;
-use pscd_types::{PageMeta, ServerId};
+use pscd_types::ServerId;
 
 use crate::config::{ServiceConfig, ServiceError};
+use crate::kept::{Content, ShardMatching};
 use crate::wire::{restore_servers, shard_snap, FleetRestore, ShardSnap};
 
 /// One shard of the proxy fleet.
@@ -88,10 +95,29 @@ pub(crate) fn finish(shard: Shard) -> ShardFinish {
 /// canonical per-proxy cache snapshots for its server range.
 pub(crate) type ShardFinish = (SimResult, Vec<Vec<u8>>);
 
+/// The window `shard` steps for `batch`: the batch itself in count-row
+/// mode; in content mode, the batch resolved for the shard's own proxies
+/// by its `matching`, which the first content batch builds.
+pub(crate) fn shard_window<'a>(
+    shard: &Shard,
+    matching: &'a mut Option<ShardMatching>,
+    config: &ServiceConfig,
+    batch: &'a OwnedWindow,
+    content: Option<&Content>,
+) -> &'a OwnedWindow {
+    let Some(content) = content else {
+        return batch;
+    };
+    let matching =
+        matching.get_or_insert_with(|| ShardMatching::new(shard.servers(), config, content));
+    matching.resolve(&batch.view(&config.pages), content)
+}
+
 /// Messages to a worker.
 pub(crate) enum ToWorker {
-    /// Step every event of the batch.
-    Batch(Arc<OwnedWindow>),
+    /// Step every event of the batch, resolved against the content first
+    /// in content mode.
+    Batch(Arc<OwnedWindow>, Option<Arc<Content>>),
     /// Reply with the shard's [`ShardSnap`].
     Snapshot,
     /// Finish the shard; the thread returns its [`ShardFinish`].
@@ -206,6 +232,11 @@ impl Inbox {
         }
     }
 
+    /// `true` once either side let go.
+    fn is_closed(&self) -> bool {
+        self.lock().closed
+    }
+
     /// Closes the inbox and wakes both sides; `discard` drops what is
     /// queued (the worker's end, which releases the batches it held).
     fn close(&self, discard: bool) {
@@ -219,12 +250,17 @@ impl Inbox {
     }
 }
 
-/// Closes the inbox when the worker thread ends, however it ends.
-struct Closer(Arc<Inbox>);
+/// Closes the inbox when the worker thread ends, however it ends, and
+/// only then lets go of the content the worker was resolving a batch
+/// against: a supervisor that has it back alone sees the inbox closed.
+struct Closer {
+    inbox: Arc<Inbox>,
+    content: Option<Arc<Content>>,
+}
 
 impl Drop for Closer {
     fn drop(&mut self) {
-        self.0.close(true);
+        self.inbox.close(true);
     }
 }
 
@@ -257,19 +293,22 @@ impl Worker {
         restore: Option<Arc<FleetRestore>>,
     ) -> Result<Self, ServiceError> {
         let inbox = Arc::new(Inbox::new());
-        let closer = Closer(Arc::clone(&inbox));
+        let closer = Closer {
+            inbox: Arc::clone(&inbox),
+            content: None,
+        };
         let (snap_tx, snaps) = mpsc::channel();
         let (ready_tx, ready) = mpsc::channel();
         let (config, costs, universe) = (config.clone(), costs.clone(), universe.clone());
         let thread = thread::Builder::new()
             .name(format!("pscd-worker-{shard}"))
             .spawn(move || {
-                let closer = closer;
+                let mut closer = closer;
                 let state =
                     build_shard(&config, &costs, &universe, range, restore.as_deref(), None)?;
                 drop(restore);
                 ready_tx.send(()).expect("spawn waits for it");
-                Ok(run(state, &config.pages, &closer.0, &snap_tx))
+                Ok(run(state, &config, &mut closer, &snap_tx))
             })?;
         let mut worker = Self {
             shard,
@@ -285,12 +324,12 @@ impl Worker {
         }
     }
 
-    /// Fails once the worker has been found dead (joined: its end is its
-    /// panic).
+    /// Fails once the worker is dead: joined (its end is its panic), or
+    /// its thread closed the inbox on the way out.
     pub(crate) fn alive(&mut self) -> Result<(), ServiceError> {
-        match self.thread {
-            Some(_) => Ok(()),
-            None => self.end().map(drop),
+        match self.thread.is_some() && !self.inbox.is_closed() {
+            true => Ok(()),
+            false => Err(self.stopped()),
         }
     }
 
@@ -358,20 +397,27 @@ impl Drop for Worker {
 /// nothing when the inbox closes first.
 fn run(
     mut shard: Shard,
-    pages: &[PageMeta],
-    inbox: &Inbox,
+    config: &ServiceConfig,
+    closer: &mut Closer,
     snaps: &Sender<ShardSnap>,
 ) -> Option<ShardFinish> {
+    let mut matching = None;
     #[cfg(test)]
     let mut hook: Option<Box<dyn FnOnce() + Send>> = None;
-    while let Some(msg) = inbox.pop() {
+    while let Some(msg) = closer.inbox.pop() {
         match msg {
-            ToWorker::Batch(batch) => {
+            ToWorker::Batch(batch, content) => {
+                closer.content = content;
                 #[cfg(test)]
                 if let Some(hook) = hook.take() {
                     hook();
                 }
-                let window = batch.view(pages);
+                let content = closer.content.as_deref();
+                let window = shard_window(&shard, &mut matching, config, &batch, content);
+                // Resolved: the supervisor may change the matcher while
+                // the shard steps.
+                closer.content = None;
+                let window = window.view(&config.pages);
                 while shard.step(&window).is_some() {}
             }
             ToWorker::Snapshot => {

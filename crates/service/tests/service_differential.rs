@@ -130,49 +130,89 @@ fn invalid_events_are_rejected_without_side_effects() {
     assert_equivalent(kind, &outcome, false, "after rejected ingest");
 }
 
+/// The worker counts the content tests run at: the inline service, and a
+/// worker or two beside shard 0.
+const WORKERS: [usize; 3] = [1, 2, 3];
+
 /// Dynamic churn through the content front door: a subscribe or an
 /// unsubscribe takes effect at once and the frozen kernel answers on (no
 /// rebuild before the next resolve), and a round trip of a subscription
-/// that matches nothing leaves the outcome bit-identical.
+/// that matches nothing leaves the outcome bit-identical, at every worker
+/// count.
 #[test]
 fn content_churn_keeps_the_kernel_frozen_and_stays_identical() {
     use pscd_matching::{Predicate, Subscription, Value};
 
     let f = fixture();
     let kind = StrategyKind::Sg2 { beta: 2.0 };
-    let mut core = ServiceCore::new(service_config(kind, false)).unwrap();
-    core.attach_matcher(pscd_workload::matcher_from_table(
-        &f.subs,
-        f.trace.meta().server_count(),
-    ))
-    .unwrap();
+    for workers in WORKERS {
+        let config = service_config(kind, false).with_workers(workers);
+        let mut core = ServiceCore::new(config).unwrap();
+        core.attach_matcher(pscd_workload::matcher_from_table(
+            &f.subs,
+            f.trace.meta().server_count(),
+        ))
+        .unwrap();
 
-    let mid = f.events.len() / 2;
-    core.ingest_all(&f.events[..mid]).unwrap();
+        let mid = f.events.len() / 2;
+        core.ingest_all(&f.events[..mid]).unwrap();
 
-    // A predicate no registered page satisfies: page ids are dense from
-    // zero, so `page = -1` never matches and the outcome is unaffected.
-    let ghost = Subscription::new(vec![Predicate::eq("page", Value::int(-1))]);
-    let id = core.subscribe_content(ServerId::new(0), ghost).unwrap();
-    assert!(core.matcher_frozen(), "the kernel absorbs a subscribe");
-    core.ingest_all(&f.events[mid..mid + 1]).unwrap();
-    assert!(core.matcher_frozen());
+        // A predicate no registered page satisfies: page ids are dense
+        // from zero, so `page = -1` never matches and the outcome is
+        // unaffected.
+        let ghost = Subscription::new(vec![Predicate::eq("page", Value::int(-1))]);
+        let id = core.subscribe_content(ServerId::new(0), ghost).unwrap();
+        assert!(core.matcher_frozen(), "the kernel absorbs a subscribe");
+        core.ingest_all(&f.events[mid..mid + 1]).unwrap();
+        assert!(core.matcher_frozen());
 
-    core.unsubscribe_content(ServerId::new(0), id).unwrap();
-    assert!(core.matcher_frozen(), "the kernel absorbs an unsubscribe");
-    core.ingest_all(&f.events[mid + 1..]).unwrap();
-    assert!(core.matcher_frozen());
+        core.unsubscribe_content(ServerId::new(0), id).unwrap();
+        assert!(core.matcher_frozen(), "the kernel absorbs an unsubscribe");
+        core.ingest_all(&f.events[mid + 1..]).unwrap();
+        assert!(core.matcher_frozen());
 
-    let outcome = core.shutdown().unwrap();
-    assert_equivalent(kind, &outcome, false, "content churn");
+        let outcome = core.shutdown().unwrap();
+        let label = format!("content churn, {workers} workers");
+        assert_equivalent(kind, &outcome, false, &label);
+    }
+}
+
+/// A matcher attached mid-stream, after count-row batches went to every
+/// shard, takes over from the next event: each shard's first resolved
+/// batch starts where the count-row ones stopped, and a matcher that
+/// reproduces the table leaves the outcome bit-identical, at every worker
+/// count and whether the attach lands on a batch seam or inside a batch.
+#[test]
+fn content_mode_attached_mid_stream_stays_identical() {
+    let f = fixture();
+    let kind = StrategyKind::Sg2 { beta: 2.0 };
+    let servers = f.trace.meta().server_count();
+    for (workers, cut) in WORKERS.into_iter().flat_map(|w| [(w, 1), (w, 2)]) {
+        let config = service_config(kind, false)
+            .with_workers(workers)
+            .with_batch_size(64);
+        let mut core = ServiceCore::new(config).unwrap();
+        let timeline = f
+            .events
+            .iter()
+            .position(|ev| !matches!(ev, LiveEvent::Subscribe { .. }));
+        let at = timeline.unwrap() + 64 * 5 * cut + cut - 1;
+        core.ingest_all(&f.events[..at]).unwrap();
+        core.attach_matcher(pscd_workload::matcher_from_table(&f.subs, servers))
+            .unwrap();
+        core.ingest_all(&f.events[at..]).unwrap();
+        let outcome = core.shutdown().unwrap();
+        let label = format!("attached after {at} events, {workers} workers");
+        assert_equivalent(kind, &outcome, false, &label);
+    }
 }
 
 /// Churn that does change the outcome — subscriptions to pages published
 /// later in the stream join, frozen ones to such pages leave, some of the
 /// joined leave again; and the same for pages published *before* the call
 /// and requested after it, whose fan-out the service has kept — resolves
-/// the same whichever way the matcher takes it. One service absorbs every
-/// call into its frozen kernel. A second is
+/// the same whichever way the matcher takes it, at every worker count.
+/// One service absorbs every call into its frozen kernel. A second is
 /// first given a burst of never-matching subscriptions that overflows the
 /// kernel, so the same calls land in the thawed matcher's rows and the next
 /// resolve answers from a full rebuild; the burst is withdrawn afterwards.
@@ -267,8 +307,9 @@ fn content_churn_through_the_delta_equals_churn_through_a_refreeze() {
     let page_sub = |page: PageId| {
         Subscription::new(vec![Predicate::eq("page", Value::int(page.index() as i64))])
     };
-    let content_service = |burst: bool| {
-        let mut core = ServiceCore::new(service_config(kind, false)).unwrap();
+    let content_service = |burst: bool, workers: usize| {
+        let config = service_config(kind, false).with_workers(workers);
+        let mut core = ServiceCore::new(config).unwrap();
         let matcher = pscd_workload::matcher_from_table(&f.subs, servers);
         // The live subscriptions of each (server, page), newest last:
         // `matcher_from_table` subscribes `count` to each row's page, in
@@ -313,13 +354,19 @@ fn content_churn_through_the_delta_equals_churn_through_a_refreeze() {
         core.ingest_all(&f.events[from..]).unwrap();
         core.shutdown().unwrap()
     };
-    let absorbed = content_service(false);
-    let rebuilt = content_service(true);
+    let absorbed = content_service(false, 1);
     let assert_same = |other: &ServiceOutcome, label: &str| {
         assert_eq!(absorbed.result, other.result, "result vs. {label}");
         assert_eq!(absorbed.proxies, other.proxies, "cache state vs. {label}");
     };
-    assert_same(&rebuilt, "full rebuilds");
+    for workers in WORKERS {
+        let label = format!("full rebuilds, {workers} workers");
+        assert_same(&content_service(true, workers), &label);
+        if workers > 1 {
+            let label = format!("the delta, {workers} workers");
+            assert_same(&content_service(false, workers), &label);
+        }
+    }
 
     // Count-row mode: the same churn as the counts it leaves.
     let mut counts: HashMap<(ServerId, PageId), u32> = HashMap::new();
@@ -361,22 +408,25 @@ fn content_rejected_churn_keeps_the_kernel_frozen() {
 
     let f = fixture();
     let servers = f.trace.meta().server_count();
-    let mut core = ServiceCore::new(service_config(StrategyKind::Lru, false)).unwrap();
-    core.attach_matcher(pscd_workload::matcher_from_table(&f.subs, servers))
-        .unwrap();
-    assert!(core.matcher_frozen());
+    for workers in WORKERS {
+        let config = service_config(StrategyKind::Lru, false).with_workers(workers);
+        let mut core = ServiceCore::new(config).unwrap();
+        core.attach_matcher(pscd_workload::matcher_from_table(&f.subs, servers))
+            .unwrap();
+        assert!(core.matcher_frozen());
 
-    let unknown = SubscriptionId::new(u64::MAX);
-    assert!(core.unsubscribe_content(ServerId::new(0), unknown).is_err());
-    assert!(core.matcher_frozen(), "unknown subscription id");
-    assert!(core
-        .unsubscribe_content(ServerId::new(servers), unknown)
-        .is_err());
-    assert!(core.matcher_frozen(), "unknown server on unsubscribe");
-    assert!(core
-        .subscribe_content(ServerId::new(servers), Subscription::wildcard())
-        .is_err());
-    assert!(core.matcher_frozen(), "unknown server on subscribe");
+        let unknown = SubscriptionId::new(u64::MAX);
+        assert!(core.unsubscribe_content(ServerId::new(0), unknown).is_err());
+        assert!(core.matcher_frozen(), "unknown subscription id");
+        assert!(core
+            .unsubscribe_content(ServerId::new(servers), unknown)
+            .is_err());
+        assert!(core.matcher_frozen(), "unknown server on unsubscribe");
+        assert!(core
+            .subscribe_content(ServerId::new(servers), Subscription::wildcard())
+            .is_err());
+        assert!(core.matcher_frozen(), "unknown server on subscribe");
+    }
 }
 
 /// Misconfigured matchers are rejected up front, and the content

@@ -354,9 +354,14 @@ fn threaded_service_equals_the_spec() {
     }
 }
 
+/// Content mode inline, and on the threaded shapes above: each shard
+/// matches its own proxies.
 #[test]
 fn content_mode_service_equals_the_spec() {
     assert_service_rows(1, 256, usize::MAX, true);
+    for (workers, batch, chunk) in [(3, 64, 101), (2, 256, 157)] {
+        assert_service_rows(workers, batch, chunk, true);
+    }
 }
 
 /// A journaled service snapshots halfway, journals another quarter and is
