@@ -487,6 +487,72 @@ impl<O: Observer> DeliveryEngine<O> {
         self.proxies[slot].strategy = strategy;
         Ok(())
     }
+
+    /// Moves the engine onto the contiguous server range `range`: the
+    /// proxies it owns outside `range` are dropped with their counters,
+    /// the ones it owns inside keep theirs, and each server of `range` it
+    /// did not own gets `fresh(server)` — an empty strategy and its fetch
+    /// cost — with zeroed counters, ready for
+    /// [`restore_strategy`](Self::restore_strategy) and
+    /// [`restore_accounting`](Self::restore_accounting). The residency
+    /// index is rebuilt asleep over the new slots, with the room it had;
+    /// the next [`invalidate_everywhere`](Self::invalidate_everywhere)
+    /// wakes it as the first one did.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BrokerError::NonEmptyStrategy`] for the first fresh
+    /// strategy that already holds pages; the engine is then unspecified
+    /// and should be discarded.
+    pub fn reassign(
+        &mut self,
+        range: std::ops::Range<u16>,
+        mut fresh: impl FnMut(ServerId) -> (StrategyImpl<O>, f64),
+    ) -> Result<(), BrokerError> {
+        let owned = self.first..self.first + self.proxies.len() as u16;
+        let kept = range.start.max(owned.start)..range.end.min(owned.end);
+        let mut kept_proxies = std::mem::take(&mut self.proxies);
+        let (head, tail) = match kept.is_empty() {
+            true => {
+                kept_proxies.clear();
+                (range.clone(), range.end..range.end)
+            }
+            false => {
+                kept_proxies.truncate(usize::from(kept.end - owned.start));
+                kept_proxies.drain(..usize::from(kept.start - owned.start));
+                (range.start..kept.start, kept.end..range.end)
+            }
+        };
+        let mut proxy = |s: u16| {
+            let server = ServerId::new(s);
+            let (strategy, cost) = fresh(server);
+            if !strategy.is_empty() {
+                return Err(BrokerError::NonEmptyStrategy {
+                    server,
+                    resident: strategy.len(),
+                });
+            }
+            Ok(Proxy {
+                strategy,
+                cost,
+                traffic: Traffic::ZERO,
+                hits: 0,
+                requests: 0,
+            })
+        };
+        let mut proxies = Vec::with_capacity(range.len());
+        for s in head {
+            proxies.push(proxy(s)?);
+        }
+        proxies.append(&mut kept_proxies);
+        for s in tail {
+            proxies.push(proxy(s)?);
+        }
+        self.proxies = proxies;
+        self.first = range.start;
+        self.residency.reslot(self.proxies.len());
+        Ok(())
+    }
 }
 
 /// Wakes a sleeping residency index over the fleet it indexes.
@@ -555,6 +621,54 @@ mod tests {
         }];
         e.publish(page, matched, &mut records);
         records
+    }
+
+    /// A proxy the engine keeps across a re-range keeps its cache and
+    /// counters; one it gains starts fresh at its own cost; an awake
+    /// residency index sleeps again and wakes over the new slots.
+    #[test]
+    fn reassign_keeps_the_overlap_and_adds_fresh_proxies() {
+        let kind = StrategyKind::Sub;
+        let mut e = engine_from(kind, PushScheme::Always, 1);
+        let (p, q) = (page(7, 100), page(8, 100));
+        publish(&mut e, &p, &[(ServerId::new(1), 1), (ServerId::new(2), 1)]);
+        assert!(e.request(ServerId::new(2), &p, 1).unwrap().hit);
+        assert_eq!(e.invalidate_everywhere(PageId::new(9)), 0, "awake");
+        let kept = (e.hit_stats(ServerId::new(2)), e.traffic(ServerId::new(2)));
+
+        let mut asked = Vec::new();
+        e.reassign(2..5, |server| {
+            asked.push(server.index());
+            (build(kind, 1_000), 3.0)
+        })
+        .unwrap();
+        assert_eq!(asked, [3, 4]);
+        assert_eq!(e.server_count(), 3);
+        assert!(e.slot(ServerId::new(1)).is_none());
+        assert_eq!(
+            (e.hit_stats(ServerId::new(2)), e.traffic(ServerId::new(2))),
+            kept
+        );
+        assert_eq!(e.hit_stats(ServerId::new(4)), (0, 0));
+        assert!(!e.residency.is_awake());
+        publish(&mut e, &q, &[(ServerId::new(4), 1)]);
+        assert_eq!(e.proxies[2].cost, 3.0);
+        assert_eq!(e.invalidate_everywhere(p.id()), 1, "proxy 2's copy");
+        assert_eq!(e.invalidate_everywhere(q.id()), 1, "proxy 4's copy");
+
+        // Disjoint: every proxy is fresh, ahead of the old range too.
+        e.reassign(0..2, |_| (build(kind, 1_000), 1.0)).unwrap();
+        assert_eq!(
+            (e.server_count(), e.hit_stats(ServerId::new(0))),
+            (2, (0, 0))
+        );
+        let full = |_| {
+            let mut s = build(kind, 1_000);
+            s.on_push(&PageRef::new(p.id(), p.size(), 1.0), 1, &mut Vec::new());
+            (s, 1.0)
+        };
+        let err = e.reassign(0..3, full).unwrap_err();
+        assert!(matches!(err, BrokerError::NonEmptyStrategy { .. }));
     }
 
     #[test]

@@ -48,6 +48,14 @@ impl Residency {
         self.reserved = self.reserved.max(len);
     }
 
+    /// Starts over, asleep, over `proxies` slots, with room reserved for
+    /// the page ordinals this index had room for.
+    pub(crate) fn reslot(&mut self, proxies: usize) {
+        let pages = self.reserved.checked_div(self.words_per_page);
+        *self = Self::new(proxies);
+        self.reserve(pages.unwrap_or(0));
+    }
+
     /// Whether marks are being recorded.
     #[inline]
     pub(crate) fn is_awake(&self) -> bool {

@@ -41,7 +41,9 @@ pub struct ServiceConfig {
     /// a contiguous server range (`0`, the default, picks the machine's
     /// parallelism, clamped to the fleet). Shard 0, the first range, steps
     /// on the ingesting thread, and a worker thread steps each later one:
-    /// `1` spawns no worker, and shard 0 is the whole fleet.
+    /// `1` spawns no worker, and shard 0 is the whole fleet. Until a
+    /// matcher is attached shard 0 is smaller than the others, since the
+    /// ingesting thread also resolves every event.
     pub workers: usize,
     /// Events buffered per dispatch to the shards.
     pub batch_size: usize,

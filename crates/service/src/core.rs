@@ -23,9 +23,16 @@
 //! so every event is matched against the subscriptions of its place in
 //! the stream.
 //!
+//! Shard 0 is stepped by the ingesting thread between the work only that
+//! thread does, so in count-row mode it is smaller than the others
+//! (`crate::balance`). Attaching a matcher moves the shards to equal
+//! ranges at a barrier: proxies that move between shards travel as the
+//! records a snapshot file holds, in memory.
+//!
 //! [`CompiledTrace::compile`]: pscd_sim::CompiledTrace::compile
 
 use std::fs;
+use std::ops::Range;
 use std::sync::Arc;
 use std::thread;
 
@@ -38,11 +45,14 @@ use pscd_sim::{
 use pscd_topology::FetchCosts;
 use pscd_types::{LiveEvent, PageMeta, ServerId, SubscriptionTable};
 
+use crate::balance::{cut, outside, ranges};
 use crate::config::{ServiceConfig, ServiceError};
 use crate::journal::Journal;
 use crate::kept::{Content, ShardMatching};
-use crate::wire::{decode_snapshot_file, put_snapshot_fleet, put_snapshot_head, SnapshotState};
-use crate::worker::{build_shard, finish, shard_window, Shard, ToWorker, Worker};
+use crate::wire::{
+    decode_snapshot_file, put_snapshot_fleet, put_snapshot_head, ServerRecords, SnapshotState,
+};
+use crate::worker::{build_shard, finish, join, leave, shard_window, Shard, ToWorker, Worker};
 
 const JOURNAL_FILE: &str = "journal.bin";
 pub(crate) const SNAPSHOT_FILE: &str = "snapshot.bin";
@@ -72,11 +82,15 @@ pub struct ServiceCore {
     counts: SubscriptionTable,
     /// Invalidation lineage: latest published version per origin page.
     heads: VersionHeads,
+    /// The configured fetch costs, for the proxies a re-plan moves.
+    costs: FetchCosts,
     /// Shard 0 of the fleet, the first server range, stepped on the
     /// ingesting thread.
     shard: Shard,
     /// Shards 1.., one worker thread each.
     workers: Vec<Worker>,
+    /// Every shard's server range, in shard order ([`crate::balance`]).
+    ranges: Vec<Range<u16>>,
     journal: Option<Journal>,
     /// The pending batch. Publish ordinals are batch-local, so they never
     /// wrap however long the service runs.
@@ -120,7 +134,7 @@ impl ServiceCore {
             None => None,
         };
         let fresh = SnapshotState::fresh(config.pages.len());
-        Self::start(config, &costs, fresh, journal)
+        Self::start(config, costs, fresh, journal)
     }
 
     /// Rebuilds a crashed service from its persistence directory: the
@@ -145,7 +159,7 @@ impl ServiceCore {
         // The snapshot covers the journal's first `events_applied`
         // records: they are walked, not decoded.
         let (events, end) = Journal::read_from(&journal_path, state.events_applied)?;
-        let mut core = Self::start(config, &costs, state, None)?;
+        let mut core = Self::start(config, costs, state, None)?;
         // Replay the journal suffix without re-journaling and without
         // taking cadence snapshots (the journal already covers it).
         for ev in &events {
@@ -160,18 +174,18 @@ impl ServiceCore {
         Ok(core)
     }
 
-    /// The service resuming from `state`: shard 0 is built here, and a
-    /// worker is spawned for each later shard.
+    /// The service resuming from `state`: the fleet is cut for count-row
+    /// mode, shard 0 is built here, and a worker is spawned for each later
+    /// shard.
     fn start(
         config: ServiceConfig,
-        costs: &FetchCosts,
+        costs: FetchCosts,
         state: SnapshotState,
         journal: Option<Journal>,
     ) -> Result<Self, ServiceError> {
         let servers = config.server_count();
         let shards = shard_count(config.workers, servers, ReplaySite::Compiled, 1);
-        let plan = ShardPlan::balanced(&vec![1; servers as usize], shards);
-        let mut ranges = (0..plan.shards()).map(|k| plan.range(k));
+        let ranges = cut(servers, shards, true);
         // Restored state arrives as one merged snapshot: each shard restores
         // its servers from it, and the hourly buckets all land on shard 0
         // (absorb is component-wise addition, so placement is irrelevant to
@@ -179,24 +193,17 @@ impl ServiceCore {
         let restore = state.restore.map(Arc::new);
         let hourly = restore.as_ref().map(|r| r.hourly.clone());
         let universe = PageUniverse::new(config.pages.iter().map(PageMeta::size));
-        let (start, end) = ranges.next().expect("a fleet has at least one proxy");
         let shard = build_shard(
             &config,
-            costs,
+            &costs,
             &universe,
-            start..end,
+            ranges[0].clone(),
             restore.as_deref(),
             hourly,
         )?;
-        let workers = ranges.enumerate().map(|(i, (start, end))| {
-            Worker::spawn(
-                i + 1,
-                &config,
-                costs,
-                &universe,
-                start..end,
-                restore.clone(),
-            )
+        let workers = ranges[1..].iter().enumerate().map(|(i, range)| {
+            let restore = restore.clone();
+            Worker::spawn(i + 1, &config, &costs, &universe, range.clone(), restore)
         });
         let workers: Vec<Worker> = workers.collect::<Result<_, _>>()?;
         // One publish fans out to at most the whole fleet, so this bounds
@@ -217,8 +224,10 @@ impl ServiceCore {
         Ok(Self {
             counts: state.counts,
             heads: state.heads,
+            costs,
             shard,
             workers,
+            ranges,
             journal,
             batch: window(),
             ring,
@@ -246,7 +255,9 @@ impl ServiceCore {
     /// the rows — and the snapshot format — but no longer drive
     /// resolution). The matcher is frozen here; later content calls keep
     /// that compilation current instead of dropping it. Events ingested
-    /// before the call resolve as they would have without it.
+    /// before the call resolve as they would have without it. The shards
+    /// resolve their own proxies from then on, so the fleet is cut anew
+    /// into equal shards.
     ///
     /// The matcher and the fan-outs kept from it are in-memory state, not
     /// persisted: a [`recover`](ServiceCore::recover)ed service starts
@@ -270,6 +281,8 @@ impl ServiceCore {
         self.settle()?;
         matcher.freeze();
         self.content = Some(Arc::new(Content::new(matcher, &self.batch)));
+        let servers = self.config.server_count();
+        self.replan(cut(servers, self.ranges.len(), false))?;
         Ok(())
     }
 
@@ -528,6 +541,74 @@ impl ServiceCore {
         while self.shard.step(&window).is_some() {}
         self.batch.clear();
         Ok(())
+    }
+
+    /// Cuts the fleet anew at `ranges`, between batches. Proxies move
+    /// between shards as the records a snapshot file holds, in memory; in
+    /// content mode each one that moved is stamped churned, so that no
+    /// shard reads a kept row computed without it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a moved proxy's records do not decode: every shard has
+    /// dropped what it gave up by then, so the service could not go on.
+    fn replan(&mut self, ranges: Vec<Range<u16>>) -> Result<(), ServiceError> {
+        if ranges == self.ranges {
+            return Ok(());
+        }
+        for (worker, range) in self.workers.iter_mut().zip(&ranges[1..]) {
+            worker.send(ToWorker::Leave(range.clone()))?;
+        }
+        let mut records = Vec::new();
+        leave(&mut self.shard, &ranges[0], &self.costs, &mut records);
+        for worker in &mut self.workers {
+            records.extend(worker.leaving()?);
+        }
+        let moved = (self.ranges.iter().zip(&ranges)).flat_map(|(old, new)| outside(old, new));
+        let moved: Vec<u16> = moved.flatten().collect();
+        let fleet = self.config.server_count();
+        let records = ServerRecords::read(records, moved.iter().copied(), fleet);
+        let records = Arc::new(records.expect("a proxy decodes what it encoded"));
+        if let Some(content) = &mut self.content {
+            let at = self.batch.view(&self.config.pages).start_index() as u64;
+            let content = Arc::get_mut(content).expect("every worker has left: none holds it");
+            for &server in &moved {
+                content.churned(ServerId::new(server), at);
+            }
+        }
+        for (worker, range) in self.workers.iter_mut().zip(&ranges[1..]) {
+            worker.send(ToWorker::Join(range.clone(), Arc::clone(&records)))?;
+        }
+        let (shard, matching) = (&mut self.shard, &mut self.matching);
+        let range = ranges[0].clone();
+        join(shard, matching, &self.config, &self.costs, range, &records)
+            .expect("a proxy decodes what it encoded");
+        self.ranges = ranges;
+        Ok(())
+    }
+
+    /// Applies every buffered event, then cuts the fleet so that shard 0
+    /// owns servers `0..cut` (clamped to leave each later shard one) and
+    /// the later shards split the rest evenly. Results do not depend on the
+    /// cut: this exists so that tests outside the crate can move proxies
+    /// where they choose. A one-shard service is left as it is.
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceError::WorkerPanicked`] once a worker has died.
+    #[doc(hidden)]
+    pub fn replan_at(&mut self, cut: u16) -> Result<(), ServiceError> {
+        self.flush()?;
+        if self.workers.is_empty() {
+            return Ok(());
+        }
+        let (servers, later) = (self.config.server_count(), self.workers.len());
+        let cut = cut.clamp(1, servers - later as u16);
+        let rest = ShardPlan::balanced(&vec![1; usize::from(servers - cut)], later);
+        let rest = ranges(&rest)
+            .into_iter()
+            .map(|r| r.start + cut..r.end + cut);
+        self.replan(std::iter::once(0..cut).chain(rest).collect())
     }
 
     /// Sends `msg()` to every worker, or to none once one has been found

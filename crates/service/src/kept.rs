@@ -95,6 +95,19 @@ impl ShardMatching {
         }
     }
 
+    /// Takes the shard's new range `servers`, with room for its fan-outs,
+    /// and keeps every row: a row is still right at the proxies it was
+    /// computed for, and a re-plan stamps each proxy that moved churned,
+    /// so that no shard reads a row computed without it.
+    pub(crate) fn reassign(&mut self, servers: Range<u16>, config: &ServiceConfig) {
+        self.fanout.reserve(servers.len());
+        let pairs = config.batch_size * servers.len();
+        let mut window = OwnedWindow::with_capacity(config.batch_size, pairs);
+        window.clone_from(&self.window);
+        self.window = window;
+        self.servers = servers;
+    }
+
     /// Resolves `batch` — its publishes carry no fan-out and its requests
     /// no count — for the shard's proxies, into the window the shard
     /// steps. A request at another shard's proxy keeps count 0: the step

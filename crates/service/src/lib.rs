@@ -15,8 +15,11 @@
 //! into a shard per core ([`ServiceConfig::workers`]): the calling thread
 //! resolves each batch and steps shard 0, worker threads fed over bounded
 //! inboxes step the others, and a worker's panic comes back as
-//! [`ServiceError::WorkerPanicked`]. With a content matcher attached,
-//! each shard matches the batch for its own proxies.
+//! [`ServiceError::WorkerPanicked`]. Shard 0 is smaller than the others,
+//! since the calling thread also resolves every event: it starts three
+//! tenths of the fleet's step ahead. Attaching a content matcher moves
+//! the shards to equal ranges, each matching the batch for its own
+//! proxies.
 //!
 //! Durability is a write-ahead event journal plus periodic state
 //! snapshots (serialized dense cache state + accounting). A killed
@@ -62,6 +65,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod balance;
 mod config;
 mod core;
 mod journal;

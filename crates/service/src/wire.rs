@@ -139,7 +139,7 @@ pub(crate) struct ShardSnap {
 /// Takes a worker shard's part of a snapshot, on the worker's thread.
 pub(crate) fn shard_snap<O: Observer>(shard: &ReplayState<O>) -> ShardSnap {
     let mut servers = Vec::new();
-    encode_servers(shard, &mut servers);
+    encode_servers(shard, shard.servers(), &mut servers);
     let hourly = shard.hourly().clone();
     ShardSnap { hourly, servers }
 }
@@ -159,19 +159,23 @@ pub(crate) fn put_snapshot_fleet<O: Observer>(
     }
     put_hourly(out, &hourly);
     put_u16(out, server_count);
-    encode_servers(shard, out);
+    encode_servers(shard, shard.servers(), out);
     for worker in workers {
         out.extend_from_slice(&worker.servers);
     }
 }
 
-/// Appends the shard's servers to a snapshot file, in range order: each
+/// Appends the shard's servers `range` to a snapshot file, in order: each
 /// one's accounting, then its strategy blob behind its length. The
 /// strategy encodes straight into `out`; the length is patched in behind
 /// it.
-fn encode_servers<O: Observer>(shard: &ReplayState<O>, out: &mut Vec<u8>) {
+pub(crate) fn encode_servers<O: Observer>(
+    shard: &ReplayState<O>,
+    range: Range<u16>,
+    out: &mut Vec<u8>,
+) {
     let engine = shard.engine();
-    for server in shard.servers().map(ServerId::new) {
+    for server in range.map(ServerId::new) {
         let (hits, requests) = engine.hit_stats(server);
         let traffic = engine.traffic(server);
         put_u64(out, hits);
@@ -258,16 +262,18 @@ fn read_server_snap(r: &mut SnapshotReader<'_>) -> Result<ServerSnap, SnapshotEr
     })
 }
 
-/// Restores every server a freshly built `shard` owns from `restore`.
+/// Restores servers `range` of `shard`, each fresh, from `records`.
 pub(crate) fn restore_servers<O: Observer>(
     shard: &mut ReplayState<O>,
-    restore: &FleetRestore,
+    records: &ServerRecords,
+    range: Range<u16>,
 ) -> Result<(), SnapshotError> {
-    let range = shard.servers();
     let engine = shard.engine_mut();
     for server in range.map(ServerId::new) {
-        let snap = &restore.servers[server.as_usize()];
-        let mut r = SnapshotReader::new(&restore.file[snap.blob.clone()]);
+        let snap = records.servers[server.as_usize()]
+            .as_ref()
+            .expect("the records carry every server they restore");
+        let mut r = SnapshotReader::new(&records.file[snap.blob.clone()]);
         engine.restore_strategy(server, &mut r)?;
         if !r.is_empty() {
             return Err(SnapshotError::Corrupt("trailing bytes in strategy blob"));
@@ -297,13 +303,46 @@ impl SnapshotState {
     }
 }
 
-/// The fleet's share of a decoded snapshot file: every server in order,
-/// blobs still in the file, and the merged hourly series.
+/// The fleet's share of a decoded snapshot file: every server's record
+/// and the merged hourly series.
 #[derive(Debug)]
 pub(crate) struct FleetRestore {
-    file: Vec<u8>,
-    servers: Vec<ServerSnap>,
+    pub(crate) servers: ServerRecords,
     pub(crate) hourly: HourlySeries,
+}
+
+/// Proxy records as a snapshot file holds them ([`encode_servers`]),
+/// blobs left in the bytes they were read from: a whole fleet's, restored
+/// from a file, or the proxies a re-plan moves between shards, which
+/// travel in memory.
+#[derive(Debug)]
+pub(crate) struct ServerRecords {
+    file: Vec<u8>,
+    /// Indexed by server; `None` for one the records do not carry.
+    servers: Vec<Option<ServerSnap>>,
+}
+
+impl ServerRecords {
+    /// The records of `servers`, in ascending order and one after another
+    /// in `bytes`, among a fleet of `fleet` proxies.
+    pub(crate) fn read(
+        bytes: Vec<u8>,
+        servers: impl IntoIterator<Item = u16>,
+        fleet: u16,
+    ) -> Result<Self, SnapshotError> {
+        let mut snaps: Vec<Option<ServerSnap>> = (0..fleet).map(|_| None).collect();
+        let mut r = SnapshotReader::new(&bytes);
+        for server in servers {
+            snaps[usize::from(server)] = Some(read_server_snap(&mut r)?);
+        }
+        if !r.is_empty() {
+            return Err(SnapshotError::Corrupt("trailing server record bytes"));
+        }
+        Ok(Self {
+            file: bytes,
+            servers: snaps,
+        })
+    }
 }
 
 /// Decodes a snapshot file, checking every length and id against `config`
@@ -360,7 +399,7 @@ pub(crate) fn decode_snapshot_file(
     if server_count != fleet {
         return Err(ServiceError::CorruptFile("snapshot fleet size"));
     }
-    let servers = (0..server_count).map(|_| read_server_snap(&mut r));
+    let servers = (0..server_count).map(|_| read_server_snap(&mut r).map(Some));
     let servers = servers.collect::<Result<Vec<_>, _>>()?;
     if !r.is_empty() {
         return Err(ServiceError::CorruptFile("trailing snapshot bytes"));
@@ -370,9 +409,8 @@ pub(crate) fn decode_snapshot_file(
         counts: counts.build(),
         heads: VersionHeads::from_heads(heads),
         restore: Some(FleetRestore {
-            servers,
+            servers: ServerRecords { file, servers },
             hourly,
-            file,
         }),
     })
 }

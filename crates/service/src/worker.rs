@@ -14,12 +14,15 @@
 //! is built and owned by a [`Worker`] thread, and the supervisor sends it
 //! each batch through an [`Inbox`] bounded at [`DEFAULT_PREFETCH_DEPTH`]:
 //! a supervisor that outruns its slowest worker waits for it. Message
-//! order per inbox is FIFO, so a snapshot or finish request sent after a
-//! batch observes that batch applied — no separate barrier is needed. An
-//! inbox that closes without a finish request (a dropped service) ends
-//! the thread without finishing its shard; a thread that ends closes its
-//! inbox before it lets go of the content it held, so whoever waits for
-//! that content finds the worker dead.
+//! order per inbox is FIFO, so a snapshot or finish request sent
+//! after a batch observes that batch applied — no separate barrier is
+//! needed. A re-plan is two more requests: each shard encodes and drops
+//! the proxies it gives up ([`leave`]), then takes its new range and
+//! restores the proxies it gains from what every shard gave up
+//! ([`join`]). An inbox that closes without a finish request (a dropped
+//! service) ends the thread without finishing its shard; a thread that
+//! ends closes its inbox before it lets go of the content it held, so
+//! whoever waits for that content finds the worker dead.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -36,9 +39,12 @@ use pscd_sim::{HourlySeries, OwnedWindow, ReplayState, SimResult, DEFAULT_PREFET
 use pscd_topology::FetchCosts;
 use pscd_types::ServerId;
 
+use crate::balance::outside;
 use crate::config::{ServiceConfig, ServiceError};
 use crate::kept::{Content, ShardMatching};
-use crate::wire::{restore_servers, shard_snap, FleetRestore, ShardSnap};
+use crate::wire::{
+    encode_servers, restore_servers, shard_snap, FleetRestore, ServerRecords, ShardSnap,
+};
 
 /// One shard of the proxy fleet.
 pub(crate) type Shard = ReplayState<NullObserver>;
@@ -67,9 +73,48 @@ pub(crate) fn build_shard(
         range,
     );
     if let Some(restore) = restore {
-        restore_servers(&mut shard, restore)?;
+        let range = shard.servers();
+        restore_servers(&mut shard, &restore.servers, range)?;
     }
     Ok(shard)
+}
+
+/// Appends the records of the proxies `shard` gives up for `range` to
+/// `out`, in server order, and drops them: a re-plan frees every proxy
+/// that moves before any shard builds one.
+pub(crate) fn leave(shard: &mut Shard, range: &Range<u16>, costs: &FetchCosts, out: &mut Vec<u8>) {
+    let owned = shard.servers();
+    for run in outside(&owned, range) {
+        encode_servers(shard, run, out);
+    }
+    let kept = owned.start.max(range.start)..owned.end.min(range.end);
+    let kept = if kept.is_empty() {
+        range.start..range.start
+    } else {
+        kept
+    };
+    shard.reassign(kept, costs);
+}
+
+/// Moves `shard`, and its `matching`, onto `range`: the proxies it gains
+/// are restored from `moved`, which carries every proxy a shard gave up.
+pub(crate) fn join(
+    shard: &mut Shard,
+    matching: &mut Option<ShardMatching>,
+    config: &ServiceConfig,
+    costs: &FetchCosts,
+    range: Range<u16>,
+    moved: &ServerRecords,
+) -> Result<(), SnapshotError> {
+    let gained = outside(&range, &shard.servers());
+    shard.reassign(range.clone(), costs);
+    for run in gained {
+        restore_servers(shard, moved, run)?;
+    }
+    if let Some(matching) = matching {
+        matching.reassign(range, config);
+    }
+    Ok(())
 }
 
 /// The shard's contribution to the final result: its [`SimResult`]
@@ -120,6 +165,12 @@ pub(crate) enum ToWorker {
     Batch(Arc<OwnedWindow>, Option<Arc<Content>>),
     /// Reply with the shard's [`ShardSnap`].
     Snapshot,
+    /// Reply with the records of the proxies the shard gives up for the
+    /// range ([`leave`]).
+    Leave(Range<u16>),
+    /// Take the range, restoring the proxies gained from the records
+    /// ([`join`]).
+    Join(Range<u16>, Arc<ServerRecords>),
     /// Finish the shard; the thread returns its [`ShardFinish`].
     Finish,
     /// Run the hook on the worker's thread when the next batch arrives,
@@ -273,8 +324,8 @@ pub(crate) struct Worker {
     /// Closed once dropped: the thread then steps what is queued and
     /// returns.
     inbox: Arc<Inbox>,
-    /// One reply per [`ToWorker::Snapshot`].
-    snaps: Receiver<ShardSnap>,
+    /// One reply per [`ToWorker::Snapshot`] and [`ToWorker::Leave`].
+    replies: Receiver<Reply>,
     /// `None` once joined.
     thread: Option<JoinHandle<Result<Option<ShardFinish>, SnapshotError>>>,
     /// What the thread panicked with, once joined.
@@ -297,7 +348,7 @@ impl Worker {
             inbox: Arc::clone(&inbox),
             content: None,
         };
-        let (snap_tx, snaps) = mpsc::channel();
+        let (reply_tx, replies) = mpsc::channel();
         let (ready_tx, ready) = mpsc::channel();
         let (config, costs, universe) = (config.clone(), costs.clone(), universe.clone());
         let thread = thread::Builder::new()
@@ -308,12 +359,12 @@ impl Worker {
                     build_shard(&config, &costs, &universe, range, restore.as_deref(), None)?;
                 drop(restore);
                 ready_tx.send(()).expect("spawn waits for it");
-                Ok(run(state, &config, &mut closer, &snap_tx))
+                Ok(run(state, &config, &costs, &mut closer, &reply_tx))
             })?;
         let mut worker = Self {
             shard,
             inbox,
-            snaps,
+            replies,
             thread: Some(thread),
             panic: String::new(),
         };
@@ -341,9 +392,25 @@ impl Worker {
         }
     }
 
+    /// The next reply, to the request sent longest ago.
+    fn reply(&mut self) -> Result<Reply, ServiceError> {
+        self.replies.recv().map_err(|_| self.stopped())
+    }
+
     /// The reply to the [`ToWorker::Snapshot`] sent last.
     pub(crate) fn snapshot(&mut self) -> Result<ShardSnap, ServiceError> {
-        self.snaps.recv().map_err(|_| self.stopped())
+        match self.reply()? {
+            Reply::Snap(snap) => Ok(snap),
+            _ => unreachable!("one reply per request, in order"),
+        }
+    }
+
+    /// The reply to the [`ToWorker::Leave`] sent last.
+    pub(crate) fn leaving(&mut self) -> Result<Vec<u8>, ServiceError> {
+        match self.reply()? {
+            Reply::Leaving(records) => Ok(records),
+            _ => unreachable!("one reply per request, in order"),
+        }
     }
 
     /// Returns the shard's finish, once [`ToWorker::Finish`] is sent.
@@ -392,16 +459,28 @@ impl Drop for Worker {
     }
 }
 
-/// Steps `shard` through every batch the inbox brings and answers its
-/// snapshot requests. Returns the shard's finish when asked for it, and
-/// nothing when the inbox closes first.
+/// A worker's answer to a request of the supervisor's.
+enum Reply {
+    Snap(ShardSnap),
+    Leaving(Vec<u8>),
+}
+
+/// Steps `shard` through every batch the inbox brings and answers the
+/// supervisor's requests. Returns the shard's finish when asked for it,
+/// and nothing when the inbox closes first.
 fn run(
     mut shard: Shard,
     config: &ServiceConfig,
+    costs: &FetchCosts,
     closer: &mut Closer,
-    snaps: &Sender<ShardSnap>,
+    replies: &Sender<Reply>,
 ) -> Option<ShardFinish> {
     let mut matching = None;
+    let reply = |reply| {
+        replies
+            .send(reply)
+            .expect("the receiver outlives the thread")
+    };
     #[cfg(test)]
     let mut hook: Option<Box<dyn FnOnce() + Send>> = None;
     while let Some(msg) = closer.inbox.pop() {
@@ -420,9 +499,15 @@ fn run(
                 let window = window.view(&config.pages);
                 while shard.step(&window).is_some() {}
             }
-            ToWorker::Snapshot => {
-                let snap = shard_snap(&shard);
-                snaps.send(snap).expect("the receiver outlives the thread");
+            ToWorker::Snapshot => reply(Reply::Snap(shard_snap(&shard))),
+            ToWorker::Leave(range) => {
+                let mut records = Vec::new();
+                leave(&mut shard, &range, costs, &mut records);
+                reply(Reply::Leaving(records));
+            }
+            ToWorker::Join(range, moved) => {
+                join(&mut shard, &mut matching, config, costs, range, &moved)
+                    .expect("a proxy decodes what it encoded");
             }
             ToWorker::Finish => return Some(finish(shard)),
             #[cfg(test)]

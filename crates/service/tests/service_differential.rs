@@ -724,3 +724,149 @@ proptest! {
     }
 
 }
+
+/// One run of the re-plan script through a journaled service at
+/// `workers`: ingest to `at`, re-plan with shard 0 owning servers
+/// `0..cut`, request a third of the table's (page, proxy) rows whose page
+/// was published before the cut, ingest on, snapshot, ingest on, kill,
+/// recover, ingest the rest. In
+/// content mode a matcher that reproduces the table is attached first,
+/// and content subscribes and unsubscribes land on both sides of the
+/// re-plan, at the proxies and pages of the requests that follow it.
+/// Returns the outcome and a digest of every persisted byte, as
+/// [`persisted_bytes_are_pinned`] takes it.
+fn replanned_run(
+    kind: StrategyKind,
+    workers: usize,
+    content: bool,
+    at: usize,
+    cut: u16,
+) -> (ServiceOutcome, u64) {
+    use pscd_matching::{Predicate, Subscription, Value};
+
+    let f = fixture();
+    let servers = f.trace.meta().server_count();
+    let tag = format!("replan-{}-{workers}-{content}-{at}-{cut}", kind.name());
+    let dir = temp_service_dir(&tag);
+    let config = service_config(kind, true)
+        .with_workers(workers)
+        .with_batch_size(64)
+        .with_persistence(dir.clone(), 0);
+    let mut core = ServiceCore::new(config.clone()).unwrap();
+    let page_sub = |page: pscd_types::PageId| {
+        Subscription::new(vec![Predicate::eq("page", Value::int(page.index() as i64))])
+    };
+    // The proxies and pages of the first requests after the re-plan.
+    let targets: Vec<(ServerId, pscd_types::PageId)> = f.events[at..]
+        .iter()
+        .filter_map(|ev| match *ev {
+            LiveEvent::Request { server, page, .. } => Some((server, page)),
+            _ => None,
+        })
+        .take(4)
+        .collect();
+    if content {
+        core.attach_matcher(pscd_workload::matcher_from_table(&f.subs, servers))
+            .unwrap();
+    }
+    let timeline = f
+        .events
+        .iter()
+        .position(|ev| !matches!(ev, LiveEvent::Subscribe { .. }));
+    let before = at - (at - timeline.unwrap()) / 2;
+    core.ingest_all(&f.events[..before]).unwrap();
+    let mut joined = Vec::new();
+    if content {
+        for &(server, page) in &targets[..2] {
+            joined.push((
+                server,
+                core.subscribe_content(server, page_sub(page)).unwrap(),
+            ));
+        }
+    }
+    core.ingest_all(&f.events[before..at]).unwrap();
+    core.replan_at(cut).unwrap();
+    // Requests, right after the re-plan, for pages published before it at
+    // proxies that subscribe to them: a moved proxy's count must not come
+    // from a row the shard it joined computed without it.
+    let time = f.events[..at].iter().rev().find_map(|ev| match *ev {
+        LiveEvent::Publish { time, .. } | LiveEvent::Request { time, .. } => Some(time),
+        LiveEvent::Subscribe { .. } => None,
+    });
+    let published = |page| {
+        let publish =
+            |ev: &LiveEvent| matches!(*ev, LiveEvent::Publish { page: p, .. } if p == page);
+        f.events[..at].iter().any(publish)
+    };
+    let burst: Vec<LiveEvent> = f
+        .subs
+        .iter()
+        .filter(|&(page, ..)| published(page))
+        .step_by(3)
+        .map(|(page, server, _)| LiveEvent::Request {
+            time: time.unwrap(),
+            server,
+            page,
+        })
+        .collect();
+    core.ingest_all(&burst).unwrap();
+    if content {
+        let (server, id) = joined.pop().unwrap();
+        core.unsubscribe_content(server, id).unwrap();
+        for &(server, page) in &targets[2..] {
+            core.subscribe_content(server, page_sub(page)).unwrap();
+        }
+    }
+    let snapshot_at = at + (f.events.len() - at) / 3;
+    let kill_at = at + 2 * (f.events.len() - at) / 3;
+    core.ingest_all(&f.events[at..snapshot_at]).unwrap();
+    core.snapshot_now().unwrap();
+    let mut digest = fnv1a(
+        0xcbf2_9ce4_8422_2325,
+        &std::fs::read(dir.join("snapshot.bin")).unwrap(),
+    );
+    core.ingest_all(&f.events[snapshot_at..kill_at]).unwrap();
+    drop(core);
+    let mut core = ServiceCore::recover(config).unwrap();
+    core.ingest_all(&f.events[kill_at..]).unwrap();
+    let outcome = core.shutdown().unwrap();
+    digest = fnv1a(digest, &std::fs::read(dir.join("journal.bin")).unwrap());
+    for blob in &outcome.proxies {
+        digest = fnv1a(digest, blob);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    (outcome, digest)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// No cut and no re-plan changes the answer: a service at two or three
+    /// shards whose fleet is cut anew mid-stream — shard 0 anywhere from
+    /// one proxy to all but one per later shard, the proxies that move
+    /// carried over as snapshot records — with invalidation on, in
+    /// count-row mode or in content mode with churn on both sides of the
+    /// re-plan, then snapshotted, killed and recovered, ends with the
+    /// outcome and the persisted bytes of the inline service.
+    #[test]
+    fn no_cut_and_no_replan_changes_the_answer(
+        strategy_idx in 0usize..6,
+        workers in proptest::sample::select(vec![2usize, 3]),
+        content in proptest::bool::ANY,
+        at in 0.25f64..0.75,
+        cut in 0.0f64..1.0,
+    ) {
+        let f = fixture();
+        let kind = recovery_strategies()[strategy_idx];
+        let servers = f.trace.meta().server_count();
+        let timeline = f.events.iter().position(|ev| !matches!(ev, LiveEvent::Subscribe { .. }));
+        let timeline = timeline.unwrap();
+        let at = timeline + (at * (f.events.len() - timeline) as f64) as usize;
+        let cut = 1 + (cut * f64::from(servers - workers as u16)) as u16;
+        let (inline, inline_digest) = replanned_run(kind, 1, content, at, cut);
+        let (sharded, digest) = replanned_run(kind, workers, content, at, cut);
+        prop_assert_eq!(&sharded.result, &inline.result);
+        prop_assert_eq!(&sharded.proxies, &inline.proxies);
+        prop_assert_eq!(digest, inline_digest);
+    }
+}

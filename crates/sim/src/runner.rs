@@ -411,6 +411,39 @@ impl<O: Observer> ReplayState<O> {
         self.start..self.end
     }
 
+    /// Moves the replay, between windows, onto servers `range` of the same
+    /// fleet: the proxies it keeps go on as they were, and each one it
+    /// gains starts as a fresh `strategy` at its fetch cost in `costs`,
+    /// with zeroed counters, for the caller to restore through
+    /// [`engine_mut`](ReplayState::engine_mut). The cursor and the hourly
+    /// series stay: what was accounted stays accounted here.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a crash is still pending (its victims were filtered to
+    /// the old range) or `range` reaches past the fleet.
+    pub fn reassign(&mut self, range: Range<u16>, costs: &FetchCosts) {
+        assert!(self.crash_at.is_none(), "a pending crash pins the range");
+        let Self {
+            strategy,
+            capacities,
+            universe,
+            obs,
+            engine,
+            ..
+        } = self;
+        let fresh = |server: ServerId| {
+            let capacity = capacities[server.as_usize()];
+            let built = strategy.build(capacity, universe, obs.handle(server));
+            (built, costs.cost(server))
+        };
+        engine
+            .reassign(range.clone(), fresh)
+            .expect("fresh strategies are empty");
+        self.push_scratch.reserve(range.len());
+        (self.start, self.end) = (range.start, range.end);
+    }
+
     /// Processes the next timeline event of `window` owned by this
     /// replay's server range. Returns `None` when the window is exhausted
     /// — the caller then steps through the next window (a `None` on the

@@ -78,12 +78,34 @@ impl ShardPlan {
     /// owns at least one server, so the plan may have fewer shards than
     /// asked for when servers are scarce. Deterministic in its inputs.
     pub fn balanced(load: &[u64], shards: usize) -> Self {
+        Self::with_head_start(load, shards, 0)
+    }
+
+    /// [`balanced`](ShardPlan::balanced) for a shard 0 that carries `head`
+    /// more load than its servers', in the units of `load`: the cuts share
+    /// `head` + the total evenly, so shard 0's range ends where its
+    /// servers' load reaches its share less `head`. It never goes empty,
+    /// and it ends no later as `head` grows. Head 0 is `balanced`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use pscd_sim::ShardPlan;
+    ///
+    /// // Shard 0's thread spends 20 on work of its own: 20 + 10 = 30 of
+    /// // the 60 in all.
+    /// let plan = ShardPlan::with_head_start(&[10, 10, 10, 10], 2, 20);
+    /// assert_eq!(plan.range(0), (0, 1));
+    /// assert_eq!(plan.range(1), (1, 4));
+    /// assert_eq!(ShardPlan::with_head_start(&[10; 4], 2, 0), ShardPlan::balanced(&[10; 4], 2));
+    /// ```
+    pub fn with_head_start(load: &[u64], shards: usize, head: u64) -> Self {
         let servers = load.len();
         let shards = shards.clamp(1, servers.max(1));
-        let total: u64 = load.iter().sum();
+        let total: u64 = head + load.iter().sum::<u64>();
         let mut bounds = Vec::with_capacity(shards + 1);
         bounds.push(0u16);
-        let mut acc = 0u64;
+        let mut acc = head;
         let mut s = 0usize;
         for k in 1..shards {
             // Advance to the first cut where this shard carries its share,
@@ -575,6 +597,60 @@ mod tests {
                 shards,
                 "{threads} threads, {servers} servers, {site:?}, width {width}"
             );
+        }
+    }
+
+    /// The cut rule before the head start existed, kept here as the
+    /// reference `balanced` must still equal.
+    fn balanced_reference(load: &[u64], shards: usize) -> Vec<(u16, u16)> {
+        let servers = load.len();
+        let shards = shards.clamp(1, servers.max(1));
+        let total: u64 = load.iter().sum();
+        let (mut bounds, mut acc, mut s) = (vec![0u16], 0u64, 0usize);
+        for k in 1..shards {
+            let target = total * k as u64 / shards as u64;
+            let prev = *bounds.last().unwrap() as usize;
+            while s < servers - (shards - k) && (acc < target || s <= prev) {
+                acc += load[s];
+                s += 1;
+            }
+            bounds.push(s as u16);
+        }
+        bounds.push(servers as u16);
+        bounds.windows(2).map(|w| (w[0], w[1])).collect()
+    }
+
+    proptest::proptest! {
+        /// Over random loads, shard counts and head starts: head 0 is the
+        /// reference rule, shard 0 is never empty and ends no later as the
+        /// head grows, and the ranges tile the fleet.
+        #[test]
+        fn a_head_start_only_shrinks_shard_0(
+            load in proptest::collection::vec(0u64..1_000, 1..40),
+            shards in 1usize..6,
+            heads in proptest::collection::vec(0u64..40_000, 1..8),
+        ) {
+            let ranges = |plan: &ShardPlan| (0..plan.shards()).map(|k| plan.range(k)).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(
+                ranges(&ShardPlan::with_head_start(&load, shards, 0)),
+                balanced_reference(&load, shards)
+            );
+            let mut heads = heads;
+            heads.sort_unstable();
+            let mut end = u16::MAX;
+            for head in heads {
+                let plan = ShardPlan::with_head_start(&load, shards, head);
+                let ranges = ranges(&plan);
+                proptest::prop_assert_eq!(ranges.len(), shards.min(load.len()));
+                proptest::prop_assert!(ranges[0].1 >= 1 && ranges[0].1 <= end);
+                end = ranges[0].1;
+                let mut next = 0;
+                for (start, stop) in ranges {
+                    proptest::prop_assert!(start == next && start < stop);
+                    next = stop;
+                }
+                proptest::prop_assert_eq!(usize::from(next), load.len());
+            }
         }
     }
 
