@@ -12,8 +12,7 @@ use std::process::ExitCode;
 use pscd_broker::PushScheme;
 use pscd_core::StrategyKind;
 use pscd_experiments::{
-    Exhibit, ExperimentContext, ExperimentError, ObsAudit, ShiftSensitivity, ToCsv, Trace,
-    VarianceStudy, PAPER_BETA,
+    Exhibit, ExperimentContext, ExperimentError, ObsAudit, Plan, ToCsv, Trace, PAPER_BETA,
 };
 use pscd_obs::{render_chrome_trace, SpanEvent, TraceSink};
 use pscd_sim::{
@@ -208,8 +207,8 @@ fn run_serve(
     eprintln!("generating workloads (scale = {scale}) …");
     let ctx = ExperimentContext::scaled(scale, 0, TraceSink::disabled())?;
     let compiled = ctx.compiled(Trace::News, 1.0)?;
-    let subs = ctx.subscriptions(Trace::News, 1.0)?;
-    let events = ctx.workload(Trace::News).live_events(&subs);
+    let (workload, subs) = ctx.generate(&ctx.base(Trace::News))?;
+    let events = workload.live_events(&subs);
     let kind = StrategyKind::Sg2 { beta: PAPER_BETA };
     let mut config = pscd_service::ServiceConfig::new(
         kind,
@@ -249,11 +248,6 @@ fn run_serve(
     )?;
     let outcome = core.shutdown()?;
     let result = &outcome.result;
-    let hit_rate = if result.requests > 0 {
-        result.hits as f64 / result.requests as f64
-    } else {
-        0.0
-    };
     println!(
         "ingested {} events in {} batches over {:.2} s",
         report.events, report.batches, report.elapsed_secs
@@ -266,7 +260,7 @@ fn run_serve(
         "requests {}  hits {}  hit rate {:.4}  pushed {} pages  fetched {} pages",
         result.requests,
         result.hits,
-        hit_rate,
+        result.hit_ratio(),
         result.traffic.pushed_pages,
         result.traffic.fetched_pages
     );
@@ -449,60 +443,15 @@ fn run_scenario(arg: &str, threads: usize) -> Result<(), ExperimentError> {
         .collect();
     let results = Replay::prefetched(&stream, prefetch, &costs).run(&lineup)?;
     for (options, result) in lineup.iter().zip(results) {
-        let hit_rate = if result.requests > 0 {
-            result.hits as f64 / result.requests as f64
-        } else {
-            0.0
-        };
         println!(
             "{:<8} {:>9.4} {:>12} {:>13}",
             options.strategy.name(),
-            hit_rate,
+            result.hit_ratio(),
             result.traffic.pushed_pages,
             result.traffic.fetched_pages
         );
     }
     Ok(())
-}
-
-/// How a registry entry runs: an [`Exhibit`] spec, or a study that
-/// regenerates a workload per point (`shift`, `variance`) and prints text.
-#[derive(Clone, Copy)]
-enum Run {
-    Table(fn() -> Exhibit),
-    Study(fn(&ExperimentContext, f64) -> Result<String, ExperimentError>),
-}
-
-/// Every exhibit in `repro all` order: `(name, in the ablations group,
-/// progress line, run)`.
-#[rustfmt::skip]
-const EXHIBITS: &[(&str, bool, &str, Run)] = {
-    use Run::{Study, Table};
-    &[
-        ("beta",         false, "running β sweep (126 simulations) …",                   Table(Exhibit::beta)),
-        ("fig3",         false, "running figure 3 …",                                    Table(Exhibit::fig3)),
-        ("fig4",         false, "running figure 4 …",                                    Table(Exhibit::fig4)),
-        ("table2",       false, "running table 2 …",                                     Table(Exhibit::table2)),
-        ("fig5",         false, "running figure 5 …",                                    Table(Exhibit::fig5)),
-        ("fig6",         false, "running figure 6 …",                                    Table(Exhibit::fig6)),
-        ("fig7",         false, "running figure 7 …",                                    Table(Exhibit::fig7)),
-        ("classic",      true,  "running classic-baseline ablation …",                   Table(Exhibit::classic)),
-        ("lap-bounds",   true,  "running DC-LAP bounds ablation …",                      Table(Exhibit::lap_bounds)),
-        ("partition",    true,  "running DC-FP partition ablation …",                    Table(Exhibit::partition)),
-        ("coverage",     true,  "running notification-coverage extension …",             Table(Exhibit::coverage)),
-        ("crash",        true,  "running crash-recovery extension …",                    Table(Exhibit::crash)),
-        ("invalidation", true,  "running stale-version invalidation extension …",        Table(Exhibit::invalidation)),
-        ("variance",     true,  "running seed-sensitivity study (5 seeds × 2 traces) …", Study(variance)),
-        ("shift",        true,  "running popularity-shift calibration sweep …",          Study(shift)),
-    ]
-};
-
-fn variance(ctx: &ExperimentContext, scale: f64) -> Result<String, ExperimentError> {
-    Ok(VarianceStudy::run(ctx, scale, &[0, 1, 2, 3, 4])?.to_string())
-}
-
-fn shift(ctx: &ExperimentContext, scale: f64) -> Result<String, ExperimentError> {
-    Ok(ShiftSensitivity::run(ctx, scale)?.to_string())
 }
 
 /// Where an exhibit run writes besides stdout: CSV exports, observer
@@ -520,12 +469,7 @@ fn run(
     threads: usize,
     outputs: &Outputs<'_>,
 ) -> Result<bool, ExperimentError> {
-    let all = exhibit == "all";
-    let chosen: Vec<_> = (EXHIBITS.iter())
-        .filter(|&&(name, ablation, ..)| {
-            all || exhibit == name || ablation && exhibit == "ablations"
-        })
-        .collect();
+    let chosen = Exhibit::selected(exhibit);
     if chosen.is_empty() {
         return Ok(false);
     }
@@ -541,19 +485,15 @@ fn run(
     }
     eprintln!("generating workloads (scale = {scale}) …");
     let ctx = ExperimentContext::scaled(scale, threads, sink.clone())?;
-    for &&(_, _, progress, run) in &chosen {
-        eprintln!("{progress}");
-        match run {
-            Run::Table(exhibit) => {
-                let table = exhibit().run(&ctx)?;
-                println!("{table}");
-                if let Some(dir) = outputs.csv_dir.filter(|_| !table.to_csv().is_empty()) {
-                    for path in table.write_csv(dir)? {
-                        eprintln!("wrote {}", path.display());
-                    }
-                }
+    eprintln!("replaying {} exhibit(s) as one plan …", chosen.len());
+    let plan = Plan::run(chosen, &ctx)?;
+    eprintln!("plan: {plan}");
+    for table in plan.tables(&ctx) {
+        println!("{table}");
+        if let Some(dir) = outputs.csv_dir.filter(|_| !table.to_csv().is_empty()) {
+            for path in table.write_csv(dir)? {
+                eprintln!("wrote {}", path.display());
             }
-            Run::Study(study) => println!("{}", study(&ctx, scale)?),
         }
     }
     let lineup = if exhibit == "fig3" {

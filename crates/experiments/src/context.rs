@@ -1,6 +1,7 @@
-//! Shared experiment inputs: the two traces, subscriptions, costs, and
-//! the compiled-trace cache every exhibit's grid replays from.
+//! Shared experiment inputs: the two traces, the fetch costs, and the
+//! resolver that builds every source an exhibit replays.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -53,23 +54,38 @@ impl Trace {
     }
 }
 
+/// What a replay's events come from: a trace's workload under a seed and
+/// a Zipf–Mandelbrot shift, and a subscription table over it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SourceKey {
+    /// The trace whose configuration the workload follows.
+    pub trace: Trace,
+    /// The workload's master seed.
+    pub seed: u64,
+    /// The popularity head's `RequestConfig::zipf_shift`.
+    pub shift: f64,
+    /// The subscription quality (`Workload::subscriptions`).
+    pub quality: f64,
+    /// The share of requested (page, proxy) pairs that has subscriptions;
+    /// below 1, `Workload::subscriptions_partial` draws which.
+    pub coverage: f64,
+}
+
 /// Everything the experiment drivers need: both traces plus the
-/// topology-derived fetch costs, generated once and shared.
+/// topology-derived fetch costs, generated once and shared, and the
+/// resolver ([`resolve`](Self::resolve)) that builds every source.
 #[derive(Debug)]
 pub struct ExperimentContext {
     news: Workload,
     alternative: Workload,
     costs: FetchCosts,
     threads: usize,
-    /// Compiled traces keyed by `(trace, quality.to_bits())`: each
-    /// `(workload, subscription table)` pair is compiled exactly once and
-    /// every grid cell of every exhibit replays the shared value.
-    compiled: Mutex<HashMap<(Trace, u64), Arc<CompiledTrace>>>,
-    /// Where the cold-path phases (workload generation, fetch costs,
-    /// subscription synthesis, trace compilation) record their spans, on
-    /// the `cold` track: the `repro --trace` sink when it is live,
-    /// otherwise a private live one, so audit reports always show where
-    /// setup time went.
+    /// The compiled trace of each trace's [`base`](Self::base) source,
+    /// which most exhibits replay: compiled once and kept.
+    compiled: Mutex<HashMap<Trace, Arc<CompiledTrace>>>,
+    /// Where the cold-path phases record their spans, on the `cold`
+    /// track: the `repro --trace` sink when it is live, otherwise a
+    /// private live one, so audit reports show where setup time went.
     cold: TraceSink,
 }
 
@@ -80,16 +96,12 @@ impl ExperimentContext {
     /// Both traces at `factor` of the paper's scale (`1.0` = 30,147
     /// pages, ~195k requests, 100 proxies, BRITE-style Waxman topology).
     ///
-    /// The entire cold path — workload generation now, subscription
-    /// synthesis and trace compilation later in
-    /// [`compiled`](Self::compiled) — and every sweep and audit run on up
-    /// to `threads` pool workers (`0` = auto, `1` = serial). Purely a
-    /// speed knob: every generated and compiled value, and so every
-    /// exhibit, is bit-identical at any setting. Each phase records one
-    /// span on the `cold` track for [`cold_timing`](Self::cold_timing),
-    /// into `sink` when it is live and otherwise into a private sink, and
-    /// keeps the worker pool's task-span phase label current, so
-    /// per-chunk pool tasks attribute to the right phase.
+    /// The cold path (generation now, [`resolve`](Self::resolve) later)
+    /// and every replay run on up to `threads` pool workers (`0` = auto,
+    /// `1` = serial), a pure speed knob: every value is bit-identical at
+    /// any setting. Each cold phase records a span for
+    /// [`cold_timing`](Self::cold_timing), into `sink` when it is live,
+    /// else into a private sink, and labels the pool's task spans.
     ///
     /// # Errors
     ///
@@ -136,34 +148,80 @@ impl ExperimentContext {
         }
     }
 
-    /// Subscription table of one trace at a target quality.
+    /// The paper's setting of one trace: the context's own workload (its
+    /// seed, its shift) with every request pair subscribed at quality 1.
+    pub fn base(&self, trace: Trace) -> SourceKey {
+        let config = self.workload(trace).config();
+        SourceKey {
+            trace,
+            seed: config.seed,
+            shift: config.requests.zipf_shift,
+            quality: 1.0,
+            coverage: 1.0,
+        }
+    }
+
+    /// The workload and subscription table of a source: the context's own
+    /// workload if the key's seed and shift are its own, else one
+    /// regenerated (a `cold.generate.*` span), and the key's table (a
+    /// `cold.subscriptions` span).
     ///
     /// # Errors
     ///
-    /// Returns an error for qualities outside `(0, 1]`.
-    pub fn subscriptions(
+    /// Propagates generation failures, such as a quality out of range.
+    pub fn generate(
         &self,
-        trace: Trace,
-        quality: f64,
-    ) -> Result<SubscriptionTable, ExperimentError> {
-        Ok(self.workload(trace).subscriptions(quality)?)
+        key: &SourceKey,
+    ) -> Result<(Cow<'_, Workload>, SubscriptionTable), ExperimentError> {
+        let own = self.workload(key.trace);
+        let base = self.base(key.trace);
+        let workload = if (key.seed, key.shift) == (base.seed, base.shift) {
+            Cow::Borrowed(own)
+        } else {
+            let mut config = own.config().clone().with_seed(key.seed);
+            config.requests.zipf_shift = key.shift;
+            let span = format!("cold.generate.{}", key.trace.name().to_lowercase());
+            Cow::Owned(phase(&self.cold, &span, || {
+                Workload::generate_threads(&config, self.threads)
+            })?)
+        };
+        let subs = phase(&self.cold, "cold.subscriptions", || {
+            match key.coverage < 1.0 {
+                true => workload.subscriptions_partial(key.quality, key.coverage),
+                false => workload.subscriptions_threads(key.quality, self.threads),
+            }
+        })?;
+        Ok((workload, subs))
     }
 
-    /// The compiled trace of one workload at a target subscription
-    /// quality — compiled on first use, cached for every later call, so a
-    /// whole experiment suite pays the timeline merge/fan-out/lineage
-    /// analysis exactly once per `(trace, quality)` pair no matter how
-    /// many grids replay it.
+    /// The compiled trace of a source, the one place an experiment
+    /// generates or compiles: a [`base`](Self::base) key is compiled once
+    /// and cached, any other [generated](Self::generate) and compiled (a
+    /// `cold.compile` span) per call, for the caller to drop. Compiling
+    /// happens outside the lock; racing callers of a cold base key may
+    /// both compile, and both get the first value.
     ///
-    /// Compilation happens **outside** the cache lock: the memo `Mutex` is
-    /// taken only for the map lookup and the insert, so a caller compiling
-    /// a cold key (seconds at paper scale) never blocks callers of other,
-    /// already-warm keys. A panic elsewhere that poisons the lock leaves
-    /// the map whole (each insert is one call), so a poisoned lock is
-    /// taken as it is. Two callers racing on the same cold key may both
-    /// compile; the double-checked insert keeps the first value, every
-    /// caller gets the same `Arc`, and sequential suites still compile each
-    /// pair exactly once (asserted by the `compile_once` integration test).
+    /// # Errors
+    ///
+    /// Propagates generation and compilation failures.
+    pub fn resolve(&self, key: &SourceKey) -> Result<Arc<CompiledTrace>, ExperimentError> {
+        let cached = *key == self.base(key.trace);
+        let cache = || self.compiled.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(hit) = cache().get(&key.trace).filter(|_| cached) {
+            return Ok(Arc::clone(hit));
+        }
+        let (workload, subs) = self.generate(key)?;
+        let compiled = Arc::new(phase(&self.cold, "cold.compile", || {
+            CompiledTrace::compile_threads(&workload, &subs, self.threads)
+        })?);
+        if !cached {
+            return Ok(compiled);
+        }
+        Ok(Arc::clone(cache().entry(key.trace).or_insert(compiled)))
+    }
+
+    /// [`resolve`](Self::resolve) of the base key of `trace` at a
+    /// subscription quality: quality 1 is cached, any other is not.
     ///
     /// # Errors
     ///
@@ -173,22 +231,10 @@ impl ExperimentContext {
         trace: Trace,
         quality: f64,
     ) -> Result<Arc<CompiledTrace>, ExperimentError> {
-        let key = (trace, quality.to_bits());
-        {
-            let cache = self.compiled.lock().unwrap_or_else(PoisonError::into_inner);
-            if let Some(hit) = cache.get(&key) {
-                return Ok(Arc::clone(hit));
-            }
-        }
-        let workload = self.workload(trace);
-        let subs = phase(&self.cold, "cold.subscriptions", || {
-            workload.subscriptions_threads(quality, self.threads)
-        })?;
-        let compiled = Arc::new(phase(&self.cold, "cold.compile", || {
-            CompiledTrace::compile_threads(workload, &subs, self.threads)
-        })?);
-        let mut cache = self.compiled.lock().unwrap_or_else(PoisonError::into_inner);
-        Ok(Arc::clone(cache.entry(key).or_insert(compiled)))
+        self.resolve(&SourceKey {
+            quality,
+            ..self.base(trace)
+        })
     }
 
     /// The shared per-proxy fetch costs.
@@ -197,10 +243,9 @@ impl ExperimentContext {
     }
 
     /// A snapshot of the cold-path phase timings recorded so far:
-    /// `cold.generate.*` from construction, plus one
-    /// `cold.subscriptions` / `cold.compile` span per compiled-cache
-    /// miss, as the one `cold` track of a [`TraceLog`]. Audits lead their
-    /// timing report with it.
+    /// `cold.generate.*` and `cold.costs` from construction, then the
+    /// spans of every source built since, as the one `cold` track of a
+    /// [`TraceLog`]. Audits lead their timing report with it.
     pub fn cold_timing(&self) -> TraceLog {
         let mut log = TraceLog::new();
         for track in self.cold.snapshot().tracks() {
@@ -229,9 +274,12 @@ mod tests {
         let ctx = ExperimentContext::scaled(0.005, 0, TraceSink::disabled()).unwrap();
         assert_eq!(ctx.workload(Trace::News).server_count(), 100);
         assert_eq!(ctx.costs().server_count(), 100);
-        assert!(ctx.subscriptions(Trace::News, 1.0).is_ok());
-        assert!(ctx.subscriptions(Trace::Alternative, 0.5).is_ok());
-        assert!(ctx.subscriptions(Trace::News, 0.0).is_err());
+        let at = |quality| SourceKey {
+            quality,
+            ..ctx.base(Trace::News)
+        };
+        assert!(ctx.generate(&at(0.5)).is_ok());
+        assert!(ctx.generate(&at(0.0)).is_err());
         assert_eq!(Trace::News.name(), "NEWS");
         assert_eq!(Trace::Alternative.alpha(), 1.0);
         assert_eq!(ctx.threads(), 0);
@@ -254,18 +302,40 @@ mod tests {
         // A cache hit re-derives nothing, so it times nothing.
         ctx.compiled(Trace::News, 1.0).unwrap();
         assert_eq!(ctx.cold_timing().span_count(), after.len());
+        // A regenerated workload times its generation too.
+        ctx.resolve(&SourceKey {
+            shift: 0.0,
+            ..ctx.base(Trace::News)
+        })
+        .unwrap();
+        let regenerated = labels(&ctx.cold_timing());
+        assert_eq!(regenerated.len(), after.len() + 3);
+        assert_eq!(regenerated[after.len()], "cold.generate.news");
     }
 
     #[test]
-    fn compiled_traces_are_cached_per_trace_and_quality() {
+    fn only_the_base_sources_are_cached() {
         let ctx = ExperimentContext::scaled(0.003, 0, TraceSink::disabled()).unwrap();
         let a = ctx.compiled(Trace::News, 1.0).unwrap();
-        let b = ctx.compiled(Trace::News, 1.0).unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "same key must hit the cache");
+        let b = ctx.resolve(&ctx.base(Trace::News)).unwrap();
+        assert!(Arc::ptr_eq(&a, &b), "the base key must hit the cache");
         let c = ctx.compiled(Trace::News, 0.5).unwrap();
-        assert!(!Arc::ptr_eq(&a, &c), "different quality is a new entry");
+        let again = ctx.compiled(Trace::News, 0.5).unwrap();
+        assert!(
+            !Arc::ptr_eq(&c, &again),
+            "another quality is rebuilt per call"
+        );
+        assert_eq!(c, again);
+        assert_ne!(a, c);
         let d = ctx.compiled(Trace::Alternative, 1.0).unwrap();
         assert!(!Arc::ptr_eq(&a, &d), "different trace is a new entry");
+        let reseeded = SourceKey {
+            seed: 1,
+            ..ctx.base(Trace::News)
+        };
+        let (workload, _) = ctx.generate(&reseeded).unwrap();
+        assert_eq!(workload.config().seed, 1);
+        assert_ne!(*ctx.resolve(&reseeded).unwrap(), *a);
         assert_eq!(
             a.meta().server_count(),
             ctx.workload(Trace::News).server_count()

@@ -3,9 +3,10 @@
 //!
 //! Each grid exhibit is one [`Exhibit`] value: title, traces, one axis,
 //! a strategy lineup, a metric projection and the layout quirks of its
-//! printed bytes. [`Exhibit::run`] replays it
-//! into an [`ExhibitTable`], which prints as text (`Display`) and CSV
-//! ([`ToCsv`]). The `repro` name of each exhibit:
+//! printed bytes. A [`Plan`] replays the cells of several exhibits, each
+//! distinct one once, and projects each exhibit into an [`ExhibitTable`],
+//! which prints as text (`Display`) and CSV ([`ToCsv`]); [`Exhibit::run`]
+//! is the plan of one exhibit. The `repro` name of each exhibit:
 //!
 //! | `repro` | Spec | What it shows |
 //! |---|---|---|
@@ -22,12 +23,13 @@
 //! | `coverage` | [`Exhibit::coverage`] | partial notification coverage |
 //! | `crash` | [`Exhibit::crash`] | recovery after a fleet-wide proxy restart |
 //! | `invalidation` | [`Exhibit::invalidation`] | the stale-version freshness tax |
-//! | `variance` | [`VarianceStudy`] | headline numbers across workload seeds |
-//! | `shift` | [`ShiftSensitivity`] | the Zipf–Mandelbrot shift calibration |
+//! | `variance` | [`Exhibit::variance`] | headline numbers across workload seeds |
+//! | `shift` | [`Exhibit::shift`] | the Zipf–Mandelbrot shift calibration |
 //!
-//! [`ExperimentContext`] generates the two traces and the topology once;
-//! each exhibit replays its cells as one [`Replay`](pscd_sim::Replay)
-//! lineup per compiled trace, across cores; [`ObsAudit`]
+//! [`ExperimentContext`] generates the two traces and the topology once,
+//! and its resolver builds every other source a plan names; a plan
+//! replays its cells as one [`Replay`](pscd_sim::Replay) lineup per
+//! source, across cores; [`ObsAudit`]
 //! replays a lineup with observers (`repro --obs-dir`). The `repro`
 //! binary (`cargo run --release --bin repro -- all`) regenerates
 //! everything.
@@ -54,18 +56,16 @@ mod context;
 mod csv;
 mod error;
 mod exhibit;
-mod shift;
+mod plan;
 mod table;
-mod variance;
 
 pub use audit::{AuditRow, ObsAudit};
-pub use context::{ExperimentContext, Trace, BETAS, CAPACITIES, PAPER_BETA, QUALITIES};
+pub use context::{ExperimentContext, SourceKey, Trace, BETAS, CAPACITIES, PAPER_BETA, QUALITIES};
 pub use csv::ToCsv;
 pub use error::ExperimentError;
 pub use exhibit::{
     Exhibit, ExhibitTable, Fig3, Fig4, Fig5, Fig6, Fig7, Table2, COVERAGES, CRASH_HOUR, LAP_BOUNDS,
-    PC_FRACTIONS,
+    PC_FRACTIONS, SHIFTS,
 };
-pub use shift::{ShiftSensitivity, SHIFTS};
+pub use plan::Plan;
 pub use table::{pct, signed_pct, TextTable};
-pub use variance::{MeanSd, VarianceStudy};
