@@ -23,6 +23,8 @@
 //!
 //!   and re-derive the verdicts in the file's hand-written head.
 //!
+//! - Alone, each exhibit prints its section of the scale-0.003 pin.
+//!
 //! A change that moves a rendered byte on purpose regenerates the pin it
 //! moves and says why.
 
@@ -37,19 +39,42 @@ const EXPERIMENTS_MD: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../EXPERIM
 const MARKER: &str =
     "\n<!-- below: repro all (full scale), byte for byte; regenerate, never edit -->\n";
 
-/// `repro all` with `args`; its stdout, or a panic with its stderr.
-fn repro_all(args: &[&str]) -> Vec<u8> {
+/// Every exhibit's `repro` name, in `repro all` order.
+const EXHIBITS: [&str; 15] = [
+    "beta",
+    "fig3",
+    "fig4",
+    "table2",
+    "fig5",
+    "fig6",
+    "fig7",
+    "classic",
+    "lap-bounds",
+    "partition",
+    "coverage",
+    "crash",
+    "invalidation",
+    "variance",
+    "shift",
+];
+
+/// `repro` with `args`; its stdout, or a panic with its stderr.
+fn repro(args: &[&str]) -> Vec<u8> {
     let run = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .arg("all")
         .args(args)
         .output()
         .unwrap();
     assert!(
         run.status.success(),
-        "repro all failed: {}",
+        "repro {args:?} failed: {}",
         String::from_utf8_lossy(&run.stderr)
     );
     run.stdout
+}
+
+/// `repro all` with `args`.
+fn repro_all(args: &[&str]) -> Vec<u8> {
+    repro(&[&["all"], args].concat())
 }
 
 fn csv_names(dir: &Path) -> BTreeSet<String> {
@@ -88,6 +113,26 @@ fn repro_all_matches_the_pinned_stdout_and_csvs() {
         );
     }
     fs::remove_dir_all(&out).unwrap();
+}
+
+/// An exhibit prints the same bytes whether its plan holds only its own
+/// cells or every exhibit's.
+#[test]
+fn each_exhibit_alone_prints_its_section_of_repro_all() {
+    let all = fs::read_to_string(Path::new(GOLDEN).join("stdout.txt")).unwrap();
+    let mut starts: Vec<usize> = all.match_indices("\n## ").map(|(i, _)| i + 1).collect();
+    starts.insert(0, 0);
+    starts.push(all.len());
+    assert_eq!(starts.len(), EXHIBITS.len() + 1, "one section per exhibit");
+    for (name, bounds) in EXHIBITS.iter().zip(starts.windows(2)) {
+        let want = &all[bounds[0]..bounds[1]];
+        let got = repro(&[name, "--scale", "0.003", "--threads", "2"]);
+        assert!(
+            got == want.as_bytes(),
+            "repro {name} differs from its section of tests/golden/stdout.txt:\n{}",
+            String::from_utf8_lossy(&got)
+        );
+    }
 }
 
 #[test]

@@ -79,7 +79,7 @@ fn sub_trails_gdstar_only_at_one_percent_on_news() {
 
 #[test]
 #[ignore = "full-scale run; use cargo test --release -- --ignored"]
-fn dclap_leads_the_dual_family_at_every_capacity() {
+fn dclap_beats_dm_at_every_capacity() {
     let ctx = ExperimentContext::scaled(1.0, 0, TraceSink::disabled()).unwrap();
     let fig = Fig3::run(&ctx).unwrap();
     for trace in [Trace::News, Trace::Alternative] {
