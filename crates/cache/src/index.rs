@@ -48,16 +48,16 @@ pub struct PageUniverse {
 impl PageUniverse {
     /// The universe of pages `0..n` with the given sizes, in ordinal order.
     pub fn new(sizes: impl IntoIterator<Item = Bytes>) -> Self {
-        let mut ascending: Vec<u64> = sizes.into_iter().map(Bytes::as_u64).collect();
-        ascending.sort_unstable();
+        let mut scratch: Vec<u64> = sizes.into_iter().map(Bytes::as_u64).collect();
+        let mut ascending: Arc<[u64]> = Arc::from(&scratch[..]);
+        let sizes = Arc::get_mut(&mut ascending).expect("not shared yet");
+        radix_sort(sizes, &mut scratch);
         let mut total = 0u64;
-        for size in &mut ascending {
+        for size in sizes {
             total = total.saturating_add(*size);
             *size = total;
         }
-        Self {
-            ascending: ascending.into(),
-        }
+        Self { ascending }
     }
 
     /// Number of page ordinals (`0` for the default, unsized universe).
@@ -73,6 +73,53 @@ impl PageUniverse {
             .partition_point(|&total| total <= capacity.as_u64())
     }
 }
+
+/// Sorts `keys` ascending through `scratch`, a buffer of the same
+/// length: a least-significant-digit radix sort over digits of at most
+/// [`RADIX_BITS`] bits, as few as the widest key needs (paper-scale page
+/// sizes take two), so it costs a few linear passes where a comparison
+/// sort of a paper-scale universe costs milliseconds.
+fn radix_sort(keys: &mut [u64], scratch: &mut [u64]) {
+    let bits = 64 - keys.iter().fold(0, |all, &key| all | key).leading_zeros();
+    let passes = bits.div_ceil(RADIX_BITS);
+    if passes == 0 {
+        return;
+    }
+    let width = bits.div_ceil(passes);
+    let digit = |key: u64, pass: u32| ((key >> (pass * width)) & ((1 << width) - 1)) as usize;
+    // Every pass's histogram, taken in one read of the keys.
+    let mut counts = vec![0usize; (passes as usize) << width];
+    for &key in keys.iter() {
+        for pass in 0..passes {
+            counts[(pass as usize) << width | digit(key, pass)] += 1;
+        }
+    }
+    let (mut from, mut to) = (&mut *keys, &mut *scratch);
+    let mut in_scratch = false;
+    for (pass, count) in (0..passes).zip(counts.chunks_exact_mut(1 << width)) {
+        if count.contains(&from.len()) {
+            continue;
+        }
+        let mut start = 0;
+        for slot in count.iter_mut() {
+            (*slot, start) = (start, start + *slot);
+        }
+        for &key in from.iter() {
+            let slot = &mut count[digit(key, pass)];
+            to[*slot] = key;
+            *slot += 1;
+        }
+        (from, to) = (to, from);
+        in_scratch = !in_scratch;
+    }
+    if in_scratch {
+        to.copy_from_slice(from);
+    }
+}
+
+/// The widest digit [`radix_sort`] takes: two passes sort keys below
+/// 2^26 (64 MiB pages), and a pass's 8192 counts stay in cache.
+const RADIX_BITS: u32 = 13;
 
 /// One table slot: a page and its owner's handle for it (a store's heap
 /// record, a count map's row) plus one; a zero `at` marks the slot empty.
@@ -284,6 +331,43 @@ mod tests {
         );
         let huge = PageUniverse::new([u64::MAX, u64::MAX].map(Bytes::new));
         assert_eq!(huge.resident_bound(Bytes::new(u64::MAX)), 2);
+    }
+
+    proptest::proptest! {
+        /// The radix-sorted prefix sums are the ones a comparison sort
+        /// gives, so every bound is too: over empty lists, repeated sizes
+        /// and sizes near `u64::MAX`, whose sums saturate.
+        #[test]
+        fn the_radix_sort_bounds_as_a_comparison_sort_does(
+            sizes in proptest::collection::vec(
+                proptest::prop_oneof![
+                    0u64..4,
+                    0u64..1 << 20,
+                    0..=u64::MAX,
+                    (u64::MAX - 8)..=u64::MAX,
+                ],
+                0..300,
+            ),
+            extra in proptest::collection::vec(0..=u64::MAX, 0..8),
+        ) {
+            let mut sorted = sizes.clone();
+            sorted.sort_unstable();
+            let mut total = 0u64;
+            let want: Vec<u64> = sorted
+                .iter()
+                .map(|&size| {
+                    total = total.saturating_add(size);
+                    total
+                })
+                .collect();
+            let universe = PageUniverse::new(sizes.iter().copied().map(Bytes::new));
+            proptest::prop_assert_eq!(&universe.ascending[..], &want[..]);
+            let edges = want.iter().flat_map(|&t| [t.saturating_sub(1), t, t.saturating_add(1)]);
+            for capacity in edges.chain([0, u64::MAX]).chain(extra) {
+                let bound = want.partition_point(|&total| total <= capacity);
+                proptest::prop_assert_eq!(universe.resident_bound(Bytes::new(capacity)), bound);
+            }
+        }
     }
 
     /// Indexes `page` at `pos` the way an owner does: regrowing a full

@@ -33,6 +33,7 @@
 
 use std::fs;
 use std::ops::Range;
+use std::path::Path;
 use std::sync::Arc;
 use std::thread;
 
@@ -50,9 +51,12 @@ use crate::config::{ServiceConfig, ServiceError};
 use crate::journal::Journal;
 use crate::kept::{Content, ShardMatching};
 use crate::wire::{
-    decode_snapshot_file, put_snapshot_fleet, put_snapshot_head, ServerRecords, SnapshotState,
+    decode_snapshot_file, put_snapshot_fleet, put_snapshot_rows, restamp_snapshot_rows,
+    ServerRecords, SnapshotState,
 };
-use crate::worker::{build_shard, finish, join, leave, shard_window, Shard, ToWorker, Worker};
+use crate::worker::{
+    build_shard, finish, join, leave, shard_window, Shard, Starting, ToWorker, Worker,
+};
 
 const JOURNAL_FILE: &str = "journal.bin";
 pub(crate) const SNAPSHOT_FILE: &str = "snapshot.bin";
@@ -103,6 +107,10 @@ pub struct ServiceCore {
     /// The last snapshot file's bytes, kept so the next one is encoded
     /// into storage that is already there.
     snapshot_buf: Vec<u8>,
+    /// Where `snapshot_buf`'s subscription rows end while they are the
+    /// live counts' — the next snapshot keeps them and re-encodes only
+    /// what follows; `None` once a subscribe changed the counts.
+    rows_end: Option<usize>,
     events_applied: u64,
     last_snapshot: u64,
     /// Optional content-based matcher, shared with the shards each batch
@@ -126,22 +134,19 @@ impl ServiceCore {
     /// to resume from persisted state instead.
     pub fn new(config: ServiceConfig) -> Result<Self, ServiceError> {
         let costs = config.checked_costs()?;
-        let journal = match &config.dir {
-            Some(dir) => {
-                fs::create_dir_all(dir)?;
-                Some(Journal::create(&dir.join(JOURNAL_FILE))?)
-            }
-            None => None,
-        };
+        let journal = config.dir.as_deref().map(fresh_journal).transpose()?;
         let fresh = SnapshotState::fresh(config.pages.len());
-        Self::start(config, costs, fresh, journal)
+        let (core, ()) = Self::start(config, costs, fresh, journal, || Ok(()))?;
+        Ok(core)
     }
 
     /// Rebuilds a crashed service from its persistence directory: the
     /// last snapshot (if any) restores the fleet, then the journal's
     /// suffix replays through the ordinary ingest path. Converges to the
     /// exact state of a service that never crashed, because resolution
-    /// and apply are deterministic functions of the event sequence.
+    /// and apply are deterministic functions of the event sequence. A
+    /// directory with neither file (or none at all) recovers a fresh
+    /// service, journal created as [`ServiceCore::new`] creates it.
     pub fn recover(config: ServiceConfig) -> Result<Self, ServiceError> {
         let costs = config.checked_costs()?;
         let dir = config.dir.clone().ok_or(ServiceError::Config {
@@ -157,9 +162,10 @@ impl ServiceCore {
             Err(e) => return Err(e.into()),
         };
         // The snapshot covers the journal's first `events_applied`
-        // records: they are walked, not decoded.
-        let (events, end) = Journal::read_from(&journal_path, state.events_applied)?;
-        let mut core = Self::start(config, costs, state, None)?;
+        // records: they are walked, not decoded, while the workers restore.
+        let covered = state.events_applied;
+        let read = || Journal::read_from(&journal_path, covered);
+        let (mut core, (events, end)) = Self::start(config, costs, state, None, read)?;
         // Replay the journal suffix without re-journaling and without
         // taking cadence snapshots (the journal already covers it).
         for ev in &events {
@@ -170,19 +176,24 @@ impl ServiceCore {
             }
         }
         core.flush()?;
-        core.journal = Some(Journal::open_append(&journal_path, end)?);
+        core.journal = Some(match end {
+            // No journal: the snapshot, if any, covers no records.
+            0 => fresh_journal(&dir)?,
+            _ => Journal::open_append(&journal_path, end)?,
+        });
         Ok(core)
     }
 
     /// The service resuming from `state`: the fleet is cut for count-row
-    /// mode, shard 0 is built here, and a worker is spawned for each later
-    /// shard.
-    fn start(
+    /// mode, a worker is spawned for each later shard, and shard 0 is
+    /// built and `beside` run here while the workers build theirs.
+    fn start<T>(
         config: ServiceConfig,
         costs: FetchCosts,
         state: SnapshotState,
         journal: Option<Journal>,
-    ) -> Result<Self, ServiceError> {
+        beside: impl FnOnce() -> Result<T, ServiceError>,
+    ) -> Result<(Self, T), ServiceError> {
         let servers = config.server_count();
         let shards = shard_count(config.workers, servers, ReplaySite::Compiled, 1);
         let ranges = cut(servers, shards, true);
@@ -193,6 +204,11 @@ impl ServiceCore {
         let restore = state.restore.map(Arc::new);
         let hourly = restore.as_ref().map(|r| r.hourly.clone());
         let universe = PageUniverse::new(config.pages.iter().map(PageMeta::size));
+        let workers = ranges[1..].iter().enumerate().map(|(i, range)| {
+            let restore = restore.clone();
+            Worker::spawn(i + 1, &config, &costs, &universe, range.clone(), restore)
+        });
+        let workers: Vec<Starting> = workers.collect::<Result<_, _>>()?;
         let shard = build_shard(
             &config,
             &costs,
@@ -201,11 +217,8 @@ impl ServiceCore {
             restore.as_deref(),
             hourly,
         )?;
-        let workers = ranges[1..].iter().enumerate().map(|(i, range)| {
-            let restore = restore.clone();
-            Worker::spawn(i + 1, &config, &costs, &universe, range.clone(), restore)
-        });
-        let workers: Vec<Worker> = workers.collect::<Result<_, _>>()?;
+        drop(restore);
+        let beside = beside()?;
         // One publish fans out to at most the whole fleet, so this bounds
         // the batch's pair table — the same worst-case-dense sizing the
         // replay's eviction scratch uses, which is what keeps the ingest
@@ -221,7 +234,9 @@ impl ServiceCore {
                 .map(|_| Arc::new(window()))
                 .collect(),
         };
-        Ok(Self {
+        let workers = workers.into_iter().map(Starting::ready);
+        let workers = workers.collect::<Result<_, _>>()?;
+        let core = Self {
             counts: state.counts,
             heads: state.heads,
             costs,
@@ -233,12 +248,14 @@ impl ServiceCore {
             ring,
             next: 0,
             snapshot_buf: Vec::new(),
+            rows_end: None,
             events_applied: state.events_applied,
             last_snapshot: state.events_applied,
             content: None,
             matching: None,
             config,
-        })
+        };
+        Ok((core, beside))
     }
 
     /// Total events accepted so far (journal offset of the next event).
@@ -480,6 +497,7 @@ impl ServiceCore {
                 // dispatched: every publish resolved before this point
                 // already copied its fan-out out of the counts.
                 self.counts.set(page, server, count);
+                self.rows_end = None;
             }
             LiveEvent::Publish { time, page } => {
                 let meta = &self.config.pages[page.as_usize()];
@@ -637,13 +655,20 @@ impl ServiceCore {
         })?;
         self.flush()?;
         // The workers encode their ranges while the supervisor encodes
-        // what precedes them in the file.
+        // what precedes them in the file and shard 0's.
         self.send_all(|| ToWorker::Snapshot)?;
         let out = &mut self.snapshot_buf;
-        put_snapshot_head(out, self.events_applied, &self.counts, &self.heads);
-        let snaps = self.workers.iter_mut().map(Worker::snapshot);
-        let snaps = snaps.collect::<Result<Vec<_>, _>>()?;
-        put_snapshot_fleet(out, self.config.server_count(), &self.shard, &snaps);
+        match self.rows_end {
+            Some(rows_end) => restamp_snapshot_rows(out, rows_end, self.events_applied),
+            None => {
+                put_snapshot_rows(out, self.events_applied, &self.counts);
+                self.rows_end = Some(out.len());
+            }
+        }
+        let workers = &mut self.workers;
+        let snaps = || workers.iter_mut().map(Worker::snapshot).collect();
+        let servers = self.config.server_count();
+        put_snapshot_fleet(out, &self.heads, servers, &self.shard, snaps)?;
         let tmp = dir.join(format!("{SNAPSHOT_FILE}.tmp"));
         fs::write(&tmp, &*out)?;
         fs::rename(&tmp, dir.join(SNAPSHOT_FILE))?;
@@ -675,6 +700,12 @@ impl ServiceCore {
         }
         Ok(ServiceOutcome { result, proxies })
     }
+}
+
+/// A fresh journal in `dir`, made first if need be.
+fn fresh_journal(dir: &Path) -> Result<Journal, ServiceError> {
+    fs::create_dir_all(dir)?;
+    Journal::create(&dir.join(JOURNAL_FILE))
 }
 
 /// Lazy refreeze: a burst of content calls since the last resolved event

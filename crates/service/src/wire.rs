@@ -5,13 +5,13 @@
 //! decodes identically in another — the property the crash-recovery
 //! tests depend on.
 //!
-//! A snapshot file (`PSCDSNP1`) is the journal offset it covers, the
-//! subscription counts page by page (each row's servers ascending, no
-//! count zero), the version heads, the fleet's merged hourly series,
-//! the fleet size, then per server in order its accounting and its
-//! strategy's blob behind the blob's length.
+//! A snapshot file (`PSCDSNP1`) is the number of journal records it
+//! covers, the page count, the subscription counts page by page (each
+//! row's servers ascending, no count zero), the version heads, the
+//! fleet's merged hourly series, the fleet size, then per server in
+//! order its accounting and its strategy's blob behind the blob's
+//! length.
 
-use std::borrow::Cow;
 use std::ops::Range;
 
 use pscd_broker::Traffic;
@@ -20,9 +20,7 @@ use pscd_cache::{SnapshotError, SnapshotReader};
 use pscd_obs::Observer;
 use pscd_sim::resolve::VersionHeads;
 use pscd_sim::{HourlySeries, ReplayState};
-use pscd_types::{
-    Bytes, LiveEvent, PageId, ServerId, SimTime, SubscriptionTable, SubscriptionTableBuilder,
-};
+use pscd_types::{Bytes, LiveEvent, PageId, ServerId, SimTime, SubscriptionTable};
 
 use crate::config::{ServiceConfig, ServiceError};
 
@@ -90,31 +88,32 @@ pub(crate) fn read_event(r: &mut SnapshotReader<'_>) -> Result<LiveEvent, Snapsh
     }
 }
 
-/// Steps over one journal record without materializing it: the tag is
-/// checked and the record must be whole, nothing more — what
-/// [`read_event`] would consume, by the tag's fixed payload length.
-pub(crate) fn skip_event(r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-    let payload = match r.read_u8()? {
-        TAG_SUBSCRIBE => 4 + 2 + 4,
-        TAG_PUBLISH => 8 + 4,
-        TAG_REQUEST => 8 + 2 + 4,
-        _ => return Err(SnapshotError::Corrupt("unknown journal record tag")),
-    };
-    r.read_bytes(payload).map(|_| ())
+/// The longest journal record, tag included.
+pub(crate) const MAX_RECORD_LEN: usize = 1 + 8 + 2 + 4;
+
+/// The length of a journal record whose tag is `tag`, tag included —
+/// what [`read_event`] consumes; `None` for an unknown tag.
+pub(crate) fn record_len(tag: u8) -> Option<usize> {
+    match tag {
+        TAG_SUBSCRIBE => Some(1 + 4 + 2 + 4),
+        TAG_PUBLISH => Some(1 + 8 + 4),
+        TAG_REQUEST => Some(MAX_RECORD_LEN),
+        _ => None,
+    }
 }
 
-/// Starts a snapshot file in `out` (cleared first): the sections before
-/// the fleet's.
-pub(crate) fn put_snapshot_head(
+/// Starts a snapshot file in `out` (cleared first): the header and the
+/// subscription rows. Only a subscribe changes the rows, so a later
+/// snapshot keeps them ([`restamp_snapshot_rows`]) until one does.
+pub(crate) fn put_snapshot_rows(
     out: &mut Vec<u8>,
     events_applied: u64,
     counts: &SubscriptionTable,
-    heads: &VersionHeads,
 ) {
     out.clear();
     out.extend_from_slice(SNAPSHOT_MAGIC);
     put_u64(out, events_applied);
-    put_u32(out, heads.page_count() as u32);
+    put_u32(out, counts.page_count() as u32);
     for page in (0..counts.page_count() as u32).map(PageId::new) {
         let row = counts.matched_servers(page);
         put_u32(out, row.len() as u32);
@@ -123,9 +122,14 @@ pub(crate) fn put_snapshot_head(
             put_u32(out, count);
         }
     }
-    for latest in heads.heads() {
-        put_u32(out, latest.map_or(u32::MAX, PageId::index));
-    }
+}
+
+/// Cuts the snapshot file in `out` back to its first `rows_end` bytes —
+/// the header and rows [`put_snapshot_rows`] wrote — and stamps it as
+/// covering `events_applied` journal records.
+pub(crate) fn restamp_snapshot_rows(out: &mut Vec<u8>, rows_end: usize, events_applied: u64) {
+    out.truncate(rows_end);
+    out[SNAPSHOT_MAGIC.len()..][..8].copy_from_slice(&events_applied.to_le_bytes());
 }
 
 /// What a worker's shard contributes to a snapshot: its hourly series and
@@ -144,25 +148,44 @@ pub(crate) fn shard_snap<O: Observer>(shard: &ReplayState<O>) -> ShardSnap {
     ShardSnap { hourly, servers }
 }
 
-/// Ends a snapshot file with a fleet of `server_count` proxies: shard 0,
-/// encoded straight into `out`, then the workers' shards as they sent
-/// them, in order.
+/// Ends a snapshot file whose rows are in `out`: the version `heads`,
+/// then a fleet of `server_count` proxies — shard 0's encoded straight
+/// into `out`, then the shards the `workers` send, in order. The workers
+/// are waited for only once shard 0 is encoded; the fleet's hourly
+/// series, which merges theirs, is written where shard 0's held its
+/// place (the series has a fixed length).
 pub(crate) fn put_snapshot_fleet<O: Observer>(
     out: &mut Vec<u8>,
+    heads: &VersionHeads,
     server_count: u16,
     shard: &ReplayState<O>,
-    workers: &[ShardSnap],
-) {
-    let mut hourly = Cow::Borrowed(shard.hourly());
-    for worker in workers {
-        hourly.to_mut().absorb(&worker.hourly);
+    workers: impl FnOnce() -> Result<Vec<ShardSnap>, ServiceError>,
+) -> Result<(), ServiceError> {
+    // Sized once, then filled: the section is a word per page.
+    let at = out.len();
+    out.resize(at + 4 * heads.page_count(), 0);
+    for (word, latest) in out[at..].chunks_exact_mut(4).zip(heads.heads()) {
+        word.copy_from_slice(&latest.map_or(u32::MAX, PageId::index).to_le_bytes());
     }
-    put_hourly(out, &hourly);
+    let hourly_at = out.len();
+    put_hourly(out, shard.hourly());
     put_u16(out, server_count);
     encode_servers(shard, shard.servers(), out);
-    for worker in workers {
+    let workers = workers()?;
+    if !workers.is_empty() {
+        let mut hourly = shard.hourly().clone();
+        for worker in &workers {
+            hourly.absorb(&worker.hourly);
+        }
+        let words = out[hourly_at + 4..].chunks_exact_mut(8);
+        for (word, v) in words.zip(hourly_words(&hourly)) {
+            word.copy_from_slice(&v.to_le_bytes());
+        }
+    }
+    for worker in &workers {
         out.extend_from_slice(&worker.servers);
     }
+    Ok(())
 }
 
 /// Appends the shard's servers `range` to a snapshot file, in order: each
@@ -192,19 +215,25 @@ pub(crate) fn encode_servers<O: Observer>(
     }
 }
 
-fn put_hourly(out: &mut Vec<u8>, hourly: &HourlySeries) {
-    put_u32(out, hourly.hours() as u32);
-    for series in [
+/// The series' buckets in file order, behind the hour count.
+fn hourly_words(hourly: &HourlySeries) -> impl Iterator<Item = u64> + '_ {
+    [
         &hourly.hits,
         &hourly.requests,
         &hourly.pushed_pages,
         &hourly.pushed_bytes,
         &hourly.fetched_pages,
         &hourly.fetched_bytes,
-    ] {
-        for &v in series {
-            put_u64(out, v);
-        }
+    ]
+    .into_iter()
+    .flatten()
+    .copied()
+}
+
+fn put_hourly(out: &mut Vec<u8>, hourly: &HourlySeries) {
+    put_u32(out, hourly.hours() as u32);
+    for v in hourly_words(hourly) {
+        put_u64(out, v);
     }
 }
 
@@ -365,25 +394,28 @@ pub(crate) fn decode_snapshot_file(
     // proxy at most once, in ascending order, and never a zero count
     // (which would offer a publish to a proxy with no subscription).
     let fleet = config.server_count();
-    let mut counts = SubscriptionTableBuilder::new(page_count);
-    for page in (0..page_count as u32).map(PageId::new) {
+    let mut rows = Vec::with_capacity(page_count);
+    for _ in 0..page_count {
         let len = r.read_u32()? as usize;
         if len > fleet as usize {
             return Err(ServiceError::CorruptFile("snapshot row length"));
         }
-        let mut last = None;
+        // Grown as a live subscribe grows a row, not allocated at its
+        // length: rows of exact sizes, freed with the service, left the
+        // allocator holding megabytes more after each later lifetime.
+        let mut row: Vec<(ServerId, u32)> = Vec::new();
         for _ in 0..len {
             let server = r.read_u16()?;
-            if last.is_some_and(|last| last >= server) || server >= fleet {
+            if row.last().is_some_and(|&(last, _)| last.index() >= server) || server >= fleet {
                 return Err(ServiceError::CorruptFile("snapshot row servers"));
             }
-            last = Some(server);
             let count = r.read_u32()?;
             if count == 0 {
                 return Err(ServiceError::CorruptFile("snapshot row count"));
             }
-            counts.add(page, ServerId::new(server), count);
+            row.push((ServerId::new(server), count));
         }
+        rows.push(row);
     }
     let mut heads = Vec::with_capacity(page_count);
     for _ in 0..page_count {
@@ -406,7 +438,7 @@ pub(crate) fn decode_snapshot_file(
     }
     Ok(SnapshotState {
         events_applied,
-        counts: counts.build(),
+        counts: SubscriptionTable::from_rows(rows),
         heads: VersionHeads::from_heads(heads),
         restore: Some(FleetRestore {
             servers: ServerRecords { file, servers },
@@ -458,12 +490,11 @@ mod tests {
         let buf = [9u8];
         let mut r = SnapshotReader::new(&buf);
         assert!(matches!(read_event(&mut r), Err(SnapshotError::Corrupt(_))));
-        let mut r = SnapshotReader::new(&buf);
-        assert!(matches!(skip_event(&mut r), Err(SnapshotError::Corrupt(_))));
+        assert_eq!(record_len(9), None);
     }
 
     #[test]
-    fn skipping_a_record_consumes_what_reading_it_does() {
+    fn a_record_is_as_long_as_reading_it_consumes() {
         let events = [
             LiveEvent::Subscribe {
                 page: PageId::new(7),
@@ -486,14 +517,14 @@ mod tests {
             // A following record, so that over-reading would not show as
             // truncation.
             put_event(&mut buf, &events[0]);
-            let (mut read, mut skipped) = (SnapshotReader::new(&buf), SnapshotReader::new(&buf));
+            let mut read = SnapshotReader::new(&buf);
             read_event(&mut read).unwrap();
-            skip_event(&mut skipped).unwrap();
-            assert_eq!(skipped.position(), read.position(), "{ev:?}");
-            // Cut anywhere inside the record, both call it truncated.
+            assert_eq!(record_len(buf[0]), Some(read.position()), "{ev:?}");
+            assert!(read.position() <= MAX_RECORD_LEN);
+            // Cut anywhere inside the record, reading it is truncated.
             for cut in 0..read.position() {
                 let mut r = SnapshotReader::new(&buf[..cut]);
-                let err = skip_event(&mut r);
+                let err = read_event(&mut r);
                 assert!(matches!(err, Err(SnapshotError::Truncated { .. })), "{cut}");
             }
         }

@@ -332,9 +332,31 @@ pub(crate) struct Worker {
     panic: String,
 }
 
+/// A worker whose thread is building its shard: [`Starting::ready`]
+/// waits for it.
+#[derive(Debug)]
+pub(crate) struct Starting {
+    worker: Worker,
+    ready: Receiver<()>,
+}
+
+impl Starting {
+    /// The worker, once its shard is built and restored.
+    ///
+    /// # Errors
+    ///
+    /// The restore error or panic that ended the thread first.
+    pub(crate) fn ready(mut self) -> Result<Worker, ServiceError> {
+        match self.ready.recv() {
+            Ok(()) => Ok(self.worker),
+            Err(_) => Err(self.worker.stopped()),
+        }
+    }
+}
+
 impl Worker {
     /// Spawns the worker for shard `shard`, owning servers `range` and
-    /// restored from `restore` before it takes a batch.
+    /// restored from `restore` on its own thread before it takes a batch.
     pub(crate) fn spawn(
         shard: usize,
         config: &ServiceConfig,
@@ -342,7 +364,7 @@ impl Worker {
         universe: &PageUniverse,
         range: Range<u16>,
         restore: Option<Arc<FleetRestore>>,
-    ) -> Result<Self, ServiceError> {
+    ) -> Result<Starting, ServiceError> {
         let inbox = Arc::new(Inbox::new());
         let closer = Closer {
             inbox: Arc::clone(&inbox),
@@ -358,21 +380,18 @@ impl Worker {
                 let state =
                     build_shard(&config, &costs, &universe, range, restore.as_deref(), None)?;
                 drop(restore);
-                ready_tx.send(()).expect("spawn waits for it");
+                // A service whose start failed no longer waits.
+                let _ = ready_tx.send(());
                 Ok(run(state, &config, &costs, &mut closer, &reply_tx))
             })?;
-        let mut worker = Self {
+        let worker = Self {
             shard,
             inbox,
             replies,
             thread: Some(thread),
             panic: String::new(),
         };
-        // A restore error or a panic ends the thread before it is ready.
-        match ready.recv() {
-            Ok(()) => Ok(worker),
-            Err(_) => Err(worker.stopped()),
-        }
+        Ok(Starting { worker, ready })
     }
 
     /// Fails once the worker is dead: joined (its end is its panic), or

@@ -642,6 +642,82 @@ fn recover_with_a_snapshot_equals_recover_without_one() {
     }
 }
 
+/// A snapshot keeps the last one's subscription rows only until a
+/// subscribe changes them. Service A snapshots mid-stream, takes a live
+/// subscribe and more events, and snapshots again; service B takes the
+/// same events and snapshots once. The two last files must be the same
+/// bytes, on the inline fleet and beside a worker.
+#[test]
+fn a_subscribe_between_snapshots_rewrites_the_row_section() {
+    let f = fixture();
+    let kind = StrategyKind::Sg2 { beta: 2.0 };
+    let k = f.events.len() / 2;
+    let subscribe = LiveEvent::Subscribe {
+        page: pscd_types::PageId::new(0),
+        server: ServerId::new(0),
+        count: 1_234,
+    };
+    let after: Vec<LiveEvent> = std::iter::once(subscribe)
+        .chain(f.events[k..].iter().copied().take(1_000))
+        .collect();
+    for workers in [1, 2] {
+        let snapshot = |tag: &str, twice: bool| {
+            let dir = temp_service_dir(&format!("rows-{tag}-{workers}"));
+            let config = service_config(kind, true)
+                .with_workers(workers)
+                .with_persistence(dir.clone(), 0);
+            let mut core = ServiceCore::new(config).unwrap();
+            core.ingest_all(&f.events[..k]).unwrap();
+            if twice {
+                core.snapshot_now().unwrap();
+            }
+            core.ingest_all(&after).unwrap();
+            core.snapshot_now().unwrap();
+            let bytes = std::fs::read(dir.join("snapshot.bin")).unwrap();
+            drop(core);
+            std::fs::remove_dir_all(&dir).ok();
+            bytes
+        };
+        assert!(
+            snapshot("twice", true) == snapshot("once", false),
+            "{workers} workers: the second snapshot kept rows a subscribe changed"
+        );
+    }
+}
+
+/// Regression: recovering a persistence directory with neither a journal
+/// nor a snapshot failed to open the journal it had found missing. It
+/// starts a fresh service, journaled as a new one is: the same outcome
+/// and the same journal bytes, whether the directory is empty or absent.
+#[test]
+fn recovering_an_empty_directory_starts_a_fresh_service() {
+    let f = fixture();
+    let kind = StrategyKind::GdStar { beta: 2.0 };
+    let run = |tag: &str, start: fn(ServiceConfig) -> Result<ServiceCore, _>, make: bool| {
+        let dir = temp_service_dir(&format!("empty-{tag}"));
+        if make {
+            std::fs::create_dir_all(&dir).unwrap();
+        }
+        let config = service_config(kind, false).with_persistence(dir.clone(), 0);
+        let mut core = start(config).unwrap();
+        for chunk in f.events.chunks(256) {
+            core.ingest_all(chunk).unwrap();
+        }
+        let outcome = core.shutdown().unwrap();
+        let journal = std::fs::read(dir.join("journal.bin")).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        (outcome, journal)
+    };
+    let (new, new_journal) = run("new", ServiceCore::new, false);
+    for (tag, make) in [("recovered", true), ("absent", false)] {
+        let (recovered, journal) = run(tag, ServiceCore::recover, make);
+        assert_eq!(recovered.result, new.result, "{tag}");
+        assert_eq!(recovered.proxies, new.proxies, "{tag}");
+        assert!(journal == new_journal, "{tag}: the journals differ");
+    }
+    assert_equivalent(kind, &new, false, "a new journaled service");
+}
+
 /// Regression: recovery dropped a torn final record, but the records
 /// appended after it followed the torn bytes, and the next recovery
 /// misread them. A crash cuts the last record short, recovery drops it,

@@ -10,8 +10,8 @@ use crate::{PageId, ServerId};
 /// The paper (§4.3) observes that, with static subscriptions, the only
 /// subscription information the strategies need is *the number of
 /// subscriptions matching every page at every server* (`f_S(p)` in eq. 2,
-/// `s` in eqs. 3–5). This table stores exactly that, in a compact
-/// page-indexed CSR-like layout.
+/// `s` in eqs. 3–5). This table stores exactly that: one row per page, a
+/// `Vec` of `(server, count)` pairs each.
 ///
 /// # Examples
 ///
@@ -36,6 +36,24 @@ impl SubscriptionTable {
         Self {
             rows: vec![Vec::new(); page_count],
         }
+    }
+
+    /// The table whose row `page` is `rows[page]`: each row's servers
+    /// strictly ascending, no count zero. Takes the rows as they are, so a
+    /// decoder that checked them builds each row by pushing its pairs in
+    /// order, without the builder's search.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row is out of order or holds a zero count.
+    pub fn from_rows(rows: Vec<Vec<(ServerId, u32)>>) -> Self {
+        assert!(
+            rows.iter()
+                .all(|row| row.windows(2).all(|w| w[0].0 < w[1].0)
+                    && row.iter().all(|&(_, c)| c > 0)),
+            "rows sorted by server, without zero counts"
+        );
+        Self { rows }
     }
 
     /// Number of pages covered by the table.
@@ -198,6 +216,15 @@ mod tests {
         b.add(page, ServerId::new(9), 2)
             .add(page, ServerId::new(5), 4);
         assert_eq!(t, b.build());
+    }
+
+    #[test]
+    fn from_rows_is_the_table_a_builder_makes() {
+        let rows = vec![vec![(ServerId::new(1), 7), (ServerId::new(5), 5)], vec![]];
+        let mut b = SubscriptionTableBuilder::new(2);
+        b.add(PageId::new(0), ServerId::new(5), 5)
+            .add(PageId::new(0), ServerId::new(1), 7);
+        assert_eq!(SubscriptionTable::from_rows(rows), b.build());
     }
 
     #[test]
