@@ -11,12 +11,12 @@
 //! | `repro` | Spec | What it shows |
 //! |---|---|---|
 //! | `beta` | [`Exhibit::beta`] | §5.1 β tuning: best β per algorithm/capacity/trace |
-//! | `fig3` | [`Exhibit::fig3`] ([`Fig3`]) | Dual-Methods vs Dual-Caches hit ratios |
-//! | `fig4` | [`Exhibit::fig4`] ([`Fig4`]) | all methods, capacity sweep, SQ = 1 |
-//! | `table2` | [`Exhibit::table2`] ([`Table2`]) | relative improvement over GD\* at 5% |
-//! | `fig5` | [`Exhibit::fig5`] ([`Fig5`]) | sensitivity to subscription quality |
-//! | `fig6` | [`Exhibit::fig6`] ([`Fig6`]) | hourly hit ratio over 7 days |
-//! | `fig7` | [`Exhibit::fig7`] ([`Fig7`]) | traffic under the two pushing schemes |
+//! | `fig3` | [`Exhibit::fig3`] | Dual-Methods vs Dual-Caches hit ratios |
+//! | `fig4` | [`Exhibit::fig4`] | all methods, capacity sweep, SQ = 1 |
+//! | `table2` | [`Exhibit::table2`] | relative improvement over GD\* at 5% |
+//! | `fig5` | [`Exhibit::fig5`] | sensitivity to subscription quality |
+//! | `fig6` | [`Exhibit::fig6`] | hourly hit ratio over 7 days |
+//! | `fig7` | [`Exhibit::fig7`] | traffic under the two pushing schemes |
 //! | `classic` | [`Exhibit::classic`] | LRU, GDS, LFU-DA against GD\* |
 //! | `lap-bounds` | [`Exhibit::lap_bounds`] | DC-LAP's PC-fraction bounds |
 //! | `partition` | [`Exhibit::partition`] | DC-FP's fixed PC fraction |
@@ -32,17 +32,18 @@
 //! source, across cores; [`ObsAudit`]
 //! replays a lineup with observers (`repro --obs-dir`). The `repro`
 //! binary (`cargo run --release --bin repro -- all`) regenerates
-//! everything.
+//! everything. [`CLAIMS`] are the paper's who-wins claims, each a
+//! predicate over one exhibit's table; [`evaluate_claims`] checks them.
 //!
 //! # Examples
 //!
 //! ```
-//! use pscd_experiments::{ExperimentContext, Table2};
+//! use pscd_experiments::{Exhibit, ExperimentContext};
 //! use pscd_obs::TraceSink;
 //! // 0.4% scale for the doctest; scale 1.0 reproduces the paper. Thread
 //! // count 0 = auto.
 //! let ctx = ExperimentContext::scaled(0.004, 0, TraceSink::disabled())?;
-//! let table2 = Table2::run(&ctx)?;
+//! let table2 = Exhibit::table2().run(&ctx)?;
 //! println!("{table2}");
 //! # Ok::<(), pscd_experiments::ExperimentError>(())
 //! ```
@@ -52,6 +53,7 @@
 #![warn(missing_debug_implementations)]
 
 mod audit;
+mod claims;
 mod context;
 mod csv;
 mod error;
@@ -60,12 +62,10 @@ mod plan;
 mod table;
 
 pub use audit::{AuditRow, ObsAudit};
+pub use claims::{evaluate_claims, Claim, CLAIMS};
 pub use context::{ExperimentContext, SourceKey, Trace, BETAS, CAPACITIES, PAPER_BETA, QUALITIES};
 pub use csv::ToCsv;
 pub use error::ExperimentError;
-pub use exhibit::{
-    Exhibit, ExhibitTable, Fig3, Fig4, Fig5, Fig6, Fig7, Table2, COVERAGES, CRASH_HOUR, LAP_BOUNDS,
-    PC_FRACTIONS, SHIFTS,
-};
+pub use exhibit::{Exhibit, ExhibitTable, COVERAGES, CRASH_HOUR, LAP_BOUNDS, PC_FRACTIONS, SHIFTS};
 pub use plan::Plan;
 pub use table::{pct, signed_pct, TextTable};

@@ -11,7 +11,7 @@ use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use pscd_core::StrategyKind;
-use pscd_experiments::{Exhibit, ExperimentContext, Fig3, Fig4, Plan, Trace, CAPACITIES};
+use pscd_experiments::{Exhibit, ExperimentContext, Plan, Trace, CAPACITIES};
 use pscd_obs::TraceSink;
 use pscd_sim::{CompiledTrace, Replay, SimOptions};
 use pscd_workload::{Workload, WorkloadConfig};
@@ -73,7 +73,7 @@ fn grids_compile_each_workload_exactly_once() {
 
     // A full exhibit touches News and Alternative at SQ = 1: exactly one
     // *new* compilation (Alternative; News is already cached).
-    let fig3 = Fig3::run(&ctx).unwrap();
+    let fig3 = Exhibit::fig3().run(&ctx).unwrap();
     assert!(!fig3.rows.is_empty());
     assert_eq!(
         compile_count() - before,
@@ -83,7 +83,7 @@ fn grids_compile_each_workload_exactly_once() {
 
     // A second exhibit over the same (trace, quality) pairs compiles
     // nothing at all.
-    let fig4 = Fig4::run(&ctx).unwrap();
+    let fig4 = Exhibit::fig4().run(&ctx).unwrap();
     assert!(!fig4.rows.is_empty());
     assert_eq!(
         compile_count() - before,

@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use pscd_experiments::{ExperimentContext, Fig4, Trace};
+use pscd_experiments::{Exhibit, ExperimentContext, Trace};
 use pscd_obs::TraceSink;
 use pscd_sim::pool::spans;
 
@@ -23,7 +23,7 @@ fn a_traced_exhibit_records_one_pool_span_per_consumer() {
         ctx.compiled(trace, 1.0).unwrap();
     }
     spans::enable(Instant::now());
-    let fig4 = Fig4::run(&ctx).unwrap();
+    let fig4 = Exhibit::fig4().run(&ctx).unwrap();
     let recorded = spans::disable();
 
     let cells: usize = fig4.rows.iter().map(|(_, _, results)| results.len()).sum();

@@ -21,7 +21,7 @@
 //! | [`strategies`] | `pscd-core` | LRU, GDS, LFU-DA, GD\*, SUB, SG1, SG2, SR, DM, DC-FP, DC-AP, DC-LAP |
 //! | [`broker`] | `pscd-broker` | delivery engine, pushing schemes, traffic |
 //! | [`sim`] | `pscd-sim` | simulator and metrics |
-//! | [`experiments`] | `pscd-experiments` | every exhibit as an `Exhibit` spec, its runner and renderers |
+//! | [`experiments`] | `pscd-experiments` | every exhibit as an `Exhibit` spec, its runner and renderers, the paper's claims |
 //!
 //! The most common entry points are re-exported at the top level.
 //!

@@ -1,23 +1,25 @@
-//! DESIGN.md and README.md name only what exists, and DESIGN.md stays
-//! small.
+//! DESIGN.md, README.md and EXPERIMENTS.md name only what exists,
+//! DESIGN.md stays small, and EXPERIMENTS.md cites each paper claim.
 //!
 //! Each test reads the documents as committed and checks one kind of
 //! name against the tree: repo files and `path:N–M` line ranges, CI
-//! jobs, cited `suite.rs::test` and `module::fn` paths, and the
-//! `DESIGN.md §N` sections that other files cite. A rename or a deletion
-//! that leaves a document behind fails here, naming the document and the
-//! stale name.
+//! jobs, cited `suite.rs::test` and `module::fn` paths, the
+//! `DESIGN.md §N` sections that other files cite, and the claim ids of
+//! `pscd_experiments::CLAIMS`. A rename or a deletion that leaves a
+//! document behind fails here, naming the document and the stale name.
 
 use std::collections::{BTreeSet, HashSet};
 use std::fs;
 use std::path::Path;
 use std::sync::OnceLock;
 
+use pscd::experiments::CLAIMS;
+
 /// DESIGN.md stays under this many bytes.
 const DESIGN_LIMIT: usize = 50_000;
 
 /// The documents whose names are checked.
-const DOCS: [&str; 2] = ["DESIGN.md", "README.md"];
+const DOCS: [&str; 3] = ["DESIGN.md", "README.md", "EXPERIMENTS.md"];
 
 /// An inline code span ending in one of these names a repo file.
 const FILE_EXTS: [&str; 9] = [
@@ -646,5 +648,31 @@ fn cited_design_sections_exist() {
             }
         }
     }
+    fail_on(problems);
+}
+
+/// EXPERIMENTS.md's head, above the generated part, cites every claim as
+/// `claims.rs::<id>`, and every id it cites so is a claim.
+#[test]
+fn experiments_md_cites_every_claim_and_only_claims() {
+    let text = read("EXPERIMENTS.md");
+    let head = text.split("\n<!-- below: repro all").next().unwrap_or("");
+    let cited: BTreeSet<String> = paragraphs(head)
+        .iter()
+        .flat_map(|par| {
+            code_spans(par)
+                .into_iter()
+                .flat_map(|(_, span, _)| expand(span))
+        })
+        .filter_map(|span| Some(span.strip_prefix("claims.rs::")?.to_string()))
+        .collect();
+    let ids: BTreeSet<String> = CLAIMS.iter().map(|c| c.id.to_string()).collect();
+    let mut problems: Vec<String> = (ids.difference(&cited))
+        .map(|id| format!("EXPERIMENTS.md's head does not cite claim `{id}`"))
+        .collect();
+    problems.extend(
+        (cited.difference(&ids))
+            .map(|id| format!("EXPERIMENTS.md cites `claims.rs::{id}`, no claim")),
+    );
     fail_on(problems);
 }
